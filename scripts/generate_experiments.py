@@ -21,7 +21,7 @@ store* — no point is ever simulated twice.  A per-campaign
 Usage:
     python scripts/generate_experiments.py [--scale 0.5] [--out EXPERIMENTS.md]
         [--jobs N] [--no-cache] [--cache-dir DIR] [--apps Radix,Sample,...]
-        [--engine heap|calendar] [--profile]
+        [--profile]
     python scripts/generate_experiments.py --campaign nightly \\
         --store results.sqlite [--dials overhead,gap] [--bench-out B.json]
 """
@@ -37,7 +37,6 @@ import time
 from repro.calibrate import calibrate_bulk_bandwidth
 from repro.harness import RunCache
 from repro.harness.parallel import run_experiments_parallel
-from repro.sim import ENGINES, set_default_engine
 
 
 def _run_profiled(requests):
@@ -238,11 +237,11 @@ def run_campaign_mode(args, cache, selected) -> int:
         specs.append(CampaignSpec(
             name=f"{args.campaign}/p16", apps=apps, node_counts=(16,),
             dials=(("overhead", SWEEP_GRIDS["overhead"]),),
-            scale=args.scale, engine=args.engine))
+            scale=args.scale))
     specs.append(CampaignSpec(
         name=f"{args.campaign}/p32", apps=apps, node_counts=(32,),
         dials=tuple((dial, SWEEP_GRIDS[dial]) for dial in dials),
-        scale=args.scale, engine=args.engine))
+        scale=args.scale))
 
     with ResultStore(args.store) as store:
         reports = [run_campaign(spec, store, cache=cache,
@@ -280,11 +279,6 @@ def main(argv=None) -> int:
     parser.add_argument("--apps", default=None,
                         help="comma-separated subset of Table 3 app names "
                         "(reduced grid for smoke runs)")
-    parser.add_argument("--engine", default=None,
-                        choices=(*ENGINES, "fast"),
-                        help="Simulator scheduling engine for every run; "
-                        "engines are bit-identical, so the report and the "
-                        "run-cache keys do not depend on this")
     parser.add_argument("--predict", action="store_true",
                         help="append simcost predicted-sweep sections: "
                         "record one instrumented run per app, predict "
@@ -310,9 +304,6 @@ def main(argv=None) -> int:
                         "(default BENCH_campaign_<name>.json next to "
                         "--out)")
     args = parser.parse_args(argv)
-    if args.engine is not None:
-        # Before any pools: forked sweep workers inherit the default.
-        set_default_engine(args.engine)
     if args.profile and args.jobs != 1:
         print("--profile runs in-process; forcing --jobs 1",
               file=sys.stderr)

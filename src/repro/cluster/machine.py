@@ -140,13 +140,6 @@ class Cluster:
         :class:`~repro.sanitize.reports.DeadlockError`.  The sanitizer
         adds zero *simulated* cost, so runtime/event counts stay
         bit-identical; sanitized runs are excluded from the run cache.
-    engine:
-        Scheduling tier for the event core: ``"heap"`` (reference) or
-        ``"calendar"``/``"fast"`` (the raw-speed tier, see
-        ARCHITECTURE.md section 13).  ``None`` (default) defers to the
-        process-wide default (``repro.sim.set_default_engine``).  The
-        tiers replay every workload bit-identically, so this knob never
-        affects results, stats, or cache keys — only wall-clock.
     """
 
     def __init__(self, n_nodes: int,
@@ -162,8 +155,8 @@ class Cluster:
                  livelock_limit: int = 200_000,
                  faults: Optional["FaultPlan"] = None,  # noqa: F821
                  sanitize: bool = False,
-                 coll: Optional["CollConfig"] = None,  # noqa: F821
-                 engine: Optional[str] = None) -> None:
+                 coll: Optional["CollConfig"] = None  # noqa: F821
+                 ) -> None:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         self.n_nodes = n_nodes
@@ -194,11 +187,6 @@ class Cluster:
         if coll is not None and coll.is_default:
             coll = None
         self.coll = coll
-        #: Scheduling tier for the simulator (see repro.sim.ENGINES).
-        #: ``None`` defers to the process-wide default at run() time.
-        #: Both tiers are bit-identical by contract, so this knob is
-        #: deliberately NOT part of the run-cache key space.
-        self.engine = engine
 
     def with_knobs(self, knobs: TuningKnobs) -> "Cluster":
         """A cluster identical to this one but with different dials."""
@@ -211,8 +199,7 @@ class Cluster:
                        livelock_limit=self.livelock_limit,
                        faults=self.faults,
                        sanitize=self.sanitize,
-                       coll=self.coll,
-                       engine=self.engine)
+                       coll=self.coll)
 
     # -- running applications -------------------------------------------------
     def run(self, app: "Application",
@@ -251,7 +238,7 @@ class Cluster:
                 raise ValueError(
                     "simcost recording does not support dialed "
                     "occupancy (delta_occ > 0)")
-        sim = Simulator(engine=self.engine)
+        sim = Simulator()
         stats = ClusterStats(self.n_nodes)
         if self.fabric == "myrinet":
             from repro.network.topology import SwitchedFabric

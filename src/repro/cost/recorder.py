@@ -129,8 +129,7 @@ def record_run(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
                window: Optional[int] = None,
                window_scope: str = "per-destination",
                run_limit_us: Optional[float] = None,
-               livelock_limit: int = 200_000,
-               engine: Optional[str] = None):
+               livelock_limit: int = 200_000):
     """Run ``app`` once with recording on; return ``(graph, result)``.
 
     The single instrumented simulation that replaces a dial sweep.
@@ -152,7 +151,7 @@ def record_run(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
         n_nodes=n_nodes, params=params, knobs=knobs, seed=seed,
         window=window if window is not None else DEFAULT_WINDOW,
         window_scope=window_scope, run_limit_us=run_limit_us,
-        livelock_limit=livelock_limit, engine=engine)
+        livelock_limit=livelock_limit)
     recorder = DepRecorder()
     result = cluster.run(app, recorder=recorder)
     return recorder.graph, result

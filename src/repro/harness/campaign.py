@@ -9,7 +9,7 @@ This module is that contract, modeled on MBradbury/slp's
 ``skip_completed_simulations`` + ``create_*_results.py`` split:
 
 * :class:`CampaignSpec` — a declarative, JSON-round-trippable argument
-  product over (app, P, dial, values, seed, faults, coll, engine).
+  product over (app, P, dial, values, seed, faults, coll).
   ``points()`` expands it into concrete
   :class:`~repro.harness.parallel.PointTask` work units, each tagged
   with the same content-addressed key the
@@ -47,7 +47,7 @@ import statistics
 import time
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -129,8 +129,6 @@ class CampaignSpec:
     faults: Optional[FaultPlan] = None
     #: Collective tuning config applied to every point.
     coll: Optional[Any] = None
-    #: Simulator scheduling engine (bit-identical tiers; never keyed).
-    engine: Optional[str] = None
     #: Open-system serving workload: the constructor-knob dict a
     #: :func:`repro.serve.apps.serving_app_from_dict` builds from
     #: (``{"app": "kvserve", ...}``).  When set, ``apps`` must name
@@ -230,7 +228,7 @@ class CampaignSpec:
                         run_limit_us=self.run_limit_us,
                         livelock_limit=self.livelock_limit,
                         window=self.window, faults=fault_for(value),
-                        coll=self.coll, engine=self.engine)
+                        coll=self.coll)
                     spec = task.key_spec()
                     points.append(CampaignPoint(
                         app_name=app_name, n_nodes=n_nodes,
@@ -259,7 +257,6 @@ class CampaignSpec:
                        if self.faults is not None else None),
             "coll": (dataclasses.asdict(self.coll)
                      if self.coll is not None else None),
-            "engine": self.engine,
             "workload": (dict(self.workload)
                          if self.workload is not None else None),
         }
@@ -297,7 +294,7 @@ class CampaignSpec:
             run_limit_us=data.get("run_limit_us"),
             livelock_limit=data.get("livelock_limit", 200_000),
             window=data.get("window", 8),
-            faults=faults, coll=coll, engine=data.get("engine"),
+            faults=faults, coll=coll,
             workload=data.get("workload"))
 
     def to_json(self) -> str:
@@ -406,7 +403,13 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
     if stale:
         say(f"swept {stale} stale cache tmp file(s)")
 
-    points = spec.points()
+    # Every dial's first value is the unmodified machine, so a
+    # multi-dial spec names that run once per dial.  One key is one
+    # point of work and one store row: keep the first occurrence.
+    unique: Dict[str, CampaignPoint] = {}
+    for point in spec.points():
+        unique.setdefault(point.key, point)
+    points = list(unique.values())
     stored: Set[str] = store.keys(spec.name)
     pending = [p for p in points if p.key not in stored]
     resumed = len(points) - len(pending)
@@ -526,8 +529,21 @@ def sweep_from_store(store: ResultStore, spec: CampaignSpec,
     by_value: Dict[float, Any] = {}
     for stored in store.points(spec.name, app=app_name, n_nodes=n_nodes,
                                parameter=parameter, seed=seed):
-        by_value[stored.value] = stored
+        by_value[stored.value] = (stored.result, stored.failure)
     missing = [value for value in values if value not in by_value]
+    if missing:
+        # A run shared with another dial (the common baseline) is
+        # stored once, under whichever dial reached it first: resolve
+        # it through its run key before calling the point missing.
+        series = replace(
+            spec, apps=(app_name,), node_counts=(n_nodes,),
+            dials=((parameter, values),), seeds=(seed,))
+        for point in series.points():
+            if point.value in missing:
+                outcome = store.get(spec.name, point.key)
+                if outcome is not None:
+                    by_value[point.value] = outcome
+        missing = [value for value in missing if value not in by_value]
     if missing:
         raise KeyError(
             f"campaign {spec.name!r} store is missing "
@@ -542,8 +558,8 @@ def sweep_from_store(store: ResultStore, spec: CampaignSpec,
                         parameter=parameter)
     sweep.points = [
         SweepPoint(value=value, knobs=knob_for(value),
-                   result=by_value[value].result,
-                   failure=by_value[value].failure)
+                   result=by_value[value][0],
+                   failure=by_value[value][1])
         for value in values
     ]
     return sweep

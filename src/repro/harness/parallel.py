@@ -84,10 +84,6 @@ class PointTask:
     #: points bypass the cache entirely instead of forking the key space
     #: (the run itself is bit-identical either way).
     sanitize: bool = False
-    #: Scheduling engine for the point's Simulator ("heap", "calendar",
-    #: or None for the process default).  Never part of :meth:`key_spec`
-    #: — engines are bit-identical, so cached results are shared.
-    engine: Optional[str] = None
 
     def key_spec(self) -> Dict[str, Any]:
         """The cache key-spec for this point."""
@@ -110,8 +106,7 @@ def execute_point(task: PointTask) -> SweepPoint:
                       run_limit_us=task.run_limit_us,
                       livelock_limit=task.livelock_limit,
                       window=task.window, faults=task.faults,
-                      sanitize=task.sanitize, coll=task.coll,
-                      engine=task.engine)
+                      sanitize=task.sanitize, coll=task.coll)
     point = SweepPoint(value=task.value, knobs=task.knobs)
     # Failure taxonomy: the prefix before ":" is the category that
     # SweepPoint.failure_category surfaces.  DeadlockError must be
@@ -143,7 +138,6 @@ def run_sweep_points(app: Any, n_nodes: int, parameter: str,
                          Callable[[float], Optional[FaultPlan]]] = None,
                      sanitize: bool = False,
                      coll: Optional[Any] = None,
-                     engine: Optional[str] = None,
                      app_for: Optional[
                          Callable[[float], Any]] = None) -> SweepResult:
     """The sweep engine behind :func:`repro.harness.sweeps.run_sweep`.
@@ -165,11 +159,6 @@ def run_sweep_points(app: Any, n_nodes: int, parameter: str,
     (:class:`~repro.coll.tuner.CollConfig`) to every point; it is part
     of the cache key unless it is the default fixed config.
 
-    ``engine`` selects the Simulator scheduling engine for every point
-    (see :data:`repro.sim.ENGINES`).  Engines are bit-identical, so the
-    knob is deliberately not part of the cache key: a result computed
-    under one engine is valid for all of them.
-
     ``app_for`` maps each dialed value to the application instance for
     that point, for sweeps whose axis is an *application* knob rather
     than a machine dial — e.g. the serving tier's offered-load axis.
@@ -186,7 +175,7 @@ def run_sweep_points(app: Any, n_nodes: int, parameter: str,
                   run_limit_us=run_limit_us,
                   livelock_limit=livelock_limit, window=window,
                   faults=fault_for(value) if fault_for is not None else None,
-                  sanitize=sanitize, coll=coll, engine=engine)
+                  sanitize=sanitize, coll=coll)
         for value in values
     ]
     points: List[Optional[SweepPoint]] = [None] * len(tasks)

@@ -190,8 +190,8 @@ def run_sweep(app: Application, n_nodes: int, parameter: str,
               fault_for: Optional[
                   Callable[[float], Optional[FaultPlan]]] = None,
               sanitize: bool = False,
-              coll: Optional["CollConfig"] = None,  # noqa: F821
-              engine: Optional[str] = None) -> SweepResult:
+              coll: Optional["CollConfig"] = None  # noqa: F821
+              ) -> SweepResult:
     """Run ``app`` at each dialed value; first value is the baseline.
 
     ``jobs`` > 1 fans the points across a process pool (bit-identical
@@ -203,8 +203,6 @@ def run_sweep(app: Application, n_nodes: int, parameter: str,
     cache — sanitized results are never cached or served from cache).
     ``coll`` applies one :class:`~repro.coll.tuner.CollConfig` to every
     point (part of the cache key unless it is the default).
-    ``engine`` picks the Simulator scheduling engine (bit-identical
-    tiers, so it never affects cache keys or results).
     """
     # Imported lazily: parallel imports this module for SweepPoint/Result.
     from repro.harness.parallel import run_sweep_points
@@ -213,7 +211,7 @@ def run_sweep(app: Application, n_nodes: int, parameter: str,
                             run_limit_us=run_limit_us,
                             livelock_limit=livelock_limit, window=window,
                             jobs=jobs, cache=cache, fault_for=fault_for,
-                            sanitize=sanitize, coll=coll, engine=engine)
+                            sanitize=sanitize, coll=coll)
 
 
 def predicted_sweep(app: Application, n_nodes: int, parameter: str,

@@ -51,8 +51,7 @@ def serving_sweep(app: ServingApp, n_nodes: int, parameter: str,
                   cache: Optional[Any] = None,
                   knobs: Optional[TuningKnobs] = None,
                   base_plan: Optional[FaultPlan] = None,
-                  coll: Optional[Any] = None,
-                  engine: Optional[str] = None) -> SweepResult:
+                  coll: Optional[Any] = None) -> SweepResult:
     """Sweep one axis of an open-system serving scenario.
 
     ``parameter`` is one of :data:`SERVING_DIALS`.  Machine dials use
@@ -86,8 +85,7 @@ def serving_sweep(app: ServingApp, n_nodes: int, parameter: str,
         app, n_nodes, parameter, values, knob_for, params=params,
         seed=seed, run_limit_us=run_limit_us,
         livelock_limit=livelock_limit, window=window, jobs=jobs,
-        cache=cache, fault_for=fault_for, coll=coll, engine=engine,
-        app_for=app_for)
+        cache=cache, fault_for=fault_for, coll=coll, app_for=app_for)
 
 
 def serving_rows(sweep: SweepResult) -> list:

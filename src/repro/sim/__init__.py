@@ -14,8 +14,7 @@ Public surface:
 * :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`.
 """
 
-from repro.sim.engine import (ENGINES, Simulator, StalledError,
-                              default_engine, set_default_engine)
+from repro.sim.engine import Simulator, StalledError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Resource, Store
@@ -23,9 +22,6 @@ from repro.sim.resources import Resource, Store
 __all__ = [
     "Simulator",
     "StalledError",
-    "ENGINES",
-    "default_engine",
-    "set_default_engine",
     "Event",
     "Timeout",
     "AnyOf",

@@ -10,13 +10,11 @@ with the heap and bookkeeping hoisted into locals, and
 :meth:`Simulator.timeout` builds the (overwhelmingly common) Timeout
 event without going through the generic ``Event`` constructor.
 
-This class is also the *reference tier* of a two-tier scheduler (see
-ARCHITECTURE.md section 13): ``Simulator(engine="calendar")`` returns a
-:class:`~repro.sim.fastengine.CalendarSimulator`, a faster drop-in that
-must replay every workload bit-identically — same event order, same
-``now``, same ``events_processed``.  ``benchmarks/test_engine_
-throughput.py`` and the committed ``BENCH_6.json`` track events/second
-for both tiers so regressions are caught.
+There is exactly one scheduler.  :meth:`Simulator.step` is the
+readable reference for what processing one event means; the two loops
+inlined in :meth:`Simulator.run` must stay semantically identical to it
+(``tests/test_engine_equivalence.py`` fuzzes them against each other;
+ARCHITECTURE.md section 13 records why there is no second tier).
 """
 
 from __future__ import annotations
@@ -27,54 +25,9 @@ from typing import Any, Generator, List, Optional, Tuple
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
-__all__ = ["Simulator", "StalledError", "ENGINES",
-           "default_engine", "set_default_engine"]
+__all__ = ["Simulator", "StalledError"]
 
 _INF = float("inf")
-
-#: The selectable scheduling tiers.  ``heap`` is this module's reference
-#: engine; ``calendar`` is the raw-speed tier in
-#: :mod:`repro.sim.fastengine` (``fast`` is an alias for it).
-ENGINES = ("heap", "calendar")
-
-_ENGINE_ALIASES = {"fast": "calendar"}
-
-_default_engine = "heap"
-
-
-def default_engine() -> str:
-    """The engine name ``Simulator()`` resolves to when none is given."""
-    return _default_engine
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default scheduling tier.
-
-    Lets a driver (e.g. ``scripts/generate_experiments.py --engine``)
-    switch every simulator it creates — including those built in forked
-    sweep workers — without threading the knob through each call site.
-    Returns the previous default.  Both tiers are bit-identical by
-    contract, so the choice never changes results, cache keys, or
-    artifacts; only wall-clock.
-    """
-    global _default_engine
-    resolved = _ENGINE_ALIASES.get(engine, engine)
-    if resolved not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {ENGINES}")
-    previous = _default_engine
-    _default_engine = resolved
-    return previous
-
-
-def _resolve_engine(engine: Optional[str]) -> str:
-    resolved = _ENGINE_ALIASES.get(engine, engine)
-    if resolved is None:
-        return _default_engine
-    if resolved not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {ENGINES}")
-    return resolved
 
 
 def _reject_delay(kind: str, delay: float) -> None:
@@ -123,26 +76,9 @@ class Simulator:
         proc = sim.process(ping())
         sim.run()
         assert sim.now == 5.0
-
-    ``engine`` selects the scheduling tier: ``"heap"`` (this class, the
-    bit-identity reference) or ``"calendar"`` (the raw-speed tier;
-    ``"fast"`` is an alias).  ``None`` resolves to the process-wide
-    default set with :func:`set_default_engine` (``"heap"`` unless a
-    driver changed it).
     """
 
-    #: Which scheduling tier this instance is (``"heap"`` here).
-    engine = "heap"
-
-    def __new__(cls, engine: Optional[str] = None, **kwargs: Any):
-        if cls is Simulator and _resolve_engine(engine) == "calendar":
-            from repro.sim.fastengine import CalendarSimulator
-            return object.__new__(CalendarSimulator)
-        return object.__new__(cls)
-
-    def __init__(self, engine: Optional[str] = None) -> None:
-        # ``engine`` was consumed by __new__ (it picked this class);
-        # kept in the signature so Simulator(engine=...) constructs.
+    def __init__(self) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
@@ -220,7 +156,7 @@ class Simulator:
 
     def _push(self, event: Event, delay: float) -> None:
         """Insert a pre-validated, pre-triggered event (the ``Timeout``
-        constructor's path; engine tiers override the storage)."""
+        constructor's path)."""
         self._seq += 1
         heappush(self._heap, (self._now + delay, NORMAL, self._seq, event))
 
@@ -251,8 +187,16 @@ class Simulator:
 
         Returns the value of ``stop_event`` if given and triggered.
         Raises :class:`TimeoutError` if ``until`` elapses while
-        ``stop_event`` is still pending.
+        ``stop_event`` is still pending, and :class:`ValueError` for an
+        ``until`` that is NaN or earlier than ``now`` (the clock never
+        moves backwards).
         """
+        if until is not None and not until >= self._now:
+            # One check per call, none per event; NaN fails every
+            # comparison, so it lands here too.
+            raise ValueError(
+                f"cannot run into the past: until={until!r} "
+                f"(must be >= now={self._now})")
         if stop_event is not None:
             if stop_event.processed:
                 if stop_event.ok:

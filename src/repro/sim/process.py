@@ -30,7 +30,7 @@ class Interrupt(Exception):
 class Process(Event):
     """A running simulation process; also an event (its own completion)."""
 
-    __slots__ = ("_generator", "_send", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, sim: "Simulator",  # noqa: F821
                  generator: Generator, name: str = "") -> None:
@@ -41,9 +41,6 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(
             generator, "__name__", "process"))
         self._generator = generator
-        #: ``generator.send`` pre-bound: the engines resume via this
-        #: slot, skipping a method lookup on every process wakeup.
-        self._send = generator.send
         # Kick off on the next simulator step at the current time.  The
         # kickoff event doubles as the initial _waiting_on target so stray
         # wakeups can never resume the process.

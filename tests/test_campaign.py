@@ -275,12 +275,18 @@ def test_campaign_spec_json_round_trip_with_faults_and_coll():
                                       duration_us=50.0, factor=2.0),),
             salt=3),
         coll=CollConfig(policy="model",
-                        choices=(("broadcast", "chain"),)),
-        engine="calendar")
+                        choices=(("broadcast", "chain"),)))
     round_tripped = CampaignSpec.from_json(spec.to_json())
     assert round_tripped == spec
     # And the round trip preserves point identity, not just equality.
     assert ([p.key for p in round_tripped.points()]
+            == [p.key for p in spec.points()])
+    # Spec files written while CampaignSpec still had an ``engine``
+    # field keep loading, to the same points.
+    legacy = CampaignSpec.from_dict({**spec.to_dict(),
+                                     "engine": "calendar"})
+    assert legacy == spec
+    assert ([p.key for p in legacy.points()]
             == [p.key for p in spec.points()])
 
 
@@ -410,6 +416,39 @@ def test_ensemble_from_store_mean_and_ci(tmp_path):
     with ResultStore(tmp_path / "one.sqlite") as store:
         run_campaign(single, store, jobs=1)
         assert "Seed ensemble" not in render_campaign([single], store)
+
+
+def test_multi_dial_campaign_shares_its_baseline(tmp_path):
+    """Every dial's first value is the unmodified machine: one run
+    key, one simulation, one store row — and every dial still renders."""
+    spec = CampaignSpec(name="two-dials", apps=("Radix",),
+                        node_counts=(4,), scale=0.05,
+                        dials=(("overhead", (2.9, 12.9)),
+                               ("gap", (5.8, 55.8))))
+    points = spec.points()
+    assert len(points) == 4
+    assert points[0].key == points[2].key  # the shared baseline
+    with ResultStore(tmp_path / "s.sqlite") as store:
+        report = run_campaign(spec, store, jobs=1)
+        assert (report.total_points, report.computed_points) == (3, 3)
+        assert store.count(spec.name) == 3
+        resumed = run_campaign(spec, store, jobs=1)
+        assert (resumed.total_points, resumed.resumed_points,
+                resumed.computed_points) == (3, 3, 0)
+        for parameter, _values in spec.dials:
+            sweep = sweep_from_store(store, spec, "Radix", 4, parameter)
+            assert sweep.slowdowns()[0] == 1.0
+            assert sweep.slowdowns()[1] > 1.0
+        assert sweep.points[0].runtime_us == store.get(
+            spec.name, points[0].key)[0].runtime_us
+        text = render_campaign([spec], store)
+        assert "overhead" in text and "gap" in text
+        # A point that truly is absent still raises.
+        wider = CampaignSpec.from_dict(
+            {**spec.to_dict(), "dials": [["overhead", [2.9, 12.9]],
+                                         ["gap", [5.8, 55.8, 105.8]]]})
+        with pytest.raises(KeyError, match="missing 1/3"):
+            sweep_from_store(store, wider, "Radix", 4, "gap")
 
 
 def test_sweep_from_store_matches_direct_sweep(tmp_path):

@@ -1,28 +1,28 @@
-"""Differential equivalence: the calendar tier vs. the heap reference.
+"""Differential equivalence: the inlined ``run()`` loops vs. ``step()``.
 
-The calendar engine (``repro.sim.fastengine``) is only allowed to be
-*faster* than the reference heap engine — never different.  These tests
-enforce the bit-identity contract three ways:
+``Simulator.step`` is the readable reference for what processing one
+event means; ``Simulator.run`` unrolls it twice (with and without an
+``until`` horizon) for speed.  The unrolled loops are only allowed to
+be *faster* than stepping — never different.  These tests enforce that
+two ways:
 
 * randomized differential fuzzing: the same scripted workload (mixed
   timeouts, zero-delay bursts, AnyOf/AllOf composites, spawned
-  sub-processes, manually succeeded/failed events) runs on both engines
-  and must produce the identical resume trace, final ``now``,
-  ``events_processed``, and — when the workload fails — the identical
-  exception at the identical time;
-* targeted corners the fuzzer would only hit by luck: ``run(until)``
-  horizon resume, the post-drain clock bump followed by zero-delay
-  scheduling, step()-driven runs, and non-finite delay rejection;
-* cluster-level identity: a full application run (including under
-  simsan) is bit-identical across engines, and the engine knob never
-  enters the run-cache key space.
+  sub-processes, manually succeeded/failed events) is driven once
+  through ``run()`` and once by ``step()`` alone, and must produce the
+  identical resume trace, final ``now``, ``events_processed``, and —
+  when the workload fails — the identical exception at the identical
+  time;
+* targeted corners the fuzzer would only hit by luck: the post-drain
+  clock bump followed by zero-delay scheduling, far-future events among
+  dense ticks, non-finite delay rejection, and back-to-back timeouts.
 """
 
 import random
 
 import pytest
 
-from repro.sim import ENGINES, Simulator
+from repro.sim import Simulator
 from repro.sim.events import Timeout
 
 #: Quantized delays with deliberate repeats: ties at equal times are the
@@ -37,7 +37,7 @@ N_MANUAL = 6
 # ---------------------------------------------------------------------------
 
 def _make_script(rng, depth=0):
-    """A deterministic per-process op list (same for both engines)."""
+    """A deterministic per-process op list (same for both drivers)."""
     ops = ["timeout", "burst", "any_of", "all_of"]
     if depth == 0:
         ops += ["spawn", "manual"]
@@ -103,7 +103,7 @@ def _build_workload(sim, seed, may_fail):
     # The driver resolves every manual event exactly once at scripted
     # times; some fail.  A failed event nobody happens to be waiting on
     # surfaces as the run's exception — which must also be identical
-    # across engines, so failing workloads are legal fuzz inputs.
+    # across drivers, so failing workloads are legal fuzz inputs.
     plan = [(rng.choice(DELAYS),
              idx,
              may_fail and rng.random() < 0.3)
@@ -121,34 +121,63 @@ def _build_workload(sim, seed, may_fail):
     return trace, procs
 
 
-def _run_workload(engine, seed, mode="run", may_fail=False):
+HORIZONS = (1.0, 7.3, 50.0, 1e6)
+
+
+def _step_all(sim):
+    while sim.peek() != float("inf"):
+        sim.step()
+
+
+def _drive(sim, procs, mode):
+    """Drive ``sim`` through the production ``run()`` loops."""
+    if mode == "run":
+        sim.run()
+    elif mode == "stop":
+        done = sim.run(stop_event=sim.all_of(procs))
+        return sorted(map(repr, done.values()))
+    elif mode == "until":
+        # Several horizons, the last one past everything: exercises
+        # horizon parking, resume, and the final clock bump.
+        checkpoints = []
+        for horizon in HORIZONS:
+            sim.run(until=horizon)
+            checkpoints.append((sim.now, sim.events_processed))
+        return checkpoints
+    else:  # "step": one tick per call, the horizon exactly on an event
+        while sim.peek() != float("inf"):
+            sim.run(until=sim.peek())
+    return None
+
+
+def _drive_reference(sim, procs, mode):
+    """The same drive spelled with ``step()`` alone."""
+    if mode == "stop":
+        done = sim.all_of(procs)
+        while not done.processed:
+            sim.step()
+        return sorted(map(repr, done.value.values()))
+    if mode == "until":
+        checkpoints = []
+        for horizon in HORIZONS:
+            while sim.peek() <= horizon:
+                sim.step()
+            sim._now = max(sim.now, horizon)
+            checkpoints.append((sim.now, sim.events_processed))
+        return checkpoints
+    _step_all(sim)
+    return None
+
+
+def _run_workload(drive, seed, mode="run", may_fail=False):
     """One full seeded run; returns everything that must be identical."""
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     trace, procs = _build_workload(sim, seed, may_fail)
     outcome = None
     error = None
     try:
-        if mode == "run":
-            sim.run()
-        elif mode == "stop":
-            done = sim.run(stop_event=sim.all_of(procs))
-            outcome = sorted(map(repr, done.values()))
-        elif mode == "until":
-            # Several horizons, the last one past everything: exercises
-            # horizon parking, resume, and the final clock bump.
-            checkpoints = []
-            for horizon in (1.0, 7.3, 50.0, 1e6):
-                sim.run(until=horizon)
-                checkpoints.append((sim.now, sim.events_processed))
-            outcome = checkpoints
-        elif mode == "step":
-            while True:
-                try:
-                    sim.step()
-                except RuntimeError as exc:
-                    assert "no events" in str(exc)
-                    break
-    except (RuntimeError, TimeoutError) as exc:
+        outcome = drive(sim, procs, mode)
+    except RuntimeError as exc:
         error = (type(exc).__name__, str(exc))
     return (trace, sim.now, sim.events_processed, outcome, error)
 
@@ -159,42 +188,44 @@ FUZZ_SEEDS = range(12)
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 @pytest.mark.parametrize("mode", ["run", "stop", "until", "step"])
 def test_fuzz_engines_bit_identical(seed, mode):
-    reference = _run_workload("heap", seed, mode=mode)
-    candidate = _run_workload("calendar", seed, mode=mode)
+    reference = _run_workload(_drive_reference, seed, mode=mode)
+    candidate = _run_workload(_drive, seed, mode=mode)
     assert candidate == reference
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fuzz_failing_events_bit_identical(seed):
-    reference = _run_workload("heap", seed, may_fail=True)
-    candidate = _run_workload("calendar", seed, may_fail=True)
+    reference = _run_workload(_drive_reference, seed, may_fail=True)
+    candidate = _run_workload(_drive, seed, may_fail=True)
     assert candidate == reference
     # Sanity: with 12 seeds and 30% failure odds, some seed must
     # actually die — otherwise the fuzzer lost its failing arm.
     if seed == FUZZ_SEEDS[-1]:
-        assert any(_run_workload("heap", s, may_fail=True)[4]
+        assert any(_run_workload(_drive, s, may_fail=True)[4]
                    for s in FUZZ_SEEDS)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_step_matches_run(seed):
-    """step()-driven and run()-driven execution agree on both engines."""
-    for engine in ENGINES:
-        stepped = _run_workload(engine, seed, mode="step")
-        ran = _run_workload(engine, seed, mode="run")
-        assert stepped[:3] == ran[:3]
+    """step() and run() can be mixed on one simulator: a stepped prefix
+    hands its clock and event count to run() without a seam."""
+    def stepped_prefix(sim, procs, mode):
+        for _ in range(7):
+            sim.step()
+        sim.run()
+
+    assert (_run_workload(stepped_prefix, seed)
+            == _run_workload(_drive, seed))
 
 
 # ---------------------------------------------------------------------------
 # Targeted corners.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_until_clock_bump_then_zero_delay_schedule(engine):
+def test_until_clock_bump_then_zero_delay_schedule():
     """After run(until) drains and bumps the clock, fresh zero-delay
-    events must fire at the bumped time, in order (regression for the
-    calendar tier's current-bucket index going stale at the bump)."""
-    sim = Simulator(engine=engine)
+    events must fire at the bumped time, in order."""
+    sim = Simulator()
 
     def early():
         yield sim.timeout(1.0)
@@ -217,11 +248,10 @@ def test_until_clock_bump_then_zero_delay_schedule(engine):
     assert order == [("a", 5.0), ("b", 5.0), ("a", 5.25), ("b", 5.25)]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_far_future_and_same_tick_interleave(engine):
-    """Events far outside the calendar's bucket span (the overflow
-    bucket) still interleave correctly with dense near-term ticks."""
-    sim = Simulator(engine=engine)
+def test_far_future_and_same_tick_interleave():
+    """Events at astronomically distant times still interleave
+    correctly with dense near-term ticks."""
+    sim = Simulator()
     seen = []
 
     def body(delay, tag):
@@ -241,34 +271,32 @@ BAD_DELAYS = (float("nan"), float("inf"), float("-inf"), -1.0, -1e-12)
 
 @pytest.mark.parametrize("bad", BAD_DELAYS)
 def test_bad_delays_rejected_identically(bad):
-    """NaN/inf/negative delays raise ValueError on every entry point of
-    both engines — with the same message, and without corrupting the
-    simulator (it stays runnable and empty)."""
-    messages = {}
-    for engine in ENGINES:
-        sim = Simulator(engine=engine)
-        seen = []
-        for make in (lambda: sim.timeout(bad),
-                     lambda: Timeout(sim, bad),
-                     lambda: sim._schedule(sim.event(), delay=bad),
-                     lambda: sim.event().succeed(None, delay=bad)):
-            with pytest.raises(ValueError) as excinfo:
-                make()
-            seen.append(str(excinfo.value))
-        messages[engine] = seen
-        sim.run()
-        assert sim.now == 0.0
-        assert sim.events_processed == 0
-    assert messages["calendar"] == messages["heap"]
+    """NaN/inf/negative delays raise ValueError on every entry point —
+    the fast ``sim.timeout`` path and the ``Timeout`` constructor with
+    the same message — without corrupting the simulator (it stays
+    runnable and empty)."""
+    sim = Simulator()
+    messages = []
+    for make in (lambda: sim.timeout(bad),
+                 lambda: Timeout(sim, bad),
+                 lambda: sim._schedule(sim.event(), delay=bad),
+                 lambda: sim.event().succeed(None, delay=bad)):
+        with pytest.raises(ValueError) as excinfo:
+            make()
+        messages.append(str(excinfo.value))
+    sim.run()
+    assert sim.now == 0.0
+    assert sim.events_processed == 0
+    assert messages[0] == messages[1]
+    assert messages[2] == messages[3]
     if bad != bad or bad in (float("inf"), float("-inf")):
-        assert all("non-finite" in msg for msg in messages["heap"])
+        assert all("non-finite" in msg for msg in messages)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_timeout_recycling_does_not_leak_state(engine):
-    """Back-to-back timeouts (the free-list's hottest pattern) never
-    leak a value or callback from a previous incarnation."""
-    sim = Simulator(engine=engine)
+def test_timeout_recycling_does_not_leak_state():
+    """Back-to-back timeouts each deliver their own value, never a
+    neighbour's."""
+    sim = Simulator()
     got = []
 
     def body():
@@ -280,62 +308,3 @@ def test_timeout_recycling_does_not_leak_state(engine):
     sim.run()
     assert got == [i if i % 3 else None for i in range(2000)]
     assert sim.now == 1000.0
-
-
-# ---------------------------------------------------------------------------
-# Cluster-level identity.
-# ---------------------------------------------------------------------------
-
-def _radix_app():
-    from repro.apps import RadixSort
-    return RadixSort(keys_per_proc=128)
-
-
-def test_cluster_run_bit_identical_across_engines():
-    from repro.cluster import Cluster
-    results = {engine: Cluster(n_nodes=4, engine=engine).run(_radix_app())
-               for engine in ENGINES}
-    reference = results["heap"]
-    candidate = results["calendar"]
-    assert candidate.runtime_us == reference.runtime_us
-    assert candidate.stats.to_dict() == reference.stats.to_dict()
-
-
-def test_simsan_bit_identical_across_engines():
-    from repro.cluster import Cluster
-    reports = {}
-    for engine in ENGINES:
-        result = Cluster(n_nodes=4, sanitize=True,
-                         engine=engine).run(_radix_app())
-        assert result.sanitizer is not None
-        reports[engine] = (result.runtime_us,
-                           result.sanitizer.to_dict(),
-                           result.sanitizer.render())
-    assert reports["calendar"] == reports["heap"]
-
-
-def test_engine_is_not_part_of_the_cache_key():
-    from repro.am.tuning import TuningKnobs
-    from repro.harness.parallel import PointTask
-    from repro.harness.runcache import RunCache
-    from repro.network.loggp import LogGPParams
-
-    base = dict(app=_radix_app(), n_nodes=4, value=1.0,
-                knobs=TuningKnobs(), params=LogGPParams.berkeley_now())
-    specs = [PointTask(engine=engine, **base).key_spec()
-             for engine in (None, "heap", "calendar")]
-    assert specs[0] == specs[1] == specs[2]
-    keys = {RunCache.key_for(spec) for spec in specs}
-    assert len(keys) == 1
-
-
-def test_sweep_results_identical_across_engines():
-    from repro.harness.sweeps import overhead_sweep
-    app = _radix_app()
-    sweeps = {engine: overhead_sweep(app, 4, overheads=(2.9, 52.9),
-                                     engine=engine)
-              for engine in ENGINES}
-    table = {engine: [(p.value, p.runtime_us, p.failure)
-                      for p in sweep.points]
-             for engine, sweep in sweeps.items()}
-    assert table["calendar"] == table["heap"]

@@ -19,6 +19,30 @@ def test_run_until_exact_event_time_processes_event():
     assert fired == [10.0]
 
 
+@pytest.mark.parametrize("until", [5.0, float("nan"), float("-inf")])
+def test_run_until_never_moves_the_clock_backwards(until):
+    """run(until) earlier than now (or NaN) is refused before anything
+    changes: the clock stays put and queued events stay queued."""
+    sim = Simulator()
+    fired = []
+
+    def body():
+        yield sim.timeout(10.0)
+        yield sim.timeout(10.0)
+        fired.append(sim.now)
+
+    sim.process(body())
+    sim.run(until=12.0)
+    with pytest.raises(ValueError, match="into the past"):
+        sim.run(until=until)
+    assert sim.now == 12.0
+    assert sim.peek() == 20.0
+    sim.run(until=12.0)  # the present is a legal horizon
+    assert sim.now == 12.0
+    sim.run()
+    assert fired == [20.0]
+
+
 def test_anyof_failure_propagates_to_waiter():
     sim = Simulator()
     gate = sim.event()
