@@ -115,6 +115,8 @@ class AmLayer:
         self._credit_owner: Dict[int, int] = {}
         self._rx_queue: Deque[Packet] = deque()
         self._wakeup = None
+        #: Formatted once here, not per park (stall reports print it).
+        self._wakeup_name = f"am-wakeup[{node_id}]"
         #: Cached per-message host costs.  ``params`` and ``knobs`` are
         #: frozen dataclasses, so these cannot drift; caching keeps two
         #: attribute-chain walks off the per-message service path.
@@ -190,7 +192,7 @@ class AmLayer:
         self._kick()
 
     def _arm_wakeup(self):
-        self._wakeup = self.sim.event(name=f"am-wakeup[{self.node_id}]")
+        self._wakeup = self.sim.event(name=self._wakeup_name)
         return self._wakeup
 
     # -- polling and waiting --------------------------------------------------
@@ -324,10 +326,11 @@ class AmLayer:
         key = self._credit_key(dst)
         if key not in self._credits:
             self._credits[key] = self.window
-        wait = None if self.sanitizer is None else \
-            ("credit", (dst,), f"window slot toward rank {dst}")
-        yield from self.wait_until(lambda: self._credits[key] > 0,
-                                   wait=wait)
+        if self._credits[key] <= 0 or self.sanitizer is not None:
+            # (A free slot, unwatched, skips the wait loop's generator.)
+            yield from self.wait_until(
+                lambda: self._credits[key] > 0,
+                wait=("credit", (dst,), f"window slot toward rank {dst}"))
         self._credits[key] -= 1
 
     def _note_outstanding(self, packet: Packet) -> None:

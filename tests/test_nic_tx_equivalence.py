@@ -1,0 +1,394 @@
+"""Differential equivalence: the NIC's callback contexts vs. the loops
+they replaced.
+
+``Nic`` serves its transmit context (and, under ``delta_occ``, its
+receive context) with a callback state machine on the engine's timeout
+fast path.  Before that, each context was a generator process parked on
+a ``Store``.  The process loops live on here, as :class:`LegacyNic`, in
+the role ``Simulator.step`` plays for ``Simulator.run``: the readable
+reference the fast path may only be *cheaper* than, never different
+from.  Hypothesis drives both with random programs at two levels:
+
+* bare NICs on a fabric, fed by trees of scheduled ``enqueue`` calls
+  whose delays are drawn from the contexts' own service times, so
+  enqueues land in same-instant bursts and exactly on a stall's end --
+  from events scheduled both before and after the stall's own timeout;
+* whole clusters running a scripted SPMD application, with every dial,
+  packet loss (retransmits re-enter the transmit queue), the switched
+  fabric, and tracer / sanitizer / recorder attached.
+
+Both must see the identical ``receive_from_wire`` sequence (time and
+order), identical host-visible results, and strictly fewer events.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.network.nic as nic_module
+from repro.am.tuning import TuningKnobs
+from repro.apps import RadixSort
+from repro.apps.base import Application
+from repro.cluster.machine import Cluster
+from repro.cost import DepRecorder
+from repro.instruments import MessageTracer
+from repro.network.faults import FaultError, FaultInjector, FaultPlan
+from repro.network.loggp import LogGPParams
+from repro.network.nic import Nic
+from repro.network.packet import Packet, PacketKind, new_xfer_id
+from repro.network.topology import SwitchedFabric
+from repro.network.wire import Wire
+from repro.sim import Simulator, Store
+
+SIM_SETTINGS = settings(max_examples=60, deadline=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# The reference: the process-and-Store contexts, as they were.
+# ---------------------------------------------------------------------------
+
+class _StoreFront:
+    """What ``Nic`` asks of a context -- ``submit`` and ``pending`` --
+    answered by a ``Store``."""
+
+    def __init__(self, store):
+        self._store = store
+
+    def submit(self, packet):
+        self._store.put(packet)
+
+    @property
+    def pending(self):
+        return self._store.peek_items()
+
+
+class LegacyNic(Nic):
+    """``Nic`` with each hardware context a process parked on a store."""
+
+    def __init__(self, sim, node_id, *args, **kwargs):
+        super().__init__(sim, node_id, *args, **kwargs)
+        self._tx_queue = Store(sim, name=f"tx[{node_id}]")
+        self._tx = _StoreFront(self._tx_queue)
+        if self._rx is not None:
+            self._rx_queue = Store(sim, name=f"rx[{node_id}]")
+            self._rx = _StoreFront(self._rx_queue)
+            sim.process(self._receive_context(), name=f"nic-rx[{node_id}]")
+        sim.process(self._transmit_context(), name=f"nic-tx[{node_id}]")
+
+    def _transmit_context(self):
+        """The LANai transmit loop: DMA, inject, stall for the gap."""
+        while True:
+            packet = yield self._tx_queue.get()
+            pre_time = self._pre_injection_time(packet)
+            if pre_time > 0:
+                yield self.sim.timeout(pre_time)
+            self.packets_injected += 1
+            self.bytes_injected += packet.size_bytes
+            if self.tracer is not None:
+                self.tracer.record("injected", packet.xfer_id,
+                                   self.sim.now)
+            self._inject(packet)
+            stall = self._post_injection_stall(packet, pre_time)
+            self.tx_busy_us += pre_time + stall
+            if self.stats is not None:
+                self.stats.on_tx_busy(self.node_id, pre_time + stall)
+            if stall > 0:
+                yield self.sim.timeout(stall)
+
+    def _receive_context(self):
+        """Serial receive-context processing under dialed occupancy."""
+        while True:
+            packet = yield self._rx_queue.get()
+            yield self.sim.timeout(self.knobs.delta_occ)
+            self._after_occupancy(packet)
+
+
+def _recording(base, log, origin):
+    """``base`` logging every wire delivery; transfer ids are logged
+    relative to ``origin`` (the global counter never rewinds)."""
+
+    class Recording(base):
+        def receive_from_wire(self, packet):
+            log.append((self.sim.now, self.node_id, packet.kind.value,
+                        packet.src, packet.size_bytes, packet.fragment,
+                        packet.seq, packet.xfer_id - origin))
+            super().receive_from_wire(packet)
+
+    return Recording
+
+
+def _assert_equivalent(outcome):
+    """``outcome(nic_class)`` -> (observables, events_processed or, if
+    the run died of a dead link, None)."""
+    new_seen, new_events = outcome(Nic)
+    old_seen, old_events = outcome(LegacyNic)
+    assert new_seen == old_seen
+    if new_events is not None:
+        assert new_events < old_events
+
+
+KNOBS = st.builds(
+    TuningKnobs,
+    delta_o=st.sampled_from([0.0, 5.8]),
+    delta_g=st.sampled_from([0.0, 0.0, 5.8, 10.0]),
+    delta_L=st.sampled_from([0.0, 0.0, 5.0, 30.0]),
+    delta_G=st.sampled_from([0.0, 0.0, 0.01, 0.2]),
+    delta_occ=st.sampled_from([0.0, 0.0, 1.5, 5.8]))
+
+#: Flat and reliable, flat and lossy (the only fabric faults model),
+#: or the switched Myrinet fabric.
+REGIMES = st.one_of(
+    st.just(("flat", None)),
+    st.just(("myrinet", None)),
+    st.builds(lambda rate, timeout: ("flat", FaultPlan(
+        drop_rate=rate, retx_timeout_us=timeout)),
+        st.sampled_from([0.03, 0.15]), st.sampled_from([40.0, 200.0])))
+
+
+# ---------------------------------------------------------------------------
+# Level 1: bare NICs, trees of scheduled enqueues.
+# ---------------------------------------------------------------------------
+
+N_NICS = 3
+
+#: name -> (kind, size_bytes).  "dma" is a full fragment: a long DMA
+#: before injection and (undialed) no stall after; "stub" is a fragment
+#: whose DMA is shorter than the gap, so it has both.
+SHAPES = {"short": (PacketKind.REQUEST, 32),
+          "reply": (PacketKind.REPLY, 32),
+          "dma": (PacketKind.BULK_FRAGMENT, 4096),
+          "stub": (PacketKind.BULK_FRAGMENT, 64)}
+
+
+def _service_times(nic):
+    """The delays a program may wait: the contexts' own service times,
+    computed with the very float operations the NIC uses, so a chain
+    such as ``(pre:short, stall:short)`` ends exactly on a stall's end."""
+    delays = {"zero": 0.0, "latency": nic.params.latency,
+              "half-gap": nic.params.gap / 2}
+    for shape, (kind, size) in SHAPES.items():
+        probe = Packet(kind=kind, src=0, dst=1, size_bytes=size)
+        pre = nic._pre_injection_time(probe)
+        delays[f"pre:{shape}"] = pre
+        delays[f"stall:{shape}"] = nic._post_injection_stall(probe, pre)
+    return delays
+
+
+DELAY_NAMES = ["zero", "latency", "half-gap"] + [
+    f"{phase}:{shape}" for phase in ("pre", "stall") for shape in SHAPES]
+
+
+def _enqueue_nodes(children):
+    """One program node: wait out ``chain`` (one timeout per entry, each
+    created when the previous fires), enqueue one packet of ``shape``
+    from ``src`` to ``src + hop``, then start the children."""
+    return st.tuples(
+        st.lists(st.sampled_from(DELAY_NAMES), min_size=1, max_size=3),
+        st.integers(0, N_NICS - 1), st.integers(1, N_NICS - 1),
+        st.sampled_from(sorted(SHAPES)), children)
+
+
+PROGRAMS = st.lists(
+    st.recursive(_enqueue_nodes(st.just([])),
+                 lambda inner: _enqueue_nodes(st.lists(inner, max_size=3)),
+                 max_leaves=12),
+    min_size=1, max_size=6)
+
+
+def _run_bare(nic_class, program, knobs, regime):
+    fabric, plan = regime
+    params = LogGPParams.berkeley_now()
+    sim = Simulator()
+    if fabric == "myrinet":
+        wire = SwitchedFabric(sim, hop_latency=params.latency / 3.0,
+                              n_hosts=N_NICS)
+    else:
+        wire = Wire(sim, params.latency, injector=plan and
+                    FaultInjector(plan, seed=5))
+    origin = new_xfer_id()
+    wire_log, host_log = [], []
+    recording = _recording(nic_class, wire_log, origin)
+    nics = [recording(
+        sim, node, params, knobs, wire,
+        lambda p, node=node: host_log.append(
+            (sim.now, node, "deliver", p.payload)),
+        lambda xfer, node=node: host_log.append(
+            (sim.now, node, "credit", xfer - origin)),
+        faults=plan) for node in range(N_NICS)]
+    delays = _service_times(nics[0])
+    labels = itertools.count()
+
+    def start(node):
+        chain, src, hop, shape, children = node
+
+        def advance(_event=None, step=0):
+            if step < len(chain):
+                sim.timeout(delays[chain[step]]).callbacks.append(
+                    lambda event: advance(event, step + 1))
+                return
+            kind, size = SHAPES[shape]
+            nics[src].enqueue(Packet(
+                kind=kind, src=src, dst=(src + hop) % N_NICS,
+                size_bytes=size, payload=next(labels),
+                one_way=kind is not PacketKind.REPLY))
+            host_log.append((sim.now, src, "backlog",
+                             nics[src].tx_backlog))
+            for child in children:
+                start(child)
+
+        advance()
+
+    for root in program:
+        start(root)
+    try:
+        sim.run()
+        error = None
+    except FaultError as exc:  # a link that dropped max_retries in a row
+        error = type(exc).__name__
+    totals = [(nic.tx_busy_us, nic.packets_injected, nic.bytes_injected,
+               nic.retransmissions, nic.duplicates_suppressed,
+               nic.acks_sent, nic.tx_backlog, nic.delay_queue_depth)
+              for nic in nics]
+    return ((wire_log, host_log, totals, sim.now, error),
+            sim.events_processed)
+
+
+@given(program=PROGRAMS, knobs=KNOBS, regime=REGIMES)
+@SIM_SETTINGS
+def test_bare_nics_see_identical_deliveries(program, knobs, regime):
+    _assert_equivalent(
+        lambda nic_class: _run_bare(nic_class, program, knobs, regime))
+
+
+@pytest.mark.parametrize("second, backlog", [
+    # Scheduled up front, so ahead of the stall's own timeout at the
+    # same instant: the context is still in service, the packet queues.
+    ((["stall:short"], 0, 1, "short", []), 1),
+    # Two zero-delay hops first, so its last timeout is created after
+    # the first injection made the stall's, and fires behind it: the
+    # context has gone idle, the packet goes straight to service.
+    ((["zero", "zero", "stall:short"], 0, 1, "short", []), 0),
+], ids=["before", "after"])
+def test_enqueue_landing_exactly_on_a_stalls_end(second, backlog):
+    first = (["zero"], 0, 1, "short", [])
+    program = [first, second]
+    regime = ("flat", None)
+    _assert_equivalent(lambda nic_class: _run_bare(
+        nic_class, program, TuningKnobs(), regime))
+    (wire_log, host_log, _totals, _now, _error), _events = _run_bare(
+        Nic, program, TuningKnobs(), regime)
+    gap = LogGPParams.berkeley_now().gap
+    # tx_backlog counts packets queued, not the one in service.
+    assert [row for row in host_log if row[2] == "backlog"] == \
+        [(0.0, 0, "backlog", 0), (gap, 0, "backlog", backlog)]
+    # Either way the second injection is one gap after the first.
+    assert [row[0] for row in wire_log if row[2] == "request"] == \
+        [5.0, gap + 5.0]
+
+
+# ---------------------------------------------------------------------------
+# Level 2: whole clusters running a scripted SPMD program.
+# ---------------------------------------------------------------------------
+
+def _echo(am, packet):
+    yield from am.reply(payload=packet.payload)
+
+
+def _pull(am, packet):
+    yield from am.reply_bulk(None, packet.payload)
+
+
+class Scripted(Application):
+    """Every rank runs the same op list (so sends collide at the same
+    instants); ``skew`` staggers the ranks again."""
+
+    name = "Scripted"
+
+    def __init__(self, script):
+        self.script = script
+
+    def register_handlers(self, table):
+        table.register("sink", lambda am, packet: None)
+        table.register("echo", _echo)
+        table.register("pull", _pull)
+
+    def run_rank(self, proc):
+        am = proc.am
+        for op, arg, hop in self.script:
+            dst = (proc.rank + 1 + hop % (proc.n_ranks - 1)) % proc.n_ranks
+            if op == "compute":
+                yield from proc.compute(arg)
+            elif op == "skew":
+                yield from proc.compute(arg * proc.rank)
+            elif op == "burst":  # past the window of 8: credit stalls
+                for _ in range(hop + 7):
+                    yield from am.send_oneway(dst, "sink")
+            elif op == "fan-in":
+                if proc.rank:
+                    yield from am.send_oneway(0, "sink")
+            elif op == "rpc":
+                yield from am.rpc(dst, "echo", payload=arg)
+            elif op == "store":
+                yield from am.bulk_store_blocking(
+                    dst, "sink", None, 1 + int(arg * 900))
+            elif op == "get":
+                yield from am.bulk_rpc(dst, "pull",
+                                       payload=1 + int(arg * 900))
+            else:
+                yield from proc.barrier()
+
+
+SCRIPTS = st.lists(
+    st.tuples(st.sampled_from(["compute", "skew", "burst", "fan-in", "rpc",
+                               "store", "get", "barrier"]),
+              # Host times that line up with o, g, 2g and g + o_send.
+              st.sampled_from([0.0, 1.8, 4.0, 5.8, 7.6, 11.6, 40.0]),
+              st.integers(0, 3)),
+    min_size=1, max_size=10)
+
+
+def _run_cluster(nic_class, script, n_nodes, knobs, regime, observers):
+    fabric, plan = regime
+    if plan is not None or fabric != "flat" or knobs.delta_occ > 0:
+        observers = observers - {"recorder"}  # simcost refuses these
+    tracer = MessageTracer() if "tracer" in observers else None
+    recorder = DepRecorder() if "recorder" in observers else None
+    origin = new_xfer_id()
+    wire_log = []
+    with pytest.MonkeyPatch.context() as patch:
+        # AmLayer looks the class up at construction time.
+        patch.setattr(nic_module, "Nic",
+                      _recording(nic_class, wire_log, origin))
+        try:
+            result = Cluster(n_nodes, knobs=knobs, fabric=fabric,
+                             faults=plan, seed=9,
+                             sanitize="sanitize" in observers).run(
+                Scripted(script), tracer=tracer, recorder=recorder)
+        except FaultError as exc:
+            return (wire_log, type(exc).__name__), None
+    timelines = tracer and sorted(
+        (line.xfer_id - origin, line.src, line.dst, line.kind,
+         sorted(line.times.items())) for line in tracer.timelines())
+    return ((wire_log, result.runtime_us, result.stats.to_dict(),
+             timelines), result.events_processed)
+
+
+@given(script=SCRIPTS, n_nodes=st.integers(2, 4), knobs=KNOBS,
+       regime=REGIMES,
+       observers=st.sets(st.sampled_from(["tracer", "sanitize",
+                                          "recorder"])))
+@SIM_SETTINGS
+def test_clusters_run_identically(script, n_nodes, knobs, regime,
+                                  observers):
+    _assert_equivalent(lambda nic_class: _run_cluster(
+        nic_class, script, n_nodes, knobs, regime, observers))
+
+
+def test_radix_events_per_message_stays_fused():
+    """The count the fusion bought, so it cannot creep back: Radix at
+    P=8 took 6.39 events per message on the process loops."""
+    result = Cluster(8, seed=11).run(RadixSort(keys_per_proc=64))
+    assert result.events_processed / result.stats.total_messages <= 6.0

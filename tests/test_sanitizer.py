@@ -113,7 +113,15 @@ def test_unbalanced_barrier_deadlocks_even_without_sanitizer():
     with pytest.raises(DeadlockError) as exc_info:
         Cluster(n_nodes=4, seed=11).run(
             fixture_app("unbalanced_barrier", "UnbalancedBarrier"))
-    assert exc_info.value.report.kind == "frontier"
+    report = exc_info.value.report
+    assert report.kind == "frontier"
+    # Without annotations each edge names the raw event its rank is
+    # parked on: the AM wakeup, labelled with the rank (the label is
+    # formatted once per endpoint, so pin the text it must keep).
+    assert [(edge.rank, edge.kind, edge.detail) for edge in report.edges] \
+        == [(rank, "unknown",
+             f"blocked on <Event am-wakeup[{rank}] [pending]>")
+            for rank in (1, 2, 3)]
 
 
 def test_deadlock_error_is_a_timeout_subclass():

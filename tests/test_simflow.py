@@ -406,15 +406,15 @@ def test_flow_summaries_cover_the_runtime_stack():
 _PINS = {
     "radix": {
         "runtime_us": 2069.3999999999905,
-        "events": 5326,
-        "key": ("4203f13c5e0b1d920207f7633b93c5ddc38574c3"
-                "2c58a2db49104c8335034df5"),
+        "events": 4480,
+        "key": ("83d5b8e5ab625046d346eca376b7f23b64d57ce2"
+                "20cf546319ce0dea9e94b52b"),
     },
     "barnes": {
         "runtime_us": 4051.680000000008,
-        "events": 8542,
-        "key": ("82ed433447c8875bde5a657e2613cd4f43cd5b33"
-                "37d43289daede4a6e35f03db"),
+        "events": 7492,
+        "key": ("8e938c8229b9b3a5c5e96964a31f9178d0bef44f"
+                "3a842a18ec81eb2d04d1943b"),
     },
 }
 
