@@ -98,6 +98,7 @@ class AmLayer:
         self.handlers = handlers
         self.window = window
         self.window_scope = window_scope
+        self._per_destination = window_scope == "per-destination"
         self.stats = stats
         self.tracer = tracer
         self.sanitizer = sanitizer
@@ -181,8 +182,11 @@ class AmLayer:
     # -- wakeup signalling ---------------------------------------------------
     def _kick(self) -> None:
         """Wake the host process if it is blocked in :meth:`wait_until`."""
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed(None)
+        wakeup = self._wakeup
+        if wakeup is not None:
+            # Cleared as it fires: a later kick finds nothing to wake.
+            self._wakeup = None
+            wakeup.succeed(None)
 
     def kick(self) -> None:
         """Public wakeup: make a parked :meth:`wait_until` re-check its
@@ -318,23 +322,37 @@ class AmLayer:
         destinations — the ablation under which even all-to-all traffic
         is throttled to RTT/window at large L.
         """
-        return dst if self.window_scope == "per-destination" else -1
+        return dst if self._per_destination else -1
+
+    def _take_credit(self, operation: str, dst: int) -> Optional[int]:
+        """What every send operation starts with: refuse a send issued
+        from inside a handler, then take a window slot toward ``dst`` if
+        one is free.  Returns the credit pool drawn from (``_credit_owner``
+        keeps it for the transfer), or None when the caller must block in
+        :meth:`_acquire_credit`: no slot, or simsan annotates every wait."""
+        if self._current_request is not None:
+            raise AmError(
+                f"{operation} issued from inside a request handler on node "
+                f"{self.node_id}; GAM handlers may only reply")
+        key = dst if self._per_destination else -1  # _credit_key, inline
+        credits = self._credits
+        free = credits[key] if key in credits else self.window
+        if free <= 0 or self.sanitizer is not None:
+            return None
+        credits[key] = free - 1
+        return key
 
     def _acquire_credit(self, dst: int) -> Generator:
         """Block (polling, like a stalled GAM sender) until a window slot
-        toward ``dst`` is free, then take it."""
+        toward ``dst`` is free, then take it; returns its pool's key."""
         key = self._credit_key(dst)
         if key not in self._credits:
             self._credits[key] = self.window
-        if self._credits[key] <= 0 or self.sanitizer is not None:
-            # (A free slot, unwatched, skips the wait loop's generator.)
-            yield from self.wait_until(
-                lambda: self._credits[key] > 0,
-                wait=("credit", (dst,), f"window slot toward rank {dst}"))
+        yield from self.wait_until(
+            lambda: self._credits[key] > 0,
+            wait=("credit", (dst,), f"window slot toward rank {dst}"))
         self._credits[key] -= 1
-
-    def _note_outstanding(self, packet: Packet) -> None:
-        self._credit_owner[packet.xfer_id] = self._credit_key(packet.dst)
+        return key
 
     def _record_send(self, packet: Packet) -> None:
         if self.sanitizer is not None:
@@ -352,12 +370,6 @@ class AmLayer:
             self.recorder.on_send(self.node_id, packet, self.sim.now,
                                   self._send_cost)
 
-    def _guard_not_in_handler(self, operation: str) -> None:
-        if self._current_request is not None:
-            raise AmError(
-                f"{operation} issued from inside a request handler on node "
-                f"{self.node_id}; GAM handlers may only reply")
-
     def send_request(self, dst: int, handler: str, payload: Any = None,
                      size: int = SHORT_PACKET_BYTES, is_read: bool = False,
                      on_reply: Optional[Callable[[Any], None]] = None,
@@ -368,15 +380,16 @@ class AmLayer:
         ``on_reply(payload)`` runs when this node processes the pairing
         reply.  Use :meth:`rpc` for the common blocking pattern.
         """
-        self._guard_not_in_handler("send_request")
-        yield from self._acquire_credit(dst)
+        key = self._take_credit("send_request", dst)
+        if key is None:
+            key = yield from self._acquire_credit(dst)
         yield self.sim.timeout(self._send_cost)
         packet = Packet(kind=PacketKind.REQUEST, src=self.node_id, dst=dst,
                         handler=handler, payload=payload, size_bytes=size,
                         is_read=is_read)
         if on_reply is not None:
             self._on_reply[packet.xfer_id] = on_reply
-        self._note_outstanding(packet)
+        self._credit_owner[packet.xfer_id] = key
         self._record_send(packet)
         self.nic.enqueue(packet)
         return packet.xfer_id
@@ -402,13 +415,14 @@ class AmLayer:
                     size: int = SHORT_PACKET_BYTES) -> Generator:
         """Fire-and-forget short message (NIC-level ack; sender pays one
         ``o``).  Used by NOW-sort's one-way Active Messages."""
-        self._guard_not_in_handler("send_oneway")
-        yield from self._acquire_credit(dst)
+        key = self._take_credit("send_oneway", dst)
+        if key is None:
+            key = yield from self._acquire_credit(dst)
         yield self.sim.timeout(self._send_cost)
         packet = Packet(kind=PacketKind.REQUEST, src=self.node_id, dst=dst,
                         handler=handler, payload=payload, size_bytes=size,
                         one_way=True)
-        self._note_outstanding(packet)
+        self._credit_owner[packet.xfer_id] = key
         self._record_send(packet)
         self.nic.enqueue(packet)
         return packet.xfer_id
@@ -453,16 +467,17 @@ class AmLayer:
         destination acknowledges with a short reply whose processing
         triggers ``on_complete``.  Returns the ``xfer_id``.
         """
-        self._guard_not_in_handler("bulk_store")
         if nbytes <= 0:
             raise ValueError(f"bulk transfer of {nbytes} bytes")
-        yield from self._acquire_credit(dst)
+        key = self._take_credit("bulk_store", dst)
+        if key is None:
+            key = yield from self._acquire_credit(dst)
         yield self.sim.timeout(self._send_cost)
         last = self._enqueue_fragments(dst, handler, payload, nbytes,
                                        one_way=False, is_reply=False)
         if on_complete is not None:
             self._on_reply[last.xfer_id] = on_complete
-        self._note_outstanding(last)
+        self._credit_owner[last.xfer_id] = key
         self._record_send(last)
         return last.xfer_id
 
@@ -480,14 +495,15 @@ class AmLayer:
     def bulk_oneway(self, dst: int, handler: str, payload: Any,
                     nbytes: int) -> Generator:
         """One-way bulk transfer (NIC-level credit; no host-level ack)."""
-        self._guard_not_in_handler("bulk_oneway")
         if nbytes <= 0:
             raise ValueError(f"bulk transfer of {nbytes} bytes")
-        yield from self._acquire_credit(dst)
+        key = self._take_credit("bulk_oneway", dst)
+        if key is None:
+            key = yield from self._acquire_credit(dst)
         yield self.sim.timeout(self._send_cost)
         last = self._enqueue_fragments(dst, handler, payload, nbytes,
                                        one_way=True, is_reply=False)
-        self._note_outstanding(last)
+        self._credit_owner[last.xfer_id] = key
         self._record_send(last)
         return last.xfer_id
 

@@ -50,6 +50,8 @@ class Connect(Application):
         self.cols = cols
         self.connectivity = connectivity
         self._edges: List[Tuple[int, int]] = []
+        #: Per rank: (edges inside its strip, cross-strip edges it drives).
+        self._rank_edges: List[Tuple[list, list]] = []
         self._n_vertices = 0
         self._n_nodes = 0
 
@@ -84,23 +86,19 @@ class Connect(Application):
         # Sort by source vertex so edge order stays row-major.
         merged = merged[np.argsort(merged[:, 0], kind="stable")]
         self._edges = [tuple(edge) for edge in merged.tolist()]
-
-    def _vertex_owner(self, vertex: int) -> int:
-        return (vertex // self.cols) // self.rows_per_proc
+        # Every edge goes, in edge order, to the rank owning its source
+        # (u < v, so the upper strip's owner drives a cross-strip edge).
+        strip = self.rows_per_proc * self.cols
+        self._rank_edges = [([], []) for _ in range(n_nodes)]
+        for edge in self._edges:
+            u, v = edge
+            local, boundary = self._rank_edges[u // strip]
+            (local if v // strip == u // strip else boundary).append(edge)
 
     def setup_rank(self, proc: Proc) -> Generator:
         parent = proc.allocate(self._n_vertices, name="cc_parent",
                                item_bytes=4)
-        local_edges = []
-        boundary_edges = []
-        for u, v in self._edges:
-            owner_u = self._vertex_owner(u)
-            owner_v = self._vertex_owner(v)
-            if owner_u == proc.rank and owner_v == proc.rank:
-                local_edges.append((u, v))
-            elif owner_u == proc.rank:
-                # Cross-strip edge; the upper strip's owner drives it.
-                boundary_edges.append((u, v))
+        local_edges, boundary_edges = self._rank_edges[proc.rank]
         proc.state["connect"] = {
             "parent": parent,
             "local_edges": local_edges,

@@ -17,6 +17,18 @@ from repro.network.packet import Packet, PacketKind
 __all__ = ["ClusterStats"]
 
 
+def _live(name: str) -> property:
+    """The public array of a per-message counter, kept in the instance
+    ``__dict__`` under its own name.  Inside the measured region the
+    hooks count in a plain list, ``_<name>`` (a fifth of the cost of a
+    numpy scalar ``+=``), which a read there first folds into the arrays."""
+    def read(self: "ClusterStats") -> np.ndarray:
+        if self.enabled:
+            self._fold()
+        return self.__dict__[name]
+    return property(read)
+
+
 class ClusterStats:
     """Per-node and per-pair communication counters for one run."""
 
@@ -24,15 +36,16 @@ class ClusterStats:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         self.n_nodes = n_nodes
+        live = vars(self)  # read through the properties of these names
         #: messages[src, dst] — logical messages sent src→dst.
-        self.matrix = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+        live["matrix"] = np.zeros((n_nodes, n_nodes), dtype=np.int64)
         #: Per-node totals by category.
-        self.messages_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.bulk_messages_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.read_messages_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.small_bytes_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.bulk_bytes_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.messages_received = np.zeros(n_nodes, dtype=np.int64)
+        live["messages_sent"] = np.zeros(n_nodes, dtype=np.int64)
+        live["bulk_messages_sent"] = np.zeros(n_nodes, dtype=np.int64)
+        live["read_messages_sent"] = np.zeros(n_nodes, dtype=np.int64)
+        live["small_bytes_sent"] = np.zeros(n_nodes, dtype=np.int64)
+        live["bulk_bytes_sent"] = np.zeros(n_nodes, dtype=np.int64)
+        live["messages_received"] = np.zeros(n_nodes, dtype=np.int64)
         #: Barrier crossings per node (set by the GAS layer).
         self.barriers = np.zeros(n_nodes, dtype=np.int64)
         #: Failed lock acquisition attempts per node (Barnes livelock).
@@ -47,7 +60,7 @@ class ClusterStats:
         #: diagnostic; set once per run, not gated on the timed region).
         self.reassembly_leaks = np.zeros(n_nodes, dtype=np.int64)
         #: Simulated µs each node's NIC transmit context was busy.
-        self.tx_busy_us = np.zeros(n_nodes, dtype=np.float64)
+        live["tx_busy_us"] = np.zeros(n_nodes, dtype=np.float64)
         #: Collective invocations per node, keyed ``"kind/algorithm"``
         #: (e.g. ``"broadcast/binomial"``); arrays created lazily the
         #: first time a (kind, algo) pair is dispatched.
@@ -71,33 +84,49 @@ class ClusterStats:
     def start_measurement(self, now: float) -> None:
         """Begin the timed region (called after the entry barrier)."""
         self.started_at = now
+        # The lists start from the arrays' values, read through the
+        # properties so that a restart folds first and loses nothing.
+        for name in self._LIVE_FIELDS:
+            setattr(self, "_" + name, getattr(self, name).tolist())
         self.enabled = True
 
     def stop_measurement(self, now: float) -> None:
         """End the timed region (called after the exit barrier)."""
         self.finished_at = now
-        self.enabled = False
+        if self.enabled:
+            self._fold()
+            self.enabled = False
+            for name in self._LIVE_FIELDS:
+                delattr(self, "_" + name)
+
+    def _fold(self) -> None:
+        """Copy the lists' totals into the arrays.  Totals, not deltas:
+        ``tx_busy_us`` is then one chain of IEEE additions, however read."""
+        for name in self._LIVE_FIELDS:
+            self.__dict__[name][...] = getattr(self, "_" + name)
 
     # -- hooks called by the communication layer ---------------------------
     def on_send(self, node_id: int, packet: Packet) -> None:
         """One logical message left ``node_id`` (host-level send)."""
         if not self.enabled:
             return
-        self.messages_sent[node_id] += 1
-        self.matrix[node_id, packet.dst] += 1
+        self._messages_sent[node_id] += 1
+        self._matrix[node_id][packet.dst] += 1
+        nbytes = packet.size_bytes if packet.message_bytes is None \
+            else packet.message_bytes  # packet.logical_bytes, inline
         if packet.is_bulk:
-            self.bulk_messages_sent[node_id] += 1
-            self.bulk_bytes_sent[node_id] += packet.logical_bytes
+            self._bulk_messages_sent[node_id] += 1
+            self._bulk_bytes_sent[node_id] += nbytes
         else:
-            self.small_bytes_sent[node_id] += packet.logical_bytes
+            self._small_bytes_sent[node_id] += nbytes
         if packet.is_read:
-            self.read_messages_sent[node_id] += 1
+            self._read_messages_sent[node_id] += 1
 
     def on_host_recv(self, node_id: int, packet: Packet) -> None:
         """The host at ``node_id`` paid receive overhead for a message."""
         if not self.enabled:
             return
-        self.messages_received[node_id] += 1
+        self._messages_received[node_id] += 1
 
     def on_barrier(self, node_id: int) -> None:
         """``node_id`` completed a barrier."""
@@ -159,7 +188,7 @@ class ClusterStats:
         """``node_id``'s transmit context was busy for ``busy_us``."""
         if not self.enabled:
             return
-        self.tx_busy_us[node_id] += busy_us
+        self._tx_busy_us[node_id] += busy_us
 
     def record_reassembly_leaks(self, node_id: int, count: int) -> None:
         """Teardown diagnostic: bulk transfers that never completed."""
@@ -228,6 +257,9 @@ class ClusterStats:
                      "retransmissions", "duplicates_suppressed",
                      "reassembly_leaks")
     _FLOAT_ARRAY_FIELDS = ("tx_busy_us",)
+    #: The counters a message moves, ``matrix`` to ``messages_received``
+    #: and ``tx_busy_us`` (see ``_live``, installed below the class).
+    _LIVE_FIELDS = _ARRAY_FIELDS[:7] + _FLOAT_ARRAY_FIELDS
 
     def to_dict(self) -> dict:
         """JSON-safe dict capturing every counter (arrays as lists)."""
@@ -252,12 +284,16 @@ class ClusterStats:
     def from_dict(cls, data: dict) -> "ClusterStats":
         """Rebuild a stats object produced by :meth:`to_dict`."""
         stats = cls(data["n_nodes"])
-        for name in cls._ARRAY_FIELDS:
-            array = np.asarray(data[name], dtype=np.int64)
-            getattr(stats, name)[...] = array
-        for name in cls._FLOAT_ARRAY_FIELDS:
-            array = np.asarray(data[name], dtype=np.float64)
-            getattr(stats, name)[...] = array
+        arrays = vars(stats)
+        for name in cls._ARRAY_FIELDS + cls._FLOAT_ARRAY_FIELDS:
+            zeros = arrays[name]
+            array = np.array(data[name], dtype=zeros.dtype)
+            if array.shape != zeros.shape:
+                # Copying into ``zeros`` would broadcast it: a truncated
+                # entry must read as corrupt (a cache miss), not a result.
+                raise ValueError(
+                    f"{name}: shape {array.shape}, expected {zeros.shape}")
+            arrays[name] = array
         stats.started_at = data["started_at"]
         stats.finished_at = data["finished_at"]
         for field_name in ("collective_calls", "collective_bytes"):
@@ -289,3 +325,7 @@ class ClusterStats:
             }
             for node in range(self.n_nodes)
         ]
+
+
+for _name in ClusterStats._LIVE_FIELDS:
+    setattr(ClusterStats, _name, _live(_name))

@@ -108,9 +108,11 @@ class _Context:
             self.sim.timeout(0.0, packet).callbacks.append(self.serve)
 
     def done(self, _event: Optional[Event] = None) -> None:
-        self.busy = False
-        if self.pending:
-            self.submit(self.pending.popleft())
+        if self.pending:  # stays busy: submit()'s deferral, for the next
+            self.sim.timeout(0.0, self.pending.popleft()) \
+                .callbacks.append(self.serve)
+        else:
+            self.busy = False
 
 
 class Nic:
@@ -159,6 +161,14 @@ class Nic:
         # entering the (possibly delayed) receive queue.
         self._rx = _Context(sim, self._occupy) \
             if knobs.delta_occ > 0 else None
+        #: Nothing between the wire and ``_accept``: no ARQ, occupancy, delay.
+        self._rx_direct = not (self._reliable or self._rx is not None
+                               or knobs.delta_L > 0)
+        #: ``_pre_injection_time`` / ``_post_injection_stall`` of every packet
+        #: but a bulk fragment: run constants, by the methods' own expressions.
+        self._short_pre = knobs.delta_occ
+        self._short_stall = \
+            max(0.0, params.gap - self._short_pre) + knobs.delta_g
         self._reassembly: Dict[int, _Reassembly] = {}
         self._delay_queue_depth = 0
         self.packets_injected = 0
@@ -219,25 +229,32 @@ class Nic:
 
     def _transmit(self, event: Event) -> None:
         """The LANai transmit loop: DMA, inject, stall for the gap."""
-        pre_time = self._pre_injection_time(event.value)
+        packet = event._value
+        pre_time = self._pre_injection_time(packet) \
+            if packet.kind is PacketKind.BULK_FRAGMENT else self._short_pre
         if pre_time > 0:
-            self.sim.timeout(pre_time, event.value) \
+            self.sim.timeout(pre_time, packet) \
                 .callbacks.append(self._inject_and_stall)
         else:
             self._inject_and_stall(event)
 
     def _inject_and_stall(self, event: Event) -> None:
         # The DMA's timeout or, with no DMA, the zero-delay deferral.
-        packet, pre_time = event.value, event.delay
+        packet, pre_time = event._value, event.delay
         self.packets_injected += 1
         self.bytes_injected += packet.size_bytes
         if self.tracer is not None:
             self.tracer.record("injected", packet.xfer_id, self.sim.now)
-        self._inject(packet)
-        stall = self._post_injection_stall(packet, pre_time)
-        self.tx_busy_us += pre_time + stall
+        if self._reliable:
+            self._inject(packet)
+        else:
+            self.wire.carry(packet)
+        stall = self._post_injection_stall(packet, pre_time) \
+            if packet.kind is PacketKind.BULK_FRAGMENT else self._short_stall
+        busy = pre_time + stall
+        self.tx_busy_us += busy
         if self.stats is not None:
-            self.stats.on_tx_busy(self.node_id, pre_time + stall)
+            self.stats.on_tx_busy(self.node_id, busy)
         if stall > 0:
             self.sim.timeout(stall).callbacks.append(self._tx.done)
         else:
@@ -313,6 +330,9 @@ class Nic:
         """Wire delivery point: reliability bookkeeping first (acks and
         duplicate suppression are firmware-level), then occupancy (if
         dialed), then the delay queue for ``delta_L``."""
+        if self._rx_direct:
+            self._accept(packet)
+            return
         if self._reliable:
             if packet.kind is PacketKind.ACK:
                 self._ack_received(packet)
@@ -334,11 +354,11 @@ class Nic:
 
     def _occupy(self, event: Event) -> None:
         """Serial receive-context processing under dialed occupancy."""
-        self.sim.timeout(self.knobs.delta_occ, event.value) \
+        self.sim.timeout(self.knobs.delta_occ, event._value) \
             .callbacks.append(self._occupied)
 
     def _occupied(self, event: Event) -> None:
-        self._after_occupancy(event.value)
+        self._after_occupancy(event._value)
         self._rx.done()
 
     def _after_occupancy(self, packet: Packet) -> None:
@@ -351,7 +371,7 @@ class Nic:
 
     def _mark_valid(self, hold: Event) -> None:
         self._delay_queue_depth -= 1
-        self._accept(hold.value)
+        self._accept(hold._value)
 
     def _accept(self, packet: Packet) -> None:
         """Process a packet that is now valid in the receive queue."""
@@ -359,18 +379,15 @@ class Nic:
         if kind is PacketKind.CREDIT:
             self._return_credit(packet.payload)
             return
-        if kind is PacketKind.REPLY:
-            self._return_credit(packet.xfer_id)
-            self._record_delivery(packet)
-            self._deliver_to_host(packet)
-            return
         if kind is PacketKind.BULK_FRAGMENT:
             self._accept_fragment(packet)
             return
-        # REQUEST
-        if packet.one_way:
+        if kind is PacketKind.REPLY:
+            self._return_credit(packet.xfer_id)
+        elif packet.one_way:  # a REQUEST nobody answers at host level
             self._send_nic_credit(packet)
-        self._record_delivery(packet)
+        if self.tracer is not None:
+            self._record_delivery(packet)
         self._deliver_to_host(packet)
 
     def _accept_fragment(self, packet: Packet) -> None:

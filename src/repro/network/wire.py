@@ -69,13 +69,14 @@ class Wire:
                     self.stats.on_packet_dropped(packet.src, packet)
                 return
         self._in_flight += 1
-        self._max_in_flight = max(self._max_in_flight, self._in_flight)
+        if self._in_flight > self._max_in_flight:
+            self._max_in_flight = self._in_flight
         self._packets_carried += 1
         packet.injected_at = self.sim.now
         self.sim.timeout(delay, packet).callbacks.append(self._deliver)
 
     def _deliver(self, arrival: "Event") -> None:  # noqa: F821
-        packet = arrival.value
+        packet = arrival._value  # processed, so it has one
         self._in_flight -= 1
         self._nics[packet.dst].receive_from_wire(packet)
 

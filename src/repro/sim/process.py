@@ -101,6 +101,13 @@ class Process(Event):
             # become a process failure, never a lost exception.
             self.fail(exc)
             return
+        # _wait_on's common case, inline: a pending event of this simulator.
+        if isinstance(target, Event) and target.sim is self.sim:
+            callbacks = target.callbacks
+            if callbacks is not None:
+                self._waiting_on = target
+                callbacks.append(self._resume)
+                return
         self._wait_on(target)
 
     def _throw(self, exc: BaseException) -> None:

@@ -130,3 +130,16 @@ def test_per_node_rows():
     rows = stats.per_node_rows()
     assert rows[0]["messages_sent"] == 1
     assert rows[1]["messages_sent"] == 0
+
+
+@pytest.mark.parametrize("field, payload", [
+    ("messages_sent", [7]),       # used to load as [7 7 7 7]
+    ("messages_sent", 9),         # ... as [9 9 9 9]
+    ("matrix", [1, 2, 3, 4]),     # ... as four identical rows
+], ids=["truncated", "scalar", "flat-matrix"])
+def test_from_dict_rejects_a_wrong_shaped_counter(field, payload):
+    data = make_stats(4).to_dict()
+    data[field] = payload
+    with pytest.raises(ValueError, match=field):
+        ClusterStats.from_dict(data)
+

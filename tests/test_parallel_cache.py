@@ -183,6 +183,23 @@ def test_cache_corrupt_entry_counts_as_miss(tmp_path):
     assert restored.runtime_us == result.runtime_us
 
 
+def test_cache_truncated_counter_counts_as_miss(tmp_path):
+    cache = RunCache(tmp_path)
+    spec = run_key_spec(tiny_radix(), 4, LogGPParams.berkeley_now(),
+                        TuningKnobs(), seed=0)
+    result = Cluster(n_nodes=4, seed=0).run(tiny_radix())
+    cache.put(spec, result=result)
+    path = cache._path(cache.key_for(spec))
+    data = json.loads(path.read_text())
+    # Still valid JSON, and one value short of a counter: loading it
+    # used to broadcast that value to every node and report a hit.
+    data["result"]["stats"]["messages_sent"] = \
+        data["result"]["stats"]["messages_sent"][:1]
+    path.write_text(json.dumps(data))
+    assert cache.get(spec) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
 def test_cache_format_bump_invalidates(tmp_path):
     cache = RunCache(tmp_path)
     spec = run_key_spec(tiny_radix(), 4, LogGPParams.berkeley_now(),
