@@ -4,7 +4,8 @@ Follows the analysis-CLI contract (see ``repro.analysis.cli``):
 
 * exit 0 — success (and, for ``report``, the error gate holds);
 * exit 1 — ``report``'s median relative error exceeded the gate;
-* exit 2 — usage error (argparse's convention).
+* exit 2 — usage error (argparse's convention), or a graph file
+  ``predict`` cannot read, parse or replay (one line on stderr).
 
 Subcommands::
 
@@ -84,12 +85,16 @@ def _cmd_record(args) -> int:
 # -- predict ----------------------------------------------------------------
 
 def _cmd_predict(args) -> int:
-    graph = CostGraph.from_json(args.graph.read_text())
     values = _parse_values(args.values, args.parameter)
-    sweep = predict_sweep(graph, args.parameter, values)
-    tolerance = latency_tolerance(graph, args.parameter,
-                                  threshold=args.threshold)
-    baseline_bound = lp_bound(graph)
+    try:
+        graph = CostGraph.from_json(args.graph.read_text())
+        sweep = predict_sweep(graph, args.parameter, values)
+        tolerance = latency_tolerance(graph, args.parameter,
+                                      threshold=args.threshold)
+        baseline_bound = lp_bound(graph)
+    except (OSError, ValueError) as exc:  # UnsupportedGraphError included
+        print(f"predict: {args.graph}: {exc}", file=sys.stderr)
+        return 2
     payload = {
         "schema": "repro-simcost-predict-v1",
         "app": graph.app_name,

@@ -26,19 +26,22 @@ Program-order edges carry the *busy* time between events: recorded
 elapsed time minus blocked time minus the event's own recorded charge
 — the dial-independent compute the replay preserves verbatim.
 
-Graphs round-trip through JSON (``schema: repro-cost-graph-v1``) so
+The recorder's row tuples (layouts on :class:`DepEvent`) are what a
+graph stores and what JSON (``schema: repro-cost-graph-v1``) carries, so
 ``python -m repro.cost record`` and ``predict`` can run as separate
-processes.
+processes; :attr:`CostGraph.program` is what the replay scans.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Dict, List, Tuple
 
 from repro.am.tuning import TuningKnobs
+from repro.cost.model import DialedCost
 from repro.network.loggp import LogGPParams
 
 __all__ = ["DepEvent", "CostGraph", "GRAPH_SCHEMA"]
@@ -85,18 +88,11 @@ class DepEvent:
     #: Marker label (``"start"`` / ``"stop"``) for ``mark`` events.
     label: str = ""
 
-    # -- compact serialisation (graphs can hold 1e5+ events) -------------
-    def to_row(self) -> list:
-        if self.kind == "mark":
-            return ["m", self.rank, self.t, self.blocked, self.label]
-        if self.kind == "recv":
-            return ["r", self.rank, self.t, self.charge, self.blocked,
-                    self.xfer, self.peer, int(self.reply_like)]
-        return ["s", self.rank, self.t, self.charge, self.blocked,
-                self.xfer, self.peer, int(self.reply_like),
-                int(self.takes_credit), int(self.one_way),
-                int(self.bulk), self.nbytes, self.frags]
-
+    # -- wire rows (what the recorder appends and the graph stores) -------
+    #   ["m", rank, t, blocked, label]
+    #   ["r", rank, t, charge, blocked, xfer, peer, reply_like]
+    #   ["s", rank, t, charge, blocked, xfer, peer, reply_like,
+    #    takes_credit, one_way, bulk, nbytes, frags]      (flags as 0/1)
     @classmethod
     def from_row(cls, row: list) -> "DepEvent":
         tag = row[0]
@@ -116,9 +112,13 @@ class DepEvent:
         raise ValueError(f"unknown event row tag {tag!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostGraph:
-    """One instrumented run's dependency DAG plus its configuration."""
+    """One instrumented run's dependency DAG plus its configuration.
+
+    Frozen, rows included: :attr:`program` is cached on the instance,
+    so nothing it was built from may change afterwards.
+    """
 
     app_name: str
     n_nodes: int
@@ -132,15 +132,80 @@ class CostGraph:
     #: Measured runtime of the recorded run (ground truth at the
     #: recorded dials; the predictor's self-check).
     runtime_us: float
-    events: List[DepEvent] = field(default_factory=list)
+    #: Wire rows in recorded order (layouts on :class:`DepEvent`).
+    rows: Tuple[tuple, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+
+    @property
+    def events(self) -> List[DepEvent]:
+        """The rows decoded for reading (built per access, never kept)."""
+        return [DepEvent.from_row(row) for row in self.rows]
+
+    @cached_property
+    def program(self) -> tuple:
+        """What no dial changes, resolved once for every replay.
+
+        ``(steps, n_sends, n_windows)``, one ``(tag, rank, busy, a,
+        credit, returns, sizes)`` step per row, the replay's dict keys
+        as dense slots.  ``a``: a mark's label (1 start, 2 stop); a
+        recv's delivery slot, the index among sends of the latest earlier
+        send with its ``(xfer, reply_like)``, or -1; a send's window
+        slot, -1 if it takes no credit.  A send ``returns`` into its
+        xfer's ``credit`` slot nothing (0), its arrival (1) or that plus
+        a wire leg (2); ``sizes`` are a bulk send's fragments.
+        A malformed row raises ``ValueError`` naming its index.
+        """
+        per_dest = self.window_scope == "per-destination"
+        last_t = [0.0] * self.n_nodes
+        deliveries, credits, windows, fragments = {}, {}, {}, {}
+        steps = []
+        n_sends = 0
+        try:
+            for index, row in enumerate(self.rows):
+                tag = row[0]
+                if tag == "s":
+                    (_, rank, t, charge, blocked, xfer, peer, reply_like,
+                     takes_credit, one_way, bulk, nbytes, _frags) = row
+                    a = windows.setdefault(
+                        (rank, peer if per_dest else -1),
+                        len(windows)) if takes_credit else -1
+                elif tag == "r":
+                    (_, rank, t, charge, blocked, xfer, _peer,
+                     reply_like) = row
+                    a = deliveries.get((xfer, bool(reply_like)), -1)
+                elif tag == "m":
+                    _, rank, t, blocked, label = row
+                    charge, a = 0.0, {"start": 1, "stop": 2}.get(label, 0)
+                else:
+                    raise ValueError(f"unknown event row tag {tag!r}")
+                if not 0 <= rank < self.n_nodes:
+                    raise ValueError(f"rank {rank!r} is not a node")
+                busy = max(0.0, (t - last_t[rank]) - blocked - charge)
+                last_t[rank] = t
+                if tag != "s":
+                    steps.append((tag, rank, busy, a, 0, 0, None))
+                    continue
+                if bulk and nbytes not in fragments:
+                    fragments[nbytes] = DialedCost.fragment_sizes(nbytes)
+                steps.append((
+                    tag, rank, busy, a,
+                    credits.setdefault(xfer, len(credits)),
+                    1 if reply_like else 2 if one_way else 0,
+                    fragments[nbytes] if bulk else None))
+                deliveries[(xfer, bool(reply_like))] = n_sends
+                n_sends += 1
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed event row {index}: {exc}") from exc
+        return steps, n_sends, len(windows)
 
     def counts(self) -> Dict[str, int]:
         """Event-population summary (for ``describe`` and reports)."""
-        sends = sum(1 for e in self.events if e.kind == "send")
-        recvs = sum(1 for e in self.events if e.kind == "recv")
-        bulk = sum(1 for e in self.events
-                   if e.kind == "send" and e.bulk)
-        return {"events": len(self.events), "sends": sends,
+        sends = sum(1 for row in self.rows if row[0] == "s")
+        recvs = sum(1 for row in self.rows if row[0] == "r")
+        bulk = sum(1 for row in self.rows if row[0] == "s" and row[10])
+        return {"events": len(self.rows), "sends": sends,
                 "recvs": recvs, "bulk_sends": bulk}
 
     def describe(self) -> str:
@@ -162,27 +227,27 @@ class CostGraph:
             "window_scope": self.window_scope,
             "seed": self.seed,
             "runtime_us": self.runtime_us,
-            "events": [event.to_row() for event in self.events],
+            "events": list(self.rows),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CostGraph":
-        schema = data.get("schema")
+        schema = data.get("schema") if isinstance(data, dict) else None
         if schema != GRAPH_SCHEMA:
             raise ValueError(
                 f"not a simcost graph (schema {schema!r}, "
                 f"expected {GRAPH_SCHEMA!r})")
-        return cls(
-            app_name=data["app_name"],
-            n_nodes=data["n_nodes"],
-            params=LogGPParams(**data["params"]),
-            knobs=TuningKnobs(**data["knobs"]),
-            window=data["window"],
-            window_scope=data["window_scope"],
-            seed=data["seed"],
-            runtime_us=data["runtime_us"],
-            events=[DepEvent.from_row(row) for row in data["events"]],
-        )
+        try:
+            graph = cls(
+                app_name=data["app_name"], n_nodes=data["n_nodes"],
+                params=LogGPParams(**data["params"]),
+                knobs=TuningKnobs(**data["knobs"]), window=data["window"],
+                window_scope=data["window_scope"], seed=data["seed"],
+                runtime_us=data["runtime_us"], rows=data["events"])
+            graph.program  # validates every row: a bad file fails at load
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed simcost graph: {exc!r}") from exc
+        return graph
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

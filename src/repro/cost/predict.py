@@ -2,10 +2,10 @@
 
 :func:`predict_runtime` re-evaluates one recorded run at a new
 :class:`~repro.am.tuning.TuningKnobs` point in a single O(events)
-forward scan — the recorded order is a topological order of the
-happens-before DAG (see :mod:`repro.cost.graph`), so each event's
-predicted completion is a max over its already-computed predecessors
-plus its re-dialed edge costs:
+forward scan of the graph's compiled program — the recorded order is a
+topological order of the happens-before DAG (:mod:`repro.cost.graph`),
+so each event's predicted completion is a max over its already-computed
+predecessors plus its re-dialed edge costs:
 
 * **program order**: the previous event on the same rank, plus the
   dial-independent *busy* compute between them (recorded elapsed time
@@ -18,9 +18,9 @@ plus its re-dialed edge costs:
   a reply's delivery, or a one-way's NIC CREDIT round (delivery plus
   one more wire leg).
 
-Every edge weight is linear in each dial, and predicted runtime is a
-max over path sums, so runtime is piecewise-linear in every dial:
-:func:`predict_sweep` evaluates it over a grid, and
+Every edge weight is linear in each dial and the scan only adds, takes
+maxima and (credits) one minimum, so runtime is piecewise-linear in
+every dial: :func:`predict_sweep` evaluates it over a grid, and
 :func:`latency_tolerance` bisects it for the 2x-slowdown crossing.
 :func:`lp_bound` gives the complementary LP-style lower bound — the
 most-loaded resource (host or NIC transmit context) can never finish
@@ -35,7 +35,7 @@ refuses them up front in ``Cluster.run``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.am.tuning import TuningKnobs
 from repro.cost.graph import CostGraph
@@ -73,47 +73,45 @@ def predict_runtime(graph: CostGraph,
     knobs = knobs if knobs is not None else graph.knobs
     _check_supported(graph, knobs)
     cost = DialedCost(graph.params, knobs)
+    steps, n_sends, n_windows = graph.program
     window = graph.window
-    per_dest = graph.window_scope == "per-destination"
+    send_charge, recv_charge = cost.send_charge, cost.recv_charge
+    wire, tx_cycle = cost.wire, cost.tx_cycle
+    # A short packet's cycle does not depend on its size: once per point.
+    short_pre, short_stall = tx_cycle(0, False)
 
     # Per-rank replay state.
-    clock: Dict[int, float] = {}       # predicted completion of last event
-    last_t: Dict[int, float] = {}      # recorded completion of last event
-    nic_free: Dict[int, float] = {}    # predicted transmit-context free time
-    # Message / flow-control state.
-    delivery: Dict[Tuple[int, bool], float] = {}
-    credit_return: Dict[int, float] = {}
-    outstanding: Dict[Tuple[int, int], List[int]] = {}
+    clock = [0.0] * graph.n_nodes      # predicted completion of last event
+    nic_free = [0.0] * graph.n_nodes   # predicted transmit-context free time
+    # Message / flow-control state, by the program's dense slots.
+    delivery = [0.0] * n_sends
+    credit_return: List[Optional[float]] = [None] * n_sends  # by xfer
+    outstanding: List[List[int]] = [[] for _ in range(n_windows)]
+    sent = 0
+    t_start = t_stop = None
 
-    t_start: Optional[float] = None
-    t_stop: Optional[float] = None
+    for tag, rank, busy, a, credit, returns, sizes in steps:
+        ready = clock[rank] + busy
 
-    for event in graph.events:
-        rank = event.rank
-        busy = max(0.0, (event.t - last_t.get(rank, 0.0))
-                   - event.blocked - event.charge)
-        last_t[rank] = event.t
-        ready = clock.get(rank, 0.0) + busy
+        if tag == "r":
+            if a >= 0:
+                arrived = delivery[a]
+                if arrived > ready:
+                    ready = arrived
+            clock[rank] = ready + recv_charge
+            continue
 
-        if event.kind == "mark":
+        if tag == "m":
             clock[rank] = ready
-            if event.label == "start":
+            if a == 1:
                 t_start = ready
-            elif event.label == "stop":
+            elif a == 2:
                 t_stop = ready
             continue
 
-        if event.kind == "recv":
-            arrived = delivery.get((event.xfer, event.reply_like))
-            if arrived is not None and arrived > ready:
-                ready = arrived
-            clock[rank] = ready + cost.recv_charge
-            continue
-
         # -- send -----------------------------------------------------------
-        if event.takes_credit:
-            key = (rank, event.peer if per_dest else -1)
-            slots = outstanding.setdefault(key, [])
+        if a >= 0:
+            slots = outstanding[a]
             if len(slots) >= window:
                 # Wait for the earliest *known* credit return.  Returns
                 # recorded after this point in the scan are treated as
@@ -121,8 +119,8 @@ def predict_runtime(graph: CostGraph,
                 # the freeing return had already happened.
                 best_i = -1
                 best_rt = 0.0
-                for i, xfer in enumerate(slots):
-                    rt = credit_return.get(xfer)
+                for i, slot in enumerate(slots):
+                    rt = credit_return[slot]
                     if rt is not None and (best_i < 0 or rt < best_rt):
                         best_i, best_rt = i, rt
                 if best_i >= 0:
@@ -131,34 +129,34 @@ def predict_runtime(graph: CostGraph,
                         ready = best_rt
                 else:  # pragma: no cover - cannot happen in a valid graph
                     slots.pop(0)
-            slots.append(event.xfer)
-        done = ready + cost.send_charge
+            slots.append(credit)
+        done = ready + send_charge
         clock[rank] = done
 
         # NIC transmit chain: fragments enter the tx queue at `done`.
-        free = nic_free.get(rank, 0.0)
-        arrival = done
-        if event.bulk:
-            for size in cost.fragment_sizes(event.nbytes):
-                pre, stall = cost.tx_cycle(size, True)
+        free = nic_free[rank]
+        if sizes is None:
+            inject = (free if free > done else done) + short_pre
+            free = inject + short_stall
+            arrival = inject + wire
+        else:
+            arrival = done
+            for size in sizes:
+                pre, stall = tx_cycle(size, True)
                 inject = max(done, free) + pre
                 free = inject + stall
-                arrival = inject + cost.wire
-        else:
-            pre, stall = cost.tx_cycle(event.nbytes, False)
-            inject = max(done, free) + pre
-            free = inject + stall
-            arrival = inject + cost.wire
+                arrival = inject + wire
         nic_free[rank] = free
 
-        delivery[(event.xfer, event.reply_like)] = arrival
-        if event.reply_like:
+        delivery[sent] = arrival
+        sent += 1
+        if returns == 1:
             # A reply's arrival returns the request's window credit.
-            credit_return[event.xfer] = arrival
-        elif event.one_way:
+            credit_return[credit] = arrival
+        elif returns == 2:
             # NIC CREDIT: generated at delivery, one more wire leg back
             # (CREDITs bypass the transmit gap but ride the delay queue).
-            credit_return[event.xfer] = arrival + cost.wire
+            credit_return[credit] = arrival + wire
 
     if t_start is None or t_stop is None:
         raise UnsupportedGraphError(
@@ -279,19 +277,22 @@ def latency_tolerance(graph: CostGraph, parameter: str,
     knob_for = knob_factory(parameter, graph.params)
     base_value = _dial_baseline(graph, parameter)
     base_runtime = predict_runtime(graph, knob_for(base_value))
+    if threshold <= 1.0:
+        return base_value  # the baseline's own slowdown is exactly 1.0
 
     def slowdown(value: float) -> float:
         return predict_runtime(graph, knob_for(value)) / base_runtime
 
     if parameter == "bulk_mb_s":
-        # Slowdown grows as bandwidth *drops*: search downward.
-        lo, hi = base_value, base_value  # hi = crossing side (small mb)
+        # Slowdown grows as bandwidth *drops*: search downward, from the
+        # first dialed value (hi = crossing side, small mb).
+        hi = base_value / 2.0
         floor = base_value / 1000.0
         while slowdown(hi) < threshold:
             hi /= 2.0
             if hi < floor:
                 return None
-        lo = hi * 2.0 if hi < base_value else base_value
+        lo = hi * 2.0
         while (lo - hi) > tol * max(1e-9, lo):
             mid = (lo + hi) / 2.0
             if slowdown(mid) >= threshold:
@@ -300,10 +301,9 @@ def latency_tolerance(graph: CostGraph, parameter: str,
                 lo = mid
         return hi
 
-    if slowdown(base_value) >= threshold:
-        return base_value
     hi = max(base_value, 1.0)
-    while slowdown(hi) < threshold:
+    # At hi == base_value the answer is known (1.0 < threshold).
+    while hi == base_value or slowdown(hi) < threshold:
         hi *= 2.0
         if hi > max_value:
             return None
@@ -333,33 +333,30 @@ def lp_bound(graph: CostGraph,
     knobs = knobs if knobs is not None else graph.knobs
     _check_supported(graph, knobs)
     cost = DialedCost(graph.params, knobs)
+    steps = graph.program[0]
 
     # Recorded bounds of the measured region.
-    marks = {e.label: e.t for e in graph.events if e.kind == "mark"}
+    marks = {row[4]: row[2] for row in graph.rows if row[0] == "m"}
     if "start" not in marks or "stop" not in marks:
         raise UnsupportedGraphError("graph has no measurement markers")
     t0, t1 = marks["start"], marks["stop"]
 
     host: Dict[int, float] = {}
     nic: Dict[int, float] = {}
-    last_t: Dict[int, float] = {}
-    for event in graph.events:
-        rank = event.rank
-        busy = max(0.0, (event.t - last_t.get(rank, 0.0))
-                   - event.blocked - event.charge)
-        last_t[rank] = event.t
-        if not (t0 < event.t <= t1):
+    for row, (tag, rank, busy, _a, _credit, _returns, sizes) in zip(
+            graph.rows, steps):
+        if not (t0 < row[2] <= t1):
             continue
         host[rank] = host.get(rank, 0.0) + busy
-        if event.kind == "recv":
+        if tag == "r":
             host[rank] += cost.recv_charge
-        elif event.kind == "send":
+        elif tag == "s":
             host[rank] += cost.send_charge
-            if event.bulk:
-                work = sum(sum(cost.tx_cycle(size, True))
-                           for size in cost.fragment_sizes(event.nbytes))
+            if sizes is None:
+                work = sum(cost.tx_cycle(0, False))
             else:
-                work = sum(cost.tx_cycle(event.nbytes, False))
+                work = sum(sum(cost.tx_cycle(size, True))
+                           for size in sizes)
             nic[rank] = nic.get(rank, 0.0) + work
     bounds = list(host.values()) + list(nic.values())
     return max(bounds) if bounds else 0.0

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cost.graph import CostGraph, DepEvent
+from repro.cost.graph import CostGraph
 from repro.network.packet import Packet, PacketKind
 
 __all__ = ["DepRecorder", "record_run"]
 
 
 class DepRecorder:
-    """Collects :class:`DepEvent` rows during one instrumented run.
+    """Collects the graph's wire rows during one instrumented run.
 
     One recorder serves exactly one run: :meth:`begin_run` arms it and
     :meth:`finish` seals it (both called by ``Cluster.run``).  The
@@ -39,7 +39,8 @@ class DepRecorder:
     """
 
     def __init__(self) -> None:
-        self.events: List[DepEvent] = []
+        #: One wire-row tuple per event (layouts on ``graph.DepEvent``).
+        self.rows: List[tuple] = []
         #: Per-rank blocked time accumulated since the previous recorded
         #: event on that rank (consumed by the next event).
         self._blocked: Dict[int, float] = {}
@@ -78,40 +79,32 @@ class DepRecorder:
             app_name=self._app_name, n_nodes=self._n_nodes,
             params=self._params, knobs=self._knobs, window=self._window,
             window_scope=self._window_scope, seed=self._seed,
-            runtime_us=runtime_us, events=self.events)
+            runtime_us=runtime_us, rows=self.rows)
         return self.graph
 
     # -- hooks (called from the AM layer / cluster driver) -----------------
-    def _take_blocked(self, rank: int) -> float:
-        return self._blocked.pop(rank, 0.0)
-
     def on_send(self, rank: int, packet: Packet, now: float,
                 charge: float) -> None:
         """Completion of one host-level send (after its ``o`` charge)."""
         reply_like = packet.kind is PacketKind.REPLY or packet.is_reply
         bulk = packet.is_bulk
-        if bulk:
-            nbytes = packet.message_bytes \
-                if packet.message_bytes is not None else packet.size_bytes
-            frags = packet.fragment[1]
-        else:
-            nbytes = packet.size_bytes
-            frags = 1
-        self.events.append(DepEvent(
-            kind="send", rank=rank, t=now, charge=charge,
-            blocked=self._take_blocked(rank), xfer=packet.xfer_id,
-            peer=packet.dst, reply_like=reply_like,
-            takes_credit=not reply_like, one_way=packet.one_way,
-            bulk=bulk, nbytes=nbytes, frags=frags))
+        # Replies never take a window credit, everything else does; a
+        # bulk send stands for the whole transfer.
+        self.rows.append((
+            "s", rank, now, charge, self._blocked.pop(rank, 0.0),
+            packet.xfer_id, packet.dst, 1 if reply_like else 0,
+            0 if reply_like else 1, 1 if packet.one_way else 0,
+            1 if bulk else 0,
+            packet.logical_bytes if bulk else packet.size_bytes,
+            packet.fragment[1] if bulk else 1))
 
     def on_recv(self, rank: int, packet: Packet, now: float,
                 charge: float) -> None:
         """Completion of one host-level reception (after its charge)."""
         reply_like = packet.kind is PacketKind.REPLY or packet.is_reply
-        self.events.append(DepEvent(
-            kind="recv", rank=rank, t=now, charge=charge,
-            blocked=self._take_blocked(rank), xfer=packet.xfer_id,
-            peer=packet.src, reply_like=reply_like))
+        self.rows.append((
+            "r", rank, now, charge, self._blocked.pop(rank, 0.0),
+            packet.xfer_id, packet.src, 1 if reply_like else 0))
 
     def on_blocked(self, rank: int, duration: float) -> None:
         """The rank was parked in ``wait_until`` for ``duration`` µs."""
@@ -120,9 +113,8 @@ class DepRecorder:
 
     def on_mark(self, rank: int, label: str, now: float) -> None:
         """Measurement-region marker (``start`` / ``stop`` on rank 0)."""
-        self.events.append(DepEvent(
-            kind="mark", rank=rank, t=now,
-            blocked=self._take_blocked(rank), label=label))
+        self.rows.append(
+            ("m", rank, now, self._blocked.pop(rank, 0.0), label))
 
 
 def record_run(app, n_nodes: int, params=None, knobs=None, seed: int = 0,

@@ -15,12 +15,14 @@ Three contracts pinned here:
    record and predict time, never silently mispredicted.
 """
 
+import dataclasses
 import inspect
 import json
 import statistics
 
 import pytest
 
+import repro.cost.predict as predict_module
 from repro.am.tuning import TuningKnobs
 from repro.apps import Barnes, RadixSort
 from repro.cluster.machine import Cluster
@@ -142,6 +144,40 @@ def test_latency_tolerance_and_lp_bound(radix_graph):
     assert lp_bound(graph) > 0.0
 
 
+def test_latency_tolerance_crossings_are_pinned(radix_graph, barnes_graph,
+                                                monkeypatch):
+    """The search no longer replays the baseline to learn that its
+    slowdown is 1.0; the crossings it returns are the ones it returned
+    when it did (values taken on the commit before)."""
+    graph, _ = radix_graph
+    assert {dial: latency_tolerance(graph, dial) for dial in
+            ("overhead", "gap", "latency", "bulk_mb_s")} == {
+        "overhead": 6.3890625, "gap": 13.231250000000001,
+        "latency": 56.25, "bulk_mb_s": None}  # Radix sends no bulk
+    assert latency_tolerance(graph, "overhead", threshold=1.5) == \
+        4.667187499999999
+    assert latency_tolerance(graph, "latency", threshold=1.0) == 5.0
+    assert latency_tolerance(graph, "bulk_mb_s", threshold=1.0) == 38.0
+    bulky, _ = barnes_graph
+    assert {dial: latency_tolerance(bulky, dial) for dial in
+            ("overhead", "gap", "latency", "bulk_mb_s")} == {
+        "overhead": 8.292187499999999, "gap": 20.481249999999996,
+        "latency": 19.84375, "bulk_mb_s": 0.779296875}
+
+    # And the baseline is replayed once per search, not two or three
+    # times.
+    replayed = []
+    replay = predict_module.predict_runtime
+    monkeypatch.setattr(
+        predict_module, "predict_runtime",
+        lambda graph, knobs=None: replayed.append(knobs)
+        or replay(graph, knobs))
+    for dial in ("overhead", "bulk_mb_s"):
+        del replayed[:]
+        latency_tolerance(bulky, dial)
+        assert replayed.count(TuningKnobs()) == 1, dial
+
+
 # ---------------------------------------------------------------------------
 # Graph serialisation.
 # ---------------------------------------------------------------------------
@@ -160,6 +196,47 @@ def test_graph_schema_mismatch_refuses(radix_graph):
     payload["schema"] = "repro-cost-graph-v0"
     with pytest.raises(ValueError, match="schema"):
         CostGraph.from_dict(payload)
+
+
+def _malformed_payloads(graph):
+    """``graph.to_dict()`` broken one way at a time, with what the
+    ``ValueError`` must mention."""
+    def broken(index, row):
+        payload = graph.to_dict()
+        payload["events"][index] = row
+        return payload
+
+    send = next(i for i, row in enumerate(graph.rows) if row[0] == "s")
+    good = list(graph.rows[send])
+    yield "short row", broken(send, ["s", 0, 1.0]), f"row {send}"
+    yield "long row", broken(send, good + [0]), f"row {send}"
+    yield "unknown tag", broken(3, ["x", 0, 1.0, 0.0, "start"]), "row 3"
+    yield "rank past the machine", broken(
+        send, good[:1] + [graph.n_nodes] + good[2:]), f"row {send}"
+    yield "negative rank", broken(
+        send, good[:1] + [-1] + good[2:]), f"row {send}"
+    for field in (2, 3, 4):  # t, charge, blocked
+        yield f"field {field} not a number", broken(
+            send, good[:field] + ["soon"] + good[field + 1:]), f"row {send}"
+    yield "row not a list", broken(5, 7), "malformed"
+    payload = graph.to_dict()
+    del payload["window"]
+    yield "missing key", payload, "window"
+    yield "not an object", [], "schema"
+
+
+def test_malformed_graphs_raise_value_error_naming_the_row(radix_graph):
+    graph, _ = radix_graph
+    for what, payload, mention in _malformed_payloads(graph):
+        with pytest.raises(ValueError, match=mention):
+            CostGraph.from_dict(payload)
+            pytest.fail(f"{what}: loaded")
+    # A graph built in-process is checked by its first replay.
+    bad = dataclasses.replace(graph, rows=graph.rows[:9] + (("s", 0, 1.0),))
+    with pytest.raises(ValueError, match="row 9"):
+        predict_runtime(bad)
+    with pytest.raises(ValueError, match="row 9"):
+        lp_bound(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +303,35 @@ def test_cli_predict_json_payload(tmp_path, capsys):
     assert payload["simulations_used"] == 0
     assert [p["value"] for p in payload["points"]] == [2.9, 12.9]
     assert payload["points"][0]["slowdown"] == pytest.approx(1.0)
+
+
+def test_cli_predict_exits_2_on_a_graph_it_cannot_use(tmp_path, capsys,
+                                                      radix_graph):
+    """Missing, unparsable, malformed and unsupported graph files are
+    one line on stderr and exit 2, never a traceback."""
+    from repro.cost.cli import main
+    graph, _ = radix_graph
+    cases = {what: json.dumps(payload)
+             for what, payload, _ in _malformed_payloads(graph)}
+    cases["invalid JSON"] = "{"
+    cases["schema mismatch"] = json.dumps(
+        dict(graph.to_dict(), schema="repro-cost-graph-v0"))
+    cases["recorded under occupancy"] = json.dumps(  # UnsupportedGraphError
+        dict(graph.to_dict(), knobs={"delta_occ": 1.0}))
+    cases["no markers"] = json.dumps(dict(graph.to_dict(), events=[]))
+    path = tmp_path / "graph.json"
+    for what, text in cases.items():
+        path.write_text(text)
+        assert main(["predict", str(path)]) == 2, what
+        captured = capsys.readouterr()
+        assert captured.out == "", what
+        assert captured.err.startswith("predict: ") \
+            and captured.err.count("\n") == 1, what
+    assert main(["predict", str(tmp_path / "absent.json")]) == 2
+    assert "absent.json" in capsys.readouterr().err
+    # The same file, intact, still predicts.
+    path.write_text(graph.to_json())
+    assert main(["predict", str(path)]) == 0
 
 
 def test_cli_report_gates_on_median_error(tmp_path, capsys):
