@@ -7,7 +7,7 @@ numbers are not expected to match the 1997 testbed.
 
 Environment knobs:
 
-* ``REPRO_BENCH_SCALE`` -- input scale factor (default 0.25); raise it
+* ``REPRO_BENCH_SCALE`` -- input scale factor (default 0.5); raise it
   for higher-fidelity regeneration at more wall-clock cost.
 """
 

@@ -9,7 +9,14 @@
    limits each interface (Section 6's comparison).
 """
 
+import functools
+
+import pytest
+
 from benchmarks.conftest import BENCH_SCALE, run_once
+from repro.cluster.machine import Cluster
+from repro.harness import RunCache
+from repro.harness import extensions as extensions_mod
 from repro.harness.extensions import (investment_study, occupancy_study,
                                       scaling_study)
 
@@ -57,3 +64,23 @@ def test_occupancy_at_least_as_harmful_as_overhead(benchmark):
     # per-message magnitude).
     assert occ[-1] > 0.75 * ovh[-1]
     assert occ[-1] > 3.0
+
+
+def test_extension_studies_go_through_the_one_drain(tmp_path, monkeypatch):
+    """Cache, pool and failure taxonomy, as for every other study."""
+    def study(**run):
+        return occupancy_study(app_name="Radix", n_nodes=4,
+                               values=(0.0, 25.0), scale=0.05, **run)
+
+    cache = RunCache(tmp_path)
+    cold = study(cache=cache)
+    # Zero added occupancy and zero added overhead are the same run.
+    assert (cache.hits, cache.misses) == (1, 3)
+    warm = study(cache=cache)
+    assert (cache.hits, cache.misses) == (5, 3)  # nothing re-simulated
+    assert warm.rows() == cold.rows() == study(jobs=2).rows()
+
+    monkeypatch.setattr(extensions_mod, "Cluster",
+                        functools.partial(Cluster, run_limit_us=1.0))
+    with pytest.raises(RuntimeError, match="budget exceeded"):
+        study()

@@ -119,8 +119,8 @@ def predicted_sections(scale, selected, simulated_figures, seed=0):
 
     from repro.cost.predict import latency_tolerance, predict_sweep
     from repro.cost.recorder import record_run
-    from repro.harness.experiments import SensitivityFigure
     from repro.harness.suite import suite_for
+    from repro.harness.sweeps import SensitivityFigure
 
     out = []
     w = out.append
@@ -326,9 +326,9 @@ def main(argv=None) -> int:
 
     started = time.time()
 
-    # Sweep-based experiments consult/extend the run cache; with an
-    # experiment-level pool active, inner sweeps stay serial (jobs=1)
-    # to avoid nested pools.
+    # Every simulating experiment consults/extends the run cache; with
+    # an experiment-level pool active, the points inside one experiment
+    # stay serial (no jobs=) to avoid nested pools.
     sweep_kwargs = {"names": selected, "cache": cache}
     overheads = SWEEP_GRIDS["overhead"]
     gaps = SWEEP_GRIDS["gap"]
@@ -342,10 +342,11 @@ def main(argv=None) -> int:
                                 "desired_g": (5.8, 15.0, 55.0, 105.0),
                                 "desired_L": (5.0, 15.0, 55.0, 105.0)}),
         ("table3_baseline_runtimes", {"node_counts": (16, 32),
-                                      "scale": scale, "names": selected}),
+                                      "scale": scale, **sweep_kwargs}),
         ("table4_comm_summary", {"n_nodes": 32, "scale": scale,
-                                 "names": selected}),
+                                 **sweep_kwargs}),
         ("figure4_balance", {"n_nodes": 32, "scale": scale,
+                             "cache": cache,
                              "names": pick("Radix", "EM3D(write)",
                                            "Sample", "NOW-sort")}),
         ("figure5_overhead", {"n_nodes": 16, "scale": scale,

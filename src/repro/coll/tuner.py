@@ -32,7 +32,7 @@ from repro.network.loggp import LogGPParams
 
 __all__ = ["CollConfig", "FixedPolicy", "ModelPolicy", "MeasuredPolicy",
            "tuner_from_config", "build_decision_table",
-           "CALIBRATION_SIZES"]
+           "measure_algorithms", "CALIBRATION_SIZES"]
 
 #: Default declared-size grid (bytes) of the calibration sweep.
 CALIBRATION_SIZES = (32, 1024, 16384, 65536)
@@ -152,6 +152,42 @@ def tuner_from_config(config: Optional[CollConfig]):
     return MeasuredPolicy(config.table)
 
 
+def measure_algorithms(n_ranks: int, sizes: Sequence[int],
+                       primitives: Sequence[str],
+                       params: Optional[LogGPParams] = None,
+                       knobs: Optional[TuningKnobs] = None,
+                       seed: int = 0,
+                       cache: Optional["RunCache"] = None,  # noqa: F821
+                       **bench) -> Dict[Tuple[str, int], Dict[str, float]]:
+    """(primitive, size) -> {algorithm: measured runtime in µs}.
+
+    Each cell times every algorithm the dense uniform calibration
+    benchmark can drive: one :class:`~repro.coll.bench.CollectiveBench`
+    run (``bench`` holds its other knobs) per algorithm on a fresh
+    cluster, served from ``cache`` when available.  Small sizes
+    calibrate the short-packet regime, larger ones the bulk regime
+    (``bulk=True`` whenever the declared size exceeds one short packet).
+    """
+    from repro.cluster.machine import Cluster
+    from repro.coll.algorithms import eligible_algorithms
+    from repro.coll.bench import CollectiveBench
+    from repro.harness.parallel import PointTask, run_results
+
+    runs = [(primitive, size, algo)
+            for primitive in primitives for size in sizes
+            for algo in eligible_algorithms(primitive, elementwise=True,
+                                            dense=True, uniform=True)]
+    results = run_results(
+        [PointTask(CollectiveBench(primitive, algo=algo, size=size,
+                                   bulk=size > 64, **bench),
+                   Cluster(n_ranks, params=params, knobs=knobs, seed=seed))
+         for primitive, size, algo in runs], cache=cache)
+    measured: Dict[Tuple[str, int], Dict[str, float]] = {}
+    for (primitive, size, algo), result in zip(runs, results):
+        measured.setdefault((primitive, size), {})[algo] = result.runtime_us
+    return measured
+
+
 def build_decision_table(n_ranks: int,
                          sizes: Sequence[int] = CALIBRATION_SIZES,
                          primitives: Sequence[str] = PRIMITIVES,
@@ -162,59 +198,13 @@ def build_decision_table(n_ranks: int,
                          ) -> Tuple[Tuple[str, int, int, bool, str], ...]:
     """Measure every (primitive, size, algorithm) cell; keep winners.
 
-    Each cell is one :class:`~repro.coll.bench.CollectiveBench` run on a
-    fresh cluster with the given parameters, served from ``cache`` when
-    available (the calibration is a pure function of its configuration,
-    so a cached sweep is bit-stable).  Small sizes calibrate the
-    short-packet regime, larger ones the bulk regime (``bulk=True``
-    whenever the declared size exceeds one short packet).
-
-    Returns cells sorted by (primitive, size) — a deterministic, bit
-    -stable table for a fixed seed.
+    The measurement is :func:`measure_algorithms` — a pure function of
+    its configuration, so a cached sweep is bit-stable.  Returns cells
+    sorted by (primitive, size): a deterministic table for a fixed seed.
     """
-    from repro.cluster.machine import Cluster
-    from repro.coll.bench import CollectiveBench
-    from repro.harness.runcache import run_key_spec
-
-    params = params if params is not None else LogGPParams.berkeley_now()
-    knobs = knobs if knobs is not None else TuningKnobs()
-    cells = []
-    for primitive in primitives:
-        for size in sizes:
-            bulk = size > 64
-            best = None
-            for algo in _calibratable(primitive, n_ranks):
-                bench = CollectiveBench(primitive=primitive, algo=algo,
-                                        size=size, bulk=bulk,
-                                        iterations=iterations)
-                runtime = _bench_runtime(Cluster, run_key_spec, bench,
-                                         n_ranks, params, knobs, seed,
-                                         cache)
-                if best is None or (runtime, algo) < best:
-                    best = (runtime, algo)
-            if best is not None:
-                cells.append((primitive, n_ranks, size, bulk, best[1]))
-    return tuple(sorted(cells))
-
-
-def _calibratable(primitive: str, n_ranks: int) -> Tuple[str, ...]:
-    """Algorithms the dense uniform calibration benchmark can drive."""
-    from repro.coll.algorithms import eligible_algorithms
-    return eligible_algorithms(primitive, elementwise=True, dense=True,
-                               uniform=True)
-
-
-def _bench_runtime(cluster_cls, key_spec_fn, bench, n_ranks, params,
-                   knobs, seed, cache) -> float:
-    """One calibration run's runtime, via the run cache when possible."""
-    spec = None
-    if cache is not None:
-        spec = key_spec_fn(bench, n_ranks, params, knobs, seed)
-        outcome = cache.get(spec)
-        if outcome is not None and outcome[0] is not None:
-            return outcome[0].runtime_us
-    result = cluster_cls(n_ranks, params=params, knobs=knobs,
-                         seed=seed).run(bench)
-    if cache is not None:
-        cache.put(spec, result=result)
-    return result.runtime_us
+    measured = measure_algorithms(n_ranks, sizes, primitives, params,
+                                  knobs, seed, cache, iterations=iterations)
+    return tuple(sorted(
+        (primitive, n_ranks, size, size > 64,
+         min((runtime, algo) for algo, runtime in by_algo.items())[1])
+        for (primitive, size), by_algo in measured.items()))

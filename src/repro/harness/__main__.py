@@ -7,7 +7,9 @@ Usage::
     python -m repro.harness --only table2 figure7
 
 Each artifact is printed and, with ``--out``, also written to
-``<out>/<artifact>.txt``.
+``<out>/<artifact>.txt``.  Simulated points go through the on-disk run
+cache (``--cache-dir``, ``--no-cache``) and ``--jobs`` worker
+processes, in this mode and in campaign mode alike.
 
 Campaign mode runs (or resumes) a :mod:`repro.harness.campaign` spec
 from a JSON file against a sqlite result store instead::
@@ -33,66 +35,59 @@ import pathlib
 import sys
 import time
 
-from repro.harness import experiments
+from repro.harness import (CampaignSpec, ResultStore, RunCache, experiments,
+                           overhead_gap_surface, render_campaign,
+                           run_campaign)
+from repro.harness.parallel import default_jobs
 
-#: artifact name -> callable(n_nodes, scale) -> object with .render().
+
+def _suite(entry):
+    """An artifact whose entry point takes (n_nodes, scale, cache, jobs)."""
+    return lambda nodes, scale, run: entry(n_nodes=nodes, scale=scale, **run)
+
+
+#: artifact name -> callable(n_nodes, scale, run) -> object with
+#: .render(); ``run`` is the ``{"cache": ..., "jobs": ...}`` pair every
+#: simulating entry point takes (``--cache-dir``/``--no-cache``/``--jobs``).
 ARTIFACTS = {
-    "table1": lambda nodes, scale: experiments.table1_baseline_params(),
-    "figure3": lambda nodes, scale: experiments.figure3_signature(),
-    "table2": lambda nodes, scale: experiments.table2_calibration(),
-    "table3": lambda nodes, scale: experiments.table3_baseline_runtimes(
-        node_counts=(nodes // 2, nodes), scale=scale),
-    "figure4": lambda nodes, scale: experiments.figure4_balance(
-        n_nodes=nodes, scale=scale),
-    "table4": lambda nodes, scale: experiments.table4_comm_summary(
-        n_nodes=nodes, scale=scale),
-    "figure5": lambda nodes, scale: experiments.figure5_overhead(
-        n_nodes=nodes, scale=scale),
-    "table5": lambda nodes, scale: experiments.table5_overhead_model(
-        n_nodes=nodes, scale=scale),
-    "figure6": lambda nodes, scale: experiments.figure6_gap(
-        n_nodes=nodes, scale=scale),
-    "table6": lambda nodes, scale: experiments.table6_gap_model(
-        n_nodes=nodes, scale=scale),
-    "figure7": lambda nodes, scale: experiments.figure7_latency(
-        n_nodes=nodes, scale=scale),
-    "figure8": lambda nodes, scale: experiments.figure8_bulk(
-        n_nodes=nodes, scale=scale),
-    "figure9": lambda nodes, scale: experiments.figure9_faults(
-        n_nodes=nodes, scale=scale),
-    "table7": lambda nodes, scale: experiments.table7_spike_decay(
-        n_nodes=nodes, scale=scale),
-    "figure10": lambda nodes, scale: experiments.figure10_collectives(
-        n_nodes=nodes),
-    "table8": lambda nodes, scale: experiments.table8_coll_tuner(
-        n_nodes=nodes),
-    "figure11": lambda nodes, scale: experiments.figure11_serving(
-        n_nodes=nodes, scale=scale),
-    "surface": lambda nodes, scale: _surface(nodes, scale),
+    "table1": lambda nodes, scale, run: experiments.table1_baseline_params(),
+    "figure3": lambda nodes, scale, run: experiments.figure3_signature(),
+    "table2": lambda nodes, scale, run: experiments.table2_calibration(),
+    "table3": lambda nodes, scale, run:
+        experiments.table3_baseline_runtimes(
+            node_counts=(nodes // 2, nodes), scale=scale, **run),
+    "figure4": _suite(experiments.figure4_balance),
+    "table4": _suite(experiments.table4_comm_summary),
+    "figure5": _suite(experiments.figure5_overhead),
+    "table5": _suite(experiments.table5_overhead_model),
+    "figure6": _suite(experiments.figure6_gap),
+    "table6": _suite(experiments.table6_gap_model),
+    "figure7": _suite(experiments.figure7_latency),
+    "figure8": _suite(experiments.figure8_bulk),
+    "figure9": _suite(experiments.figure9_faults),
+    "table7": _suite(experiments.table7_spike_decay),
+    "figure10": lambda nodes, scale, run: experiments.figure10_collectives(
+        n_nodes=nodes, **run),
+    # Their extra keywords are workload knobs, so no ``jobs`` here.
+    "table8": lambda nodes, scale, run: experiments.table8_coll_tuner(
+        n_nodes=nodes, cache=run["cache"]),
+    "figure11": lambda nodes, scale, run: experiments.figure11_serving(
+        n_nodes=nodes, scale=scale, cache=run["cache"]),
+    "surface": lambda nodes, scale, run: overhead_gap_surface(
+        n_nodes=min(nodes, 16), scale=scale, **run),
     # simcost: the overhead sweep predicted from one recorded run per
     # app instead of one simulation per (app, value) point.
-    "predict": lambda nodes, scale: experiments.predicted_sensitivity(
+    "predict": lambda nodes, scale, run: experiments.predicted_sensitivity(
         n_nodes=nodes, scale=scale, parameter="overhead"),
 }
 
 
-def _surface(nodes, scale):
-    from repro.harness.surface import overhead_gap_surface
-    return overhead_gap_surface(n_nodes=min(nodes, 16), scale=scale)
-
-
 def run_campaign_cli(args) -> int:
     """The ``--campaign`` mode: run/resume a spec file against a store."""
-    from repro.harness import RunCache
-    from repro.harness.campaign import (CampaignSpec, render_campaign,
-                                        run_campaign)
-    from repro.harness.store import ResultStore
-
     spec = CampaignSpec.from_json(args.campaign.read_text())
-    cache = None if args.no_cache else RunCache(args.cache_dir)
     with ResultStore(args.store) as store:
-        report = run_campaign(spec, store, cache=cache, jobs=args.jobs,
-                              progress=print)
+        report = run_campaign(spec, store, progress=print,
+                              **_run_options(args))
         print(store.describe())
         if args.bench_out is not None:
             args.bench_out.write_text(
@@ -105,9 +100,15 @@ def run_campaign_cli(args) -> int:
     return 0
 
 
+def _run_options(args) -> dict:
+    """``--cache-dir`` / ``--no-cache`` / ``--jobs`` as the ``cache=`` /
+    ``jobs=`` pair; both modes read the three flags here."""
+    return {"cache": None if args.no_cache else RunCache(args.cache_dir),
+            "jobs": args.jobs if args.jobs is not None else default_jobs()}
+
+
 def store_gc_cli(args) -> int:
     """The ``--store-gc`` mode: prune campaigns and compact the store."""
-    from repro.harness.store import ResultStore
     with ResultStore(args.store) as store:
         if args.prune:
             for campaign in args.prune:
@@ -134,20 +135,20 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="*", default=None,
                         choices=sorted(ARTIFACTS),
                         help="subset of artifacts to regenerate")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for the simulations "
+                        "(default: one per core)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="skip the on-disk run cache")
+    parser.add_argument("--cache-dir", default=None,
+                        help="run cache directory (default "
+                        "~/.cache/repro or $REPRO_CACHE_DIR)")
     campaign = parser.add_argument_group("campaign mode")
     campaign.add_argument("--campaign", type=pathlib.Path, default=None,
                           help="run/resume a CampaignSpec JSON file "
                           "instead of regenerating artifacts")
     campaign.add_argument("--store", type=pathlib.Path, default=None,
                           help="sqlite result store path (campaign mode)")
-    campaign.add_argument("--jobs", type=int, default=None,
-                          help="campaign worker processes "
-                          "(default: one per core)")
-    campaign.add_argument("--no-cache", action="store_true",
-                          help="campaign mode: skip the on-disk run cache")
-    campaign.add_argument("--cache-dir", default=None,
-                          help="run cache directory (default "
-                          "~/.cache/repro or $REPRO_CACHE_DIR)")
     campaign.add_argument("--render", type=pathlib.Path, default=None,
                           help="write store-generated campaign artifacts "
                           "to this markdown file")
@@ -174,16 +175,19 @@ def main(argv=None) -> int:
     selected = args.only if args.only else list(ARTIFACTS)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
+    run = _run_options(args)
 
     for name in selected:
         started = time.time()
-        artifact = ARTIFACTS[name](args.nodes, args.scale)
+        artifact = ARTIFACTS[name](args.nodes, args.scale, run)
         text = artifact.render()
         elapsed = time.time() - started
         print(f"\n{'=' * 72}\n{name}  (regenerated in {elapsed:.1f}s)\n")
         print(text)
         if args.out is not None:
             (args.out / f"{name}.txt").write_text(text + "\n")
+    if run["cache"] is not None:
+        print(run["cache"].describe())
     return 0
 
 

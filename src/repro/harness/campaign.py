@@ -16,11 +16,10 @@ This module is that contract, modeled on MBradbury/slp's
   :class:`~repro.harness.runcache.RunCache` uses.
 * :func:`run_campaign` — the resumable runner.  Points already in the
   :class:`~repro.harness.store.ResultStore` are skipped outright; the
-  rest are probed against the RunCache, and only genuine misses are
-  simulated, streamed through a ``ProcessPoolExecutor`` with
-  ``as_completed`` and **persisted the moment each one finishes**.  A
-  worker crash (``BrokenProcessPool``) re-queues only the tasks whose
-  futures never completed, on a fresh pool.
+  rest go through :func:`~repro.harness.parallel.run_points`, the same
+  drain every sweep uses (cache probe, pool, re-queue after a worker
+  crash), with a ``done`` callback that writes the store row — so each
+  point is **persisted the moment it finishes**.
 * query-side generation — :func:`sweep_from_store` /
   :func:`figure_from_store` / :func:`render_campaign` rebuild
   EXPERIMENTS-style artifacts from stored rows alone, so regeneration
@@ -45,21 +44,19 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-from repro.am.tuning import TuningKnobs
 from repro.cluster.presets import MACHINE_PRESETS
-from repro.harness.parallel import PointTask, _pool, default_jobs, \
-    execute_point
+from repro.harness.parallel import (PointTask, default_jobs, run_points,
+                                    sweep_tasks)
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
 from repro.harness.suite import suite_for
-from repro.harness.sweeps import (MACHINE_DIALS, SweepPoint, SweepResult,
-                                  knob_factory)
+from repro.harness.sweeps import (DIAL_LABELS, MACHINE_DIALS,
+                                  SensitivityFigure, SweepPoint,
+                                  SweepResult, dial_axes)
 from repro.network.faults import DelaySpike, FaultPlan, SlowdownWindow
 
 __all__ = ["CampaignSpec", "CampaignPoint", "CampaignReport",
@@ -97,8 +94,8 @@ class CampaignPoint:
     value: float
     seed: int
     task: PointTask
-    #: Canonical key-spec dict (``run_key_spec``) and its SHA-256 — the
-    #: identity shared by the store and the run cache.
+    #: The task's canonical key-spec dict and its SHA-256 — the identity
+    #: shared by the store and the run cache.
     spec: Dict[str, Any]
     key: str
 
@@ -187,7 +184,6 @@ class CampaignSpec:
         unknown or a key-spec value has an unstable repr.
         """
         params = MACHINE_PRESETS[self.machine]
-        base_plan = self.faults if self.faults is not None else FaultPlan()
         points: List[CampaignPoint] = []
         for app_name, n_nodes in itertools.product(self.apps,
                                                    self.node_counts):
@@ -199,42 +195,18 @@ class CampaignSpec:
                                 names=[app_name])[0]
             for (parameter, values), seed in itertools.product(
                     self.dials, self.seeds):
-                def app_for(_value: float) -> Any:
-                    return app
-                if parameter == "drop_rate":
-                    def knob_for(_value: float) -> TuningKnobs:
-                        return TuningKnobs()
-
-                    def fault_for(value: float) -> FaultPlan:
-                        return base_plan.with_changes(drop_rate=value)
-                elif parameter == "offered_rps":
-                    def knob_for(_value: float) -> TuningKnobs:
-                        return TuningKnobs()
-
-                    def fault_for(_value: float) -> Optional[FaultPlan]:
-                        return self.faults
-
-                    def app_for(value: float) -> Any:
-                        return app.with_changes(offered_rps=value)
-                else:
-                    knob_for = knob_factory(parameter, params)
-
-                    def fault_for(_value: float) -> Optional[FaultPlan]:
-                        return self.faults
-                for value in values:
-                    task = PointTask(
-                        app=app_for(value), n_nodes=n_nodes, value=value,
-                        knobs=knob_for(value), params=params, seed=seed,
-                        run_limit_us=self.run_limit_us,
+                knob_for, fault_for, app_for = dial_axes(
+                    parameter, app, params=params, faults=self.faults)
+                for task in sweep_tasks(
+                        app, n_nodes, values, knob_for, params=params,
+                        seed=seed, run_limit_us=self.run_limit_us,
                         livelock_limit=self.livelock_limit,
-                        window=self.window, faults=fault_for(value),
-                        coll=self.coll)
-                    spec = task.key_spec()
+                        window=self.window, fault_for=fault_for,
+                        coll=self.coll, app_for=app_for):
                     points.append(CampaignPoint(
                         app_name=app_name, n_nodes=n_nodes,
-                        parameter=parameter, value=value, seed=seed,
-                        task=task, spec=spec,
-                        key=RunCache.key_for(spec)))
+                        parameter=parameter, value=task.value, seed=seed,
+                        task=task, spec=task.spec, key=task.key))
         return points
 
     # -- JSON round trip (spec files for the CLI / CI) ---------------------
@@ -385,17 +357,15 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
     """Run (or resume) one campaign; every finished point is durable.
 
     The store is consulted first — points with rows are never re-run.
-    Store misses are probed against the RunCache (a hit is persisted
-    to the store without simulating).  Remaining points stream through
-    a process pool; each is written to the store *and* the cache the
-    moment its future completes, so progress survives any interruption.
+    The rest are drained by :func:`~repro.harness.parallel.run_points`
+    exactly as a sweep's points are; what the campaign adds is the
+    store tier (a row per point the moment it is served or computed),
+    the de-dup of run keys shared between dials, and the report.
 
     ``interrupt_after=N`` raises :class:`CampaignInterrupted` after N
     newly simulated points have been persisted — the deterministic
-    stand-in for a mid-campaign crash.  A worker killed out from under
-    the pool (``BrokenProcessPool``) does *not* abort the campaign:
-    the tasks whose futures never completed are re-queued on a fresh
-    pool, up to ``max_requeues`` times.
+    stand-in for a mid-campaign crash.  ``max_requeues`` is the drain's
+    bound on fresh pools after worker crashes.
     """
     started = time.perf_counter()
     say = progress if progress is not None else (lambda _line: None)
@@ -416,94 +386,47 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
     if resumed:
         say(f"resume: {resumed}/{len(points)} points already stored")
 
-    def persist(point: CampaignPoint, result, failure,
-                to_cache: bool) -> None:
+    workers = jobs if jobs is not None else default_jobs()
+    cache_hits = computed = requeued = 0
+
+    def done(index: int, sweep_point: SweepPoint, from_cache: bool) -> None:
+        nonlocal cache_hits, computed
+        point = pending[index]
         store.put(spec.name, point.key, app=point.app_name,
                   n_nodes=point.n_nodes, parameter=point.parameter,
                   value=point.value, seed=point.seed, spec=point.spec,
-                  result=result, failure=failure)
-        if to_cache and cache is not None:
-            cache.put(point.spec, result=result, failure=failure)
-
-    # Cache probe in the parent: hits become store rows without a
-    # single simulated event.
-    cache_hits = 0
-    todo: List[CampaignPoint] = []
-    for point in pending:
-        outcome = cache.get(point.spec) if cache is not None else None
-        if outcome is not None:
-            result, failure = outcome
-            persist(point, result, failure, to_cache=False)
+                  result=sweep_point.result, failure=sweep_point.failure)
+        if from_cache:
             cache_hits += 1
-        else:
-            todo.append(point)
-    if cache_hits:
-        say(f"run cache filled {cache_hits} point(s)")
-
-    workers = jobs if jobs is not None else default_jobs()
-    computed = 0
-    requeued = 0
-
-    def finish(point: CampaignPoint, sweep_point: SweepPoint) -> None:
-        nonlocal computed
-        persist(point, sweep_point.result, sweep_point.failure,
-                to_cache=True)
+            return
         computed += 1
-        if computed % 10 == 0 or computed == len(todo):
-            say(f"{computed}/{len(todo)} computed "
+        # The drain probes the cache before it simulates anything, so
+        # every hit is already counted.
+        todo = len(pending) - cache_hits
+        if computed % 10 == 0 or computed == todo:
+            say(f"{computed}/{todo} computed "
                 f"({store.count(spec.name)}/{len(points)} stored)")
         if interrupt_after is not None and computed >= interrupt_after:
             raise CampaignInterrupted(
                 f"campaign {spec.name!r} interrupted after {computed} "
                 f"computed points (all persisted; re-run to resume)")
 
-    try:
-        if todo and workers > 1:
-            remaining = todo
-            attempts = 0
-            while remaining:
-                crashed: List[CampaignPoint] = []
-                with _pool(min(workers, len(remaining))) as pool:
-                    futures = {pool.submit(execute_point, p.task): p
-                               for p in remaining}
-                    for future in as_completed(futures):
-                        point = futures[future]
-                        try:
-                            sweep_point = future.result()
-                        except BrokenProcessPool:
-                            # This future's task was lost with the dead
-                            # worker (or never started).  Completed
-                            # futures are unaffected — their results
-                            # were already delivered and persisted.
-                            crashed.append(point)
-                            continue
-                        finish(point, sweep_point)
-                if not crashed:
-                    break
-                attempts += 1
-                if attempts > max_requeues:
-                    raise BrokenProcessPool(
-                        f"campaign {spec.name!r}: workers kept crashing "
-                        f"after {max_requeues} re-queue rounds; "
-                        f"{len(crashed)} point(s) unfinished (all "
-                        "completed points are persisted)")
-                requeued += len(crashed)
-                say(f"worker crash: re-queuing {len(crashed)} lost "
-                    f"task(s) on a fresh pool (round {attempts})")
-                remaining = crashed
-        else:
-            for point in todo:
-                finish(point, execute_point(point.task))
-    finally:
-        elapsed = time.perf_counter() - started
+    def on_requeue(lost: int) -> None:
+        nonlocal requeued
+        requeued += lost
+        say(f"worker crash: re-queuing {lost} lost task(s) on a fresh pool")
 
-    na_points = store.count_failures(spec.name)
+    run_points([point.task for point in pending], cache=cache,
+               jobs=workers, done=done, max_requeues=max_requeues,
+               requeued=on_requeue)
+
     report = CampaignReport(
         campaign=spec.name, total_points=len(points),
         resumed_points=resumed, cache_hits=cache_hits,
         computed_points=computed, requeued_points=requeued,
-        na_points=na_points, stale_tmps_removed=stale,
-        jobs=workers, elapsed_s=elapsed)
+        na_points=store.count_failures(spec.name),
+        stale_tmps_removed=stale, jobs=workers,
+        elapsed_s=time.perf_counter() - started)
     say(report.describe())
     return report
 
@@ -550,10 +473,8 @@ def sweep_from_store(store: ResultStore, spec: CampaignSpec,
             f"{len(missing)}/{len(values)} points of "
             f"({app_name}, P={n_nodes}, {parameter}) at values "
             f"{missing}; run the campaign to completion first")
-    params = MACHINE_PRESETS[spec.machine]
-    knob_for = (knob_factory(parameter, params)
-                if parameter in MACHINE_DIALS
-                else (lambda _value: TuningKnobs()))
+    knob_for, _fault_for, _app_for = dial_axes(
+        parameter, None, params=MACHINE_PRESETS[spec.machine])
     sweep = SweepResult(app_name=app_name, n_nodes=n_nodes,
                         parameter=parameter)
     sweep.points = [
@@ -661,41 +582,14 @@ def ensemble_from_store(store: ResultStore, spec: CampaignSpec,
     return ensemble
 
 
-@dataclass
-class CampaignFigure:
-    """A rendered set of per-app sweeps for one (P, dial) pair."""
-
-    title: str
-    x_label: str
-    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
-
-    def max_slowdown(self, app_name: str) -> Optional[float]:
-        series = self.sweeps[app_name].series()
-        return max(y for _x, y in series) if series else None
-
-    def render(self) -> str:
-        from repro.harness.report import ascii_plot
-        return ascii_plot(
-            {name: sweep.series() for name, sweep in self.sweeps.items()},
-            title=self.title, x_label=self.x_label, y_label="slowdown")
-
-
-#: Axis labels for the dials a campaign can sweep.
-_DIAL_LABELS = {"overhead": "overhead (us)", "gap": "gap (us)",
-                "latency": "latency (us)",
-                "bulk_mb_s": "bulk bandwidth (MB/s)",
-                "drop_rate": "drop rate",
-                "offered_rps": "offered load (req/s)"}
-
-
 def figure_from_store(store: ResultStore, spec: CampaignSpec,
                       parameter: str, n_nodes: int,
-                      seed: Optional[int] = None) -> CampaignFigure:
+                      seed: Optional[int] = None) -> SensitivityFigure:
     """All apps' sweeps for one (P, dial), from store rows alone."""
-    figure = CampaignFigure(
+    figure = SensitivityFigure(
         title=f"campaign {spec.name} ({n_nodes} nodes): sensitivity "
               f"to {parameter}",
-        x_label=_DIAL_LABELS.get(parameter, parameter))
+        x_label=DIAL_LABELS[parameter])
     for app_name in spec.apps:
         figure.sweeps[app_name] = sweep_from_store(
             store, spec, app_name, n_nodes, parameter, seed=seed)

@@ -21,6 +21,7 @@ from repro.apps import (Barnes, Connect, EM3D, Murphi, NowSort, PRay,
                         RadixBulk, RadixSort, SampleSort)
 from repro.cluster.machine import Cluster
 from repro.cluster.node import CostModel
+from repro.harness.runcache import app_fingerprint
 from repro.network.loggp import LogGPParams
 
 __all__ = ["ExperimentConfig", "APP_REGISTRY"]
@@ -113,22 +114,15 @@ class ExperimentConfig:
     def from_run(cls, app, cluster: Cluster) -> "ExperimentConfig":
         """Capture an app instance + cluster as a config.
 
-        Application kwargs are taken from the instance's public
-        non-derived attributes that match its constructor.
+        Application kwargs are the constructor parameters the instance
+        carries as attributes — the run cache's
+        :func:`~repro.harness.runcache.app_fingerprint`.
         """
-        import inspect
-        app_class = type(app)
         names = [name for name, _cls in APP_REGISTRY.items()
-                 if _cls is app_class]
+                 if _cls is type(app)]
         if not names:
-            raise KeyError(f"{app_class.__name__} is not registered")
-        signature = inspect.signature(app_class.__init__)
-        kwargs = {}
-        for parameter in signature.parameters.values():
-            if parameter.name == "self":
-                continue
-            if hasattr(app, parameter.name):
-                kwargs[parameter.name] = getattr(app, parameter.name)
+            raise KeyError(f"{type(app).__name__} is not registered")
+        kwargs = app_fingerprint(app)["kwargs"]
         return cls(
             app_name=names[0],
             app_kwargs=kwargs,

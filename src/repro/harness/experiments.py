@@ -10,9 +10,8 @@ parameters, so benchmarks can run quickly and users can crank fidelity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.apps.base import Application
 from repro.calibrate.bulk import calibrate_bulk_bandwidth
 from repro.calibrate.calibration import (CalibrationRow, calibration_table,
                                          render_calibration)
@@ -20,12 +19,15 @@ from repro.calibrate.signature import (LogPSignature, logp_signature,
                                        measure_parameters)
 from repro.cluster.machine import Cluster, RunResult
 from repro.cluster.presets import MACHINE_PRESETS
-from repro.harness.report import ascii_plot, render_table
+from repro.harness.parallel import PointTask, run_results
+from repro.harness.report import render_table
 from repro.harness.suite import suite_for
-from repro.harness.sweeps import (SweepResult, bulk_bandwidth_sweep,
-                                  collective_sweep, fault_sweep, gap_sweep,
+from repro.harness.sweeps import (DIAL_LABELS, PAPER_GRIDS,
+                                  SensitivityFigure, SweepResult,
+                                  bulk_bandwidth_sweep, collective_sweep,
+                                  fault_sweep, gap_sweep, knob_factory,
                                   latency_sweep, overhead_sweep,
-                                  spike_decay_sweep)
+                                  predicted_sweep, spike_decay_sweep)
 from repro.instruments.balance import render_balance
 from repro.models.gap import BurstGapModel
 from repro.models.overhead import OverheadModel
@@ -91,7 +93,7 @@ def table1_baseline_params() -> Table1:
 def figure3_signature(desired_gap: float = 14.0) -> LogPSignature:
     """The paper's example signature: g dialed to 14 µs, Δ ∈ {0, 10}."""
     params = LogGPParams.berkeley_now()
-    knobs = TuningKnobs.added_gap(max(0.0, desired_gap - params.gap))
+    knobs = knob_factory("gap", params)(desired_gap)
     return logp_signature(params, knobs,
                           burst_sizes=(1, 2, 4, 8, 16, 32, 64),
                           deltas=(0.0, 10.0))
@@ -148,17 +150,35 @@ class Table3:
                             "(fixed input per application)")
 
 
+def _suite_runs(n_nodes: int, scale: float,
+                names: Optional[Sequence[str]], seed: int,
+                cache: Optional["RunCache"],  # noqa: F821
+                jobs: Optional[int]) -> Dict[str, RunResult]:
+    """app name -> the suite's run on the unmodified ``n_nodes`` machine.
+
+    These are the sweeps' own baseline points — same run key — so with
+    a shared ``cache`` Tables 3/4, Figure 4 and Figures 5-9 simulate
+    each of them once between them.
+    """
+    apps = suite_for(n_nodes, scale=scale, names=names)
+    results = run_results(
+        [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed))
+         for app in apps], cache=cache, jobs=jobs)
+    return {app.name: result for app, result in zip(apps, results)}
+
+
 def table3_baseline_runtimes(node_counts: Sequence[int] = (16, 32),
                              scale: float = 1.0,
                              names: Optional[Sequence[str]] = None,
-                             seed: int = 0) -> Table3:
+                             seed: int = 0,
+                             cache: Optional["RunCache"] = None,  # noqa: F821
+                             jobs: Optional[int] = None) -> Table3:
     """Run the suite at each cluster size with fixed total inputs."""
     runtimes: Dict[str, Dict[int, float]] = {}
     for n_nodes in node_counts:
-        cluster = Cluster(n_nodes=n_nodes, seed=seed)
-        for app in suite_for(n_nodes, scale=scale, names=names):
-            result = cluster.run(app)
-            runtimes.setdefault(app.name, {})[n_nodes] = result.runtime_us
+        for name, result in _suite_runs(n_nodes, scale, names, seed,
+                                        cache, jobs).items():
+            runtimes.setdefault(name, {})[n_nodes] = result.runtime_us
     return Table3(runtimes=runtimes)
 
 
@@ -187,13 +207,12 @@ class Figure4:
 
 def figure4_balance(n_nodes: int = 32, scale: float = 1.0,
                     names: Optional[Sequence[str]] = None,
-                    seed: int = 0) -> Figure4:
+                    seed: int = 0,
+                    cache: Optional["RunCache"] = None,  # noqa: F821
+                    jobs: Optional[int] = None) -> Figure4:
     """Run the suite once and collect Figure 4's balance matrices."""
-    cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    results = {}
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        results[app.name] = cluster.run(app)
-    return Figure4(results=results)
+    return Figure4(results=_suite_runs(n_nodes, scale, names, seed,
+                                       cache, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -219,48 +238,32 @@ class Table4:
 
 def table4_comm_summary(n_nodes: int = 32, scale: float = 1.0,
                         names: Optional[Sequence[str]] = None,
-                        seed: int = 0) -> Table4:
+                        seed: int = 0,
+                        cache: Optional["RunCache"] = None,  # noqa: F821
+                        jobs: Optional[int] = None) -> Table4:
     """Run the suite once and collect Table 4's summaries."""
-    cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    results = {}
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        results[app.name] = cluster.run(app)
-    return Table4(results=results)
+    return Table4(results=_suite_runs(n_nodes, scale, names, seed,
+                                      cache, jobs))
 
 
 # ---------------------------------------------------------------------------
 # Figures 5-8 -- the sensitivity studies.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SensitivityFigure:
-    """One sensitivity figure: a sweep per application."""
+def _sweep_figure(figure: SensitivityFigure,
+                  sweep: Callable[..., SweepResult], n_nodes: int,
+                  scale: float, names: Optional[Sequence[str]],
+                  **kwargs) -> SensitivityFigure:
+    """Fill ``figure`` with one ``sweep`` per suite application.
 
-    title: str
-    x_label: str
-    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
-
-    def series(self) -> Dict[str, List[tuple]]:
-        """Per-application (value, slowdown) series."""
-        return {name: sweep.series()
-                for name, sweep in self.sweeps.items()}
-
-    def rows(self) -> List[dict]:
-        """All sweeps' rows, concatenated."""
-        rows = []
-        for sweep in self.sweeps.values():
-            rows.extend(sweep.as_rows())
-        return rows
-
-    def max_slowdown(self, app_name: str) -> Optional[float]:
-        """Largest completed slowdown for one application."""
-        series = self.sweeps[app_name].series()
-        return max(y for _x, y in series) if series else None
-
-    def render(self) -> str:
-        """ASCII plot of every application's slowdown curve."""
-        return ascii_plot(self.series(), title=self.title,
-                          x_label=self.x_label, y_label="slowdown")
+    A None keyword (an unset grid) is dropped, leaving the sweep's
+    default — the paper's grid — in place.
+    """
+    kwargs = {key: value for key, value in kwargs.items()
+              if value is not None}
+    for app in suite_for(n_nodes, scale=scale, names=names):
+        figure.sweeps[app.name] = sweep(app, n_nodes, **kwargs)
+    return figure
 
 
 def figure5_overhead(n_nodes: int = 32, scale: float = 1.0,
@@ -268,16 +271,10 @@ def figure5_overhead(n_nodes: int = 32, scale: float = 1.0,
                      overheads: Optional[Sequence[float]] = None,
                      seed: int = 0, **kwargs) -> SensitivityFigure:
     """Figure 5: sensitivity to overhead (run per node count)."""
-    figure = SensitivityFigure(
+    return _sweep_figure(SensitivityFigure(
         title=f"Figure 5 ({n_nodes} nodes): sensitivity to overhead",
-        x_label="overhead (us)")
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        sweep_kwargs = dict(kwargs)
-        if overheads is not None:
-            sweep_kwargs["overheads"] = overheads
-        figure.sweeps[app.name] = overhead_sweep(app, n_nodes, seed=seed,
-                                                 **sweep_kwargs)
-    return figure
+        x_label=DIAL_LABELS["overhead"]), overhead_sweep, n_nodes, scale,
+        names, overheads=overheads, seed=seed, **kwargs)
 
 
 def figure6_gap(n_nodes: int = 32, scale: float = 1.0,
@@ -285,15 +282,10 @@ def figure6_gap(n_nodes: int = 32, scale: float = 1.0,
                 gaps: Optional[Sequence[float]] = None,
                 seed: int = 0, **kwargs) -> SensitivityFigure:
     """Figure 6: slowdown as a function of (absolute) gap."""
-    figure = SensitivityFigure(
-        title="Figure 6: sensitivity to gap", x_label="gap (us)")
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        sweep_kwargs = dict(kwargs)
-        if gaps is not None:
-            sweep_kwargs["gaps"] = gaps
-        figure.sweeps[app.name] = gap_sweep(app, n_nodes, seed=seed,
-                                            **sweep_kwargs)
-    return figure
+    return _sweep_figure(SensitivityFigure(
+        title="Figure 6: sensitivity to gap",
+        x_label=DIAL_LABELS["gap"]), gap_sweep, n_nodes, scale, names,
+        gaps=gaps, seed=seed, **kwargs)
 
 
 def figure7_latency(n_nodes: int = 32, scale: float = 1.0,
@@ -301,15 +293,10 @@ def figure7_latency(n_nodes: int = 32, scale: float = 1.0,
                     latencies: Optional[Sequence[float]] = None,
                     seed: int = 0, **kwargs) -> SensitivityFigure:
     """Figure 7: slowdown as a function of (absolute) latency."""
-    figure = SensitivityFigure(
-        title="Figure 7: sensitivity to latency", x_label="latency (us)")
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        sweep_kwargs = dict(kwargs)
-        if latencies is not None:
-            sweep_kwargs["latencies"] = latencies
-        figure.sweeps[app.name] = latency_sweep(app, n_nodes, seed=seed,
-                                                **sweep_kwargs)
-    return figure
+    return _sweep_figure(SensitivityFigure(
+        title="Figure 7: sensitivity to latency",
+        x_label=DIAL_LABELS["latency"]), latency_sweep, n_nodes, scale,
+        names, latencies=latencies, seed=seed, **kwargs)
 
 
 def figure8_bulk(n_nodes: int = 32, scale: float = 1.0,
@@ -317,16 +304,10 @@ def figure8_bulk(n_nodes: int = 32, scale: float = 1.0,
                  bandwidths: Optional[Sequence[float]] = None,
                  seed: int = 0, **kwargs) -> SensitivityFigure:
     """Figure 8: slowdown as a function of available bulk bandwidth."""
-    figure = SensitivityFigure(
+    return _sweep_figure(SensitivityFigure(
         title="Figure 8: sensitivity to bulk bandwidth",
-        x_label="bulk bandwidth (MB/s)")
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        sweep_kwargs = dict(kwargs)
-        if bandwidths is not None:
-            sweep_kwargs["bandwidths"] = bandwidths
-        figure.sweeps[app.name] = bulk_bandwidth_sweep(
-            app, n_nodes, seed=seed, **sweep_kwargs)
-    return figure
+        x_label=DIAL_LABELS["bulk_mb_s"]), bulk_bandwidth_sweep, n_nodes,
+        scale, names, bandwidths=bandwidths, seed=seed, **kwargs)
 
 
 def predicted_sensitivity(n_nodes: int = 32, scale: float = 1.0,
@@ -344,17 +325,11 @@ def predicted_sensitivity(n_nodes: int = 32, scale: float = 1.0,
     simulated one — its sweeps are
     :class:`~repro.cost.predict.PredictedSweep` objects.
     """
-    from repro.harness import sweeps as _sweeps
-    from repro.harness.sweeps import predicted_sweep
-    grids = {"overhead": _sweeps.PAPER_OVERHEADS,
-             "gap": _sweeps.PAPER_GAPS,
-             "latency": _sweeps.PAPER_LATENCIES,
-             "bulk_mb_s": _sweeps.PAPER_BANDWIDTHS}
-    if parameter not in grids:
-        raise ValueError(
-            f"parameter must be one of {tuple(grids)}, got {parameter!r}")
+    if parameter not in PAPER_GRIDS:
+        raise ValueError(f"parameter must be one of {tuple(PAPER_GRIDS)}, "
+                         f"got {parameter!r}")
     if values is None:
-        values = grids[parameter]
+        values = PAPER_GRIDS[parameter]
     figure = SensitivityFigure(
         title=f"Predicted sensitivity to {parameter} "
               f"({n_nodes} nodes, simcost)",
@@ -397,31 +372,39 @@ class ModelTable:
         return errors
 
 
+def _model_table(figure: SensitivityFigure, model_class: type,
+                 column: str, title: str, parameter: str) -> ModelTable:
+    """``model_class`` fitted at each sweep's baseline, against every
+    measured point of that sweep."""
+    rows = []
+    for app_name, sweep in figure.sweeps.items():
+        baseline = sweep.baseline.result
+        model = model_class(
+            base_runtime_us=baseline.runtime_us,
+            max_messages_per_proc=baseline.stats.max_messages_per_node)
+        base = sweep.points[0].value
+        for point in sweep.points:
+            delta = max(0.0, point.value - base)
+            rows.append({
+                "app": app_name,
+                column: point.value,
+                "measured_us": (round(point.runtime_us, 1)
+                                if point.completed else "N/A"),
+                "predicted_us": round(model.predict_runtime(delta), 1),
+            })
+    return ModelTable(title=title, parameter=parameter, rows_=rows)
+
+
 def table5_overhead_model(n_nodes: int = 32, scale: float = 1.0,
                           names: Optional[Sequence[str]] = None,
                           overheads: Optional[Sequence[float]] = None,
                           seed: int = 0, **kwargs) -> ModelTable:
     """Table 5: the 2·m·Δo model against measured sweep runtimes."""
-    figure = figure5_overhead(n_nodes=n_nodes, scale=scale, names=names,
-                              overheads=overheads, seed=seed, **kwargs)
-    rows = []
-    for app_name, sweep in figure.sweeps.items():
-        baseline = sweep.baseline.result
-        model = OverheadModel(
-            base_runtime_us=baseline.runtime_us,
-            max_messages_per_proc=baseline.stats.max_messages_per_node)
-        base_o = sweep.points[0].value
-        for point in sweep.points:
-            delta_o = max(0.0, point.value - base_o)
-            rows.append({
-                "app": app_name,
-                "o (us)": point.value,
-                "measured_us": (round(point.runtime_us, 1)
-                                if point.completed else "N/A"),
-                "predicted_us": round(model.predict_runtime(delta_o), 1),
-            })
-    return ModelTable(title="Table 5: overhead model (r + 2 m do)",
-                      parameter="overhead", rows_=rows)
+    return _model_table(
+        figure5_overhead(n_nodes=n_nodes, scale=scale, names=names,
+                         overheads=overheads, seed=seed, **kwargs),
+        OverheadModel, "o (us)", "Table 5: overhead model (r + 2 m do)",
+        "overhead")
 
 
 def table6_gap_model(n_nodes: int = 32, scale: float = 1.0,
@@ -429,26 +412,11 @@ def table6_gap_model(n_nodes: int = 32, scale: float = 1.0,
                      gaps: Optional[Sequence[float]] = None,
                      seed: int = 0, **kwargs) -> ModelTable:
     """Table 6: the burst gap model against measured sweep runtimes."""
-    figure = figure6_gap(n_nodes=n_nodes, scale=scale, names=names,
-                         gaps=gaps, seed=seed, **kwargs)
-    rows = []
-    for app_name, sweep in figure.sweeps.items():
-        baseline = sweep.baseline.result
-        model = BurstGapModel(
-            base_runtime_us=baseline.runtime_us,
-            max_messages_per_proc=baseline.stats.max_messages_per_node)
-        base_g = sweep.points[0].value
-        for point in sweep.points:
-            delta_g = max(0.0, point.value - base_g)
-            rows.append({
-                "app": app_name,
-                "g (us)": point.value,
-                "measured_us": (round(point.runtime_us, 1)
-                                if point.completed else "N/A"),
-                "predicted_us": round(model.predict_runtime(delta_g), 1),
-            })
-    return ModelTable(title="Table 6: burst gap model (r + m dg)",
-                      parameter="gap", rows_=rows)
+    return _model_table(
+        figure6_gap(n_nodes=n_nodes, scale=scale, names=names, gaps=gaps,
+                    seed=seed, **kwargs),
+        BurstGapModel, "g (us)", "Table 6: burst gap model (r + m dg)",
+        "gap")
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +451,10 @@ def figure9_faults(n_nodes: int = 32, scale: float = 1.0,
     at the unmodified baseline; the reliability protocol's timeouts
     and retransmissions are what turn packet loss into slowdown.
     """
-    figure = FaultFigure(
+    return _sweep_figure(FaultFigure(
         title=f"Figure 9 ({n_nodes} nodes): sensitivity to packet loss",
-        x_label="drop rate")
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        sweep_kwargs = dict(kwargs)
-        if drop_rates is not None:
-            sweep_kwargs["drop_rates"] = drop_rates
-        figure.sweeps[app.name] = fault_sweep(app, n_nodes, seed=seed,
-                                              **sweep_kwargs)
-    return figure
+        x_label=DIAL_LABELS["drop_rate"]), fault_sweep, n_nodes, scale,
+        names, drop_rates=drop_rates, seed=seed, **kwargs)
 
 
 def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
@@ -557,12 +519,8 @@ def figure10_collectives(n_nodes: int = 32,
     ``measured`` tuning policies exist to find.
     """
     from repro.coll.algorithms import eligible_algorithms
-    from repro.harness.sweeps import (PAPER_BANDWIDTHS, PAPER_GAPS,
-                                      PAPER_LATENCIES, PAPER_OVERHEADS)
     if values is None:
-        values = {"overhead": PAPER_OVERHEADS, "gap": PAPER_GAPS,
-                  "latency": PAPER_LATENCIES,
-                  "bulk_mb_s": PAPER_BANDWIDTHS}[parameter]
+        values = PAPER_GRIDS[parameter]
     figure = SensitivityFigure(
         title=f"Figure 10 ({n_nodes} nodes): collective sensitivity "
               f"to {parameter}",
@@ -596,50 +554,28 @@ def table8_coll_tuner(n_nodes: int = 32,
     within 10% of optimal ("ok").  The bottom-line agreement rate is
     what ``benchmarks/`` asserts stays >= 80%.
     """
-    from repro.cluster.machine import Cluster
-    from repro.coll.algorithms import eligible_algorithms
-    from repro.coll.bench import CollectiveBench
     from repro.coll.model import estimate_cost
-    from repro.harness.runcache import run_key_spec
+    from repro.coll.tuner import measure_algorithms
     params = LogGPParams.berkeley_now()
     knobs = TuningKnobs()
     rows = []
-    for primitive in primitives:
-        for size in sizes:
-            bulk = size > 64
-            measured = {}
-            for algo in eligible_algorithms(primitive, elementwise=True,
-                                            dense=True, uniform=True):
-                bench = CollectiveBench(primitive, algo=algo, size=size,
-                                        bulk=bulk, **kwargs)
-                result = None
-                spec = None
-                if cache is not None:
-                    spec = run_key_spec(bench, n_nodes, params, knobs,
-                                        seed)
-                    outcome = cache.get(spec)
-                    if outcome is not None and outcome[0] is not None:
-                        result = outcome[0]
-                if result is None:
-                    result = Cluster(n_nodes, seed=seed).run(bench)
-                    if cache is not None:
-                        cache.put(spec, result=result)
-                measured[algo] = result.runtime_us
-            best_time, best_algo = min(
-                (t, a) for a, t in measured.items())
-            model_algo = min(
-                (estimate_cost(primitive, algo, n_nodes, size,
-                               params, knobs, bulk=bulk), algo)
-                for algo in measured)[1]
-            overcost = measured[model_algo] / best_time
-            rows.append({
-                "primitive": primitive,
-                "size": size,
-                "measured_best": best_algo,
-                "model_pick": model_algo,
-                "overcost": round(overcost, 3),
-                "within_10pct": "ok" if overcost <= 1.10 else "MISS",
-            })
+    for (primitive, size), measured in measure_algorithms(
+            n_nodes, sizes, primitives, seed=seed, cache=cache,
+            **kwargs).items():
+        best_time, best_algo = min((t, a) for a, t in measured.items())
+        model_algo = min(
+            (estimate_cost(primitive, algo, n_nodes, size,
+                           params, knobs, bulk=size > 64), algo)
+            for algo in measured)[1]
+        overcost = measured[model_algo] / best_time
+        rows.append({
+            "primitive": primitive,
+            "size": size,
+            "measured_best": best_algo,
+            "model_pick": model_algo,
+            "overcost": round(overcost, 3),
+            "within_10pct": "ok" if overcost <= 1.10 else "MISS",
+        })
     return ModelTable(
         title=f"Table 8 ({n_nodes} nodes): model-driven algorithm "
               f"selection vs measured winners",
@@ -743,7 +679,6 @@ def figure11_serving(n_nodes: int = 32, scale: float = 1.0,
     extra keywords override workload knobs (``service_us``,
     ``slo_us``, ...).  Fully cache-served on reruns.
     """
-    from repro.harness.sweeps import knob_factory
     from repro.serve.apps import KVServe
     from repro.serve.sweep import OFFERED_LOAD_GRID, serving_sweep
     params = LogGPParams.berkeley_now()

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster
 from repro.cluster.node import CostModel
+from repro.harness.parallel import PointTask, run_results
 from repro.harness.report import render_table
 from repro.harness.suite import suite_for
 from repro.network.loggp import LogGPParams
@@ -88,22 +89,24 @@ class ScalingStudy:
 def scaling_study(app_name: str = "Radix",
                   node_counts: Sequence[int] = (8, 16, 32),
                   delta_o: float = 100.0, scale: float = 1.0,
-                  seed: int = 0) -> ScalingStudy:
+                  seed: int = 0,
+                  cache: Optional["RunCache"] = None,  # noqa: F821
+                  jobs: Optional[int] = None) -> ScalingStudy:
     """Run one app at several cluster sizes, fixed total input, with and
     without added overhead."""
     study = ScalingStudy(app_name=app_name, delta_o=delta_o)
+    tasks = []
     for n_nodes in node_counts:
         app, = suite_for(n_nodes, scale=scale, names=[app_name])
-        base_cluster = Cluster(n_nodes=n_nodes, seed=seed)
-        dialed_cluster = base_cluster.with_knobs(
-            TuningKnobs.added_overhead(delta_o))
-        base_result = base_cluster.run(app)
-        # Rebuild the app so stale state never leaks between runs.
-        app, = suite_for(n_nodes, scale=scale, names=[app_name])
-        dialed = dialed_cluster.run(app).runtime_us
+        for knobs in (TuningKnobs(), TuningKnobs.added_overhead(delta_o)):
+            tasks.append(PointTask(
+                app, Cluster(n_nodes=n_nodes, seed=seed, knobs=knobs)))
+    results = run_results(tasks, cache=cache, jobs=jobs)
+    for n_nodes, base, dialed in zip(node_counts, results[0::2],
+                                     results[1::2]):
         study.runtimes[n_nodes] = (
-            base_result.runtime_us, dialed,
-            base_result.stats.max_messages_per_node)
+            base.runtime_us, dialed.runtime_us,
+            base.stats.max_messages_per_node)
     return study
 
 
@@ -138,8 +141,9 @@ class InvestmentStudy:
 
 
 def investment_study(app_name: str = "Sample", n_nodes: int = 16,
-                     scale: float = 1.0, seed: int = 0
-                     ) -> InvestmentStudy:
+                     scale: float = 1.0, seed: int = 0,
+                     cache: Optional["RunCache"] = None,  # noqa: F821
+                     jobs: Optional[int] = None) -> InvestmentStudy:
     """Section 5.5's trade-off: 2× CPU vs halved (o, g)."""
     study = InvestmentStudy(app_name=app_name, n_nodes=n_nodes)
     now = LogGPParams.berkeley_now()
@@ -154,9 +158,12 @@ def investment_study(app_name: str = "Sample", n_nodes: int = 16,
                 recv_overhead=now.recv_overhead / 2,
                 gap=now.gap / 2)),
     }
-    for design, cluster in designs.items():
-        app, = suite_for(n_nodes, scale=scale, names=[app_name])
-        study.runtimes[design] = cluster.run(app).runtime_us
+    app, = suite_for(n_nodes, scale=scale, names=[app_name])
+    results = run_results(
+        [PointTask(app, cluster) for cluster in designs.values()],
+        cache=cache, jobs=jobs)
+    study.runtimes = {design: result.runtime_us
+                      for design, result in zip(designs, results)}
     return study
 
 
@@ -200,18 +207,19 @@ class OccupancyStudy:
 
 def occupancy_study(app_name: str = "EM3D(read)", n_nodes: int = 16,
                     values: Sequence[float] = (0.0, 10.0, 25.0, 50.0),
-                    scale: float = 1.0, seed: int = 0) -> OccupancyStudy:
+                    scale: float = 1.0, seed: int = 0,
+                    cache: Optional["RunCache"] = None,  # noqa: F821
+                    jobs: Optional[int] = None) -> OccupancyStudy:
     """Sweep NIC occupancy and host overhead over the same grid."""
     study = OccupancyStudy(app_name=app_name, n_nodes=n_nodes,
                            values_us=list(values))
+    app, = suite_for(n_nodes, scale=scale, names=[app_name])
     for dial, knob_for in (
             ("occupancy", TuningKnobs.added_occupancy),
             ("overhead", TuningKnobs.added_overhead)):
-        series = []
-        for value in values:
-            cluster = Cluster(n_nodes=n_nodes, seed=seed,
-                              knobs=knob_for(value))
-            app, = suite_for(n_nodes, scale=scale, names=[app_name])
-            series.append(cluster.run(app).runtime_us)
-        study.runtimes[dial] = series
+        results = run_results(
+            [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed,
+                                    knobs=knob_for(value)), value)
+             for value in values], cache=cache, jobs=jobs)
+        study.runtimes[dial] = [result.runtime_us for result in results]
     return study

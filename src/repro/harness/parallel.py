@@ -1,28 +1,18 @@
-"""Parallel execution of sweep points and whole experiments.
+"""The one drain: every simulation the harness launches runs here.
 
-Every point of Figures 5-8 (and every table artifact) is an independent
-deterministic simulation, so the evaluation is embarrassingly parallel
-at two granularities:
+Every point of every table and figure is an independent deterministic
+simulation, so a study is a list of :class:`PointTask` s — an
+application and the :class:`~repro.cluster.machine.Cluster` to run it
+on — and :func:`run_points` is the only code in ``repro`` that probes
+a :class:`~repro.harness.runcache.RunCache`, owns a process pool, or
+calls :func:`execute_point`.  Sweeps, campaigns, the serving and
+collective studies and the table artifacts are all its callers, so the
+cache, the pool, per-point persistence and the crash policy (its
+docstring) are written once and hold for every study alike.
 
-* **sweep points** — :func:`run_sweep_parallel` fans the (value, knobs)
-  grid of one sweep across a ``ProcessPoolExecutor``.  Each worker runs
-  the exact same :func:`execute_point` the serial path uses, so results
-  are bit-identical to serial execution (same seed → same ``runtime_us``
-  and ``events_processed``) and livelocked / over-budget points come
-  back as the same ``N/A`` :class:`~repro.harness.sweeps.SweepPoint`.
-* **experiments** — :func:`run_experiments_parallel` fans whole
-  figure/table entry points of :mod:`repro.harness.experiments` across
-  workers, for drivers like ``scripts/generate_experiments.py`` that
-  regenerate many artifacts at once.
-
-Both layers consult an optional :class:`~repro.harness.runcache.
-RunCache` so previously computed points are never re-simulated; cache
-probing happens in the parent, and only misses are shipped to workers.
-Each computed point is cached the moment its future completes (not
-after the whole batch), so an interrupted sweep — crash, Ctrl-C, or a
-raising worker — keeps every point that finished; the rerun serves
-them as hits and resimulates only the lost ones.  The campaign layer
-(:mod:`repro.harness.campaign`) builds its resume contract on this.
+:func:`run_experiments_parallel` is the coarser grain on top: whole
+figure/table entry points fanned across workers, for drivers that
+regenerate many artifacts at once.
 """
 
 from __future__ import annotations
@@ -30,20 +20,21 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
-from repro.cluster.machine import Cluster
+from repro.cluster.machine import Cluster, RunResult
 from repro.gas.runtime import LivelockError
 from repro.harness.runcache import RunCache, run_key_spec
-from repro.harness.sweeps import SweepPoint, SweepResult
+from repro.harness.sweeps import SweepPoint
 from repro.network.faults import FaultError, FaultPlan
-from repro.network.loggp import LogGPParams
 from repro.sanitize.reports import DeadlockError
 
-__all__ = ["execute_point", "run_sweep_points", "run_sweep_parallel",
-           "run_experiments_parallel", "default_jobs", "PointTask"]
+__all__ = ["PointTask", "execute_point", "run_points", "run_results",
+           "sweep_tasks", "run_experiments_parallel", "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -65,54 +56,48 @@ def _pool(jobs: int) -> ProcessPoolExecutor:
 
 @dataclass(frozen=True)
 class PointTask:
-    """One sweep point's full configuration (picklable work unit)."""
+    """One run, ``app`` on ``cluster`` — the picklable work unit.
+    ``value`` is the label the point carries in its sweep (the dialed
+    parameter's absolute value)."""
 
     app: Any
-    n_nodes: int
-    value: float
-    knobs: TuningKnobs
-    params: LogGPParams
-    seed: int = 0
-    run_limit_us: Optional[float] = None
-    livelock_limit: int = 200_000
-    window: int = 8
-    faults: Optional[FaultPlan] = None
-    #: Collective tuning config (``repro.coll.tuner.CollConfig``), or
-    #: None for the legacy fixed schedules.
-    coll: Optional[Any] = None
-    #: Run under simsan.  Never part of :meth:`key_spec` — sanitized
-    #: points bypass the cache entirely instead of forking the key space
-    #: (the run itself is bit-identical either way).
-    sanitize: bool = False
+    cluster: Cluster
+    value: float = 0.0
 
-    def key_spec(self) -> Dict[str, Any]:
-        """The cache key-spec for this point."""
+    @cached_property
+    def spec(self) -> Dict[str, Any]:
+        """The canonical key-spec: every cluster field that shapes the
+        outcome.  Never ``sanitize`` — the run is bit-identical either
+        way, so sanitized points bypass the cache instead."""
+        cluster = self.cluster
         return run_key_spec(
-            self.app, self.n_nodes, self.params, self.knobs, self.seed,
-            run_limit_us=self.run_limit_us,
-            livelock_limit=self.livelock_limit, window=self.window,
-            faults=self.faults, coll=self.coll)
+            self.app, cluster.n_nodes, cluster.params, cluster.knobs,
+            cluster.seed, run_limit_us=cluster.run_limit_us,
+            livelock_limit=cluster.livelock_limit, window=cluster.window,
+            window_scope=cluster.window_scope, fabric=cluster.fabric,
+            disks_per_node=cluster.disks_per_node, cost=cluster.cost,
+            faults=cluster.faults, coll=cluster.coll)
+
+    @cached_property
+    def key(self) -> str:
+        """SHA-256 of :attr:`spec` — the identity the run cache and the
+        result store share."""
+        return RunCache.key_for(self.spec)
 
 
 def execute_point(task: PointTask) -> SweepPoint:
-    """Run one sweep point to completion (or to its N/A failure).
+    """Run one point to completion (or to its N/A failure).
 
-    This is the single execution path shared by the serial sweep loop
-    and the process-pool workers — which is what guarantees parallel
-    results are bit-identical to serial ones.
+    The single execution path under the serial loop and the pool
+    workers — which is what guarantees parallel results are
+    bit-identical to serial ones.
     """
-    cluster = Cluster(n_nodes=task.n_nodes, params=task.params,
-                      knobs=task.knobs, seed=task.seed,
-                      run_limit_us=task.run_limit_us,
-                      livelock_limit=task.livelock_limit,
-                      window=task.window, faults=task.faults,
-                      sanitize=task.sanitize, coll=task.coll)
-    point = SweepPoint(value=task.value, knobs=task.knobs)
+    point = SweepPoint(value=task.value, knobs=task.cluster.knobs)
     # Failure taxonomy: the prefix before ":" is the category that
     # SweepPoint.failure_category surfaces.  DeadlockError must be
     # caught before TimeoutError (it is a subclass).
     try:
-        point.result = cluster.run(task.app)
+        point.result = task.cluster.run(task.app)
     except DeadlockError as exc:
         point.failure = f"deadlock: {exc}"
     except LivelockError as exc:
@@ -124,152 +109,149 @@ def execute_point(task: PointTask) -> SweepPoint:
     return point
 
 
-def run_sweep_points(app: Any, n_nodes: int, parameter: str,
-                     values: Sequence[float],
-                     knob_for: Callable[[float], TuningKnobs],
-                     params: Optional[LogGPParams] = None,
-                     seed: int = 0,
-                     run_limit_us: Optional[float] = None,
-                     livelock_limit: int = 200_000,
-                     window: int = 8,
-                     jobs: Optional[int] = None,
-                     cache: Optional[RunCache] = None,
-                     fault_for: Optional[
-                         Callable[[float], Optional[FaultPlan]]] = None,
-                     sanitize: bool = False,
-                     coll: Optional[Any] = None,
-                     app_for: Optional[
-                         Callable[[float], Any]] = None) -> SweepResult:
-    """The sweep engine behind :func:`repro.harness.sweeps.run_sweep`.
+def run_points(tasks: Sequence[PointTask],
+               cache: Optional[RunCache] = None,
+               jobs: Optional[int] = None,
+               done: Optional[
+                   Callable[[int, SweepPoint, bool], None]] = None,
+               max_requeues: int = 8,
+               requeued: Optional[Callable[[int], None]] = None
+               ) -> List[SweepPoint]:
+    """Drain ``tasks``; the returned points are in task order.
 
-    ``jobs=None`` or ``jobs<=1`` runs points serially in-process;
-    ``jobs>1`` fans cache misses across a process pool.  Point order in
-    the returned :class:`SweepResult` always matches ``values``.
+    Each task is probed against ``cache`` in the parent; the misses run
+    serially in-process (``jobs=None`` or ``jobs<=1``) or across a
+    process pool.  A computed point is cached the moment it lands, and
+    every point — hit or computed — is then handed to
+    ``done(index, point, from_cache)``, the caller's own persistence
+    (the campaign's store row).  An exception from ``done`` propagates
+    at once; everything that landed before it is already durable.  A
+    task whose cluster has ``sanitize=True`` bypasses the cache both
+    ways: cached entries carry no sanitizer report, and sanitized
+    results must not shadow clean ones.
 
-    ``fault_for`` maps each dialed value to the
-    :class:`~repro.network.faults.FaultPlan` for that point (or None
-    for a perfectly reliable fabric), so fault sweeps reuse this exact
-    engine — including the cache and process pool.
-
-    ``sanitize=True`` runs every point under simsan and bypasses the
-    cache in both directions (no gets, no puts): cached entries carry no
-    sanitizer report, and sanitized results must not shadow clean ones.
-
-    ``coll`` applies one collective tuning config
-    (:class:`~repro.coll.tuner.CollConfig`) to every point; it is part
-    of the cache key unless it is the default fixed config.
-
-    ``app_for`` maps each dialed value to the application instance for
-    that point, for sweeps whose axis is an *application* knob rather
-    than a machine dial — e.g. the serving tier's offered-load axis.
-    The per-point app participates in the cache key via its
-    fingerprint, so such sweeps cache exactly like dial sweeps.
+    Crash policy.  A killed worker (``BrokenProcessPool``) loses only
+    the tasks whose futures never completed: they are re-queued on a
+    fresh pool (``requeued(n)`` reports each round), at most
+    ``max_requeues`` times before the error is raised.  Any other
+    worker exception is deferred, not swallowed: the first one is
+    re-raised once every completed future is persisted.
     """
-    params = params if params is not None else LogGPParams.berkeley_now()
-    if sanitize:
-        cache = None
-    tasks = [
-        PointTask(app=app_for(value) if app_for is not None else app,
-                  n_nodes=n_nodes, value=value,
-                  knobs=knob_for(value), params=params, seed=seed,
-                  run_limit_us=run_limit_us,
-                  livelock_limit=livelock_limit, window=window,
-                  faults=fault_for(value) if fault_for is not None else None,
-                  sanitize=sanitize, coll=coll)
-        for value in values
-    ]
     points: List[Optional[SweepPoint]] = [None] * len(tasks)
+    cached = [cache is not None and not task.cluster.sanitize
+              for task in tasks]
 
-    pending: List[int] = []
-    for index, task in enumerate(tasks):
-        if cache is not None:
-            outcome = cache.get(task.key_spec())
-            if outcome is not None:
-                result, failure = outcome
-                points[index] = SweepPoint(value=task.value,
-                                           knobs=task.knobs,
-                                           result=result, failure=failure)
-                continue
-        pending.append(index)
-
-    def finish(index: int, point: SweepPoint) -> None:
-        """Record one computed point and persist it *immediately*.
-
-        Caching per point (not after the whole batch, as this engine
-        once did) is what makes an interrupted sweep resumable: a
-        crash, Ctrl-C, or one raising worker no longer discards every
-        point that had already finished — the rerun serves them as
-        cache hits and only simulates the genuinely lost ones.
-        """
+    def land(index: int, point: SweepPoint, from_cache: bool) -> None:
         points[index] = point
-        if cache is not None:
-            cache.put(tasks[index].key_spec(),
-                      result=point.result, failure=point.failure)
+        if cached[index] and not from_cache:
+            cache.put(tasks[index].spec, result=point.result,
+                      failure=point.failure)
+        if done is not None:
+            done(index, point, from_cache)
 
-    workers = jobs if jobs is not None else 1
-    if pending and workers > 1:
-        with _pool(min(workers, len(pending))) as pool:
+    remaining: List[int] = []
+    for index, task in enumerate(tasks):
+        outcome = cache.get(task.spec) if cached[index] else None
+        if outcome is None:
+            remaining.append(index)
+            continue
+        result, failure = outcome
+        land(index, SweepPoint(value=task.value, knobs=task.cluster.knobs,
+                               result=result, failure=failure), True)
+
+    if jobs is None or jobs <= 1:
+        for index in remaining:
+            land(index, execute_point(tasks[index]), False)
+        return points
+
+    rounds = 0
+    while remaining:
+        crashed: List[int] = []
+        error: Optional[BaseException] = None
+        with _pool(min(jobs, len(remaining))) as pool:
             futures = {pool.submit(execute_point, tasks[index]): index
-                       for index in pending}
+                       for index in remaining}
             # as_completed (not pool.map) so every finished point is
-            # cached even when a later future fails: a worker killed
-            # mid-task breaks the whole pool, and an exception that
-            # escapes execute_point's failure taxonomy aborts the
-            # sweep — either way the completed points must survive.
-            error: Optional[BaseException] = None
+            # persisted even when a later future fails.
             for future in as_completed(futures):
                 try:
                     point = future.result()
-                # Deferred, not swallowed: the first failure is re-raised
-                # after the drain, once every completed point is cached.
+                except BrokenProcessPool:
+                    # Lost with the dead worker, or never started.
+                    crashed.append(futures[future])
+                    continue
                 except BaseException as exc:  # simlint: disable=broad-except
                     if error is None:
                         error = exc
                     continue
-                finish(futures[future], point)
-            if error is not None:
-                raise error
-    else:
-        for index in pending:
-            finish(index, execute_point(tasks[index]))
+                land(futures[future], point, False)
+        if error is not None:
+            raise error
+        if crashed:
+            rounds += 1
+            if rounds > max_requeues:
+                raise BrokenProcessPool(
+                    f"workers kept crashing after {max_requeues} "
+                    f"re-queue rounds; {len(crashed)} point(s) "
+                    "unfinished (all completed points are persisted)")
+            if requeued is not None:
+                requeued(len(crashed))
+        remaining = crashed
+    return points
 
-    sweep = SweepResult(app_name=app.name, n_nodes=n_nodes,
-                        parameter=parameter)
-    sweep.points = points
-    return sweep
 
+def run_results(tasks: Sequence[PointTask],
+                cache: Optional[RunCache] = None,
+                jobs: Optional[int] = None) -> List[RunResult]:
+    """:func:`run_points` for studies that need every run to complete.
 
-def run_sweep_parallel(app: Any, n_nodes: int, parameter: str,
-                       values: Sequence[float],
-                       knob_for: Callable[[float], TuningKnobs],
-                       jobs: Optional[int] = None,
-                       **kwargs) -> SweepResult:
-    """:func:`run_sweep_points` with a pool sized to the machine.
-
-    Accepts every keyword :func:`repro.harness.sweeps.run_sweep` does,
-    plus ``cache``; ``jobs`` defaults to one worker per core.
+    A failed point raises ``RuntimeError`` carrying its taxonomy string
+    (``budget exceeded: ...``) instead of coming back as ``N/A``.
     """
-    if jobs is None:
-        jobs = default_jobs()
-    return run_sweep_points(app, n_nodes, parameter, values, knob_for,
-                            jobs=jobs, **kwargs)
+    points = run_points(tasks, cache=cache, jobs=jobs)
+    for task, point in zip(tasks, points):
+        if not point.completed:
+            raise RuntimeError(
+                f"{task.app.name} on {task.cluster.n_nodes} nodes did "
+                f"not complete — {point.failure}")
+    return [point.result for point in points]
+
+
+def sweep_tasks(app: Any, n_nodes: int, values: Sequence[float],
+                knob_for: Callable[[float], TuningKnobs],
+                fault_for: Optional[
+                    Callable[[float], Optional[FaultPlan]]] = None,
+                app_for: Optional[Callable[[float], Any]] = None,
+                **cluster) -> List[PointTask]:
+    """One task per dialed value: the expansion every sweep and every
+    campaign series goes through.  ``cluster`` is whatever else the
+    points' :class:`Cluster` s share (params, seed, limits, window,
+    ``sanitize``, ``coll``)."""
+    return [
+        PointTask(
+            app=app_for(value) if app_for is not None else app,
+            cluster=Cluster(
+                n_nodes, knobs=knob_for(value), **cluster,
+                faults=fault_for(value) if fault_for is not None else None),
+            value=value)
+        for value in values]
 
 
 # ---------------------------------------------------------------------------
 # Experiment-level fan-out.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ExperimentTask:
-    """One ``repro.harness.experiments`` entry point invocation."""
-
-    name: str
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-
-def _run_experiment(task: _ExperimentTask) -> Any:
+def _run_experiment(request: Tuple[str, Dict[str, Any]]
+                    ) -> Tuple[Any, int, int]:
+    """The experiment's result plus the (hits, misses) its probes added
+    to this process's copy of the request's ``cache``."""
     from repro.harness import experiments
-    return getattr(experiments, task.name)(**task.kwargs)
+    name, kwargs = request
+    cache = kwargs.get("cache")
+    before = (cache.hits, cache.misses) if cache is not None else (0, 0)
+    result = getattr(experiments, name)(**kwargs)
+    after = (cache.hits, cache.misses) if cache is not None else (0, 0)
+    return result, after[0] - before[0], after[1] - before[1]
 
 
 def run_experiments_parallel(requests: Sequence[Tuple[str, Dict[str, Any]]],
@@ -281,16 +263,25 @@ def run_experiments_parallel(requests: Sequence[Tuple[str, Dict[str, Any]]],
     ``"figure5_overhead"``).  Results come back in request order, each
     exactly what the named entry point returns.  With ``jobs<=1`` the
     requests run serially in-process (identical results, no pool).
+
+    A worker probes its own copy of a request's ``cache``, so the
+    probes each experiment made are added back to the caller's object:
+    ``cache.hits`` / ``cache.misses`` count the same at any ``jobs``.
     """
-    tasks = []
-    for name, kwargs in requests:
-        from repro.harness import experiments
+    from repro.harness import experiments
+    for name, _kwargs in requests:
         if not hasattr(experiments, name):
             raise KeyError(f"unknown experiment {name!r}")
-        tasks.append(_ExperimentTask(name=name, kwargs=dict(kwargs)))
     if jobs is None:
         jobs = default_jobs()
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_run_experiment(task) for task in tasks]
-    with _pool(min(jobs, len(tasks))) as pool:
-        return list(pool.map(_run_experiment, tasks))
+    if jobs <= 1 or len(requests) <= 1:
+        return [_run_experiment(request)[0] for request in requests]
+    results = []
+    with _pool(min(jobs, len(requests))) as pool:
+        for (_name, kwargs), (result, hits, misses) in zip(
+                requests, pool.map(_run_experiment, requests)):
+            results.append(result)
+            if hits or misses:
+                kwargs["cache"].hits += hits
+                kwargs["cache"].misses += misses
+    return results

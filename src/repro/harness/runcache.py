@@ -22,6 +22,7 @@ share one cache directory safely.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -46,6 +47,7 @@ __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
 CACHE_FORMAT = 4
 
 
+@functools.lru_cache()
 def constructor_params(app_class: type) -> Tuple[str, ...]:
     """Named constructor parameters of ``app_class``, across its MRO.
 
@@ -54,6 +56,9 @@ def constructor_params(app_class: type) -> Tuple[str, ...]:
     exposes the base's knobs — a subclass whose extra knobs ride on
     ``**kwargs`` must not silently shrink its cache identity.  ``self``
     and ``*args``/``**kwargs`` catch-alls are never parameters.
+
+    Memoised per class *object* — every run key asks, and two classes
+    that merely share a ``__qualname__`` must not share an answer.
     """
     names = []
     for klass in app_class.__mro__:
@@ -73,11 +78,12 @@ def constructor_params(app_class: type) -> Tuple[str, ...]:
 def app_fingerprint(app: Any) -> Dict[str, Any]:
     """A stable description of an application instance's configuration.
 
-    Mirrors :meth:`repro.harness.config.ExperimentConfig.from_run`: the
-    constructor-signature parameters (across the MRO — see
+    The constructor-signature parameters (across the MRO — see
     :func:`constructor_params`) that exist as instance attributes are
     the app's input configuration (all suite apps follow this
-    convention).  Values that are not JSON types are keyed by ``repr``.
+    convention; :meth:`repro.harness.config.ExperimentConfig.from_run`
+    captures the same).  Values that are not JSON types are keyed by
+    ``repr``.
     """
     app_class = type(app)
     kwargs = {}

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster
+from repro.harness.parallel import PointTask, run_results
 from repro.harness.suite import suite_for
 from repro.instruments.balance import GREYSCALE
 from repro.network.loggp import LogGPParams
@@ -123,7 +124,9 @@ def sensitivity_surface(app_name: str, n_nodes: int,
                         x_dial: str, x_values: Sequence[float],
                         y_dial: str, y_values: Sequence[float],
                         scale: float = 1.0, seed: int = 0,
-                        params: Optional[LogGPParams] = None
+                        params: Optional[LogGPParams] = None,
+                        cache: Optional["RunCache"] = None,  # noqa: F821
+                        jobs: Optional[int] = None
                         ) -> SensitivitySurface:
     """Sweep the full (x, y) grid; (0, 0) is the baseline corner."""
     if x_dial not in _DIALS or y_dial not in _DIALS:
@@ -134,14 +137,14 @@ def sensitivity_surface(app_name: str, n_nodes: int,
     surface = SensitivitySurface(
         app_name=app_name, n_nodes=n_nodes, x_dial=x_dial,
         y_dial=y_dial, x_values=x_values, y_values=y_values)
-    runtimes = {}
-    for y in y_values:
-        for x in x_values:
-            knobs = _combine(x_dial, x, y_dial, y)
-            cluster = Cluster(n_nodes=n_nodes, seed=seed, knobs=knobs,
-                              params=params)
-            app, = suite_for(n_nodes, scale=scale, names=[app_name])
-            runtimes[(x, y)] = cluster.run(app).runtime_us
+    app, = suite_for(n_nodes, scale=scale, names=[app_name])
+    grid = [(x, y) for y in y_values for x in x_values]
+    results = run_results(
+        [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed, params=params,
+                                knobs=_combine(x_dial, x, y_dial, y)))
+         for x, y in grid], cache=cache, jobs=jobs)
+    runtimes = {key: result.runtime_us
+                for key, result in zip(grid, results)}
     base = runtimes[(0.0, 0.0)]
     surface.slowdown = {key: runtime / base
                         for key, runtime in runtimes.items()}
@@ -150,8 +153,10 @@ def sensitivity_surface(app_name: str, n_nodes: int,
 
 def overhead_gap_surface(app_name: str = "Sample", n_nodes: int = 16,
                          values: Sequence[float] = (25.0, 50.0, 100.0),
-                         scale: float = 1.0,
-                         seed: int = 0) -> SensitivitySurface:
-    """The headline surface: added overhead × added gap."""
+                         scale: float = 1.0, seed: int = 0,
+                         **kwargs) -> SensitivitySurface:
+    """The headline surface: added overhead × added gap (``cache`` /
+    ``jobs`` forward to :func:`sensitivity_surface`)."""
     return sensitivity_surface(app_name, n_nodes, "overhead", values,
-                               "gap", values, scale=scale, seed=seed)
+                               "gap", values, scale=scale, seed=seed,
+                               **kwargs)

@@ -8,37 +8,51 @@ paper normalises its figures.
 Runs that end in livelock (Barnes under heavy overhead) or exceed the
 configured simulated-time budget are recorded as ``N/A`` points with
 ``slowdown = None``, mirroring the paper's N/A entries in Table 5.
+
+It is also the one table of *dial semantics*: what each named dial
+moves (:func:`knob_factory`, :func:`dial_axes`), the paper's grid for
+it (:data:`PAPER_GRIDS`) and its axis label (:data:`DIAL_LABELS`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.apps.base import Application
 from repro.cluster.machine import RunResult
+from repro.harness.report import ascii_plot
 from repro.network.faults import DelaySpike, FaultPlan
 from repro.network.loggp import LogGPParams
 
-__all__ = ["SweepPoint", "SweepResult", "FAILURE_CATEGORIES",
+__all__ = ["SweepPoint", "SweepResult", "SensitivityFigure",
+           "FAILURE_CATEGORIES",
            "run_sweep", "predicted_sweep", "overhead_sweep",
            "gap_sweep", "latency_sweep", "bulk_bandwidth_sweep",
            "fault_sweep", "spike_decay_sweep", "NO_SPIKE",
-           "collective_sweep", "COLLECTIVE_SWEEP_DIALS",
-           "knob_factory", "MACHINE_DIALS",
-           "PAPER_OVERHEADS", "PAPER_GAPS", "PAPER_LATENCIES",
-           "PAPER_BANDWIDTHS", "FAULT_DROP_RATES"]
+           "collective_sweep",
+           "knob_factory", "dial_axes", "MACHINE_DIALS", "DIAL_LABELS",
+           "PAPER_GRIDS", "FAULT_DROP_RATES"]
 
-#: The paper's sweep grids (absolute parameter targets).
-PAPER_OVERHEADS = (2.9, 3.9, 4.9, 6.9, 7.9, 13.0, 23.0, 53.0, 103.0)
-PAPER_GAPS = (5.8, 8.0, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0)
-PAPER_LATENCIES = (5.0, 7.5, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0)
-PAPER_BANDWIDTHS = (38.0, 30.0, 25.0, 20.0, 15.0, 10.0, 5.5, 3.0, 1.0)
+#: The paper's sweep grids (absolute parameter targets) by dial name:
+#: Figures 5-8, in the paper's order.
+PAPER_GRIDS = {
+    "overhead": (2.9, 3.9, 4.9, 6.9, 7.9, 13.0, 23.0, 53.0, 103.0),
+    "gap": (5.8, 8.0, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0),
+    "latency": (5.0, 7.5, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0),
+    "bulk_mb_s": (38.0, 30.0, 25.0, 20.0, 15.0, 10.0, 5.5, 3.0, 1.0)}
 
 #: Per-packet drop probabilities for the fault-tolerance sweep.  The
 #: first (0.0) point is the baseline: a null plan on a perfect fabric.
 FAULT_DROP_RATES = (0.0, 0.001, 0.005, 0.01, 0.02, 0.05)
+
+#: Axis labels of every named dial a sweep or campaign can move.
+DIAL_LABELS = {"overhead": "overhead (us)", "gap": "gap (us)",
+               "latency": "latency (us)",
+               "bulk_mb_s": "bulk bandwidth (MB/s)",
+               "drop_rate": "drop rate",
+               "offered_rps": "offered load (req/s)"}
 
 
 #: The failure categories :func:`~repro.harness.parallel.execute_point`
@@ -110,12 +124,9 @@ class SweepResult:
 
     def series(self) -> List[tuple]:
         """(value, slowdown) pairs for completed points."""
-        base = self.baseline.runtime_us
-        if base is None:
-            raise RuntimeError(
-                f"{self.app_name}: baseline run did not complete")
-        return [(p.value, p.runtime_us / base)
-                for p in self.points if p.completed]
+        return [(point.value, slowdown) for point, slowdown
+                in zip(self.points, self.slowdowns())
+                if slowdown is not None]
 
     def as_rows(self) -> List[dict]:
         """Flat dict rows (value, runtime, slowdown) per point.
@@ -146,9 +157,40 @@ class SweepResult:
         return rows
 
 
+@dataclass
+class SensitivityFigure:
+    """One sensitivity figure: a sweep per application."""
+
+    title: str
+    x_label: str
+    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
+
+    def series(self) -> Dict[str, List[tuple]]:
+        """Per-application (value, slowdown) series."""
+        return {name: sweep.series()
+                for name, sweep in self.sweeps.items()}
+
+    def rows(self) -> List[dict]:
+        """All sweeps' rows, concatenated."""
+        rows = []
+        for sweep in self.sweeps.values():
+            rows.extend(sweep.as_rows())
+        return rows
+
+    def max_slowdown(self, app_name: str) -> Optional[float]:
+        """Largest completed slowdown for one application."""
+        series = self.sweeps[app_name].series()
+        return max(y for _x, y in series) if series else None
+
+    def render(self) -> str:
+        """ASCII plot of every application's slowdown curve."""
+        return ascii_plot(self.series(), title=self.title,
+                          x_label=self.x_label, y_label="slowdown")
+
+
 #: The four machine dials of the paper's apparatus, i.e. every
 #: ``parameter`` :func:`knob_factory` can map to knob constructors.
-MACHINE_DIALS = ("overhead", "gap", "latency", "bulk_mb_s")
+MACHINE_DIALS = tuple(PAPER_GRIDS)
 
 
 def knob_factory(parameter: str,
@@ -156,11 +198,9 @@ def knob_factory(parameter: str,
                  ) -> Callable[[float], TuningKnobs]:
     """value → :class:`TuningKnobs` for one of the paper's four dials.
 
-    The single source of the dial semantics used by the Figure 5-8
-    sweeps, :func:`collective_sweep`, and the campaign manager's
-    argument products: dialed values are *absolute* targets (µs, or
-    MB/s for ``bulk_mb_s``), turned into added-delta knobs against the
-    ``params`` baseline.
+    The single source of the machine-dial semantics: dialed values are
+    *absolute* targets (µs, or MB/s for ``bulk_mb_s``), turned into
+    added-delta knobs against the ``params`` baseline.
     """
     params = params if params is not None else LogGPParams.berkeley_now()
     if parameter == "overhead":
@@ -177,41 +217,70 @@ def knob_factory(parameter: str,
         f"parameter must be one of {MACHINE_DIALS}, got {parameter!r}")
 
 
+def dial_axes(parameter: str, app: Any,
+              params: Optional[LogGPParams] = None,
+              knobs: Optional[TuningKnobs] = None,
+              faults: Optional[FaultPlan] = None
+              ) -> Tuple[Callable[[float], TuningKnobs],
+                         Callable[[float], Optional[FaultPlan]],
+                         Callable[[float], Any]]:
+    """``(knob_for, fault_for, app_for)``: what one named dial moves.
+
+    A machine dial moves the knobs (:func:`knob_factory`), ``drop_rate``
+    the fault plan's drop probability (rate 0.0 on no plan is a null
+    plan: bit-identical to, and keyed as, a fault-free run) and
+    ``offered_rps`` the application's client tier; whatever the dial
+    does not move stays at ``knobs`` / ``faults`` / ``app``.
+    """
+    pinned = knobs if knobs is not None else TuningKnobs()
+    knob_for = lambda _value: pinned  # noqa: E731
+    fault_for = lambda _value: faults  # noqa: E731
+    app_for = lambda _value: app  # noqa: E731
+    if parameter == "drop_rate":
+        plan = faults if faults is not None else FaultPlan()
+        fault_for = lambda p: plan.with_changes(drop_rate=p)  # noqa: E731
+    elif parameter == "offered_rps":
+        app_for = lambda rps: app.with_changes(offered_rps=rps)  # noqa: E731
+    else:
+        knob_for = knob_factory(parameter, params)
+    return knob_for, fault_for, app_for
+
+
 def run_sweep(app: Application, n_nodes: int, parameter: str,
               values: Sequence[float],
               knob_for: Callable[[float], TuningKnobs],
-              params: Optional[LogGPParams] = None,
-              seed: int = 0,
-              run_limit_us: Optional[float] = None,
-              livelock_limit: int = 200_000,
-              window: int = 8,
               jobs: Optional[int] = None,
               cache: Optional["RunCache"] = None,  # noqa: F821
               fault_for: Optional[
                   Callable[[float], Optional[FaultPlan]]] = None,
-              sanitize: bool = False,
-              coll: Optional["CollConfig"] = None  # noqa: F821
-              ) -> SweepResult:
+              app_for: Optional[Callable[[float], Any]] = None,
+              **cluster) -> SweepResult:
     """Run ``app`` at each dialed value; first value is the baseline.
 
     ``jobs`` > 1 fans the points across a process pool (bit-identical
-    results — see :mod:`repro.harness.parallel`); ``cache`` is an
-    optional :class:`~repro.harness.runcache.RunCache` consulted before
-    simulating and updated after.  ``fault_for`` optionally maps each
-    value to a :class:`~repro.network.faults.FaultPlan` for that point.
-    ``sanitize=True`` runs every point under simsan (and bypasses the
-    cache — sanitized results are never cached or served from cache).
-    ``coll`` applies one :class:`~repro.coll.tuner.CollConfig` to every
-    point (part of the cache key unless it is the default).
+    results) and ``cache`` is an optional
+    :class:`~repro.harness.runcache.RunCache` consulted before
+    simulating and updated as each point lands — both as in
+    :func:`repro.harness.parallel.run_points`, which drains the points.
+
+    Per value, ``knob_for`` gives the dials, ``fault_for`` (optional)
+    the :class:`~repro.network.faults.FaultPlan` and ``app_for``
+    (optional) the application instance, for sweeps whose axis is an
+    *application* knob such as the serving tier's offered load.
+    ``cluster`` is what every point's
+    :class:`~repro.cluster.machine.Cluster` shares: ``params``,
+    ``seed``, ``run_limit_us``, ``livelock_limit``, ``window``,
+    ``coll``, ``sanitize``, ...  All of it — and the per-point app's
+    fingerprint — is the cache key, except ``sanitize=True``, which
+    runs every point under simsan and bypasses the cache instead.
     """
-    # Imported lazily: parallel imports this module for SweepPoint/Result.
-    from repro.harness.parallel import run_sweep_points
-    return run_sweep_points(app, n_nodes, parameter, values, knob_for,
-                            params=params, seed=seed,
-                            run_limit_us=run_limit_us,
-                            livelock_limit=livelock_limit, window=window,
-                            jobs=jobs, cache=cache, fault_for=fault_for,
-                            sanitize=sanitize, coll=coll)
+    # Imported lazily: parallel imports this module for SweepPoint.
+    from repro.harness.parallel import run_points, sweep_tasks
+    tasks = sweep_tasks(app, n_nodes, values, knob_for,
+                        fault_for=fault_for, app_for=app_for, **cluster)
+    return SweepResult(app_name=app.name, n_nodes=n_nodes,
+                       parameter=parameter,
+                       points=run_points(tasks, cache=cache, jobs=jobs))
 
 
 def predicted_sweep(app: Application, n_nodes: int, parameter: str,
@@ -253,53 +322,43 @@ def predicted_sweep(app: Application, n_nodes: int, parameter: str,
 
 
 def overhead_sweep(app: Application, n_nodes: int,
-                   overheads: Sequence[float] = PAPER_OVERHEADS,
+                   overheads: Sequence[float] = PAPER_GRIDS["overhead"],
                    params: Optional[LogGPParams] = None,
                    **kwargs) -> SweepResult:
     """Figure 5: slowdown as a function of (absolute) overhead."""
-    params = params or LogGPParams.berkeley_now()
-    return run_sweep(
-        app, n_nodes, "overhead", overheads,
-        lambda o: TuningKnobs.added_overhead(
-            max(0.0, o - params.overhead)),
-        params=params, **kwargs)
+    return run_sweep(app, n_nodes, "overhead", overheads,
+                     knob_factory("overhead", params), params=params,
+                     **kwargs)
 
 
 def gap_sweep(app: Application, n_nodes: int,
-              gaps: Sequence[float] = PAPER_GAPS,
+              gaps: Sequence[float] = PAPER_GRIDS["gap"],
               params: Optional[LogGPParams] = None,
               **kwargs) -> SweepResult:
     """Figure 6: slowdown as a function of (absolute) gap."""
-    params = params or LogGPParams.berkeley_now()
-    return run_sweep(
-        app, n_nodes, "gap", gaps,
-        lambda g: TuningKnobs.added_gap(max(0.0, g - params.gap)),
-        params=params, **kwargs)
+    return run_sweep(app, n_nodes, "gap", gaps,
+                     knob_factory("gap", params), params=params, **kwargs)
 
 
 def latency_sweep(app: Application, n_nodes: int,
-                  latencies: Sequence[float] = PAPER_LATENCIES,
+                  latencies: Sequence[float] = PAPER_GRIDS["latency"],
                   params: Optional[LogGPParams] = None,
                   **kwargs) -> SweepResult:
     """Figure 7: slowdown as a function of (absolute) latency."""
-    params = params or LogGPParams.berkeley_now()
-    return run_sweep(
-        app, n_nodes, "latency", latencies,
-        lambda L: TuningKnobs.added_latency(
-            max(0.0, L - params.latency)),
-        params=params, **kwargs)
+    return run_sweep(app, n_nodes, "latency", latencies,
+                     knob_factory("latency", params), params=params,
+                     **kwargs)
 
 
 def bulk_bandwidth_sweep(app: Application, n_nodes: int,
-                         bandwidths: Sequence[float] = PAPER_BANDWIDTHS,
+                         bandwidths: Sequence[float] =
+                         PAPER_GRIDS["bulk_mb_s"],
                          params: Optional[LogGPParams] = None,
                          **kwargs) -> SweepResult:
     """Figure 8: slowdown as a function of available bulk bandwidth."""
-    params = params or LogGPParams.berkeley_now()
-    return run_sweep(
-        app, n_nodes, "bulk_mb_s", bandwidths,
-        lambda mb: TuningKnobs.bulk_bandwidth(mb, params),
-        params=params, **kwargs)
+    return run_sweep(app, n_nodes, "bulk_mb_s", bandwidths,
+                     knob_factory("bulk_mb_s", params), params=params,
+                     **kwargs)
 
 
 def fault_sweep(app: Application, n_nodes: int,
@@ -309,17 +368,15 @@ def fault_sweep(app: Application, n_nodes: int,
     """Slowdown as a function of per-packet drop probability.
 
     The machine dials stay at the unmodified baseline; the only thing
-    swept is the fault injector's drop rate.  Rate 0.0 yields a null
-    plan, so the baseline point is bit-identical to an ordinary
-    fault-free run (and shares its cache entry).  ``base_plan`` lets
-    callers fix non-drop aspects (timeouts, retries, drop kinds).
+    swept is the fault injector's drop rate (:func:`dial_axes`), so the
+    rate-0.0 baseline shares the fault-free run's cache entry.
+    ``base_plan`` lets callers fix non-drop aspects (timeouts, retries,
+    drop kinds).
     """
-    plan = base_plan if base_plan is not None else FaultPlan()
-    return run_sweep(
-        app, n_nodes, "drop_rate", drop_rates,
-        lambda _rate: TuningKnobs(),
-        fault_for=lambda rate: plan.with_changes(drop_rate=rate),
-        **kwargs)
+    knob_for, fault_for, _app_for = dial_axes("drop_rate", app,
+                                              faults=base_plan)
+    return run_sweep(app, n_nodes, "drop_rate", drop_rates, knob_for,
+                     fault_for=fault_for, **kwargs)
 
 
 #: Sentinel sweep value for the no-spike baseline point of
@@ -355,11 +412,6 @@ def spike_decay_sweep(app: Application, n_nodes: int,
         lambda _start: TuningKnobs(), fault_for=fault_for, **kwargs)
 
 
-#: The dial each :func:`collective_sweep` point can move.  Mirrors the
-#: four figure sweeps above (see :func:`knob_factory`).
-COLLECTIVE_SWEEP_DIALS = MACHINE_DIALS
-
-
 def collective_sweep(primitive: str, n_nodes: int,
                      parameter: str,
                      values: Sequence[float],
@@ -375,7 +427,7 @@ def collective_sweep(primitive: str, n_nodes: int,
     Runs :class:`~repro.coll.bench.CollectiveBench` for ``primitive``
     (scheduled as ``algo``, or by the cluster's tuning policy when
     ``algo`` is None and ``coll`` supplies one) at every value of
-    ``parameter`` — one of :data:`COLLECTIVE_SWEEP_DIALS`, dialed
+    ``parameter`` — one of :data:`MACHINE_DIALS`, dialed
     exactly like the Figure 5-8 sweeps.  The first value is the
     baseline, so slowdowns read like the paper's figures but for a
     single collective instead of a whole application.

@@ -2,12 +2,11 @@
 
 :func:`serving_sweep` is the open-system analogue of the Figure 5-8
 sweeps.  It accepts the four machine dials plus ``drop_rate`` with the
-exact semantics of :func:`~repro.harness.sweeps.knob_factory` /
-:func:`~repro.harness.sweeps.fault_sweep`, and adds one axis closed
-apps don't have: ``offered_rps``, swept by rebuilding the application
-with a different client-tier rate per point (the machine stays at the
-baseline).  All axes run through
-:func:`~repro.harness.parallel.run_sweep_points`, so the cache, the
+shared semantics of :func:`~repro.harness.sweeps.dial_axes`, and adds
+one axis closed apps don't have: ``offered_rps``, swept by rebuilding
+the application with a different client-tier rate per point (the
+machine stays at the baseline).  All axes are
+:func:`~repro.harness.sweeps.run_sweep` calls, so the cache, the
 process pool, and per-point crash resilience apply unchanged; the
 offered-load axis caches correctly because the offered rate is a
 constructor knob and therefore part of the app fingerprint.
@@ -22,7 +21,8 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.am.tuning import TuningKnobs
-from repro.harness.sweeps import MACHINE_DIALS, SweepResult, knob_factory
+from repro.harness.sweeps import (MACHINE_DIALS, SweepResult, dial_axes,
+                                  run_sweep)
 from repro.network.faults import FaultPlan
 from repro.network.loggp import LogGPParams
 from repro.serve.apps import ServingApp
@@ -43,49 +43,34 @@ OFFERED_LOAD_GRID = (50_000.0, 100_000.0, 200_000.0, 400_000.0,
 def serving_sweep(app: ServingApp, n_nodes: int, parameter: str,
                   values: Sequence[float],
                   params: Optional[LogGPParams] = None,
-                  seed: int = 0,
-                  run_limit_us: Optional[float] = None,
-                  livelock_limit: int = 200_000,
-                  window: int = 8,
-                  jobs: Optional[int] = None,
-                  cache: Optional[Any] = None,
                   knobs: Optional[TuningKnobs] = None,
                   base_plan: Optional[FaultPlan] = None,
-                  coll: Optional[Any] = None) -> SweepResult:
+                  **kwargs) -> SweepResult:
     """Sweep one axis of an open-system serving scenario.
 
-    ``parameter`` is one of :data:`SERVING_DIALS`.  Machine dials use
-    the shared :func:`knob_factory` semantics (absolute targets);
-    ``drop_rate`` sweeps the fault injector against ``base_plan``; and
-    ``offered_rps`` rebuilds ``app`` per point via
+    ``parameter`` is one of :data:`SERVING_DIALS`, each with the shared
+    :func:`~repro.harness.sweeps.dial_axes` semantics: machine dials
+    are absolute targets; ``drop_rate`` sweeps the drop probability of
+    ``base_plan`` (the fault plan every point runs under, default
+    none); and ``offered_rps`` rebuilds ``app`` per point via
     :meth:`~repro.serve.apps.ServingApp.with_changes` while ``knobs``
-    (default: none) pins the machine.  Results carry the
+    (default: none) pins the machine.  Every other keyword (``seed``,
+    ``cache``, ``jobs``, run limits, ...) is
+    :func:`~repro.harness.sweeps.run_sweep`'s.  Results carry the
     :class:`~repro.serve.metrics.ServingMetrics` under each point's
     ``result.stats.serving``.
     """
-    from repro.harness.parallel import run_sweep_points
     if parameter not in SERVING_DIALS:
         raise ValueError(
             f"parameter must be one of {SERVING_DIALS}, got {parameter!r}")
-    base_knobs = knobs if knobs is not None else TuningKnobs()
-    knob_for = lambda _value: base_knobs  # noqa: E731
-    fault_for = None
-    app_for = None
-    if parameter in MACHINE_DIALS:
-        if knobs is not None:
-            raise ValueError(
-                "knobs cannot be pinned while sweeping a machine dial")
-        knob_for = knob_factory(parameter, params)
-    elif parameter == "drop_rate":
-        plan = base_plan if base_plan is not None else FaultPlan()
-        fault_for = lambda rate: plan.with_changes(drop_rate=rate)  # noqa: E731
-    else:  # offered_rps
-        app_for = lambda rps: app.with_changes(offered_rps=rps)  # noqa: E731
-    return run_sweep_points(
-        app, n_nodes, parameter, values, knob_for, params=params,
-        seed=seed, run_limit_us=run_limit_us,
-        livelock_limit=livelock_limit, window=window, jobs=jobs,
-        cache=cache, fault_for=fault_for, coll=coll, app_for=app_for)
+    if parameter in MACHINE_DIALS and knobs is not None:
+        raise ValueError(
+            "knobs cannot be pinned while sweeping a machine dial")
+    knob_for, fault_for, app_for = dial_axes(
+        parameter, app, params=params, knobs=knobs, faults=base_plan)
+    return run_sweep(app, n_nodes, parameter, values, knob_for,
+                     params=params, fault_for=fault_for, app_for=app_for,
+                     **kwargs)
 
 
 def serving_rows(sweep: SweepResult) -> list:

@@ -22,7 +22,6 @@ from repro.coll.tuner import CollConfig
 from repro.harness import (CampaignInterrupted, CampaignSpec, ResultStore,
                            RunCache, ensemble_from_store, overhead_sweep,
                            render_campaign, run_campaign, sweep_from_store)
-from repro.harness import campaign as campaign_mod
 from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import execute_point
 from repro.harness.runcache import run_key_spec
@@ -79,6 +78,20 @@ def _kill_worker_once(task):
     return execute_point(task)
 
 
+#: Sweep value whose worker raises outside the failure taxonomy.  It
+#: fails at once while every other point sleeps first, so all of them
+#: finish *after* the error reached the parent.
+_RAISE_VALUE = 12.9
+_RAISE_GRID = (2.9, _RAISE_VALUE, 22.9, 32.9)
+
+
+def _raise_on_marker(task):
+    if task.value == _RAISE_VALUE:
+        raise ValueError("not in the failure taxonomy")
+    time.sleep(0.5)
+    return execute_point(task)
+
+
 # ---------------------------------------------------------------------------
 # Satellite 1 regression: a worker crash must not discard the points
 # that already finished (the old engine cached only after the batch).
@@ -103,6 +116,30 @@ def test_worker_sigkill_keeps_completed_points(tmp_path, monkeypatch):
     assert cache.misses == 4  # 3 cold probes + the crashed point's rerun
     serial = overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid)
     assert sweep_fingerprint(rerun) == sweep_fingerprint(serial)
+
+
+def test_sweep_requeues_after_worker_crash(tmp_path, monkeypatch):
+    """The sweeps gain what only campaigns had: a worker killed once
+    costs a re-queue, not the call."""
+    _CRASH_FLAG["path"] = str(tmp_path / "crashed.flag")
+    monkeypatch.setattr(parallel_mod, "execute_point", _kill_worker_once)
+    grid = (2.9, 22.9, _CRASH_VALUE)
+    sweep = overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid, jobs=2)
+    assert os.path.exists(_CRASH_FLAG["path"])  # a worker did die
+
+    monkeypatch.undo()
+    serial = overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid)
+    assert sweep_fingerprint(sweep) == sweep_fingerprint(serial)
+
+
+def test_raising_worker_keeps_points_that_finish_after_it(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(parallel_mod, "execute_point", _raise_on_marker)
+    cache = RunCache(tmp_path)
+    with pytest.raises(ValueError, match="not in the failure taxonomy"):
+        overhead_sweep(tiny_radix(), n_nodes=4, overheads=_RAISE_GRID,
+                       cache=cache, jobs=2)
+    assert len(cache) == 3  # deferred, then re-raised after the drain
 
 
 def test_serial_sweep_caches_per_point(tmp_path, monkeypatch):
@@ -356,7 +393,7 @@ def test_campaign_cache_fills_store_without_simulating(tmp_path):
 
 def test_run_campaign_requeues_after_worker_crash(tmp_path, monkeypatch):
     _CRASH_FLAG["path"] = str(tmp_path / "crashed.flag")
-    monkeypatch.setattr(campaign_mod, "execute_point", _kill_worker_once)
+    monkeypatch.setattr(parallel_mod, "execute_point", _kill_worker_once)
     spec = small_campaign("requeue", values=(2.9, 22.9, _CRASH_VALUE))
     with ResultStore(tmp_path / "s.sqlite") as store:
         report = run_campaign(spec, store, jobs=2)
@@ -366,6 +403,20 @@ def test_run_campaign_requeues_after_worker_crash(tmp_path, monkeypatch):
         assert report.computed_points == 3
         assert store.count("requeue") == 3
         assert os.path.exists(_CRASH_FLAG["path"])
+
+
+def test_campaign_keeps_points_that_finish_after_a_raising_worker(
+        tmp_path, monkeypatch):
+    """The campaign's own pool loop used to leave ``as_completed`` on
+    the first non-crash exception and drop every later result: 0 of 3."""
+    monkeypatch.setattr(parallel_mod, "execute_point", _raise_on_marker)
+    spec = small_campaign("raise", values=_RAISE_GRID)
+    cache = RunCache(tmp_path / "cache")
+    with ResultStore(tmp_path / "s.sqlite") as store:
+        with pytest.raises(ValueError, match="not in the failure taxonomy"):
+            run_campaign(spec, store, cache=cache, jobs=2)
+        assert store.count("raise") == 3
+    assert len(cache) == 3
 
 
 def test_campaign_report_bench_payload(tmp_path):

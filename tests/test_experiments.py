@@ -6,7 +6,7 @@ plumbing (structure, rendering, N/A handling) quickly.
 
 import pytest
 
-from repro.harness import experiments
+from repro.harness import RunCache, experiments
 
 
 TINY = dict(n_nodes=4, scale=0.1)
@@ -71,11 +71,42 @@ def test_figure7_and_8_structure():
     assert figure8.max_slowdown("NOW-sort") >= 1.0
 
 
+def test_tables_and_figures_share_their_baseline_runs(tmp_path):
+    """Tables 3/4 and Figure 4 run the sweeps' own baseline point: one
+    run key, so one simulation between all four artifacts."""
+    cache = RunCache(tmp_path)
+    calls = [
+        (experiments.table3_baseline_runtimes,
+         dict(node_counts=(4,), scale=0.1, names=["Radix"])),
+        (experiments.table4_comm_summary, dict(names=["Radix"], **TINY)),
+        (experiments.figure4_balance, dict(names=["Radix"], **TINY)),
+        (experiments.figure5_overhead,
+         dict(names=["Radix"], overheads=(2.9, 22.9), **TINY)),
+    ]
+    for entry, kwargs in calls:
+        cached = entry(cache=cache, **kwargs)
+        plain = entry(**kwargs)
+        assert cached.render() == plain.render()
+        if hasattr(plain, "rows"):
+            assert cached.rows() == plain.rows()
+    # The baseline once (then three hits) and the dialed point once.
+    assert (cache.misses, cache.hits) == (2, 3)
+
+
 def test_cli_runs_a_single_artifact(tmp_path, capsys):
     from repro.harness.__main__ import main
-    code = main(["--nodes", "4", "--scale", "0.1", "--only", "table4",
-                 "--out", str(tmp_path)])
-    assert code == 0
+    argv = ["--nodes", "4", "--scale", "0.1", "--only", "table4",
+            "--out", str(tmp_path)]
+    cached = argv + ["--cache-dir", str(tmp_path / "cache")]
+    assert main(cached) == 0
     out = capsys.readouterr().out
     assert "table4" in out
+    assert "0 hits / 10 misses" in out
     assert (tmp_path / "table4.txt").exists()
+    # Artifact mode honours the flags campaign mode does.
+    text = (tmp_path / "table4.txt").read_text()
+    assert main(cached + ["--jobs", "2"]) == 0
+    assert "10 hits / 0 misses" in capsys.readouterr().out
+    assert (tmp_path / "table4.txt").read_text() == text
+    assert main(argv[:4] + ["--only", "table1", "--no-cache"]) == 0
+    assert "RunCache(" not in capsys.readouterr().out

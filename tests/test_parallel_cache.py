@@ -7,18 +7,24 @@ cache hit reproduces the original run's counters exactly.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.am.tuning import TuningKnobs
-from repro.apps import Barnes, RadixSort
+from repro.apps import Barnes, RadixSort, default_suite
 from repro.cluster.machine import Cluster
-from repro.harness import RunCache, overhead_sweep, run_sweep
-from repro.harness.parallel import (run_experiments_parallel,
-                                    run_sweep_parallel)
-from repro.harness.runcache import run_key_spec
+from repro.coll.bench import CollectiveBench
+from repro.harness import (PointTask, RunCache, overhead_sweep, run_points,
+                           run_sweep)
+from repro.harness import runcache as runcache_mod
+from repro.harness.parallel import (default_jobs,
+                                    run_experiments_parallel)
+from repro.harness.runcache import constructor_params, run_key_spec
 from repro.harness.sweeps import SweepPoint, SweepResult
 from repro.network.loggp import LogGPParams
+from repro.sanitize.cli import load_app
+from repro.serve import KVServe
 
 
 def tiny_radix():
@@ -59,9 +65,67 @@ def test_parallel_sweep_bit_identical_to_serial():
 def test_run_sweep_parallel_defaults_match_serial():
     serial = run_sweep(tiny_radix(), 4, "overhead", (0.0, 20.0),
                        TuningKnobs.added_overhead)
-    parallel = run_sweep_parallel(tiny_radix(), 4, "overhead",
-                                  (0.0, 20.0), TuningKnobs.added_overhead)
+    parallel = run_sweep(tiny_radix(), 4, "overhead", (0.0, 20.0),
+                         TuningKnobs.added_overhead, jobs=default_jobs())
     assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
+
+
+# ---------------------------------------------------------------------------
+# The one drain, called directly.
+# ---------------------------------------------------------------------------
+
+def radix_tasks(added=(100.0, 0.0, 20.0), **cluster):
+    """Longest run first, so pooled completion order != task order."""
+    return [PointTask(tiny_radix(),
+                      Cluster(4, knobs=TuningKnobs.added_overhead(delta),
+                              **cluster), value=delta)
+            for delta in added]
+
+
+def test_run_points_returns_task_order_serial_and_pooled():
+    tasks = radix_tasks()
+    serial = run_points(tasks)
+    pooled = run_points(tasks, jobs=2)
+    assert [p.value for p in serial] == [100.0, 0.0, 20.0]
+    assert sweep_fingerprint(SweepResult("Radix", 4, "o", serial)) \
+        == sweep_fingerprint(SweepResult("Radix", 4, "o", pooled))
+
+
+def test_run_points_raising_done_keeps_what_already_landed(tmp_path):
+    cache = RunCache(tmp_path)
+    tasks = radix_tasks()
+    seen = []
+
+    def done(index, point, from_cache):
+        seen.append((index, from_cache))
+        if len(seen) == 2:
+            raise RuntimeError("stop after the second point")
+
+    with pytest.raises(RuntimeError, match="stop after the second"):
+        run_points(tasks, cache=cache, done=done)
+    assert seen == [(0, False), (1, False)]
+    # Cached before ``done`` was told, so the failure lost nothing...
+    assert cache.get(tasks[0].spec) is not None
+    assert cache.get(tasks[1].spec) is not None
+    # ...and the point after it never ran.
+    assert cache.get(tasks[2].spec) is None
+
+
+def test_run_points_sanitized_task_bypasses_the_cache_both_ways(tmp_path):
+    cache = RunCache(tmp_path)
+    clean, = radix_tasks(added=(0.0,))
+    sanitized, = radix_tasks(added=(0.0,), sanitize=True)
+    assert clean.key == sanitized.key  # same run, same identity
+    run_points([clean], cache=cache)
+    assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+    # The sanitized twin is neither served from that entry (no get)...
+    point, = run_points([sanitized], cache=cache)
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert point.result.sanitizer is not None
+    # ...nor written over it (no put).
+    cache.clear()
+    run_points([sanitized], cache=cache)
+    assert len(cache) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +229,38 @@ def test_cache_key_depends_on_full_configuration(tmp_path):
     keys = {RunCache.key_for(spec) for spec in variations}
     assert len(keys) == len(variations)  # all distinct...
     assert key not in keys  # ...and none collides with the base
+
+
+def _all_app_kinds():
+    return default_suite(0.1) + [KVServe(), CollectiveBench("allreduce")]
+
+
+def test_constructor_params_memo_leaves_run_keys_unchanged(monkeypatch):
+    def keys():
+        return [RunCache.key_for(run_key_spec(
+            app, 4, LogGPParams.berkeley_now(), TuningKnobs(), 0))
+            for app in _all_app_kinds()]
+
+    memoised = keys()
+    assert len(set(memoised)) == 12
+    monkeypatch.setattr(runcache_mod, "constructor_params",
+                        constructor_params.__wrapped__)
+    assert keys() == memoised
+
+
+def test_constructor_params_memo_is_per_class_object():
+    fixture = (Path(__file__).parent / "fixtures" / "sanitize"
+               / "lock_cycle.py")
+    first = type(load_app(f"{fixture}:LockCycle"))
+    second = type(load_app(f"{fixture}:LockCycle"))
+    assert first is not second
+    assert (first.__module__, first.__qualname__) \
+        == (second.__module__, second.__qualname__)
+    constructor_params.cache_clear()
+    assert constructor_params(first) == constructor_params(second)
+    assert constructor_params.cache_info().currsize == 2
+    constructor_params(first)
+    assert constructor_params.cache_info().hits == 1
 
 
 def test_cache_corrupt_entry_counts_as_miss(tmp_path):

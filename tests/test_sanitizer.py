@@ -17,11 +17,9 @@ from repro.apps import RadixSort, default_suite
 from repro.cluster.machine import Cluster
 from repro.gas.runtime import LivelockError
 from repro.harness import RunCache
-from repro.harness.parallel import PointTask, execute_point, \
-    run_sweep_points
-from repro.harness.sweeps import FAILURE_CATEGORIES, SweepPoint
+from repro.harness.parallel import PointTask, execute_point
+from repro.harness.sweeps import FAILURE_CATEGORIES, SweepPoint, run_sweep
 from repro.network.faults import FaultPlan
-from repro.network.loggp import LogGPParams
 from repro.sanitize import DeadlockError, Sanitizer
 from repro.sanitize.clocks import ClockSet
 from repro.sanitize.cli import load_app, main
@@ -149,10 +147,7 @@ def test_sanitized_run_is_bit_identical_to_plain_run():
 # ---------------------------------------------------------------------------
 
 def _task(app, n_nodes, **overrides):
-    spec = dict(app=app, n_nodes=n_nodes, value=0.0, knobs=TuningKnobs(),
-                params=LogGPParams.berkeley_now(), seed=11)
-    spec.update(overrides)
-    return PointTask(**spec)
+    return PointTask(app, Cluster(n_nodes, **{"seed": 11, **overrides}))
 
 
 def test_taxonomy_deadlock_point():
@@ -193,7 +188,7 @@ def test_failure_category_edge_cases():
 
 
 def test_as_rows_carries_failure_category():
-    sweep = run_sweep_points(
+    sweep = run_sweep(
         fixture_app("lock_cycle", "LockCycle"), 2, "L", [0.0],
         knob_for=lambda value: TuningKnobs(), seed=11,
         livelock_limit=200, sanitize=True)
@@ -209,9 +204,9 @@ def test_as_rows_carries_failure_category():
 def test_sanitized_sweep_bypasses_the_cache(tmp_path):
     cache = RunCache(tmp_path / "cache")
     app = RadixSort(keys_per_proc=32)
-    run_sweep_points(app, 2, "L", [0.0],
-                     knob_for=lambda value: TuningKnobs(), seed=3,
-                     cache=cache, sanitize=True)
+    run_sweep(app, 2, "L", [0.0],
+              knob_for=lambda value: TuningKnobs(), seed=3,
+              cache=cache, sanitize=True)
     assert len(cache) == 0  # no puts
     assert cache.hits == 0 and cache.misses == 0  # no gets either
 
@@ -219,8 +214,8 @@ def test_sanitized_sweep_bypasses_the_cache(tmp_path):
 def test_sanitize_is_not_part_of_the_cache_key():
     task = _task(RadixSort(keys_per_proc=32), 2)
     sanitized = _task(RadixSort(keys_per_proc=32), 2, sanitize=True)
-    assert task.key_spec() == sanitized.key_spec()
-    assert "sanitize" not in task.key_spec()
+    assert task.spec == sanitized.spec
+    assert "sanitize" not in task.spec
 
 
 # ---------------------------------------------------------------------------

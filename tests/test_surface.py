@@ -1,16 +1,21 @@
 """Tests for 2-D sensitivity surfaces."""
 
+import functools
+
 import pytest
 
+from repro.cluster.machine import Cluster
+from repro.harness import RunCache
+from repro.harness import surface as surface_mod
 from repro.harness.surface import (SensitivitySurface,
                                    overhead_gap_surface,
                                    sensitivity_surface)
 
 
-def small_surface():
+def small_surface(**run):
     return sensitivity_surface(
         "Radb", n_nodes=4, x_dial="overhead", x_values=(25.0,),
-        y_dial="gap", y_values=(25.0,), scale=0.05)
+        y_dial="gap", y_values=(25.0,), scale=0.05, **run)
 
 
 def test_unknown_dial_rejected():
@@ -61,3 +66,27 @@ def test_overhead_gap_surface_shortcut():
                                    values=(50.0,), scale=0.05)
     assert surface.x_dial == "overhead" and surface.y_dial == "gap"
     assert surface.at(50.0, 50.0) > 1.0
+
+
+# ---------------------------------------------------------------------------
+# The grid goes through the harness's one drain (cache, pool, taxonomy).
+# ---------------------------------------------------------------------------
+
+def test_surface_is_served_from_the_run_cache(tmp_path):
+    cache = RunCache(tmp_path)
+    cold = small_surface(cache=cache)
+    assert (cache.hits, cache.misses) == (0, 4)
+    warm = small_surface(cache=cache)
+    assert (cache.hits, cache.misses) == (4, 4)  # nothing re-simulated
+    assert warm.rows() == cold.rows() == small_surface().rows()
+
+
+def test_surface_pooled_equals_serial():
+    assert small_surface(jobs=2).slowdown == small_surface().slowdown
+
+
+def test_surface_over_budget_point_raises_with_its_taxonomy(monkeypatch):
+    monkeypatch.setattr(surface_mod, "Cluster",
+                        functools.partial(Cluster, run_limit_us=1.0))
+    with pytest.raises(RuntimeError, match="budget exceeded"):
+        small_surface()
