@@ -34,6 +34,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Optional
 
 from repro.am.tuning import TuningKnobs
+from repro.instruments.probes import Probes
 from repro.network.loggp import LogGPParams
 from repro.network.packet import (BULK_FRAGMENT_BYTES, Packet, PacketKind,
                                   SHORT_PACKET_BYTES, new_xfer_id)
@@ -75,18 +76,16 @@ class HandlerTable:
 
 
 class AmLayer:
-    """The per-node Active Message endpoint."""
+    """The per-node Active Message endpoint; ``probes`` are the run's
+    observers (:mod:`repro.instruments.probes`), none by default."""
 
     def __init__(self, sim: Simulator, node_id: int, params: LogGPParams,
                  knobs: TuningKnobs, wire: "Wire",  # noqa: F821
                  handlers: HandlerTable,
                  window: int = DEFAULT_WINDOW,
                  window_scope: str = "per-destination",
-                 stats: Optional["ClusterStats"] = None,
-                 tracer: Optional["MessageTracer"] = None,  # noqa: F821
                  faults: Optional["FaultPlan"] = None,  # noqa: F821
-                 sanitizer: Optional["Sanitizer"] = None,  # noqa: F821
-                 recorder: Optional["DepRecorder"] = None) -> None:  # noqa: F821
+                 probes: Optional[Probes] = None) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if window_scope not in ("per-destination", "global"):
@@ -99,13 +98,20 @@ class AmLayer:
         self.window = window
         self.window_scope = window_scope
         self._per_destination = window_scope == "per-destination"
-        self.stats = stats
-        self.tracer = tracer
-        self.sanitizer = sanitizer
-        #: simcost dependency recorder (see :mod:`repro.cost.recorder`).
-        #: Observation-only, like the tracer and sanitizer: its hooks
-        #: charge no simulated time, so recorded runs stay bit-identical.
-        self.recorder = recorder
+        #: Observation-only: a hook charges no simulated time, so an
+        #: observed run stays bit-identical.
+        if probes is None:
+            probes = Probes()
+        self.probes = probes
+        self._on_send = probes.send
+        self._on_recv = probes.recv
+        self._on_handled = probes.handled
+        self._on_blocked = probes.blocked
+        self._on_wait_enter = probes.wait_enter
+        self._on_wait_exit = probes.wait_exit
+        #: Whether a wait's ``(kind, peers, detail)`` annotation has a
+        #: reader; callers build one (an f-string) only when it does.
+        self.watching = probes.wait_enter is not None
         #: Flow control is per destination endpoint, as in GAM: ``window``
         #: outstanding requests per (src, dst) pair.  A single-partner
         #: exchange (the calibration microbenchmark) is throttled to
@@ -134,7 +140,7 @@ class AmLayer:
         self.nic = Nic(sim, node_id, params, knobs, wire,
                        deliver_to_host=self._host_deliver,
                        return_credit=self._credit_returned,
-                       tracer=tracer, stats=stats, faults=faults)
+                       faults=faults, probes=probes)
 
     # -- effective per-event costs ----------------------------------------
     @property
@@ -224,15 +230,9 @@ class AmLayer:
         per (auto-)ack, in the same order.
         """
         yield self.sim.timeout(self._recv_cost)
-        if self.stats is not None:
-            self.stats.on_host_recv(self.node_id, packet)
-        if self.sanitizer is not None and packet.clock is not None:
-            # The happens-before edge of this delivery: join the
-            # sender's piggybacked snapshot into this rank's clock.
-            self.sanitizer.on_deliver(self.node_id, packet.clock)
-        if self.recorder is not None:
-            self.recorder.on_recv(self.node_id, packet, self.sim.now,
-                                  self._recv_cost)
+        hook = self._on_recv
+        if hook is not None:
+            hook(self.node_id, packet)
         if packet.kind is PacketKind.REQUEST or (
                 packet.kind is PacketKind.BULK_FRAGMENT
                 and not packet.is_reply):
@@ -270,8 +270,9 @@ class AmLayer:
                     yield from result
             if callback is not None:
                 callback(packet.payload)
-        if self.tracer is not None:
-            self.tracer.record("handled", packet.xfer_id, self.sim.now)
+        hook = self._on_handled
+        if hook is not None:
+            hook(self.node_id, packet)
 
     def wait_until(self, predicate: Callable[[], bool],
                    wait: Optional[tuple] = None) -> Generator:
@@ -285,14 +286,14 @@ class AmLayer:
         whose reply has already been processed.
 
         ``wait`` is an optional ``(kind, peer_ranks, detail)`` annotation
-        for simsan's wait-for graph; callers pass it only when the
-        sanitizer is on (it is ignored otherwise), and the bookkeeping
-        is a single push/pop around the whole wait, off the per-message
+        for the ``wait_enter`` hook (simsan's wait-for graph); callers
+        build it only when :attr:`watching`, and the bookkeeping is a
+        single enter/exit around the whole wait, off the per-message
         resume path.
         """
-        watched = wait is not None and self.sanitizer is not None
+        watched = wait is not None and self.watching
         if watched:
-            self.sanitizer.on_wait_enter(self.node_id, *wait)
+            self._on_wait_enter(self.node_id, *wait)
         try:
             while True:
                 if predicate():
@@ -300,18 +301,20 @@ class AmLayer:
                 if self._rx_queue:
                     yield from self._service(self._rx_queue.popleft())
                     continue
-                if self.recorder is None:
+                hook = self._on_blocked
+                if hook is None:
                     yield self._arm_wakeup()
                 else:
-                    # Same yield, bracketed by two now-reads: the parked
-                    # interval becomes the next event's blocked time.
+                    # Same yield, bracketed by two now-reads: the hook
+                    # is told how long the rank was parked.
                     parked_at = self.sim.now
                     yield self._arm_wakeup()
-                    self.recorder.on_blocked(self.node_id,
-                                             self.sim.now - parked_at)
+                    hook(self.node_id, self.sim.now - parked_at)
         finally:
             if watched:
-                self.sanitizer.on_wait_exit(self.node_id)
+                hook = self._on_wait_exit
+                if hook is not None:
+                    hook(self.node_id)
 
     # -- sending --------------------------------------------------------------
     def _credit_key(self, dst: int) -> int:
@@ -329,7 +332,7 @@ class AmLayer:
         from inside a handler, then take a window slot toward ``dst`` if
         one is free.  Returns the credit pool drawn from (``_credit_owner``
         keeps it for the transfer), or None when the caller must block in
-        :meth:`_acquire_credit`: no slot, or simsan annotates every wait."""
+        :meth:`_acquire_credit`."""
         if self._current_request is not None:
             raise AmError(
                 f"{operation} issued from inside a request handler on node "
@@ -337,7 +340,7 @@ class AmLayer:
         key = dst if self._per_destination else -1  # _credit_key, inline
         credits = self._credits
         free = credits[key] if key in credits else self.window
-        if free <= 0 or self.sanitizer is not None:
+        if free <= 0:
             return None
         credits[key] = free - 1
         return key
@@ -345,9 +348,7 @@ class AmLayer:
     def _acquire_credit(self, dst: int) -> Generator:
         """Block (polling, like a stalled GAM sender) until a window slot
         toward ``dst`` is free, then take it; returns its pool's key."""
-        key = self._credit_key(dst)
-        if key not in self._credits:
-            self._credits[key] = self.window
+        key = self._credit_key(dst)  # in _credits: it has no free slot
         yield from self.wait_until(
             lambda: self._credits[key] > 0,
             wait=("credit", (dst,), f"window slot toward rank {dst}"))
@@ -355,20 +356,10 @@ class AmLayer:
         return key
 
     def _record_send(self, packet: Packet) -> None:
-        if self.sanitizer is not None:
-            # Every host-level send passes through here; piggyback the
-            # vector-clock snapshot (stable across NIC retransmissions,
-            # which reuse the Packet object).
-            packet.clock = self.sanitizer.on_send(self.node_id)
-        if self.stats is not None:
-            self.stats.on_send(self.node_id, packet)
-        if self.tracer is not None:
-            self.tracer.record("sent", packet.xfer_id, self.sim.now,
-                               src=packet.src, dst=packet.dst,
-                               kind=packet.kind.value)
-        if self.recorder is not None:
-            self.recorder.on_send(self.node_id, packet, self.sim.now,
-                                  self._send_cost)
+        """Every host-level send passes through here."""
+        hook = self._on_send
+        if hook is not None:
+            hook(self.node_id, packet)
 
     def send_request(self, dst: int, handler: str, payload: Any = None,
                      size: int = SHORT_PACKET_BYTES, is_read: bool = False,
@@ -406,7 +397,7 @@ class AmLayer:
         yield from self.send_request(dst, handler, payload=payload,
                                      size=size, is_read=is_read,
                                      on_reply=box.set)
-        wait = None if self.sanitizer is None else \
+        wait = None if not self.watching else \
             ("reply", (dst,), f"reply to {handler!r}")
         yield from self.wait_until(box.arrived, wait=wait)
         return box.value
@@ -487,7 +478,7 @@ class AmLayer:
         box = _ReplyBox()
         yield from self.bulk_store(dst, handler, payload, nbytes,
                                    on_complete=box.set)
-        wait = None if self.sanitizer is None else \
+        wait = None if not self.watching else \
             ("reply", (dst,), f"bulk acknowledgement from {handler!r}")
         yield from self.wait_until(box.arrived, wait=wait)
         return box.value
@@ -518,7 +509,7 @@ class AmLayer:
         yield from self.send_request(dst, handler, payload=payload,
                                      size=size, is_read=True,
                                      on_reply=box.set)
-        wait = None if self.sanitizer is None else \
+        wait = None if not self.watching else \
             ("reply", (dst,), f"bulk reply to {handler!r}")
         yield from self.wait_until(box.arrived, wait=wait)
         return box.value
@@ -563,7 +554,7 @@ class AmLayer:
     def drain(self) -> Generator:
         """Wait until every window slot is back (all sends acknowledged)."""
         wait = None
-        if self.sanitizer is not None:
+        if self.watching:
             owed = tuple(sorted(
                 key for key, credits in self._credits.items()
                 if credits < self.window and key >= 0))

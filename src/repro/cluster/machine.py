@@ -17,6 +17,7 @@ from repro.am.tuning import TuningKnobs
 from repro.cluster.node import CostModel, Node
 from repro.gas.runtime import LivelockError, Proc, register_gas_handlers
 from repro.instruments.balance import balance_matrix, render_balance
+from repro.instruments.probes import Probes
 from repro.instruments.stats import ClusterStats
 from repro.instruments.summary import CommunicationSummary, summarize
 from repro.network.loggp import LogGPParams
@@ -214,7 +215,8 @@ class Cluster:
         the run's communication dependency DAG for simcost — strictly
         observation-only, so the run stays bit-identical (and, like
         ``tracer`` and ``sanitize``, the recorder is never part of the
-        run-cache key space).
+        run-cache key space).  No code below this method tells the
+        observers apart: all subscribe to the run's one ``Probes``.
         """
         if recorder is not None:
             # The replay model (repro.cost.predict) covers exactly the
@@ -240,6 +242,13 @@ class Cluster:
                     "occupancy (delta_occ > 0)")
         sim = Simulator()
         stats = ClusterStats(self.n_nodes)
+        sanitizer = None
+        if self.sanitize:
+            from repro.sanitize.monitor import Sanitizer
+            sanitizer = Sanitizer(self.n_nodes, sim)
+        probes = Probes(observer for observer in
+                        (stats, sanitizer, tracer, recorder)
+                        if observer is not None)
         if self.fabric == "myrinet":
             from repro.network.topology import SwitchedFabric
             wire = SwitchedFabric(
@@ -254,18 +263,12 @@ class Cluster:
                 from repro.network.faults import FaultInjector
                 injector = FaultInjector(self.faults, self.seed)
             wire = Wire(sim, self.params.latency, injector=injector,
-                        stats=stats)
+                        probes=probes)
         table = HandlerTable()
         register_gas_handlers(table)
         app.configure(self.n_nodes, self.seed)
         app.register_handlers(table)
-        if recorder is not None:
-            recorder.begin_run(self, app.name)
-
-        sanitizer = None
-        if self.sanitize:
-            from repro.sanitize.monitor import Sanitizer
-            sanitizer = Sanitizer(self.n_nodes, sim)
+        probes.begin(sim, self, app.name)
 
         coll_tuner = None
         if self.coll is not None:
@@ -278,19 +281,17 @@ class Cluster:
                         n_disks=self.disks_per_node)
             am = AmLayer(sim, node_id, self.params, self.knobs, wire,
                          table, window=self.window,
-                         window_scope=self.window_scope, stats=stats,
-                         tracer=tracer, faults=self.faults,
-                         sanitizer=sanitizer, recorder=recorder)
+                         window_scope=self.window_scope,
+                         faults=self.faults, probes=probes)
             proc = Proc(sim, node_id, self.n_nodes, node, am, stats=stats,
                         seed=self.seed,
                         livelock_limit=self.livelock_limit,
-                        sanitizer=sanitizer, coll_tuner=coll_tuner)
+                        coll_tuner=coll_tuner)
             am.host = proc
             procs.append(proc)
 
         drivers = [
-            sim.process(self._drive(app, proc, stats, recorder),
-                        name=f"rank{proc.rank}")
+            sim.process(self._drive(app, proc), name=f"rank{proc.rank}")
             for proc in procs
         ]
         done = sim.all_of(drivers)
@@ -318,8 +319,7 @@ class Cluster:
         for proc in procs:
             leaked = proc.am.nic.reassembly_teardown()
             stats.record_reassembly_leaks(proc.rank, leaked)
-        if recorder is not None:
-            recorder.finish(stats.runtime_us)
+        probes.finish()
         output = app.finalize(procs)
         return RunResult(
             app_name=app.name,
@@ -333,24 +333,20 @@ class Cluster:
             sanitizer=sanitizer.report() if sanitizer is not None else None,
         )
 
-    def _drive(self, app: "Application", proc: Proc,  # noqa: F821
-               stats: ClusterStats,
-               recorder: Optional["DepRecorder"] = None):  # noqa: F821
-        """Per-rank driver: untimed setup, timed region, teardown."""
+    def _drive(self, app: "Application", proc: Proc):  # noqa: F821
+        """Per-rank driver: untimed setup, timed region, teardown.  Rank
+        0 marks the region's two ends (``run`` always has a listener:
+        the run's ``ClusterStats`` times it)."""
         yield from app.setup_rank(proc)
         yield from proc.barrier()
         if proc.rank == 0:
-            stats.start_measurement(proc.sim.now)
-            if recorder is not None:
-                recorder.on_mark(proc.rank, "start", proc.sim.now)
+            proc.probes.mark(proc.rank, "start")
         yield from app.run_rank(proc)
         yield from proc.sync()
         yield from proc.am.drain()
         yield from proc.barrier()
         if proc.rank == 0:
-            stats.stop_measurement(proc.sim.now)
-            if recorder is not None:
-                recorder.on_mark(proc.rank, "stop", proc.sim.now)
+            proc.probes.mark(proc.rank, "stop")
 
     def describe(self) -> str:
         """One-line summary of the configuration."""

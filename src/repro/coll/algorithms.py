@@ -96,8 +96,9 @@ def barrier_tree(proc: "Proc") -> Generator:  # noqa: F821
                 yield from send_value(
                     proc, peer, ("cbar", epoch, "down", peer), None,
                     TOKEN_BYTES)
-    if proc.stats is not None:
-        proc.stats.on_barrier(proc.rank)
+    hook = proc.probes.barrier
+    if hook is not None:
+        hook(proc.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +493,7 @@ def alltoall_flat(proc: "Proc", values: List[Any],  # noqa: F821
         yield from send_value(proc, dst, ("ca2a", epoch, proc.rank),
                               payload, nbytes, bulk=bulk,
                               on_complete=acked)
-    wait = None if proc.sanitizer is None else \
+    wait = None if not proc.am.watching else \
         ("sync", tuple(dsts),
          f"alltoall epoch {epoch}: {pending['count']} unacked send(s)")
     yield from proc.am.wait_until(lambda: pending["count"] == 0,

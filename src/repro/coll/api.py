@@ -51,9 +51,9 @@ def _select(proc: "Proc", primitive: str, nbytes: float,  # noqa: F821
 
 def _note(proc: "Proc", primitive: str, algo: str,  # noqa: F821
           nbytes: float) -> None:
-    if proc.stats is not None:
-        proc.stats.on_collective(primitive, algo, proc.rank,
-                                 int(nbytes))
+    hook = proc.probes.collective
+    if hook is not None:
+        hook(primitive, algo, proc.rank, int(nbytes))
 
 
 def barrier(proc: "Proc", algo: Optional[str] = None  # noqa: F821

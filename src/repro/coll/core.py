@@ -74,7 +74,7 @@ def recv_value(proc: "Proc", key: Tuple, src: int,  # noqa: F821
     stuck collective names the peer it is waiting on.
     """
     box = proc.collective_box
-    wait = None if proc.sanitizer is None else \
+    wait = None if not proc.am.watching else \
         ("collective", (src,), detail)
     yield from proc.am.wait_until(lambda: key in box, wait=wait)
     return box.pop(key)

@@ -1,10 +1,11 @@
 """Observation-only recording of a run's dependency DAG.
 
 A :class:`DepRecorder` is passed to :meth:`Cluster.run(app,
-recorder=...) <repro.cluster.machine.Cluster.run>` exactly like a
-``MessageTracer``: the AM layer invokes its hooks at every host-level
-send and reception and around every blocked wait, and the cluster
-brackets the measured region with markers.  The hooks only *read*
+recorder=...) <repro.cluster.machine.Cluster.run>`, which subscribes it
+to the run's :class:`~repro.instruments.probes.Probes`: ``send`` and
+``recv`` at every host-level send and reception, ``blocked`` after
+every parked wait, ``mark`` at the two ends of the measured region,
+``begin`` and ``finish`` around the run.  The hooks only *read*
 simulator state (``sim.now``, packet fields) and append to Python
 lists — they schedule nothing, charge nothing, and touch no
 randomness, so an instrumented run is bit-identical to an unrecorded
@@ -33,9 +34,9 @@ __all__ = ["DepRecorder", "record_run"]
 class DepRecorder:
     """Collects the graph's wire rows during one instrumented run.
 
-    One recorder serves exactly one run: :meth:`begin_run` arms it and
-    :meth:`finish` seals it (both called by ``Cluster.run``).  The
-    finished graph is available as :attr:`graph`.
+    One recorder serves exactly one run: the ``begin`` hook arms it and
+    ``finish`` seals it.  The finished graph is available as
+    :attr:`graph`.
     """
 
     def __init__(self) -> None:
@@ -44,75 +45,72 @@ class DepRecorder:
         #: Per-rank blocked time accumulated since the previous recorded
         #: event on that rank (consumed by the next event).
         self._blocked: Dict[int, float] = {}
-        self._armed = False
-        self._finished = False
         self.graph: Optional[CostGraph] = None
-        # Filled by begin_run from the cluster configuration.
+        # Filled by on_begin; the simulator doubles as the armed flag.
+        self._sim = None
+        self._cluster = None
         self._app_name = ""
-        self._n_nodes = 0
-        self._params = None
-        self._knobs = None
-        self._window = 0
-        self._window_scope = ""
-        self._seed = 0
+        #: What the AM layer charges per message, by its own expressions.
+        self._send_cost = 0.0
+        self._recv_cost = 0.0
+        self._marks: Dict[str, float] = {}
 
-    # -- lifecycle (driven by Cluster.run) ---------------------------------
-    def begin_run(self, cluster, app_name: str) -> None:
-        if self._armed or self._finished:
+    # -- lifecycle ---------------------------------------------------------
+    def on_begin(self, sim, cluster, app_name: str) -> None:
+        if self._sim is not None or self.graph is not None:
             raise RuntimeError(
                 "a DepRecorder records exactly one run; make a new one")
-        self._armed = True
+        self._sim = sim
+        self._cluster = cluster
         self._app_name = app_name
-        self._n_nodes = cluster.n_nodes
-        self._params = cluster.params
-        self._knobs = cluster.knobs
-        self._window = cluster.window
-        self._window_scope = cluster.window_scope
-        self._seed = cluster.seed
+        self._send_cost = cluster.params.send_overhead + cluster.knobs.delta_o
+        self._recv_cost = cluster.params.recv_overhead + cluster.knobs.delta_o
 
-    def finish(self, runtime_us: float) -> CostGraph:
-        if not self._armed:
-            raise RuntimeError("finish() before begin_run()")
-        self._armed = False
-        self._finished = True
+    def on_finish(self) -> None:
+        """Seal :attr:`graph`; its runtime is the marked region's."""
+        if self._sim is None:
+            raise RuntimeError("finish before begin")
+        cluster = self._cluster
+        self._sim = self._cluster = None
         self.graph = CostGraph(
-            app_name=self._app_name, n_nodes=self._n_nodes,
-            params=self._params, knobs=self._knobs, window=self._window,
-            window_scope=self._window_scope, seed=self._seed,
-            runtime_us=runtime_us, rows=self.rows)
-        return self.graph
+            app_name=self._app_name, n_nodes=cluster.n_nodes,
+            params=cluster.params, knobs=cluster.knobs,
+            window=cluster.window, window_scope=cluster.window_scope,
+            seed=cluster.seed,
+            runtime_us=self._marks["stop"] - self._marks["start"],
+            rows=self.rows)
 
-    # -- hooks (called from the AM layer / cluster driver) -----------------
-    def on_send(self, rank: int, packet: Packet, now: float,
-                charge: float) -> None:
+    # -- hooks -------------------------------------------------------------
+    def on_send(self, rank: int, packet: Packet) -> None:
         """Completion of one host-level send (after its ``o`` charge)."""
         reply_like = packet.kind is PacketKind.REPLY or packet.is_reply
         bulk = packet.is_bulk
         # Replies never take a window credit, everything else does; a
         # bulk send stands for the whole transfer.
         self.rows.append((
-            "s", rank, now, charge, self._blocked.pop(rank, 0.0),
+            "s", rank, self._sim.now, self._send_cost,
+            self._blocked.pop(rank, 0.0),
             packet.xfer_id, packet.dst, 1 if reply_like else 0,
             0 if reply_like else 1, 1 if packet.one_way else 0,
             1 if bulk else 0,
             packet.logical_bytes if bulk else packet.size_bytes,
             packet.fragment[1] if bulk else 1))
 
-    def on_recv(self, rank: int, packet: Packet, now: float,
-                charge: float) -> None:
+    def on_recv(self, rank: int, packet: Packet) -> None:
         """Completion of one host-level reception (after its charge)."""
-        reply_like = packet.kind is PacketKind.REPLY or packet.is_reply
         self.rows.append((
-            "r", rank, now, charge, self._blocked.pop(rank, 0.0),
-            packet.xfer_id, packet.src, 1 if reply_like else 0))
+            "r", rank, self._sim.now, self._recv_cost,
+            self._blocked.pop(rank, 0.0), packet.xfer_id, packet.src,
+            1 if packet.kind is PacketKind.REPLY or packet.is_reply else 0))
 
     def on_blocked(self, rank: int, duration: float) -> None:
         """The rank was parked in ``wait_until`` for ``duration`` µs."""
         if duration > 0:
             self._blocked[rank] = self._blocked.get(rank, 0.0) + duration
 
-    def on_mark(self, rank: int, label: str, now: float) -> None:
+    def on_mark(self, rank: int, label: str) -> None:
         """Measurement-region marker (``start`` / ``stop`` on rank 0)."""
+        now = self._marks[label] = self._sim.now
         self.rows.append(
             ("m", rank, now, self._blocked.pop(rank, 0.0), label))
 

@@ -43,14 +43,15 @@ def barrier(proc: "Proc") -> Generator:  # noqa: F821
             token = (epoch, rnd)
             yield from proc.am.send_request(
                 partner, "_gas_barrier", token)
-            wait = None if proc.sanitizer is None else \
+            wait = None if not proc.am.watching else \
                 ("barrier", ((proc.rank - (1 << rnd)) % n,),
                  f"barrier epoch {epoch} round {rnd}")
             yield from proc.am.wait_until(
                 lambda t=token: t in proc.barrier_tokens, wait=wait)
             proc.barrier_tokens.discard(token)
-    if proc.stats is not None:
-        proc.stats.on_barrier(proc.rank)
+    hook = proc.probes.barrier
+    if hook is not None:
+        hook(proc.rank)
 
 
 def broadcast(proc: "Proc", value: Any = None, root: int = 0,
@@ -68,7 +69,7 @@ def broadcast(proc: "Proc", value: Any = None, root: int = 0,
     key = ("bcast", epoch)
     if vrank != 0:
         wait = None
-        if proc.sanitizer is not None:
+        if proc.am.watching:
             # The binomial-tree parent: clear the top set bit of vrank.
             parent_v = vrank - (1 << (vrank.bit_length() - 1))
             parent = (parent_v + root) % n
@@ -113,7 +114,7 @@ def reduce(proc: "Proc", value: Any,  # noqa: F821
         peer = vrank + bit
         if peer < n:
             key = ("reduce", epoch, k)
-            wait = None if proc.sanitizer is None else \
+            wait = None if not proc.am.watching else \
                 ("collective", ((peer + root) % n,),
                  f"reduce epoch {epoch} round {k}")
             yield from proc.am.wait_until(

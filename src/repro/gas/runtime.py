@@ -41,21 +41,21 @@ class Proc:
                  am: AmLayer, stats: Optional[ClusterStats] = None,
                  seed: int = 0,
                  livelock_limit: int = DEFAULT_LIVELOCK_LIMIT,
-                 sanitizer: Optional["Sanitizer"] = None,  # noqa: F821
                  coll_tuner: Optional[Any] = None) -> None:
         self.sim = sim
         self.rank = rank
         self.n_ranks = n_ranks
         self.node = node
         self.am = am
+        self.probes = am.probes
+        #: The run's result record; hooks reach it through ``probes``.
         self.stats = stats
         self.livelock_limit = livelock_limit
-        self.sanitizer = sanitizer
         #: The cluster's collective tuning policy (``None`` -> the fixed
         #: legacy schedules); consulted by ``repro.coll.api`` dispatch.
         self.coll_tuner = coll_tuner
         #: Owner rank -> count of unacknowledged writes toward it; kept
-        #: only under the sanitizer, for sync() wait-for annotations.
+        #: only while ``am.watching``, for sync() wait-for annotations.
         self._pending_write_dsts: Dict[int, int] = {}
         #: Deterministic per-rank random stream for application use.
         self.rng = random.Random(seed * 1_000_003 + rank)
@@ -134,8 +134,9 @@ class Proc:
     def read(self, array: GlobalArray, index: int) -> Generator:
         """Blocking read of a global element (Split-C ``x := g[i]``)."""
         owner, local_index = array.owner_of(index)
-        if self.sanitizer is not None:
-            self.sanitizer.on_access(self.rank, array, index, "read")
+        hook = self.probes.access
+        if hook is not None:
+            hook(self.rank, array, index, "read")
         if owner == self.rank:
             yield from self.compute(self.cost.ops(1))
             return self._arrays[array.array_id][local_index]
@@ -152,8 +153,9 @@ class Proc:
         if mode not in ("put", "add", "min"):
             raise ValueError(f"unknown write mode {mode!r}")
         owner, local_index = array.owner_of(index)
-        if self.sanitizer is not None:
-            self.sanitizer.on_access(self.rank, array, index, mode)
+        hook = self.probes.access
+        if hook is not None:
+            hook(self.rank, array, index, mode)
         if owner == self.rank:
             _apply_write(self._arrays[array.array_id], local_index,
                          value, mode)
@@ -171,11 +173,11 @@ class Proc:
     def _ack_tracker(self, owner: int):
         """The on-reply callback for a split-phase write toward ``owner``.
 
-        Flag off this is the shared :meth:`_write_acked` bound method
-        (no allocation); under the sanitizer a closure also maintains
+        Unwatched this is the shared :meth:`_write_acked` bound method
+        (no allocation); while ``am.watching`` a closure also maintains
         the per-destination count that sync() annotations report.
         """
-        if self.sanitizer is None:
+        if not self.am.watching:
             return self._write_acked
         dsts = self._pending_write_dsts
         dsts[owner] = dsts.get(owner, 0) + 1
@@ -199,7 +201,7 @@ class Proc:
         """Wait for all outstanding writes to be acknowledged
         (Split-C's ``sync()``)."""
         wait = None
-        if self.sanitizer is not None and self._pending_writes:
+        if self.am.watching and self._pending_writes:
             wait = ("sync", tuple(sorted(self._pending_write_dsts)),
                     f"{self._pending_writes} unacknowledged write(s)")
         yield from self.am.wait_until(
@@ -209,9 +211,9 @@ class Proc:
                  count: int) -> Generator:
         """Blocking bulk read of a contiguous remote run."""
         owner, local_start = array.owner_of_range(start, count)
-        if self.sanitizer is not None:
-            self.sanitizer.on_range(self.rank, array, start, count,
-                                    "bulk_get")
+        hook = self.probes.range
+        if hook is not None:
+            hook(self.rank, array, start, count, "bulk_get")
         if owner == self.rank:
             storage = self._arrays[array.array_id]
             values = storage[local_start:local_start + count].copy()
@@ -229,9 +231,9 @@ class Proc:
         values = np.asarray(values)
         count = len(values)
         owner, local_start = array.owner_of_range(start, count)
-        if self.sanitizer is not None:
-            self.sanitizer.on_range(self.rank, array, start, count,
-                                    "bulk_put")
+        hook = self.probes.range
+        if hook is not None:
+            hook(self.rank, array, start, count, "bulk_put")
         if owner == self.rank:
             storage = self._arrays[array.array_id]
             storage[local_start:local_start + count] = values
@@ -335,8 +337,9 @@ class Proc:
     def note_failed_lock(self) -> None:
         """Record a denied lock attempt; abort the run past the limit."""
         self._failed_locks += 1
-        if self.stats is not None:
-            self.stats.on_failed_lock(self.rank)
+        hook = self.probes.failed_lock
+        if hook is not None:
+            hook(self.rank)
         if self._failed_locks > self.livelock_limit:
             raise LivelockError(
                 f"rank {self.rank} exceeded {self.livelock_limit} failed "

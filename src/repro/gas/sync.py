@@ -48,13 +48,15 @@ def acquire(proc: "Proc", lock: DistributedLock,  # noqa: F821
             granted = yield from proc.am.rpc(
                 lock.home_rank, "_gas_lock_try", lock.lock_id)
         if granted:
-            if proc.sanitizer is not None:
-                proc.sanitizer.on_lock_acquired(proc.rank, lock)
+            hook = proc.probes.lock_acquired
+            if hook is not None:
+                hook(proc.rank, lock)
             return
-        if proc.sanitizer is not None:
-            # Record the pursuit before the livelock budget can trip,
+        hook = proc.probes.lock_wait
+        if hook is not None:
+            # Report the pursuit before the livelock budget can trip,
             # so a lock-cycle diagnosis sees this rank's edge.
-            proc.sanitizer.on_lock_wait(proc.rank, lock)
+            hook(proc.rank, lock)
         proc.note_failed_lock()
         if retry_backoff_us > 0:
             yield from proc.compute(retry_backoff_us)
@@ -66,8 +68,9 @@ def acquire(proc: "Proc", lock: DistributedLock,  # noqa: F821
 
 def release(proc: "Proc", lock: DistributedLock) -> Generator:
     """Release a held lock (fire-and-forget to the home node)."""
-    if proc.sanitizer is not None:
-        proc.sanitizer.on_lock_released(proc.rank, lock)
+    hook = proc.probes.lock_released
+    if hook is not None:
+        hook(proc.rank, lock)
     if lock.home_rank == proc.rank:
         if not proc.lock_table.get(lock.lock_id, False):
             raise RuntimeError(

@@ -4,7 +4,9 @@ The paper instruments its communication layer to record baseline
 characteristics (Table 4) and communication balance (Figure 4).  This
 package provides the same:
 
-* :mod:`repro.instruments.stats` -- raw counters updated by the AM layer.
+* :mod:`repro.instruments.probes` -- the observation bus: the named
+  instants the layers fire, and the subscribers' resolution onto them.
+* :mod:`repro.instruments.stats` -- raw counters, a subscriber.
 * :mod:`repro.instruments.summary` -- Table 4's derived per-application
   metrics.
 * :mod:`repro.instruments.balance` -- Figure 4's per-pair message-count

@@ -1,4 +1,5 @@
-"""Raw communication counters, updated by the AM layer as messages move.
+"""Raw communication counters, updated through the run's hooks
+(:mod:`repro.instruments.probes`) as messages move.
 
 A *message* here is a logical Active Message -- a request, a reply
 (explicit or automatic ack), a one-way message, or a whole bulk transfer
@@ -79,8 +80,22 @@ class ClusterStats:
         #: serialized only when present, so legacy runs stay
         #: byte-identical on disk.
         self.serving = None
+        self._sim = None  # the run's clock, between begin and finish
 
     # -- measured-region control --------------------------------------------
+    def on_begin(self, sim, cluster, app_name: str) -> None:
+        self._sim = sim
+
+    def on_finish(self) -> None:
+        self._sim = None
+
+    def on_mark(self, rank: int, label: str) -> None:
+        """Rank 0 passed the timed region's ``start`` or ``stop``."""
+        if label == "start":
+            self.start_measurement(self._sim.now)
+        else:
+            self.stop_measurement(self._sim.now)
+
     def start_measurement(self, now: float) -> None:
         """Begin the timed region (called after the entry barrier)."""
         self.started_at = now
@@ -122,7 +137,7 @@ class ClusterStats:
         if packet.is_read:
             self._read_messages_sent[node_id] += 1
 
-    def on_host_recv(self, node_id: int, packet: Packet) -> None:
+    def on_recv(self, node_id: int, packet: Packet) -> None:
         """The host at ``node_id`` paid receive overhead for a message."""
         if not self.enabled:
             return

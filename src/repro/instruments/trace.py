@@ -76,26 +76,40 @@ class MessageTracer:
 
     def __init__(self) -> None:
         self._timelines: Dict[int, MessageTimeline] = {}
+        self._sim = None  # the run being traced, between begin and finish
 
-    # -- hook points -------------------------------------------------------
-    def record(self, stage: str, xfer_id: int, now: float,
-               src: int = -1, dst: int = -1, kind: str = "") -> None:
-        """Note that ``xfer_id`` reached ``stage`` at time ``now``."""
-        if stage not in _STAGES:
-            raise ValueError(f"unknown trace stage {stage!r}")
-        timeline = self._timelines.get(xfer_id)
+    # -- hooks -------------------------------------------------------------
+    def on_begin(self, sim, cluster, app_name: str) -> None:
+        self._sim = sim
+
+    def on_finish(self) -> None:
+        self._sim = None
+
+    def _reached(self, stage: str, packet) -> MessageTimeline:
+        timeline = self._timelines.get(packet.xfer_id)
         if timeline is None:
-            timeline = MessageTimeline(xfer_id=xfer_id)
-            self._timelines[xfer_id] = timeline
+            timeline = self._timelines[packet.xfer_id] = \
+                MessageTimeline(xfer_id=packet.xfer_id)
         # First observation of each stage wins (bulk transfers hit
         # 'injected' once per fragment; we keep the first).
-        timeline.times.setdefault(stage, now)
-        if src >= 0:
-            timeline.src = src
-        if dst >= 0:
-            timeline.dst = dst
-        if kind:
-            timeline.kind = kind
+        timeline.times.setdefault(stage, self._sim.now)
+        return timeline
+
+    def on_send(self, rank: int, packet) -> None:
+        timeline = self._reached("sent", packet)
+        # A reply shares its request's transfer id: the last sender wins.
+        timeline.src = packet.src
+        timeline.dst = packet.dst
+        timeline.kind = packet.kind.value
+
+    def on_inject(self, rank: int, packet) -> None:
+        self._reached("injected", packet)
+
+    def on_deliver(self, rank: int, packet) -> None:
+        self._reached("delivered", packet)
+
+    def on_handled(self, rank: int, packet) -> None:
+        self._reached("handled", packet)
 
     # -- queries -----------------------------------------------------------
     def __len__(self) -> int:

@@ -51,6 +51,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.am.tuning import TuningKnobs
+from repro.instruments.probes import Probes
 from repro.network.faults import FaultPlan, RetryExhausted
 from repro.network.loggp import LogGPParams
 from repro.network.packet import Packet, PacketKind
@@ -129,21 +130,21 @@ class Nic:
     return_credit:
         Callback invoked with the original request's ``xfer_id`` when a
         flow-control credit comes back (REPLY arrival or CREDIT packet).
-    stats:
-        Optional :class:`~repro.instruments.stats.ClusterStats` receiving
-        transmit-busy time and reliability counters.
     faults:
         The run's :class:`~repro.network.faults.FaultPlan`; the
         reliability protocol engages only when the plan can drop packets.
+    probes:
+        The run's :class:`~repro.instruments.probes.Probes`; the NIC
+        fires ``inject``, ``tx_busy``, ``deliver``, ``retransmit`` and
+        ``duplicate``.
     """
 
     def __init__(self, sim: Simulator, node_id: int, params: LogGPParams,
                  knobs: TuningKnobs, wire: "Wire",  # noqa: F821
                  deliver_to_host: Callable[[Packet], None],
                  return_credit: Callable[[int], None],
-                 tracer: Optional["MessageTracer"] = None,  # noqa: F821
-                 stats: Optional["ClusterStats"] = None,  # noqa: F821
-                 faults: Optional[FaultPlan] = None) -> None:
+                 faults: Optional[FaultPlan] = None,
+                 probes: Optional[Probes] = None) -> None:
         self.sim = sim
         self.node_id = node_id
         self.params = params
@@ -151,8 +152,13 @@ class Nic:
         self.wire = wire
         self._deliver_to_host = deliver_to_host
         self._return_credit = return_credit
-        self.tracer = tracer
-        self.stats = stats
+        if probes is None:
+            probes = Probes()
+        self._on_inject = probes.inject
+        self._on_tx_busy = probes.tx_busy
+        self._on_deliver = probes.deliver
+        self._on_retransmit = probes.retransmit
+        self._on_duplicate = probes.duplicate
         self.faults = faults
         self._reliable = faults is not None and faults.needs_reliability
         self._tx = _Context(sim, self._transmit)
@@ -171,12 +177,6 @@ class Nic:
             max(0.0, params.gap - self._short_pre) + knobs.delta_g
         self._reassembly: Dict[int, _Reassembly] = {}
         self._delay_queue_depth = 0
-        self.packets_injected = 0
-        self.bytes_injected = 0
-        #: Simulated µs this NIC's transmit context spent busy (DMA +
-        #: injection stalls); mirrored into ``ClusterStats`` so the
-        #: transmit-busy fraction of the measured region is reportable.
-        self.tx_busy_us = 0.0
         # -- reliability-protocol state (empty on the reliable fabric) --
         self._next_seq = 0
         self._pending_retx: Dict[Tuple[int, int], _RetxState] = {}
@@ -241,20 +241,19 @@ class Nic:
     def _inject_and_stall(self, event: Event) -> None:
         # The DMA's timeout or, with no DMA, the zero-delay deferral.
         packet, pre_time = event._value, event.delay
-        self.packets_injected += 1
-        self.bytes_injected += packet.size_bytes
-        if self.tracer is not None:
-            self.tracer.record("injected", packet.xfer_id, self.sim.now)
+        hook = self._on_inject
+        if hook is not None:
+            hook(self.node_id, packet)
         if self._reliable:
             self._inject(packet)
         else:
             self.wire.carry(packet)
         stall = self._post_injection_stall(packet, pre_time) \
             if packet.kind is PacketKind.BULK_FRAGMENT else self._short_stall
-        busy = pre_time + stall
-        self.tx_busy_us += busy
-        if self.stats is not None:
-            self.stats.on_tx_busy(self.node_id, busy)
+        hook = self._on_tx_busy
+        if hook is not None:
+            # DMA + injection stall: the transmit-busy fraction's numerator.
+            hook(self.node_id, pre_time + stall)
         if stall > 0:
             self.sim.timeout(stall).callbacks.append(self._tx.done)
         else:
@@ -296,8 +295,9 @@ class Nic:
                                  packet.seq, state.attempts)
         state.attempts += 1
         self.retransmissions += 1
-        if self.stats is not None:
-            self.stats.on_retransmit(self.node_id, packet)
+        hook = self._on_retransmit
+        if hook is not None:
+            hook(self.node_id, packet)
         if packet.kind is PacketKind.CREDIT:
             # CREDITs bypass the transmit context on first send; they do
             # on retransmit too.
@@ -341,8 +341,9 @@ class Nic:
                 seen = self._seen_seqs.setdefault(packet.src, set())
                 if packet.seq in seen:
                     self.duplicates_suppressed += 1
-                    if self.stats is not None:
-                        self.stats.on_duplicate(self.node_id, packet)
+                    hook = self._on_duplicate
+                    if hook is not None:
+                        hook(self.node_id, packet)
                     self._send_ack(packet)
                     return
                 seen.add(packet.seq)
@@ -386,8 +387,9 @@ class Nic:
             self._return_credit(packet.xfer_id)
         elif packet.one_way:  # a REQUEST nobody answers at host level
             self._send_nic_credit(packet)
-        if self.tracer is not None:
-            self._record_delivery(packet)
+        hook = self._on_deliver
+        if hook is not None:
+            hook(self.node_id, packet)
         self._deliver_to_host(packet)
 
     def _accept_fragment(self, packet: Packet) -> None:
@@ -417,7 +419,9 @@ class Nic:
             # A bulk reply completes a request: the window credit its
             # request took comes back here, as for a short REPLY.
             self._return_credit(final.xfer_id)
-        self._record_delivery(final)
+        hook = self._on_deliver
+        if hook is not None:
+            hook(self.node_id, final)
         self._deliver_to_host(final)
 
     def reassembly_teardown(self) -> int:
@@ -430,10 +434,6 @@ class Nic:
         leaked = len(self._reassembly)
         self._reassembly.clear()
         return leaked
-
-    def _record_delivery(self, packet: Packet) -> None:
-        if self.tracer is not None:
-            self.tracer.record("delivered", packet.xfer_id, self.sim.now)
 
     def _send_nic_credit(self, packet: Packet) -> None:
         """Firmware-level flow-control ack: straight back onto the wire,

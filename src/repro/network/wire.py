@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.instruments.probes import Probes
 from repro.network.packet import Packet
 
 __all__ = ["Wire"]
@@ -34,13 +35,15 @@ class Wire:
 
     def __init__(self, sim: "Simulator", latency: float,  # noqa: F821
                  injector: Optional["FaultInjector"] = None,  # noqa: F821
-                 stats: Optional["ClusterStats"] = None) -> None:  # noqa: F821
+                 probes: Optional[Probes] = None) -> None:
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
         self.sim = sim
         self.latency = latency
         self.injector = injector
-        self.stats = stats
+        if probes is None:
+            probes = Probes()
+        self._on_packet_dropped = probes.packet_dropped
         self._nics: Dict[int, "Nic"] = {}  # noqa: F821
         self._in_flight = 0
         self._max_in_flight = 0
@@ -65,8 +68,9 @@ class Wire:
                                                 self.latency)
             if delay is None:
                 self._packets_dropped += 1
-                if self.stats is not None:
-                    self.stats.on_packet_dropped(packet.src, packet)
+                hook = self._on_packet_dropped
+                if hook is not None:
+                    hook(packet.src, packet)
                 return
         self._in_flight += 1
         if self._in_flight > self._max_in_flight:

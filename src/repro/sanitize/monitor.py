@@ -1,7 +1,7 @@
 """The live simsan monitor wired into one :class:`Cluster` run.
 
-One :class:`Sanitizer` instance is shared by every rank's
-:class:`~repro.am.layer.AmLayer` and :class:`~repro.gas.runtime.Proc`.
+One :class:`Sanitizer` instance subscribes to the run's
+:class:`~repro.instruments.probes.Probes`, so every rank fires its hooks.
 It owns the vector clocks (advanced purely by host-level message
 traffic, see :mod:`repro.sanitize.clocks`), the shadow memory (race
 checks, see :mod:`repro.sanitize.shadow`), and the wait-state book
@@ -10,14 +10,14 @@ keeping the deadlock detector (:mod:`repro.sanitize.deadlock`) walks.
 Every hook is O(small) and adds *zero simulated cost*: a sanitized run
 produces bit-identical ``runtime_us``/``events_processed`` to the same
 run with the flag off.  The flag-off case never reaches this module at
-all -- call sites are gated on ``sanitizer is not None``.
+all -- with no sanitizer subscribed, its hooks resolve to ``None``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sanitize.clocks import ClockSet
 from repro.sanitize.reports import RaceReport, SanitizerReport, WaitEdge
@@ -38,10 +38,12 @@ def _internal_files() -> frozenset:
         import repro.gas.collectives
         import repro.gas.runtime
         import repro.gas.sync
+        import repro.instruments.probes
         import repro.sanitize.clocks
         import repro.sanitize.shadow
         modules = (repro.am.layer, repro.gas.collectives,
                    repro.gas.runtime, repro.gas.sync,
+                   repro.instruments.probes,  # a fan-out's frame
                    repro.sanitize.clocks, repro.sanitize.shadow)
         files = {__file__}
         for module in modules:
@@ -88,14 +90,16 @@ class Sanitizer:
         self._lock_holder: Dict[Tuple[int, int], int] = {}
 
     # -- message clock transport ------------------------------------------
-    def on_send(self, rank: int) -> Tuple[int, ...]:
-        """Snapshot ``rank``'s clock for an outgoing host-level packet."""
+    def on_send(self, rank: int, packet: "Packet") -> None:  # noqa: F821
+        """Piggyback ``rank``'s clock on an outgoing host-level packet
+        (a NIC retransmission reuses the Packet object)."""
         self.messages_clocked += 1
-        return self.clocks.tick(rank)
+        packet.clock = self.clocks.tick(rank)
 
-    def on_deliver(self, rank: int, snapshot: Sequence[int]) -> None:
+    def on_recv(self, rank: int, packet: "Packet") -> None:  # noqa: F821
         """Join a received packet's clock into the receiving rank."""
-        self.clocks.join(rank, snapshot)
+        if packet.clock is not None:
+            self.clocks.join(rank, packet.clock)
 
     # -- shared-memory accesses -------------------------------------------
     def on_access(self, rank: int, array: "GlobalArray",  # noqa: F821

@@ -10,6 +10,7 @@ from typing import List, Optional
 
 from repro.am.layer import AmLayer, DEFAULT_WINDOW, HandlerTable
 from repro.am.tuning import TuningKnobs
+from repro.instruments.probes import Probes
 from repro.network.loggp import LogGPParams
 from repro.network.wire import Wire
 from repro.sim import Simulator
@@ -30,16 +31,18 @@ class Fabric:
                  params: Optional[LogGPParams] = None,
                  knobs: Optional[TuningKnobs] = None,
                  window: int = DEFAULT_WINDOW,
-                 table: Optional[HandlerTable] = None) -> None:
+                 table: Optional[HandlerTable] = None,
+                 probes: Optional[Probes] = None) -> None:
         self.params = params or LogGPParams.berkeley_now()
         self.knobs = knobs or TuningKnobs()
         self.sim = Simulator()
-        self.wire = Wire(self.sim, self.params.latency)
+        self.wire = Wire(self.sim, self.params.latency, probes=probes)
         self.table = table or HandlerTable()
         self.ams: List[AmLayer] = []
         for node_id in range(n_nodes):
             am = AmLayer(self.sim, node_id, self.params, self.knobs,
-                         self.wire, self.table, window=window)
+                         self.wire, self.table, window=window,
+                         probes=probes)
             am.host = _BareHost(node_id)
             self.ams.append(am)
 

@@ -36,6 +36,7 @@ from repro.apps.base import Application
 from repro.cluster.machine import Cluster
 from repro.cost import DepRecorder
 from repro.instruments import MessageTracer
+from repro.instruments.probes import Probes
 from repro.network.faults import FaultError, FaultInjector, FaultPlan
 from repro.network.loggp import LogGPParams
 from repro.network.nic import Nic
@@ -87,16 +88,12 @@ class LegacyNic(Nic):
             pre_time = self._pre_injection_time(packet)
             if pre_time > 0:
                 yield self.sim.timeout(pre_time)
-            self.packets_injected += 1
-            self.bytes_injected += packet.size_bytes
-            if self.tracer is not None:
-                self.tracer.record("injected", packet.xfer_id,
-                                   self.sim.now)
+            if self._on_inject is not None:
+                self._on_inject(self.node_id, packet)
             self._inject(packet)
             stall = self._post_injection_stall(packet, pre_time)
-            self.tx_busy_us += pre_time + stall
-            if self.stats is not None:
-                self.stats.on_tx_busy(self.node_id, pre_time + stall)
+            if self._on_tx_busy is not None:
+                self._on_tx_busy(self.node_id, pre_time + stall)
             if stall > 0:
                 yield self.sim.timeout(stall)
 
@@ -200,6 +197,20 @@ PROGRAMS = st.lists(
     min_size=1, max_size=6)
 
 
+class _TxTotals:
+    """Per NIC: transmit-busy µs, packets and bytes injected."""
+
+    def __init__(self):
+        self.rows = [[0.0, 0, 0] for _ in range(N_NICS)]
+
+    def on_inject(self, rank, packet):
+        self.rows[rank][1] += 1
+        self.rows[rank][2] += packet.size_bytes
+
+    def on_tx_busy(self, rank, busy_us):
+        self.rows[rank][0] += busy_us
+
+
 def _run_bare(nic_class, program, knobs, regime):
     fabric, plan = regime
     params = LogGPParams.berkeley_now()
@@ -212,6 +223,7 @@ def _run_bare(nic_class, program, knobs, regime):
                     FaultInjector(plan, seed=5))
     origin = new_xfer_id()
     wire_log, host_log = [], []
+    injected = _TxTotals()
     recording = _recording(nic_class, wire_log, origin)
     nics = [recording(
         sim, node, params, knobs, wire,
@@ -219,7 +231,8 @@ def _run_bare(nic_class, program, knobs, regime):
             (sim.now, node, "deliver", p.payload)),
         lambda xfer, node=node: host_log.append(
             (sim.now, node, "credit", xfer - origin)),
-        faults=plan) for node in range(N_NICS)]
+        faults=plan, probes=Probes([injected]))
+        for node in range(N_NICS)]
     delays = _service_times(nics[0])
     labels = itertools.count()
 
@@ -250,7 +263,7 @@ def _run_bare(nic_class, program, knobs, regime):
         error = None
     except FaultError as exc:  # a link that dropped max_retries in a row
         error = type(exc).__name__
-    totals = [(nic.tx_busy_us, nic.packets_injected, nic.bytes_injected,
+    totals = [(*injected.rows[nic.node_id],
                nic.retransmissions, nic.duplicates_suppressed,
                nic.acks_sent, nic.tx_backlog, nic.delay_queue_depth)
               for nic in nics]

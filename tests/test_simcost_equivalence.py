@@ -103,27 +103,35 @@ class LegacyRecorder:
 
 class Tee(DepRecorder):
     """One run, both recorders: transfer ids come from a process-wide
-    counter, so two runs never record the same ones."""
+    counter, so two runs never record the same ones.  The old hooks
+    were handed the time and the charge by the AM layer; here they get
+    the clock's reading and the layer's expression for the charge."""
 
     def __init__(self):
         super().__init__()
         self.legacy = LegacyRecorder()
 
-    def on_send(self, rank, packet, now, charge):
-        self.legacy.on_send(rank, packet, now, charge)
-        super().on_send(rank, packet, now, charge)
+    def on_send(self, rank, packet):
+        machine = self._cluster
+        self.legacy.on_send(
+            rank, packet, self._sim.now,
+            machine.params.send_overhead + machine.knobs.delta_o)
+        super().on_send(rank, packet)
 
-    def on_recv(self, rank, packet, now, charge):
-        self.legacy.on_recv(rank, packet, now, charge)
-        super().on_recv(rank, packet, now, charge)
+    def on_recv(self, rank, packet):
+        machine = self._cluster
+        self.legacy.on_recv(
+            rank, packet, self._sim.now,
+            machine.params.recv_overhead + machine.knobs.delta_o)
+        super().on_recv(rank, packet)
 
     def on_blocked(self, rank, duration):
         self.legacy.on_blocked(rank, duration)
         super().on_blocked(rank, duration)
 
-    def on_mark(self, rank, label, now):
-        self.legacy.on_mark(rank, label, now)
-        super().on_mark(rank, label, now)
+    def on_mark(self, rank, label):
+        self.legacy.on_mark(rank, label, self._sim.now)
+        super().on_mark(rank, label)
 
 
 def reference_predict_runtime(graph, events, knobs=None):

@@ -1,7 +1,7 @@
 """Differential equivalence: ``ClusterStats``' list-backed per-message
 counters vs. the numpy scalar updates they replaced.
 
-Inside the measured region ``on_send`` / ``on_host_recv`` / ``on_tx_busy``
+Inside the measured region ``on_send`` / ``on_recv`` / ``on_tx_busy``
 count in plain Python lists and fold the totals into the public numpy
 arrays when those are read.  The all-numpy hooks live on here, as
 :class:`NumpyStats`, in the role ``LegacyNic`` plays for the NIC
@@ -54,7 +54,7 @@ class NumpyStats(ClusterStats):
         if packet.is_read:
             self.read_messages_sent[node_id] += 1
 
-    def on_host_recv(self, node_id, packet):
+    def on_recv(self, node_id, packet):
         if not self.enabled:
             return
         self.messages_received[node_id] += 1
@@ -125,8 +125,8 @@ def test_list_backed_counters_match_the_numpy_ones(measuring, program):
         elif op == "recv":
             packet = _packet((args[0] + 1) % N_NODES, N_NODES - 1, None,
                              False)
-            new.on_host_recv(args[0], packet)
-            old.on_host_recv(args[0], packet)
+            new.on_recv(args[0], packet)
+            old.on_recv(args[0], packet)
         elif op == "tx":
             new.on_tx_busy(*args)
             old.on_tx_busy(*args)

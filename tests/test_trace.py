@@ -109,9 +109,3 @@ def test_timeline_partial_stages():
     timeline.times["sent"] = 1.0
     timeline.times["handled"] = 11.0
     assert timeline.total_latency == 10.0
-
-
-def test_unknown_stage_rejected():
-    tracer = MessageTracer()
-    with pytest.raises(ValueError):
-        tracer.record("teleported", 1, 0.0)
