@@ -126,9 +126,10 @@ class AmLayer:
         self._wakeup_name = f"am-wakeup[{node_id}]"
         #: Cached per-message host costs.  ``params`` and ``knobs`` are
         #: frozen dataclasses, so these cannot drift; caching keeps two
-        #: attribute-chain walks off the per-message service path.
-        self._send_cost = params.send_overhead + knobs.delta_o
-        self._recv_cost = params.recv_overhead + knobs.delta_o
+        #: attribute-chain walks off the per-message service path.  As
+        #: floats, yielding one is a bare sleep on the engine's fast path.
+        self._send_cost = float(params.send_overhead + knobs.delta_o)
+        self._recv_cost = float(params.recv_overhead + knobs.delta_o)
         #: xfer_id -> callable(payload) run when the pairing reply (or
         #: reply-bulk completion) is processed by the host.
         self._on_reply: Dict[int, Callable[[Any], None]] = {}
@@ -226,10 +227,10 @@ class AmLayer:
         — one frame per message keeps the host-resume path shallow when
         a batch of same-tick arrivals is drained.  The simulated-time
         charges are identical to the unflattened code by construction:
-        one ``recv_cost`` timeout per message, one ``send_cost`` timeout
+        one ``recv_cost`` sleep per message, one ``send_cost`` sleep
         per (auto-)ack, in the same order.
         """
-        yield self.sim.timeout(self._recv_cost)
+        yield self._recv_cost
         hook = self._on_recv
         if hook is not None:
             hook(self.node_id, packet)
@@ -251,7 +252,7 @@ class AmLayer:
                     # so the sender's window credit returns and the
                     # sender pays its second `o` receiving the ack.
                     self._current_replied = True
-                    yield self.sim.timeout(self._send_cost)
+                    yield self._send_cost
                     ack = Packet(kind=PacketKind.REPLY, src=self.node_id,
                                  dst=packet.src, payload=None,
                                  size_bytes=SHORT_PACKET_BYTES,
@@ -374,7 +375,7 @@ class AmLayer:
         key = self._take_credit("send_request", dst)
         if key is None:
             key = yield from self._acquire_credit(dst)
-        yield self.sim.timeout(self._send_cost)
+        yield self._send_cost
         packet = Packet(kind=PacketKind.REQUEST, src=self.node_id, dst=dst,
                         handler=handler, payload=payload, size_bytes=size,
                         is_read=is_read)
@@ -409,7 +410,7 @@ class AmLayer:
         key = self._take_credit("send_oneway", dst)
         if key is None:
             key = yield from self._acquire_credit(dst)
-        yield self.sim.timeout(self._send_cost)
+        yield self._send_cost
         packet = Packet(kind=PacketKind.REQUEST, src=self.node_id, dst=dst,
                         handler=handler, payload=payload, size_bytes=size,
                         one_way=True)
@@ -463,7 +464,7 @@ class AmLayer:
         key = self._take_credit("bulk_store", dst)
         if key is None:
             key = yield from self._acquire_credit(dst)
-        yield self.sim.timeout(self._send_cost)
+        yield self._send_cost
         last = self._enqueue_fragments(dst, handler, payload, nbytes,
                                        one_way=False, is_reply=False)
         if on_complete is not None:
@@ -491,7 +492,7 @@ class AmLayer:
         key = self._take_credit("bulk_oneway", dst)
         if key is None:
             key = yield from self._acquire_credit(dst)
-        yield self.sim.timeout(self._send_cost)
+        yield self._send_cost
         last = self._enqueue_fragments(dst, handler, payload, nbytes,
                                        one_way=True, is_reply=False)
         self._credit_owner[last.xfer_id] = key
@@ -529,7 +530,7 @@ class AmLayer:
               handler: Optional[str] = None) -> Generator:
         """Send the short reply for the request being handled."""
         request = self._take_current_request("reply")
-        yield self.sim.timeout(self._send_cost)
+        yield self._send_cost
         packet = Packet(kind=PacketKind.REPLY, src=self.node_id,
                         dst=request.src, handler=handler, payload=payload,
                         size_bytes=size, is_read=request.is_read)
@@ -543,7 +544,7 @@ class AmLayer:
         request = self._take_current_request("reply_bulk")
         if nbytes <= 0:
             raise ValueError(f"bulk reply of {nbytes} bytes")
-        yield self.sim.timeout(self._send_cost)
+        yield self._send_cost
         last = self._enqueue_fragments(
             request.src, handler, (payload, nbytes), nbytes,
             one_way=False, is_reply=True, xfer_id=request.xfer_id,

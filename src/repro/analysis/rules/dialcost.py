@@ -3,8 +3,9 @@
 The whole methodology turns four dials — o, g, L, G — through
 :class:`~repro.am.tuning.TuningKnobs`, and both the sweep harness and
 the simcost predictor assume those are the *only* places simulated time
-is charged in the messaging layers.  A hard-coded ``timeout(3.0)`` or
-``succeed(..., delay=0.5)`` inside ``am/`` or ``network/`` is invisible
+is charged in the messaging layers.  A hard-coded ``yield 3.0``,
+``call_in(3.0, ...)``, ``timeout(3.0)`` or ``succeed(..., delay=0.5)``
+inside ``am/`` or ``network/`` is invisible
 to every one of them: sweeps can't turn it, the predictor's symbolic
 edge costs don't include it, and predicted-vs-simulated error quietly
 grows.  This rule flags any timeout/delay charge whose duration is a
@@ -66,7 +67,7 @@ class UntrackedDialCostRule(Rule):
     Scoped to ``am/`` and ``network/``: those layers own the o/g/L/G
     accounting, so any stall or delivery delay there must be a function
     of the machine parameters / TuningKnobs, never a literal.  A zero
-    constant is allowed (``timeout(0)`` is the idiomatic yield point).
+    constant is allowed (``yield 0.0`` is the idiomatic yield point).
     """
 
     rule_id = "untracked-dial-cost"
@@ -80,17 +81,25 @@ class UntrackedDialCostRule(Rule):
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(source.tree):
+            if isinstance(node, ast.Yield) and node.value is not None:
+                # A process that yields a number sleeps for it.
+                value = _constant_value(node.value)
+                if value is not None and value != 0.0:
+                    yield self.finding(
+                        source, node,
+                        f"yield {value:g} sleeps a hard-coded duration "
+                        "the dials cannot turn")
             if not isinstance(node, ast.Call):
                 continue
             callee = node.func
             name = callee.attr if isinstance(callee, ast.Attribute) \
                 else callee.id if isinstance(callee, ast.Name) else None
-            if name == "timeout" and node.args:
+            if name in ("timeout", "call_in") and node.args:
                 value = _constant_value(node.args[0])
                 if value is not None and value != 0.0:
                     yield self.finding(
                         source, node,
-                        f"timeout({value:g}) charges a hard-coded "
+                        f"{name}({value:g}) charges a hard-coded "
                         "duration the dials cannot turn")
             elif name == "succeed":
                 for keyword in node.keywords:

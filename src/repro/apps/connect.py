@@ -150,12 +150,13 @@ class Connect(Application):
     # -- results -----------------------------------------------------------------
     def finalize(self, procs: List[Proc]) -> Dict[int, int]:
         parent_meta = procs[0].state["connect"]["parent"]
+        # A list: the chase below reads one element at a time.
         gathered = np.concatenate(
-            [proc.local(parent_meta) for proc in procs])
+            [proc.local(parent_meta) for proc in procs]).tolist()
 
         def find(vertex: int) -> int:
             while gathered[vertex] != vertex:
-                vertex = int(gathered[vertex])
+                vertex = gathered[vertex]
             return vertex
 
         labels = {v: find(v) for v in range(self._n_vertices)}

@@ -69,7 +69,7 @@ def _burst_interval(params: LogGPParams, knobs: TuningKnobs,
         start = sim.now
         for i in range(burst):
             if delta > 0:
-                yield sim.timeout(delta)
+                yield delta
             # GAM polls on entry to the communication layer: pending
             # replies are received (and paid for) here.
             yield from sender.poll()
@@ -157,7 +157,7 @@ def round_trip_time(params: Optional[LogGPParams] = None,
     def ping_loop():
         total = 0.0
         for i in range(repeats):
-            yield sim.timeout(spacing_us)
+            yield spacing_us
             yield from sender.poll()
             start = sim.now
             yield from sender.rpc(1, "cal_echo", i)

@@ -61,7 +61,7 @@ class Disk:
                 duration += self.seek_us
             self.bytes_transferred += nbytes
             self.busy_us += duration
-            yield self.sim.timeout(duration)
+            yield duration
         finally:
             self._arm.release()
 

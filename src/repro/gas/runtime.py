@@ -9,6 +9,7 @@ executes as that node's host process.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from typing import Any, Dict, Generator, Iterable, List, Optional, Set
@@ -22,6 +23,7 @@ from repro.gas.memory import GlobalArray
 from repro.gas.sync import DistributedLock
 from repro.instruments.stats import ClusterStats
 from repro.sim import Simulator
+from repro.sim.events import bad_delay
 
 __all__ = ["Proc", "LivelockError", "register_gas_handlers"]
 
@@ -94,19 +96,20 @@ class Proc:
         a network poll between chunks, the way long Split-C compute loops
         service incoming requests.
         """
-        if us < 0:
-            raise ValueError(f"negative compute time: {us}")
+        us = float(us)  # an int or numpy cost sleeps on the engine's fast path
+        if not 0.0 <= us < math.inf:
+            raise bad_delay("timeout delay", us)
         self.node.compute_us += us
         if poll_every_us is None or poll_every_us >= us:
             if us > 0:
-                yield self.sim.timeout(us)
+                yield us
             return
         if poll_every_us <= 0:
             raise ValueError("poll_every_us must be > 0")
         remaining = us
         while remaining > 0:
             chunk = min(poll_every_us, remaining)
-            yield self.sim.timeout(chunk)
+            yield chunk
             remaining -= chunk
             yield from self.am.poll()
 

@@ -87,12 +87,12 @@ class SharedMediumFabric:
         try:
             hold = self.transmit_time(packet)
             self.medium_busy_us += hold
-            yield self.sim.timeout(hold)
+            yield hold
         finally:
             self._medium.release()
         # Store-and-forward: the receiver sees it after the fixed
         # forwarding/propagation time, off the medium.
-        yield self.sim.timeout(self.forward_us)
+        yield self.forward_us
         self._in_flight -= 1
         nic.receive_from_wire(packet)
 

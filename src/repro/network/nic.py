@@ -55,7 +55,7 @@ from repro.instruments.probes import Probes
 from repro.network.faults import FaultPlan, RetryExhausted
 from repro.network.loggp import LogGPParams
 from repro.network.packet import Packet, PacketKind
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 __all__ = ["Nic"]
 
@@ -86,16 +86,16 @@ class _RetxState:
 
 
 class _Context:
-    """One LANai hardware context as callbacks on the engine's timeout
-    fast path: a FIFO whose head packet reaches ``serve(event)`` (as
-    ``event.value``) one zero-delay event after the context is free --
+    """One LANai hardware context as bare heap entries
+    (``Simulator.call_in``): a FIFO whose head packet reaches
+    ``serve(packet)`` one zero-delay entry after the context is free --
     never synchronously: that deferral orders service behind everything
     already scheduled for the instant, the tie order every pinned
     ``runtime_us`` rests on (ARCHITECTURE section 13.1).  The owner calls
     :meth:`done` once the packet's service and stall are over."""
 
     def __init__(self, sim: Simulator,
-                 serve: Callable[[Event], None]) -> None:
+                 serve: Callable[[Packet], None]) -> None:
         self.sim = sim
         self.serve = serve
         self.pending: Deque[Packet] = deque()  # behind the one in service
@@ -106,12 +106,11 @@ class _Context:
             self.pending.append(packet)
         else:
             self.busy = True
-            self.sim.timeout(0.0, packet).callbacks.append(self.serve)
+            self.sim.call_in(0.0, self.serve, packet)
 
-    def done(self, _event: Optional[Event] = None) -> None:
+    def done(self, _arg: None = None) -> None:
         if self.pending:  # stays busy: submit()'s deferral, for the next
-            self.sim.timeout(0.0, self.pending.popleft()) \
-                .callbacks.append(self.serve)
+            self.sim.call_in(0.0, self.serve, self.pending.popleft())
         else:
             self.busy = False
 
@@ -227,20 +226,19 @@ class Nic:
             stall += packet.size_bytes * self.knobs.delta_G
         return stall
 
-    def _transmit(self, event: Event) -> None:
+    def _transmit(self, packet: Packet) -> None:
         """The LANai transmit loop: DMA, inject, stall for the gap."""
-        packet = event._value
         pre_time = self._pre_injection_time(packet) \
             if packet.kind is PacketKind.BULK_FRAGMENT else self._short_pre
         if pre_time > 0:
-            self.sim.timeout(pre_time, packet) \
-                .callbacks.append(self._inject_and_stall)
+            self.sim.call_in(pre_time, self._inject_and_stall, packet)
         else:
-            self._inject_and_stall(event)
+            self._inject_and_stall(packet)
 
-    def _inject_and_stall(self, event: Event) -> None:
-        # The DMA's timeout or, with no DMA, the zero-delay deferral.
-        packet, pre_time = event._value, event.delay
+    def _inject_and_stall(self, packet: Packet) -> None:
+        # What _transmit waited out (nothing, if it called us directly).
+        pre_time = self._pre_injection_time(packet) \
+            if packet.kind is PacketKind.BULK_FRAGMENT else self._short_pre
         hook = self._on_inject
         if hook is not None:
             hook(self.node_id, packet)
@@ -255,7 +253,7 @@ class Nic:
             # DMA + injection stall: the transmit-busy fraction's numerator.
             hook(self.node_id, pre_time + stall)
         if stall > 0:
-            self.sim.timeout(stall).callbacks.append(self._tx.done)
+            self.sim.call_in(stall, self._tx.done)
         else:
             self._tx.done()
 
@@ -281,12 +279,11 @@ class Nic:
         state.timer_id += 1
         delay = self.faults.retx_timeout_us * \
             (self.faults.retx_backoff ** state.attempts)
-        timer = self.sim.timeout(delay)
-        timer.callbacks.append(
-            lambda _e, p=packet, t=state.timer_id:
-            self._retx_timer_fired(p, t))
+        self.sim.call_in(delay, self._retx_timer_fired,
+                         (packet, state.timer_id))
 
-    def _retx_timer_fired(self, packet: Packet, timer_id: int) -> None:
+    def _retx_timer_fired(self, armed: Tuple[Packet, int]) -> None:
+        packet, timer_id = armed
         state = self._pending_retx.get((packet.dst, packet.seq))
         if state is None or state.timer_id != timer_id:
             return  # acked, or superseded by a later injection's timer
@@ -353,26 +350,24 @@ class Nic:
             return
         self._after_occupancy(packet)
 
-    def _occupy(self, event: Event) -> None:
+    def _occupy(self, packet: Packet) -> None:
         """Serial receive-context processing under dialed occupancy."""
-        self.sim.timeout(self.knobs.delta_occ, event._value) \
-            .callbacks.append(self._occupied)
+        self.sim.call_in(self.knobs.delta_occ, self._occupied, packet)
 
-    def _occupied(self, event: Event) -> None:
-        self._after_occupancy(event._value)
+    def _occupied(self, packet: Packet) -> None:
+        self._after_occupancy(packet)
         self._rx.done()
 
     def _after_occupancy(self, packet: Packet) -> None:
         if self.knobs.delta_L > 0:
             self._delay_queue_depth += 1
-            self.sim.timeout(self.knobs.delta_L, packet) \
-                .callbacks.append(self._mark_valid)
+            self.sim.call_in(self.knobs.delta_L, self._mark_valid, packet)
         else:
             self._accept(packet)
 
-    def _mark_valid(self, hold: Event) -> None:
+    def _mark_valid(self, packet: Packet) -> None:
         self._delay_queue_depth -= 1
-        self._accept(hold._value)
+        self._accept(packet)
 
     def _accept(self, packet: Packet) -> None:
         """Process a packet that is now valid in the receive queue."""

@@ -142,15 +142,15 @@ class SwitchedFabric:
     def _route(self, packet: Packet, nic: "Nic"):  # noqa: F821
         src_leaf = self.leaf_of(packet.src)
         dst_leaf = self.leaf_of(packet.dst)
-        yield self.sim.timeout(self.hop_latency)  # source leaf switch
+        yield self.hop_latency  # source leaf switch
         if src_leaf != dst_leaf:
             spine = self.spine_for(src_leaf, dst_leaf)
             yield from self._traverse_link(("up", src_leaf, spine),
                                            packet)
-            yield self.sim.timeout(self.hop_latency)  # spine switch
+            yield self.hop_latency  # spine switch
             yield from self._traverse_link(("down", dst_leaf, spine),
                                            packet)
-            yield self.sim.timeout(self.hop_latency)  # destination leaf
+            yield self.hop_latency  # destination leaf
         self._in_flight -= 1
         nic.receive_from_wire(packet)
 
@@ -160,7 +160,7 @@ class SwitchedFabric:
         request = link.request()
         yield request
         try:
-            yield self.sim.timeout(packet.size_bytes / self.link_mb_s)
+            yield packet.size_bytes / self.link_mb_s
         finally:
             link.release()
 

@@ -77,10 +77,9 @@ class Wire:
             self._max_in_flight = self._in_flight
         self._packets_carried += 1
         packet.injected_at = self.sim.now
-        self.sim.timeout(delay, packet).callbacks.append(self._deliver)
+        self.sim.call_in(delay, self._deliver, packet)
 
-    def _deliver(self, arrival: "Event") -> None:  # noqa: F821
-        packet = arrival._value  # processed, so it has one
+    def _deliver(self, packet: Packet) -> None:
         self._in_flight -= 1
         self._nics[packet.dst].receive_from_wire(packet)
 

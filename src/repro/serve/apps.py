@@ -84,7 +84,7 @@ def _serve_kv(am, packet) -> Generator:
     app.metrics.on_served(am.node_id, app.service_us)
     app.metrics.on_queue_sample(am.node_id, am.rx_pending)
     if app.service_us > 0:
-        yield am.sim.timeout(app.service_us)
+        yield app.service_us
     yield from am.reply(value)
 
 
@@ -95,7 +95,7 @@ def _serve_fanout(am, packet) -> Generator:
     app.metrics.on_served(am.node_id, app.service_us)
     app.metrics.on_queue_sample(am.node_id, am.rx_pending)
     if app.service_us > 0:
-        yield am.sim.timeout(app.service_us)
+        yield app.service_us
     yield from am.reply(value)
 
 
@@ -281,7 +281,7 @@ class ServingApp(Application):
         for request in self._trace:
             due = t0 + request.t_us
             if due > sim.now:
-                yield sim.timeout(due - sim.now)
+                yield due - sim.now
             backlog = self._injected - self._completed - self._dropped
             self._metrics.note_backlog(backlog)
             if backlog > self.max_backlog:
@@ -316,7 +316,7 @@ class ServingApp(Application):
     def _queue_sampler(self, sim) -> Generator:
         """Sample per-node queue depths on a fixed simulated cadence."""
         while not self._finished():
-            yield sim.timeout(self.sample_every_us)
+            yield self.sample_every_us
             for rank, am in enumerate(self._ams):
                 depth = len(self._pending[rank]) + am.rx_pending
                 self._metrics.on_queue_sample(rank, depth)
@@ -362,7 +362,7 @@ class ServingApp(Application):
             local_op(proc)
             self._metrics.on_served(proc.rank, self.service_us)
             if self.service_us > 0:
-                yield proc.sim.timeout(self.service_us)
+                yield self.service_us
             self._server_inflight[target] -= 1
             on_done()
             return

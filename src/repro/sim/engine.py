@@ -1,14 +1,19 @@
 """The discrete-event simulator core loop.
 
-The :class:`Simulator` owns the clock and the event heap.  Events are
-processed in strict ``(time, priority, sequence)`` order, making every run
-fully deterministic for a given seedable workload.
+The :class:`Simulator` owns the clock and the event heap.  A heap entry
+is ``(when, priority, seq, callback, arg)``, processed in strict
+``(time, priority, sequence)`` order, making every run fully
+deterministic for a given seedable workload.  An occurrence nobody waits
+on -- a NIC stall, a wire hop, a process's own sleep -- is just that
+tuple (:meth:`Simulator.call_in`); an :class:`Event` is the entry whose
+``callback`` is ``None``, and exists so that processes and conditions
+can wait on it.
 
 The event loop is the hot path of every experiment (a full LogGP sweep
 is ~10^7 events), so :meth:`Simulator.run` inlines the per-event work
 with the heap and bookkeeping hoisted into locals, and
-:meth:`Simulator.timeout` builds the (overwhelmingly common) Timeout
-event without going through the generic ``Event`` constructor.
+:meth:`Simulator.timeout` builds its Timeout without going through the
+generic ``Event`` constructor.
 
 There is exactly one scheduler.  :meth:`Simulator.step` is the
 readable reference for what processing one event means; the two loops
@@ -20,31 +25,13 @@ ARCHITECTURE.md section 13 records why there is no second tier).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import (_INF, NORMAL, AllOf, AnyOf, Event, Timeout,
+                              bad_delay)
 from repro.sim.process import Process
 
 __all__ = ["Simulator", "StalledError"]
-
-_INF = float("inf")
-
-
-def _reject_delay(kind: str, delay: float) -> None:
-    """Raise the ValueError for a delay outside ``[0, inf)``.
-
-    Callers only land here after ``0.0 <= delay < _INF`` failed, i.e.
-    the delay is negative, ``+inf``, or NaN.  NaN compares false against
-    everything, so the previous ``delay < 0`` checks silently admitted
-    NaN delays and corrupted the schedule order — non-finite values get
-    their own explicit message; finite negatives keep the legacy text.
-    """
-    if delay != delay or delay in (_INF, -_INF):
-        raise ValueError(
-            f"non-finite {kind}: {delay!r} (delays must be finite and >= 0)")
-    if kind == "timeout delay":
-        raise ValueError(f"negative timeout delay: {delay}")
-    raise ValueError(f"cannot schedule into the past: delay={delay}")
 
 
 class StalledError(TimeoutError):
@@ -57,9 +44,6 @@ class StalledError(TimeoutError):
     :class:`TimeoutError` so existing "did not complete" handling keeps
     working.
     """
-
-#: Default priority for scheduled events; lower runs first at equal times.
-NORMAL = 1
 
 
 class Simulator:
@@ -80,7 +64,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[Tuple[float, int, int, Optional[Callable], Any]] = []
         self._seq = 0
         self._event_count = 0
         self._stop_requested: Optional[Event] = None
@@ -104,13 +88,16 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` microseconds from now.
 
-        This is the dominant event type (every compute region, stall and
-        wire hop is a timeout), so the event is assembled directly —
-        pre-triggered and pre-scheduled — without the generic
-        ``Event.__init__``/``_schedule`` machinery.
+        The waitable delay: something to hand to :meth:`any_of`, to keep
+        and yield later, or to receive ``value`` from.  It is assembled
+        directly -- pre-triggered and pre-scheduled -- without the
+        generic ``Event.__init__``/``_schedule`` machinery.  A process
+        that only sleeps yields the bare ``float`` instead, and a
+        callback nobody waits on goes through :meth:`call_in`; neither
+        builds an object.
         """
         if not 0.0 <= delay < _INF:
-            _reject_delay("timeout delay", delay)
+            raise bad_delay("timeout delay", delay)
         event = Timeout.__new__(Timeout)
         event.sim = self
         event.name = ""
@@ -121,8 +108,21 @@ class Simulator:
         event._defused = False
         event.delay = delay
         self._seq += 1
-        heappush(self._heap, (self._now + delay, NORMAL, self._seq, event))
+        heappush(self._heap,
+                 (self._now + delay, NORMAL, self._seq, None, event))
         return event
+
+    def call_in(self, delay: float, callback: Callable[[Any], None],
+                arg: Any = None) -> None:
+        """Run ``callback(arg)`` from the event loop ``delay``
+        microseconds from now: a heap entry and nothing else, ordered
+        among events and timeouts by the same ``(time, priority, seq)``
+        and validated exactly as :meth:`timeout` validates."""
+        if not 0.0 <= delay < _INF:
+            raise bad_delay("timeout delay", delay)
+        self._seq += 1
+        heappush(self._heap,
+                 (self._now + delay, NORMAL, self._seq, callback, arg))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
@@ -141,33 +141,27 @@ class Simulator:
                   priority: int = NORMAL) -> None:
         """Insert a triggered event into the heap (internal API)."""
         if not 0.0 <= delay < _INF:
-            _reject_delay("schedule delay", delay)
+            raise bad_delay("schedule delay", delay)
         if event._scheduled:
             raise RuntimeError(f"{event!r} is already scheduled")
         event._scheduled = True
         self._seq += 1
         heappush(self._heap, (self._now + delay, priority,
-                              self._seq, event))
-
-    def _reject(self, delay: float) -> None:
-        """Raise for a bad timeout delay (hook for ``Timeout.__init__``,
-        which cannot import this module's helpers — circular import)."""
-        _reject_delay("timeout delay", delay)
-
-    def _push(self, event: Event, delay: float) -> None:
-        """Insert a pre-validated, pre-triggered event (the ``Timeout``
-        constructor's path)."""
-        self._seq += 1
-        heappush(self._heap, (self._now + delay, NORMAL, self._seq, event))
+                              self._seq, None, event))
 
     # -- execution --------------------------------------------------------
     def step(self) -> None:
-        """Process exactly one event from the heap."""
+        """Process exactly one heap entry."""
         if not self._heap:
             raise RuntimeError("no events to process")
-        when, _priority, _seq, event = heappop(self._heap)
+        when, _priority, _seq, callback, event = heappop(self._heap)
         self._now = when
         self._event_count += 1
+        if callback is not None:
+            # Nobody waits on it: nothing to mark processed, nothing
+            # that can have failed, nothing run() can be stopped by.
+            callback(event)
+            return
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
         for callback in callbacks:
@@ -213,9 +207,12 @@ class Simulator:
         try:
             if until is None:
                 while heap:
-                    when, _priority, _seq, event = pop(heap)
+                    when, _priority, _seq, callback, event = pop(heap)
                     self._now = when
                     count += 1
+                    if callback is not None:
+                        callback(event)
+                        continue
                     callbacks = event.callbacks
                     event.callbacks = None  # mark processed
                     if len(callbacks) == 1:
@@ -236,9 +233,12 @@ class Simulator:
                     if heap[0][0] > until:
                         self._now = until
                         break
-                    when, _priority, _seq, event = pop(heap)
+                    when, _priority, _seq, callback, event = pop(heap)
                     self._now = when
                     count += 1
+                    if callback is not None:
+                        callback(event)
+                        continue
                     callbacks = event.callbacks
                     event.callbacks = None  # mark processed
                     if len(callbacks) == 1:

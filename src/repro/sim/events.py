@@ -12,9 +12,31 @@ from typing import Any, Callable, List, Optional
 
 __all__ = ["Event", "Timeout", "AnyOf", "AllOf", "EventError"]
 
+#: Default priority of a heap entry; lower runs first at equal times.
+NORMAL = 1
+
+_INF = float("inf")
+
 
 class EventError(RuntimeError):
     """Raised on misuse of an event (double trigger, reading too early)."""
+
+
+def bad_delay(kind: str, delay: float) -> ValueError:
+    """The ValueError for a delay outside ``[0, inf)``.
+
+    Callers only land here after ``0.0 <= delay < _INF`` failed, i.e.
+    the delay is negative, ``+inf``, or NaN.  NaN compares false against
+    everything, so a bare ``delay < 0`` check would silently admit NaN
+    and corrupt the schedule order -- non-finite values get their own
+    explicit message; finite negatives keep the legacy text.
+    """
+    if delay != delay or delay in (_INF, -_INF):
+        return ValueError(
+            f"non-finite {kind}: {delay!r} (delays must be finite and >= 0)")
+    if kind == "timeout delay":
+        return ValueError(f"negative timeout delay: {delay}")
+    return ValueError(f"cannot schedule into the past: delay={delay}")
 
 
 _PENDING = object()
@@ -103,11 +125,9 @@ class Event:
         next simulator step (never synchronously), preserving determinism.
         """
         if self.callbacks is None:
-            # Already processed: deliver via a zero-delay bridge event so the
+            # Already processed: deliver via a zero-delay heap entry so the
             # callback still runs from the event loop, never synchronously.
-            bridge = Event(self.sim, name=f"late:{self.name}")
-            bridge.callbacks.append(lambda _e: callback(self))
-            bridge.succeed(None)
+            self.sim.call_in(0.0, callback, self)
         else:
             self.callbacks.append(callback)
 
@@ -121,29 +141,15 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated microseconds after creation.
 
-    Timeouts are by far the most common event (every compute region,
-    stall and wire hop is one), so construction stays lean: the label is
-    derived in ``__repr__`` instead of eagerly formatted, and the
-    already-validated event is pushed straight onto the heap rather than
-    through the generic ``_schedule`` checks.  ``Simulator.timeout`` is
-    a still-faster path that bypasses this constructor entirely; the two
-    must stay behaviourally identical.
+    Built only by :meth:`Simulator.timeout`, which assembles it
+    pre-triggered and pushes it in one step; the label is derived in
+    ``__repr__`` instead of eagerly formatted.
     """
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float,  # noqa: F821
-                 value: Any = None, name: str = "") -> None:
-        if not 0.0 <= delay < float("inf"):
-            # Mirrors Simulator.timeout: NaN compares false against
-            # everything, so a bare ``delay < 0`` let NaN through.
-            sim._reject(delay)
-        super().__init__(sim, name=name)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        self._scheduled = True
-        sim._push(self, delay)
+    def __init__(self, *_args: Any, **_kwargs: Any) -> None:
+        raise TypeError("build a Timeout with Simulator.timeout(delay, value)")
 
     def __repr__(self) -> str:
         label = self.name or f"timeout({self.delay})"

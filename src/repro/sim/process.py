@@ -3,15 +3,20 @@
 A :class:`Process` wraps a Python generator.  The generator yields
 :class:`~repro.sim.events.Event` objects (or other processes, which are
 events themselves) to suspend; it resumes with the event's value via
-``send`` or, on event failure, has the exception thrown into it.  The
-process is itself an event that triggers when the generator returns.
+``send`` or, on event failure, has the exception thrown into it.  A
+generator that yields a plain number sleeps for that many microseconds
+and resumes with ``None``: its wake-up is a bare heap entry, no event is
+built.  The process is itself an event that triggers when the generator
+returns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from heapq import heappush
+from numbers import Real
+from typing import Any, Generator, Optional, Union
 
-from repro.sim.events import Event
+from repro.sim.events import _INF, NORMAL, Event, bad_delay
 
 __all__ = ["Process", "Interrupt"]
 
@@ -41,13 +46,11 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(
             generator, "__name__", "process"))
         self._generator = generator
-        # Kick off on the next simulator step at the current time.  The
-        # kickoff event doubles as the initial _waiting_on target so stray
-        # wakeups can never resume the process.
-        kickoff = Event(sim, name=f"init:{self.name}")
-        self._waiting_on: Optional[Event] = kickoff
-        kickoff.callbacks.append(self._resume)
-        kickoff.succeed(None)
+        #: The event suspended on or, during a bare sleep, the sequence
+        #: number of its wake-up: the one entry allowed to resume us.
+        self._waiting_on: Union[Event, int, None] = None
+        # Kick off on the next simulator step at the current time.
+        self._sleep(0.0)
 
     @property
     def is_alive(self) -> bool:
@@ -56,12 +59,14 @@ class Process(Event):
 
     @property
     def waiting_on(self) -> Optional[Event]:
-        """The event this process is currently suspended on, if any.
+        """The event this process is currently suspended on, if any
+        (``None`` while it sleeps: a sleep always ends).
 
         Diagnostic surface for simsan's stall reports: a live process
         with a never-triggering target here is a blocked rank.
         """
-        return self._waiting_on
+        target = self._waiting_on
+        return target if isinstance(target, Event) else None
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -74,21 +79,23 @@ class Process(Event):
             raise RuntimeError(f"cannot interrupt finished {self!r}")
         # Detach from the current wait so its wakeup is discarded.
         self._waiting_on = None
-        bridge = Event(self.sim, name=f"interrupt:{self.name}")
-        bridge.callbacks.append(lambda _e: self._throw(Interrupt(cause)))
-        bridge.succeed(None)
+        self.sim.call_in(0.0, self._throw, Interrupt(cause))
 
     # -- stepping ---------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        # Hot path: runs once per process wakeup.  A processed event
-        # always has ``_ok`` decided, so read the slot directly rather
-        # than the raising ``ok`` property.
+    def _resume(self, event: Union[Event, int]) -> None:
+        # Hot path: runs once per process wakeup, with the event waited
+        # on or, out of a bare sleep, the wake-up's own sequence number
+        # (the very object ``_waiting_on`` holds, hence ``is``).  A
+        # processed event always has ``_ok`` decided, so read the slot
+        # directly rather than the raising ``ok`` property.
         if event is not self._waiting_on:
-            # Stale wakeup from an event abandoned by an interrupt.
+            # Stale wakeup from a wait abandoned by an interrupt.
             return
         self._waiting_on = None
         try:
-            if event._ok:
+            if event.__class__ is int:
+                target = self._generator.send(None)
+            elif event._ok:
                 target = self._generator.send(event._value)
             else:
                 event._defused = True
@@ -101,7 +108,14 @@ class Process(Event):
             # become a process failure, never a lost exception.
             self.fail(exc)
             return
-        # _wait_on's common case, inline: a pending event of this simulator.
+        # _wait_on's two common cases, inline: a sleep, and a pending
+        # event of this simulator.
+        if target.__class__ is float and 0.0 <= target < _INF:
+            sim = self.sim
+            sim._seq = self._waiting_on = seq = sim._seq + 1
+            heappush(sim._heap,
+                     (sim._now + target, NORMAL, seq, self._resume, seq))
+            return
         if isinstance(target, Event) and target.sim is self.sim:
             callbacks = target.callbacks
             if callbacks is not None:
@@ -109,6 +123,12 @@ class Process(Event):
                 callbacks.append(self._resume)
                 return
         self._wait_on(target)
+
+    def _sleep(self, delay: float) -> None:
+        sim = self.sim
+        sim._seq = self._waiting_on = seq = sim._seq + 1
+        heappush(sim._heap,
+                 (sim._now + delay, NORMAL, seq, self._resume, seq))
 
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
@@ -126,6 +146,13 @@ class Process(Event):
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
+        if isinstance(target, Real) and target.__class__ is not bool:
+            delay = float(target)
+            if 0.0 <= delay < _INF:
+                self._sleep(delay)
+            else:
+                self._throw(bad_delay("timeout delay", delay))
+            return
         if not isinstance(target, Event):
             exc = TypeError(
                 f"process {self.name!r} yielded non-event {target!r}")
@@ -136,9 +163,4 @@ class Process(Event):
                 "yielded event belongs to a different simulator"))
             return
         self._waiting_on = target
-        callbacks = target.callbacks
-        if callbacks is None:
-            # Already processed: add_callback bridges via a fresh event.
-            target.add_callback(self._resume)
-        else:
-            callbacks.append(self._resume)
+        target.add_callback(self._resume)  # bridged if already processed

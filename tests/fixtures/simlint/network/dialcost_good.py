@@ -11,3 +11,11 @@ def tx(self, packet):
 def deliver(self, event):
     event.succeed(None, delay=self.knobs.delta_L)
     event.succeed(None, delay=0)
+
+
+def stall(self, packet):
+    yield self.params.gap + self.knobs.delta_g
+    yield 0.0  # zero: the idiomatic yield point
+    yield  # no value: not a sleep
+    self.sim.call_in(0.0, self.done, packet)
+    self.sim.call_in(self.knobs.delta_L, self.done, packet)

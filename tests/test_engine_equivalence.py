@@ -7,23 +7,29 @@ be *faster* than stepping — never different.  These tests enforce that
 two ways:
 
 * randomized differential fuzzing: the same scripted workload (mixed
-  timeouts, zero-delay bursts, AnyOf/AllOf composites, spawned
-  sub-processes, manually succeeded/failed events) is driven once
-  through ``run()`` and once by ``step()`` alone, and must produce the
-  identical resume trace, final ``now``, ``events_processed``, and —
-  when the workload fails — the identical exception at the identical
-  time;
+  timeouts, bare sleeps, ``call_in`` callbacks, zero-delay bursts,
+  AnyOf/AllOf composites, spawned sub-processes, manually
+  succeeded/failed events) is driven once through ``run()`` and once by
+  ``step()`` alone, and must produce the identical resume-and-callback
+  trace, final ``now``, ``events_processed``, and — when the workload
+  fails — the identical exception at the identical time;
+* the same workload with every bare heap entry (a yielded number, a
+  ``call_in``) spelled as the ``Timeout`` it replaced: the two kinds of
+  entry take their sequence numbers at the same program points, so the
+  traces must be identical too;
 * targeted corners the fuzzer would only hit by luck: the post-drain
   clock bump followed by zero-delay scheduling, far-future events among
-  dense ticks, non-finite delay rejection, and back-to-back timeouts.
+  dense ticks, non-finite delay rejection, back-to-back timeouts, and
+  what a process may do out of a bare sleep (end, raise, wait on an
+  event, be interrupted).
 """
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.events import Timeout
+from repro.sim import Interrupt, Simulator
 
 #: Quantized delays with deliberate repeats: ties at equal times are the
 #: scheduler's hardest ordering case, so make them common.
@@ -38,14 +44,14 @@ N_MANUAL = 6
 
 def _make_script(rng, depth=0):
     """A deterministic per-process op list (same for both drivers)."""
-    ops = ["timeout", "burst", "any_of", "all_of"]
+    ops = ["timeout", "sleep", "call_in", "burst", "any_of", "all_of"]
     if depth == 0:
         ops += ["spawn", "manual"]
     script = []
     for _ in range(rng.randrange(3, 9)):
         kind = rng.choice(ops)
-        if kind == "timeout":
-            script.append(("timeout", rng.choice(DELAYS)))
+        if kind in ("timeout", "sleep", "call_in"):
+            script.append((kind, rng.choice(DELAYS)))
         elif kind == "burst":
             script.append(("burst",
                            [rng.choice(DELAYS)
@@ -61,12 +67,27 @@ def _make_script(rng, depth=0):
     return script
 
 
-def _build_workload(sim, seed, may_fail):
+def _build_workload(sim, seed, may_fail, bare=True):
     """Instantiate one seeded workload on ``sim``; returns the trace
-    list (appended to during the run) and the process list."""
+    list (appended to during the run) and the process list.  With
+    ``bare=False`` every sleep and ``call_in`` is spelled with the
+    ``Timeout`` it stands for."""
     rng = random.Random(seed)
     trace = []
     manual = [sim.event(name=f"manual:{i}") for i in range(N_MANUAL)]
+
+    def sleep(delay):
+        return delay if bare else sim.timeout(delay)
+
+    def call_in(delay, tag):
+        def fired(seen):
+            trace.append((sim.now, "callback", seen))
+
+        if bare:
+            sim.call_in(delay, fired, tag)
+        else:
+            sim.timeout(delay, tag).callbacks.append(
+                lambda event: fired(event.value))
 
     def body(pid, script):
         for op_i, op in enumerate(script):
@@ -74,10 +95,17 @@ def _build_workload(sim, seed, may_fail):
             try:
                 if kind == "timeout":
                     got = yield sim.timeout(op[1], value=(pid, op_i))
+                elif kind == "sleep":
+                    got = yield sleep(op[1])
+                elif kind == "call_in":
+                    got = call_in(op[1], (pid, op_i))
                 elif kind == "burst":
+                    # Sleeps and timeouts alternate, so both kinds of
+                    # entry meet at equal instants and priorities.
                     got = None
-                    for delay in op[1]:
-                        got = yield sim.timeout(delay)
+                    for nth, delay in enumerate(op[1]):
+                        got = yield (sleep(delay) if nth % 2
+                                     else sim.timeout(delay))
                 elif kind == "any_of":
                     got = yield sim.any_of(
                         [sim.timeout(d, value=d) for d in op[1]])
@@ -111,7 +139,7 @@ def _build_workload(sim, seed, may_fail):
 
     def driver():
         for delay, idx, fail in plan:
-            yield sim.timeout(delay)
+            yield sleep(delay)
             if fail:
                 manual[idx].fail(RuntimeError(f"scripted failure {idx}"))
             else:
@@ -169,10 +197,10 @@ def _drive_reference(sim, procs, mode):
     return None
 
 
-def _run_workload(drive, seed, mode="run", may_fail=False):
+def _run_workload(drive, seed, mode="run", may_fail=False, bare=True):
     """One full seeded run; returns everything that must be identical."""
     sim = Simulator()
-    trace, procs = _build_workload(sim, seed, may_fail)
+    trace, procs = _build_workload(sim, seed, may_fail, bare)
     outcome = None
     error = None
     try:
@@ -203,6 +231,18 @@ def test_fuzz_failing_events_bit_identical(seed):
     if seed == FUZZ_SEEDS[-1]:
         assert any(_run_workload(_drive, s, may_fail=True)[4]
                    for s in FUZZ_SEEDS)
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+@pytest.mark.parametrize("mode", ["run", "until"])
+def test_bare_entries_order_as_the_timeouts_they_replace(seed, mode):
+    """A yielded number and a ``call_in`` are the heap entries of the
+    ``Timeout``s they stand for, minus the object: same instants, same
+    tie order, same ``events_processed``."""
+    spelled_out = _run_workload(_drive, seed, mode=mode, bare=False)
+    bare = _run_workload(_drive, seed, mode=mode)
+    assert bare == spelled_out
+    assert any(row[1] == "callback" for row in bare[0])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -272,13 +312,12 @@ BAD_DELAYS = (float("nan"), float("inf"), float("-inf"), -1.0, -1e-12)
 @pytest.mark.parametrize("bad", BAD_DELAYS)
 def test_bad_delays_rejected_identically(bad):
     """NaN/inf/negative delays raise ValueError on every entry point —
-    the fast ``sim.timeout`` path and the ``Timeout`` constructor with
-    the same message — without corrupting the simulator (it stays
-    runnable and empty)."""
+    ``sim.timeout`` and ``sim.call_in`` with the same message — without
+    corrupting the simulator (it stays runnable and empty)."""
     sim = Simulator()
     messages = []
     for make in (lambda: sim.timeout(bad),
-                 lambda: Timeout(sim, bad),
+                 lambda: sim.call_in(bad, print),
                  lambda: sim._schedule(sim.event(), delay=bad),
                  lambda: sim.event().succeed(None, delay=bad)):
         with pytest.raises(ValueError) as excinfo:
@@ -308,3 +347,141 @@ def test_timeout_recycling_does_not_leak_state():
     sim.run()
     assert got == [i if i % 3 else None for i in range(2000)]
     assert sim.now == 1000.0
+
+
+# ---------------------------------------------------------------------------
+# Bare sleeps: what a process may yield, and do next.
+# ---------------------------------------------------------------------------
+
+def test_zero_sleep_runs_behind_everything_already_scheduled():
+    """The section 13.1 tie order: a bare delay of 0.0 is one more entry
+    at this instant, behind those already there and ahead of later ones,
+    whichever kind each is."""
+    sim = Simulator()
+    order = []
+
+    def sleeper():
+        yield 0.0  # t=0: behind "first" and "early", which came before
+        order.append("slept")
+        sim.call_in(0.0, order.append, "late")
+
+    sim.call_in(0.0, order.append, "first")
+    sim.process(sleeper())  # its kick-off entry
+    sim.timeout(0.0).callbacks.append(lambda _e: order.append("early"))
+    sim.run()
+    assert order == ["first", "early", "slept", "late"]
+    assert (sim.now, sim.events_processed) == (0.0, 6)  # + the process ending
+
+
+@pytest.mark.parametrize("delay", [3, 3.0, np.float64(3), np.int32(3)])
+def test_any_real_number_is_a_sleep(delay):
+    sim = Simulator()
+
+    def body():
+        got = yield delay
+        return (got, sim.now)
+
+    proc = sim.process(body())
+    sim.run()
+    assert proc.value == (None, 3.0)
+    assert sim.events_processed == 3  # kick-off, wake-up, completion
+
+
+@pytest.mark.parametrize("bad", BAD_DELAYS)
+def test_bad_sleep_fails_the_process_as_timeout_would(bad):
+    """Same text as ``sim.timeout(bad)``, thrown at the ``yield``: the
+    process may catch it; uncaught, it is the process's failure."""
+    sim = Simulator()
+    with pytest.raises(ValueError) as expected:
+        sim.timeout(bad)
+
+    def body(catch):
+        try:
+            yield 1.0
+            yield bad
+        except ValueError as exc:
+            if not catch:
+                raise
+            yield 2.0
+            return str(exc)
+
+    caught = sim.process(body(True))
+    sim.run()
+    assert caught.value == str(expected.value)
+    assert sim.now == 3.0
+    sim.process(body(False))
+    with pytest.raises(ValueError) as raised:
+        sim.run()
+    assert str(raised.value) == str(expected.value)
+
+
+def test_interrupt_during_a_bare_sleep():
+    """The interrupt lands at once; the sleep's own wake-up still comes
+    off the heap, is counted, and resumes nothing."""
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield 10.0
+            log.append(("overslept", sim.now))
+        except Interrupt as stop:
+            log.append((stop.cause, sim.now))
+            yield 20.0  # ends at 22, straight through the orphan at 10
+            log.append(("rested", sim.now))
+
+    proc = sim.process(sleeper())
+
+    def waker():
+        yield 2.0
+        assert proc.waiting_on is None  # asleep: no event to report
+        proc.interrupt("up")
+
+    sim.process(waker())
+    sim.run(until=9.0)
+    assert log == [("up", 2.0)]
+    before = sim.events_processed
+    sim.run(until=11.0)  # only the orphaned wake-up is in this window
+    assert (log, sim.events_processed) == ([("up", 2.0)], before + 1)
+    sim.run()
+    assert log == [("up", 2.0), ("rested", 22.0)]
+
+
+@pytest.mark.parametrize("first", [1.0, "timeout"])
+def test_out_of_a_sleep_as_out_of_an_event(first):
+    """Ending, raising, and waiting on an event (pending or already
+    processed) behave the same whether the generator was last resumed
+    out of a bare sleep or out of an event."""
+    sim = Simulator()
+    gate, past = sim.event(), sim.timeout(0.5, "past")
+
+    def pause():
+        return sim.timeout(1.0) if first == "timeout" else first
+
+    def ends():
+        yield pause()
+        return "done"
+
+    def raises():
+        yield pause()
+        raise KeyError("mid-run")
+
+    def waits():
+        yield pause()
+        early = yield past  # processed at 0.5: bridged, never synchronous
+        got = yield gate
+        return (early, got, sim.now)
+
+    def opens():
+        yield 4.0
+        gate.succeed("open")
+
+    done, failed, waited = (sim.process(body())
+                            for body in (ends, raises, waits))
+    sim.process(opens())
+    failed._defused = True  # nobody waits on it; look at it afterwards
+    sim.run(until=2.0)
+    assert (done.value, waited.waiting_on) == ("done", gate)
+    assert isinstance(failed.value, KeyError) and not failed.ok
+    sim.run()
+    assert waited.value == ("past", "open", 4.0)

@@ -92,6 +92,27 @@ def test_negative_compute_rejected():
         run_app(body, n_nodes=1)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (float("nan"), "non-finite timeout delay: nan"),
+    (float("inf"), "non-finite timeout delay: inf"),
+    (-1, "negative timeout delay: -1.0")])
+def test_bad_compute_is_rejected_before_it_is_charged(bad, message):
+    """NaN is neither ``< 0`` nor ``> 0``: it used to charge no time and
+    turn ``node.compute_us`` into NaN for the rest of the run."""
+    charged = []
+
+    def body(proc):
+        yield from proc.compute(2)
+        try:
+            yield from proc.compute(bad)
+        finally:
+            charged.append((proc.node.compute_us, proc.sim.now))
+
+    with pytest.raises(ValueError, match=message):
+        run_app(body, n_nodes=1)
+    assert charged == [(2.0, 2.0)]
+
+
 def test_unsynced_writes_still_complete_via_runtime_drain():
     # An app that forgets proc.sync(): the runtime's teardown drains
     # outstanding writes, so the data still lands and the run ends.

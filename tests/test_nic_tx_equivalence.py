@@ -434,9 +434,9 @@ def test_radix_events_per_message_stays_fused():
     assert result.events_processed / result.stats.total_messages <= 6.0
 
 
-#: Calls per message allowed on Radix at P=8: 3 % above the 89.74 the
-#: cut in work per event left.
-CALLS_PER_MESSAGE_BUDGET = 92.4
+#: Calls per message allowed on Radix at P=8: 3 % above the 70.16
+#: measured once heap entries nobody waits on stopped being events.
+CALLS_PER_MESSAGE_BUDGET = 72.3
 
 
 def test_radix_calls_per_message_stays_within_budget():
@@ -445,7 +445,9 @@ def test_radix_calls_per_message_stays_within_budget():
     over the messages sent.  305,580 calls for 2,851 messages, 107.18
     per message, before run constants were resolved at construction,
     slots read for properties and the per-message counters kept in
-    lists; 255,838 calls, 89.74 per message, since.  No timing enters:
+    lists; 255,838 calls, 89.74 per message, after that; 200,029 calls,
+    70.16 per message, since NIC, wire and host charges are bare heap
+    entries (no ``Timeout``, no callback list).  No timing enters:
     the count is a function of the seed and repeats exactly, also across
     ``PYTHONHASHSEED`` values (CI runs this test under two and prints
     it).  The first run pays the lazy imports and goes unprofiled; the

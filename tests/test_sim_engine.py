@@ -169,12 +169,14 @@ def test_unhandled_process_exception_surfaces():
 def test_yielding_non_event_raises_typeerror_in_process():
     sim = Simulator()
 
-    def bad():
-        yield 42
+    def bad(target):
+        yield target
 
-    sim.process(bad())
-    with pytest.raises(TypeError):
-        sim.run()
+    # A number would be a sleep; a bool is not a number of microseconds.
+    for target in ("42", None, True):
+        sim.process(bad(target))
+        with pytest.raises(TypeError):
+            sim.run()
 
 
 def test_non_generator_process_rejected():

@@ -145,8 +145,9 @@ def test_module_mutable_state_only_fires_under_apps():
 
 def test_dialcost_bad_fixture_golden_findings():
     findings = findings_for("network/dialcost_bad.py")
-    assert lines_by_rule(findings, "untracked-dial-cost") == [5, 6, 11]
-    assert len(findings) == 3
+    assert lines_by_rule(findings, "untracked-dial-cost") == \
+        [5, 6, 11, 17, 18, 20]
+    assert len(findings) == 6
 
 
 def test_dialcost_good_fixture_is_clean():
@@ -163,7 +164,8 @@ def test_dialcost_only_fires_under_am_or_network():
         assert lines_by_rule(findings, "untracked-dial-cost") == []
     source = SourceFile("am/layer.py", text)
     findings = analyze_source(source, default_rules())
-    assert lines_by_rule(findings, "untracked-dial-cost") == [5, 6, 11]
+    assert lines_by_rule(findings, "untracked-dial-cost") == \
+        [5, 6, 11, 17, 18, 20]
 
 
 def test_dialcost_real_messaging_layers_are_clean():
