@@ -5,11 +5,14 @@ Runs the complete evaluation at the benchmark scale and writes a
 markdown report pairing each of the paper's headline numbers with this
 reproduction's measurements.
 
-The artifacts are independent, so they are computed upfront — fanned
-across ``--jobs`` worker processes — and rendered afterwards.  Completed
-sweep points are memoised in the on-disk run cache (``~/.cache/repro``
-unless ``REPRO_CACHE_DIR`` / ``--cache-dir`` says otherwise), so
-re-running the script only simulates configurations it has never seen.
+The tables and figures share runs (Table 3's baselines are every
+sweep's first point), so everything is planned first, the union of the
+plans' runs is drained once — each distinct run simulated once, across
+``--jobs`` worker processes — and the artifacts are rendered afterwards.
+Completed points are memoised in the on-disk run cache
+(``~/.cache/repro`` unless ``REPRO_CACHE_DIR`` / ``--cache-dir`` says
+otherwise), so re-running the script only simulates configurations it
+has never seen.
 
 Campaign mode (``--campaign NAME --store DB``) instead drives the
 sensitivity grid through the resumable campaign manager: points land in
@@ -35,51 +38,7 @@ import sys
 import time
 
 from repro.calibrate import calibrate_bulk_bandwidth
-from repro.harness import RunCache
-from repro.harness.parallel import run_experiments_parallel
-
-
-def _run_profiled(requests):
-    """Run experiments serially, cProfiling ``execute_point`` calls.
-
-    After each experiment completes, the top 25 cumulative-time entries
-    collected from its sweep points are dumped to stderr and the
-    profiler is reset, so each dump covers exactly one experiment.
-    Experiments that never reach ``execute_point`` (pure calibration
-    tables) produce no dump.
-    """
-    import cProfile
-    import pstats
-
-    from repro.harness import parallel
-
-    box = {"profiler": cProfile.Profile()}
-    original = parallel.execute_point
-
-    def profiled(task):
-        profiler = box["profiler"]
-        profiler.enable()
-        try:
-            return original(task)
-        finally:
-            profiler.disable()
-
-    parallel.execute_point = profiled
-    try:
-        results = []
-        for name, kwargs in requests:
-            results.append(
-                run_experiments_parallel([(name, kwargs)], jobs=1)[0])
-            if box["profiler"].getstats():
-                print(f"--- profile: {name} "
-                      "(execute_point, top 25 by cumulative time) ---",
-                      file=sys.stderr)
-                stats = pstats.Stats(box["profiler"], stream=sys.stderr)
-                stats.sort_stats("cumulative").print_stats(25)
-                box["profiler"] = cProfile.Profile()
-        return results
-    finally:
-        parallel.execute_point = original
+from repro.harness import RunCache, experiments, run_plans
 
 
 def fmt(value, digits=2):
@@ -269,7 +228,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=0.5)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the experiment fan-out "
+                        help="worker processes for the simulations "
                         "(default 1: serial)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk run cache")
@@ -286,9 +245,8 @@ def main(argv=None) -> int:
                         "against the simulated figures, and write "
                         "BENCH_simcost.json")
     parser.add_argument("--profile", action="store_true",
-                        help="cProfile execute_point and dump the top 25 "
-                        "cumulative entries per experiment to stderr "
-                        "(forces --jobs 1)")
+                        help="cProfile the drain and dump the top 25 "
+                        "cumulative entries to stderr (forces --jobs 1)")
     parser.add_argument("--campaign", default=None, metavar="NAME",
                         help="run the sensitivity grid as a resumable "
                         "campaign of this name and build the artifacts "
@@ -326,75 +284,66 @@ def main(argv=None) -> int:
 
     started = time.time()
 
-    # Every simulating experiment consults/extends the run cache; with
-    # an experiment-level pool active, the points inside one experiment
-    # stay serial (no jobs=) to avoid nested pools.
-    sweep_kwargs = {"names": selected, "cache": cache}
+    suite = {"scale": scale, "names": selected}
     overheads = SWEEP_GRIDS["overhead"]
     gaps = SWEEP_GRIDS["gap"]
-    latencies = SWEEP_GRIDS["latency"]
-    bandwidths = SWEEP_GRIDS["bulk_mb_s"]
-    drop_rates = SWEEP_GRIDS["drop_rate"]
-    requests = [
-        ("table1_baseline_params", {}),
-        ("figure3_signature", {"desired_gap": 14.0}),
-        ("table2_calibration", {"desired_o": (2.9, 12.9, 52.9, 102.9),
-                                "desired_g": (5.8, 15.0, 55.0, 105.0),
-                                "desired_L": (5.0, 15.0, 55.0, 105.0)}),
-        ("table3_baseline_runtimes", {"node_counts": (16, 32),
-                                      "scale": scale, **sweep_kwargs}),
-        ("table4_comm_summary", {"n_nodes": 32, "scale": scale,
-                                 **sweep_kwargs}),
-        ("figure4_balance", {"n_nodes": 32, "scale": scale,
-                             "cache": cache,
-                             "names": pick("Radix", "EM3D(write)",
-                                           "Sample", "NOW-sort")}),
-        ("figure5_overhead", {"n_nodes": 16, "scale": scale,
-                              "overheads": overheads, **sweep_kwargs}),
-        ("figure5_overhead", {"n_nodes": 32, "scale": scale,
-                              "overheads": overheads, **sweep_kwargs}),
-        ("table5_overhead_model", {"n_nodes": 32, "scale": scale,
-                                   "overheads": overheads, "cache": cache,
-                                   "names": pick("Radix", "EM3D(write)",
-                                                 "Sample", "NOW-sort",
-                                                 "Radb")}),
-        ("figure6_gap", {"n_nodes": 32, "scale": scale, "gaps": gaps,
-                         **sweep_kwargs}),
-        ("table6_gap_model", {"n_nodes": 32, "scale": scale, "gaps": gaps,
-                              "cache": cache,
-                              "names": pick("Radix", "EM3D(write)",
-                                            "Sample", "NOW-sort",
-                                            "Connect")}),
-        ("figure7_latency", {"n_nodes": 32, "scale": scale,
-                             "latencies": latencies, **sweep_kwargs}),
-        ("figure8_bulk", {"n_nodes": 32, "scale": scale,
-                          "bandwidths": bandwidths, **sweep_kwargs}),
-        ("figure9_faults", {"n_nodes": 32, "scale": scale,
-                            "drop_rates": drop_rates, **sweep_kwargs}),
-        ("table7_spike_decay", {"n_nodes": 32, "scale": scale,
-                                "duration_us": 500.0,
-                                "starts": (0.0, 500.0, 2000.0),
-                                "cache": cache,
-                                "names": pick("Radix", "EM3D(write)",
-                                              "Sample", "NOW-sort")}),
-        ("figure10_collectives", {"n_nodes": 32,
-                                  "primitives": ("broadcast", "allreduce"),
-                                  "parameter": "bulk_mb_s",
-                                  "values": (38.0, 15.0, 5.5, 1.0),
-                                  "size": 16384, "iterations": 2,
-                                  "cache": cache}),
-        ("table8_coll_tuner", {"n_nodes": 32,
-                               "sizes": (32, 1024, 16384, 65536),
-                               "iterations": 2, "cache": cache}),
-        ("figure11_serving", {"n_nodes": 32, "scale": scale,
-                              "cache": cache}),
+    t1 = experiments.table1_baseline_params()
+    sig = experiments.figure3_signature(desired_gap=14.0)
+    t2 = experiments.table2_calibration(desired_o=(2.9, 12.9, 52.9, 102.9),
+                                        desired_g=(5.8, 15.0, 55.0, 105.0),
+                                        desired_L=(5.0, 15.0, 55.0, 105.0))
+    plans = [
+        experiments.table3_baseline_runtimes.plan(node_counts=(16, 32),
+                                                  **suite),
+        experiments.table4_comm_summary.plan(n_nodes=32, **suite),
+        experiments.figure4_balance.plan(
+            n_nodes=32, scale=scale,
+            names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort")),
+        experiments.figure5_overhead.plan(n_nodes=16, overheads=overheads,
+                                          **suite),
+        experiments.figure5_overhead.plan(n_nodes=32, overheads=overheads,
+                                          **suite),
+        experiments.table5_overhead_model.plan(
+            n_nodes=32, scale=scale, overheads=overheads,
+            names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort",
+                       "Radb")),
+        experiments.figure6_gap.plan(n_nodes=32, gaps=gaps, **suite),
+        experiments.table6_gap_model.plan(
+            n_nodes=32, scale=scale, gaps=gaps,
+            names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort",
+                       "Connect")),
+        experiments.figure7_latency.plan(
+            n_nodes=32, latencies=SWEEP_GRIDS["latency"], **suite),
+        experiments.figure8_bulk.plan(
+            n_nodes=32, bandwidths=SWEEP_GRIDS["bulk_mb_s"], **suite),
+        experiments.figure9_faults.plan(
+            n_nodes=32, drop_rates=SWEEP_GRIDS["drop_rate"], **suite),
+        experiments.table7_spike_decay.plan(
+            n_nodes=32, scale=scale, duration_us=500.0,
+            starts=(0.0, 500.0, 2000.0),
+            names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort")),
+        experiments.figure10_collectives.plan(
+            n_nodes=32, primitives=("broadcast", "allreduce"),
+            parameter="bulk_mb_s", values=(38.0, 15.0, 5.5, 1.0),
+            size=16384, iterations=2),
+        experiments.table8_coll_tuner.plan(
+            n_nodes=32, sizes=(32, 1024, 16384, 65536), iterations=2),
+        experiments.figure11_serving.plan(n_nodes=32, scale=scale),
     ]
     if args.profile:
-        results = _run_profiled(requests)
-    else:
-        results = run_experiments_parallel(requests, jobs=args.jobs)
-    (t1, sig, t2, t3, t4, fig4, fig5_16, fig5_32, t5, fig6, t6, fig7,
-     fig8, fig9, t7, fig10, t8, fig11) = results
+        import cProfile
+        import pstats
+        profiler = cProfile.Profile()
+        profiler.enable()
+    results = run_plans(plans, cache=cache, jobs=args.jobs)
+    if args.profile:
+        profiler.disable()
+        print("--- profile: the drain (top 25 by cumulative time) ---",
+              file=sys.stderr)
+        pstats.Stats(profiler, stream=sys.stderr) \
+            .sort_stats("cumulative").print_stats(25)
+    (t3, t4, fig4, fig5_16, fig5_32, t5, fig6, t6, fig7, fig8, fig9, t7,
+     fig10, t8, fig11) = results
 
     out = []
     w = out.append

@@ -32,7 +32,7 @@ from repro.network.loggp import LogGPParams
 
 __all__ = ["CollConfig", "FixedPolicy", "ModelPolicy", "MeasuredPolicy",
            "tuner_from_config", "build_decision_table",
-           "measure_algorithms", "CALIBRATION_SIZES"]
+           "CALIBRATION_SIZES"]
 
 #: Default declared-size grid (bytes) of the calibration sweep.
 CALIBRATION_SIZES = (32, 1024, 16384, 65536)
@@ -152,42 +152,6 @@ def tuner_from_config(config: Optional[CollConfig]):
     return MeasuredPolicy(config.table)
 
 
-def measure_algorithms(n_ranks: int, sizes: Sequence[int],
-                       primitives: Sequence[str],
-                       params: Optional[LogGPParams] = None,
-                       knobs: Optional[TuningKnobs] = None,
-                       seed: int = 0,
-                       cache: Optional["RunCache"] = None,  # noqa: F821
-                       **bench) -> Dict[Tuple[str, int], Dict[str, float]]:
-    """(primitive, size) -> {algorithm: measured runtime in µs}.
-
-    Each cell times every algorithm the dense uniform calibration
-    benchmark can drive: one :class:`~repro.coll.bench.CollectiveBench`
-    run (``bench`` holds its other knobs) per algorithm on a fresh
-    cluster, served from ``cache`` when available.  Small sizes
-    calibrate the short-packet regime, larger ones the bulk regime
-    (``bulk=True`` whenever the declared size exceeds one short packet).
-    """
-    from repro.cluster.machine import Cluster
-    from repro.coll.algorithms import eligible_algorithms
-    from repro.coll.bench import CollectiveBench
-    from repro.harness.parallel import PointTask, run_results
-
-    runs = [(primitive, size, algo)
-            for primitive in primitives for size in sizes
-            for algo in eligible_algorithms(primitive, elementwise=True,
-                                            dense=True, uniform=True)]
-    results = run_results(
-        [PointTask(CollectiveBench(primitive, algo=algo, size=size,
-                                   bulk=size > 64, **bench),
-                   Cluster(n_ranks, params=params, knobs=knobs, seed=seed))
-         for primitive, size, algo in runs], cache=cache)
-    measured: Dict[Tuple[str, int], Dict[str, float]] = {}
-    for (primitive, size, algo), result in zip(runs, results):
-        measured.setdefault((primitive, size), {})[algo] = result.runtime_us
-    return measured
-
-
 def build_decision_table(n_ranks: int,
                          sizes: Sequence[int] = CALIBRATION_SIZES,
                          primitives: Sequence[str] = PRIMITIVES,
@@ -198,12 +162,15 @@ def build_decision_table(n_ranks: int,
                          ) -> Tuple[Tuple[str, int, int, bool, str], ...]:
     """Measure every (primitive, size, algorithm) cell; keep winners.
 
-    The measurement is :func:`measure_algorithms` — a pure function of
-    its configuration, so a cached sweep is bit-stable.  Returns cells
-    sorted by (primitive, size): a deterministic table for a fixed seed.
+    The measurement is :func:`repro.harness.sweeps.measure_algorithms`
+    — a pure function of its configuration, so a cached sweep is
+    bit-stable.  Returns cells sorted by (primitive, size): a
+    deterministic table for a fixed seed.
     """
+    from repro.harness.sweeps import measure_algorithms
     measured = measure_algorithms(n_ranks, sizes, primitives, params,
-                                  knobs, seed, cache, iterations=iterations)
+                                  knobs, seed, cache=cache,
+                                  iterations=iterations)
     return tuple(sorted(
         (primitive, n_ranks, size, size > 64,
          min((runtime, algo) for algo, runtime in by_algo.items())[1])

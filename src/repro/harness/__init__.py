@@ -7,7 +7,9 @@
   slowdown curves (Figures 5-8).
 * :mod:`repro.harness.parallel` -- the one drain every study's runs go
   through (``PointTask`` / ``run_points``: cache probe, pool, per-point
-  persistence, crash policy), plus the fan-out of whole experiments.
+  persistence, crash policy), and what keeps planning apart from it: a
+  study is a ``Plan`` (tasks plus a pure build), ``run_plans`` drains
+  the union of any number of them once.
 * :mod:`repro.harness.runcache` -- content-addressed on-disk cache of
   completed runs, so regenerating artifacts skips known points.
 * :mod:`repro.harness.store` / :mod:`repro.harness.campaign` -- the
@@ -25,8 +27,7 @@ from repro.harness.sweeps import (SweepPoint, SweepResult, run_sweep,
                                   overhead_sweep, gap_sweep, latency_sweep,
                                   bulk_bandwidth_sweep, fault_sweep,
                                   spike_decay_sweep)
-from repro.harness.parallel import (PointTask, run_points,
-                                    run_experiments_parallel)
+from repro.harness.parallel import Plan, PointTask, run_plans, run_points
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
 from repro.harness.campaign import (CampaignSpec, CampaignReport,
@@ -44,7 +45,7 @@ from repro.harness.export import (write_matrix_csv, write_rows_csv,
 __all__ = ["suite_for", "REFERENCE_NODES", "SweepPoint", "SweepResult",
            "run_sweep", "overhead_sweep", "gap_sweep", "latency_sweep",
            "bulk_bandwidth_sweep", "fault_sweep", "spike_decay_sweep",
-           "PointTask", "run_points", "run_experiments_parallel",
+           "Plan", "PointTask", "run_plans", "run_points",
            "RunCache", "ResultStore", "CampaignSpec", "CampaignReport",
            "CampaignInterrupted", "run_campaign", "sweep_from_store",
            "figure_from_store",

@@ -7,9 +7,10 @@ Usage::
     python -m repro.harness --only table2 figure7
 
 Each artifact is printed and, with ``--out``, also written to
-``<out>/<artifact>.txt``.  Simulated points go through the on-disk run
-cache (``--cache-dir``, ``--no-cache``) and ``--jobs`` worker
-processes, in this mode and in campaign mode alike.
+``<out>/<artifact>.txt``.  Everything selected is planned first and its
+runs drained once — each distinct run simulated once — through the
+on-disk run cache (``--cache-dir``, ``--no-cache``) and ``--jobs``
+worker processes, as campaign mode's are.
 
 Campaign mode runs (or resumes) a :mod:`repro.harness.campaign` spec
 from a JSON file against a sqlite result store instead::
@@ -33,52 +34,55 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
-from repro.harness import (CampaignSpec, ResultStore, RunCache, experiments,
-                           overhead_gap_surface, render_campaign,
-                           run_campaign)
+from repro.harness import (CampaignSpec, Plan, ResultStore, RunCache,
+                           experiments, overhead_gap_surface,
+                           render_campaign, run_campaign, run_plans)
 from repro.harness.parallel import default_jobs
 
 
-def _suite(entry):
-    """An artifact whose entry point takes (n_nodes, scale, cache, jobs)."""
-    return lambda nodes, scale, run: entry(n_nodes=nodes, scale=scale, **run)
+def _sized(entry):
+    """The plan of an artifact whose study takes (n_nodes, scale)."""
+    return lambda nodes, scale: entry.plan(n_nodes=nodes, scale=scale)
 
 
-#: artifact name -> callable(n_nodes, scale, run) -> object with
-#: .render(); ``run`` is the ``{"cache": ..., "jobs": ...}`` pair every
-#: simulating entry point takes (``--cache-dir``/``--no-cache``/``--jobs``).
+def _unplanned(entry):
+    """The plan of an artifact that runs nothing through the drain (the
+    microbenchmarks): no tasks, computed when it is built."""
+    return lambda nodes, scale: Plan((), lambda _points: entry())
+
+
+#: artifact name -> callable(n_nodes, scale) -> the :class:`Plan` of an
+#: object with .render().
 ARTIFACTS = {
-    "table1": lambda nodes, scale, run: experiments.table1_baseline_params(),
-    "figure3": lambda nodes, scale, run: experiments.figure3_signature(),
-    "table2": lambda nodes, scale, run: experiments.table2_calibration(),
-    "table3": lambda nodes, scale, run:
-        experiments.table3_baseline_runtimes(
-            node_counts=(nodes // 2, nodes), scale=scale, **run),
-    "figure4": _suite(experiments.figure4_balance),
-    "table4": _suite(experiments.table4_comm_summary),
-    "figure5": _suite(experiments.figure5_overhead),
-    "table5": _suite(experiments.table5_overhead_model),
-    "figure6": _suite(experiments.figure6_gap),
-    "table6": _suite(experiments.table6_gap_model),
-    "figure7": _suite(experiments.figure7_latency),
-    "figure8": _suite(experiments.figure8_bulk),
-    "figure9": _suite(experiments.figure9_faults),
-    "table7": _suite(experiments.table7_spike_decay),
-    "figure10": lambda nodes, scale, run: experiments.figure10_collectives(
-        n_nodes=nodes, **run),
-    # Their extra keywords are workload knobs, so no ``jobs`` here.
-    "table8": lambda nodes, scale, run: experiments.table8_coll_tuner(
-        n_nodes=nodes, cache=run["cache"]),
-    "figure11": lambda nodes, scale, run: experiments.figure11_serving(
-        n_nodes=nodes, scale=scale, cache=run["cache"]),
-    "surface": lambda nodes, scale, run: overhead_gap_surface(
-        n_nodes=min(nodes, 16), scale=scale, **run),
+    "table1": _unplanned(experiments.table1_baseline_params),
+    "figure3": _unplanned(experiments.figure3_signature),
+    "table2": _unplanned(experiments.table2_calibration),
+    "table3": lambda nodes, scale:
+        experiments.table3_baseline_runtimes.plan(
+            node_counts=(nodes // 2, nodes), scale=scale),
+    "figure4": _sized(experiments.figure4_balance),
+    "table4": _sized(experiments.table4_comm_summary),
+    "figure5": _sized(experiments.figure5_overhead),
+    "table5": _sized(experiments.table5_overhead_model),
+    "figure6": _sized(experiments.figure6_gap),
+    "table6": _sized(experiments.table6_gap_model),
+    "figure7": _sized(experiments.figure7_latency),
+    "figure8": _sized(experiments.figure8_bulk),
+    "figure9": _sized(experiments.figure9_faults),
+    "table7": _sized(experiments.table7_spike_decay),
+    "figure10": lambda nodes, scale:
+        experiments.figure10_collectives.plan(n_nodes=nodes),
+    "table8": lambda nodes, scale:
+        experiments.table8_coll_tuner.plan(n_nodes=nodes),
+    "figure11": _sized(experiments.figure11_serving),
+    "surface": lambda nodes, scale: overhead_gap_surface.plan(
+        n_nodes=min(nodes, 16), scale=scale),
     # simcost: the overhead sweep predicted from one recorded run per
     # app instead of one simulation per (app, value) point.
-    "predict": lambda nodes, scale, run: experiments.predicted_sensitivity(
-        n_nodes=nodes, scale=scale, parameter="overhead"),
+    "predict": lambda nodes, scale: Plan(
+        (), lambda _points: experiments.predicted_sensitivity(
+            n_nodes=nodes, scale=scale, parameter="overhead")),
 }
 
 
@@ -177,12 +181,11 @@ def main(argv=None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
     run = _run_options(args)
 
-    for name in selected:
-        started = time.time()
-        artifact = ARTIFACTS[name](args.nodes, args.scale, run)
+    artifacts = run_plans([ARTIFACTS[name](args.nodes, args.scale)
+                           for name in selected], **run)
+    for name, artifact in zip(selected, artifacts):
         text = artifact.render()
-        elapsed = time.time() - started
-        print(f"\n{'=' * 72}\n{name}  (regenerated in {elapsed:.1f}s)\n")
+        print(f"\n{'=' * 72}\n{name}\n")
         print(text)
         if args.out is not None:
             (args.out / f"{name}.txt").write_text(text + "\n")

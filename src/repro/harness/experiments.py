@@ -5,11 +5,15 @@ result object with ``rows()`` / ``render()`` so the artifact can be
 regenerated as text (the benchmark suite calls these and asserts the
 qualitative shape).  Input scale and application subsets are
 parameters, so benchmarks can run quickly and users can crank fidelity.
+
+The simulating ones are :func:`~repro.harness.parallel.study` s: called,
+they take ``cache=`` / ``jobs=`` and run; ``.plan(...)`` is the same
+artifact not yet run, for drivers that drain many at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.calibrate.bulk import calibrate_bulk_bandwidth
@@ -19,14 +23,15 @@ from repro.calibrate.signature import (LogPSignature, logp_signature,
                                        measure_parameters)
 from repro.cluster.machine import Cluster, RunResult
 from repro.cluster.presets import MACHINE_PRESETS
-from repro.harness.parallel import PointTask, run_results
+from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.report import render_table
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import (DIAL_LABELS, PAPER_GRIDS,
                                   SensitivityFigure, SweepResult,
                                   bulk_bandwidth_sweep, collective_sweep,
                                   fault_sweep, gap_sweep, knob_factory,
-                                  latency_sweep, overhead_sweep,
+                                  latency_sweep, measure_algorithms,
+                                  overhead_sweep,
                                   predicted_sweep, spike_decay_sweep)
 from repro.instruments.balance import render_balance
 from repro.models.gap import BurstGapModel
@@ -151,35 +156,35 @@ class Table3:
 
 
 def _suite_runs(n_nodes: int, scale: float,
-                names: Optional[Sequence[str]], seed: int,
-                cache: Optional["RunCache"],  # noqa: F821
-                jobs: Optional[int]) -> Dict[str, RunResult]:
+                names: Optional[Sequence[str]], seed: int) -> Plan:
     """app name -> the suite's run on the unmodified ``n_nodes`` machine.
 
-    These are the sweeps' own baseline points — same run key — so with
-    a shared ``cache`` Tables 3/4, Figure 4 and Figures 5-9 simulate
-    each of them once between them.
+    These are the sweeps' own baseline points — same run key — so
+    Tables 3/4, Figure 4 and Figures 5-9 simulate each of them once
+    between them: drained together, or through a shared ``cache``.
     """
     apps = suite_for(n_nodes, scale=scale, names=names)
-    results = run_results(
+    return Plan.of_results(
         [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed))
-         for app in apps], cache=cache, jobs=jobs)
-    return {app.name: result for app, result in zip(apps, results)}
+         for app in apps]).then(
+        lambda results: {app.name: result
+                         for app, result in zip(apps, results)})
 
 
+@study
 def table3_baseline_runtimes(node_counts: Sequence[int] = (16, 32),
                              scale: float = 1.0,
                              names: Optional[Sequence[str]] = None,
-                             seed: int = 0,
-                             cache: Optional["RunCache"] = None,  # noqa: F821
-                             jobs: Optional[int] = None) -> Table3:
+                             seed: int = 0) -> Plan:
     """Run the suite at each cluster size with fixed total inputs."""
-    runtimes: Dict[str, Dict[int, float]] = {}
-    for n_nodes in node_counts:
-        for name, result in _suite_runs(n_nodes, scale, names, seed,
-                                        cache, jobs).items():
-            runtimes.setdefault(name, {})[n_nodes] = result.runtime_us
-    return Table3(runtimes=runtimes)
+    def build(suites: List[Dict[str, RunResult]]) -> Table3:
+        runtimes: Dict[str, Dict[int, float]] = {}
+        for n_nodes, runs in zip(node_counts, suites):
+            for name, result in runs.items():
+                runtimes.setdefault(name, {})[n_nodes] = result.runtime_us
+        return Table3(runtimes=runtimes)
+    return Plan.union([_suite_runs(n_nodes, scale, names, seed)
+                       for n_nodes in node_counts]).then(build)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +210,12 @@ class Figure4:
         return "\n\n".join(blocks)
 
 
+@study
 def figure4_balance(n_nodes: int = 32, scale: float = 1.0,
                     names: Optional[Sequence[str]] = None,
-                    seed: int = 0,
-                    cache: Optional["RunCache"] = None,  # noqa: F821
-                    jobs: Optional[int] = None) -> Figure4:
+                    seed: int = 0) -> Plan:
     """Run the suite once and collect Figure 4's balance matrices."""
-    return Figure4(results=_suite_runs(n_nodes, scale, names, seed,
-                                       cache, jobs))
+    return _suite_runs(n_nodes, scale, names, seed).then(Figure4)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +239,12 @@ class Table4:
                             "summary (32-node configuration)")
 
 
+@study
 def table4_comm_summary(n_nodes: int = 32, scale: float = 1.0,
                         names: Optional[Sequence[str]] = None,
-                        seed: int = 0,
-                        cache: Optional["RunCache"] = None,  # noqa: F821
-                        jobs: Optional[int] = None) -> Table4:
+                        seed: int = 0) -> Plan:
     """Run the suite once and collect Table 4's summaries."""
-    return Table4(results=_suite_runs(n_nodes, scale, names, seed,
-                                      cache, jobs))
+    return _suite_runs(n_nodes, scale, names, seed).then(Table4)
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +254,26 @@ def table4_comm_summary(n_nodes: int = 32, scale: float = 1.0,
 def _sweep_figure(figure: SensitivityFigure,
                   sweep: Callable[..., SweepResult], n_nodes: int,
                   scale: float, names: Optional[Sequence[str]],
-                  **kwargs) -> SensitivityFigure:
-    """Fill ``figure`` with one ``sweep`` per suite application.
+                  **kwargs) -> Plan:
+    """``figure`` filled with one ``sweep`` per suite application.
 
     A None keyword (an unset grid) is dropped, leaving the sweep's
     default — the paper's grid — in place.
     """
     kwargs = {key: value for key, value in kwargs.items()
               if value is not None}
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        figure.sweeps[app.name] = sweep(app, n_nodes, **kwargs)
-    return figure
+    apps = suite_for(n_nodes, scale=scale, names=names)
+    return Plan.union(
+        [sweep.plan(app, n_nodes, **kwargs) for app in apps]).then(
+        lambda sweeps: replace(figure, sweeps={
+            app.name: result for app, result in zip(apps, sweeps)}))
 
 
+@study
 def figure5_overhead(n_nodes: int = 32, scale: float = 1.0,
                      names: Optional[Sequence[str]] = None,
                      overheads: Optional[Sequence[float]] = None,
-                     seed: int = 0, **kwargs) -> SensitivityFigure:
+                     seed: int = 0, **kwargs) -> Plan:
     """Figure 5: sensitivity to overhead (run per node count)."""
     return _sweep_figure(SensitivityFigure(
         title=f"Figure 5 ({n_nodes} nodes): sensitivity to overhead",
@@ -277,10 +281,11 @@ def figure5_overhead(n_nodes: int = 32, scale: float = 1.0,
         names, overheads=overheads, seed=seed, **kwargs)
 
 
+@study
 def figure6_gap(n_nodes: int = 32, scale: float = 1.0,
                 names: Optional[Sequence[str]] = None,
                 gaps: Optional[Sequence[float]] = None,
-                seed: int = 0, **kwargs) -> SensitivityFigure:
+                seed: int = 0, **kwargs) -> Plan:
     """Figure 6: slowdown as a function of (absolute) gap."""
     return _sweep_figure(SensitivityFigure(
         title="Figure 6: sensitivity to gap",
@@ -288,10 +293,11 @@ def figure6_gap(n_nodes: int = 32, scale: float = 1.0,
         gaps=gaps, seed=seed, **kwargs)
 
 
+@study
 def figure7_latency(n_nodes: int = 32, scale: float = 1.0,
                     names: Optional[Sequence[str]] = None,
                     latencies: Optional[Sequence[float]] = None,
-                    seed: int = 0, **kwargs) -> SensitivityFigure:
+                    seed: int = 0, **kwargs) -> Plan:
     """Figure 7: slowdown as a function of (absolute) latency."""
     return _sweep_figure(SensitivityFigure(
         title="Figure 7: sensitivity to latency",
@@ -299,10 +305,11 @@ def figure7_latency(n_nodes: int = 32, scale: float = 1.0,
         names, latencies=latencies, seed=seed, **kwargs)
 
 
+@study
 def figure8_bulk(n_nodes: int = 32, scale: float = 1.0,
                  names: Optional[Sequence[str]] = None,
                  bandwidths: Optional[Sequence[float]] = None,
-                 seed: int = 0, **kwargs) -> SensitivityFigure:
+                 seed: int = 0, **kwargs) -> Plan:
     """Figure 8: slowdown as a function of available bulk bandwidth."""
     return _sweep_figure(SensitivityFigure(
         title="Figure 8: sensitivity to bulk bandwidth",
@@ -395,28 +402,30 @@ def _model_table(figure: SensitivityFigure, model_class: type,
     return ModelTable(title=title, parameter=parameter, rows_=rows)
 
 
+@study
 def table5_overhead_model(n_nodes: int = 32, scale: float = 1.0,
                           names: Optional[Sequence[str]] = None,
                           overheads: Optional[Sequence[float]] = None,
-                          seed: int = 0, **kwargs) -> ModelTable:
+                          seed: int = 0, **kwargs) -> Plan:
     """Table 5: the 2·m·Δo model against measured sweep runtimes."""
-    return _model_table(
-        figure5_overhead(n_nodes=n_nodes, scale=scale, names=names,
-                         overheads=overheads, seed=seed, **kwargs),
-        OverheadModel, "o (us)", "Table 5: overhead model (r + 2 m do)",
-        "overhead")
+    return figure5_overhead.plan(
+        n_nodes=n_nodes, scale=scale, names=names, overheads=overheads,
+        seed=seed, **kwargs).then(lambda figure: _model_table(
+            figure, OverheadModel, "o (us)",
+            "Table 5: overhead model (r + 2 m do)", "overhead"))
 
 
+@study
 def table6_gap_model(n_nodes: int = 32, scale: float = 1.0,
                      names: Optional[Sequence[str]] = None,
                      gaps: Optional[Sequence[float]] = None,
-                     seed: int = 0, **kwargs) -> ModelTable:
+                     seed: int = 0, **kwargs) -> Plan:
     """Table 6: the burst gap model against measured sweep runtimes."""
-    return _model_table(
-        figure6_gap(n_nodes=n_nodes, scale=scale, names=names, gaps=gaps,
-                    seed=seed, **kwargs),
-        BurstGapModel, "g (us)", "Table 6: burst gap model (r + m dg)",
-        "gap")
+    return figure6_gap.plan(
+        n_nodes=n_nodes, scale=scale, names=names, gaps=gaps, seed=seed,
+        **kwargs).then(lambda figure: _model_table(
+            figure, BurstGapModel, "g (us)",
+            "Table 6: burst gap model (r + m dg)", "gap"))
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +450,11 @@ class FaultFigure(SensitivityFigure):
         return rows
 
 
+@study
 def figure9_faults(n_nodes: int = 32, scale: float = 1.0,
                    names: Optional[Sequence[str]] = None,
                    drop_rates: Optional[Sequence[float]] = None,
-                   seed: int = 0, **kwargs) -> FaultFigure:
+                   seed: int = 0, **kwargs) -> Plan:
     """Figure 9: slowdown under per-packet drop probability.
 
     Sweeps the fault injector's drop rate with the machine dials held
@@ -457,12 +467,13 @@ def figure9_faults(n_nodes: int = 32, scale: float = 1.0,
         names, drop_rates=drop_rates, seed=seed, **kwargs)
 
 
+@study
 def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
                        names: Optional[Sequence[str]] = None,
                        node: int = 0, duration_us: float = 500.0,
                        starts: Sequence[float] = (0.0, 250.0, 500.0,
                                                   1000.0, 2000.0),
-                       seed: int = 0, **kwargs) -> ModelTable:
+                       seed: int = 0, **kwargs) -> Plan:
     """Table 7: how a one-off delay spike's cost propagates.
 
     Injects a single ``duration_us`` delay spike at ``node`` at each
@@ -470,35 +481,41 @@ def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
     both in µs and as a fraction of the spike duration (1.0 = the
     whole spike surfaced in the critical path; > 1.0 = it cascaded).
     """
-    rows = []
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        sweep = spike_decay_sweep(app, n_nodes, node=node,
-                                  duration_us=duration_us, starts=starts,
-                                  seed=seed, **kwargs)
-        base = sweep.baseline.runtime_us
-        for point in sweep.points[1:]:
-            residual = (point.runtime_us - base
-                        if point.completed and base is not None else None)
-            rows.append({
-                "app": app.name,
-                "spike_start_us": point.value,
-                "runtime_us": (round(point.runtime_us, 1)
-                               if point.completed else "N/A"),
-                "residual_us": (round(residual, 1)
-                                if residual is not None else "N/A"),
-                "propagated": (round(residual / duration_us, 2)
-                               if residual is not None else "N/A"),
-            })
-    return ModelTable(
-        title=f"Table 7: delay-spike propagation "
-              f"({duration_us:g} us spike at node {node})",
-        parameter="spike_start_us", rows_=rows)
+    def build(sweeps: List[SweepResult]) -> ModelTable:
+        rows = []
+        for sweep in sweeps:
+            base = sweep.baseline.runtime_us
+            for point in sweep.points[1:]:
+                residual = (point.runtime_us - base
+                            if point.completed and base is not None
+                            else None)
+                rows.append({
+                    "app": sweep.app_name,
+                    "spike_start_us": point.value,
+                    "runtime_us": (round(point.runtime_us, 1)
+                                   if point.completed else "N/A"),
+                    "residual_us": (round(residual, 1)
+                                    if residual is not None else "N/A"),
+                    "propagated": (round(residual / duration_us, 2)
+                                   if residual is not None else "N/A"),
+                })
+        return ModelTable(
+            title=f"Table 7: delay-spike propagation "
+                  f"({duration_us:g} us spike at node {node})",
+            parameter="spike_start_us", rows_=rows)
+    return Plan.union(
+        [spike_decay_sweep.plan(app, n_nodes, node=node,
+                                duration_us=duration_us, starts=starts,
+                                seed=seed, **kwargs)
+         for app in suite_for(n_nodes, scale=scale, names=names)]
+    ).then(build)
 
 
 # ---------------------------------------------------------------------------
 # Figure 10 / Table 8 -- tuned collectives (beyond the paper).
 # ---------------------------------------------------------------------------
 
+@study
 def figure10_collectives(n_nodes: int = 32,
                          primitives: Sequence[str] = ("broadcast",
                                                       "allreduce",
@@ -508,7 +525,7 @@ def figure10_collectives(n_nodes: int = 32,
                          values: Optional[Sequence[float]] = None,
                          size: int = 16384, bulk: bool = True,
                          iterations: int = 4, seed: int = 0,
-                         **kwargs) -> SensitivityFigure:
+                         **kwargs) -> Plan:
     """Figure 10: collective algorithm sensitivity to one dial.
 
     For each primitive, sweeps every registered algorithm the
@@ -525,26 +542,27 @@ def figure10_collectives(n_nodes: int = 32,
         title=f"Figure 10 ({n_nodes} nodes): collective sensitivity "
               f"to {parameter}",
         x_label=parameter)
-    for primitive in primitives:
-        for algo in eligible_algorithms(primitive, elementwise=True,
-                                        dense=True, uniform=True):
-            sweep = collective_sweep(
-                primitive, n_nodes, parameter, values, algo=algo,
-                size=size, bulk=bulk, iterations=iterations, seed=seed,
-                **kwargs)
-            figure.sweeps[f"{primitive}/{algo}"] = sweep
-    return figure
+    series = [(primitive, algo) for primitive in primitives
+              for algo in eligible_algorithms(primitive, elementwise=True,
+                                              dense=True, uniform=True)]
+    return Plan.union(
+        [collective_sweep.plan(
+            primitive, n_nodes, parameter, values, algo=algo, size=size,
+            bulk=bulk, iterations=iterations, seed=seed, **kwargs)
+         for primitive, algo in series]).then(
+        lambda sweeps: replace(figure, sweeps={
+            f"{primitive}/{algo}": sweep
+            for (primitive, algo), sweep in zip(series, sweeps)}))
 
 
+@study
 def table8_coll_tuner(n_nodes: int = 32,
                       primitives: Sequence[str] = ("broadcast",
                                                    "allreduce",
                                                    "allgather",
                                                    "alltoall"),
                       sizes: Sequence[int] = (32, 1024, 16384, 65536),
-                      seed: int = 0,
-                      cache: Optional["RunCache"] = None,  # noqa: F821
-                      **kwargs) -> ModelTable:
+                      seed: int = 0, **kwargs) -> Plan:
     """Table 8: the LogGP model's algorithm picks vs measured winners.
 
     For each (primitive, size) cell, times every eligible algorithm
@@ -555,31 +573,31 @@ def table8_coll_tuner(n_nodes: int = 32,
     what ``benchmarks/`` asserts stays >= 80%.
     """
     from repro.coll.model import estimate_cost
-    from repro.coll.tuner import measure_algorithms
     params = LogGPParams.berkeley_now()
     knobs = TuningKnobs()
-    rows = []
-    for (primitive, size), measured in measure_algorithms(
-            n_nodes, sizes, primitives, seed=seed, cache=cache,
-            **kwargs).items():
-        best_time, best_algo = min((t, a) for a, t in measured.items())
-        model_algo = min(
-            (estimate_cost(primitive, algo, n_nodes, size,
-                           params, knobs, bulk=size > 64), algo)
-            for algo in measured)[1]
-        overcost = measured[model_algo] / best_time
-        rows.append({
-            "primitive": primitive,
-            "size": size,
-            "measured_best": best_algo,
-            "model_pick": model_algo,
-            "overcost": round(overcost, 3),
-            "within_10pct": "ok" if overcost <= 1.10 else "MISS",
-        })
-    return ModelTable(
-        title=f"Table 8 ({n_nodes} nodes): model-driven algorithm "
-              f"selection vs measured winners",
-        parameter="size", rows_=rows)
+    def build(cells: Dict[tuple, Dict[str, float]]) -> ModelTable:
+        rows = []
+        for (primitive, size), measured in cells.items():
+            best_time, best_algo = min((t, a) for a, t in measured.items())
+            model_algo = min(
+                (estimate_cost(primitive, algo, n_nodes, size,
+                               params, knobs, bulk=size > 64), algo)
+                for algo in measured)[1]
+            overcost = measured[model_algo] / best_time
+            rows.append({
+                "primitive": primitive,
+                "size": size,
+                "measured_best": best_algo,
+                "model_pick": model_algo,
+                "overcost": round(overcost, 3),
+                "within_10pct": "ok" if overcost <= 1.10 else "MISS",
+            })
+        return ModelTable(
+            title=f"Table 8 ({n_nodes} nodes): model-driven algorithm "
+                  f"selection vs measured winners",
+            parameter="size", rows_=rows)
+    return measure_algorithms.plan(n_nodes, sizes, primitives, seed=seed,
+                                   **kwargs).then(build)
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +679,14 @@ class ServingFigure:
         return "\n".join(out).rstrip() + "\n"
 
 
+@study
 def figure11_serving(n_nodes: int = 32, scale: float = 1.0,
                      overheads: Sequence[float] = (2.9, 10.0, 25.0),
                      latencies: Sequence[float] = (5.7, 30.0, 100.0),
                      drop_rates: Sequence[float] = (0.0, 0.01, 0.05),
                      offered: Optional[Sequence[float]] = None,
                      knee_overheads: Sequence[float] = (2.9, 10.0, 25.0),
-                     seed: int = 0,
-                     cache: Optional["RunCache"] = None,  # noqa: F821
-                     **workload) -> ServingFigure:
+                     seed: int = 0, **workload) -> Plan:
     """Figure 11: tail latency and goodput of the serving workload.
 
     One :class:`~repro.serve.apps.KVServe` scenario is swept along
@@ -692,16 +709,15 @@ def figure11_serving(n_nodes: int = 32, scale: float = 1.0,
         title=f"Figure 11 ({n_nodes} nodes): serving tail latency vs "
               f"machine dials ({app.tier().describe()})",
         slo_us=app.slo_us)
-    for parameter, values in (("overhead", overheads),
-                              ("latency", latencies),
-                              ("drop_rate", drop_rates),
-                              ("offered_rps", offered)):
-        figure.dial_sweeps[parameter] = serving_sweep(
-            app, n_nodes, parameter, values, params=params, seed=seed,
-            cache=cache)
-    for overhead in knee_overheads:
-        figure.knee_sweeps[overhead] = serving_sweep(
-            app, n_nodes, "offered_rps", offered, params=params,
-            seed=seed, cache=cache,
-            knobs=knob_factory("overhead", params)(overhead))
-    return figure
+    dials = {"overhead": overheads, "latency": latencies,
+             "drop_rate": drop_rates, "offered_rps": offered}
+    sweeps = [serving_sweep.plan(app, n_nodes, parameter, values,
+                                 params=params, seed=seed)
+              for parameter, values in dials.items()]
+    sweeps += [serving_sweep.plan(
+        app, n_nodes, "offered_rps", offered, params=params, seed=seed,
+        knobs=knob_factory("overhead", params)(overhead))
+        for overhead in knee_overheads]
+    return Plan.union(sweeps).then(lambda built: replace(
+        figure, dial_sweeps=dict(zip(dials, built)),
+        knee_sweeps=dict(zip(knee_overheads, built[len(dials):]))))

@@ -16,12 +16,12 @@ Three studies the paper motivates but does not plot:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster
 from repro.cluster.node import CostModel
-from repro.harness.parallel import PointTask, run_results
+from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.report import render_table
 from repro.harness.suite import suite_for
 from repro.network.loggp import LogGPParams
@@ -86,28 +86,25 @@ class ScalingStudy:
                   f"sensitivity vs P (fixed total input)")
 
 
+@study
 def scaling_study(app_name: str = "Radix",
                   node_counts: Sequence[int] = (8, 16, 32),
                   delta_o: float = 100.0, scale: float = 1.0,
-                  seed: int = 0,
-                  cache: Optional["RunCache"] = None,  # noqa: F821
-                  jobs: Optional[int] = None) -> ScalingStudy:
+                  seed: int = 0) -> Plan:
     """Run one app at several cluster sizes, fixed total input, with and
     without added overhead."""
-    study = ScalingStudy(app_name=app_name, delta_o=delta_o)
     tasks = []
     for n_nodes in node_counts:
         app, = suite_for(n_nodes, scale=scale, names=[app_name])
         for knobs in (TuningKnobs(), TuningKnobs.added_overhead(delta_o)):
             tasks.append(PointTask(
                 app, Cluster(n_nodes=n_nodes, seed=seed, knobs=knobs)))
-    results = run_results(tasks, cache=cache, jobs=jobs)
-    for n_nodes, base, dialed in zip(node_counts, results[0::2],
-                                     results[1::2]):
-        study.runtimes[n_nodes] = (
-            base.runtime_us, dialed.runtime_us,
-            base.stats.max_messages_per_node)
-    return study
+    return Plan.of_results(tasks).then(lambda results: ScalingStudy(
+        app_name=app_name, delta_o=delta_o, runtimes={
+            n_nodes: (base.runtime_us, dialed.runtime_us,
+                      base.stats.max_messages_per_node)
+            for n_nodes, base, dialed in zip(node_counts, results[0::2],
+                                             results[1::2])}))
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +137,10 @@ class InvestmentStudy:
                   f"{self.n_nodes} nodes): CPU vs communication")
 
 
+@study
 def investment_study(app_name: str = "Sample", n_nodes: int = 16,
-                     scale: float = 1.0, seed: int = 0,
-                     cache: Optional["RunCache"] = None,  # noqa: F821
-                     jobs: Optional[int] = None) -> InvestmentStudy:
+                     scale: float = 1.0, seed: int = 0) -> Plan:
     """Section 5.5's trade-off: 2× CPU vs halved (o, g)."""
-    study = InvestmentStudy(app_name=app_name, n_nodes=n_nodes)
     now = LogGPParams.berkeley_now()
     designs = {
         "baseline": Cluster(n_nodes=n_nodes, seed=seed),
@@ -159,12 +154,12 @@ def investment_study(app_name: str = "Sample", n_nodes: int = 16,
                 gap=now.gap / 2)),
     }
     app, = suite_for(n_nodes, scale=scale, names=[app_name])
-    results = run_results(
-        [PointTask(app, cluster) for cluster in designs.values()],
-        cache=cache, jobs=jobs)
-    study.runtimes = {design: result.runtime_us
-                      for design, result in zip(designs, results)}
-    return study
+    return Plan.of_results(
+        [PointTask(app, cluster) for cluster in designs.values()]).then(
+        lambda results: InvestmentStudy(
+            app_name=app_name, n_nodes=n_nodes,
+            runtimes={design: result.runtime_us
+                      for design, result in zip(designs, results)}))
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +200,21 @@ class OccupancyStudy:
                   f"{self.n_nodes} nodes)")
 
 
+@study
 def occupancy_study(app_name: str = "EM3D(read)", n_nodes: int = 16,
                     values: Sequence[float] = (0.0, 10.0, 25.0, 50.0),
-                    scale: float = 1.0, seed: int = 0,
-                    cache: Optional["RunCache"] = None,  # noqa: F821
-                    jobs: Optional[int] = None) -> OccupancyStudy:
+                    scale: float = 1.0, seed: int = 0) -> Plan:
     """Sweep NIC occupancy and host overhead over the same grid."""
-    study = OccupancyStudy(app_name=app_name, n_nodes=n_nodes,
-                           values_us=list(values))
     app, = suite_for(n_nodes, scale=scale, names=[app_name])
-    for dial, knob_for in (
-            ("occupancy", TuningKnobs.added_occupancy),
-            ("overhead", TuningKnobs.added_overhead)):
-        results = run_results(
-            [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed,
-                                    knobs=knob_for(value)), value)
-             for value in values], cache=cache, jobs=jobs)
-        study.runtimes[dial] = [result.runtime_us for result in results]
-    return study
+    dials = {"occupancy": TuningKnobs.added_occupancy,
+             "overhead": TuningKnobs.added_overhead}
+    n = len(values)
+    return Plan.of_results(
+        [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed,
+                                knobs=knob_for(value)), value)
+         for knob_for in dials.values() for value in values]).then(
+        lambda results: OccupancyStudy(
+            app_name=app_name, n_nodes=n_nodes, values_us=list(values),
+            runtimes={dial: [result.runtime_us
+                             for result in results[i * n:(i + 1) * n]]
+                      for i, dial in enumerate(dials)}))

@@ -10,9 +10,10 @@ collective studies and the table artifacts are all its callers, so the
 cache, the pool, per-point persistence and the crash policy (its
 docstring) are written once and hold for every study alike.
 
-:func:`run_experiments_parallel` is the coarser grain on top: whole
-figure/table entry points fanned across workers, for drivers that
-regenerate many artifacts at once.
+What to run is kept apart from running it: a study is a :class:`Plan`
+(its tasks plus a pure ``build(points)``), :func:`run_plans` drains the
+union of any number of plans in one :func:`run_points` call, and
+:func:`study` makes the eager entry point out of a plan definition.
 """
 
 from __future__ import annotations
@@ -21,20 +22,20 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, wraps
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster, RunResult
 from repro.gas.runtime import LivelockError
 from repro.harness.runcache import RunCache, run_key_spec
-from repro.harness.sweeps import SweepPoint
 from repro.network.faults import FaultError, FaultPlan
 from repro.sanitize.reports import DeadlockError
 
-__all__ = ["PointTask", "execute_point", "run_points", "run_results",
-           "sweep_tasks", "run_experiments_parallel", "default_jobs"]
+__all__ = ["PointTask", "SweepPoint", "FAILURE_CATEGORIES", "execute_point",
+           "run_points", "Plan", "run_plans", "study", "sweep_tasks",
+           "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -83,6 +84,47 @@ class PointTask:
         """SHA-256 of :attr:`spec` — the identity the run cache and the
         result store share."""
         return RunCache.key_for(self.spec)
+
+
+#: The failure categories :func:`execute_point`
+#: can produce, i.e. the prefixes of ``SweepPoint.failure``.
+FAILURE_CATEGORIES = frozenset(
+    {"deadlock", "livelock", "budget exceeded", "fault"})
+
+
+@dataclass
+class SweepPoint:
+    """One configuration of a sweep."""
+
+    #: The dialed parameter's absolute value (µs, or MB/s for bulk).
+    value: float
+    knobs: TuningKnobs
+    #: None when the run did not complete (deadlock / livelock / budget
+    #: / fault).
+    result: Optional[RunResult] = None
+    failure: Optional[str] = None
+
+    @property
+    def completed(self) -> bool:
+        return self.result is not None
+
+    @property
+    def runtime_us(self) -> Optional[float]:
+        return self.result.runtime_us if self.result else None
+
+    @property
+    def failure_category(self) -> Optional[str]:
+        """The taxonomy bucket of :attr:`failure`.
+
+        One of :data:`FAILURE_CATEGORIES` (``deadlock`` / ``livelock``
+        / ``budget exceeded`` / ``fault``), ``"error"`` for an
+        unrecognised failure string, or ``None`` when the point
+        completed.
+        """
+        if self.failure is None:
+            return None
+        head = self.failure.split(":", 1)[0].strip()
+        return head if head in FAILURE_CATEGORIES else "error"
 
 
 def execute_point(task: PointTask) -> SweepPoint:
@@ -200,21 +242,93 @@ def run_points(tasks: Sequence[PointTask],
     return points
 
 
-def run_results(tasks: Sequence[PointTask],
-                cache: Optional[RunCache] = None,
-                jobs: Optional[int] = None) -> List[RunResult]:
-    """:func:`run_points` for studies that need every run to complete.
+@dataclass(frozen=True)
+class Plan:
+    """What a study runs and what it makes of the runs: ``build`` is
+    pure, receives the study's own points in the order of ``tasks`` and
+    returns the study's result.  Nothing here simulates."""
 
-    A failed point raises ``RuntimeError`` carrying its taxonomy string
-    (``budget exceeded: ...``) instead of coming back as ``N/A``.
+    tasks: Sequence[PointTask]
+    build: Callable[[List[SweepPoint]], Any]
+
+    def then(self, finish: Callable[[Any], Any]) -> "Plan":
+        """The same runs, with ``finish`` applied to what they build."""
+        return Plan(self.tasks, lambda points: finish(self.build(points)))
+
+    @classmethod
+    def of_results(cls, tasks: Sequence[PointTask]) -> "Plan":
+        """A study that needs every run to complete: builds the list of
+        :class:`RunResult` s, and a failed point raises ``RuntimeError``
+        carrying its taxonomy string (``budget exceeded: ...``) instead
+        of coming back as ``N/A``."""
+        def results(points: List[SweepPoint]) -> List[RunResult]:
+            for task, point in zip(tasks, points):
+                if not point.completed:
+                    raise RuntimeError(
+                        f"{task.app.name} on {task.cluster.n_nodes} nodes "
+                        f"did not complete — {point.failure}")
+            return [point.result for point in points]
+        return cls(tasks, results)
+
+    @classmethod
+    def union(cls, plans: Sequence["Plan"]) -> "Plan":
+        """A study made of sub-studies: their tasks side by side, built
+        into the list of what each of them builds."""
+        def parts(points: List[SweepPoint]) -> List[Any]:
+            built, start = [], 0
+            for plan in plans:
+                stop = start + len(plan.tasks)
+                built.append(plan.build(points[start:stop]))
+                start = stop
+            return built
+        return cls([task for plan in plans for task in plan.tasks], parts)
+
+
+def run_plans(plans: Sequence[Plan], cache: Optional[RunCache] = None,
+              jobs: Optional[int] = None) -> List[Any]:
+    """Drain the union of ``plans`` once; what each plan built, in order.
+
+    Tables and figures share runs (Table 3's baselines are every sweep's
+    first point), so tasks are de-duplicated by ``(key, sanitize)`` and
+    one :func:`run_points` call simulates each distinct run once, at any
+    ``jobs``, cache or no cache.  Every task gets its own point back, a
+    shared run re-labelled with that task's ``value`` and knobs.
+
+    Several plans at once are a driver holding every point until it
+    renders: their results carry ``output=None``, as cache-restored ones
+    do.
     """
-    points = run_points(tasks, cache=cache, jobs=jobs)
-    for task, point in zip(tasks, points):
-        if not point.completed:
-            raise RuntimeError(
-                f"{task.app.name} on {task.cluster.n_nodes} nodes did "
-                f"not complete — {point.failure}")
-    return [point.result for point in points]
+    whole = Plan.union(plans)
+    idents = [(task.key, task.cluster.sanitize) for task in whole.tasks]
+    unique: Dict[Tuple[str, bool], PointTask] = {}
+    for ident, task in zip(idents, whole.tasks):
+        unique.setdefault(ident, task)
+
+    def forget_output(_index: int, point: SweepPoint, _hit: bool) -> None:
+        if point.completed:
+            point.result.output = None
+    points = dict(zip(unique, run_points(
+        list(unique.values()), cache=cache, jobs=jobs,
+        done=forget_output if len(plans) > 1 else None)))
+    return whole.build([
+        replace(points[ident], value=task.value, knobs=task.cluster.knobs)
+        for ident, task in zip(idents, whole.tasks)])
+
+
+def study(plan: Callable[..., Plan]) -> Callable[..., Any]:
+    """The eager entry point of a study, from its one definition.
+
+    ``plan(...)`` returns the study's :class:`Plan`; the decorated name
+    takes the same arguments plus ``cache=`` / ``jobs=`` and plans,
+    drains and builds that one plan.  The definition stays reachable as
+    ``.plan``, for :func:`run_plans` and :meth:`Plan.union`.
+    """
+    @wraps(plan)
+    def eager(*args: Any, cache: Optional[RunCache] = None,
+              jobs: Optional[int] = None, **kwargs: Any) -> Any:
+        return run_plans([plan(*args, **kwargs)], cache=cache, jobs=jobs)[0]
+    eager.plan = plan
+    return eager
 
 
 def sweep_tasks(app: Any, n_nodes: int, values: Sequence[float],
@@ -235,53 +349,3 @@ def sweep_tasks(app: Any, n_nodes: int, values: Sequence[float],
                 faults=fault_for(value) if fault_for is not None else None),
             value=value)
         for value in values]
-
-
-# ---------------------------------------------------------------------------
-# Experiment-level fan-out.
-# ---------------------------------------------------------------------------
-
-def _run_experiment(request: Tuple[str, Dict[str, Any]]
-                    ) -> Tuple[Any, int, int]:
-    """The experiment's result plus the (hits, misses) its probes added
-    to this process's copy of the request's ``cache``."""
-    from repro.harness import experiments
-    name, kwargs = request
-    cache = kwargs.get("cache")
-    before = (cache.hits, cache.misses) if cache is not None else (0, 0)
-    result = getattr(experiments, name)(**kwargs)
-    after = (cache.hits, cache.misses) if cache is not None else (0, 0)
-    return result, after[0] - before[0], after[1] - before[1]
-
-
-def run_experiments_parallel(requests: Sequence[Tuple[str, Dict[str, Any]]],
-                             jobs: Optional[int] = None) -> List[Any]:
-    """Run many experiment entry points, fanned across worker processes.
-
-    ``requests`` is a sequence of ``(name, kwargs)`` pairs where ``name``
-    is an attribute of :mod:`repro.harness.experiments` (e.g.
-    ``"figure5_overhead"``).  Results come back in request order, each
-    exactly what the named entry point returns.  With ``jobs<=1`` the
-    requests run serially in-process (identical results, no pool).
-
-    A worker probes its own copy of a request's ``cache``, so the
-    probes each experiment made are added back to the caller's object:
-    ``cache.hits`` / ``cache.misses`` count the same at any ``jobs``.
-    """
-    from repro.harness import experiments
-    for name, _kwargs in requests:
-        if not hasattr(experiments, name):
-            raise KeyError(f"unknown experiment {name!r}")
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1 or len(requests) <= 1:
-        return [_run_experiment(request)[0] for request in requests]
-    results = []
-    with _pool(min(jobs, len(requests))) as pool:
-        for (_name, kwargs), (result, hits, misses) in zip(
-                requests, pool.map(_run_experiment, requests)):
-            results.append(result)
-            if hits or misses:
-                kwargs["cache"].hits += hits
-                kwargs["cache"].misses += misses
-    return results

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
-from repro.cluster.machine import Cluster
-from repro.harness.parallel import PointTask, run_results
+from repro.cluster.machine import Cluster, RunResult
+from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.suite import suite_for
 from repro.instruments.balance import GREYSCALE
 from repro.network.loggp import LogGPParams
@@ -120,43 +120,40 @@ class SensitivitySurface:
         return "\n".join(lines)
 
 
+@study
 def sensitivity_surface(app_name: str, n_nodes: int,
                         x_dial: str, x_values: Sequence[float],
                         y_dial: str, y_values: Sequence[float],
                         scale: float = 1.0, seed: int = 0,
-                        params: Optional[LogGPParams] = None,
-                        cache: Optional["RunCache"] = None,  # noqa: F821
-                        jobs: Optional[int] = None
-                        ) -> SensitivitySurface:
+                        params: Optional[LogGPParams] = None) -> Plan:
     """Sweep the full (x, y) grid; (0, 0) is the baseline corner."""
     if x_dial not in _DIALS or y_dial not in _DIALS:
         known = ", ".join(sorted(_DIALS))
         raise ValueError(f"dials must be among: {known}")
     x_values = sorted(set([0.0] + list(x_values)))
     y_values = sorted(set([0.0] + list(y_values)))
-    surface = SensitivitySurface(
-        app_name=app_name, n_nodes=n_nodes, x_dial=x_dial,
-        y_dial=y_dial, x_values=x_values, y_values=y_values)
     app, = suite_for(n_nodes, scale=scale, names=[app_name])
     grid = [(x, y) for y in y_values for x in x_values]
-    results = run_results(
+
+    def build(results: List[RunResult]) -> SensitivitySurface:
+        runtimes = {key: result.runtime_us
+                    for key, result in zip(grid, results)}
+        base = runtimes[(0.0, 0.0)]
+        return SensitivitySurface(
+            app_name=app_name, n_nodes=n_nodes, x_dial=x_dial,
+            y_dial=y_dial, x_values=x_values, y_values=y_values,
+            slowdown={key: runtime / base
+                      for key, runtime in runtimes.items()})
+    return Plan.of_results(
         [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed, params=params,
                                 knobs=_combine(x_dial, x, y_dial, y)))
-         for x, y in grid], cache=cache, jobs=jobs)
-    runtimes = {key: result.runtime_us
-                for key, result in zip(grid, results)}
-    base = runtimes[(0.0, 0.0)]
-    surface.slowdown = {key: runtime / base
-                        for key, runtime in runtimes.items()}
-    return surface
+         for x, y in grid]).then(build)
 
 
+@study
 def overhead_gap_surface(app_name: str = "Sample", n_nodes: int = 16,
                          values: Sequence[float] = (25.0, 50.0, 100.0),
-                         scale: float = 1.0, seed: int = 0,
-                         **kwargs) -> SensitivitySurface:
-    """The headline surface: added overhead × added gap (``cache`` /
-    ``jobs`` forward to :func:`sensitivity_surface`)."""
-    return sensitivity_surface(app_name, n_nodes, "overhead", values,
-                               "gap", values, scale=scale, seed=seed,
-                               **kwargs)
+                         scale: float = 1.0, seed: int = 0) -> Plan:
+    """The headline surface: added overhead × added gap."""
+    return sensitivity_surface.plan(app_name, n_nodes, "overhead", values,
+                                    "gap", values, scale=scale, seed=seed)

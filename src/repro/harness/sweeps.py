@@ -21,7 +21,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.apps.base import Application
-from repro.cluster.machine import RunResult
+from repro.cluster.machine import Cluster, RunResult
+from repro.harness.parallel import (FAILURE_CATEGORIES, Plan, PointTask,
+                                    SweepPoint, study, sweep_tasks)
 from repro.harness.report import ascii_plot
 from repro.network.faults import DelaySpike, FaultPlan
 from repro.network.loggp import LogGPParams
@@ -31,7 +33,7 @@ __all__ = ["SweepPoint", "SweepResult", "SensitivityFigure",
            "run_sweep", "predicted_sweep", "overhead_sweep",
            "gap_sweep", "latency_sweep", "bulk_bandwidth_sweep",
            "fault_sweep", "spike_decay_sweep", "NO_SPIKE",
-           "collective_sweep",
+           "collective_sweep", "measure_algorithms",
            "knob_factory", "dial_axes", "MACHINE_DIALS", "DIAL_LABELS",
            "PAPER_GRIDS", "FAULT_DROP_RATES"]
 
@@ -53,47 +55,6 @@ DIAL_LABELS = {"overhead": "overhead (us)", "gap": "gap (us)",
                "bulk_mb_s": "bulk bandwidth (MB/s)",
                "drop_rate": "drop rate",
                "offered_rps": "offered load (req/s)"}
-
-
-#: The failure categories :func:`~repro.harness.parallel.execute_point`
-#: can produce, i.e. the prefixes of ``SweepPoint.failure``.
-FAILURE_CATEGORIES = frozenset(
-    {"deadlock", "livelock", "budget exceeded", "fault"})
-
-
-@dataclass
-class SweepPoint:
-    """One configuration of a sweep."""
-
-    #: The dialed parameter's absolute value (µs, or MB/s for bulk).
-    value: float
-    knobs: TuningKnobs
-    #: None when the run did not complete (deadlock / livelock / budget
-    #: / fault).
-    result: Optional[RunResult] = None
-    failure: Optional[str] = None
-
-    @property
-    def completed(self) -> bool:
-        return self.result is not None
-
-    @property
-    def runtime_us(self) -> Optional[float]:
-        return self.result.runtime_us if self.result else None
-
-    @property
-    def failure_category(self) -> Optional[str]:
-        """The taxonomy bucket of :attr:`failure`.
-
-        One of :data:`FAILURE_CATEGORIES` (``deadlock`` / ``livelock``
-        / ``budget exceeded`` / ``fault``), ``"error"`` for an
-        unrecognised failure string, or ``None`` when the point
-        completed.
-        """
-        if self.failure is None:
-            return None
-        head = self.failure.split(":", 1)[0].strip()
-        return head if head in FAILURE_CATEGORIES else "error"
 
 
 @dataclass
@@ -246,22 +207,22 @@ def dial_axes(parameter: str, app: Any,
     return knob_for, fault_for, app_for
 
 
+@study
 def run_sweep(app: Application, n_nodes: int, parameter: str,
               values: Sequence[float],
               knob_for: Callable[[float], TuningKnobs],
-              jobs: Optional[int] = None,
-              cache: Optional["RunCache"] = None,  # noqa: F821
               fault_for: Optional[
                   Callable[[float], Optional[FaultPlan]]] = None,
               app_for: Optional[Callable[[float], Any]] = None,
-              **cluster) -> SweepResult:
+              **cluster) -> Plan:
     """Run ``app`` at each dialed value; first value is the baseline.
 
     ``jobs`` > 1 fans the points across a process pool (bit-identical
     results) and ``cache`` is an optional
     :class:`~repro.harness.runcache.RunCache` consulted before
     simulating and updated as each point lands — both as in
-    :func:`repro.harness.parallel.run_points`, which drains the points.
+    :func:`repro.harness.parallel.run_points`, which drains the points;
+    ``run_sweep.plan(...)`` is the same sweep not yet run.
 
     Per value, ``knob_for`` gives the dials, ``fault_for`` (optional)
     the :class:`~repro.network.faults.FaultPlan` and ``app_for``
@@ -274,13 +235,11 @@ def run_sweep(app: Application, n_nodes: int, parameter: str,
     fingerprint — is the cache key, except ``sanitize=True``, which
     runs every point under simsan and bypasses the cache instead.
     """
-    # Imported lazily: parallel imports this module for SweepPoint.
-    from repro.harness.parallel import run_points, sweep_tasks
-    tasks = sweep_tasks(app, n_nodes, values, knob_for,
-                        fault_for=fault_for, app_for=app_for, **cluster)
-    return SweepResult(app_name=app.name, n_nodes=n_nodes,
-                       parameter=parameter,
-                       points=run_points(tasks, cache=cache, jobs=jobs))
+    return Plan(
+        sweep_tasks(app, n_nodes, values, knob_for, fault_for=fault_for,
+                    app_for=app_for, **cluster),
+        lambda points: SweepResult(app_name=app.name, n_nodes=n_nodes,
+                                   parameter=parameter, points=points))
 
 
 def predicted_sweep(app: Application, n_nodes: int, parameter: str,
@@ -321,50 +280,55 @@ def predicted_sweep(app: Application, n_nodes: int, parameter: str,
     return sweep
 
 
+@study
 def overhead_sweep(app: Application, n_nodes: int,
                    overheads: Sequence[float] = PAPER_GRIDS["overhead"],
                    params: Optional[LogGPParams] = None,
-                   **kwargs) -> SweepResult:
+                   **kwargs) -> Plan:
     """Figure 5: slowdown as a function of (absolute) overhead."""
-    return run_sweep(app, n_nodes, "overhead", overheads,
+    return run_sweep.plan(app, n_nodes, "overhead", overheads,
                      knob_factory("overhead", params), params=params,
                      **kwargs)
 
 
+@study
 def gap_sweep(app: Application, n_nodes: int,
               gaps: Sequence[float] = PAPER_GRIDS["gap"],
               params: Optional[LogGPParams] = None,
-              **kwargs) -> SweepResult:
+              **kwargs) -> Plan:
     """Figure 6: slowdown as a function of (absolute) gap."""
-    return run_sweep(app, n_nodes, "gap", gaps,
+    return run_sweep.plan(app, n_nodes, "gap", gaps,
                      knob_factory("gap", params), params=params, **kwargs)
 
 
+@study
 def latency_sweep(app: Application, n_nodes: int,
                   latencies: Sequence[float] = PAPER_GRIDS["latency"],
                   params: Optional[LogGPParams] = None,
-                  **kwargs) -> SweepResult:
+                  **kwargs) -> Plan:
     """Figure 7: slowdown as a function of (absolute) latency."""
-    return run_sweep(app, n_nodes, "latency", latencies,
+    return run_sweep.plan(app, n_nodes, "latency", latencies,
                      knob_factory("latency", params), params=params,
                      **kwargs)
 
 
+@study
 def bulk_bandwidth_sweep(app: Application, n_nodes: int,
                          bandwidths: Sequence[float] =
                          PAPER_GRIDS["bulk_mb_s"],
                          params: Optional[LogGPParams] = None,
-                         **kwargs) -> SweepResult:
+                         **kwargs) -> Plan:
     """Figure 8: slowdown as a function of available bulk bandwidth."""
-    return run_sweep(app, n_nodes, "bulk_mb_s", bandwidths,
+    return run_sweep.plan(app, n_nodes, "bulk_mb_s", bandwidths,
                      knob_factory("bulk_mb_s", params), params=params,
                      **kwargs)
 
 
+@study
 def fault_sweep(app: Application, n_nodes: int,
                 drop_rates: Sequence[float] = FAULT_DROP_RATES,
                 base_plan: Optional[FaultPlan] = None,
-                **kwargs) -> SweepResult:
+                **kwargs) -> Plan:
     """Slowdown as a function of per-packet drop probability.
 
     The machine dials stay at the unmodified baseline; the only thing
@@ -375,7 +339,7 @@ def fault_sweep(app: Application, n_nodes: int,
     """
     knob_for, fault_for, _app_for = dial_axes("drop_rate", app,
                                               faults=base_plan)
-    return run_sweep(app, n_nodes, "drop_rate", drop_rates, knob_for,
+    return run_sweep.plan(app, n_nodes, "drop_rate", drop_rates, knob_for,
                      fault_for=fault_for, **kwargs)
 
 
@@ -384,10 +348,11 @@ def fault_sweep(app: Application, n_nodes: int,
 NO_SPIKE = -1.0
 
 
+@study
 def spike_decay_sweep(app: Application, n_nodes: int,
                       node: int, duration_us: float,
                       starts: Sequence[float],
-                      **kwargs) -> SweepResult:
+                      **kwargs) -> Plan:
     """How a one-off delay spike's cost decays with its start time.
 
     Each point injects a single Afzal-style delay spike of
@@ -407,11 +372,12 @@ def spike_decay_sweep(app: Application, n_nodes: int,
             DelaySpike(node=node, start_us=start,
                        duration_us=duration_us),))
 
-    return run_sweep(
+    return run_sweep.plan(
         app, n_nodes, "spike_start_us", values,
         lambda _start: TuningKnobs(), fault_for=fault_for, **kwargs)
 
 
+@study
 def collective_sweep(primitive: str, n_nodes: int,
                      parameter: str,
                      values: Sequence[float],
@@ -421,7 +387,7 @@ def collective_sweep(primitive: str, n_nodes: int,
                      iterations: int = 4,
                      params: Optional[LogGPParams] = None,
                      coll: Optional["CollConfig"] = None,  # noqa: F821
-                     **kwargs) -> SweepResult:
+                     **kwargs) -> Plan:
     """Collective sensitivity: one primitive's runtime across one dial.
 
     Runs :class:`~repro.coll.bench.CollectiveBench` for ``primitive``
@@ -437,5 +403,41 @@ def collective_sweep(primitive: str, n_nodes: int,
     knob_for = knob_factory(parameter, params)
     app = CollectiveBench(primitive, algo=algo, size=size, bulk=bulk,
                           iterations=iterations)
-    return run_sweep(app, n_nodes, parameter, values, knob_for,
+    return run_sweep.plan(app, n_nodes, parameter, values, knob_for,
                      params=params, coll=coll, **kwargs)
+
+
+@study
+def measure_algorithms(n_ranks: int, sizes: Sequence[int],
+                       primitives: Sequence[str],
+                       params: Optional[LogGPParams] = None,
+                       knobs: Optional[TuningKnobs] = None,
+                       seed: int = 0, **bench) -> Plan:
+    """(primitive, size) -> {algorithm: measured runtime in µs}.
+
+    Each cell times every algorithm the dense uniform calibration
+    benchmark can drive: one :class:`~repro.coll.bench.CollectiveBench`
+    run (``bench`` holds its other knobs) per algorithm on a fresh
+    cluster, served from ``cache`` when available.  Small sizes
+    calibrate the short-packet regime, larger ones the bulk regime
+    (``bulk=True`` whenever the declared size exceeds one short packet).
+    """
+    from repro.coll.algorithms import eligible_algorithms
+    from repro.coll.bench import CollectiveBench
+    runs = [(primitive, size, algo)
+            for primitive in primitives for size in sizes
+            for algo in eligible_algorithms(primitive, elementwise=True,
+                                            dense=True, uniform=True)]
+
+    def build(results: List[RunResult]
+              ) -> Dict[Tuple[str, int], Dict[str, float]]:
+        measured: Dict[Tuple[str, int], Dict[str, float]] = {}
+        for (primitive, size, algo), result in zip(runs, results):
+            measured.setdefault((primitive, size), {})[algo] = \
+                result.runtime_us
+        return measured
+    return Plan.of_results(
+        [PointTask(CollectiveBench(primitive, algo=algo, size=size,
+                                   bulk=size > 64, **bench),
+                   Cluster(n_ranks, params=params, knobs=knobs, seed=seed))
+         for primitive, size, algo in runs]).then(build)

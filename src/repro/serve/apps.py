@@ -264,6 +264,10 @@ class ServingApp(Application):
 
     def finalize(self, procs) -> ServingMetrics:
         self._metrics.finish(procs[0].stats.runtime_us)
+        # The AmLayers hold the run's Simulator and its generators: an
+        # app that kept them would not pickle (no re-queue to a pool
+        # after an in-process run) and would pin the finished run.
+        del self._ams, self._pending, self._trace, self._lb_rng
         return self._metrics
 
     # -- the client tier (outside the rank set) ----------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.am.tuning import TuningKnobs
+from repro.harness.parallel import Plan, study
 from repro.harness.sweeps import (MACHINE_DIALS, SweepResult, dial_axes,
                                   run_sweep)
 from repro.network.faults import FaultPlan
@@ -40,12 +41,13 @@ OFFERED_LOAD_GRID = (50_000.0, 100_000.0, 200_000.0, 400_000.0,
                      800_000.0, 1_600_000.0)
 
 
+@study
 def serving_sweep(app: ServingApp, n_nodes: int, parameter: str,
                   values: Sequence[float],
                   params: Optional[LogGPParams] = None,
                   knobs: Optional[TuningKnobs] = None,
                   base_plan: Optional[FaultPlan] = None,
-                  **kwargs) -> SweepResult:
+                  **kwargs) -> Plan:
     """Sweep one axis of an open-system serving scenario.
 
     ``parameter`` is one of :data:`SERVING_DIALS`, each with the shared
@@ -55,8 +57,8 @@ def serving_sweep(app: ServingApp, n_nodes: int, parameter: str,
     none); and ``offered_rps`` rebuilds ``app`` per point via
     :meth:`~repro.serve.apps.ServingApp.with_changes` while ``knobs``
     (default: none) pins the machine.  Every other keyword (``seed``,
-    ``cache``, ``jobs``, run limits, ...) is
-    :func:`~repro.harness.sweeps.run_sweep`'s.  Results carry the
+    run limits, ...) is :func:`~repro.harness.sweeps.run_sweep`'s, as
+    are ``cache`` and ``jobs``.  Results carry the
     :class:`~repro.serve.metrics.ServingMetrics` under each point's
     ``result.stats.serving``.
     """
@@ -68,9 +70,9 @@ def serving_sweep(app: ServingApp, n_nodes: int, parameter: str,
             "knobs cannot be pinned while sweeping a machine dial")
     knob_for, fault_for, app_for = dial_axes(
         parameter, app, params=params, knobs=knobs, faults=base_plan)
-    return run_sweep(app, n_nodes, parameter, values, knob_for,
-                     params=params, fault_for=fault_for, app_for=app_for,
-                     **kwargs)
+    return run_sweep.plan(app, n_nodes, parameter, values, knob_for,
+                          params=params, fault_for=fault_for,
+                          app_for=app_for, **kwargs)
 
 
 def serving_rows(sweep: SweepResult) -> list:

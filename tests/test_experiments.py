@@ -110,3 +110,27 @@ def test_cli_runs_a_single_artifact(tmp_path, capsys):
     assert (tmp_path / "table4.txt").read_text() == text
     assert main(argv[:4] + ["--only", "table1", "--no-cache"]) == 0
     assert "RunCache(" not in capsys.readouterr().out
+
+
+def test_cli_drains_everything_selected_once_at_the_asked_jobs(
+        monkeypatch, capsys):
+    """Table 8 and Figure 11 used to drop ``--jobs`` and run serially,
+    and Figure 11's offered-load sweep is also its o = 2.9 knee sweep,
+    which ``--no-cache`` used to simulate twice."""
+    from repro.harness import parallel
+    from repro.harness.__main__ import main
+    drains = []
+    real = parallel.run_points
+
+    def spy(tasks, cache=None, jobs=None, **kwargs):
+        drains.append((len(tasks), len({task.key for task in tasks}),
+                       cache, jobs))
+        return real(tasks, cache=cache, jobs=jobs, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_points", spy)
+    assert main(["--nodes", "4", "--scale", "0.1", "--only", "table8",
+                 "figure11", "--jobs", "2", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert "Table 8" in out and "Figure 11" in out
+    (tasks, keys, cache, jobs), = drains
+    assert tasks == keys == 55 and cache is None and jobs == 2

@@ -2,17 +2,24 @@
 
 ``repro.harness.parallel.run_points`` is the only code in ``src/repro``
 that owns a process pool, probes or fills a run cache, or calls
-``execute_point``.  Walks the source with ``ast`` (names, so docstrings
-may say what they like); needs nothing but the standard library, and CI
-runs it beside simlint as well as in the tier-1 suite.
+``execute_point``, and each driver that regenerates artifacts drains
+what it planned at one call site.  Walks the source with ``ast`` (names,
+so docstrings may say what they like); needs nothing but the standard
+library, and CI runs it beside simlint as well as in the tier-1 suite.
 """
 
 import ast
 import functools
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 DRAIN = "harness/parallel.py"
+
+#: The drivers' artifact modes: each plans everything selected and then
+#: drains it here, once.
+DRIVERS = {ROOT / "scripts" / "generate_experiments.py": "main",
+           SRC / "harness" / "__main__.py": "main"}
 
 #: Pool machinery: a second pool loop would have to name one of these.
 POOL_NAMES = {"ProcessPoolExecutor", "as_completed", "BrokenProcessPool"}
@@ -48,7 +55,10 @@ def _scan():
                 pools.append(where)
             elif isinstance(node, ast.alias) \
                     and node.name.split(".")[-1] in POOL_NAMES:
-                pools.append(where)
+                # The drain module imports the names it may use only
+                # inside its two functions; nobody else imports them.
+                if relative != DRAIN:
+                    pools.append(where)
             elif isinstance(node, ast.Attribute) and node.attr in POOL_NAMES:
                 pools.append(where)
             elif isinstance(node, ast.Call):
@@ -64,10 +74,12 @@ def _scan():
     return pools, probes, executes
 
 
-def test_process_pools_live_only_in_the_drain_module():
+def test_process_pools_live_only_in_run_points_and_its_pool():
+    """By function, not by module: a second pool owner once lived in the
+    drain module itself."""
     pools, _probes, _executes = _scan()
-    assert pools, "scan found no pool at all: the gate is blind"
-    assert {path for path, _function, _line in pools} == {DRAIN}, pools
+    assert {(path, function) for path, function, _line in pools} \
+        == {(DRAIN, "run_points"), (DRAIN, "_pool")}, pools
 
 
 def test_only_run_points_probes_or_fills_a_run_cache():
@@ -82,3 +94,33 @@ def test_only_run_points_calls_execute_point():
     assert len(executes) == 2, executes  # the serial call, the submit
     assert {(path, function) for path, function, _line in executes} \
         == {(DRAIN, "run_points")}, executes
+
+
+def _studies():
+    """Every name defined under ``@study``: calling one drains."""
+    return {node.name
+            for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Name) and d.id == "study"
+                    for d in node.decorator_list)}
+
+
+def test_each_driver_drains_what_it_planned_at_one_call_site():
+    studies = _studies()
+    assert {"run_sweep", "figure5_overhead", "measure_algorithms"} <= studies
+    for path, function in DRIVERS.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _functions_by_node(tree)
+        drains = [(owner.get(node), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and node.id in ("run_plans", "run_points")
+                  and isinstance(node.ctx, ast.Load)]
+        assert [name for name, _line in drains] == [function], \
+            (path.name, drains)
+        # Calling a study drains too: a driver only takes their .plan.
+        eager = [(ast.unparse(node.func), node.lineno)
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id",
+                             getattr(node.func, "attr", None)) in studies]
+        assert not eager, f"{path.name} runs a study by itself: {eager}"

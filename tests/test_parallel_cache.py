@@ -7,6 +7,7 @@ cache hit reproduces the original run's counters exactly.
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -15,16 +16,18 @@ from repro.am.tuning import TuningKnobs
 from repro.apps import Barnes, RadixSort, default_suite
 from repro.cluster.machine import Cluster
 from repro.coll.bench import CollectiveBench
-from repro.harness import (PointTask, RunCache, overhead_sweep, run_points,
-                           run_sweep)
+from repro.harness import (Plan, PointTask, RunCache, experiments,
+                           fault_sweep, gap_sweep, overhead_sweep, run_plans,
+                           run_points, run_sweep)
+from repro.harness import parallel as parallel_mod
 from repro.harness import runcache as runcache_mod
-from repro.harness.parallel import (default_jobs,
-                                    run_experiments_parallel)
+from repro.harness.parallel import default_jobs
 from repro.harness.runcache import constructor_params, run_key_spec
 from repro.harness.sweeps import SweepPoint, SweepResult
 from repro.network.loggp import LogGPParams
 from repro.sanitize.cli import load_app
-from repro.serve import KVServe
+from repro.serve import FanoutServe, KVServe
+from repro.serve.apps import ServingApp
 
 
 def tiny_radix():
@@ -318,21 +321,125 @@ def test_cache_clear(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Experiment-level fan-out.
+# Plan, drain, build: what to run apart from running it.
 # ---------------------------------------------------------------------------
 
-def test_run_experiments_parallel_matches_serial():
-    requests = [
-        ("table3_baseline_runtimes",
-         {"node_counts": (4,), "scale": 0.02, "names": ["Radix"]}),
-        ("table3_baseline_runtimes",
-         {"node_counts": (4,), "scale": 0.02, "names": ["Connect"]}),
+def artifact_plans():
+    """Three artifacts that share Radix's baseline run, and a fourth that
+    shares nothing: seven tasks, five distinct runs."""
+    radix = dict(n_nodes=4, scale=0.02, names=["Radix"])
+    return [
+        experiments.table3_baseline_runtimes.plan(
+            node_counts=(4,), scale=0.02, names=["Radix"]),
+        experiments.figure5_overhead.plan(overheads=(2.9, 22.9), **radix),
+        experiments.table6_gap_model.plan(gaps=(5.8, 55.0), **radix),
+        experiments.figure7_latency.plan(
+            n_nodes=4, scale=0.02, names=["Connect"],
+            latencies=(5.0, 55.0)),
     ]
-    serial = run_experiments_parallel(requests, jobs=1)
-    fanned = run_experiments_parallel(requests, jobs=2)
-    assert [t.runtimes for t in serial] == [t.runtimes for t in fanned]
 
 
-def test_run_experiments_parallel_rejects_unknown_name():
-    with pytest.raises(KeyError, match="no_such_experiment"):
-        run_experiments_parallel([("no_such_experiment", {})])
+def rendered(artifacts):
+    return [artifact.render() for artifact in artifacts]
+
+
+def test_plans_drained_together_render_as_the_eager_calls_do(
+        tmp_path, monkeypatch):
+    drains = []
+    real = parallel_mod.run_points
+
+    def spy(tasks, **kwargs):
+        drains.append(len(tasks))
+        return real(tasks, **kwargs)
+
+    monkeypatch.setattr(parallel_mod, "run_points", spy)
+    radix = dict(n_nodes=4, scale=0.02, names=["Radix"])
+    eager = rendered([
+        experiments.table3_baseline_runtimes(
+            node_counts=(4,), scale=0.02, names=["Radix"]),
+        experiments.figure5_overhead(overheads=(2.9, 22.9), **radix),
+        experiments.table6_gap_model(gaps=(5.8, 55.0), **radix),
+        experiments.figure7_latency(
+            n_nodes=4, scale=0.02, names=["Connect"],
+            latencies=(5.0, 55.0)),
+    ])
+    assert drains == [1, 2, 2, 2]  # one drain per eager call
+    for jobs in (1, 2):
+        del drains[:]
+        cache = RunCache(tmp_path / f"jobs{jobs}")
+        together = run_plans(artifact_plans(), cache=cache, jobs=jobs)
+        assert rendered(together) == eager
+        # One drain of the five distinct runs: the baseline three of the
+        # artifacts share is probed, missed and simulated once.
+        assert drains == [5]
+        assert (cache.hits, cache.misses, len(cache)) == (0, 5, 5)
+
+
+def test_planning_simulates_nothing(monkeypatch):
+    def run(self, app, **observers):
+        raise AssertionError(f"planning ran {app.name}")
+
+    monkeypatch.setattr(Cluster, "run", run)
+    plans = artifact_plans() + [
+        experiments.figure11_serving.plan(n_nodes=4, scale=0.1),
+        experiments.table8_coll_tuner.plan(n_nodes=4, sizes=(32,))]
+    assert all(plan.tasks for plan in plans)
+
+
+def test_sanitized_and_clean_twins_both_run_in_one_drain(tmp_path):
+    cache = RunCache(tmp_path)
+    clean, = radix_tasks(added=(0.0,))
+    sanitized, = radix_tasks(added=(0.0,), sanitize=True)
+    assert clean.key == sanitized.key
+    plain, checked, again = run_plans(
+        [Plan([clean], list), Plan([sanitized], list),
+         Plan([clean], list)], cache=cache)
+    assert (cache.misses, len(cache)) == (1, 1)  # the clean run, once
+    assert plain[0].result.sanitizer is None
+    assert checked[0].result.sanitizer is not None
+    assert again[0].result is plain[0].result
+    assert plain[0].runtime_us == checked[0].runtime_us
+
+
+def test_a_shared_baseline_keeps_each_sweeps_own_labels():
+    """Overhead 2.9, gap 5.8 and drop rate 0.0 are one run under three
+    names; each sweep gets it back under its own."""
+    radix = tiny_radix()
+    overhead, gap, drops = run_plans([
+        overhead_sweep.plan(radix, 4, overheads=(2.9, 22.9)),
+        gap_sweep.plan(radix, 4, gaps=(5.8, 55.0)),
+        fault_sweep.plan(radix, 4, drop_rates=(0.0, 0.02))])
+    assert overhead.values() == [2.9, 22.9]
+    assert gap.values() == [5.8, 55.0]
+    assert drops.values() == [0.0, 0.02]
+    assert overhead.baseline.result is gap.baseline.result \
+        is drops.baseline.result
+    assert gap.points[1].knobs == TuningKnobs.added_gap(55.0 - 5.8)
+    # Several plans at once: finalize's arrays are let go, as the cache
+    # lets them go; one plan alone keeps them.
+    assert overhead.baseline.result.output is None
+    alone = overhead_sweep(radix, 4, overheads=(2.9,))
+    assert alone.baseline.result.output is not None
+
+
+# ---------------------------------------------------------------------------
+# An app that has run is still a task: it pickles, under the same key.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("app", default_suite(scale=0.05) + [
+    CollectiveBench("allreduce", size=64, iterations=1),
+    KVServe(max_requests=40, duration_us=2_000.0),
+    FanoutServe(max_requests=40, duration_us=2_000.0),
+], ids=lambda app: app.name)
+def test_app_that_ran_in_process_still_pickles_under_the_same_key(app):
+    cluster = Cluster(4, seed=1)
+    key = PointTask(app, cluster).key
+    result = cluster.run(app)
+    # A serially-run task can be re-queued to a pool worker...
+    again = pickle.loads(pickle.dumps(PointTask(app, cluster)))
+    assert again.key == key == PointTask(app, cluster).key
+    assert again.cluster.run(again.app).runtime_us == result.runtime_us
+    # ...and a serving app's instruments stay readable after the run.
+    if isinstance(app, ServingApp):
+        assert app.metrics is result.output
+        assert app.metrics.completed > 0
