@@ -38,7 +38,7 @@ from repro.instruments.probes import Probes
 from repro.network.loggp import LogGPParams
 from repro.network.packet import (BULK_FRAGMENT_BYTES, Packet, PacketKind,
                                   SHORT_PACKET_BYTES, new_xfer_id)
-from repro.sim import Simulator
+from repro.sim import Park, Simulator
 
 __all__ = ["AmLayer", "HandlerTable", "DEFAULT_WINDOW", "AmError"]
 
@@ -121,9 +121,9 @@ class AmLayer:
         #: xfer_id -> destination, to return the right pair's credit.
         self._credit_owner: Dict[int, int] = {}
         self._rx_queue: Deque[Packet] = deque()
-        self._wakeup = None
-        #: Formatted once here, not per park (stall reports print it).
-        self._wakeup_name = f"am-wakeup[{node_id}]"
+        #: Where the host parks between arrivals (stall reports print
+        #: its label).
+        self._wakeup = Park(sim, f"am-wakeup[{node_id}]")
         #: Cached per-message host costs.  ``params`` and ``knobs`` are
         #: frozen dataclasses, so these cannot drift; caching keeps two
         #: attribute-chain walks off the per-message service path.  As
@@ -174,7 +174,8 @@ class AmLayer:
     # -- NIC callbacks ------------------------------------------------------
     def _host_deliver(self, packet: Packet) -> None:
         self._rx_queue.append(packet)
-        self._kick()
+        if self._wakeup.waiter is not None:  # mostly, the host is awake
+            self._wakeup.wake()
 
     def _credit_returned(self, xfer_id: int) -> None:
         dst = self._credit_owner.pop(xfer_id, None)
@@ -184,104 +185,38 @@ class AmLayer:
         if self._credits[dst] >= self.window:
             raise AmError(f"credit overflow on node {self.node_id}")
         self._credits[dst] += 1
-        self._kick()
+        if self._wakeup.waiter is not None:
+            self._wakeup.wake()
 
     # -- wakeup signalling ---------------------------------------------------
-    def _kick(self) -> None:
-        """Wake the host process if it is blocked in :meth:`wait_until`."""
-        wakeup = self._wakeup
-        if wakeup is not None:
-            # Cleared as it fires: a later kick finds nothing to wake.
-            self._wakeup = None
-            wakeup.succeed(None)
-
     def kick(self) -> None:
         """Public wakeup: make a parked :meth:`wait_until` re-check its
-        predicate *now*.  For simulator processes outside the rank set
-        (e.g. the serving client tier) that change state a host loop is
-        waiting on without sending it a message."""
-        self._kick()
-
-    def _arm_wakeup(self):
-        self._wakeup = self.sim.event(name=self._wakeup_name)
-        return self._wakeup
+        predicate *now* (a no-op when the host is not parked).  For
+        simulator processes outside the rank set (e.g. the serving client
+        tier) that change state a host loop is waiting on without sending
+        it a message."""
+        self._wakeup.wake()
 
     # -- polling and waiting --------------------------------------------------
     def poll(self) -> Generator:
         """Drain delivered messages, paying receive overhead per message
-        and running handlers.  The workhorse of the layer; called from
-        every communication operation and wait loop, as in GAM.  A
-        same-tick backlog (back-to-back packet arrivals) is drained as
-        one batch: every message is serviced via a single
-        :meth:`_service` frame driven from this generator, rather than
-        a fresh receive/dispatch frame chain per message."""
+        and running handlers; called from every communication operation
+        and compute chunk, as in GAM.  A wait for an empty receive queue,
+        which therefore never parks."""
         rx = self._rx_queue
-        while rx:
-            yield from self._service(rx.popleft())
-
-    def _service(self, packet: Packet) -> Generator:
-        """Receive and dispatch one message in a single generator frame.
-
-        This is the flattened union of what used to be five frames
-        (service / dispatch / request-dispatch / auto-ack / send-charge)
-        — one frame per message keeps the host-resume path shallow when
-        a batch of same-tick arrivals is drained.  The simulated-time
-        charges are identical to the unflattened code by construction:
-        one ``recv_cost`` sleep per message, one ``send_cost`` sleep
-        per (auto-)ack, in the same order.
-        """
-        yield self._recv_cost
-        hook = self._on_recv
-        if hook is not None:
-            hook(self.node_id, packet)
-        if packet.kind is PacketKind.REQUEST or (
-                packet.kind is PacketKind.BULK_FRAGMENT
-                and not packet.is_reply):
-            outer_request = self._current_request
-            outer_replied = self._current_replied
-            self._current_request = packet
-            self._current_replied = False
-            try:
-                if packet.handler is not None:
-                    result = self.handlers.lookup(packet.handler)(
-                        self, packet)
-                    if result is not None:
-                        yield from result
-                if not packet.one_way and not self._current_replied:
-                    # Split-C semantics: every request is acknowledged,
-                    # so the sender's window credit returns and the
-                    # sender pays its second `o` receiving the ack.
-                    self._current_replied = True
-                    yield self._send_cost
-                    ack = Packet(kind=PacketKind.REPLY, src=self.node_id,
-                                 dst=packet.src, payload=None,
-                                 size_bytes=SHORT_PACKET_BYTES,
-                                 is_read=packet.is_read)
-                    ack.xfer_id = packet.xfer_id
-                    self._record_send(ack)
-                    self.nic.enqueue(ack)
-            finally:
-                self._current_request = outer_request
-                self._current_replied = outer_replied
-        else:
-            callback = self._on_reply.pop(packet.xfer_id, None)
-            if packet.handler is not None and packet.handler in self.handlers:
-                result = self.handlers.lookup(packet.handler)(self, packet)
-                if result is not None:
-                    yield from result
-            if callback is not None:
-                callback(packet.payload)
-        hook = self._on_handled
-        if hook is not None:
-            hook(self.node_id, packet)
+        return self.wait_until(lambda: not rx)
 
     def wait_until(self, predicate: Callable[[], bool],
                    wait: Optional[tuple] = None) -> Generator:
         """Poll until ``predicate()`` holds, sleeping between arrivals.
 
+        The layer's one service loop: every reception is paid for and
+        dispatched in this frame -- one ``recv_cost`` sleep per message,
+        then one ``send_cost`` sleep per automatic ack.
+
         The predicate may only become true as a consequence of this node's
         own polling (handler/reply processing) or of NIC-level credit
-        returns; both kick the wakeup event.  The predicate is re-checked
+        returns; both kick the wakeup.  The predicate is re-checked
         after *every* serviced message — a continuously refilling receive
         queue (e.g. a storm of lock retries) must not starve the waiter
         whose reply has already been processed.
@@ -295,22 +230,67 @@ class AmLayer:
         watched = wait is not None and self.watching
         if watched:
             self._on_wait_enter(self.node_id, *wait)
+        rx = self._rx_queue
         try:
-            while True:
-                if predicate():
-                    return
-                if self._rx_queue:
-                    yield from self._service(self._rx_queue.popleft())
-                    continue
-                hook = self._on_blocked
-                if hook is None:
-                    yield self._arm_wakeup()
-                else:
-                    # Same yield, bracketed by two now-reads: the hook
-                    # is told how long the rank was parked.
+            while not predicate():
+                if not rx:
                     parked_at = self.sim.now
-                    yield self._arm_wakeup()
-                    hook(self.node_id, self.sim.now - parked_at)
+                    yield self._wakeup
+                    hook = self._on_blocked
+                    if hook is not None:
+                        hook(self.node_id, self.sim.now - parked_at)
+                    continue
+                packet = rx.popleft()
+                yield self._recv_cost
+                hook = self._on_recv
+                if hook is not None:
+                    hook(self.node_id, packet)
+                if packet.kind is PacketKind.REQUEST or (
+                        packet.kind is PacketKind.BULK_FRAGMENT
+                        and not packet.is_reply):
+                    outer_request = self._current_request
+                    outer_replied = self._current_replied
+                    self._current_request = packet
+                    self._current_replied = False
+                    try:
+                        if packet.handler is not None:
+                            result = self.handlers.lookup(packet.handler)(
+                                self, packet)
+                            if result is not None:
+                                yield from result
+                        if not packet.one_way and not self._current_replied:
+                            # Split-C semantics: every request is
+                            # acknowledged, so the sender's window credit
+                            # returns and the sender pays its second `o`
+                            # receiving the ack.
+                            self._current_replied = True
+                            yield self._send_cost
+                            ack = Packet(kind=PacketKind.REPLY,
+                                         src=self.node_id, dst=packet.src,
+                                         payload=None,
+                                         size_bytes=SHORT_PACKET_BYTES,
+                                         is_read=packet.is_read)
+                            ack.xfer_id = packet.xfer_id
+                            hook = self._on_send
+                            if hook is not None:
+                                hook(self.node_id, ack)
+                            self.nic.enqueue(ack)
+                    finally:
+                        self._current_request = outer_request
+                        self._current_replied = outer_replied
+                else:
+                    callback = self._on_reply.pop(packet.xfer_id, None)
+                    if packet.handler is not None \
+                            and packet.handler in self.handlers:
+                        result = self.handlers.lookup(packet.handler)(
+                            self, packet)
+                        if result is not None:
+                            yield from result
+                    if callback is not None:
+                        callback(packet.payload)
+                hook = self._on_handled
+                if hook is not None:
+                    hook(self.node_id, packet)
         finally:
             if watched:
                 hook = self._on_wait_exit
@@ -356,12 +336,6 @@ class AmLayer:
         self._credits[key] -= 1
         return key
 
-    def _record_send(self, packet: Packet) -> None:
-        """Every host-level send passes through here."""
-        hook = self._on_send
-        if hook is not None:
-            hook(self.node_id, packet)
-
     def send_request(self, dst: int, handler: str, payload: Any = None,
                      size: int = SHORT_PACKET_BYTES, is_read: bool = False,
                      on_reply: Optional[Callable[[Any], None]] = None,
@@ -382,7 +356,9 @@ class AmLayer:
         if on_reply is not None:
             self._on_reply[packet.xfer_id] = on_reply
         self._credit_owner[packet.xfer_id] = key
-        self._record_send(packet)
+        hook = self._on_send
+        if hook is not None:
+            hook(self.node_id, packet)
         self.nic.enqueue(packet)
         return packet.xfer_id
 
@@ -415,7 +391,9 @@ class AmLayer:
                         handler=handler, payload=payload, size_bytes=size,
                         one_way=True)
         self._credit_owner[packet.xfer_id] = key
-        self._record_send(packet)
+        hook = self._on_send
+        if hook is not None:
+            hook(self.node_id, packet)
         self.nic.enqueue(packet)
         return packet.xfer_id
 
@@ -470,7 +448,9 @@ class AmLayer:
         if on_complete is not None:
             self._on_reply[last.xfer_id] = on_complete
         self._credit_owner[last.xfer_id] = key
-        self._record_send(last)
+        hook = self._on_send
+        if hook is not None:
+            hook(self.node_id, last)
         return last.xfer_id
 
     def bulk_store_blocking(self, dst: int, handler: str, payload: Any,
@@ -496,7 +476,9 @@ class AmLayer:
         last = self._enqueue_fragments(dst, handler, payload, nbytes,
                                        one_way=True, is_reply=False)
         self._credit_owner[last.xfer_id] = key
-        self._record_send(last)
+        hook = self._on_send
+        if hook is not None:
+            hook(self.node_id, last)
         return last.xfer_id
 
     def bulk_rpc(self, dst: int, handler: str, payload: Any = None,
@@ -535,7 +517,9 @@ class AmLayer:
                         dst=request.src, handler=handler, payload=payload,
                         size_bytes=size, is_read=request.is_read)
         packet.xfer_id = request.xfer_id
-        self._record_send(packet)
+        hook = self._on_send
+        if hook is not None:
+            hook(self.node_id, packet)
         self.nic.enqueue(packet)
 
     def reply_bulk(self, payload: Any, nbytes: int,
@@ -549,7 +533,9 @@ class AmLayer:
             request.src, handler, (payload, nbytes), nbytes,
             one_way=False, is_reply=True, xfer_id=request.xfer_id,
             is_read=request.is_read)
-        self._record_send(last)
+        hook = self._on_send
+        if hook is not None:
+            hook(self.node_id, last)
 
     # -- draining ------------------------------------------------------------
     def drain(self) -> Generator:
@@ -560,9 +546,8 @@ class AmLayer:
                 key for key, credits in self._credits.items()
                 if credits < self.window and key >= 0))
             wait = ("drain", owed, "outstanding acknowledgements")
-        yield from self.wait_until(
-            lambda: all(c == self.window for c in self._credits.values()),
-            wait=wait)
+        # One _credit_owner entry per slot still out.
+        yield from self.wait_until(lambda: not self._credit_owner, wait=wait)
 
 
 class _ReplyBox:

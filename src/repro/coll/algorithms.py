@@ -59,9 +59,9 @@ CHAIN_SEGMENT_BYTES = 4096
 # barrier
 # ---------------------------------------------------------------------------
 
-def barrier_dissemination(proc: "Proc") -> Generator:  # noqa: F821
-    """The legacy dissemination barrier (ceil(log2 P) rounds)."""
-    yield from legacy.barrier(proc)
+#: The legacy dissemination barrier (ceil(log2 P) rounds), registered
+#: as is: a delegating generator here would be one frame per resume.
+barrier_dissemination = legacy.barrier
 
 
 def barrier_tree(proc: "Proc") -> Generator:  # noqa: F821

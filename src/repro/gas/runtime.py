@@ -260,61 +260,55 @@ class Proc:
     def barrier(self, algo: Optional[str] = None) -> Generator:
         """Barrier over all ranks (default: dissemination)."""
         from repro.coll import api
-        yield from api.barrier(self, algo=algo)
+        return api.barrier(self, algo=algo)
 
     def broadcast(self, value: Any = None, root: int = 0, size: int = 32,
                   bulk: bool = False,
                   algo: Optional[str] = None) -> Generator:
         """Broadcast from ``root``; returns the value on every rank."""
         from repro.coll import api
-        result = yield from api.broadcast(
+        return api.broadcast(
             self, value, root=root, size=size, bulk=bulk, algo=algo)
-        return result
 
     def reduce(self, value: Any, op, root: int = 0,
                size: int = 32, bulk: bool = False,
                algo: Optional[str] = None) -> Generator:
         """Tree reduction to ``root`` (others receive ``None``)."""
         from repro.coll import api
-        result = yield from api.reduce(
+        return api.reduce(
             self, value, op, root=root, size=size, bulk=bulk, algo=algo)
-        return result
 
     def allreduce(self, value: Any, op, size: int = 32,
                   bulk: bool = False, elementwise: bool = False,
                   algo: Optional[str] = None) -> Generator:
         """Reduction whose result lands on every rank."""
         from repro.coll import api
-        result = yield from api.allreduce(
+        return api.allreduce(
             self, value, op, size=size, bulk=bulk,
             elementwise=elementwise, algo=algo)
-        return result
 
     def gather(self, value: Any, root: int = 0, size: int = 32,
                bulk: bool = False,
                algo: Optional[str] = None) -> Generator:
         """Gather one value per rank to ``root`` (rank-ordered list)."""
         from repro.coll import api
-        result = yield from api.gather(
+        return api.gather(
             self, value, root=root, size=size, bulk=bulk, algo=algo)
-        return result
 
     def scatter(self, values: Optional[List[Any]] = None, root: int = 0,
                 size: int = 32, bulk: bool = False,
                 algo: Optional[str] = None) -> Generator:
         """Scatter ``values[r]`` from ``root``; returns this rank's."""
         from repro.coll import api
-        result = yield from api.scatter(
+        return api.scatter(
             self, values, root=root, size=size, bulk=bulk, algo=algo)
-        return result
 
     def allgather(self, value: Any, size: int = 32, bulk: bool = False,
                   algo: Optional[str] = None) -> Generator:
         """Gather one value per rank onto every rank."""
         from repro.coll import api
-        result = yield from api.allgather(
+        return api.allgather(
             self, value, size=size, bulk=bulk, algo=algo)
-        return result
 
     def alltoall(self, values: List[Any], size: int = 32,
                  sizes: Optional[List[int]] = None, bulk: bool = False,
@@ -322,10 +316,9 @@ class Proc:
                  algo: Optional[str] = None) -> Generator:
         """Personalized all-to-all (``None`` slots send nothing)."""
         from repro.coll import api
-        result = yield from api.alltoall(
+        return api.alltoall(
             self, values, size=size, sizes=sizes, bulk=bulk,
             dense=dense, algo=algo)
-        return result
 
     # -- locks -------------------------------------------------------------------
     def lock(self, lock: DistributedLock,

@@ -10,7 +10,7 @@ Two sizes exist, mirroring Generic Active Messages:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Tuple
 
@@ -74,8 +74,8 @@ class Packet:
     #: True if the *logical message* is a bulk transfer.
     is_bulk: bool = False
     #: Identifier linking a reply to its request, and fragments to their
-    #: bulk transfer.
-    xfer_id: int = field(default_factory=lambda: next(_sequence))
+    #: bulk transfer; drawn from the process-wide sequence when not given.
+    xfer_id: Optional[int] = None
     #: (fragment_index, fragment_count) for BULK_FRAGMENT packets.
     fragment: Tuple[int, int] = (0, 1)
     #: True when the sender does not expect a host-level reply; the
@@ -101,6 +101,8 @@ class Packet:
     clock: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        if self.xfer_id is None:
+            self.xfer_id = next(_sequence)
         if self.src == self.dst:
             raise ValueError(
                 f"packet to self ({self.src}); local operations must not "

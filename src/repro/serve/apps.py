@@ -250,8 +250,11 @@ class ServingApp(Application):
                 proc.sim.process(self._queue_sampler(proc.sim),
                                  name="serve-sampler")
         while True:
+            # _finished(), spelled out: this runs on every wake.
             yield from am.wait_until(
-                lambda: bool(pending) or self._finished())
+                lambda: bool(pending) or (
+                    self._feed_done and self._completed + self._dropped
+                    >= self._injected))
             if pending:
                 request, arrived = pending.popleft()
                 if self._aborted:

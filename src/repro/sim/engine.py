@@ -63,17 +63,13 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in microseconds; only the loop assigns
+        #: it (an attribute, not a property: every layer reads it hot).
+        self.now = 0.0
         self._heap: List[Tuple[float, int, int, Optional[Callable], Any]] = []
         self._seq = 0
         self._event_count = 0
         self._stop_requested: Optional[Event] = None
-
-    # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -109,7 +105,7 @@ class Simulator:
         event.delay = delay
         self._seq += 1
         heappush(self._heap,
-                 (self._now + delay, NORMAL, self._seq, None, event))
+                 (self.now + delay, NORMAL, self._seq, None, event))
         return event
 
     def call_in(self, delay: float, callback: Callable[[Any], None],
@@ -122,7 +118,7 @@ class Simulator:
             raise bad_delay("timeout delay", delay)
         self._seq += 1
         heappush(self._heap,
-                 (self._now + delay, NORMAL, self._seq, callback, arg))
+                 (self.now + delay, NORMAL, self._seq, callback, arg))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
@@ -146,7 +142,7 @@ class Simulator:
             raise RuntimeError(f"{event!r} is already scheduled")
         event._scheduled = True
         self._seq += 1
-        heappush(self._heap, (self._now + delay, priority,
+        heappush(self._heap, (self.now + delay, priority,
                               self._seq, None, event))
 
     # -- execution --------------------------------------------------------
@@ -155,7 +151,7 @@ class Simulator:
         if not self._heap:
             raise RuntimeError("no events to process")
         when, _priority, _seq, callback, event = heappop(self._heap)
-        self._now = when
+        self.now = when
         self._event_count += 1
         if callback is not None:
             # Nobody waits on it: nothing to mark processed, nothing
@@ -185,12 +181,12 @@ class Simulator:
         ``until`` that is NaN or earlier than ``now`` (the clock never
         moves backwards).
         """
-        if until is not None and not until >= self._now:
+        if until is not None and not until >= self.now:
             # One check per call, none per event; NaN fails every
             # comparison, so it lands here too.
             raise ValueError(
                 f"cannot run into the past: until={until!r} "
-                f"(must be >= now={self._now})")
+                f"(must be >= now={self.now})")
         if stop_event is not None:
             if stop_event.processed:
                 if stop_event.ok:
@@ -208,7 +204,7 @@ class Simulator:
             if until is None:
                 while heap:
                     when, _priority, _seq, callback, event = pop(heap)
-                    self._now = when
+                    self.now = when
                     count += 1
                     if callback is not None:
                         callback(event)
@@ -231,10 +227,10 @@ class Simulator:
             else:
                 while heap:
                     if heap[0][0] > until:
-                        self._now = until
+                        self.now = until
                         break
                     when, _priority, _seq, callback, event = pop(heap)
-                    self._now = when
+                    self.now = when
                     count += 1
                     if callback is not None:
                         callback(event)
@@ -259,13 +255,13 @@ class Simulator:
         if stop_event is not None:
             if not heap:
                 raise StalledError(
-                    f"event heap drained at t={self._now} with "
+                    f"event heap drained at t={self.now} with "
                     f"{stop_event!r} still pending")
             raise TimeoutError(
-                f"simulation ended at t={self._now} before "
+                f"simulation ended at t={self.now} before "
                 f"{stop_event!r} triggered")
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         return None
 
     def _stop_callback(self, event: Event) -> None:

@@ -6,8 +6,9 @@ events themselves) to suspend; it resumes with the event's value via
 ``send`` or, on event failure, has the exception thrown into it.  A
 generator that yields a plain number sleeps for that many microseconds
 and resumes with ``None``: its wake-up is a bare heap entry, no event is
-built.  The process is itself an event that triggers when the generator
-returns.
+built.  A generator that yields a :class:`Park` waits there, its one
+waiter, for :meth:`Park.wake`.  The process is itself an event that
+triggers when the generator returns.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any, Generator, Optional, Union
 
 from repro.sim.events import _INF, NORMAL, Event, bad_delay
 
-__all__ = ["Process", "Interrupt"]
+__all__ = ["Process", "Park", "Interrupt"]
 
 
 class Interrupt(Exception):
@@ -30,6 +31,37 @@ class Interrupt(Exception):
     @property
     def cause(self) -> Any:
         return self.args[0] if self.args else None
+
+
+class Park:
+    """A reusable wait with one known waiter: ``yield park`` suspends the
+    process until :meth:`wake` and resumes it with ``None``.  No value,
+    no callback list, no one-shot state: ``wake()`` takes the very heap
+    entry ``Event.succeed()`` would push, and builds nothing.
+    """
+
+    __slots__ = ("sim", "name", "waiter")
+
+    #: What :meth:`Process._resume` reads off whatever woke it.
+    _ok, _value = True, None
+
+    def __init__(self, sim: "Simulator", name: str = "") -> None:  # noqa: F821
+        self.sim = sim
+        self.name = name
+        #: The parked process, until woken (or interrupted); else None.
+        self.waiter: Optional[Process] = None
+
+    def wake(self) -> None:
+        """Resume the parked process from the event loop, now; a no-op
+        when nobody is parked (or a wake is already on its way)."""
+        process = self.waiter
+        if process is not None:
+            self.waiter = None
+            self.sim.call_in(0.0, process._resume, self)
+
+    def __repr__(self) -> str:
+        state = "idle" if self.waiter is None else "pending"
+        return f"<Park {self.name or 'park'} [{state}]>"
 
 
 class Process(Event):
@@ -46,9 +78,9 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(
             generator, "__name__", "process"))
         self._generator = generator
-        #: The event suspended on or, during a bare sleep, the sequence
+        #: The event or park suspended on or, in a bare sleep, the sequence
         #: number of its wake-up: the one entry allowed to resume us.
-        self._waiting_on: Union[Event, int, None] = None
+        self._waiting_on: Union[Event, Park, int, None] = None
         # Kick off on the next simulator step at the current time.
         self._sleep(0.0)
 
@@ -58,15 +90,15 @@ class Process(Event):
         return not self.triggered
 
     @property
-    def waiting_on(self) -> Optional[Event]:
-        """The event this process is currently suspended on, if any
-        (``None`` while it sleeps: a sleep always ends).
+    def waiting_on(self) -> Union[Event, Park, None]:
+        """The event or park this process is currently suspended on, if
+        any (``None`` while it sleeps: a sleep always ends).
 
         Diagnostic surface for simsan's stall reports: a live process
         with a never-triggering target here is a blocked rank.
         """
         target = self._waiting_on
-        return target if isinstance(target, Event) else None
+        return None if target.__class__ is int else target
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -77,16 +109,19 @@ class Process(Event):
         """
         if self.triggered:
             raise RuntimeError(f"cannot interrupt finished {self!r}")
-        # Detach from the current wait so its wakeup is discarded.
-        self._waiting_on = None
+        # Detach from the current wait so its wakeup is discarded (and
+        # a park still held is free again).
+        target, self._waiting_on = self._waiting_on, None
+        if isinstance(target, Park) and target.waiter is self:
+            target.waiter = None
         self.sim.call_in(0.0, self._throw, Interrupt(cause))
 
     # -- stepping ---------------------------------------------------------
-    def _resume(self, event: Union[Event, int]) -> None:
-        # Hot path: runs once per process wakeup, with the event waited
-        # on or, out of a bare sleep, the wake-up's own sequence number
-        # (the very object ``_waiting_on`` holds, hence ``is``).  A
-        # processed event always has ``_ok`` decided, so read the slot
+    def _resume(self, event: Union[Event, Park, int]) -> None:
+        # Hot path: runs once per process wakeup, with the event or park
+        # waited on or, out of a bare sleep, the wake-up's own sequence
+        # number (the very object ``_waiting_on`` holds, hence ``is``).
+        # A processed event always has ``_ok`` decided, so read the slot
         # directly rather than the raising ``ok`` property.
         if event is not self._waiting_on:
             # Stale wakeup from a wait abandoned by an interrupt.
@@ -108,15 +143,20 @@ class Process(Event):
             # become a process failure, never a lost exception.
             self.fail(exc)
             return
-        # _wait_on's two common cases, inline: a sleep, and a pending
-        # event of this simulator.
+        # _wait_on's three common cases, inline: a sleep, a free park
+        # and a pending event of this simulator.
         if target.__class__ is float and 0.0 <= target < _INF:
             sim = self.sim
             sim._seq = self._waiting_on = seq = sim._seq + 1
             heappush(sim._heap,
-                     (sim._now + target, NORMAL, seq, self._resume, seq))
+                     (sim.now + target, NORMAL, seq, self._resume, seq))
             return
-        if isinstance(target, Event) and target.sim is self.sim:
+        if target.__class__ is Park:
+            if target.waiter is None and target.sim is self.sim:
+                self._waiting_on = target
+                target.waiter = self
+                return
+        elif isinstance(target, Event) and target.sim is self.sim:
             callbacks = target.callbacks
             if callbacks is not None:
                 self._waiting_on = target
@@ -128,7 +168,7 @@ class Process(Event):
         sim = self.sim
         sim._seq = self._waiting_on = seq = sim._seq + 1
         heappush(sim._heap,
-                 (sim._now + delay, NORMAL, seq, self._resume, seq))
+                 (sim.now + delay, NORMAL, seq, self._resume, seq))
 
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
@@ -153,7 +193,7 @@ class Process(Event):
             else:
                 self._throw(bad_delay("timeout delay", delay))
             return
-        if not isinstance(target, Event):
+        if not isinstance(target, (Event, Park)):
             exc = TypeError(
                 f"process {self.name!r} yielded non-event {target!r}")
             self._throw(exc)
@@ -162,5 +202,12 @@ class Process(Event):
             self._throw(ValueError(
                 "yielded event belongs to a different simulator"))
             return
-        self._waiting_on = target
-        target.add_callback(self._resume)  # bridged if already processed
+        if not isinstance(target, Park):
+            self._waiting_on = target
+            target.add_callback(self._resume)  # bridged if processed
+        elif target.waiter is None:
+            self._waiting_on = target
+            target.waiter = self
+        else:
+            self._throw(RuntimeError(
+                f"{target!r} already holds {target.waiter.name!r}"))

@@ -9,14 +9,16 @@ two ways:
 * randomized differential fuzzing: the same scripted workload (mixed
   timeouts, bare sleeps, ``call_in`` callbacks, zero-delay bursts,
   AnyOf/AllOf composites, spawned sub-processes, manually
-  succeeded/failed events) is driven once through ``run()`` and once by
+  succeeded/failed events, parks and wakes) is driven once through
+  ``run()`` and once by
   ``step()`` alone, and must produce the identical resume-and-callback
   trace, final ``now``, ``events_processed``, and — when the workload
   fails — the identical exception at the identical time;
 * the same workload with every bare heap entry (a yielded number, a
   ``call_in``) spelled as the ``Timeout`` it replaced: the two kinds of
   entry take their sequence numbers at the same program points, so the
-  traces must be identical too;
+  traces must be identical too; likewise with every ``Park`` spelled as
+  the fresh ``Event`` per wait, succeeded at the wake, that it replaced;
 * targeted corners the fuzzer would only hit by luck: the post-drain
   clock bump followed by zero-delay scheduling, far-future events among
   dense ticks, non-finite delay rejection, back-to-back timeouts, and
@@ -29,13 +31,34 @@ import random
 import numpy as np
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt, Park, Simulator
 
 #: Quantized delays with deliberate repeats: ties at equal times are the
 #: scheduler's hardest ordering case, so make them common.
 DELAYS = (0.0, 0.0, 0.1, 0.5, 1.0, 1.0, 2.5, 7.3, 100.0)
 
 N_MANUAL = 6
+
+#: Upper bound on top-level processes, each of which owns one park.
+N_PARKS = 10
+
+
+class _EventPark:
+    """A park spelled as what the AM wakeup was before ``Park``: a fresh
+    ``Event`` armed per wait, cleared and succeeded at the wake."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.event = None
+
+    def arm(self):
+        self.event = self.sim.event()
+        return self.event
+
+    def wake(self):
+        event, self.event = self.event, None
+        if event is not None:
+            event.succeed(None)
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +68,11 @@ N_MANUAL = 6
 def _make_script(rng, depth=0):
     """A deterministic per-process op list (same for both drivers)."""
     ops = ["timeout", "sleep", "call_in", "burst", "any_of", "all_of"]
+    ops += ["wake", "wake"]
     if depth == 0:
-        ops += ["spawn", "manual"]
+        ops += ["spawn", "manual", "park", "park"]
     script = []
-    for _ in range(rng.randrange(3, 9)):
+    for _ in range(rng.randrange(5, 12)):
         kind = rng.choice(ops)
         if kind in ("timeout", "sleep", "call_in"):
             script.append((kind, rng.choice(DELAYS)))
@@ -62,19 +86,27 @@ def _make_script(rng, depth=0):
                             for _ in range(rng.randrange(2, 4))]))
         elif kind == "spawn":
             script.append(("spawn", _make_script(rng, depth + 1)))
+        elif kind == "wake":
+            script.append(("wake", rng.randrange(N_PARKS)))
+        elif kind == "park":
+            script.append(("park",))
         else:
             script.append(("manual", rng.randrange(N_MANUAL)))
     return script
 
 
-def _build_workload(sim, seed, may_fail, bare=True):
+def _build_workload(sim, seed, may_fail, bare=True, parks=True):
     """Instantiate one seeded workload on ``sim``; returns the trace
     list (appended to during the run) and the process list.  With
     ``bare=False`` every sleep and ``call_in`` is spelled with the
-    ``Timeout`` it stands for."""
+    ``Timeout`` it stands for; with ``parks=False`` every park is
+    spelled with the ``Event`` per wait it stands for."""
     rng = random.Random(seed)
     trace = []
     manual = [sim.event(name=f"manual:{i}") for i in range(N_MANUAL)]
+    # Process ``pid`` is the one waiter of ``spots[pid]``; anyone wakes.
+    spots = [Park(sim) if parks else _EventPark(sim)
+             for _ in range(N_PARKS)]
 
     def sleep(delay):
         return delay if bare else sim.timeout(delay)
@@ -117,6 +149,11 @@ def _build_workload(sim, seed, may_fail, bare=True):
                 elif kind == "spawn":
                     got = yield sim.process(
                         body((pid, op_i), op[1]))
+                elif kind == "wake":
+                    got = spots[op[1]].wake()
+                elif kind == "park":
+                    yield (spots[pid] if parks else spots[pid].arm())
+                    got = "unparked"
                 else:
                     got = yield manual[op[1]]
             except RuntimeError as exc:
@@ -144,6 +181,11 @@ def _build_workload(sim, seed, may_fail, bare=True):
                 manual[idx].fail(RuntimeError(f"scripted failure {idx}"))
             else:
                 manual[idx].succeed(("manual", idx))
+        # Nobody may stay parked for good: sweep until all are through.
+        while any(proc.is_alive for proc in procs):
+            yield sleep(7.3)
+            for spot in spots:
+                spot.wake()
 
     sim.process(driver(), name="driver")
     return trace, procs
@@ -190,17 +232,18 @@ def _drive_reference(sim, procs, mode):
         for horizon in HORIZONS:
             while sim.peek() <= horizon:
                 sim.step()
-            sim._now = max(sim.now, horizon)
+            sim.now = max(sim.now, horizon)
             checkpoints.append((sim.now, sim.events_processed))
         return checkpoints
     _step_all(sim)
     return None
 
 
-def _run_workload(drive, seed, mode="run", may_fail=False, bare=True):
+def _run_workload(drive, seed, mode="run", may_fail=False, bare=True,
+                  parks=True):
     """One full seeded run; returns everything that must be identical."""
     sim = Simulator()
-    trace, procs = _build_workload(sim, seed, may_fail, bare)
+    trace, procs = _build_workload(sim, seed, may_fail, bare, parks)
     outcome = None
     error = None
     try:
@@ -243,6 +286,18 @@ def test_bare_entries_order_as_the_timeouts_they_replace(seed, mode):
     bare = _run_workload(_drive, seed, mode=mode)
     assert bare == spelled_out
     assert any(row[1] == "callback" for row in bare[0])
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+@pytest.mark.parametrize("mode", ["run", "until"])
+def test_park_wakes_order_as_the_events_they_replace(seed, mode):
+    """``Park.wake()`` takes the heap entry ``Event.succeed()`` took, at
+    the same program point: same instants, same tie order among events,
+    sleeps and ``call_in`` entries, same ``events_processed``."""
+    spelled_out = _run_workload(_drive, seed, mode=mode, parks=False)
+    parked = _run_workload(_drive, seed, mode=mode)
+    assert parked == spelled_out
+    assert any(row[-1] == "unparked" for row in parked[0])
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -7,6 +7,9 @@ outside ``sim/`` calls ``.timeout(`` or touches ``.callbacks`` -- every
 such site used to be a ``Timeout`` yielded on the spot or given exactly
 one callback and dropped.  ``Simulator.timeout`` stays the public
 waitable for tests, examples and ``any_of([reply, sim.timeout(t)])``.
+A wait with one known waiter is not an ``Event`` either: it is a
+``Park``, so nothing outside ``sim/`` calls ``.event(`` -- the one site
+there was built the AM wakeup afresh for every park.
 Walks the source with ``ast``, like ``test_one_bus.py``, and CI runs it
 beside simlint as well as in the tier-1 suite.
 """
@@ -30,5 +33,5 @@ def test_nothing_outside_the_kernel_builds_a_timeout_or_reads_callbacks():
                 assert node.attr != "callbacks", where
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute):
-                assert node.func.attr != "timeout", where
+                assert node.func.attr not in ("timeout", "event"), where
     assert seen > 50_000, "scan found next to nothing: the gate is blind"

@@ -77,7 +77,7 @@ def test_no_message_lost_or_duplicated(script, delta_o, delta_L,
         yield from am.drain()
         drained["count"] += 1
         for other in ams:
-            other._kick()
+            other.kick()
         yield from am.wait_until(
             lambda: drained["count"] == n_nodes and am.rx_pending == 0)
 
@@ -113,7 +113,7 @@ def test_time_and_event_counts_are_deterministic(script):
             yield from am.drain()
             drained["count"] += 1
             for other in ams:
-                other._kick()
+                other.kick()
             yield from am.wait_until(
                 lambda: drained["count"] == n_nodes
                 and am.rx_pending == 0)

@@ -114,12 +114,12 @@ def test_unbalanced_barrier_deadlocks_even_without_sanitizer():
             fixture_app("unbalanced_barrier", "UnbalancedBarrier"))
     report = exc_info.value.report
     assert report.kind == "frontier"
-    # Without annotations each edge names the raw event its rank is
-    # parked on: the AM wakeup, labelled with the rank (the label is
-    # formatted once per endpoint, so pin the text it must keep).
+    # Without annotations each edge names what its rank is parked on:
+    # the AM wakeup, a kernel ``Park`` labelled with the rank (the label
+    # is formatted once per endpoint, so pin the text it must keep).
     assert [(edge.rank, edge.kind, edge.detail) for edge in report.edges] \
         == [(rank, "unknown",
-             f"blocked on <Event am-wakeup[{rank}] [pending]>")
+             f"blocked on <Park am-wakeup[{rank}] [pending]>")
             for rank in (1, 2, 3)]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Interrupt, Park, Simulator
 from repro.sim.events import EventError
 
 
@@ -239,6 +239,111 @@ def test_interrupt_finished_process_is_error():
     sim.run()
     with pytest.raises(RuntimeError):
         proc.interrupt()
+
+
+def _parker(sim, park, log, tag="host"):
+    """Park, note each resume, until interrupted for good."""
+    while True:
+        try:
+            got = yield park
+            log.append((tag, sim.now, got))
+        except Interrupt as stop:
+            log.append((tag, sim.now, stop.cause))
+            if stop.cause == "quit":
+                return
+
+
+def test_park_wake_with_nobody_parked_is_a_noop():
+    sim = Simulator()
+    park = Park(sim, "spot")
+    park.wake()
+    sim.run()
+    assert sim.events_processed == 0
+    assert repr(park) == "<Park spot [idle]>"
+
+
+def test_park_resumes_its_waiter_once_per_wake_from_the_loop():
+    sim = Simulator()
+    park, log = Park(sim, "spot"), []
+    host = sim.process(_parker(sim, park, log))
+    sim.run()  # parked: the heap drains with the process alive
+    assert host.is_alive and host.waiting_on is park
+    assert park.waiter is host
+    assert repr(park) == "<Park spot [pending]>"
+    before = sim.events_processed
+    sim.call_in(3.0, lambda _arg: (park.wake(), park.wake(),
+                                   log.append("woken, not yet resumed")))
+    sim.run()
+    # Two wakes before the entry fires are one entry and one resume,
+    # delivered from the event loop, never synchronously.
+    assert log == ["woken, not yet resumed", ("host", 3.0, None)]
+    assert sim.events_processed == before + 2  # the call_in, the wake
+    assert host.waiting_on is park  # a park is reusable: back on it
+    park.wake()
+    sim.run()
+    assert log[2:] == [("host", 3.0, None)]
+
+
+def test_second_process_on_an_occupied_park_gets_a_runtime_error():
+    sim = Simulator()
+    park, log = Park(sim, "spot"), []
+    host = sim.process(_parker(sim, park, log), name="host")
+
+    def intruder():
+        try:
+            yield park
+        except RuntimeError as exc:
+            return str(exc)
+
+    thief = sim.process(intruder())
+    sim.run()
+    assert thief.value == "<Park spot [pending]> already holds 'host'"
+    park.wake()
+    sim.run()
+    assert log == [("host", 0.0, None)]  # not stolen: the host's wake
+
+
+def test_interrupted_while_parked_ignores_the_later_wake_and_reparks():
+    sim = Simulator()
+    park, log = Park(sim, "spot"), []
+    host = sim.process(_parker(sim, park, log))
+    sim.run()
+    host.interrupt("up")
+    assert park.waiter is None  # the interrupt freed the park
+    park.wake()  # so this wakes nobody
+    assert sim.events_processed == 1
+    sim.run()
+    assert log == [("host", 0.0, "up")]
+    assert sim.events_processed == 2  # the interrupt alone
+    assert host.waiting_on is park  # parked there again
+    sim.call_in(4.0, lambda _arg: park.wake())
+    sim.run()
+    assert log[1:] == [("host", 4.0, None)]
+    # A wake already on its way when the interrupt lands is discarded,
+    # and whoever took the freed park meanwhile keeps it.
+    sim.call_in(0.0, lambda _arg: park.wake())
+    heir = sim.process(_parker(sim, park, log, tag="heir"))
+    sim.step()  # the wake: its entry queues behind the heir's kick-off
+    sim.step()  # the heir parks on the freed park
+    host.interrupt("quit")
+    assert park.waiter is heir
+    sim.run()
+    assert log[2:] == [("host", 4.0, "quit")] and not host.is_alive
+    assert park.waiter is heir
+
+
+def test_park_of_another_simulator_is_rejected():
+    sim, other = Simulator(), Simulator()
+
+    def body():
+        try:
+            yield Park(other)
+        except ValueError as exc:
+            return str(exc)
+
+    proc = sim.process(body())
+    sim.run()
+    assert proc.value == "yielded event belongs to a different simulator"
 
 
 def test_run_until_stops_midway():
