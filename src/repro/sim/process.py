@@ -109,12 +109,14 @@ class Process(Event):
         """
         if self.triggered:
             raise RuntimeError(f"cannot interrupt finished {self!r}")
-        # Detach from the current wait so its wakeup is discarded (and
-        # a park still held is free again).
-        target, self._waiting_on = self._waiting_on, None
-        if isinstance(target, Park) and target.waiter is self:
-            target.waiter = None
+        self._detach()
         self.sim.call_in(0.0, self._throw, Interrupt(cause))
+
+    def _detach(self) -> None:
+        # Abandon the current wait: its wakeup is stale, a park held is free.
+        target, self._waiting_on = self._waiting_on, None
+        if target.__class__ is Park and target.waiter is self:
+            target.waiter = None
 
     # -- stepping ---------------------------------------------------------
     def _resume(self, event: Union[Event, Park, int]) -> None:
@@ -143,8 +145,7 @@ class Process(Event):
             # become a process failure, never a lost exception.
             self.fail(exc)
             return
-        # _wait_on's three common cases, inline: a sleep, a free park
-        # and a pending event of this simulator.
+        # _wait_on's common cases, inline: sleep, free park, pending event.
         if target.__class__ is float and 0.0 <= target < _INF:
             sim = self.sim
             sim._seq = self._waiting_on = seq = sim._seq + 1
@@ -173,6 +174,7 @@ class Process(Event):
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
             return
+        self._detach()  # a wait taken since the interrupt was raised
         try:
             target = self._generator.throw(exc)
         except StopIteration as stop:

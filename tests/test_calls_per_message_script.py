@@ -9,13 +9,12 @@ SCRIPT = (Path(__file__).resolve().parent.parent
           / "scripts" / "calls_per_message.py")
 
 
-def test_every_call_lands_in_exactly_one_row(capsys):
+def test_every_call_lands_in_exactly_one_row():
     spec = importlib.util.spec_from_file_location("calls_per_message",
                                                   SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main(["--nodes", "4", "--scale", "0.02"]) == 0
-    out = capsys.readouterr().out
+    out = module.count(nodes=4, scale=0.02)
     rows = {name: float(value) for name, value in re.findall(
         r"^\| ([^|*]+?) \| ([\d.]+) \|$", out, re.M)}
     total = float(re.search(r"\*\*total\*\* \| \*\*([\d.]+)\*\*",

@@ -10,6 +10,8 @@ waitable for tests, examples and ``any_of([reply, sim.timeout(t)])``.
 A wait with one known waiter is not an ``Event`` either: it is a
 ``Park``, so nothing outside ``sim/`` calls ``.event(`` -- the one site
 there was built the AM wakeup afresh for every park.
+``Simulator.now`` is a plain attribute only the event loop assigns, so
+nothing outside ``sim/`` stores to an attribute named ``now``.
 Walks the source with ``ast``, like ``test_one_bus.py``, and CI runs it
 beside simlint as well as in the tier-1 suite.
 """
@@ -31,6 +33,8 @@ def test_nothing_outside_the_kernel_builds_a_timeout_or_reads_callbacks():
                      getattr(node, "lineno", None))
             if isinstance(node, ast.Attribute):
                 assert node.attr != "callbacks", where
+                assert node.attr != "now" \
+                    or isinstance(node.ctx, ast.Load), where
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute):
                 assert node.func.attr not in ("timeout", "event"), where

@@ -332,6 +332,39 @@ def test_interrupted_while_parked_ignores_the_later_wake_and_reparks():
     assert park.waiter is heir
 
 
+def test_two_interrupts_in_one_instant_never_trip_over_the_own_park():
+    sim = Simulator()
+    park, log = Park(sim, "spot"), []
+    host = sim.process(_parker(sim, park, log))
+    sim.run()
+    host.interrupt("one")
+    host.interrupt("two")  # thrown after "one" has parked the host again
+    sim.run()
+    assert log == [("host", 0.0, "one"), ("host", 0.0, "two")]
+    assert host.is_alive and host.waiting_on is park and park.waiter is host
+
+    # The second throw lets go of the park the first one re-took, so a
+    # host that leaves for a sleep does not keep it occupied.
+    def napper():
+        while True:
+            try:
+                yield park
+            except Interrupt as stop:
+                if stop.cause == "nap":
+                    yield 5.0
+
+    host.interrupt("quit")
+    sim.run()
+    dozer = sim.process(napper())
+    sim.run()
+    dozer.interrupt("stir")
+    dozer.interrupt("nap")
+    sim.run(until=sim.now + 1.0)
+    assert dozer.waiting_on is None and park.waiter is None
+    sim.run()
+    assert dozer.waiting_on is park and park.waiter is dozer
+
+
 def test_park_of_another_simulator_is_rejected():
     sim, other = Simulator(), Simulator()
 
