@@ -13,20 +13,18 @@ import pytest
 
 from benchmarks.conftest import BENCH_SCALE, LARGE_NODES, SMALL_NODES, \
     run_once
-from repro.harness.experiments import figure5_overhead
+from repro.harness import DIALS
+from repro.harness.experiments import sensitivity_figure
 
-OVERHEADS = (2.9, 12.9, 52.9, 102.9)
+OVERHEADS = DIALS["overhead"].reduced
 
 
 @pytest.fixture(scope="module")
 def figures():
     return {
-        SMALL_NODES: figure5_overhead(n_nodes=SMALL_NODES,
-                                      scale=BENCH_SCALE,
-                                      overheads=OVERHEADS),
-        LARGE_NODES: figure5_overhead(n_nodes=LARGE_NODES,
-                                      scale=BENCH_SCALE,
-                                      overheads=OVERHEADS),
+        nodes: sensitivity_figure("overhead", n_nodes=nodes,
+                                  scale=BENCH_SCALE, values=OVERHEADS)
+        for nodes in (SMALL_NODES, LARGE_NODES)
     }
 
 

@@ -8,14 +8,15 @@ gap — overhead, by contrast, is always paid.
 """
 
 from benchmarks.conftest import BENCH_SCALE, LARGE_NODES, run_once
-from repro.harness.experiments import figure6_gap
+from repro.harness import DIALS
+from repro.harness.experiments import sensitivity_figure
 
-GAPS = (5.8, 15.0, 55.0, 105.0)
+GAPS = DIALS["gap"].reduced
 
 
 def test_figure6(benchmark):
-    figure = run_once(benchmark, lambda: figure6_gap(
-        n_nodes=LARGE_NODES, scale=BENCH_SCALE, gaps=GAPS))
+    figure = run_once(benchmark, lambda: sensitivity_figure(
+        "gap", n_nodes=LARGE_NODES, scale=BENCH_SCALE, values=GAPS))
     print()
     print(figure.render())
 

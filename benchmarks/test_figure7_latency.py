@@ -9,14 +9,16 @@ effect of the fixed window raising effective gap.
 """
 
 from benchmarks.conftest import BENCH_SCALE, LARGE_NODES, run_once
-from repro.harness.experiments import figure7_latency
+from repro.harness import DIALS
+from repro.harness.experiments import sensitivity_figure
 
-LATENCIES = (5.0, 15.0, 55.0, 105.0)
+LATENCIES = DIALS["latency"].reduced
 
 
 def test_figure7(benchmark):
-    figure = run_once(benchmark, lambda: figure7_latency(
-        n_nodes=LARGE_NODES, scale=BENCH_SCALE, latencies=LATENCIES))
+    figure = run_once(benchmark, lambda: sensitivity_figure(
+        "latency", n_nodes=LARGE_NODES, scale=BENCH_SCALE,
+        values=LATENCIES))
     print()
     print(figure.render())
 

@@ -7,14 +7,16 @@ until the network is slower than one 5.5 MB/s disk.
 """
 
 from benchmarks.conftest import BENCH_SCALE, LARGE_NODES, run_once
-from repro.harness.experiments import figure8_bulk
+from repro.harness import DIALS
+from repro.harness.experiments import sensitivity_figure
 
-BANDWIDTHS = (38.0, 15.0, 10.0, 5.5, 1.0)
+BANDWIDTHS = DIALS["bulk_mb_s"].reduced
 
 
 def test_figure8(benchmark):
-    figure = run_once(benchmark, lambda: figure8_bulk(
-        n_nodes=LARGE_NODES, scale=BENCH_SCALE, bandwidths=BANDWIDTHS))
+    figure = run_once(benchmark, lambda: sensitivity_figure(
+        "bulk_mb_s", n_nodes=LARGE_NODES, scale=BENCH_SCALE,
+        values=BANDWIDTHS))
     print()
     print(figure.render())
 

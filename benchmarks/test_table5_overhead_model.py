@@ -7,16 +7,17 @@ P-Ray, Murphi) — the serialization effect.
 """
 
 from benchmarks.conftest import BENCH_SCALE, LARGE_NODES, run_once
+from repro.harness import DIALS
 from repro.harness.experiments import table5_overhead_model
 
-OVERHEADS = (2.9, 12.9, 52.9, 102.9)
+OVERHEADS = DIALS["overhead"].reduced
 APPS = ("Radix", "EM3D(write)", "Sample", "NOW-sort", "Radb")
 
 
 def test_table5(benchmark):
     table = run_once(benchmark, lambda: table5_overhead_model(
         n_nodes=LARGE_NODES, scale=BENCH_SCALE, names=APPS,
-        overheads=OVERHEADS))
+        values=OVERHEADS))
     print()
     print(table.render())
 

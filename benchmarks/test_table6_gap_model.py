@@ -6,15 +6,17 @@ the heavily communicating applications and, as anticipated,
 """
 
 from benchmarks.conftest import BENCH_SCALE, LARGE_NODES, run_once
+from repro.harness import DIALS
 from repro.harness.experiments import table6_gap_model
 
-GAPS = (5.8, 15.0, 55.0, 105.0)
+GAPS = DIALS["gap"].reduced
 APPS = ("Radix", "EM3D(write)", "Sample", "NOW-sort", "Connect")
 
 
 def test_table6(benchmark):
     table = run_once(benchmark, lambda: table6_gap_model(
-        n_nodes=LARGE_NODES, scale=BENCH_SCALE, names=APPS, gaps=GAPS))
+        n_nodes=LARGE_NODES, scale=BENCH_SCALE, names=APPS,
+        values=GAPS))
     print()
     print(table.render())
 

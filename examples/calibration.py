@@ -18,6 +18,7 @@ from repro.calibrate import (calibrate_bulk_bandwidth, logp_signature,
 from repro.calibrate.calibration import (calibration_table,
                                          render_calibration)
 from repro.am.tuning import TuningKnobs
+from repro.harness import DIALS
 from repro.network.loggp import LogGPParams
 
 
@@ -48,11 +49,11 @@ def main() -> None:
     print(f"  saturated: {bulk.saturated_mb_s:.1f} MB/s "
           f"(machine: {params.bulk_bandwidth_mb_s:.0f})\n")
 
-    # Table 2, abridged.
+    # Table 2, abridged: each dial's reduced grid.
     print(render_calibration(calibration_table(
-        desired_o=(2.9, 12.9, 52.9, 102.9),
-        desired_g=(5.8, 15.0, 55.0, 105.0),
-        desired_L=(5.0, 15.0, 55.0, 105.0))))
+        desired_o=DIALS["overhead"].reduced,
+        desired_g=DIALS["gap"].reduced,
+        desired_L=DIALS["latency"].reduced)))
     print("\nNote the two couplings the paper itself reports: large o"
           "\nmakes the processor the gap bottleneck (g -> 2o), and"
           "\nlarge L throttles the fixed window (g -> RTT/8).")

@@ -16,8 +16,8 @@ Run:  python examples/sensitivity_study.py          (a few minutes)
 
 import sys
 
-from repro.harness.experiments import (figure5_overhead, figure6_gap,
-                                       figure7_latency, figure8_bulk)
+from repro.harness import DIALS, MACHINE_DIALS, run_plans
+from repro.harness.experiments import sensitivity_figure
 from repro.harness.report import render_table
 
 APPS = ["Radix", "EM3D(write)", "EM3D(read)", "Sample", "NOW-sort",
@@ -38,25 +38,16 @@ def summarize(figure) -> None:
 def main() -> None:
     scale = 0.25 if "--fast" in sys.argv else 0.5
 
-    print("=" * 72)
-    summarize(figure5_overhead(
-        n_nodes=N_NODES, scale=scale, names=APPS,
-        overheads=(2.9, 12.9, 52.9, 102.9)))
-
-    print("=" * 72)
-    summarize(figure6_gap(
-        n_nodes=N_NODES, scale=scale, names=APPS,
-        gaps=(5.8, 15.0, 55.0, 105.0)))
-
-    print("=" * 72)
-    summarize(figure7_latency(
-        n_nodes=N_NODES, scale=scale, names=APPS,
-        latencies=(5.0, 15.0, 55.0, 105.0)))
-
-    print("=" * 72)
-    summarize(figure8_bulk(
-        n_nodes=N_NODES, scale=scale, names=APPS,
-        bandwidths=(38.0, 15.0, 5.5, 1.0)))
+    # One experiment, a different dial turned: the four figures are
+    # planned first and drained together, so each application's
+    # baseline — every sweep's first point — is simulated once.
+    figures = run_plans([
+        sensitivity_figure.plan(dial, n_nodes=N_NODES, scale=scale,
+                                names=APPS, values=DIALS[dial].reduced)
+        for dial in MACHINE_DIALS])
+    for figure in figures:
+        print("=" * 72)
+        summarize(figure)
 
     print("Compare with the paper: overhead >> gap >> latency ~ "
           "bulk bandwidth.")

@@ -38,7 +38,8 @@ import sys
 import time
 
 from repro.calibrate import calibrate_bulk_bandwidth
-from repro.harness import RunCache, experiments, run_plans
+from repro.harness import (DIALS, MACHINE_DIALS, RunCache, experiments,
+                           run_plans)
 
 
 def fmt(value, digits=2):
@@ -50,18 +51,8 @@ def fmt(value, digits=2):
 #: The reduced sensitivity grids the EXPERIMENTS report sweeps, dial →
 #: value sequence (baseline first) — shared by the classic path and
 #: campaign mode so their points are cache-compatible.
-SWEEP_GRIDS = {
-    "overhead": (2.9, 12.9, 52.9, 102.9),
-    "gap": (5.8, 15.0, 55.0, 105.0),
-    "latency": (5.0, 15.0, 55.0, 105.0),
-    "bulk_mb_s": (38.0, 15.0, 10.0, 5.5, 1.0),
-    "drop_rate": (0.0, 0.005, 0.02),
-}
-
-
-#: Dial → the 32-node simulated figure it is validated against in
-#: :func:`predicted_sections` (classic results, no extra simulations).
-PREDICTED_DIALS = ("overhead", "gap", "latency", "bulk_mb_s")
+SWEEP_GRIDS = {name: dial.reduced for name, dial in DIALS.items()
+               if dial.reduced is not None}
 
 
 def predicted_sections(scale, selected, simulated_figures, seed=0):
@@ -97,7 +88,7 @@ def predicted_sections(scale, selected, simulated_figures, seed=0):
 
     medians = {}
     predicted_points = 0
-    for dial in PREDICTED_DIALS:
+    for dial in MACHINE_DIALS:
         sim_figure = simulated_figures[dial]
         figure = SensitivityFigure(
             title=f"Predicted sensitivity to {dial} (32 nodes, simcost)",
@@ -131,11 +122,11 @@ def predicted_sections(scale, selected, simulated_figures, seed=0):
           f"{fmt(medians[dial] * 100, 1)}%.\n")
 
     w("### Latency tolerance — dial value at 2x predicted slowdown\n")
-    w("| app | " + " | ".join(PREDICTED_DIALS) + " |")
-    w("|---|" + "---|" * len(PREDICTED_DIALS))
+    w("| app | " + " | ".join(MACHINE_DIALS) + " |")
+    w("|---|" + "---|" * len(MACHINE_DIALS))
     for name, graph in graphs.items():
         cells = []
-        for dial in PREDICTED_DIALS:
+        for dial in MACHINE_DIALS:
             crossing = latency_tolerance(graph, dial, threshold=2.0)
             cells.append("never" if crossing is None
                          else f"{crossing:.1f}")
@@ -148,7 +139,7 @@ def predicted_sections(scale, selected, simulated_figures, seed=0):
 
     recordings = len(graphs)
     classic = recordings * sum(len(SWEEP_GRIDS[d])
-                               for d in PREDICTED_DIALS)
+                               for d in MACHINE_DIALS)
     bench = {
         "schema": "repro-simcost-bench-v1",
         "n_nodes": 32,
@@ -285,13 +276,15 @@ def main(argv=None) -> int:
     started = time.time()
 
     suite = {"scale": scale, "names": selected}
-    overheads = SWEEP_GRIDS["overhead"]
-    gaps = SWEEP_GRIDS["gap"]
     t1 = experiments.table1_baseline_params()
     sig = experiments.figure3_signature(desired_gap=14.0)
-    t2 = experiments.table2_calibration(desired_o=(2.9, 12.9, 52.9, 102.9),
-                                        desired_g=(5.8, 15.0, 55.0, 105.0),
-                                        desired_L=(5.0, 15.0, 55.0, 105.0))
+    t2 = experiments.table2_calibration(desired_o=SWEEP_GRIDS["overhead"],
+                                        desired_g=SWEEP_GRIDS["gap"],
+                                        desired_L=SWEEP_GRIDS["latency"])
+
+    def figure(dial, n_nodes=32):
+        return experiments.sensitivity_figure.plan(
+            dial, n_nodes=n_nodes, values=SWEEP_GRIDS[dial], **suite)
     plans = [
         experiments.table3_baseline_runtimes.plan(node_counts=(16, 32),
                                                   **suite),
@@ -299,25 +292,20 @@ def main(argv=None) -> int:
         experiments.figure4_balance.plan(
             n_nodes=32, scale=scale,
             names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort")),
-        experiments.figure5_overhead.plan(n_nodes=16, overheads=overheads,
-                                          **suite),
-        experiments.figure5_overhead.plan(n_nodes=32, overheads=overheads,
-                                          **suite),
+        figure("overhead", n_nodes=16),
+        figure("overhead"),
         experiments.table5_overhead_model.plan(
-            n_nodes=32, scale=scale, overheads=overheads,
+            n_nodes=32, scale=scale, values=SWEEP_GRIDS["overhead"],
             names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort",
                        "Radb")),
-        experiments.figure6_gap.plan(n_nodes=32, gaps=gaps, **suite),
+        figure("gap"),
         experiments.table6_gap_model.plan(
-            n_nodes=32, scale=scale, gaps=gaps,
+            n_nodes=32, scale=scale, values=SWEEP_GRIDS["gap"],
             names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort",
                        "Connect")),
-        experiments.figure7_latency.plan(
-            n_nodes=32, latencies=SWEEP_GRIDS["latency"], **suite),
-        experiments.figure8_bulk.plan(
-            n_nodes=32, bandwidths=SWEEP_GRIDS["bulk_mb_s"], **suite),
-        experiments.figure9_faults.plan(
-            n_nodes=32, drop_rates=SWEEP_GRIDS["drop_rate"], **suite),
+        figure("latency"),
+        figure("bulk_mb_s"),
+        figure("drop_rate"),
         experiments.table7_spike_decay.plan(
             n_nodes=32, scale=scale, duration_us=500.0,
             starts=(0.0, 500.0, 2000.0),

@@ -34,18 +34,9 @@ from repro.cost.graph import CostGraph
 from repro.cost.predict import (latency_tolerance, lp_bound,
                                 predict_sweep)
 from repro.cost.recorder import record_run
+from repro.harness.sweeps import DIALS, MACHINE_DIALS, run_sweep
 
-__all__ = ["main", "REDUCED_GRIDS"]
-
-#: Reduced per-dial grids (the ``scripts/generate_experiments.py``
-#: defaults): small enough to simulate for validation, wide enough to
-#: span the paper's dynamic range.  First value is the baseline.
-REDUCED_GRIDS = {
-    "overhead": (2.9, 12.9, 52.9, 102.9),
-    "gap": (5.8, 15.0, 55.0, 105.0),
-    "latency": (5.0, 15.0, 55.0, 105.0),
-    "bulk_mb_s": (38.0, 15.0, 10.0, 5.5, 1.0),
-}
+__all__ = ["main"]
 
 
 def _apps_for(names: Sequence[str], nodes: int, scale: float):
@@ -56,7 +47,7 @@ def _apps_for(names: Sequence[str], nodes: int, scale: float):
 def _parse_values(text: Optional[str],
                   parameter: str) -> List[float]:
     if text is None:
-        return list(REDUCED_GRIDS[parameter])
+        return list(DIALS[parameter].reduced)
     return [float(part) for part in text.split(",") if part.strip()]
 
 
@@ -134,14 +125,12 @@ def report_rows(apps, nodes: int, parameter: str,
     slowdowns and their relative error; per-app ``median_rel_err``
     rides on every row for easy aggregation.
     """
-    from repro.harness.sweeps import knob_factory, run_sweep
     rows: List[dict] = []
     for app in apps:
         graph, _ = record_run(app, nodes, seed=seed)
         predicted = predict_sweep(graph, parameter, values)
-        simulated = run_sweep(app, nodes, parameter, values,
-                              knob_factory(parameter, graph.params),
-                              seed=seed, cache=cache, jobs=jobs)
+        simulated = run_sweep(app, nodes, parameter, values, seed=seed,
+                              cache=cache, jobs=jobs)
         sim_slow = simulated.slowdowns()
         pred_slow = predicted.slowdowns()
         errs = []
@@ -246,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("graph", type=pathlib.Path,
                          help="graph JSON written by `record`")
     predict.add_argument("--parameter", default="overhead",
-                         choices=sorted(REDUCED_GRIDS))
+                         choices=sorted(MACHINE_DIALS))
     predict.add_argument("--values", default=None,
                          help="comma-separated dial values "
                          "(default: the reduced grid)")
@@ -265,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--scale", type=float, default=1.0)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--parameter", default="overhead",
-                        choices=sorted(REDUCED_GRIDS))
+                        choices=sorted(MACHINE_DIALS))
     report.add_argument("--values", default=None)
     report.add_argument("--max-median-error", type=float, default=0.10)
     report.add_argument("--jobs", type=int, default=None)

@@ -35,12 +35,12 @@ refuses them up front in ``Cluster.run``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.am.tuning import TuningKnobs
 from repro.cost.graph import CostGraph
 from repro.cost.model import DialedCost
-from repro.harness.sweeps import knob_factory
+from repro.harness.sweeps import MACHINE_DIALS, dial_named
 
 __all__ = ["UnsupportedGraphError", "predict_runtime", "PredictedPoint",
            "PredictedSweep", "predict_sweep", "latency_tolerance",
@@ -222,41 +222,26 @@ class PredictedSweep:
 
 
 def predict_sweep(graph: CostGraph, parameter: str,
-                  values: Sequence[float],
-                  knob_for: Optional[Callable[[float], TuningKnobs]] = None,
+                  values: Optional[Sequence[float]] = None
                   ) -> PredictedSweep:
     """Predict a whole dial sweep from one recorded graph.
 
     The analytical counterpart of :func:`repro.harness.sweeps.
-    run_sweep`: ``parameter`` and ``values`` mean exactly what they
-    mean there (absolute targets; first value is the baseline), and
-    ``knob_for`` defaults to the shared :func:`~repro.harness.sweeps.
-    knob_factory` dial semantics against the graph's recorded params.
+    run_sweep`: ``parameter`` (one of :data:`~repro.harness.sweeps.
+    MACHINE_DIALS`) and ``values`` mean exactly what they mean there
+    (absolute targets, default the row's grid; first value is the
+    baseline), dialed by the same row against the graph's recorded
+    params.
     """
-    if knob_for is None:
-        knob_for = knob_factory(parameter, graph.params)
+    dial = dial_named(parameter, MACHINE_DIALS)
     sweep = PredictedSweep(app_name=graph.app_name,
                            n_nodes=graph.n_nodes, parameter=parameter)
-    for value in values:
-        knobs = knob_for(value)
+    for value in dial.grid if values is None else values:
+        knobs = dial.knobs(value, graph.params)
         sweep.points.append(PredictedPoint(
             value=value, knobs=knobs,
             runtime_us=predict_runtime(graph, knobs)))
     return sweep
-
-
-#: Baseline (undialed) absolute value of each sweepable dial.
-def _dial_baseline(graph: CostGraph, parameter: str) -> float:
-    params = graph.params
-    if parameter == "overhead":
-        return params.overhead
-    if parameter == "gap":
-        return params.gap
-    if parameter == "latency":
-        return params.latency
-    if parameter == "bulk_mb_s":
-        return 1.0 / params.Gap
-    raise ValueError(f"unknown dial {parameter!r}")
 
 
 def latency_tolerance(graph: CostGraph, parameter: str,
@@ -272,20 +257,27 @@ def latency_tolerance(graph: CostGraph, parameter: str,
     found by doubling + bisection to relative precision ``tol``.
     Returns ``None`` when the app never crosses within ``max_value``
     (for ``bulk_mb_s``, when it still holds at 1/1000 of the baseline
-    bandwidth — effectively bandwidth-insensitive).
+    bandwidth — effectively bandwidth-insensitive).  ``parameter`` is
+    one of :data:`~repro.harness.sweeps.MACHINE_DIALS`: only those have
+    a baseline to cross from.
     """
-    knob_for = knob_factory(parameter, graph.params)
-    base_value = _dial_baseline(graph, parameter)
-    base_runtime = predict_runtime(graph, knob_for(base_value))
+    dial = dial_named(parameter, MACHINE_DIALS)
+    base_value = dial.baseline(graph.params)
+
+    def runtime(value: float) -> float:
+        return predict_runtime(graph, dial.knobs(value, graph.params))
+
+    base_runtime = runtime(base_value)
     if threshold <= 1.0:
         return base_value  # the baseline's own slowdown is exactly 1.0
 
     def slowdown(value: float) -> float:
-        return predict_runtime(graph, knob_for(value)) / base_runtime
+        return runtime(value) / base_runtime
 
-    if parameter == "bulk_mb_s":
-        # Slowdown grows as bandwidth *drops*: search downward, from the
-        # first dialed value (hi = crossing side, small mb).
+    if dial.grid[-1] < dial.grid[0]:
+        # A dial whose grid falls (bandwidth) slows the machine as it
+        # *drops*: search downward, from the first dialed value (hi =
+        # crossing side, small mb).
         hi = base_value / 2.0
         floor = base_value / 1000.0
         while slowdown(hi) < threshold:

@@ -3,8 +3,9 @@
 * :mod:`repro.harness.suite` -- standard application suite construction
   with fixed-total-input scaling across cluster sizes (the paper runs
   the same inputs on 16 and 32 nodes).
-* :mod:`repro.harness.sweeps` -- LogGP parameter sweeps producing
-  slowdown curves (Figures 5-8).
+* :mod:`repro.harness.sweeps` -- the ``DIALS`` table (what each named
+  dial moves, its label and grids) and ``run_sweep``, one application
+  along one dial: the slowdown curves of Figures 5-8.
 * :mod:`repro.harness.parallel` -- the one drain every study's runs go
   through (``PointTask`` / ``run_points``: cache probe, pool, per-point
   persistence, crash policy), and what keeps planning apart from it: a
@@ -23,10 +24,8 @@
 """
 
 from repro.harness.suite import suite_for, REFERENCE_NODES
-from repro.harness.sweeps import (SweepPoint, SweepResult, run_sweep,
-                                  overhead_sweep, gap_sweep, latency_sweep,
-                                  bulk_bandwidth_sweep, fault_sweep,
-                                  spike_decay_sweep)
+from repro.harness.sweeps import (DIALS, MACHINE_DIALS, Dial, SweepPoint,
+                                  SweepResult, run_sweep, spike_decay_sweep)
 from repro.harness.parallel import Plan, PointTask, run_plans, run_points
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
@@ -34,24 +33,17 @@ from repro.harness.campaign import (CampaignSpec, CampaignReport,
                                     CampaignInterrupted, EnsembleSweep,
                                     ensemble_from_store, run_campaign,
                                     sweep_from_store, figure_from_store,
-                                    render_campaign, CAMPAIGN_DIALS,
-                                    SERVING_CAMPAIGN_DIALS)
+                                    render_campaign)
 from repro.harness.report import ascii_plot, render_table
-from repro.harness.config import ExperimentConfig
 from repro.harness.surface import sensitivity_surface, overhead_gap_surface
-from repro.harness.export import (write_matrix_csv, write_rows_csv,
-                                  write_series_csv)
 
 __all__ = ["suite_for", "REFERENCE_NODES", "SweepPoint", "SweepResult",
-           "run_sweep", "overhead_sweep", "gap_sweep", "latency_sweep",
-           "bulk_bandwidth_sweep", "fault_sweep", "spike_decay_sweep",
+           "Dial", "DIALS", "MACHINE_DIALS", "run_sweep",
+           "spike_decay_sweep",
            "Plan", "PointTask", "run_plans", "run_points",
            "RunCache", "ResultStore", "CampaignSpec", "CampaignReport",
            "CampaignInterrupted", "run_campaign", "sweep_from_store",
            "figure_from_store",
-           "CAMPAIGN_DIALS", "SERVING_CAMPAIGN_DIALS",
            "EnsembleSweep", "ensemble_from_store",
            "render_campaign", "ascii_plot",
-           "render_table", "ExperimentConfig", "sensitivity_surface",
-           "overhead_gap_surface", "write_rows_csv", "write_matrix_csv",
-           "write_series_csv"]
+           "render_table", "sensitivity_surface", "overhead_gap_surface"]

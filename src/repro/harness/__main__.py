@@ -41,9 +41,11 @@ from repro.harness import (CampaignSpec, Plan, ResultStore, RunCache,
 from repro.harness.parallel import default_jobs
 
 
-def _sized(entry):
-    """The plan of an artifact whose study takes (n_nodes, scale)."""
-    return lambda nodes, scale: entry.plan(n_nodes=nodes, scale=scale)
+def _sized(entry, *args):
+    """The plan of an artifact whose study takes (n_nodes, scale) after
+    ``args`` (the dial of a sensitivity figure)."""
+    return lambda nodes, scale: entry.plan(*args, n_nodes=nodes,
+                                           scale=scale)
 
 
 def _unplanned(entry):
@@ -63,13 +65,13 @@ ARTIFACTS = {
             node_counts=(nodes // 2, nodes), scale=scale),
     "figure4": _sized(experiments.figure4_balance),
     "table4": _sized(experiments.table4_comm_summary),
-    "figure5": _sized(experiments.figure5_overhead),
+    "figure5": _sized(experiments.sensitivity_figure, "overhead"),
     "table5": _sized(experiments.table5_overhead_model),
-    "figure6": _sized(experiments.figure6_gap),
+    "figure6": _sized(experiments.sensitivity_figure, "gap"),
     "table6": _sized(experiments.table6_gap_model),
-    "figure7": _sized(experiments.figure7_latency),
-    "figure8": _sized(experiments.figure8_bulk),
-    "figure9": _sized(experiments.figure9_faults),
+    "figure7": _sized(experiments.sensitivity_figure, "latency"),
+    "figure8": _sized(experiments.sensitivity_figure, "bulk_mb_s"),
+    "figure9": _sized(experiments.sensitivity_figure, "drop_rate"),
     "table7": _sized(experiments.table7_spike_decay),
     "figure10": lambda nodes, scale:
         experiments.figure10_collectives.plan(n_nodes=nodes),

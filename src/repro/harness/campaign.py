@@ -49,29 +49,18 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro.cluster.presets import MACHINE_PRESETS
-from repro.harness.parallel import (PointTask, default_jobs, run_points,
-                                    sweep_tasks)
+from repro.harness.parallel import PointTask, default_jobs, run_points
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
 from repro.harness.suite import suite_for
-from repro.harness.sweeps import (DIAL_LABELS, MACHINE_DIALS,
-                                  SensitivityFigure, SweepPoint,
-                                  SweepResult, dial_axes)
+from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepPoint,
+                                  SweepResult, sweep_tasks)
 from repro.network.faults import DelaySpike, FaultPlan, SlowdownWindow
 
 __all__ = ["CampaignSpec", "CampaignPoint", "CampaignReport",
            "CampaignInterrupted", "run_campaign", "sweep_from_store",
            "EnsembleSweep", "ensemble_from_store",
-           "figure_from_store", "render_campaign", "CAMPAIGN_DIALS",
-           "SERVING_CAMPAIGN_DIALS"]
-
-#: Dials a campaign can sweep: the paper's four machine dials plus the
-#: fault injector's drop rate (Figure 9).
-CAMPAIGN_DIALS = MACHINE_DIALS + ("drop_rate",)
-
-#: Additionally sweepable when the campaign declares a ``workload``
-#: (open-system serving): the client tier's offered load.
-SERVING_CAMPAIGN_DIALS = CAMPAIGN_DIALS + ("offered_rps",)
+           "figure_from_store", "render_campaign"]
 
 
 class CampaignInterrupted(RuntimeError):
@@ -104,7 +93,8 @@ class CampaignPoint:
 class CampaignSpec:
     """A declarative argument product over the simulation grid.
 
-    ``dials`` pairs each swept parameter with its value grid; the
+    ``dials`` pairs each swept parameter — a row of
+    :data:`~repro.harness.sweeps.DIALS` — with its value grid; the
     product over (apps × node_counts × dials × seeds × values) is the
     campaign.  Value order within a dial is preserved — the first
     value is that sweep's baseline, exactly as in
@@ -159,12 +149,14 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown machine preset {self.machine!r}; "
                 f"one of {sorted(MACHINE_PRESETS)}")
-        allowed = (SERVING_CAMPAIGN_DIALS if self.workload is not None
-                   else CAMPAIGN_DIALS)
         for parameter, values in self.dials:
-            if parameter not in allowed:
+            if parameter not in DIALS:
                 raise ValueError(
-                    f"unknown dial {parameter!r}; one of {allowed}")
+                    f"unknown dial {parameter!r}; one of {tuple(DIALS)}")
+            if parameter == "offered_rps" and self.workload is None:
+                raise ValueError(
+                    "dial 'offered_rps' needs a workload: only a serving "
+                    "app has a client tier to offer load to")
             if not values:
                 raise ValueError(f"dial {parameter!r} has no values")
 
@@ -195,14 +187,12 @@ class CampaignSpec:
                                 names=[app_name])[0]
             for (parameter, values), seed in itertools.product(
                     self.dials, self.seeds):
-                knob_for, fault_for, app_for = dial_axes(
-                    parameter, app, params=params, faults=self.faults)
                 for task in sweep_tasks(
-                        app, n_nodes, values, knob_for, params=params,
-                        seed=seed, run_limit_us=self.run_limit_us,
+                        app, n_nodes, DIALS[parameter], values,
+                        params=params, faults=self.faults, seed=seed,
+                        run_limit_us=self.run_limit_us,
                         livelock_limit=self.livelock_limit,
-                        window=self.window, fault_for=fault_for,
-                        coll=self.coll, app_for=app_for):
+                        window=self.window, coll=self.coll):
                     points.append(CampaignPoint(
                         app_name=app_name, n_nodes=n_nodes,
                         parameter=parameter, value=task.value, seed=seed,
@@ -473,12 +463,11 @@ def sweep_from_store(store: ResultStore, spec: CampaignSpec,
             f"{len(missing)}/{len(values)} points of "
             f"({app_name}, P={n_nodes}, {parameter}) at values "
             f"{missing}; run the campaign to completion first")
-    knob_for, _fault_for, _app_for = dial_axes(
-        parameter, None, params=MACHINE_PRESETS[spec.machine])
+    dial, params = DIALS[parameter], MACHINE_PRESETS[spec.machine]
     sweep = SweepResult(app_name=app_name, n_nodes=n_nodes,
                         parameter=parameter)
     sweep.points = [
-        SweepPoint(value=value, knobs=knob_for(value),
+        SweepPoint(value=value, knobs=dial.knobs(value, params),
                    result=by_value[value][0],
                    failure=by_value[value][1])
         for value in values
@@ -589,7 +578,7 @@ def figure_from_store(store: ResultStore, spec: CampaignSpec,
     figure = SensitivityFigure(
         title=f"campaign {spec.name} ({n_nodes} nodes): sensitivity "
               f"to {parameter}",
-        x_label=DIAL_LABELS[parameter])
+        x_label=DIALS[parameter].label)
     for app_name in spec.apps:
         figure.sweeps[app_name] = sweep_from_store(
             store, spec, app_name, n_nodes, parameter, seed=seed)

@@ -14,7 +14,7 @@ artifact not yet run, for drivers that drain many at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.calibrate.bulk import calibrate_bulk_bandwidth
 from repro.calibrate.calibration import (CalibrationRow, calibration_table,
@@ -26,13 +26,10 @@ from repro.cluster.presets import MACHINE_PRESETS
 from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.report import render_table
 from repro.harness.suite import suite_for
-from repro.harness.sweeps import (DIAL_LABELS, PAPER_GRIDS,
-                                  SensitivityFigure, SweepResult,
-                                  bulk_bandwidth_sweep, collective_sweep,
-                                  fault_sweep, gap_sweep, knob_factory,
-                                  latency_sweep, measure_algorithms,
-                                  overhead_sweep,
-                                  predicted_sweep, spike_decay_sweep)
+from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepResult,
+                                  collective_sweep, dial_named,
+                                  measure_algorithms, predicted_sweep,
+                                  run_sweep, spike_decay_sweep)
 from repro.instruments.balance import render_balance
 from repro.models.gap import BurstGapModel
 from repro.models.overhead import OverheadModel
@@ -42,10 +39,8 @@ from repro.network.loggp import LogGPParams
 __all__ = [
     "table1_baseline_params", "figure3_signature", "table2_calibration",
     "table3_baseline_runtimes", "figure4_balance", "table4_comm_summary",
-    "figure5_overhead", "table5_overhead_model", "figure6_gap",
-    "table6_gap_model", "figure7_latency", "figure8_bulk",
-    "predicted_sensitivity",
-    "figure9_faults", "table7_spike_decay",
+    "sensitivity_figure", "table5_overhead_model", "table6_gap_model",
+    "predicted_sensitivity", "table7_spike_decay",
     "figure10_collectives", "table8_coll_tuner",
     "figure11_serving",
 ]
@@ -98,7 +93,7 @@ def table1_baseline_params() -> Table1:
 def figure3_signature(desired_gap: float = 14.0) -> LogPSignature:
     """The paper's example signature: g dialed to 14 µs, Δ ∈ {0, 10}."""
     params = LogGPParams.berkeley_now()
-    knobs = knob_factory("gap", params)(desired_gap)
+    knobs = DIALS["gap"].knobs(desired_gap, params)
     return logp_signature(params, knobs,
                           burst_sizes=(1, 2, 4, 8, 16, 32, 64),
                           deltas=(0.0, 10.0))
@@ -248,73 +243,64 @@ def table4_comm_summary(n_nodes: int = 32, scale: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# Figures 5-8 -- the sensitivity studies.
+# Figures 5-9 -- the sensitivity studies: one experiment, a different
+# dial turned (Figure 9, packet loss, is beyond the paper).
 # ---------------------------------------------------------------------------
 
-def _sweep_figure(figure: SensitivityFigure,
-                  sweep: Callable[..., SweepResult], n_nodes: int,
-                  scale: float, names: Optional[Sequence[str]],
-                  **kwargs) -> Plan:
-    """``figure`` filled with one ``sweep`` per suite application.
+@dataclass
+class FaultFigure(SensitivityFigure):
+    """A sensitivity figure over drop rate, with reliability counters."""
 
-    A None keyword (an unset grid) is dropped, leaving the sweep's
-    default — the paper's grid — in place.
+    def rows(self) -> List[dict]:
+        """Sweep rows augmented with drop/retransmission counters."""
+        rows = []
+        for sweep in self.sweeps.values():
+            for row, point in zip(sweep.as_rows(), sweep.points):
+                stats = point.result.stats if point.completed else None
+                row["dropped"] = (stats.total_packets_dropped
+                                  if stats else "N/A")
+                row["retransmits"] = (stats.total_retransmissions
+                                      if stats else "N/A")
+                rows.append(row)
+        return rows
+
+
+#: dial -> the paper's name for the figure over it.
+FIGURE_TITLES = {
+    "overhead": "Figure 5 ({n_nodes} nodes): sensitivity to overhead",
+    "gap": "Figure 6: sensitivity to gap",
+    "latency": "Figure 7: sensitivity to latency",
+    "bulk_mb_s": "Figure 8: sensitivity to bulk bandwidth",
+    "drop_rate": "Figure 9 ({n_nodes} nodes): sensitivity to packet loss",
+}
+
+
+@study
+def sensitivity_figure(parameter: str, n_nodes: int = 32,
+                       scale: float = 1.0,
+                       names: Optional[Sequence[str]] = None,
+                       values: Optional[Sequence[float]] = None,
+                       seed: int = 0, **kwargs) -> Plan:
+    """Figures 5-9: every suite application's slowdown along one dial.
+
+    ``parameter`` is a key of :data:`FIGURE_TITLES` and ``values`` its
+    grid (default: the paper's, baseline first).  Figure 5 is run per
+    node count.  Figure 9 sweeps the fault injector's drop rate with
+    the machine dials held at the unmodified baseline; the reliability
+    protocol's timeouts and retransmissions are what turn packet loss
+    into slowdown.
     """
-    kwargs = {key: value for key, value in kwargs.items()
-              if value is not None}
+    dial = dial_named(parameter, FIGURE_TITLES)
+    figure = (FaultFigure if parameter == "drop_rate"
+              else SensitivityFigure)(
+        title=FIGURE_TITLES[parameter].format(n_nodes=n_nodes),
+        x_label=dial.label)
     apps = suite_for(n_nodes, scale=scale, names=names)
     return Plan.union(
-        [sweep.plan(app, n_nodes, **kwargs) for app in apps]).then(
+        [run_sweep.plan(app, n_nodes, dial, values, seed=seed, **kwargs)
+         for app in apps]).then(
         lambda sweeps: replace(figure, sweeps={
             app.name: result for app, result in zip(apps, sweeps)}))
-
-
-@study
-def figure5_overhead(n_nodes: int = 32, scale: float = 1.0,
-                     names: Optional[Sequence[str]] = None,
-                     overheads: Optional[Sequence[float]] = None,
-                     seed: int = 0, **kwargs) -> Plan:
-    """Figure 5: sensitivity to overhead (run per node count)."""
-    return _sweep_figure(SensitivityFigure(
-        title=f"Figure 5 ({n_nodes} nodes): sensitivity to overhead",
-        x_label=DIAL_LABELS["overhead"]), overhead_sweep, n_nodes, scale,
-        names, overheads=overheads, seed=seed, **kwargs)
-
-
-@study
-def figure6_gap(n_nodes: int = 32, scale: float = 1.0,
-                names: Optional[Sequence[str]] = None,
-                gaps: Optional[Sequence[float]] = None,
-                seed: int = 0, **kwargs) -> Plan:
-    """Figure 6: slowdown as a function of (absolute) gap."""
-    return _sweep_figure(SensitivityFigure(
-        title="Figure 6: sensitivity to gap",
-        x_label=DIAL_LABELS["gap"]), gap_sweep, n_nodes, scale, names,
-        gaps=gaps, seed=seed, **kwargs)
-
-
-@study
-def figure7_latency(n_nodes: int = 32, scale: float = 1.0,
-                    names: Optional[Sequence[str]] = None,
-                    latencies: Optional[Sequence[float]] = None,
-                    seed: int = 0, **kwargs) -> Plan:
-    """Figure 7: slowdown as a function of (absolute) latency."""
-    return _sweep_figure(SensitivityFigure(
-        title="Figure 7: sensitivity to latency",
-        x_label=DIAL_LABELS["latency"]), latency_sweep, n_nodes, scale,
-        names, latencies=latencies, seed=seed, **kwargs)
-
-
-@study
-def figure8_bulk(n_nodes: int = 32, scale: float = 1.0,
-                 names: Optional[Sequence[str]] = None,
-                 bandwidths: Optional[Sequence[float]] = None,
-                 seed: int = 0, **kwargs) -> Plan:
-    """Figure 8: slowdown as a function of available bulk bandwidth."""
-    return _sweep_figure(SensitivityFigure(
-        title="Figure 8: sensitivity to bulk bandwidth",
-        x_label=DIAL_LABELS["bulk_mb_s"]), bulk_bandwidth_sweep, n_nodes,
-        scale, names, bandwidths=bandwidths, seed=seed, **kwargs)
 
 
 def predicted_sensitivity(n_nodes: int = 32, scale: float = 1.0,
@@ -324,7 +310,7 @@ def predicted_sensitivity(n_nodes: int = 32, scale: float = 1.0,
                           seed: int = 0) -> SensitivityFigure:
     """A predicted Figure 5/6/7/8: one instrumented run per app.
 
-    The simcost counterpart of the figure entry points above: each
+    The simcost counterpart of :func:`sensitivity_figure`: each
     application is simulated *once* at the baseline with the
     dependency recorder on, then the whole ``parameter`` sweep is
     predicted analytically (:func:`repro.harness.sweeps.
@@ -332,11 +318,6 @@ def predicted_sensitivity(n_nodes: int = 32, scale: float = 1.0,
     simulated one — its sweeps are
     :class:`~repro.cost.predict.PredictedSweep` objects.
     """
-    if parameter not in PAPER_GRIDS:
-        raise ValueError(f"parameter must be one of {tuple(PAPER_GRIDS)}, "
-                         f"got {parameter!r}")
-    if values is None:
-        values = PAPER_GRIDS[parameter]
     figure = SensitivityFigure(
         title=f"Predicted sensitivity to {parameter} "
               f"({n_nodes} nodes, simcost)",
@@ -405,12 +386,13 @@ def _model_table(figure: SensitivityFigure, model_class: type,
 @study
 def table5_overhead_model(n_nodes: int = 32, scale: float = 1.0,
                           names: Optional[Sequence[str]] = None,
-                          overheads: Optional[Sequence[float]] = None,
+                          values: Optional[Sequence[float]] = None,
                           seed: int = 0, **kwargs) -> Plan:
     """Table 5: the 2·m·Δo model against measured sweep runtimes."""
-    return figure5_overhead.plan(
-        n_nodes=n_nodes, scale=scale, names=names, overheads=overheads,
-        seed=seed, **kwargs).then(lambda figure: _model_table(
+    return sensitivity_figure.plan(
+        "overhead", n_nodes=n_nodes, scale=scale, names=names,
+        values=values, seed=seed, **kwargs).then(
+        lambda figure: _model_table(
             figure, OverheadModel, "o (us)",
             "Table 5: overhead model (r + 2 m do)", "overhead"))
 
@@ -418,54 +400,19 @@ def table5_overhead_model(n_nodes: int = 32, scale: float = 1.0,
 @study
 def table6_gap_model(n_nodes: int = 32, scale: float = 1.0,
                      names: Optional[Sequence[str]] = None,
-                     gaps: Optional[Sequence[float]] = None,
+                     values: Optional[Sequence[float]] = None,
                      seed: int = 0, **kwargs) -> Plan:
     """Table 6: the burst gap model against measured sweep runtimes."""
-    return figure6_gap.plan(
-        n_nodes=n_nodes, scale=scale, names=names, gaps=gaps, seed=seed,
-        **kwargs).then(lambda figure: _model_table(
+    return sensitivity_figure.plan(
+        "gap", n_nodes=n_nodes, scale=scale, names=names, values=values,
+        seed=seed, **kwargs).then(lambda figure: _model_table(
             figure, BurstGapModel, "g (us)",
             "Table 6: burst gap model (r + m dg)", "gap"))
 
 
 # ---------------------------------------------------------------------------
-# Figure 9 / Table 7 -- fault tolerance (beyond the paper).
+# Table 7 -- delay-spike propagation (beyond the paper).
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FaultFigure(SensitivityFigure):
-    """A sensitivity figure over drop rate, with reliability counters."""
-
-    def rows(self) -> List[dict]:
-        """Sweep rows augmented with drop/retransmission counters."""
-        rows = []
-        for sweep in self.sweeps.values():
-            for row, point in zip(sweep.as_rows(), sweep.points):
-                stats = point.result.stats if point.completed else None
-                row["dropped"] = (stats.total_packets_dropped
-                                  if stats else "N/A")
-                row["retransmits"] = (stats.total_retransmissions
-                                      if stats else "N/A")
-                rows.append(row)
-        return rows
-
-
-@study
-def figure9_faults(n_nodes: int = 32, scale: float = 1.0,
-                   names: Optional[Sequence[str]] = None,
-                   drop_rates: Optional[Sequence[float]] = None,
-                   seed: int = 0, **kwargs) -> Plan:
-    """Figure 9: slowdown under per-packet drop probability.
-
-    Sweeps the fault injector's drop rate with the machine dials held
-    at the unmodified baseline; the reliability protocol's timeouts
-    and retransmissions are what turn packet loss into slowdown.
-    """
-    return _sweep_figure(FaultFigure(
-        title=f"Figure 9 ({n_nodes} nodes): sensitivity to packet loss",
-        x_label=DIAL_LABELS["drop_rate"]), fault_sweep, n_nodes, scale,
-        names, drop_rates=drop_rates, seed=seed, **kwargs)
-
 
 @study
 def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
@@ -536,8 +483,6 @@ def figure10_collectives(n_nodes: int = 32,
     ``measured`` tuning policies exist to find.
     """
     from repro.coll.algorithms import eligible_algorithms
-    if values is None:
-        values = PAPER_GRIDS[parameter]
     figure = SensitivityFigure(
         title=f"Figure 10 ({n_nodes} nodes): collective sensitivity "
               f"to {parameter}",
@@ -697,26 +642,24 @@ def figure11_serving(n_nodes: int = 32, scale: float = 1.0,
     ``slo_us``, ...).  Fully cache-served on reruns.
     """
     from repro.serve.apps import KVServe
-    from repro.serve.sweep import OFFERED_LOAD_GRID, serving_sweep
     params = LogGPParams.berkeley_now()
     knobs = {"offered_rps": 400_000.0, "duration_us": 20_000.0,
              "max_requests": max(50, int(round(600 * scale))),
              "n_users": 1_000_000, "service_us": 4.0, "slo_us": 250.0}
     knobs.update(workload)
     app = KVServe(**knobs)
-    offered = tuple(offered) if offered is not None else OFFERED_LOAD_GRID
     figure = ServingFigure(
         title=f"Figure 11 ({n_nodes} nodes): serving tail latency vs "
               f"machine dials ({app.tier().describe()})",
         slo_us=app.slo_us)
     dials = {"overhead": overheads, "latency": latencies,
              "drop_rate": drop_rates, "offered_rps": offered}
-    sweeps = [serving_sweep.plan(app, n_nodes, parameter, values,
-                                 params=params, seed=seed)
+    sweeps = [run_sweep.plan(app, n_nodes, parameter, values,
+                             params=params, seed=seed)
               for parameter, values in dials.items()]
-    sweeps += [serving_sweep.plan(
+    sweeps += [run_sweep.plan(
         app, n_nodes, "offered_rps", offered, params=params, seed=seed,
-        knobs=knob_factory("overhead", params)(overhead))
+        knobs=DIALS["overhead"].knobs(overhead, params))
         for overhead in knee_overheads]
     return Plan.union(sweeps).then(lambda built: replace(
         figure, dial_sweeps=dict(zip(dials, built)),

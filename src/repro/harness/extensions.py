@@ -24,6 +24,7 @@ from repro.cluster.node import CostModel
 from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.report import render_table
 from repro.harness.suite import suite_for
+from repro.harness.sweeps import DIALS
 from repro.network.loggp import LogGPParams
 
 __all__ = ["scaling_study", "investment_study", "occupancy_study",
@@ -202,17 +203,18 @@ class OccupancyStudy:
 
 @study
 def occupancy_study(app_name: str = "EM3D(read)", n_nodes: int = 16,
-                    values: Sequence[float] = (0.0, 10.0, 25.0, 50.0),
+                    values: Sequence[float] = DIALS["occupancy"].grid,
                     scale: float = 1.0, seed: int = 0) -> Plan:
-    """Sweep NIC occupancy and host overhead over the same grid."""
+    """Sweep NIC occupancy and host overhead over the same grid of
+    *added* amounts."""
     app, = suite_for(n_nodes, scale=scale, names=[app_name])
-    dials = {"occupancy": TuningKnobs.added_occupancy,
-             "overhead": TuningKnobs.added_overhead}
+    dials = ("occupancy", "overhead")
     n = len(values)
     return Plan.of_results(
         [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed,
-                                knobs=knob_for(value)), value)
-         for knob_for in dials.values() for value in values]).then(
+                                knobs=TuningKnobs(**{field: value})), value)
+         for field in (DIALS[dial].knob_field for dial in dials)
+         for value in values]).then(
         lambda results: OccupancyStudy(
             app_name=app_name, n_nodes=n_nodes, values_us=list(values),
             runtimes={dial: [result.runtime_us

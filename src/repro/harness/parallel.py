@@ -30,12 +30,11 @@ from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster, RunResult
 from repro.gas.runtime import LivelockError
 from repro.harness.runcache import RunCache, run_key_spec
-from repro.network.faults import FaultError, FaultPlan
+from repro.network.faults import FaultError
 from repro.sanitize.reports import DeadlockError
 
 __all__ = ["PointTask", "SweepPoint", "FAILURE_CATEGORIES", "execute_point",
-           "run_points", "Plan", "run_plans", "study", "sweep_tasks",
-           "default_jobs"]
+           "run_points", "Plan", "run_plans", "study", "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -329,23 +328,3 @@ def study(plan: Callable[..., Plan]) -> Callable[..., Any]:
         return run_plans([plan(*args, **kwargs)], cache=cache, jobs=jobs)[0]
     eager.plan = plan
     return eager
-
-
-def sweep_tasks(app: Any, n_nodes: int, values: Sequence[float],
-                knob_for: Callable[[float], TuningKnobs],
-                fault_for: Optional[
-                    Callable[[float], Optional[FaultPlan]]] = None,
-                app_for: Optional[Callable[[float], Any]] = None,
-                **cluster) -> List[PointTask]:
-    """One task per dialed value: the expansion every sweep and every
-    campaign series goes through.  ``cluster`` is whatever else the
-    points' :class:`Cluster` s share (params, seed, limits, window,
-    ``sanitize``, ``coll``)."""
-    return [
-        PointTask(
-            app=app_for(value) if app_for is not None else app,
-            cluster=Cluster(
-                n_nodes, knobs=knob_for(value), **cluster,
-                faults=fault_for(value) if fault_for is not None else None),
-            value=value)
-        for value in values]

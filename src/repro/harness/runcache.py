@@ -81,9 +81,7 @@ def app_fingerprint(app: Any) -> Dict[str, Any]:
     The constructor-signature parameters (across the MRO — see
     :func:`constructor_params`) that exist as instance attributes are
     the app's input configuration (all suite apps follow this
-    convention; :meth:`repro.harness.config.ExperimentConfig.from_run`
-    captures the same).  Values that are not JSON types are keyed by
-    ``repr``.
+    convention).  Values that are not JSON types are keyed by ``repr``.
     """
     app_class = type(app)
     kwargs = {}

@@ -16,35 +16,17 @@ beyond the CPU rate they stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster, RunResult
 from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.suite import suite_for
+from repro.harness.sweeps import DIALS
 from repro.instruments.balance import GREYSCALE
 from repro.network.loggp import LogGPParams
 
 __all__ = ["SensitivitySurface", "overhead_gap_surface"]
-
-#: Supported dial names and how a (name, value) pair becomes knobs.
-_DIALS: Dict[str, Callable[[float], TuningKnobs]] = {
-    "overhead": TuningKnobs.added_overhead,
-    "gap": TuningKnobs.added_gap,
-    "latency": TuningKnobs.added_latency,
-    "occupancy": TuningKnobs.added_occupancy,
-}
-
-
-def _combine(x_dial: str, x: float, y_dial: str, y: float) -> TuningKnobs:
-    knobs_x = _DIALS[x_dial](x)
-    knobs_y = _DIALS[y_dial](y)
-    merged = {}
-    for name in ("delta_o", "delta_g", "delta_L", "delta_G",
-                 "delta_occ"):
-        merged[name] = getattr(knobs_x, name) + getattr(knobs_y, name)
-    return TuningKnobs(**merged)
-
 
 @dataclass
 class SensitivitySurface:
@@ -126,10 +108,14 @@ def sensitivity_surface(app_name: str, n_nodes: int,
                         y_dial: str, y_values: Sequence[float],
                         scale: float = 1.0, seed: int = 0,
                         params: Optional[LogGPParams] = None) -> Plan:
-    """Sweep the full (x, y) grid; (0, 0) is the baseline corner."""
-    if x_dial not in _DIALS or y_dial not in _DIALS:
-        known = ", ".join(sorted(_DIALS))
-        raise ValueError(f"dials must be among: {known}")
+    """Sweep the full (x, y) grid of *added* amounts; (0, 0) is the
+    baseline corner.  Each axis is a row of
+    :data:`~repro.harness.sweeps.DIALS` that lands on a knob field."""
+    known = sorted(name for name, dial in DIALS.items() if dial.knob_field)
+    if x_dial not in known or y_dial not in known or x_dial == y_dial:
+        raise ValueError("dials must be two different ones among: "
+                         + ", ".join(known))
+    x_field, y_field = DIALS[x_dial].knob_field, DIALS[y_dial].knob_field
     x_values = sorted(set([0.0] + list(x_values)))
     y_values = sorted(set([0.0] + list(y_values)))
     app, = suite_for(n_nodes, scale=scale, names=[app_name])
@@ -146,7 +132,8 @@ def sensitivity_surface(app_name: str, n_nodes: int,
                       for key, runtime in runtimes.items()})
     return Plan.of_results(
         [PointTask(app, Cluster(n_nodes=n_nodes, seed=seed, params=params,
-                                knobs=_combine(x_dial, x, y_dial, y)))
+                                knobs=TuningKnobs(**{x_field: x,
+                                                     y_field: y})))
          for x, y in grid]).then(build)
 
 

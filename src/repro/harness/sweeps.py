@@ -9,52 +9,159 @@ Runs that end in livelock (Barnes under heavy overhead) or exceed the
 configured simulated-time budget are recorded as ``N/A`` points with
 ``slowdown = None``, mirroring the paper's N/A entries in Table 5.
 
-It is also the one table of *dial semantics*: what each named dial
-moves (:func:`knob_factory`, :func:`dial_axes`), the paper's grid for
-it (:data:`PAPER_GRIDS`) and its axis label (:data:`DIAL_LABELS`).
+It is also the one table of *dial semantics*: :data:`DIALS` has a row
+per named dial — what it moves, its axis label, the paper's grid for it
+and the reduced grid the smoke reports sweep — and every sweep, campaign,
+surface and prediction reads that row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.am.tuning import TuningKnobs
 from repro.apps.base import Application
 from repro.cluster.machine import Cluster, RunResult
 from repro.harness.parallel import (FAILURE_CATEGORIES, Plan, PointTask,
-                                    SweepPoint, study, sweep_tasks)
+                                    SweepPoint, study)
 from repro.harness.report import ascii_plot
 from repro.network.faults import DelaySpike, FaultPlan
 from repro.network.loggp import LogGPParams
 
 __all__ = ["SweepPoint", "SweepResult", "SensitivityFigure",
-           "FAILURE_CATEGORIES",
-           "run_sweep", "predicted_sweep", "overhead_sweep",
-           "gap_sweep", "latency_sweep", "bulk_bandwidth_sweep",
-           "fault_sweep", "spike_decay_sweep", "NO_SPIKE",
-           "collective_sweep", "measure_algorithms",
-           "knob_factory", "dial_axes", "MACHINE_DIALS", "DIAL_LABELS",
-           "PAPER_GRIDS", "FAULT_DROP_RATES"]
+           "FAILURE_CATEGORIES", "Dial", "DIALS", "MACHINE_DIALS",
+           "dial_named", "sweep_tasks", "run_sweep", "predicted_sweep",
+           "spike_decay_sweep", "NO_SPIKE", "collective_sweep",
+           "measure_algorithms"]
 
-#: The paper's sweep grids (absolute parameter targets) by dial name:
-#: Figures 5-8, in the paper's order.
-PAPER_GRIDS = {
-    "overhead": (2.9, 3.9, 4.9, 6.9, 7.9, 13.0, 23.0, 53.0, 103.0),
-    "gap": (5.8, 8.0, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0),
-    "latency": (5.0, 7.5, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0),
-    "bulk_mb_s": (38.0, 30.0, 25.0, 20.0, 15.0, 10.0, 5.5, 3.0, 1.0)}
 
-#: Per-packet drop probabilities for the fault-tolerance sweep.  The
-#: first (0.0) point is the baseline: a null plan on a perfect fabric.
-FAULT_DROP_RATES = (0.0, 0.001, 0.005, 0.01, 0.02, 0.05)
+@dataclass(frozen=True)
+class Dial:
+    """One dial a sweep can turn: its name, what it moves, where the
+    paper put it.
 
-#: Axis labels of every named dial a sweep or campaign can move.
-DIAL_LABELS = {"overhead": "overhead (us)", "gap": "gap (us)",
-               "latency": "latency (us)",
-               "bulk_mb_s": "bulk bandwidth (MB/s)",
-               "drop_rate": "drop rate",
-               "offered_rps": "offered load (req/s)"}
+    ``turn(value, app, params, knobs, faults)`` is the point's
+    ``(app, knobs, faults)`` with the dial at ``value`` on the baseline
+    machine ``params``; whatever the dial does not move stays as given.
+    A row that lands on one knob field (:meth:`of_knob`) moves that
+    knob and nothing else, which is what lets :meth:`knobs` answer
+    without an application.
+    """
+
+    name: str
+    #: Axis label of a figure over this dial.
+    label: str
+    #: The paper's grid of dialed values, baseline first.
+    grid: Tuple[float, ...]
+    turn: Callable[..., Tuple[Any, TuningKnobs, Optional[FaultPlan]]]
+    #: The grid the reduced EXPERIMENTS report and the simcost
+    #: validation sweep: small enough to simulate in CI, wide enough to
+    #: span the paper's dynamic range.  None: no report sweeps the dial.
+    reduced: Optional[Tuple[float, ...]] = None
+    #: The :class:`TuningKnobs` field an *added* amount lands on.
+    knob_field: Optional[str] = None
+    #: The dial's absolute value on the undialed machine — only the
+    #: paper's four dials have one (:data:`MACHINE_DIALS`).
+    baseline: Optional[Callable[[LogGPParams], float]] = None
+
+    @classmethod
+    def of_knob(cls, name: str, label: str, grid: Tuple[float, ...],
+                knob_field: str,
+                added: Callable[[float, LogGPParams], float],
+                **row: Any) -> "Dial":
+        """A dial over one knob: dialed values are *absolute* targets,
+        and ``added(value, params)`` is how much more than the baseline
+        machine has that is — the apparatus can only add."""
+        def turn(value, app, params, knobs, faults):
+            return (app, knobs.with_changes(
+                **{knob_field: added(value, params)}), faults)
+        return cls(name, label, grid, turn, knob_field=knob_field, **row)
+
+    def knobs(self, value: float, params: LogGPParams,
+              knobs: Optional[TuningKnobs] = None) -> TuningKnobs:
+        """``knobs`` (default: none turned) with the dial at ``value`` on
+        the baseline machine ``params``."""
+        knobs = knobs if knobs is not None else TuningKnobs()
+        if self.knob_field is None:
+            return knobs
+        return self.turn(value, None, params, knobs, None)[1]
+
+
+#: Every named dial, by name.  The first four are the paper's apparatus
+#: (Figures 5-8, in the paper's order).
+DIALS: Dict[str, Dial] = {dial.name: dial for dial in (
+    Dial.of_knob(
+        "overhead", "overhead (us)",
+        (2.9, 3.9, 4.9, 6.9, 7.9, 13.0, 23.0, 53.0, 103.0), "delta_o",
+        lambda o, params: max(0.0, o - params.overhead),
+        reduced=(2.9, 12.9, 52.9, 102.9),
+        baseline=lambda params: params.overhead),
+    Dial.of_knob(
+        "gap", "gap (us)",
+        (5.8, 8.0, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0), "delta_g",
+        lambda g, params: max(0.0, g - params.gap),
+        reduced=(5.8, 15.0, 55.0, 105.0),
+        baseline=lambda params: params.gap),
+    Dial.of_knob(
+        "latency", "latency (us)",
+        (5.0, 7.5, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0), "delta_L",
+        lambda L, params: max(0.0, L - params.latency),
+        reduced=(5.0, 15.0, 55.0, 105.0),
+        baseline=lambda params: params.latency),
+    # Dialed in MB/s, not us/byte: the machine slows as the value
+    # *falls* along the grid, and asking for more bandwidth than the
+    # baseline has yields the baseline.
+    Dial.of_knob(
+        "bulk_mb_s", "bulk bandwidth (MB/s)",
+        (38.0, 30.0, 25.0, 20.0, 15.0, 10.0, 5.5, 3.0, 1.0), "delta_G",
+        lambda mb, params: TuningKnobs.bulk_bandwidth(mb, params).delta_G,
+        reduced=(38.0, 15.0, 10.0, 5.5, 1.0),
+        baseline=lambda params: 1.0 / params.Gap),
+    # The Flash study's parameter (Section 6), not one of the paper's
+    # four: LogGP has no occupancy term, so there is no baseline to
+    # subtract and the dialed value is the added amount.
+    Dial.of_knob(
+        "occupancy", "NIC occupancy (us)", (0.0, 10.0, 25.0, 50.0),
+        "delta_occ", lambda occ, _params: occ),
+    # Per-packet drop probability of the fault plan every point runs
+    # under (Figure 9); the machine dials stay where they are.  Rate
+    # 0.0 on no plan is a null plan, and a null plan is no plan: Cluster
+    # and run_key_spec both normalise it away, so the baseline point is
+    # bit-identical to, and keyed as, the fault-free run.
+    Dial("drop_rate", "drop rate", (0.0, 0.001, 0.005, 0.01, 0.02, 0.05),
+         lambda rate, app, params, knobs, faults: (
+             app, knobs, (faults if faults is not None
+                          else FaultPlan()).with_changes(drop_rate=rate)),
+         reduced=(0.0, 0.005, 0.02)),
+    # Requests/s of simulated time offered to an open-system serving
+    # app (Figure 11): comfortably underloaded to past saturation for
+    # the default scenario.  The rate is a constructor knob of the app,
+    # hence part of its fingerprint; closed apps have no such knob.
+    Dial("offered_rps", "offered load (req/s)",
+         (50_000.0, 100_000.0, 200_000.0, 400_000.0, 800_000.0,
+          1_600_000.0),
+         lambda rps, app, params, knobs, faults: (
+             app.with_changes(offered_rps=rps), knobs, faults)),
+)}
+
+#: The four machine dials of the paper's apparatus: the rows that have a
+#: baseline, i.e. the ones a recorded run can be re-dialed along.
+MACHINE_DIALS = tuple(name for name, dial in DIALS.items()
+                      if dial.baseline is not None)
+
+
+def dial_named(dial: Union[str, Dial],
+               among: Sequence[str] = tuple(DIALS)) -> Dial:
+    """The row called ``dial`` (``among`` names the rows allowed); a
+    caller's own :class:`Dial` is itself."""
+    if isinstance(dial, Dial):
+        return dial
+    if dial not in among:
+        raise ValueError(
+            f"parameter must be one of {tuple(among)}, got {dial!r}")
+    return DIALS[dial]
 
 
 @dataclass
@@ -149,73 +256,39 @@ class SensitivityFigure:
                           x_label=self.x_label, y_label="slowdown")
 
 
-#: The four machine dials of the paper's apparatus, i.e. every
-#: ``parameter`` :func:`knob_factory` can map to knob constructors.
-MACHINE_DIALS = tuple(PAPER_GRIDS)
-
-
-def knob_factory(parameter: str,
-                 params: Optional[LogGPParams] = None
-                 ) -> Callable[[float], TuningKnobs]:
-    """value → :class:`TuningKnobs` for one of the paper's four dials.
-
-    The single source of the machine-dial semantics: dialed values are
-    *absolute* targets (µs, or MB/s for ``bulk_mb_s``), turned into
-    added-delta knobs against the ``params`` baseline.
-    """
+def sweep_tasks(app: Any, n_nodes: int, dial: Dial,
+                values: Sequence[float],
+                params: Optional[LogGPParams] = None,
+                knobs: Optional[TuningKnobs] = None,
+                faults: Optional[FaultPlan] = None,
+                **cluster) -> List[PointTask]:
+    """One task per dialed value: the expansion every sweep and every
+    campaign series goes through.  ``app``, ``knobs`` and ``faults``
+    are the setting ``dial`` turns from; ``cluster`` is whatever else
+    the points' :class:`Cluster` s share (seed, limits, window,
+    ``sanitize``, ``coll``)."""
     params = params if params is not None else LogGPParams.berkeley_now()
-    if parameter == "overhead":
-        return lambda o: TuningKnobs.added_overhead(
-            max(0.0, o - params.overhead))
-    if parameter == "gap":
-        return lambda g: TuningKnobs.added_gap(max(0.0, g - params.gap))
-    if parameter == "latency":
-        return lambda L: TuningKnobs.added_latency(
-            max(0.0, L - params.latency))
-    if parameter == "bulk_mb_s":
-        return lambda mb: TuningKnobs.bulk_bandwidth(mb, params)
-    raise ValueError(
-        f"parameter must be one of {MACHINE_DIALS}, got {parameter!r}")
-
-
-def dial_axes(parameter: str, app: Any,
-              params: Optional[LogGPParams] = None,
-              knobs: Optional[TuningKnobs] = None,
-              faults: Optional[FaultPlan] = None
-              ) -> Tuple[Callable[[float], TuningKnobs],
-                         Callable[[float], Optional[FaultPlan]],
-                         Callable[[float], Any]]:
-    """``(knob_for, fault_for, app_for)``: what one named dial moves.
-
-    A machine dial moves the knobs (:func:`knob_factory`), ``drop_rate``
-    the fault plan's drop probability (rate 0.0 on no plan is a null
-    plan: bit-identical to, and keyed as, a fault-free run) and
-    ``offered_rps`` the application's client tier; whatever the dial
-    does not move stays at ``knobs`` / ``faults`` / ``app``.
-    """
-    pinned = knobs if knobs is not None else TuningKnobs()
-    knob_for = lambda _value: pinned  # noqa: E731
-    fault_for = lambda _value: faults  # noqa: E731
-    app_for = lambda _value: app  # noqa: E731
-    if parameter == "drop_rate":
-        plan = faults if faults is not None else FaultPlan()
-        fault_for = lambda p: plan.with_changes(drop_rate=p)  # noqa: E731
-    elif parameter == "offered_rps":
-        app_for = lambda rps: app.with_changes(offered_rps=rps)  # noqa: E731
-    else:
-        knob_for = knob_factory(parameter, params)
-    return knob_for, fault_for, app_for
+    knobs = knobs if knobs is not None else TuningKnobs()
+    tasks = []
+    for value in values:
+        app_at, knobs_at, faults_at = dial.turn(value, app, params, knobs,
+                                                faults)
+        tasks.append(PointTask(
+            app=app_at, value=value,
+            cluster=Cluster(n_nodes, params=params, knobs=knobs_at,
+                            faults=faults_at, **cluster)))
+    return tasks
 
 
 @study
-def run_sweep(app: Application, n_nodes: int, parameter: str,
-              values: Sequence[float],
-              knob_for: Callable[[float], TuningKnobs],
-              fault_for: Optional[
-                  Callable[[float], Optional[FaultPlan]]] = None,
-              app_for: Optional[Callable[[float], Any]] = None,
-              **cluster) -> Plan:
-    """Run ``app`` at each dialed value; first value is the baseline.
+def run_sweep(app: Application, n_nodes: int, dial: Union[str, Dial],
+              values: Optional[Sequence[float]] = None, **cluster) -> Plan:
+    """Run ``app`` with ``dial`` at each of ``values``; the first value
+    is the baseline.
+
+    ``dial`` names a row of :data:`DIALS` — ``run_sweep(app, 32,
+    "overhead")`` is Figure 5's sweep of one application — or is a
+    caller's own :class:`Dial`; ``values`` defaults to the row's grid.
 
     ``jobs`` > 1 fans the points across a process pool (bit-identical
     results) and ``cache`` is an optional
@@ -224,28 +297,27 @@ def run_sweep(app: Application, n_nodes: int, parameter: str,
     :func:`repro.harness.parallel.run_points`, which drains the points;
     ``run_sweep.plan(...)`` is the same sweep not yet run.
 
-    Per value, ``knob_for`` gives the dials, ``fault_for`` (optional)
-    the :class:`~repro.network.faults.FaultPlan` and ``app_for``
-    (optional) the application instance, for sweeps whose axis is an
-    *application* knob such as the serving tier's offered load.
     ``cluster`` is what every point's
     :class:`~repro.cluster.machine.Cluster` shares: ``params``,
     ``seed``, ``run_limit_us``, ``livelock_limit``, ``window``,
-    ``coll``, ``sanitize``, ...  All of it — and the per-point app's
-    fingerprint — is the cache key, except ``sanitize=True``, which
-    runs every point under simsan and bypasses the cache instead.
+    ``coll``, ``sanitize``, ... — and ``knobs`` / ``faults``, which the
+    dial turns *from*: a latency sweep with ``knobs=`` pinned at +25 µs
+    of overhead keeps that overhead on every point, and a ``drop_rate``
+    sweep keeps its ``faults`` plan's timeouts and retries.  All of it
+    — and the per-point app's fingerprint — is the cache key, except
+    ``sanitize=True``, which runs every point under simsan and bypasses
+    the cache instead.
     """
+    dial = dial_named(dial)
+    values = dial.grid if values is None else values
     return Plan(
-        sweep_tasks(app, n_nodes, values, knob_for, fault_for=fault_for,
-                    app_for=app_for, **cluster),
+        sweep_tasks(app, n_nodes, dial, values, **cluster),
         lambda points: SweepResult(app_name=app.name, n_nodes=n_nodes,
-                                   parameter=parameter, points=points))
+                                   parameter=dial.name, points=points))
 
 
 def predicted_sweep(app: Application, n_nodes: int, parameter: str,
-                    values: Sequence[float],
-                    knob_for: Optional[
-                        Callable[[float], TuningKnobs]] = None,
+                    values: Optional[Sequence[float]] = None,
                     params: Optional[LogGPParams] = None,
                     seed: int = 0,
                     run_limit_us: Optional[float] = None,
@@ -257,15 +329,13 @@ def predicted_sweep(app: Application, n_nodes: int, parameter: str,
 
     One instrumented simulation of ``app`` at the baseline replaces
     the whole dial sweep: the run's dependency DAG is recorded, then
-    every value of ``parameter`` is predicted by symbolic longest-path
-    replay (see :mod:`repro.cost`).  Returns a
+    every value of ``parameter`` (one of :data:`MACHINE_DIALS`, dialed
+    by the same row) is predicted by symbolic longest-path replay (see
+    :mod:`repro.cost`).  Returns a
     :class:`~repro.cost.predict.PredictedSweep`, which reads like a
     :class:`SweepResult` (``values`` / ``slowdowns`` / ``series`` /
     ``as_rows``) but reports ``simulations_used`` (1, or 0 when a
     pre-recorded ``graph`` is supplied) instead of one run per point.
-
-    ``knob_for`` defaults to the shared :func:`knob_factory` dial
-    semantics, so predicted and simulated sweeps dial identically.
     """
     from repro.cost.predict import predict_sweep as _predict
     from repro.cost.recorder import record_run
@@ -275,72 +345,9 @@ def predicted_sweep(app: Application, n_nodes: int, parameter: str,
             app, n_nodes, params=params, seed=seed, window=window,
             run_limit_us=run_limit_us, livelock_limit=livelock_limit)
         simulations = 1
-    sweep = _predict(graph, parameter, values, knob_for=knob_for)
+    sweep = _predict(graph, parameter, values)
     sweep.simulations_used = simulations
     return sweep
-
-
-@study
-def overhead_sweep(app: Application, n_nodes: int,
-                   overheads: Sequence[float] = PAPER_GRIDS["overhead"],
-                   params: Optional[LogGPParams] = None,
-                   **kwargs) -> Plan:
-    """Figure 5: slowdown as a function of (absolute) overhead."""
-    return run_sweep.plan(app, n_nodes, "overhead", overheads,
-                     knob_factory("overhead", params), params=params,
-                     **kwargs)
-
-
-@study
-def gap_sweep(app: Application, n_nodes: int,
-              gaps: Sequence[float] = PAPER_GRIDS["gap"],
-              params: Optional[LogGPParams] = None,
-              **kwargs) -> Plan:
-    """Figure 6: slowdown as a function of (absolute) gap."""
-    return run_sweep.plan(app, n_nodes, "gap", gaps,
-                     knob_factory("gap", params), params=params, **kwargs)
-
-
-@study
-def latency_sweep(app: Application, n_nodes: int,
-                  latencies: Sequence[float] = PAPER_GRIDS["latency"],
-                  params: Optional[LogGPParams] = None,
-                  **kwargs) -> Plan:
-    """Figure 7: slowdown as a function of (absolute) latency."""
-    return run_sweep.plan(app, n_nodes, "latency", latencies,
-                     knob_factory("latency", params), params=params,
-                     **kwargs)
-
-
-@study
-def bulk_bandwidth_sweep(app: Application, n_nodes: int,
-                         bandwidths: Sequence[float] =
-                         PAPER_GRIDS["bulk_mb_s"],
-                         params: Optional[LogGPParams] = None,
-                         **kwargs) -> Plan:
-    """Figure 8: slowdown as a function of available bulk bandwidth."""
-    return run_sweep.plan(app, n_nodes, "bulk_mb_s", bandwidths,
-                     knob_factory("bulk_mb_s", params), params=params,
-                     **kwargs)
-
-
-@study
-def fault_sweep(app: Application, n_nodes: int,
-                drop_rates: Sequence[float] = FAULT_DROP_RATES,
-                base_plan: Optional[FaultPlan] = None,
-                **kwargs) -> Plan:
-    """Slowdown as a function of per-packet drop probability.
-
-    The machine dials stay at the unmodified baseline; the only thing
-    swept is the fault injector's drop rate (:func:`dial_axes`), so the
-    rate-0.0 baseline shares the fault-free run's cache entry.
-    ``base_plan`` lets callers fix non-drop aspects (timeouts, retries,
-    drop kinds).
-    """
-    knob_for, fault_for, _app_for = dial_axes("drop_rate", app,
-                                              faults=base_plan)
-    return run_sweep.plan(app, n_nodes, "drop_rate", drop_rates, knob_for,
-                     fault_for=fault_for, **kwargs)
 
 
 #: Sentinel sweep value for the no-spike baseline point of
@@ -363,48 +370,43 @@ def spike_decay_sweep(app: Application, n_nodes: int,
     measures how much of the spike the application absorbed versus
     propagated.
     """
-    values = (NO_SPIKE,) + tuple(starts)
-
-    def fault_for(start: float) -> Optional[FaultPlan]:
+    def turn(start, app, params, knobs, faults):
         if start < 0:
-            return None
-        return FaultPlan(spikes=(
+            return app, knobs, None
+        return app, knobs, FaultPlan(spikes=(
             DelaySpike(node=node, start_us=start,
                        duration_us=duration_us),))
 
+    values = (NO_SPIKE,) + tuple(starts)
     return run_sweep.plan(
-        app, n_nodes, "spike_start_us", values,
-        lambda _start: TuningKnobs(), fault_for=fault_for, **kwargs)
+        app, n_nodes, Dial("spike_start_us", "spike start (us)", values,
+                           turn), **kwargs)
 
 
 @study
 def collective_sweep(primitive: str, n_nodes: int,
                      parameter: str,
-                     values: Sequence[float],
+                     values: Optional[Sequence[float]] = None,
                      algo: Optional[str] = None,
                      size: int = 32,
                      bulk: bool = False,
-                     iterations: int = 4,
-                     params: Optional[LogGPParams] = None,
-                     coll: Optional["CollConfig"] = None,  # noqa: F821
-                     **kwargs) -> Plan:
+                     iterations: int = 4, **kwargs) -> Plan:
     """Collective sensitivity: one primitive's runtime across one dial.
 
     Runs :class:`~repro.coll.bench.CollectiveBench` for ``primitive``
     (scheduled as ``algo``, or by the cluster's tuning policy when
-    ``algo`` is None and ``coll`` supplies one) at every value of
+    ``algo`` is None and a ``coll=`` config supplies one) at every value of
     ``parameter`` — one of :data:`MACHINE_DIALS`, dialed
-    exactly like the Figure 5-8 sweeps.  The first value is the
-    baseline, so slowdowns read like the paper's figures but for a
-    single collective instead of a whole application.
+    exactly like the Figure 5-8 sweeps (``values`` defaults to the
+    paper's grid).  The first value is the baseline, so slowdowns read
+    like the paper's figures but for a single collective instead of a
+    whole application.
     """
     from repro.coll.bench import CollectiveBench
-    params = params or LogGPParams.berkeley_now()
-    knob_for = knob_factory(parameter, params)
     app = CollectiveBench(primitive, algo=algo, size=size, bulk=bulk,
                           iterations=iterations)
-    return run_sweep.plan(app, n_nodes, parameter, values, knob_for,
-                     params=params, coll=coll, **kwargs)
+    return run_sweep.plan(app, n_nodes, dial_named(parameter, MACHINE_DIALS),
+                          values, **kwargs)
 
 
 @study

@@ -7,8 +7,9 @@ users (:mod:`repro.serve.clients`) into sharded key-value and
 scatter-gather services running over the AM layer
 (:mod:`repro.serve.apps`), while streaming SLO instruments record
 p50/p99/p999 latency, queue depths, utilization, and saturation
-(:mod:`repro.serve.metrics`).  :mod:`repro.serve.sweep` sweeps the
-machine dials, the drop rate, or the offered load itself.
+(:mod:`repro.serve.metrics`).  :func:`repro.harness.sweeps.run_sweep`
+sweeps the machine dials, the drop rate, or the offered load itself;
+:mod:`repro.serve.sweep` renders the SLO table.
 
 Everything is bit-identical rerun-to-rerun (seeded arrivals, seeded
 load balancing, deterministic sketch), so the RunCache / ResultStore /
@@ -20,8 +21,7 @@ from repro.serve.apps import (LOAD_BALANCE_POLICIES, REPLICATION_POLICIES,
                               ServingApp, serving_app_from_dict)
 from repro.serve.clients import ARRIVAL_PROCESSES, ClientTier, Request
 from repro.serve.metrics import LatencySketch, ServingMetrics
-from repro.serve.sweep import (OFFERED_LOAD_GRID, SERVING_DIALS,
-                               serving_rows, serving_sweep)
+from repro.serve.sweep import OFFERED_LOAD_GRID, serving_rows
 
 __all__ = [
     "ARRIVAL_PROCESSES", "ClientTier", "Request",
@@ -29,5 +29,5 @@ __all__ = [
     "ServingApp", "KVServe", "FanoutServe", "SERVING_APPS",
     "serving_app_from_dict", "LOAD_BALANCE_POLICIES",
     "REPLICATION_POLICIES",
-    "SERVING_DIALS", "OFFERED_LOAD_GRID", "serving_sweep", "serving_rows",
+    "OFFERED_LOAD_GRID", "serving_rows",
 ]

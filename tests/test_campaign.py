@@ -20,8 +20,8 @@ from repro.apps import RadixSort
 from repro.cluster.machine import Cluster
 from repro.coll.tuner import CollConfig
 from repro.harness import (CampaignInterrupted, CampaignSpec, ResultStore,
-                           RunCache, ensemble_from_store, overhead_sweep,
-                           render_campaign, run_campaign, sweep_from_store)
+                           RunCache, ensemble_from_store, render_campaign,
+                           run_campaign, run_sweep, sweep_from_store)
 from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import execute_point
 from repro.harness.runcache import run_key_spec
@@ -103,18 +103,18 @@ def test_worker_sigkill_keeps_completed_points(tmp_path, monkeypatch):
     cache = RunCache(tmp_path)
     grid = (2.9, 22.9, _CRASH_VALUE)
     with pytest.raises(BrokenProcessPool):
-        overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid,
+        run_sweep(tiny_radix(), 4, "overhead", grid,
                        cache=cache, jobs=2)
     # The two points that completed before the crash are already on
     # disk — this is the regression: they used to be lost.
     assert len(cache) == 2
 
     monkeypatch.undo()  # rerun with the real execute_point
-    rerun = overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid,
+    rerun = run_sweep(tiny_radix(), 4, "overhead", grid,
                            cache=cache, jobs=2)
     assert cache.hits == 2  # only the crashed point was resimulated
     assert cache.misses == 4  # 3 cold probes + the crashed point's rerun
-    serial = overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid)
+    serial = run_sweep(tiny_radix(), 4, "overhead", grid)
     assert sweep_fingerprint(rerun) == sweep_fingerprint(serial)
 
 
@@ -124,11 +124,11 @@ def test_sweep_requeues_after_worker_crash(tmp_path, monkeypatch):
     _CRASH_FLAG["path"] = str(tmp_path / "crashed.flag")
     monkeypatch.setattr(parallel_mod, "execute_point", _kill_worker_once)
     grid = (2.9, 22.9, _CRASH_VALUE)
-    sweep = overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid, jobs=2)
+    sweep = run_sweep(tiny_radix(), 4, "overhead", grid, jobs=2)
     assert os.path.exists(_CRASH_FLAG["path"])  # a worker did die
 
     monkeypatch.undo()
-    serial = overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid)
+    serial = run_sweep(tiny_radix(), 4, "overhead", grid)
     assert sweep_fingerprint(sweep) == sweep_fingerprint(serial)
 
 
@@ -137,7 +137,7 @@ def test_raising_worker_keeps_points_that_finish_after_it(tmp_path,
     monkeypatch.setattr(parallel_mod, "execute_point", _raise_on_marker)
     cache = RunCache(tmp_path)
     with pytest.raises(ValueError, match="not in the failure taxonomy"):
-        overhead_sweep(tiny_radix(), n_nodes=4, overheads=_RAISE_GRID,
+        run_sweep(tiny_radix(), 4, "overhead", _RAISE_GRID,
                        cache=cache, jobs=2)
     assert len(cache) == 3  # deferred, then re-raised after the drain
 
@@ -152,7 +152,7 @@ def test_serial_sweep_caches_per_point(tmp_path, monkeypatch):
         seen.append(len(self))
 
     monkeypatch.setattr(RunCache, "put", tracking_put)
-    overhead_sweep(tiny_radix(), n_nodes=4, overheads=(2.9, 22.9),
+    run_sweep(tiny_radix(), 4, "overhead", (2.9, 22.9),
                    cache=cache)
     # Each point landed the moment it finished, not as a final batch.
     assert seen == [1, 2]
@@ -201,7 +201,7 @@ def test_campaign_points_fail_fast_on_unstable_app_kwargs(monkeypatch):
 
 def test_clear_removes_orphaned_tmps(tmp_path):
     cache = RunCache(tmp_path)
-    overhead_sweep(tiny_radix(), n_nodes=2, overheads=(2.9,), cache=cache)
+    run_sweep(tiny_radix(), 2, "overhead", (2.9,), cache=cache)
     (tmp_path / "orphan123.tmp").write_text("half-written")
     assert cache.clear() == 2  # one entry + one orphan
     assert len(cache) == 0
@@ -509,6 +509,6 @@ def test_sweep_from_store_matches_direct_sweep(tmp_path):
         run_campaign(spec, store, jobs=1)
         from_store = sweep_from_store(store, spec, "Radix", 4, "overhead")
     app = spec.points()[0].task.app
-    direct = overhead_sweep(app, n_nodes=4, overheads=values)
+    direct = run_sweep(app, 4, "overhead", values)
     assert sweep_fingerprint(from_store) == sweep_fingerprint(direct)
     assert from_store.slowdowns() == direct.slowdowns()

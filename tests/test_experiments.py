@@ -36,8 +36,8 @@ def test_table4_structure():
 
 
 def test_figure5_series_and_rows():
-    figure = experiments.figure5_overhead(
-        names=["Sample"], overheads=(2.9, 52.9), **TINY)
+    figure = experiments.sensitivity_figure(
+        "overhead", names=["Sample"], values=(2.9, 52.9), **TINY)
     sweep = figure.sweeps["Sample"]
     assert sweep.slowdowns()[0] == pytest.approx(1.0)
     assert sweep.slowdowns()[1] > 1.5
@@ -49,7 +49,7 @@ def test_figure5_series_and_rows():
 
 def test_table5_structure_and_baseline_exactness():
     table = experiments.table5_overhead_model(
-        names=["Sample"], overheads=(2.9, 52.9), **TINY)
+        names=["Sample"], values=(2.9, 52.9), **TINY)
     rows = table.rows()
     assert rows[0]["measured_us"] == rows[0]["predicted_us"]
     assert len(table.prediction_error("Sample")) == 2
@@ -57,17 +57,17 @@ def test_table5_structure_and_baseline_exactness():
 
 def test_table6_structure():
     table = experiments.table6_gap_model(
-        names=["Radb"], gaps=(5.8, 55.0), **TINY)
+        names=["Radb"], values=(5.8, 55.0), **TINY)
     assert len(table.rows()) == 2
     assert "Table 6" in table.render()
 
 
 def test_figure7_and_8_structure():
-    figure7 = experiments.figure7_latency(
-        names=["Connect"], latencies=(5.0, 55.0), **TINY)
+    figure7 = experiments.sensitivity_figure(
+        "latency", names=["Connect"], values=(5.0, 55.0), **TINY)
     assert figure7.max_slowdown("Connect") >= 1.0
-    figure8 = experiments.figure8_bulk(
-        names=["NOW-sort"], bandwidths=(38.0, 1.0), **TINY)
+    figure8 = experiments.sensitivity_figure(
+        "bulk_mb_s", names=["NOW-sort"], values=(38.0, 1.0), **TINY)
     assert figure8.max_slowdown("NOW-sort") >= 1.0
 
 
@@ -80,8 +80,9 @@ def test_tables_and_figures_share_their_baseline_runs(tmp_path):
          dict(node_counts=(4,), scale=0.1, names=["Radix"])),
         (experiments.table4_comm_summary, dict(names=["Radix"], **TINY)),
         (experiments.figure4_balance, dict(names=["Radix"], **TINY)),
-        (experiments.figure5_overhead,
-         dict(names=["Radix"], overheads=(2.9, 22.9), **TINY)),
+        (experiments.sensitivity_figure,
+         dict(parameter="overhead", names=["Radix"], values=(2.9, 22.9),
+              **TINY)),
     ]
     for entry, kwargs in calls:
         cached = entry(cache=cache, **kwargs)

@@ -15,7 +15,7 @@ from repro.am.tuning import TuningKnobs
 from repro.apps import RadixSort
 from repro.apps.base import Application
 from repro.cluster.machine import Cluster
-from repro.harness import RunCache, fault_sweep, spike_decay_sweep
+from repro.harness import run_sweep, spike_decay_sweep
 from repro.harness.runcache import run_key_spec
 from repro.harness.sweeps import SweepPoint, SweepResult
 from repro.network.faults import (DelaySpike, FaultInjector, FaultPlan,
@@ -139,8 +139,8 @@ def test_total_loss_raises_retry_exhausted():
 
 def test_sweep_surfaces_retry_exhausted_as_na_point():
     plan = FaultPlan(retx_timeout_us=10.0, max_retries=2)
-    sweep = fault_sweep(tiny_radix(), 2, drop_rates=(1.0,),
-                        base_plan=plan, seed=0)
+    sweep = run_sweep(tiny_radix(), 2, "drop_rate", (1.0,), faults=plan,
+                      seed=0)
     point = sweep.points[0]
     assert not point.completed
     assert point.failure.startswith("fault:")
@@ -171,28 +171,9 @@ def test_as_rows_failed_baseline_with_completed_points():
 
 
 # ---------------------------------------------------------------------------
-# The fault sweep: determinism + run cache (the acceptance criterion).
+# The fault sweep and the run cache (determinism and cache hits of the
+# sweep itself: tests/test_parallel_cache.py, the drop_rate case).
 # ---------------------------------------------------------------------------
-
-def sweep_fingerprint(sweep):
-    return [(p.value, p.runtime_us,
-             p.result.events_processed if p.completed else None,
-             p.failure) for p in sweep.points]
-
-
-def test_fault_sweep_is_deterministic_and_cacheable(tmp_path):
-    cache = RunCache(tmp_path / "cache")
-    rates = (0.0, 0.02)
-    first = fault_sweep(tiny_radix(), 4, drop_rates=rates, seed=3,
-                        base_plan=lossy_plan(), cache=cache)
-    second = fault_sweep(tiny_radix(), 4, drop_rates=rates, seed=3,
-                         base_plan=lossy_plan(), cache=cache)
-    assert sweep_fingerprint(first) == sweep_fingerprint(second)
-    assert cache.hits == len(rates)  # the whole second pass was cached
-    lossy = second.points[1]
-    assert lossy.result.stats.total_retransmissions > 0
-    assert lossy.runtime_us > second.baseline.runtime_us
-
 
 def test_null_plan_shares_cache_key_with_no_plan():
     app = tiny_radix()

@@ -108,7 +108,7 @@ def _studies():
 
 def test_each_driver_drains_what_it_planned_at_one_call_site():
     studies = _studies()
-    assert {"run_sweep", "figure5_overhead", "measure_algorithms"} <= studies
+    assert {"run_sweep", "sensitivity_figure", "measure_algorithms"} <= studies
     for path, function in DRIVERS.items():
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = _functions_by_node(tree)

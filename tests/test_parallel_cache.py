@@ -13,17 +13,17 @@ from pathlib import Path
 import pytest
 
 from repro.am.tuning import TuningKnobs
-from repro.apps import Barnes, RadixSort, default_suite
+from repro.apps import Barnes, RadixBulk, RadixSort, default_suite
 from repro.cluster.machine import Cluster
 from repro.coll.bench import CollectiveBench
-from repro.harness import (Plan, PointTask, RunCache, experiments,
-                           fault_sweep, gap_sweep, overhead_sweep, run_plans,
-                           run_points, run_sweep)
+from repro.harness import (DIALS, Dial, Plan, PointTask, RunCache,
+                           experiments, run_plans, run_points, run_sweep)
 from repro.harness import parallel as parallel_mod
 from repro.harness import runcache as runcache_mod
 from repro.harness.parallel import default_jobs
 from repro.harness.runcache import constructor_params, run_key_spec
 from repro.harness.sweeps import SweepPoint, SweepResult
+from repro.network.faults import FaultPlan
 from repro.network.loggp import LogGPParams
 from repro.sanitize.cli import load_app
 from repro.serve import FanoutServe, KVServe
@@ -57,19 +57,19 @@ def test_same_config_runs_identically_twice():
 
 
 def test_parallel_sweep_bit_identical_to_serial():
-    serial = overhead_sweep(tiny_radix(), n_nodes=4,
-                            overheads=(2.9, 22.9, 52.9), seed=7)
-    parallel = overhead_sweep(tiny_radix(), n_nodes=4,
-                              overheads=(2.9, 22.9, 52.9), seed=7,
-                              jobs=2)
+    serial = run_sweep(tiny_radix(), 4, "overhead", (2.9, 22.9, 52.9),
+                       seed=7)
+    parallel = run_sweep(tiny_radix(), 4, "overhead", (2.9, 22.9, 52.9),
+                         seed=7, jobs=2)
     assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
 
 
 def test_run_sweep_parallel_defaults_match_serial():
-    serial = run_sweep(tiny_radix(), 4, "overhead", (0.0, 20.0),
-                       TuningKnobs.added_overhead)
-    parallel = run_sweep(tiny_radix(), 4, "overhead", (0.0, 20.0),
-                         TuningKnobs.added_overhead, jobs=default_jobs())
+    added = Dial("added_overhead", "added overhead (us)", (0.0, 20.0),
+                 lambda value, app, params, knobs, faults:
+                 (app, knobs.with_changes(delta_o=value), faults))
+    serial = run_sweep(tiny_radix(), 4, added)
+    parallel = run_sweep(tiny_radix(), 4, added, jobs=default_jobs())
     assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
 
 
@@ -139,9 +139,8 @@ def test_budget_exceeded_point_is_na_serial_and_parallel():
     baseline = Cluster(n_nodes=4, seed=0).run(tiny_radix())
     limit = baseline.runtime_us * 2.0
     for jobs in (None, 2):
-        sweep = overhead_sweep(tiny_radix(), n_nodes=4,
-                               overheads=(2.9, 102.9),
-                               run_limit_us=limit, jobs=jobs)
+        sweep = run_sweep(tiny_radix(), 4, "overhead", (2.9, 102.9),
+                          run_limit_us=limit, jobs=jobs)
         assert sweep.points[0].completed
         assert not sweep.points[1].completed
         assert "budget exceeded" in sweep.points[1].failure
@@ -155,8 +154,8 @@ def test_livelock_point_is_na_serial_and_parallel():
     # regime), so a 150-attempt budget separates the two points.
     app = Barnes(bodies_per_proc=16, steps=1)
     for jobs in (None, 2):
-        sweep = overhead_sweep(app, n_nodes=8, overheads=(2.9, 27.9),
-                               seed=21, livelock_limit=150, jobs=jobs)
+        sweep = run_sweep(app, 8, "overhead", (2.9, 27.9),
+                          seed=21, livelock_limit=150, jobs=jobs)
         assert sweep.points[0].completed
         assert not sweep.points[1].completed
         assert "livelock" in sweep.points[1].failure
@@ -184,31 +183,118 @@ def test_step_on_empty_heap_raises_clear_error():
 # Run cache: miss, hit, invalidation.
 # ---------------------------------------------------------------------------
 
-def test_cache_miss_then_hit_restores_counters(tmp_path):
-    cache = RunCache(tmp_path)
-    cold = overhead_sweep(tiny_radix(), n_nodes=4,
-                          overheads=(2.9, 22.9), cache=cache)
-    assert cache.misses == 2 and cache.hits == 0
-    assert len(cache) == 2
+def tiny_kv():
+    return KVServe(offered_rps=200_000.0, n_users=5_000,
+                   duration_us=8_000.0, max_requests=120, service_us=4.0,
+                   key_space=256)
 
-    warm = overhead_sweep(tiny_radix(), n_nodes=4,
-                          overheads=(2.9, 22.9), cache=cache)
-    assert cache.hits == 2
-    assert sweep_fingerprint(cold) == sweep_fingerprint(warm)
+
+def rerun_fingerprint(sweep):
+    """Everything a rerun must repeat, the whole stats record included."""
+    return [(p.value, p.runtime_us,
+             p.result.events_processed if p.completed else None,
+             json.dumps(p.result.stats.to_dict(), sort_keys=True)
+             if p.completed else None, p.failure)
+            for p in sweep.points]
+
+
+def _slower_at_the_end(sweep):
+    assert sweep.points[-1].runtime_us > sweep.baseline.runtime_us
+
+
+def _loss_is_retransmitted_and_costs_time(sweep):
+    assert sweep.points[-1].result.stats.total_retransmissions > 0
+    _slower_at_the_end(sweep)
+
+
+def _collectives_were_dispatched(sweep):
+    assert sweep.points[-1].result.stats.to_dict()["collective_calls"]
+    _slower_at_the_end(sweep)
+
+
+def _every_arrival_is_accounted_for(sweep):
+    for point in sweep.points:
+        serving = point.result.stats.serving
+        assert serving.arrivals == serving.completed + serving.dropped
+    assert sweep.baseline.result.stats.serving.completed > 0
+
+
+#: case -> (app, dial, values, the cluster's other settings, what else
+#: must hold of the sweep): every row of DIALS once, a closed app where
+#: one will do, and one collective.
+RERUNS = {
+    "overhead": (tiny_radix, "overhead", (2.9, 22.9), {},
+                 _slower_at_the_end),
+    "gap": (tiny_radix, "gap", (5.8, 55.0), {}, _slower_at_the_end),
+    "latency": (tiny_radix, "latency", (5.0, 55.0), {}, _slower_at_the_end),
+    "bulk_mb_s": (lambda: RadixBulk(keys_per_proc=32), "bulk_mb_s",
+                  (38.0, 1.0), {}, _slower_at_the_end),
+    "occupancy": (tiny_radix, "occupancy", (0.0, 25.0), {},
+                  _slower_at_the_end),
+    "drop_rate": (tiny_radix, "drop_rate", (0.0, 0.02),
+                  {"seed": 3, "faults": FaultPlan(retx_timeout_us=60.0)},
+                  _loss_is_retransmitted_and_costs_time),
+    "offered_rps": (tiny_kv, "offered_rps", (100_000.0, 1_200_000.0),
+                    {"seed": 11}, _every_arrival_is_accounted_for),
+    "collective": (lambda: CollectiveBench("allreduce", size=16384,
+                                           bulk=True, iterations=2),
+                   "bulk_mb_s", (38.0, 5.5, 1.0), {"seed": 11},
+                   _collectives_were_dispatched),
+}
+
+
+def test_the_rerun_cases_cover_every_row_of_the_table():
+    assert {dial for _app, dial, *_rest in RERUNS.values()} == set(DIALS)
+
+
+@pytest.mark.parametrize("case", RERUNS)
+def test_every_dial_reruns_bit_identically_from_the_cache(case, tmp_path):
+    app, dial, values, cluster, also = RERUNS[case]
+    cache = RunCache(tmp_path)
+    cold = run_sweep(app(), 4, dial, values, cache=cache, **cluster)
+    assert (cache.misses, cache.hits, len(cache)) \
+        == (len(values), 0, len(values))
+
+    warm = run_sweep(app(), 4, dial, values, cache=cache, **cluster)
+    assert (cache.misses, cache.hits) == (len(values), len(values))
+    assert rerun_fingerprint(cold) == rerun_fingerprint(warm)
     # Full stats survive the JSON round-trip (Table 5/6 need them).
     assert (warm.points[0].result.stats.matrix
             == cold.points[0].result.stats.matrix).all()
     # finalize() output is deliberately not cached.
     assert warm.points[0].result.output is None
+    also(cold)
+
+
+def test_a_null_plan_baseline_is_the_undialed_baseline_in_the_cache(
+        tmp_path):
+    cache = RunCache(tmp_path)
+
+    def four_axes():
+        sweeps = [run_sweep(tiny_kv(), 4, dial, values, seed=11, cache=cache)
+                  for dial, values in (
+                      ("overhead", (2.9, 25.0)), ("latency", (5.7, 100.0)),
+                      ("drop_rate", (0.0, 0.02)),
+                      ("offered_rps", (100_000.0, 1_200_000.0)))]
+        for sweep in sweeps:
+            _every_arrival_is_accounted_for(sweep)
+        return [rerun_fingerprint(sweep) for sweep in sweeps]
+    first = four_axes()
+    # 7 distinct points: overhead@2.9 and drop_rate@0.0 are the same
+    # configuration (baseline knobs, null fault plan), so content
+    # addressing serves the second from the first.
+    assert (cache.misses, cache.hits) == (7, 1)
+    assert four_axes() == first
+    assert (cache.misses, cache.hits) == (7, 9)
 
 
 def test_cache_stores_failures_too(tmp_path):
     cache = RunCache(tmp_path)
     app = Barnes(bodies_per_proc=16, steps=1)
-    kwargs = dict(n_nodes=8, overheads=(2.9, 27.9), seed=21,
-                  livelock_limit=150, cache=cache)
-    cold = overhead_sweep(app, **kwargs)
-    warm = overhead_sweep(app, **kwargs)
+    kwargs = dict(values=(2.9, 27.9), seed=21, livelock_limit=150,
+                  cache=cache)
+    cold = run_sweep(app, 8, "overhead", **kwargs)
+    warm = run_sweep(app, 8, "overhead", **kwargs)
     assert cache.hits == 2
     assert not warm.points[1].completed
     assert warm.points[1].failure == cold.points[1].failure
@@ -314,7 +400,7 @@ def test_cache_format_bump_invalidates(tmp_path):
 
 def test_cache_clear(tmp_path):
     cache = RunCache(tmp_path)
-    overhead_sweep(tiny_radix(), n_nodes=2, overheads=(2.9,), cache=cache)
+    run_sweep(tiny_radix(), 2, "overhead", (2.9,), cache=cache)
     assert len(cache) == 1
     assert cache.clear() == 1
     assert len(cache) == 0
@@ -331,11 +417,12 @@ def artifact_plans():
     return [
         experiments.table3_baseline_runtimes.plan(
             node_counts=(4,), scale=0.02, names=["Radix"]),
-        experiments.figure5_overhead.plan(overheads=(2.9, 22.9), **radix),
-        experiments.table6_gap_model.plan(gaps=(5.8, 55.0), **radix),
-        experiments.figure7_latency.plan(
-            n_nodes=4, scale=0.02, names=["Connect"],
-            latencies=(5.0, 55.0)),
+        experiments.sensitivity_figure.plan(
+            "overhead", values=(2.9, 22.9), **radix),
+        experiments.table6_gap_model.plan(values=(5.8, 55.0), **radix),
+        experiments.sensitivity_figure.plan(
+            "latency", n_nodes=4, scale=0.02, names=["Connect"],
+            values=(5.0, 55.0)),
     ]
 
 
@@ -357,11 +444,12 @@ def test_plans_drained_together_render_as_the_eager_calls_do(
     eager = rendered([
         experiments.table3_baseline_runtimes(
             node_counts=(4,), scale=0.02, names=["Radix"]),
-        experiments.figure5_overhead(overheads=(2.9, 22.9), **radix),
-        experiments.table6_gap_model(gaps=(5.8, 55.0), **radix),
-        experiments.figure7_latency(
-            n_nodes=4, scale=0.02, names=["Connect"],
-            latencies=(5.0, 55.0)),
+        experiments.sensitivity_figure(
+            "overhead", values=(2.9, 22.9), **radix),
+        experiments.table6_gap_model(values=(5.8, 55.0), **radix),
+        experiments.sensitivity_figure(
+            "latency", n_nodes=4, scale=0.02, names=["Connect"],
+            values=(5.0, 55.0)),
     ])
     assert drains == [1, 2, 2, 2]  # one drain per eager call
     for jobs in (1, 2):
@@ -406,9 +494,9 @@ def test_a_shared_baseline_keeps_each_sweeps_own_labels():
     names; each sweep gets it back under its own."""
     radix = tiny_radix()
     overhead, gap, drops = run_plans([
-        overhead_sweep.plan(radix, 4, overheads=(2.9, 22.9)),
-        gap_sweep.plan(radix, 4, gaps=(5.8, 55.0)),
-        fault_sweep.plan(radix, 4, drop_rates=(0.0, 0.02))])
+        run_sweep.plan(radix, 4, "overhead", (2.9, 22.9)),
+        run_sweep.plan(radix, 4, "gap", (5.8, 55.0)),
+        run_sweep.plan(radix, 4, "drop_rate", (0.0, 0.02))])
     assert overhead.values() == [2.9, 22.9]
     assert gap.values() == [5.8, 55.0]
     assert drops.values() == [0.0, 0.02]
@@ -418,7 +506,7 @@ def test_a_shared_baseline_keeps_each_sweeps_own_labels():
     # Several plans at once: finalize's arrays are let go, as the cache
     # lets them go; one plan alone keeps them.
     assert overhead.baseline.result.output is None
-    alone = overhead_sweep(radix, 4, overheads=(2.9,))
+    alone = run_sweep(radix, 4, "overhead", (2.9,))
     assert alone.baseline.result.output is not None
 
 

@@ -18,22 +18,13 @@ from repro.apps import RadixSort
 from repro.harness import CampaignSpec
 from repro.harness.extensions import occupancy_study
 from repro.harness.surface import sensitivity_surface
-from repro.harness.sweeps import (bulk_bandwidth_sweep, fault_sweep,
-                                  gap_sweep, latency_sweep, overhead_sweep)
-from repro.serve import KVServe, serving_sweep
+from repro.harness.sweeps import DIALS, run_sweep
+from repro.serve import KVServe
 
-#: The reduced grids of the EXPERIMENTS report, baseline first.
-REDUCED = {
-    "overhead": (2.9, 12.9, 52.9, 102.9),
-    "gap": (5.8, 15.0, 55.0, 105.0),
-    "latency": (5.0, 15.0, 55.0, 105.0),
-    "bulk_mb_s": (38.0, 15.0, 10.0, 5.5, 1.0),
-    "drop_rate": (0.0, 0.005, 0.02),
-}
-
-SWEEPS = {"overhead": overhead_sweep, "gap": gap_sweep,
-          "latency": latency_sweep, "bulk_mb_s": bulk_bandwidth_sweep,
-          "drop_rate": fault_sweep}
+#: The reduced grids of the EXPERIMENTS report, baseline first: so the
+#: table's grids are pinned with the keys.
+REDUCED = {name: dial.reduced for name, dial in DIALS.items()
+           if dial.reduced is not None}
 
 
 def digest(pairs):
@@ -48,7 +39,7 @@ def task_digest(plan):
 
 def test_every_dial_sweeps_the_keys_it_always_has():
     app = RadixSort(keys_per_proc=32)
-    assert {dial: task_digest(SWEEPS[dial].plan(app, 4, REDUCED[dial]))
+    assert {dial: task_digest(run_sweep.plan(app, 4, dial, REDUCED[dial]))
             for dial in REDUCED} == {
         "overhead":
             "151b17b4adcec1cd3efc401d05c12321c1f663391f9243fc0b4ad5ba2eae16df",
@@ -67,7 +58,7 @@ def test_offered_load_sweeps_the_keys_it_always_has():
     app = KVServe(offered_rps=200_000.0, n_users=5_000,
                   duration_us=8_000.0, max_requests=120, service_us=4.0,
                   key_space=256)
-    assert task_digest(serving_sweep.plan(
+    assert task_digest(run_sweep.plan(
         app, 4, "offered_rps", (100_000.0, 400_000.0, 1_600_000.0))) == \
         "123505e3d8ed9b220e9735cf0cf485928a7a9e44212be2bbdb434d09620c5af4"
 

@@ -190,9 +190,8 @@ def test_failure_category_edge_cases():
 
 def test_as_rows_carries_failure_category():
     sweep = run_sweep(
-        fixture_app("lock_cycle", "LockCycle"), 2, "L", [0.0],
-        knob_for=lambda value: TuningKnobs(), seed=11,
-        livelock_limit=200, sanitize=True)
+        fixture_app("lock_cycle", "LockCycle"), 2, "latency", [5.0],
+        seed=11, livelock_limit=200, sanitize=True)
     rows = sweep.as_rows()
     assert rows[0]["failure"] == "deadlock"
     assert rows[0]["runtime_us"] == "N/A"
@@ -205,9 +204,8 @@ def test_as_rows_carries_failure_category():
 def test_sanitized_sweep_bypasses_the_cache(tmp_path):
     cache = RunCache(tmp_path / "cache")
     app = RadixSort(keys_per_proc=32)
-    run_sweep(app, 2, "L", [0.0],
-              knob_for=lambda value: TuningKnobs(), seed=3,
-              cache=cache, sanitize=True)
+    run_sweep(app, 2, "latency", [5.0], seed=3, cache=cache,
+              sanitize=True)
     assert len(cache) == 0  # no puts
     assert cache.hits == 0 and cache.misses == 0  # no gets either
 

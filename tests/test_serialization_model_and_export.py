@@ -1,12 +1,7 @@
-"""Tests for the serialization-corrected model and CSV export."""
+"""Tests for the serialization-corrected model."""
 
-import csv
-
-import numpy as np
 import pytest
 
-from repro.harness.export import (write_matrix_csv, write_rows_csv,
-                                  write_series_csv)
 from repro.models.serialization import (SerializedOverheadModel,
                                         estimate_serial_messages)
 
@@ -87,41 +82,3 @@ def test_serialized_model_against_real_radix_sweep():
     simple_err = abs(model.simple_model().predict_runtime(100.0)
                      - top.runtime_us)
     assert corrected_err < simple_err
-
-
-# -- CSV export -----------------------------------------------------------------
-
-def test_write_rows_csv_roundtrip(tmp_path):
-    rows = [{"app": "Radix", "slowdown": 2.5},
-            {"app": "Sample", "slowdown": 1.5, "note": "x"}]
-    path = write_rows_csv(rows, tmp_path / "rows.csv")
-    with open(path) as handle:
-        read = list(csv.DictReader(handle))
-    assert read[0]["app"] == "Radix"
-    assert read[1]["note"] == "x"
-    assert read[0]["note"] == ""
-
-
-def test_write_rows_csv_empty(tmp_path):
-    path = write_rows_csv([], tmp_path / "empty.csv")
-    assert path.read_text() == ""
-
-
-def test_write_matrix_csv(tmp_path):
-    matrix = np.array([[0.0, 1.0], [0.5, 0.0]])
-    path = write_matrix_csv(matrix, tmp_path / "m.csv")
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith("0,")
-    with pytest.raises(ValueError):
-        write_matrix_csv(np.zeros(3), tmp_path / "bad.csv")
-
-
-def test_write_series_csv(tmp_path):
-    series = {"Radix": [(2.9, 1.0), (102.9, 30.0)]}
-    path = write_series_csv(series, tmp_path / "s.csv",
-                            x_label="overhead")
-    with open(path) as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows[0]["series"] == "Radix"
-    assert float(rows[1]["slowdown"]) == 30.0

@@ -16,8 +16,8 @@ from repro.cluster.machine import Cluster
 from repro.harness import (CampaignSpec, ResultStore, RunCache,
                            run_campaign, sweep_from_store)
 from repro.harness.experiments import figure11_serving
-from repro.serve import KVServe, serving_rows, serving_sweep
-from repro.serve.sweep import SERVING_DIALS
+from repro.harness.sweeps import DIALS, run_sweep
+from repro.serve import KVServe, serving_rows
 
 
 def tiny_kv(**overrides):
@@ -34,38 +34,23 @@ WORKLOAD = {"app": "kvserve", "offered_rps": 200_000.0,
 
 
 # ---------------------------------------------------------------------------
-# 1. serving_sweep: axes, caching, bit-identity.
+# 1. Sweeping a serving app: axes (caching and bit-identity of the
+#    sweep itself: tests/test_parallel_cache.py, the offered_rps case).
 # ---------------------------------------------------------------------------
 
 def test_serving_sweep_rejects_unknown_axes():
     with pytest.raises(ValueError, match="parameter"):
-        serving_sweep(tiny_kv(), 4, "clock_speed", (1.0,))
-    assert "offered_rps" in SERVING_DIALS
-    assert "drop_rate" in SERVING_DIALS
-
-
-def test_serving_sweep_is_cache_served_and_bit_identical(tmp_path):
-    """Acceptance probe: rerunning the sweep must be answered from the
-    cache and produce byte-identical rows."""
-    values = (2.9, 25.0)
-    cache = RunCache(tmp_path / "cache")
-    first = serving_sweep(tiny_kv(), 4, "overhead", values, cache=cache)
-    assert cache.misses == len(values) and cache.hits == 0
-    rows_first = json.dumps(serving_rows(first), sort_keys=True,
-                            default=str)
-    cache2 = RunCache(tmp_path / "cache")
-    second = serving_sweep(tiny_kv(), 4, "overhead", values, cache=cache2)
-    assert cache2.hits == len(values) and cache2.misses == 0
-    assert json.dumps(serving_rows(second), sort_keys=True,
-                      default=str) == rows_first
+        run_sweep(tiny_kv(), 4, "clock_speed", (1.0,))
+    assert "offered_rps" in DIALS
+    assert "drop_rate" in DIALS
 
 
 def test_offered_load_axis_rebuilds_the_app_per_point(tmp_path):
     """The offered_rps axis sweeps the client tier, not the machine —
     and the per-point apps must hash to distinct cache keys."""
     cache = RunCache(tmp_path / "cache")
-    sweep = serving_sweep(tiny_kv(), 4, "offered_rps",
-                          (100_000.0, 1_500_000.0), cache=cache)
+    sweep = run_sweep(tiny_kv(), 4, "offered_rps",
+                      (100_000.0, 1_500_000.0), cache=cache)
     rows = serving_rows(sweep)
     assert cache.misses == 2  # distinct keys, no accidental sharing
     light, heavy = rows
@@ -74,7 +59,7 @@ def test_offered_load_axis_rebuilds_the_app_per_point(tmp_path):
 
 
 def test_drop_rate_axis_inflates_the_tail():
-    clean, lossy = serving_rows(serving_sweep(
+    clean, lossy = serving_rows(run_sweep(
         tiny_kv(), 4, "drop_rate", (0.0, 0.05)))
     assert clean["verdict"] == "ok"
     assert lossy["p999_us"] > clean["p999_us"]

@@ -30,7 +30,7 @@ from repro.cost import (CostGraph, DepRecorder, PredictedSweep,
                         UnsupportedGraphError, latency_tolerance, lp_bound,
                         predict_runtime, predict_sweep, record_run)
 from repro.harness.runcache import run_key_spec
-from repro.harness.sweeps import knob_factory, predicted_sweep, run_sweep
+from repro.harness.sweeps import DIALS, predicted_sweep, run_sweep
 from repro.network.faults import FaultPlan
 
 
@@ -100,8 +100,7 @@ def test_predicted_slowdowns_within_error_gate(radix_graph, parameter,
     """Acceptance: median relative error <= 10% on the reduced grid."""
     graph, _ = radix_graph
     predicted = predict_sweep(graph, parameter, values)
-    simulated = run_sweep(small_radix(), 4, parameter, values,
-                          knob_factory(parameter, graph.params), seed=7)
+    simulated = run_sweep(small_radix(), 4, parameter, values, seed=7)
     errs = [abs(p - s) / s
             for p, s in zip(predicted.slowdowns(), simulated.slowdowns())]
     assert statistics.median(errs) <= 0.10, errs
@@ -135,13 +134,27 @@ def test_latency_tolerance_and_lp_bound(radix_graph):
     crossing = latency_tolerance(graph, "overhead", threshold=2.0)
     assert crossing is not None and crossing > graph.params.overhead
     # The crossing is self-consistent: replaying at it gives ~2x.
-    knobs = knob_factory("overhead", graph.params)(crossing)
+    knobs = DIALS["overhead"].knobs(crossing, graph.params)
     baseline = predict_runtime(graph)
     assert predict_runtime(graph, knobs) / baseline == \
         pytest.approx(2.0, rel=0.02)
     # The LP lower bound never exceeds the critical-path estimate.
     assert lp_bound(graph) <= baseline + 1e-9
     assert lp_bound(graph) > 0.0
+
+
+@pytest.mark.parametrize("dial", ["drop_rate", "offered_rps", "occupancy"])
+def test_only_machine_dials_are_predictable(radix_graph, dial):
+    """A dial without a baseline has nothing to cross from, and one
+    that moves no knob would predict a flat line: both are refused, by
+    naming the dials a recorded run can be re-dialed along."""
+    from repro.harness.experiments import predicted_sensitivity
+    graph, _ = radix_graph
+    for refuse in (lambda: latency_tolerance(graph, dial),
+                   lambda: predict_sweep(graph, dial, (1.0,)),
+                   lambda: predicted_sensitivity(n_nodes=4, parameter=dial)):
+        with pytest.raises(ValueError, match="overhead.*bulk_mb_s"):
+            refuse()
 
 
 def test_latency_tolerance_crossings_are_pinned(radix_graph, barnes_graph,

@@ -29,10 +29,9 @@ from repro.cluster.machine import Cluster
 from repro.cost import (CostGraph, DepEvent, DepRecorder,
                         UnsupportedGraphError, lp_bound, predict_runtime,
                         record_run)
-from repro.cost.cli import REDUCED_GRIDS
 from repro.cost.model import DialedCost
 from repro.harness.suite import suite_for
-from repro.harness.sweeps import knob_factory
+from repro.harness.sweeps import DIALS, MACHINE_DIALS
 from repro.network.packet import PacketKind
 from tests.test_nic_tx_equivalence import SCRIPTS, Scripted
 
@@ -253,10 +252,9 @@ def reference_lp_bound(graph, events, knobs=None):
 
 def grid_points(graph):
     """Every knob point of the four reduced dial grids."""
-    for dial, values in REDUCED_GRIDS.items():
-        knob_for = knob_factory(dial, graph.params)
-        for value in values:
-            yield knob_for(value)
+    for dial in MACHINE_DIALS:
+        for value in DIALS[dial].reduced:
+            yield DIALS[dial].knobs(value, graph.params)
 
 
 def assert_replays_alike(graph, points):

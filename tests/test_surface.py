@@ -23,6 +23,13 @@ def test_unknown_dial_rejected():
         sensitivity_surface("Radix", 2, "colour", (1.0,), "gap", (1.0,))
 
 
+def test_one_dial_on_both_axes_rejected():
+    # Two amounts of one dial are one knob field: summing them would be
+    # a 1-D sweep drawn as a surface.
+    with pytest.raises(ValueError, match="two different"):
+        sensitivity_surface("Radix", 2, "gap", (1.0,), "gap", (1.0,))
+
+
 def test_baseline_corner_is_one():
     surface = small_surface()
     assert surface.at(0.0, 0.0) == pytest.approx(1.0)
