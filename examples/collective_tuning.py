@@ -70,7 +70,7 @@ def policy_shootout(params, knobs, iterations):
     table = build_decision_table(
         n_ranks=N_NODES, primitives=("allreduce",), knobs=knobs,
         iterations=iterations, seed=5)
-    configs = [("fixed (legacy)", None),
+    configs = [("fixed (defaults)", None),
                ("model", CollConfig(policy="model")),
                ("measured", CollConfig(policy="measured", table=table))]
     rows = []
@@ -87,7 +87,7 @@ def policy_shootout(params, knobs, iterations):
     print(render_table(rows, title="64 KiB allreduce, slow bulk wire"))
     baseline = rows[0]["runtime us"]
     tuned = min(row["runtime us"] for row in rows[1:])
-    print(f"tuned vs legacy: {baseline / tuned:.2f}x faster")
+    print(f"tuned vs defaults: {baseline / tuned:.2f}x faster")
 
 
 def main() -> None:

@@ -48,8 +48,6 @@ _SEND_PRIMITIVES = frozenset({
 #: from their bodies (they dispatch through the algorithm registry):
 #: (path suffix, class name or None for module-level functions).
 COLLECTIVE_ROOTS = (
-    ("gas/collectives.py", None),
-    ("coll/api.py", None),
     ("gas/runtime.py", "Proc"),
 )
 

@@ -166,7 +166,7 @@ class Cluster:
         self.knobs = knobs if knobs is not None else TuningKnobs()
         self.window = window
         self.window_scope = window_scope
-        if fabric not in ("flat", "myrinet", "ethernet"):
+        if fabric not in ("flat", "myrinet"):
             raise ValueError(f"unknown fabric {fabric!r}")
         self.fabric = fabric
         self.cost = cost if cost is not None else CostModel()
@@ -182,7 +182,7 @@ class Cluster:
         self.faults = faults
         self.sanitize = sanitize
         # A default (fixed, no overrides) tuning config is normalised to
-        # None — the legacy schedules — so such clusters are provably
+        # None — the registry defaults — so such clusters are provably
         # identical to ones that never mention tuning (and share cache
         # entries, mirroring the null-fault-plan rule).
         if coll is not None and coll.is_default:
@@ -254,9 +254,6 @@ class Cluster:
             wire = SwitchedFabric(
                 sim, hop_latency=self.params.latency / 3.0,
                 n_hosts=max(self.n_nodes, 1))
-        elif self.fabric == "ethernet":
-            from repro.network.ethernet import SharedMediumFabric
-            wire = SharedMediumFabric(sim)
         else:
             injector = None
             if self.faults is not None:

@@ -6,26 +6,21 @@ the simulated Active Message substrate:
 * :mod:`repro.coll.algorithms` — an algorithm registry with at least
   two interchangeable schedules per primitive (barrier, broadcast,
   reduce, allreduce, gather, scatter, allgather, personalized
-  alltoall), including the legacy ``gas.collectives`` schedules under
-  their historical names.
+  alltoall); the defaults are the paper's Split-C schedules.
 * :mod:`repro.coll.model` — closed-form LogGP cost estimates per
   (algorithm, P, size), from the machine's live parameters and dials.
-* :mod:`repro.coll.tuner` — ``fixed`` / ``model`` / ``measured``
-  selection policies; ``measured`` builds a decision table from a
-  calibration sweep persisted via the run cache.
-* :mod:`repro.coll.api` — the dispatch entry points
-  :class:`~repro.gas.runtime.Proc` routes its collectives through.
+* :mod:`repro.coll.tuner` — :func:`~repro.coll.tuner.pick`, which each
+  :class:`~repro.gas.runtime.Proc` collective method calls, and the
+  ``fixed`` / ``model`` / ``measured`` selection policies; ``measured``
+  builds a decision table from a calibration sweep persisted via the
+  run cache.
 * :mod:`repro.coll.bench` — the calibration microbenchmark.
 
-This package is the one import path for collectives going forward: the
-legacy ``gas.collectives`` primitives are re-exported here as
-``legacy_barrier`` etc. (they are also the fixed-policy defaults, so an
-untuned cluster is bit-identical to the machine predating this
-package).
+Applications call the ``Proc`` methods (``proc.barrier()``,
+``proc.allreduce(value, op)``, ...); ``algo=`` names a schedule
+explicitly.
 """
 
-from repro.coll.api import (allgather, allreduce, alltoall, barrier,
-                            broadcast, gather, reduce, scatter)
 from repro.coll.algorithms import (DEFAULT_ALGORITHMS, PRIMITIVES,
                                    algorithms_for, eligible_algorithms,
                                    get_algorithm, registry)
@@ -33,21 +28,11 @@ from repro.coll.core import COLL_HANDLER, register_coll_handlers
 from repro.coll.model import estimate_cost, predicted_ranking
 from repro.coll.tuner import (CollConfig, build_decision_table,
                               tuner_from_config)
-# Legacy single-schedule primitives, re-exported so call sites migrate
-# to one import path without behaviour change.
-from repro.gas.collectives import allreduce as legacy_allreduce
-from repro.gas.collectives import barrier as legacy_barrier
-from repro.gas.collectives import broadcast as legacy_broadcast
-from repro.gas.collectives import reduce as legacy_reduce
 
 __all__ = [
-    "barrier", "broadcast", "reduce", "allreduce", "gather", "scatter",
-    "allgather", "alltoall",
     "PRIMITIVES", "DEFAULT_ALGORITHMS", "registry", "algorithms_for",
     "get_algorithm", "eligible_algorithms",
     "COLL_HANDLER", "register_coll_handlers",
     "estimate_cost", "predicted_ranking",
     "CollConfig", "tuner_from_config", "build_decision_table",
-    "legacy_barrier", "legacy_broadcast", "legacy_reduce",
-    "legacy_allreduce",
 ]

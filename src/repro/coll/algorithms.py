@@ -1,17 +1,15 @@
 """The algorithm registry: >= 2 interchangeable schedules per primitive.
 
 Every implementation is a generator with the same signature as its
-primitive's dispatch entry point (see :mod:`repro.coll.api`) and
-produces the same result on every rank — only the message schedule (and
-therefore the simulated cost) differs.  Following Barchet-Estefanel &
-Mounie, the winning schedule flips with message size, P, and the LogGP
+primitive's :class:`~repro.gas.runtime.Proc` method (minus ``algo``)
+and produces the same result on every rank — only the message schedule
+(and therefore the simulated cost) differs.  Following Barchet-Estefanel
+& Mounie, the winning schedule flips with message size, P, and the LogGP
 parameters, which is what the tuner exploits.
 
-The legacy ``gas.collectives`` schedules are registered under their
-historical names (``dissemination`` barrier, ``binomial`` broadcast /
-reduce / allreduce) and remain the fixed-policy defaults, so a cluster
-that never asks for tuning is bit-identical to one predating this
-package.
+The paper's Split-C schedules — the ``dissemination`` barrier and the
+``binomial`` broadcast / reduce / allreduce — are the fixed-policy
+defaults; a cluster that never asks for tuning runs exactly them.
 
 Eligibility: a few schedules require structural properties the caller
 must declare (SPMD-uniformly) because they cannot be inferred from one
@@ -27,7 +25,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.coll.core import (TOKEN_BYTES, ceil_log2, recv_value,
                              send_value)
-from repro.gas import collectives as legacy
+from repro.network.packet import SHORT_PACKET_BYTES
 
 __all__ = ["PRIMITIVES", "DEFAULT_ALGORITHMS", "registry",
            "algorithms_for", "get_algorithm", "eligible_algorithms",
@@ -37,9 +35,8 @@ __all__ = ["PRIMITIVES", "DEFAULT_ALGORITHMS", "registry",
 PRIMITIVES = ("barrier", "broadcast", "reduce", "allreduce",
               "gather", "scatter", "allgather", "alltoall")
 
-#: The fixed-policy default per primitive: the legacy schedule where one
-#: exists (bit-identical to the pre-``repro.coll`` machine), otherwise
-#: the simplest schedule.
+#: The fixed-policy default per primitive: the paper's schedule where
+#: Split-C had one, otherwise the simplest schedule.
 DEFAULT_ALGORITHMS = {
     "barrier": "dissemination",
     "broadcast": "binomial",
@@ -59,9 +56,28 @@ CHAIN_SEGMENT_BYTES = 4096
 # barrier
 # ---------------------------------------------------------------------------
 
-#: The legacy dissemination barrier (ceil(log2 P) rounds), registered
-#: as is: a delegating generator here would be one frame per resume.
-barrier_dissemination = legacy.barrier
+def barrier_dissemination(proc: "Proc") -> Generator:  # noqa: F821
+    """Dissemination barrier: ``ceil(log2 P)`` rounds, each rank sending
+    one short token per round; all ranks leave within one round trip of
+    each other."""
+    n = proc.n_ranks
+    if n > 1:
+        epoch = proc.next_epoch("barrier")
+        rank, am, box = proc.rank, proc.am, proc.collective_box
+        for rnd in range(ceil_log2(n)):
+            key = ("barrier", epoch, rnd)
+            yield from send_value(proc, (rank + (1 << rnd)) % n, key,
+                                  None, SHORT_PACKET_BYTES)
+            # recv_value inline: a barrier wait services whatever traffic
+            # is in flight, and this spares every such resume a frame.
+            wait = None if not am.watching else \
+                ("barrier", ((rank - (1 << rnd)) % n,),
+                 f"barrier epoch {epoch} round {rnd}")
+            yield from am.wait_until(lambda k=key: k in box, wait=wait)
+            del box[key]
+    hook = proc.probes.barrier
+    if hook is not None:
+        hook(proc.rank)
 
 
 def barrier_tree(proc: "Proc") -> Generator:  # noqa: F821
@@ -108,10 +124,27 @@ def barrier_tree(proc: "Proc") -> Generator:  # noqa: F821
 def broadcast_binomial(proc: "Proc", value: Any = None,  # noqa: F821
                        root: int = 0, size: int = 32,
                        bulk: bool = False) -> Generator:
-    """The legacy binomial-tree broadcast."""
-    result = yield from legacy.broadcast(proc, value, root=root,
-                                         size=size, bulk=bulk)
-    return result
+    """Binomial-tree broadcast; ``bulk=True`` moves the value as a bulk
+    transfer (for splitter tables etc.)."""
+    n = proc.n_ranks
+    epoch = proc.next_epoch("bcast")
+    if n == 1:
+        return value
+    vrank = (proc.rank - root) % n
+    key = ("bcast", epoch)
+    if vrank != 0:
+        # The binomial-tree parent: clear the top set bit of vrank.
+        parent_v = vrank - (1 << (vrank.bit_length() - 1))
+        value = yield from recv_value(proc, key, (parent_v + root) % n,
+                                      f"bcast epoch {epoch}")
+    # Forward down the binomial tree: the child spanning the largest
+    # subtree first, so deep subtrees start as early as possible.
+    for k in reversed(range(ceil_log2(n))):
+        peer = vrank + (1 << k)
+        if vrank < (1 << k) and peer < n:
+            yield from send_value(proc, (peer + root) % n, key, value,
+                                  size, bulk=bulk)
+    return value
 
 
 def broadcast_chain(proc: "Proc", value: Any = None,  # noqa: F821
@@ -159,34 +192,27 @@ def broadcast_chain(proc: "Proc", value: Any = None,  # noqa: F821
 def reduce_binomial(proc: "Proc", value: Any,  # noqa: F821
                     op: Callable[[Any, Any], Any], root: int = 0,
                     size: int = 32, bulk: bool = False) -> Generator:
-    """Binomial-tree reduction (legacy schedule for short messages).
-
-    ``bulk=True`` runs the same tree but ships partials as bulk
-    transfers, paying ``G`` per byte (the legacy schedule is
-    short-message only).
-    """
-    if not bulk:
-        result = yield from legacy.reduce(proc, value, op, root=root,
-                                          size=size)
-        return result
+    """Binomial-tree reduction; the result lands on ``root`` (others get
+    ``None``).  ``bulk=True`` ships partials as bulk transfers, paying
+    ``G`` per byte."""
     n = proc.n_ranks
+    epoch = proc.next_epoch("reduce")
     if n == 1:
         return value
-    epoch = proc.next_epoch("coll:reduce")
     vrank = (proc.rank - root) % n
     partial = value
     for k in range(ceil_log2(n)):
         bit = 1 << k
         if vrank & bit:
-            dst = ((vrank - bit) + root) % n
-            yield from send_value(proc, dst, ("cred", epoch, vrank),
-                                  partial, size, bulk=True)
+            yield from send_value(proc, ((vrank - bit) + root) % n,
+                                  ("reduce", epoch, k), partial, size,
+                                  bulk=bulk)
             return None
         peer = vrank + bit
         if peer < n:
             got = yield from recv_value(
-                proc, ("cred", epoch, peer), (peer + root) % n,
-                f"bulk reduce epoch {epoch} round {k}")
+                proc, ("reduce", epoch, k), (peer + root) % n,
+                f"reduce epoch {epoch} round {k}")
             partial = op(partial, got)
     return partial
 
@@ -227,14 +253,11 @@ def allreduce_binomial(proc: "Proc", value: Any,  # noqa: F821
                        op: Callable[[Any, Any], Any], size: int = 32,
                        bulk: bool = False,
                        elementwise: bool = False) -> Generator:
-    """Binomial reduce to rank 0, binomial broadcast back (legacy)."""
-    if not bulk:
-        result = yield from legacy.allreduce(proc, value, op, size=size)
-        return result
+    """Binomial reduce to rank 0, binomial broadcast back."""
     total = yield from reduce_binomial(proc, value, op, root=0,
-                                       size=size, bulk=True)
-    result = yield from legacy.broadcast(proc, total, root=0, size=size,
-                                         bulk=True)
+                                       size=size, bulk=bulk)
+    result = yield from broadcast_binomial(proc, total, root=0,
+                                           size=size, bulk=bulk)
     return result
 
 
@@ -500,7 +523,7 @@ def alltoall_flat(proc: "Proc", values: List[Any],  # noqa: F821
                                   wait=wait)
     # Everyone's deposits are complete once every rank passed its own
     # ack wait; the barrier publishes that fact.
-    yield from legacy.barrier(proc)
+    yield from barrier_dissemination(proc)
     box = proc.collective_box
     out: List[Any] = [None] * n
     out[proc.rank] = values[proc.rank]

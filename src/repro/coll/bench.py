@@ -21,7 +21,6 @@ from typing import Generator, List, Optional
 import numpy as np
 
 from repro.apps.base import Application
-from repro.coll import api
 from repro.coll.algorithms import PRIMITIVES
 from repro.gas.runtime import Proc
 
@@ -85,48 +84,48 @@ class CollectiveBench(Application):
     def _invoke(self, proc: Proc, iteration: int) -> Generator:
         kind, n, rank = self.primitive, proc.n_ranks, proc.rank
         if kind == "barrier":
-            yield from api.barrier(proc, algo=self.algo)
+            yield from proc.barrier(algo=self.algo)
             return "ok"
         if kind == "broadcast":
             value = ("bcast", iteration) if rank == 0 else None
-            got = yield from api.broadcast(
-                proc, value, root=0, size=self.size, bulk=self.bulk,
+            got = yield from proc.broadcast(
+                value, root=0, size=self.size, bulk=self.bulk,
                 algo=self.algo)
             return got
         if kind == "reduce":
-            got = yield from api.reduce(
-                proc, (rank + 1) * (iteration + 1), operator.add,
+            got = yield from proc.reduce(
+                (rank + 1) * (iteration + 1), operator.add,
                 root=0, size=self.size, bulk=self.bulk, algo=self.algo)
             return got
         if kind == "allreduce":
             vec = np.arange(VECTOR_ITEMS, dtype=np.int64) + rank \
                 + iteration
-            got = yield from api.allreduce(
-                proc, vec, operator.add, size=self.size, bulk=self.bulk,
+            got = yield from proc.allreduce(
+                vec, operator.add, size=self.size, bulk=self.bulk,
                 elementwise=True, algo=self.algo)
             return got
         if kind == "gather":
-            got = yield from api.gather(
-                proc, (rank, iteration), root=0, size=self.size,
+            got = yield from proc.gather(
+                (rank, iteration), root=0, size=self.size,
                 bulk=self.bulk, algo=self.algo)
             return got
         if kind == "scatter":
             values = None
             if rank == 0:
                 values = [(d, iteration) for d in range(n)]
-            got = yield from api.scatter(
-                proc, values, root=0, size=self.size, bulk=self.bulk,
+            got = yield from proc.scatter(
+                values, root=0, size=self.size, bulk=self.bulk,
                 algo=self.algo)
             return got
         if kind == "allgather":
-            got = yield from api.allgather(
-                proc, (rank, iteration), size=self.size, bulk=self.bulk,
+            got = yield from proc.allgather(
+                (rank, iteration), size=self.size, bulk=self.bulk,
                 algo=self.algo)
             return got
         # alltoall: rank s delivers (s, d, i) to rank d.
         values = [(rank, d, iteration) for d in range(n)]
-        got = yield from api.alltoall(
-            proc, values, size=self.size, bulk=self.bulk, dense=True,
+        got = yield from proc.alltoall(
+            values, size=self.size, bulk=self.bulk, dense=True,
             algo=self.algo)
         return got
 

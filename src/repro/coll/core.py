@@ -55,15 +55,16 @@ def send_value(proc: "Proc", dst: int, key: Tuple, value: Any,  # noqa: F821
     ``bulk=True`` moves the payload as a bulk transfer (fragmented,
     paying ``G`` per byte); otherwise it travels as one short packet.
     ``on_complete`` is invoked when the deposit is acknowledged.
+    Returns the AM send's own generator: no frame of its own on every
+    resume of a send that stalls for a window slot.
     """
     if bulk:
-        yield from proc.am.bulk_store(dst, COLL_HANDLER, (key, value),
-                                      max(1, int(nbytes)),
-                                      on_complete=on_complete)
-    else:
-        yield from proc.am.send_request(dst, COLL_HANDLER, (key, value),
-                                        size=max(1, int(nbytes)),
-                                        on_reply=on_complete)
+        return proc.am.bulk_store(dst, COLL_HANDLER, (key, value),
+                                  max(1, int(nbytes)),
+                                  on_complete=on_complete)
+    return proc.am.send_request(dst, COLL_HANDLER, (key, value),
+                                size=max(1, int(nbytes)),
+                                on_reply=on_complete)
 
 
 def recv_value(proc: "Proc", key: Tuple, src: int,  # noqa: F821

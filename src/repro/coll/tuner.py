@@ -1,10 +1,17 @@
-"""Algorithm selection policies and the measured decision table.
+"""Algorithm selection: :func:`pick`, its policies, the decision table.
+
+Every :class:`~repro.gas.runtime.Proc` collective method calls
+:func:`pick`, which reduces the call's declared traits to the eligible
+candidates, lets the cluster's policy choose one, records the choice on
+the ``collective`` hook and returns the registered implementation.
+``algo=...`` on a ``Proc`` method bypasses the policy (an explicit,
+validated override for benchmarks and calibration).
 
 Three policies, mirroring Barchet-Estefanel & Mounie's tuning ladder:
 
 * ``fixed`` — always the registry default (or an explicit per-primitive
-  override).  The all-defaults fixed policy reproduces the legacy
-  ``gas.collectives`` machine bit for bit.
+  override).  The all-defaults fixed policy runs the paper's Split-C
+  schedules, and is what a cluster without tuning uses.
 * ``model`` — the :mod:`repro.coll.model` LogGP estimate picks the
   predicted-cheapest eligible algorithm per call, from the machine's
   live parameters and dials.  No measurement needed.
@@ -22,16 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.coll.algorithms import (DEFAULT_ALGORITHMS, PRIMITIVES,
-                                   algorithms_for)
+                                   REGISTRY, algorithms_for,
+                                   eligible_algorithms, get_algorithm)
 from repro.coll.model import estimate_cost
 from repro.network.loggp import LogGPParams
 
-__all__ = ["CollConfig", "FixedPolicy", "ModelPolicy", "MeasuredPolicy",
-           "tuner_from_config", "build_decision_table",
+__all__ = ["pick", "CollConfig", "FixedPolicy", "ModelPolicy",
+           "MeasuredPolicy", "tuner_from_config", "build_decision_table",
            "CALIBRATION_SIZES"]
 
 #: Default declared-size grid (bytes) of the calibration sweep.
@@ -66,7 +74,8 @@ class CollConfig:
 
     @property
     def is_default(self) -> bool:
-        """Whether this config is behaviourally the legacy machine."""
+        """Whether this config runs exactly the registry defaults, as a
+        cluster without tuning does."""
         return self.policy == "fixed" and not self.choices
 
 
@@ -150,6 +159,47 @@ def tuner_from_config(config: Optional[CollConfig]):
     if config.policy == "model":
         return ModelPolicy()
     return MeasuredPolicy(config.table)
+
+
+#: The policy of a cluster that never configured tuning.
+_DEFAULT_POLICY = FixedPolicy()
+
+
+def pick(proc: "Proc", primitive: str, nbytes: float,  # noqa: F821
+         algo: Optional[str], noted: Optional[float] = None,
+         bulk: bool = False, elementwise: bool = False,
+         dense: bool = False, uniform: bool = True) -> Callable:
+    """The implementation ``proc``'s ``primitive`` call runs.
+
+    The declared traits (see :func:`~repro.coll.algorithms.
+    eligible_algorithms`) narrow the registry to the eligible
+    candidates; an explicit ``algo`` must be one of them, otherwise the
+    cluster's policy chooses for a declared size of ``nbytes``.  The
+    choice is fired on the ``collective`` hook before the call sends
+    anything, with ``noted`` bytes where the call's total differs from
+    the size the policy sees (alltoall).
+    """
+    candidates = eligible_algorithms(
+        primitive, elementwise=elementwise, dense=dense, uniform=uniform)
+    if algo is not None:
+        get_algorithm(primitive, algo)  # validate the name
+        if algo not in candidates:
+            raise ValueError(
+                f"{primitive} algorithm {algo!r} is not eligible for "
+                f"this call (elementwise={elementwise}, dense={dense}, "
+                f"uniform={uniform})")
+    elif len(candidates) == 1:
+        algo = candidates[0]
+    else:
+        policy = proc.coll_tuner or _DEFAULT_POLICY
+        algo = policy.choose(primitive, candidates, n_ranks=proc.n_ranks,
+                             nbytes=nbytes, params=proc.am.params,
+                             knobs=proc.am.knobs, bulk=bulk)
+    hook = proc.probes.collective
+    if hook is not None:
+        hook(primitive, algo, proc.rank,
+             int(nbytes if noted is None else noted))
+    return REGISTRY[primitive][algo]
 
 
 def build_decision_table(n_ranks: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from typing import Any, Dict, Generator, Iterable, List, Optional, Set
+from typing import Any, Dict, Generator, Iterable, List, Optional
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class Proc:
         #: The run's result record; hooks reach it through ``probes``.
         self.stats = stats
         self.livelock_limit = livelock_limit
-        #: The cluster's collective tuning policy (``None`` -> the fixed
-        #: legacy schedules); consulted by ``repro.coll.api`` dispatch.
+        #: The cluster's collective tuning policy (``None`` -> the
+        #: registry defaults); consulted by ``repro.coll.tuner.pick``.
         self.coll_tuner = coll_tuner
         #: Owner rank -> count of unacknowledged writes toward it; kept
         #: only while ``am.watching``, for sync() wait-for annotations.
@@ -69,9 +69,9 @@ class Proc:
         self._array_meta: Dict[int, GlobalArray] = {}
         self._next_array_id = 0
         self._pending_writes = 0
-        # Collectives and locks.
+        # Collectives and locks.  Only ``repro.coll`` reads or writes the
+        # box: its one deposit handler and the schedules waiting on it.
         self._epochs: defaultdict = defaultdict(int)
-        self.barrier_tokens: Set[tuple] = set()
         self.collective_box: Dict[tuple, Any] = {}
         self.lock_table: Dict[int, bool] = {}
         self._failed_locks = 0
@@ -88,30 +88,14 @@ class Proc:
         return self._epochs[kind]
 
     # -- computation -----------------------------------------------------------
-    def compute(self, us: float,
-                poll_every_us: Optional[float] = None) -> Generator:
-        """Charge ``us`` microseconds of local computation.
-
-        With ``poll_every_us`` the computation is chopped into chunks with
-        a network poll between chunks, the way long Split-C compute loops
-        service incoming requests.
-        """
+    def compute(self, us: float) -> Generator:
+        """Charge ``us`` microseconds of local computation."""
         us = float(us)  # an int or numpy cost sleeps on the engine's fast path
         if not 0.0 <= us < math.inf:
             raise bad_delay("timeout delay", us)
         self.node.compute_us += us
-        if poll_every_us is None or poll_every_us >= us:
-            if us > 0:
-                yield us
-            return
-        if poll_every_us <= 0:
-            raise ValueError("poll_every_us must be > 0")
-        remaining = us
-        while remaining > 0:
-            chunk = min(poll_every_us, remaining)
-            yield chunk
-            remaining -= chunk
-            yield from self.am.poll()
+        if us > 0:
+            yield us
 
     def poll(self) -> Generator:
         """Service any pending incoming messages."""
@@ -251,74 +235,91 @@ class Proc:
             on_complete=self._ack_tracker(owner))
 
     # -- collectives -----------------------------------------------------------
-    # All collectives dispatch through ``repro.coll`` (imported lazily:
-    # the package's registry pulls the legacy ``gas.collectives``
-    # schedules back in).  With no tuner configured the dispatch picks
-    # exactly the legacy schedules, bit-identical to the pre-coll
-    # machine.
+    # Each method picks its schedule from the ``repro.coll`` registry when
+    # called (``coll.tuner.pick``: the cluster's policy, or ``algo=``)
+    # and returns that schedule's generator.  The import is lazy, so
+    # importing the harness never loads ``repro.coll``.
 
     def barrier(self, algo: Optional[str] = None) -> Generator:
         """Barrier over all ranks (default: dissemination)."""
-        from repro.coll import api
-        return api.barrier(self, algo=algo)
+        from repro.coll.core import TOKEN_BYTES
+        from repro.coll.tuner import pick
+        return pick(self, "barrier", TOKEN_BYTES, algo)(self)
 
     def broadcast(self, value: Any = None, root: int = 0, size: int = 32,
                   bulk: bool = False,
                   algo: Optional[str] = None) -> Generator:
         """Broadcast from ``root``; returns the value on every rank."""
-        from repro.coll import api
-        return api.broadcast(
-            self, value, root=root, size=size, bulk=bulk, algo=algo)
+        from repro.coll.tuner import pick
+        return pick(self, "broadcast", size, algo, bulk=bulk)(
+            self, value, root=root, size=size, bulk=bulk)
 
     def reduce(self, value: Any, op, root: int = 0,
                size: int = 32, bulk: bool = False,
                algo: Optional[str] = None) -> Generator:
-        """Tree reduction to ``root`` (others receive ``None``)."""
-        from repro.coll import api
-        return api.reduce(
-            self, value, op, root=root, size=size, bulk=bulk, algo=algo)
+        """Reduction to ``root`` (other ranks receive ``None``)."""
+        from repro.coll.tuner import pick
+        return pick(self, "reduce", size, algo, bulk=bulk)(
+            self, value, op, root=root, size=size, bulk=bulk)
 
     def allreduce(self, value: Any, op, size: int = 32,
                   bulk: bool = False, elementwise: bool = False,
                   algo: Optional[str] = None) -> Generator:
-        """Reduction whose result lands on every rank."""
-        from repro.coll import api
-        return api.allreduce(
-            self, value, op, size=size, bulk=bulk,
-            elementwise=elementwise, algo=algo)
+        """Reduction whose result lands on every rank.
+
+        Declare ``elementwise=True`` (identically on every rank) when
+        ``value`` is a sliceable vector and ``op`` acts elementwise — it
+        makes the Rabenseifner ring eligible.
+        """
+        from repro.coll.tuner import pick
+        return pick(self, "allreduce", size, algo, bulk=bulk,
+                    elementwise=elementwise)(
+            self, value, op, size=size, bulk=bulk, elementwise=elementwise)
 
     def gather(self, value: Any, root: int = 0, size: int = 32,
                bulk: bool = False,
                algo: Optional[str] = None) -> Generator:
-        """Gather one value per rank to ``root`` (rank-ordered list)."""
-        from repro.coll import api
-        return api.gather(
-            self, value, root=root, size=size, bulk=bulk, algo=algo)
+        """Gather one value per rank to ``root`` (a rank-ordered list;
+        other ranks receive ``None``).  ``size`` is the per-rank size."""
+        from repro.coll.tuner import pick
+        return pick(self, "gather", size, algo, bulk=bulk)(
+            self, value, root=root, size=size, bulk=bulk)
 
     def scatter(self, values: Optional[List[Any]] = None, root: int = 0,
                 size: int = 32, bulk: bool = False,
                 algo: Optional[str] = None) -> Generator:
-        """Scatter ``values[r]`` from ``root``; returns this rank's."""
-        from repro.coll import api
-        return api.scatter(
-            self, values, root=root, size=size, bulk=bulk, algo=algo)
+        """Scatter ``values[r]`` from ``root`` to each rank ``r``; returns
+        this rank's slot.  ``size`` is the per-rank size."""
+        from repro.coll.tuner import pick
+        return pick(self, "scatter", size, algo, bulk=bulk)(
+            self, values, root=root, size=size, bulk=bulk)
 
     def allgather(self, value: Any, size: int = 32, bulk: bool = False,
                   algo: Optional[str] = None) -> Generator:
-        """Gather one value per rank onto every rank."""
-        from repro.coll import api
-        return api.allgather(
-            self, value, size=size, bulk=bulk, algo=algo)
+        """Gather one value per rank onto every rank (rank-ordered list)."""
+        from repro.coll.tuner import pick
+        return pick(self, "allgather", size, algo, bulk=bulk)(
+            self, value, size=size, bulk=bulk)
 
     def alltoall(self, values: List[Any], size: int = 32,
                  sizes: Optional[List[int]] = None, bulk: bool = False,
                  dense: bool = False,
                  algo: Optional[str] = None) -> Generator:
-        """Personalized all-to-all (``None`` slots send nothing)."""
-        from repro.coll import api
-        return api.alltoall(
-            self, values, size=size, sizes=sizes, bulk=bulk,
-            dense=dense, algo=algo)
+        """Personalized all-to-all: rank ``s`` delivers ``values[d]`` to
+        rank ``d``; returns the rank-ordered received list.
+
+        ``None`` slots send nothing (sparse), ``sizes`` overrides the
+        per-destination wire size.  Declare ``dense=True`` (identically on
+        every rank) when every slot is populated — it makes the Bruck
+        schedule eligible.  ``size``/``sizes`` count per-destination bytes.
+        """
+        from repro.coll.tuner import pick
+        mean = sum(sizes) / max(1, len(sizes)) if sizes else size
+        total = sum(sizes) if sizes is not None \
+            else size * max(0, self.n_ranks - 1)
+        return pick(self, "alltoall", mean, algo, noted=total, bulk=bulk,
+                    dense=dense, uniform=sizes is None)(
+            self, values, size=size, sizes=sizes, bulk=bulk, dense=dense)
 
     # -- locks -------------------------------------------------------------------
     def lock(self, lock: DistributedLock,
@@ -402,23 +403,6 @@ def _gas_bulk_put(am: AmLayer, packet) -> Generator:
     yield  # pragma: no cover
 
 
-def _gas_barrier(am: AmLayer, packet) -> None:
-    """Record a dissemination-barrier token."""
-    am.host.barrier_tokens.add(packet.payload)
-
-
-def _gas_bcast(am: AmLayer, packet) -> None:
-    """Deposit a broadcast value for the waiting rank."""
-    epoch, value = packet.payload
-    am.host.collective_box[("bcast", epoch)] = value
-
-
-def _gas_reduce(am: AmLayer, packet) -> None:
-    """Deposit a reduction partial for the combining rank."""
-    epoch, rnd, value = packet.payload
-    am.host.collective_box[("reduce", epoch, rnd)] = value
-
-
 def _gas_lock_try(am: AmLayer, packet) -> Generator:
     """Test-and-set at the lock's home; reply grant or denial."""
     proc: Proc = am.host
@@ -436,16 +420,12 @@ def _gas_lock_release(am: AmLayer, packet) -> None:
 
 def register_gas_handlers(table: HandlerTable) -> None:
     """Install the reserved ``_gas_*`` handlers used by :class:`Proc`,
-    plus the ``repro.coll`` deposit handler (every Proc's collectives
-    dispatch through that package)."""
+    plus the ``repro.coll`` deposit handler every collective sends to."""
     from repro.coll.core import register_coll_handlers
     register_coll_handlers(table)
     table.register("_gas_read", _gas_read)
     table.register("_gas_write", _gas_write)
     table.register("_gas_bulk_get", _gas_bulk_get)
     table.register("_gas_bulk_put", _gas_bulk_put)
-    table.register("_gas_barrier", _gas_barrier)
-    table.register("_gas_bcast", _gas_bcast)
-    table.register("_gas_reduce", _gas_reduce)
     table.register("_gas_lock_try", _gas_lock_try)
     table.register("_gas_lock_release", _gas_lock_release)

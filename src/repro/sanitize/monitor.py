@@ -35,14 +35,12 @@ def _internal_files() -> frozenset:
     global _INTERNAL_FILES  # simlint: disable=module-mutable-state - memoised constant
     if _INTERNAL_FILES is None:
         import repro.am.layer
-        import repro.gas.collectives
         import repro.gas.runtime
         import repro.gas.sync
         import repro.instruments.probes
         import repro.sanitize.clocks
         import repro.sanitize.shadow
-        modules = (repro.am.layer, repro.gas.collectives,
-                   repro.gas.runtime, repro.gas.sync,
+        modules = (repro.am.layer, repro.gas.runtime, repro.gas.sync,
                    repro.instruments.probes,  # a fan-out's frame
                    repro.sanitize.clocks, repro.sanitize.shadow)
         files = {__file__}

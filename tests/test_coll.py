@@ -104,9 +104,8 @@ def test_explicit_ineligible_algorithm_raises():
     """ring allreduce needs an elementwise-declared reduction."""
     class SparseRingBench(CollectiveBench):
         def _invoke(self, proc, iteration):
-            from repro.coll import api
-            got = yield from api.allreduce(
-                proc, proc.rank, lambda a, b: a + b, size=32,
+            got = yield from proc.allreduce(
+                proc.rank, lambda a, b: a + b, size=32,
                 elementwise=False, algo="ring")
             return got
 
@@ -259,10 +258,10 @@ def test_stats_from_dict_tolerates_pre_coll_entries():
     assert restored.total_collectives == 0
 
 
-# -- legacy bit-identity ----------------------------------------------------
+# -- the untuned machine -----------------------------------------------------
 
 def test_untuned_machine_is_bit_identical_to_legacy_radix():
-    """The default fixed policy dispatches exactly the legacy
+    """The default fixed policy dispatches exactly the Split-C
     schedules: the pinned Radix baseline must not move at all."""
     result = Cluster(8, seed=11).run(RadixSort(keys_per_proc=64))
     assert result.runtime_us == 4667.500000000056
@@ -270,7 +269,7 @@ def test_untuned_machine_is_bit_identical_to_legacy_radix():
 
 
 def test_proc_collectives_flow_through_coll_counters():
-    """Legacy-facing Proc.barrier/broadcast land in the new counters."""
+    """Proc.barrier lands in the per-algorithm collective counters."""
     result = Cluster(4, seed=0).run(
         CollectiveBench("barrier", iterations=2))
     assert "barrier/dissemination" in result.stats.collective_calls

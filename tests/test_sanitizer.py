@@ -251,6 +251,17 @@ def test_cli_json_format_includes_deadlock(capsys):
     entry = payload["apps"][0]
     assert entry["deadlock"]["kind"] == "cycle"
     assert sorted(entry["deadlock"]["ranks"]) == [0, 1]
+    # Rank 0 skips the last barrier: the others wait in it forever.
+    code = main([f"{FIXTURES / 'unbalanced_barrier'}.py:UnbalancedBarrier",
+                 "--nodes", "4", "--format", "json"])
+    assert code == 1
+    deadlock = json.loads(capsys.readouterr().out)["apps"][0]["deadlock"]
+    assert deadlock["kind"] == "frontier"
+    assert [(edge["rank"], edge["kind"], edge["on"], edge["detail"])
+            for edge in deadlock["edges"]] == [
+        (1, "barrier", [0], "barrier epoch 3 round 0"),
+        (2, "barrier", [0], "barrier epoch 3 round 1"),
+        (3, "barrier", [1], "barrier epoch 3 round 1")]
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_record_refuses_faulty_and_nonflat_fabrics():
         Cluster(n_nodes=4, seed=7, faults=plan).run(
             small_radix(), recorder=DepRecorder())
     with pytest.raises(ValueError, match="flat"):
-        Cluster(n_nodes=4, seed=7, fabric="ethernet").run(
+        Cluster(n_nodes=4, seed=7, fabric="myrinet").run(
             small_radix(), recorder=DepRecorder())
 
 

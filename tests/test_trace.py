@@ -9,16 +9,6 @@ from repro.instruments.trace import MessageTracer, MessageTimeline
 NOW = LogGPParams.berkeley_now()
 
 
-class _PingApp(Application):
-    name = "ping"
-
-    def run_rank(self, proc):
-        if proc.rank == 0:
-            value = yield from proc.am.rpc(1, "_gas_barrier",
-                                           ("unused-token", 0))
-            del value
-
-
 class _WriterApp(Application):
     name = "writer"
 
