@@ -51,8 +51,9 @@ NIC_RECEIVE = frozenset({
     "receive_from_wire", "_occupy", "_occupied", "_after_occupancy",
     "_mark_valid", "_accept", "_accept_fragment", "_send_nic_credit",
     "_send_ack", "_ack_received"})
-#: ``am/layer.py`` functions that send; the rest service and wait
-#: (``_record_send`` went with PR 23: named so a parent splits alike).
+#: ``am/layer.py`` functions that send; the rest service and wait.
+#: ``_record_send``, ``reply``, ``reply_bulk`` and ``_take_current_request``
+#: are gone, named so that an older tree splits alike.
 AM_SENDING = frozenset({
     "send_request", "send_oneway", "rpc", "bulk_store",
     "bulk_store_blocking", "bulk_oneway", "bulk_rpc", "reply",

@@ -5,11 +5,13 @@
   paper).
 * :mod:`repro.am.layer` -- the Generic-Active-Messages-style communication
   layer: short request/reply messages, one-way messages, bulk transfers
-  with 4 KB fragmentation, polling handler dispatch, and the fixed
+  with 4 KB fragmentation, polling dispatch to handlers that return
+  their reply (:class:`Reply` for a bulk one), and the fixed
   flow-control window.
 """
 
 from repro.am.tuning import TuningKnobs
-from repro.am.layer import AmLayer, HandlerTable, DEFAULT_WINDOW
+from repro.am.layer import AmLayer, HandlerTable, Reply, DEFAULT_WINDOW
 
-__all__ = ["TuningKnobs", "AmLayer", "HandlerTable", "DEFAULT_WINDOW"]
+__all__ = ["TuningKnobs", "AmLayer", "HandlerTable", "Reply",
+           "DEFAULT_WINDOW"]

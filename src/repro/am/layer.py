@@ -21,14 +21,17 @@ the host processor that incurs it, exactly as in the paper's apparatus:
   implementation") that this makes the effective gap rise at very large
   latencies because the pipeline can no longer be filled.
 
-Handlers are generator functions ``handler(am, packet)`` registered in a
-:class:`HandlerTable`.  A request handler may call :meth:`AmLayer.reply`
-(or :meth:`AmLayer.reply_bulk`) at most once; GAM's rule that handlers
-must not issue new *requests* is enforced.
+Handlers are plain functions ``handler(am, packet)`` registered in a
+:class:`HandlerTable`.  The layer runs a handler to completion and sends
+the value it returns as the request's one reply: ``None`` is the
+automatic ack, a :class:`Reply` asks for a bulk reply and/or host
+service time first.  A handler cannot block, so GAM's rule that handlers
+only reply holds by construction.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Optional
@@ -40,7 +43,7 @@ from repro.network.packet import (BULK_FRAGMENT_BYTES, Packet, PacketKind,
                                   SHORT_PACKET_BYTES, new_xfer_id)
 from repro.sim import Park, Simulator
 
-__all__ = ["AmLayer", "HandlerTable", "DEFAULT_WINDOW", "AmError"]
+__all__ = ["AmLayer", "HandlerTable", "Reply", "DEFAULT_WINDOW", "AmError"]
 
 #: Fixed number of outstanding (unacknowledged) messages per node.  Eight
 #: reproduces the paper's Table 2 latency/gap coupling: at ``delta_L`` = 100
@@ -49,7 +52,24 @@ DEFAULT_WINDOW = 8
 
 
 class AmError(RuntimeError):
-    """Protocol misuse (double reply, request from handler, ...)."""
+    """Protocol misuse (a generator handler, a reply to a one-way
+    message, an unregistered handler, ...)."""
+
+
+class Reply:
+    """What a handler returns when a short reply of its value will not
+    do: ``payload`` as a bulk reply of ``nbytes`` (a GAM ``get``; None
+    for a short one), sent after ``service_us`` of host time."""
+
+    __slots__ = ("payload", "nbytes", "service_us")
+
+    def __init__(self, payload: Any, nbytes: Optional[int] = None,
+                 service_us: float = 0.0) -> None:
+        if nbytes is not None and nbytes <= 0:
+            raise ValueError(f"bulk reply of {nbytes} bytes")
+        self.payload = payload
+        self.nbytes = nbytes
+        self.service_us = service_us
 
 
 class HandlerTable:
@@ -59,9 +79,14 @@ class HandlerTable:
         self._handlers: Dict[str, Callable] = {}
 
     def register(self, name: str, handler: Callable) -> None:
-        """Register generator function ``handler(am, packet)``."""
+        """Register plain function ``handler(am, packet)``, whose return
+        value is the reply.  A generator function is refused: handlers
+        run to completion and never block."""
         if name in self._handlers:
             raise AmError(f"handler {name!r} already registered")
+        if inspect.isgeneratorfunction(handler):
+            raise AmError(f"handler {name!r} is a generator function; "
+                          "a handler returns its reply (see Reply)")
         self._handlers[name] = handler
 
     def lookup(self, name: str) -> Callable:
@@ -133,8 +158,6 @@ class AmLayer:
         #: xfer_id -> callable(payload) run when the pairing reply (or
         #: reply-bulk completion) is processed by the host.
         self._on_reply: Dict[int, Callable[[Any], None]] = {}
-        self._current_request: Optional[Packet] = None
-        self._current_replied = False
         # Imported here to keep the am <-> network import graph acyclic
         # (the NIC needs TuningKnobs from this package).
         from repro.network.nic import Nic
@@ -212,7 +235,8 @@ class AmLayer:
 
         The layer's one service loop: every reception is paid for and
         dispatched in this frame -- one ``recv_cost`` sleep per message,
-        then one ``send_cost`` sleep per automatic ack.
+        then, for a request, its handler's ``service_us`` (when > 0) and
+        one ``send_cost`` sleep for the reply the handler returned.
 
         The predicate may only become true as a consequence of this node's
         own polling (handler/reply processing) or of NIC-level credit
@@ -248,44 +272,47 @@ class AmLayer:
                 if packet.kind is PacketKind.REQUEST or (
                         packet.kind is PacketKind.BULK_FRAGMENT
                         and not packet.is_reply):
-                    outer_request = self._current_request
-                    outer_replied = self._current_replied
-                    self._current_request = packet
-                    self._current_replied = False
-                    try:
-                        if packet.handler is not None:
-                            result = self.handlers.lookup(packet.handler)(
-                                self, packet)
-                            if result is not None:
-                                yield from result
-                        if not packet.one_way and not self._current_replied:
-                            # Split-C semantics: every request is
-                            # acknowledged, so the sender's window credit
-                            # returns and the sender pays its second `o`
-                            # receiving the ack.
-                            self._current_replied = True
-                            yield self._send_cost
-                            ack = Packet(kind=PacketKind.REPLY,
-                                         src=self.node_id, dst=packet.src,
-                                         payload=None,
-                                         size_bytes=SHORT_PACKET_BYTES,
-                                         is_read=packet.is_read)
-                            ack.xfer_id = packet.xfer_id
-                            hook = self._on_send
-                            if hook is not None:
-                                hook(self.node_id, ack)
-                            self.nic.enqueue(ack)
-                    finally:
-                        self._current_request = outer_request
-                        self._current_replied = outer_replied
+                    reply = None if packet.handler is None else \
+                        self.handlers.lookup(packet.handler)(self, packet)
+                    if packet.one_way:
+                        if reply is not None:
+                            raise AmError(
+                                f"handler {packet.handler!r} replied to a "
+                                f"one-way message on node {self.node_id}")
+                    else:
+                        # Split-C semantics: every request is answered,
+                        # with the handler's value or (None) an ack, so
+                        # the sender's window credit returns and the
+                        # sender pays its second `o` receiving it.
+                        nbytes = None
+                        if type(reply) is Reply:
+                            if reply.service_us > 0:
+                                yield reply.service_us
+                            nbytes = reply.nbytes
+                            reply = reply.payload
+                        yield self._send_cost
+                        if nbytes is None:
+                            sent = Packet(kind=PacketKind.REPLY,
+                                          src=self.node_id, dst=packet.src,
+                                          payload=reply,
+                                          size_bytes=SHORT_PACKET_BYTES,
+                                          is_read=packet.is_read)
+                            sent.xfer_id = packet.xfer_id
+                        else:
+                            sent = self._enqueue_fragments(
+                                packet.src, None, (reply, nbytes), nbytes,
+                                one_way=False, is_reply=True,
+                                xfer_id=packet.xfer_id,
+                                is_read=packet.is_read)
+                        # As for every send: the hook sees a bulk reply's
+                        # fragments queued, a short reply not yet.
+                        hook = self._on_send
+                        if hook is not None:
+                            hook(self.node_id, sent)
+                        if nbytes is None:
+                            self.nic.enqueue(sent)
                 else:
                     callback = self._on_reply.pop(packet.xfer_id, None)
-                    if packet.handler is not None \
-                            and packet.handler in self.handlers:
-                        result = self.handlers.lookup(packet.handler)(
-                            self, packet)
-                        if result is not None:
-                            yield from result
                     if callback is not None:
                         callback(packet.payload)
                 hook = self._on_handled
@@ -308,16 +335,11 @@ class AmLayer:
         """
         return dst if self._per_destination else -1
 
-    def _take_credit(self, operation: str, dst: int) -> Optional[int]:
-        """What every send operation starts with: refuse a send issued
-        from inside a handler, then take a window slot toward ``dst`` if
-        one is free.  Returns the credit pool drawn from (``_credit_owner``
-        keeps it for the transfer), or None when the caller must block in
-        :meth:`_acquire_credit`."""
-        if self._current_request is not None:
-            raise AmError(
-                f"{operation} issued from inside a request handler on node "
-                f"{self.node_id}; GAM handlers may only reply")
+    def _take_credit(self, dst: int) -> Optional[int]:
+        """What every send operation starts with: take a window slot
+        toward ``dst`` if one is free.  Returns the credit pool drawn from
+        (``_credit_owner`` keeps it for the transfer), or None when the
+        caller must block in :meth:`_acquire_credit`."""
         key = dst if self._per_destination else -1  # _credit_key, inline
         credits = self._credits
         free = credits[key] if key in credits else self.window
@@ -346,7 +368,7 @@ class AmLayer:
         ``on_reply(payload)`` runs when this node processes the pairing
         reply.  Use :meth:`rpc` for the common blocking pattern.
         """
-        key = self._take_credit("send_request", dst)
+        key = self._take_credit(dst)
         if key is None:
             key = yield from self._acquire_credit(dst)
         yield self._send_cost
@@ -383,7 +405,7 @@ class AmLayer:
                     size: int = SHORT_PACKET_BYTES) -> Generator:
         """Fire-and-forget short message (NIC-level ack; sender pays one
         ``o``).  Used by NOW-sort's one-way Active Messages."""
-        key = self._take_credit("send_oneway", dst)
+        key = self._take_credit(dst)
         if key is None:
             key = yield from self._acquire_credit(dst)
         yield self._send_cost
@@ -439,7 +461,7 @@ class AmLayer:
         """
         if nbytes <= 0:
             raise ValueError(f"bulk transfer of {nbytes} bytes")
-        key = self._take_credit("bulk_store", dst)
+        key = self._take_credit(dst)
         if key is None:
             key = yield from self._acquire_credit(dst)
         yield self._send_cost
@@ -469,7 +491,7 @@ class AmLayer:
         """One-way bulk transfer (NIC-level credit; no host-level ack)."""
         if nbytes <= 0:
             raise ValueError(f"bulk transfer of {nbytes} bytes")
-        key = self._take_credit("bulk_oneway", dst)
+        key = self._take_credit(dst)
         if key is None:
             key = yield from self._acquire_credit(dst)
         yield self._send_cost
@@ -485,8 +507,8 @@ class AmLayer:
                  size: int = SHORT_PACKET_BYTES) -> Generator:
         """Short request whose reply is a *bulk* transfer (a GAM ``get``).
 
-        Returns ``(payload, nbytes)`` from the remote handler's
-        :meth:`reply_bulk`.  Flagged as a read for instrumentation.
+        Returns ``(payload, nbytes)`` from the :class:`Reply` the remote
+        handler returned.  Flagged as a read for instrumentation.
         """
         box = _ReplyBox()
         yield from self.send_request(dst, handler, payload=payload,
@@ -496,46 +518,6 @@ class AmLayer:
             ("reply", (dst,), f"bulk reply to {handler!r}")
         yield from self.wait_until(box.arrived, wait=wait)
         return box.value
-
-    # -- replying (only valid inside a handler) -----------------------------
-    def _take_current_request(self, operation: str) -> Packet:
-        if self._current_request is None:
-            raise AmError(f"{operation} outside a request handler")
-        if self._current_replied:
-            raise AmError("handler already replied to this request")
-        if self._current_request.one_way:
-            raise AmError(f"{operation} to a one-way message")
-        self._current_replied = True
-        return self._current_request
-
-    def reply(self, payload: Any = None, size: int = SHORT_PACKET_BYTES,
-              handler: Optional[str] = None) -> Generator:
-        """Send the short reply for the request being handled."""
-        request = self._take_current_request("reply")
-        yield self._send_cost
-        packet = Packet(kind=PacketKind.REPLY, src=self.node_id,
-                        dst=request.src, handler=handler, payload=payload,
-                        size_bytes=size, is_read=request.is_read)
-        packet.xfer_id = request.xfer_id
-        hook = self._on_send
-        if hook is not None:
-            hook(self.node_id, packet)
-        self.nic.enqueue(packet)
-
-    def reply_bulk(self, payload: Any, nbytes: int,
-                   handler: Optional[str] = None) -> Generator:
-        """Answer the request being handled with a bulk transfer."""
-        request = self._take_current_request("reply_bulk")
-        if nbytes <= 0:
-            raise ValueError(f"bulk reply of {nbytes} bytes")
-        yield self._send_cost
-        last = self._enqueue_fragments(
-            request.src, handler, (payload, nbytes), nbytes,
-            one_way=False, is_reply=True, xfer_id=request.xfer_id,
-            is_read=request.is_read)
-        hook = self._on_send
-        if hook is not None:
-            hook(self.node_id, last)
 
     # -- draining ------------------------------------------------------------
     def drain(self) -> Generator:

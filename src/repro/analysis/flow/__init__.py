@@ -5,7 +5,7 @@ function at a time, simsan checks one execution at a time; simflow
 checks every path through every call chain, statically).  See
 :mod:`repro.analysis.flow.graph` for the call-graph approximations,
 :mod:`repro.analysis.flow.effects` for the summary lattice, and
-:mod:`repro.analysis.flow.checks` for the four shipped checks.  Run it
+:mod:`repro.analysis.flow.checks` for the three shipped checks.  Run it
 with ``python -m repro.analysis --deep``.
 """
 

@@ -1,4 +1,4 @@
-"""The four simflow checks.
+"""The three simflow checks.
 
 Each check consumes the fixpoint summaries from
 :mod:`repro.analysis.flow.effects` and reports only what the
@@ -31,10 +31,6 @@ FLOW_RULES = {
         "error",
         "a generator discards a call whose callee blocks further down "
         "the call chain"),
-    "flow-handler-purity": (
-        "error",
-        "an Active Message handler reaches a banned primitive through "
-        "helper calls"),
     "flow-rank-collective": (
         "error",
         "a collective is reachable only under a rank-dependent branch, "
@@ -87,12 +83,9 @@ def find_handlers(index: ProgramIndex) -> Set[FunctionInfo]:
 
 # -- check 1: transitive unyielded blocking ---------------------------------
 
-def _check_transitive_blocking(
-        index: ProgramIndex,
-        handlers: Set[FunctionInfo]) -> Iterator[Finding]:
+def _check_transitive_blocking(index: ProgramIndex) -> Iterator[Finding]:
     for func in index.functions:
-        if not (func.gen_like or func.name in _CONTRACT_FUNCTIONS
-                or func in handlers):
+        if not (func.gen_like or func.name in _CONTRACT_FUNCTIONS):
             continue
         for call in func.calls:
             if call.context != CONTEXT_DROPPED:
@@ -120,31 +113,7 @@ def _depth_word(chain: Tuple[Frame, ...]) -> str:
     return f"{edges} call edge{'s' if edges != 1 else ''} down"
 
 
-# -- check 2: transitive handler purity -------------------------------------
-
-def _check_handler_purity(
-        index: ProgramIndex,
-        handlers: Set[FunctionInfo]) -> Iterator[Finding]:
-    for handler in sorted(handlers, key=lambda f: (f.source.path, f.line)):
-        for atom in sorted(handler.effects):
-            if not atom.startswith("banned:"):
-                continue
-            witness = handler.witness.get(atom)
-            if witness is None or witness[0] != "call":
-                continue   # direct in the handler body: simlint's
-            primitive = atom.split(":", 1)[1]
-            site = witness[1]
-            chain = chain_for(handler, atom)
-            yield _finding(
-                handler, site.node, "flow-handler-purity",
-                f"handler {handler.display_name} reaches "
-                f"{primitive}(...) through "
-                f"{_call_display(site)}(...); handlers run at "
-                "interrupt level and may only compute and reply",
-                chain)
-
-
-# -- check 3: interprocedural SPMD congruence -------------------------------
+# -- check 2: interprocedural SPMD congruence -------------------------------
 
 def _collective_kinds(func: FunctionInfo, stmts: List[ast.stmt]
                       ) -> Dict[str, Tuple[CallSite,
@@ -236,20 +205,21 @@ def _check_rank_collective(index: ProgramIndex) -> Iterator[Finding]:
                         chain)
 
 
-# -- check 4: yield-chain integrity -----------------------------------------
+# -- check 3: yield-chain integrity -----------------------------------------
 
 def _check_yield_integrity(
         index: ProgramIndex,
         handlers: Set[FunctionInfo]) -> Iterator[Finding]:
     for func in index.functions:
-        if func.gen_like or func.name in _CONTRACT_FUNCTIONS or \
-                func in handlers:
+        if func.gen_like or func.name in _CONTRACT_FUNCTIONS:
             continue
         for call in func.calls:
             if call.context != CONTEXT_DROPPED:
                 continue
             if not call.resolved and \
                     _is_runtime_primitive(call.node, BLOCKING_PRIMITIVES):
+                if func in handlers:
+                    continue   # direct in a handler: simlint's
                 chain = (Frame(func.source.path, call.line,
                                func.display_name),)
                 yield _finding(
@@ -267,12 +237,14 @@ def _check_yield_integrity(
             target = guilty[0]
             chain = (Frame(func.source.path, call.line,
                            func.display_name),) + chain_for(target, "blocks")
+            fix = ("handlers run to completion, so block in SPMD code "
+                   "instead" if func in handlers else
+                   "make it a generator and 'yield from' the call")
             yield _finding(
                 func, call.node, "flow-yield-integrity",
                 f"{_call_display(call)}(...) returns a blocking "
                 f"generator but {func.display_name} is not a generator "
-                "and cannot drive it; make it a generator and 'yield "
-                "from' the call",
+                f"and cannot drive it; {fix}",
                 chain)
 
 
@@ -280,8 +252,7 @@ def run_checks(index: ProgramIndex) -> List[Finding]:
     """All flow findings over an indexed, effect-annotated program."""
     handlers = find_handlers(index)
     findings: List[Finding] = []
-    findings.extend(_check_transitive_blocking(index, handlers))
-    findings.extend(_check_handler_purity(index, handlers))
+    findings.extend(_check_transitive_blocking(index))
     findings.extend(_check_rank_collective(index))
     findings.extend(_check_yield_integrity(index, handlers))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))

@@ -2,7 +2,7 @@
 
 ``analyze_program`` is the whole-program counterpart of
 :func:`repro.analysis.core.analyze_source`: it indexes every parsed
-module once, runs the effect/taint fixpoint, applies the four checks,
+module once, runs the effect/taint fixpoint, applies the three checks,
 and filters the results through the same ``# simlint: disable=...``
 comment machinery — flow rule ids (``flow-*``) work in the same
 suppression lists as the per-file rules.

@@ -6,7 +6,6 @@ Every function gets a *summary*: a set of effect atoms over the lattice
                      reachable blocking runtime primitive);
 * ``sends``       -- injects network traffic;
 * ``coll:<kind>`` -- reaches the named collective;
-* ``banned:<p>``  -- reaches a primitive AM handlers must not call;
 
 plus two structural facts — ``gen_like`` (the function is a generator,
 or forwards one via ``return g(...)``) and a rank-taint summary (which
@@ -31,7 +30,6 @@ from repro.analysis.core import Frame
 from repro.analysis.flow.graph import (CONTEXT_RETURNED, CallSite,
                                        FunctionInfo, ProgramIndex)
 from repro.analysis.rules.spmd import (BLOCKING_PRIMITIVES, COLLECTIVES,
-                                       HANDLER_BANNED,
                                        _is_runtime_primitive,
                                        _mentions_rank)
 
@@ -41,7 +39,7 @@ __all__ = ["infer_effects", "intrinsic_atoms", "chain_for",
 #: Primitives that put traffic on the wire (the ``sends`` atom).
 _SEND_PRIMITIVES = frozenset({
     "rpc", "send_request", "send_oneway", "bulk_rpc", "bulk_store",
-    "bulk_store_blocking", "bulk_oneway", "reply", "reply_bulk",
+    "bulk_store_blocking", "bulk_oneway",
 })
 
 #: Runtime entry points whose collective identity cannot be inferred
@@ -64,8 +62,6 @@ def intrinsic_atoms(call: ast.Call) -> Set[str]:
             atoms.add(f"coll:{call.func.attr}")
     if _is_runtime_primitive(call, _SEND_PRIMITIVES):
         atoms.add("sends")
-    if _is_runtime_primitive(call, HANDLER_BANNED):
-        atoms.add(f"banned:{call.func.attr}")
     return atoms
 
 

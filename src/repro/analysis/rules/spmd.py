@@ -14,7 +14,7 @@ potential livelock.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.core import (Finding, Rule, SourceFile, dotted_name,
                                  register_rule, walk_scope)
@@ -28,8 +28,9 @@ BLOCKING_PRIMITIVES = frozenset({
     "compute", "poll", "timeout", "barrier", "broadcast", "reduce",
     "allreduce", "gather", "scatter", "allgather", "alltoall",
     "read", "write", "sync", "bulk_get", "bulk_put",
-    "lock", "unlock", "rpc", "send_request", "bulk_rpc", "bulk_store",
-    "bulk_oneway", "drain", "wait_until", "reply", "reply_bulk",
+    "lock", "unlock", "rpc", "send_request", "send_oneway", "bulk_rpc",
+    "bulk_store", "bulk_store_blocking", "bulk_oneway", "drain",
+    "wait_until",
 })
 
 #: Receiver spellings that identify the simulation runtime (``proc.*``,
@@ -177,6 +178,29 @@ class RankDependentCollectiveRule(Rule):
 _HANDLER_ARITY = 2
 
 
+def _registered_handlers(
+        tree: ast.AST) -> Iterator[Tuple[ast.Call, ast.AST]]:
+    """Each ``register(name, handler)`` call whose handler is a lambda
+    or a function defined in the same file, with that handler: the one
+    walk both handler rules share."""
+    functions: Dict[str, ast.AST] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.setdefault(node.name, node)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "register"
+                and len(node.args) >= 2):
+            continue
+        handler = node.args[1]
+        if isinstance(handler, ast.Name):
+            handler = functions.get(handler.id)
+        if isinstance(handler, (ast.Lambda, ast.FunctionDef,
+                                ast.AsyncFunctionDef)):
+            yield node, handler
+
+
 @register_rule
 class HandlerArityRule(Rule):
     """``register(name, handler)`` with a handler of the wrong shape."""
@@ -186,91 +210,51 @@ class HandlerArityRule(Rule):
                    "exactly (am, packet)")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        functions: Dict[str, ast.FunctionDef] = {}
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions.setdefault(node.name, node)
-        for node in ast.walk(source.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "register"
-                    and len(node.args) >= 2):
+        for call, handler in _registered_handlers(source.tree):
+            args = handler.args
+            if args.vararg is not None:
                 continue
-            handler = node.args[1]
-            arity = None
-            if isinstance(handler, ast.Lambda):
-                args = handler.args
-                if args.vararg is None:
-                    arity = len(args.posonlyargs) + len(args.args)
-            elif isinstance(handler, ast.Name) and \
-                    handler.id in functions:
-                args = functions[handler.id].args
-                if args.vararg is None:
-                    arity = len(args.posonlyargs) + len(args.args)
-            if arity is not None and arity != _HANDLER_ARITY:
+            arity = len(args.posonlyargs) + len(args.args)
+            if arity != _HANDLER_ARITY:
                 yield self.finding(
-                    source, node,
+                    source, call,
                     f"handler takes {arity} positional argument(s); "
                     "Active Message handlers are called as "
                     "handler(am, packet)")
 
 
-#: Primitives an Active Message handler must never call.  Handlers run
-#: at interrupt level in the GAM model: they may compute, read host
-#: state, and answer via ``reply``/``reply_bulk`` — but blocking on the
-#: network (or recursing into it with fresh requests) from handler
-#: context wedges or reenters the layer.  ``reply``, ``reply_bulk``,
-#: ``compute`` and ``timeout`` stay allowed.
-HANDLER_BANNED = frozenset({
-    "lock", "unlock", "barrier", "broadcast", "reduce", "allreduce",
-    "gather", "scatter", "allgather", "alltoall",
-    "rpc", "send_request", "send_oneway", "bulk_rpc", "bulk_store",
-    "bulk_store_blocking", "bulk_oneway", "bulk_get", "bulk_put",
-    "read", "write", "sync", "drain", "wait_until", "poll",
-})
-
-
 @register_rule
 class HandlerPurityRule(Rule):
-    """A registered AM handler calling a blocking/yielding primitive."""
+    """A registered AM handler that is a generator or calls a blocking
+    primitive.  The layer calls a handler once and sends the value it
+    returns, so it refuses the one and never drives the other."""
 
     rule_id = "handler-purity"
-    description = ("Active Message handler calls a blocking primitive; "
-                   "handlers run at interrupt level and may only "
-                   "compute and reply")
+    description = ("Active Message handler is a generator or calls a "
+                   "blocking primitive; handlers run to completion and "
+                   "return their reply")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        functions: Dict[str, ast.FunctionDef] = {}
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions.setdefault(node.name, node)
-        handlers: List[ast.AST] = []
         seen: Set[int] = set()
-        for node in ast.walk(source.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "register"
-                    and len(node.args) >= 2):
+        for _call, handler in _registered_handlers(source.tree):
+            if id(handler) in seen:
                 continue
-            target = node.args[1]
-            if isinstance(target, ast.Lambda):
-                body = target
-            elif isinstance(target, ast.Name) and target.id in functions:
-                body = functions[target.id]
-            else:
-                continue
-            if id(body) not in seen:
-                seen.add(id(body))
-                handlers.append(body)
-        for handler in handlers:
-            nodes = ast.walk(handler.body) \
-                if isinstance(handler, ast.Lambda) else walk_scope(handler)
+            seen.add(id(handler))
+            nodes = list(ast.walk(handler.body)
+                         if isinstance(handler, ast.Lambda)
+                         else walk_scope(handler))
+            if any(isinstance(n, (ast.Yield, ast.YieldFrom))
+                   for n in nodes):
+                yield self.finding(
+                    source, handler,
+                    "Active Message handler is a generator; handlers run "
+                    "to completion and return their reply (a Reply with "
+                    "service_us for host time)")
             for node in nodes:
-                if isinstance(node, ast.Call) and \
-                        _is_runtime_primitive(node, HANDLER_BANNED):
+                if isinstance(node, ast.Call) and _is_runtime_call(node):
                     name = dotted_name(node.func)
                     yield self.finding(
                         source, node,
                         f"{name}(...) called from an Active Message "
-                        "handler; handlers run at interrupt level and "
-                        "may only compute and reply")
+                        "handler; handlers run to completion and may "
+                        "only compute and return their reply")

@@ -28,7 +28,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.am.layer import HandlerTable
+from repro.am.layer import HandlerTable, Reply
 from repro.apps.base import Application
 from repro.gas.runtime import Proc
 from repro.gas.sync import DistributedLock
@@ -553,7 +553,7 @@ def _sequential_force(cells: dict, body: int, position: np.ndarray,
 # Active Message handlers (cell owner side).
 # ---------------------------------------------------------------------------
 
-def _get_cell_handler(am, packet) -> Generator:
+def _get_cell_handler(am, packet) -> Optional[dict]:
     cells = am.host.state["barnes"]["cells"]
     record = cells.get(packet.payload)
     payload: Optional[dict] = None
@@ -561,28 +561,28 @@ def _get_cell_handler(am, packet) -> Generator:
         payload = {"type": record["type"]}
         if record["type"] == "leaf":
             payload["bodies"] = list(record["bodies"])
-    yield from am.reply(payload)
+    return payload
 
 
-def _put_cell_handler(am, packet) -> Generator:
+def _put_cell_handler(am, packet) -> bool:
     key, record = packet.payload
     _store_cell(am.host.state["barnes"]["cells"], key, record)
-    yield from am.reply(True)
+    return True
 
 
-def _add_child_handler(am, packet) -> Generator:
+def _add_child_handler(am, packet) -> bool:
     key, octant = packet.payload
     _add_child(am.host.state["barnes"]["cells"], key, octant)
-    yield from am.reply(True)
+    return True
 
 
-def _get_moment_handler(am, packet) -> Generator:
+def _get_moment_handler(am, packet) -> tuple:
     record = am.host.state["barnes"]["cells"][packet.payload]
     mass, com = record["moment"]
-    yield from am.reply((mass, com.tolist()))
+    return mass, com.tolist()
 
 
-def _fetch_cell_handler(am, packet) -> Generator:
+def _fetch_cell_handler(am, packet) -> Reply:
     """Interaction-phase fetch: the full read-only cell record, shipped
     as a bulk reply (cells carry moments and body lists)."""
     record = am.host.state["barnes"]["cells"].get(packet.payload)
@@ -596,4 +596,4 @@ def _fetch_cell_handler(am, packet) -> Generator:
         else:
             payload["children"] = sorted(record["children"])
             payload["moment"] = record["moment"]
-    yield from am.reply_bulk(payload, CELL_BYTES)
+    return Reply(payload, nbytes=CELL_BYTES)

@@ -27,7 +27,7 @@ __all__ = ["PingPong", "BurstSender", "BulkStream"]
 
 def _echo(am, packet):
     am.host.state["mb_echoed"] = am.host.state.get("mb_echoed", 0) + 1
-    yield from am.reply(packet.payload)
+    return packet.payload
 
 
 def _sink(am, packet):

@@ -41,7 +41,7 @@ class _Host:
 
 def _echo_handler(am, packet):
     am.host.state["served"] += 1
-    yield from am.reply(packet.payload)
+    return packet.payload
 
 
 def _pair(params: LogGPParams, knobs: TuningKnobs,

@@ -16,7 +16,7 @@ from typing import Any, Dict, Generator, Iterable, List, Optional
 
 import numpy as np
 
-from repro.am.layer import AmLayer, HandlerTable
+from repro.am.layer import AmLayer, HandlerTable, Reply
 from repro.cluster.node import Node
 from repro.gas import sync
 from repro.gas.memory import GlobalArray
@@ -356,12 +356,10 @@ class Proc:
 # Global-address-space Active Message handlers.
 # ---------------------------------------------------------------------------
 
-def _gas_read(am: AmLayer, packet) -> Generator:
+def _gas_read(am: AmLayer, packet) -> Any:
     """Serve a blocking remote read: reply with the element value."""
-    proc: Proc = am.host
     array_id, local_index = packet.payload
-    value = proc._arrays[array_id][local_index]
-    yield from am.reply(value)
+    return am.host._arrays[array_id][local_index]
 
 
 def _apply_write(storage, local_index: int, value: Any, mode: str) -> None:
@@ -374,43 +372,37 @@ def _apply_write(storage, local_index: int, value: Any, mode: str) -> None:
         storage[local_index] = value
 
 
-def _gas_write(am: AmLayer, packet) -> Generator:
+def _gas_write(am: AmLayer, packet) -> None:
     """Apply a remote write/accumulate/min; the auto-ack completes it."""
-    proc: Proc = am.host
     array_id, local_index, value, mode = packet.payload
-    _apply_write(proc._arrays[array_id], local_index, value, mode)
-    return
-    yield  # pragma: no cover
+    _apply_write(am.host._arrays[array_id], local_index, value, mode)
 
 
-def _gas_bulk_get(am: AmLayer, packet) -> Generator:
+def _gas_bulk_get(am: AmLayer, packet) -> Reply:
     """Serve a bulk get: reply with a bulk transfer of the run."""
     proc: Proc = am.host
     array_id, local_start, count = packet.payload
     meta = proc._array_meta[array_id]
     storage = proc._arrays[array_id]
     values = storage[local_start:local_start + count].copy()
-    yield from am.reply_bulk(values, meta.transfer_bytes(count))
+    return Reply(values, nbytes=meta.transfer_bytes(count))
 
 
-def _gas_bulk_put(am: AmLayer, packet) -> Generator:
+def _gas_bulk_put(am: AmLayer, packet) -> None:
     """Land a bulk put into local storage; the auto-ack completes it."""
-    proc: Proc = am.host
     array_id, local_start, values = packet.payload
-    storage = proc._arrays[array_id]
+    storage = am.host._arrays[array_id]
     storage[local_start:local_start + len(values)] = values
-    return
-    yield  # pragma: no cover
 
 
-def _gas_lock_try(am: AmLayer, packet) -> Generator:
+def _gas_lock_try(am: AmLayer, packet) -> bool:
     """Test-and-set at the lock's home; reply grant or denial."""
     proc: Proc = am.host
     lock_id = packet.payload
     held = proc.lock_table.get(lock_id, False)
     if not held:
         proc.lock_table[lock_id] = True
-    yield from am.reply(not held)
+    return not held
 
 
 def _gas_lock_release(am: AmLayer, packet) -> None:

@@ -44,6 +44,7 @@ import random
 from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional
 
+from repro.am.layer import Reply
 from repro.apps.base import Application
 from repro.serve.clients import ARRIVAL_PROCESSES, ClientTier, Request
 from repro.serve.metrics import ServingMetrics
@@ -60,7 +61,7 @@ REPLICATION_POLICIES = ("none", "primary-backup")
 
 
 # ---------------------------------------------------------------------------
-# Service handlers (module level, GAM rules: reply only, never request).
+# Service handlers (module level; each returns its reply, GAM-style).
 # ---------------------------------------------------------------------------
 
 def _kv_apply(store: Dict[int, int], key: int, write: bool) -> int:
@@ -76,27 +77,23 @@ def _fanout_apply(hits: List[int], key: int) -> int:
     return hits[key % len(hits)]
 
 
-def _serve_kv(am, packet) -> Generator:
+def _serve_kv(am, packet) -> Reply:
     """One key-value operation at its shard (primary or backup)."""
     app = am.host.state["serve_app"]
     key, write = packet.payload
     value = _kv_apply(am.host.state["serve_store"], key, write)
     app.metrics.on_served(am.node_id, app.service_us)
     app.metrics.on_queue_sample(am.node_id, am.rx_pending)
-    if app.service_us > 0:
-        yield app.service_us
-    yield from am.reply(value)
+    return Reply(value, service_us=app.service_us)
 
 
-def _serve_fanout(am, packet) -> Generator:
+def _serve_fanout(am, packet) -> Reply:
     """One scatter-gather sub-query at a shard."""
     app = am.host.state["serve_app"]
     value = _fanout_apply(am.host.state["serve_hits"], packet.payload)
     app.metrics.on_served(am.node_id, app.service_us)
     app.metrics.on_queue_sample(am.node_id, am.rx_pending)
-    if app.service_us > 0:
-        yield app.service_us
-    yield from am.reply(value)
+    return Reply(value, service_us=app.service_us)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Twin of handler_purity_bad.py: the handler computes locally and
-answers through a reply-only helper, which is allowed at any depth."""
+"""Twin of handler_purity_bad.py: the handler computes locally through
+plain helpers, at any depth, and returns its reply."""
 
 
-def _format(packet):
-    return ("ok", packet.payload)
+def _format(packet, value):
+    return ("ok", packet.payload, value)
 
 
-def _reply_helper(am, packet):
-    yield from am.reply(packet, _format(packet))
+def _lookup_local(am, packet):
+    return _format(packet, am.host.state["cache"].get(packet.payload))
 
 
 def _cache_handler(am, packet):
-    yield from _reply_helper(am, packet)
+    return _lookup_local(am, packet)
 
 
 def install(table):

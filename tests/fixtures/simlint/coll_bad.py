@@ -23,4 +23,4 @@ class BadCollApp:
 
 
 def _relay_handler(am, packet):
-    am.host.allgather(packet.payload)           # handler-purity (line 26)
+    return am.host.allgather(packet.payload)    # handler-purity (line 26)

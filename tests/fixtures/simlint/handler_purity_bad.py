@@ -1,18 +1,17 @@
-"""Fixture: Active Message handlers that block at interrupt level."""
+"""Fixture: Active Message handlers that would block at interrupt level."""
 
 
 def _forwarding_handler(am, packet):
-    value = yield from am.rpc(0, "fetch", packet.payload)  # impure (line 5)
-    yield from am.reply(value)
+    return am.rpc(0, "fetch", packet.payload)    # blocking call (line 5)
 
 
-def _collective_handler(am, packet):
-    yield from am.host.barrier()                          # impure (line 10)
-    yield from am.reply(None)
+def _sleepy_handler(am, packet):                 # generator (line 8)
+    yield am.host.service_us
+    return packet.payload
 
 
 class BadHandlers:
     def register_handlers(self, table):
         table.register("forward", _forwarding_handler)
-        table.register("collect", _collective_handler)
-        table.register("drainer", lambda am, pkt: am.host.poll())  # (18)
+        table.register("sleepy", _sleepy_handler)
+        table.register("drainer", lambda am, pkt: am.host.poll())  # (17)

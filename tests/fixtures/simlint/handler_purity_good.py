@@ -1,27 +1,31 @@
 """Fixture: the pure twin of ``handler_purity_bad``.
 
-Handlers only compute, touch host state, and reply; the blocking
-primitives live in ordinary SPMD code, where they are allowed.
+Handlers are plain functions that compute, touch host state, and return
+their reply; host service time rides on the returned ``Reply``, and the
+blocking primitives live in ordinary SPMD code, where they are allowed.
 """
+
+from repro.am import Reply
 
 
 def _echo_handler(am, packet):
-    yield from am.reply(packet.payload)
+    return packet.payload
 
 
 def _deposit_handler(am, packet):
     am.host.state["deposit"] = packet.payload
-    # No reply: the layer auto-acks.
+    # No return value: the layer auto-acks.
 
 
 def _bulk_handler(am, packet):
-    yield from am.reply_bulk(packet.payload, 4096)
+    return Reply(packet.payload, nbytes=4096, service_us=am.host.service_us)
 
 
 class GoodHandlers:
     def register_handlers(self, table):
         table.register("echo", _echo_handler)
         table.register("deposit", _deposit_handler)
+        table.register("bulk", _bulk_handler)
         table.register("pair", lambda am, pkt: pkt)
 
     def run_rank(self, proc):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.am.layer import AmError, DEFAULT_WINDOW, HandlerTable
+from repro.am.layer import AmError, HandlerTable, Reply
 from repro.network.packet import BULK_FRAGMENT_BYTES
 from tests.helpers import Fabric
 
@@ -22,33 +22,13 @@ def test_window_must_be_positive():
         Fabric(window=0)
 
 
-def test_double_reply_rejected():
-    fabric = Fabric()
-    am0, am1 = fabric.ams
-
-    def greedy(am, packet):
-        yield from am.reply(1)
-        yield from am.reply(2)
-
-    fabric.table.register("greedy", greedy)
-
-    def sender():
-        yield from am0.send_oneway(1, "greedy", payload=0)
-
-    def server():
-        yield from am1.wait_until(lambda: False)
-
-    with pytest.raises(AmError):
-        fabric.run(sender(), server())
-
-
 def test_reply_to_oneway_rejected():
     fabric = Fabric()
     am0, am1 = fabric.ams
     done = {}
 
     def chatty(am, packet):
-        yield from am.reply("you did not ask")
+        return "you did not ask"
 
     fabric.table.register("chatty", chatty)
 
@@ -59,7 +39,7 @@ def test_reply_to_oneway_rejected():
     def server():
         yield from am1.wait_until(lambda: False)
 
-    with pytest.raises(AmError):
+    with pytest.raises(AmError, match="one-way"):
         fabric.run(sender(), server())
 
 
@@ -72,6 +52,8 @@ def test_bulk_zero_bytes_rejected():
 
     with pytest.raises(ValueError):
         fabric.run(body())
+    with pytest.raises(ValueError):
+        Reply("get", nbytes=0)
 
 
 def test_fragment_count_boundaries():
@@ -113,7 +95,7 @@ def test_reply_bulk_returns_payload_and_size():
     am0, am1 = fabric.ams
 
     def server_handler(am, packet):
-        yield from am.reply_bulk({"data": list(range(5))}, 9000)
+        return Reply({"data": list(range(5))}, nbytes=9000)
 
     fabric.table.register("get5", server_handler)
 
@@ -137,7 +119,7 @@ def test_credits_restored_after_bulk_rpc():
     am0, am1 = fabric.ams
 
     def server_handler(am, packet):
-        yield from am.reply_bulk("ok", 5000)
+        return Reply("ok", nbytes=5000)
 
     fabric.table.register("getx", server_handler)
 

@@ -1,7 +1,7 @@
 """simflow: the interprocedural effect & SPMD-congruence analyzer.
 
-Covers the four checks against their planted-defect fixture twins (each
-bug sits behind >= 2 call edges and must be *missed* by the
+Covers the three checks against their planted-defect fixture twins
+(each bug sits behind >= 2 call edges and must be *missed* by the
 intra-procedural simlint rules), the call-graph approximations, rank
 taint, the shared parse cache, SARIF output, the CLI contract, and the
 repo gate: ``src/repro`` must be flow-clean with an empty committed
@@ -45,13 +45,13 @@ def by_name(index):
     return {f.qualname: f for f in index.functions}
 
 
-# -- the four checks against their fixture twins ----------------------------
+# -- the three checks against their fixture twins ---------------------------
 
 CASES = [
     ("transitive_blocking", "flow-transitive-blocking",
      ["run_rank", "_finish_phase", "_flush_remote"]),
-    ("handler_purity", "flow-handler-purity",
-     ["_cache_handler", "_resolve", "_lookup_remote"]),
+    ("handler_purity", "flow-yield-integrity",
+     ["_cache_handler", "_refresh", "_lookup_remote"]),
     ("rank_collective", "flow-rank-collective",
      ["run_rank", "_publish", "_share"]),
     ("yield_integrity", "flow-yield-integrity",
@@ -140,15 +140,15 @@ def test_annotated_parameter_receiver_resolves():
 def test_lambda_handlers_resolve_through_local_names():
     index = program_for(
         "def install(table):\n"
-        "    notify = lambda am, packet: am.reply(packet, 1)\n"
+        "    notify = lambda am, packet: am.host.poll()\n"
         "    table.register('x', notify)\n")
     handlers = find_handlers(index)
     assert len(handlers) == 1
     handler = next(iter(handlers))
     assert handler.name == "<lambda>"
-    assert "blocks" in handler.effects     # am.reply is blocking...
-    assert not any(a.startswith("banned:")
-                   for a in handler.effects)  # ...but reply is allowed
+    assert "blocks" in handler.effects     # am.host.poll blocks...
+    from repro.analysis.flow import run_checks
+    assert run_checks(index) == []  # ...directly: simlint's handler-purity
 
 
 def test_decorated_functions_keep_their_effects():
