@@ -3,25 +3,26 @@
 The reproduction's methodology rests on two mechanical invariants —
 every run is a pure, bit-deterministic function of its configuration,
 and every SPMD program drives the runtime's blocking primitives through
-``yield from`` — and this package enforces both with an AST-based
-linter.  See :mod:`repro.analysis.core` for the engine,
-:mod:`repro.analysis.rules` for the shipped packs, and
-``python -m repro.analysis --list-rules`` for the catalogue.
+``yield from`` — and this package enforces both: per-file AST rules for
+the first, whole-program call-graph rules for the second, one catalogue
+for all.  See :mod:`repro.analysis.core` for the engine,
+:mod:`repro.analysis.rules` and :mod:`repro.analysis.flow` for the
+shipped rules, and ``python -m repro.analysis --list-rules`` for the
+catalogue.
 """
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.cli import main
-from repro.analysis.core import (Finding, Frame, Rule, SourceFile,
-                                 all_rules, analyze_file, analyze_paths,
-                                 analyze_source, default_rules,
+from repro.analysis.core import (Finding, Frame, ProgramRule, Rule,
+                                 SourceFile, all_rules, analyze_file,
+                                 analyze_paths, analyze_source,
+                                 analyze_sources, default_rules,
                                  load_source, register_rule)
-from repro.analysis.flow import (DEFAULT_FLOW_BASELINE_NAME, FLOW_RULES,
-                                 analyze_program, build_program)
+from repro.analysis.flow import build_program
 
 __all__ = [
-    "Finding", "Frame", "Rule", "SourceFile", "Baseline",
-    "DEFAULT_BASELINE_NAME", "DEFAULT_FLOW_BASELINE_NAME", "FLOW_RULES",
-    "all_rules", "default_rules", "register_rule", "analyze_file",
-    "analyze_paths", "analyze_program", "analyze_source",
-    "build_program", "load_source", "main",
+    "Finding", "Frame", "Rule", "ProgramRule", "SourceFile", "Baseline",
+    "DEFAULT_BASELINE_NAME", "all_rules", "default_rules",
+    "register_rule", "analyze_file", "analyze_paths", "analyze_source",
+    "analyze_sources", "build_program", "load_source", "main",
 ]

@@ -1,12 +1,11 @@
-"""``python -m repro.analysis`` — the simlint/simflow command line.
+"""``python -m repro.analysis`` — the simlint command line.
 
 Exit codes: 0 clean (or every finding baselined), 1 findings, 2 usage
-errors.  ``--deep`` adds the whole-program simflow checks on top of the
-per-file rules, gated by their own ``simflow.baseline.json``.
-``--format json`` emits a machine-readable report and ``--format
-sarif`` a SARIF 2.1.0 document CI can upload to annotate PR lines; CI
-runs the text form and fails on any finding not in a committed
-baseline.
+errors.  Every run applies the per-file rules and the whole-program
+SPMD checks, gated by one baseline.  ``--format json`` emits a
+machine-readable report and ``--format sarif`` a SARIF 2.1.0 document
+CI can upload to annotate PR lines; CI runs the text form and fails on
+any finding not in the committed baseline.
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.core import (Finding, SourceFile, analyze_source,
+from repro.analysis.core import (Finding, SourceFile, analyze_sources,
                                  default_rules, iter_python_files,
                                  load_source)
 
@@ -28,25 +27,21 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="simlint: determinism & SPMD-correctness linter")
+        description="simlint: determinism & SPMD-correctness analysis")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories (default: src/repro)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", help="output format")
+    # Accepted and ignored: the whole-program checks always run.
     parser.add_argument("--deep", action="store_true",
-                        help="also run the whole-program simflow checks "
-                        "(call-graph effect & SPMD-congruence analysis)")
+                        help=argparse.SUPPRESS)
     parser.add_argument("--baseline", type=Path, default=None,
                         metavar="FILE",
                         help="baseline of grandfathered findings "
                         f"(default: ./{DEFAULT_BASELINE_NAME} if present)")
-    parser.add_argument("--flow-baseline", type=Path, default=None,
-                        metavar="FILE",
-                        help="baseline for --deep findings (default: "
-                        "./simflow.baseline.json if present)")
     parser.add_argument("--write-baseline", action="store_true",
                         help="write current findings to the baseline "
-                        "file(s) and exit 0")
+                        "file and exit 0")
     parser.add_argument("--rules", default=None, metavar="ID,ID",
                         help="comma-separated subset of rule ids to run")
     parser.add_argument("--list-rules", action="store_true",
@@ -63,54 +58,24 @@ def _resolve_baseline_path(args: argparse.Namespace) -> Optional[Path]:
     return None
 
 
-def _resolve_flow_baseline_path(
-        args: argparse.Namespace) -> Optional[Path]:
-    from repro.analysis.flow.driver import DEFAULT_FLOW_BASELINE_NAME
-    if args.flow_baseline is not None:
-        return args.flow_baseline
-    default = Path(DEFAULT_FLOW_BASELINE_NAME)
-    if args.write_baseline or default.is_file():
-        return default
-    return None
-
-
 def _render_text(new: List[Finding], baselined: List[Finding],
-                 checked: int, deep: bool) -> str:
+                 checked: int) -> str:
     lines = [finding.render() for finding in new]
     lines.append(
         f"simlint: {len(new)} finding(s)"
         + (f" ({len(baselined)} baselined)" if baselined else "")
-        + f" across {checked} file(s)"
-        + (" [deep]" if deep else ""))
+        + f" across {checked} file(s)")
     return "\n".join(lines)
 
 
 def _render_json(new: List[Finding], baselined: List[Finding],
-                 checked: int, deep: bool) -> str:
-    report = {
+                 checked: int) -> str:
+    return json.dumps({
         "version": 1,
         "files_checked": checked,
         "findings": [finding.to_dict() for finding in new],
         "baselined": [finding.to_dict() for finding in baselined],
-    }
-    if deep:
-        report["deep"] = True
-    return json.dumps(report, indent=2)
-
-
-def _split(findings: List[Finding], baseline_path: Optional[Path],
-           sources: Dict[str, SourceFile], label: str
-           ) -> Optional[Tuple[List[Finding], List[Finding]]]:
-    """Partition against a baseline file; None on a load error."""
-    if baseline_path is None or not baseline_path.is_file():
-        return findings, []
-    try:
-        baseline = Baseline.load(baseline_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"simlint: cannot load {label} {baseline_path}: {exc}",
-              file=sys.stderr)
-        return None
-    return baseline.split(findings, sources)
+    }, indent=2)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -118,13 +83,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        from repro.analysis.flow.checks import FLOW_RULES
         for rule in default_rules():
             print(f"{rule.rule_id:28s} {rule.severity:8s} "
                   f"{rule.description}")
-        for rule_id, (severity, description) in sorted(FLOW_RULES.items()):
-            print(f"{rule_id:28s} {severity:8s} {description} "
-                  "(--deep)")
         return 0
 
     try:
@@ -142,11 +103,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    findings: List[Finding] = []
     sources: Dict[str, SourceFile] = {}
-    checked = 0
     for path in iter_python_files(paths):
-        checked += 1
         try:
             source = load_source(path)
         except (OSError, UnicodeDecodeError) as exc:
@@ -154,46 +112,31 @@ def main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return 2
         sources[source.path] = source
-        findings.extend(analyze_source(source, rules))
-
-    flow_findings: List[Finding] = []
-    if args.deep:
-        from repro.analysis.flow.driver import analyze_program
-        flow_findings = analyze_program(sources)
+    findings = analyze_sources(sources, rules)
 
     baseline_path = _resolve_baseline_path(args)
-    flow_baseline_path = (_resolve_flow_baseline_path(args)
-                          if args.deep else None)
     if args.write_baseline:
         baseline = Baseline.from_findings(findings, sources)
         baseline.save(baseline_path)
         print(f"simlint: wrote {len(baseline)} finding(s) to "
               f"{baseline_path}")
-        if args.deep:
-            flow_baseline = Baseline.from_findings(flow_findings, sources)
-            flow_baseline.save(flow_baseline_path)
-            print(f"simlint: wrote {len(flow_baseline)} flow finding(s) "
-                  f"to {flow_baseline_path}")
         return 0
 
-    split = _split(findings, baseline_path, sources, "baseline")
-    if split is None:
-        return 2
-    findings, baselined = split
-    if args.deep:
-        split = _split(flow_findings, flow_baseline_path, sources,
-                       "flow baseline")
-        if split is None:
+    baselined: List[Finding] = []
+    if baseline_path is not None and baseline_path.is_file():
+        try:
+            baseline = Baseline.load(baseline_path)
+        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            print(f"simlint: cannot load baseline {baseline_path}: {exc}",
+                  file=sys.stderr)
             return 2
-        flow_new, flow_old = split
-        findings = findings + flow_new
-        baselined = baselined + flow_old
+        findings, baselined = baseline.split(findings, sources)
 
     if args.format == "sarif":
         from repro.analysis.sarif import render_sarif
         print(render_sarif(findings, baselined))
     elif args.format == "json":
-        print(_render_json(findings, baselined, checked, args.deep))
+        print(_render_json(findings, baselined, len(sources)))
     else:
-        print(_render_text(findings, baselined, checked, args.deep))
+        print(_render_text(findings, baselined, len(sources)))
     return 1 if findings else 0

@@ -3,17 +3,21 @@
 The methodology of the paper only holds if every run is bit-deterministic
 and every SPMD program obeys the simulator's cooperative-scheduling
 contract.  ``repro.analysis`` enforces both mechanically: each
-:class:`Rule` walks a parsed module and emits :class:`Finding` objects;
+:class:`Rule` walks one parsed module, each :class:`ProgramRule` walks
+the call graph of all of them, and both emit :class:`Finding` objects;
 the driver applies per-line ``# simlint: disable=rule-id`` suppressions
 and an optional committed baseline of grandfathered findings.
 
 Layout
 ------
 * this module -- :class:`SourceFile`, :class:`Finding`, :class:`Rule`,
-  the rule registry, and :func:`analyze_file` / :func:`analyze_paths`.
+  the one rule registry, and :func:`analyze_sources` (with its
+  :func:`analyze_file` / :func:`analyze_paths` front ends).
 * :mod:`repro.analysis.baseline` -- the grandfathered-findings file.
-* :mod:`repro.analysis.rules` -- the three shipped rule packs
-  (determinism, SPMD contract, hygiene).
+* :mod:`repro.analysis.rules` -- the per-file packs (determinism,
+  dial cost, hygiene).
+* :mod:`repro.analysis.flow` -- the call graph and the whole-program
+  SPMD checks.
 * :mod:`repro.analysis.cli` -- ``python -m repro.analysis``.
 """
 
@@ -30,8 +34,9 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 __all__ = [
-    "Finding", "Frame", "SourceFile", "Rule", "register_rule",
-    "all_rules", "default_rules", "analyze_file", "analyze_paths",
+    "Finding", "Frame", "SourceFile", "Rule", "ProgramRule",
+    "register_rule", "all_rules", "default_rules", "analyze_sources",
+    "analyze_source", "analyze_file", "analyze_paths",
     "dotted_name", "walk_scope", "scope_functions", "load_source",
     "parse_cache_stats", "clear_parse_cache", "PARSE_ERROR_RULE",
 ]
@@ -52,7 +57,7 @@ _ALL = "all"
 
 @dataclasses.dataclass(frozen=True)
 class Frame:
-    """One hop of an interprocedural call chain (simflow findings)."""
+    """One hop of an interprocedural call chain."""
 
     path: str
     line: int
@@ -197,8 +202,8 @@ class Rule(abc.ABC):
         parts = Path(source.path).parts
         return not any(part in parts for part in self.exempt_path_parts)
 
-    def finding(self, source: SourceFile, node: ast.AST,
-                message: str) -> Finding:
+    def finding(self, source: SourceFile, node: ast.AST, message: str,
+                chain: Tuple[Frame, ...] = ()) -> Finding:
         return Finding(
             path=source.path,
             line=getattr(node, "lineno", 1),
@@ -208,7 +213,21 @@ class Rule(abc.ABC):
             message=message,
             end_line=getattr(node, "end_lineno", None)
             or getattr(node, "lineno", 1),
+            chain=chain,
         )
+
+
+class ProgramRule(Rule):
+    """An invariant checked over every analyzed module at once, on the
+    call graph and effect summaries of :mod:`repro.analysis.flow`."""
+
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        return iter(())   # sees the program, not one file
+
+    @abc.abstractmethod
+    def check_program(self, program) -> Iterator[Finding]:
+        """Yield every violation found in ``program`` (a
+        :class:`repro.analysis.flow.ProgramIndex`)."""
 
 
 # -- registry ---------------------------------------------------------------
@@ -228,6 +247,7 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> Dict[str, Type[Rule]]:
     """The registry (importing the shipped packs as a side effect)."""
+    import repro.analysis.flow  # noqa: F401 - registers the SPMD checks
     import repro.analysis.rules  # noqa: F401 - registers the packs
     return dict(_REGISTRY)
 
@@ -282,11 +302,10 @@ def scope_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
 
 # -- parse cache ------------------------------------------------------------
 #
-# Parsing + tokenizing dominates lint time, and a ``--deep`` run needs
-# every file twice: once for the per-file rules and once for the
-# whole-program flow summaries.  The cache keys on (display path,
-# content hash) so both consumers share one AST/tokenize pass per file
-# content, and stale entries die naturally when the file changes.
+# Parsing + tokenizing dominates lint time, and callers (the test suite
+# above all) analyze the same tree many times.  The cache keys on
+# (display path, content hash) so they share one AST/tokenize pass per
+# file content, and stale entries die naturally when the file changes.
 
 _SOURCE_CACHE: Dict[Tuple[str, str], "SourceFile"] = {}
 _SOURCE_CACHE_MAX = 2048
@@ -322,34 +341,45 @@ def clear_parse_cache() -> None:
 
 # -- driver -----------------------------------------------------------------
 
-def analyze_file(path: Path, rules: Sequence[Rule],
-                 root: Optional[Path] = None) -> List[Finding]:
-    """All unsuppressed findings for one file, sorted by location."""
-    display = str(path if root is None else path.relative_to(root))
-    try:
-        source = load_source(path, display)
-    except (OSError, UnicodeDecodeError) as exc:
-        return [Finding(display, 1, 1, PARSE_ERROR_RULE, "error",
-                        f"unreadable file: {exc}")]
-    return analyze_source(source, rules)
+def analyze_sources(sources: Dict[str, SourceFile],
+                    rules: Sequence[Rule]) -> List[Finding]:
+    """All unsuppressed findings across ``sources`` (keyed by path):
+    each per-file rule on each file, each :class:`ProgramRule` once
+    over the call graph of them all."""
+    findings: Set[Finding] = set()
+    for source in sources.values():
+        if source.parse_error is not None:
+            exc = source.parse_error
+            findings.add(Finding(source.path, exc.lineno or 1, 1,
+                                 PARSE_ERROR_RULE, "error",
+                                 f"syntax error: {exc.msg}"))
+            continue
+        for rule in rules:
+            if rule.applies_to(source):
+                findings.update(rule.check(source))
+    program_rules = [r for r in rules if isinstance(r, ProgramRule)]
+    if program_rules:
+        from repro.analysis.flow import build_program
+        program = build_program(sources)
+        for rule in program_rules:
+            findings.update(rule.check_program(program))
+    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col,
+                                              f.rule, f.message))
+    return [f for f in ordered if not sources[f.path].is_suppressed(f)]
 
 
 def analyze_source(source: SourceFile,
                    rules: Sequence[Rule]) -> List[Finding]:
-    """All unsuppressed findings for an in-memory source."""
-    if source.parse_error is not None:
-        exc = source.parse_error
-        return [Finding(source.path, exc.lineno or 1, 1, PARSE_ERROR_RULE,
-                        "error", f"syntax error: {exc.msg}")]
-    findings: Set[Finding] = set()
-    for rule in rules:
-        if not rule.applies_to(source):
-            continue
-        for finding in rule.check(source):
-            if not source.is_suppressed(finding):
-                findings.add(finding)
-    return sorted(findings,
-                  key=lambda f: (f.line, f.col, f.rule, f.message))
+    """All unsuppressed findings for one in-memory source, analyzed as
+    a program of its own."""
+    return analyze_sources({source.path: source}, rules)
+
+
+def analyze_file(path: Path, rules: Sequence[Rule],
+                 root: Optional[Path] = None) -> List[Finding]:
+    """All unsuppressed findings for one file, sorted by location."""
+    display = str(path if root is None else path.relative_to(root))
+    return analyze_source(load_source(path, display), rules)
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -364,10 +394,10 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 def analyze_paths(paths: Iterable[Path], rules: Sequence[Rule],
                   root: Optional[Path] = None
                   ) -> Tuple[List[Finding], int]:
-    """``(findings, files_checked)`` across files and directories."""
-    findings: List[Finding] = []
-    checked = 0
+    """``(findings, files_checked)`` across files and directories,
+    analyzed as one program."""
+    sources: Dict[str, SourceFile] = {}
     for path in iter_python_files(paths):
-        checked += 1
-        findings.extend(analyze_file(path, rules, root=root))
-    return findings, checked
+        display = str(path if root is None else path.relative_to(root))
+        sources[display] = load_source(path, display)
+    return analyze_sources(sources, rules), len(sources)

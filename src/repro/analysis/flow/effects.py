@@ -1,4 +1,4 @@
-"""The simflow effect & rank-taint fixpoint.
+"""The effect & rank-taint fixpoint of the whole-program checks.
 
 Every function gets a *summary*: a set of effect atoms over the lattice
 
@@ -15,7 +15,7 @@ the return value does).
 Atoms join monotonically across *resolved* call edges regardless of
 delegation context: a summary answers "what is in reach", the checks
 decide whether reaching it is a bug.  Unresolved calls fall back to the
-intrinsic runtime-primitive pattern shared with simlint, and an
+intrinsic runtime-primitive pattern below, and an
 unresolved ``yield from <expr>`` is conservatively blocking.  Each atom
 remembers the call edge (or intrinsic site) that first introduced it,
 so a finding can print the full chain down to the primitive.
@@ -26,15 +26,29 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set, Tuple
 
-from repro.analysis.core import Frame
+from repro.analysis.core import Frame, dotted_name, walk_scope
 from repro.analysis.flow.graph import (CONTEXT_RETURNED, CallSite,
                                        FunctionInfo, ProgramIndex)
-from repro.analysis.rules.spmd import (BLOCKING_PRIMITIVES, COLLECTIVES,
-                                       _is_runtime_primitive,
-                                       _mentions_rank)
 
 __all__ = ["infer_effects", "intrinsic_atoms", "chain_for",
-           "COLLECTIVE_ROOTS"]
+           "is_runtime_primitive", "mentions_rank", "BLOCKING_PRIMITIVES",
+           "COLLECTIVES", "COLLECTIVE_ROOTS"]
+
+#: Runtime primitives that must be driven with ``yield from`` (or, for
+#: raw simulator events, ``yield``).
+BLOCKING_PRIMITIVES = frozenset({
+    "compute", "poll", "timeout", "barrier", "broadcast", "reduce",
+    "allreduce", "gather", "scatter", "allgather", "alltoall",
+    "read", "write", "sync", "bulk_get", "bulk_put",
+    "lock", "unlock", "rpc", "send_request", "send_oneway", "bulk_rpc",
+    "bulk_store", "bulk_store_blocking", "bulk_oneway", "drain",
+    "wait_until",
+})
+
+#: Collective operations every rank must reach identically (the
+#: ``repro.coll`` entry points mirrored as ``Proc`` methods).
+COLLECTIVES = frozenset({"barrier", "broadcast", "reduce", "allreduce",
+                         "gather", "scatter", "allgather", "alltoall"})
 
 #: Primitives that put traffic on the wire (the ``sends`` atom).
 _SEND_PRIMITIVES = frozenset({
@@ -51,16 +65,48 @@ COLLECTIVE_ROOTS = (
 
 _MAX_CHAIN = 25
 
+#: Receiver spellings that identify the simulation runtime (``proc.*``,
+#: ``am.*``, ``self.am.*``, ``self.sim.*`` ...), so that unrelated
+#: objects with a ``write``/``read`` method are not flagged.
+_RUNTIME_BASES = frozenset({"proc", "am", "self"})
+_RUNTIME_SEGMENTS = frozenset({"am", "sim"})
+
+
+def is_runtime_primitive(call: ast.Call, primitives: frozenset) -> bool:
+    """Whether ``call`` invokes one of ``primitives`` on the runtime."""
+    name = dotted_name(call.func)
+    chain = name.split(".") if name else []
+    if len(chain) < 2 or chain[-1] not in primitives:
+        return False
+    return chain[0] in _RUNTIME_BASES or \
+        bool(_RUNTIME_SEGMENTS & set(chain[1:-1]))
+
+
+def mentions_rank(node: ast.AST) -> bool:
+    """Whether an expression names the calling rank's identity."""
+    for child in ast.walk(node):
+        ident = None
+        if isinstance(child, ast.Name):
+            ident = child.id
+        elif isinstance(child, ast.Attribute):
+            ident = child.attr
+        if ident is None:
+            continue
+        if ident == "rank" or (ident.endswith("rank")
+                               and not ident.endswith("n_rank")):
+            return True
+    return False
+
 
 def intrinsic_atoms(call: ast.Call) -> Set[str]:
     """Effect atoms of an *unresolved* call, by runtime-name pattern."""
     atoms: Set[str] = set()
-    if _is_runtime_primitive(call, BLOCKING_PRIMITIVES):
+    if is_runtime_primitive(call, BLOCKING_PRIMITIVES):
         atoms.add("blocks")
         if isinstance(call.func, ast.Attribute) and \
                 call.func.attr in COLLECTIVES:
             atoms.add(f"coll:{call.func.attr}")
-    if _is_runtime_primitive(call, _SEND_PRIMITIVES):
+    if is_runtime_primitive(call, _SEND_PRIMITIVES):
         atoms.add("sends")
     return atoms
 
@@ -106,7 +152,6 @@ def _seed(func: FunctionInfo) -> None:
 
 
 def _own_yield_froms(func: FunctionInfo) -> List[ast.YieldFrom]:
-    from repro.analysis.core import walk_scope
     return [n for n in walk_scope(func.node)
             if isinstance(n, ast.YieldFrom)]
 
@@ -126,7 +171,7 @@ def _tainted_expr(func: FunctionInfo, node: ast.AST) -> bool:
         # (a reduced sum is collectively uniform even when the request
         # that fetched it mentioned a rank).
         return False
-    if _mentions_rank(node):
+    if mentions_rank(node):
         return True
     tainted = func.tainted_locals | func.tainted_params
     for child in ast.walk(node):
@@ -221,8 +266,8 @@ def infer_effects(index: ProgramIndex) -> None:
                         continue
                     if any(t.gen_like for t in call.targets) or \
                             (not call.resolved and
-                             _is_runtime_primitive(call.node,
-                                                   BLOCKING_PRIMITIVES)):
+                             is_runtime_primitive(call.node,
+                                                  BLOCKING_PRIMITIVES)):
                         func.gen_like = True
                         changed = True
                         break

@@ -1,4 +1,4 @@
-"""The simflow program index: functions, classes, and the call graph.
+"""The program index: functions, classes, and the call graph.
 
 One pass over every parsed module builds :class:`FunctionInfo` records
 (module functions, methods, local defs, lambdas) with their call sites
@@ -19,7 +19,7 @@ approximations:
 
 Anything else (call-of-call, registry dispatch, attribute-of-attribute
 receivers) stays unresolved; effect inference then falls back to the
-same runtime-primitive *pattern* simlint matches, so an unresolved
+runtime-primitive *pattern* the direct checks match, so an unresolved
 ``proc.am.rpc(...)`` still carries its intrinsic effect.
 """
 
@@ -183,6 +183,11 @@ class ProgramIndex:
         self.modules: Dict[str, ModuleInfo] = {}       # modname -> info
         self.by_path: Dict[str, ModuleInfo] = {}       # source path -> info
         self.functions: List[FunctionInfo] = []        # every scope
+        self.lambdas: Dict[int, FunctionInfo] = {}     # id(node) -> scope
+        #: registered AM handler -> its (registering function, site)s;
+        #: filled by ``checks.build_program``.
+        self.handlers: Dict[FunctionInfo, List[Tuple[FunctionInfo,
+                                                     CallSite]]] = {}
         self.classes: Dict[str, List[ClassInfo]] = {}  # bare name -> defs
         self.subclasses: Dict[str, List[ClassInfo]] = {}
 
@@ -230,6 +235,8 @@ class ProgramIndex:
         func = FunctionInfo(node, source, module, name, qualname,
                             class_name, enclosing)
         self.functions.append(func)
+        if isinstance(node, ast.Lambda):
+            self.lambdas[id(node)] = func
         args = node.args
         for arg in (args.posonlyargs + args.args + args.kwonlyargs):
             func.params.append(arg.arg)
@@ -459,18 +466,26 @@ def _index_body(func: FunctionInfo, body: Sequence[ast.stmt],
                 if imported and imported[0] == "symbol":
                     func.ctor_types.setdefault(target.id, imported[2])
             if isinstance(value, ast.Lambda):
-                lam = index._index_function(
-                    value, func.source, func.module,
-                    class_name=func.class_name, enclosing=func,
-                    prefix=func.qualname)
-                func.local_defs[target.id] = lam
+                func.local_defs[target.id] = index_lambda(value)
+
+    def index_lambda(node: ast.Lambda) -> FunctionInfo:
+        lam = index.lambdas.get(id(node))
+        if lam is None:
+            lam = index._index_function(
+                node, func.source, func.module,
+                class_name=func.class_name, enclosing=func,
+                prefix=func.qualname)
+        return lam
 
     def walk_exprs(node: ast.AST) -> None:
         stack: List[ast.AST] = [node]
         while stack:
             child = stack.pop()
-            if isinstance(child, (ast.Lambda,) + _FUNC_NODES):
-                continue   # separate scope (lambdas named via assigns)
+            if isinstance(child, ast.Lambda):
+                index_lambda(child)
+                continue   # a separate scope
+            if isinstance(child, _FUNC_NODES):
+                continue
             if isinstance(child, (ast.Yield, ast.YieldFrom)):
                 if not synthetic:
                     func.is_generator = True

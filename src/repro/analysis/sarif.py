@@ -1,19 +1,18 @@
 """SARIF 2.1.0 output for the analysis CLI.
 
 ``--format sarif`` lets CI upload the report and annotate offending
-lines directly on pull requests.  One run per report; simlint and
-simflow findings share it (the rule metadata distinguishes them), and
-a flow finding's call chain becomes a SARIF ``codeFlow`` so the viewer
-can walk the frames down to the blocking primitive.
+lines directly on pull requests.  One run per report, its driver
+listing the one rule catalogue; a whole-program finding's call chain
+becomes a SARIF ``codeFlow`` so the viewer can walk the frames down to
+the blocking primitive.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.analysis.core import Finding, all_rules
-from repro.analysis.flow.checks import FLOW_RULES
 
 __all__ = ["render_sarif"]
 
@@ -24,19 +23,14 @@ _LEVELS = {"error": "error", "warning": "warning", "note": "note"}
 
 
 def _rule_catalogue() -> List[dict]:
-    rules: Dict[str, Tuple[str, str]] = {}
-    for rule_id, cls in sorted(all_rules().items()):
-        rules[rule_id] = (cls.severity, cls.description)
-    for rule_id, (severity, description) in sorted(FLOW_RULES.items()):
-        rules[rule_id] = (severity, description)
     return [
         {
             "id": rule_id,
-            "shortDescription": {"text": description},
+            "shortDescription": {"text": cls.description},
             "defaultConfiguration": {
-                "level": _LEVELS.get(severity, "warning")},
+                "level": _LEVELS.get(cls.severity, "warning")},
         }
-        for rule_id, (severity, description) in sorted(rules.items())
+        for rule_id, cls in sorted(all_rules().items())
     ]
 
 

@@ -1,7 +1,7 @@
 """simcost: predict o/g/L/G sweeps from one instrumented run.
 
-The fourth tier of the analysis stack (simlint → simflow → simsan →
-simcost).  See ARCHITECTURE.md section 16.
+The third tier of the analysis stack (simlint → simsan → simcost).
+See ARCHITECTURE.md section 16.
 """
 
 from repro.cost.graph import CostGraph, DepEvent, GRAPH_SCHEMA

@@ -1,12 +1,11 @@
-"""simflow: the interprocedural effect & SPMD-congruence analyzer.
+"""The whole-program SPMD checks (``repro.analysis.flow``).
 
-Covers the three checks against their planted-defect fixture twins
-(each bug sits behind >= 2 call edges and must be *missed* by the
-intra-procedural simlint rules), the call-graph approximations, rank
-taint, the shared parse cache, SARIF output, the CLI contract, and the
-repo gate: ``src/repro`` must be flow-clean with an empty committed
-baseline, and the certified-clean tree is pinned to bit-identical run
-stats and RunCache keys."""
+Covers the checks against their planted-defect fixture twins (each bug
+sits behind >= 2 call edges, so only the call graph can see it), the
+call-graph approximations, rank taint, the shared parse cache, SARIF
+output, the CLI contract, and the repo gate: ``src/repro`` must be
+clean with an empty committed baseline, and the certified-clean tree is
+pinned to bit-identical run stats and RunCache keys."""
 
 import json
 import time
@@ -15,16 +14,21 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Baseline, main
-from repro.analysis.core import (SourceFile, analyze_file,
-                                 analyze_source, clear_parse_cache,
+from repro.analysis.core import (ProgramRule, SourceFile, all_rules,
+                                 analyze_paths, analyze_source,
+                                 analyze_sources, clear_parse_cache,
                                  default_rules, iter_python_files,
                                  load_source, parse_cache_stats)
-from repro.analysis.flow import (FLOW_RULES, analyze_program,
-                                 build_program, find_handlers)
+from repro.analysis.flow import build_program, find_handlers
 
 FIXTURES = Path(__file__).parent / "fixtures" / "simflow"
 REPO_ROOT = Path(__file__).parent.parent
 SRC = REPO_ROOT / "src" / "repro"
+
+
+#: The rule ids of the whole-program checks.
+PROGRAM_RULES = sorted(rule_id for rule_id, cls in all_rules().items()
+                       if issubclass(cls, ProgramRule))
 
 
 def flow_findings(*names):
@@ -33,7 +37,11 @@ def flow_findings(*names):
         path = FIXTURES / name
         source = SourceFile(name, path.read_text(encoding="utf-8"))
         sources[source.path] = source
-    return analyze_program(sources)
+    return analyze_sources(sources, default_rules())
+
+
+def findings_for(text, path="m.py"):
+    return analyze_source(SourceFile(path, text), default_rules())
 
 
 def program_for(text, path="m.py"):
@@ -48,13 +56,13 @@ def by_name(index):
 # -- the three checks against their fixture twins ---------------------------
 
 CASES = [
-    ("transitive_blocking", "flow-transitive-blocking",
+    ("transitive_blocking", "unyielded-blocking-call",
      ["run_rank", "_finish_phase", "_flush_remote"]),
-    ("handler_purity", "flow-yield-integrity",
+    ("handler_purity", "handler-purity",
      ["_cache_handler", "_refresh", "_lookup_remote"]),
-    ("rank_collective", "flow-rank-collective",
+    ("rank_collective", "rank-dependent-collective",
      ["run_rank", "_publish", "_share"]),
-    ("yield_integrity", "flow-yield-integrity",
+    ("yield_integrity", "yield-integrity",
      ["_shutdown", "_drain_queue"]),
 ]
 
@@ -72,17 +80,20 @@ def test_bad_fixture_caught_with_full_call_chain(stem, rule, chain):
         assert f'File "{frame.path}", line {frame.line}' in rendered
 
 
-@pytest.mark.parametrize("stem", [c[0] for c in CASES])
+@pytest.mark.parametrize("stem", [c[0] for c in CASES]
+                         + ["handler_returns_generator"])
 def test_good_twin_is_clean(stem):
     assert flow_findings(f"{stem}_good.py") == []
 
 
-@pytest.mark.parametrize("stem", [c[0] for c in CASES])
-def test_planted_defect_is_invisible_to_simlint(stem):
-    """Acceptance: each transitive defect passes every intra-procedural
-    rule — only the whole-program analysis catches it."""
-    assert analyze_file(FIXTURES / f"{stem}_bad.py",
-                        default_rules()) == []
+def test_handler_returning_a_blocking_generator_is_caught():
+    """The layer sends a handler's return value as the reply, so a
+    returned generator is never driven: named and lambda spellings."""
+    findings = flow_findings("handler_returns_generator_bad.py")
+    assert [(f.rule, f.line) for f in findings] == \
+        [("handler-purity", 14), ("handler-purity", 19)]
+    assert [[frame.function for frame in f.chain] for f in findings] == \
+        [["_handler", "_refresh"], ["<lambda>", "_refresh"]]
 
 
 # -- call graph -------------------------------------------------------------
@@ -122,37 +133,32 @@ def test_method_resolution_covers_hierarchy_and_overrides():
 
 
 def test_annotated_parameter_receiver_resolves():
-    index = program_for(
-        "class Worker:\n"
-        "    def pump(self):\n"
-        "        yield from self.am.drain()\n"
-        "def drive(w: 'Worker'):\n"
-        "    w.pump()\n")
-    funcs = by_name(index)
-    call = funcs["m.drive"].calls[0]
+    text = ("class Worker:\n"
+            "    def pump(self):\n"
+            "        yield from self.am.drain()\n"
+            "def drive(w: 'Worker'):\n"
+            "    w.pump()\n")
+    call = by_name(program_for(text))["m.drive"].calls[0]
     assert [t.qualname for t in call.targets] == ["m.Worker.pump"]
     # ...which makes drive a yield-integrity finding.
-    from repro.analysis.flow import run_checks
-    rules = {f.rule for f in run_checks(index)}
-    assert rules == {"flow-yield-integrity"}
+    assert {f.rule for f in findings_for(text)} == {"yield-integrity"}
 
 
 def test_lambda_handlers_resolve_through_local_names():
-    index = program_for(
-        "def install(table):\n"
-        "    notify = lambda am, packet: am.host.poll()\n"
-        "    table.register('x', notify)\n")
-    handlers = find_handlers(index)
+    text = ("def install(table):\n"
+            "    notify = lambda am, packet: am.host.poll()\n"
+            "    table.register('x', notify)\n")
+    handlers = find_handlers(program_for(text))
     assert len(handlers) == 1
     handler = next(iter(handlers))
     assert handler.name == "<lambda>"
     assert "blocks" in handler.effects     # am.host.poll blocks...
-    from repro.analysis.flow import run_checks
-    assert run_checks(index) == []  # ...directly: simlint's handler-purity
+    findings = findings_for(text)          # ...in a handler
+    assert [(f.rule, f.line) for f in findings] == [("handler-purity", 2)]
 
 
 def test_decorated_functions_keep_their_effects():
-    index = program_for(
+    findings = findings_for(
         "import functools\n"
         "@functools.wraps(print)\n"
         "def helper(proc):\n"
@@ -160,21 +166,16 @@ def test_decorated_functions_keep_their_effects():
         "def run_rank(proc):\n"
         "    helper(proc)\n"
         "    yield from proc.compute(1)\n")
-    from repro.analysis.flow import run_checks
-    findings = run_checks(index)
-    assert [f.rule for f in findings] == ["flow-transitive-blocking"]
+    assert [f.rule for f in findings] == ["unyielded-blocking-call"]
 
 
 def test_return_forwarding_counts_as_generator_like():
-    index = program_for(
-        "def make(proc):\n"
-        "    return proc.am.rpc(0, 'x', 1)\n"
-        "def run_rank(proc):\n"
-        "    yield from make(proc)\n")
-    funcs = by_name(index)
-    assert funcs["m.make"].gen_like
-    from repro.analysis.flow import run_checks
-    assert run_checks(index) == []
+    text = ("def make(proc):\n"
+            "    return proc.am.rpc(0, 'x', 1)\n"
+            "def run_rank(proc):\n"
+            "    yield from make(proc)\n")
+    assert by_name(program_for(text))["m.make"].gen_like
+    assert findings_for(text) == []
 
 
 # -- rank taint -------------------------------------------------------------
@@ -189,8 +190,8 @@ def test_param_taint_crosses_the_call_edge():
         "def run_rank(proc):\n"
         "    is_leader = proc.rank == 0\n"
         "    yield from _maybe_report(proc, is_leader)\n"))
-    findings = analyze_program({source.path: source})
-    assert [f.rule for f in findings] == ["flow-rank-collective"]
+    findings = analyze_source(source, default_rules())
+    assert [f.rule for f in findings] == ["rank-dependent-collective"]
     assert "rank-tainted value" in findings[0].message
 
 
@@ -201,9 +202,9 @@ def test_local_dataflow_taint_without_rank_in_the_test():
         "    half = vr // 2\n"
         "    if half == 0:\n"
         "        yield from proc.barrier()\n"))
-    findings = analyze_program({source.path: source})
-    assert [f.rule for f in findings] == ["flow-rank-collective"]
-    # simlint cannot see this one: the test never mentions 'rank'.
+    findings = analyze_source(source, default_rules())
+    assert [f.rule for f in findings] == ["rank-dependent-collective"]
+    # Only the taint sees this one: the test never mentions 'rank'.
     assert "tainted" in findings[0].message
 
 
@@ -213,7 +214,7 @@ def test_received_values_are_not_tainted():
         "    total = yield from proc.allreduce(proc.rank)\n"
         "    if total > 4:\n"
         "        yield from proc.barrier()\n"))
-    assert analyze_program({source.path: source}) == []
+    assert analyze_source(source, default_rules()) == []
 
 
 def test_early_return_guard_balances_against_continuation():
@@ -224,15 +225,15 @@ def test_early_return_guard_balances_against_continuation():
         "        yield from proc.barrier()\n"
         "        return\n"
         "    yield from proc.barrier()\n"))
-    assert analyze_program({balanced.path: balanced}) == []
+    assert analyze_source(balanced, default_rules()) == []
     # Ranks that exit early never reach the continuation collective.
     unbalanced = SourceFile("t.py", (
         "def run_rank(proc):\n"
         "    if proc.rank > 1:\n"
         "        return\n"
         "    yield from proc.barrier()\n"))
-    findings = analyze_program({unbalanced.path: unbalanced})
-    assert [f.rule for f in findings] == ["flow-rank-collective"]
+    findings = analyze_source(unbalanced, default_rules())
+    assert [f.rule for f in findings] == ["rank-dependent-collective"]
 
 
 def test_balanced_collectives_across_calls_are_exempt():
@@ -247,56 +248,73 @@ def test_flow_findings_honor_inline_suppressions():
         "    yield from proc.am.drain()\n"
         "def run_rank(proc):\n"
         "    yield from proc.compute(1)\n"
-        "    _helper(proc)  # simlint: disable=flow-transitive-blocking"
+        "    _helper(proc)  # simlint: disable=unyielded-blocking-call"
         " - spawn pattern\n"))
-    assert analyze_program({source.path: source}) == []
+    assert analyze_source(source, default_rules()) == []
 
 
 def test_cli_deep_exit_codes(tmp_path):
     bad = str(FIXTURES / "transitive_blocking_bad.py")
     good = str(FIXTURES / "transitive_blocking_good.py")
-    null = str(tmp_path / "missing.json")
-    args = ["--deep", "--baseline", null, "--flow-baseline", null]
+    args = ["--baseline", str(tmp_path / "missing.json")]
     assert main(args + [good]) == 0
+    # The whole-program checks run with no flag...
     assert main(args + [bad]) == 1
-    # Without --deep the defect is invisible (simlint-only view).
-    assert main(["--baseline", null, bad]) == 0
+    # ...and --deep is a no-op kept for old command lines.
+    assert main(args + ["--deep", bad]) == 1
+
+
+def test_cli_deep_is_accepted_and_src_repro_exits_clean(capsys):
+    assert main(["--deep", "--baseline", "/dev/null", str(SRC)]) == 0
+    assert "0 finding(s)" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "--deep" not in capsys.readouterr().out
 
 
 def test_cli_deep_write_baseline_round_trip(tmp_path, capsys):
     bad = str(FIXTURES / "rank_collective_bad.py")
-    lint_baseline = tmp_path / "lint.json"
-    flow_baseline = tmp_path / "flow.json"
-    args = ["--deep", "--baseline", str(lint_baseline),
-            "--flow-baseline", str(flow_baseline)]
+    baseline = tmp_path / "baseline.json"
+    args = ["--baseline", str(baseline)]
     assert main(args + [bad, "--write-baseline"]) == 0
-    written = Baseline.load(flow_baseline)
+    written = Baseline.load(baseline)
     assert len(written) == 1
-    assert written.entries[0]["rule"] == "flow-rank-collective"
-    # With the finding grandfathered the deep gate passes...
+    assert written.entries[0]["rule"] == "rank-dependent-collective"
+    # With the finding grandfathered the gate passes...
     assert main(args + [bad]) == 0
     out = capsys.readouterr().out
     assert "baselined" in out
     # ...and without it, it still fails.
-    assert main(["--deep", "--baseline", str(lint_baseline),
-                 "--flow-baseline", str(tmp_path / "other.json"),
-                 bad]) == 1
+    assert main(["--baseline", str(tmp_path / "other.json"), bad]) == 1
 
 
 def test_cli_list_rules_includes_flow_checks(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in FLOW_RULES:
+    assert PROGRAM_RULES == [
+        "handler-arity", "handler-purity", "rank-dependent-collective",
+        "unyielded-blocking-call", "yield-integrity"]
+    for rule_id in PROGRAM_RULES:
         assert rule_id in out
+    assert "flow-" not in out and "--deep" not in out
+
+
+def test_cli_rules_selects_any_listed_id(tmp_path, capsys):
+    """--rules takes every id --list-rules prints, whole-program ones
+    included, and runs only those."""
+    bad = str(FIXTURES / "rank_collective_bad.py")
+    args = ["--baseline", str(tmp_path / "missing.json"), bad]
+    assert main(["--rules", "rank-dependent-collective"] + args) == 1
+    assert "[rank-dependent-collective]" in capsys.readouterr().out
+    assert main(["--rules", "handler-purity", "--deep"] + args) == 0
+    assert main(["--rules", "flow-rank-collective"] + args) == 2
 
 
 # -- SARIF ------------------------------------------------------------------
 
 def test_sarif_output_matches_golden_fixture(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES)
-    assert main(["--deep", "--format", "sarif",
-                 "--baseline", "/dev/null",
-                 "--flow-baseline", "/dev/null",
+    assert main(["--format", "sarif", "--baseline", "/dev/null",
                  "rank_collective_bad.py"]) == 1
     produced = json.loads(capsys.readouterr().out)
     golden = json.loads(
@@ -305,14 +323,13 @@ def test_sarif_output_matches_golden_fixture(monkeypatch, capsys):
 
 
 def test_sarif_clean_run_has_no_results(capsys):
-    assert main(["--deep", "--format", "sarif",
-                 "--baseline", "/dev/null", "--flow-baseline", "/dev/null",
+    assert main(["--format", "sarif", "--baseline", "/dev/null",
                  str(FIXTURES / "rank_collective_good.py")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["version"] == "2.1.0"
     assert report["runs"][0]["results"] == []
     rule_ids = {r["id"] for r in report["runs"][0]["tool"]["driver"]["rules"]}
-    assert set(FLOW_RULES) <= rule_ids
+    assert rule_ids == set(all_rules())
 
 
 # -- parse cache and perf smoke ---------------------------------------------
@@ -320,57 +337,43 @@ def test_sarif_clean_run_has_no_results(capsys):
 def test_parse_cache_shares_one_parse_between_lint_and_flow():
     clear_parse_cache()
     files = list(iter_python_files([SRC]))
-    rules = default_rules()
-    for path in files:
-        analyze_file(path, rules)
+    analyze_paths([SRC], default_rules())
     first = parse_cache_stats()
     assert first["misses"] == len(files)
     assert first["hits"] == 0
-    # The deep pass re-loads every file: all hits, no re-parse.
-    sources = {}
-    for path in files:
-        source = load_source(path)
-        sources[source.path] = source
+    # A second run re-loads every file: all hits, no re-parse.
+    analyze_paths([SRC], default_rules())
     second = parse_cache_stats()
     assert second["misses"] == first["misses"]
-    assert second["hits"] >= len(files)
-    analyze_program(sources)
+    assert second["hits"] == len(files)
 
 
 def test_perf_smoke_full_lint_plus_flow_under_wall_clock_floor():
     clear_parse_cache()
     start = time.perf_counter()
-    rules = default_rules()
-    sources = {}
-    findings = []
-    for path in iter_python_files([SRC]):
-        source = load_source(path)
-        sources[source.path] = source
-        findings.extend(analyze_source(source, rules))
-    findings.extend(analyze_program(sources))
+    findings, checked = analyze_paths([SRC], default_rules())
     elapsed = time.perf_counter() - start
-    assert findings == []
+    assert findings == [] and checked > 60
     assert elapsed < 30.0, f"lint+flow took {elapsed:.1f}s"
 
 
 # -- the repo gate ----------------------------------------------------------
 
 def test_src_repro_is_flow_clean():
-    """Acceptance: the whole-program analysis runs clean over the
-    repo's own sources — no baseline required."""
-    sources = {}
-    for path in iter_python_files([SRC]):
-        source = load_source(path)
-        sources[source.path] = source
-    assert len(sources) > 60
-    assert analyze_program(sources) == []
+    """Acceptance: the whole-program checks run clean over the repo's
+    own sources — no baseline required."""
+    rules = [rule for rule in default_rules()
+             if isinstance(rule, ProgramRule)]
+    findings, checked = analyze_paths([SRC], rules)
+    assert checked > 60
+    assert findings == []
 
 
 def test_committed_flow_baseline_is_empty_for_apps():
     """Repo policy: app findings are fixed, never grandfathered — and
-    the committed flow baseline is empty outright (the tree the deep
-    gate certifies has no live interprocedural defects)."""
-    baseline = Baseline.load(REPO_ROOT / "simflow.baseline.json")
+    the one committed baseline, which gates the whole-program checks
+    too, is empty outright."""
+    baseline = Baseline.load(REPO_ROOT / "simlint.baseline.json")
     assert [e for e in baseline.entries
             if "apps" in Path(e["path"]).parts] == []
     assert len(baseline) == 0
@@ -400,7 +403,7 @@ def test_flow_summaries_cover_the_runtime_stack():
 # -- bit-identity pins ------------------------------------------------------
 #
 # The flow-clean tree is pinned to exact simulation output: any future
-# simflow-motivated restructuring of apps/, gas/ or coll/ must keep
+# restructuring motivated by a whole-program finding of apps/, gas/ or coll/ must keep
 # run stats and RunCache keys bit-identical to these constants.
 
 _PINS = {

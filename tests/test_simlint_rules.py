@@ -1,4 +1,4 @@
-"""Golden-finding tests: each shipped rule pack against its fixtures.
+"""Golden-finding tests: each shipped rule against its fixtures.
 
 Every rule must (a) flag each annotated line of its ``*_bad`` fixture
 and (b) stay silent on the ``*_good`` twin — the known-good/known-bad
@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_file, default_rules
+from repro.analysis import all_rules, analyze_file, default_rules
 
 FIXTURES = Path(__file__).parent / "fixtures" / "simlint"
+FLOW_FIXTURES = Path(__file__).parent / "fixtures" / "simflow"
 
 
-def findings_for(name):
-    return analyze_file(FIXTURES / name, default_rules())
+def findings_for(name, root=FIXTURES):
+    return analyze_file(root / name, default_rules())
 
 
 def lines_by_rule(findings, rule):
@@ -180,17 +181,58 @@ def test_dialcost_real_messaging_layers_are_clean():
                 f"{path} charges a hard-coded duration"
 
 
-# -- rule catalogue ---------------------------------------------------------
+# -- one rule per planted defect --------------------------------------------
+
+#: (fixtures dir, bad fixture) -> {line: the one rule reported there}.
+PLANTED = {
+    (FIXTURES, "determinism_bad.py"): {
+        12: "wall-clock", 13: "wall-clock", 18: "env-read",
+        19: "env-read", 24: "unseeded-rng", 25: "unseeded-rng",
+        26: "unseeded-rng", 32: "seed-independent-rng",
+        38: "set-iteration", 41: "set-iteration", 43: "set-iteration"},
+    (FIXTURES, "spmd_bad.py"): {
+        6: "unyielded-blocking-call", 7: "unyielded-blocking-call",
+        9: "unyielded-blocking-call", 13: "unyielded-blocking-call",
+        17: "rank-dependent-collective", 20: "rank-dependent-collective",
+        26: "handler-arity", 27: "handler-arity"},
+    (FIXTURES, "coll_bad.py"): {
+        6: "unyielded-blocking-call", 7: "unyielded-blocking-call",
+        13: "rank-dependent-collective", 17: "rank-dependent-collective",
+        26: "handler-purity"},
+    (FIXTURES, "handler_purity_bad.py"): {
+        5: "handler-purity", 8: "handler-purity", 17: "handler-purity"},
+    (FIXTURES, "hygiene_bad.py"): {
+        7: "broad-except", 14: "broad-except",
+        18: "mutable-default-arg", 23: "mutable-default-arg"},
+    (FIXTURES, "apps/stateful_module.py"): {
+        3: "module-mutable-state", 4: "module-mutable-state"},
+    (FIXTURES, "network/dialcost_bad.py"): {
+        line: "untracked-dial-cost" for line in (5, 6, 11, 17, 18, 20)},
+    (FLOW_FIXTURES, "transitive_blocking_bad.py"): {
+        17: "unyielded-blocking-call"},
+    (FLOW_FIXTURES, "rank_collective_bad.py"): {
+        20: "rank-dependent-collective"},
+    (FLOW_FIXTURES, "yield_integrity_bad.py"): {13: "yield-integrity"},
+    (FLOW_FIXTURES, "handler_purity_bad.py"): {18: "handler-purity"},
+    (FLOW_FIXTURES, "handler_returns_generator_bad.py"): {
+        14: "handler-purity", 19: "handler-purity"},
+}
+
+
+@pytest.mark.parametrize("root,name", sorted(PLANTED),
+                         ids=[f"{root.name}/{name}"
+                              for root, name in sorted(PLANTED)])
+def test_each_planted_defect_is_one_finding_of_one_rule(root, name):
+    """Every planted line is reported, by exactly one rule, and no line
+    is reported twice: one check per property, direct or transitive."""
+    findings = findings_for(name, root)
+    assert [(f.line, f.rule) for f in findings] == \
+        sorted(PLANTED[root, name].items())
+
 
 def test_every_rule_has_at_least_one_failing_fixture():
     """Acceptance: each shipped rule detects something in the fixtures."""
-    all_findings = []
-    for name in ("determinism_bad.py", "spmd_bad.py",
-                 "handler_purity_bad.py", "hygiene_bad.py",
-                 "apps/stateful_module.py", "network/dialcost_bad.py"):
-        all_findings.extend(findings_for(name))
-    fired = {f.rule for f in all_findings}
-    from repro.analysis import all_rules
+    fired = {rule for lines in PLANTED.values() for rule in lines.values()}
     assert fired == set(all_rules())
 
 
