@@ -14,32 +14,31 @@ Completed points are memoised in the on-disk run cache
 otherwise), so re-running the script only simulates configurations it
 has never seen.
 
-Campaign mode (``--campaign NAME --store DB``) instead drives the
-sensitivity grid through the resumable campaign manager: points land in
-a sqlite result store as they finish, a killed run resumes exactly
-where it stopped, and the figure artifacts are generated *from the
-store* — no point is ever simulated twice.  A per-campaign
-``BENCH_*.json`` records points/sec, store hits, and resume statistics.
+The simcost section records each application once, outside the drain,
+and predicts Figures 5b-8 from those recordings; the simulated figures
+already drained are its ground truth, so it simulates nothing else.
+Resumable, store-backed campaigns are ``python -m repro.harness
+--campaign spec.json --store S``.
 
 Usage:
     python scripts/generate_experiments.py [--scale 0.5] [--out EXPERIMENTS.md]
         [--jobs N] [--no-cache] [--cache-dir DIR] [--apps Radix,Sample,...]
-        [--profile]
-    python scripts/generate_experiments.py --campaign nightly \\
-        --store results.sqlite [--dials overhead,gap] [--bench-out B.json]
+
+To profile, run it under ``python -m cProfile -s cumulative`` with
+``--jobs 1``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
 import sys
+import textwrap
 import time
 
 from repro.calibrate import calibrate_bulk_bandwidth
+from repro.cost import record_run
 from repro.harness import (DIALS, MACHINE_DIALS, RunCache, experiments,
-                           run_plans)
+                           run_plans, suite_for)
 
 
 def fmt(value, digits=2):
@@ -49,169 +48,9 @@ def fmt(value, digits=2):
 
 
 #: The reduced sensitivity grids the EXPERIMENTS report sweeps, dial →
-#: value sequence (baseline first) — shared by the classic path and
-#: campaign mode so their points are cache-compatible.
+#: value sequence (baseline first).
 SWEEP_GRIDS = {name: dial.reduced for name, dial in DIALS.items()
                if dial.reduced is not None}
-
-
-def predicted_sections(scale, selected, simulated_figures, seed=0):
-    """The ``--predict`` report sections + the simcost BENCH payload.
-
-    One *recording* per application (a single instrumented baseline
-    simulation) predicts every machine-dial sweep analytically; the
-    classic sections' already-simulated 32-node figures provide ground
-    truth, so validation adds zero simulations.  Returns ``(lines,
-    bench)`` where ``bench`` carries the simulations-avoided
-    accounting written to ``BENCH_simcost.json``.
-    """
-    import statistics
-
-    from repro.cost.predict import latency_tolerance, predict_sweep
-    from repro.cost.recorder import record_run
-    from repro.harness.suite import suite_for
-    from repro.harness.sweeps import SensitivityFigure
-
-    out = []
-    w = out.append
-    graphs = {}
-    for app in suite_for(32, scale=scale, names=selected):
-        graph, _result = record_run(app, 32, seed=seed)
-        graphs[app.name] = graph
-
-    w("## Predicted sweeps — simcost (beyond the paper)\n")
-    w("Each application was simulated **once** at the baseline with "
-      "the dependency\nrecorder on; every dial sweep below is predicted "
-      "by symbolic longest-path\nreplay of that one recorded DAG "
-      "(`repro.cost`), then compared per point against\nthe simulated "
-      "figures above.\n")
-
-    medians = {}
-    predicted_points = 0
-    for dial in MACHINE_DIALS:
-        sim_figure = simulated_figures[dial]
-        figure = SensitivityFigure(
-            title=f"Predicted sensitivity to {dial} (32 nodes, simcost)",
-            x_label=dial)
-        errors = []
-        rows = []
-        for name, graph in graphs.items():
-            predicted = predict_sweep(graph, dial, SWEEP_GRIDS[dial])
-            figure.sweeps[name] = predicted
-            predicted_points += len(predicted.points)
-            sim_sweep = sim_figure.sweeps.get(name)
-            if sim_sweep is None:
-                continue
-            pred_slow = predicted.slowdowns()
-            sim_slow = sim_sweep.slowdowns()
-            for value, pred, sim in zip(SWEEP_GRIDS[dial], pred_slow,
-                                        sim_slow):
-                err = None if sim is None else abs(pred - sim) / sim
-                if err is not None:
-                    errors.append(err)
-                rows.append((name, value, sim, pred, err))
-        medians[dial] = statistics.median(errors) if errors else None
-        w(f"### Predicted figure — {dial}\n")
-        w("```\n" + figure.render() + "\n```")
-        w(f"| app | {dial} | simulated | predicted | rel err |")
-        w("|---|---|---|---|---|")
-        for name, value, sim, pred, err in rows:
-            w(f"| {name} | {value:g} | {fmt(sim)} | {fmt(pred)} | "
-              f"{fmt(err * 100, 1) + '%' if err is not None else 'N/A'} |")
-        w(f"\nMedian relative error vs the simulated {dial} sweep: "
-          f"{fmt(medians[dial] * 100, 1)}%.\n")
-
-    w("### Latency tolerance — dial value at 2x predicted slowdown\n")
-    w("| app | " + " | ".join(MACHINE_DIALS) + " |")
-    w("|---|" + "---|" * len(MACHINE_DIALS))
-    for name, graph in graphs.items():
-        cells = []
-        for dial in MACHINE_DIALS:
-            crossing = latency_tolerance(graph, dial, threshold=2.0)
-            cells.append("never" if crossing is None
-                         else f"{crossing:.1f}")
-        w(f"| {name} | " + " | ".join(cells) + " |")
-    w("\nEach cell is where the app crosses 2x slowdown (µs for "
-      "overhead/gap/latency,\nMB/s for bulk — bandwidth *falls* to the "
-      "crossing); `never` means the dial never\ndoubles the runtime "
-      "within the searched range.  Larger is more tolerant on the\n"
-      "time dials; smaller is more tolerant on bandwidth.\n")
-
-    recordings = len(graphs)
-    classic = recordings * sum(len(SWEEP_GRIDS[d])
-                               for d in MACHINE_DIALS)
-    bench = {
-        "schema": "repro-simcost-bench-v1",
-        "n_nodes": 32,
-        "scale": scale,
-        "recordings": recordings,
-        "predicted_points": predicted_points,
-        "simulations_classic": classic,
-        "simulations_avoided_ratio": (round(classic / recordings, 2)
-                                      if recordings else None),
-        "median_rel_err": {
-            dial: (None if med is None else round(med, 4))
-            for dial, med in medians.items()},
-    }
-    w(f"Simulations-avoided accounting: {recordings} recordings stand "
-      f"in for the {classic}\nsimulations of the classic four-dial "
-      f"sweep path — a {bench['simulations_avoided_ratio']}x "
-      f"reduction\n(`BENCH_simcost.json`).\n")
-    return out, bench
-
-
-def run_campaign_mode(args, cache, selected) -> int:
-    """Drive the sensitivity grid through the resumable campaign manager.
-
-    Two sub-campaigns mirror the classic report's sweep sections:
-    ``<name>/p16`` runs the overhead dial at 16 nodes (Figure 5a) and
-    ``<name>/p32`` runs every selected dial at 32 nodes (Figures
-    5b-9).  Both resume from ``--store``; artifacts are then generated
-    from the store alone, so an interrupted-and-resumed invocation
-    writes byte-identical output to an uninterrupted one.
-    """
-    from repro.apps import SUITE_ORDER
-    from repro.harness.campaign import (CampaignSpec, _merge_reports,
-                                        render_campaign, run_campaign)
-    from repro.harness.store import ResultStore
-
-    apps = tuple(selected) if selected is not None else SUITE_ORDER
-    dials = [d.strip() for d in args.dials.split(",") if d.strip()]
-    unknown = [d for d in dials if d not in SWEEP_GRIDS]
-    if unknown:
-        print(f"unknown dials {unknown}; one of {sorted(SWEEP_GRIDS)}",
-              file=sys.stderr)
-        return 2
-    specs = []
-    if "overhead" in dials:
-        specs.append(CampaignSpec(
-            name=f"{args.campaign}/p16", apps=apps, node_counts=(16,),
-            dials=(("overhead", SWEEP_GRIDS["overhead"]),),
-            scale=args.scale))
-    specs.append(CampaignSpec(
-        name=f"{args.campaign}/p32", apps=apps, node_counts=(32,),
-        dials=tuple((dial, SWEEP_GRIDS[dial]) for dial in dials),
-        scale=args.scale))
-
-    with ResultStore(args.store) as store:
-        reports = [run_campaign(spec, store, cache=cache,
-                                jobs=max(1, args.jobs), progress=print)
-                   for spec in specs]
-        report = _merge_reports(args.campaign, reports)
-        text = render_campaign(specs, store)
-        print(store.describe())
-
-    out = pathlib.Path(args.out)
-    out.write_text(text)
-    bench_path = pathlib.Path(args.bench_out) if args.bench_out else \
-        out.parent / f"BENCH_campaign_{args.campaign.replace('/', '_')}.json"
-    bench_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    message = f"wrote {out} and {bench_path} [{report.describe()}]"
-    if cache is not None:
-        message += f" [{cache.describe()}]"
-    print(message)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -229,43 +68,11 @@ def main(argv=None) -> int:
     parser.add_argument("--apps", default=None,
                         help="comma-separated subset of Table 3 app names "
                         "(reduced grid for smoke runs)")
-    parser.add_argument("--predict", action="store_true",
-                        help="append simcost predicted-sweep sections: "
-                        "record one instrumented run per app, predict "
-                        "all four machine dials, validate per point "
-                        "against the simulated figures, and write "
-                        "BENCH_simcost.json")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile the drain and dump the top 25 "
-                        "cumulative entries to stderr (forces --jobs 1)")
-    parser.add_argument("--campaign", default=None, metavar="NAME",
-                        help="run the sensitivity grid as a resumable "
-                        "campaign of this name and build the artifacts "
-                        "from the result store (needs --store)")
-    parser.add_argument("--store", default=None,
-                        help="sqlite result store for --campaign")
-    parser.add_argument("--dials", default="overhead,gap,latency,"
-                        "bulk_mb_s,drop_rate",
-                        help="comma-separated dials for --campaign "
-                        "(default: all five)")
-    parser.add_argument("--bench-out", default=None,
-                        help="--campaign: path for the BENCH JSON "
-                        "(default BENCH_campaign_<name>.json next to "
-                        "--out)")
     args = parser.parse_args(argv)
-    if args.profile and args.jobs != 1:
-        print("--profile runs in-process; forcing --jobs 1",
-              file=sys.stderr)
-        args.jobs = 1
     scale = args.scale
     cache = None if args.no_cache else RunCache(args.cache_dir)
     selected = None if args.apps is None else \
         [name.strip() for name in args.apps.split(",") if name.strip()]
-
-    if args.campaign is not None:
-        if args.store is None:
-            parser.error("--campaign needs --store")
-        return run_campaign_mode(args, cache, selected)
 
     def pick(*names):
         """Intersect a hard-coded app list with the --apps selection."""
@@ -318,18 +125,7 @@ def main(argv=None) -> int:
             n_nodes=32, sizes=(32, 1024, 16384, 65536), iterations=2),
         experiments.figure11_serving.plan(n_nodes=32, scale=scale),
     ]
-    if args.profile:
-        import cProfile
-        import pstats
-        profiler = cProfile.Profile()
-        profiler.enable()
     results = run_plans(plans, cache=cache, jobs=args.jobs)
-    if args.profile:
-        profiler.disable()
-        print("--- profile: the drain (top 25 by cumulative time) ---",
-              file=sys.stderr)
-        pstats.Stats(profiler, stream=sys.stderr) \
-            .sort_stats("cumulative").print_stats(25)
     (t3, t4, fig4, fig5_16, fig5_32, t5, fig6, t6, fig7, fig8, fig9, t7,
      fig10, t8, fig11) = results
 
@@ -521,16 +317,40 @@ def main(argv=None) -> int:
           f"disk-limited (at 5.5 MB/s it is {fmt(nowsort[5.5])}x, only "
           f"at\n1 MB/s does it reach {fmt(nowsort[1.0])}x).\n")
 
-    # ---- Predicted sweeps (simcost) -----------------------------------------
-    if args.predict:
-        predicted, bench = predicted_sections(
-            scale, selected,
-            {"overhead": fig5_32, "gap": fig6, "latency": fig7,
-             "bulk_mb_s": fig8})
-        out.extend(predicted)
-        bench_path = pathlib.Path(args.out).parent / "BENCH_simcost.json"
-        bench_path.write_text(
-            json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    # ---- Predicted sweeps (simcost, beyond the paper) -----------------------
+    graphs = [record_run(app, 32)[0]
+              for app in suite_for(32, scale=scale, names=selected)]
+    w("## Predicted sweeps — simcost (beyond the paper)\n")
+    w("Each application was simulated **once** at the baseline with "
+      "the dependency\nrecorder on; every dial sweep below is predicted "
+      "by symbolic longest-path\nreplay of that one recorded DAG "
+      "(`repro.cost`), then compared per point against\nthe simulated "
+      "figures above.\n")
+    for dial, simulated in zip(MACHINE_DIALS, (fig5_32, fig6, fig7, fig8)):
+        predicted = experiments.predicted_figure(graphs, dial,
+                                                 SWEEP_GRIDS[dial])
+        errors = experiments.prediction_errors(predicted, simulated)
+        app, value, _sim, _pred, worst = max(
+            (row for row in errors.rows if row[4] is not None),
+            key=lambda row: row[4])
+        w(f"### Predicted figure — {dial}\n")
+        w("```\n" + predicted.render() + "\n```")
+        w(errors.render())
+        w(f"\nMedian relative error vs the simulated {dial} sweep: "
+          f"{fmt(errors.median * 100, 1)}%;\nworst point: {app} at "
+          f"{dial} = {value:g} ({fmt(worst * 100, 1)}%).\n")
+
+    w("### Latency tolerance — dial value at 2x predicted slowdown\n")
+    w(experiments.tolerance_table(graphs))
+    w("\nEach cell is where the app crosses 2x slowdown (µs for "
+      "overhead/gap/latency,\nMB/s for bulk — bandwidth *falls* to the "
+      "crossing); `never` means the dial never\ndoubles the runtime "
+      "within the searched range.  Larger is more tolerant on the\n"
+      "time dials; smaller is more tolerant on bandwidth.\n")
+    classic = len(graphs) * sum(len(SWEEP_GRIDS[d]) for d in MACHINE_DIALS)
+    w(f"Simulations-avoided accounting: {len(graphs)} recordings stand "
+      f"in for the {classic}\nsimulations of the classic four-dial "
+      f"sweep path — a {round(classic / len(graphs), 2)}x reduction.\n")
 
     # ---- Figure 9 / Table 7 (beyond the paper) ------------------------------
     w("## Figure 9 — sensitivity to packet loss (beyond the paper)\n")
@@ -596,29 +416,51 @@ def main(argv=None) -> int:
     # ---- Figure 11 (beyond the paper) ---------------------------------------
     w("## Figure 11 — open-system serving tail latency "
       "(beyond the paper)\n")
-    w("```\n" + fig11.render() + "\n```")
+    w("```\n" + fig11.render().rstrip("\n") + "\n```")
     from repro.serve.sweep import serving_rows
-    o_rows = serving_rows(fig11.dial_sweeps["overhead"])
-    knees = fig11.knees()
-    knee_cells = ", ".join(
-        f"o={o:g} µs → " + (f"{int(k):,} req/s" if k is not None
-                            else "none")
-        for o, k in sorted(knees.items()))
-    w(f"\nAn open-system KV tier (1M simulated users, Poisson "
-      f"arrivals, {fmt(fig11.slo_us, 0)} µs p999 SLO) replaces the "
-      "closed SPMD suite: requests keep arriving whether or not "
-      "servers keep up, so the dials move *tail latency and goodput* "
-      "instead of runtime.  Send overhead dominates — p999 goes "
-      f"{o_rows[0]['p999_us']} → {o_rows[-1]['p999_us']} µs from "
-      f"o={o_rows[0]['value']:g} to o={o_rows[-1]['value']:g} µs while "
-      "goodput collapses, because every request pays 2·o per RPC hop "
-      "at *every* queue visit, and queueing amplifies what a closed "
-      "bulk-synchronous app would absorb into slack.  Latency only "
-      "shifts the tail by roughly the added round trips, and seeded "
-      "drops surface as retransmission-delayed stragglers in the "
-      "p999.  The SLO knee — the largest offered load that still "
-      f"meets p999 ≤ {fmt(fig11.slo_us, 0)} µs — collapses with "
-      f"overhead: {knee_cells}.\n")
+    o_rows, l_rows, d_rows = (serving_rows(fig11.dial_sweeps[dial])
+                              for dial in ("overhead", "latency",
+                                           "drop_rate"))
+    knees = sorted(fig11.knees().items())
+    slo = fmt(fig11.slo_us, 0)
+
+    def rps(value):
+        return value if value == "N/A" else f"{value:,.0f}"
+
+    w("\n" + textwrap.fill(
+        "An open-system KV tier (1M simulated users, Poisson arrivals, "
+        f"{slo} µs p999 SLO) replaces the closed SPMD suite: requests "
+        "keep arriving whether or not servers keep up, so the dials move "
+        "*tail latency and goodput* instead of runtime.  Send overhead "
+        f"dominates — p999 goes {o_rows[0]['p999_us']} → "
+        f"{o_rows[-1]['p999_us']} µs from o={o_rows[0]['value']:g} to "
+        f"o={o_rows[-1]['value']:g} µs while goodput collapses "
+        f"({rps(o_rows[0]['goodput_rps'])} → "
+        f"{rps(o_rows[-1]['goodput_rps'])} good req/s), because every "
+        "request pays 2·o per RPC hop at *every* queue visit, and "
+        "queueing amplifies what a closed bulk-synchronous app would "
+        "absorb into slack.  Latency only shifts the tail by roughly the "
+        f"added round trips (p999 {l_rows[0]['p999_us']} → "
+        f"{l_rows[-1]['p999_us']} µs across {l_rows[0]['value']:g} → "
+        f"{l_rows[-1]['value']:g} µs), and seeded drops surface as "
+        "retransmission-delayed stragglers in the p999 "
+        f"({d_rows[0]['p999_us']} → {d_rows[-1]['p999_us']} µs at "
+        f"{d_rows[-1]['value'] * 100:g}% loss).  The SLO knee — the "
+        f"largest offered load that still meets p999 ≤ {slo} µs — "
+        "collapses with overhead:", 80, break_on_hyphens=False))
+    w(", ".join(f"o={o:g} µs → "
+                + (f"{int(k):,} req/s" if k is not None else "none")
+                for o, k in knees) + ".")
+    (o_low, k_low), (o_high, k_high) = knees[0], knees[-1]
+    if k_low is not None and k_high:
+        w(textwrap.fill(
+            f"The crossover: the machine that holds the SLO up to "
+            f"{int(k_low):,} req/s at the paper's tuned {o_low:g} µs "
+            f"overhead holds it only up to {int(k_high):,} req/s — "
+            f"1/{k_low / k_high:g} of that load — at {o_high:g} µs: the "
+            "paper's \"overhead dominates\" ordering, restated as "
+            "operator-facing capacity.", 80, break_on_hyphens=False))
+    w("")
 
     # ---- bulk calibration footnote ------------------------------------------
     bulk = calibrate_bulk_bandwidth()

@@ -4,8 +4,9 @@ Follows the analysis-CLI contract (see ``repro.analysis.cli``):
 
 * exit 0 — success (and, for ``report``, the error gate holds);
 * exit 1 — ``report``'s median relative error exceeded the gate;
-* exit 2 — usage error (argparse's convention), or a graph file
-  ``predict`` cannot read, parse or replay (one line on stderr).
+* exit 2 — usage error (argparse's convention), an application name
+  the suite does not have, or a graph file ``predict`` cannot read,
+  parse or replay (one line on stderr).
 
 Subcommands::
 
@@ -26,22 +27,21 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import statistics
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.cost.graph import CostGraph
 from repro.cost.predict import (latency_tolerance, lp_bound,
                                 predict_sweep)
 from repro.cost.recorder import record_run
-from repro.harness.sweeps import DIALS, MACHINE_DIALS, run_sweep
+from repro.harness.experiments import (predicted_figure, prediction_errors,
+                                       sensitivity_figure)
+from repro.harness.runcache import RunCache
+from repro.harness.suite import suite_for
+from repro.harness.sweeps import DIALS, MACHINE_DIALS
 
 __all__ = ["main"]
-
-
-def _apps_for(names: Sequence[str], nodes: int, scale: float):
-    from repro.harness.suite import suite_for
-    return suite_for(nodes, scale=scale, names=list(names))
 
 
 def _parse_values(text: Optional[str],
@@ -61,9 +61,13 @@ def _emit(payload: dict, text: str, fmt: str) -> None:
 # -- record -----------------------------------------------------------------
 
 def _cmd_record(args) -> int:
-    apps = _apps_for([args.app], args.nodes, args.scale)
-    graph, result = record_run(apps[0], args.nodes, seed=args.seed,
-                               window=args.window)
+    try:
+        app, = suite_for(args.nodes, scale=args.scale, names=[args.app])
+    except KeyError as exc:
+        print(f"record: {exc.args[0]}", file=sys.stderr)
+        return 2
+    graph, _result = record_run(app, args.nodes, seed=args.seed,
+                                window=args.window)
     payload = graph.to_dict()
     if args.out is not None:
         args.out.write_text(json.dumps(payload) + "\n")
@@ -114,72 +118,38 @@ def _cmd_predict(args) -> int:
 
 # -- report -----------------------------------------------------------------
 
-def report_rows(apps, nodes: int, parameter: str,
-                values: Sequence[float], seed: int = 0,
-                cache=None, jobs: Optional[int] = None) -> List[dict]:
-    """Predicted-vs-simulated slowdown rows for a suite of apps.
-
-    One recording per app predicts the whole grid; the same grid is
-    simulated through :func:`repro.harness.sweeps.run_sweep` (cache-
-    served when warm) for ground truth.  Each row carries both
-    slowdowns and their relative error; per-app ``median_rel_err``
-    rides on every row for easy aggregation.
-    """
-    rows: List[dict] = []
-    for app in apps:
-        graph, _ = record_run(app, nodes, seed=seed)
-        predicted = predict_sweep(graph, parameter, values)
-        simulated = run_sweep(app, nodes, parameter, values, seed=seed,
-                              cache=cache, jobs=jobs)
-        sim_slow = simulated.slowdowns()
-        pred_slow = predicted.slowdowns()
-        errs = []
-        app_rows = []
-        for value, sim, pred in zip(values, sim_slow, pred_slow):
-            err = None if sim is None else abs(pred - sim) / sim
-            if err is not None:
-                errs.append(err)
-            app_rows.append({"app": app.name, parameter: value,
-                             "simulated": sim, "predicted": round(pred, 4),
-                             "rel_err": None if err is None
-                             else round(err, 4)})
-        median = statistics.median(errs) if errs else None
-        for row in app_rows:
-            row["median_rel_err"] = None if median is None \
-                else round(median, 4)
-        rows.extend(app_rows)
-    return rows
-
-
-def render_report(rows: List[dict], parameter: str) -> str:
-    lines = [f"| app | {parameter} | simulated | predicted | rel err |",
-             "|---|---|---|---|---|"]
-    for row in rows:
-        sim = "N/A" if row["simulated"] is None \
-            else f"{row['simulated']:.2f}"
-        err = "N/A" if row["rel_err"] is None \
-            else f"{row['rel_err'] * 100:.1f}%"
-        lines.append(f"| {row['app']} | {row[parameter]:g} | {sim} | "
-                     f"{row['predicted']:.2f} | {err} |")
-    return "\n".join(lines)
-
-
 def _cmd_report(args) -> int:
     names = [part.strip() for part in args.apps.split(",") if part.strip()]
     if not names:
         print("report: --apps named no applications", file=sys.stderr)
         return 2
-    apps = _apps_for(names, args.nodes, args.scale)
+    try:
+        apps = suite_for(args.nodes, scale=args.scale, names=names)
+    except KeyError as exc:
+        print(f"report: {exc.args[0]}", file=sys.stderr)
+        return 2
     values = _parse_values(args.values, args.parameter)
-    cache = None
-    if not args.no_cache:
-        from repro.harness.runcache import RunCache
-        cache = RunCache(args.cache_dir)
-    rows = report_rows(apps, args.nodes, args.parameter, values,
-                       seed=args.seed, cache=cache, jobs=args.jobs)
-    errs = [row["rel_err"] for row in rows if row["rel_err"] is not None]
-    median = statistics.median(errs) if errs else None
-    predicted_points = len(rows)
+    cache = None if args.no_cache else RunCache(args.cache_dir)
+    # One recording per app predicts the grid; the simulated side is the
+    # same grid's Figure 5-8 study, drained once (cache-served when warm).
+    predicted = predicted_figure(
+        [record_run(app, args.nodes, seed=args.seed)[0] for app in apps],
+        args.parameter, values)
+    simulated = sensitivity_figure(
+        args.parameter, n_nodes=args.nodes, scale=args.scale, names=names,
+        values=values, seed=args.seed, cache=cache, jobs=args.jobs)
+    errors = prediction_errors(predicted, simulated)
+    app_medians = {
+        name: prediction_errors(replace(predicted, sweeps={name: sweep}),
+                                simulated).median
+        for name, sweep in predicted.sweeps.items()}
+    rows = [{"app": app, args.parameter: value, "simulated": sim,
+             "predicted": round(pred, 4),
+             "rel_err": None if err is None else round(err, 4),
+             "median_rel_err": (None if app_medians[app] is None
+                                else round(app_medians[app], 4))}
+            for app, value, sim, pred, err in errors.rows]
+    median = errors.median
     recordings = len(apps)
     payload = {
         "schema": "repro-simcost-bench-v1",
@@ -187,15 +157,15 @@ def _cmd_report(args) -> int:
         "n_nodes": args.nodes,
         "scale": args.scale,
         "recordings": recordings,
-        "predicted_points": predicted_points,
-        "simulations_classic": predicted_points,
+        "predicted_points": len(rows),
+        "simulations_classic": len(rows),
         "simulations_avoided_ratio": (
-            round(predicted_points / recordings, 2) if recordings else None),
+            round(len(rows) / recordings, 2) if recordings else None),
         "median_rel_err": None if median is None else round(median, 4),
         "max_median_error": args.max_median_error,
         "rows": rows,
     }
-    text = render_report(rows, args.parameter)
+    text = errors.render()
     if median is not None:
         text += (f"\n\nmedian relative error: {median * 100:.1f}% "
                  f"(gate: {args.max_median_error * 100:.0f}%)")

@@ -35,9 +35,11 @@ import json
 import pathlib
 import sys
 
+from repro.cost import record_run
 from repro.harness import (CampaignSpec, Plan, ResultStore, RunCache,
                            experiments, overhead_gap_surface,
-                           render_campaign, run_campaign, run_plans)
+                           render_campaign, run_campaign, run_plans,
+                           suite_for)
 from repro.harness.parallel import default_jobs
 
 
@@ -83,8 +85,9 @@ ARTIFACTS = {
     # simcost: the overhead sweep predicted from one recorded run per
     # app instead of one simulation per (app, value) point.
     "predict": lambda nodes, scale: Plan(
-        (), lambda _points: experiments.predicted_sensitivity(
-            n_nodes=nodes, scale=scale, parameter="overhead")),
+        (), lambda _points: experiments.predicted_figure(
+            [record_run(app, nodes)[0]
+             for app in suite_for(nodes, scale=scale)], "overhead")),
 }
 
 

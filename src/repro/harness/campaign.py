@@ -321,22 +321,6 @@ class CampaignReport:
                 f"[{self.points_per_sec:.2f} points/s]")
 
 
-def _merge_reports(name: str,
-                   reports: Sequence[CampaignReport]) -> CampaignReport:
-    """Aggregate sub-campaign reports into one BENCH payload."""
-    return CampaignReport(
-        campaign=name,
-        total_points=sum(r.total_points for r in reports),
-        resumed_points=sum(r.resumed_points for r in reports),
-        cache_hits=sum(r.cache_hits for r in reports),
-        computed_points=sum(r.computed_points for r in reports),
-        requeued_points=sum(r.requeued_points for r in reports),
-        na_points=sum(r.na_points for r in reports),
-        stale_tmps_removed=sum(r.stale_tmps_removed for r in reports),
-        jobs=max((r.jobs for r in reports), default=1),
-        elapsed_s=sum(r.elapsed_s for r in reports))
-
-
 def run_campaign(spec: CampaignSpec, store: ResultStore,
                  cache: Optional[RunCache] = None,
                  jobs: Optional[int] = None,

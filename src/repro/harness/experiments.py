@@ -13,6 +13,7 @@ artifact not yet run, for drivers that drain many at once.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -23,13 +24,15 @@ from repro.calibrate.signature import (LogPSignature, logp_signature,
                                        measure_parameters)
 from repro.cluster.machine import Cluster, RunResult
 from repro.cluster.presets import MACHINE_PRESETS
+from repro.cost.graph import CostGraph
+from repro.cost.predict import latency_tolerance, predict_sweep
 from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.report import render_table
 from repro.harness.suite import suite_for
-from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepResult,
-                                  collective_sweep, dial_named,
-                                  measure_algorithms, predicted_sweep,
-                                  run_sweep, spike_decay_sweep)
+from repro.harness.sweeps import (DIALS, MACHINE_DIALS, SensitivityFigure,
+                                  SweepResult, collective_sweep, dial_named,
+                                  measure_algorithms, run_sweep,
+                                  spike_decay_sweep)
 from repro.instruments.balance import render_balance
 from repro.models.gap import BurstGapModel
 from repro.models.overhead import OverheadModel
@@ -40,7 +43,8 @@ __all__ = [
     "table1_baseline_params", "figure3_signature", "table2_calibration",
     "table3_baseline_runtimes", "figure4_balance", "table4_comm_summary",
     "sensitivity_figure", "table5_overhead_model", "table6_gap_model",
-    "predicted_sensitivity", "table7_spike_decay",
+    "predicted_figure", "prediction_errors", "tolerance_table",
+    "table7_spike_decay",
     "figure10_collectives", "table8_coll_tuner",
     "figure11_serving",
 ]
@@ -303,29 +307,96 @@ def sensitivity_figure(parameter: str, n_nodes: int = 32,
             app.name: result for app, result in zip(apps, sweeps)}))
 
 
-def predicted_sensitivity(n_nodes: int = 32, scale: float = 1.0,
-                          names: Optional[Sequence[str]] = None,
-                          parameter: str = "overhead",
-                          values: Optional[Sequence[float]] = None,
-                          seed: int = 0) -> SensitivityFigure:
-    """A predicted Figure 5/6/7/8: one instrumented run per app.
+# ---------------------------------------------------------------------------
+# Figures 5-8 predicted (simcost, beyond the paper): one recorded run per
+# application stands in for every dialed point, and the simulated figure
+# is the ground truth it is checked against.
+# ---------------------------------------------------------------------------
 
-    The simcost counterpart of :func:`sensitivity_figure`: each
-    application is simulated *once* at the baseline with the
-    dependency recorder on, then the whole ``parameter`` sweep is
-    predicted analytically (:func:`repro.harness.sweeps.
-    predicted_sweep`).  The returned figure renders exactly like the
-    simulated one — its sweeps are
-    :class:`~repro.cost.predict.PredictedSweep` objects.
+def predicted_figure(graphs: Sequence[CostGraph], parameter: str,
+                     values: Optional[Sequence[float]] = None
+                     ) -> SensitivityFigure:
+    """A predicted Figure 5/6/7/8 from recorded runs, simulating nothing.
+
+    ``graphs`` are :func:`repro.cost.record_run` recordings, one per
+    application (record once, predict every dial); ``parameter`` is one
+    of :data:`~repro.harness.sweeps.MACHINE_DIALS` and ``values`` its
+    grid, as for :func:`sensitivity_figure`.  The figure renders like
+    the simulated one; its sweeps are
+    :class:`~repro.cost.predict.PredictedSweep` s and its ``x_label``
+    is the dial's name.
     """
     figure = SensitivityFigure(
         title=f"Predicted sensitivity to {parameter} "
-              f"({n_nodes} nodes, simcost)",
+              f"({graphs[0].n_nodes} nodes, simcost)",
         x_label=parameter)
-    for app in suite_for(n_nodes, scale=scale, names=names):
-        figure.sweeps[app.name] = predicted_sweep(
-            app, n_nodes, parameter, values, seed=seed)
+    for graph in graphs:
+        figure.sweeps[graph.app_name] = predict_sweep(graph, parameter,
+                                                      values)
     return figure
+
+
+@dataclass
+class PredictionErrors:
+    """A predicted figure checked point by point against a simulated one."""
+
+    parameter: str
+    #: ``(app, value, simulated, predicted, rel_err)`` per point, in the
+    #: predicted figure's order; ``simulated`` and ``rel_err`` are None
+    #: where the simulated point is N/A.
+    rows: List[tuple]
+    #: Median ``rel_err`` over the points that have one (None if none do).
+    median: Optional[float]
+
+    def render(self) -> str:
+        """Markdown table of the rows."""
+        def cell(value, digits=2, suffix=""):
+            return "N/A" if value is None else f"{value:.{digits}f}{suffix}"
+        lines = [f"| app | {self.parameter} | simulated | predicted | "
+                 "rel err |", "|---|---|---|---|---|"]
+        for app, value, simulated, predicted, err in self.rows:
+            lines.append(
+                f"| {app} | {value:g} | {cell(simulated)} | "
+                f"{cell(predicted)} | "
+                f"{cell(None if err is None else err * 100, 1, '%')} |")
+        return "\n".join(lines)
+
+
+def prediction_errors(predicted: SensitivityFigure,
+                      simulated: SensitivityFigure) -> PredictionErrors:
+    """Pair :func:`predicted_figure` output with the simulated figure
+    over the same dial and grid: per-point slowdowns, their relative
+    error ``|predicted - simulated| / simulated``, and its median.
+    Applications the simulated figure lacks are skipped."""
+    rows, errors = [], []
+    for name, sweep in predicted.sweeps.items():
+        truth = simulated.sweeps.get(name)
+        if truth is None:
+            continue
+        for value, pred, sim in zip(sweep.values(), sweep.slowdowns(),
+                                    truth.slowdowns()):
+            err = None if sim is None else abs(pred - sim) / sim
+            if err is not None:
+                errors.append(err)
+            rows.append((name, value, sim, pred, err))
+    return PredictionErrors(
+        parameter=predicted.x_label, rows=rows,
+        median=statistics.median(errors) if errors else None)
+
+
+def tolerance_table(graphs: Sequence[CostGraph]) -> str:
+    """Markdown table: per application, the value of each machine dial
+    at which its predicted slowdown reaches 2x (``never`` within the
+    search range; see :func:`repro.cost.predict.latency_tolerance`)."""
+    lines = ["| app | " + " | ".join(MACHINE_DIALS) + " |",
+             "|---|" + "---|" * len(MACHINE_DIALS)]
+    for graph in graphs:
+        crossings = [latency_tolerance(graph, dial, threshold=2.0)
+                     for dial in MACHINE_DIALS]
+        lines.append(f"| {graph.app_name} | " + " | ".join(
+            "never" if crossing is None else f"{crossing:.1f}"
+            for crossing in crossings) + " |")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,8 @@ from repro.network.loggp import LogGPParams
 
 __all__ = ["SweepPoint", "SweepResult", "SensitivityFigure",
            "FAILURE_CATEGORIES", "Dial", "DIALS", "MACHINE_DIALS",
-           "dial_named", "sweep_tasks", "run_sweep", "predicted_sweep",
-           "spike_decay_sweep", "NO_SPIKE", "collective_sweep",
-           "measure_algorithms"]
+           "dial_named", "sweep_tasks", "run_sweep", "spike_decay_sweep",
+           "NO_SPIKE", "collective_sweep", "measure_algorithms"]
 
 
 @dataclass(frozen=True)
@@ -314,40 +313,6 @@ def run_sweep(app: Application, n_nodes: int, dial: Union[str, Dial],
         sweep_tasks(app, n_nodes, dial, values, **cluster),
         lambda points: SweepResult(app_name=app.name, n_nodes=n_nodes,
                                    parameter=dial.name, points=points))
-
-
-def predicted_sweep(app: Application, n_nodes: int, parameter: str,
-                    values: Optional[Sequence[float]] = None,
-                    params: Optional[LogGPParams] = None,
-                    seed: int = 0,
-                    run_limit_us: Optional[float] = None,
-                    livelock_limit: int = 200_000,
-                    window: int = 8,
-                    graph: Optional["CostGraph"] = None,  # noqa: F821
-                    ):
-    """The analytical drop-in for :func:`run_sweep` (simcost).
-
-    One instrumented simulation of ``app`` at the baseline replaces
-    the whole dial sweep: the run's dependency DAG is recorded, then
-    every value of ``parameter`` (one of :data:`MACHINE_DIALS`, dialed
-    by the same row) is predicted by symbolic longest-path replay (see
-    :mod:`repro.cost`).  Returns a
-    :class:`~repro.cost.predict.PredictedSweep`, which reads like a
-    :class:`SweepResult` (``values`` / ``slowdowns`` / ``series`` /
-    ``as_rows``) but reports ``simulations_used`` (1, or 0 when a
-    pre-recorded ``graph`` is supplied) instead of one run per point.
-    """
-    from repro.cost.predict import predict_sweep as _predict
-    from repro.cost.recorder import record_run
-    simulations = 0
-    if graph is None:
-        graph, _result = record_run(
-            app, n_nodes, params=params, seed=seed, window=window,
-            run_limit_us=run_limit_us, livelock_limit=livelock_limit)
-        simulations = 1
-    sweep = _predict(graph, parameter, values)
-    sweep.simulations_used = simulations
-    return sweep
 
 
 #: Sentinel sweep value for the no-spike baseline point of

@@ -7,6 +7,7 @@ the rerun must recompute exactly the points that never completed —
 producing artifacts byte-identical to an uninterrupted run.
 """
 
+import json
 import os
 import signal
 import sqlite3
@@ -431,6 +432,39 @@ def test_campaign_report_bench_payload(tmp_path):
     assert payload["resumed_points"] == 0
     assert payload["points_per_sec"] >= 0.0
     assert "bench" in report.describe()
+
+
+def test_campaign_cli_resumes_every_point_and_renders_identically(
+        tmp_path, capsys):
+    """``python -m repro.harness --campaign``, run twice on one spec
+    file and store: the second run computes nothing."""
+    from repro.harness.__main__ import main
+    spec = tmp_path / "spec.json"
+    spec.write_text(CampaignSpec(
+        name="cli", apps=("Radix",), node_counts=(4,), scale=0.05,
+        dials=(("overhead", (2.9, 12.9)), ("gap", (5.8, 55.8)))).to_json())
+    runs = []
+    for run in ("first", "second"):
+        render, bench = tmp_path / f"{run}.md", tmp_path / f"{run}.json"
+        assert main(["--campaign", str(spec),
+                     "--store", str(tmp_path / "s.sqlite"),
+                     "--render", str(render), "--bench-out", str(bench),
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--jobs", "1"]) == 0
+        runs.append((render.read_text(), json.loads(bench.read_text())))
+    capsys.readouterr()
+    (first_text, first), (second_text, second) = runs
+    assert (first["total_points"], first["resumed_points"],
+            first["computed_points"]) == (3, 0, 3)  # one shared baseline
+    assert (second["total_points"], second["resumed_points"],
+            second["computed_points"]) == (3, 3, 0)
+    for bench in (first, second):
+        assert bench["total_points"] == (bench["resumed_points"]
+                                         + bench["cache_hits"]
+                                         + bench["computed_points"])
+    assert second_text == first_text
+    assert "### overhead @ 4 nodes" in first_text \
+        and "### gap @ 4 nodes" in first_text
 
 
 # ---------------------------------------------------------------------------

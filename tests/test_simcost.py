@@ -30,7 +30,8 @@ from repro.cost import (CostGraph, DepRecorder, PredictedSweep,
                         UnsupportedGraphError, latency_tolerance, lp_bound,
                         predict_runtime, predict_sweep, record_run)
 from repro.harness.runcache import run_key_spec
-from repro.harness.sweeps import DIALS, predicted_sweep, run_sweep
+from repro.harness.experiments import predicted_figure, prediction_errors
+from repro.harness.sweeps import DIALS, SensitivityFigure, run_sweep
 from repro.network.faults import FaultPlan
 
 
@@ -106,11 +107,11 @@ def test_predicted_slowdowns_within_error_gate(radix_graph, parameter,
     assert statistics.median(errs) <= 0.10, errs
 
 
-def test_predicted_sweep_via_harness_entry_point():
-    sweep = predicted_sweep(small_radix(), 4, "overhead",
-                            (2.9, 12.9), seed=7)
+def test_predicted_sweep_via_harness_entry_point(radix_graph):
+    graph, _ = radix_graph
+    figure = predicted_figure([graph], "overhead", (2.9, 12.9))
+    sweep = figure.sweeps[graph.app_name]
     assert isinstance(sweep, PredictedSweep)
-    assert sweep.simulations_used == 1
     assert sweep.values() == [2.9, 12.9]
     slow = sweep.slowdowns()
     assert slow[0] == pytest.approx(1.0)
@@ -119,14 +120,39 @@ def test_predicted_sweep_via_harness_entry_point():
     rows = sweep.as_rows()
     assert rows[0]["app"] == sweep.app_name
     assert all(row["failure"] == "" for row in rows)  # never fails: no sim
+    assert "(4 nodes, simcost)" in figure.render()
 
 
-def test_predicted_sweep_reuses_supplied_graph(radix_graph):
+def test_predicted_sweep_reuses_supplied_graph(radix_graph, monkeypatch):
+    """The figure is built from the recordings it is handed: predicting
+    another dial from the same graphs simulates nothing at all."""
     graph, _ = radix_graph
-    sweep = predicted_sweep(small_radix(), 4, "gap", (5.8, 55.0),
-                            seed=7, graph=graph)
-    assert sweep.simulations_used == 0  # no new simulation at all
-    assert sweep.slowdowns()[1] > 1.0
+    monkeypatch.setattr(Cluster, "run", lambda *args, **kwargs: pytest.fail(
+        "predicted_figure simulated"))
+    figure = predicted_figure([graph], "gap", (5.8, 55.0))
+    assert figure.sweeps[graph.app_name].slowdowns()[1] > 1.0
+
+
+def test_prediction_errors_pair_every_point_once(radix_graph):
+    """Relative error and its median, over the points both figures have;
+    an application the simulated figure lacks is skipped."""
+    graph, _ = radix_graph
+    values = (2.9, 12.9, 22.9)
+    predicted = predicted_figure([graph], "overhead", values)
+    simulated = SensitivityFigure("simulated", "overhead", {
+        "Radix": run_sweep(small_radix(), 4, "overhead", values, seed=7)})
+    errors = prediction_errors(predicted, simulated)
+    pred = predicted.sweeps["Radix"].slowdowns()
+    sim = simulated.sweeps["Radix"].slowdowns()
+    assert errors.rows == [
+        ("Radix", v, s, p, abs(p - s) / s)
+        for v, s, p in zip(values, sim, pred)]
+    assert errors.median == statistics.median(
+        abs(p - s) / s for s, p in zip(sim, pred))
+    assert errors.render().splitlines()[2] == \
+        "| Radix | 2.9 | 1.00 | 1.00 | 0.0% |"
+    assert prediction_errors(predicted, dataclasses.replace(
+        simulated, sweeps={})).rows == []
 
 
 def test_latency_tolerance_and_lp_bound(radix_graph):
@@ -148,11 +174,10 @@ def test_only_machine_dials_are_predictable(radix_graph, dial):
     """A dial without a baseline has nothing to cross from, and one
     that moves no knob would predict a flat line: both are refused, by
     naming the dials a recorded run can be re-dialed along."""
-    from repro.harness.experiments import predicted_sensitivity
     graph, _ = radix_graph
     for refuse in (lambda: latency_tolerance(graph, dial),
                    lambda: predict_sweep(graph, dial, (1.0,)),
-                   lambda: predicted_sensitivity(n_nodes=4, parameter=dial)):
+                   lambda: predicted_figure([graph], dial)):
         with pytest.raises(ValueError, match="overhead.*bulk_mb_s"):
             refuse()
 
@@ -371,3 +396,14 @@ def test_cli_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["predict"])  # missing required graph path
     assert excinfo.value.code == 2
+    capsys.readouterr()
+    # An application the suite does not have: one line on stderr, never
+    # a traceback or exit 1 (the gate's code).
+    for argv, unknown in ((["report", "--apps", "Radix,Radixx",
+                            "--no-cache"], "Radixx"),
+                          (["record", "--app", "Nope"], "Nope")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith(f"{argv[0]}: ") \
+            and captured.err.count("\n") == 1 and unknown in captured.err
