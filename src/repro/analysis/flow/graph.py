@@ -126,14 +126,6 @@ class FunctionInfo:
             scope = scope.enclosing
         return None
 
-    def is_param(self, name: str) -> bool:
-        scope: Optional[FunctionInfo] = self
-        while scope is not None:
-            if name in scope.params:
-                return True
-            scope = scope.enclosing
-        return False
-
 
 class ClassInfo:
     """One class definition with its methods and base-name list."""

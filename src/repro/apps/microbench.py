@@ -78,17 +78,22 @@ class PingPong(Application):
 class BurstSender(Application):
     """Every rank sends ``n_messages`` to its ring neighbour, either at
     a fixed pacing interval or flat out (the burst/uniform dichotomy of
-    Section 5.2).  ``finalize`` returns the mean initiation interval."""
+    Section 5.2).  With ``all_peers`` the messages go round-robin to
+    every other rank instead, the all-to-all pattern of the sorts'
+    distribution phases.  ``finalize`` returns the mean initiation
+    interval."""
 
     name = "BurstSender"
 
-    def __init__(self, n_messages: int = 64, interval_us: float = 0.0):
+    def __init__(self, n_messages: int = 64, interval_us: float = 0.0,
+                 all_peers: bool = False):
         if n_messages < 1:
             raise ValueError("n_messages must be >= 1")
         if interval_us < 0:
             raise ValueError("interval_us must be >= 0")
         self.n_messages = n_messages
         self.interval_us = interval_us
+        self.all_peers = all_peers
 
     def register_handlers(self, table: HandlerTable) -> None:
         table.register("mb_sink", _sink)
@@ -96,13 +101,16 @@ class BurstSender(Application):
     def run_rank(self, proc: Proc) -> Generator:
         if proc.n_ranks < 2:
             return
-        peer = (proc.rank + 1) % proc.n_ranks
+        peers = ([(proc.rank + k) % proc.n_ranks
+                  for k in range(1, proc.n_ranks)]
+                 if self.all_peers else [(proc.rank + 1) % proc.n_ranks])
         start = proc.sim.now
         for i in range(self.n_messages):
             if self.interval_us:
                 yield from proc.compute(self.interval_us)
             yield from proc.poll()
-            yield from proc.am.send_request(peer, "mb_sink", i)
+            yield from proc.am.send_request(peers[i % len(peers)],
+                                            "mb_sink", i)
         proc.state["interval_us"] = \
             (proc.sim.now - start) / self.n_messages
         yield from proc.am.drain()

@@ -179,11 +179,6 @@ class Proc:
 
         return acked
 
-    @property
-    def pending_writes(self) -> int:
-        """Writes issued but not yet acknowledged."""
-        return self._pending_writes
-
     def sync(self) -> Generator:
         """Wait for all outstanding writes to be acknowledged
         (Split-C's ``sync()``)."""

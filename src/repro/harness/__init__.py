@@ -21,6 +21,8 @@
   of the paper's evaluation (plus Figure 11, the open-system serving
   artifact over :mod:`repro.serve`).
 * :mod:`repro.harness.report` -- ASCII tables and line plots.
+* :mod:`repro.harness.claims` -- the paper's shape claims, one row each,
+  which the EXPERIMENTS generator checks (not imported here).
 """
 
 from repro.harness.suite import suite_for, REFERENCE_NODES

@@ -2,9 +2,9 @@
 
 Each function runs the necessary simulations and returns a structured
 result object with ``rows()`` / ``render()`` so the artifact can be
-regenerated as text (the benchmark suite calls these and asserts the
-qualitative shape).  Input scale and application subsets are
-parameters, so benchmarks can run quickly and users can crank fidelity.
+regenerated as text (:mod:`repro.harness.claims` checks the qualitative
+shape).  Input scale and application subsets are parameters, so smoke
+runs stay quick and users can crank fidelity.
 
 The simulating ones are :func:`~repro.harness.parallel.study` s: called,
 they take ``cache=`` / ``jobs=`` and run; ``.plan(...)`` is the same
@@ -45,7 +45,7 @@ __all__ = [
     "sensitivity_figure", "table5_overhead_model", "table6_gap_model",
     "predicted_figure", "prediction_errors", "tolerance_table",
     "table7_spike_decay",
-    "figure10_collectives", "table8_coll_tuner",
+    "figure10_collectives", "model_picks", "table8_coll_tuner",
     "figure11_serving",
 ]
 
@@ -571,6 +571,34 @@ def figure10_collectives(n_nodes: int = 32,
             for (primitive, algo), sweep in zip(series, sweeps)}))
 
 
+def model_picks(cells: Dict[tuple, Dict[str, float]], n_nodes: int,
+                knobs: Optional[TuningKnobs] = None) -> List[dict]:
+    """Per :func:`~repro.harness.sweeps.measure_algorithms` cell: the
+    measured winner, the closed-form model's pick on the same machine
+    (the NOW with ``knobs``), the pick's measured cost over the
+    winner's, and whether it is within 10% of it ("ok")."""
+    from repro.coll.model import estimate_cost
+    params = LogGPParams.berkeley_now()
+    knobs = knobs if knobs is not None else TuningKnobs()
+    rows = []
+    for (primitive, size), measured in cells.items():
+        best_time, best_algo = min((t, a) for a, t in measured.items())
+        model_algo = min(
+            (estimate_cost(primitive, algo, n_nodes, size,
+                           params, knobs, bulk=size > 64), algo)
+            for algo in measured)[1]
+        overcost = measured[model_algo] / best_time
+        rows.append({
+            "primitive": primitive,
+            "size": size,
+            "measured_best": best_algo,
+            "model_pick": model_algo,
+            "overcost": round(overcost, 3),
+            "within_10pct": "ok" if overcost <= 1.10 else "MISS",
+        })
+    return rows
+
+
 @study
 def table8_coll_tuner(n_nodes: int = 32,
                       primitives: Sequence[str] = ("broadcast",
@@ -583,37 +611,15 @@ def table8_coll_tuner(n_nodes: int = 32,
 
     For each (primitive, size) cell, times every eligible algorithm
     with :class:`~repro.coll.bench.CollectiveBench`, then reports the
-    measured winner, the closed-form model's pick, the model pick's
-    measured cost relative to the winner, and whether the pick is
-    within 10% of optimal ("ok").  The bottom-line agreement rate is
-    what ``benchmarks/`` asserts stays >= 80%.
+    :func:`model_picks` rows.  The bottom-line agreement rate is the
+    claims row ``t8.agreement`` (at least 80%).
     """
-    from repro.coll.model import estimate_cost
-    params = LogGPParams.berkeley_now()
-    knobs = TuningKnobs()
-    def build(cells: Dict[tuple, Dict[str, float]]) -> ModelTable:
-        rows = []
-        for (primitive, size), measured in cells.items():
-            best_time, best_algo = min((t, a) for a, t in measured.items())
-            model_algo = min(
-                (estimate_cost(primitive, algo, n_nodes, size,
-                               params, knobs, bulk=size > 64), algo)
-                for algo in measured)[1]
-            overcost = measured[model_algo] / best_time
-            rows.append({
-                "primitive": primitive,
-                "size": size,
-                "measured_best": best_algo,
-                "model_pick": model_algo,
-                "overcost": round(overcost, 3),
-                "within_10pct": "ok" if overcost <= 1.10 else "MISS",
-            })
-        return ModelTable(
+    return measure_algorithms.plan(n_nodes, sizes, primitives, seed=seed,
+                                   **kwargs).then(
+        lambda cells: ModelTable(
             title=f"Table 8 ({n_nodes} nodes): model-driven algorithm "
                   f"selection vs measured winners",
-            parameter="size", rows_=rows)
-    return measure_algorithms.plan(n_nodes, sizes, primitives, seed=seed,
-                                   **kwargs).then(build)
+            parameter="size", rows_=model_picks(cells, n_nodes)))
 
 
 # ---------------------------------------------------------------------------

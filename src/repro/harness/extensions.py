@@ -11,6 +11,15 @@ Three studies the paper motivates but does not plot:
 * :func:`occupancy_study` — the Flash study's parameter (Section 6):
   how NIC occupancy compares against host overhead of the same
   magnitude.
+
+And two ablations of the apparatus's design choices, on the
+:mod:`repro.apps.microbench` senders:
+
+* :func:`window_scope_ablation` — why the paper's applications tolerate
+  latency although the pairwise microbenchmark is throttled to
+  RTT/window: GAM's flow-control windows are per destination.
+* :func:`burst_ablation` — the Section 5.2 model dichotomy: paced
+  traffic ignores added gap, bursty traffic pays about m·Δg.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.am.tuning import TuningKnobs
+from repro.apps.microbench import BurstSender
 from repro.cluster.machine import Cluster
 from repro.cluster.node import CostModel
 from repro.harness.parallel import Plan, PointTask, study
@@ -28,6 +38,7 @@ from repro.harness.sweeps import DIALS
 from repro.network.loggp import LogGPParams
 
 __all__ = ["scaling_study", "investment_study", "occupancy_study",
+           "window_scope_ablation", "burst_ablation",
            "ScalingStudy", "InvestmentStudy", "OccupancyStudy"]
 
 
@@ -220,3 +231,43 @@ def occupancy_study(app_name: str = "EM3D(read)", n_nodes: int = 16,
             runtimes={dial: [result.runtime_us
                              for result in results[i * n:(i + 1) * n]]
                       for i, dial in enumerate(dials)}))
+
+
+# ---------------------------------------------------------------------------
+# Ablations: window scope and traffic burstiness.
+# ---------------------------------------------------------------------------
+
+def _slowdowns(cases: Dict[str, tuple], knobs: TuningKnobs) -> Plan:
+    """label -> runtime of ``(app, cluster)`` with ``knobs`` over
+    without."""
+    tasks = [PointTask(app, cluster.with_knobs(turned))
+             for app, cluster in cases.values()
+             for turned in (TuningKnobs(), knobs)]
+    return Plan.of_results(tasks).then(lambda results: {
+        label: results[2 * i + 1].runtime_us / results[2 * i].runtime_us
+        for i, label in enumerate(cases)})
+
+
+@study
+def window_scope_ablation() -> Plan:
+    """Slowdown of 256 flat-out all-to-all requests per rank on 8 nodes
+    under 100 µs more latency, with per-destination windows (GAM, the
+    paper) and with one window shared by every destination; keyed by
+    ``window_scope``."""
+    app = BurstSender(n_messages=256, all_peers=True)
+    return _slowdowns(
+        {scope: (app, Cluster(8, seed=3, window_scope=scope))
+         for scope in ("per-destination", "global")},
+        TuningKnobs.added_latency(100.0))
+
+
+@study
+def burst_ablation() -> Plan:
+    """Slowdown under 100 µs more gap of 64 ring sends per rank on 4
+    nodes, paced every 250 µs (``"paced"``) and flat out (``"burst"``).
+    Each request is matched by an ack through the same NIC, so pacing
+    stays under the dialed rate only with an interval above 2·g."""
+    cluster = Cluster(4, seed=1)
+    return _slowdowns({"paced": (BurstSender(64, 250.0), cluster),
+                       "burst": (BurstSender(64), cluster)},
+                      TuningKnobs.added_gap(100.0))

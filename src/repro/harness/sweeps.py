@@ -232,9 +232,15 @@ class SensitivityFigure:
     x_label: str
     sweeps: Dict[str, SweepResult] = field(default_factory=dict)
 
+    @staticmethod
+    def _series(sweep: SweepResult) -> List[tuple]:
+        """``sweep.series()``, empty where the baseline is N/A: with
+        nothing to normalise by, every point is N/A, as in ``as_rows``."""
+        return sweep.series() if sweep.baseline.completed else []
+
     def series(self) -> Dict[str, List[tuple]]:
         """Per-application (value, slowdown) series."""
-        return {name: sweep.series()
+        return {name: self._series(sweep)
                 for name, sweep in self.sweeps.items()}
 
     def rows(self) -> List[dict]:
@@ -245,8 +251,9 @@ class SensitivityFigure:
         return rows
 
     def max_slowdown(self, app_name: str) -> Optional[float]:
-        """Largest completed slowdown for one application."""
-        series = self.sweeps[app_name].series()
+        """Largest completed slowdown for one application (None when
+        every point, or the baseline, is N/A)."""
+        series = self._series(self.sweeps[app_name])
         return max(y for _x, y in series) if series else None
 
     def render(self) -> str:

@@ -307,11 +307,6 @@ class Nic:
         # finds no state and is simply ignored.
         self._pending_retx.pop((ack.src, ack.payload), None)
 
-    @property
-    def unacked_packets(self) -> int:
-        """Outstanding reliability-protocol packets (diagnostic)."""
-        return len(self._pending_retx)
-
     # -- reliability protocol: receiver side ---------------------------------
     def _send_ack(self, packet: Packet) -> None:
         """Firmware-level ack: straight onto the wire, no gap, never

@@ -271,13 +271,6 @@ class ServingMetrics:
         return [us / self.runtime_us for us in self.service_us_by]
 
     @property
-    def mean_queue_depth(self) -> List[Optional[float]]:
-        """Per-node mean sampled queue depth."""
-        return [self.queue_sum[node] / self.queue_count[node]
-                if self.queue_count[node] else None
-                for node in range(self.n_nodes)]
-
-    @property
     def max_queue_depth(self) -> int:
         """Deepest sampled queue on any node."""
         return max(self.queue_max) if self.queue_max else 0

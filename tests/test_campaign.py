@@ -434,6 +434,18 @@ def test_campaign_report_bench_payload(tmp_path):
     assert "bench" in report.describe()
 
 
+def test_render_campaign_writes_na_for_a_failed_baseline(tmp_path):
+    """A budget too small for the baseline: both rows are stored as
+    N/A, and the render says so instead of raising."""
+    spec = CampaignSpec(name="t", apps=("Radix",), node_counts=(4,),
+                        dials=(("overhead", (2.9, 52.9)),), scale=0.02,
+                        run_limit_us=50.0)
+    with ResultStore(tmp_path / "s.sqlite") as store:
+        assert run_campaign(spec, store, jobs=1).na_points == 2
+        text = render_campaign([spec], store)
+    assert "| Radix | N/A | 2 |" in text
+
+
 def test_campaign_cli_resumes_every_point_and_renders_identically(
         tmp_path, capsys):
     """``python -m repro.harness --campaign``, run twice on one spec

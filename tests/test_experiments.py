@@ -1,12 +1,23 @@
 """Smoke tests for the experiment entry points at tiny scale.
 
-The full shape assertions live in benchmarks/; these verify the
-plumbing (structure, rendering, N/A handling) quickly.
+The paper's shape claims are the rows of ``repro.harness.claims``,
+which ``scripts/generate_experiments.py`` checks on its full-scale
+artifacts; these verify the plumbing (structure, rendering, N/A
+handling, the drain) quickly, and that a bent curve fails its row.
 """
+
+import functools
+from types import SimpleNamespace
 
 import pytest
 
-from repro.harness import RunCache, experiments
+from repro.am.tuning import TuningKnobs
+from repro.cluster.machine import Cluster
+from repro.harness import RunCache, claims, experiments
+from repro.harness import extensions as extensions_mod
+from repro.harness.extensions import ScalingStudy, occupancy_study
+from repro.harness.parallel import SweepPoint
+from repro.harness.sweeps import SensitivityFigure, SweepResult
 
 
 TINY = dict(n_nodes=4, scale=0.1)
@@ -135,3 +146,57 @@ def test_cli_drains_everything_selected_once_at_the_asked_jobs(
     assert "Table 8" in out and "Figure 11" in out
     (tasks, keys, cache, jobs), = drains
     assert tasks == keys == 55 and cache is None and jobs == 2
+
+
+def test_extension_studies_go_through_the_one_drain(tmp_path, monkeypatch):
+    """Cache, pool and failure taxonomy, as for every other study."""
+    def study(**run):
+        return occupancy_study(app_name="Radix", n_nodes=4,
+                               values=(0.0, 25.0), scale=0.05, **run)
+
+    cache = RunCache(tmp_path)
+    cold = study(cache=cache)
+    # Zero added occupancy and zero added overhead are the same run:
+    # four points, three probes.
+    assert (cache.hits, cache.misses) == (0, 3)
+    warm = study(cache=cache)
+    assert (cache.hits, cache.misses) == (3, 3)  # nothing re-simulated
+    assert warm.rows() == cold.rows() == study(jobs=2).rows()
+
+    monkeypatch.setattr(extensions_mod, "Cluster",
+                        functools.partial(Cluster, run_limit_us=1.0))
+    with pytest.raises(RuntimeError, match="budget exceeded"):
+        study()
+
+
+def test_a_bent_curve_fails_its_claim_with_the_measured_value():
+    """Radix's scale-0.5 runtimes (Tables 4-5 of EXPERIMENTS.md) hold
+    their rows; halving the o=103 point, or claiming it was dialed 50 µs
+    further than it was, fails them.  Nothing is simulated."""
+    runtimes = (40170.2, 158362.5, 629825.2, 1225116.8)
+    stats = SimpleNamespace(max_messages_per_node=4153)
+
+    def check(runtimes_us, delta_o=100.0, scale=0.5, apps=("Radix",)):
+        points = [SweepPoint(o, TuningKnobs(), SimpleNamespace(
+            runtime_us=runtime, stats=stats))
+            for o, runtime in zip((2.9, 12.9, 52.9, 102.9), runtimes_us)]
+        built = SimpleNamespace(
+            fig5_32=SensitivityFigure("Figure 5", "o", {"Radix": SweepResult(
+                "Radix", 32, "overhead", points)}),
+            scaling=ScalingStudy("Radix", delta_o, {32: (
+                runtimes_us[0], runtimes_us[-1], 4153)}))
+        rows = [c for c in claims.CLAIMS
+                if c.id in ("f5.radix_linear", "scaling.residual_32")]
+        return {row["id"]: (row["status"], row["measured"])
+                for row in claims.evaluate(built, scale, apps, rows)}
+
+    assert check(runtimes) == {
+        "f5.radix_linear": ("holds", 1.0101),
+        "scaling.residual_32": ("holds", round(1225116.8 / 870770.2, 4))}
+    bent = runtimes[:3] + (runtimes[3] / 2,)
+    assert check(bent)["f5.radix_linear"] == ("fails", None)  # turns down
+    assert check(runtimes, delta_o=150.0)["scaling.residual_32"] == \
+        ("fails", round(1225116.8 / (40170.2 + 2 * 4153 * 150.0), 4))
+    # Out of its scale, or without its app, a row is N/A, not dropped.
+    assert set(check(bent, scale=0.1).values()) == {("n/a", None)}
+    assert set(check(bent, apps=("Sample",)).values()) == {("n/a", None)}
