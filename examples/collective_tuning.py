@@ -7,9 +7,10 @@ Walks the full `repro.coll` tuning story on one machine:
    closed-form model and show the predicted crossover as the payload
    grows;
 2. measure the same algorithms in the simulator and compare picks;
-3. calibrate a measured decision table and run an application-level
-   sweep under each policy (fixed / model / measured), showing where
-   the tuned schedules pull ahead as bulk bandwidth collapses.
+3. run an allreduce microbenchmark three ways — the registry defaults,
+   the model's pick and the measured best, each named with `algo=` —
+   showing where a tuned schedule pulls ahead as bulk bandwidth
+   collapses.
 
 Run:  python examples/collective_tuning.py          (about a minute)
       python examples/collective_tuning.py --fast   (smaller grid)
@@ -19,7 +20,6 @@ import sys
 
 from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster
-from repro.coll import CollConfig, build_decision_table
 from repro.coll.algorithms import eligible_algorithms
 from repro.coll.bench import CollectiveBench
 from repro.coll.model import predicted_ranking
@@ -65,29 +65,33 @@ def measured_picks(knobs, sizes, iterations):
     print()
 
 
-def policy_shootout(params, knobs, iterations):
-    print("-- policies: allreduce microbenchmark under each tuner --")
-    table = build_decision_table(
-        n_ranks=N_NODES, primitives=("allreduce",), knobs=knobs,
-        iterations=iterations, seed=5)
-    configs = [("fixed (defaults)", None),
-               ("model", CollConfig(policy="model")),
-               ("measured", CollConfig(policy="measured", table=table))]
-    rows = []
-    for label, coll in configs:
-        bench = CollectiveBench("allreduce", size=65536, bulk=True,
-                                iterations=iterations)
-        result = Cluster(N_NODES, knobs=knobs, seed=9, coll=coll).run(bench)
+def schedule_shootout(params, knobs, iterations):
+    print("-- allreduce microbenchmark: defaults vs the model's pick vs"
+          " the measured best --")
+    size = 65536
+
+    def run(algo):
+        bench = CollectiveBench("allreduce", algo=algo, size=size,
+                                bulk=True, iterations=iterations)
+        result = Cluster(N_NODES, knobs=knobs, seed=9).run(bench)
         dispatched = sorted(key.split("/", 1)[1]
                             for key in result.stats.collective_calls
                             if key.startswith("allreduce/"))
-        rows.append({"policy": label,
-                     "runtime us": round(result.runtime_us, 1),
-                     "dispatched": ",".join(dispatched)})
+        return {"runtime us": round(result.runtime_us, 1),
+                "dispatched": ",".join(dispatched)}
+
+    measured = {algo: run(algo) for algo in
+                eligible_algorithms("allreduce", elementwise=True)}
+    model = next(algo for _cost, algo in predicted_ranking(
+        "allreduce", N_NODES, size, params, knobs, bulk=True)
+        if algo in measured)
+    best = min(measured, key=lambda algo: measured[algo]["runtime us"])
+    rows = [{"schedule": "defaults", **run(None)},
+            {"schedule": "model pick (algo=)", **measured[model]},
+            {"schedule": "measured best (algo=)", **measured[best]}]
     print(render_table(rows, title="64 KiB allreduce, slow bulk wire"))
-    baseline = rows[0]["runtime us"]
-    tuned = min(row["runtime us"] for row in rows[1:])
-    print(f"tuned vs defaults: {baseline / tuned:.2f}x faster")
+    speedup = rows[0]["runtime us"] / rows[1]["runtime us"]
+    print(f"model pick vs defaults: {speedup:.2f}x faster")
 
 
 def main() -> None:
@@ -100,7 +104,7 @@ def main() -> None:
 
     predicted_crossover(params, knobs, sizes)
     measured_picks(knobs, sizes, iterations)
-    policy_shootout(params, knobs, iterations)
+    schedule_shootout(params, knobs, iterations)
 
 
 if __name__ == "__main__":

@@ -160,7 +160,7 @@ def main(argv=None) -> int:
             n_nodes=32, primitives=("broadcast", "allreduce"),
             parameter="bulk_mb_s", values=(38.0, 15.0, 5.5, 1.0),
             size=16384, iterations=2),
-        experiments.table8_coll_tuner.plan(
+        experiments.table8_collectives.plan(
             n_nodes=32, sizes=(32, 1024, 16384, 65536), iterations=2),
         experiments.figure11_serving.plan(n_nodes=32, scale=scale),
     ]
@@ -452,9 +452,7 @@ def main(argv=None) -> int:
         f"{len(t8.rows())} (primitive, size) cells; the claims row "
         "`t8.agreement` holds that rate at 80% or more, and "
         "`coll.grid_agreement` does over a (P, size, bandwidth) "
-        "validation grid.  The `measured` policy closes the remaining gap "
-        "by calibrating on the machine itself (decision tables are "
-        "cached, deterministic, and bit-stable across reruns).", 80,
+        "validation grid.", 80,
         break_on_hyphens=False) + "\n")
 
     # ---- Figure 11 (beyond the paper) ---------------------------------------

@@ -155,9 +155,7 @@ class Cluster:
                  run_limit_us: Optional[float] = None,
                  livelock_limit: int = 200_000,
                  faults: Optional["FaultPlan"] = None,  # noqa: F821
-                 sanitize: bool = False,
-                 coll: Optional["CollConfig"] = None  # noqa: F821
-                 ) -> None:
+                 sanitize: bool = False) -> None:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         self.n_nodes = n_nodes
@@ -181,13 +179,6 @@ class Cluster:
                 "fault injection is only modelled on the flat fabric")
         self.faults = faults
         self.sanitize = sanitize
-        # A default (fixed, no overrides) tuning config is normalised to
-        # None — the registry defaults — so such clusters are provably
-        # identical to ones that never mention tuning (and share cache
-        # entries, mirroring the null-fault-plan rule).
-        if coll is not None and coll.is_default:
-            coll = None
-        self.coll = coll
 
     def with_knobs(self, knobs: TuningKnobs) -> "Cluster":
         """A cluster identical to this one but with different dials."""
@@ -199,8 +190,7 @@ class Cluster:
                        run_limit_us=self.run_limit_us,
                        livelock_limit=self.livelock_limit,
                        faults=self.faults,
-                       sanitize=self.sanitize,
-                       coll=self.coll)
+                       sanitize=self.sanitize)
 
     # -- running applications -------------------------------------------------
     def run(self, app: "Application",
@@ -267,11 +257,6 @@ class Cluster:
         app.register_handlers(table)
         probes.begin(sim, self, app.name)
 
-        coll_tuner = None
-        if self.coll is not None:
-            from repro.coll.tuner import tuner_from_config
-            coll_tuner = tuner_from_config(self.coll)
-
         procs: List[Proc] = []
         for node_id in range(self.n_nodes):
             node = Node(sim, node_id, self.cost,
@@ -282,8 +267,7 @@ class Cluster:
                          faults=self.faults, probes=probes)
             proc = Proc(sim, node_id, self.n_nodes, node, am, stats=stats,
                         seed=self.seed,
-                        livelock_limit=self.livelock_limit,
-                        coll_tuner=coll_tuner)
+                        livelock_limit=self.livelock_limit)
             am.host = proc
             procs.append(proc)
 

@@ -6,19 +6,17 @@ the simulated Active Message substrate:
 * :mod:`repro.coll.algorithms` — an algorithm registry with at least
   two interchangeable schedules per primitive (barrier, broadcast,
   reduce, allreduce, gather, scatter, allgather, personalized
-  alltoall); the defaults are the paper's Split-C schedules.
+  alltoall); the defaults are the paper's Split-C schedules.  Its
+  :func:`~repro.coll.algorithms.pick` is what each
+  :class:`~repro.gas.runtime.Proc` collective method calls.
 * :mod:`repro.coll.model` — closed-form LogGP cost estimates per
-  (algorithm, P, size), from the machine's live parameters and dials.
-* :mod:`repro.coll.tuner` — :func:`~repro.coll.tuner.pick`, which each
-  :class:`~repro.gas.runtime.Proc` collective method calls, and the
-  ``fixed`` / ``model`` / ``measured`` selection policies; ``measured``
-  builds a decision table from a calibration sweep persisted via the
-  run cache.
+  (algorithm, P, size), from the machine's live parameters and dials;
+  Table 8 grades its picks against measured winners.
 * :mod:`repro.coll.bench` — the calibration microbenchmark.
 
 Applications call the ``Proc`` methods (``proc.barrier()``,
 ``proc.allreduce(value, op)``, ...); ``algo=`` names a schedule
-explicitly.
+explicitly, otherwise the call runs the registry default.
 """
 
 from repro.coll.algorithms import (DEFAULT_ALGORITHMS, PRIMITIVES,
@@ -26,13 +24,10 @@ from repro.coll.algorithms import (DEFAULT_ALGORITHMS, PRIMITIVES,
                                    get_algorithm, registry)
 from repro.coll.core import COLL_HANDLER, register_coll_handlers
 from repro.coll.model import estimate_cost, predicted_ranking
-from repro.coll.tuner import (CollConfig, build_decision_table,
-                              tuner_from_config)
 
 __all__ = [
     "PRIMITIVES", "DEFAULT_ALGORITHMS", "registry", "algorithms_for",
     "get_algorithm", "eligible_algorithms",
     "COLL_HANDLER", "register_coll_handlers",
     "estimate_cost", "predicted_ranking",
-    "CollConfig", "tuner_from_config", "build_decision_table",
 ]

@@ -5,18 +5,19 @@ primitive's :class:`~repro.gas.runtime.Proc` method (minus ``algo``)
 and produces the same result on every rank — only the message schedule
 (and therefore the simulated cost) differs.  Following Barchet-Estefanel
 & Mounie, the winning schedule flips with message size, P, and the LogGP
-parameters, which is what the tuner exploits.
+parameters, which is what Table 8 grades the cost model on.
 
 The paper's Split-C schedules — the ``dissemination`` barrier and the
-``binomial`` broadcast / reduce / allreduce — are the fixed-policy
-defaults; a cluster that never asks for tuning runs exactly them.
+``binomial`` broadcast / reduce / allreduce — are the defaults; a call
+that names no schedule runs exactly them.
 
 Eligibility: a few schedules require structural properties the caller
 must declare (SPMD-uniformly) because they cannot be inferred from one
 rank's arguments alone — ``allreduce``'s ring needs a sliceable vector
 value with an elementwise ``op``; ``alltoall``'s Bruck schedule needs a
 dense, uniform-size value set.  :func:`eligible_algorithms` encodes
-those rules.
+those rules, and :func:`pick` — which every
+:class:`~repro.gas.runtime.Proc` collective method calls — applies them.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from repro.network.packet import SHORT_PACKET_BYTES
 
 __all__ = ["PRIMITIVES", "DEFAULT_ALGORITHMS", "registry",
            "algorithms_for", "get_algorithm", "eligible_algorithms",
-           "CHAIN_SEGMENT_BYTES"]
+           "pick", "CHAIN_SEGMENT_BYTES"]
 
 #: Every primitive the subsystem dispatches.
 PRIMITIVES = ("barrier", "broadcast", "reduce", "allreduce",
               "gather", "scatter", "allgather", "alltoall")
 
-#: The fixed-policy default per primitive: the paper's schedule where
+#: The default schedule per primitive: the paper's schedule where
 #: Split-C had one, otherwise the simplest schedule.
 DEFAULT_ALGORITHMS = {
     "barrier": "dissemination",
@@ -642,3 +643,35 @@ def eligible_algorithms(primitive: str, elementwise: bool = False,
             continue
         names.append(algo)
     return tuple(names)
+
+
+def pick(proc: "Proc", primitive: str, nbytes: float,  # noqa: F821
+         algo: Optional[str], elementwise: bool = False,
+         dense: bool = False, uniform: bool = True) -> Callable:
+    """The implementation ``proc``'s ``primitive`` call runs.
+
+    The declared traits (see :func:`eligible_algorithms`) narrow the
+    registry to the eligible candidates.  An explicit ``algo`` must be
+    one of them; otherwise the call runs the registry default, or the
+    first eligible candidate when the default is not eligible.  Every
+    rank declares the same traits, so all ranks agree on the schedule
+    without communicating.  The choice is fired on the ``collective``
+    hook, with the call's ``nbytes``, before the call sends anything.
+    """
+    candidates = eligible_algorithms(
+        primitive, elementwise=elementwise, dense=dense, uniform=uniform)
+    if algo is not None:
+        get_algorithm(primitive, algo)  # validate the name
+        if algo not in candidates:
+            raise ValueError(
+                f"{primitive} algorithm {algo!r} is not eligible for "
+                f"this call (elementwise={elementwise}, dense={dense}, "
+                f"uniform={uniform})")
+    else:
+        algo = DEFAULT_ALGORITHMS[primitive]
+        if algo not in candidates:
+            algo = candidates[0]
+    hook = proc.probes.collective
+    if hook is not None:
+        hook(primitive, algo, proc.rank, int(nbytes))
+    return REGISTRY[primitive][algo]

@@ -2,12 +2,12 @@
 
 One :class:`CollectiveBench` run times ``iterations`` back-to-back
 invocations of a single primitive with deterministic payloads, using
-either an explicit algorithm (calibration mode) or the cluster's tuning
-policy.  ``finalize`` verifies every rank's every iteration against the
+either an explicit algorithm (calibration mode) or the registry
+default.  ``finalize`` verifies every rank's every iteration against the
 closed-form expected result, so a mis-scheduled algorithm fails loudly
 instead of producing a plausible runtime.
 
-This is what :func:`repro.coll.tuner.build_decision_table` and the
+This is what :func:`repro.harness.sweeps.measure_algorithms` and the
 ``collective_sweep`` harness run; it lives in ``repro.coll`` (not
 ``repro.apps``) because it benchmarks the machine layer, not a paper
 workload.
@@ -38,8 +38,7 @@ class CollectiveBench(Application):
     primitive:
         One of :data:`repro.coll.algorithms.PRIMITIVES`.
     algo:
-        Explicit algorithm name, or ``None`` to let the cluster's
-        tuning policy choose.
+        Explicit algorithm name, or ``None`` for the registry default.
     size:
         Declared wire size (bytes): the whole value for broadcast /
         reduce / allreduce, the per-rank block otherwise.

@@ -6,12 +6,14 @@ its declared size (the NIC only pays ``G`` per byte for bulk fragments),
 successive injections from one NIC are ``g`` apart, and every request is
 acknowledged (the ack's ``o_r`` lands back on the requester).  All
 parameters come from the machine's live :class:`LogGPParams` with the
-run's :class:`TuningKnobs` applied, so the model tuner adapts to dialed
+run's :class:`TuningKnobs` applied, so the model's picks track dialed
 machines exactly the way the measurements do.
 
 These are ranking models: they only need to order the 2-3 candidate
 schedules per primitive correctly (Barchet-Estefanel & Mounie's "fast
-tuning" observation), not predict absolute runtimes.
+tuning" observation), not predict absolute runtimes.  Table 8
+(:func:`repro.harness.experiments.model_picks`) grades
+:func:`predicted_ranking`'s first pick against the measured winner.
 """
 
 from __future__ import annotations

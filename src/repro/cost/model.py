@@ -22,11 +22,8 @@ Each form is linear in its dial, so predicted runtime — a max over
 path sums of these forms — is piecewise-linear in every dial: the
 property :func:`repro.cost.predict.latency_tolerance` exploits.
 
-Collective phases need no special casing in the replay (their
-constituent AMs are recorded like any others), but
-:func:`collective_phase_cost` exposes the matching closed form from
-``coll/model.py`` so reports can cross-check whole recorded phases
-against the analytical collective model.
+Collective phases need no special casing in the replay: their
+constituent AMs are recorded like any others.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from repro.am.tuning import TuningKnobs
 from repro.network.loggp import LogGPParams
 from repro.network.packet import BULK_FRAGMENT_BYTES
 
-__all__ = ["DialedCost", "collective_phase_cost"]
+__all__ = ["DialedCost"]
 
 
 class DialedCost:
@@ -82,18 +79,3 @@ class DialedCost:
         sizes = [BULK_FRAGMENT_BYTES] * (count - 1)
         sizes.append(max(1, nbytes - BULK_FRAGMENT_BYTES * (count - 1)))
         return sizes
-
-
-def collective_phase_cost(primitive: str, algo: str, n_ranks: int,
-                          nbytes: int, params: LogGPParams,
-                          knobs: TuningKnobs, bulk: bool = False) -> float:
-    """Closed-form LogGP cost of one collective phase.
-
-    A thin dial-aware wrapper over :func:`repro.coll.model.
-    estimate_cost` — the same analytical forms the tuned-collectives
-    tier selects schedules with — for cross-checking recorded
-    collective phases against the model.
-    """
-    from repro.coll.model import estimate_cost
-    return estimate_cost(primitive, algo, n_ranks, nbytes, params,
-                         knobs=knobs, bulk=bulk)

@@ -42,8 +42,7 @@ class Proc:
     def __init__(self, sim: Simulator, rank: int, n_ranks: int, node: Node,
                  am: AmLayer, stats: Optional[ClusterStats] = None,
                  seed: int = 0,
-                 livelock_limit: int = DEFAULT_LIVELOCK_LIMIT,
-                 coll_tuner: Optional[Any] = None) -> None:
+                 livelock_limit: int = DEFAULT_LIVELOCK_LIMIT) -> None:
         self.sim = sim
         self.rank = rank
         self.n_ranks = n_ranks
@@ -53,9 +52,6 @@ class Proc:
         #: The run's result record; hooks reach it through ``probes``.
         self.stats = stats
         self.livelock_limit = livelock_limit
-        #: The cluster's collective tuning policy (``None`` -> the
-        #: registry defaults); consulted by ``repro.coll.tuner.pick``.
-        self.coll_tuner = coll_tuner
         #: Owner rank -> count of unacknowledged writes toward it; kept
         #: only while ``am.watching``, for sync() wait-for annotations.
         self._pending_write_dsts: Dict[int, int] = {}
@@ -231,30 +227,30 @@ class Proc:
 
     # -- collectives -----------------------------------------------------------
     # Each method picks its schedule from the ``repro.coll`` registry when
-    # called (``coll.tuner.pick``: the cluster's policy, or ``algo=``)
-    # and returns that schedule's generator.  The import is lazy, so
-    # importing the harness never loads ``repro.coll``.
+    # called (``coll.algorithms.pick``: ``algo=``, or the registry
+    # default) and returns that schedule's generator.  The import is
+    # lazy, so importing the harness never loads ``repro.coll``.
 
     def barrier(self, algo: Optional[str] = None) -> Generator:
         """Barrier over all ranks (default: dissemination)."""
+        from repro.coll.algorithms import pick
         from repro.coll.core import TOKEN_BYTES
-        from repro.coll.tuner import pick
         return pick(self, "barrier", TOKEN_BYTES, algo)(self)
 
     def broadcast(self, value: Any = None, root: int = 0, size: int = 32,
                   bulk: bool = False,
                   algo: Optional[str] = None) -> Generator:
         """Broadcast from ``root``; returns the value on every rank."""
-        from repro.coll.tuner import pick
-        return pick(self, "broadcast", size, algo, bulk=bulk)(
+        from repro.coll.algorithms import pick
+        return pick(self, "broadcast", size, algo)(
             self, value, root=root, size=size, bulk=bulk)
 
     def reduce(self, value: Any, op, root: int = 0,
                size: int = 32, bulk: bool = False,
                algo: Optional[str] = None) -> Generator:
         """Reduction to ``root`` (other ranks receive ``None``)."""
-        from repro.coll.tuner import pick
-        return pick(self, "reduce", size, algo, bulk=bulk)(
+        from repro.coll.algorithms import pick
+        return pick(self, "reduce", size, algo)(
             self, value, op, root=root, size=size, bulk=bulk)
 
     def allreduce(self, value: Any, op, size: int = 32,
@@ -266,9 +262,8 @@ class Proc:
         ``value`` is a sliceable vector and ``op`` acts elementwise — it
         makes the Rabenseifner ring eligible.
         """
-        from repro.coll.tuner import pick
-        return pick(self, "allreduce", size, algo, bulk=bulk,
-                    elementwise=elementwise)(
+        from repro.coll.algorithms import pick
+        return pick(self, "allreduce", size, algo, elementwise=elementwise)(
             self, value, op, size=size, bulk=bulk, elementwise=elementwise)
 
     def gather(self, value: Any, root: int = 0, size: int = 32,
@@ -276,8 +271,8 @@ class Proc:
                algo: Optional[str] = None) -> Generator:
         """Gather one value per rank to ``root`` (a rank-ordered list;
         other ranks receive ``None``).  ``size`` is the per-rank size."""
-        from repro.coll.tuner import pick
-        return pick(self, "gather", size, algo, bulk=bulk)(
+        from repro.coll.algorithms import pick
+        return pick(self, "gather", size, algo)(
             self, value, root=root, size=size, bulk=bulk)
 
     def scatter(self, values: Optional[List[Any]] = None, root: int = 0,
@@ -285,15 +280,15 @@ class Proc:
                 algo: Optional[str] = None) -> Generator:
         """Scatter ``values[r]`` from ``root`` to each rank ``r``; returns
         this rank's slot.  ``size`` is the per-rank size."""
-        from repro.coll.tuner import pick
-        return pick(self, "scatter", size, algo, bulk=bulk)(
+        from repro.coll.algorithms import pick
+        return pick(self, "scatter", size, algo)(
             self, values, root=root, size=size, bulk=bulk)
 
     def allgather(self, value: Any, size: int = 32, bulk: bool = False,
                   algo: Optional[str] = None) -> Generator:
         """Gather one value per rank onto every rank (rank-ordered list)."""
-        from repro.coll.tuner import pick
-        return pick(self, "allgather", size, algo, bulk=bulk)(
+        from repro.coll.algorithms import pick
+        return pick(self, "allgather", size, algo)(
             self, value, size=size, bulk=bulk)
 
     def alltoall(self, values: List[Any], size: int = 32,
@@ -308,12 +303,11 @@ class Proc:
         every rank) when every slot is populated — it makes the Bruck
         schedule eligible.  ``size``/``sizes`` count per-destination bytes.
         """
-        from repro.coll.tuner import pick
-        mean = sum(sizes) / max(1, len(sizes)) if sizes else size
+        from repro.coll.algorithms import pick
         total = sum(sizes) if sizes is not None \
             else size * max(0, self.n_ranks - 1)
-        return pick(self, "alltoall", mean, algo, noted=total, bulk=bulk,
-                    dense=dense, uniform=sizes is None)(
+        return pick(self, "alltoall", total, algo, dense=dense,
+                    uniform=sizes is None)(
             self, values, size=size, sizes=sizes, bulk=bulk, dense=dense)
 
     # -- locks -------------------------------------------------------------------

@@ -78,7 +78,7 @@ ARTIFACTS = {
     "figure10": lambda nodes, scale:
         experiments.figure10_collectives.plan(n_nodes=nodes),
     "table8": lambda nodes, scale:
-        experiments.table8_coll_tuner.plan(n_nodes=nodes),
+        experiments.table8_collectives.plan(n_nodes=nodes),
     "figure11": _sized(experiments.figure11_serving),
     "surface": lambda nodes, scale: overhead_gap_surface.plan(
         n_nodes=min(nodes, 16), scale=scale),

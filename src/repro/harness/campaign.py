@@ -9,7 +9,7 @@ This module is that contract, modeled on MBradbury/slp's
 ``skip_completed_simulations`` + ``create_*_results.py`` split:
 
 * :class:`CampaignSpec` — a declarative, JSON-round-trippable argument
-  product over (app, P, dial, values, seed, faults, coll).
+  product over (app, P, dial, values, seed, faults).
   ``points()`` expands it into concrete
   :class:`~repro.harness.parallel.PointTask` work units, each tagged
   with the same content-addressed key the
@@ -114,8 +114,6 @@ class CampaignSpec:
     #: Base fault plan applied to every point (the ``drop_rate`` dial
     #: overrides its drop rate per value).
     faults: Optional[FaultPlan] = None
-    #: Collective tuning config applied to every point.
-    coll: Optional[Any] = None
     #: Open-system serving workload: the constructor-knob dict a
     #: :func:`repro.serve.apps.serving_app_from_dict` builds from
     #: (``{"app": "kvserve", ...}``).  When set, ``apps`` must name
@@ -159,6 +157,10 @@ class CampaignSpec:
                     "app has a client tier to offer load to")
             if not values:
                 raise ValueError(f"dial {parameter!r} has no values")
+            for value in values:
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"dial {parameter!r} has non-finite value {value!r}")
 
     # -- expansion ---------------------------------------------------------
     def values_for(self, parameter: str) -> Tuple[float, ...]:
@@ -192,7 +194,7 @@ class CampaignSpec:
                         params=params, faults=self.faults, seed=seed,
                         run_limit_us=self.run_limit_us,
                         livelock_limit=self.livelock_limit,
-                        window=self.window, coll=self.coll):
+                        window=self.window):
                     points.append(CampaignPoint(
                         app_name=app_name, n_nodes=n_nodes,
                         parameter=parameter, value=task.value, seed=seed,
@@ -217,8 +219,6 @@ class CampaignSpec:
             "window": self.window,
             "faults": (dataclasses.asdict(self.faults)
                        if self.faults is not None else None),
-            "coll": (dataclasses.asdict(self.coll)
-                     if self.coll is not None else None),
             "workload": (dict(self.workload)
                          if self.workload is not None else None),
         }
@@ -237,13 +237,10 @@ class CampaignSpec:
                 "drop_kinds": (tuple(faults["drop_kinds"])
                                if faults.get("drop_kinds") else None),
             })
-        coll = data.get("coll")
-        if coll is not None:
-            from repro.coll.tuner import CollConfig
-            coll = CollConfig(
-                policy=coll.get("policy", "fixed"),
-                choices=tuple(tuple(c) for c in coll.get("choices", ())),
-                table=tuple(tuple(c) for c in coll.get("table", ())))
+        if data.get("coll") is not None:
+            raise ValueError(
+                "campaign specs no longer take a 'coll' tuning config; "
+                "a collective's schedule is named by its call's algo=")
         return cls(
             name=data["name"],
             apps=tuple(data["apps"]),
@@ -256,8 +253,7 @@ class CampaignSpec:
             run_limit_us=data.get("run_limit_us"),
             livelock_limit=data.get("livelock_limit", 200_000),
             window=data.get("window", 8),
-            faults=faults, coll=coll,
-            workload=data.get("workload"))
+            faults=faults, workload=data.get("workload"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

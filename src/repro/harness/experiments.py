@@ -45,7 +45,7 @@ __all__ = [
     "sensitivity_figure", "table5_overhead_model", "table6_gap_model",
     "predicted_figure", "prediction_errors", "tolerance_table",
     "table7_spike_decay",
-    "figure10_collectives", "model_picks", "table8_coll_tuner",
+    "figure10_collectives", "model_picks", "table8_collectives",
     "figure11_serving",
 ]
 
@@ -549,9 +549,9 @@ def figure10_collectives(n_nodes: int = 32,
     For each primitive, sweeps every registered algorithm the
     calibration benchmark can drive across ``parameter`` (dialed like
     Figures 5-8) and plots one ``primitive/algorithm`` series per
-    combination.  Where the series cross is where a tuned machine
-    should switch schedules — the crossovers the ``model`` and
-    ``measured`` tuning policies exist to find.
+    combination.  Where the series cross is where a call site should
+    name another schedule with ``algo=`` — the crossovers Table 8
+    grades the cost model on finding.
     """
     from repro.coll.algorithms import eligible_algorithms
     figure = SensitivityFigure(
@@ -577,16 +577,16 @@ def model_picks(cells: Dict[tuple, Dict[str, float]], n_nodes: int,
     measured winner, the closed-form model's pick on the same machine
     (the NOW with ``knobs``), the pick's measured cost over the
     winner's, and whether it is within 10% of it ("ok")."""
-    from repro.coll.model import estimate_cost
+    from repro.coll.model import predicted_ranking
     params = LogGPParams.berkeley_now()
     knobs = knobs if knobs is not None else TuningKnobs()
     rows = []
     for (primitive, size), measured in cells.items():
         best_time, best_algo = min((t, a) for a, t in measured.items())
-        model_algo = min(
-            (estimate_cost(primitive, algo, n_nodes, size,
-                           params, knobs, bulk=size > 64), algo)
-            for algo in measured)[1]
+        model_algo = next(
+            algo for _cost, algo in predicted_ranking(
+                primitive, n_nodes, size, params, knobs, bulk=size > 64)
+            if algo in measured)
         overcost = measured[model_algo] / best_time
         rows.append({
             "primitive": primitive,
@@ -600,13 +600,13 @@ def model_picks(cells: Dict[tuple, Dict[str, float]], n_nodes: int,
 
 
 @study
-def table8_coll_tuner(n_nodes: int = 32,
-                      primitives: Sequence[str] = ("broadcast",
-                                                   "allreduce",
-                                                   "allgather",
-                                                   "alltoall"),
-                      sizes: Sequence[int] = (32, 1024, 16384, 65536),
-                      seed: int = 0, **kwargs) -> Plan:
+def table8_collectives(n_nodes: int = 32,
+                       primitives: Sequence[str] = ("broadcast",
+                                                    "allreduce",
+                                                    "allgather",
+                                                    "alltoall"),
+                       sizes: Sequence[int] = (32, 1024, 16384, 65536),
+                       seed: int = 0, **kwargs) -> Plan:
     """Table 8: the LogGP model's algorithm picks vs measured winners.
 
     For each (primitive, size) cell, times every eligible algorithm

@@ -76,7 +76,7 @@ class PointTask:
             livelock_limit=cluster.livelock_limit, window=cluster.window,
             window_scope=cluster.window_scope, fabric=cluster.fabric,
             disks_per_node=cluster.disks_per_node, cost=cluster.cost,
-            faults=cluster.faults, coll=cluster.coll)
+            faults=cluster.faults)
 
     @cached_property
     def key(self) -> str:

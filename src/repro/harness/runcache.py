@@ -105,20 +105,16 @@ def run_key_spec(app: Any, n_nodes: int,
                  fabric: str = "flat",
                  disks_per_node: int = 2,
                  cost: Optional[CostModel] = None,
-                 faults: Optional["FaultPlan"] = None,  # noqa: F821
-                 coll: Optional["CollConfig"] = None  # noqa: F821
+                 faults: Optional["FaultPlan"] = None  # noqa: F821
                  ) -> Dict[str, Any]:
     """Everything that determines one run's outcome, as a JSON dict.
 
     A null (all-defaults) fault plan keys identically to no plan at
     all, matching the runtime guarantee that such runs are
-    bit-identical — so they share one cache entry.  A default (fixed,
-    no overrides) collective tuning config is normalised the same way.
+    bit-identical — so they share one cache entry.
     """
     if faults is not None and faults.is_null:
         faults = None
-    if coll is not None and coll.is_default:
-        coll = None
     return {
         "format": CACHE_FORMAT,
         "app": app_fingerprint(app),
@@ -134,7 +130,7 @@ def run_key_spec(app: Any, n_nodes: int,
         "disks_per_node": disks_per_node,
         "cost": dataclasses.asdict(cost if cost is not None else CostModel()),
         "faults": dataclasses.asdict(faults) if faults is not None else None,
-        "coll": dataclasses.asdict(coll) if coll is not None else None,
+        "coll": None,  # always None; dropping it would re-key every run
     }
 
 

@@ -272,7 +272,7 @@ def sweep_tasks(app: Any, n_nodes: int, dial: Dial,
     campaign series goes through.  ``app``, ``knobs`` and ``faults``
     are the setting ``dial`` turns from; ``cluster`` is whatever else
     the points' :class:`Cluster` s share (seed, limits, window,
-    ``sanitize``, ``coll``)."""
+    ``sanitize``)."""
     params = params if params is not None else LogGPParams.berkeley_now()
     knobs = knobs if knobs is not None else TuningKnobs()
     tasks = []
@@ -306,7 +306,7 @@ def run_sweep(app: Application, n_nodes: int, dial: Union[str, Dial],
     ``cluster`` is what every point's
     :class:`~repro.cluster.machine.Cluster` shares: ``params``,
     ``seed``, ``run_limit_us``, ``livelock_limit``, ``window``,
-    ``coll``, ``sanitize``, ... — and ``knobs`` / ``faults``, which the
+    ``sanitize``, ... — and ``knobs`` / ``faults``, which the
     dial turns *from*: a latency sweep with ``knobs=`` pinned at +25 µs
     of overhead keeps that overhead on every point, and a ``drop_rate``
     sweep keeps its ``faults`` plan's timeouts and retries.  All of it
@@ -366,9 +366,9 @@ def collective_sweep(primitive: str, n_nodes: int,
     """Collective sensitivity: one primitive's runtime across one dial.
 
     Runs :class:`~repro.coll.bench.CollectiveBench` for ``primitive``
-    (scheduled as ``algo``, or by the cluster's tuning policy when
-    ``algo`` is None and a ``coll=`` config supplies one) at every value of
-    ``parameter`` — one of :data:`MACHINE_DIALS`, dialed
+    (scheduled as ``algo``, or the registry default when ``algo`` is
+    None) at every value of ``parameter`` — one of
+    :data:`MACHINE_DIALS`, dialed
     exactly like the Figure 5-8 sweeps (``values`` defaults to the
     paper's grid).  The first value is the baseline, so slowdowns read
     like the paper's figures but for a single collective instead of a

@@ -176,10 +176,10 @@ class ClusterStats:
         """Rank ``rank`` dispatched one ``kind`` collective scheduled as
         ``algo``, declaring ``nbytes`` payload bytes.
 
-        Called once per rank per invocation by ``repro.coll.tuner.pick``
-        (when the ``Proc`` method is called), so
-        tuned-vs-untuned runs are auditable from stats alone: the keys
-        say exactly which schedules ran, and how often.
+        Called once per rank per invocation by
+        ``repro.coll.algorithms.pick`` (when the ``Proc`` method is
+        called), so runs are auditable from stats alone: the keys say
+        exactly which schedules ran, and how often.
         """
         if not self.enabled:
             return

@@ -19,7 +19,6 @@ import pytest
 from repro.am.tuning import TuningKnobs
 from repro.apps import RadixSort
 from repro.cluster.machine import Cluster
-from repro.coll.tuner import CollConfig
 from repro.harness import (CampaignInterrupted, CampaignSpec, ResultStore,
                            RunCache, ensemble_from_store, render_campaign,
                            run_campaign, run_sweep, sweep_from_store)
@@ -311,9 +310,7 @@ def test_campaign_spec_json_round_trip_with_faults_and_coll():
             spikes=(DelaySpike(node=1, start_us=10.0, duration_us=5.0),),
             slowdowns=(SlowdownWindow(node=2, start_us=0.0,
                                       duration_us=50.0, factor=2.0),),
-            salt=3),
-        coll=CollConfig(policy="model",
-                        choices=(("broadcast", "chain"),)))
+            salt=3))
     round_tripped = CampaignSpec.from_json(spec.to_json())
     assert round_tripped == spec
     # And the round trip preserves point identity, not just equality.
@@ -326,6 +323,26 @@ def test_campaign_spec_json_round_trip_with_faults_and_coll():
     assert legacy == spec
     assert ([p.key for p in legacy.points()]
             == [p.key for p in spec.points()])
+    # So do files written while it had a ``coll`` tuning config, as long
+    # as they never set one; a set one has no meaning any more.
+    legacy = CampaignSpec.from_dict({**spec.to_dict(), "coll": None})
+    assert ([p.key for p in legacy.points()]
+            == [p.key for p in spec.points()])
+    with pytest.raises(ValueError, match="coll"):
+        CampaignSpec.from_dict({**spec.to_dict(),
+                                "coll": {"policy": "model"}})
+
+
+@pytest.mark.parametrize("dial,values,bad", [
+    ("overhead", "[2.9, NaN]", "nan"),
+    ("bulk_mb_s", "[38.0, NaN]", "nan"),
+    ("gap", "[5.8, Infinity]", "inf"),
+])
+def test_campaign_spec_rejects_non_finite_dial_values(dial, values, bad):
+    text = (f'{{"name": "nf", "apps": ["Radix"], "node_counts": [4], '
+            f'"dials": [["{dial}", {values}]]}}')
+    with pytest.raises(ValueError, match=f"dial '{dial}' .* {bad}"):
+        CampaignSpec.from_json(text)
 
 
 def test_campaign_points_order_and_keys_are_deterministic():

@@ -1,4 +1,4 @@
-"""Tests for repro.coll: conformance, tuning policies, and bit-identity.
+"""Tests for repro.coll: conformance, the cost model, and bit-identity.
 
 The conformance matrix runs every registered algorithm of every
 primitive under simsan on awkward rank counts (including non-powers of
@@ -20,10 +20,6 @@ from repro.coll.algorithms import (DEFAULT_ALGORITHMS, PRIMITIVES,
                                    get_algorithm, registry)
 from repro.coll.bench import CollectiveBench
 from repro.coll.model import estimate_cost, predicted_ranking
-from repro.coll.tuner import (CollConfig, FixedPolicy, MeasuredPolicy,
-                              ModelPolicy, build_decision_table,
-                              tuner_from_config)
-from repro.harness.runcache import run_key_spec
 from repro.network.loggp import LogGPParams
 
 RANK_COUNTS = (1, 2, 3, 5, 8, 13)
@@ -145,79 +141,6 @@ def test_model_sees_bandwidth_crossover_for_bulk_broadcast():
     assert small_binomial < small_chain
 
 
-# -- tuning policies --------------------------------------------------------
-
-def test_coll_config_validation():
-    with pytest.raises(ValueError, match="policy"):
-        CollConfig(policy="adaptive")
-    with pytest.raises(ValueError, match="algorithm"):
-        CollConfig(choices=(("broadcast", "ring"),))
-    with pytest.raises(ValueError, match="decision table"):
-        CollConfig(policy="measured")
-    assert CollConfig().is_default
-    assert not CollConfig(choices=(("broadcast", "chain"),)).is_default
-
-
-def test_default_config_normalises_to_no_tuner():
-    cluster = Cluster(4, coll=CollConfig())
-    assert cluster.coll is None
-    assert isinstance(tuner_from_config(None), FixedPolicy)
-    assert isinstance(
-        tuner_from_config(CollConfig(policy="model")), ModelPolicy)
-    table = (("broadcast", 4, 32, False, "binomial"),)
-    assert isinstance(
-        tuner_from_config(CollConfig(policy="measured", table=table)),
-        MeasuredPolicy)
-
-
-def test_fixed_policy_override_dispatches_other_algorithm():
-    baseline = Cluster(5, seed=4).run(
-        CollectiveBench("broadcast", size=8192, bulk=True, iterations=2))
-    tuned = Cluster(5, seed=4,
-                    coll=CollConfig(choices=(("broadcast", "chain"),))
-                    ).run(
-        CollectiveBench("broadcast", size=8192, bulk=True, iterations=2))
-    assert "broadcast/binomial" in baseline.stats.collective_calls
-    assert "broadcast/chain" in tuned.stats.collective_calls
-    assert tuned.runtime_us != baseline.runtime_us
-
-
-def test_measured_policy_follows_its_table():
-    table = (("broadcast", 5, 8192, True, "chain"),)
-    result = Cluster(5, seed=4,
-                     coll=CollConfig(policy="measured", table=table)).run(
-        CollectiveBench("broadcast", size=8192, bulk=True, iterations=2))
-    assert "broadcast/chain" in result.stats.collective_calls
-
-
-def test_decision_table_is_bit_stable_and_covers_grid():
-    kwargs = dict(n_ranks=4, sizes=(32, 4096),
-                  primitives=("broadcast", "allreduce"), seed=5,
-                  iterations=2)
-    first = build_decision_table(**kwargs)
-    second = build_decision_table(**kwargs)
-    assert first == second
-    assert len(first) == 4  # 2 primitives x 2 sizes
-    for primitive, n_ranks, nbytes, bulk, algo in first:
-        assert algo in algorithms_for(primitive)
-        assert bulk == (nbytes > 64)
-
-
-# -- cache keys -------------------------------------------------------------
-
-def test_run_key_spec_normalises_default_coll_config():
-    app = CollectiveBench("barrier", iterations=1)
-    params = LogGPParams.berkeley_now()
-    base = run_key_spec(app, 4, params, TuningKnobs(), 0)
-    defaulted = run_key_spec(app, 4, params, TuningKnobs(), 0,
-                             coll=CollConfig())
-    tuned = run_key_spec(app, 4, params, TuningKnobs(), 0,
-                         coll=CollConfig(policy="model"))
-    assert base == defaulted
-    assert tuned != base
-    assert tuned["coll"]["policy"] == "model"
-
-
 # -- stats counters ---------------------------------------------------------
 
 def test_collective_stats_counters_and_serialisation():
@@ -261,8 +184,8 @@ def test_stats_from_dict_tolerates_pre_coll_entries():
 # -- the untuned machine -----------------------------------------------------
 
 def test_untuned_machine_is_bit_identical_to_legacy_radix():
-    """The default fixed policy dispatches exactly the Split-C
-    schedules: the pinned Radix baseline must not move at all."""
+    """The registry defaults are exactly the Split-C schedules: the
+    pinned Radix baseline must not move at all."""
     result = Cluster(8, seed=11).run(RadixSort(keys_per_proc=64))
     assert result.runtime_us == 4667.500000000056
     assert result.events_processed == 15328

@@ -3,7 +3,7 @@
 Every collective is a schedule of the ``repro.coll`` registry.  Its
 messages go to the one deposit handler ``COLL_HANDLER`` and land in
 ``Proc.collective_box``; the only way in is a ``Proc`` method, which
-asks ``coll.tuner.pick`` for the schedule.  No second barrier beside
+asks ``coll.algorithms.pick`` for the schedule.  No second barrier beside
 the registry, no second spelling of a collective.  Walks the source
 with ``ast`` (names, so docstrings may say what they like), like
 ``test_one_bus.py``, and CI runs it beside simlint as well as in the

@@ -470,7 +470,7 @@ def test_planning_simulates_nothing(monkeypatch):
     monkeypatch.setattr(Cluster, "run", run)
     plans = artifact_plans() + [
         experiments.figure11_serving.plan(n_nodes=4, scale=0.1),
-        experiments.table8_coll_tuner.plan(n_nodes=4, sizes=(32,))]
+        experiments.table8_collectives.plan(n_nodes=4, sizes=(32,))]
     assert all(plan.tasks for plan in plans)
 
 
