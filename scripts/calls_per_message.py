@@ -52,8 +52,8 @@ NIC_RECEIVE = frozenset({
     "_mark_valid", "_accept", "_accept_fragment", "_send_nic_credit",
     "_send_ack", "_ack_received"})
 #: ``am/layer.py`` functions that send; the rest service and wait.
-#: ``_record_send``, ``reply``, ``reply_bulk`` and ``_take_current_request``
-#: are gone, named so that an older tree splits alike.
+#: ``_record_send``, ``reply``, ``reply_bulk``, ``_take_current_request``
+#: and ``fragment_count`` are gone, named so that an older tree splits alike.
 AM_SENDING = frozenset({
     "send_request", "send_oneway", "rpc", "bulk_store",
     "bulk_store_blocking", "bulk_oneway", "bulk_rpc", "reply",
@@ -74,6 +74,8 @@ def row_of(code) -> Optional[str]:
         return PROCESS
     if module == "network/nic.py":
         return WIRE_RX if code.co_name in NIC_RECEIVE else NIC_TX
+    if module == "am/tuning.py":  # DialedCost.tx_cycle, per bulk fragment
+        return NIC_TX
     if module == "network/wire.py":
         return WIRE_RX
     if module == "network/packet.py":

@@ -2,7 +2,7 @@
 
 * :mod:`repro.am.tuning` -- :class:`TuningKnobs`, the independent dials
   for added overhead, gap, latency, and per-byte Gap (Section 3.2 of the
-  paper).
+  paper), and :class:`DialedCost`, what they charge per message.
 * :mod:`repro.am.layer` -- the Generic-Active-Messages-style communication
   layer: short request/reply messages, one-way messages, bulk transfers
   with 4 KB fragmentation, polling dispatch to handlers that return

@@ -32,15 +32,14 @@ only reply holds by construction.
 from __future__ import annotations
 
 import inspect
-import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Optional
 
 from repro.am.tuning import TuningKnobs
 from repro.instruments.probes import Probes
 from repro.network.loggp import LogGPParams
-from repro.network.packet import (BULK_FRAGMENT_BYTES, Packet, PacketKind,
-                                  SHORT_PACKET_BYTES, new_xfer_id)
+from repro.network.packet import (Packet, PacketKind, SHORT_PACKET_BYTES,
+                                  fragment_sizes, new_xfer_id)
 from repro.sim import Park, Simulator
 
 __all__ = ["AmLayer", "HandlerTable", "Reply", "DEFAULT_WINDOW", "AmError"]
@@ -149,12 +148,6 @@ class AmLayer:
         #: Where the host parks between arrivals (stall reports print
         #: its label).
         self._wakeup = Park(sim, f"am-wakeup[{node_id}]")
-        #: Cached per-message host costs.  ``params`` and ``knobs`` are
-        #: frozen dataclasses, so these cannot drift; caching keeps two
-        #: attribute-chain walks off the per-message service path.  As
-        #: floats, yielding one is a bare sleep on the engine's fast path.
-        self._send_cost = float(params.send_overhead + knobs.delta_o)
-        self._recv_cost = float(params.recv_overhead + knobs.delta_o)
         #: xfer_id -> callable(payload) run when the pairing reply (or
         #: reply-bulk completion) is processed by the host.
         self._on_reply: Dict[int, Callable[[Any], None]] = {}
@@ -165,6 +158,11 @@ class AmLayer:
                        deliver_to_host=self._host_deliver,
                        return_credit=self._credit_returned,
                        faults=faults, probes=probes)
+        #: The host's per-message charges, read once from the NIC's
+        #: :class:`~repro.am.tuning.DialedCost`.  As floats, yielding one
+        #: is a bare sleep on the engine's fast path.
+        self._send_cost = float(self.nic.charge.send_charge)
+        self._recv_cost = float(self.nic.charge.recv_charge)
 
     # -- effective per-event costs ----------------------------------------
     @property
@@ -420,27 +418,20 @@ class AmLayer:
         return packet.xfer_id
 
     # -- bulk transfers ---------------------------------------------------------
-    @staticmethod
-    def fragment_count(nbytes: int) -> int:
-        """Number of ≤4 KB fragments a bulk transfer is split into."""
-        return max(1, math.ceil(nbytes / BULK_FRAGMENT_BYTES))
-
     def _enqueue_fragments(self, dst: int, handler: Optional[str],
                            payload: Any, nbytes: int, one_way: bool,
                            is_reply: bool, xfer_id: Optional[int] = None,
                            is_read: bool = False) -> Packet:
-        count = self.fragment_count(nbytes)
+        sizes = fragment_sizes(nbytes)
+        count = len(sizes)
         xfer = xfer_id if xfer_id is not None else new_xfer_id()
-        remaining = nbytes
         last_packet = None
-        for index in range(count):
-            size = min(BULK_FRAGMENT_BYTES, remaining)
-            remaining -= size
+        for index, size in enumerate(sizes):
             last = index == count - 1
             packet = Packet(kind=PacketKind.BULK_FRAGMENT, src=self.node_id,
                             dst=dst, handler=handler if last else None,
                             payload=payload if last else None,
-                            size_bytes=max(1, size), one_way=one_way,
+                            size_bytes=size, one_way=one_way,
                             is_bulk=True, fragment=(index, count),
                             is_read=is_read, is_reply=is_reply,
                             xfer_id=xfer,

@@ -15,15 +15,23 @@ LogGP parameter can be raised independently of the others:
   fragment, proportional to the fragment size.
 
 All values are *additive* to the baseline machine's parameters.
+
+:class:`DialedCost` is the one definition of what those dials charge
+per message: the AM layer's host charges, the NIC's transmit cycle, the
+recorder's rows, the simcost replay and the collective ranking model
+all read it.  It lives here, beside the dials, because the NIC needs it
+and ``repro.network`` must never import ``repro.cost``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.network.loggp import LogGPParams
 
-__all__ = ["TuningKnobs"]
+__all__ = ["TuningKnobs", "DialedCost"]
 
 
 @dataclass(frozen=True)
@@ -54,10 +62,10 @@ class TuningKnobs:
         for field_name in ("delta_o", "delta_g", "delta_L", "delta_G",
                            "delta_occ"):
             value = getattr(self, field_name)
-            if value < 0:
+            if not 0 <= value < math.inf:  # NaN too
                 raise ValueError(
-                    f"{field_name} must be >= 0 (the apparatus can only "
-                    f"slow the machine down), got {value}")
+                    f"{field_name} must be finite and >= 0 (the apparatus "
+                    f"can only slow the machine down), got {value}")
 
     @property
     def is_baseline(self) -> bool:
@@ -99,23 +107,13 @@ class TuningKnobs:
 
         Used for the Figure 8 sweep ("maximum available bulk transfer
         bandwidth").  Requesting more bandwidth than the baseline provides
-        yields the baseline (the apparatus can only slow the machine).
+        yields the baseline (the apparatus can only slow the machine),
+        as does infinite bandwidth.
         """
-        if mb_per_s <= 0:
+        if not mb_per_s > 0:  # NaN too
             raise ValueError(f"bandwidth must be > 0, got {mb_per_s}")
         target_G = 1.0 / mb_per_s
         return cls(delta_G=max(0.0, target_G - base.Gap))
-
-    # -- effective parameters ---------------------------------------------
-    def effective(self, base: LogGPParams) -> LogGPParams:
-        """The LogGP parameters of the dialed machine (for reporting)."""
-        return base.with_changes(
-            latency=base.latency + self.delta_L,
-            send_overhead=base.send_overhead + self.delta_o,
-            recv_overhead=base.recv_overhead + self.delta_o,
-            gap=base.gap + self.delta_g,
-            Gap=base.Gap + self.delta_G,
-        )
 
     def describe(self) -> str:
         """One-line summary of the non-zero dials."""
@@ -131,3 +129,50 @@ class TuningKnobs:
         if self.delta_occ:
             parts.append(f"+occ={self.delta_occ}us")
         return " ".join(parts) if parts else "baseline"
+
+
+class DialedCost:
+    """The per-message LogGP charge at one ``(params, knobs)`` point.
+
+    * host: a send costs ``o_send + delta_o``, a reception
+      ``o_recv + delta_o`` (:class:`~repro.am.layer.AmLayer`);
+    * NIC transmit context, per packet (:meth:`tx_cycle`): a bulk
+      fragment is first DMAed into the card, ``delta_occ + size * G``
+      (a short packet was staged by the host as part of ``o``, so only
+      ``delta_occ``), then injected, then the context stalls for
+      ``max(0, g - pre) + delta_g``, plus ``size * delta_G`` for bulk
+      (Section 5.4: small messages are never slowed by the bandwidth
+      dial);
+    * wire: ``L + delta_L``, the fabric latency plus the receiving NIC's
+      delay queue, which every packet rides, CREDITs included.
+
+    The receive context's ``delta_occ`` is not part of the charge.  Each
+    form is linear in its dial, so simcost's predicted runtime -- a max
+    over path sums of these forms -- is piecewise-linear in every dial.
+    """
+
+    __slots__ = ("send_charge", "recv_charge", "wire",
+                 "_gap", "_delta_g", "_Gap", "_delta_G", "_delta_occ")
+
+    def __init__(self, params: LogGPParams, knobs: TuningKnobs) -> None:
+        #: Host time per send / reception (``o + delta_o``).
+        self.send_charge = params.send_overhead + knobs.delta_o
+        self.recv_charge = params.recv_overhead + knobs.delta_o
+        #: Injection-to-valid time per packet (``L + delta_L``).
+        self.wire = params.latency + knobs.delta_L
+        self._gap = params.gap
+        self._delta_g = knobs.delta_g
+        self._Gap = params.Gap
+        self._delta_G = knobs.delta_G
+        self._delta_occ = knobs.delta_occ
+
+    def tx_cycle(self, size_bytes: int, bulk: bool) -> Tuple[float, float]:
+        """One transmit-context cycle: ``(pre_injection, post_stall)``;
+        ``size_bytes`` only counts when ``bulk``."""
+        pre = self._delta_occ
+        if bulk:
+            pre += size_bytes * self._Gap
+        stall = max(0.0, self._gap - pre) + self._delta_g
+        if bulk:
+            stall += size_bytes * self._delta_G
+        return pre, stall

@@ -5,13 +5,12 @@ See ARCHITECTURE.md section 16.
 """
 
 from repro.cost.graph import CostGraph, DepEvent, GRAPH_SCHEMA
-from repro.cost.model import DialedCost
 from repro.cost.predict import (PredictedPoint, PredictedSweep,
                                 UnsupportedGraphError, latency_tolerance,
                                 lp_bound, predict_runtime, predict_sweep)
 from repro.cost.recorder import DepRecorder, record_run
 
 __all__ = ["CostGraph", "DepEvent", "GRAPH_SCHEMA", "DepRecorder",
-           "record_run", "DialedCost", "PredictedPoint", "PredictedSweep",
+           "record_run", "PredictedPoint", "PredictedSweep",
            "UnsupportedGraphError", "latency_tolerance", "lp_bound",
            "predict_runtime", "predict_sweep"]

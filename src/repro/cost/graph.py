@@ -41,8 +41,8 @@ from functools import cached_property
 from typing import Any, Dict, List, Tuple
 
 from repro.am.tuning import TuningKnobs
-from repro.cost.model import DialedCost
 from repro.network.loggp import LogGPParams
+from repro.network.packet import fragment_sizes
 
 __all__ = ["DepEvent", "CostGraph", "GRAPH_SCHEMA"]
 
@@ -188,7 +188,7 @@ class CostGraph:
                     steps.append((tag, rank, busy, a, 0, 0, None))
                     continue
                 if bulk and nbytes not in fragments:
-                    fragments[nbytes] = DialedCost.fragment_sizes(nbytes)
+                    fragments[nbytes] = fragment_sizes(nbytes)
                 steps.append((
                     tag, rank, busy, a,
                     credits.setdefault(xfer, len(credits)),

@@ -12,7 +12,7 @@ predecessors plus its re-dialed edge costs:
   minus blocked time minus the recorded charge, clamped at zero);
 * **message edges**: a reception waits for its sender's NIC delivery
   — the per-fragment transmit chain (DMA, injection, gap stall) of
-  :class:`~repro.cost.model.DialedCost` plus the wire;
+  :class:`~repro.am.tuning.DialedCost` plus the wire;
 * **window credits**: a credit-taking send with a full window waits
   for the earliest credit return among its outstanding transfers —
   a reply's delivery, or a one-way's NIC CREDIT round (delivery plus
@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.am.tuning import TuningKnobs
+from repro.am.tuning import DialedCost, TuningKnobs
 from repro.cost.graph import CostGraph
-from repro.cost.model import DialedCost
 from repro.harness.sweeps import MACHINE_DIALS, dial_named
 
 __all__ = ["UnsupportedGraphError", "predict_runtime", "PredictedPoint",

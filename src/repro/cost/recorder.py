@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.am.tuning import DialedCost
 from repro.cost.graph import CostGraph
 from repro.network.packet import Packet, PacketKind
 
@@ -50,7 +51,7 @@ class DepRecorder:
         self._sim = None
         self._cluster = None
         self._app_name = ""
-        #: What the AM layer charges per message, by its own expressions.
+        #: What the AM layer charges per message (the run's DialedCost).
         self._send_cost = 0.0
         self._recv_cost = 0.0
         self._marks: Dict[str, float] = {}
@@ -63,8 +64,9 @@ class DepRecorder:
         self._sim = sim
         self._cluster = cluster
         self._app_name = app_name
-        self._send_cost = cluster.params.send_overhead + cluster.knobs.delta_o
-        self._recv_cost = cluster.params.recv_overhead + cluster.knobs.delta_o
+        charge = DialedCost(cluster.params, cluster.knobs)
+        self._send_cost = charge.send_charge
+        self._recv_cost = charge.recv_charge
 
     def on_finish(self) -> None:
         """Seal :attr:`graph`; its runtime is the marked region's."""

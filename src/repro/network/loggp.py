@@ -48,8 +48,9 @@ class LogGPParams:
         for field_name in ("latency", "send_overhead", "recv_overhead",
                            "gap", "Gap"):
             value = getattr(self, field_name)
-            if value < 0:
-                raise ValueError(f"{field_name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:  # NaN too
+                raise ValueError(
+                    f"{field_name} must be finite and >= 0, got {value}")
         if self.gap <= 0:
             raise ValueError("gap must be > 0 (it bounds message rate)")
 

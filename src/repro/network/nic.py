@@ -3,11 +3,11 @@
 The LANai runs two independent hardware contexts, which the paper's
 apparatus exploits:
 
-* the **transmit context** pulls packets queued by the host, injects them
-  onto the wire, then stalls for the gap (baseline ``g`` plus the
-  ``delta_g`` dial; for bulk fragments, plus ``size * (G + delta_G)``)
-  before injecting the next packet -- stalling *after* injection so
-  latency is unaffected;
+* the **transmit context** pulls packets queued by the host, DMAs a bulk
+  fragment into the card, injects it onto the wire, then stalls for the
+  gap (with the ``delta_g`` and ``delta_G`` dials) before injecting the
+  next packet -- stalling *after* injection so latency is unaffected.
+  Both times are :meth:`~repro.am.tuning.DialedCost.tx_cycle`;
 * the **receive context** accepts packets from the wire and deposits them
   toward the host.  The ``delta_L`` dial is implemented here as the
   paper's *delay queue*: an arriving packet is only marked valid
@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
-from repro.am.tuning import TuningKnobs
+from repro.am.tuning import DialedCost, TuningKnobs
 from repro.instruments.probes import Probes
 from repro.network.faults import FaultPlan, RetryExhausted
 from repro.network.loggp import LogGPParams
@@ -169,11 +169,10 @@ class Nic:
         #: Nothing between the wire and ``_accept``: no ARQ, occupancy, delay.
         self._rx_direct = not (self._reliable or self._rx is not None
                                or knobs.delta_L > 0)
-        #: ``_pre_injection_time`` / ``_post_injection_stall`` of every packet
-        #: but a bulk fragment: run constants, by the methods' own expressions.
-        self._short_pre = knobs.delta_occ
-        self._short_stall = \
-            max(0.0, params.gap - self._short_pre) + knobs.delta_g
+        #: The per-message charge (the transmit cycle's one definition);
+        #: every packet but a bulk fragment has a run-constant cycle.
+        self.charge = DialedCost(params, knobs)
+        self._short_pre, self._short_stall = self.charge.tx_cycle(0, False)
         self._reassembly: Dict[int, _Reassembly] = {}
         self._delay_queue_depth = 0
         # -- reliability-protocol state (empty on the reliable fabric) --
@@ -199,36 +198,9 @@ class Nic:
         return len(self._tx.pending)
 
     # -- transmit context ---------------------------------------------------
-    def _pre_injection_time(self, packet: Packet) -> float:
-        """Transmit-context time *before* a packet reaches the wire.
-
-        Bulk fragments must first be DMAed into the card at rate ``1/G``;
-        short packets are staged by the host (part of ``o``) and go
-        straight out.
-        """
-        time = self.knobs.delta_occ
-        if packet.kind is PacketKind.BULK_FRAGMENT:
-            time += packet.size_bytes * self.params.Gap
-        return time
-
-    def _post_injection_stall(self, packet: Packet,
-                              pre_time: float) -> float:
-        """Transmit-context stall *after* injection.
-
-        The baseline per-message gap applies to every packet (less any
-        time already spent on the DMA); the paper's dials are additive
-        here: ``delta_g`` per message, ``delta_G`` per bulk byte.  The
-        ``delta_G`` dial never slows short packets (Section 5.4: "we do
-        not slow down transmission of small messages").
-        """
-        stall = max(0.0, self.params.gap - pre_time) + self.knobs.delta_g
-        if packet.kind is PacketKind.BULK_FRAGMENT:
-            stall += packet.size_bytes * self.knobs.delta_G
-        return stall
-
     def _transmit(self, packet: Packet) -> None:
         """The LANai transmit loop: DMA, inject, stall for the gap."""
-        pre_time = self._pre_injection_time(packet) \
+        pre_time = self.charge.tx_cycle(packet.size_bytes, True)[0] \
             if packet.kind is PacketKind.BULK_FRAGMENT else self._short_pre
         if pre_time > 0:
             self.sim.call_in(pre_time, self._inject_and_stall, packet)
@@ -236,9 +208,11 @@ class Nic:
             self._inject_and_stall(packet)
 
     def _inject_and_stall(self, packet: Packet) -> None:
-        # What _transmit waited out (nothing, if it called us directly).
-        pre_time = self._pre_injection_time(packet) \
-            if packet.kind is PacketKind.BULK_FRAGMENT else self._short_pre
+        # pre_time: what _transmit waited out (nothing, if it called us).
+        if packet.kind is PacketKind.BULK_FRAGMENT:
+            pre_time, stall = self.charge.tx_cycle(packet.size_bytes, True)
+        else:
+            pre_time, stall = self._short_pre, self._short_stall
         hook = self._on_inject
         if hook is not None:
             hook(self.node_id, packet)
@@ -246,8 +220,6 @@ class Nic:
             self._inject(packet)
         else:
             self.wire.carry(packet)
-        stall = self._post_injection_stall(packet, pre_time) \
-            if packet.kind is PacketKind.BULK_FRAGMENT else self._short_stall
         hook = self._on_tx_busy
         if hook is not None:
             # DMA + injection stall: the transmit-busy fraction's numerator.

@@ -12,13 +12,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-__all__ = ["PacketKind", "Packet", "BULK_FRAGMENT_BYTES",
+__all__ = ["PacketKind", "Packet", "BULK_FRAGMENT_BYTES", "fragment_sizes",
            "SHORT_PACKET_BYTES", "new_xfer_id"]
 
 #: Maximum bulk fragment payload injected per DMA, as in the paper (4 KB).
 BULK_FRAGMENT_BYTES = 4096
+
+
+def fragment_sizes(nbytes: int) -> List[int]:
+    """The fragments a bulk transfer of ``nbytes`` is cut into: full
+    :data:`BULK_FRAGMENT_BYTES` ones, then the rest.  Every size is at
+    least one byte, and a transfer of ``nbytes <= 0`` is one 1-byte
+    fragment."""
+    full, rest = divmod(max(1, nbytes) - 1, BULK_FRAGMENT_BYTES)
+    return [BULK_FRAGMENT_BYTES] * full + [rest + 1]
 
 #: Nominal size of a short Active Message packet (header + 4 words).
 SHORT_PACKET_BYTES = 32

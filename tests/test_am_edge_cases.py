@@ -3,7 +3,7 @@
 import pytest
 
 from repro.am.layer import AmError, HandlerTable, Reply
-from repro.network.packet import BULK_FRAGMENT_BYTES
+from repro.network.packet import BULK_FRAGMENT_BYTES, fragment_sizes
 from tests.helpers import Fabric
 
 
@@ -57,11 +57,13 @@ def test_bulk_zero_bytes_rejected():
 
 
 def test_fragment_count_boundaries():
-    from repro.am.layer import AmLayer
-    assert AmLayer.fragment_count(1) == 1
-    assert AmLayer.fragment_count(BULK_FRAGMENT_BYTES) == 1
-    assert AmLayer.fragment_count(BULK_FRAGMENT_BYTES + 1) == 2
-    assert AmLayer.fragment_count(10 * BULK_FRAGMENT_BYTES) == 10
+    for nbytes, count in ((1, 1), (BULK_FRAGMENT_BYTES, 1),
+                          (BULK_FRAGMENT_BYTES + 1, 2),
+                          (10 * BULK_FRAGMENT_BYTES, 10)):
+        sizes = fragment_sizes(nbytes)
+        assert len(sizes) == count
+        assert sum(sizes) == nbytes
+        assert all(1 <= size <= BULK_FRAGMENT_BYTES for size in sizes)
 
 
 def test_bulk_fragments_share_xfer_id_and_reassemble():

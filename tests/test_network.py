@@ -1,5 +1,7 @@
 """Unit tests for LogGPParams, packets, wire, NIC, and TuningKnobs."""
 
+import math
+
 import pytest
 
 from repro.am.tuning import TuningKnobs
@@ -158,13 +160,17 @@ def test_knobs_reject_negative():
         TuningKnobs(delta_L=-1.0)
 
 
-def test_knobs_effective_parameters():
-    base = LogGPParams.berkeley_now()
-    knobs = TuningKnobs(delta_o=10.0, delta_g=4.2, delta_L=25.0)
-    effective = knobs.effective(base)
-    assert effective.overhead == pytest.approx(12.9)
-    assert effective.gap == pytest.approx(10.0)
-    assert effective.latency == pytest.approx(30.0)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (TuningKnobs, name) for name in
+    ("delta_o", "delta_g", "delta_L", "delta_G", "delta_occ")] + [
+    (LogGPParams, name) for name in
+    ("latency", "send_overhead", "recv_overhead", "gap", "Gap")])
+def test_non_finite_dials_are_refused(cls, field, value):
+    """A NaN dial used to run silently (``delta_g=nan`` even dropped the
+    baseline gap: ``stall > 0`` is False); now it names its field."""
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
 
 
 def test_knobs_describe():
@@ -173,5 +179,8 @@ def test_knobs_describe():
 
 
 def test_bulk_bandwidth_dial_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        TuningKnobs.bulk_bandwidth(0.0, LogGPParams.berkeley_now())
+    base = LogGPParams.berkeley_now()
+    for mb_per_s in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            TuningKnobs.bulk_bandwidth(mb_per_s, base)
+    assert TuningKnobs.bulk_bandwidth(math.inf, base).is_baseline

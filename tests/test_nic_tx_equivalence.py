@@ -86,13 +86,13 @@ class LegacyNic(Nic):
         """The LANai transmit loop: DMA, inject, stall for the gap."""
         while True:
             packet = yield self._tx_queue.get()
-            pre_time = self._pre_injection_time(packet)
+            pre_time, stall = self.charge.tx_cycle(
+                packet.size_bytes, packet.kind is PacketKind.BULK_FRAGMENT)
             if pre_time > 0:
                 yield self.sim.timeout(pre_time)
             if self._on_inject is not None:
                 self._on_inject(self.node_id, packet)
             self._inject(packet)
-            stall = self._post_injection_stall(packet, pre_time)
             if self._on_tx_busy is not None:
                 self._on_tx_busy(self.node_id, pre_time + stall)
             if stall > 0:
@@ -170,10 +170,10 @@ def _service_times(nic):
     delays = {"zero": 0.0, "latency": nic.params.latency,
               "half-gap": nic.params.gap / 2}
     for shape, (kind, size) in SHAPES.items():
-        probe = Packet(kind=kind, src=0, dst=1, size_bytes=size)
-        pre = nic._pre_injection_time(probe)
+        pre, stall = nic.charge.tx_cycle(
+            size, kind is PacketKind.BULK_FRAGMENT)
         delays[f"pre:{shape}"] = pre
-        delays[f"stall:{shape}"] = nic._post_injection_stall(probe, pre)
+        delays[f"stall:{shape}"] = stall
     return delays
 
 
@@ -313,21 +313,38 @@ DIAL = [0.0, 2.5, 100.0]
 @pytest.mark.parametrize("delta_g", DIAL)
 def test_short_packet_service_times_match_the_methods(delta_g, delta_G,
                                                       delta_occ):
-    """The constants ``_transmit`` / ``_inject_and_stall`` use for every
-    packet but a bulk fragment are what the two overridable methods
-    (which ``LegacyNic`` still calls per packet) return for one."""
+    """Every packet but a bulk fragment takes the run-constant cycle
+    ``DialedCost.tx_cycle(0, False)``: injected ``pre`` after its service
+    starts, busy ``pre + stall``, the next one served when that ends."""
     sim = Simulator()
     params = LogGPParams.berkeley_now()
-    nic = Nic(sim, 0, params,
-              TuningKnobs(delta_g=delta_g, delta_G=delta_G,
-                          delta_occ=delta_occ),
-              Wire(sim, params.latency), lambda packet: None,
-              lambda xfer: None)
-    for kind in (PacketKind.REQUEST, PacketKind.REPLY, PacketKind.CREDIT):
-        probe = Packet(kind=kind, src=0, dst=1)
-        pre = nic._pre_injection_time(probe)
-        assert nic._short_pre == pre
-        assert nic._short_stall == nic._post_injection_stall(probe, pre)
+    knobs = TuningKnobs(delta_g=delta_g, delta_G=delta_G,
+                        delta_occ=delta_occ)
+    injected, busy = [], []
+
+    class Listener:
+        def on_inject(self, rank, packet):
+            injected.append(sim.now)
+
+        def on_tx_busy(self, rank, busy_us):
+            busy.append(busy_us)
+
+    wire = Wire(sim, params.latency)
+    nic, _peer = [Nic(sim, node, params, knobs, wire, lambda packet: None,
+                      lambda xfer: None, probes=Probes([Listener()]))
+                  for node in range(2)]
+    kinds = (PacketKind.REQUEST, PacketKind.REPLY, PacketKind.CREDIT)
+    for kind in kinds:
+        nic.enqueue(Packet(kind=kind, src=0, dst=1))
+    sim.run()
+    pre, stall = nic.charge.tx_cycle(0, False)
+    expected, now = [], 0.0
+    for _kind in kinds:
+        now += pre
+        expected.append(now)
+        now += stall
+    assert injected == expected
+    assert busy == [pre + stall] * len(kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.am.tuning import TuningKnobs
+from repro.am.tuning import DialedCost, TuningKnobs
 from repro.apps import RadixSort
 from repro.cluster.machine import Cluster
 from repro.cost import (CostGraph, DepEvent, DepRecorder,
                         UnsupportedGraphError, lp_bound, predict_runtime,
                         record_run)
-from repro.cost.model import DialedCost
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS, MACHINE_DIALS
-from repro.network.packet import PacketKind
+from repro.network.packet import PacketKind, fragment_sizes
 from tests.test_nic_tx_equivalence import SCRIPTS, Scripted
 
 WINDOWS = (1, 2, 8)  # 1 forces the credit-min path on every request
@@ -195,7 +194,7 @@ def reference_predict_runtime(graph, events, knobs=None):
         free = nic_free.get(rank, 0.0)
         arrival = done
         if event.bulk:
-            for size in cost.fragment_sizes(event.nbytes):
+            for size in fragment_sizes(event.nbytes):
                 pre, stall = cost.tx_cycle(size, True)
                 inject = max(done, free) + pre
                 free = inject + stall
@@ -242,7 +241,7 @@ def reference_lp_bound(graph, events, knobs=None):
             host[rank] += cost.send_charge
             if event.bulk:
                 work = sum(sum(cost.tx_cycle(size, True))
-                           for size in cost.fragment_sizes(event.nbytes))
+                           for size in fragment_sizes(event.nbytes))
             else:
                 work = sum(cost.tx_cycle(event.nbytes, False))
             nic[rank] = nic.get(rank, 0.0) + work
