@@ -7,13 +7,15 @@ an observer see; ``Probes`` resolves subscribers onto it once per run.
 listener of their own.
 """
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
 import repro.network.packet as packet_module
 from repro.am.layer import HandlerTable
-from repro.apps import Barnes, RadixSort
+from repro.apps import Barnes, RadixSort, default_suite
 from repro.apps.base import Application
 from repro.cluster.machine import Cluster
 from repro.coll.bench import CollectiveBench
@@ -21,6 +23,7 @@ from repro.cost import DepRecorder
 from repro.instruments import MessageTracer
 from repro.instruments.probes import HOOKS, Probes
 from repro.network.faults import FaultPlan
+from repro.serve import KVServe
 from tests.helpers import Fabric
 from tests.test_sanitizer import fixture_app
 
@@ -132,6 +135,96 @@ def test_every_hook_fires_somewhere():
     assert ear.heard["begin"] == ear.heard["finish"] == len(runs)
     assert ear.heard["mark"] == 2 * len(runs)
     assert ear.heard["wait_enter"] == ear.heard["wait_exit"]
+
+
+# ---------------------------------------------------------------------------
+# The stream: every hook, its instant and its subject, pinned.
+# ---------------------------------------------------------------------------
+
+def _subject(value):
+    """What a hook argument stands for, free of object identity: a
+    packet by ``(kind, src, dst, size_bytes, fragment)`` (no transfer
+    id: those come from a process-wide counter), a GAS array or lock by
+    its name."""
+    if isinstance(value, packet_module.Packet):
+        return (value.kind.value, value.src, value.dst, value.size_bytes,
+                value.fragment)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, tuple):
+        return tuple(_subject(item) for item in value)
+    return getattr(value, "name", type(value).__name__)
+
+
+class _Stream:
+    """Every hook as ``(hook, sim.now, subject)``, one list per rank
+    (``None`` for the hooks that name no rank first)."""
+
+    def __init__(self):
+        self.sim = None
+        self.by_rank = {}
+
+    def on_begin(self, sim, cluster, app_name):
+        self.sim = sim
+        self.by_rank.setdefault(None, []).append(("begin", sim.now,
+                                                  app_name))
+
+    def digest(self):
+        text = json.dumps(sorted(self.by_rank.items(),
+                                 key=lambda item: str(item[0])))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _streaming(hook):
+    def listener(self, *args):
+        rank = args[0] if args and type(args[0]) is int else None
+        self.by_rank.setdefault(rank, []).append(
+            (hook, self.sim.now, _subject(args)))
+    return listener
+
+
+for _hook in HOOKS:
+    if _hook != "begin":
+        setattr(_Stream, "on_" + _hook, _streaming(_hook))
+
+
+def test_the_hook_stream_is_the_pinned_one():
+    """What each rank's observers see, instant by instant: the suite at
+    P = 8 and one serving point.  A hook site may move within a layer
+    only if every stream stays as it is."""
+    runs = [(app.name, app) for app in default_suite(0.1)]
+    runs.append(("kvserve", KVServe(
+        offered_rps=200_000.0, n_users=10_000, duration_us=10_000.0,
+        max_requests=300, service_us=4.0, key_space=512)))
+    got = {}
+    for name, app in runs:
+        stream = _Stream()
+        Cluster(8, seed=13).run(app, tracer=stream)
+        got[name] = stream.digest()
+    assert got == {
+        "Radix":
+            "3ea17a4c4e5895465ec915a310f06732eb8b91a3c89b143fd848399c58847f38",
+        "EM3D(write)":
+            "502ba8c3ae5196428095f53eb34138d625fe5abadfb701012c54d83edf004bf9",
+        "EM3D(read)":
+            "85d17d888c7fbdb62b71ac1609b5ddd91ee70f8cdeafaba0802c405a9551d48e",
+        "Sample":
+            "02b5017541a395e28fb54778d98222516e7232d4d2e956a129f4f12c6c93342c",
+        "Barnes":
+            "ee64c3f0d7d2fb9ff2ea1277e22779acfdc9ec03c857f3ba325b4844a9821435",
+        "P-Ray":
+            "5b0432670929618e147d196319909c6b2d0ee13e5a3f0535fddd62d6d2d5eb20",
+        "Murphi":
+            "a0b8308cf730c82f92d300ce4789b0b3d4bed79de192a67af68aa215c088b4b6",
+        "Connect":
+            "7c577adc23f7dc302be076ca72910a2495366939153a4b029b4c7e3fdca33d90",
+        "NOW-sort":
+            "0ce6d48357b8b7166f1614af5e2f647274a71261c1c8c6351f16f36ce5ce16fe",
+        "Radb":
+            "d8006d328fa54d323a3ad248fea3fab833a654daa63c0685c1929665950a4f23",
+        "kvserve":
+            "1fe2c013db263ae3611a670f2f79884359fd77d6975be6013431784185de395b",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.coll.bench import CollectiveBench
 from repro.cost import DepRecorder, predict_sweep, record_run
 from repro.harness.runcache import RunCache, run_key_spec
 from repro.network.loggp import LogGPParams
+from repro.serve import FanoutServe, KVServe
 
 
 def run_digest(result):
@@ -159,3 +160,54 @@ def test_recorded_graph_and_predicted_floats_are_the_pinned_ones(
     assert [point.runtime_us for point in sweep.points] == [
         4661.700000000056, 18521.119999999777,
         74528.60000000098, 144578.60000000076]
+
+
+#: The serving scenarios at P = 8: the knobs on top of a small
+#: ``KVServe``, or a ``FanoutServe`` of the same size, and the tuning.
+_SERVING_BASE = dict(offered_rps=200_000.0, n_users=10_000,
+                     duration_us=10_000.0, max_requests=300,
+                     service_us=4.0, key_space=512)
+SERVING_POINTS = {
+    "kv": (KVServe, {}, TuningKnobs()),
+    "kv:primary-backup": (KVServe, dict(
+        replication="primary-backup", load_balance="least-loaded",
+        read_anywhere=True, write_ratio=0.3), TuningKnobs()),
+    "kv:random": (KVServe, dict(load_balance="random"), TuningKnobs()),
+    "kv:bursty": (KVServe, dict(arrivals="bursty", offered_rps=400_000.0),
+                  TuningKnobs()),
+    "kv:saturated": (KVServe, dict(
+        offered_rps=5_000_000.0, service_us=20.0, max_requests=2000,
+        max_backlog=64), TuningKnobs()),
+    "fanout": (FanoutServe, dict(fanout=4, offered_rps=100_000.0),
+               TuningKnobs()),
+    "kv:o10": (KVServe, {}, TuningKnobs.added_overhead(
+        10.0 - LogGPParams.berkeley_now().overhead)),
+}
+
+
+def test_serving_runs_as_they_always_have():
+    """The open-system path (client tier, frontends, one- and
+    multi-target requests, the saturation guard) pinned like the suite:
+    ``stats.to_dict()`` carries the whole ``serving`` record."""
+    got = {}
+    for name, (app_class, knobs, tuning) in SERVING_POINTS.items():
+        app = app_class(**dict(_SERVING_BASE, **knobs))
+        result = Cluster(8, knobs=tuning, seed=13).run(app)
+        assert "serving" in result.stats.to_dict()
+        got[name] = run_digest(result)
+    assert got == {
+        "kv":
+            "7c78ab81f7cbad5eae85a085afd20ddd751a95caa90e1b0af0c69866c52f70ed",
+        "kv:primary-backup":
+            "0d44700ab8950640d35f8d4709332565171af5fe72bc6c70ef88b35d2650c172",
+        "kv:random":
+            "f8419373aea1a948304fd863e2f63d586335f03082e3936a02dbcb9461393ee8",
+        "kv:bursty":
+            "848c9e76f6612fcc36990bbd735d764edb9ce29f6e5a1d571141df68d53ab984",
+        "kv:saturated":
+            "ecff410d30791d203f3093e62c0eac2962cae5cad0360eddaa34b212e59b9190",
+        "fanout":
+            "24e537066017b31104bd1c2425ef8fa56ac5d42078a324cf7dfb102786e7b796",
+        "kv:o10":
+            "7e1f5f8565fc862f6ac416473e042c1bf91267b4a149ddf13967949e4cf42755",
+    }
