@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Calls per message over the ``suite32_cold`` round, by layer.
+"""Calls per message over the ``suite32_cold`` round, by layer; with
+``--serve``, over the ``serve_knee`` KV point instead.
 
 The counter behind ARCHITECTURE section 7's calls-per-message table: the
 ten-app suite, each app one cold ``Cluster(32, seed=13).run(app)`` at
@@ -16,12 +17,20 @@ exact but for foreign code called from more than one row *through*
 other foreign code (numpy internals, ``copy``), whose calls the profile
 only knows per caller, not per path, and which are split in proportion.
 
-Usage (no options: it prints the one table the docs cite):
-    PYTHONPATH=src python scripts/calls_per_message.py
+``--serve`` counts one cold ``Cluster(32, seed=13)`` run of the
+``serve_knee`` workload's KV point at the baseline overhead (``KVServe``
+at its default 200,000 req/s offered, a million users, at most 4,000
+requests: 3,892 arrive in its window) and adds a ``serve`` row
+(``serve/*.py``: the serving app, the client tier and the SLO
+instruments) and a calls-per-request line.
+
+Usage (it prints the table the docs cite):
+    PYTHONPATH=src python scripts/calls_per_message.py [--serve]
 """
 
 from __future__ import annotations
 
+import argparse
 import cProfile
 import gc
 import os
@@ -31,6 +40,7 @@ from typing import Dict, Iterable, List, Optional
 import repro
 from repro import Cluster
 from repro.harness import suite_for
+from repro.serve import KVServe
 
 _REPRO = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
@@ -43,6 +53,8 @@ AM_WAIT = "AM service/wait"
 COUNTERS = "counters (instruments/stats.py)"
 REST = "apps, GAS, collectives, rank driver"
 ROWS = (KERNEL, PROCESS, NIC_TX, WIRE_RX, AM_SEND, AM_WAIT, COUNTERS, REST)
+#: The extra row of ``--serve``; a suite round calls nothing in it.
+SERVE = "serve (serving app, client tier, SLO instruments)"
 #: The seed of every published number (section 7, the ledger's pins).
 SEED = 13
 
@@ -84,6 +96,8 @@ def row_of(code) -> Optional[str]:
         return AM_SEND if code.co_name in AM_SENDING else AM_WAIT
     if module == "instruments/stats.py":
         return COUNTERS
+    if module.startswith("serve/"):
+        return SERVE
     return REST
 
 
@@ -122,7 +136,7 @@ def fold(entries: Iterable) -> Dict[str, float]:
                     split[row] += share * count / total
             moved = max(moved, max(
                 abs(split[row] - shares[code].get(row, 0.0))
-                for row in ROWS))
+                for row in ROWS + (SERVE,)))
             shares[code] = split
     calls: Dict[str, float] = defaultdict(float)
     for entry in entries:
@@ -131,13 +145,20 @@ def fold(entries: Iterable) -> Dict[str, float]:
     return calls
 
 
-def count(nodes: int = 32, scale: float = 0.125) -> str:
+def count(nodes: int = 32, scale: float = 0.125,
+          requests: Optional[int] = None) -> str:
     """The table, as markdown, for one round of the suite (the defaults
-    are the ``suite32_cold`` round; the smoke test passes smaller)."""
+    are the ``suite32_cold`` round; the smoke test passes smaller), or
+    with ``requests`` for the ``serve_knee`` KV point of that many
+    requests (``--serve`` passes 4,000)."""
+    if requests is None:
+        apps = suite_for(nodes, scale=scale)
+    else:
+        apps = [KVServe(n_users=1_000_000, slo_us=250.0, service_us=4.0,
+                        max_requests=requests)]
 
     def round_():
-        return [Cluster(nodes, seed=SEED).run(app)
-                for app in suite_for(nodes, scale=scale)]
+        return [Cluster(nodes, seed=SEED).run(app) for app in apps]
 
     round_()  # pays the lazy imports; not counted
     profile = cProfile.Profile()
@@ -153,13 +174,28 @@ def count(nodes: int = 32, scale: float = 0.125) -> str:
     calls = fold(entries)
     assert abs(sum(calls.values()) - total) < 1e-6 * total, \
         "a call was charged to no row, or to two"
-    lines = [f"# {nodes} nodes, scale {scale}, seed {SEED}: "
+    rows = ROWS
+    if requests is None:
+        what = f"scale {scale}"
+    else:
+        rows += (SERVE,)
+        served = sum(result.stats.serving.arrivals for result in results)
+        what = f"KVServe, {served} requests"
+    lines = [f"# {nodes} nodes, {what}, seed {SEED}: "
              f"{total} calls / {messages} messages, {events} events",
              "| layer | calls per message |", "|---|---|"]
-    lines += [f"| {row} | {calls[row] / messages:.2f} |" for row in ROWS]
+    lines += [f"| {row} | {calls[row] / messages:.2f} |" for row in rows]
     lines.append(f"| **total** | **{total / messages:.2f}** |")
+    if requests is not None:
+        lines.append(f"\n{total / served:.2f} calls per request "
+                     f"(serve row: {calls[SERVE] / served:.2f})")
     return "\n".join(lines)
 
 
 if __name__ == "__main__":
-    print(count())
+    parser = argparse.ArgumentParser(
+        description="Calls per message over the suite32_cold round, by "
+                    "layer (ARCHITECTURE section 7).")
+    parser.add_argument("--serve", action="store_true",
+                        help="count the serve_knee KV point, not the suite")
+    print(count(requests=4000) if parser.parse_args().serve else count())

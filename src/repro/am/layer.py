@@ -119,6 +119,9 @@ class AmLayer:
         self.params = params
         self.knobs = knobs
         self.handlers = handlers
+        #: The table's own dict: the service loop indexes it in place,
+        #: and falls back on ``lookup`` only to refuse an unknown name.
+        self._handler_of = handlers._handlers
         self.window = window
         self.window_scope = window_scope
         self._per_destination = window_scope == "per-destination"
@@ -253,6 +256,7 @@ class AmLayer:
         if watched:
             self._on_wait_enter(self.node_id, *wait)
         rx = self._rx_queue
+        handlers = self._handler_of
         try:
             while not predicate():
                 if not rx:
@@ -270,8 +274,10 @@ class AmLayer:
                 if packet.kind is PacketKind.REQUEST or (
                         packet.kind is PacketKind.BULK_FRAGMENT
                         and not packet.is_reply):
-                    reply = None if packet.handler is None else \
-                        self.handlers.lookup(packet.handler)(self, packet)
+                    name = packet.handler
+                    reply = None if name is None else (
+                        handlers[name] if name in handlers
+                        else self.handlers.lookup(name))(self, packet)
                     if packet.one_way:
                         if reply is not None:
                             raise AmError(

@@ -173,6 +173,8 @@ class Nic:
         #: every packet but a bulk fragment has a run-constant cycle.
         self.charge = DialedCost(params, knobs)
         self._short_pre, self._short_stall = self.charge.tx_cycle(0, False)
+        #: The packet whose DMA is under way (``_transmit`` scheduled it).
+        self._in_dma: Optional[Packet] = None
         self._reassembly: Dict[int, _Reassembly] = {}
         self._delay_queue_depth = 0
         # -- reliability-protocol state (empty on the reliable fabric) --
@@ -199,20 +201,20 @@ class Nic:
 
     # -- transmit context ---------------------------------------------------
     def _transmit(self, packet: Packet) -> None:
-        """The LANai transmit loop: DMA, inject, stall for the gap."""
-        pre_time = self.charge.tx_cycle(packet.size_bytes, True)[0] \
-            if packet.kind is PacketKind.BULK_FRAGMENT else self._short_pre
-        if pre_time > 0:
-            self.sim.call_in(pre_time, self._inject_and_stall, packet)
-        else:
-            self._inject_and_stall(packet)
-
-    def _inject_and_stall(self, packet: Packet) -> None:
-        # pre_time: what _transmit waited out (nothing, if it called us).
+        """The LANai transmit loop: DMA, inject, stall for the gap.  A
+        packet with a DMA to wait out comes back here when it is over;
+        any other (a short packet, unless ``delta_occ`` is dialed) is
+        injected in this first frame."""
         if packet.kind is PacketKind.BULK_FRAGMENT:
             pre_time, stall = self.charge.tx_cycle(packet.size_bytes, True)
         else:
             pre_time, stall = self._short_pre, self._short_stall
+        if pre_time > 0:
+            if self._in_dma is not packet:
+                self._in_dma = packet
+                self.sim.call_in(pre_time, self._transmit, packet)
+                return
+            self._in_dma = None
         hook = self._on_inject
         if hook is not None:
             hook(self.node_id, packet)

@@ -10,7 +10,6 @@ Two sizes exist, mirroring Generic Active Messages:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, List, Optional, Tuple
 
@@ -62,70 +61,79 @@ class PacketKind(Enum):
     ACK = "ack"
 
 
-@dataclass
 class Packet:
     """A message (or message fragment) in flight.
 
     ``handler`` names an entry in the destination's Active Message handler
     table; ``payload`` is an arbitrary Python object standing in for the
-    message body (its simulated size is ``size_bytes``).
+    message body (its simulated size is ``size_bytes``).  A slotted class
+    with one ``__init__``: one is built per packet on the message path.
     """
 
-    kind: PacketKind
-    src: int
-    dst: int
-    handler: Optional[str] = None
-    payload: Any = None
-    size_bytes: int = SHORT_PACKET_BYTES
-    #: True if this packet is part of a read request/reply pair
-    #: (instrumentation for Table 4's "percent reads" column).
-    is_read: bool = False
-    #: True if the *logical message* is a bulk transfer.
-    is_bulk: bool = False
-    #: Identifier linking a reply to its request, and fragments to their
-    #: bulk transfer; drawn from the process-wide sequence when not given.
-    xfer_id: Optional[int] = None
-    #: (fragment_index, fragment_count) for BULK_FRAGMENT packets.
-    fragment: Tuple[int, int] = (0, 1)
-    #: True when the sender does not expect a host-level reply; the
-    #: receiving NIC returns a CREDIT instead.
-    one_way: bool = False
-    #: True for bulk fragments that constitute a *reply* to a request
-    #: (a GAM ``get``); the receiving NIC returns the window credit.
-    is_reply: bool = False
-    #: Size of the whole logical message (for bulk: the total transfer,
-    #: recorded on the last fragment); ``None`` means ``size_bytes``.
-    message_bytes: Optional[int] = None
-    #: Simulated time the packet was injected into the wire (set by NIC).
-    injected_at: float = 0.0
-    #: Reliability-protocol sequence number, assigned by the sending NIC
-    #: at first injection when the fault plan can drop packets; stable
-    #: across retransmissions so the receiver can suppress duplicates.
-    #: ``None`` on the reliable-fabric fast path.
-    seq: Optional[int] = None
-    #: Piggybacked vector-clock snapshot, attached by simsan at the
-    #: host-level send when ``sanitize=True``; stable across
-    #: retransmissions (the Packet object is reused).  ``None`` when the
-    #: sanitizer is off.
-    clock: Optional[Tuple[int, ...]] = None
+    __slots__ = ("kind", "src", "dst", "handler", "payload", "size_bytes",
+                 "is_read", "is_bulk", "xfer_id", "fragment", "one_way",
+                 "is_reply", "message_bytes", "seq", "clock")
 
-    def __post_init__(self) -> None:
-        if self.xfer_id is None:
-            self.xfer_id = next(_sequence)
-        if self.src == self.dst:
+    def __init__(self, kind: PacketKind, src: int, dst: int,
+                 handler: Optional[str] = None, payload: Any = None,
+                 size_bytes: int = SHORT_PACKET_BYTES, is_read: bool = False,
+                 is_bulk: bool = False, xfer_id: Optional[int] = None,
+                 fragment: Tuple[int, int] = (0, 1), one_way: bool = False,
+                 is_reply: bool = False,
+                 message_bytes: Optional[int] = None,
+                 seq: Optional[int] = None,
+                 clock: Optional[Tuple[int, ...]] = None) -> None:
+        #: Identifier linking a reply to its request, and fragments to
+        #: their bulk transfer; drawn from the process-wide sequence when
+        #: not given (before the checks, which may refuse the packet).
+        self.xfer_id = next(_sequence) if xfer_id is None else xfer_id
+        if src == dst:
             raise ValueError(
-                f"packet to self ({self.src}); local operations must not "
+                f"packet to self ({src}); local operations must not "
                 "enter the network")
-        if self.size_bytes <= 0:
-            raise ValueError(f"size_bytes must be > 0, got {self.size_bytes}")
-        if self.kind is PacketKind.BULK_FRAGMENT:
-            index, count = self.fragment
+        if size_bytes <= 0:
+            raise ValueError(f"size_bytes must be > 0, got {size_bytes}")
+        if kind is PacketKind.BULK_FRAGMENT:
+            index, count = fragment
             if not 0 <= index < count:
-                raise ValueError(f"bad fragment indices {self.fragment}")
-            if self.size_bytes > BULK_FRAGMENT_BYTES:
+                raise ValueError(f"bad fragment indices {fragment}")
+            if size_bytes > BULK_FRAGMENT_BYTES:
                 raise ValueError(
-                    f"fragment of {self.size_bytes} bytes exceeds "
+                    f"fragment of {size_bytes} bytes exceeds "
                     f"{BULK_FRAGMENT_BYTES}")
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.handler = handler
+        self.payload = payload
+        self.size_bytes = size_bytes
+        #: True if this packet is part of a read request/reply pair
+        #: (instrumentation for Table 4's "percent reads" column).
+        self.is_read = is_read
+        #: True if the *logical message* is a bulk transfer.
+        self.is_bulk = is_bulk
+        #: (fragment_index, fragment_count) for BULK_FRAGMENT packets.
+        self.fragment = fragment
+        #: True when the sender does not expect a host-level reply; the
+        #: receiving NIC returns a CREDIT instead.
+        self.one_way = one_way
+        #: True for bulk fragments that constitute a *reply* to a request
+        #: (a GAM ``get``); the receiving NIC returns the window credit.
+        self.is_reply = is_reply
+        #: Size of the whole logical message (for bulk: the total
+        #: transfer, recorded on the last fragment); ``None`` means
+        #: ``size_bytes``.
+        self.message_bytes = message_bytes
+        #: Reliability-protocol sequence number, assigned by the sending
+        #: NIC at first injection when the fault plan can drop packets;
+        #: stable across retransmissions so the receiver can suppress
+        #: duplicates.  ``None`` on the reliable-fabric fast path.
+        self.seq = seq
+        #: Piggybacked vector-clock snapshot, attached by simsan at the
+        #: host-level send when ``sanitize=True``; stable across
+        #: retransmissions (the Packet object is reused).  ``None`` when
+        #: the sanitizer is off.
+        self.clock = clock
 
     @property
     def logical_bytes(self) -> int:

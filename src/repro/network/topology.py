@@ -84,9 +84,6 @@ class SwitchedFabric:
                     self._links[(direction, leaf, spine)] = Resource(
                         sim, capacity=1,
                         name=f"link-{direction}-{leaf}-{spine}")
-        self._in_flight = 0
-        self._max_in_flight = 0
-        self._packets_carried = 0
         self._hop_histogram: Dict[int, int] = {}
 
     # -- topology queries ----------------------------------------------------
@@ -130,10 +127,6 @@ class SwitchedFabric:
         nic = self._nics.get(packet.dst)
         if nic is None:
             raise KeyError(f"no NIC attached for node {packet.dst}")
-        self._in_flight += 1
-        self._max_in_flight = max(self._max_in_flight, self._in_flight)
-        self._packets_carried += 1
-        packet.injected_at = self.sim.now
         hops = self.hops(packet.src, packet.dst)
         self._hop_histogram[hops] = self._hop_histogram.get(hops, 0) + 1
         self.sim.process(self._route(packet, nic),
@@ -151,7 +144,6 @@ class SwitchedFabric:
             yield from self._traverse_link(("down", dst_leaf, spine),
                                            packet)
             yield self.hop_latency  # destination leaf
-        self._in_flight -= 1
         nic.receive_from_wire(packet)
 
     def _traverse_link(self, key: Tuple[str, int, int], packet: Packet):
@@ -165,18 +157,6 @@ class SwitchedFabric:
             link.release()
 
     # -- diagnostics -----------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
-    @property
-    def max_in_flight(self) -> int:
-        return self._max_in_flight
-
-    @property
-    def packets_carried(self) -> int:
-        return self._packets_carried
-
     @property
     def hop_histogram(self) -> Dict[int, int]:
         """How many packets took 1-hop vs 3-hop routes."""

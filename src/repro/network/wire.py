@@ -12,7 +12,7 @@ per packet with unlimited internal bandwidth; rate limits live in the NIC
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.instruments.probes import Probes
 from repro.network.packet import Packet
@@ -44,22 +44,21 @@ class Wire:
         if probes is None:
             probes = Probes()
         self._on_packet_dropped = probes.packet_dropped
-        self._nics: Dict[int, "Nic"] = {}  # noqa: F821
-        self._in_flight = 0
-        self._max_in_flight = 0
-        self._packets_carried = 0
+        #: node id -> its NIC's ``receive_from_wire``, which each packet
+        #: is scheduled into directly.
+        self._receivers: Dict[int, Callable[[Packet], None]] = {}
         self._packets_dropped = 0
 
     def attach(self, node_id: int, nic: "Nic") -> None:  # noqa: F821
         """Register the NIC serving ``node_id``."""
-        if node_id in self._nics:
+        if node_id in self._receivers:
             raise ValueError(f"node {node_id} already attached")
-        self._nics[node_id] = nic
+        self._receivers[node_id] = nic.receive_from_wire
 
     def carry(self, packet: Packet) -> None:
         """Put ``packet`` on the wire; it arrives at ``dst`` after ``L``
         (or later -- or never -- under an active fault plan)."""
-        if packet.dst not in self._nics:
+        if packet.dst not in self._receivers:
             raise KeyError(f"no NIC attached for node {packet.dst}")
         if self.injector is None:
             delay = self.latency
@@ -72,32 +71,7 @@ class Wire:
                 if hook is not None:
                     hook(packet.src, packet)
                 return
-        self._in_flight += 1
-        if self._in_flight > self._max_in_flight:
-            self._max_in_flight = self._in_flight
-        self._packets_carried += 1
-        packet.injected_at = self.sim.now
-        self.sim.call_in(delay, self._deliver, packet)
-
-    def _deliver(self, packet: Packet) -> None:
-        self._in_flight -= 1
-        self._nics[packet.dst].receive_from_wire(packet)
-
-    # -- diagnostics ------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Packets currently in transit."""
-        return self._in_flight
-
-    @property
-    def max_in_flight(self) -> int:
-        """High-water mark of packets simultaneously in transit."""
-        return self._max_in_flight
-
-    @property
-    def packets_carried(self) -> int:
-        """Total packets ever carried."""
-        return self._packets_carried
+        self.sim.call_in(delay, self._receivers[packet.dst], packet)
 
     @property
     def packets_dropped(self) -> int:

@@ -40,9 +40,10 @@ rerun-to-rerun and cache/campaign machinery applies by construction.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List
 
 from repro.am.layer import Reply
 from repro.apps.base import Application
@@ -82,8 +83,9 @@ def _serve_kv(am, packet) -> Reply:
     app = am.host.state["serve_app"]
     key, write = packet.payload
     value = _kv_apply(am.host.state["serve_store"], key, write)
-    app.metrics.on_served(am.node_id, app.service_us)
-    app.metrics.on_queue_sample(am.node_id, am.rx_pending)
+    metrics = app._metrics
+    metrics.on_served(am.node_id, app.service_us)
+    metrics.on_queue_sample(am.node_id, am.rx_pending)
     return Reply(value, service_us=app.service_us)
 
 
@@ -91,8 +93,9 @@ def _serve_fanout(am, packet) -> Reply:
     """One scatter-gather sub-query at a shard."""
     app = am.host.state["serve_app"]
     value = _fanout_apply(am.host.state["serve_hits"], packet.payload)
-    app.metrics.on_served(am.node_id, app.service_us)
-    app.metrics.on_queue_sample(am.node_id, am.rx_pending)
+    metrics = app._metrics
+    metrics.on_served(am.node_id, app.service_us)
+    metrics.on_queue_sample(am.node_id, am.rx_pending)
     return Reply(value, service_us=app.service_us)
 
 
@@ -142,6 +145,11 @@ class ServingApp(Application):
             raise ValueError(
                 f"arrivals must be one of {ARRIVAL_PROCESSES}, "
                 f"got {arrivals!r}")
+        for name, value in (("service_us", service_us), ("slo_us", slo_us),
+                            ("max_backlog", max_backlog),
+                            ("sample_every_us", sample_every_us)):
+            if not math.isfinite(value):  # NaN passes every comparison
+                raise ValueError(f"{name} must be finite, got {value}")
         if service_us < 0:
             raise ValueError(f"service_us must be >= 0, got {service_us}")
         if slo_us <= 0:
@@ -168,6 +176,7 @@ class ServingApp(Application):
         self.slo_us = slo_us
         self.max_backlog = max_backlog
         self.sample_every_us = sample_every_us
+        self.tier()  # refuses a bad client-tier knob now, not at run time
 
     # -- configuration helpers ---------------------------------------------
     def with_changes(self, **overrides: Any) -> "ServingApp":
@@ -246,12 +255,14 @@ class ServingApp(Application):
             if self.sample_every_us > 0:
                 proc.sim.process(self._queue_sampler(proc.sim),
                                  name="serve-sampler")
+
+        def woken() -> bool:  # _finished(), spelled out: runs every wake
+            return bool(pending) or (
+                self._feed_done
+                and self._completed + self._dropped >= self._injected)
+
         while True:
-            # _finished(), spelled out: this runs on every wake.
-            yield from am.wait_until(
-                lambda: bool(pending) or (
-                    self._feed_done and self._completed + self._dropped
-                    >= self._injected))
+            yield from am.wait_until(woken)
             if pending:
                 request, arrived = pending.popleft()
                 if self._aborted:
@@ -350,10 +361,26 @@ class ServingApp(Application):
         if self._finished():
             self._kick_all()
 
+    def _countdown(self, proc, request: Request, arrived: float,
+                   n_targets: int) -> Callable[[], None]:
+        """The ``on_done`` of a request to several targets: it completes
+        the request on the last of its ``n_targets`` calls."""
+        rank = proc.rank
+        left = {"n": n_targets}
+
+        def done() -> None:
+            left["n"] -= 1
+            if left["n"] == 0:
+                self._complete_request(rank, arrived, request.write,
+                                       proc.sim)
+
+        return done
+
     def _send(self, proc, target: int, handler: str, payload: Any,
               on_done: Callable[[], None],
               local_op: Callable[[Any], Any]) -> Generator:
-        """One sub-request with in-flight accounting.
+        """One sub-request that reports to ``on_done`` (a
+        :meth:`_countdown`), with in-flight accounting.
 
         Remote targets go split-phase over the AM layer; a target that
         is the issuing frontend itself is served locally — the shard
@@ -404,12 +431,6 @@ class KVServe(ServingApp):
         self.read_anywhere = read_anywhere
         super().__init__(**kwargs)
 
-    @staticmethod
-    def _backup_of(primary: int, n: int) -> Optional[int]:
-        if n < 2:
-            return None
-        return (primary + 1) % n
-
     def _setup_shard(self, proc) -> None:
         proc.state["serve_store"] = {}
 
@@ -425,33 +446,36 @@ class KVServe(ServingApp):
         return primary
 
     def _issue(self, proc, request: Request, arrived: float) -> Generator:
-        rank = proc.rank
-        primary = request.key % proc.n_ranks
-        backup = self._backup_of(primary, proc.n_ranks)
-        replicated = self.replication == "primary-backup" \
-            and backup is not None
-        if request.write and replicated:
-            targets = [primary, backup]
-        elif (not request.write) and replicated and self.read_anywhere:
-            targets = [self._pick_replica(rank, primary, backup)]
-        else:
-            targets = [primary]
-        left = {"n": len(targets)}
+        """A replicated write (two targets) and a request this frontend
+        serves itself go through :meth:`_send`; any other request has
+        one remote target, sent to from here with one reply callback."""
+        rank, n = proc.rank, proc.n_ranks
+        key, write = request.key, request.write
+        targets = [key % n]  # the primary
+        if self.replication == "primary-backup" and n >= 2:
+            backup = (targets[0] + 1) % n
+            if write:
+                targets.append(backup)
+            elif self.read_anywhere:
+                targets[0] = self._pick_replica(rank, targets[0], backup)
+        target = targets[0]
+        if len(targets) > 1 or target == rank:
+            done = self._countdown(proc, request, arrived, len(targets))
+            for target in targets:
+                yield from self._send(
+                    proc, target, "serve_kv", (key, write), done,
+                    lambda p: _kv_apply(p.state["serve_store"], key, write))
+            return
+        inflight = self._server_inflight
+        inflight[target] += 1
 
-        def done() -> None:
-            left["n"] -= 1
-            if left["n"] == 0:
-                self._complete_request(rank, arrived, request.write,
-                                       proc.sim)
+        def replied(_payload: Any) -> None:
+            inflight[target] -= 1
+            self._complete_request(rank, arrived, write, proc.sim)
 
-        def local_op(p) -> Any:
-            return _kv_apply(p.state["serve_store"], request.key,
-                             request.write)
-
-        for target in targets:
-            yield from self._send(proc, target, "serve_kv",
-                                  (request.key, request.write), done,
-                                  local_op)
+        yield from proc.am.send_request(target, "serve_kv",
+                                        payload=(key, write),
+                                        on_reply=replied)
 
     def register_handlers(self, table) -> None:
         table.register("serve_kv", _serve_kv)
@@ -473,24 +497,14 @@ class FanoutServe(ServingApp):
         proc.state["serve_hits"] = [0] * max(1, self.key_space)
 
     def _issue(self, proc, request: Request, arrived: float) -> Generator:
-        rank = proc.rank
         k = min(self.fanout, proc.n_ranks)
         base = request.key % proc.n_ranks
-        targets = [(base + i) % proc.n_ranks for i in range(k)]
-        left = {"n": k}
-
-        def done() -> None:
-            left["n"] -= 1
-            if left["n"] == 0:
-                self._complete_request(rank, arrived, request.write,
-                                       proc.sim)
-
-        def local_op(p) -> Any:
-            return _fanout_apply(p.state["serve_hits"], request.key)
-
-        for target in targets:
-            yield from self._send(proc, target, "serve_fanout",
-                                  request.key, done, local_op)
+        done = self._countdown(proc, request, arrived, k)
+        for i in range(k):
+            yield from self._send(
+                proc, (base + i) % proc.n_ranks, "serve_fanout",
+                request.key, done,
+                lambda p: _fanout_apply(p.state["serve_hits"], request.key))
 
     def register_handlers(self, table) -> None:
         table.register("serve_fanout", _serve_fanout)

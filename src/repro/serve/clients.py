@@ -25,8 +25,9 @@ RunCache/ResultStore machinery by construction.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, NamedTuple
 
 __all__ = ["Request", "ClientTier", "ARRIVAL_PROCESSES"]
@@ -83,6 +84,11 @@ class ClientTier:
     key_space: int = 4096
 
     def __post_init__(self) -> None:
+        for field in fields(self):  # NaN and inf pass every comparison
+            value = getattr(self, field.name)
+            if not isinstance(value, str) and not math.isfinite(value):
+                raise ValueError(
+                    f"{field.name} must be finite, got {value}")
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.offered_rps <= 0:

@@ -44,6 +44,7 @@ from repro.network.nic import Nic
 from repro.network.packet import Packet, PacketKind, new_xfer_id
 from repro.network.topology import SwitchedFabric
 from repro.network.wire import Wire
+from repro.serve import KVServe
 from repro.sim import Simulator, Store
 
 SIM_SETTINGS = settings(max_examples=60, deadline=None,
@@ -481,35 +482,22 @@ def test_radix_events_per_message_stays_fused():
     assert result.events_processed / result.stats.total_messages <= 6.0
 
 
-#: Calls per message allowed on Radix at P=8: 3 % above the 60.47
-#: measured since handlers return their replies.
-CALLS_PER_MESSAGE_BUDGET = 62.3
+#: Calls per message allowed on Radix at P=8: 3 % above the 56.89
+#: measured since a packet is slotted and the wire, the NIC and the
+#: service loop lost a frame each per packet.
+CALLS_PER_MESSAGE_BUDGET = 58.6
+
+#: Calls per request allowed on ``KVServe`` at P=8: 3 % above the 169.20
+#: measured since a one-target remote request goes straight to the AM
+#: layer.
+CALLS_PER_REQUEST_BUDGET = 174.3
 
 
-def test_radix_calls_per_message_stays_within_budget():
-    """The work per event, so that it cannot creep back either: every
-    call cProfile sees (Python and builtin) during one ``Cluster.run``,
-    over the messages sent.  305,580 calls for 2,851 messages, 107.18
-    per message, before run constants were resolved at construction,
-    slots read for properties and the per-message counters kept in
-    lists; 255,838 calls, 89.74 per message, after that; 200,029 calls,
-    70.16 per message, since NIC, wire and host charges are bare heap
-    entries (no ``Timeout``, no callback list); 173,435 calls, 60.83 per
-    message, since a host wait is one service-loop frame parked on a
-    ``Park`` and the clock is an attribute; 172,401 calls, 60.47 per
-    message, since a handler is a plain function whose return value
-    is its reply (Radix answers with automatic acks only, so its
-    messages do not move; the 64 calls more than the collective
-    layer's fold left, 172,337, are ``register`` refusing generator
-    functions).  No timing enters:
-    the count is a function of the seed and repeats exactly, also across
-    ``PYTHONHASHSEED`` values (CI runs this test under two and prints
-    it).  The first run pays the lazy imports and goes unprofiled; the
-    collector is off because hypothesis, once one of its tests has run,
-    hangs a callback on every collection."""
-    def run():
-        return Cluster(8, seed=11).run(RadixSort(keys_per_proc=64))
-
+def _calls_during(run):
+    """Every call cProfile sees (Python and builtin) during ``run()``,
+    and its result.  The first run pays the lazy imports and goes
+    unprofiled; the collector is off because hypothesis, once one of its
+    tests has run, hangs a callback on every collection."""
     run()
     profile = cProfile.Profile()
     gc.disable()
@@ -518,11 +506,56 @@ def test_radix_calls_per_message_stays_within_budget():
     finally:
         gc.enable()
     # Not pstats: it files code objects under (file, line, name) and
-    # keeps one of those that share a label, and every dataclass's
-    # generated __init__ is ("<string>", 2, "__init__") -- Packet's
-    # included, one call per packet.
-    calls = sum(entry.callcount for entry in profile.getstats())
+    # keeps one of those that share a label (every dataclass's generated
+    # __init__ is ("<string>", 2, "__init__")).
+    return sum(entry.callcount for entry in profile.getstats()), result
+
+
+def test_radix_calls_per_message_stays_within_budget():
+    """The work per event, so that it cannot creep back either: every
+    call during one ``Cluster.run``, over the messages sent.  305,580
+    calls for 2,851 messages, 107.18 per message, before run constants
+    were resolved at construction, slots read for properties and the
+    per-message counters kept in lists; 255,838 calls, 89.74 per
+    message, after that; 200,029 calls, 70.16 per message, since NIC,
+    wire and host charges are bare heap entries (no ``Timeout``, no
+    callback list); 173,435 calls, 60.83 per message, since a host wait
+    is one service-loop frame parked on a ``Park`` and the clock is an
+    attribute; 172,401 calls, 60.47 per message, since a handler is a
+    plain function whose return value is its reply (Radix answers with
+    automatic acks only, so its messages do not move; the 64 calls more
+    than the collective layer's fold left, 172,337, are ``register``
+    refusing generator functions); 162,186 calls, 56.89 per message,
+    since ``Packet`` is a slotted class with one ``__init__``, the wire
+    schedules ``receive_from_wire`` itself, a short packet is injected
+    in ``_transmit``'s frame and the service loop indexes the handler
+    table.  No timing enters: the count is a function of the seed and
+    repeats exactly, also across ``PYTHONHASHSEED`` values (CI runs this
+    test under two and prints it)."""
+    calls, result = _calls_during(
+        lambda: Cluster(8, seed=11).run(RadixSort(keys_per_proc=64)))
     per_message = calls / result.stats.total_messages
     print(f"Radix P=8: {calls} calls / {result.stats.total_messages} "
           f"messages = {per_message:.2f} calls per message")
     assert per_message <= CALLS_PER_MESSAGE_BUDGET
+
+
+def test_kvserve_calls_per_request_stays_within_budget():
+    """The serving request path, held like the message path: every call
+    during one ``KVServe`` run at P=8 (300 requests, seed 13), over the
+    requests.  54,413 calls, 181.38 per request, when every request went
+    through a ``_send`` generator with a countdown dict and two
+    closures, and the rank loop built a new wake predicate per request;
+    50,761 calls, 169.20 per request, since a one-target remote request
+    is sent from ``_issue``'s own frame with one reply callback (a local
+    one, an eighth here, still goes through ``_send``; 46 calls are the
+    constructor's finiteness checks).  Exact under any
+    ``PYTHONHASHSEED``, as the Radix count is (CI prints both)."""
+    calls, result = _calls_during(lambda: Cluster(8, seed=13).run(KVServe(
+        offered_rps=200_000.0, n_users=10_000, duration_us=10_000.0,
+        max_requests=300, service_us=4.0, key_space=512)))
+    requests = result.stats.serving.arrivals
+    per_request = calls / requests
+    print(f"KVServe P=8: {calls} calls / {requests} requests = "
+          f"{per_request:.2f} calls per request")
+    assert per_request <= CALLS_PER_REQUEST_BUDGET

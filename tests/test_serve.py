@@ -16,6 +16,7 @@ pin down the pieces that make that regime deterministic and honest:
 """
 
 import json
+import math
 
 import pytest
 
@@ -298,3 +299,20 @@ def test_serving_app_from_dict_round_trip():
     with pytest.raises(ValueError):
         serving_app_from_dict({"app": "nope"})
     assert app is not built
+
+
+#: Every knob of a serving scenario that is a number.
+NUMERIC_KNOBS = ("offered_rps", "n_users", "duration_us", "max_requests",
+                 "burst_ratio", "mean_burst_us", "mean_calm_us",
+                 "user_skew", "write_ratio", "key_space", "service_us",
+                 "slo_us", "max_backlog", "sample_every_us")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("knob", NUMERIC_KNOBS)
+def test_non_finite_knobs_are_refused_by_name(knob, value):
+    """NaN passes every ``<`` / ``<=`` check and inf passes the lower
+    bounds, so without a finiteness check ``service_us=nan`` ran as 0
+    and ``max_backlog=nan`` disabled the saturation guard."""
+    with pytest.raises(ValueError, match=f"^{knob} must be finite"):
+        tiny_kv(**{knob: value})

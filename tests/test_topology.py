@@ -16,7 +16,7 @@ class _StubNic:
         self.received = []
 
     def receive_from_wire(self, packet):
-        self.received.append((packet, packet.injected_at))
+        self.received.append(packet)
 
 
 def make_fabric(hop_latency=1.0, **kwargs):
@@ -122,7 +122,7 @@ def test_fifo_per_pair_preserved():
     for packet in packets:
         fabric.carry(packet)
     sim.run()
-    received_order = [p.payload for p, _t in nic.received]
+    received_order = [p.payload for p in nic.received]
     assert received_order == list(range(6))
 
 
