@@ -1,4 +1,4 @@
-"""The cluster: nodes + fabric + AM layers, and the run orchestrator.
+"""The cluster: nodes + wire + AM layers, and the run orchestrator.
 
 A :class:`Cluster` captures a machine configuration (node count, baseline
 LogGP parameters, tuning dials, flow-control window, CPU cost model).
@@ -127,7 +127,8 @@ class Cluster:
         Optional hard cap on simulated time per run; exceeding it raises
         ``TimeoutError`` (used to bound livelocked configurations).
     livelock_limit:
-        Per-rank failed-lock budget before ``LivelockError``.
+        Per-rank failed-lock budget before ``LivelockError``; an
+        ``int`` >= 0.
     faults:
         Optional :class:`~repro.network.faults.FaultPlan` making the
         wire imperfect (drops, delay spikes, slowdown windows).  A null
@@ -148,7 +149,6 @@ class Cluster:
                  knobs: Optional[TuningKnobs] = None,
                  window: int = DEFAULT_WINDOW,
                  window_scope: str = "per-destination",
-                 fabric: str = "flat",
                  cost: Optional[CostModel] = None,
                  disks_per_node: int = 2,
                  seed: int = 0,
@@ -164,19 +164,18 @@ class Cluster:
         self.knobs = knobs if knobs is not None else TuningKnobs()
         self.window = window
         self.window_scope = window_scope
-        if fabric not in ("flat", "myrinet"):
-            raise ValueError(f"unknown fabric {fabric!r}")
-        self.fabric = fabric
         self.cost = cost if cost is not None else CostModel()
         self.disks_per_node = disks_per_node
         self.seed = seed
         self.run_limit_us = run_limit_us
+        # The guard's ``>`` is never true for NaN: a livelocked run
+        # would spin instead of failing.
+        if type(livelock_limit) is not int or livelock_limit < 0:
+            raise ValueError(f"livelock_limit must be an int >= 0, "
+                             f"got {livelock_limit!r}")
         self.livelock_limit = livelock_limit
         if faults is not None and faults.is_null:
             faults = None
-        if faults is not None and fabric != "flat":
-            raise ValueError(
-                "fault injection is only modelled on the flat fabric")
         self.faults = faults
         self.sanitize = sanitize
 
@@ -185,7 +184,7 @@ class Cluster:
         return Cluster(self.n_nodes, params=self.params, knobs=knobs,
                        window=self.window,
                        window_scope=self.window_scope,
-                       fabric=self.fabric, cost=self.cost,
+                       cost=self.cost,
                        disks_per_node=self.disks_per_node, seed=self.seed,
                        run_limit_us=self.run_limit_us,
                        livelock_limit=self.livelock_limit,
@@ -210,7 +209,7 @@ class Cluster:
         """
         if recorder is not None:
             # The replay model (repro.cost.predict) covers exactly the
-            # flat reliable fabric with an undialed receive context;
+            # reliable wire with an undialed receive context;
             # refuse regimes whose scheduling it cannot reproduce.
             if getattr(app, "open_system", False):
                 from repro.cost.predict import UnsupportedGraphError
@@ -218,10 +217,6 @@ class Cluster:
                     f"simcost cannot record open-system app "
                     f"{app.name!r}: arrivals from outside the rank set "
                     f"have no closed dependency graph to replay")
-            if self.fabric != "flat":
-                raise ValueError(
-                    f"simcost recording requires the flat fabric, "
-                    f"not {self.fabric!r}")
             if self.faults is not None:
                 raise ValueError(
                     "simcost recording requires a reliable fabric "
@@ -239,18 +234,12 @@ class Cluster:
         probes = Probes(observer for observer in
                         (stats, sanitizer, tracer, recorder)
                         if observer is not None)
-        if self.fabric == "myrinet":
-            from repro.network.topology import SwitchedFabric
-            wire = SwitchedFabric(
-                sim, hop_latency=self.params.latency / 3.0,
-                n_hosts=max(self.n_nodes, 1))
-        else:
-            injector = None
-            if self.faults is not None:
-                from repro.network.faults import FaultInjector
-                injector = FaultInjector(self.faults, self.seed)
-            wire = Wire(sim, self.params.latency, injector=injector,
-                        probes=probes)
+        injector = None
+        if self.faults is not None:
+            from repro.network.faults import FaultInjector
+            injector = FaultInjector(self.faults, self.seed)
+        wire = Wire(sim, self.params.latency, injector=injector,
+                    probes=probes)
         table = HandlerTable()
         register_gas_handlers(table)
         app.configure(self.n_nodes, self.seed)

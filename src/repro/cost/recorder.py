@@ -13,12 +13,12 @@ one (same ``runtime_us``, ``events_processed``, stats, and RunCache
 keys).  This is the same contract simsan established, and it is
 pinned by tests and CI.
 
-Recording is supported on the flat fabric with a perfectly reliable
-wire and undialed occupancy; other regimes (fault plans with their
-retransmission timers, switched fabrics with contention, a serialised
-receive context) have scheduling dynamics the replay model does not
-reproduce, so :func:`record_run` refuses them up front rather than
-returning graphs that mispredict.
+Recording is supported on a perfectly reliable wire with undialed
+occupancy; other regimes (fault plans with their retransmission
+timers, a serialised receive context, open-system apps) have
+scheduling dynamics the replay model does not reproduce, so
+:func:`record_run` refuses them up front rather than returning graphs
+that mispredict.
 """
 
 from __future__ import annotations

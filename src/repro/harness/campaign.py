@@ -143,6 +143,12 @@ class CampaignSpec:
                     f"({workload['app']!r},), got {self.apps}")
         if not self.name:
             raise ValueError("campaign needs a non-empty name")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(
+                f"scale must be finite and > 0, got {self.scale!r}")
+        if type(self.livelock_limit) is not int or self.livelock_limit < 0:
+            raise ValueError(f"livelock_limit must be an int >= 0, "
+                             f"got {self.livelock_limit!r}")
         if self.machine not in MACHINE_PRESETS:
             raise ValueError(
                 f"unknown machine preset {self.machine!r}; "

@@ -74,7 +74,7 @@ class PointTask:
             self.app, cluster.n_nodes, cluster.params, cluster.knobs,
             cluster.seed, run_limit_us=cluster.run_limit_us,
             livelock_limit=cluster.livelock_limit, window=cluster.window,
-            window_scope=cluster.window_scope, fabric=cluster.fabric,
+            window_scope=cluster.window_scope,
             disks_per_node=cluster.disks_per_node, cost=cluster.cost,
             faults=cluster.faults)
 

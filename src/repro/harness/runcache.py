@@ -102,7 +102,6 @@ def run_key_spec(app: Any, n_nodes: int,
                  livelock_limit: int = 200_000,
                  window: int = 8,
                  window_scope: str = "per-destination",
-                 fabric: str = "flat",
                  disks_per_node: int = 2,
                  cost: Optional[CostModel] = None,
                  faults: Optional["FaultPlan"] = None  # noqa: F821
@@ -126,7 +125,7 @@ def run_key_spec(app: Any, n_nodes: int,
         "livelock_limit": livelock_limit,
         "window": window,
         "window_scope": window_scope,
-        "fabric": fabric,
+        "fabric": "flat",  # the one wire; dropping it would re-key every run
         "disks_per_node": disks_per_node,
         "cost": dataclasses.asdict(cost if cost is not None else CostModel()),
         "faults": dataclasses.asdict(faults) if faults is not None else None,

@@ -2,8 +2,8 @@
 
 Two primitives cover everything the cluster model needs:
 
-* :class:`Resource` -- a counted, FCFS resource (e.g. a NIC transmit
-  context, a disk arm).  ``request()`` returns an event that succeeds when
+* :class:`Resource` -- a counted, FCFS resource (a disk arm).
+  ``request()`` returns an event that succeeds when
   a slot is granted; ``release()`` frees it.
 * :class:`Store` -- an unbounded (or bounded) FIFO of items (e.g. a NIC
   receive queue).  ``put(item)`` and ``get()`` both return events.
@@ -46,16 +46,6 @@ class Resource:
         self._in_use = 0
         self._queue: Deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Number of slots currently granted."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._queue)
-
     def request(self) -> Event:
         """Ask for a slot; the returned event succeeds when granted."""
         event = Event(self.sim, name=f"req:{self.name}")
@@ -75,14 +65,6 @@ class Resource:
             self._queue.popleft().succeed(None)
         else:
             self._in_use -= 1
-
-    def cancel(self, request: Event) -> bool:
-        """Withdraw a pending request.  Returns False if already granted."""
-        try:
-            self._queue.remove(request)
-        except ValueError:
-            return False
-        return True
 
 
 class Store:

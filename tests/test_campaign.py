@@ -8,6 +8,7 @@ producing artifacts byte-identical to an uninterrupted run.
 """
 
 import json
+import math
 import os
 import signal
 import sqlite3
@@ -343,6 +344,22 @@ def test_campaign_spec_rejects_non_finite_dial_values(dial, values, bad):
             f'"dials": [["{dial}", {values}]]}}')
     with pytest.raises(ValueError, match=f"dial '{dial}' .* {bad}"):
         CampaignSpec.from_json(text)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1],
+                         ids=["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("field", ["livelock_limit", "scale"])
+def test_a_bad_livelock_limit_or_scale_is_refused_by_name(field, bad):
+    # A NaN failed-lock budget never trips the guard's ``>``, and a
+    # non-positive scale runs every app at its floor size: both are
+    # refused before any run, naming the field.
+    data = {"name": "bad", "apps": ["Radix"], "node_counts": [4],
+            "dials": [["overhead", [2.9]]], field: bad}
+    with pytest.raises(ValueError, match=field):
+        CampaignSpec.from_dict(data)
+    if field == "livelock_limit":
+        with pytest.raises(ValueError, match=field):
+            Cluster(4, livelock_limit=bad)
 
 
 def test_campaign_points_order_and_keys_are_deterministic():

@@ -99,6 +99,12 @@ def test_cluster_validates_node_count():
         Cluster(n_nodes=0)
 
 
+def test_cluster_has_no_fabric_option():
+    # The flat wire is the one network model.
+    with pytest.raises(TypeError):
+        Cluster(4, fabric="flat")
+
+
 def test_cluster_run_limit_raises_timeout():
     cluster = Cluster(n_nodes=2, run_limit_us=100.0)
     with pytest.raises(TimeoutError):

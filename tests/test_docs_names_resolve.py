@@ -2,9 +2,10 @@
 
 ``from repro... import a, b`` in ``examples/*.py`` and in the fenced
 ``python`` blocks of README.md and docs/ARCHITECTURE.md must resolve by
-import + ``getattr``: a renamed or removed function then fails here, in
-the PR that renames it, instead of in a reader's terminal.  Imports
-only — nothing is run.
+import + ``getattr``, and so must every `` `repro.*` `` name in
+DESIGN.md's system inventory: a renamed or removed function or module
+then fails here, in the change that removes it, instead of in a
+reader's terminal.  Imports only — nothing is run.
 """
 
 import ast
@@ -15,6 +16,8 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "docs" / "ARCHITECTURE.md"]
 FENCE = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
+INVENTORY = re.compile(r"^## 2\. System inventory.*?\n(.*?)^## ",
+                       re.S | re.M)
 
 
 def _sources():
@@ -42,3 +45,28 @@ def test_every_documented_import_resolves():
                             if not hasattr(module, alias.name)]
     assert not missing, "\n".join(missing)
     assert {"README.md", "quickstart.py"} <= seen
+
+
+def _resolves(name):
+    """Whether dotted ``name`` is a module, or an attribute path under
+    the longest prefix of it that imports."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(found, attr):
+                return False
+            found = getattr(found, attr)
+        return True
+    return False
+
+
+def test_every_name_in_the_design_inventory_resolves():
+    table = INVENTORY.search((ROOT / "DESIGN.md").read_text()).group(1)
+    names = set(re.findall(r"`(repro(?:\.\w+)+)`", table))
+    assert "repro.sim" in names
+    missing = sorted(name for name in names if not _resolves(name))
+    assert not missing, f"DESIGN.md section 2 names {missing}"

@@ -121,11 +121,6 @@ def test_lossy_run_output_still_validates():
     assert result.output is not None
 
 
-def test_faults_only_allowed_on_flat_fabric():
-    with pytest.raises(ValueError, match="flat"):
-        Cluster(n_nodes=4, fabric="myrinet", faults=lossy_plan())
-
-
 # ---------------------------------------------------------------------------
 # Structured failure: a dead link exhausts retries.
 # ---------------------------------------------------------------------------
@@ -306,6 +301,48 @@ def test_dropped_credits_are_retransmitted_not_deadlocked():
     assert result.stats.total_retransmissions > 0
     # Retransmitted credits come from the receiving node (node 1).
     assert result.stats.retransmissions[1] > 0
+
+
+def test_ack_only_loss_is_recovered_by_duplicate_suppression():
+    # Every data packet arrives, half its acks do not: the sender
+    # retransmits what the receiver already has, and the receiver must
+    # suppress each copy and re-ack it.  run_limit_us turns a hang into
+    # a "budget exceeded" point instead of a wedged suite.
+    plan = FaultPlan(drop_kinds=("ack",), retx_timeout_us=60.0)
+    point = run_sweep(tiny_radix(), 4, "drop_rate", (0.5,), faults=plan,
+                      seed=3, run_limit_us=1_000_000.0).points[0]
+    assert point.completed, point.failure
+    stats = point.result.stats
+    assert point.result.output is not None  # finalize validated the sort
+    assert stats.total_packets_dropped > 0
+    assert stats.total_duplicates_suppressed > 0
+    assert (stats.reassembly_leaks == 0).all()
+
+
+def test_spike_landing_on_a_pending_retransmit_timer():
+    # Node 1 freezes for 400 us, far longer than the 60 us timeout, so
+    # timers armed before the spike expire inside it and their copies
+    # are held by the same spike as the originals and the acks.
+    start, duration = 300.0, 400.0
+    plan = lossy_plan(drop_rate=0.05, spikes=(
+        DelaySpike(node=1, start_us=start, duration_us=duration),))
+
+    class Retransmits:
+        def __init__(self):
+            self.times = []
+
+        def on_begin(self, sim, cluster, app_name):
+            self.sim = sim
+
+        def on_retransmit(self, rank, packet):
+            self.times.append(self.sim.now)
+
+    seen = Retransmits()
+    result = Cluster(n_nodes=4, seed=3, faults=plan,
+                     run_limit_us=1_000_000.0).run(tiny_radix(), tracer=seen)
+    assert any(start <= t < start + duration for t in seen.times)
+    assert result.output is not None
+    assert (result.stats.reassembly_leaks == 0).all()
 
 
 def test_drop_kinds_narrowing_leaves_other_kinds_alone():

@@ -14,8 +14,8 @@ from.  Hypothesis drives both with random programs at two levels:
   enqueues land in same-instant bursts and exactly on a stall's end --
   from events scheduled both before and after the stall's own timeout;
 * whole clusters running a scripted SPMD application, with every dial,
-  packet loss (retransmits re-enter the transmit queue), the switched
-  fabric, and tracer / sanitizer / recorder attached.
+  packet loss (retransmits re-enter the transmit queue), and tracer /
+  sanitizer / recorder attached.
 
 Both must see the identical ``receive_from_wire`` sequence (time and
 order), identical host-visible results, and strictly fewer events.
@@ -42,7 +42,6 @@ from repro.network.faults import FaultError, FaultInjector, FaultPlan
 from repro.network.loggp import LogGPParams
 from repro.network.nic import Nic
 from repro.network.packet import Packet, PacketKind, new_xfer_id
-from repro.network.topology import SwitchedFabric
 from repro.network.wire import Wire
 from repro.serve import KVServe
 from repro.sim import Simulator, Store
@@ -139,13 +138,11 @@ KNOBS = st.builds(
     delta_G=st.sampled_from([0.0, 0.0, 0.01, 0.2]),
     delta_occ=st.sampled_from([0.0, 0.0, 1.5, 5.8]))
 
-#: Flat and reliable, flat and lossy (the only fabric faults model),
-#: or the switched Myrinet fabric.
-REGIMES = st.one_of(
-    st.just(("flat", None)),
-    st.just(("myrinet", None)),
-    st.builds(lambda rate, timeout: ("flat", FaultPlan(
-        drop_rate=rate, retx_timeout_us=timeout)),
+#: A reliable wire, or a lossy one.
+PLANS = st.one_of(
+    st.none(),
+    st.builds(lambda rate, timeout: FaultPlan(
+        drop_rate=rate, retx_timeout_us=timeout),
         st.sampled_from([0.03, 0.15]), st.sampled_from([40.0, 200.0])))
 
 
@@ -213,16 +210,11 @@ class _TxTotals:
         self.rows[rank][0] += busy_us
 
 
-def _run_bare(nic_class, program, knobs, regime):
-    fabric, plan = regime
+def _run_bare(nic_class, program, knobs, plan):
     params = LogGPParams.berkeley_now()
     sim = Simulator()
-    if fabric == "myrinet":
-        wire = SwitchedFabric(sim, hop_latency=params.latency / 3.0,
-                              n_hosts=N_NICS)
-    else:
-        wire = Wire(sim, params.latency, injector=plan and
-                    FaultInjector(plan, seed=5))
+    wire = Wire(sim, params.latency, injector=plan and
+                FaultInjector(plan, seed=5))
     origin = new_xfer_id()
     wire_log, host_log = [], []
     injected = _TxTotals()
@@ -273,11 +265,11 @@ def _run_bare(nic_class, program, knobs, regime):
             sim.events_processed)
 
 
-@given(program=PROGRAMS, knobs=KNOBS, regime=REGIMES)
+@given(program=PROGRAMS, knobs=KNOBS, plan=PLANS)
 @SIM_SETTINGS
-def test_bare_nics_see_identical_deliveries(program, knobs, regime):
+def test_bare_nics_see_identical_deliveries(program, knobs, plan):
     _assert_equivalent(
-        lambda nic_class: _run_bare(nic_class, program, knobs, regime))
+        lambda nic_class: _run_bare(nic_class, program, knobs, plan))
 
 
 @pytest.mark.parametrize("second, backlog", [
@@ -292,11 +284,10 @@ def test_bare_nics_see_identical_deliveries(program, knobs, regime):
 def test_enqueue_landing_exactly_on_a_stalls_end(second, backlog):
     first = (["zero"], 0, 1, "short", [])
     program = [first, second]
-    regime = ("flat", None)
     _assert_equivalent(lambda nic_class: _run_bare(
-        nic_class, program, TuningKnobs(), regime))
+        nic_class, program, TuningKnobs(), None))
     (wire_log, host_log, _totals, _now, _error), _events = _run_bare(
-        Nic, program, TuningKnobs(), regime)
+        Nic, program, TuningKnobs(), None)
     gap = LogGPParams.berkeley_now().gap
     # tx_backlog counts packets queued, not the one in service.
     assert [row for row in host_log if row[2] == "backlog"] == \
@@ -409,9 +400,8 @@ SCRIPTS = st.lists(
     min_size=1, max_size=10)
 
 
-def _run_cluster(nic_class, script, n_nodes, knobs, regime, observers):
-    fabric, plan = regime
-    if plan is not None or fabric != "flat" or knobs.delta_occ > 0:
+def _run_cluster(nic_class, script, n_nodes, knobs, plan, observers):
+    if plan is not None or knobs.delta_occ > 0:
         observers = observers - {"recorder"}  # simcost refuses these
     tracer = MessageTracer() if "tracer" in observers else None
     recorder = DepRecorder() if "recorder" in observers else None
@@ -422,8 +412,7 @@ def _run_cluster(nic_class, script, n_nodes, knobs, regime, observers):
         patch.setattr(nic_module, "Nic",
                       _recording(nic_class, wire_log, origin))
         try:
-            result = Cluster(n_nodes, knobs=knobs, fabric=fabric,
-                             faults=plan, seed=9,
+            result = Cluster(n_nodes, knobs=knobs, faults=plan, seed=9,
                              sanitize="sanitize" in observers).run(
                 Scripted(script), tracer=tracer, recorder=recorder)
         except FaultError as exc:
@@ -435,15 +424,13 @@ def _run_cluster(nic_class, script, n_nodes, knobs, regime, observers):
              timelines), result.events_processed)
 
 
-@given(script=SCRIPTS, n_nodes=st.integers(2, 4), knobs=KNOBS,
-       regime=REGIMES,
+@given(script=SCRIPTS, n_nodes=st.integers(2, 4), knobs=KNOBS, plan=PLANS,
        observers=st.sets(st.sampled_from(["tracer", "sanitize",
                                           "recorder"])))
 @SIM_SETTINGS
-def test_clusters_run_identically(script, n_nodes, knobs, regime,
-                                  observers):
+def test_clusters_run_identically(script, n_nodes, knobs, plan, observers):
     _assert_equivalent(lambda nic_class: _run_cluster(
-        nic_class, script, n_nodes, knobs, regime, observers))
+        nic_class, script, n_nodes, knobs, plan, observers))
 
 
 @given(script=SCRIPTS, n_nodes=st.integers(2, 4),
