@@ -6,7 +6,7 @@
 * :mod:`repro.am.layer` -- the Generic-Active-Messages-style communication
   layer: short request/reply messages, one-way messages, bulk transfers
   with 4 KB fragmentation, polling dispatch to handlers that return
-  their reply (:class:`Reply` for a bulk one), and the fixed
+  their reply (:func:`Reply` for a bulk one), and the fixed
   flow-control window.
 """
 

@@ -38,11 +38,13 @@ from typing import Any, Callable, Deque, Dict, Generator, Optional
 from repro.am.tuning import TuningKnobs
 from repro.instruments.probes import Probes
 from repro.network.loggp import LogGPParams
-from repro.network.packet import (Packet, PacketKind, SHORT_PACKET_BYTES,
-                                  fragment_sizes, new_xfer_id)
+from repro.network.packet import (BULK_FRAGMENT, REPLY, REQUEST,
+                                  SHORT_PACKET_BYTES, Packet, fragment_sizes,
+                                  new_packet, new_xfer_id)
 from repro.sim import Park, Simulator
 
-__all__ = ["AmLayer", "HandlerTable", "Reply", "DEFAULT_WINDOW", "AmError"]
+__all__ = ["AmLayer", "HandlerTable", "Reply", "HandlerReply",
+           "DEFAULT_WINDOW", "AmError"]
 
 #: Fixed number of outstanding (unacknowledged) messages per node.  Eight
 #: reproduces the paper's Table 2 latency/gap coupling: at ``delta_L`` = 100
@@ -55,20 +57,38 @@ class AmError(RuntimeError):
     message, an unregistered handler, ...)."""
 
 
-class Reply:
+_INF = float("inf")
+_new = object.__new__
+
+
+class HandlerReply:
     """What a handler returns when a short reply of its value will not
-    do: ``payload`` as a bulk reply of ``nbytes`` (a GAM ``get``; None
-    for a short one), sent after ``service_us`` of host time."""
+    do, built by :func:`Reply`."""
 
     __slots__ = ("payload", "nbytes", "service_us")
 
-    def __init__(self, payload: Any, nbytes: Optional[int] = None,
-                 service_us: float = 0.0) -> None:
-        if nbytes is not None and nbytes <= 0:
-            raise ValueError(f"bulk reply of {nbytes} bytes")
-        self.payload = payload
-        self.nbytes = nbytes
-        self.service_us = service_us
+    def __init__(self, *_args: Any, **_kwargs: Any) -> None:
+        raise TypeError("build a HandlerReply with "
+                        "Reply(payload, nbytes=, service_us=)")
+
+
+def Reply(payload: Any, nbytes: Optional[int] = None,
+          service_us: float = 0.0) -> HandlerReply:
+    """``payload`` as a bulk reply of ``nbytes`` (a GAM ``get``; None for
+    a short one), sent after ``service_us`` of host time.  A function,
+    not a class call: every served KV request builds one.  A size that
+    is not finite and positive, or a time that is not finite and >= 0,
+    is refused."""
+    if nbytes is not None and not 0 < nbytes < _INF:
+        raise ValueError(f"nbytes must be finite and > 0, got {nbytes}")
+    if not 0.0 <= service_us < _INF:  # NaN fails every comparison
+        raise ValueError(
+            f"service_us must be finite and >= 0, got {service_us}")
+    reply = _new(HandlerReply)
+    reply.payload = payload
+    reply.nbytes = nbytes
+    reply.service_us = service_us
+    return reply
 
 
 class HandlerTable:
@@ -271,9 +291,9 @@ class AmLayer:
                 hook = self._on_recv
                 if hook is not None:
                     hook(self.node_id, packet)
-                if packet.kind is PacketKind.REQUEST or (
-                        packet.kind is PacketKind.BULK_FRAGMENT
-                        and not packet.is_reply):
+                kind = packet.kind
+                if kind is REQUEST or (kind is BULK_FRAGMENT
+                                       and not packet.is_reply):
                     name = packet.handler
                     reply = None if name is None else (
                         handlers[name] if name in handlers
@@ -289,18 +309,16 @@ class AmLayer:
                         # the sender's window credit returns and the
                         # sender pays its second `o` receiving it.
                         nbytes = None
-                        if type(reply) is Reply:
+                        if type(reply) is HandlerReply:
                             if reply.service_us > 0:
                                 yield reply.service_us
                             nbytes = reply.nbytes
                             reply = reply.payload
                         yield self._send_cost
                         if nbytes is None:
-                            sent = Packet(kind=PacketKind.REPLY,
-                                          src=self.node_id, dst=packet.src,
-                                          payload=reply,
-                                          size_bytes=SHORT_PACKET_BYTES,
-                                          is_read=packet.is_read)
+                            sent = new_packet(REPLY, self.node_id,
+                                              packet.src, payload=reply,
+                                              is_read=packet.is_read)
                             sent.xfer_id = packet.xfer_id
                         else:
                             sent = self._enqueue_fragments(
@@ -376,9 +394,9 @@ class AmLayer:
         if key is None:
             key = yield from self._acquire_credit(dst)
         yield self._send_cost
-        packet = Packet(kind=PacketKind.REQUEST, src=self.node_id, dst=dst,
-                        handler=handler, payload=payload, size_bytes=size,
-                        is_read=is_read)
+        packet = new_packet(REQUEST, self.node_id, dst, handler=handler,
+                            payload=payload, size_bytes=size,
+                            is_read=is_read)
         if on_reply is not None:
             self._on_reply[packet.xfer_id] = on_reply
         self._credit_owner[packet.xfer_id] = key
@@ -413,9 +431,8 @@ class AmLayer:
         if key is None:
             key = yield from self._acquire_credit(dst)
         yield self._send_cost
-        packet = Packet(kind=PacketKind.REQUEST, src=self.node_id, dst=dst,
-                        handler=handler, payload=payload, size_bytes=size,
-                        one_way=True)
+        packet = new_packet(REQUEST, self.node_id, dst, handler=handler,
+                            payload=payload, size_bytes=size, one_way=True)
         self._credit_owner[packet.xfer_id] = key
         hook = self._on_send
         if hook is not None:
@@ -434,14 +451,14 @@ class AmLayer:
         last_packet = None
         for index, size in enumerate(sizes):
             last = index == count - 1
-            packet = Packet(kind=PacketKind.BULK_FRAGMENT, src=self.node_id,
-                            dst=dst, handler=handler if last else None,
-                            payload=payload if last else None,
-                            size_bytes=size, one_way=one_way,
-                            is_bulk=True, fragment=(index, count),
-                            is_read=is_read, is_reply=is_reply,
-                            xfer_id=xfer,
-                            message_bytes=nbytes if last else None)
+            packet = new_packet(BULK_FRAGMENT, self.node_id, dst,
+                                handler=handler if last else None,
+                                payload=payload if last else None,
+                                size_bytes=size, one_way=one_way,
+                                is_bulk=True, fragment=(index, count),
+                                is_read=is_read, is_reply=is_reply,
+                                xfer_id=xfer,
+                                message_bytes=nbytes if last else None)
             self.nic.enqueue(packet)
             last_packet = packet
         return last_packet

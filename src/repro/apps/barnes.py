@@ -28,7 +28,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.am.layer import HandlerTable, Reply
+from repro.am.layer import HandlerReply, HandlerTable, Reply
 from repro.apps.base import Application
 from repro.gas.runtime import Proc
 from repro.gas.sync import DistributedLock
@@ -582,7 +582,7 @@ def _get_moment_handler(am, packet) -> tuple:
     return mass, com.tolist()
 
 
-def _fetch_cell_handler(am, packet) -> Reply:
+def _fetch_cell_handler(am, packet) -> HandlerReply:
     """Interaction-phase fetch: the full read-only cell record, shipped
     as a bulk reply (cells carry moments and body lists)."""
     record = am.host.state["barnes"]["cells"].get(packet.payload)

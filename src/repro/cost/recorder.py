@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.am.tuning import DialedCost
 from repro.cost.graph import CostGraph
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import REPLY, Packet
 
 __all__ = ["DepRecorder", "record_run"]
 
@@ -85,7 +85,7 @@ class DepRecorder:
     # -- hooks -------------------------------------------------------------
     def on_send(self, rank: int, packet: Packet) -> None:
         """Completion of one host-level send (after its ``o`` charge)."""
-        reply_like = packet.kind is PacketKind.REPLY or packet.is_reply
+        reply_like = packet.kind is REPLY or packet.is_reply
         bulk = packet.is_bulk
         # Replies never take a window credit, everything else does; a
         # bulk send stands for the whole transfer.
@@ -103,7 +103,7 @@ class DepRecorder:
         self.rows.append((
             "r", rank, self._sim.now, self._recv_cost,
             self._blocked.pop(rank, 0.0), packet.xfer_id, packet.src,
-            1 if packet.kind is PacketKind.REPLY or packet.is_reply else 0))
+            1 if packet.kind is REPLY or packet.is_reply else 0))
 
     def on_blocked(self, rank: int, duration: float) -> None:
         """The rank was parked in ``wait_until`` for ``duration`` µs."""

@@ -16,7 +16,7 @@ from typing import Any, Dict, Generator, Iterable, List, Optional
 
 import numpy as np
 
-from repro.am.layer import AmLayer, HandlerTable, Reply
+from repro.am.layer import AmLayer, HandlerReply, HandlerTable, Reply
 from repro.cluster.node import Node
 from repro.gas import sync
 from repro.gas.memory import GlobalArray
@@ -367,7 +367,7 @@ def _gas_write(am: AmLayer, packet) -> None:
     _apply_write(am.host._arrays[array_id], local_index, value, mode)
 
 
-def _gas_bulk_get(am: AmLayer, packet) -> Reply:
+def _gas_bulk_get(am: AmLayer, packet) -> HandlerReply:
     """Serve a bulk get: reply with a bulk transfer of the run."""
     proc: Proc = am.host
     array_id, local_start, count = packet.payload

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import Packet
 
 __all__ = ["ClusterStats"]
 

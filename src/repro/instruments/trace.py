@@ -71,6 +71,23 @@ class MessageTimeline:
         return self.stage_latency("delivered", "handled")
 
 
+_new = object.__new__
+
+
+def _new_timeline(xfer_id: int) -> MessageTimeline:
+    """``MessageTimeline(xfer_id=xfer_id)`` without the class call, one
+    per message: the fields set in declaration order, so the instance
+    (its ``__dict__``, equality and pickle) is the one the dataclass
+    ``__init__`` builds."""
+    timeline = _new(MessageTimeline)
+    timeline.xfer_id = xfer_id
+    timeline.src = -1
+    timeline.dst = -1
+    timeline.kind = ""
+    timeline.times = {}
+    return timeline
+
+
 class MessageTracer:
     """Collects :class:`MessageTimeline` records during a run."""
 
@@ -89,7 +106,7 @@ class MessageTracer:
         timeline = self._timelines.get(packet.xfer_id)
         if timeline is None:
             timeline = self._timelines[packet.xfer_id] = \
-                MessageTimeline(xfer_id=packet.xfer_id)
+                _new_timeline(packet.xfer_id)
         # First observation of each stage wins (bulk transfers hit
         # 'injected' once per fragment; we keep the first).
         timeline.times.setdefault(stage, self._sim.now)

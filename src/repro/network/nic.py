@@ -54,7 +54,8 @@ from repro.am.tuning import DialedCost, TuningKnobs
 from repro.instruments.probes import Probes
 from repro.network.faults import FaultPlan, RetryExhausted
 from repro.network.loggp import LogGPParams
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import (ACK, BULK_FRAGMENT, CREDIT, REPLY, Packet,
+                                  new_packet)
 from repro.sim import Simulator
 
 __all__ = ["Nic"]
@@ -205,7 +206,7 @@ class Nic:
         packet with a DMA to wait out comes back here when it is over;
         any other (a short packet, unless ``delta_occ`` is dialed) is
         injected in this first frame."""
-        if packet.kind is PacketKind.BULK_FRAGMENT:
+        if packet.kind is BULK_FRAGMENT:
             pre_time, stall = self.charge.tx_cycle(packet.size_bytes, True)
         else:
             pre_time, stall = self._short_pre, self._short_stall
@@ -234,7 +235,7 @@ class Nic:
     # -- reliability protocol: sender side ----------------------------------
     def _inject(self, packet: Packet) -> None:
         """Put a packet on the wire, arming retransmission if needed."""
-        if self._reliable and packet.kind is not PacketKind.ACK:
+        if self._reliable and packet.kind is not ACK:
             self._arm_retransmit(packet)
         self.wire.carry(packet)
 
@@ -269,7 +270,7 @@ class Nic:
         hook = self._on_retransmit
         if hook is not None:
             hook(self.node_id, packet)
-        if packet.kind is PacketKind.CREDIT:
+        if packet.kind is CREDIT:
             # CREDITs bypass the transmit context on first send; they do
             # on retransmit too.
             self._inject(packet)
@@ -287,8 +288,8 @@ class Nic:
         retransmitted (a lost ack is recovered by the sender's
         retransmission, which is then re-acked here)."""
         self.acks_sent += 1
-        ack = Packet(kind=PacketKind.ACK, src=self.node_id,
-                     dst=packet.src, payload=packet.seq, size_bytes=8)
+        ack = new_packet(ACK, self.node_id, packet.src, payload=packet.seq,
+                         size_bytes=8)
         self.wire.carry(ack)
 
     # -- receive context ----------------------------------------------------
@@ -300,7 +301,7 @@ class Nic:
             self._accept(packet)
             return
         if self._reliable:
-            if packet.kind is PacketKind.ACK:
+            if packet.kind is ACK:
                 self._ack_received(packet)
                 return
             if packet.seq is not None:
@@ -341,13 +342,13 @@ class Nic:
     def _accept(self, packet: Packet) -> None:
         """Process a packet that is now valid in the receive queue."""
         kind = packet.kind
-        if kind is PacketKind.CREDIT:
+        if kind is CREDIT:
             self._return_credit(packet.payload)
             return
-        if kind is PacketKind.BULK_FRAGMENT:
+        if kind is BULK_FRAGMENT:
             self._accept_fragment(packet)
             return
-        if kind is PacketKind.REPLY:
+        if kind is REPLY:
             self._return_credit(packet.xfer_id)
         elif packet.one_way:  # a REQUEST nobody answers at host level
             self._send_nic_credit(packet)
@@ -404,9 +405,8 @@ class Nic:
         bypassing our transmit context (the LANai's dual-context
         property) and never touching the host.  Under a lossy plan the
         CREDIT is sequenced and retransmitted like any data packet."""
-        credit = Packet(kind=PacketKind.CREDIT, src=self.node_id,
-                        dst=packet.src, payload=packet.xfer_id,
-                        size_bytes=8)
+        credit = new_packet(CREDIT, self.node_id, packet.src,
+                            payload=packet.xfer_id, size_bytes=8)
         self._inject(credit)
 
     @property

@@ -77,10 +77,11 @@ class Sanitizer:
         self.clocks = ClockSet(n_nodes)
         self.shadow = ShadowMemory(self.clocks, granularity=granularity)
         self.messages_clocked = 0
-        #: Per-rank stack of structured wait annotations; the top entry
-        #: is what the rank is blocked on right now (nested waits occur:
-        #: an rpc inside a barrier round).
-        self._wait_stacks: List[List[WaitEdge]] = [
+        #: Per-rank stack of ``(kind, peers, detail)`` wait annotations;
+        #: the top entry is what the rank is blocked on right now (nested
+        #: waits occur: an rpc inside a barrier round).  A WaitEdge is
+        #: built only when one is asked for: there is a wait per rpc.
+        self._wait_stacks: List[List[Tuple[str, Tuple[int, ...], str]]] = [
             [] for _rank in range(n_nodes)]
         #: rank -> DistributedLock it is currently spinning on.
         self._pursuing: Dict[int, "DistributedLock"] = {}  # noqa: F821
@@ -113,15 +114,17 @@ class Sanitizer:
     # -- wait-state bookkeeping -------------------------------------------
     def on_wait_enter(self, rank: int, kind: str,
                       peers: Tuple[int, ...], detail: str) -> None:
-        self._wait_stacks[rank].append(
-            WaitEdge(rank=rank, kind=kind, on=peers, detail=detail))
+        self._wait_stacks[rank].append((kind, peers, detail))
 
     def on_wait_exit(self, rank: int) -> None:
         self._wait_stacks[rank].pop()
 
     def current_wait(self, rank: int) -> Optional[WaitEdge]:
         stack = self._wait_stacks[rank]
-        return stack[-1] if stack else None
+        if not stack:
+            return None
+        kind, peers, detail = stack[-1]
+        return WaitEdge(rank=rank, kind=kind, on=peers, detail=detail)
 
     # -- lock bookkeeping --------------------------------------------------
     def on_lock_wait(self, rank: int,

@@ -101,8 +101,9 @@ class ShadowMemory:
             cell = self._cells[key] = _ShadowCell()
         clock = self._clocks.clock_of(rank)
         tick = clock[rank]
-        access = AccessSite(rank=rank, kind=kind, site=site,
-                            time_us=time_us, tick=tick)
+        # The access as a shadow entry: its AccessSite is built only
+        # if it turns out to race.
+        access = (rank, tick, site, time_us, kind)
         write = cell.write
         write_races = (write is not None and write[0] != rank
                        and clock[write[0]] <= write[1])
@@ -138,7 +139,7 @@ class ShadowMemory:
                 self._report(array, index,
                              (peer, prior_tick, prior_site, prior_time,
                               mode), access)
-        cell.write = (rank, tick, site, time_us, kind)
+        cell.write = access
         cell.reads.clear()
         cell.accums.clear()
 
@@ -157,15 +158,12 @@ class ShadowMemory:
 
     # -- reporting ---------------------------------------------------------
     def _report(self, array: "GlobalArray", index: int,  # noqa: F821
-                prior: tuple, access: AccessSite) -> None:
-        prior_rank, prior_tick, prior_site, prior_time, prior_kind = prior
-        prior_access = AccessSite(rank=prior_rank, kind=prior_kind,
-                                  site=prior_site, time_us=prior_time,
-                                  tick=prior_tick)
+                prior: tuple, access: tuple) -> None:
+        """Record a race between two ``(rank, tick, site, time_us,
+        kind)`` shadow entries."""
         # Order-insensitive dedup: the same site pair observed in either
         # order (possible across elements) is one logical race.
-        pair = tuple(sorted(((prior_access.kind, prior_access.site),
-                             (access.kind, access.site))))
+        pair = tuple(sorted(((prior[4], prior[2]), (access[4], access[2]))))
         key = (array.array_id, pair)
         known = self._races.get(key)
         if known is not None:
@@ -174,4 +172,10 @@ class ShadowMemory:
         self._races[key] = RaceReport(
             array=array.name, index=index,
             location=array.element_name(index),
-            prior=prior_access, access=access)
+            prior=_site(prior), access=_site(access))
+
+
+def _site(entry: tuple) -> AccessSite:
+    rank, tick, site, time_us, kind = entry
+    return AccessSite(rank=rank, kind=kind, site=site, time_us=time_us,
+                      tick=tick)

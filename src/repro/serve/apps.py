@@ -45,7 +45,7 @@ import random
 from collections import deque
 from typing import Any, Callable, Dict, Generator, List
 
-from repro.am.layer import Reply
+from repro.am.layer import HandlerReply, Reply
 from repro.apps.base import Application
 from repro.serve.clients import ARRIVAL_PROCESSES, ClientTier, Request
 from repro.serve.metrics import ServingMetrics
@@ -78,7 +78,7 @@ def _fanout_apply(hits: List[int], key: int) -> int:
     return hits[key % len(hits)]
 
 
-def _serve_kv(am, packet) -> Reply:
+def _serve_kv(am, packet) -> HandlerReply:
     """One key-value operation at its shard (primary or backup)."""
     app = am.host.state["serve_app"]
     key, write = packet.payload
@@ -89,7 +89,7 @@ def _serve_kv(am, packet) -> Reply:
     return Reply(value, service_us=app.service_us)
 
 
-def _serve_fanout(am, packet) -> Reply:
+def _serve_fanout(am, packet) -> HandlerReply:
     """One scatter-gather sub-query at a shard."""
     app = am.host.state["serve_app"]
     value = _fanout_apply(am.host.state["serve_hits"], packet.payload)

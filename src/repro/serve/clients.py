@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple
+from typing import Iterator, List, NamedTuple
 
 __all__ = ["Request", "ClientTier", "ARRIVAL_PROCESSES"]
 
@@ -120,32 +120,41 @@ class ClientTier:
                 f"user_skew must be >= 1, got {self.user_skew}")
 
     # -- generation ---------------------------------------------------------
-    def _sample_request(self, rng: random.Random, t_us: float) -> Request:
-        user = min(self.n_users - 1,
-                   int(self.n_users * rng.random() ** self.user_skew))
-        key = (user * _KEY_HASH + 97) % self.key_space
-        write = rng.random() < self.write_ratio
-        return Request(t_us=t_us, user=user, key=key, write=write)
-
     def trace(self, seed: int) -> List[Request]:
-        """The full arrival trace for one run, sorted by arrival time."""
-        rng = random.Random(seed * 1_000_003 + 0xC11E47)
-        if self.arrivals == "poisson":
-            return self._poisson_trace(rng)
-        return self._bursty_trace(rng)
+        """The full arrival trace for one run, sorted by arrival time.
 
-    def _poisson_trace(self, rng: random.Random) -> List[Request]:
-        rate_per_us = self.offered_rps / 1e6
+        Each arrival's user, key and direction are drawn right after
+        its time, from the same stream.  The loop binds what it reads
+        as locals and builds each tuple with ``Request._make``: a trace
+        runs to a million requests, and a keyword call to the class
+        costs twice as much."""
+        rng = random.Random(seed * 1_000_003 + 0xC11E47)
+        arrivals = self._poisson_arrivals(rng) \
+            if self.arrivals == "poisson" else self._bursty_arrivals(rng)
         out: List[Request] = []
-        t_us = 0.0
-        while len(out) < self.max_requests:
-            t_us += rng.expovariate(rate_per_us)
-            if t_us > self.duration_us:
+        append, make, draw = out.append, Request._make, rng.random
+        n_users, last_user = self.n_users, self.n_users - 1
+        skew, key_space = self.user_skew, self.key_space
+        write_ratio, max_requests = self.write_ratio, self.max_requests
+        for t_us in arrivals:
+            user = min(last_user, int(n_users * draw() ** skew))
+            append(make((t_us, user, (user * _KEY_HASH + 97) % key_space,
+                         draw() < write_ratio)))
+            if len(out) == max_requests:
                 break
-            out.append(self._sample_request(rng, t_us))
         return out
 
-    def _bursty_trace(self, rng: random.Random) -> List[Request]:
+    def _poisson_arrivals(self, rng: random.Random) -> Iterator[float]:
+        rate_per_us = self.offered_rps / 1e6
+        duration_us = self.duration_us
+        t_us = 0.0
+        while True:
+            t_us += rng.expovariate(rate_per_us)
+            if t_us > duration_us:
+                return
+            yield t_us
+
+    def _bursty_arrivals(self, rng: random.Random) -> Iterator[float]:
         """Two-state MMPP with the configured time-averaged rate.
 
         The calm-state rate is solved so that, weighted by the mean
@@ -162,11 +171,10 @@ class ClientTier:
         dwells = {"calm": self.mean_calm_us, "burst": self.mean_burst_us}
         flip = {"calm": "burst", "burst": "calm"}
 
-        out: List[Request] = []
         state = "calm"
         t_us = 0.0
         state_end = rng.expovariate(1.0 / dwells[state])
-        while len(out) < self.max_requests:
+        while True:
             arrival = t_us + rng.expovariate(rates[state])
             if arrival > state_end:
                 # The state flipped before this draw would have landed;
@@ -175,13 +183,12 @@ class ClientTier:
                 state = flip[state]
                 state_end = t_us + rng.expovariate(1.0 / dwells[state])
                 if t_us > self.duration_us:
-                    break
+                    return
                 continue
             t_us = arrival
             if t_us > self.duration_us:
-                break
-            out.append(self._sample_request(rng, t_us))
-        return out
+                return
+            yield t_us
 
     def describe(self) -> str:
         """One-line summary for reports."""

@@ -56,6 +56,48 @@ def test_bulk_zero_bytes_rejected():
         Reply("get", nbytes=0)
 
 
+def _rpc_done_at(service_us):
+    """When an rpc completes against a handler that asks for
+    ``service_us`` of host time before its short reply."""
+    fabric = Fabric()
+    am0, am1 = fabric.ams
+    fabric.table.register(
+        "serve", lambda am, packet: Reply("v", service_us=service_us))
+
+    def requester():
+        value = yield from am0.rpc(1, "serve")
+        return value, fabric.sim.now
+
+    def server():
+        yield from am1.wait_until(lambda: False)
+
+    sim = fabric.sim
+    req = sim.process(requester())
+    sim.process(server())
+    value, now = sim.run(stop_event=req)
+    assert value == "v"
+    return now
+
+
+def test_reply_service_time_is_charged_before_the_reply():
+    assert _rpc_done_at(5.0) == pytest.approx(_rpc_done_at(0.0) + 5.0)
+
+
+@pytest.mark.parametrize("service_us", [float("nan"), float("inf"),
+                                        float("-inf"), -1.0])
+def test_reply_refuses_a_service_time_that_charges_nothing(service_us):
+    # A NaN or negative time used to pass and charge nothing: the rpc
+    # completed exactly as with 0.0.
+    with pytest.raises(ValueError, match="service_us"):
+        Reply("v", service_us=service_us)
+
+
+@pytest.mark.parametrize("nbytes", [float("nan"), float("inf"), 0, -1])
+def test_reply_refuses_a_size_that_is_not_finite_and_positive(nbytes):
+    with pytest.raises(ValueError, match="nbytes"):
+        Reply("v", nbytes=nbytes)
+
+
 def test_fragment_count_boundaries():
     for nbytes, count in ((1, 1), (BULK_FRAGMENT_BYTES, 1),
                           (BULK_FRAGMENT_BYTES + 1, 2),

@@ -22,7 +22,7 @@ from repro.network.faults import (DelaySpike, FaultInjector, FaultPlan,
                                   RetryExhausted, SlowdownWindow)
 from repro.network.loggp import LogGPParams
 from repro.network.nic import Nic
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import PacketKind, new_packet
 from repro.network.wire import Wire
 from repro.sim import Simulator
 
@@ -211,8 +211,8 @@ def test_delay_queue_keeps_fifo_order_under_spike():
     plan = FaultPlan(spikes=(DelaySpike(node=1, start_us=0.0,
                                         duration_us=200.0),))
     harness = _NicHarness(knobs=TuningKnobs(delta_L=25.0), plan=plan)
-    packets = [Packet(kind=PacketKind.REQUEST, src=0, dst=1,
-                      handler="h", payload=i) for i in range(5)]
+    packets = [new_packet(PacketKind.REQUEST, 0, 1,
+                          handler="h", payload=i) for i in range(5)]
     for packet in packets:
         harness.sender.enqueue(packet)
     harness.sim.run()
@@ -224,8 +224,8 @@ def test_delay_queue_keeps_fifo_order_under_spike():
 
 def test_delay_queue_fifo_without_faults():
     harness = _NicHarness(knobs=TuningKnobs(delta_L=25.0))
-    packets = [Packet(kind=PacketKind.REQUEST, src=0, dst=1,
-                      handler="h", payload=i) for i in range(4)]
+    packets = [new_packet(PacketKind.REQUEST, 0, 1,
+                          handler="h", payload=i) for i in range(4)]
     for packet in packets:
         harness.sender.enqueue(packet)
     harness.sim.run()
@@ -236,8 +236,8 @@ def test_spike_holds_packets_until_window_end():
     plan = FaultPlan(spikes=(DelaySpike(node=1, start_us=0.0,
                                         duration_us=100.0),))
     harness = _NicHarness(plan=plan)
-    harness.sender.enqueue(Packet(kind=PacketKind.REQUEST, src=0, dst=1,
-                                  handler="h"))
+    harness.sender.enqueue(new_packet(PacketKind.REQUEST, 0, 1,
+                                      handler="h"))
     harness.sim.run()
     assert harness.delivered
     assert harness.sim.now >= 100.0
@@ -249,7 +249,7 @@ def test_slowdown_window_stretches_transit():
                                                duration_us=50.0,
                                                factor=4.0),))
     injector = FaultInjector(plan, seed=0)
-    packet = Packet(kind=PacketKind.REQUEST, src=0, dst=1)
+    packet = new_packet(PacketKind.REQUEST, 0, 1)
     assert injector.transit_delay(packet, now=10.0, base_latency=5.0) \
         == pytest.approx(20.0)
     # Outside the window the wire is back to normal.
@@ -348,7 +348,7 @@ def test_spike_landing_on_a_pending_retransmit_timer():
 def test_drop_kinds_narrowing_leaves_other_kinds_alone():
     plan = FaultPlan(drop_rate=1.0, drop_kinds=("ack",))
     injector = FaultInjector(plan, seed=0)
-    request = Packet(kind=PacketKind.REQUEST, src=0, dst=1)
+    request = new_packet(PacketKind.REQUEST, 0, 1)
     # Non-droppable kinds never consume a draw and are never dropped.
     for _ in range(16):
         assert injector.transit_delay(request, 0.0, 5.0) is not None
@@ -360,9 +360,9 @@ def test_drop_kinds_narrowing_leaves_other_kinds_alone():
 # ---------------------------------------------------------------------------
 
 def bulk_fragment(index, count, xfer_id=77, **kw):
-    return Packet(kind=PacketKind.BULK_FRAGMENT, src=0, dst=1,
-                  size_bytes=64, fragment=(index, count), is_bulk=True,
-                  xfer_id=xfer_id, **kw)
+    return new_packet(PacketKind.BULK_FRAGMENT, 0, 1,
+                      size_bytes=64, fragment=(index, count), is_bulk=True,
+                      xfer_id=xfer_id, **kw)
 
 
 def test_duplicate_fragment_does_not_complete_transfer():

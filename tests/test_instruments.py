@@ -5,7 +5,7 @@ import pytest
 
 from repro.instruments import (ClusterStats, balance_matrix,
                                render_balance, summarize)
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import PacketKind, new_packet
 
 
 def make_stats(n_nodes=4):
@@ -15,14 +15,14 @@ def make_stats(n_nodes=4):
 
 
 def short(src, dst, is_read=False):
-    return Packet(kind=PacketKind.REQUEST, src=src, dst=dst,
-                  handler="h", is_read=is_read)
+    return new_packet(PacketKind.REQUEST, src, dst,
+                      handler="h", is_read=is_read)
 
 
 def bulk(src, dst, nbytes):
-    return Packet(kind=PacketKind.BULK_FRAGMENT, src=src, dst=dst,
-                  is_bulk=True, size_bytes=min(nbytes, 4096),
-                  message_bytes=nbytes, fragment=(0, 1))
+    return new_packet(PacketKind.BULK_FRAGMENT, src, dst,
+                      is_bulk=True, size_bytes=min(nbytes, 4096),
+                      message_bytes=nbytes, fragment=(0, 1))
 
 
 def test_on_send_updates_matrix_and_totals():

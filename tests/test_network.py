@@ -6,8 +6,8 @@ import pytest
 
 from repro.am.tuning import TuningKnobs
 from repro.network.loggp import LogGPParams
-from repro.network.packet import (BULK_FRAGMENT_BYTES, Packet,
-                                  PacketKind, new_xfer_id)
+from repro.network.packet import (BULK_FRAGMENT_BYTES, PacketKind,
+                                  new_packet, new_xfer_id)
 from repro.network.wire import Wire
 from repro.cluster.presets import MACHINE_PRESETS, preset
 from repro.sim import Simulator
@@ -68,24 +68,33 @@ def test_preset_lookup():
 
 def test_packet_to_self_rejected():
     with pytest.raises(ValueError):
-        Packet(kind=PacketKind.REQUEST, src=3, dst=3)
+        new_packet(PacketKind.REQUEST, 3, 3)
 
 
 def test_fragment_size_limit():
     with pytest.raises(ValueError):
-        Packet(kind=PacketKind.BULK_FRAGMENT, src=0, dst=1,
-               size_bytes=BULK_FRAGMENT_BYTES + 1, fragment=(0, 1))
+        new_packet(PacketKind.BULK_FRAGMENT, 0, 1,
+                   size_bytes=BULK_FRAGMENT_BYTES + 1, fragment=(0, 1))
 
 
 def test_fragment_index_validation():
     with pytest.raises(ValueError):
-        Packet(kind=PacketKind.BULK_FRAGMENT, src=0, dst=1,
-               size_bytes=10, fragment=(2, 2))
+        new_packet(PacketKind.BULK_FRAGMENT, 0, 1,
+                   size_bytes=10, fragment=(2, 2))
+
+
+@pytest.mark.parametrize("kind", [PacketKind.REQUEST,
+                                  PacketKind.BULK_FRAGMENT])
+@pytest.mark.parametrize("size_bytes", [float("nan"), float("inf"), 0, -1])
+def test_packet_size_must_be_finite_and_positive(kind, size_bytes):
+    # NaN used to pass the `<= 0` check.
+    with pytest.raises(ValueError, match="size_bytes"):
+        new_packet(kind, 0, 1, size_bytes=size_bytes)
 
 
 def test_logical_bytes_prefers_message_bytes():
-    packet = Packet(kind=PacketKind.BULK_FRAGMENT, src=0, dst=1,
-                    size_bytes=100, message_bytes=9000, fragment=(1, 2))
+    packet = new_packet(PacketKind.BULK_FRAGMENT, 0, 1,
+                        size_bytes=100, message_bytes=9000, fragment=(1, 2))
     assert packet.logical_bytes == 9000
     assert packet.is_last_fragment
 
@@ -110,7 +119,7 @@ def test_wire_delivers_after_latency():
     wire = Wire(sim, latency=7.5)
     nic = _StubNic()
     wire.attach(1, nic)
-    packet = Packet(kind=PacketKind.REQUEST, src=0, dst=1)
+    packet = new_packet(PacketKind.REQUEST, 0, 1)
     wire.carry(packet)
     assert nic.received == []
     sim.run()
@@ -122,7 +131,7 @@ def test_wire_unattached_destination_errors():
     sim = Simulator()
     wire = Wire(sim, latency=1.0)
     with pytest.raises(KeyError):
-        wire.carry(Packet(kind=PacketKind.REQUEST, src=0, dst=9))
+        wire.carry(new_packet(PacketKind.REQUEST, 0, 9))
 
 
 def test_wire_double_attach_rejected():

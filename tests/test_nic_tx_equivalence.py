@@ -41,7 +41,7 @@ from repro.instruments.probes import Probes
 from repro.network.faults import FaultError, FaultInjector, FaultPlan
 from repro.network.loggp import LogGPParams
 from repro.network.nic import Nic
-from repro.network.packet import Packet, PacketKind, new_xfer_id
+from repro.network.packet import PacketKind, new_packet, new_xfer_id
 from repro.network.wire import Wire
 from repro.serve import KVServe
 from repro.sim import Simulator, Store
@@ -239,7 +239,7 @@ def _run_bare(nic_class, program, knobs, plan):
                     lambda event: advance(event, step + 1))
                 return
             kind, size = SHAPES[shape]
-            nics[src].enqueue(Packet(
+            nics[src].enqueue(new_packet(
                 kind=kind, src=src, dst=(src + hop) % N_NICS,
                 size_bytes=size, payload=next(labels),
                 one_way=kind is not PacketKind.REPLY))
@@ -327,7 +327,7 @@ def test_short_packet_service_times_match_the_methods(delta_g, delta_G,
                   for node in range(2)]
     kinds = (PacketKind.REQUEST, PacketKind.REPLY, PacketKind.CREDIT)
     for kind in kinds:
-        nic.enqueue(Packet(kind=kind, src=0, dst=1))
+        nic.enqueue(new_packet(kind, 0, 1))
     sim.run()
     pre, stall = nic.charge.tx_cycle(0, False)
     expected, now = [], 0.0
@@ -516,7 +516,11 @@ def test_radix_calls_per_message_stays_within_budget():
     since ``Packet`` is a slotted class with one ``__init__``, the wire
     schedules ``receive_from_wire`` itself, a short packet is injected
     in ``_transmit``'s frame and the service loop indexes the handler
-    table.  No timing enters: the count is a function of the seed and
+    table; 165,082 calls, 57.90 per message, since packets are built by
+    ``new_packet``, whose ``object.__new__`` is a counted builtin call
+    where the class call it replaced was not (the change is faster: the
+    keyword class call's argument packing is C work no call count
+    sees).  No timing enters: the count is a function of the seed and
     repeats exactly, also across ``PYTHONHASHSEED`` values (CI runs this
     test under two and prints it)."""
     calls, result = _calls_during(
@@ -536,7 +540,9 @@ def test_kvserve_calls_per_request_stays_within_budget():
     50,761 calls, 169.20 per request, since a one-target remote request
     is sent from ``_issue``'s own frame with one reply callback (a local
     one, an eighth here, still goes through ``_send``; 46 calls are the
-    constructor's finiteness checks).  Exact under any
+    constructor's finiteness checks); 51,954 calls, 173.18 per request,
+    since packets and handler replies are built by functions (one
+    ``object.__new__`` each).  Exact under any
     ``PYTHONHASHSEED``, as the Radix count is (CI prints both)."""
     calls, result = _calls_during(lambda: Cluster(8, seed=13).run(KVServe(
         offered_rps=200_000.0, n_users=10_000, duration_us=10_000.0,

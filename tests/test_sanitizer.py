@@ -20,7 +20,7 @@ from repro.harness import RunCache
 from repro.harness.parallel import PointTask, execute_point
 from repro.harness.sweeps import FAILURE_CATEGORIES, SweepPoint, run_sweep
 from repro.network.faults import FaultPlan
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import PacketKind, new_packet
 from repro.sanitize import DeadlockError, Sanitizer
 from repro.sanitize.clocks import ClockSet
 from repro.sanitize.cli import load_app, main
@@ -312,7 +312,7 @@ def test_message_join_orders_accesses():
     san = Sanitizer(2, sim=_FakeSim())
     array = _FakeArray()
     san.on_access(0, array, 0, "put")
-    packet = Packet(kind=PacketKind.REQUEST, src=0, dst=1)
+    packet = new_packet(PacketKind.REQUEST, 0, 1)
     san.on_send(0, packet)            # rank 0 sends after its write...
     assert packet.clock is not None   # ...its clock rides the packet...
     san.on_recv(1, packet)            # ...and rank 1 receives it.

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.instruments import ClusterStats
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import PacketKind, new_packet
 
 N_NODES = 4
 ARRAYS = ClusterStats._ARRAY_FIELDS + ClusterStats._FLOAT_ARRAY_FIELDS
@@ -68,11 +68,11 @@ class NumpyStats(ClusterStats):
 def _packet(src, hop, nbytes, is_read):
     dst = (src + hop) % N_NODES
     if nbytes is None:
-        return Packet(kind=PacketKind.REQUEST, src=src, dst=dst,
-                      is_read=is_read)
-    return Packet(kind=PacketKind.BULK_FRAGMENT, src=src, dst=dst,
-                  is_bulk=True, is_read=is_read, fragment=(0, 1),
-                  size_bytes=min(nbytes, 4096), message_bytes=nbytes)
+        return new_packet(PacketKind.REQUEST, src, dst,
+                          is_read=is_read)
+    return new_packet(PacketKind.BULK_FRAGMENT, src, dst,
+                      is_bulk=True, is_read=is_read, fragment=(0, 1),
+                      size_bytes=min(nbytes, 4096), message_bytes=nbytes)
 
 
 NODES = st.integers(0, N_NODES - 1)

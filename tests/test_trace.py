@@ -1,5 +1,7 @@
 """Tests for the per-message tracer."""
 
+import pickle
+
 import pytest
 
 from repro import Cluster, LogGPParams, TuningKnobs
@@ -99,3 +101,17 @@ def test_timeline_partial_stages():
     timeline.times["sent"] = 1.0
     timeline.times["handled"] = 11.0
     assert timeline.total_latency == 10.0
+
+
+def test_recorded_timelines_are_the_dataclass_ones():
+    # The tracer fills its timelines in without the class call; they
+    # must still compare and pickle as constructed ones do.
+    tracer = MessageTracer()
+    Cluster(n_nodes=2, seed=1).run(_WriterApp(), tracer=tracer)
+    for timeline in tracer.timelines():
+        built = MessageTimeline(xfer_id=timeline.xfer_id, src=timeline.src,
+                                dst=timeline.dst, kind=timeline.kind,
+                                times=dict(timeline.times))
+        assert timeline == built
+        assert pickle.dumps(timeline) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(timeline)) == timeline
