@@ -14,9 +14,10 @@ Completed points are memoised in the on-disk run cache
 otherwise), so re-running the script only simulates configurations it
 has never seen.
 
-The simcost section records each application once, outside the drain,
-and predicts Figures 5b-8 from those recordings; the simulated figures
-already drained are its ground truth, so it simulates nothing else.
+The simcost section predicts Figures 5b-8 from one recording per
+application.  A recording is the app's 32-node Figure 5 baseline run,
+planned with its dependency graph asked for, so it drains (and caches)
+with the figures it is checked against and simulates nothing else.
 Resumable, store-backed campaigns are ``python -m repro.harness
 --campaign spec.json --store S``.
 
@@ -47,10 +48,8 @@ from types import SimpleNamespace
 from repro.am.tuning import TuningKnobs
 from repro.calibrate import calibrate_bulk_bandwidth, round_trip_time
 from repro.calibrate.calibration import calibrate_machine
-from repro.cost import record_run
 from repro.harness import (DIALS, MACHINE_DIALS, Plan, RunCache, claims,
-                           experiments, overhead_gap_surface, run_plans,
-                           suite_for)
+                           experiments, overhead_gap_surface, run_plans)
 from repro.harness.extensions import (burst_ablation, investment_study,
                                       occupancy_study, scaling_study,
                                       window_scope_ablation)
@@ -163,6 +162,8 @@ def main(argv=None) -> int:
         experiments.table8_collectives.plan(
             n_nodes=32, sizes=(32, 1024, 16384, 65536), iterations=2),
         experiments.figure11_serving.plan(n_nodes=32, scale=scale),
+        # simcost's recordings: Figure 5's 32-node baselines, recorded.
+        experiments.recorded_suite.plan(32, **suite),
     ]
 
     def only_with(name, plan):
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
     results = run_plans(plans + list(studies.values()), cache=cache,
                         jobs=args.jobs)
     (t3, t4, fig4, fig5_16, fig5_32, t5, fig6, t6, fig7, fig8, fig9, t7,
-     fig10, t8, fig11) = results[:len(plans)]
+     fig10, t8, fig11, graphs) = results[:len(plans)]
     # Calibration, like Tables 1-2: outside the drain.
     rtt = round_trip_time(knobs=TuningKnobs.added_gap(14.0 - 5.8))
     windows = {window: calibrate_machine("L", (105.0,),
@@ -359,8 +360,6 @@ def main(argv=None) -> int:
           f"at\n1 MB/s does it reach {fmt(nowsort[1.0])}x).\n")
 
     # ---- Predicted sweeps (simcost, beyond the paper) -----------------------
-    graphs = [record_run(app, 32)[0]
-              for app in suite_for(32, scale=scale, names=selected)]
     w("## Predicted sweeps — simcost (beyond the paper)\n")
     w("Each application was simulated **once** at the baseline with "
       "the dependency\nrecorder on; every dial sweep below is predicted "

@@ -17,9 +17,10 @@ Subcommands::
 
 ``record`` runs one instrumented simulation and writes the dependency
 graph; ``predict`` replays a graph over a dial grid (no simulation at
-all); ``report`` does both *and* simulates the same grid (served from
-the RunCache when warm) to print per-point relative errors — the
-validation loop CI gates on.
+all); ``report`` does both *and* simulates the same grid, the recording
+being the grid's baseline point (one drain, served from the RunCache
+when warm), to print per-point relative errors — the validation loop CI
+gates on.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from repro.cost.predict import (latency_tolerance, lp_bound,
                                 predict_sweep)
 from repro.cost.recorder import record_run
 from repro.harness.experiments import (predicted_figure, prediction_errors,
-                                       sensitivity_figure)
+                                       recorded_suite, sensitivity_figure)
+from repro.harness.parallel import run_plans
 from repro.harness.runcache import RunCache
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS, MACHINE_DIALS
@@ -124,20 +126,20 @@ def _cmd_report(args) -> int:
         print("report: --apps named no applications", file=sys.stderr)
         return 2
     try:
-        apps = suite_for(args.nodes, scale=args.scale, names=names)
+        recorded = recorded_suite.plan(args.nodes, scale=args.scale,
+                                       names=names, seed=args.seed)
     except KeyError as exc:
         print(f"report: {exc.args[0]}", file=sys.stderr)
         return 2
     values = _parse_values(args.values, args.parameter)
     cache = None if args.no_cache else RunCache(args.cache_dir)
     # One recording per app predicts the grid; the simulated side is the
-    # same grid's Figure 5-8 study, drained once (cache-served when warm).
-    predicted = predicted_figure(
-        [record_run(app, args.nodes, seed=args.seed)[0] for app in apps],
-        args.parameter, values)
-    simulated = sensitivity_figure(
+    # same grid's Figure 5-8 study, whose baseline points the recordings
+    # are: one drain (cache-served when warm).
+    graphs, simulated = run_plans([recorded, sensitivity_figure.plan(
         args.parameter, n_nodes=args.nodes, scale=args.scale, names=names,
-        values=values, seed=args.seed, cache=cache, jobs=args.jobs)
+        values=values, seed=args.seed)], cache=cache, jobs=args.jobs)
+    predicted = predicted_figure(graphs, args.parameter, values)
     errors = prediction_errors(predicted, simulated)
     app_medians = {
         name: prediction_errors(replace(predicted, sweeps={name: sweep}),
@@ -150,7 +152,7 @@ def _cmd_report(args) -> int:
                                 else round(app_medians[app], 4))}
             for app, value, sim, pred, err in errors.rows]
     median = errors.median
-    recordings = len(apps)
+    recordings = len(graphs)
     payload = {
         "schema": "repro-simcost-bench-v1",
         "parameter": args.parameter,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, List, Tuple
@@ -155,7 +156,8 @@ class CostGraph:
         slot, -1 if it takes no credit.  A send ``returns`` into its
         xfer's ``credit`` slot nothing (0), its arrival (1) or that plus
         a wire leg (2); ``sizes`` are a bulk send's fragments.
-        A malformed row raises ``ValueError`` naming its index.
+        A malformed row, or one whose times are negative or not finite,
+        raises ``ValueError`` naming its index.
         """
         per_dest = self.window_scope == "per-destination"
         last_t = [0.0] * self.n_nodes
@@ -182,6 +184,11 @@ class CostGraph:
                     raise ValueError(f"unknown event row tag {tag!r}")
                 if not 0 <= rank < self.n_nodes:
                     raise ValueError(f"rank {rank!r} is not a node")
+                if not (0.0 <= t < math.inf and 0.0 <= charge < math.inf
+                        and 0.0 <= blocked < math.inf):
+                    raise ValueError(
+                        f"times (t {t!r}, charge {charge!r}, blocked "
+                        f"{blocked!r}) must be finite and non-negative")
                 busy = max(0.0, (t - last_t[rank]) - blocked - charge)
                 last_t[rank] = t
                 if tag != "s":

@@ -34,6 +34,7 @@ refuses them up front in ``Cluster.run``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -233,9 +234,13 @@ def predict_sweep(graph: CostGraph, parameter: str,
     params.
     """
     dial = dial_named(parameter, MACHINE_DIALS)
+    values = dial.grid if values is None else values
+    if not values:
+        raise ValueError("values is empty: a predicted sweep needs at "
+                         "least its baseline value")
     sweep = PredictedSweep(app_name=graph.app_name,
                            n_nodes=graph.n_nodes, parameter=parameter)
-    for value in dial.grid if values is None else values:
+    for value in values:
         knobs = dial.knobs(value, graph.params)
         sweep.points.append(PredictedPoint(
             value=value, knobs=knobs,
@@ -258,8 +263,14 @@ def latency_tolerance(graph: CostGraph, parameter: str,
     (for ``bulk_mb_s``, when it still holds at 1/1000 of the baseline
     bandwidth — effectively bandwidth-insensitive).  ``parameter`` is
     one of :data:`~repro.harness.sweeps.MACHINE_DIALS`: only those have
-    a baseline to cross from.
+    a baseline to cross from.  A non-finite ``threshold``, or a ``tol``
+    outside (0, 1), raises ``ValueError``: the search could not end, or
+    would end meaningless.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, not {threshold!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), not {tol!r}")
     dial = dial_named(parameter, MACHINE_DIALS)
     base_value = dial.baseline(graph.params)
 

@@ -17,19 +17,28 @@ Recording is supported on a perfectly reliable wire with undialed
 occupancy; other regimes (fault plans with their retransmission
 timers, a serialised receive context, open-system apps) have
 scheduling dynamics the replay model does not reproduce, so
-:func:`record_run` refuses them up front rather than returning graphs
+``Cluster.run`` refuses them up front rather than returning graphs
 that mispredict.
+
+A recording is a run like any other: :func:`recording` plans it as one
+:class:`~repro.harness.parallel.PointTask` that asks for its graph, so
+a driver drains it beside its sweeps (the recording *is* the sweep's
+baseline point, simulated once and cached with its graph), and
+:func:`record_run` is that plan drained on its own.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.am.layer import DEFAULT_WINDOW
 from repro.am.tuning import DialedCost
+from repro.cluster.machine import Cluster
 from repro.cost.graph import CostGraph
+from repro.harness.parallel import Plan, PointTask, run_points
 from repro.network.packet import REPLY, Packet
 
-__all__ = ["DepRecorder", "record_run"]
+__all__ = ["DepRecorder", "recording", "record_run"]
 
 
 class DepRecorder:
@@ -117,6 +126,31 @@ class DepRecorder:
             ("m", rank, now, self._blocked.pop(rank, 0.0), label))
 
 
+def recording(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
+              window: Optional[int] = None,
+              window_scope: str = "per-destination",
+              run_limit_us: Optional[float] = None,
+              livelock_limit: int = 200_000) -> Plan:
+    """The plan of one recorded run of ``app``: builds ``(graph,
+    result)``.
+
+    Configuration keywords mirror :class:`~repro.cluster.machine.
+    Cluster`.  A run that does not complete raises ``RuntimeError``
+    carrying its taxonomy string, as :meth:`Plan.of_results` does.
+    """
+    task = PointTask(app, Cluster(
+        n_nodes=n_nodes, params=params, knobs=knobs, seed=seed,
+        window=window if window is not None else DEFAULT_WINDOW,
+        window_scope=window_scope, run_limit_us=run_limit_us,
+        livelock_limit=livelock_limit), record=True)
+    results = Plan.of_results([task]).build
+
+    def build(points):
+        result, = results(points)
+        return points[0].graph, result
+    return Plan((task,), build)
+
+
 def record_run(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
                window: Optional[int] = None,
                window_scope: str = "per-destination",
@@ -124,26 +158,11 @@ def record_run(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
                livelock_limit: int = 200_000):
     """Run ``app`` once with recording on; return ``(graph, result)``.
 
-    The single instrumented simulation that replaces a dial sweep.
-    Configuration keywords mirror :class:`~repro.cluster.machine.
-    Cluster`; the run itself is bit-identical to an unrecorded run of
-    the same configuration.
+    The single instrumented simulation that replaces a dial sweep:
+    :func:`recording`'s plan, drained on its own (uncached).  The run
+    itself is bit-identical to an unrecorded run of the same
+    configuration.
     """
-    from repro.am.layer import DEFAULT_WINDOW
-    from repro.cluster.machine import Cluster
-
-    if getattr(app, "open_system", False):
-        from repro.cost.predict import UnsupportedGraphError
-        raise UnsupportedGraphError(
-            f"simcost cannot record open-system app {app.name!r}: "
-            "request arrivals come from outside the rank set, so the "
-            "closed SPMD dependency graph the replay re-weights does "
-            "not exist — run a real serving sweep instead")
-    cluster = Cluster(
-        n_nodes=n_nodes, params=params, knobs=knobs, seed=seed,
-        window=window if window is not None else DEFAULT_WINDOW,
-        window_scope=window_scope, run_limit_us=run_limit_us,
-        livelock_limit=livelock_limit)
-    recorder = DepRecorder()
-    result = cluster.run(app, recorder=recorder)
-    return recorder.graph, result
+    plan = recording(app, n_nodes, params, knobs, seed, window,
+                     window_scope, run_limit_us, livelock_limit)
+    return plan.build(run_points(plan.tasks))

@@ -35,11 +35,9 @@ import json
 import pathlib
 import sys
 
-from repro.cost import record_run
 from repro.harness import (CampaignSpec, Plan, ResultStore, RunCache,
                            experiments, overhead_gap_surface,
-                           render_campaign, run_campaign, run_plans,
-                           suite_for)
+                           render_campaign, run_campaign, run_plans)
 from repro.harness.parallel import default_jobs
 
 
@@ -83,11 +81,11 @@ ARTIFACTS = {
     "surface": lambda nodes, scale: overhead_gap_surface.plan(
         n_nodes=min(nodes, 16), scale=scale),
     # simcost: the overhead sweep predicted from one recorded run per
-    # app instead of one simulation per (app, value) point.
-    "predict": lambda nodes, scale: Plan(
-        (), lambda _points: experiments.predicted_figure(
-            [record_run(app, nodes)[0]
-             for app in suite_for(nodes, scale=scale)], "overhead")),
+    # app (figure5's baseline point) instead of one simulation per
+    # (app, value) point.
+    "predict": lambda nodes, scale: experiments.recorded_suite.plan(
+        nodes, scale=scale).then(
+        lambda graphs: experiments.predicted_figure(graphs, "overhead")),
 }
 
 

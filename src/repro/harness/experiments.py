@@ -26,6 +26,7 @@ from repro.cluster.machine import Cluster, RunResult
 from repro.cluster.presets import MACHINE_PRESETS
 from repro.cost.graph import CostGraph
 from repro.cost.predict import latency_tolerance, predict_sweep
+from repro.cost.recorder import recording
 from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.report import render_table
 from repro.harness.suite import suite_for
@@ -43,7 +44,8 @@ __all__ = [
     "table1_baseline_params", "figure3_signature", "table2_calibration",
     "table3_baseline_runtimes", "figure4_balance", "table4_comm_summary",
     "sensitivity_figure", "table5_overhead_model", "table6_gap_model",
-    "predicted_figure", "prediction_errors", "tolerance_table",
+    "recorded_suite", "predicted_figure", "prediction_errors",
+    "tolerance_table",
     "table7_spike_decay",
     "figure10_collectives", "model_picks", "table8_collectives",
     "figure11_serving",
@@ -313,12 +315,26 @@ def sensitivity_figure(parameter: str, n_nodes: int = 32,
 # is the ground truth it is checked against.
 # ---------------------------------------------------------------------------
 
+@study
+def recorded_suite(n_nodes: int, scale: float = 1.0,
+                   names: Optional[Sequence[str]] = None,
+                   seed: int = 0) -> Plan:
+    """The plan of one :func:`repro.cost.recording` per suite
+    application, building their graphs in suite order.  Each recording
+    has the run key of the app's baseline point in Figures 5-8, so
+    drained beside them it is that point, simulated once."""
+    return Plan.union([
+        recording(app, n_nodes, seed=seed)
+        for app in suite_for(n_nodes, scale=scale, names=names)]).then(
+        lambda recorded: [graph for graph, _result in recorded])
+
+
 def predicted_figure(graphs: Sequence[CostGraph], parameter: str,
                      values: Optional[Sequence[float]] = None
                      ) -> SensitivityFigure:
     """A predicted Figure 5/6/7/8 from recorded runs, simulating nothing.
 
-    ``graphs`` are :func:`repro.cost.record_run` recordings, one per
+    ``graphs`` are recordings (:func:`recorded_suite`), one per
     application (record once, predict every dial); ``parameter`` is one
     of :data:`~repro.harness.sweeps.MACHINE_DIALS` and ``values`` its
     grid, as for :func:`sensitivity_figure`.  The figure renders like

@@ -58,11 +58,13 @@ def _pool(jobs: int) -> ProcessPoolExecutor:
 class PointTask:
     """One run, ``app`` on ``cluster`` — the picklable work unit.
     ``value`` is the label the point carries in its sweep (the dialed
-    parameter's absolute value)."""
+    parameter's absolute value); ``record`` asks for the run's simcost
+    dependency graph too (observation-only, so never part of the key)."""
 
     app: Any
     cluster: Cluster
     value: float = 0.0
+    record: bool = False
 
     @cached_property
     def spec(self) -> Dict[str, Any]:
@@ -102,6 +104,9 @@ class SweepPoint:
     #: / fault).
     result: Optional[RunResult] = None
     failure: Optional[str] = None
+    #: The run's :class:`~repro.cost.graph.CostGraph` when its task
+    #: asked for one and it completed.
+    graph: Optional["CostGraph"] = None  # noqa: F821
 
     @property
     def completed(self) -> bool:
@@ -134,11 +139,17 @@ def execute_point(task: PointTask) -> SweepPoint:
     bit-identical to serial ones.
     """
     point = SweepPoint(value=task.value, knobs=task.cluster.knobs)
+    recorder = None
+    if task.record:
+        from repro.cost.recorder import DepRecorder
+        recorder = DepRecorder()
     # Failure taxonomy: the prefix before ":" is the category that
     # SweepPoint.failure_category surfaces.  DeadlockError must be
     # caught before TimeoutError (it is a subclass).
     try:
-        point.result = task.cluster.run(task.app)
+        point.result = task.cluster.run(task.app, recorder=recorder)
+        if recorder is not None:
+            point.graph = recorder.graph
     except DeadlockError as exc:
         point.failure = f"deadlock: {exc}"
     except LivelockError as exc:
@@ -169,7 +180,9 @@ def run_points(tasks: Sequence[PointTask],
     at once; everything that landed before it is already durable.  A
     task whose cluster has ``sanitize=True`` bypasses the cache both
     ways: cached entries carry no sanitizer report, and sanitized
-    results must not shadow clean ones.
+    results must not shadow clean ones.  A ``record`` task's graph is
+    cached under the same key, and a cached run without one is a miss
+    for it.
 
     Crash policy.  A killed worker (``BrokenProcessPool``) loses only
     the tasks whose futures never completed: they are re-queued on a
@@ -187,18 +200,20 @@ def run_points(tasks: Sequence[PointTask],
         if cached[index] and not from_cache:
             cache.put(tasks[index].spec, result=point.result,
                       failure=point.failure)
+            if point.graph is not None:
+                cache.put_graph(tasks[index].spec, point.graph)
         if done is not None:
             done(index, point, from_cache)
 
     remaining: List[int] = []
     for index, task in enumerate(tasks):
-        outcome = cache.get(task.spec) if cached[index] else None
+        outcome = cache.get(task.spec, graph=task.record) \
+            if cached[index] else None
         if outcome is None:
             remaining.append(index)
             continue
-        result, failure = outcome
-        land(index, SweepPoint(value=task.value, knobs=task.cluster.knobs,
-                               result=result, failure=failure), True)
+        land(index, SweepPoint(task.value, task.cluster.knobs, *outcome),
+             True)
 
     if jobs is None or jobs <= 1:
         for index in remaining:
@@ -290,8 +305,10 @@ def run_plans(plans: Sequence[Plan], cache: Optional[RunCache] = None,
     Tables and figures share runs (Table 3's baselines are every sweep's
     first point), so tasks are de-duplicated by ``(key, sanitize)`` and
     one :func:`run_points` call simulates each distinct run once, at any
-    ``jobs``, cache or no cache.  Every task gets its own point back, a
-    shared run re-labelled with that task's ``value`` and knobs.
+    ``jobs``, cache or no cache; a run any of its tasks ``record`` s is
+    recorded (simcost's baseline recording is Figure 5's first point).
+    Every task gets its own point back, a shared run re-labelled with
+    that task's ``value`` and knobs.
 
     Several plans at once are a driver holding every point until it
     renders: their results carry ``output=None``, as cache-restored ones
@@ -301,7 +318,9 @@ def run_plans(plans: Sequence[Plan], cache: Optional[RunCache] = None,
     idents = [(task.key, task.cluster.sanitize) for task in whole.tasks]
     unique: Dict[Tuple[str, bool], PointTask] = {}
     for ident, task in zip(idents, whole.tasks):
-        unique.setdefault(ident, task)
+        first = unique.setdefault(ident, task)
+        if task.record and not first.record:
+            unique[ident] = replace(first, record=True)
 
     def forget_output(_index: int, point: SweepPoint, _hit: bool) -> None:
         if point.completed:

@@ -15,6 +15,11 @@ models — or the failure string for livelocked / over-budget points.
 ``output`` (the application's finalize payload) is not cached; restored
 results carry ``output=None``.
 
+A run recorded for simcost also keeps its dependency graph
+(:class:`~repro.cost.graph.CostGraph` JSON) in a ``<key>.graph`` file
+beside its entry, read only by a lookup that asks for it: an entry
+without one still serves every lookup that does not.
+
 Writes are atomic (temp file + rename) so concurrent sweep workers can
 share one cache directory safely.
 """
@@ -205,28 +210,39 @@ class RunCache:
                     "values")
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _path(self, key: str, suffix: str = ".json") -> Path:
+        return self.root / f"{key}{suffix}"
 
     # -- lookup / store ----------------------------------------------------
-    def get(self, spec: Dict[str, Any]
-            ) -> Optional[Tuple[Optional[RunResult], Optional[str]]]:
+    def get(self, spec: Dict[str, Any], graph: bool = False
+            ) -> Optional[tuple]:
         """The cached ``(result, failure)`` outcome, or None on a miss.
 
         Exactly one element of the pair is set: a completed run restores
         its :class:`RunResult`; a livelocked / over-budget run restores
         its failure string.  Unreadable or corrupt entries count as
         misses (and will be overwritten by the next :meth:`put`).
+
+        ``graph=True`` asks for the run's recorded dependency graph too:
+        the outcome is then ``(result, failure, graph)``, and a completed
+        entry whose graph was never stored, or does not load, is a miss.
+        A failure needs none (``graph`` is None): recording it again
+        would fail the same way.
         """
-        path = self._path(self.key_for(spec))
+        key = self.key_for(spec)
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(self._path(key).read_text())
             if data["spec"]["format"] != CACHE_FORMAT:
                 raise ValueError("stale cache format")
             if data["failure"] is not None:
                 outcome = (None, data["failure"])
             else:
                 outcome = (RunResult.from_dict(data["result"]), None)
+            if graph:
+                from repro.cost.graph import CostGraph
+                outcome += (None if outcome[0] is None else
+                            CostGraph.from_json(
+                                self._path(key, ".graph").read_text()),)
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
@@ -244,12 +260,23 @@ class RunCache:
             "result": result.to_dict() if result is not None else None,
             "failure": failure,
         }
+        self._write(self._path(self.key_for(spec)),
+                    json.dumps(payload, default=repr))
+
+    def put_graph(self, spec: Dict[str, Any],
+                  graph: "CostGraph") -> None:  # noqa: F821
+        """Store the run's recorded graph atomically, beside its entry
+        (which :meth:`put` stores first)."""
+        self._write(self._path(self.key_for(spec), ".graph"),
+                    graph.to_json())
+
+    def _write(self, path: Path, text: str) -> None:
+        """Write ``text`` to ``path`` by temp file + rename."""
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(self.key_for(spec))
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, default=repr)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -265,16 +292,17 @@ class RunCache:
         return sum(1 for _ in self.root.glob("*.json"))
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed.
+        """Delete every entry and recorded graph; returns the number of
+        files removed.
 
         Also removes orphaned ``*.tmp`` files left behind by workers
         killed between ``mkstemp`` and the atomic rename — without
-        this they accumulate forever (entries only ever land as
-        ``*.json``).
+        this they accumulate forever (files only ever land as
+        ``*.json`` and ``*.graph``).
         """
         removed = 0
         if self.root.is_dir():
-            for pattern in ("*.json", "*.tmp"):
+            for pattern in ("*.json", "*.graph", "*.tmp"):
                 for path in self.root.glob(pattern):
                     try:
                         path.unlink()

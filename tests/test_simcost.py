@@ -18,6 +18,7 @@ Three contracts pinned here:
 import dataclasses
 import inspect
 import json
+import math
 import statistics
 
 import pytest
@@ -216,6 +217,25 @@ def test_latency_tolerance_crossings_are_pinned(radix_graph, barnes_graph,
         assert replayed.count(TuningKnobs()) == 1, dial
 
 
+@pytest.mark.parametrize("bad, mention", [
+    ({"tol": 0.0}, "tol"),           # bisection cannot reach zero width
+    ({"tol": -1.0}, "tol"),          # ... nor a negative one
+    ({"tol": math.nan}, "tol"),      # would return the bracket unbisected
+    ({"threshold": math.nan}, "threshold"),  # a meaningless crossing
+], ids=["tol=0", "tol=-1", "tol=nan", "threshold=nan"])
+def test_latency_tolerance_refuses_a_search_it_cannot_end(radix_graph, bad,
+                                                          mention):
+    graph, _ = radix_graph
+    with pytest.raises(ValueError, match=mention):
+        latency_tolerance(graph, "overhead", **bad)
+
+
+def test_predict_sweep_refuses_empty_values(radix_graph):
+    graph, _ = radix_graph
+    with pytest.raises(ValueError, match="values"):
+        predict_sweep(graph, "overhead", [])
+
+
 # ---------------------------------------------------------------------------
 # Graph serialisation.
 # ---------------------------------------------------------------------------
@@ -269,6 +289,15 @@ def test_malformed_graphs_raise_value_error_naming_the_row(radix_graph):
         with pytest.raises(ValueError, match=mention):
             CostGraph.from_dict(payload)
             pytest.fail(f"{what}: loaded")
+    # Times the replay would carry into every later event.
+    send = next(i for i, row in enumerate(graph.rows) if row[0] == "s")
+    for field, value in ((2, math.nan), (2, math.inf), (4, -1.0)):
+        payload = graph.to_dict()
+        row = list(payload["events"][send])
+        payload["events"][send] = row[:field] + [value] + row[field + 1:]
+        with pytest.raises(ValueError, match=f"row {send}.*finite and "
+                           "non-negative"):
+            CostGraph.from_dict(payload)
     # A graph built in-process is checked by its first replay.
     bad = dataclasses.replace(graph, rows=graph.rows[:9] + (("s", 0, 1.0),))
     with pytest.raises(ValueError, match="row 9"):
@@ -364,8 +393,10 @@ def test_cli_predict_exits_2_on_a_graph_it_cannot_use(tmp_path, capsys,
             and captured.err.count("\n") == 1, what
     assert main(["predict", str(tmp_path / "absent.json")]) == 2
     assert "absent.json" in capsys.readouterr().err
-    # The same file, intact, still predicts.
+    # The same file, intact, still predicts, but not against a NaN.
     path.write_text(graph.to_json())
+    assert main(["predict", str(path), "--threshold", "nan"]) == 2
+    assert "threshold" in capsys.readouterr().err
     assert main(["predict", str(path)]) == 0
 
 
