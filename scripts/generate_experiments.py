@@ -112,13 +112,13 @@ def main(argv=None) -> int:
     selected = None if args.apps is None else \
         [name.strip() for name in args.apps.split(",") if name.strip()]
 
-    def pick(*names):
+    def chosen(*names):
         """Intersect a hard-coded app list with the --apps selection."""
         if selected is None:
             return list(names)
         return [name for name in names if name in selected]
 
-    started = time.time()
+    started = time.time()  # simlint: disable=wall-clock - footer only
 
     suite = {"scale": scale, "names": selected}
     t1 = experiments.table1_baseline_params()
@@ -136,17 +136,17 @@ def main(argv=None) -> int:
         experiments.table4_comm_summary.plan(n_nodes=32, **suite),
         experiments.figure4_balance.plan(
             n_nodes=32, scale=scale,
-            names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort")),
+            names=chosen("Radix", "EM3D(write)", "Sample", "NOW-sort")),
         figure("overhead", n_nodes=16),
         figure("overhead"),
         experiments.table5_overhead_model.plan(
             n_nodes=32, scale=scale, values=SWEEP_GRIDS["overhead"],
-            names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort",
+            names=chosen("Radix", "EM3D(write)", "Sample", "NOW-sort",
                        "Radb")),
         figure("gap"),
         experiments.table6_gap_model.plan(
             n_nodes=32, scale=scale, values=SWEEP_GRIDS["gap"],
-            names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort",
+            names=chosen("Radix", "EM3D(write)", "Sample", "NOW-sort",
                        "Connect")),
         figure("latency"),
         figure("bulk_mb_s"),
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
         experiments.table7_spike_decay.plan(
             n_nodes=32, scale=scale, duration_us=500.0,
             starts=(0.0, 500.0, 2000.0),
-            names=pick("Radix", "EM3D(write)", "Sample", "NOW-sort")),
+            names=chosen("Radix", "EM3D(write)", "Sample", "NOW-sort")),
         experiments.figure10_collectives.plan(
             n_nodes=32, primitives=("broadcast", "allreduce"),
             parameter="bulk_mb_s", values=(38.0, 15.0, 5.5, 1.0),
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     def only_with(name, plan):
         """``plan``, or nothing if --apps leaves out ``name`` (the
         claims about that app are then N/A)."""
-        return plan if pick(name) else Plan((), lambda _points: None)
+        return plan if chosen(name) else Plan((), lambda _points: None)
     # The extension studies and ablations the claims read.
     studies = {
         "surface": only_with("Sample", overhead_gap_surface.plan(
@@ -531,7 +531,7 @@ def main(argv=None) -> int:
             w(f"| {row['id']} | {row['measured']} | {row['bound']} |")
         w("")
 
-    elapsed = time.time() - started
+    elapsed = time.time() - started  # simlint: disable=wall-clock - footer
     w(f"---\n*Generated in {elapsed:.0f} s of wall-clock simulation.*")
 
     with open(args.out, "w") as fh:

@@ -14,8 +14,8 @@ Layout
   the one rule registry, and :func:`analyze_sources` (with its
   :func:`analyze_file` / :func:`analyze_paths` front ends).
 * :mod:`repro.analysis.baseline` -- the grandfathered-findings file.
-* :mod:`repro.analysis.rules` -- the per-file packs (determinism,
-  dial cost, hygiene).
+* :mod:`repro.analysis.rules` -- the rule packs (determinism, dial
+  cost, hygiene, architecture).
 * :mod:`repro.analysis.flow` -- the call graph and the whole-program
   SPMD checks.
 * :mod:`repro.analysis.cli` -- ``python -m repro.analysis``.
@@ -37,7 +37,7 @@ __all__ = [
     "Finding", "Frame", "SourceFile", "Rule", "ProgramRule",
     "register_rule", "all_rules", "default_rules", "analyze_sources",
     "analyze_source", "analyze_file", "analyze_paths",
-    "dotted_name", "walk_scope", "scope_functions", "load_source",
+    "dotted_name", "walk_scope", "load_source",
     "parse_cache_stats", "clear_parse_cache", "PARSE_ERROR_RULE",
 ]
 
@@ -291,13 +291,6 @@ def walk_scope(node: ast.AST) -> Iterator[ast.AST]:
         yield child
         if not isinstance(child, _SCOPE_BARRIERS):
             stack.extend(ast.iter_child_nodes(child))
-
-
-def scope_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    """Every function definition in a module, nested ones included."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 # -- parse cache ------------------------------------------------------------

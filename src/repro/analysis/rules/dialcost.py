@@ -4,13 +4,13 @@ The whole methodology turns four dials — o, g, L, G — through
 :class:`~repro.am.tuning.TuningKnobs`, and both the sweep harness and
 the simcost predictor assume those are the *only* places simulated time
 is charged in the messaging layers.  A hard-coded ``yield 3.0``,
-``call_in(3.0, ...)``, ``timeout(3.0)`` or ``succeed(..., delay=0.5)``
-inside ``am/`` or ``network/`` is invisible
-to every one of them: sweeps can't turn it, the predictor's symbolic
-edge costs don't include it, and predicted-vs-simulated error quietly
-grows.  This rule flags any timeout/delay charge whose duration is a
-compile-time numeric constant instead of a value derived from the
-machine parameters or knobs.
+``call_in(3.0, ...)`` or ``succeed(..., delay=0.5)`` inside ``am/`` or
+``network/`` is invisible to every one of them: sweeps can't turn it,
+the predictor's symbolic edge costs don't include it, and
+predicted-vs-simulated error quietly grows.  This rule flags any delay
+charge whose duration is a compile-time numeric constant instead of a
+value derived from the machine parameters or knobs.  (A ``timeout(...)``
+there is already ``kernel-internals``' finding, whatever its duration.)
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class UntrackedDialCostRule(Rule):
             callee = node.func
             name = callee.attr if isinstance(callee, ast.Attribute) \
                 else callee.id if isinstance(callee, ast.Name) else None
-            if name in ("timeout", "call_in") and node.args:
+            if name == "call_in" and node.args:
                 value = _constant_value(node.args[0])
                 if value is not None and value != 0.0:
                     yield self.finding(

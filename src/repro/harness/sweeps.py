@@ -17,6 +17,7 @@ surface and prediction reads that row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -72,8 +73,13 @@ class Dial:
                 **row: Any) -> "Dial":
         """A dial over one knob: dialed values are *absolute* targets,
         and ``added(value, params)`` is how much more than the baseline
-        machine has that is — the apparatus can only add."""
+        machine has that is — the apparatus can only add.  A non-finite
+        value is refused by the dial's name: ``max(0.0, nan)`` is
+        ``0.0``, so a NaN would otherwise run the baseline machine."""
         def turn(value, app, params, knobs, faults):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{name} dial value must be finite, got {value}")
             return (app, knobs.with_changes(
                 **{knob_field: added(value, params)}), faults)
         return cls(name, label, grid, turn, knob_field=knob_field, **row)

@@ -33,6 +33,8 @@ surfaces as a structured ``N/A`` point rather than a livelock.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -65,6 +67,17 @@ class RetryExhausted(FaultError):
             f"after {attempts} retransmissions")
 
 
+def _check_window(window: Any) -> None:
+    """A spike's or slowdown's window: finite, starting at or after 0,
+    lasting a while (NaN fails every comparison)."""
+    if not 0.0 <= window.start_us < math.inf:
+        raise ValueError(
+            f"start_us must be finite and >= 0, got {window.start_us}")
+    if not 0.0 < window.duration_us < math.inf:
+        raise ValueError(
+            f"duration_us must be finite and > 0, got {window.duration_us}")
+
+
 @dataclass(frozen=True)
 class DelaySpike:
     """A one-off freeze of ``node`` (Afzal-style injected delay).
@@ -79,10 +92,7 @@ class DelaySpike:
     duration_us: float
 
     def __post_init__(self) -> None:
-        if self.start_us < 0 or self.duration_us <= 0:
-            raise ValueError(
-                f"spike needs start_us >= 0 and duration_us > 0, got "
-                f"({self.start_us}, {self.duration_us})")
+        _check_window(self)
 
     @property
     def end_us(self) -> float:
@@ -103,14 +113,11 @@ class SlowdownWindow:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.start_us < 0 or self.duration_us <= 0:
+        _check_window(self)
+        if not 1.0 <= self.factor < math.inf:  # NaN too
             raise ValueError(
-                f"window needs start_us >= 0 and duration_us > 0, got "
-                f"({self.start_us}, {self.duration_us})")
-        if self.factor < 1.0:
-            raise ValueError(
-                f"factor must be >= 1.0 (faults only slow the machine), "
-                f"got {self.factor}")
+                f"factor must be finite and >= 1.0 (faults only slow the "
+                f"machine), got {self.factor}")
 
     @property
     def end_us(self) -> float:
@@ -156,15 +163,16 @@ class FaultPlan:
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError(
                 f"drop_rate must be in [0, 1], got {self.drop_rate}")
-        if self.retx_timeout_us <= 0:
-            raise ValueError(
-                f"retx_timeout_us must be > 0, got {self.retx_timeout_us}")
-        if self.retx_backoff < 1.0:
-            raise ValueError(
-                f"retx_backoff must be >= 1, got {self.retx_backoff}")
-        if self.max_retries < 1:
-            raise ValueError(
-                f"max_retries must be >= 1, got {self.max_retries}")
+        if not 0.0 < self.retx_timeout_us < math.inf:
+            raise ValueError(f"retx_timeout_us must be finite and > 0, "
+                             f"got {self.retx_timeout_us}")
+        if not 1.0 <= self.retx_backoff < math.inf:
+            raise ValueError(f"retx_backoff must be finite and >= 1, "
+                             f"got {self.retx_backoff}")
+        if not isinstance(self.max_retries, numbers.Integral) \
+                or self.max_retries < 1:
+            raise ValueError(f"max_retries must be an integer >= 1, "
+                             f"got {self.max_retries!r}")
 
     @property
     def is_null(self) -> bool:

@@ -3,9 +3,8 @@
 
 def tx(self, packet):
     pre = self.knobs.delta_occ + packet.size_bytes * self.params.Gap
-    yield self.sim.timeout(pre)
-    yield self.sim.timeout(max(0.0, self.params.gap - pre))
-    yield self.sim.timeout(0)  # zero: the idiomatic yield point
+    yield pre
+    yield max(0.0, self.params.gap - pre)
 
 
 def deliver(self, event):

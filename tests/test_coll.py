@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.am.layer import HandlerTable
 from repro.am.tuning import TuningKnobs
 from repro.apps.radix import RadixSort
 from repro.cluster.machine import Cluster
@@ -19,7 +20,9 @@ from repro.coll.algorithms import (DEFAULT_ALGORITHMS, PRIMITIVES,
                                    algorithms_for, eligible_algorithms,
                                    get_algorithm, registry)
 from repro.coll.bench import CollectiveBench
+from repro.coll.core import COLL_HANDLER
 from repro.coll.model import estimate_cost, predicted_ranking
+from repro.gas.runtime import register_gas_handlers
 from repro.network.loggp import LogGPParams
 
 RANK_COUNTS = (1, 2, 3, 5, 8, 13)
@@ -86,6 +89,17 @@ def test_sanitizer_does_not_perturb_collective_timing():
             CollectiveBench(primitive, size=256, iterations=2))
         assert plain.runtime_us == sanitized.runtime_us
         assert plain.events_processed == sanitized.events_processed
+
+
+def test_gas_registers_no_collective_handler_besides_coll_handler():
+    """One collective layer: its messages go to the one deposit handler
+    (the ``one-collective-path`` rule keeps the rest of the path)."""
+    table, names = HandlerTable(), []
+    table.register = lambda name, _handler: names.append(name)
+    register_gas_handlers(table)
+    assert sorted(names) == sorted([
+        "_gas_read", "_gas_write", "_gas_bulk_get", "_gas_bulk_put",
+        "_gas_lock_try", "_gas_lock_release", COLL_HANDLER])
 
 
 # -- explicit algorithm validation ------------------------------------------

@@ -73,6 +73,26 @@ def test_plan_validation():
         SlowdownWindow(node=0, start_us=0.0, duration_us=5.0, factor=0.5)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (FaultPlan, dict(retx_timeout_us=NAN)),
+    (FaultPlan, dict(retx_timeout_us=float("inf"))),
+    (FaultPlan, dict(retx_backoff=NAN)), (FaultPlan, dict(max_retries=2.5)),
+    (DelaySpike, dict(start_us=NAN, node=0, duration_us=5.0)),
+    (DelaySpike, dict(duration_us=NAN, node=0, start_us=0.0)),
+    (SlowdownWindow, dict(start_us=NAN, node=0, duration_us=5, factor=2)),
+    (SlowdownWindow, dict(duration_us=NAN, node=0, start_us=0, factor=2)),
+    (SlowdownWindow, dict(factor=NAN, node=0, start_us=0, duration_us=5))])
+def test_non_finite_fault_fields_are_refused_by_name(cls, fields):
+    """They used to pass every ``<``/``<=`` check: a NaN timeout died
+    mid-run naming no field, and a NaN spike never fired yet made the
+    plan non-null.  The refused field is the first one given."""
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        cls(**fields)
+
+
 def test_null_plan_needs_no_injector():
     with pytest.raises(ValueError):
         FaultInjector(FaultPlan(), seed=0)

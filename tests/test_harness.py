@@ -99,6 +99,18 @@ def test_a_dial_answers_for_its_knobs_without_an_app():
         == TuningKnobs(delta_o=25.0, delta_g=10.0)
 
 
+@pytest.mark.parametrize("name", ["overhead", "gap", "latency"])
+def test_a_non_finite_dial_value_is_refused_by_name(name):
+    """``max(0.0, nan)`` is ``0.0``: a NaN used to run the baseline
+    machine.  Sweeps, predictions and campaigns all turn the dial
+    through ``turn``; a value below the baseline still maps to it."""
+    now, dial = LogGPParams.berkeley_now(), DIALS[name]
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"{name} dial"):
+            dial.knobs(value, now)
+    assert dial.knobs(0.0, now) == TuningKnobs()
+
+
 def test_sweep_rows_are_renderable():
     sweep = run_sweep(RadixSort(keys_per_proc=32), 2, "overhead", (2.9, 52.9))
     text = render_table(sweep.as_rows(), title="test")

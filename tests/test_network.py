@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from repro.am.layer import HandlerReply, Reply
 from repro.am.tuning import TuningKnobs
 from repro.network.loggp import LogGPParams
-from repro.network.packet import (BULK_FRAGMENT_BYTES, PacketKind,
+from repro.network.packet import (BULK_FRAGMENT_BYTES, Packet, PacketKind,
                                   new_packet, new_xfer_id)
 from repro.network.wire import Wire
 from repro.cluster.presets import MACHINE_PRESETS, preset
@@ -97,6 +98,19 @@ def test_logical_bytes_prefers_message_bytes():
                         size_bytes=100, message_bytes=9000, fragment=(1, 2))
     assert packet.logical_bytes == 9000
     assert packet.is_last_fragment
+
+
+def test_packets_and_replies_are_built_by_functions():
+    """A keyword class call packs its arguments before ``__init__`` runs,
+    once per message, so the classes refuse a direct call."""
+    with pytest.raises(TypeError, match="new_packet"):
+        Packet(kind=PacketKind.REQUEST, src=0, dst=1)
+    with pytest.raises(TypeError, match="Reply"):
+        HandlerReply("value", service_us=1.0)
+    packet = new_packet(PacketKind.REQUEST, 0, 1)
+    assert type(packet) is Packet
+    assert (packet.seq, packet.clock) == (None, None)
+    assert type(Reply("value")) is HandlerReply
 
 
 def test_xfer_ids_are_unique():

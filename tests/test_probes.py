@@ -8,21 +8,25 @@ listener of their own.
 """
 
 import hashlib
+import inspect
 import itertools
 import json
 
 import pytest
 
 import repro.network.packet as packet_module
-from repro.am.layer import HandlerTable
+from repro.am.layer import AmLayer, HandlerTable
 from repro.apps import Barnes, RadixSort, default_suite
 from repro.apps.base import Application
 from repro.cluster.machine import Cluster
 from repro.coll.bench import CollectiveBench
 from repro.cost import DepRecorder
+from repro.gas.runtime import Proc
 from repro.instruments import MessageTracer
 from repro.instruments.probes import HOOKS, Probes
 from repro.network.faults import FaultPlan
+from repro.network.nic import Nic
+from repro.network.wire import Wire
 from repro.serve import KVServe
 from tests.helpers import Fabric
 from tests.test_sanitizer import fixture_app
@@ -81,6 +85,16 @@ def test_unknown_hook_rejected():
         Probes([_Listener([], "fine"), Teleporting([], "lost")])
     assert "on_teleported" in str(refusal.value)
     assert all(hook in str(refusal.value) for hook in HOOKS)
+
+
+def test_layer_constructors_take_probes_not_stats():
+    """The layers fire hooks; ``Proc`` keeps the run's result record
+    and takes its hooks from its am."""
+    for layer in (AmLayer, Nic, Wire):
+        parameters = inspect.signature(layer).parameters
+        assert "probes" in parameters and "stats" not in parameters, layer
+    parameters = inspect.signature(Proc).parameters
+    assert "stats" in parameters and "probes" not in parameters
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,9 @@ def test_cli_list_rules_includes_flow_checks(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert PROGRAM_RULES == [
-        "handler-arity", "handler-purity", "rank-dependent-collective",
-        "unyielded-blocking-call", "yield-integrity"]
+        "handler-arity", "handler-purity", "one-drain",
+        "rank-dependent-collective", "unyielded-blocking-call",
+        "yield-integrity"]
     for rule_id in PROGRAM_RULES:
         assert rule_id in out
     assert "flow-" not in out and "--deep" not in out
