@@ -187,17 +187,6 @@ class AmLayer:
         self._send_cost = float(self.nic.charge.send_charge)
         self._recv_cost = float(self.nic.charge.recv_charge)
 
-    # -- effective per-event costs ----------------------------------------
-    @property
-    def send_cost(self) -> float:
-        """Host time to send one message: ``o_send + delta_o`` µs."""
-        return self._send_cost
-
-    @property
-    def recv_cost(self) -> float:
-        """Host time to receive one message: ``o_recv + delta_o`` µs."""
-        return self._recv_cost
-
     def credits_for(self, dst: int) -> int:
         """Unused window slots toward ``dst`` (diagnostic)."""
         return self._credits.get(self._credit_key(dst), self.window)
@@ -255,9 +244,10 @@ class AmLayer:
         """Poll until ``predicate()`` holds, sleeping between arrivals.
 
         The layer's one service loop: every reception is paid for and
-        dispatched in this frame -- one ``recv_cost`` sleep per message,
-        then, for a request, its handler's ``service_us`` (when > 0) and
-        one ``send_cost`` sleep for the reply the handler returned.
+        dispatched in this frame -- one receive-charge sleep (``o_recv +
+        delta_o``) per message, then, for a request, its handler's
+        ``service_us`` (when > 0) and one send-charge sleep (``o_send +
+        delta_o``) for the reply the handler returned.
 
         The predicate may only become true as a consequence of this node's
         own polling (handler/reply processing) or of NIC-level credit
@@ -426,7 +416,7 @@ class AmLayer:
     def send_oneway(self, dst: int, handler: str, payload: Any = None,
                     size: int = SHORT_PACKET_BYTES) -> Generator:
         """Fire-and-forget short message (NIC-level ack; sender pays one
-        ``o``).  Used by NOW-sort's one-way Active Messages."""
+        ``o``): the short form of :meth:`bulk_oneway`."""
         key = self._take_credit(dst)
         if key is None:
             key = yield from self._acquire_credit(dst)

@@ -11,6 +11,7 @@ gap through the fixed flow-control window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -48,6 +49,9 @@ class CalibrationRow:
 
 def _knobs_for(dialed: str, desired: float,
                base: LogGPParams) -> TuningKnobs:
+    # max(0.0, nan) is 0.0: a NaN target would measure the baseline.
+    if not math.isfinite(desired):
+        raise ValueError(f"desired {dialed} must be finite, got {desired}")
     if dialed == "o":
         return TuningKnobs.added_overhead(max(0.0, desired - base.overhead))
     if dialed == "g":

@@ -9,13 +9,15 @@ with the measured runtime and full communication statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional
 
 from repro.am.layer import AmLayer, DEFAULT_WINDOW, HandlerTable
 from repro.am.tuning import TuningKnobs
 from repro.cluster.node import CostModel, Node
-from repro.gas.runtime import LivelockError, Proc, register_gas_handlers
+from repro.gas.runtime import (DEFAULT_LIVELOCK_LIMIT, LivelockError, Proc,
+                               register_gas_handlers)
 from repro.instruments.balance import balance_matrix, render_balance
 from repro.instruments.probes import Probes
 from repro.instruments.stats import ClusterStats
@@ -104,11 +106,17 @@ class RunResult:
         )
 
 
+@dataclass(frozen=True)
 class Cluster:
     """A simulated cluster with dialable communication performance.
 
-    Parameters
-    ----------
+    Its fields are the one description of a run's machine: every field
+    but ``sanitize`` is part of the run key
+    (:func:`repro.harness.runcache.run_key_spec`), so a field added here
+    joins the key with no harness edit, and re-keys every stored run.
+
+    Fields
+    ------
     n_nodes:
         Number of workstations (the paper uses 16 and 32).
     params:
@@ -116,7 +124,10 @@ class Cluster:
     knobs:
         The apparatus dials; default all-zero (unmodified machine).
     window:
-        Fixed flow-control window of outstanding messages per node.
+        Fixed flow-control window of outstanding messages per node; an
+        ``int`` >= 1.
+    window_scope:
+        ``"per-destination"`` (GAM's) or ``"global"``.
     cost:
         Host CPU cost model; default approximates the UltraSPARC 170.
     disks_per_node:
@@ -124,8 +135,9 @@ class Cluster:
     seed:
         Master seed for deterministic workload generation.
     run_limit_us:
-        Optional hard cap on simulated time per run; exceeding it raises
-        ``TimeoutError`` (used to bound livelocked configurations).
+        Optional hard cap on simulated time per run, finite and > 0;
+        exceeding it raises ``TimeoutError`` (used to bound livelocked
+        configurations).
     livelock_limit:
         Per-rank failed-lock budget before ``LivelockError``; an
         ``int`` >= 0.
@@ -134,7 +146,8 @@ class Cluster:
         wire imperfect (drops, delay spikes, slowdown windows).  A null
         plan is normalised to ``None``, so the reliability machinery is
         provably absent on the perfectly reliable fabric and such runs
-        stay bit-identical to runs that never mention faults.
+        stay bit-identical to, and keyed as, runs that never mention
+        faults.
     sanitize:
         Run under the simsan happens-before sanitizer (see
         ARCHITECTURE.md section 11): races land on
@@ -144,52 +157,44 @@ class Cluster:
         bit-identical; sanitized runs are excluded from the run cache.
     """
 
-    def __init__(self, n_nodes: int,
-                 params: Optional[LogGPParams] = None,
-                 knobs: Optional[TuningKnobs] = None,
-                 window: int = DEFAULT_WINDOW,
-                 window_scope: str = "per-destination",
-                 cost: Optional[CostModel] = None,
-                 disks_per_node: int = 2,
-                 seed: int = 0,
-                 run_limit_us: Optional[float] = None,
-                 livelock_limit: int = 200_000,
-                 faults: Optional["FaultPlan"] = None,  # noqa: F821
-                 sanitize: bool = False) -> None:
-        if n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-        self.n_nodes = n_nodes
-        self.params = params if params is not None \
-            else LogGPParams.berkeley_now()
-        self.knobs = knobs if knobs is not None else TuningKnobs()
-        self.window = window
-        self.window_scope = window_scope
-        self.cost = cost if cost is not None else CostModel()
-        self.disks_per_node = disks_per_node
-        self.seed = seed
-        self.run_limit_us = run_limit_us
-        # The guard's ``>`` is never true for NaN: a livelocked run
-        # would spin instead of failing.
-        if type(livelock_limit) is not int or livelock_limit < 0:
-            raise ValueError(f"livelock_limit must be an int >= 0, "
-                             f"got {livelock_limit!r}")
-        self.livelock_limit = livelock_limit
-        if faults is not None and faults.is_null:
-            faults = None
-        self.faults = faults
-        self.sanitize = sanitize
+    n_nodes: int
+    params: Optional[LogGPParams] = None
+    knobs: Optional[TuningKnobs] = None
+    window: int = DEFAULT_WINDOW
+    window_scope: str = "per-destination"
+    cost: Optional[CostModel] = None
+    disks_per_node: int = 2
+    seed: int = 0
+    run_limit_us: Optional[float] = None
+    livelock_limit: int = DEFAULT_LIVELOCK_LIMIT
+    faults: Optional["FaultPlan"] = None  # noqa: F821
+    sanitize: bool = False
+
+    def __post_init__(self) -> None:
+        # Each bound is refused by name before anything runs: a
+        # fractional window runs as the next integer under a key of its
+        # own, a NaN time limit fails mid-drain, and the failed-lock
+        # guard's ``>`` is never true for NaN.
+        for name, low in (("n_nodes", 1), ("window", 1),
+                          ("livelock_limit", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(
+                    f"{name} must be an int >= {low}, got {value!r}")
+        limit = self.run_limit_us
+        if limit is not None and not (math.isfinite(limit) and limit > 0):
+            raise ValueError(f"run_limit_us must be None or finite and "
+                             f"> 0, got {limit!r}")
+        for name, default in (("params", LogGPParams.berkeley_now),
+                              ("knobs", TuningKnobs), ("cost", CostModel)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default())
+        if self.faults is not None and self.faults.is_null:
+            object.__setattr__(self, "faults", None)
 
     def with_knobs(self, knobs: TuningKnobs) -> "Cluster":
         """A cluster identical to this one but with different dials."""
-        return Cluster(self.n_nodes, params=self.params, knobs=knobs,
-                       window=self.window,
-                       window_scope=self.window_scope,
-                       cost=self.cost,
-                       disks_per_node=self.disks_per_node, seed=self.seed,
-                       run_limit_us=self.run_limit_us,
-                       livelock_limit=self.livelock_limit,
-                       faults=self.faults,
-                       sanitize=self.sanitize)
+        return replace(self, knobs=knobs)
 
     # -- running applications -------------------------------------------------
     def run(self, app: "Application",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.am.layer import DEFAULT_WINDOW
 from repro.am.tuning import DialedCost
 from repro.cluster.machine import Cluster
 from repro.cost.graph import CostGraph
@@ -126,23 +125,15 @@ class DepRecorder:
             ("m", rank, now, self._blocked.pop(rank, 0.0), label))
 
 
-def recording(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
-              window: Optional[int] = None,
-              window_scope: str = "per-destination",
-              run_limit_us: Optional[float] = None,
-              livelock_limit: int = 200_000) -> Plan:
+def recording(app, n_nodes: int, **cluster) -> Plan:
     """The plan of one recorded run of ``app``: builds ``(graph,
     result)``.
 
-    Configuration keywords mirror :class:`~repro.cluster.machine.
-    Cluster`.  A run that does not complete raises ``RuntimeError``
+    ``cluster`` is any other :class:`~repro.cluster.machine.Cluster`
+    field.  A run that does not complete raises ``RuntimeError``
     carrying its taxonomy string, as :meth:`Plan.of_results` does.
     """
-    task = PointTask(app, Cluster(
-        n_nodes=n_nodes, params=params, knobs=knobs, seed=seed,
-        window=window if window is not None else DEFAULT_WINDOW,
-        window_scope=window_scope, run_limit_us=run_limit_us,
-        livelock_limit=livelock_limit), record=True)
+    task = PointTask(app, Cluster(n_nodes, **cluster), record=True)
     results = Plan.of_results([task]).build
 
     def build(points):
@@ -151,11 +142,7 @@ def recording(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
     return Plan((task,), build)
 
 
-def record_run(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
-               window: Optional[int] = None,
-               window_scope: str = "per-destination",
-               run_limit_us: Optional[float] = None,
-               livelock_limit: int = 200_000):
+def record_run(app, n_nodes: int, **cluster):
     """Run ``app`` once with recording on; return ``(graph, result)``.
 
     The single instrumented simulation that replaces a dial sweep:
@@ -163,6 +150,5 @@ def record_run(app, n_nodes: int, params=None, knobs=None, seed: int = 0,
     itself is bit-identical to an unrecorded run of the same
     configuration.
     """
-    plan = recording(app, n_nodes, params, knobs, seed, window,
-                     window_scope, run_limit_us, livelock_limit)
+    plan = recording(app, n_nodes, **cluster)
     return plan.build(run_points(plan.tasks))

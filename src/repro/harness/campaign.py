@@ -48,7 +48,10 @@ from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
+from repro.am.layer import DEFAULT_WINDOW
+from repro.cluster.machine import Cluster
 from repro.cluster.presets import MACHINE_PRESETS
+from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT
 from repro.harness.parallel import PointTask, default_jobs, run_points
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
@@ -109,8 +112,8 @@ class CampaignSpec:
     scale: float = 1.0
     machine: str = "berkeley-now"
     run_limit_us: Optional[float] = None
-    livelock_limit: int = 200_000
-    window: int = 8
+    livelock_limit: int = DEFAULT_LIVELOCK_LIMIT
+    window: int = DEFAULT_WINDOW
     #: Base fault plan applied to every point (the ``drop_rate`` dial
     #: overrides its drop rate per value).
     faults: Optional[FaultPlan] = None
@@ -146,13 +149,13 @@ class CampaignSpec:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(
                 f"scale must be finite and > 0, got {self.scale!r}")
-        if type(self.livelock_limit) is not int or self.livelock_limit < 0:
-            raise ValueError(f"livelock_limit must be an int >= 0, "
-                             f"got {self.livelock_limit!r}")
         if self.machine not in MACHINE_PRESETS:
             raise ValueError(
                 f"unknown machine preset {self.machine!r}; "
                 f"one of {sorted(MACHINE_PRESETS)}")
+        # Cluster refuses a bad machine field by name.
+        Cluster(1, window=self.window, run_limit_us=self.run_limit_us,
+                livelock_limit=self.livelock_limit)
         for parameter, values in self.dials:
             if parameter not in DIALS:
                 raise ValueError(
@@ -257,8 +260,8 @@ class CampaignSpec:
             scale=data.get("scale", 1.0),
             machine=data.get("machine", "berkeley-now"),
             run_limit_us=data.get("run_limit_us"),
-            livelock_limit=data.get("livelock_limit", 200_000),
-            window=data.get("window", 8),
+            livelock_limit=data.get("livelock_limit", DEFAULT_LIVELOCK_LIMIT),
+            window=data.get("window", DEFAULT_WINDOW),
             faults=faults, workload=data.get("workload"))
 
     def to_json(self) -> str:

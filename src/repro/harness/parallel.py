@@ -68,17 +68,8 @@ class PointTask:
 
     @cached_property
     def spec(self) -> Dict[str, Any]:
-        """The canonical key-spec: every cluster field that shapes the
-        outcome.  Never ``sanitize`` — the run is bit-identical either
-        way, so sanitized points bypass the cache instead."""
-        cluster = self.cluster
-        return run_key_spec(
-            self.app, cluster.n_nodes, cluster.params, cluster.knobs,
-            cluster.seed, run_limit_us=cluster.run_limit_us,
-            livelock_limit=cluster.livelock_limit, window=cluster.window,
-            window_scope=cluster.window_scope,
-            disks_per_node=cluster.disks_per_node, cost=cluster.cost,
-            faults=cluster.faults)
+        """The canonical key-spec (:func:`run_key_spec`)."""
+        return run_key_spec(self.app, self.cluster)
 
     @cached_property
     def key(self) -> str:

@@ -38,10 +38,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from repro.am.tuning import TuningKnobs
-from repro.cluster.machine import RunResult
-from repro.cluster.node import CostModel
-from repro.network.loggp import LogGPParams
+from repro.cluster.machine import Cluster, RunResult
 
 __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
            "constructor_params"]
@@ -100,42 +97,19 @@ def app_fingerprint(app: Any) -> Dict[str, Any]:
     }
 
 
-def run_key_spec(app: Any, n_nodes: int,
-                 params: LogGPParams, knobs: TuningKnobs,
-                 seed: int,
-                 run_limit_us: Optional[float] = None,
-                 livelock_limit: int = 200_000,
-                 window: int = 8,
-                 window_scope: str = "per-destination",
-                 disks_per_node: int = 2,
-                 cost: Optional[CostModel] = None,
-                 faults: Optional["FaultPlan"] = None  # noqa: F821
-                 ) -> Dict[str, Any]:
-    """Everything that determines one run's outcome, as a JSON dict.
-
-    A null (all-defaults) fault plan keys identically to no plan at
-    all, matching the runtime guarantee that such runs are
-    bit-identical — so they share one cache entry.
+def run_key_spec(app: Any, cluster: Cluster) -> Dict[str, Any]:
+    """Everything that determines one run's outcome, as a JSON dict:
+    ``app``'s fingerprint and every :class:`Cluster` field but
+    ``sanitize`` (the run is bit-identical either way, so sanitized runs
+    bypass the cache instead).  ``Cluster`` normalises a null fault plan
+    to ``None``, so such a run shares the fault-free run's entry.
     """
-    if faults is not None and faults.is_null:
-        faults = None
-    return {
-        "format": CACHE_FORMAT,
-        "app": app_fingerprint(app),
-        "n_nodes": n_nodes,
-        "params": dataclasses.asdict(params),
-        "knobs": dataclasses.asdict(knobs),
-        "seed": seed,
-        "run_limit_us": run_limit_us,
-        "livelock_limit": livelock_limit,
-        "window": window,
-        "window_scope": window_scope,
-        "fabric": "flat",  # the one wire; dropping it would re-key every run
-        "disks_per_node": disks_per_node,
-        "cost": dataclasses.asdict(cost if cost is not None else CostModel()),
-        "faults": dataclasses.asdict(faults) if faults is not None else None,
-        "coll": None,  # always None; dropping it would re-key every run
-    }
+    spec = {"format": CACHE_FORMAT, "app": app_fingerprint(app),
+            **dataclasses.asdict(cluster),
+            # Both fixed: dropping either would re-key every run.
+            "fabric": "flat", "coll": None}
+    del spec["sanitize"]
+    return spec
 
 
 #: The default ``object.__repr__`` (and most repr-less wrappers) embeds

@@ -133,8 +133,8 @@ DIALS: Dict[str, Dial] = {dial.name: dial for dial in (
     # Per-packet drop probability of the fault plan every point runs
     # under (Figure 9); the machine dials stay where they are.  Rate
     # 0.0 on no plan is a null plan, and a null plan is no plan: Cluster
-    # and run_key_spec both normalise it away, so the baseline point is
-    # bit-identical to, and keyed as, the fault-free run.
+    # normalises it away, so the baseline point is bit-identical to, and
+    # keyed as, the fault-free run.
     Dial("drop_rate", "drop rate", (0.0, 0.001, 0.005, 0.01, 0.02, 0.05),
          lambda rate, app, params, knobs, faults: (
              app, knobs, (faults if faults is not None

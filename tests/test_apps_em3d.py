@@ -116,8 +116,8 @@ def test_same_seed_runs_are_bit_identical_including_cache_keys():
 
     def key(seed):
         return RunCache.key_for(run_key_spec(
-            EM3D(nodes_per_proc=12, steps=2, variant="write"), 4,
-            LogGPParams.berkeley_now(), TuningKnobs(), seed))
+            EM3D(nodes_per_proc=12, steps=2, variant="write"), Cluster(
+                4, LogGPParams.berkeley_now(), TuningKnobs(), seed=seed)))
 
     assert key(9) == key(9)
     assert key(9) != key(10)

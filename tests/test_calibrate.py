@@ -1,12 +1,15 @@
 """Calibration microbenchmarks must recover the dialed parameters
 (Section 3.3 / Table 2)."""
 
+import math
+
 import pytest
 
 from repro.am.tuning import TuningKnobs
 from repro.calibrate import (calibrate_bulk_bandwidth, logp_signature,
                              measure_parameters, round_trip_time)
-from repro.calibrate.calibration import calibrate_machine
+from repro.calibrate.calibration import (calibrate_machine,
+                                         calibration_table)
 from repro.network.loggp import LogGPParams
 
 NOW = LogGPParams.berkeley_now()
@@ -22,6 +25,15 @@ def test_baseline_measurement_matches_machine():
     # Finite bursts read g slightly low, as the paper observed.
     assert measured.gap == pytest.approx(NOW.gap, rel=0.12)
     assert measured.latency == pytest.approx(NOW.latency, abs=0.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_desired_value_is_refused_by_name(bad):
+    # max(0.0, nan) is 0.0: a NaN row used to report the baseline machine.
+    with pytest.raises(ValueError, match="desired o"):
+        calibrate_machine("o", (bad,))
+    with pytest.raises(ValueError, match="desired L"):
+        calibration_table(desired_o=(), desired_g=(), desired_L=(bad,))
 
 
 def test_round_trip_is_2L_plus_4o():

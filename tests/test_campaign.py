@@ -45,8 +45,8 @@ def sweep_fingerprint(sweep):
 
 
 def base_spec():
-    return run_key_spec(tiny_radix(), 4, LogGPParams.berkeley_now(),
-                        TuningKnobs(), 0)
+    return run_key_spec(tiny_radix(), Cluster(
+        4, LogGPParams.berkeley_now(), TuningKnobs(), seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +348,20 @@ def test_campaign_spec_rejects_non_finite_dial_values(dial, values, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1],
                          ids=["nan", "inf", "-inf", "-1"])
-@pytest.mark.parametrize("field", ["livelock_limit", "scale"])
+@pytest.mark.parametrize("field", ["livelock_limit", "scale",
+                                   "run_limit_us", "window"])
 def test_a_bad_livelock_limit_or_scale_is_refused_by_name(field, bad):
-    # A NaN failed-lock budget never trips the guard's ``>``, and a
-    # non-positive scale runs every app at its floor size: both are
-    # refused before any run, naming the field.
+    # A NaN failed-lock budget never trips the guard's ``>``, a
+    # non-positive scale runs every app at its floor size, and a NaN
+    # time limit fails mid-drain: each is refused before any run, naming
+    # the field.  The machine fields are refused by Cluster's own check.
     data = {"name": "bad", "apps": ["Radix"], "node_counts": [4],
             "dials": [["overhead", [2.9]]], field: bad}
     with pytest.raises(ValueError, match=field):
         CampaignSpec.from_dict(data)
-    if field == "livelock_limit":
+    if field != "scale":
         with pytest.raises(ValueError, match=field):
-            Cluster(4, livelock_limit=bad)
+            Cluster(4, **{field: bad})
 
 
 def test_campaign_points_order_and_keys_are_deterministic():

@@ -1,5 +1,8 @@
 """Unit tests for disks, the cost model, and the Cluster runner."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro import Cluster, CostModel
@@ -99,6 +102,17 @@ def test_cluster_validates_node_count():
         Cluster(n_nodes=0)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("window", 2.5), ("window", 0),
+    ("run_limit_us", math.nan), ("run_limit_us", math.inf),
+    ("run_limit_us", 0.0), ("run_limit_us", -1.0)])
+def test_cluster_refuses_a_bad_window_or_run_limit_by_name(field, bad):
+    # A fractional window ran as the next integer under a run key of its
+    # own, and a NaN limit passed planning only to fail mid-drain.
+    with pytest.raises(ValueError, match=field):
+        Cluster(4, **{field: bad})
+
+
 def test_cluster_has_no_fabric_option():
     # The flat wire is the one network model.
     with pytest.raises(TypeError):
@@ -121,6 +135,28 @@ def test_cluster_with_knobs_preserves_configuration():
     assert dialed.disks_per_node == 1
     assert dialed.knobs.delta_g == 3.0
     assert cluster.knobs.is_baseline  # original untouched
+
+
+def test_the_run_key_is_clusters_fields_and_with_knobs_keeps_the_rest():
+    # One description of a run: the key reads every Cluster field but
+    # sanitize, and with_knobs changes the dials and nothing else.
+    from repro.am.tuning import TuningKnobs
+    from repro.apps import RadixSort
+    from repro.harness.runcache import run_key_spec
+    from repro.network.faults import FaultPlan
+    from repro.network.loggp import LogGPParams
+    names = {field.name for field in dataclasses.fields(Cluster)}
+    spec = run_key_spec(RadixSort(keys_per_proc=8), Cluster(4))
+    assert set(spec) == (names - {"sanitize"}) | {
+        "format", "app", "fabric", "coll"}
+    cluster = Cluster(
+        4, params=LogGPParams(latency=9.0), window=3,
+        window_scope="global", cost=CostModel(cpu_scale=2.0),
+        disks_per_node=1, seed=5, run_limit_us=1e6, livelock_limit=7,
+        faults=FaultPlan(drop_rate=0.01), sanitize=True)
+    dialed = cluster.with_knobs(TuningKnobs.added_gap(3.0))
+    assert dialed.knobs == TuningKnobs.added_gap(3.0)
+    assert dialed == dataclasses.replace(cluster, knobs=dialed.knobs)
 
 
 def test_run_result_metadata():

@@ -193,11 +193,11 @@ def test_as_rows_failed_baseline_with_completed_points():
 def test_null_plan_shares_cache_key_with_no_plan():
     app = tiny_radix()
     params = LogGPParams.berkeley_now()
-    bare = run_key_spec(app, 4, params, TuningKnobs(), seed=3)
-    nulled = run_key_spec(app, 4, params, TuningKnobs(), seed=3,
-                          faults=FaultPlan())
-    lossy = run_key_spec(app, 4, params, TuningKnobs(), seed=3,
-                         faults=lossy_plan())
+    bare = run_key_spec(app, Cluster(4, params, TuningKnobs(), seed=3))
+    nulled = run_key_spec(app, Cluster(4, params, TuningKnobs(), seed=3,
+                                       faults=FaultPlan()))
+    lossy = run_key_spec(app, Cluster(4, params, TuningKnobs(), seed=3,
+                                      faults=lossy_plan()))
     assert bare == nulled
     assert lossy != bare and lossy["faults"] is not None
 

@@ -303,17 +303,18 @@ def test_cache_stores_failures_too(tmp_path):
 def test_cache_key_depends_on_full_configuration(tmp_path):
     params = LogGPParams.berkeley_now()
     base = dict(n_nodes=4, params=params, knobs=TuningKnobs(), seed=0)
-    key = RunCache.key_for(run_key_spec(tiny_radix(), **base))
-    assert key == RunCache.key_for(run_key_spec(tiny_radix(), **base))
+    key = RunCache.key_for(run_key_spec(tiny_radix(), Cluster(**base)))
+    assert key == RunCache.key_for(run_key_spec(tiny_radix(),
+                                                Cluster(**base)))
 
     variations = [
-        run_key_spec(tiny_radix(), **{**base, "seed": 1}),
-        run_key_spec(tiny_radix(), **{**base, "n_nodes": 8}),
-        run_key_spec(tiny_radix(),
-                     **{**base, "knobs": TuningKnobs.added_gap(5.0)}),
-        run_key_spec(RadixSort(keys_per_proc=64), **base),
-        run_key_spec(tiny_radix(), **base, run_limit_us=10.0),
-        run_key_spec(tiny_radix(), **base, livelock_limit=5),
+        run_key_spec(tiny_radix(), Cluster(**{**base, "seed": 1})),
+        run_key_spec(tiny_radix(), Cluster(**{**base, "n_nodes": 8})),
+        run_key_spec(tiny_radix(), Cluster(
+            **{**base, "knobs": TuningKnobs.added_gap(5.0)})),
+        run_key_spec(RadixSort(keys_per_proc=64), Cluster(**base)),
+        run_key_spec(tiny_radix(), Cluster(**base, run_limit_us=10.0)),
+        run_key_spec(tiny_radix(), Cluster(**base, livelock_limit=5)),
     ]
     keys = {RunCache.key_for(spec) for spec in variations}
     assert len(keys) == len(variations)  # all distinct...
@@ -327,7 +328,7 @@ def _all_app_kinds():
 def test_constructor_params_memo_leaves_run_keys_unchanged(monkeypatch):
     def keys():
         return [RunCache.key_for(run_key_spec(
-            app, 4, LogGPParams.berkeley_now(), TuningKnobs(), 0))
+            app, Cluster(4, LogGPParams.berkeley_now(), TuningKnobs())))
             for app in _all_app_kinds()]
 
     memoised = keys()
@@ -354,8 +355,8 @@ def test_constructor_params_memo_is_per_class_object():
 
 def test_cache_corrupt_entry_counts_as_miss(tmp_path):
     cache = RunCache(tmp_path)
-    spec = run_key_spec(tiny_radix(), 4, LogGPParams.berkeley_now(),
-                        TuningKnobs(), seed=0)
+    spec = run_key_spec(tiny_radix(), Cluster(
+        4, LogGPParams.berkeley_now(), TuningKnobs(), seed=0))
     result = Cluster(n_nodes=4, seed=0).run(tiny_radix())
     cache.put(spec, result=result)
     path = cache._path(cache.key_for(spec))
@@ -370,8 +371,8 @@ def test_cache_corrupt_entry_counts_as_miss(tmp_path):
 
 def test_cache_truncated_counter_counts_as_miss(tmp_path):
     cache = RunCache(tmp_path)
-    spec = run_key_spec(tiny_radix(), 4, LogGPParams.berkeley_now(),
-                        TuningKnobs(), seed=0)
+    spec = run_key_spec(tiny_radix(), Cluster(
+        4, LogGPParams.berkeley_now(), TuningKnobs(), seed=0))
     result = Cluster(n_nodes=4, seed=0).run(tiny_radix())
     cache.put(spec, result=result)
     path = cache._path(cache.key_for(spec))
@@ -387,8 +388,8 @@ def test_cache_truncated_counter_counts_as_miss(tmp_path):
 
 def test_cache_format_bump_invalidates(tmp_path):
     cache = RunCache(tmp_path)
-    spec = run_key_spec(tiny_radix(), 4, LogGPParams.berkeley_now(),
-                        TuningKnobs(), 0)
+    spec = run_key_spec(tiny_radix(), Cluster(
+        4, LogGPParams.berkeley_now(), TuningKnobs(), seed=0))
     result = Cluster(n_nodes=4, seed=0).run(tiny_radix())
     cache.put(spec, result=result)
     path = cache._path(cache.key_for(spec))

@@ -144,8 +144,9 @@ def test_radix_is_the_pinned_run_with_or_without_observers():
     counts = recorder.graph.counts()
     assert counts["sends"] > 0 and counts["recvs"] > 0, counts
     assert RunCache.key_for(run_key_spec(
-        RadixSort(keys_per_proc=64), 8, LogGPParams.berkeley_now(),
-        TuningKnobs(), 11)) == CACHE_KEY
+        RadixSort(keys_per_proc=64), Cluster(
+            8, LogGPParams.berkeley_now(), TuningKnobs(), seed=11))) \
+        == CACHE_KEY
 
 
 def test_recorded_graph_and_predicted_floats_are_the_pinned_ones(

@@ -77,8 +77,7 @@ def test_recorded_run_is_bit_identical_to_plain_run(make_app):
 def test_recorder_is_not_part_of_the_cache_key_space():
     """Like sanitize, recording must not fork the cache."""
     assert "recorder" not in inspect.signature(run_key_spec).parameters
-    spec = run_key_spec(small_radix(), 4,
-                        Cluster(n_nodes=4).params, TuningKnobs(), seed=7)
+    spec = run_key_spec(small_radix(), Cluster(4, seed=7))
     assert "recorder" not in json.dumps(spec)
 
 

@@ -446,5 +446,6 @@ def test_flow_certified_tree_is_bit_identical(name):
     pin = _PINS[name]
     assert result.runtime_us == pin["runtime_us"]
     assert result.events_processed == pin["events"]
-    key = RunCache.key_for(run_key_spec(make(), 4, params, knobs, seed=3))
+    key = RunCache.key_for(run_key_spec(
+        make(), Cluster(4, params, knobs, seed=3)))
     assert key == pin["key"]
