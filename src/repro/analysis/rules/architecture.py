@@ -16,7 +16,7 @@ from repro.analysis.core import (Finding, ProgramRule, Rule, SourceFile,
 from repro.analysis.flow.effects import COLLECTIVES
 
 __all__ = ["KernelInternalsRule", "PacketKindMemberRule", "OneBusRule",
-           "OneCollectivePathRule", "OneDrainRule"]
+           "OneMachineRule", "OneCollectivePathRule", "OneDrainRule"]
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -39,6 +39,17 @@ def _named(node: Optional[ast.AST]) -> Optional[str]:
 
 def _callee(node: ast.AST) -> Optional[str]:
     return _named(node.func) if isinstance(node, ast.Call) else None
+
+
+def _method_nodes(tree: ast.AST, cls: str, method: str) -> Set[ast.AST]:
+    """Every node inside the ``method`` of each class named ``cls``."""
+    nodes: Set[ast.AST] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            nodes.update(*(ast.walk(item) for item in node.body
+                           if isinstance(item, _FUNCTIONS)
+                           and item.name == method))
+    return nodes
 
 
 def _owners(tree: ast.AST, kinds=_FUNCTIONS) -> Dict[ast.AST, ast.AST]:
@@ -115,13 +126,9 @@ class OneBusRule(Rule):
         layer = _in(source, "am", "network", "gas", "coll")
         if not layer and not _in(source, "cluster"):
             return
-        allowed: Set[ast.AST] = set()
+        allowed = _method_nodes(source.tree, "Cluster", "run")
         for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef) and node.name == "Cluster":
-                allowed.update(*(ast.walk(item) for item in node.body
-                                 if isinstance(item, _FUNCTIONS)
-                                 and item.name == "run"))
-            elif isinstance(node, ast.ClassDef) and node.name == "RunResult":
+            if isinstance(node, ast.ClassDef) and node.name == "RunResult":
                 allowed.update(item.target for item in node.body
                                if isinstance(item, ast.AnnAssign))
         for node in ast.walk(source.tree):
@@ -132,6 +139,23 @@ class OneBusRule(Rule):
                     and _named(getattr(node.func, "value", None)) == "stats":
                 yield self.finding(source, node, "stats.on_*( bypasses "
                                    "the bus")
+
+
+@register_rule
+class OneMachineRule(Rule):
+    """One wiring of the hardware: a ``Wire`` and the ``AmLayer`` s on it
+    are built only by ``Cluster.machine``, which ``Cluster.run`` and the
+    calibration microbenchmarks both build through."""
+
+    rule_id = "one-machine"
+    description = "Wire( or AmLayer( outside Cluster.machine"
+
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        allowed = _method_nodes(source.tree, "Cluster", "machine")
+        for node in ast.walk(source.tree):
+            if _callee(node) in ("Wire", "AmLayer") and node not in allowed:
+                yield self.finding(source, node, f"{_callee(node)}( outside "
+                                   "Cluster.machine; build through it")
 
 
 @register_rule

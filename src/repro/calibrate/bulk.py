@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from repro.am.layer import DEFAULT_WINDOW
 from repro.am.tuning import TuningKnobs
-from repro.calibrate.signature import _pair
+from repro.calibrate.signature import _two_nodes, _require_counts
 from repro.network.loggp import LogGPParams
 
 __all__ = ["BulkCalibration", "calibrate_bulk_bandwidth"]
@@ -41,24 +41,18 @@ class BulkCalibration:
 def _bulk_rate(params: LogGPParams, knobs: TuningKnobs, size: int,
                count: int, window: int) -> float:
     """Steady-state MB/s for a burst of ``count`` bulk one-way sends."""
-    sim, sender, receiver = _pair(params, knobs, window)
-    received = {"n": 0}
-
-    def sink(am, packet):
-        received["n"] += 1
-        return None
-
-    sender.handlers.register("cal_bulk_sink", sink)
+    sim, sender, receiver = _two_nodes(params, knobs, window)
 
     def send_loop():
         start = sim.now
         for i in range(count):
-            yield from sender.bulk_oneway(1, "cal_bulk_sink", i, size)
-        yield from sender.drain()
+            yield from sender.am.bulk_oneway(1, "cal_sink", i, size)
+        yield from sender.am.drain()
         return size * count / (sim.now - start)  # bytes/us == MB/s
 
     def serve_loop():
-        yield from receiver.wait_until(lambda: received["n"] >= count)
+        yield from receiver.am.wait_until(
+            lambda: receiver.state["served"] >= count)
 
     proc = sim.process(send_loop())
     sim.process(serve_loop())
@@ -71,7 +65,13 @@ def calibrate_bulk_bandwidth(
         sizes: Sequence[int] = (256, 512, 1024, 2048, 4096, 8192, 16384),
         count: int = 16,
         window: int = DEFAULT_WINDOW) -> BulkCalibration:
-    """Probe increasing bulk sizes until bandwidth saturates."""
+    """Probe increasing bulk sizes until bandwidth saturates.  ``sizes``
+    must not be empty and ``count`` must be an int >= 1, else
+    ``ValueError`` names the argument."""
+    if not sizes:
+        raise ValueError("sizes is empty: bulk calibration probes at "
+                         "least one message size")
+    _require_counts("count", count)
     params = params or LogGPParams.berkeley_now()
     knobs = knobs or TuningKnobs()
     bandwidths = [_bulk_rate(params, knobs, size, count, window)

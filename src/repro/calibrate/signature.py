@@ -17,13 +17,16 @@ against ``m`` for several Δ gives the machine's LogP signature:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.am.layer import AmLayer, DEFAULT_WINDOW, HandlerTable
+from repro.am.layer import DEFAULT_WINDOW, HandlerTable
 from repro.am.tuning import TuningKnobs
+from repro.cluster.machine import Cluster
+from repro.gas.runtime import Proc
 from repro.network.loggp import LogGPParams
-from repro.network.wire import Wire
 from repro.sim import Simulator
 
 __all__ = ["LogPSignature", "logp_signature", "measure_parameters",
@@ -33,37 +36,44 @@ __all__ = ["LogPSignature", "logp_signature", "measure_parameters",
 LARGE_DELTA_US = 400.0
 
 
-class _Host:
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-        self.state: Dict = {"served": 0}
-
-
 def _echo_handler(am, packet):
     am.host.state["served"] += 1
     return packet.payload
 
 
-def _pair(params: LogGPParams, knobs: TuningKnobs,
-          window: int) -> Tuple[Simulator, AmLayer, AmLayer]:
-    """A fresh two-node fabric with an echo server registered."""
+def _sink(am, packet):
+    am.host.state["served"] += 1
+
+
+def _two_nodes(params: LogGPParams, knobs: TuningKnobs,
+               window: int) -> Tuple[Simulator, Proc, Proc]:
+    """A fresh simulator and a two-node machine on it whose ranks count
+    the requests they serve in ``state["served"]``: ``cal_echo``
+    replies with the payload, ``cal_sink`` only acknowledges."""
     sim = Simulator()
-    wire = Wire(sim, params.latency)
     table = HandlerTable()
     table.register("cal_echo", _echo_handler)
-    ams = []
-    for node_id in (0, 1):
-        am = AmLayer(sim, node_id, params, knobs, wire, table,
-                     window=window)
-        am.host = _Host(node_id)
-        ams.append(am)
-    return sim, ams[0], ams[1]
+    table.register("cal_sink", _sink)
+    ranks = Cluster(2, params=params, knobs=knobs,
+                    window=window).machine(sim, table)
+    for rank in ranks:
+        rank.state["served"] = 0
+    return sim, ranks[0], ranks[1]
+
+
+def _require_counts(name: str, *counts: int) -> None:
+    """Refuse, by name, a count that is not an int >= 1: before any
+    simulation, not as a ``ZeroDivisionError`` after one."""
+    for count in counts:
+        if not isinstance(count, Integral) or isinstance(count, bool) \
+                or count < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {count!r}")
 
 
 def _burst_interval(params: LogGPParams, knobs: TuningKnobs,
                     burst: int, delta: float, window: int) -> float:
     """Average initiation interval for one (m, Δ) point, in µs."""
-    sim, sender, receiver = _pair(params, knobs, window)
+    sim, sender, receiver = _two_nodes(params, knobs, window)
 
     def send_loop():
         start = sim.now
@@ -73,12 +83,12 @@ def _burst_interval(params: LogGPParams, knobs: TuningKnobs,
             # GAM polls on entry to the communication layer: pending
             # replies are received (and paid for) here.
             yield from sender.poll()
-            yield from sender.send_request(1, "cal_echo", i)
+            yield from sender.am.send_request(1, "cal_echo", i)
         return (sim.now - start) / burst
 
     def serve_loop():
-        yield from receiver.wait_until(
-            lambda: receiver.host.state["served"] >= burst)
+        yield from receiver.am.wait_until(
+            lambda: receiver.state["served"] >= burst)
 
     send_proc = sim.process(send_loop())
     sim.process(serve_loop())
@@ -124,7 +134,14 @@ def logp_signature(params: Optional[LogGPParams] = None,
                    burst_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
                    deltas: Sequence[float] = (0.0, 10.0),
                    window: int = DEFAULT_WINDOW) -> LogPSignature:
-    """Run the burst microbenchmark grid and return the signature."""
+    """Run the burst microbenchmark grid and return the signature.
+    Every burst size must be an int >= 1 and every Δ finite and >= 0,
+    else ``ValueError`` names the argument."""
+    _require_counts("burst_sizes", *burst_sizes)
+    for delta in deltas:
+        if not 0.0 <= delta < math.inf:
+            raise ValueError(
+                f"deltas must be finite and >= 0, got {delta!r}")
     params = params or LogGPParams.berkeley_now()
     knobs = knobs or TuningKnobs()
     signature = LogPSignature(params=params, knobs=knobs,
@@ -149,10 +166,12 @@ def round_trip_time(params: Optional[LogGPParams] = None,
     Pings are spaced by ``spacing_us`` of local computation so one
     ping's transmit-gap stall (which happens *after* injection and so is
     not part of the round trip) never delays the next ping.
+    ``repeats`` must be an int >= 1.
     """
+    _require_counts("repeats", repeats)
     params = params or LogGPParams.berkeley_now()
     knobs = knobs or TuningKnobs()
-    sim, sender, receiver = _pair(params, knobs, window)
+    sim, sender, receiver = _two_nodes(params, knobs, window)
 
     def ping_loop():
         total = 0.0
@@ -160,13 +179,13 @@ def round_trip_time(params: Optional[LogGPParams] = None,
             yield spacing_us
             yield from sender.poll()
             start = sim.now
-            yield from sender.rpc(1, "cal_echo", i)
+            yield from sender.am.rpc(1, "cal_echo", i)
             total += sim.now - start
         return total / repeats
 
     def serve_loop():
-        yield from receiver.wait_until(
-            lambda: receiver.host.state["served"] >= repeats)
+        yield from receiver.am.wait_until(
+            lambda: receiver.state["served"] >= repeats)
 
     ping = sim.process(ping_loop())
     sim.process(serve_loop())
@@ -205,7 +224,10 @@ def measure_parameters(params: Optional[LogGPParams] = None,
     * o_recv: steady-state interval of a large-Δ burst, minus Δ and
       o_send (for sufficiently large Δ the processor is the bottleneck);
     * L: half the round trip minus both overheads.
+
+    ``burst`` must be an int >= 1.
     """
+    _require_counts("burst", burst)
     params = params or LogGPParams.berkeley_now()
     knobs = knobs or TuningKnobs()
     o_send = _burst_interval(params, knobs, 1, 0.0, window)

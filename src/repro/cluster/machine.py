@@ -2,7 +2,8 @@
 
 A :class:`Cluster` captures a machine configuration (node count, baseline
 LogGP parameters, tuning dials, flow-control window, CPU cost model).
-Each :meth:`Cluster.run` builds a fresh simulator, wires everything up,
+:meth:`Cluster.machine` wires its nodes onto a simulator; each
+:meth:`Cluster.run` builds a fresh simulator and the machine on it,
 executes one application to completion, and returns a :class:`RunResult`
 with the measured runtime and full communication statistics.
 """
@@ -196,7 +197,40 @@ class Cluster:
         """A cluster identical to this one but with different dials."""
         return replace(self, knobs=knobs)
 
-    # -- running applications -------------------------------------------------
+    # -- building and running -------------------------------------------------
+    def machine(self, sim: Simulator, handlers: HandlerTable,
+                probes: Optional[Probes] = None,
+                stats: Optional[ClusterStats] = None) -> List[Proc]:
+        """This configuration's hardware on ``sim``, one rank per node.
+
+        The one place a wire and the AM layers are built: the fault
+        injector (under a fault plan), the ``Wire``, and each node's
+        ``Node``, ``AmLayer`` and ``Proc``, every layer answering to
+        ``handlers`` and firing ``probes``.  Nothing is scheduled:
+        :meth:`run` drives the ranks through an application, and the
+        calibration microbenchmarks drive loops of their own.
+        """
+        injector = None
+        if self.faults is not None:
+            from repro.network.faults import FaultInjector
+            injector = FaultInjector(self.faults, self.seed)
+        wire = Wire(sim, self.params.latency, injector=injector,
+                    probes=probes)
+        procs: List[Proc] = []
+        for node_id in range(self.n_nodes):
+            node = Node(sim, node_id, self.cost,
+                        n_disks=self.disks_per_node)
+            am = AmLayer(sim, node_id, self.params, self.knobs, wire,
+                         handlers, window=self.window,
+                         window_scope=self.window_scope,
+                         faults=self.faults, probes=probes)
+            proc = Proc(sim, node_id, self.n_nodes, node, am, stats=stats,
+                        seed=self.seed,
+                        livelock_limit=self.livelock_limit)
+            am.host = proc
+            procs.append(proc)
+        return procs
+
     def run(self, app: "Application",
             tracer: Optional["MessageTracer"] = None,  # noqa: F821
             recorder: Optional["DepRecorder"] = None  # noqa: F821
@@ -239,31 +273,12 @@ class Cluster:
         probes = Probes(observer for observer in
                         (stats, sanitizer, tracer, recorder)
                         if observer is not None)
-        injector = None
-        if self.faults is not None:
-            from repro.network.faults import FaultInjector
-            injector = FaultInjector(self.faults, self.seed)
-        wire = Wire(sim, self.params.latency, injector=injector,
-                    probes=probes)
         table = HandlerTable()
         register_gas_handlers(table)
         app.configure(self.n_nodes, self.seed)
         app.register_handlers(table)
         probes.begin(sim, self, app.name)
-
-        procs: List[Proc] = []
-        for node_id in range(self.n_nodes):
-            node = Node(sim, node_id, self.cost,
-                        n_disks=self.disks_per_node)
-            am = AmLayer(sim, node_id, self.params, self.knobs, wire,
-                         table, window=self.window,
-                         window_scope=self.window_scope,
-                         faults=self.faults, probes=probes)
-            proc = Proc(sim, node_id, self.n_nodes, node, am, stats=stats,
-                        seed=self.seed,
-                        livelock_limit=self.livelock_limit)
-            am.host = proc
-            procs.append(proc)
+        procs = self.machine(sim, table, probes=probes, stats=stats)
 
         drivers = [
             sim.process(self._drive(app, proc), name=f"rank{proc.rank}")

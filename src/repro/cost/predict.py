@@ -35,16 +35,15 @@ refuses them up front in ``Cluster.run``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.am.tuning import DialedCost, TuningKnobs
 from repro.cost.graph import CostGraph
-from repro.harness.sweeps import MACHINE_DIALS, dial_named
+from repro.harness.sweeps import MACHINE_DIALS, SweepResult, dial_named
 
 __all__ = ["UnsupportedGraphError", "predict_runtime", "PredictedPoint",
-           "PredictedSweep", "predict_sweep", "latency_tolerance",
-           "lp_bound"]
+           "predict_sweep", "latency_tolerance", "lp_bound"]
 
 
 class UnsupportedGraphError(ValueError):
@@ -167,63 +166,24 @@ def predict_runtime(graph: CostGraph,
 
 @dataclass
 class PredictedPoint:
-    """One predicted configuration of a sweep (no simulation behind it)."""
+    """One predicted configuration of a sweep (no simulation behind it):
+    a :class:`~repro.harness.sweeps.SweepResult` reads it as it reads a
+    completed simulated point."""
 
     value: float
     knobs: TuningKnobs
     runtime_us: float
+    #: A replay always completes; SweepResult.as_rows reads this.
+    failure_category = None
 
     @property
     def completed(self) -> bool:
         return True
 
 
-@dataclass
-class PredictedSweep:
-    """Drop-in for :class:`~repro.harness.sweeps.SweepResult`, predicted.
-
-    Same reading API (``values`` / ``slowdowns`` / ``series`` /
-    ``as_rows``), but every point comes from replaying one recorded
-    graph: :attr:`simulations_used` is the whole sweep's simulation
-    bill.
-    """
-
-    app_name: str
-    n_nodes: int
-    parameter: str
-    points: List[PredictedPoint] = field(default_factory=list)
-    #: Instrumented simulations behind this sweep (the recording).
-    simulations_used: int = 1
-
-    @property
-    def baseline(self) -> PredictedPoint:
-        return self.points[0]
-
-    def values(self) -> List[float]:
-        return [p.value for p in self.points]
-
-    def slowdowns(self) -> List[float]:
-        base = self.baseline.runtime_us
-        return [p.runtime_us / base for p in self.points]
-
-    def series(self) -> List[tuple]:
-        base = self.baseline.runtime_us
-        return [(p.value, p.runtime_us / base) for p in self.points]
-
-    def as_rows(self) -> List[dict]:
-        base = self.baseline.runtime_us
-        return [{
-            "app": self.app_name,
-            self.parameter: p.value,
-            "runtime_us": round(p.runtime_us, 1),
-            "slowdown": round(p.runtime_us / base, 2),
-            "failure": "",
-        } for p in self.points]
-
-
 def predict_sweep(graph: CostGraph, parameter: str,
                   values: Optional[Sequence[float]] = None
-                  ) -> PredictedSweep:
+                  ) -> SweepResult:
     """Predict a whole dial sweep from one recorded graph.
 
     The analytical counterpart of :func:`repro.harness.sweeps.
@@ -231,15 +191,16 @@ def predict_sweep(graph: CostGraph, parameter: str,
     MACHINE_DIALS`) and ``values`` mean exactly what they mean there
     (absolute targets, default the row's grid; first value is the
     baseline), dialed by the same row against the graph's recorded
-    params.
+    params.  The result is a ``SweepResult`` of
+    :class:`PredictedPoint` s, read like a simulated one.
     """
     dial = dial_named(parameter, MACHINE_DIALS)
     values = dial.grid if values is None else values
     if not values:
         raise ValueError("values is empty: a predicted sweep needs at "
                          "least its baseline value")
-    sweep = PredictedSweep(app_name=graph.app_name,
-                           n_nodes=graph.n_nodes, parameter=parameter)
+    sweep = SweepResult(app_name=graph.app_name,
+                        n_nodes=graph.n_nodes, parameter=parameter)
     for value in values:
         knobs = dial.knobs(value, graph.params)
         sweep.points.append(PredictedPoint(

@@ -21,12 +21,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.apps import SUITE_ORDER
+
 __all__ = ["Bound", "Measure", "Claim", "CLAIMS", "PAPER", "evaluate"]
 
 #: The ten applications, in Table 3's order; the first four are the
 #: most frequent communicators.
-SUITE = ("Radix", "EM3D(write)", "EM3D(read)", "Sample", "Barnes", "P-Ray",
-         "Murphi", "Connect", "NOW-sort", "Radb")
+SUITE = SUITE_ORDER
 FREQUENT = SUITE[:4]
 #: The input scale the suite's rows were checked at.
 SCALE = 0.5

@@ -338,8 +338,8 @@ def predicted_figure(graphs: Sequence[CostGraph], parameter: str,
     application (record once, predict every dial); ``parameter`` is one
     of :data:`~repro.harness.sweeps.MACHINE_DIALS` and ``values`` its
     grid, as for :func:`sensitivity_figure`.  The figure renders like
-    the simulated one; its sweeps are
-    :class:`~repro.cost.predict.PredictedSweep` s and its ``x_label``
+    the simulated one; its sweeps hold
+    :class:`~repro.cost.predict.PredictedPoint` s and its ``x_label``
     is the dial's name.
     """
     figure = SensitivityFigure(

@@ -36,7 +36,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -189,13 +189,6 @@ class FaultPlan:
     def with_changes(self, **changes: Any) -> "FaultPlan":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
-
-    def as_spec(self) -> Optional[Dict[str, Any]]:
-        """JSON-safe form for the run-cache key (``None`` when null,
-        so a null plan and no plan share the same cache entry)."""
-        if self.is_null:
-            return None
-        return dataclasses.asdict(self)
 
     def describe(self) -> str:
         """One-line summary of the active faults."""

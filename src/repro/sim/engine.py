@@ -27,8 +27,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from repro.sim.events import (_INF, NORMAL, AllOf, AnyOf, Event, Timeout,
-                              bad_delay)
+from repro.sim.events import _INF, NORMAL, AllOf, Event, Timeout, bad_delay
 from repro.sim.process import Process
 
 __all__ = ["Simulator", "StalledError"]
@@ -84,7 +83,7 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` microseconds from now.
 
-        The waitable delay: something to hand to :meth:`any_of`, to keep
+        The waitable delay: something to hand to :meth:`all_of`, to keep
         and yield later, or to receive ``value`` from.  It is assembled
         directly -- pre-triggered and pre-scheduled -- without the
         generic ``Event.__init__``/``_schedule`` machinery.  A process
@@ -123,10 +122,6 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: List[Event]) -> AnyOf:
-        """Composite event succeeding when any of ``events`` succeeds."""
-        return AnyOf(self, events)
 
     def all_of(self, events: List[Event]) -> AllOf:
         """Composite event succeeding when all of ``events`` succeed."""
@@ -178,15 +173,16 @@ class Simulator:
         Returns the value of ``stop_event`` if given and triggered.
         Raises :class:`TimeoutError` if ``until`` elapses while
         ``stop_event`` is still pending, and :class:`ValueError` for an
-        ``until`` that is NaN or earlier than ``now`` (the clock never
-        moves backwards).
+        ``until`` earlier than ``now`` (the clock never moves backwards)
+        or not finite (the clock would be left at infinity, where every
+        later event fires "at inf").
         """
-        if until is not None and not until >= self.now:
+        if until is not None and not self.now <= until < _INF:
             # One check per call, none per event; NaN fails every
             # comparison, so it lands here too.
             raise ValueError(
-                f"cannot run into the past: until={until!r} "
-                f"(must be >= now={self.now})")
+                f"cannot run into the past or to a non-finite horizon: "
+                f"until={until!r} (must be finite and >= now={self.now})")
         if stop_event is not None:
             if stop_event.processed:
                 if stop_event.ok:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-__all__ = ["Event", "Timeout", "AnyOf", "AllOf", "EventError"]
+__all__ = ["Event", "Timeout", "AllOf", "EventError"]
 
 #: Default priority of a heap entry; lower runs first at equal times.
 NORMAL = 1
@@ -157,22 +157,22 @@ class Timeout(Event):
         return f"<{self.__class__.__name__} {label} [{state}]>"
 
 
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite events."""
+class AllOf(Event):
+    """Succeeds, with ``{child: value}``, once every child event has
+    succeeded; fails with the first child failure."""
 
-    __slots__ = ("events", "_pending_count")
+    __slots__ = ("events", "_remaining")
 
     def __init__(self, sim: "Simulator",  # noqa: F821
                  events: List[Event]) -> None:
-        super().__init__(sim, name=self.__class__.__name__)
+        super().__init__(sim, name="AllOf")
         self.events = list(events)
-        self._pending_count = 0
+        self._remaining = len(self.events)
         for event in self.events:
             if event.sim is not sim:
                 raise ValueError("events belong to a different simulator")
         if not self.events:
             self.succeed({})
-            return
         for event in self.events:
             # A *processed* child already happened; merely-triggered ones
             # (e.g. a Timeout, whose value is fixed at creation) are still
@@ -180,50 +180,7 @@ class _Condition(Event):
             if event.processed:
                 self._on_child(event)
             else:
-                self._pending_count += 1
                 event.add_callback(self._on_child)
-        self._check_after_init()
-
-    def _collect(self) -> dict:
-        return {e: e.value for e in self.events if e.processed and e.ok}
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _check_after_init(self) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Succeeds when any child event succeeds; fails on the first failure."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(self._collect())
-        else:
-            # The failure is consumed here (re-raised through this
-            # condition), so the engine must not treat the child as an
-            # unhandled failed event.
-            event._defused = True
-            self.fail(event.value)
-
-    def _check_after_init(self) -> None:
-        # _on_child already handled any pre-triggered children.
-        return
-
-
-class AllOf(_Condition):
-    """Succeeds when all child events have succeeded."""
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:  # noqa: F821
-        self._remaining = len(events)
-        super().__init__(sim, events)
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
@@ -234,9 +191,4 @@ class AllOf(_Condition):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._collect())
-
-    def _check_after_init(self) -> None:
-        # Children that pre-triggered already decremented the counter via
-        # _on_child; nothing further to do.
-        return
+            self.succeed({e: e.value for e in self.events})

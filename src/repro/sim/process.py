@@ -19,18 +19,7 @@ from typing import Any, Generator, Optional, Union
 
 from repro.sim.events import _INF, NORMAL, Event, bad_delay
 
-__all__ = ["Process", "Park", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries an arbitrary payload describing why.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
+__all__ = ["Process", "Park"]
 
 
 class Park:
@@ -48,7 +37,7 @@ class Park:
     def __init__(self, sim: "Simulator", name: str = "") -> None:  # noqa: F821
         self.sim = sim
         self.name = name
-        #: The parked process, until woken (or interrupted); else None.
+        #: The parked process, until woken; else None.
         self.waiter: Optional[Process] = None
 
     def wake(self) -> None:
@@ -67,7 +56,7 @@ class Park:
 class Process(Event):
     """A running simulation process; also an event (its own completion)."""
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "waiting_on")
 
     def __init__(self, sim: "Simulator",  # noqa: F821
                  generator: Generator, name: str = "") -> None:
@@ -78,9 +67,11 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(
             generator, "__name__", "process"))
         self._generator = generator
-        #: The event or park suspended on or, in a bare sleep, the sequence
-        #: number of its wake-up: the one entry allowed to resume us.
-        self._waiting_on: Union[Event, Park, int, None] = None
+        #: The event or park this process is suspended on; None while it
+        #: runs or sleeps (a sleep always ends).  Diagnostic surface for
+        #: simsan's stall reports: a live process with a never-triggering
+        #: target here is a blocked rank.
+        self.waiting_on: Union[Event, Park, None] = None
         # Kick off on the next simulator step at the current time.
         self._sleep(0.0)
 
@@ -89,48 +80,16 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def waiting_on(self) -> Union[Event, Park, None]:
-        """The event or park this process is currently suspended on, if
-        any (``None`` while it sleeps: a sleep always ends).
-
-        Diagnostic surface for simsan's stall reports: a live process
-        with a never-triggering target here is a blocked rank.
-        """
-        target = self._waiting_on
-        return None if target.__class__ is int else target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The interrupt wins over whatever event the process is currently
-        waiting on; that event's eventual trigger is then ignored.
-        Interrupting a finished process is an error.
-        """
-        if self.triggered:
-            raise RuntimeError(f"cannot interrupt finished {self!r}")
-        self._detach()
-        self.sim.call_in(0.0, self._throw, Interrupt(cause))
-
-    def _detach(self) -> None:
-        # Abandon the current wait: its wakeup is stale, a park held is free.
-        target, self._waiting_on = self._waiting_on, None
-        if target.__class__ is Park and target.waiter is self:
-            target.waiter = None
-
     # -- stepping ---------------------------------------------------------
-    def _resume(self, event: Union[Event, Park, int]) -> None:
+    def _resume(self, event: Union[Event, Park, None]) -> None:
         # Hot path: runs once per process wakeup, with the event or park
-        # waited on or, out of a bare sleep, the wake-up's own sequence
-        # number (the very object ``_waiting_on`` holds, hence ``is``).
-        # A processed event always has ``_ok`` decided, so read the slot
+        # waited on or, out of a bare sleep, None.  Every wait has exactly
+        # one wake-up, so whatever resumes us is the wait we took.  A
+        # processed event always has ``_ok`` decided, so read the slot
         # directly rather than the raising ``ok`` property.
-        if event is not self._waiting_on:
-            # Stale wakeup from a wait abandoned by an interrupt.
-            return
-        self._waiting_on = None
+        self.waiting_on = None
         try:
-            if event.__class__ is int:
+            if event is None:
                 target = self._generator.send(None)
             elif event._ok:
                 target = self._generator.send(event._value)
@@ -148,33 +107,30 @@ class Process(Event):
         # _wait_on's common cases, inline: sleep, free park, pending event.
         if target.__class__ is float and 0.0 <= target < _INF:
             sim = self.sim
-            sim._seq = self._waiting_on = seq = sim._seq + 1
+            sim._seq = seq = sim._seq + 1
             heappush(sim._heap,
-                     (sim.now + target, NORMAL, seq, self._resume, seq))
+                     (sim.now + target, NORMAL, seq, self._resume, None))
             return
         if target.__class__ is Park:
             if target.waiter is None and target.sim is self.sim:
-                self._waiting_on = target
+                self.waiting_on = target
                 target.waiter = self
                 return
         elif isinstance(target, Event) and target.sim is self.sim:
             callbacks = target.callbacks
             if callbacks is not None:
-                self._waiting_on = target
+                self.waiting_on = target
                 callbacks.append(self._resume)
                 return
         self._wait_on(target)
 
     def _sleep(self, delay: float) -> None:
         sim = self.sim
-        sim._seq = self._waiting_on = seq = sim._seq + 1
+        sim._seq = seq = sim._seq + 1
         heappush(sim._heap,
-                 (sim.now + delay, NORMAL, seq, self._resume, seq))
+                 (sim.now + delay, NORMAL, seq, self._resume, None))
 
     def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        self._detach()  # a wait taken since the interrupt was raised
         try:
             target = self._generator.throw(exc)
         except StopIteration as stop:
@@ -205,10 +161,10 @@ class Process(Event):
                 "yielded event belongs to a different simulator"))
             return
         if not isinstance(target, Park):
-            self._waiting_on = target
+            self.waiting_on = target
             target.add_callback(self._resume)  # bridged if processed
         elif target.waiter is None:
-            self._waiting_on = target
+            self.waiting_on = target
             target.waiter = self
         else:
             self._throw(RuntimeError(

@@ -123,3 +123,30 @@ def test_signature_render_is_textual():
     signature = logp_signature(burst_sizes=(1, 8), deltas=(0.0,))
     text = signature.render()
     assert "LogP signature" in text and "delta" in text
+
+
+@pytest.mark.parametrize("measure, arguments", [
+    (logp_signature, {"deltas": (math.nan,)}),
+    (logp_signature, {"deltas": (-5.0,)}),
+    (logp_signature, {"burst_sizes": (0,)}),
+    (round_trip_time, {"repeats": 0}),
+    (measure_parameters, {"burst": 0}),
+    (calibrate_bulk_bandwidth, {"count": 0}),
+    (calibrate_bulk_bandwidth, {"sizes": ()}),
+], ids=lambda case: getattr(case, "__name__", None) or repr(case))
+def test_bad_calibration_input_is_refused_by_name_before_simulating(
+        measure, arguments, monkeypatch):
+    """Each would measure Δ = 0 under a bogus Δ, divide by zero, or
+    return a result that cannot be read: refused, naming the argument,
+    before a machine is built."""
+    import repro.calibrate.bulk as bulk
+    import repro.calibrate.signature as signature
+
+    def build(*_args):
+        pytest.fail("a machine was built before the input was refused")
+
+    monkeypatch.setattr(signature, "_two_nodes", build)
+    monkeypatch.setattr(bulk, "_two_nodes", build)
+    (name,) = arguments
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        measure(**arguments)

@@ -8,7 +8,7 @@ two ways:
 
 * randomized differential fuzzing: the same scripted workload (mixed
   timeouts, bare sleeps, ``call_in`` callbacks, zero-delay bursts,
-  AnyOf/AllOf composites, spawned sub-processes, manually
+  AllOf composites, spawned sub-processes, manually
   succeeded/failed events, parks and wakes) is driven once through
   ``run()`` and once by
   ``step()`` alone, and must produce the identical resume-and-callback
@@ -23,7 +23,7 @@ two ways:
   clock bump followed by zero-delay scheduling, far-future events among
   dense ticks, non-finite delay rejection, back-to-back timeouts, and
   what a process may do out of a bare sleep (end, raise, wait on an
-  event, be interrupted).
+  event).
 """
 
 import random
@@ -31,7 +31,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.sim import Interrupt, Park, Simulator
+from repro.sim import Park, Simulator
 
 #: Quantized delays with deliberate repeats: ties at equal times are the
 #: scheduler's hardest ordering case, so make them common.
@@ -67,7 +67,7 @@ class _EventPark:
 
 def _make_script(rng, depth=0):
     """A deterministic per-process op list (same for both drivers)."""
-    ops = ["timeout", "sleep", "call_in", "burst", "any_of", "all_of"]
+    ops = ["timeout", "sleep", "call_in", "burst", "all_of"]
     ops += ["wake", "wake"]
     if depth == 0:
         ops += ["spawn", "manual", "park", "park"]
@@ -80,7 +80,7 @@ def _make_script(rng, depth=0):
             script.append(("burst",
                            [rng.choice(DELAYS)
                             for _ in range(rng.randrange(2, 5))]))
-        elif kind in ("any_of", "all_of"):
+        elif kind == "all_of":
             script.append((kind,
                            [rng.choice(DELAYS)
                             for _ in range(rng.randrange(2, 4))]))
@@ -138,10 +138,6 @@ def _build_workload(sim, seed, may_fail, bare=True, parks=True):
                     for nth, delay in enumerate(op[1]):
                         got = yield (sleep(delay) if nth % 2
                                      else sim.timeout(delay))
-                elif kind == "any_of":
-                    got = yield sim.any_of(
-                        [sim.timeout(d, value=d) for d in op[1]])
-                    got = sorted(got.values())
                 elif kind == "all_of":
                     got = yield sim.all_of(
                         [sim.timeout(d, value=d) for d in op[1]])
@@ -468,38 +464,6 @@ def test_bad_sleep_fails_the_process_as_timeout_would(bad):
     with pytest.raises(ValueError) as raised:
         sim.run()
     assert str(raised.value) == str(expected.value)
-
-
-def test_interrupt_during_a_bare_sleep():
-    """The interrupt lands at once; the sleep's own wake-up still comes
-    off the heap, is counted, and resumes nothing."""
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield 10.0
-            log.append(("overslept", sim.now))
-        except Interrupt as stop:
-            log.append((stop.cause, sim.now))
-            yield 20.0  # ends at 22, straight through the orphan at 10
-            log.append(("rested", sim.now))
-
-    proc = sim.process(sleeper())
-
-    def waker():
-        yield 2.0
-        assert proc.waiting_on is None  # asleep: no event to report
-        proc.interrupt("up")
-
-    sim.process(waker())
-    sim.run(until=9.0)
-    assert log == [("up", 2.0)]
-    before = sim.events_processed
-    sim.run(until=11.0)  # only the orphaned wake-up is in this window
-    assert (log, sim.events_processed) == ([("up", 2.0)], before + 1)
-    sim.run()
-    assert log == [("up", 2.0), ("rested", 22.0)]
 
 
 @pytest.mark.parametrize("first", [1.0, "timeout"])

@@ -51,7 +51,6 @@ def test_default_plan_is_null_and_needs_no_reliability():
     plan = FaultPlan()
     assert plan.is_null
     assert not plan.needs_reliability
-    assert plan.as_spec() is None
     assert plan.describe() == "no faults"
 
 

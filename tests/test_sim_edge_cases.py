@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import Simulator
 from repro.sim.events import EventError
 
 
@@ -43,21 +43,18 @@ def test_run_until_never_moves_the_clock_backwards(until):
     assert fired == [20.0]
 
 
-def test_anyof_failure_propagates_to_waiter():
+def test_run_until_infinity_is_refused_and_leaves_the_clock_finite():
+    """run(until=inf) would drain the heap and park the clock at +inf,
+    where every later event fires "at inf": it is refused by name."""
     sim = Simulator()
-    gate = sim.event()
-    caught = []
-
-    def body():
-        try:
-            yield sim.any_of([gate, sim.timeout(100.0)])
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    sim.process(body())
-    gate.fail(RuntimeError("anyof-child-failed"))
+    sim.run(until=3.0)
+    with pytest.raises(ValueError, match=r"until=inf"):
+        sim.run(until=float("inf"))
+    assert sim.now == 3.0
+    fired = []
+    sim.call_in(1.0, lambda _arg: fired.append(sim.now))
     sim.run()
-    assert caught == ["anyof-child-failed"]
+    assert fired == [4.0]
 
 
 def test_allof_failure_propagates_to_waiter():
@@ -136,13 +133,13 @@ def test_peek_on_empty_heap_is_infinity():
     assert sim.peek() == float("inf")
 
 
-def test_anyof_with_already_processed_child():
+def test_allof_with_already_processed_child():
     sim = Simulator()
 
     def body():
         first = sim.timeout(1.0, value="first")
         yield first  # processed now
-        result = yield sim.any_of([first, sim.timeout(50.0)])
+        result = yield sim.all_of([first])
         return (sim.now, list(result.values()))
 
     proc = sim.process(body())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Park, Simulator
+from repro.sim import Park, Simulator
 from repro.sim.events import EventError
 
 
@@ -185,72 +185,11 @@ def test_non_generator_process_rejected():
         sim.process(lambda: None)
 
 
-def test_interrupt_preempts_wait():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("overslept")
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-
-    def interrupter(victim):
-        yield sim.timeout(5.0)
-        victim.interrupt("wake up")
-
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
-    sim.run()
-    assert log == [("interrupted", 5.0, "wake up")]
-
-
-def test_interrupted_process_can_wait_again():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(7.0)
-        log.append(sim.now)
-
-    def interrupter(victim):
-        yield sim.timeout(5.0)
-        victim.interrupt()
-
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
-    sim.run()
-    # Abandoned 100 us timeout must not wake the process later.
-    assert log == [12.0]
-
-
-def test_interrupt_finished_process_is_error():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
-
-
-def _parker(sim, park, log, tag="host"):
-    """Park, note each resume, until interrupted for good."""
+def _parker(sim, park, log):
+    """Park, note each resume, for good."""
     while True:
-        try:
-            got = yield park
-            log.append((tag, sim.now, got))
-        except Interrupt as stop:
-            log.append((tag, sim.now, stop.cause))
-            if stop.cause == "quit":
-                return
+        got = yield park
+        log.append(("host", sim.now, got))
 
 
 def test_park_wake_with_nobody_parked_is_a_noop():
@@ -303,68 +242,6 @@ def test_second_process_on_an_occupied_park_gets_a_runtime_error():
     assert log == [("host", 0.0, None)]  # not stolen: the host's wake
 
 
-def test_interrupted_while_parked_ignores_the_later_wake_and_reparks():
-    sim = Simulator()
-    park, log = Park(sim, "spot"), []
-    host = sim.process(_parker(sim, park, log))
-    sim.run()
-    host.interrupt("up")
-    assert park.waiter is None  # the interrupt freed the park
-    park.wake()  # so this wakes nobody
-    assert sim.events_processed == 1
-    sim.run()
-    assert log == [("host", 0.0, "up")]
-    assert sim.events_processed == 2  # the interrupt alone
-    assert host.waiting_on is park  # parked there again
-    sim.call_in(4.0, lambda _arg: park.wake())
-    sim.run()
-    assert log[1:] == [("host", 4.0, None)]
-    # A wake already on its way when the interrupt lands is discarded,
-    # and whoever took the freed park meanwhile keeps it.
-    sim.call_in(0.0, lambda _arg: park.wake())
-    heir = sim.process(_parker(sim, park, log, tag="heir"))
-    sim.step()  # the wake: its entry queues behind the heir's kick-off
-    sim.step()  # the heir parks on the freed park
-    host.interrupt("quit")
-    assert park.waiter is heir
-    sim.run()
-    assert log[2:] == [("host", 4.0, "quit")] and not host.is_alive
-    assert park.waiter is heir
-
-
-def test_two_interrupts_in_one_instant_never_trip_over_the_own_park():
-    sim = Simulator()
-    park, log = Park(sim, "spot"), []
-    host = sim.process(_parker(sim, park, log))
-    sim.run()
-    host.interrupt("one")
-    host.interrupt("two")  # thrown after "one" has parked the host again
-    sim.run()
-    assert log == [("host", 0.0, "one"), ("host", 0.0, "two")]
-    assert host.is_alive and host.waiting_on is park and park.waiter is host
-
-    # The second throw lets go of the park the first one re-took, so a
-    # host that leaves for a sleep does not keep it occupied.
-    def napper():
-        while True:
-            try:
-                yield park
-            except Interrupt as stop:
-                if stop.cause == "nap":
-                    yield 5.0
-
-    host.interrupt("quit")
-    sim.run()
-    dozer = sim.process(napper())
-    sim.run()
-    dozer.interrupt("stir")
-    dozer.interrupt("nap")
-    sim.run(until=sim.now + 1.0)
-    assert dozer.waiting_on is None and park.waiter is None
-    sim.run()
-    assert dozer.waiting_on is park and park.waiter is dozer
-
-
 def test_park_of_another_simulator_is_rejected():
     sim, other = Simulator(), Simulator()
 
@@ -404,19 +281,6 @@ def test_stop_event_timeout_error_when_never_fires():
     sim.process(body())
     with pytest.raises(TimeoutError):
         sim.run(stop_event=never)
-
-
-def test_anyof_succeeds_on_first():
-    sim = Simulator()
-
-    def body():
-        first = sim.timeout(3.0, value="slow")
-        second = sim.timeout(1.0, value="fast")
-        result = yield sim.any_of([first, second])
-        return (sim.now, list(result.values()))
-
-    proc = sim.process(body())
-    assert sim.run(stop_event=proc) == (1.0, ["fast"])
 
 
 def test_allof_waits_for_all():

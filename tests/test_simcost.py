@@ -27,12 +27,13 @@ import repro.cost.predict as predict_module
 from repro.am.tuning import TuningKnobs
 from repro.apps import Barnes, RadixSort
 from repro.cluster.machine import Cluster
-from repro.cost import (CostGraph, DepRecorder, PredictedSweep,
+from repro.cost import (CostGraph, DepRecorder, PredictedPoint,
                         UnsupportedGraphError, latency_tolerance, lp_bound,
                         predict_runtime, predict_sweep, record_run)
 from repro.harness.runcache import run_key_spec
 from repro.harness.experiments import predicted_figure, prediction_errors
-from repro.harness.sweeps import DIALS, SensitivityFigure, run_sweep
+from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepResult,
+                                  run_sweep)
 from repro.network.faults import FaultPlan
 
 
@@ -111,7 +112,8 @@ def test_predicted_sweep_via_harness_entry_point(radix_graph):
     graph, _ = radix_graph
     figure = predicted_figure([graph], "overhead", (2.9, 12.9))
     sweep = figure.sweeps[graph.app_name]
-    assert isinstance(sweep, PredictedSweep)
+    assert isinstance(sweep, SweepResult)
+    assert all(isinstance(point, PredictedPoint) for point in sweep.points)
     assert sweep.values() == [2.9, 12.9]
     slow = sweep.slowdowns()
     assert slow[0] == pytest.approx(1.0)

@@ -133,6 +133,8 @@ PLANTED = {
     (FIXTURES, "am/one_bus_bad.py"): {
         line: "one-bus" for line in (5, 9, 10)},
     (FIXTURES, "cluster/one_bus_bad.py"): {8: "one-bus", 9: "one-bus"},
+    (FIXTURES, "one_machine_bad.py"): {
+        line: "one-machine" for line in (7, 8, 14)},
     (FIXTURES, "gas/one_collective_path_bad.py"): {
         line: "one-collective-path" for line in (9, 18, 22)},
     (FIXTURES, "one_drain_bad/harness/parallel.py"): {
@@ -176,6 +178,7 @@ def test_every_rule_has_at_least_one_failing_fixture():
                                   "kernel_internals_good.py",
                                   "packet_kinds_good.py",
                                   "cluster/one_bus_good.py",
+                                  "one_machine_good.py",
                                   "gas/one_collective_path_good.py",
                                   "one_drain_good/harness/parallel.py",
                                   "suppressed.py"])
