@@ -31,8 +31,9 @@ Usage:
     python scripts/generate_experiments.py [--scale 0.5] [--out EXPERIMENTS.md]
         [--jobs N] [--no-cache] [--cache-dir DIR] [--apps Radix,Sample,...]
 
-To profile, run it under ``python -m cProfile -s cumulative`` with
-``--jobs 1``.
+``--jobs`` defaults to one worker per core; the output is the same at
+any ``--jobs``.  To profile, run it under ``python -m cProfile -s
+cumulative`` with ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ from types import SimpleNamespace
 from repro.am.tuning import TuningKnobs
 from repro.calibrate import calibrate_bulk_bandwidth, round_trip_time
 from repro.calibrate.calibration import calibrate_machine
-from repro.harness import (DIALS, MACHINE_DIALS, Plan, RunCache, claims,
-                           experiments, overhead_gap_surface, run_plans)
+from repro.harness import (DIALS, MACHINE_DIALS, Plan, claims, experiments,
+                           overhead_gap_surface, run_plans)
 from repro.harness.extensions import (burst_ablation, investment_study,
                                       occupancy_study, scaling_study,
                                       window_scope_ablation)
+from repro.harness.parallel import add_run_options, run_options
 from repro.harness.sweeps import measure_algorithms
 from repro.network.loggp import LogGPParams
 
@@ -95,20 +97,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--scale", type=float, default=0.5)
     parser.add_argument("--out", default="EXPERIMENTS.md")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the simulations "
-                        "(default 1: serial)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the on-disk run cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="run cache directory (default ~/.cache/repro "
-                        "or $REPRO_CACHE_DIR)")
+    add_run_options(parser)
     parser.add_argument("--apps", default=None,
                         help="comma-separated subset of Table 3 app names "
                         "(reduced grid for smoke runs)")
     args = parser.parse_args(argv)
     scale = args.scale
-    cache = None if args.no_cache else RunCache(args.cache_dir)
+    run = run_options(args)
+    cache = run["cache"]
     selected = None if args.apps is None else \
         [name.strip() for name in args.apps.split(",") if name.strip()]
 
@@ -184,8 +180,7 @@ def main(argv=None) -> int:
         "window_scope": window_scope_ablation.plan(),
         "burst": burst_ablation.plan(),
     }
-    results = run_plans(plans + list(studies.values()), cache=cache,
-                        jobs=args.jobs)
+    results = run_plans(plans + list(studies.values()), **run)
     (t3, t4, fig4, fig5_16, fig5_32, t5, fig6, t6, fig7, fig8, fig9, t7,
      fig10, t8, fig11, graphs) = results[:len(plans)]
     # Calibration, like Tables 1-2: outside the drain.

@@ -11,7 +11,6 @@ shipped rules, and ``python -m repro.analysis --list-rules`` for the
 catalogue.
 """
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.cli import main
 from repro.analysis.core import (Finding, Frame, ProgramRule, Rule,
                                  SourceFile, all_rules, analyze_file,
@@ -21,8 +20,8 @@ from repro.analysis.core import (Finding, Frame, ProgramRule, Rule,
 from repro.analysis.flow import build_program
 
 __all__ = [
-    "Finding", "Frame", "Rule", "ProgramRule", "SourceFile", "Baseline",
-    "DEFAULT_BASELINE_NAME", "all_rules", "default_rules",
+    "Finding", "Frame", "Rule", "ProgramRule", "SourceFile",
+    "all_rules", "default_rules",
     "register_rule", "analyze_file", "analyze_paths", "analyze_source",
     "analyze_sources", "build_program", "load_source", "main",
 ]

@@ -1,11 +1,12 @@
 """``python -m repro.analysis`` — the simlint command line.
 
-Exit codes: 0 clean (or every finding baselined), 1 findings, 2 usage
-errors.  Every run applies the per-file rules and the whole-program
-SPMD checks, gated by one baseline.  ``--format json`` emits a
-machine-readable report and ``--format sarif`` a SARIF 2.1.0 document
-CI can upload to annotate PR lines; CI runs the text form and fails on
-any finding not in the committed baseline.
+Exit codes: 0 clean, 1 findings, 2 usage errors (an unknown rule id,
+a missing path, an unreadable file).  Every run applies the per-file
+rules and the whole-program SPMD checks; the one way to accept a
+finding is ``# simlint: disable=<rule-ids> - <reason>`` on the flagged
+statement.  ``--format json`` emits a machine-readable report and
+``--format sarif`` a SARIF 2.1.0 document CI can upload to annotate PR
+lines; CI gates on the text form, so findings print in its log.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.core import (Finding, SourceFile, analyze_sources,
-                                 default_rules, iter_python_files,
-                                 load_source)
+from repro.analysis.core import Finding, analyze_paths, default_rules
 
 __all__ = ["main"]
 
@@ -35,13 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # Accepted and ignored: the whole-program checks always run.
     parser.add_argument("--deep", action="store_true",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--baseline", type=Path, default=None,
-                        metavar="FILE",
-                        help="baseline of grandfathered findings "
-                        f"(default: ./{DEFAULT_BASELINE_NAME} if present)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline "
-                        "file and exit 0")
     parser.add_argument("--rules", default=None, metavar="ID,ID",
                         help="comma-separated subset of rule ids to run")
     parser.add_argument("--list-rules", action="store_true",
@@ -49,32 +40,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_baseline_path(args: argparse.Namespace) -> Optional[Path]:
-    if args.baseline is not None:
-        return args.baseline
-    default = Path(DEFAULT_BASELINE_NAME)
-    if args.write_baseline or default.is_file():
-        return default
-    return None
-
-
-def _render_text(new: List[Finding], baselined: List[Finding],
-                 checked: int) -> str:
-    lines = [finding.render() for finding in new]
-    lines.append(
-        f"simlint: {len(new)} finding(s)"
-        + (f" ({len(baselined)} baselined)" if baselined else "")
-        + f" across {checked} file(s)")
+def _render_text(findings: List[Finding], checked: int) -> str:
+    lines = [finding.render() for finding in findings]
+    lines.append(f"simlint: {len(findings)} finding(s) "
+                 f"across {checked} file(s)")
     return "\n".join(lines)
 
 
-def _render_json(new: List[Finding], baselined: List[Finding],
-                 checked: int) -> str:
+def _render_json(findings: List[Finding], checked: int) -> str:
     return json.dumps({
-        "version": 1,
+        "version": 2,
         "files_checked": checked,
-        "findings": [finding.to_dict() for finding in new],
-        "baselined": [finding.to_dict() for finding in baselined],
+        "findings": [finding.to_dict() for finding in findings],
     }, indent=2)
 
 
@@ -103,40 +80,17 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    sources: Dict[str, SourceFile] = {}
-    for path in iter_python_files(paths):
-        try:
-            source = load_source(path)
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"simlint: cannot read {path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        sources[source.path] = source
-    findings = analyze_sources(sources, rules)
-
-    baseline_path = _resolve_baseline_path(args)
-    if args.write_baseline:
-        baseline = Baseline.from_findings(findings, sources)
-        baseline.save(baseline_path)
-        print(f"simlint: wrote {len(baseline)} finding(s) to "
-              f"{baseline_path}")
-        return 0
-
-    baselined: List[Finding] = []
-    if baseline_path is not None and baseline_path.is_file():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"simlint: cannot load baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        findings, baselined = baseline.split(findings, sources)
+    try:
+        findings, checked = analyze_paths(paths, rules)
+    except (OSError, UnicodeError) as exc:
+        print(f"simlint: cannot read: {exc}", file=sys.stderr)
+        return 2
 
     if args.format == "sarif":
         from repro.analysis.sarif import render_sarif
-        print(render_sarif(findings, baselined))
+        print(render_sarif(findings))
     elif args.format == "json":
-        print(_render_json(findings, baselined, len(sources)))
+        print(_render_json(findings, checked))
     else:
-        print(_render_text(findings, baselined, len(sources)))
+        print(_render_text(findings, checked))
     return 1 if findings else 0

@@ -5,15 +5,15 @@ and every SPMD program obeys the simulator's cooperative-scheduling
 contract.  ``repro.analysis`` enforces both mechanically: each
 :class:`Rule` walks one parsed module, each :class:`ProgramRule` walks
 the call graph of all of them, and both emit :class:`Finding` objects;
-the driver applies per-line ``# simlint: disable=rule-id`` suppressions
-and an optional committed baseline of grandfathered findings.
+the driver drops a finding only where the flagged statement carries
+``# simlint: disable=<rule-ids> - <reason>``, the one way to accept
+one (there is no baseline of grandfathered findings).
 
 Layout
 ------
 * this module -- :class:`SourceFile`, :class:`Finding`, :class:`Rule`,
   the one rule registry, and :func:`analyze_sources` (with its
   :func:`analyze_file` / :func:`analyze_paths` front ends).
-* :mod:`repro.analysis.baseline` -- the grandfathered-findings file.
 * :mod:`repro.analysis.rules` -- the rule packs (determinism, dial
   cost, hygiene, architecture).
 * :mod:`repro.analysis.flow` -- the call graph and the whole-program
@@ -44,15 +44,10 @@ __all__ = [
 #: Pseudo-rule id attached to findings for unparseable files.
 PARSE_ERROR_RULE = "parse-error"
 
-#: ``# simlint: disable=a,b`` / ``# simlint: disable-next-line=a`` /
-#: ``# simlint: disable-file=a`` (omitting ``=...`` disables every
-#: rule); free text after the rule list is a justification.
+#: ``# simlint: disable=a,b - reason`` on any physical line of the
+#: flagged statement; free text after the rule list is the reason.
 _SUPPRESS_RE = re.compile(
-    r"#\s*simlint:\s*(disable(?:-next-line|-file)?)"
-    r"(?:=([A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*))?")
-
-#: Wildcard marker: a suppression with no rule list silences all rules.
-_ALL = "all"
+    r"#\s*simlint:\s*disable=([A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,15 +99,6 @@ class Finding:
             data["chain"] = [frame.to_dict() for frame in self.chain]
         return data
 
-    def fingerprint(self, source: Optional["SourceFile"] = None) -> str:
-        """Content-addressed identity for the baseline: path + rule +
-        the offending line's text, so findings survive line shifts."""
-        text = ""
-        if source is not None and 1 <= self.line <= len(source.lines):
-            text = source.lines[self.line - 1].strip()
-        raw = f"{self.path}|{self.rule}|{text}"
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
 
 class SourceFile:
     """A parsed module plus its simlint suppression comments."""
@@ -124,11 +110,7 @@ class SourceFile:
         self.tree: Optional[ast.Module] = None
         self.parse_error: Optional[SyntaxError] = None
         #: line number -> rule ids disabled on that physical line.
-        self.line_suppressions: Dict[int, Set[str]] = {}
-        #: line number -> rule ids disabled on the *next* statement line.
-        self.next_line_suppressions: Dict[int, Set[str]] = {}
-        #: rule ids disabled for the whole file.
-        self.file_suppressions: Set[str] = set()
+        self.suppressions: Dict[int, Set[str]] = {}
         try:
             self.tree = ast.parse(text, filename=path)
         except SyntaxError as exc:
@@ -152,31 +134,15 @@ class SourceFile:
             match = _SUPPRESS_RE.search(tok.string)
             if match is None:
                 continue
-            kind = match.group(1)
-            listed = match.group(2)
-            rules = ({_ALL} if listed is None else
-                     {r.strip() for r in listed.split(",") if r.strip()})
-            line = tok.start[0]
-            if kind == "disable-file":
-                self.file_suppressions |= rules
-            elif kind == "disable-next-line":
-                self.next_line_suppressions.setdefault(
-                    line, set()).update(rules)
-            else:
-                self.line_suppressions.setdefault(line, set()).update(rules)
+            self.suppressions.setdefault(tok.start[0], set()).update(
+                rule.strip() for rule in match.group(1).split(","))
 
     def is_suppressed(self, finding: Finding) -> bool:
-        """Whether a suppression comment covers ``finding``."""
-        rule = finding.rule
-        if _ALL in self.file_suppressions or rule in self.file_suppressions:
-            return True
+        """Whether a ``disable=`` comment on one of the flagged
+        statement's lines names ``finding``'s rule."""
         last = max(finding.end_line, finding.line)
-        for line in range(finding.line, last + 1):
-            rules = self.line_suppressions.get(line)
-            if rules and (_ALL in rules or rule in rules):
-                return True
-        rules = self.next_line_suppressions.get(finding.line - 1)
-        return bool(rules and (_ALL in rules or rule in rules))
+        return any(finding.rule in self.suppressions.get(line, ())
+                   for line in range(finding.line, last + 1))
 
 
 class Rule(abc.ABC):
@@ -392,5 +358,8 @@ def analyze_paths(paths: Iterable[Path], rules: Sequence[Rule],
     sources: Dict[str, SourceFile] = {}
     for path in iter_python_files(paths):
         display = str(path if root is None else path.relative_to(root))
-        sources[display] = load_source(path, display)
+        try:
+            sources[display] = load_source(path, display)
+        except UnicodeDecodeError as exc:
+            raise UnicodeError(f"{path}: not UTF-8 ({exc.reason})") from exc
     return analyze_sources(sources, rules), len(sources)

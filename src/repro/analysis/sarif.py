@@ -69,14 +69,9 @@ def _result(finding: Finding) -> dict:
     return result
 
 
-def render_sarif(new: List[Finding], baselined: List[Finding]) -> str:
-    """A SARIF 2.1.0 document; baselined findings ride along marked
-    ``unchanged`` so viewers can hide them."""
-    results = [_result(finding) for finding in new]
-    for finding in baselined:
-        entry = _result(finding)
-        entry["baselineState"] = "unchanged"
-        results.append(entry)
+def render_sarif(findings: List[Finding]) -> str:
+    """A SARIF 2.1.0 document with one result per finding."""
+    results = [_result(finding) for finding in findings]
     document = {
         "$schema": _SCHEMA,
         "version": "2.1.0",

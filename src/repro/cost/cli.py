@@ -27,30 +27,37 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
+from repro.am.layer import DEFAULT_WINDOW
 from repro.cost.graph import CostGraph
 from repro.cost.predict import (latency_tolerance, lp_bound,
                                 predict_sweep)
 from repro.cost.recorder import record_run
 from repro.harness.experiments import (predicted_figure, prediction_errors,
                                        recorded_suite, sensitivity_figure)
-from repro.harness.parallel import run_plans
-from repro.harness.runcache import RunCache
+from repro.harness.parallel import add_run_options, run_options, run_plans
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS, MACHINE_DIALS
 
 __all__ = ["main"]
 
 
-def _parse_values(text: Optional[str],
-                  parameter: str) -> List[float]:
-    if text is None:
-        return list(DIALS[parameter].reduced)
-    return [float(part) for part in text.split(",") if part.strip()]
+def _dial_values(text: str) -> List[float]:
+    """``--values``: comma-separated finite numbers, at least one."""
+    try:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers") from None
+    if not values or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} needs one or more finite numbers")
+    return values
 
 
 def _emit(payload: dict, text: str, fmt: str) -> None:
@@ -82,7 +89,7 @@ def _cmd_record(args) -> int:
 # -- predict ----------------------------------------------------------------
 
 def _cmd_predict(args) -> int:
-    values = _parse_values(args.values, args.parameter)
+    values = args.values or list(DIALS[args.parameter].reduced)
     try:
         graph = CostGraph.from_json(args.graph.read_text())
         sweep = predict_sweep(graph, args.parameter, values)
@@ -131,14 +138,13 @@ def _cmd_report(args) -> int:
     except KeyError as exc:
         print(f"report: {exc.args[0]}", file=sys.stderr)
         return 2
-    values = _parse_values(args.values, args.parameter)
-    cache = None if args.no_cache else RunCache(args.cache_dir)
+    values = args.values or list(DIALS[args.parameter].reduced)
     # One recording per app predicts the grid; the simulated side is the
     # same grid's Figure 5-8 study, whose baseline points the recordings
     # are: one drain (cache-served when warm).
     graphs, simulated = run_plans([recorded, sensitivity_figure.plan(
         args.parameter, n_nodes=args.nodes, scale=args.scale, names=names,
-        values=values, seed=args.seed)], cache=cache, jobs=args.jobs)
+        values=values, seed=args.seed)], **run_options(args))
     predicted = predicted_figure(graphs, args.parameter, values)
     errors = prediction_errors(predicted, simulated)
     app_medians = {
@@ -197,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument("--nodes", type=int, default=8)
     record.add_argument("--scale", type=float, default=1.0)
     record.add_argument("--seed", type=int, default=0)
-    record.add_argument("--window", type=int, default=8)
+    record.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     record.add_argument("--out", type=pathlib.Path, default=None,
                         help="graph JSON path (default: stdout)")
 
@@ -208,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="graph JSON written by `record`")
     predict.add_argument("--parameter", default="overhead",
                          choices=sorted(MACHINE_DIALS))
-    predict.add_argument("--values", default=None,
+    predict.add_argument("--values", type=_dial_values, default=None,
                          help="comma-separated dial values "
                          "(default: the reduced grid)")
     predict.add_argument("--threshold", type=float, default=2.0,
@@ -227,11 +233,11 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--parameter", default="overhead",
                         choices=sorted(MACHINE_DIALS))
-    report.add_argument("--values", default=None)
+    report.add_argument("--values", type=_dial_values, default=None,
+                        help="comma-separated dial values "
+                        "(default: the reduced grid)")
     report.add_argument("--max-median-error", type=float, default=0.10)
-    report.add_argument("--jobs", type=int, default=None)
-    report.add_argument("--no-cache", action="store_true")
-    report.add_argument("--cache-dir", default=None)
+    add_run_options(report)
     report.add_argument("--bench-out", type=pathlib.Path, default=None,
                         help="also write the report payload as a BENCH "
                         "JSON file")

@@ -35,10 +35,10 @@ import json
 import pathlib
 import sys
 
-from repro.harness import (CampaignSpec, Plan, ResultStore, RunCache,
-                           experiments, overhead_gap_surface,
-                           render_campaign, run_campaign, run_plans)
-from repro.harness.parallel import default_jobs
+from repro.harness import (CampaignSpec, Plan, ResultStore, experiments,
+                           overhead_gap_surface, render_campaign,
+                           run_campaign, run_plans)
+from repro.harness.parallel import add_run_options, run_options
 
 
 def _sized(entry, *args):
@@ -94,7 +94,7 @@ def run_campaign_cli(args) -> int:
     spec = CampaignSpec.from_json(args.campaign.read_text())
     with ResultStore(args.store) as store:
         report = run_campaign(spec, store, progress=print,
-                              **_run_options(args))
+                              **run_options(args))
         print(store.describe())
         if args.bench_out is not None:
             args.bench_out.write_text(
@@ -105,13 +105,6 @@ def run_campaign_cli(args) -> int:
             args.render.write_text(render_campaign([spec], store))
             print(f"wrote {args.render}")
     return 0
-
-
-def _run_options(args) -> dict:
-    """``--cache-dir`` / ``--no-cache`` / ``--jobs`` as the ``cache=`` /
-    ``jobs=`` pair; both modes read the three flags here."""
-    return {"cache": None if args.no_cache else RunCache(args.cache_dir),
-            "jobs": args.jobs if args.jobs is not None else default_jobs()}
 
 
 def store_gc_cli(args) -> int:
@@ -142,14 +135,7 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="*", default=None,
                         choices=sorted(ARTIFACTS),
                         help="subset of artifacts to regenerate")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the simulations "
-                        "(default: one per core)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="skip the on-disk run cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="run cache directory (default "
-                        "~/.cache/repro or $REPRO_CACHE_DIR)")
+    add_run_options(parser)
     campaign = parser.add_argument_group("campaign mode")
     campaign.add_argument("--campaign", type=pathlib.Path, default=None,
                           help="run/resume a CampaignSpec JSON file "
@@ -182,7 +168,7 @@ def main(argv=None) -> int:
     selected = args.only if args.only else list(ARTIFACTS)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-    run = _run_options(args)
+    run = run_options(args)
 
     artifacts = run_plans([ARTIFACTS[name](args.nodes, args.scale)
                            for name in selected], **run)

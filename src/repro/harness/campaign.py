@@ -44,7 +44,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -234,10 +234,29 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
-        """Rebuild a spec produced by :meth:`to_dict` (or hand-written)."""
+        """Rebuild a spec produced by :meth:`to_dict` (or hand-written).
+
+        Each key is a field; an omitted one takes the field's default.
+        Files written while the spec still had an ``engine`` field, or a
+        null ``coll`` tuning config, keep loading; any other key is
+        refused by name, so a misspelled one cannot fall back to its
+        default unnoticed.
+        """
+        data = dict(data)
+        data.pop("engine", None)
+        if data.pop("coll", None) is not None:
+            raise ValueError(
+                "campaign specs no longer take a 'coll' tuning config; "
+                "a collective's schedule is named by its call's algo=")
+        known = {spec_field.name for spec_field in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown campaign spec key(s) {unknown}; "
+                f"one of {sorted(known)}")
         faults = data.get("faults")
         if faults is not None:
-            faults = FaultPlan(**{
+            data["faults"] = FaultPlan(**{
                 **faults,
                 "spikes": tuple(DelaySpike(**s)
                                 for s in faults.get("spikes", ())),
@@ -246,23 +265,7 @@ class CampaignSpec:
                 "drop_kinds": (tuple(faults["drop_kinds"])
                                if faults.get("drop_kinds") else None),
             })
-        if data.get("coll") is not None:
-            raise ValueError(
-                "campaign specs no longer take a 'coll' tuning config; "
-                "a collective's schedule is named by its call's algo=")
-        return cls(
-            name=data["name"],
-            apps=tuple(data["apps"]),
-            node_counts=tuple(data["node_counts"]),
-            dials=tuple((parameter, tuple(values))
-                        for parameter, values in data["dials"]),
-            seeds=tuple(data.get("seeds", (0,))),
-            scale=data.get("scale", 1.0),
-            machine=data.get("machine", "berkeley-now"),
-            run_limit_us=data.get("run_limit_us"),
-            livelock_limit=data.get("livelock_limit", DEFAULT_LIVELOCK_LIMIT),
-            window=data.get("window", DEFAULT_WINDOW),
-            faults=faults, workload=data.get("workload"))
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -18,6 +18,7 @@ union of any number of plans in one :func:`run_points` call, and
 
 from __future__ import annotations
 
+import argparse
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -34,7 +35,8 @@ from repro.network.faults import FaultError
 from repro.sanitize.reports import DeadlockError
 
 __all__ = ["PointTask", "SweepPoint", "FAILURE_CATEGORIES", "execute_point",
-           "run_points", "Plan", "run_plans", "study", "default_jobs"]
+           "run_points", "Plan", "run_plans", "study", "default_jobs",
+           "add_run_options", "run_options"]
 
 
 def default_jobs() -> int:
@@ -43,6 +45,26 @@ def default_jobs() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
+
+
+def add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The drain's three flags, as every driver takes them:
+    ``--jobs``, ``--no-cache`` and ``--cache-dir``."""
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for the simulations "
+                        "(default: one per core)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="do not read or write the on-disk run cache")
+    parser.add_argument("--cache-dir", default=None,
+                        help="run cache directory (default "
+                        "~/.cache/repro or $REPRO_CACHE_DIR)")
+
+
+def run_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """:func:`add_run_options`' flags as the ``cache=`` / ``jobs=``
+    keywords of :func:`run_plans`."""
+    return {"cache": None if args.no_cache else RunCache(args.cache_dir),
+            "jobs": default_jobs() if args.jobs is None else args.jobs}
 
 
 def _pool(jobs: int) -> ProcessPoolExecutor:

@@ -1,7 +1,8 @@
 """``python -m repro.sanitize`` — run an app under the simsan sanitizer.
 
 Apps are named either by their suite name (``Radix``, ``Connect``, ...,
-matched against :func:`repro.apps.default_suite`) or as
+built by :func:`repro.harness.suite.suite_for` for ``--nodes`` and
+``--scale``, as every other driver sizes them) or as
 ``path/to/file.py:ClassName`` for ad-hoc applications (the planted
 fixtures use this form).  Exit codes mirror simlint: 0 clean, 1 races
 or a deadlock, 2 usage errors.
@@ -16,40 +17,42 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.apps import SUITE_ORDER, default_suite
 from repro.cluster.machine import Cluster
-from repro.gas.runtime import LivelockError
+from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT, LivelockError
+from repro.harness.suite import suite_for
 from repro.sanitize.reports import DeadlockError
 
 __all__ = ["main", "load_app"]
 
 
-def load_app(spec: str, scale: float = 1.0):
-    """Resolve an application named on the command line.
+def load_app(spec: str):
+    """Load the :class:`~repro.apps.base.Application` subclass a
+    ``path/to/file.py:ClassName`` spec names, and build it."""
+    path_text, class_name = spec.rsplit(":", 1)
+    path = Path(path_text)
+    if not path.is_file():
+        raise FileNotFoundError(f"no such file: {path}")
+    module_spec = importlib.util.spec_from_file_location(
+        f"_simsan_app_{path.stem}", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    try:
+        cls = getattr(module, class_name)
+    except AttributeError:
+        raise KeyError(f"{path} defines no class {class_name!r}") from None
+    return cls()
 
-    ``spec`` is a suite app name, or ``file.py:ClassName`` to load an
-    :class:`~repro.apps.base.Application` subclass from a file.
-    """
-    if ":" in spec:
-        path_text, class_name = spec.rsplit(":", 1)
-        path = Path(path_text)
-        if not path.is_file():
-            raise FileNotFoundError(f"no such file: {path}")
-        module_spec = importlib.util.spec_from_file_location(
-            f"_simsan_app_{path.stem}", path)
-        module = importlib.util.module_from_spec(module_spec)
-        module_spec.loader.exec_module(module)
-        try:
-            cls = getattr(module, class_name)
-        except AttributeError:
-            raise KeyError(
-                f"{path} defines no class {class_name!r}") from None
-        return cls()
-    for app in default_suite(scale):
-        if app.name == spec:
-            return app
-    known = ", ".join(SUITE_ORDER)
-    raise KeyError(f"unknown app {spec!r}; suite apps are: {known}")
+
+def _apps(args: argparse.Namespace) -> list:
+    """The apps the command line names, in its order: suite names
+    sized by ``suite_for``, ``file.py:Class`` specs loaded."""
+    if args.all:
+        return suite_for(args.nodes, args.scale)
+    names = [spec for spec in args.apps if ":" not in spec]
+    suite = {app.name: app
+             for app in suite_for(args.nodes, args.scale, names=names)}
+    return [suite[spec] if ":" not in spec else load_app(spec)
+            for spec in args.apps]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,12 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nodes", type=int, default=8,
                         help="cluster size (default: 8)")
     parser.add_argument("--scale", type=float, default=1.0,
-                        help="suite input scale (default: 1.0)")
+                        help="suite input scale, the total input as at "
+                        "32 nodes, like every driver's (default: 1.0)")
     parser.add_argument("--seed", type=int, default=11,
                         help="run seed (default: 11)")
     parser.add_argument("--run-limit-us", type=float, default=None,
                         help="simulated-time budget per run")
-    parser.add_argument("--livelock-limit", type=int, default=200_000,
+    parser.add_argument("--livelock-limit", type=int,
+                        default=DEFAULT_LIVELOCK_LIMIT,
                         help="failed-lock budget per rank")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
@@ -126,19 +131,16 @@ def _render_text(entries: List[dict]) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.all:
-        apps = default_suite(args.scale)
-    else:
-        if not args.apps:
-            parser.print_usage(sys.stderr)
-            print("simsan: name at least one app or pass --all",
-                  file=sys.stderr)
-            return 2
-        try:
-            apps = [load_app(spec, args.scale) for spec in args.apps]
-        except (KeyError, FileNotFoundError) as exc:
-            print(f"simsan: {exc.args[0]}", file=sys.stderr)
-            return 2
+    if not (args.all or args.apps):
+        parser.print_usage(sys.stderr)
+        print("simsan: name at least one app or pass --all",
+              file=sys.stderr)
+        return 2
+    try:
+        apps = _apps(args)
+    except (KeyError, FileNotFoundError, ValueError) as exc:
+        print(f"simsan: {exc.args[0]}", file=sys.stderr)
+        return 2
 
     entries = [_sanitized_run(app, args) for app in apps]
     dirty = any(entry["races"] or entry["deadlock"] is not None

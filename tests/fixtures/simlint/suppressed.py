@@ -7,17 +7,8 @@ def reported_elapsed():
     return time.time()  # simlint: disable=wall-clock - UX timing only
 
 
-def next_line_form():
-    # simlint: disable-next-line=wall-clock
-    return time.time()
-
-
 def multi_line_statement():
     return max(
         time.time(),  # simlint: disable=wall-clock - spans lines
         0.0,
     )
-
-
-def blanket():
-    return time.time()  # simlint: disable

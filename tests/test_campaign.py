@@ -334,6 +334,16 @@ def test_campaign_spec_json_round_trip_with_faults_and_coll():
                                 "coll": {"policy": "model"}})
 
 
+@pytest.mark.parametrize("key", ["seed", "scle"])
+def test_campaign_spec_refuses_a_misspelled_key_by_name(key):
+    # ``seed`` for ``seeds`` would run seed 0 only, and ``scle`` for
+    # ``scale`` would run every app at scale 1.0.
+    data = {"name": "typo", "apps": ["Radix"], "node_counts": [4],
+            "dials": [["overhead", [2.9]]], key: [5] if key == "seed" else 0.1}
+    with pytest.raises(ValueError, match=f"unknown campaign spec key.*'{key}'"):
+        CampaignSpec.from_dict(data)
+
+
 @pytest.mark.parametrize("dial,values,bad", [
     ("overhead", "[2.9, NaN]", "nan"),
     ("bulk_mb_s", "[38.0, NaN]", "nan"),

@@ -236,6 +236,21 @@ def test_cli_clean_run_exits_zero(capsys):
     assert "simsan: 0 finding(s) across 1 app(s)" in out
 
 
+def test_cli_sizes_suite_apps_as_every_driver_does(capsys):
+    """``--scale`` is the total input as at 32 nodes, as ``suite_for``
+    sizes it for every other driver, and app order follows the
+    command line."""
+    import json
+    from repro.harness.suite import suite_for
+    assert main(["Connect", f"{FIXTURES / 'racy_put'}.py:RacyPut", "Radix",
+                 "--scale", "0.1", "--nodes", "4", "--format", "json"]) == 1
+    entries = json.loads(capsys.readouterr().out)["apps"]
+    assert [entry["app"] for entry in entries][::2] == ["Connect", "Radix"]
+    for entry in entries[::2]:
+        app, = suite_for(4, 0.1, names=[entry["app"]])
+        assert entry["runtime_us"] == Cluster(4, seed=11).run(app).runtime_us
+
+
 def test_cli_rejects_unknown_app(capsys):
     assert main(["NoSuchApp"]) == 2
     assert "unknown app" in capsys.readouterr().err

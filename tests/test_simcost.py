@@ -436,3 +436,20 @@ def test_cli_usage_errors_exit_2(capsys):
         assert captured.out == "", argv
         assert captured.err.startswith(f"{argv[0]}: ") \
             and captured.err.count("\n") == 1 and unknown in captured.err
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["predict", "graph.json", "--values", "abc"], "is not a comma"),
+    (["predict", "graph.json", "--values", "2.9,inf"], "finite"),
+    (["report", "--apps", "Radix", "--values", "2.9,x"], "is not a comma"),
+    (["report", "--apps", "Radix", "--values", "2.9,nan"], "finite"),
+], ids=["predict-abc", "predict-inf", "report-x", "report-nan"])
+def test_cli_a_bad_values_list_is_a_usage_error(argv, why, capsys):
+    """A bad ``--values`` exits 2 before any graph is read or run is
+    simulated, never 1 (the gate's code) with a traceback."""
+    from repro.cost.cli import main
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument --values: {argv[-1]!r}" in last and why in last

@@ -4,7 +4,7 @@ Covers the checks against their planted-defect fixture twins (each bug
 sits behind >= 2 call edges, so only the call graph can see it), the
 call-graph approximations, rank taint, the shared parse cache, SARIF
 output, the CLI contract, and the repo gate: ``src/repro`` must be
-clean with an empty committed baseline, and the certified-clean tree is
+clean with no baseline to hide behind, and the certified-clean tree is
 pinned to bit-identical run stats and RunCache keys."""
 
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, main
+from repro.analysis import main
 from repro.analysis.core import (ProgramRule, SourceFile, all_rules,
                                  analyze_paths, analyze_source,
                                  analyze_sources, clear_parse_cache,
@@ -240,7 +240,7 @@ def test_balanced_collectives_across_calls_are_exempt():
     assert flow_findings("rank_collective_good.py") == []
 
 
-# -- suppressions and baseline ----------------------------------------------
+# -- suppressions and CLI ---------------------------------------------------
 
 def test_flow_findings_honor_inline_suppressions():
     source = SourceFile("t.py", (
@@ -253,39 +253,22 @@ def test_flow_findings_honor_inline_suppressions():
     assert analyze_source(source, default_rules()) == []
 
 
-def test_cli_deep_exit_codes(tmp_path):
+def test_cli_deep_exit_codes():
     bad = str(FIXTURES / "transitive_blocking_bad.py")
     good = str(FIXTURES / "transitive_blocking_good.py")
-    args = ["--baseline", str(tmp_path / "missing.json")]
-    assert main(args + [good]) == 0
+    assert main([good]) == 0
     # The whole-program checks run with no flag...
-    assert main(args + [bad]) == 1
+    assert main([bad]) == 1
     # ...and --deep is a no-op kept for old command lines.
-    assert main(args + ["--deep", bad]) == 1
+    assert main(["--deep", bad]) == 1
 
 
 def test_cli_deep_is_accepted_and_src_repro_exits_clean(capsys):
-    assert main(["--deep", "--baseline", "/dev/null", str(SRC)]) == 0
+    assert main(["--deep", str(SRC)]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         main(["--help"])
     assert "--deep" not in capsys.readouterr().out
-
-
-def test_cli_deep_write_baseline_round_trip(tmp_path, capsys):
-    bad = str(FIXTURES / "rank_collective_bad.py")
-    baseline = tmp_path / "baseline.json"
-    args = ["--baseline", str(baseline)]
-    assert main(args + [bad, "--write-baseline"]) == 0
-    written = Baseline.load(baseline)
-    assert len(written) == 1
-    assert written.entries[0]["rule"] == "rank-dependent-collective"
-    # With the finding grandfathered the gate passes...
-    assert main(args + [bad]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-    # ...and without it, it still fails.
-    assert main(["--baseline", str(tmp_path / "other.json"), bad]) == 1
 
 
 def test_cli_list_rules_includes_flow_checks(capsys):
@@ -300,11 +283,11 @@ def test_cli_list_rules_includes_flow_checks(capsys):
     assert "flow-" not in out and "--deep" not in out
 
 
-def test_cli_rules_selects_any_listed_id(tmp_path, capsys):
+def test_cli_rules_selects_any_listed_id(capsys):
     """--rules takes every id --list-rules prints, whole-program ones
     included, and runs only those."""
     bad = str(FIXTURES / "rank_collective_bad.py")
-    args = ["--baseline", str(tmp_path / "missing.json"), bad]
+    args = [bad]
     assert main(["--rules", "rank-dependent-collective"] + args) == 1
     assert "[rank-dependent-collective]" in capsys.readouterr().out
     assert main(["--rules", "handler-purity", "--deep"] + args) == 0
@@ -315,8 +298,7 @@ def test_cli_rules_selects_any_listed_id(tmp_path, capsys):
 
 def test_sarif_output_matches_golden_fixture(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES)
-    assert main(["--format", "sarif", "--baseline", "/dev/null",
-                 "rank_collective_bad.py"]) == 1
+    assert main(["--format", "sarif", "rank_collective_bad.py"]) == 1
     produced = json.loads(capsys.readouterr().out)
     golden = json.loads(
         (FIXTURES / "expected_rank_collective.sarif.json").read_text())
@@ -324,7 +306,7 @@ def test_sarif_output_matches_golden_fixture(monkeypatch, capsys):
 
 
 def test_sarif_clean_run_has_no_results(capsys):
-    assert main(["--format", "sarif", "--baseline", "/dev/null",
+    assert main(["--format", "sarif",
                  str(FIXTURES / "rank_collective_good.py")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["version"] == "2.1.0"
@@ -368,16 +350,6 @@ def test_src_repro_is_flow_clean():
     findings, checked = analyze_paths([SRC], rules)
     assert checked > 60
     assert findings == []
-
-
-def test_committed_flow_baseline_is_empty_for_apps():
-    """Repo policy: app findings are fixed, never grandfathered — and
-    the one committed baseline, which gates the whole-program checks
-    too, is empty outright."""
-    baseline = Baseline.load(REPO_ROOT / "simlint.baseline.json")
-    assert [e for e in baseline.entries
-            if "apps" in Path(e["path"]).parts] == []
-    assert len(baseline) == 0
 
 
 def test_flow_summaries_cover_the_runtime_stack():

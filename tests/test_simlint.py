@@ -1,13 +1,13 @@
-"""The simlint engine: suppressions, baseline round trip, CLI, and the
-repo gate (``src/repro`` itself must lint clean)."""
+"""The simlint engine: suppressions, CLI, and the repo gate
+(``src/repro`` itself must lint clean)."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Baseline, Finding, all_rules, analyze_file,
-                            analyze_paths, default_rules, main)
+from repro.analysis import (all_rules, analyze_file, analyze_paths,
+                            default_rules, main)
 from repro.analysis.core import PARSE_ERROR_RULE, SourceFile, analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures" / "simlint"
@@ -28,27 +28,47 @@ def test_inline_suppression_silences_only_named_rule():
 
 
 def test_suppression_without_rule_list_disables_everything():
+    """A rule-less ``# simlint: disable`` is not a suppression: the
+    finding it used to hide is reported."""
     source = SourceFile("x.py", (
         "import time\n"
         "a = time.time()  # simlint: disable\n"
     ))
-    assert analyze_source(source, default_rules()) == []
+    assert [f.rule for f in analyze_source(source, default_rules())] \
+        == ["wall-clock"]
 
 
 def test_next_line_and_file_suppressions():
+    """``disable-next-line=`` and ``disable-file=`` are not suppressions
+    either: each finding is reported where it is."""
     next_line = SourceFile("x.py", (
         "import time\n"
         "# simlint: disable-next-line=wall-clock\n"
         "a = time.time()\n"
     ))
-    assert analyze_source(next_line, default_rules()) == []
+    assert [(f.line, f.rule)
+            for f in analyze_source(next_line, default_rules())] \
+        == [(3, "wall-clock")]
     whole_file = SourceFile("x.py", (
         "# simlint: disable-file=wall-clock\n"
         "import time\n"
         "a = time.time()\n"
         "b = time.time()\n"
     ))
-    assert analyze_source(whole_file, default_rules()) == []
+    assert [(f.line, f.rule)
+            for f in analyze_source(whole_file, default_rules())] \
+        == [(3, "wall-clock"), (4, "wall-clock")]
+
+
+@pytest.mark.parametrize("spelling", [
+    "# simlint: disable", "# simlint: disable-next-line=wall-clock",
+    "# simlint: disable-file=wall-clock"])
+def test_cli_reports_what_a_removed_spelling_used_to_hide(
+        tmp_path, capsys, spelling):
+    target = tmp_path / "m.py"
+    target.write_text(f"import time\nt = time.time()  {spelling}\n")
+    assert main([str(target)]) == 1
+    assert "[wall-clock]" in capsys.readouterr().out
 
 
 def test_suppression_covers_multi_line_statements():
@@ -87,48 +107,6 @@ def test_syntax_error_becomes_a_parse_error_finding():
     assert findings[0].rule == PARSE_ERROR_RULE
 
 
-# -- baseline ---------------------------------------------------------------
-
-def test_baseline_round_trip_silences_grandfathered_findings(tmp_path):
-    path = FIXTURES / "hygiene_bad.py"
-    source = SourceFile(str(path), path.read_text())
-    findings = analyze_source(source, default_rules())
-    assert findings
-    sources = {source.path: source}
-    baseline = Baseline.from_findings(findings, sources)
-    baseline_path = tmp_path / "baseline.json"
-    baseline.save(baseline_path)
-
-    reloaded = Baseline.load(baseline_path)
-    assert len(reloaded) == len(findings)
-    new, old = reloaded.split(findings, sources)
-    assert new == [] and len(old) == len(findings)
-
-
-def test_baseline_survives_line_shifts_but_not_content_changes():
-    original = SourceFile("m.py", "import time\nt = time.time()\n")
-    findings = analyze_source(original, default_rules())
-    baseline = Baseline.from_findings(findings,
-                                      {original.path: original})
-    # Same offending line, shifted down: still covered.
-    shifted = SourceFile("m.py",
-                         "import time\n\n\nt = time.time()\n")
-    moved = analyze_source(shifted, default_rules())
-    assert all(baseline.covers(f, shifted) for f in moved)
-    # Changed line content: a new finding, not covered.
-    edited = SourceFile("m.py",
-                        "import time\nt2 = time.time()\n")
-    changed = analyze_source(edited, default_rules())
-    assert not any(baseline.covers(f, edited) for f in changed)
-
-
-def test_baseline_rejects_unknown_format(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"format": 99, "findings": []}))
-    with pytest.raises(ValueError):
-        Baseline.load(bad)
-
-
 # -- CLI --------------------------------------------------------------------
 
 def test_cli_exit_codes_and_text_output(capsys):
@@ -145,7 +123,8 @@ def test_cli_json_format(capsys):
     assert main(["--format", "json",
                  str(FIXTURES / "spmd_bad.py")]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["version"] == 1
+    assert report["version"] == 2
+    assert set(report) == {"version", "files_checked", "findings"}
     assert report["files_checked"] == 1
     rules = {f["rule"] for f in report["findings"]}
     assert rules == {"unyielded-blocking-call",
@@ -160,17 +139,19 @@ def test_cli_rules_subset(capsys):
     assert "wall-clock" in out and "unseeded-rng" not in out
 
 
-def test_cli_write_baseline_then_gate_passes(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    target = str(FIXTURES / "hygiene_bad.py")
-    assert main([target, "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    # With every finding grandfathered, the gate passes...
-    assert main([target, "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-    # ...and without the baseline it still fails.
-    assert main([target]) == 1
+@pytest.mark.parametrize("flag", ["--baseline=x.json", "--write-baseline"])
+def test_cli_refuses_the_removed_baseline_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, str(FIXTURES / "determinism_good.py")])
+    assert exc.value.code == 2
+
+
+def test_cli_unreadable_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "latin1.py"
+    target.write_bytes(b"s = '\xe9'\n")
+    assert main([str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simlint: cannot read") and "latin1.py" in err
 
 
 def test_cli_list_rules(capsys):
@@ -192,12 +173,3 @@ def test_src_repro_lints_clean():
         default_rules())
     assert checked > 60
     assert findings == []
-
-
-def test_committed_baseline_is_empty_for_apps():
-    """Repo policy: app findings are fixed, never grandfathered (the
-    whole committed baseline is empty)."""
-    baseline = Baseline.load(REPO_ROOT / "simlint.baseline.json")
-    assert [e for e in baseline.entries
-            if "apps" in Path(e["path"]).parts] == []
-    assert len(baseline) == 0
