@@ -60,6 +60,18 @@ def _dial_values(text: str) -> List[float]:
     return values
 
 
+def _finite(text: str) -> float:
+    """``--threshold`` / ``--max-median-error``: a finite number; a NaN
+    gate would pass every report."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _emit(payload: dict, text: str, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -217,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--values", type=_dial_values, default=None,
                          help="comma-separated dial values "
                          "(default: the reduced grid)")
-    predict.add_argument("--threshold", type=float, default=2.0,
+    predict.add_argument("--threshold", type=_finite, default=2.0,
                          help="slowdown threshold for the tolerance "
                          "metric (default 2.0)")
     predict.add_argument("--format", choices=("text", "json"),
@@ -236,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--values", type=_dial_values, default=None,
                         help="comma-separated dial values "
                         "(default: the reduced grid)")
-    report.add_argument("--max-median-error", type=float, default=0.10)
+    report.add_argument("--max-median-error", type=_finite, default=0.10)
     add_run_options(report)
     report.add_argument("--bench-out", type=pathlib.Path, default=None,
                         help="also write the report payload as a BENCH "

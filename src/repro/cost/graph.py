@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, List, Tuple
@@ -149,19 +150,33 @@ class CostGraph:
         """What no dial changes, resolved once for every replay.
 
         ``(steps, n_sends, n_windows)``, one ``(tag, rank, busy, a,
-        credit, returns, sizes)`` step per row, the replay's dict keys
+        back, returns, sizes)`` step per row, the replay's dict keys
         as dense slots.  ``a``: a mark's label (1 start, 2 stop); a
-        recv's delivery slot, the index among sends of the latest earlier
-        send with its ``(xfer, reply_like)``, or -1; a send's window
-        slot, -1 if it takes no credit.  A send ``returns`` into its
-        xfer's ``credit`` slot nothing (0), its arrival (1) or that plus
-        a wire leg (2); ``sizes`` are a bulk send's fragments.
-        A malformed row, or one whose times are negative or not finite,
-        raises ``ValueError`` naming its index.
+        recv's delivery slot, the index among sends of the latest
+        earlier send with its ``(xfer, reply_like)``, or -1; a send's
+        window if the send waits there for the earliest known credit
+        return, else -1.  A send ``returns`` to window ``back`` nothing
+        (0), its arrival (1) or that plus a wire leg (2); ``sizes`` are
+        a bulk send's fragments.  Whether a send waits follows from
+        scan order alone: its window is full and holds a known return.
+        Full with none known, it drops the oldest credit, whose return
+        then frees nothing.  A bad ``window`` or ``window_scope``
+        raises ``ValueError`` naming the field; a malformed row, one
+        whose times are negative or not finite, or one that takes or
+        returns a credit its transfer may not, one naming its index.
         """
-        per_dest = self.window_scope == "per-destination"
+        window, scope = self.window, self.window_scope
+        if type(window) is not int or window < 1:
+            raise ValueError(f"window must be an int >= 1, got {window!r}")
+        if scope not in ("per-destination", "global"):
+            raise ValueError(f"unknown window_scope {scope!r}")
+        per_dest, inf = scope == "per-destination", math.inf
         last_t = [0.0] * self.n_nodes
-        deliveries, credits, windows, fragments = {}, {}, {}, {}
+        replies, requests, windows, holds, fragments = {}, {}, {}, {}, {}
+        # A transfer's window while it holds a credit (-1 once dropped,
+        # None once returned); per window, how many held credits have a
+        # known return, and the holders whose return is not, oldest first.
+        known, pending = defaultdict(int), defaultdict(dict)
         steps = []
         n_sends = 0
         try:
@@ -170,13 +185,10 @@ class CostGraph:
                 if tag == "s":
                     (_, rank, t, charge, blocked, xfer, peer, reply_like,
                      takes_credit, one_way, bulk, nbytes, _frags) = row
-                    a = windows.setdefault(
-                        (rank, peer if per_dest else -1),
-                        len(windows)) if takes_credit else -1
                 elif tag == "r":
                     (_, rank, t, charge, blocked, xfer, _peer,
                      reply_like) = row
-                    a = deliveries.get((xfer, bool(reply_like)), -1)
+                    a = (replies if reply_like else requests).get(xfer, -1)
                 elif tag == "m":
                     _, rank, t, blocked, label = row
                     charge, a = 0.0, {"start": 1, "stop": 2}.get(label, 0)
@@ -184,24 +196,52 @@ class CostGraph:
                     raise ValueError(f"unknown event row tag {tag!r}")
                 if not 0 <= rank < self.n_nodes:
                     raise ValueError(f"rank {rank!r} is not a node")
-                if not (0.0 <= t < math.inf and 0.0 <= charge < math.inf
-                        and 0.0 <= blocked < math.inf):
+                if not (0.0 <= t < inf and 0.0 <= charge < inf
+                        and 0.0 <= blocked < inf):
                     raise ValueError(
                         f"times (t {t!r}, charge {charge!r}, blocked "
                         f"{blocked!r}) must be finite and non-negative")
-                busy = max(0.0, (t - last_t[rank]) - blocked - charge)
+                busy = (t - last_t[rank]) - blocked - charge
+                busy = busy if busy > 0.0 else 0.0  # max(), minus a call
                 last_t[rank] = t
                 if tag != "s":
-                    steps.append((tag, rank, busy, a, 0, 0, None))
+                    steps.append((tag, rank, busy, a, -1, 0, None))
                     continue
+                a = back = -1
+                if takes_credit:
+                    if xfer in holds:
+                        raise ValueError(
+                            f"transfer {xfer!r} takes a second credit")
+                    w = windows.setdefault(
+                        (rank, peer if per_dest else -1), len(windows))
+                    slots = pending[w]
+                    if known[w] + len(slots) >= window:
+                        if known[w]:
+                            known[w] -= 1
+                            a = w
+                        else:
+                            oldest = next(iter(slots))
+                            del slots[oldest]
+                            holds[oldest] = -1
+                    holds[xfer] = w
+                    slots[xfer] = None
+                returns = 1 if reply_like else 2 if one_way else 0
+                if returns:
+                    back = holds.get(xfer)
+                    if back is None:
+                        raise ValueError(f"transfer {xfer!r} holds no "
+                                         "credit to return")
+                    holds[xfer] = None
+                    if back < 0:
+                        returns = 0
+                    else:
+                        del pending[back][xfer]
+                        known[back] += 1
                 if bulk and nbytes not in fragments:
                     fragments[nbytes] = fragment_sizes(nbytes)
-                steps.append((
-                    tag, rank, busy, a,
-                    credits.setdefault(xfer, len(credits)),
-                    1 if reply_like else 2 if one_way else 0,
-                    fragments[nbytes] if bulk else None))
-                deliveries[(xfer, bool(reply_like))] = n_sends
+                steps.append((tag, rank, busy, a, back, returns,
+                              fragments[nbytes] if bulk else None))
+                (replies if reply_like else requests)[xfer] = n_sends
                 n_sends += 1
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed event row {index}: {exc}") from exc

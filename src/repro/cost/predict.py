@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
 from repro.am.tuning import DialedCost, TuningKnobs
@@ -73,7 +74,6 @@ def predict_runtime(graph: CostGraph,
     _check_supported(graph, knobs)
     cost = DialedCost(graph.params, knobs)
     steps, n_sends, n_windows = graph.program
-    window = graph.window
     send_charge, recv_charge = cost.send_charge, cost.recv_charge
     wire, tx_cycle = cost.wire, cost.tx_cycle
     # A short packet's cycle does not depend on its size: once per point.
@@ -82,14 +82,14 @@ def predict_runtime(graph: CostGraph,
     # Per-rank replay state.
     clock = [0.0] * graph.n_nodes      # predicted completion of last event
     nic_free = [0.0] * graph.n_nodes   # predicted transmit-context free time
-    # Message / flow-control state, by the program's dense slots.
+    # Message / flow-control state, by the program's dense slots: one
+    # min-heap of known credit returns per window.
     delivery = [0.0] * n_sends
-    credit_return: List[Optional[float]] = [None] * n_sends  # by xfer
-    outstanding: List[List[int]] = [[] for _ in range(n_windows)]
+    returned: List[List[float]] = [[] for _ in range(n_windows)]
     sent = 0
     t_start = t_stop = None
 
-    for tag, rank, busy, a, credit, returns, sizes in steps:
+    for tag, rank, busy, a, back, returns, sizes in steps:
         ready = clock[rank] + busy
 
         if tag == "r":
@@ -110,25 +110,13 @@ def predict_runtime(graph: CostGraph,
 
         # -- send -----------------------------------------------------------
         if a >= 0:
-            slots = outstanding[a]
-            if len(slots) >= window:
-                # Wait for the earliest *known* credit return.  Returns
-                # recorded after this point in the scan are treated as
-                # later — consistent with the recorded schedule, where
-                # the freeing return had already happened.
-                best_i = -1
-                best_rt = 0.0
-                for i, slot in enumerate(slots):
-                    rt = credit_return[slot]
-                    if rt is not None and (best_i < 0 or rt < best_rt):
-                        best_i, best_rt = i, rt
-                if best_i >= 0:
-                    slots.pop(best_i)
-                    if best_rt > ready:
-                        ready = best_rt
-                else:  # pragma: no cover - cannot happen in a valid graph
-                    slots.pop(0)
-            slots.append(credit)
+            # The window is full: wait for its earliest *known* credit
+            # return.  Returns recorded after this point in the scan are
+            # treated as later — consistent with the recorded schedule,
+            # where the freeing return had already happened.
+            freed = heappop(returned[a])
+            if freed > ready:
+                ready = freed
         done = ready + send_charge
         clock[rank] = done
 
@@ -151,11 +139,11 @@ def predict_runtime(graph: CostGraph,
         sent += 1
         if returns == 1:
             # A reply's arrival returns the request's window credit.
-            credit_return[credit] = arrival
+            heappush(returned[back], arrival)
         elif returns == 2:
             # NIC CREDIT: generated at delivery, one more wire leg back
             # (CREDITs bypass the transmit gap but ride the delay queue).
-            credit_return[credit] = arrival + wire
+            heappush(returned[back], arrival + wire)
 
     if t_start is None or t_stop is None:
         raise UnsupportedGraphError(
@@ -306,7 +294,7 @@ def lp_bound(graph: CostGraph,
 
     host: Dict[int, float] = {}
     nic: Dict[int, float] = {}
-    for row, (tag, rank, busy, _a, _credit, _returns, sizes) in zip(
+    for row, (tag, rank, busy, _a, _back, _returns, sizes) in zip(
             graph.rows, steps):
         if not (t0 < row[2] <= t1):
             continue

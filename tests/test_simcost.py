@@ -19,6 +19,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import statistics
 
 import pytest
@@ -32,8 +33,9 @@ from repro.cost import (CostGraph, DepRecorder, PredictedPoint,
                         predict_runtime, predict_sweep, record_run)
 from repro.harness.runcache import run_key_spec
 from repro.harness.experiments import predicted_figure, prediction_errors
-from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepResult,
-                                  run_sweep)
+from repro.harness.suite import suite_for
+from repro.harness.sweeps import (DIALS, MACHINE_DIALS, SensitivityFigure,
+                                  SweepResult, run_sweep)
 from repro.network.faults import FaultPlan
 
 
@@ -106,6 +108,31 @@ def test_predicted_slowdowns_within_error_gate(radix_graph, parameter,
     errs = [abs(p - s) / s
             for p, s in zip(predicted.slowdowns(), simulated.slowdowns())]
     assert statistics.median(errs) <= 0.10, errs
+
+
+MONOTONE_SUITE = suite_for(8, scale=0.005)
+
+
+@pytest.mark.parametrize("app", MONOTONE_SUITE,
+                         ids=[app.name for app in MONOTONE_SUITE])
+def test_predicted_runtime_never_falls_as_a_dial_slows_the_machine(app):
+    """Raising o, g or L, or lowering bulk bandwidth, never shortens a
+    predicted runtime: the replay only adds, takes maxima and pops the
+    earliest of returns that each grow with the dial.  Every machine
+    dial's grid, in the direction that slows the machine, for each
+    suite app recorded with a starved and a roomy window in both
+    scopes."""
+    for window in (1, 8):
+        for scope in ("per-destination", "global"):
+            graph, _ = record_run(app, 8, seed=5, window=window,
+                                  window_scope=scope)
+            for parameter in MACHINE_DIALS:
+                grid = DIALS[parameter].grid
+                slower = sorted(grid, reverse=grid[-1] < grid[0])
+                runtimes = [point.runtime_us for point in predict_sweep(
+                    graph, parameter, slower).points]
+                assert runtimes == sorted(runtimes), (
+                    window, scope, parameter, runtimes)
 
 
 def test_predicted_sweep_via_harness_entry_point(radix_graph):
@@ -307,6 +334,70 @@ def test_malformed_graphs_raise_value_error_naming_the_row(radix_graph):
         lp_bound(bad)
 
 
+def _first_send(graph, flag):
+    """The index of the first send row with ``flag`` (7 ``reply_like``,
+    8 ``takes_credit``) set."""
+    return next(i for i, row in enumerate(graph.rows)
+                if row[0] == "s" and row[flag])
+
+
+def _with_row_at(graph, index, row, replaced):
+    rows = list(map(list, graph.rows))
+    rows[index:index + replaced] = [list(row)]
+    return dict(graph.to_dict(), events=rows)
+
+
+def _duplicated(graph, flag):
+    index = _first_send(graph, flag)
+    return _with_row_at(graph, index + 1, graph.rows[index], 0)
+
+
+def _stray_return(graph):
+    index = _first_send(graph, 7)
+    row = graph.rows[index]
+    return _with_row_at(graph, index, row[:5] + (-7,) + row[6:], 1)
+
+
+@pytest.mark.parametrize("break_graph,mention", [
+    (lambda g: dict(g.to_dict(), window=0), "window must be an int >= 1"),
+    (lambda g: dict(g.to_dict(), window=-1), "window must be an int >= 1"),
+    (lambda g: dict(g.to_dict(), window="8"), "window must be an int >= 1"),
+    (lambda g: dict(g.to_dict(), window=1.5), "window must be an int >= 1"),
+    (lambda g: dict(g.to_dict(), window_scope="bogus"),
+     "unknown window_scope 'bogus'"),
+    (lambda g: _duplicated(g, 7),
+     "row {reply_again}: transfer .* holds no credit"),
+    (_stray_return, "row {reply}: transfer -7 holds no credit"),
+    (lambda g: _duplicated(g, 8),
+     "row {request_again}: transfer .* takes a second credit"),
+], ids=["window=0", "window=-1", "window='8'", "window=1.5",
+        "window_scope=bogus", "second-return", "return-never-taken",
+        "second-take"])
+def test_a_graph_file_with_a_bad_window_or_credit_is_refused(
+        radix_graph, tmp_path, capsys, break_graph, mention):
+    """The window rules ``Cluster`` and ``AmLayer`` apply, by field
+    name, and every credit returned by the transfer that holds it, by
+    row index: the compile decides the window, so it refuses what the
+    replay could not run (a window of 0 was an ``IndexError``, ``"8"``
+    a ``TypeError``; 1.5 and a misspelt scope replayed silently)."""
+    from repro.cost.cli import main
+    graph, _ = radix_graph
+    reply, request = _first_send(graph, 7), _first_send(graph, 8)
+    mention = mention.format(reply=reply, reply_again=reply + 1,
+                             request_again=request + 1)
+    payload = break_graph(graph)
+    with pytest.raises(ValueError, match=mention):
+        CostGraph.from_dict(payload)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    assert main(["predict", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"predict: {path}: ") \
+        and captured.err.count("\n") == 1
+    assert re.search(mention, captured.err)
+
+
 # ---------------------------------------------------------------------------
 # 3. Refusal honesty: unsupported regimes fail loudly.
 # ---------------------------------------------------------------------------
@@ -394,10 +485,8 @@ def test_cli_predict_exits_2_on_a_graph_it_cannot_use(tmp_path, capsys,
             and captured.err.count("\n") == 1, what
     assert main(["predict", str(tmp_path / "absent.json")]) == 2
     assert "absent.json" in capsys.readouterr().err
-    # The same file, intact, still predicts, but not against a NaN.
+    # The same file, intact, still predicts.
     path.write_text(graph.to_json())
-    assert main(["predict", str(path), "--threshold", "nan"]) == 2
-    assert "threshold" in capsys.readouterr().err
     assert main(["predict", str(path)]) == 0
 
 
@@ -453,3 +542,23 @@ def test_cli_a_bad_values_list_is_a_usage_error(argv, why, capsys):
     assert excinfo.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert f"argument --values: {argv[-1]!r}" in last and why in last
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "graph.json", "--threshold", "nan"],
+    ["predict", "graph.json", "--threshold", "inf"],
+    ["report", "--apps", "Radix", "--max-median-error", "nan"],
+    ["report", "--apps", "Radix", "--max-median-error", "inf"],
+], ids=["threshold-nan", "threshold-inf", "gate-nan", "gate-inf"])
+def test_cli_a_non_finite_gate_is_a_usage_error(argv, capsys):
+    """A NaN ``--max-median-error`` passed every report (``median >
+    nan`` is never true) and a NaN ``--threshold`` was blamed on the
+    graph file: both exit 2 at parse time, before anything is read or
+    simulated.  A negative gate stays legal: it forces exit 1."""
+    from repro.cost.cli import main
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {argv[-2]}: {argv[-1]!r} is not a finite number" \
+        in last

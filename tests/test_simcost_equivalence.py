@@ -379,6 +379,39 @@ def test_a_sealed_graph_cannot_serve_a_stale_program(barnes_graph):
     assert predict_runtime(graph, knobs) == before
 
 
+def test_a_full_window_with_no_known_return_drops_its_oldest_credit():
+    """Rank 0 sends two requests through a window of one before either
+    reply is recorded, as a re-scoped or truncated graph can.  The
+    second finds its window full with no known return to wait for: the
+    first's credit is dropped (the old loop's ``pop(0)``) and its reply
+    frees nothing, so the third request waits for the second's reply."""
+    def send(rank, t, xfer, peer, reply):
+        return ("s", rank, t, 2.9, 0.0, xfer, peer, reply, 1 - reply, 0,
+                0, 16, 1)
+
+    def recv(rank, t, xfer, peer, reply):
+        return ("r", rank, t, 2.9, 0.0, xfer, peer, reply)
+
+    rows = (("m", 0, 0.0, 0.0, "start"),
+            send(0, 3.0, 1, 1, 0), send(0, 6.0, 2, 1, 0),
+            recv(1, 20.0, 1, 0, 0), send(1, 23.0, 1, 0, 1),
+            recv(1, 26.0, 2, 0, 0), send(1, 29.0, 2, 0, 1),
+            recv(0, 40.0, 1, 1, 1), recv(0, 43.0, 2, 1, 1),
+            send(0, 46.0, 3, 1, 0), ("m", 0, 50.0, 0.0, "stop"))
+    graph = CostGraph(app_name="drop", n_nodes=2,
+                      params=Cluster(2).params, knobs=TuningKnobs(),
+                      window=1, window_scope="per-destination", seed=0,
+                      runtime_us=50.0, rows=rows)
+    steps, _, n_windows = graph.program
+    assert n_windows == 1
+    assert steps[2][3] == -1                # full, nothing known: no wait
+    assert steps[4][4:6] == (-1, 0)         # the dropped credit's reply
+    assert steps[6][4:6] == (0, 1)          # returns to window 0
+    assert steps[9][3] == 0                 # waits there
+    assert_replays_alike(graph, [None, TuningKnobs(delta_L=40.0),
+                                 TuningKnobs(delta_o=10.0)])
+
+
 # ---------------------------------------------------------------------------
 # The count the compile bought, so the loop cannot grow back.
 # ---------------------------------------------------------------------------
@@ -393,9 +426,12 @@ def test_replay_calls_per_event_within_budget():
     45,174 calls for 5,785 events, 7.81 per event, when each replay
     read thirteen attributes of a ``DepEvent``, looked three dicts up by
     tuple keys and called ``tx_cycle`` per send; 3,903 calls, 0.67 per
-    event, since: what is left is the window bookkeeping of the 1,448
-    credit-taking sends (``len`` and ``append`` each, 1,000 ``pop``s
-    from full windows).  No timing
+    event, when each of the 1,448 credit-taking sends kept an
+    outstanding list (``len`` and ``append`` each, 1,000 ``pop``s from
+    full windows); 2,455 calls, 0.42 per event, since the compile
+    decides which sends wait: what is left is one ``heappush`` per
+    returned credit (1,448) and one ``heappop`` per waiting send
+    (1,000).  No timing
     enters: the count is a function of the seed and repeats exactly,
     also across ``PYTHONHASHSEED`` values (CI runs this test under two
     and prints it).  The first replay compiles and goes unprofiled."""
