@@ -40,8 +40,9 @@ from repro.cost.predict import (latency_tolerance, lp_bound,
 from repro.cost.recorder import record_run
 from repro.harness.experiments import (predicted_figure, prediction_errors,
                                        recorded_suite, sensitivity_figure)
-from repro.harness.parallel import add_run_options, run_options, run_plans
-from repro.harness.suite import suite_for
+from repro.harness.parallel import (add_run_options, input_scale,
+                                    run_options, run_plans)
+from repro.harness.suite import suite_for, suite_names
 from repro.harness.sweeps import DIALS, MACHINE_DIALS
 
 __all__ = ["main"]
@@ -140,16 +141,13 @@ def _cmd_predict(args) -> int:
 # -- report -----------------------------------------------------------------
 
 def _cmd_report(args) -> int:
-    names = [part.strip() for part in args.apps.split(",") if part.strip()]
-    if not names:
-        print("report: --apps named no applications", file=sys.stderr)
-        return 2
     try:
-        recorded = recorded_suite.plan(args.nodes, scale=args.scale,
-                                       names=names, seed=args.seed)
-    except KeyError as exc:
-        print(f"report: {exc.args[0]}", file=sys.stderr)
+        names = suite_names(args.apps)
+    except ValueError as exc:
+        print(f"report: --apps {exc}", file=sys.stderr)
         return 2
+    recorded = recorded_suite.plan(args.nodes, scale=args.scale,
+                                   names=names, seed=args.seed)
     values = args.values or list(DIALS[args.parameter].reduced)
     # One recording per app predicts the grid; the simulated side is the
     # same grid's Figure 5-8 study, whose baseline points the recordings
@@ -213,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument("--app", required=True,
                         help="application name (as in the suite)")
     record.add_argument("--nodes", type=int, default=8)
-    record.add_argument("--scale", type=float, default=1.0)
+    record.add_argument("--scale", type=input_scale, default=1.0)
     record.add_argument("--seed", type=int, default=0)
     record.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     record.add_argument("--out", type=pathlib.Path, default=None,
@@ -241,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--apps", required=True,
                         help="comma-separated application names")
     report.add_argument("--nodes", type=int, default=8)
-    report.add_argument("--scale", type=float, default=1.0)
+    report.add_argument("--scale", type=input_scale, default=1.0)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--parameter", default="overhead",
                         choices=sorted(MACHINE_DIALS))

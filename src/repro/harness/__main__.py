@@ -1,4 +1,4 @@
-"""Regenerate every table and figure of the paper from the command line.
+"""Print every table and figure of EXPERIMENTS.md from the command line.
 
 Usage::
 
@@ -6,11 +6,15 @@ Usage::
     python -m repro.harness --scale 0.25 --nodes 16 --out results/
     python -m repro.harness --only table2 figure7
 
-Each artifact is printed and, with ``--out``, also written to
-``<out>/<artifact>.txt``.  Everything selected is planned first and its
-runs drained once — each distinct run simulated once — through the
-on-disk run cache (``--cache-dir``, ``--no-cache``) and ``--jobs``
-worker processes, as campaign mode's are.
+The artifacts are the records of :mod:`repro.harness.artifacts`, the
+ones ``scripts/generate_experiments.py`` writes, planned at ``--nodes``
+and ``--scale`` over the same grids; a different grid, such as the
+paper's full one, is a campaign spec's dial.  Each artifact is printed
+and, with ``--out``, also written to ``<out>/<artifact>.txt``.
+Everything selected is planned first and its runs drained once — each
+distinct run simulated once — through the on-disk run cache
+(``--cache-dir``, ``--no-cache``) and ``--jobs`` worker processes, as
+campaign mode's are.
 
 Campaign mode runs (or resumes) a :mod:`repro.harness.campaign` spec
 from a JSON file against a sqlite result store instead::
@@ -35,58 +39,13 @@ import json
 import pathlib
 import sys
 
-from repro.harness import (CampaignSpec, Plan, ResultStore, experiments,
-                           overhead_gap_surface, render_campaign,
+from repro.harness import (CampaignSpec, ResultStore, render_campaign,
                            run_campaign, run_plans)
-from repro.harness.parallel import add_run_options, run_options
+from repro.harness.artifacts import REGISTRY
+from repro.harness.parallel import add_run_options, input_scale, run_options
 
-
-def _sized(entry, *args):
-    """The plan of an artifact whose study takes (n_nodes, scale) after
-    ``args`` (the dial of a sensitivity figure)."""
-    return lambda nodes, scale: entry.plan(*args, n_nodes=nodes,
-                                           scale=scale)
-
-
-def _unplanned(entry):
-    """The plan of an artifact that runs nothing through the drain (the
-    microbenchmarks): no tasks, computed when it is built."""
-    return lambda nodes, scale: Plan((), lambda _points: entry())
-
-
-#: artifact name -> callable(n_nodes, scale) -> the :class:`Plan` of an
-#: object with .render().
-ARTIFACTS = {
-    "table1": _unplanned(experiments.table1_baseline_params),
-    "figure3": _unplanned(experiments.figure3_signature),
-    "table2": _unplanned(experiments.table2_calibration),
-    "table3": lambda nodes, scale:
-        experiments.table3_baseline_runtimes.plan(
-            node_counts=(nodes // 2, nodes), scale=scale),
-    "figure4": _sized(experiments.figure4_balance),
-    "table4": _sized(experiments.table4_comm_summary),
-    "figure5": _sized(experiments.sensitivity_figure, "overhead"),
-    "table5": _sized(experiments.table5_overhead_model),
-    "figure6": _sized(experiments.sensitivity_figure, "gap"),
-    "table6": _sized(experiments.table6_gap_model),
-    "figure7": _sized(experiments.sensitivity_figure, "latency"),
-    "figure8": _sized(experiments.sensitivity_figure, "bulk_mb_s"),
-    "figure9": _sized(experiments.sensitivity_figure, "drop_rate"),
-    "table7": _sized(experiments.table7_spike_decay),
-    "figure10": lambda nodes, scale:
-        experiments.figure10_collectives.plan(n_nodes=nodes),
-    "table8": lambda nodes, scale:
-        experiments.table8_collectives.plan(n_nodes=nodes),
-    "figure11": _sized(experiments.figure11_serving),
-    "surface": lambda nodes, scale: overhead_gap_surface.plan(
-        n_nodes=min(nodes, 16), scale=scale),
-    # simcost: the overhead sweep predicted from one recorded run per
-    # app (figure5's baseline point) instead of one simulation per
-    # (app, value) point.
-    "predict": lambda nodes, scale: experiments.recorded_suite.plan(
-        nodes, scale=scale).then(
-        lambda graphs: experiments.predicted_figure(graphs, "overhead")),
-}
+#: The artifacts ``--only`` names: the registry's printable records.
+CLI_NAMES = [name for name, artifact in REGISTRY.items() if artifact.cli]
 
 
 def run_campaign_cli(args) -> int:
@@ -128,12 +87,12 @@ def main(argv=None) -> int:
         description="Regenerate the paper's tables and figures.")
     parser.add_argument("--nodes", type=int, default=32,
                         help="cluster size (default 32, as the paper)")
-    parser.add_argument("--scale", type=float, default=0.5,
+    parser.add_argument("--scale", type=input_scale, default=0.5,
                         help="input scale (default 0.5)")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="directory to write <artifact>.txt files")
     parser.add_argument("--only", nargs="*", default=None,
-                        choices=sorted(ARTIFACTS),
+                        choices=sorted(CLI_NAMES),
                         help="subset of artifacts to regenerate")
     add_run_options(parser)
     campaign = parser.add_argument_group("campaign mode")
@@ -165,12 +124,15 @@ def main(argv=None) -> int:
             parser.error("--campaign needs --store")
         return run_campaign_cli(args)
 
-    selected = args.only if args.only else list(ARTIFACTS)
+    if args.nodes < 2:
+        parser.error(f"--nodes {args.nodes}: Table 3 and the studies also "
+                     "run half the machine, so at least 2")
+    selected = args.only if args.only else CLI_NAMES
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
     run = run_options(args)
 
-    artifacts = run_plans([ARTIFACTS[name](args.nodes, args.scale)
+    artifacts = run_plans([REGISTRY[name].planned(args.nodes, args.scale)
                            for name in selected], **run)
     for name, artifact in zip(selected, artifacts):
         text = artifact.render()

@@ -55,7 +55,7 @@ from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT
 from repro.harness.parallel import PointTask, default_jobs, run_points
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
-from repro.harness.suite import suite_for
+from repro.harness.suite import checked_scale, suite_for
 from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepPoint,
                                   SweepResult, sweep_tasks)
 from repro.network.faults import DelaySpike, FaultPlan, SlowdownWindow
@@ -146,9 +146,7 @@ class CampaignSpec:
                     f"({workload['app']!r},), got {self.apps}")
         if not self.name:
             raise ValueError("campaign needs a non-empty name")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(
-                f"scale must be finite and > 0, got {self.scale!r}")
+        checked_scale(self.scale)
         if self.machine not in MACHINE_PRESETS:
             raise ValueError(
                 f"unknown machine preset {self.machine!r}; "

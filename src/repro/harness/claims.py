@@ -9,9 +9,10 @@ simulates nothing), and a row holds when its bound accepts the value.
 A row outside its holds-at scale, or about an application the run left
 out, is written as not applicable rather than dropped.
 
-The paper's own numbers live here only: the generator's paper columns
-read :data:`PAPER`.  Nothing in :mod:`repro.harness` imports this
-module.
+A row's id prefix names the record of :mod:`repro.harness.artifacts`
+that owns it; the row's artifact title and holds-at scale are that
+record's.  The paper's own numbers live here only: the registry's
+sections read :data:`PAPER`.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ SUITE = SUITE_ORDER
 FREQUENT = SUITE[:4]
 #: The input scale the suite's rows were checked at.
 SCALE = 0.5
-#: id prefix -> the artifact its rows are about.
-ARTIFACTS = {
-    "t1": "Table 1", "f3": "Figure 3", "t2": "Table 2", "t3": "Table 3",
-    "t4": "Table 4", "f4": "Figure 4", "f5": "Figure 5", "t5": "Table 5",
-    "f6": "Figure 6", "t6": "Table 6", "f7": "Figure 7", "f8": "Figure 8",
-    "t8": "Table 8", "coll": "Table 8", "surface": "o x g surface",
-    "scaling": "Scaling study", "investment": "Investment study",
-    "occupancy": "Occupancy study", "window": "Ablation: window size",
-    "scope": "Ablation: window scope", "burst": "Ablation: burstiness"}
-#: Prefixes whose rows run no suite application: any scale.
-SCALE_FREE = {"t1", "f3", "t2", "t8", "coll", "window", "scope", "burst"}
 
 
 @dataclass(frozen=True)
@@ -104,11 +94,17 @@ class Claim:
 
     @property
     def artifact(self) -> str:
-        return ARTIFACTS[self.id.split(".")[0]]
+        return self._owner().title
 
     @property
     def holds_at(self) -> Optional[float]:
-        return None if self.id.split(".")[0] in SCALE_FREE else SCALE
+        """The suite's scale, unless its artifact reads no suite app."""
+        return SCALE if self._owner().apps else None
+
+    def _owner(self):
+        # The registry reads PAPER, so it is imported when first asked.
+        from repro.harness.artifacts import OWNERS
+        return OWNERS[self.id.split(".")[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +113,21 @@ class Claim:
 
 def peak(figure: str, name: str) -> Measure:
     """One app's largest slowdown in a sensitivity figure."""
-    return Measure(lambda a: getattr(a, figure).max_slowdown(name), name)
+    return Measure(lambda a: a[figure].max_slowdown(name), name)
 
 
 def slowdown_at(figure: str, name: str, value: float) -> Measure:
     return Measure(lambda a: dict(
-        getattr(a, figure).sweeps[name].series())[value], name)
+        a[figure].sweeps[name].series())[value], name)
 
 
 def largest(figure: str, names: Sequence[str] = SUITE) -> Measure:
-    return Measure(lambda a: max(getattr(a, figure).max_slowdown(n)
+    return Measure(lambda a: max(a[figure].max_slowdown(n)
                                  for n in names), *names)
 
 
 def most_hurt(figure: str) -> Measure:
-    return Measure(lambda a: max(SUITE, key=getattr(a, figure).max_slowdown),
+    return Measure(lambda a: max(SUITE, key=a[figure].max_slowdown),
                    *SUITE)
 
 
@@ -139,7 +135,7 @@ def linearity(figure: str, name: str) -> Measure:
     """Steepest over shallowest slope of a slowdown curve (1 = a line);
     None unless every slope rises."""
     def read(a):
-        series = getattr(a, figure).sweeps[name].series()
+        series = a[figure].sweeps[name].series()
         slopes = [(y2 - y1) / (x2 - x1)
                   for (x1, y1), (x2, y2) in zip(series, series[1:])]
         return max(slopes) / min(slopes) if min(slopes) > 0 else None
@@ -148,26 +144,26 @@ def linearity(figure: str, name: str) -> Measure:
 
 def runtime(name: str, n_nodes: int) -> Measure:
     """Table 3's runtime, ms."""
-    return Measure(lambda a: a.t3.runtimes[name][n_nodes] / 1000, name)
+    return Measure(lambda a: a["table3"].runtimes[name][n_nodes] / 1000, name)
 
 
 def summary(attribute: str, names: Sequence[str],
             reduce: Callable = min) -> Measure:
     """A Table 4 column, reduced over ``names``."""
     return Measure(lambda a: reduce(
-        getattr(a.t4.results[n].summary(), attribute) for n in names),
+        getattr(a["table4"].results[n].summary(), attribute) for n in names),
         *names)
 
 
 def frequency(reduce: Callable) -> Measure:
     """The app ``reduce`` (min/max) picks by messages/proc/ms."""
-    return Measure(lambda a: reduce(SUITE, key=lambda n: a.t4.results[
+    return Measure(lambda a: reduce(SUITE, key=lambda n: a["table4"].results[
         n].summary().messages_per_proc_per_ms), *SUITE)
 
 
 def matrix(name: str, read: Callable[[np.ndarray], Any]) -> Measure:
     """``read`` of one app's Figure 4 matrix — Table 4's run of it."""
-    return Measure(lambda a: read(a.t4.results[name].balance()), name)
+    return Measure(lambda a: read(a["table4"].results[name].balance()), name)
 
 
 def _ring_contrast(m: np.ndarray) -> np.ndarray:
@@ -191,13 +187,13 @@ def _off_diagonal(m: np.ndarray) -> np.ndarray:
 
 def calibrated(dial: str, error: Callable) -> Measure:
     """Table 2's worst ``error(row)`` over one dial's rows."""
-    return Measure(lambda a: max(error(r) for r in a.t2.rows_
+    return Measure(lambda a: max(error(r) for r in a["table2"].rows_
                                  if r.dialed == dial))
 
 
 def top_calibrated(dial: str, read: Callable) -> Measure:
     """``read`` of the largest-target row of one Table 2 dial."""
-    return Measure(lambda a: read([r for r in a.t2.rows_
+    return Measure(lambda a: read([r for r in a["table2"].rows_
                                    if r.dialed == dial][-1]))
 
 
@@ -205,20 +201,20 @@ def platform(name: str) -> Measure:
     """Table 1's measured (o, g, L, MB/s) of one machine."""
     return Measure(lambda a: next(
         [r["o (us)"], r["g (us)"], r["L (us)"], r["MB/s (1/G)"]]
-        for r in a.t1.rows() if r["Platform"] == name))
+        for r in a["table1"].rows() if r["Platform"] == name))
 
 
 def fit(table: str, name: str) -> Measure:
     """Worst |predicted - measured| / measured of one app's model rows."""
     return Measure(lambda a: max(
-        abs(e) for e in getattr(a, table).prediction_error(name)), name)
+        abs(e) for e in a[table].prediction_error(name)), name)
 
 
 def top_rows(table: str, column: str, read: Callable,
              names: Sequence[str]) -> Measure:
     """``read`` of a model table's rows at its largest dialed value."""
     def rows(a):
-        rows = getattr(a, table).rows()
+        rows = a[table].rows()
         top = max(r[column] for r in rows)
         return read([r for r in rows if r[column] == top])
     return Measure(rows, *names)
@@ -244,20 +240,20 @@ WELL_PARALLELISED = ("EM3D(write)", "EM3D(read)", "Sample", "NOW-sort")
 #: Figures 5-7 per app: the paper's slowdown at the top of the dial and
 #: the bound the reproduction holds it to (``above(1)``: it slows).
 PEAKS = {
-    ("f5", "fig5_32", "o=103"): {
+    ("f5", "figure5", "o=103"): {
         "Radix": ("57x", above(10)), "EM3D(write)": ("27x", above(10)),
         "EM3D(read)": ("22x", above(10)), "Sample": ("21x", above(10)),
         "Barnes": ("N/A (livelock past o≈7)", above(1)),
         "P-Ray": ("6.4x", above(1)), "Murphi": ("3.1x", above(1)),
         "Connect": ("2.2x", below(8)), "NOW-sort": ("1.25x", below(2.5)),
         "Radb": ("1.7x", below(10))},
-    ("f6", "fig6", "g=105"): {
+    ("f6", "figure6", "g=105"): {
         "Radix": ("17.2x", above(5)), "EM3D(write)": ("13.6x", above(5)),
         "EM3D(read)": ("8.7x", above(1)), "Sample": ("10.6x", above(5)),
         "Barnes": ("4.8x", above(1)), "P-Ray": ("2.0x", above(1)),
         "Murphi": ("1.1x", below(4)), "Connect": ("1.6x", below(4)),
         "NOW-sort": ("1.0x", below(4)), "Radb": ("1.1x", below(4))},
-    ("f7", "fig7", "L=105"): {
+    ("f7", "figure7", "L=105"): {
         "Radix": ("1.8x", below(3)), "EM3D(write)": ("2.2x", above(1)),
         "EM3D(read)": ("8.7x", above(4)), "Sample": ("1.6x", below(3)),
         "Barnes": ("4.8x", above(1)), "P-Ray": ("3.4x", above(1)),
@@ -288,18 +284,18 @@ CLAIMS: List[Claim] = [
                             / platform("intel-paragon")(a)[1])),
 
     Claim("f3.send_overhead", "short bursts expose o_send (µs)", 1.8,
-          between(1.6, 2.0), Measure(lambda a: a.sig.send_overhead())),
+          between(1.6, 2.0), Measure(lambda a: a["figure3"].send_overhead())),
     Claim("f3.steady_gap", "long Δ=0 bursts read g=14 slightly low (µs)",
           12.8, Bound("in (11, 14.2]", lambda v: 11.0 < v <= 14.2),
-          Measure(lambda a: a.sig.steady_state(0.0))),
+          Measure(lambda a: a["figure3"].steady_state(0.0))),
     Claim("f3.delta10_plateau", "Δ=10 levels at o_send + o_recv + Δ (µs)",
           15.8, between(15.0, 16.6),
-          Measure(lambda a: a.sig.steady_state(10.0))),
+          Measure(lambda a: a["figure3"].steady_state(10.0))),
     Claim("f3.rises_to_steady", "Δ=0 µs/msg by burst size, o toward g",
           None, RISING, Measure(lambda a: [v for _m, v in sorted(
-              a.sig.intervals[0.0].items())])),
+              a["figure3"].intervals[0.0].items())])),
     Claim("f3.round_trip", "round trip at g=14 (µs)", 21,
-          between(20.6, 22.6), Measure(lambda a: a.rtt)),
+          between(20.6, 22.6), Measure(lambda a: a["rtt"])),
 
     Claim("t2.o_hits_target", "o dial: worst |o - desired| / desired", None,
           below(0.02), calibrated("o", lambda r: abs(
@@ -313,7 +309,7 @@ CLAIMS: List[Claim] = [
           "99 for 105", Bound("in [0.8, 1.05]", lambda v: v[0] >= 0.8
                               and v[1] <= 1.05),
           Measure(lambda a: [f(r.measured.gap / r.desired
-                               for r in a.t2.rows_ if r.dialed == "g")
+                               for r in a["table2"].rows_ if r.dialed == "g")
                              for f in (min, max)])),
     Claim("t2.g_leaves_o", "g dial: worst |o - 2.9| (µs)", None, below(0.2),
           calibrated("g", lambda r: abs(r.measured.overhead - 2.9))),
@@ -332,9 +328,9 @@ CLAIMS: List[Claim] = [
     *(Claim(f"window.w{w}", f"L=105, window {w}: g within 20% of "
             f"RTT/window = {2 * 105.5 / w:.1f} µs", None,
             between(0.8 * 2 * 105.5 / w, 1.2 * 2 * 105.5 / w),
-            Measure(lambda a, w=w: a.windows[w])) for w in (4, 8, 16)),
+            Measure(lambda a, w=w: a["windows"][w])) for w in (4, 8, 16)),
     Claim("window.wider_fills_the_pipe", "g at windows 4, 8, 16", None,
-          FALLING, Measure(lambda a: [a.windows[w] for w in (4, 8, 16)])),
+          FALLING, Measure(lambda a: [a["windows"][w] for w in (4, 8, 16)])),
 
     *(Claim(f"t3.{name}", f"{name} completes on 16 and 32 nodes (ms)",
             list(paper), Bound("both > 0", lambda v: min(v) > 0),
@@ -385,7 +381,7 @@ CLAIMS: List[Claim] = [
     Claim("f4.no_self_messages", "apps whose 32x32 matrix has an empty "
           "diagonal", None, equals(10), Measure(lambda a: sum(
               m.shape == (32, 32) and not np.diag(m).any()
-              for m in (a.t4.results[n].balance() for n in SUITE)), *SUITE)),
+              for m in (a["table4"].results[n].balance() for n in SUITE)), *SUITE)),
     Claim("f4.radix_ring", "Radix: mean ring cell over the background",
           None, above(1.3),
           matrix("Radix", lambda m: _ring_contrast(m).mean())),
@@ -412,130 +408,130 @@ CLAIMS: List[Claim] = [
       for (prefix, figure, top), apps in PEAKS.items()
       for name, (paper, bound) in apps.items()),
     Claim("f5.radix_vs_radb", "per-key Radix over bulk Radb", round(57 / 1.7),
-          above(3), peak("fig5_32", "Radix") / peak("fig5_32", "Radb")),
+          above(3), peak("figure5", "Radix") / peak("figure5", "Radb")),
     Claim("f5.most_hurt", "most overhead-sensitive app", "Radix",
-          one_of(*FREQUENT), most_hurt("fig5_32")),
+          one_of(*FREQUENT), most_hurt("figure5")),
     Claim("f5.radix_linear", "Radix: steepest over shallowest slope", None,
-          below(1.5), linearity("fig5_32", "Radix")),
+          below(1.5), linearity("figure5", "Radix")),
     *(Claim(f"f5.nodes_ratio.{name}", f"{name}: peak on 32 nodes over 16",
             None, between(0.5, 2.0),
-            peak("fig5_32", name) / peak("fig5_16", name))
+            peak("figure5", name) / peak("figure5_16", name))
       for name in ("Sample", "EM3D(write)", "NOW-sort")),
     *(Claim(f"t5.fit.{name}", f"{name}: worst relative model error", None,
-            below(0.35), fit("t5", name))
+            below(0.35), fit("table5", name))
       for name in ("Sample", "EM3D(write)")),
     Claim("t5.radix_under_predicted", "Radix at o=103: measured over "
           "predicted", None, above(1), top_rows(
-              "t5", "o (us)", lambda rows: next(
+              "table5", "o (us)", lambda rows: next(
                   r["measured_us"] / r["predicted_us"] for r in rows
                   if r["app"] == "Radix"), ["Radix"])),
 
     Claim("f6.most_hurt", "most gap-sensitive app", "Radix",
-          one_of(*FREQUENT), most_hurt("fig6")),
+          one_of(*FREQUENT), most_hurt("figure6")),
     Claim("f6.radix_linear", "Radix: steepest over shallowest slope", None,
-          below(1.6), linearity("fig6", "Radix")),
+          below(1.6), linearity("figure6", "Radix")),
     *(Claim(f"t6.fit.{name}", f"{name}: worst relative model error", None,
-            below(0.4), fit("t6", name))
+            below(0.4), fit("table6", name))
       for name in ("Radix", "EM3D(write)", "Sample")),
     Claim("t6.no_gross_under_prediction", "g=105: least predicted over "
           "measured", None, Bound(">= 0.6", lambda v: v >= 0.6), top_rows(
-              "t6", "g (us)", lambda rows: min(
+              "table6", "g (us)", lambda rows: min(
                   r["predicted_us"] / r["measured_us"] for r in rows),
               T6_APPS)),
 
     Claim("f7.most_hurt", "most latency-sensitive app", "EM3D(read)",
-          equals("EM3D(read)"), most_hurt("fig7")),
+          equals("EM3D(read)"), most_hurt("figure7")),
     Claim("f7.read_vs_write", "EM3D(read) over EM3D(write)",
           round(8.7 / 2.2, 2), above(2),
-          peak("fig7", "EM3D(read)") / peak("fig7", "EM3D(write)")),
+          peak("figure7", "EM3D(read)") / peak("figure7", "EM3D(write)")),
     Claim("f7.radix_vs_em3d_read", "Radix over EM3D(read)",
           round(1.8 / 8.7, 2), below(1),
-          peak("fig7", "Radix") / peak("fig7", "EM3D(read)")),
+          peak("figure7", "Radix") / peak("figure7", "EM3D(read)")),
     Claim("f7.radix_vs_connect", "Radix over Connect", round(1.8 / 3.9, 2),
-          below(1), peak("fig7", "Radix") / peak("fig7", "Connect")),
+          below(1), peak("figure7", "Radix") / peak("figure7", "Connect")),
     Claim("f7.weaker_than_overhead", "largest slowdown at L=105", "8.7x",
-          below(12), largest("fig7")),
+          below(12), largest("figure7")),
 
     Claim("f8.max", "largest slowdown at 1 MB/s", "~3x", below(3.5),
-          largest("fig8")),
+          largest("figure8")),
     Claim("f8.flat_to_15", "largest slowdown at 15 MB/s", None, below(1.25),
-          Measure(lambda a: max(slowdown_at("fig8", n, 15.0)(a)
+          Measure(lambda a: max(slowdown_at("figure8", n, 15.0)(a)
                                 for n in SUITE), *SUITE)),
     Claim("f8.nowsort_at_5_5", "NOW-sort at 5.5 MB/s (disk-limited)", None,
-          below(1.3), slowdown_at("fig8", "NOW-sort", 5.5)),
+          below(1.3), slowdown_at("figure8", "NOW-sort", 5.5)),
     Claim("f8.nowsort_at_1", "NOW-sort at 1 MB/s", None, above(1.5),
-          slowdown_at("fig8", "NOW-sort", 1.0)),
+          slowdown_at("figure8", "NOW-sort", 1.0)),
     Claim("f8.nowsort_peaks_at_1", "MB/s of NOW-sort's largest slowdown",
           None, equals(1.0), Measure(lambda a: max(
-              a.fig8.sweeps["NOW-sort"].series(), key=lambda p: p[1])[0],
+              a["figure8"].sweeps["NOW-sort"].series(), key=lambda p: p[1])[0],
               "NOW-sort")),
     Claim("f8.short_messages_flat", "largest slowdown of the short-message "
-          "apps", None, below(1.2), largest("fig8", SHORT_ONLY)),
+          "apps", None, below(1.2), largest("figure8", SHORT_ONLY)),
 
     Claim("t8.agreement", "share of cells whose model pick is within 10% "
           "of the measured best", None, AT_LEAST_80,
-          Measure(lambda a: _ok_share(a.t8.rows()))),
+          Measure(lambda a: _ok_share(a["table8"].rows()))),
     Claim("t8.size_flips_a_pick", "primitives whose model pick changes "
           "with size", None, above(0), Measure(lambda a: sum(
-              len({r["model_pick"] for r in a.t8.rows()
+              len({r["model_pick"] for r in a["table8"].rows()
                    if r["primitive"] == p}) > 1
-              for p in {r["primitive"] for r in a.t8.rows()}))),
+              for p in {r["primitive"] for r in a["table8"].rows()}))),
     Claim("coll.grid_agreement", "t8.agreement over P 4/8/16 x size "
           "x 38/4 MB/s", None, AT_LEAST_80,
-          Measure(lambda a: _ok_share(a.coll_grid))),
+          Measure(lambda a: _ok_share(a["coll_grid"]))),
 
     Claim("surface.monotone", "Sample's slowdown never falls along either "
           "dial", None, equals(True),
-          Measure(lambda a: a.surface.is_monotone(), "Sample")),
+          Measure(lambda a: a["surface"].is_monotone(), "Sample")),
     Claim("surface.overhead_beats_gap", "+100 µs of o over +100 µs of g",
-          None, above(1), Measure(lambda a: a.surface.at(100.0, 0.0)
-                                  / a.surface.at(0.0, 100.0), "Sample")),
+          None, above(1), Measure(lambda a: a["surface"].at(100.0, 0.0)
+                                  / a["surface"].at(0.0, 100.0), "Sample")),
     Claim("surface.redundant_corner", "corner slowdown minus the additive "
           "composition", None, below(0),
-          Measure(lambda a: a.surface.interaction_excess(100.0, 100.0),
+          Measure(lambda a: a["surface"].interaction_excess(100.0, 100.0),
                   "Sample")),
 
     # The same runs as Figure 5's Radix points at o = 2.9 and 102.9.
     Claim("scaling.residual_32", "Radix at +100 µs o, 32 nodes: measured "
           "over r + 2·m·Δo", None, above(1.1),
-          Measure(lambda a: a.scaling.serial_residual(32), "Radix")),
+          Measure(lambda a: a["scaling"].serial_residual(32), "Radix")),
     Claim("scaling.residual_grows", "Radix residual, 32 nodes over 16",
           None, above(1),
-          Measure(lambda a: a.scaling.residual_growth(), "Radix")),
+          Measure(lambda a: a["scaling"].residual_growth(), "Radix")),
     *(Claim(f"scaling.slowdown.{n}", f"Radix at +100 µs o on {n} nodes",
             None, above(10),
-            Measure(lambda a, n=n: a.scaling.slowdown(n), "Radix"))
+            Measure(lambda a, n=n: a["scaling"].slowdown(n), "Radix"))
       for n in (16, 32)),
     Claim("investment.comm_beats_cpu", "Sample: speedup of 1/2 (o, g) over "
           "that of 2x CPU", None, above(1), Measure(lambda a: (
-              a.investment.speedup("1/2 o and g")
-              / a.investment.speedup("2x cpu")), "Sample")),
+              a["investment"].speedup("1/2 o and g")
+              / a["investment"].speedup("2x cpu")), "Sample")),
     Claim("investment.cpu_helps", "Sample: speedup of 2x CPU", None,
           above(1),
-          Measure(lambda a: a.investment.speedup("2x cpu"), "Sample")),
+          Measure(lambda a: a["investment"].speedup("2x cpu"), "Sample")),
     *(Claim(f"occupancy.{dial}_monotone", f"EM3D(read) at +0/10/25/50 µs "
             f"of {dial}", None, RISING,
-            Measure(lambda a, d=dial: a.occupancy.slowdowns(d),
+            Measure(lambda a, d=dial: a["occupancy"].slowdowns(d),
                     "EM3D(read)"))
       for dial in ("occupancy", "overhead")),
     Claim("occupancy.vs_overhead", "EM3D(read) at +50 µs: occupancy over "
           "overhead", None, above(0.75), Measure(lambda a: (
-              a.occupancy.slowdowns("occupancy")[-1]
-              / a.occupancy.slowdowns("overhead")[-1]), "EM3D(read)")),
+              a["occupancy"].slowdowns("occupancy")[-1]
+              / a["occupancy"].slowdowns("overhead")[-1]), "EM3D(read)")),
     Claim("occupancy.top", "EM3D(read) at +50 µs of occupancy", None,
-          above(3), Measure(lambda a: a.occupancy.slowdowns("occupancy")[-1],
+          above(3), Measure(lambda a: a["occupancy"].slowdowns("occupancy")[-1],
                             "EM3D(read)")),
 
     Claim("scope.per_destination", "all-to-all at +100 µs L, "
           "per-destination windows", None, below(1.5),
-          Measure(lambda a: a.window_scope["per-destination"])),
+          Measure(lambda a: a["window_scope"]["per-destination"])),
     Claim("scope.global", "the same, one global window over per-destination",
-          None, above(2), Measure(lambda a: a.window_scope["global"]
-                                  / a.window_scope["per-destination"])),
+          None, above(2), Measure(lambda a: a["window_scope"]["global"]
+                                  / a["window_scope"]["per-destination"])),
     Claim("burst.paced", "ring sends every 250 µs at +100 µs g", None,
-          below(1.2), Measure(lambda a: a.burst["paced"])),
+          below(1.2), Measure(lambda a: a["burst"]["paced"])),
     Claim("burst.burst", "the same sent flat out", None, above(3),
-          Measure(lambda a: a.burst["burst"])),
+          Measure(lambda a: a["burst"]["burst"])),
 ]
 #: Row id -> the paper's value.
 PAPER: Dict[str, Any] = {claim.id: claim.paper for claim in CLAIMS}
@@ -550,14 +546,14 @@ def _rounded(value: Any) -> Any:
     return round(value, 4) if isinstance(value, float) else value
 
 
-def evaluate(artifacts: Any, scale: float,
+def evaluate(artifacts: Dict[str, Any], scale: float,
              apps: Optional[Sequence[str]] = None,
              claims: Sequence[Claim] = CLAIMS) -> List[dict]:
     """Every row as a dict, its ``status`` ``holds``, ``fails`` or
-    ``n/a``.  ``artifacts`` has one attribute per built artifact the
-    rows read (``t3``, ``fig5_32``, ...), ``scale`` is the input scale
-    they were built at and ``apps`` the applications they cover (None:
-    all ten)."""
+    ``n/a``.  ``artifacts`` maps each registry name the rows read
+    (``table3``, ``figure5``, ...) to its built value, ``scale`` is the
+    input scale they were built at and ``apps`` the applications they
+    cover (None: all ten)."""
     rows = []
     for claim in claims:
         applicable = claim.holds_at in (None, scale) and (

@@ -28,13 +28,12 @@ from repro.cost.graph import CostGraph
 from repro.cost.predict import latency_tolerance, predict_sweep
 from repro.cost.recorder import recording
 from repro.harness.parallel import Plan, PointTask, study
-from repro.harness.report import render_table
+from repro.harness.report import markdown_table, render_table
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import (DIALS, MACHINE_DIALS, SensitivityFigure,
                                   SweepResult, collective_sweep, dial_named,
                                   measure_algorithms, run_sweep,
                                   spike_decay_sweep)
-from repro.instruments.balance import render_balance
 from repro.models.gap import BurstGapModel
 from repro.models.overhead import OverheadModel
 from repro.am.tuning import TuningKnobs
@@ -57,9 +56,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Table1:
-    """Table 1's measured rows."""
+class RowTable:
+    """A titled table of flat rows: Table 1's, and the model tables'
+    measured vs predicted runtimes along one sweep."""
 
+    title: str
     rows_: List[dict]
 
     def rows(self) -> List[dict]:
@@ -68,12 +69,21 @@ class Table1:
 
     def render(self) -> str:
         """ASCII rendering of the table."""
-        return render_table(self.rows_, title="Table 1: baseline LogGP "
-                            "parameters (measured on the simulated "
-                            "machines)")
+        return render_table(self.rows_, title=self.title)
+
+    def prediction_error(self, app_name: str) -> List[float]:
+        """Relative error (pred - measured)/measured for completed
+        points of one app."""
+        errors = []
+        for row in self.rows_:
+            if row["app"] != app_name or row["measured_us"] == "N/A":
+                continue
+            errors.append((row["predicted_us"] - row["measured_us"])
+                          / row["measured_us"])
+        return errors
 
 
-def table1_baseline_params() -> Table1:
+def table1_baseline_params() -> RowTable:
     """Measure (o, g, L, 1/G) of every machine preset with the
     microbenchmarks, as Table 1 reports them."""
     rows = []
@@ -89,7 +99,8 @@ def table1_baseline_params() -> Table1:
             "L (us)": round(measured.latency, 1),
             "MB/s (1/G)": round(bulk.saturated_mb_s),
         })
-    return Table1(rows_=rows)
+    return RowTable("Table 1: baseline LogGP parameters (measured on the "
+                    "simulated machines)", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +216,8 @@ class Figure4:
 
     def render(self) -> str:
         """ASCII greyscale matrices, one block per application."""
-        blocks = []
-        for name, result in self.results.items():
-            blocks.append(render_balance(result.stats, title=name))
-        return "\n\n".join(blocks)
+        return "\n\n".join(result.render_balance()
+                           for result in self.results.values())
 
 
 @study
@@ -253,24 +262,6 @@ def table4_comm_summary(n_nodes: int = 32, scale: float = 1.0,
 # dial turned (Figure 9, packet loss, is beyond the paper).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FaultFigure(SensitivityFigure):
-    """A sensitivity figure over drop rate, with reliability counters."""
-
-    def rows(self) -> List[dict]:
-        """Sweep rows augmented with drop/retransmission counters."""
-        rows = []
-        for sweep in self.sweeps.values():
-            for row, point in zip(sweep.as_rows(), sweep.points):
-                stats = point.result.stats if point.completed else None
-                row["dropped"] = (stats.total_packets_dropped
-                                  if stats else "N/A")
-                row["retransmits"] = (stats.total_retransmissions
-                                      if stats else "N/A")
-                rows.append(row)
-        return rows
-
-
 #: dial -> the paper's name for the figure over it.
 FIGURE_TITLES = {
     "overhead": "Figure 5 ({n_nodes} nodes): sensitivity to overhead",
@@ -297,8 +288,7 @@ def sensitivity_figure(parameter: str, n_nodes: int = 32,
     into slowdown.
     """
     dial = dial_named(parameter, FIGURE_TITLES)
-    figure = (FaultFigure if parameter == "drop_rate"
-              else SensitivityFigure)(
+    figure = SensitivityFigure(
         title=FIGURE_TITLES[parameter].format(n_nodes=n_nodes),
         x_label=dial.label)
     apps = suite_for(n_nodes, scale=scale, names=names)
@@ -368,14 +358,11 @@ class PredictionErrors:
         """Markdown table of the rows."""
         def cell(value, digits=2, suffix=""):
             return "N/A" if value is None else f"{value:.{digits}f}{suffix}"
-        lines = [f"| app | {self.parameter} | simulated | predicted | "
-                 "rel err |", "|---|---|---|---|---|"]
-        for app, value, simulated, predicted, err in self.rows:
-            lines.append(
-                f"| {app} | {value:g} | {cell(simulated)} | "
-                f"{cell(predicted)} | "
-                f"{cell(None if err is None else err * 100, 1, '%')} |")
-        return "\n".join(lines)
+        return markdown_table(
+            ["app", self.parameter, "simulated", "predicted", "rel err"],
+            [(app, f"{value:g}", cell(simulated), cell(predicted),
+              cell(None if err is None else err * 100, 1, "%"))
+             for app, value, simulated, predicted, err in self.rows])
 
 
 def prediction_errors(predicted: SensitivityFigure,
@@ -404,51 +391,20 @@ def tolerance_table(graphs: Sequence[CostGraph]) -> str:
     """Markdown table: per application, the value of each machine dial
     at which its predicted slowdown reaches 2x (``never`` within the
     search range; see :func:`repro.cost.predict.latency_tolerance`)."""
-    lines = ["| app | " + " | ".join(MACHINE_DIALS) + " |",
-             "|---|" + "---|" * len(MACHINE_DIALS)]
-    for graph in graphs:
-        crossings = [latency_tolerance(graph, dial, threshold=2.0)
-                     for dial in MACHINE_DIALS]
-        lines.append(f"| {graph.app_name} | " + " | ".join(
-            "never" if crossing is None else f"{crossing:.1f}"
-            for crossing in crossings) + " |")
-    return "\n".join(lines)
+    def cell(graph, dial):
+        crossing = latency_tolerance(graph, dial, threshold=2.0)
+        return "never" if crossing is None else f"{crossing:.1f}"
+    return markdown_table(["app", *MACHINE_DIALS], [
+        [graph.app_name, *(cell(graph, dial) for dial in MACHINE_DIALS)]
+        for graph in graphs])
 
 
 # ---------------------------------------------------------------------------
 # Tables 5 and 6 -- model predictions vs measurements.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModelTable:
-    """Measured vs predicted runtimes along one sweep."""
-
-    title: str
-    parameter: str
-    rows_: List[dict]
-
-    def rows(self) -> List[dict]:
-        """Flat dict rows."""
-        return self.rows_
-
-    def render(self) -> str:
-        """ASCII rendering of the table."""
-        return render_table(self.rows_, title=self.title)
-
-    def prediction_error(self, app_name: str) -> List[float]:
-        """Relative error (pred - measured)/measured for completed
-        points of one app."""
-        errors = []
-        for row in self.rows_:
-            if row["app"] != app_name or row["measured_us"] == "N/A":
-                continue
-            errors.append((row["predicted_us"] - row["measured_us"])
-                          / row["measured_us"])
-        return errors
-
-
 def _model_table(figure: SensitivityFigure, model_class: type,
-                 column: str, title: str, parameter: str) -> ModelTable:
+                 column: str, title: str) -> RowTable:
     """``model_class`` fitted at each sweep's baseline, against every
     measured point of that sweep."""
     rows = []
@@ -467,7 +423,7 @@ def _model_table(figure: SensitivityFigure, model_class: type,
                                 if point.completed else "N/A"),
                 "predicted_us": round(model.predict_runtime(delta), 1),
             })
-    return ModelTable(title=title, parameter=parameter, rows_=rows)
+    return RowTable(title=title, rows_=rows)
 
 
 @study
@@ -479,9 +435,8 @@ def table5_overhead_model(n_nodes: int = 32, scale: float = 1.0,
     return sensitivity_figure.plan(
         "overhead", n_nodes=n_nodes, scale=scale, names=names,
         values=values, seed=seed, **kwargs).then(
-        lambda figure: _model_table(
-            figure, OverheadModel, "o (us)",
-            "Table 5: overhead model (r + 2 m do)", "overhead"))
+        lambda figure: _model_table(figure, OverheadModel, "o (us)",
+                                    "Table 5: overhead model (r + 2 m do)"))
 
 
 @study
@@ -494,7 +449,7 @@ def table6_gap_model(n_nodes: int = 32, scale: float = 1.0,
         "gap", n_nodes=n_nodes, scale=scale, names=names, values=values,
         seed=seed, **kwargs).then(lambda figure: _model_table(
             figure, BurstGapModel, "g (us)",
-            "Table 6: burst gap model (r + m dg)", "gap"))
+            "Table 6: burst gap model (r + m dg)"))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +470,7 @@ def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
     both in µs and as a fraction of the spike duration (1.0 = the
     whole spike surfaced in the critical path; > 1.0 = it cascaded).
     """
-    def build(sweeps: List[SweepResult]) -> ModelTable:
+    def build(sweeps: List[SweepResult]) -> RowTable:
         rows = []
         for sweep in sweeps:
             base = sweep.baseline.runtime_us
@@ -533,10 +488,8 @@ def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
                     "propagated": (round(residual / duration_us, 2)
                                    if residual is not None else "N/A"),
                 })
-        return ModelTable(
-            title=f"Table 7: delay-spike propagation "
-                  f"({duration_us:g} us spike at node {node})",
-            parameter="spike_start_us", rows_=rows)
+        return RowTable(f"Table 7: delay-spike propagation "
+                        f"({duration_us:g} us spike at node {node})", rows)
     return Plan.union(
         [spike_decay_sweep.plan(app, n_nodes, node=node,
                                 duration_us=duration_us, starts=starts,
@@ -622,20 +575,22 @@ def table8_collectives(n_nodes: int = 32,
                                                     "allgather",
                                                     "alltoall"),
                        sizes: Sequence[int] = (32, 1024, 16384, 65536),
+                       knobs: Optional[TuningKnobs] = None,
                        seed: int = 0, **kwargs) -> Plan:
     """Table 8: the LogGP model's algorithm picks vs measured winners.
 
     For each (primitive, size) cell, times every eligible algorithm
-    with :class:`~repro.coll.bench.CollectiveBench`, then reports the
-    :func:`model_picks` rows.  The bottom-line agreement rate is the
-    claims row ``t8.agreement`` (at least 80%).
+    with :class:`~repro.coll.bench.CollectiveBench` on the NOW with
+    ``knobs``, then reports the :func:`model_picks` rows for the same
+    machine.  The bottom-line agreement rate is the claims row
+    ``t8.agreement`` (at least 80%).
     """
-    return measure_algorithms.plan(n_nodes, sizes, primitives, seed=seed,
-                                   **kwargs).then(
-        lambda cells: ModelTable(
-            title=f"Table 8 ({n_nodes} nodes): model-driven algorithm "
-                  f"selection vs measured winners",
-            parameter="size", rows_=model_picks(cells, n_nodes)))
+    return measure_algorithms.plan(n_nodes, sizes, primitives, knobs=knobs,
+                                   seed=seed, **kwargs).then(
+        lambda cells: RowTable(
+            f"Table 8 ({n_nodes} nodes): model-driven algorithm "
+            "selection vs measured winners",
+            model_picks(cells, n_nodes, knobs)))
 
 
 # ---------------------------------------------------------------------------

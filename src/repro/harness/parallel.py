@@ -31,12 +31,13 @@ from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster, RunResult
 from repro.gas.runtime import LivelockError
 from repro.harness.runcache import RunCache, run_key_spec
+from repro.harness.suite import checked_scale
 from repro.network.faults import FaultError
 from repro.sanitize.reports import DeadlockError
 
 __all__ = ["PointTask", "SweepPoint", "FAILURE_CATEGORIES", "execute_point",
            "run_points", "Plan", "run_plans", "study", "default_jobs",
-           "add_run_options", "run_options"]
+           "add_run_options", "run_options", "input_scale"]
 
 
 def default_jobs() -> int:
@@ -58,6 +59,16 @@ def add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="run cache directory (default "
                         "~/.cache/repro or $REPRO_CACHE_DIR)")
+
+
+def input_scale(text: str) -> float:
+    """The argparse type of every driver's ``--scale``: a bad one exits
+    2 at parse time with :func:`~repro.harness.suite.checked_scale`'s
+    reason, before anything runs."""
+    try:
+        return checked_scale(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def run_options(args: argparse.Namespace) -> Dict[str, Any]:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["render_table", "ascii_plot"]
+__all__ = ["render_table", "markdown_table", "ascii_plot"]
 
 
 def render_table(rows: Sequence[dict], title: str = "") -> str:
@@ -28,6 +28,14 @@ def render_table(rows: Sequence[dict], title: str = "") -> str:
         lines.append(" | ".join(
             f"{str(row.get(c, '')):>{widths[c]}}" for c in columns))
     return "\n".join(lines)
+
+
+def markdown_table(header: Sequence[str],
+                   rows: Iterable[Sequence[Any]]) -> str:
+    """A markdown table: the ``header`` cells, then each row's cells."""
+    return "\n".join(
+        ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        + ["| " + " | ".join(map(str, row)) + " |" for row in rows])
 
 
 #: Plot glyphs assigned to series in order.

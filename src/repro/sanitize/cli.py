@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from repro.cluster.machine import Cluster
 from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT, LivelockError
+from repro.harness.parallel import input_scale
 from repro.harness.suite import suite_for
 from repro.sanitize.reports import DeadlockError
 
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run the whole ten-app suite")
     parser.add_argument("--nodes", type=int, default=8,
                         help="cluster size (default: 8)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=input_scale, default=1.0,
                         help="suite input scale, the total input as at "
                         "32 nodes, like every driver's (default: 1.0)")
     parser.add_argument("--seed", type=int, default=11,

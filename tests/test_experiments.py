@@ -180,11 +180,11 @@ def test_a_bent_curve_fails_its_claim_with_the_measured_value():
         points = [SweepPoint(o, TuningKnobs(), SimpleNamespace(
             runtime_us=runtime, stats=stats))
             for o, runtime in zip((2.9, 12.9, 52.9, 102.9), runtimes_us)]
-        built = SimpleNamespace(
-            fig5_32=SensitivityFigure("Figure 5", "o", {"Radix": SweepResult(
+        built = {
+            "figure5": SensitivityFigure("Figure 5", "o", {"Radix": SweepResult(
                 "Radix", 32, "overhead", points)}),
-            scaling=ScalingStudy("Radix", delta_o, {32: (
-                runtimes_us[0], runtimes_us[-1], 4153)}))
+            "scaling": ScalingStudy("Radix", delta_o, {32: (
+                runtimes_us[0], runtimes_us[-1], 4153)})}
         rows = [c for c in claims.CLAIMS
                 if c.id in ("f5.radix_linear", "scaling.residual_32")]
         return {row["id"]: (row["status"], row["measured"])
