@@ -37,8 +37,8 @@ __all__ = ["infer_effects", "intrinsic_atoms", "chain_for",
 #: Runtime primitives that must be driven with ``yield from`` (or, for
 #: raw simulator events, ``yield``).
 BLOCKING_PRIMITIVES = frozenset({
-    "compute", "poll", "timeout", "barrier", "broadcast", "reduce",
-    "allreduce", "gather", "scatter", "allgather", "alltoall",
+    "compute", "poll", "timeout", "barrier", "broadcast", "allreduce",
+    "gather", "allgather", "alltoall",
     "read", "write", "sync", "bulk_get", "bulk_put",
     "lock", "unlock", "rpc", "send_request", "send_oneway", "bulk_rpc",
     "bulk_store", "bulk_store_blocking", "bulk_oneway", "drain",
@@ -47,8 +47,8 @@ BLOCKING_PRIMITIVES = frozenset({
 
 #: Collective operations every rank must reach identically (the
 #: ``repro.coll`` entry points mirrored as ``Proc`` methods).
-COLLECTIVES = frozenset({"barrier", "broadcast", "reduce", "allreduce",
-                         "gather", "scatter", "allgather", "alltoall"})
+COLLECTIVES = frozenset({"barrier", "broadcast", "allreduce", "gather",
+                         "allgather", "alltoall"})
 
 #: Primitives that put traffic on the wire (the ``sends`` atom).
 _SEND_PRIMITIVES = frozenset({

@@ -1,17 +1,11 @@
-"""Microbenchmarks as first-class applications.
+"""The one microbenchmark that runs as an application.
 
-The calibration suite (:mod:`repro.calibrate`) runs directly on bare AM
-endpoints; these wrap the same access patterns as
-:class:`~repro.apps.base.Application` so they go through the full
-Cluster runner — picking up statistics, balance matrices, and message
-tracing like any real program.  Useful as minimal workloads when
-exploring a new machine configuration.
-
-* :class:`PingPong` -- rank 0 ↔ rank 1 blocking echoes; reports RTT.
-* :class:`BurstSender` -- every rank fires a fixed-rate or maximal-rate
-  burst at its ring neighbour (the Figure 3 pattern, cluster-wide).
-* :class:`BulkStream` -- every rank streams bulk data to its neighbour;
-  reports achieved bandwidth.
+:class:`BurstSender` -- every rank fires a fixed-rate or maximal-rate
+burst at its ring neighbour, or round-robin at every peer (the Figure 3
+pattern, cluster-wide) -- goes through the full Cluster runner, so the
+window-scope and burst ablations of :mod:`repro.harness.extensions`
+read its statistics like any real program's.  The round-trip and bulk
+probes are :mod:`repro.calibrate`'s, which drive two bare nodes.
 """
 
 from __future__ import annotations
@@ -22,57 +16,13 @@ from repro.am.layer import HandlerTable
 from repro.apps.base import Application
 from repro.gas.runtime import Proc
 
-__all__ = ["PingPong", "BurstSender", "BulkStream"]
-
-
-def _echo(am, packet):
-    am.host.state["mb_echoed"] = am.host.state.get("mb_echoed", 0) + 1
-    return packet.payload
+__all__ = ["BurstSender"]
 
 
 def _sink(am, packet):
     am.host.state.setdefault("mb_received", 0)
     am.host.state["mb_received"] += 1
     return None
-
-
-class PingPong(Application):
-    """Blocking request/response between ranks 0 and 1.
-
-    ``finalize`` returns the mean round trip in µs — the model predicts
-    ``2L + 4o`` on an idle machine.
-    """
-
-    name = "PingPong"
-
-    def __init__(self, repeats: int = 32, spacing_us: float = 100.0):
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        self.repeats = repeats
-        self.spacing_us = spacing_us
-
-    def register_handlers(self, table: HandlerTable) -> None:
-        table.register("mb_echo", _echo)
-
-    def run_rank(self, proc: Proc) -> Generator:
-        if proc.n_ranks < 2 or proc.rank > 1:
-            return
-        if proc.rank == 0:
-            total = 0.0
-            for i in range(self.repeats):
-                yield from proc.compute(self.spacing_us)
-                yield from proc.poll()
-                start = proc.sim.now
-                yield from proc.am.rpc(1, "mb_echo", i)
-                total += proc.sim.now - start
-            proc.state["rtt_us"] = total / self.repeats
-        else:
-            # Serve echoes until the pinger has had every round trip.
-            yield from proc.am.wait_until(
-                lambda: proc.state.get("mb_echoed", 0) >= self.repeats)
-
-    def finalize(self, procs: List[Proc]) -> float:
-        return procs[0].state.get("rtt_us", 0.0)
 
 
 class BurstSender(Application):
@@ -118,41 +68,3 @@ class BurstSender(Application):
     def finalize(self, procs: List[Proc]) -> float:
         intervals = [p.state.get("interval_us", 0.0) for p in procs]
         return sum(intervals) / len(intervals)
-
-
-class BulkStream(Application):
-    """Every rank streams ``total_bytes`` in ``message_bytes`` one-way
-    bulk messages to its ring neighbour; ``finalize`` returns the mean
-    achieved bandwidth in MB/s."""
-
-    name = "BulkStream"
-
-    def __init__(self, total_bytes: int = 262_144,
-                 message_bytes: int = 16_384):
-        if total_bytes < message_bytes or message_bytes < 1:
-            raise ValueError(
-                "need total_bytes >= message_bytes >= 1")
-        self.total_bytes = total_bytes
-        self.message_bytes = message_bytes
-
-    def register_handlers(self, table: HandlerTable) -> None:
-        table.register("mb_bulk_sink", _sink)
-
-    def run_rank(self, proc: Proc) -> Generator:
-        if proc.n_ranks < 2:
-            return
-        peer = (proc.rank + 1) % proc.n_ranks
-        start = proc.sim.now
-        sent = 0
-        while sent < self.total_bytes:
-            size = min(self.message_bytes, self.total_bytes - sent)
-            yield from proc.am.bulk_oneway(peer, "mb_bulk_sink", None,
-                                           size)
-            sent += size
-        yield from proc.am.drain()
-        elapsed = proc.sim.now - start
-        proc.state["mb_s"] = sent / elapsed if elapsed > 0 else 0.0
-
-    def finalize(self, procs: List[Proc]) -> float:
-        rates = [p.state.get("mb_s", 0.0) for p in procs]
-        return sum(rates) / len(rates)

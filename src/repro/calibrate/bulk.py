@@ -32,11 +32,6 @@ class BulkCalibration:
         """The plateau bandwidth (the calibrated ``1/G``)."""
         return max(self.bandwidths_mb_s)
 
-    def as_rows(self) -> List[dict]:
-        """Flat dict rows (size, MB/s) for tabular reporting."""
-        return [{"size (B)": size, "MB/s": round(bw, 2)}
-                for size, bw in zip(self.sizes, self.bandwidths_mb_s)]
-
 
 def _bulk_rate(params: LogGPParams, knobs: TuningKnobs, size: int,
                count: int, window: int) -> float:

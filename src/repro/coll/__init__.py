@@ -3,10 +3,11 @@
 A tuned-collectives layer in the NCCL/MPICH mould, built entirely on
 the simulated Active Message substrate:
 
-* :mod:`repro.coll.algorithms` — an algorithm registry with at least
-  two interchangeable schedules per primitive (barrier, broadcast,
-  reduce, allreduce, gather, scatter, allgather, personalized
-  alltoall); the defaults are the paper's Split-C schedules.  Its
+* :mod:`repro.coll.algorithms` — an algorithm registry of the
+  schedules each primitive runs: two interchangeable ones for each of
+  the four Table 8 grades (broadcast, allreduce, allgather,
+  personalized alltoall), one for barrier and gather; the defaults are
+  the paper's Split-C schedules.  Its
   :func:`~repro.coll.algorithms.pick` is what each
   :class:`~repro.gas.runtime.Proc` collective method calls.
 * :mod:`repro.coll.model` — closed-form LogGP cost estimates per

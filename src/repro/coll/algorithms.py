@@ -1,4 +1,8 @@
-"""The algorithm registry: >= 2 interchangeable schedules per primitive.
+"""The algorithm registry: the schedules each primitive can run.
+
+The four primitives Table 8 grades — broadcast, allreduce, allgather
+and alltoall — have two interchangeable schedules each; barrier and
+gather have one.
 
 Every implementation is a generator with the same signature as its
 primitive's :class:`~repro.gas.runtime.Proc` method (minus ``algo``)
@@ -8,7 +12,7 @@ and produces the same result on every rank — only the message schedule
 parameters, which is what Table 8 grades the cost model on.
 
 The paper's Split-C schedules — the ``dissemination`` barrier and the
-``binomial`` broadcast / reduce / allreduce — are the defaults; a call
+``binomial`` broadcast / allreduce — are the defaults; a call
 that names no schedule runs exactly them.
 
 Eligibility: a few schedules require structural properties the caller
@@ -24,8 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.coll.core import (TOKEN_BYTES, ceil_log2, recv_value,
-                             send_value)
+from repro.coll.core import ceil_log2, recv_value, send_value
 from repro.network.packet import SHORT_PACKET_BYTES
 
 __all__ = ["PRIMITIVES", "DEFAULT_ALGORITHMS", "registry",
@@ -33,18 +36,16 @@ __all__ = ["PRIMITIVES", "DEFAULT_ALGORITHMS", "registry",
            "pick", "CHAIN_SEGMENT_BYTES"]
 
 #: Every primitive the subsystem dispatches.
-PRIMITIVES = ("barrier", "broadcast", "reduce", "allreduce",
-              "gather", "scatter", "allgather", "alltoall")
+PRIMITIVES = ("barrier", "broadcast", "allreduce", "gather",
+              "allgather", "alltoall")
 
 #: The default schedule per primitive: the paper's schedule where
 #: Split-C had one, otherwise the simplest schedule.
 DEFAULT_ALGORITHMS = {
     "barrier": "dissemination",
     "broadcast": "binomial",
-    "reduce": "binomial",
     "allreduce": "binomial",
     "gather": "flat",
-    "scatter": "flat",
     "allgather": "ring",
     "alltoall": "flat",
 }
@@ -76,43 +77,6 @@ def barrier_dissemination(proc: "Proc") -> Generator:  # noqa: F821
                  f"barrier epoch {epoch} round {rnd}")
             yield from am.wait_until(lambda k=key: k in box, wait=wait)
             del box[key]
-    hook = proc.probes.barrier
-    if hook is not None:
-        hook(proc.rank)
-
-
-def barrier_tree(proc: "Proc") -> Generator:  # noqa: F821
-    """Binomial gather of arrival tokens to rank 0, binomial release."""
-    n = proc.n_ranks
-    if n > 1:
-        epoch = proc.next_epoch("coll:barrier")
-        rank = proc.rank
-        # Up phase: each subtree root forwards its arrival once every
-        # child subtree has reported.
-        for k in range(ceil_log2(n)):
-            bit = 1 << k
-            if rank & bit:
-                yield from send_value(
-                    proc, rank - bit, ("cbar", epoch, "up", rank), None,
-                    TOKEN_BYTES)
-                break
-            peer = rank + bit
-            if peer < n:
-                yield from recv_value(
-                    proc, ("cbar", epoch, "up", peer), peer,
-                    f"tree barrier epoch {epoch} arrival from {peer}")
-        # Down phase: binomial broadcast of the release token.
-        if rank != 0:
-            parent = rank - (1 << (rank.bit_length() - 1))
-            yield from recv_value(
-                proc, ("cbar", epoch, "down", rank), parent,
-                f"tree barrier epoch {epoch} release")
-        for k in reversed(range(ceil_log2(n))):
-            peer = rank + (1 << k)
-            if rank < (1 << k) and peer < n:
-                yield from send_value(
-                    proc, peer, ("cbar", epoch, "down", peer), None,
-                    TOKEN_BYTES)
     hook = proc.probes.barrier
     if hook is not None:
         hook(proc.rank)
@@ -187,15 +151,15 @@ def broadcast_chain(proc: "Proc", value: Any = None,  # noqa: F821
 
 
 # ---------------------------------------------------------------------------
-# reduce
+# allreduce
 # ---------------------------------------------------------------------------
 
 def reduce_binomial(proc: "Proc", value: Any,  # noqa: F821
                     op: Callable[[Any, Any], Any], root: int = 0,
                     size: int = 32, bulk: bool = False) -> Generator:
-    """Binomial-tree reduction; the result lands on ``root`` (others get
-    ``None``).  ``bulk=True`` ships partials as bulk transfers, paying
-    ``G`` per byte."""
+    """Binomial-tree reduction, :func:`allreduce_binomial`'s first half;
+    the result lands on ``root`` (others get ``None``).  ``bulk=True``
+    ships partials as bulk transfers, paying ``G`` per byte."""
     n = proc.n_ranks
     epoch = proc.next_epoch("reduce")
     if n == 1:
@@ -217,38 +181,6 @@ def reduce_binomial(proc: "Proc", value: Any,  # noqa: F821
             partial = op(partial, got)
     return partial
 
-
-def reduce_flat(proc: "Proc", value: Any,  # noqa: F821
-                op: Callable[[Any, Any], Any], root: int = 0,
-                size: int = 32, bulk: bool = False) -> Generator:
-    """Every rank sends its value straight to the root.
-
-    One hop instead of ``ceil(log2 P)``, at the price of serialising
-    ``P - 1`` receives at the root — the winning trade only at small P.
-    Partials combine in ascending rank order (root's own value first),
-    so the result is deterministic for any associative ``op``.
-    """
-    n = proc.n_ranks
-    if n == 1:
-        return value
-    epoch = proc.next_epoch("coll:reduce")
-    if proc.rank != root:
-        yield from send_value(proc, root, ("cred", epoch, proc.rank),
-                              value, size, bulk=bulk)
-        return None
-    partial = value
-    for off in range(1, n):
-        src = (root + off) % n
-        got = yield from recv_value(
-            proc, ("cred", epoch, src), src,
-            f"flat reduce epoch {epoch} from {src}")
-        partial = op(partial, got)
-    return partial
-
-
-# ---------------------------------------------------------------------------
-# allreduce
-# ---------------------------------------------------------------------------
 
 def allreduce_binomial(proc: "Proc", value: Any,  # noqa: F821
                        op: Callable[[Any, Any], Any], size: int = 32,
@@ -321,7 +253,7 @@ def allreduce_ring(proc: "Proc", value: Any,  # noqa: F821
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter
+# gather
 # ---------------------------------------------------------------------------
 
 def gather_flat(proc: "Proc", value: Any, root: int = 0,  # noqa: F821
@@ -343,91 +275,6 @@ def gather_flat(proc: "Proc", value: Any, root: int = 0,  # noqa: F821
             proc, ("cgat", epoch, src), src,
             f"flat gather epoch {epoch} from {src}")
     return out
-
-
-def gather_binomial(proc: "Proc", value: Any, root: int = 0,  # noqa: F821
-                    size: int = 32, bulk: bool = False) -> Generator:
-    """Binomial subtree aggregation toward the root.
-
-    ``ceil(log2 P)`` hop depth; message sizes grow with the subtree, so
-    the root receives ``ceil(log2 P)`` messages instead of ``P - 1``.
-    """
-    n = proc.n_ranks
-    if n == 1:
-        return [value]
-    epoch = proc.next_epoch("coll:gather")
-    vrank = (proc.rank - root) % n
-    collected: Dict[int, Any] = {proc.rank: value}
-    for k in range(ceil_log2(n)):
-        bit = 1 << k
-        if vrank & bit:
-            dst = ((vrank - bit) + root) % n
-            yield from send_value(proc, dst, ("cgat", epoch, vrank),
-                                  collected, size * len(collected),
-                                  bulk=bulk)
-            return None
-        peer = vrank + bit
-        if peer < n:
-            got = yield from recv_value(
-                proc, ("cgat", epoch, peer), (peer + root) % n,
-                f"binomial gather epoch {epoch} round {k}")
-            collected.update(got)
-    return [collected[r] for r in range(n)]
-
-
-def scatter_flat(proc: "Proc", values: Optional[List[Any]],  # noqa: F821
-                 root: int = 0, size: int = 32,
-                 bulk: bool = False) -> Generator:
-    """Root sends each rank its slot of ``values`` directly."""
-    n = proc.n_ranks
-    if n == 1:
-        return values[0]
-    epoch = proc.next_epoch("coll:scatter")
-    if proc.rank != root:
-        got = yield from recv_value(
-            proc, ("csca", epoch, proc.rank), root,
-            f"flat scatter epoch {epoch}")
-        return got
-    if values is None or len(values) != n:
-        raise ValueError("scatter root needs one value per rank")
-    for off in range(1, n):
-        dst = (root + off) % n
-        yield from send_value(proc, dst, ("csca", epoch, dst),
-                              values[dst], size, bulk=bulk)
-    return values[root]
-
-
-def scatter_binomial(proc: "Proc", values: Optional[List[Any]],  # noqa: F821
-                     root: int = 0, size: int = 32,
-                     bulk: bool = False) -> Generator:
-    """Root partitions by binomial subtree; internal ranks forward."""
-    n = proc.n_ranks
-    if n == 1:
-        return values[0]
-    epoch = proc.next_epoch("coll:scatter")
-    vrank = (proc.rank - root) % n
-    if vrank == 0:
-        if values is None or len(values) != n:
-            raise ValueError("scatter root needs one value per rank")
-        block = {v: values[(root + v) % n] for v in range(n)}
-    else:
-        # Parent clears the lowest set bit, so the subtree rooted at
-        # vrank is exactly the contiguous range [vrank, vrank + lowbit).
-        parent_v = vrank - (vrank & -vrank)
-        block = yield from recv_value(
-            proc, ("csca", epoch, vrank), (parent_v + root) % n,
-            f"binomial scatter epoch {epoch}")
-    for k in reversed(range(ceil_log2(n))):
-        bit = 1 << k
-        peer = vrank + bit
-        if vrank % (bit << 1) == 0 and peer < n:
-            sub = {v: block[v] for v in range(peer, min(peer + bit, n))}
-            yield from send_value(proc, (peer + root) % n,
-                                  ("csca", epoch, peer), sub,
-                                  size * len(sub), bulk=bulk)
-            for v in sub:
-                del block[v]
-    return block[vrank]
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +427,11 @@ def alltoall_bruck(proc: "Proc", values: List[Any],  # noqa: F821
 # ---------------------------------------------------------------------------
 
 REGISTRY: Dict[str, Dict[str, Callable]] = {
-    "barrier": {"dissemination": barrier_dissemination,
-                "tree": barrier_tree},
+    "barrier": {"dissemination": barrier_dissemination},
     "broadcast": {"binomial": broadcast_binomial,
                   "chain": broadcast_chain},
-    "reduce": {"binomial": reduce_binomial, "flat": reduce_flat},
     "allreduce": {"binomial": allreduce_binomial, "ring": allreduce_ring},
-    "gather": {"flat": gather_flat, "binomial": gather_binomial},
-    "scatter": {"flat": scatter_flat, "binomial": scatter_binomial},
+    "gather": {"flat": gather_flat},
     "allgather": {"ring": allgather_ring, "doubling": allgather_doubling},
     "alltoall": {"flat": alltoall_flat, "bruck": alltoall_bruck},
 }

@@ -41,7 +41,7 @@ class CollectiveBench(Application):
         Explicit algorithm name, or ``None`` for the registry default.
     size:
         Declared wire size (bytes): the whole value for broadcast /
-        reduce / allreduce, the per-rank block otherwise.
+        allreduce, the per-rank block otherwise.
     bulk:
         Move payloads as bulk transfers (pay ``G`` per byte).
     iterations:
@@ -91,11 +91,6 @@ class CollectiveBench(Application):
                 value, root=0, size=self.size, bulk=self.bulk,
                 algo=self.algo)
             return got
-        if kind == "reduce":
-            got = yield from proc.reduce(
-                (rank + 1) * (iteration + 1), operator.add,
-                root=0, size=self.size, bulk=self.bulk, algo=self.algo)
-            return got
         if kind == "allreduce":
             vec = np.arange(VECTOR_ITEMS, dtype=np.int64) + rank \
                 + iteration
@@ -107,14 +102,6 @@ class CollectiveBench(Application):
             got = yield from proc.gather(
                 (rank, iteration), root=0, size=self.size,
                 bulk=self.bulk, algo=self.algo)
-            return got
-        if kind == "scatter":
-            values = None
-            if rank == 0:
-                values = [(d, iteration) for d in range(n)]
-            got = yield from proc.scatter(
-                values, root=0, size=self.size, bulk=self.bulk,
-                algo=self.algo)
             return got
         if kind == "allgather":
             got = yield from proc.allgather(
@@ -135,9 +122,6 @@ class CollectiveBench(Application):
             return "ok"
         if kind == "broadcast":
             return ("bcast", iteration)
-        if kind == "reduce":
-            total = (iteration + 1) * n * (n + 1) // 2
-            return total if rank == 0 else None
         if kind == "allreduce":
             base = np.arange(VECTOR_ITEMS, dtype=np.int64)
             return base * n + sum(r + iteration for r in range(n))
@@ -145,8 +129,6 @@ class CollectiveBench(Application):
             if rank != 0:
                 return None
             return [(r, iteration) for r in range(n)]
-        if kind == "scatter":
-            return (rank, iteration)
         if kind == "allgather":
             return [(r, iteration) for r in range(n)]
         return [(s, rank, iteration) for s in range(n)]

@@ -15,10 +15,10 @@ and the NIC read -- composed point to point, the way Barchet-Estefanel
 * every request is acknowledged (a send charge at the receiver, a
   receive charge back on the requester).
 
-These are ranking models: they only need to order the 2-3 candidate
-schedules per primitive correctly (Barchet-Estefanel & Mounie's "fast
-tuning" observation), not predict absolute runtimes.  Table 8
-(:func:`repro.harness.experiments.model_picks`) grades
+These are ranking models: they only need to order the two candidate
+schedules of each primitive Table 8 grades correctly (Barchet-Estefanel
+& Mounie's "fast tuning" observation), not predict absolute runtimes.
+Table 8 (:func:`repro.harness.experiments.model_picks`) grades
 :func:`predicted_ranking`'s first pick against the measured winner.
 """
 
@@ -77,8 +77,8 @@ def estimate_cost(primitive: str, algo: str, n_ranks: int,
     """Predicted completion time (µs) of one collective invocation.
 
     ``nbytes`` follows the dispatch convention: the whole value for
-    ``broadcast``/``reduce``/``allreduce``, the per-rank block for
-    ``gather``/``scatter``/``allgather``/``alltoall``.
+    ``broadcast``/``allreduce``, the per-rank block for
+    ``gather``/``allgather``/``alltoall``.
     """
     cost = DialedCost(params,
                       knobs if knobs is not None else TuningKnobs())
@@ -95,9 +95,6 @@ def estimate_cost(primitive: str, algo: str, n_ranks: int,
             # Each round: send one token, absorb the partner's (plus
             # both acks' host time).
             return rounds * (_hop(cost, 0, False) + ack)
-        if algo == "tree":
-            # Up sweep + down sweep, each ceil(log2 P) hops deep.
-            return 2 * rounds * _hop(cost, 0, False) + rounds * ack
 
     if primitive == "broadcast":
         if algo == "binomial":
@@ -110,14 +107,6 @@ def estimate_cost(primitive: str, algo: str, n_ranks: int,
             return (n - 2 + nseg) * (_hop(cost, seg, bulk)
                                      + _inject(cost, seg, bulk))
 
-    if primitive == "reduce":
-        if algo == "binomial":
-            return rounds * (_hop(cost, nbytes, bulk) + ack)
-        if algo == "flat":
-            # One hop, but the root serialises P - 1 arrivals.
-            return (_hop(cost, nbytes, bulk)
-                    + (n - 2) * _arrive(cost, nbytes, bulk))
-
     if primitive == "allreduce":
         if algo == "binomial":
             return 2 * rounds * (_hop(cost, nbytes, bulk) + ack)
@@ -125,16 +114,11 @@ def estimate_cost(primitive: str, algo: str, n_ranks: int,
             chunk = nbytes / n
             return 2 * (n - 1) * (_hop(cost, chunk, bulk) + ack)
 
-    if primitive in ("gather", "scatter"):
+    if primitive == "gather":
         if algo == "flat":
+            # One hop, but the root serialises P - 1 arrivals.
             return (_hop(cost, nbytes, bulk)
                     + (n - 2) * _arrive(cost, nbytes, bulk))
-        if algo == "binomial":
-            # Hop k of the critical path carries a 2^k-block message.
-            total = 0.0
-            for k in range(rounds):
-                total += _hop(cost, nbytes * (1 << k), bulk) + ack
-            return total
 
     if primitive == "allgather":
         if algo == "ring":

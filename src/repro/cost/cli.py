@@ -40,10 +40,11 @@ from repro.cost.predict import (latency_tolerance, lp_bound,
 from repro.cost.recorder import record_run
 from repro.harness.experiments import (predicted_figure, prediction_errors,
                                        recorded_suite, sensitivity_figure)
-from repro.harness.parallel import (add_run_options, input_scale,
+from repro.harness.parallel import (add_run_options, at_least, input_scale,
                                     run_options, run_plans)
 from repro.harness.suite import suite_for, suite_names
 from repro.harness.sweeps import DIALS, MACHINE_DIALS
+from repro.network.loggp import LogGPParams
 
 __all__ = ["main"]
 
@@ -210,10 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "write its dependency graph")
     record.add_argument("--app", required=True,
                         help="application name (as in the suite)")
-    record.add_argument("--nodes", type=int, default=8)
+    record.add_argument("--nodes", type=at_least(1), default=8)
     record.add_argument("--scale", type=input_scale, default=1.0)
     record.add_argument("--seed", type=int, default=0)
-    record.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    record.add_argument("--window", type=at_least(1), default=DEFAULT_WINDOW)
     record.add_argument("--out", type=pathlib.Path, default=None,
                         help="graph JSON path (default: stdout)")
 
@@ -238,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "grid; gate on median relative error")
     report.add_argument("--apps", required=True,
                         help="comma-separated application names")
-    report.add_argument("--nodes", type=int, default=8)
+    report.add_argument("--nodes", type=at_least(1), default=8)
     report.add_argument("--scale", type=input_scale, default=1.0)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--parameter", default="overhead",
@@ -257,7 +258,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # A value the dial cannot be turned to (a bandwidth of 0) is refused
+    # here: report would raise mid-drain with exit 1, the gate's code.
+    for value in getattr(args, "values", None) or ():
+        try:
+            DIALS[args.parameter].knobs(value, LogGPParams.berkeley_now())
+        except ValueError as exc:
+            parser.error(f"argument --values: {exc}")
     if args.command == "record":
         return _cmd_record(args)
     if args.command == "predict":

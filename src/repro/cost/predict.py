@@ -161,8 +161,6 @@ class PredictedPoint:
     value: float
     knobs: TuningKnobs
     runtime_us: float
-    #: A replay always completes; SweepResult.as_rows reads this.
-    failure_category = None
 
     @property
     def completed(self) -> bool:

@@ -245,14 +245,6 @@ class Proc:
         return pick(self, "broadcast", size, algo)(
             self, value, root=root, size=size, bulk=bulk)
 
-    def reduce(self, value: Any, op, root: int = 0,
-               size: int = 32, bulk: bool = False,
-               algo: Optional[str] = None) -> Generator:
-        """Reduction to ``root`` (other ranks receive ``None``)."""
-        from repro.coll.algorithms import pick
-        return pick(self, "reduce", size, algo)(
-            self, value, op, root=root, size=size, bulk=bulk)
-
     def allreduce(self, value: Any, op, size: int = 32,
                   bulk: bool = False, elementwise: bool = False,
                   algo: Optional[str] = None) -> Generator:
@@ -274,15 +266,6 @@ class Proc:
         from repro.coll.algorithms import pick
         return pick(self, "gather", size, algo)(
             self, value, root=root, size=size, bulk=bulk)
-
-    def scatter(self, values: Optional[List[Any]] = None, root: int = 0,
-                size: int = 32, bulk: bool = False,
-                algo: Optional[str] = None) -> Generator:
-        """Scatter ``values[r]`` from ``root`` to each rank ``r``; returns
-        this rank's slot.  ``size`` is the per-rank size."""
-        from repro.coll.algorithms import pick
-        return pick(self, "scatter", size, algo)(
-            self, values, root=root, size=size, bulk=bulk)
 
     def allgather(self, value: Any, size: int = 32, bulk: bool = False,
                   algo: Optional[str] = None) -> Generator:

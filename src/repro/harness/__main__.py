@@ -48,9 +48,8 @@ from repro.harness.parallel import add_run_options, input_scale, run_options
 CLI_NAMES = [name for name, artifact in REGISTRY.items() if artifact.cli]
 
 
-def run_campaign_cli(args) -> int:
-    """The ``--campaign`` mode: run/resume a spec file against a store."""
-    spec = CampaignSpec.from_json(args.campaign.read_text())
+def run_campaign_cli(args, spec: CampaignSpec) -> int:
+    """The ``--campaign`` mode: run/resume ``spec`` against a store."""
     with ResultStore(args.store) as store:
         report = run_campaign(spec, store, progress=print,
                               **run_options(args))
@@ -115,6 +114,17 @@ def main(argv=None) -> int:
                           "--store-gc (omit to only VACUUM)")
     args = parser.parse_args(argv)
 
+    # A flag of a mode not asked for is refused, not dropped: the whole
+    # artifact set would run in its place.
+    if args.campaign is None:
+        for flag, value in (("--render", args.render),
+                            ("--bench-out", args.bench_out)):
+            if value is not None:
+                parser.error(f"{flag} needs --campaign")
+        if args.store is not None and not args.store_gc:
+            parser.error("--store needs --campaign or --store-gc")
+    if args.prune is not None and not args.store_gc:
+        parser.error("--prune needs --store-gc")
     if args.store_gc:
         if args.store is None:
             parser.error("--store-gc needs --store")
@@ -122,7 +132,11 @@ def main(argv=None) -> int:
     if args.campaign is not None:
         if args.store is None:
             parser.error("--campaign needs --store")
-        return run_campaign_cli(args)
+        try:
+            spec = CampaignSpec.from_json(args.campaign.read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"--campaign {args.campaign}: {exc}")
+        return run_campaign_cli(args, spec)
 
     if args.nodes < 2:
         parser.error(f"--nodes {args.nodes}: Table 3 and the studies also "

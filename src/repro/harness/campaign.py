@@ -55,7 +55,7 @@ from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT
 from repro.harness.parallel import PointTask, default_jobs, run_points
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
-from repro.harness.suite import checked_scale, suite_for
+from repro.harness.suite import checked_scale, suite_for, suite_names
 from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepPoint,
                                   SweepResult, sweep_tasks)
 from repro.network.faults import DelaySpike, FaultPlan, SlowdownWindow
@@ -146,6 +146,20 @@ class CampaignSpec:
                     f"({workload['app']!r},), got {self.apps}")
         if not self.name:
             raise ValueError("campaign needs a non-empty name")
+        # A repeat adds no point of its own: a dial named twice would
+        # render its first grid twice, a seed named twice would read as
+        # a failed one.
+        for kind, items in (("app", self.apps),
+                            ("node count", self.node_counts),
+                            ("dial", [dial for dial, _values in self.dials]),
+                            ("seed", self.seeds)):
+            for index, item in enumerate(items):
+                if item in items[:index]:
+                    raise ValueError(
+                        f"campaign {self.name!r} names {kind} {item!r} "
+                        "twice")
+        if self.workload is None:
+            suite_names(",".join(self.apps))
         checked_scale(self.scale)
         if self.machine not in MACHINE_PRESETS:
             raise ValueError(

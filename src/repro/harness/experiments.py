@@ -126,10 +126,6 @@ class Table2:
 
     rows_: List[CalibrationRow]
 
-    def rows(self) -> List[dict]:
-        """Flat dict rows."""
-        return [r.as_row() for r in self.rows_]
-
     def render(self) -> str:
         """ASCII rendering of the table."""
         return render_calibration(self.rows_)
@@ -208,11 +204,6 @@ class Figure4:
     """Figure 4's per-application run results."""
 
     results: Dict[str, RunResult]
-
-    def matrices(self) -> Dict[str, "np.ndarray"]:  # noqa: F821
-        """Normalised balance matrix per application."""
-        return {name: result.balance()
-                for name, result in self.results.items()}
 
     def render(self) -> str:
         """ASCII greyscale matrices, one block per application."""
@@ -615,19 +606,6 @@ class ServingFigure:
     slo_us: float
     dial_sweeps: Dict[str, SweepResult] = field(default_factory=dict)
     knee_sweeps: Dict[float, SweepResult] = field(default_factory=dict)
-
-    def rows(self) -> List[dict]:
-        """Every sweep's SLO rows, tagged by axis."""
-        from repro.serve.sweep import serving_rows
-        rows = []
-        for parameter, sweep in self.dial_sweeps.items():
-            for row in serving_rows(sweep):
-                rows.append({"axis": parameter, **row})
-        for overhead, sweep in sorted(self.knee_sweeps.items()):
-            for row in serving_rows(sweep):
-                rows.append({"axis": f"offered_rps@o={overhead:g}",
-                             **row})
-        return rows
 
     def knees(self) -> Dict[float, Optional[float]]:
         """Per-overhead SLO knee: the largest offered load whose run

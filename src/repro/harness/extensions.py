@@ -13,7 +13,7 @@ Three studies the paper motivates but does not plot:
   magnitude.
 
 And two ablations of the apparatus's design choices, on the
-:mod:`repro.apps.microbench` senders:
+:class:`~repro.apps.microbench.BurstSender`:
 
 * :func:`window_scope_ablation` — why the paper's applications tolerate
   latency although the pairwise microbenchmark is throttled to
@@ -32,7 +32,6 @@ from repro.apps.microbench import BurstSender
 from repro.cluster.machine import Cluster
 from repro.cluster.node import CostModel
 from repro.harness.parallel import Plan, PointTask, study
-from repro.harness.report import render_table
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS
 from repro.network.loggp import LogGPParams
@@ -80,23 +79,6 @@ class ScalingStudy:
         return (self.serial_residual(node_counts[-1])
                 / self.serial_residual(node_counts[0]))
 
-    def rows(self) -> List[dict]:
-        """One dict row per cluster size."""
-        return [{
-            "nodes": n,
-            "baseline (ms)": round(base / 1000, 2),
-            f"+{self.delta_o}us o (ms)": round(dialed / 1000, 2),
-            "slowdown": round(dialed / base, 2),
-            "serial residual": round(self.serial_residual(n), 3),
-        } for n, (base, dialed, _m) in sorted(self.runtimes.items())]
-
-    def render(self) -> str:
-        """ASCII rendering of the study."""
-        return render_table(
-            self.rows(),
-            title=f"Scaling study: {self.app_name}, overhead "
-                  f"sensitivity vs P (fixed total input)")
-
 
 @study
 def scaling_study(app_name: str = "Radix",
@@ -132,21 +114,6 @@ class InvestmentStudy:
     def speedup(self, design: str) -> float:
         """Baseline runtime over a design's runtime."""
         return self.runtimes["baseline"] / self.runtimes[design]
-
-    def rows(self) -> List[dict]:
-        """One dict row per design point."""
-        return [{
-            "design": design,
-            "runtime (ms)": round(runtime / 1000, 2),
-            "speedup": round(self.speedup(design), 2),
-        } for design, runtime in self.runtimes.items()]
-
-    def render(self) -> str:
-        """ASCII rendering of the study."""
-        return render_table(
-            self.rows(),
-            title=f"Investment study ({self.app_name}, "
-                  f"{self.n_nodes} nodes): CPU vs communication")
 
 
 @study
@@ -190,26 +157,6 @@ class OccupancyStudy:
         """Per-value slowdown series for one dial."""
         series = self.runtimes[dial]
         return [r / series[0] for r in series]
-
-    def rows(self) -> List[dict]:
-        """One dict row per dialed value."""
-        rows = []
-        for index, value in enumerate(self.values_us):
-            rows.append({
-                "added (us)": value,
-                "occupancy slowdown": round(
-                    self.slowdowns("occupancy")[index], 2),
-                "overhead slowdown": round(
-                    self.slowdowns("overhead")[index], 2),
-            })
-        return rows
-
-    def render(self) -> str:
-        """ASCII rendering of the study."""
-        return render_table(
-            self.rows(),
-            title=f"Occupancy vs overhead ({self.app_name}, "
-                  f"{self.n_nodes} nodes)")
 
 
 @study

@@ -19,6 +19,7 @@ union of any number of plans in one :func:`run_points` call, and
 from __future__ import annotations
 
 import argparse
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -37,7 +38,8 @@ from repro.sanitize.reports import DeadlockError
 
 __all__ = ["PointTask", "SweepPoint", "FAILURE_CATEGORIES", "execute_point",
            "run_points", "Plan", "run_plans", "study", "default_jobs",
-           "add_run_options", "run_options", "input_scale"]
+           "add_run_options", "run_options", "input_scale", "at_least",
+           "finite_positive"]
 
 
 def default_jobs() -> int:
@@ -51,7 +53,7 @@ def default_jobs() -> int:
 def add_run_options(parser: argparse.ArgumentParser) -> None:
     """The drain's three flags, as every driver takes them:
     ``--jobs``, ``--no-cache`` and ``--cache-dir``."""
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=at_least(1), default=None,
                         help="worker processes for the simulations "
                         "(default: one per core)")
     parser.add_argument("--no-cache", action="store_true",
@@ -69,6 +71,37 @@ def input_scale(text: str) -> float:
         return checked_scale(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an integer flag with a floor (``--jobs``,
+    ``--nodes``, ``--window``, ``--livelock-limit``): a value below it
+    exits 2 at parse time, rather than failing mid-run with a driver's
+    failure code or, for ``--jobs``, running serially."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def finite_positive(text: str) -> float:
+    """The argparse type of a time budget (``--run-limit-us``): finite
+    and > 0, as :class:`~repro.cluster.machine.Cluster` requires."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number > 0")
+    return value
 
 
 def run_options(args: argparse.Namespace) -> Dict[str, Any]:

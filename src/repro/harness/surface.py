@@ -71,16 +71,6 @@ class SensitivitySurface:
         independent = self.at(x, 0.0) + self.at(0.0, y) - 1.0
         return self.at(x, y) - independent
 
-    def rows(self) -> List[dict]:
-        """One dict row per y value (x values as columns)."""
-        rows = []
-        for y in self.y_values:
-            row = {f"{self.y_dial} (us)": y}
-            for x in self.x_values:
-                row[f"+{self.x_dial} {x}"] = round(self.at(x, y), 2)
-            rows.append(row)
-        return rows
-
     def render(self) -> str:
         """ASCII heat map, dark = slow."""
         peak = max(self.slowdown.values())

@@ -201,34 +201,6 @@ class SweepResult:
                 in zip(self.points, self.slowdowns())
                 if slowdown is not None]
 
-    def as_rows(self) -> List[dict]:
-        """Flat dict rows (value, runtime, slowdown) per point.
-
-        Unlike :meth:`slowdowns` / :meth:`series`, a failed *baseline*
-        does not raise here: report generation over a whole suite must
-        not crash because one sweep's first point livelocked, so every
-        point's slowdown is simply ``"N/A"`` in that case.
-
-        The ``failure`` column carries the point's
-        :attr:`~SweepPoint.failure_category` (empty string for
-        completed points), so N/A cells are distinguishable in reports.
-        """
-        base = self.baseline.runtime_us
-        rows = []
-        for point in self.points:
-            slowdown = point.runtime_us / base \
-                if point.completed and base is not None else None
-            rows.append({
-                "app": self.app_name,
-                self.parameter: point.value,
-                "runtime_us": (round(point.runtime_us, 1)
-                               if point.completed else "N/A"),
-                "slowdown": (round(slowdown, 2)
-                             if slowdown is not None else "N/A"),
-                "failure": point.failure_category or "",
-            })
-        return rows
-
 
 @dataclass
 class SensitivityFigure:
@@ -241,20 +213,13 @@ class SensitivityFigure:
     @staticmethod
     def _series(sweep: SweepResult) -> List[tuple]:
         """``sweep.series()``, empty where the baseline is N/A: with
-        nothing to normalise by, every point is N/A, as in ``as_rows``."""
+        nothing to normalise by, every point is N/A."""
         return sweep.series() if sweep.baseline.completed else []
 
     def series(self) -> Dict[str, List[tuple]]:
         """Per-application (value, slowdown) series."""
         return {name: self._series(sweep)
                 for name, sweep in self.sweeps.items()}
-
-    def rows(self) -> List[dict]:
-        """All sweeps' rows, concatenated."""
-        rows = []
-        for sweep in self.sweeps.values():
-            rows.extend(sweep.as_rows())
-        return rows
 
     def max_slowdown(self, app_name: str) -> Optional[float]:
         """Largest completed slowdown for one application (None when

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro.cluster.machine import Cluster
 from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT, LivelockError
-from repro.harness.parallel import input_scale
+from repro.harness.parallel import at_least, finite_positive, input_scale
 from repro.harness.suite import suite_for
 from repro.sanitize.reports import DeadlockError
 
@@ -65,16 +65,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         "path/to/app.py:ClassName specs")
     parser.add_argument("--all", action="store_true",
                         help="run the whole ten-app suite")
-    parser.add_argument("--nodes", type=int, default=8,
+    parser.add_argument("--nodes", type=at_least(1), default=8,
                         help="cluster size (default: 8)")
     parser.add_argument("--scale", type=input_scale, default=1.0,
                         help="suite input scale, the total input as at "
                         "32 nodes, like every driver's (default: 1.0)")
     parser.add_argument("--seed", type=int, default=11,
                         help="run seed (default: 11)")
-    parser.add_argument("--run-limit-us", type=float, default=None,
+    parser.add_argument("--run-limit-us", type=finite_positive,
+                        default=None,
                         help="simulated-time budget per run")
-    parser.add_argument("--livelock-limit", type=int,
+    parser.add_argument("--livelock-limit", type=at_least(0),
                         default=DEFAULT_LIVELOCK_LIMIT,
                         help="failed-lock budget per rank")
     parser.add_argument("--format", choices=("text", "json"),

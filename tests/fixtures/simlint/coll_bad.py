@@ -15,7 +15,7 @@ class BadCollApp:
             got = None
         if proc.rank % 2:
             yield from proc.alltoall([None, None])   # rank-dependent (17)
-        blocks = yield from proc.scatter(got, root=0)
+        blocks = yield from proc.broadcast(got, root=0)
         return blocks
 
     def register_handlers(self, table):

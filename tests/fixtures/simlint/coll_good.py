@@ -7,7 +7,7 @@ class GoodCollApp:
         values = None
         if proc.rank == 0:
             values = [2 * value for value in contributions]
-        mine = yield from proc.scatter(values, root=0)
+        mine = yield from proc.broadcast(values, root=0)
         everyone = yield from proc.allgather(mine)
         routed = yield from proc.alltoall(everyone, dense=True)
         return routed

@@ -17,7 +17,7 @@ class BadApp:
             yield from proc.barrier()           # rank-dependent (17)
         value = yield from proc.broadcast(None, root=0)
         if proc.rank % 2:
-            total = yield from proc.reduce(1, max)  # rank-dependent (20)
+            total = yield from proc.allreduce(1, max)  # rank-dependent (20)
         else:
             total = value
         return total

@@ -136,6 +136,22 @@ def test_every_driver_refuses_a_bad_scale_at_parse_time(driver, scale,
     assert "--scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+@pytest.mark.parametrize("driver", sorted(
+    name for name in DRIVERS if "record" not in name and
+    "sanitize" not in name))
+def test_every_driver_refuses_a_bad_jobs_at_parse_time(driver, jobs,
+                                                       capsys):
+    """``--jobs 0`` and ``--jobs -3`` used to run serially, silently."""
+    module, args = DRIVERS[driver]
+    main = _generator() if module is None else \
+        importlib.import_module(module).main
+    with pytest.raises(SystemExit) as refused:
+        main(args + ["--jobs", jobs])
+    assert refused.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
 def test_suite_for_refuses_a_bad_scale_by_name(scale):
     with pytest.raises(ValueError, match="scale must be finite and > 0"):

@@ -300,6 +300,59 @@ def test_campaign_spec_validation():
         spec.values_for("gap")
 
 
+@pytest.mark.parametrize("change, said", [
+    ({"apps": ("Radix", "Connect", "Radix")}, "names app 'Radix' twice"),
+    ({"node_counts": (4, 8, 4)}, "names node count 4 twice"),
+    ({"dials": (("overhead", (2.9, 12.9)), ("overhead", (2.9, 52.9)))},
+     "names dial 'overhead' twice"),
+    ({"seeds": (0, 0)}, "names seed 0 twice"),
+    ({"apps": ("Radx",)}, "unknown application names ['Radx']"),
+], ids=["app", "node-count", "dial", "seed", "unknown-app"])
+def test_campaign_spec_refuses_a_repeat_or_an_unknown_app_by_name(change,
+                                                                  said):
+    """A repeated dial simulated one grid and rendered it twice, a
+    repeated seed read as a failed one, and an unknown app raised only
+    once ``points()`` ran."""
+    good = dict(name="c", apps=("Radix",), node_counts=(4,),
+                dials=(("overhead", (2.9,)),))
+    with pytest.raises(ValueError) as refused:
+        CampaignSpec(**{**good, **change})
+    assert said in str(refused.value)
+
+
+@pytest.mark.parametrize("argv, said", [
+    (["--render", "r.md"], "--render needs --campaign"),
+    (["--bench-out", "b.json"], "--bench-out needs --campaign"),
+    (["--store", "s.sqlite"], "--store needs --campaign or --store-gc"),
+    (["--store-gc", "--store", "s.sqlite", "--render", "r.md"],
+     "--render needs --campaign"),
+    (["--prune", "old"], "--prune needs --store-gc"),
+    (["--campaign", "absent.json", "--store", "s.sqlite"],
+     "No such file"),
+    (["--campaign", "spec.json", "--store", "s.sqlite"],
+     "names seed 0 twice"),
+    (["--campaign", "typo.json", "--store", "s.sqlite"],
+     "unknown application names ['Radx']"),
+], ids=["render", "bench-out", "store", "gc-render", "prune", "missing",
+        "repeat", "unknown-app"])
+def test_the_campaign_cli_refuses_with_exit_2_before_opening_a_store(
+        argv, said, tmp_path, monkeypatch, capsys):
+    from repro.harness.__main__ import main
+    monkeypatch.chdir(tmp_path)
+    good = dict(name="c", apps=["Radix"], node_counts=[4],
+                dials=[["overhead", [2.9]]], scale=0.05)
+    (tmp_path / "spec.json").write_text(json.dumps({**good,
+                                                    "seeds": [0, 0]}))
+    (tmp_path / "typo.json").write_text(json.dumps({**good,
+                                                    "apps": ["Radx"]}))
+    with pytest.raises(SystemExit) as refused:
+        main(argv + ["--no-cache"])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert said in err.splitlines()[-1]
+    assert not (tmp_path / "s.sqlite").exists()
+
+
 def test_campaign_spec_json_round_trip_with_faults_and_coll():
     spec = CampaignSpec(
         name="rt", apps=("Radix", "Connect"), node_counts=(4, 8),

@@ -23,6 +23,7 @@ from repro.coll.bench import CollectiveBench
 from repro.coll.core import COLL_HANDLER
 from repro.coll.model import estimate_cost, predicted_ranking
 from repro.gas.runtime import register_gas_handlers
+from repro.harness.artifacts import REGISTRY
 from repro.network.loggp import LogGPParams
 
 RANK_COUNTS = (1, 2, 3, 5, 8, 13)
@@ -34,9 +35,35 @@ ALGORITHM_MATRIX = [(primitive, algo)
 
 # -- registry ---------------------------------------------------------------
 
-def test_registry_has_at_least_two_algorithms_per_primitive():
-    for primitive, algos in registry().items():
-        assert len(algos) >= 2, primitive
+def _graded(name):
+    """(primitive, schedule) of every CollectiveBench run the artifact
+    ``name`` plans (planning only: nothing is simulated)."""
+    plan = REGISTRY[name].planned(8, 0.05)
+    return {(task.app.primitive, task.app.algo) for task in plan.tasks
+            if isinstance(task.app, CollectiveBench)}
+
+
+TABLE8_PRIMITIVES = {primitive for primitive, _algo in _graded("table8")}
+
+
+def test_every_table8_primitive_has_at_least_two_schedules():
+    assert TABLE8_PRIMITIVES
+    for primitive in TABLE8_PRIMITIVES:
+        assert len(algorithms_for(primitive)) >= 2, primitive
+
+
+def test_a_schedule_is_registered_only_where_an_artifact_grades_it():
+    """A second schedule of a primitive is dead weight unless Table 8
+    grades the choice, and every schedule is the default or is planned
+    by Table 8, Figure 10 or the model's validation grid."""
+    graded = set().union(*map(_graded, ("table8", "figure10", "coll_grid")))
+    crowded = [primitive for primitive, algos in registry().items()
+               if len(algos) > 1 and primitive not in TABLE8_PRIMITIVES]
+    ungraded = [(primitive, algo)
+                for primitive, algos in registry().items() for algo in algos
+                if algo != DEFAULT_ALGORITHMS[primitive]
+                and (primitive, algo) not in graded]
+    assert (crowded, ungraded) == ([], [])
 
 
 def test_defaults_are_registered_and_eligible_everywhere():

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Cluster
 from repro.apps.base import Application
+from repro.coll.algorithms import reduce_binomial
 
 
 class _Lambda(Application):
@@ -44,7 +45,9 @@ def test_broadcast_all_sizes_and_roots(n_nodes):
 @pytest.mark.parametrize("n_nodes", [1, 2, 3, 5, 8])
 def test_reduce_all_sizes(n_nodes):
     def body(proc):
-        total = yield from proc.reduce(proc.rank, lambda a, b: a + b)
+        # The binomial reduction is allreduce's first half.
+        total = yield from reduce_binomial(proc, proc.rank,
+                                           lambda a, b: a + b)
         if proc.rank == 0:
             assert total == sum(range(proc.n_ranks))
 
@@ -109,8 +112,8 @@ def test_reduce_non_commutative_order_is_deterministic():
     def body(proc):
         # String concatenation: order-sensitive.  The binomial tree
         # combines deterministically, so every run agrees.
-        value = yield from proc.reduce(str(proc.rank),
-                                       lambda a, b: a + b)
+        value = yield from reduce_binomial(proc, str(proc.rank),
+                                           lambda a, b: a + b)
         if proc.rank == 0:
             proc.state["combined"] = value
 

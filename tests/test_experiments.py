@@ -34,8 +34,7 @@ def test_table3_structure():
 
 def test_figure4_structure():
     figure = experiments.figure4_balance(names=["Sample"], **TINY)
-    matrices = figure.matrices()
-    assert matrices["Sample"].shape == (4, 4)
+    assert figure.results["Sample"].balance().shape == (4, 4)
     assert "Sample" in figure.render()
 
 
@@ -54,8 +53,7 @@ def test_figure5_series_and_rows():
     assert sweep.slowdowns()[1] > 1.5
     assert figure.max_slowdown("Sample") > 1.5
     assert "slowdown" in figure.render()
-    rows = figure.rows()
-    assert {row["overhead"] for row in rows} == {2.9, 52.9}
+    assert [x for x, _y in figure.series()["Sample"]] == [2.9, 52.9]
 
 
 def test_table5_structure_and_baseline_exactness():
@@ -161,7 +159,7 @@ def test_extension_studies_go_through_the_one_drain(tmp_path, monkeypatch):
     assert (cache.hits, cache.misses) == (0, 3)
     warm = study(cache=cache)
     assert (cache.hits, cache.misses) == (3, 3)  # nothing re-simulated
-    assert warm.rows() == cold.rows() == study(jobs=2).rows()
+    assert warm == cold == study(jobs=2)
 
     monkeypatch.setattr(extensions_mod, "Cluster",
                         functools.partial(Cluster, run_limit_us=1.0))

@@ -17,7 +17,7 @@ from repro.apps.base import Application
 from repro.cluster.machine import Cluster
 from repro.harness import run_sweep, spike_decay_sweep
 from repro.harness.runcache import run_key_spec
-from repro.harness.sweeps import SweepPoint, SweepResult
+from repro.harness.sweeps import SensitivityFigure, SweepPoint, SweepResult
 from repro.network.faults import (DelaySpike, FaultInjector, FaultPlan,
                                   RetryExhausted, SlowdownWindow)
 from repro.network.loggp import LogGPParams
@@ -159,10 +159,11 @@ def test_sweep_surfaces_retry_exhausted_as_na_point():
     assert not point.completed
     assert point.failure.startswith("fault:")
     assert point.failure_category == "fault"
-    # Satellite: a failed baseline must not crash row generation...
-    rows = sweep.as_rows()
-    assert all(row["slowdown"] == "N/A" for row in rows)
-    assert all(row["runtime_us"] == "N/A" for row in rows)
+    # A failed baseline must not crash a figure's rendering...
+    figure = SensitivityFigure("retries spent", "drop rate",
+                               {"Radix": sweep})
+    assert figure.max_slowdown("Radix") is None
+    assert "retries spent" in figure.render()
     # ...while the strict accessors still raise, as before.
     with pytest.raises(RuntimeError, match="baseline"):
         sweep.slowdowns()
@@ -170,7 +171,7 @@ def test_sweep_surfaces_retry_exhausted_as_na_point():
         sweep.series()
 
 
-def test_as_rows_failed_baseline_with_completed_points():
+def test_failed_baseline_plots_no_slowdown_for_completed_points():
     good = Cluster(n_nodes=2, seed=0).run(tiny_radix())
     sweep = SweepResult(app_name="Radix", n_nodes=2, parameter="drop_rate")
     sweep.points = [
@@ -178,10 +179,10 @@ def test_as_rows_failed_baseline_with_completed_points():
                    failure="fault: dead link"),
         SweepPoint(value=0.01, knobs=TuningKnobs(), result=good),
     ]
-    rows = sweep.as_rows()
-    assert rows[0]["runtime_us"] == "N/A"
-    assert rows[1]["runtime_us"] != "N/A"
-    assert [row["slowdown"] for row in rows] == ["N/A", "N/A"]
+    assert [point.completed for point in sweep.points] == [False, True]
+    figure = SensitivityFigure("t", "drop rate", {"Radix": sweep})
+    assert figure.series() == {"Radix": []}
+    assert figure.max_slowdown("Radix") is None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Cluster
 from repro.apps.base import Application
+from repro.coll.algorithms import reduce_binomial
 from repro.gas.sync import DistributedLock
 
 
@@ -145,8 +146,9 @@ def test_broadcast_from_nonzero_root():
 
 def test_reduce_sums_to_root():
     def body(proc):
-        total = yield from proc.reduce(proc.rank + 1, lambda a, b: a + b,
-                                       root=0)
+        # The binomial reduction is allreduce's first half.
+        total = yield from reduce_binomial(proc, proc.rank + 1,
+                                           lambda a, b: a + b, root=0)
         if proc.rank == 0:
             assert total == sum(range(1, 7))
         else:

@@ -6,7 +6,7 @@ from repro.apps import RadixSort
 from repro.harness import suite_for
 from repro.harness.report import ascii_plot, render_table
 from repro.harness.surface import sensitivity_surface
-from repro.harness.sweeps import DIALS, Dial, run_sweep
+from repro.harness.sweeps import DIALS, Dial, SensitivityFigure, run_sweep
 from repro.am.tuning import TuningKnobs
 from repro.network.loggp import LogGPParams
 
@@ -113,7 +113,7 @@ def test_a_non_finite_dial_value_is_refused_by_name(name):
 
 def test_sweep_rows_are_renderable():
     sweep = run_sweep(RadixSort(keys_per_proc=32), 2, "overhead", (2.9, 52.9))
-    text = render_table(sweep.as_rows(), title="test")
+    text = SensitivityFigure("test", "overhead", {"Radix": sweep}).render()
     assert "Radix" in text and "slowdown" in text
 
 

@@ -139,8 +139,7 @@ def test_every_hook_fires_somewhere():
         (Cluster(4, seed=21), Barnes(bodies_per_proc=8, steps=1)),
         (Cluster(4, seed=11, faults=FaultPlan(drop_rate=0.05)),
          RadixSort(keys_per_proc=64)),
-        (Cluster(4, seed=3), CollectiveBench("barrier", algo="tree",
-                                             iterations=2)),
+        (Cluster(4, seed=3), CollectiveBench("barrier", iterations=2)),
         (Cluster(2, seed=1), _BulkNeighbour()),
     ]
     for cluster, app in runs:

@@ -188,13 +188,13 @@ def test_failure_category_edge_cases():
     assert "error" not in FAILURE_CATEGORIES
 
 
-def test_as_rows_carries_failure_category():
+def test_a_deadlocked_sweep_point_carries_its_failure_category():
     sweep = run_sweep(
         fixture_app("lock_cycle", "LockCycle"), 2, "latency", [5.0],
         seed=11, livelock_limit=200, sanitize=True)
-    rows = sweep.as_rows()
-    assert rows[0]["failure"] == "deadlock"
-    assert rows[0]["runtime_us"] == "N/A"
+    point, = sweep.points
+    assert point.failure_category == "deadlock"
+    assert not point.completed and point.runtime_us is None
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,23 @@ def test_cli_sizes_suite_apps_as_every_driver_does(capsys):
 def test_cli_rejects_unknown_app(capsys):
     assert main(["NoSuchApp"]) == 2
     assert "unknown app" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, said", [
+    ("--run-limit-us", "nan", "'nan' is not a finite number > 0"),
+    ("--run-limit-us", "0", "'0' is not a finite number > 0"),
+    ("--livelock-limit", "-5", "must be >= 0, got -5"),
+    ("--nodes", "0", "must be >= 1, got 0"),
+])
+def test_cli_a_machine_it_cannot_build_is_a_usage_error(flag, value, said,
+                                                        capsys):
+    """These raised mid-run and exited 1, this driver's code for a race
+    or a deadlock; they exit 2 at parse time."""
+    with pytest.raises(SystemExit) as refused:
+        main(["Sample", flag, value])
+    assert refused.value.code == 2
+    assert f"argument {flag}: {said}" in \
+        capsys.readouterr().err.splitlines()[-1]
 
 
 def test_cli_json_format_includes_deadlock(capsys):

@@ -146,9 +146,7 @@ def test_predicted_sweep_via_harness_entry_point(radix_graph):
     assert slow[0] == pytest.approx(1.0)
     assert slow[1] > 2.0  # 10 extra us of o each way hurts a 4-node sort
     assert sweep.series() == list(zip(sweep.values(), slow))
-    rows = sweep.as_rows()
-    assert rows[0]["app"] == sweep.app_name
-    assert all(row["failure"] == "" for row in rows)  # never fails: no sim
+    assert all(point.completed for point in sweep.points)  # no sim
     assert "(4 nodes, simcost)" in figure.render()
 
 
@@ -542,6 +540,30 @@ def test_cli_a_bad_values_list_is_a_usage_error(argv, why, capsys):
     assert excinfo.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert f"argument --values: {argv[-1]!r}" in last and why in last
+
+
+@pytest.mark.parametrize("argv, said", [
+    (["record", "--app", "Radix", "--nodes", "0"],
+     "argument --nodes: must be >= 1, got 0"),
+    (["report", "--apps", "Radix", "--nodes", "0"],
+     "argument --nodes: must be >= 1, got 0"),
+    (["record", "--app", "Radix", "--window", "0"],
+     "argument --window: must be >= 1, got 0"),
+    (["report", "--apps", "Radix", "--parameter", "bulk_mb_s",
+      "--values", "38,0"], "argument --values: bandwidth must be > 0"),
+    (["predict", "graph.json", "--parameter", "bulk_mb_s",
+      "--values", "38,0"], "argument --values: bandwidth must be > 0"),
+], ids=["record-nodes", "report-nodes", "record-window", "report-values",
+        "predict-values"])
+def test_cli_a_machine_it_cannot_build_is_a_usage_error(argv, said,
+                                                        capsys):
+    """These raised mid-run and exited 1, which for ``report`` reads as
+    a failed median-error gate; they exit 2 at parse time."""
+    from repro.cost.cli import main
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--no-cache"] if argv[0] == "report" else argv)
+    assert excinfo.value.code == 2
+    assert said in capsys.readouterr().err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -186,7 +186,7 @@ def test_param_taint_crosses_the_call_edge():
         "    if leader:\n"
         "        yield from _report(proc)\n"
         "def _report(proc):\n"
-        "    yield from proc.reduce(1)\n"
+        "    yield from proc.allreduce(1)\n"
         "def run_rank(proc):\n"
         "    is_leader = proc.rank == 0\n"
         "    yield from _maybe_report(proc, is_leader)\n"))

@@ -61,8 +61,7 @@ def test_interaction_excess_definition():
 
 def test_rows_and_render():
     surface = small_surface()
-    rows = surface.rows()
-    assert len(rows) == 2
+    assert len(surface.y_values) == 2
     text = surface.render()
     assert "surface" in text
     assert len(text.splitlines()) == 4  # title + header + 2 rows
@@ -85,7 +84,7 @@ def test_surface_is_served_from_the_run_cache(tmp_path):
     assert (cache.hits, cache.misses) == (0, 4)
     warm = small_surface(cache=cache)
     assert (cache.hits, cache.misses) == (4, 4)  # nothing re-simulated
-    assert warm.rows() == cold.rows() == small_surface().rows()
+    assert warm == cold == small_surface()
 
 
 def test_surface_pooled_equals_serial():
