@@ -201,8 +201,7 @@ class OneCollectivePathRule(Rule):
 
 
 #: The drivers' artifact modes: each plans everything, then drains once.
-_DRIVERS = {"/scripts/generate_experiments.py": "main",
-            "/harness/__main__.py": "main", "/cost/cli.py": "_cmd_report"}
+_DRIVERS = {"/harness/__main__.py": "main", "/cost/cli.py": "_cmd_report"}
 _POOL = frozenset({"ProcessPoolExecutor", "as_completed",
                    "BrokenProcessPool"})
 _SIMULATES = frozenset({"record_run", "run"})

@@ -22,7 +22,7 @@
   artifact over :mod:`repro.serve`).
 * :mod:`repro.harness.report` -- ASCII tables and line plots.
 * :mod:`repro.harness.claims` -- the paper's shape claims, one row each,
-  which the EXPERIMENTS generator checks (not imported here).
+  which ``python -m repro.harness`` checks (not imported here).
 """
 
 from repro.harness.suite import suite_for, REFERENCE_NODES

@@ -3,12 +3,12 @@
 Each :class:`Artifact` of :data:`REGISTRY` is one of the paper's tables
 or figures, or a study only the claims read: the
 :class:`~repro.harness.parallel.Plan` of its value, the
-``EXPERIMENTS.md`` section it writes, the id prefixes of its
-:mod:`~repro.harness.claims` rows and the suite applications it reads.
-``scripts/generate_experiments.py`` plans every record at 32 nodes,
-drains the union once and writes the sections in registry order;
-``python -m repro.harness --only`` plans the named ones at ``--nodes``;
-a claims row takes its artifact title and holds-at scale from the
+``EXPERIMENTS.md`` section it writes, the other records that section
+reads, the id prefixes of its :mod:`~repro.harness.claims` rows and the
+suite applications it reads.  ``python -m repro.harness`` plans every
+record at ``--nodes``, drains the union once and writes the sections in
+registry order (``--only``: the named ones, planned with what they
+read); a claims row takes its artifact title and holds-at scale from the
 record owning its prefix.  The microbenchmarks plan no runs: they
 measure when the plan is built, after the drain.
 """
@@ -23,7 +23,6 @@ from repro.am.tuning import TuningKnobs
 from repro.apps import SUITE_ORDER
 from repro.calibrate import (calibrate_bulk_bandwidth, calibrate_machine,
                              round_trip_time)
-from repro.cost.graph import CostGraph
 from repro.harness import experiments
 from repro.harness.claims import PAPER
 from repro.harness.extensions import (burst_ablation, investment_study,
@@ -35,7 +34,7 @@ from repro.harness.surface import overhead_gap_surface
 from repro.harness.sweeps import DIALS, MACHINE_DIALS, SensitivityFigure
 from repro.network.loggp import LogGPParams
 
-__all__ = ["Artifact", "REGISTRY", "OWNERS", "PredictedSweeps"]
+__all__ = ["Artifact", "REGISTRY", "OWNERS"]
 
 #: What a section reads: every artifact's built value, by name.
 Values = Dict[str, Any]
@@ -48,21 +47,23 @@ SHOWN = ("Radix", "EM3D(write)", "Sample", "NOW-sort")
 class Artifact:
     """One table, figure or claims-only study."""
 
-    #: The ``--only`` name, and the key its value is built under.
+    #: The key its value is built under, and its ``--only`` name if it
+    #: has a section.
     name: str
     #: ``plan(nodes, scale, apps)``: its value on ``nodes`` (half-machine
     #: runs take ``nodes // 2``) for the suite ``apps``.
     plan: Callable[[int, float, Tuple[str, ...]], Plan]
     #: Its ``## `` heading; with no section, the title its rows name.
     heading: Optional[str] = None
+    #: Its text, from its own value and those of ``reads``.
     section: Optional[Callable[[Values], str]] = None
     #: Id prefixes of its claims rows.
     prefixes: Tuple[str, ...] = ()
     #: The suite applications it reads; with none, its rows hold at
     #: any input scale.
     apps: Tuple[str, ...] = ()
-    #: Whether ``python -m repro.harness --only`` offers it.
-    cli: bool = True
+    #: The other records its section reads.
+    reads: Tuple[str, ...] = ()
 
     @property
     def title(self) -> Optional[str]:
@@ -111,22 +112,11 @@ def coll_grid_plan() -> Plan:
         lambda tables: [row for table in tables for row in table.rows()])
 
 
-@dataclass
-class PredictedSweeps:
-    """Figures 5-8 predicted from one recording per application."""
-
-    graphs: List[CostGraph]
-    #: dial -> its predicted figure over the reduced grid.
-    figures: Dict[str, SensitivityFigure]
-
-    def render(self) -> str:
-        return "\n\n".join(figure.render()
-                           for figure in self.figures.values())
-
-
 def _predicted(nodes: int, scale: float, apps: Tuple[str, ...]) -> Plan:
+    """One recording per application, and Figures 5-8 predicted from
+    them over the reduced grids: ``(graphs, {dial: figure})``."""
     return experiments.recorded_suite.plan(nodes, scale, names=apps).then(
-        lambda graphs: PredictedSweeps(graphs, {
+        lambda graphs: (graphs, {
             dial: experiments.predicted_figure(graphs, dial,
                                                DIALS[dial].reduced)
             for dial in MACHINE_DIALS}))
@@ -171,8 +161,8 @@ histogram) over a balanced background; EM3D's near-diagonal swath; Sample's
 uneven columns; NOW-sort's solid balanced square.
 """,
     "figure5": """
-Serialization effect: the 2·m·Δo model under-predicts Radix by {:.0f}% on 16
-nodes and {:.0f}% on 32 nodes — the serial residual grows with P, the paper's
+Serialization effect: the 2·m·Δo model under-predicts Radix by {:.0f}% on {}
+nodes and {:.0f}% on {} nodes — the serial residual grows with P, the paper's
 Section 5.1 analysis.  (At the paper's 16M keys the effect also flips the raw
 slowdown ratio, 57x vs ~25x; at reduced key counts the distribution term shrinks
 faster than at full scale, so only the residual direction reproduces.)  Response
@@ -326,20 +316,22 @@ def _table2(v: Values) -> str:
 
 
 def _table3(v: Values) -> str:
+    half, full = sorted(next(iter(v["table3"].values())))  # 16, 32
+
     def cells(name, by_nodes):
-        m16, m32 = by_nodes[16] / 1000.0, by_nodes[32] / 1000.0
+        m_half, m_full = by_nodes[half] / 1000.0, by_nodes[full] / 1000.0
         return [name, " / ".join(map(str, PAPER[f"t3.{name}"])),
-                f"{fmt(m16)} / {fmt(m32)}", f"{fmt(m16 / m32)}x"]
+                f"{fmt(m_half)} / {fmt(m_full)}", f"{fmt(m_half / m_full)}x"]
     return markdown_table(
-        ["program", "paper 16/32-node (s)", "measured 16/32-node (ms)",
-         "measured speedup"],
-        [cells(*item) for item in v["table3"].runtimes.items()]
+        ["program", "paper 16/32-node (s)",
+         f"measured {half}/{full}-node (ms)", "measured speedup"],
+        [cells(*item) for item in v["table3"].items()]
     ) + "\n" + PROSE["table3"]
 
 
 def _figure4(v: Values) -> str:
     return "\n".join([_boxed(result.render_balance())
-                      for result in v["figure4"].results.values()]
+                      for result in v["figure4"].values()]
                      + [PROSE["figure4"]])
 
 
@@ -352,9 +344,11 @@ def _figure5(v: Values) -> str:
             f"{fmt(fig5_32.max_slowdown(name))}x"])
     if "Radix" in fig5_32.sweeps:
         # The scaling study's runs are these sweeps' o = 2.9 and 102.9.
-        lines.append(PROSE["figure5"].format(*(
-            (v["scaling"].serial_residual(n_nodes) - 1) * 100
-            for n_nodes in (16, 32))))
+        scaling = v["scaling"]
+        half, full = sorted(scaling.runtimes)  # 16, 32
+        lines.append(PROSE["figure5"].format(
+            (scaling.serial_residual(half) - 1) * 100, half,
+            (scaling.serial_residual(full) - 1) * 100, full))
     return "\n".join(lines)
 
 
@@ -383,10 +377,10 @@ def _figure8(v: Values) -> str:
 
 
 def _predicted_sweeps(v: Values) -> str:
-    graphs = v["predict"].graphs
+    graphs, figures = v["predict"]
     lines = [PROSE["predict"]]
     for (dial, predicted), simulated in zip(
-            v["predict"].figures.items(),
+            figures.items(),
             ("figure5", "figure6", "figure7", "figure8")):
         errors = experiments.prediction_errors(predicted, v[simulated])
         app, value, _sim, _pred, worst = max(
@@ -461,7 +455,7 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
              "Figure 3 — LogP signature (g dialed to 14 µs)", _figure3,
              ("f3",)),
     Artifact("rtt", _measured(lambda: round_trip_time(
-        knobs=TuningKnobs.added_gap(14.0 - 5.8))), cli=False),
+        knobs=TuningKnobs.added_gap(14.0 - 5.8)))),
     Artifact("table2", _measured(lambda: experiments.table2_calibration(
         desired_o=DIALS["overhead"].reduced, desired_g=DIALS["gap"].reduced,
         desired_L=DIALS["latency"].reduced)),
@@ -469,7 +463,7 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
     Artifact("windows", _measured(lambda: {
         window: calibrate_machine("L", (105.0,), window=window)[0]
         .measured.gap for window in (4, 8, 16)}),
-        "Ablation: window size", prefixes=("window",), cli=False),
+        "Ablation: window size", prefixes=("window",)),
     Artifact("table3", lambda nodes, scale, apps:
              experiments.table3_baseline_runtimes.plan(
                  node_counts=(nodes // 2, nodes), scale=scale, names=apps),
@@ -482,13 +476,13 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
              "Figure 4 — communication balance (selected matrices)",
              _figure4, ("f4",), SHOWN),
     Artifact("figure5_16", _figure("overhead", half=True),
-             apps=SUITE_ORDER, cli=False),
+             apps=SUITE_ORDER),
     Artifact("figure5", _figure("overhead"),
              "Figure 5 — sensitivity to overhead", _figure5, ("f5",),
-             SUITE_ORDER),
+             SUITE_ORDER, reads=("figure5_16", "scaling")),
     Artifact("scaling", lambda nodes, scale, apps: scaling_study.plan(
         *apps, node_counts=(nodes // 2, nodes), delta_o=100.0, scale=scale),
-        "Scaling study", prefixes=("scaling",), apps=("Radix",), cli=False),
+        "Scaling study", prefixes=("scaling",), apps=("Radix",)),
     Artifact("table5", _suite(experiments.table5_overhead_model,
                               values=DIALS["overhead"].reduced),
              "Table 5 — overhead model (r + 2·m·Δo)",
@@ -509,7 +503,8 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
              SUITE_ORDER),
     Artifact("predict", _predicted,
              "Predicted sweeps — simcost (beyond the paper)",
-             _predicted_sweeps, apps=SUITE_ORDER),
+             _predicted_sweeps, apps=SUITE_ORDER,
+             reads=("figure5", "figure6", "figure7", "figure8")),
     Artifact("figure9", _figure("drop_rate"),
              "Figure 9 — sensitivity to packet loss (beyond the paper)",
              _figure9, apps=SUITE_ORDER),
@@ -531,31 +526,29 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
                  iterations=2),
              "Table 8 — LogGP-model-driven algorithm selection (beyond the "
              "paper)", _table8, ("t8", "coll")),
-    Artifact("coll_grid", lambda nodes, scale, apps: coll_grid_plan(),
-             cli=False),
+    Artifact("coll_grid", lambda nodes, scale, apps: coll_grid_plan()),
     Artifact("figure11", lambda nodes, scale, apps:
              experiments.figure11_serving.plan(n_nodes=nodes, scale=scale),
              "Figure 11 — open-system serving tail latency (beyond the "
              "paper)", _figure11),
     Artifact("bulk", _measured(calibrate_bulk_bandwidth),
              "Appendix — bulk bandwidth calibration", lambda v: PROSE["bulk"].format(
-                 fmt(v["bulk"].saturated_mb_s, 1)), cli=False),
+                 fmt(v["bulk"].saturated_mb_s, 1))),
     Artifact("surface", lambda nodes, scale, apps: overhead_gap_surface.plan(
         *apps, n_nodes=nodes // 2, values=(25.0, 100.0), scale=scale),
         "o x g surface", prefixes=("surface",), apps=("Sample",)),
     Artifact("investment", lambda nodes, scale, apps:
              investment_study.plan(*apps, n_nodes=nodes // 2, scale=scale),
-             "Investment study", prefixes=("investment",), apps=("Sample",),
-             cli=False),
+             "Investment study", prefixes=("investment",), apps=("Sample",)),
     Artifact("occupancy", lambda nodes, scale, apps: occupancy_study.plan(
         *apps, n_nodes=nodes // 2, values=(0.0, 10.0, 25.0, 50.0),
         scale=scale), "Occupancy study", prefixes=("occupancy",),
-        apps=("EM3D(read)",), cli=False),
+        apps=("EM3D(read)",)),
     Artifact("window_scope", lambda nodes, scale, apps:
              window_scope_ablation.plan(), "Ablation: window scope",
-             prefixes=("scope",), cli=False),
+             prefixes=("scope",)),
     Artifact("burst", lambda nodes, scale, apps: burst_ablation.plan(),
-             "Ablation: burstiness", prefixes=("burst",), cli=False),
+             "Ablation: burstiness", prefixes=("burst",)),
 )}
 
 #: Claim id prefix -> the record whose rows carry it.

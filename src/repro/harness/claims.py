@@ -4,10 +4,11 @@ The evaluation section is a set of shape claims — who is hurt by o, g,
 L and G, by roughly what factor, where the curves cross — so each row
 of :data:`CLAIMS` is ``(id, artifact, claim, paper value, measured
 value, bound, holds-at scale)``.  :func:`evaluate` reads every measured
-value off the artifacts ``scripts/generate_experiments.py`` drained (it
+value off the artifacts ``python -m repro.harness`` drained (it
 simulates nothing), and a row holds when its bound accepts the value.
-A row outside its holds-at scale, or about an application the run left
-out, is written as not applicable rather than dropped.
+A row off the 32-node machine or its holds-at scale, or about an
+application the run left out, is written as not applicable rather than
+dropped.
 
 A row's id prefix names the record of :mod:`repro.harness.artifacts`
 that owns it; the row's artifact title and holds-at scale are that
@@ -32,6 +33,8 @@ SUITE = SUITE_ORDER
 FREQUENT = SUITE[:4]
 #: The input scale the suite's rows were checked at.
 SCALE = 0.5
+#: The cluster size every row is stated for, as the paper's.
+NODES = 32
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,7 @@ def linearity(figure: str, name: str) -> Measure:
 
 def runtime(name: str, n_nodes: int) -> Measure:
     """Table 3's runtime, ms."""
-    return Measure(lambda a: a["table3"].runtimes[name][n_nodes] / 1000, name)
+    return Measure(lambda a: a["table3"][name][n_nodes] / 1000, name)
 
 
 def summary(attribute: str, names: Sequence[str],
@@ -548,15 +551,16 @@ def _rounded(value: Any) -> Any:
 
 def evaluate(artifacts: Dict[str, Any], scale: float,
              apps: Optional[Sequence[str]] = None,
-             claims: Sequence[Claim] = CLAIMS) -> List[dict]:
+             claims: Sequence[Claim] = CLAIMS,
+             nodes: int = NODES) -> List[dict]:
     """Every row as a dict, its ``status`` ``holds``, ``fails`` or
     ``n/a``.  ``artifacts`` maps each registry name the rows read
-    (``table3``, ``figure5``, ...) to its built value, ``scale`` is the
-    input scale they were built at and ``apps`` the applications they
-    cover (None: all ten)."""
+    (``table3``, ``figure5``, ...) to its built value, ``scale`` and
+    ``nodes`` are the input scale and cluster size they were built at
+    and ``apps`` the applications they cover (None: all ten)."""
     rows = []
     for claim in claims:
-        applicable = claim.holds_at in (None, scale) and (
+        applicable = nodes == NODES and claim.holds_at in (None, scale) and (
             apps is None or set(claim.measure.apps) <= set(apps))
         measured = claim.measure(artifacts) if applicable else None
         status = ("n/a" if not applicable else

@@ -1,9 +1,10 @@
 """One entry point per table and figure of the paper's evaluation.
 
-Each function runs the necessary simulations and returns a structured
-result object with ``rows()`` / ``render()`` so the artifact can be
-regenerated as text (:mod:`repro.harness.claims` checks the qualitative
-shape).  Input scale and application subsets are parameters, so smoke
+Each function runs the necessary simulations and returns the artifact's
+value: a result object with a ``render()``, or plain data where the
+``EXPERIMENTS.md`` section reads only numbers (Table 3's runtimes,
+Figure 4's runs).  :mod:`repro.harness.claims` checks the qualitative
+shape.  Input scale and application subsets are parameters, so smoke
 runs stay quick and users can crank fidelity.
 
 The simulating ones are :func:`~repro.harness.parallel.study` s: called,
@@ -140,29 +141,6 @@ def table2_calibration(**kwargs) -> Table2:
 # Table 3 -- applications and base runtimes on 16 and 32 nodes.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Table3:
-    """Table 3's measured base runtimes."""
-
-    runtimes: Dict[str, Dict[int, float]]  # app -> nodes -> runtime_us
-
-    def rows(self) -> List[dict]:
-        """Flat dict rows (one per application)."""
-        rows = []
-        for app_name, by_nodes in self.runtimes.items():
-            row = {"Program": app_name}
-            for nodes in sorted(by_nodes):
-                row[f"{nodes}-node time (ms)"] = round(
-                    by_nodes[nodes] / 1000.0, 2)
-            rows.append(row)
-        return rows
-
-    def render(self) -> str:
-        """ASCII rendering of the table."""
-        return render_table(self.rows(), title="Table 3: base run times "
-                            "(fixed input per application)")
-
-
 def _suite_runs(n_nodes: int, scale: float,
                 names: Optional[Sequence[str]], seed: int) -> Plan:
     """app name -> the suite's run on the unmodified ``n_nodes`` machine.
@@ -184,13 +162,15 @@ def table3_baseline_runtimes(node_counts: Sequence[int] = (16, 32),
                              scale: float = 1.0,
                              names: Optional[Sequence[str]] = None,
                              seed: int = 0) -> Plan:
-    """Run the suite at each cluster size with fixed total inputs."""
-    def build(suites: List[Dict[str, RunResult]]) -> Table3:
+    """Run the suite at each cluster size with fixed total inputs:
+    app name -> nodes -> runtime (µs)."""
+    def build(suites: List[Dict[str, RunResult]]
+              ) -> Dict[str, Dict[int, float]]:
         runtimes: Dict[str, Dict[int, float]] = {}
         for n_nodes, runs in zip(node_counts, suites):
             for name, result in runs.items():
                 runtimes.setdefault(name, {})[n_nodes] = result.runtime_us
-        return Table3(runtimes=runtimes)
+        return runtimes
     return Plan.union([_suite_runs(n_nodes, scale, names, seed)
                        for n_nodes in node_counts]).then(build)
 
@@ -199,24 +179,13 @@ def table3_baseline_runtimes(node_counts: Sequence[int] = (16, 32),
 # Figure 4 -- communication balance matrices.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Figure4:
-    """Figure 4's per-application run results."""
-
-    results: Dict[str, RunResult]
-
-    def render(self) -> str:
-        """ASCII greyscale matrices, one block per application."""
-        return "\n\n".join(result.render_balance()
-                           for result in self.results.values())
-
-
 @study
 def figure4_balance(n_nodes: int = 32, scale: float = 1.0,
                     names: Optional[Sequence[str]] = None,
                     seed: int = 0) -> Plan:
-    """Run the suite once and collect Figure 4's balance matrices."""
-    return _suite_runs(n_nodes, scale, names, seed).then(Figure4)
+    """Run the suite once: app name -> the run whose balance matrix
+    Figure 4 draws."""
+    return _suite_runs(n_nodes, scale, names, seed)
 
 
 # ---------------------------------------------------------------------------

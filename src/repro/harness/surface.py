@@ -2,8 +2,7 @@
 
 The paper dials one LogGP parameter at a time.  Real design points move
 several at once (a slower NIC usually raises o *and* g), so this module
-sweeps a grid over two dials and reports the slowdown surface, with an
-ASCII heat map for a terminal-sized look at the interaction.
+sweeps a grid over two dials and reports the slowdown surface.
 
 The interesting question the surface answers: are overhead and gap
 *redundant* (both throttle the same messages, so the combined slowdown
@@ -23,7 +22,6 @@ from repro.cluster.machine import Cluster, RunResult
 from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS
-from repro.instruments.balance import GREYSCALE
 from repro.network.loggp import LogGPParams
 
 __all__ = ["SensitivitySurface", "overhead_gap_surface"]
@@ -70,26 +68,6 @@ class SensitivitySurface:
         means they compound."""
         independent = self.at(x, 0.0) + self.at(0.0, y) - 1.0
         return self.at(x, y) - independent
-
-    def render(self) -> str:
-        """ASCII heat map, dark = slow."""
-        peak = max(self.slowdown.values())
-        levels = len(GREYSCALE) - 1
-        lines = [f"-- {self.app_name} slowdown surface "
-                 f"({self.x_dial} across, {self.y_dial} down; "
-                 f"@={peak:.1f}x) --"]
-        header = " " * 8 + "".join(
-            f"{x:>7.0f}" for x in self.x_values)
-        lines.append(header)
-        for y in reversed(self.y_values):
-            cells = "".join(
-                "{:>7}".format(
-                    GREYSCALE[int(round(
-                        (self.at(x, y) - 1.0)
-                        / max(peak - 1.0, 1e-9) * levels))] * 3)
-                for x in self.x_values)
-            lines.append(f"{y:7.0f} {cells}")
-        return "\n".join(lines)
 
 
 @study

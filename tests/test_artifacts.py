@@ -2,34 +2,30 @@
 arguments at parse time.
 
 One record of ``repro.harness.artifacts`` per table and figure feeds
-``scripts/generate_experiments.py``, ``python -m repro.harness`` and the
-claims, so these check the registry against the committed
+``python -m repro.harness`` — the generator of ``EXPERIMENTS.md`` — and
+the claims, so these check the registry against the committed
 ``EXPERIMENTS.md`` and ``repro.harness.claims`` without simulating the
 grid.  A refused argument exits 2, never 1: CI reads 1 as a failing
 claim.
 """
 
 import importlib
-import importlib.util
+import json
 import math
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.harness import run_plans, suite_for
+from repro.harness import parallel, run_plans, suite_for
+from repro.harness.__main__ import main
 from repro.harness.artifacts import REGISTRY
 from repro.harness.claims import CLAIMS
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _generator():
-    spec = importlib.util.spec_from_file_location(
-        "generate_experiments", ROOT / "scripts" / "generate_experiments.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
+#: The records ``--only`` names: those with a section.
+SECTIONED = [name for name, artifact in REGISTRY.items()
+             if artifact.section is not None]
 
 
 def _prefixes():
@@ -39,7 +35,7 @@ def _prefixes():
 def test_each_section_heading_is_one_records_in_file_order():
     headings = re.findall(r"^## (.*)$", (ROOT / "EXPERIMENTS.md").read_text(),
                           re.M)
-    # The claims list closes the report; the generator writes it.
+    # The claims list closes the report; the driver writes it.
     assert headings[-1].startswith("Claims — ")
     assert headings[:-1] == [artifact.heading
                              for artifact in REGISTRY.values()
@@ -66,15 +62,65 @@ def test_the_sections_without_a_claim_row_can_only_shrink():
 
 
 def test_every_cli_name_plans_drains_and_renders():
-    """At ``--nodes 4 --scale 0.05`` with no cache, over Sample alone:
-    every record ``--only`` offers reads Sample or no suite app, and
-    one app keeps this to about a second of the whole CLI's four."""
-    names = [name for name, artifact in REGISTRY.items() if artifact.cli]
-    assert len(names) == 19
-    values = run_plans([REGISTRY[name].planned(4, 0.05, ("Sample",))
-                        for name in names], cache=None, jobs=2)
-    for name, value in zip(names, values):
-        assert value.render().strip(), name
+    """Each ``--only`` name's section renders from its own value and
+    those of its ``reads`` alone, at ``--nodes 4 --scale 0.05`` with no
+    cache, over Sample: every such record reads Sample or no suite app,
+    and one app keeps this to a few seconds."""
+    assert len(SECTIONED) == 19
+    assert "bulk" in SECTIONED and "surface" not in SECTIONED
+    built = dict(zip(REGISTRY, run_plans(
+        [artifact.planned(4, 0.05, ("Sample",))
+         for artifact in REGISTRY.values()], cache=None, jobs=2)))
+    for name in SECTIONED:
+        artifact = REGISTRY[name]
+        assert built[name] is not None, name
+        values = {read: built[read] for read in (name, *artifact.reads)}
+        assert artifact.section(values).strip(), name
+
+
+@pytest.mark.parametrize("name", ["figure5", "predict"])
+def test_only_plans_the_record_and_what_its_section_reads(
+        name, monkeypatch, tmp_path):
+    """``--only figure5`` also drains Figure 5's 16-node sweep and the
+    scaling study; ``--only predict`` also drains Figures 5-8.  The
+    drain is stopped before anything simulates."""
+    drained = []
+
+    def spy(tasks, **_run):
+        drained.extend(tasks)
+        raise InterruptedError
+
+    monkeypatch.setattr(parallel, "run_points", spy)
+    with pytest.raises(InterruptedError):
+        main(["--nodes", "4", "--scale", "0.05", "--no-cache",
+              "--only", name, "--out", str(tmp_path / "only.md")])
+    reads = REGISTRY[name].reads
+    assert reads
+    keys = {task.key for task in drained}
+    assert keys == {task.key for read in (name, *reads)
+                    for task in REGISTRY[read].planned(4, 0.05).tasks}
+    assert not keys <= {task.key
+                        for task in REGISTRY[name].planned(4, 0.05).tasks}
+
+
+def test_a_report_off_the_32_node_machine_marks_every_row_na(tmp_path,
+                                                               capsys):
+    """The claims are stated for the paper's 32 nodes: at 4, the whole
+    report is written and every row is ``n/a``, so nothing fails."""
+    out = tmp_path / "report.md"
+    assert main(["--nodes", "4", "--scale", "0.05", "--apps", "Sample",
+                 "--jobs", "2", "--no-cache", "--out", str(out)]) == 0
+    rows = json.loads(out.with_suffix(".json").read_text())
+    assert len(rows) == len(CLAIMS)
+    assert {row["status"] for row in rows} == {"n/a"}
+    text = out.read_text()
+    assert text.startswith("# EXPERIMENTS")
+    assert "`python -m repro.harness --scale 0.05 --out EXPERIMENTS.md`" \
+        in text
+    assert all(f"## {REGISTRY[name].heading}\n" in text
+               for name in SECTIONED)
+    assert f"wrote {out} and {out.with_suffix('.json')}" in \
+        capsys.readouterr().out
 
 
 def test_a_record_with_none_of_its_apps_selected_plans_nothing():
@@ -94,7 +140,7 @@ def test_the_generator_refuses_a_bad_apps_with_exit_2(apps, said, capsys,
                                                        tmp_path):
     out = tmp_path / "out.md"
     with pytest.raises(SystemExit) as refused:
-        _generator()(["--apps", apps, "--out", str(out), "--no-cache"])
+        main(["--apps", apps, "--out", str(out), "--no-cache"])
     assert refused.value.code == 2
     err = capsys.readouterr().err
     assert said in err and "Radix, EM3D(write)" in err
@@ -105,15 +151,24 @@ def test_the_generator_refuses_an_out_its_json_would_overwrite(capsys,
                                                                tmp_path):
     out = tmp_path / "EXPERIMENTS.json"
     with pytest.raises(SystemExit) as refused:
-        _generator()(["--out", str(out), "--no-cache"])
+        main(["--out", str(out), "--no-cache"])
     assert refused.value.code == 2
     assert "--out" in capsys.readouterr().err
     assert not out.exists()
 
 
-#: driver -> (its module, arguments besides ``--scale``).
+def test_a_bare_only_is_refused_not_read_as_everything(capsys):
+    """``--only`` with no name used to plan every record."""
+    with pytest.raises(SystemExit) as refused:
+        main(["--only", "--no-cache"])
+    assert refused.value.code == 2
+    assert "argument --only" in capsys.readouterr().err
+
+
+#: driver -> (its module, arguments besides ``--scale``).  Without
+#: ``--only`` the one driver generates ``EXPERIMENTS.md``.
 DRIVERS = {
-    "generate_experiments": (None, ["--no-cache"]),
+    "generate_experiments": ("repro.harness.__main__", ["--no-cache"]),
     "repro.harness": ("repro.harness.__main__",
                       ["--no-cache", "--only", "table3"]),
     "repro.cost record": ("repro.cost.cli", ["record", "--app", "Radix"]),
@@ -128,10 +183,8 @@ DRIVERS = {
 def test_every_driver_refuses_a_bad_scale_at_parse_time(driver, scale,
                                                         capsys):
     module, args = DRIVERS[driver]
-    main = _generator() if module is None else \
-        importlib.import_module(module).main
     with pytest.raises(SystemExit) as refused:
-        main(args + ["--scale", scale])
+        importlib.import_module(module).main(args + ["--scale", scale])
     assert refused.value.code == 2
     assert "--scale" in capsys.readouterr().err
 
@@ -144,10 +197,8 @@ def test_every_driver_refuses_a_bad_jobs_at_parse_time(driver, jobs,
                                                        capsys):
     """``--jobs 0`` and ``--jobs -3`` used to run serially, silently."""
     module, args = DRIVERS[driver]
-    main = _generator() if module is None else \
-        importlib.import_module(module).main
     with pytest.raises(SystemExit) as refused:
-        main(args + ["--jobs", jobs])
+        importlib.import_module(module).main(args + ["--jobs", jobs])
     assert refused.value.code == 2
     assert "argument --jobs" in capsys.readouterr().err
 
@@ -160,7 +211,6 @@ def test_suite_for_refuses_a_bad_scale_by_name(scale):
 
 @pytest.mark.parametrize("nodes", ["0", "1"])
 def test_the_cli_refuses_fewer_than_two_nodes(nodes, capsys):
-    from repro.harness.__main__ import main
     with pytest.raises(SystemExit) as refused:
         main(["--nodes", nodes, "--only", "table3", "--no-cache"])
     assert refused.value.code == 2

@@ -333,8 +333,23 @@ def test_campaign_spec_refuses_a_repeat_or_an_unknown_app_by_name(change,
      "names seed 0 twice"),
     (["--campaign", "typo.json", "--store", "s.sqlite"],
      "unknown application names ['Radx']"),
+    # The report's flags used to be dropped: the campaign ran without
+    # them.
+    (["--campaign", "spec.json", "--store", "s.sqlite", "--only", "table2"],
+     "--only writes the report"),
+    (["--campaign", "spec.json", "--store", "s.sqlite", "--out", "r.md"],
+     "--out writes the report"),
+    (["--campaign", "spec.json", "--store", "s.sqlite", "--apps", "Radix"],
+     "--apps writes the report"),
+    (["--store-gc", "--store", "s.sqlite", "--only", "table2"],
+     "--only writes the report"),
+    (["--store-gc", "--store", "s.sqlite", "--out", "r.md"],
+     "--out writes the report"),
+    (["--store-gc", "--store", "s.sqlite", "--apps", "Radix"],
+     "--apps writes the report"),
 ], ids=["render", "bench-out", "store", "gc-render", "prune", "missing",
-        "repeat", "unknown-app"])
+        "repeat", "unknown-app", "only", "out", "apps", "gc-only", "gc-out",
+        "gc-apps"])
 def test_the_campaign_cli_refuses_with_exit_2_before_opening_a_store(
         argv, said, tmp_path, monkeypatch, capsys):
     from repro.harness.__main__ import main

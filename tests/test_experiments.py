@@ -1,7 +1,7 @@
 """Smoke tests for the experiment entry points at tiny scale.
 
 The paper's shape claims are the rows of ``repro.harness.claims``,
-which ``scripts/generate_experiments.py`` checks on its full-scale
+which ``python -m repro.harness`` checks on its full-scale
 artifacts; these verify the plumbing (structure, rendering, N/A
 handling, the drain) quickly, and that a bent curve fails its row.
 """
@@ -26,16 +26,16 @@ TINY = dict(n_nodes=4, scale=0.1)
 def test_table3_structure():
     table = experiments.table3_baseline_runtimes(
         node_counts=(2, 4), scale=0.1, names=["Radix", "Connect"])
-    assert set(table.runtimes) == {"Radix", "Connect"}
-    rows = table.rows()
-    assert all("2-node time (ms)" in row for row in rows)
-    assert "Table 3" in table.render()
+    assert set(table) == {"Radix", "Connect"}
+    assert all(set(by_nodes) == {2, 4} and all(
+        runtime > 0 for runtime in by_nodes.values())
+        for by_nodes in table.values())
 
 
 def test_figure4_structure():
-    figure = experiments.figure4_balance(names=["Sample"], **TINY)
-    assert figure.results["Sample"].balance().shape == (4, 4)
-    assert "Sample" in figure.render()
+    runs = experiments.figure4_balance(names=["Sample"], **TINY)
+    assert runs["Sample"].balance().shape == (4, 4)
+    assert "Sample" in runs["Sample"].render_balance()
 
 
 def test_table4_structure():
@@ -96,30 +96,41 @@ def test_tables_and_figures_share_their_baseline_runs(tmp_path):
     for entry, kwargs in calls:
         cached = entry(cache=cache, **kwargs)
         plain = entry(**kwargs)
-        assert cached.render() == plain.render()
-        if hasattr(plain, "rows"):
-            assert cached.rows() == plain.rows()
+        if entry is experiments.table3_baseline_runtimes:
+            assert cached == plain
+        elif entry is experiments.figure4_balance:  # app -> its run
+            assert [run.render_balance() for run in cached.values()] == \
+                [run.render_balance() for run in plain.values()]
+        else:
+            assert cached.render() == plain.render()
     # The baseline once (then three hits) and the dialed point once.
     assert (cache.misses, cache.hits) == (2, 3)
 
 
 def test_cli_runs_a_single_artifact(tmp_path, capsys):
     from repro.harness.__main__ import main
+    out = tmp_path / "table4.md"
     argv = ["--nodes", "4", "--scale", "0.1", "--only", "table4",
-            "--out", str(tmp_path)]
+            "--out", str(out)]
     cached = argv + ["--cache-dir", str(tmp_path / "cache")]
     assert main(cached) == 0
-    out = capsys.readouterr().out
-    assert "table4" in out
-    assert "0 hits / 10 misses" in out
-    assert (tmp_path / "table4.txt").exists()
-    # Artifact mode honours the flags campaign mode does.
-    text = (tmp_path / "table4.txt").read_text()
+    said = capsys.readouterr().out
+    assert f"wrote {out}\n" in said and "0 hits / 10 misses" in said
+    text = out.read_text()
+    assert text.startswith("## Table 4 — ") and "Radix" in text
+    assert text.count("\n## ") == 0  # no other section, no claims
+    assert not out.with_suffix(".json").exists()
+    # Report mode honours the flags campaign mode does.
     assert main(cached + ["--jobs", "2"]) == 0
     assert "10 hits / 0 misses" in capsys.readouterr().out
-    assert (tmp_path / "table4.txt").read_text() == text
+    assert out.read_text() == text
+    # Without --out, the section goes to stdout and nothing else does.
+    assert main(argv[:4] + ["--only", "table4", "--cache-dir",
+                            str(tmp_path / "cache")]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == text and "10 hits / 0 misses" in printed.err
     assert main(argv[:4] + ["--only", "table1", "--no-cache"]) == 0
-    assert "RunCache(" not in capsys.readouterr().out
+    assert "RunCache(" not in "".join(capsys.readouterr())
 
 
 def test_cli_drains_everything_selected_once_at_the_asked_jobs(

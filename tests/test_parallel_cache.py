@@ -427,7 +427,9 @@ def artifact_plans():
 
 
 def rendered(artifacts):
-    return [artifact.render() for artifact in artifacts]
+    """Table 3's runtimes as they are, then the others' renderings."""
+    table3, *others = artifacts
+    return [table3] + [artifact.render() for artifact in others]
 
 
 def test_plans_drained_together_render_as_the_eager_calls_do(

@@ -5,7 +5,7 @@ import functools
 import pytest
 
 from repro.cluster.machine import Cluster
-from repro.harness import RunCache
+from repro.harness import RunCache, claims
 from repro.harness import surface as surface_mod
 from repro.harness.surface import (SensitivitySurface,
                                    overhead_gap_surface,
@@ -59,12 +59,27 @@ def test_interaction_excess_definition():
         == pytest.approx(0.5)
 
 
-def test_rows_and_render():
-    surface = small_surface()
-    assert len(surface.y_values) == 2
-    text = surface.render()
-    assert "surface" in text
-    assert len(text.splitlines()) == 4  # title + header + 2 rows
+def test_the_claims_rows_grade_a_surface():
+    """The surface has no section: its three claims rows are what read
+    it.  A redundant o x g corner holds all three; one where gap hurts
+    more than overhead and the corner compounds fails two."""
+    def graded(corner, gap_only):
+        surface = SensitivitySurface(
+            app_name="Sample", n_nodes=16, x_dial="overhead", y_dial="gap",
+            x_values=[0.0, 100.0], y_values=[0.0, 100.0],
+            slowdown={(0.0, 0.0): 1.0, (100.0, 0.0): 3.0,
+                      (0.0, 100.0): gap_only, (100.0, 100.0): corner})
+        return {row["id"]: row["status"] for row in claims.evaluate(
+            {"surface": surface}, claims.SCALE, ("Sample",),
+            [claim for claim in claims.CLAIMS
+             if claim.id.startswith("surface.")])}
+
+    assert graded(corner=3.5, gap_only=2.0) == {
+        "surface.monotone": "holds", "surface.overhead_beats_gap": "holds",
+        "surface.redundant_corner": "holds"}
+    assert graded(corner=6.0, gap_only=3.5) == {
+        "surface.monotone": "holds", "surface.overhead_beats_gap": "fails",
+        "surface.redundant_corner": "fails"}
 
 
 def test_overhead_gap_surface_shortcut():
