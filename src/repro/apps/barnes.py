@@ -24,6 +24,7 @@ a sequential Barnes-Hut with the same geometry and θ.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -440,18 +441,21 @@ class Barnes(Application):
         """Sequential Barnes-Hut over the same bodies, geometry and θ."""
         positions = self._positions.copy()
         velocities = self._velocities.copy()
-        masses = self._masses
+        masses = self._masses.tolist()
         total = len(masses)
         accels = np.zeros((total, 3))
         for _step in range(self.steps):
+            # Plain floats from here on: the walk below does thousands
+            # of three-element sums, which numpy would pay per call.
+            points = positions.tolist()
             cells: Dict[tuple, dict] = {}
             for body in range(total):
                 _sequential_insert(
-                    cells, (body, positions[body], float(masses[body])))
+                    cells, (body, points[body], masses[body]))
             _sequential_moments(cells)
-            for body in range(total):
-                accels[body] = _sequential_force(
-                    cells, body, positions[body], self.theta)
+            accels[:] = [_sequential_force(cells, body, points[body],
+                                           self.theta)
+                         for body in range(total)]
             velocities += accels * self.dt
             positions = np.clip(positions + velocities * self.dt,
                                 0.01, 0.99)
@@ -505,26 +509,31 @@ def _sequential_insert(cells: dict, body: tuple) -> None:
 
 
 def _sequential_moments(cells: dict) -> None:
+    """Each cell's ``(mass, centre of mass)``, deepest cells first, in
+    the parallel moment phase's order of operations."""
     for key in sorted(cells, key=len, reverse=True):
         record = cells[key]
         if record["type"] == "leaf":
-            mass = sum(b[2] for b in record["bodies"])
-            com = sum((b[2] * b[1] for b in record["bodies"]),
-                      np.zeros(3)) / mass
+            parts = [(mass, point)
+                     for _body, point, mass in record["bodies"]]
         else:
-            mass = 0.0
-            com = np.zeros(3)
-            for octant in record["children"]:
-                child_mass, child_com = cells[key + (octant,)]["moment"]
-                mass += child_mass
-                com += child_mass * np.asarray(child_com)
-            com /= mass
-        record["moment"] = (mass, com)
+            parts = [cells[key + (octant,)]["moment"]
+                     for octant in record["children"]]
+        mass = cx = cy = cz = 0.0
+        for part_mass, (x, y, z) in parts:
+            mass += part_mass
+            cx += part_mass * x
+            cy += part_mass * y
+            cz += part_mass * z
+        record["moment"] = (mass, (cx / mass, cy / mass, cz / mass))
 
 
-def _sequential_force(cells: dict, body: int, position: np.ndarray,
-                      theta: float) -> np.ndarray:
-    acc = np.zeros(3)
+def _sequential_force(cells: dict, body: int, position: List[float],
+                      theta: float) -> Tuple[float, float, float]:
+    """``body``'s acceleration: ``_body_force``'s walk, in floats."""
+    px, py, pz = position
+    softening_sq = SOFTENING ** 2
+    ax = ay = az = 0.0
     stack: List[Tuple[int, ...]] = [()]
     while stack:
         key = stack.pop()
@@ -532,21 +541,25 @@ def _sequential_force(cells: dict, body: int, position: np.ndarray,
         if record is None:
             continue
         if record["type"] == "leaf":
-            for other_id, other_pos, other_mass in record["bodies"]:
-                if other_id != body:
-                    acc += _pairwise(position, np.asarray(other_pos),
-                                     other_mass)
-            continue
-        mass, com = record["moment"]
-        com = np.asarray(com)
-        size = 2.0 * cell_half_width(key)
-        distance = float(np.linalg.norm(com - position))
-        if distance > 0 and size / distance < theta:
-            acc += _pairwise(position, com, mass)
+            pulls = [(point, mass) for other_id, point, mass
+                     in record["bodies"] if other_id != body]
         else:
-            for octant in sorted(record["children"], reverse=True):
-                stack.append(key + (octant,))
-    return acc
+            mass, (x, y, z) = record["moment"]
+            dx, dy, dz = x - px, y - py, z - pz
+            size = 2.0 * cell_half_width(key)
+            distance = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if not (distance > 0 and size / distance < theta):
+                for octant in sorted(record["children"], reverse=True):
+                    stack.append(key + (octant,))
+                continue
+            pulls = [((x, y, z), mass)]
+        for (x, y, z), mass in pulls:
+            dx, dy, dz = x - px, y - py, z - pz
+            cube = (dx * dx + dy * dy + dz * dz + softening_sq) ** 1.5
+            ax += mass * dx / cube
+            ay += mass * dy / cube
+            az += mass * dz / cube
+    return ax, ay, az
 
 
 # ---------------------------------------------------------------------------

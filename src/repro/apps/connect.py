@@ -13,11 +13,15 @@ until a global reduction reports no changes.
 
 Communication is light relative to the local work — the paper notes the
 communication/computation ratio is set by the graph size — and irregular
-(hot rows produce the blotchy Figure 4h)."""
+(hot rows produce the blotchy Figure 4h).
+
+``finalize`` roots the gathered ``parent`` array by pointer jumping and
+checks the partition it induces against an independent labelling of
+the same edges, computed on whole arrays (min-label propagation)."""
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Tuple
+from typing import Generator, List, Tuple
 
 import numpy as np
 
@@ -49,9 +53,11 @@ class Connect(Application):
         self.rows_per_proc = rows_per_proc
         self.cols = cols
         self.connectivity = connectivity
-        self._edges: List[Tuple[int, int]] = []
-        #: Per rank: (edges inside its strip, cross-strip edges it drives).
-        self._rank_edges: List[Tuple[list, list]] = []
+        #: The mesh's edges ``(u, v)``, ``u < v``, sorted by ``u``.
+        self._edges = np.empty((0, 2), dtype=np.int64)
+        #: Per rank: (edges inside its strip, cross-strip edges it
+        #: drives), each in edge order.
+        self._rank_edges: List[Tuple[np.ndarray, np.ndarray]] = []
         self._n_vertices = 0
         self._n_nodes = 0
 
@@ -84,16 +90,17 @@ class Connect(Application):
             [vertex[down], vertex[down] + self.cols], axis=1)
         merged = np.concatenate([right_edges, down_edges])
         # Sort by source vertex so edge order stays row-major.
-        merged = merged[np.argsort(merged[:, 0], kind="stable")]
-        self._edges = [tuple(edge) for edge in merged.tolist()]
+        self._edges = merged[np.argsort(merged[:, 0], kind="stable")]
         # Every edge goes, in edge order, to the rank owning its source
         # (u < v, so the upper strip's owner drives a cross-strip edge).
         strip = self.rows_per_proc * self.cols
-        self._rank_edges = [([], []) for _ in range(n_nodes)]
-        for edge in self._edges:
-            u, v = edge
-            local, boundary = self._rank_edges[u // strip]
-            (local if v // strip == u // strip else boundary).append(edge)
+        owner = self._edges // strip
+        inside = owner[:, 0] == owner[:, 1]
+        bounds = np.searchsorted(owner[:, 0], np.arange(n_nodes + 1))
+        self._rank_edges = [
+            (self._edges[lo:hi][inside[lo:hi]],
+             self._edges[lo:hi][~inside[lo:hi]])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def setup_rank(self, proc: Proc) -> Generator:
         parent = proc.allocate(self._n_vertices, name="cc_parent",
@@ -116,16 +123,17 @@ class Connect(Application):
 
         # Phase 1: local union-find collapses in-strip components.
         roots = _local_union_find(
-            base, len(local), state["local_edges"])
+            base, len(local), state["local_edges"].tolist())
         local[:] = roots
         yield from proc.compute(proc.cost.edges(
             len(state["local_edges"]) + len(local)))
         yield from proc.barrier()
 
         # Phase 2: global merge rounds with min-hooking.
+        boundary_edges = state["boundary_edges"].tolist()
         while True:
             changed = 0
-            for u, v in state["boundary_edges"]:
+            for u, v in boundary_edges:
                 root_u = yield from self._find(proc, parent, u)
                 root_v = yield from self._find(proc, parent, v)
                 if root_u != root_v:
@@ -148,44 +156,67 @@ class Connect(Application):
             current = value
 
     # -- results -----------------------------------------------------------------
-    def finalize(self, procs: List[Proc]) -> Dict[int, int]:
+    def finalize(self, procs: List[Proc]) -> np.ndarray:
+        """Each vertex's root in the gathered ``parent`` array."""
         parent_meta = procs[0].state["connect"]["parent"]
-        # A list: the chase below reads one element at a time.
-        gathered = np.concatenate(
-            [proc.local(parent_meta) for proc in procs]).tolist()
-
-        def find(vertex: int) -> int:
-            while gathered[vertex] != vertex:
-                vertex = gathered[vertex]
-            return vertex
-
-        labels = {v: find(v) for v in range(self._n_vertices)}
+        labels = _pointer_jump(np.concatenate(
+            [proc.local(parent_meta) for proc in procs]))
         self._validate(labels)
         return labels
 
-    def _validate(self, labels: Dict[int, int]) -> None:
-        """Check against a sequential union-find over the same edges."""
-        reference = _local_union_find(0, self._n_vertices, self._edges)
-        ref_labels = {v: int(reference[v])
-                      for v in range(self._n_vertices)}
-        # Two labelings agree iff they induce the same partition.
-        seen: Dict[int, int] = {}
-        for v in range(self._n_vertices):
-            mine, theirs = labels[v], ref_labels[v]
-            if mine in seen:
-                if seen[mine] != theirs:
-                    raise AssertionError(
-                        "connected components disagree with the "
-                        "sequential reference")
-            else:
-                seen[mine] = theirs
-        if len(set(seen.values())) != len(seen):
+    def _validate(self, labels: np.ndarray) -> None:
+        """Check against an independent labelling over the same edges."""
+        reference = _components(self._n_vertices, self._edges)
+        if labels.shape != reference.shape:
+            raise AssertionError(
+                f"{labels.shape} labels for {self._n_vertices} vertices")
+        # Two labelings induce the same partition iff each label on one
+        # side meets exactly one label on the other: as many distinct
+        # (mine, reference) pairs as distinct labels on either side.
+        pairs = _distinct(labels * self._n_vertices + reference)
+        if pairs != _distinct(labels):
             raise AssertionError(
                 "parallel run merged components the reference keeps apart")
+        if pairs != _distinct(reference):
+            raise AssertionError(
+                "parallel run split a component the reference connects")
+
+
+def _distinct(values: np.ndarray) -> int:
+    """How many distinct values the non-empty ``values`` holds (a sort
+    is several times faster here than ``np.unique``'s hash table)."""
+    return 1 + int(np.count_nonzero(np.diff(np.sort(values))))
+
+
+def _pointer_jump(parent: np.ndarray) -> np.ndarray:
+    """Each vertex's root in a forest of ``parent`` pointers."""
+    while True:
+        hop = parent[parent]
+        if np.array_equal(hop, parent):
+            return parent
+        parent = hop
+
+
+def _components(count: int, edges: np.ndarray) -> np.ndarray:
+    """Each vertex's minimum-id component member: min-label propagation
+    over ``edges`` with pointer jumping, until no label moves."""
+    u, v = edges[:, 0], edges[:, 1]
+    labels = np.arange(count)
+    while True:
+        low = np.minimum(labels[u], labels[v])
+        hooked = labels.copy()
+        # Both endpoints and both of their labels take the lower label;
+        # a label only ever falls to a member of its own component.
+        for side in (u, v, labels[u], labels[v]):
+            np.minimum.at(hooked, side, low)
+        hooked = _pointer_jump(hooked)
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
 
 
 def _local_union_find(base: int, count: int,
-                      edges: List[Tuple[int, int]]) -> np.ndarray:
+                      edges: List[List[int]]) -> np.ndarray:
     """Sequential union-find over vertices [base, base+count); returns
     each vertex's minimum-id representative (global ids)."""
     parent = list(range(count))

@@ -24,7 +24,7 @@ of Figures 4b/4c.
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, List, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,8 +67,12 @@ class EM3D(Application):
         self.steps = steps
         self.variant = variant
         self._edges: Dict[str, List[List[Tuple[int, float]]]] = {}
+        #: Per rank, the write variant's push lists (see ``configure``).
+        self._push: List[Dict[str, Dict[int, List[int]]]] = []
         self._n_nodes = 0
         self._seed = 0
+        #: Reseeded per rank by ``_initial_values``.
+        self._rng: Optional[np.random.RandomState] = None
 
     name = property(lambda self: f"EM3D({self.variant})")  # type: ignore
 
@@ -83,6 +87,7 @@ class EM3D(Application):
         to adjacent processors (the diagonal swath of Figure 4)."""
         self._n_nodes = n_nodes
         self._seed = seed
+        self._rng = np.random.RandomState(seed)
         rng = random.Random(f"em3d:{seed}")
         total = n_nodes * self.nodes_per_proc
 
@@ -108,11 +113,31 @@ class EM3D(Application):
         # e_edges[i]: sources (H nodes) feeding E node i, and vice versa.
         self._edges = {"e": build_side(), "h": build_side()}
 
+        # The write variant's push lists: per rank, which of its nodes
+        # feed remote consumers, and the consumers' processors in the
+        # order the consumers are met.  ``_edges[k]`` lists the sources
+        # feeding consumers of kind ``k``; those sources are of the
+        # *other* kind, which is how the push lists are keyed.
+        self._push = [{"e": {}, "h": {}} for _ in range(n_nodes)]
+        for consumer_kind, source_kind in (("e", "h"), ("h", "e")):
+            for consumer, sources in enumerate(self._edges[consumer_kind]):
+                consumer_proc = consumer // self.nodes_per_proc
+                for src, _w in sources:
+                    src_proc = src // self.nodes_per_proc
+                    if src_proc == consumer_proc:
+                        continue
+                    targets = self._push[src_proc][source_kind].setdefault(
+                        src, [])
+                    if consumer_proc not in targets:
+                        targets.append(consumer_proc)
+
     def _initial_values(self, rank: int) -> Tuple[np.ndarray, np.ndarray]:
         """The deterministic per-rank initial (E, H) values, a function
-        of both the run seed and the rank."""
-        rng = np.random.RandomState(
-            (self._seed * 1_000_003 + rank + 17) % (2 ** 32))
+        of both the run seed and the rank.  One generator reseeded per
+        rank draws what a fresh ``RandomState`` of that seed would, at
+        a hundredth of the cost of building one."""
+        rng = self._rng
+        rng.seed((self._seed * 1_000_003 + rank + 17) % (2 ** 32))
         e_part = rng.uniform(-1, 1, self.nodes_per_proc)
         h_part = rng.uniform(-1, 1, self.nodes_per_proc)
         return e_part, h_part
@@ -134,27 +159,12 @@ class EM3D(Application):
                    in range(lo, hi)]
             for kind in ("e", "h")
         }
-        # Ghost tables for the write variant: value cache per remote
-        # source node, plus the push lists (which of *my* nodes feed
-        # remote consumers).  ``_edges[k]`` lists the sources feeding
-        # consumers of kind ``k``; those sources are of the *other*
-        # kind, which is how the push lists are keyed.
-        push_lists: Dict[str, Dict[int, List[int]]] = {"e": {}, "h": {}}
-        for consumer_kind, source_kind in (("e", "h"), ("h", "e")):
-            for consumer in range(total):
-                consumer_proc = consumer // self.nodes_per_proc
-                if consumer_proc == proc.rank:
-                    continue
-                for src, _w in self._edges[consumer_kind][consumer]:
-                    if lo <= src < hi:
-                        targets = push_lists[source_kind].setdefault(
-                            src, [])
-                        if consumer_proc not in targets:
-                            targets.append(consumer_proc)
+        # The write variant's ghost tables: a value cache per remote
+        # source node, filled by the pushes of its owner.
         proc.state["em3d"] = {
             "arrays": {"e": e_vals, "h": h_vals},
             "consumers": my_consumers,
-            "push": push_lists,
+            "push": self._push[proc.rank],
             "ghosts": {"e": {}, "h": {}},
         }
         return
@@ -232,24 +242,25 @@ class EM3D(Application):
         return measured
 
     def _sequential_reference(self, procs: List[Proc]) -> dict:
-        """Re-run the kernel sequentially from the same initial values."""
+        """Re-run the kernel sequentially from the same initial values.
+
+        Each half step is one ``bincount`` over the flattened edges: it
+        adds each consumer's terms in edge order from 0.0, as the
+        per-consumer loop of ``_half_step`` does, so the sums agree to
+        the bit."""
         total = self._n_nodes * self.nodes_per_proc
-        values = {}
-        for kind in ("e", "h"):
-            parts = []
-            for rank in range(self._n_nodes):
-                part_e, part_h = self._initial_values(rank)
-                parts.append(part_e if kind == "e" else part_h)
-            values[kind] = np.concatenate(parts)
+        parts = [self._initial_values(rank) for rank in range(self._n_nodes)]
+        values = {"e": np.concatenate([e for e, _h in parts]),
+                  "h": np.concatenate([h for _e, h in parts])}
+        consumer = np.repeat(np.arange(total), self.degree)
+        edges = {kind: np.asarray(self._edges[kind]).reshape(-1, 2)
+                 for kind in ("e", "h")}
         for _step in range(self.steps):
             for consumer_kind, source_kind in (("e", "h"), ("h", "e")):
-                new = np.empty(total)
-                for consumer in range(total):
-                    acc = 0.0
-                    for src, weight in self._edges[consumer_kind][consumer]:
-                        acc += weight * values[source_kind][src]
-                    new[consumer] = 0.5 * acc
-                values[consumer_kind] = new
+                src, weight = edges[consumer_kind].T
+                terms = weight * values[source_kind][src.astype(np.intp)]
+                values[consumer_kind] = 0.5 * np.bincount(
+                    consumer, weights=terms, minlength=total)
         return values
 
 

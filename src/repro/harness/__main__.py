@@ -70,21 +70,26 @@ def app_names(text: str) -> List[str]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def claims_section(rows: List[Dict]) -> str:
-    """The report's last section: the row counts, then the failed
-    rows."""
+def claims_section(rows: List[Dict], nodes: int) -> str:
+    """The report's last section for a report planned on ``nodes``: the
+    row counts, then the failed rows."""
     counts = {status: sum(row["status"] == status for row in rows)
               for status in ("holds", "n/a", "fails")}
     failed = [(row["id"], row["measured"], row["bound"])
               for row in rows if row["status"] == "fails"]
+    if nodes == claims.NODES:
+        tally = (f"Of {len(rows)} rows, {counts['holds']} hold, "
+                 f"{counts['n/a']} are not applicable at this scale or app "
+                 f"selection, and {counts['fails']} fail.")
+    else:
+        tally = (f"The rows are graded on the {claims.NODES}-node machine "
+                 f"only, so at {nodes} nodes all {len(rows)} are n/a.")
     text = "## Claims — the paper's shape claims, checked\n\n"
     text += textwrap.fill(
         "The `.json` file written beside this one holds one row per "
         "claim of `repro.harness.claims`: its artifact, the claim, the "
         "paper's value, the measured value, the bound and the input "
-        f"scale it holds at.  Of {len(rows)} rows, {counts['holds']} hold, "
-        f"{counts['n/a']} are not applicable at this scale or app "
-        f"selection, and {counts['fails']} fail.", 80,
+        "scale it holds at.  " + tally, 80,
         break_on_hyphens=False) + "\n"
     if failed:
         text += "\n" + markdown_table(["id", "measured", "bound"],
@@ -216,14 +221,16 @@ def main(argv=None) -> int:
         artifact = REGISTRY[name]
         if artifact.section is not None and values[name] is not None \
                 and (only is None or name in only):
-            out += [f"## {artifact.heading}\n", artifact.section(values)]
+            out += [f"## {artifact.heading_at(args.nodes)}\n",
+                    artifact.section(values)]
     rows = []
     if not only:
         rows = claims.evaluate(values, args.scale, args.apps,
                                nodes=args.nodes)
         elapsed = time.time() - started  # simlint: disable=wall-clock - footer
-        out += [claims_section(rows), f"---\n*Generated in {elapsed:.0f} s "
-                "of wall-clock simulation.*"]
+        out += [claims_section(rows, args.nodes),
+                f"---\n*Generated in {elapsed:.0f} s of wall-clock "
+                "simulation.*"]
 
     # What the driver says goes where the report does not.
     report = "\n".join(out) + "\n"

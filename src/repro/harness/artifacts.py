@@ -54,6 +54,8 @@ class Artifact:
     #: runs take ``nodes // 2``) for the suite ``apps``.
     plan: Callable[[int, float, Tuple[str, ...]], Plan]
     #: Its ``## `` heading; with no section, the title its rows name.
+    #: ``{nodes}`` and ``{half}`` stand for the machine it is planned on
+    #: and its half (see :meth:`heading_at`).
     heading: Optional[str] = None
     #: Its text, from its own value and those of ``reads``.
     section: Optional[Callable[[Values], str]] = None
@@ -69,6 +71,10 @@ class Artifact:
     def title(self) -> Optional[str]:
         """The heading up to its dash: ``Table 3``."""
         return self.heading and self.heading.split(" — ")[0]
+
+    def heading_at(self, nodes: int) -> str:
+        """Its heading for a report planned on ``nodes``."""
+        return self.heading.format(nodes=nodes, half=nodes // 2)
 
     def planned(self, nodes: int, scale: float,
                 selection: Optional[Sequence[str]] = None) -> Plan:
@@ -467,10 +473,10 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
     Artifact("table3", lambda nodes, scale, apps:
              experiments.table3_baseline_runtimes.plan(
                  node_counts=(nodes // 2, nodes), scale=scale, names=apps),
-             "Table 3 — base runtimes, fixed input, 16 vs 32 nodes",
+             "Table 3 — base runtimes, fixed input, {half} vs {nodes} nodes",
              _table3, ("t3",), SUITE_ORDER),
     Artifact("table4", _suite(experiments.table4_comm_summary),
-             "Table 4 — communication summary (32 nodes)",
+             "Table 4 — communication summary ({nodes} nodes)",
              _verbatim("table4"), ("t4",), SUITE_ORDER),
     Artifact("figure4", _suite(experiments.figure4_balance),
              "Figure 4 — communication balance (selected matrices)",

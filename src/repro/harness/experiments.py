@@ -204,9 +204,10 @@ class Table4:
                 for result in self.results.values()]
 
     def render(self) -> str:
-        """ASCII rendering of the table."""
+        """ASCII rendering of the table, titled with its runs' machine."""
+        n_nodes = next(iter(self.results.values())).n_nodes
         return render_table(self.rows(), title="Table 4: communication "
-                            "summary (32-node configuration)")
+                            f"summary ({n_nodes}-node configuration)")
 
 
 @study

@@ -91,6 +91,31 @@ def test_barnes_multi_step_rebuilds_tree(cluster):
     assert result.output.shape == (16, 3)
 
 
+class _NudgedBarnes(Barnes):
+    """Barnes whose rank 0 scales its largest acceleration component by
+    ``1 + nudge`` after the run, as a wrong answer would."""
+
+    def __init__(self, nudge: float, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.nudge = nudge
+
+    def run_rank(self, proc):
+        yield from super().run_rank(proc)
+        if proc.rank == 0:
+            accels, bodies = proc.state["barnes"]["accels"], \
+                list(self._my_bodies(proc))
+            row, axis = np.unravel_index(
+                np.argmax(np.abs(accels[bodies])), (len(bodies), 3))
+            accels[bodies[row], axis] *= 1 + self.nudge
+
+
+def test_barnes_check_refuses_an_acceleration_beyond_rtol(cluster):
+    # 10x the tolerance fails; a tenth of it passes: rtol is 1e-6.
+    with pytest.raises(AssertionError, match="diverge from the sequential"):
+        cluster.run(_NudgedBarnes(1e-5, bodies_per_proc=5, steps=1))
+    cluster.run(_NudgedBarnes(1e-7, bodies_per_proc=5, steps=1))
+
+
 def test_barnes_accuracy_vs_direct_sum(cluster):
     app = Barnes(bodies_per_proc=5, theta=0.3, steps=1)
     result = cluster.run(app)

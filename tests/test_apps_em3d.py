@@ -80,6 +80,61 @@ def test_single_node_em3d():
     assert result.stats.total_messages == 0
 
 
+def _loop_reference(app):
+    """The sequential reference as a per-consumer loop: the oracle the
+    array reference must match to the bit."""
+    total = app._n_nodes * app.nodes_per_proc
+    parts = [app._initial_values(rank) for rank in range(app._n_nodes)]
+    values = {"e": np.concatenate([e for e, _h in parts]),
+              "h": np.concatenate([h for _e, h in parts])}
+    for _step in range(app.steps):
+        for consumer_kind, source_kind in (("e", "h"), ("h", "e")):
+            new = np.empty(total)
+            for consumer in range(total):
+                acc = 0.0
+                for src, weight in app._edges[consumer_kind][consumer]:
+                    acc += weight * values[source_kind][src]
+                new[consumer] = 0.5 * acc
+            values[consumer_kind] = new
+    return values
+
+
+@pytest.mark.parametrize("n_nodes, nodes_per_proc, steps, seed", [
+    (1, 10, 2, 4), (4, 12, 3, 9), (5, 8, 6, 0), (32, 8, 6, 13)])
+def test_reference_adds_as_the_loop_does(n_nodes, nodes_per_proc, steps,
+                                         seed):
+    app = EM3D(nodes_per_proc=nodes_per_proc, steps=steps)
+    app.configure(n_nodes, seed)
+    fast, slow = app._sequential_reference([]), _loop_reference(app)
+    for kind in ("e", "h"):
+        assert np.array_equal(fast[kind], slow[kind])
+
+
+class _Nudged(EM3D):
+    """EM3D whose rank 0 scales its largest E value by ``1 + nudge``
+    after the run, as a wrong answer would."""
+
+    def __init__(self, nudge: float, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.nudge = nudge
+
+    def run_rank(self, proc):
+        yield from super().run_rank(proc)
+        if proc.rank == 0:
+            local = proc.local(proc.state["em3d"]["arrays"]["e"])
+            local[np.argmax(np.abs(local))] *= 1 + self.nudge
+
+
+@pytest.mark.parametrize("variant", ["write", "read"])
+def test_the_check_refuses_an_e_value_beyond_rtol(cluster, variant):
+    # 10x the tolerance fails; a tenth of it passes: rtol is 1e-9.
+    with pytest.raises(AssertionError, match="e-values diverge"):
+        cluster.run(_Nudged(1e-8, nodes_per_proc=12, steps=2,
+                            variant=variant))
+    cluster.run(_Nudged(1e-10, nodes_per_proc=12, steps=2,
+                        variant=variant))
+
+
 def test_seed_changes_initial_values_per_rank():
     """Regression: per-rank RNGs used to be RandomState(rank + 17) —
     seed-independent, so every --seed replayed identical inputs."""

@@ -1,16 +1,28 @@
 """Connect and Murphi: graph/state-space applications.
 
-Connect validates in ``finalize`` against sequential union-find; here we
-additionally cross-check with networkx.  Murphi validates against its
+Connect validates in ``finalize`` against an array labelling of its own
+(min-label propagation with pointer jumping); here we additionally
+cross-check with networkx, and plant wrong labellings the check must
+refuse.  Murphi validates against its
 own sequential BFS; we re-derive that count independently.
 """
 
+import gc
+import tracemalloc
+
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro import Cluster
 from repro.apps import Connect, Murphi
 from repro.apps.murphi import TransitionSystem
+from repro.harness.suite import suite_for
+
+#: Connect's traced peak (MB) at the ``suite32_cold`` size: 4.05 MB
+#: measured (Python 3.11, numpy 2.4), plus 25 % headroom.  Holding the
+#: edges as tuples and checking through dicts peaked at 19.4 MB.
+CONNECT_PEAK_MB_BUDGET = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -20,15 +32,18 @@ def cluster():
 
 # -- Connect ------------------------------------------------------------------
 
+def _true_components(app):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(app._n_vertices))
+    graph.add_edges_from(app._edges.tolist())
+    return list(nx.connected_components(graph))
+
+
 def test_connect_matches_networkx(cluster):
     app = Connect(rows_per_proc=3, cols=20, connectivity=0.35)
     result = cluster.run(app)
-    labels = result.output
-
-    graph = nx.Graph()
-    graph.add_nodes_from(range(app._n_vertices))
-    graph.add_edges_from(app._edges)
-    expected_components = list(nx.connected_components(graph))
+    labels = dict(enumerate(result.output.tolist()))
+    expected_components = _true_components(app)
 
     by_label = {}
     for vertex, label in labels.items():
@@ -37,6 +52,50 @@ def test_connect_matches_networkx(cluster):
                                  key=min)
     assert sorted(map(frozenset, expected_components), key=min) \
         == measured_components
+
+
+def test_connect_rank_edges_are_its_edges_in_order(cluster):
+    """Each rank drives the edges whose source strip it owns, local
+    ones and boundary ones each in edge order."""
+    app = Connect(rows_per_proc=3, cols=20, connectivity=0.35)
+    app.configure(cluster.n_nodes, cluster.seed)
+    strip = app.rows_per_proc * app.cols
+    for rank, (local, boundary) in enumerate(app._rank_edges):
+        mine = [edge for edge in app._edges.tolist()
+                if edge[0] // strip == rank]
+        assert local.tolist() == [edge for edge in mine
+                                  if edge[1] // strip == rank]
+        assert boundary.tolist() == [edge for edge in mine
+                                     if edge[1] // strip != rank]
+
+
+def _planted(app):
+    """The true labelling as an array, and its components with more
+    than one vertex, largest first."""
+    components = sorted(_true_components(app), key=len, reverse=True)
+    labels = np.empty(app._n_vertices, dtype=np.int64)
+    for component in components:
+        labels[list(component)] = min(component)
+    app._validate(labels)  # the true labelling passes
+    return labels, [sorted(c) for c in components if len(c) > 1]
+
+
+def test_connect_check_refuses_a_merge_of_two_components(cluster):
+    app = Connect(rows_per_proc=3, cols=20, connectivity=0.35)
+    app.configure(cluster.n_nodes, cluster.seed)
+    labels, (first, second, *_rest) = _planted(app)
+    labels[second] = labels[first[0]]
+    with pytest.raises(AssertionError, match="merged components"):
+        app._validate(labels)
+
+
+def test_connect_check_refuses_a_split_component(cluster):
+    app = Connect(rows_per_proc=3, cols=20, connectivity=0.35)
+    app.configure(cluster.n_nodes, cluster.seed)
+    labels, (largest, *_rest) = _planted(app)
+    labels[largest[-1]] = largest[-1]  # a label no other vertex has
+    with pytest.raises(AssertionError, match="split a component"):
+        app._validate(labels)
 
 
 def test_connect_read_dominated(cluster):
@@ -56,14 +115,35 @@ def test_connect_fully_connected_mesh():
     cluster = Cluster(n_nodes=3, seed=2)
     app = Connect(rows_per_proc=2, cols=10, connectivity=1.0)
     result = cluster.run(app)
-    assert len(set(result.output.values())) == 1
+    assert len(set(result.output.tolist())) == 1
 
 
 def test_connect_empty_mesh():
     cluster = Cluster(n_nodes=3, seed=2)
     app = Connect(rows_per_proc=2, cols=10, connectivity=0.0)
     result = cluster.run(app)
-    assert len(set(result.output.values())) == app._n_vertices
+    assert len(set(result.output.tolist())) == app._n_vertices
+
+
+def test_connect_peak_memory_stays_within_budget():
+    """Connect at 32 nodes and scale 0.125, one run under tracemalloc
+    after a warm-up run, so imports and first-call caches are not
+    counted."""
+    def run():
+        app, = suite_for(32, scale=0.125, names=["Connect"])
+        Cluster(32, seed=13).run(app)
+
+    run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    print(f"\nConnect P=32 scale=0.125: traced peak {peak_mb:.2f} MB "
+          f"(budget {CONNECT_PEAK_MB_BUDGET} MB)")
+    assert peak_mb <= CONNECT_PEAK_MB_BUDGET
 
 
 def test_connect_single_node():

@@ -37,7 +37,7 @@ def test_each_section_heading_is_one_records_in_file_order():
                           re.M)
     # The claims list closes the report; the driver writes it.
     assert headings[-1].startswith("Claims — ")
-    assert headings[:-1] == [artifact.heading
+    assert headings[:-1] == [artifact.heading_at(32)
                              for artifact in REGISTRY.values()
                              if artifact.section is not None]
 
@@ -106,7 +106,8 @@ def test_only_plans_the_record_and_what_its_section_reads(
 def test_a_report_off_the_32_node_machine_marks_every_row_na(tmp_path,
                                                                capsys):
     """The claims are stated for the paper's 32 nodes: at 4, the whole
-    report is written and every row is ``n/a``, so nothing fails."""
+    report is written, every row is ``n/a``, so nothing fails, and the
+    claims paragraph says why."""
     out = tmp_path / "report.md"
     assert main(["--nodes", "4", "--scale", "0.05", "--apps", "Sample",
                  "--jobs", "2", "--no-cache", "--out", str(out)]) == 0
@@ -117,10 +118,24 @@ def test_a_report_off_the_32_node_machine_marks_every_row_na(tmp_path,
     assert text.startswith("# EXPERIMENTS")
     assert "`python -m repro.harness --scale 0.05 --out EXPERIMENTS.md`" \
         in text
-    assert all(f"## {REGISTRY[name].heading}\n" in text
+    assert all(f"## {REGISTRY[name].heading_at(4)}\n" in text
                for name in SECTIONED)
+    assert "## Table 3 — base runtimes, fixed input, 2 vs 4 nodes\n" in text
+    claims_text = " ".join(text.split("## Claims — ")[1].split())
+    assert "graded on the 32-node machine only, so at 4 nodes all " \
+        f"{len(CLAIMS)} are n/a." in claims_text
+    assert "not applicable at this scale" not in claims_text
     assert f"wrote {out} and {out.with_suffix('.json')}" in \
         capsys.readouterr().out
+
+
+def test_table4_names_the_machine_it_ran_on(capsys):
+    """Its heading and its table's title both read 4 at ``--nodes 4``."""
+    assert main(["--nodes", "4", "--scale", "0.05", "--apps", "Sample",
+                 "--only", "table4", "--jobs", "1", "--no-cache"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("## Table 4 — communication summary (4 nodes)\n")
+    assert "Table 4: communication summary (4-node configuration)" in text
 
 
 def test_a_record_with_none_of_its_apps_selected_plans_nothing():
