@@ -200,8 +200,9 @@ class OneCollectivePathRule(Rule):
                                    "primitive methods")
 
 
-#: The drivers' artifact modes: each plans everything, then drains once.
-_DRIVERS = {"/harness/__main__.py": "main", "/cost/cli.py": "_cmd_report"}
+#: The one artifact driver: its ``main`` plans everything, then drains
+#: once.
+_DRIVER = "/harness/__main__.py"
 _POOL = frozenset({"ProcessPoolExecutor", "as_completed",
                    "BrokenProcessPool"})
 _SIMULATES = frozenset({"record_run", "run"})
@@ -226,9 +227,9 @@ class OneDrainRule(ProgramRule):
     """The harness has one drain: only ``harness.parallel.run_points``
     (and its ``_pool``) owns a process pool, probes or fills a run cache
     -- a graph comes back with its one ``get(..., graph=)`` -- or calls
-    ``execute_point``.  No ``Plan`` build simulates; each driver drains
-    at one call site and neither it nor its module-level code simulates
-    or calls a ``@study``.  Whole-program only to learn the studies."""
+    ``execute_point``.  No ``Plan`` build simulates; the artifact driver
+    drains at one call site and neither it nor its module-level code
+    simulates or calls a ``@study``.  Whole-program only to learn the studies."""
 
     rule_id = "one-drain"
     description = ("a pool, cache probe or execute_point outside "
@@ -247,8 +248,7 @@ class OneDrainRule(ProgramRule):
     def _check(self, source: SourceFile, owner: Dict[ast.AST, ast.AST],
                studies: Set[str]) -> Iterator[Finding]:
         drain = _path(source).endswith("/harness/parallel.py")
-        driver = next((name for suffix, name in _DRIVERS.items()
-                       if _path(source).endswith(suffix)), None)
+        driver = "main" if _path(source).endswith(_DRIVER) else None
         probed: Set[str] = set()
         drains: List[ast.AST] = []
         for node, function in owner.items():

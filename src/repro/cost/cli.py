@@ -1,26 +1,24 @@
-"""``python -m repro.cost`` — record, predict, report.
+"""``python -m repro.cost`` — record a run's dependency graph, predict
+dial sweeps from it.
 
 Follows the analysis-CLI contract (see ``repro.analysis.cli``):
 
-* exit 0 — success (and, for ``report``, the error gate holds);
-* exit 1 — ``report``'s median relative error exceeded the gate;
-* exit 2 — usage error (argparse's convention), an application name
-  the suite does not have, or a graph file ``predict`` cannot read,
-  parse or replay (one line on stderr).
+* exit 0 — success;
+* exit 2 — usage error (argparse's convention, an output directory
+  that does not exist included), an application name the suite does
+  not have, or a graph file ``predict`` cannot read, parse or replay
+  (one line on stderr).
 
 Subcommands::
 
     python -m repro.cost record --app Radix --nodes 8 --out radix.json
     python -m repro.cost predict radix.json --parameter overhead
-    python -m repro.cost report --apps Radix,Sample --nodes 8 \\
-        --parameter overhead --max-median-error 0.10 --format json
 
 ``record`` runs one instrumented simulation and writes the dependency
 graph; ``predict`` replays a graph over a dial grid (no simulation at
-all); ``report`` does both *and* simulates the same grid, the recording
-being the grid's baseline point (one drain, served from the RunCache
-when warm), to print per-point relative errors — the validation loop CI
-gates on.
+all).  How close the prediction comes to the simulated sweeps is graded
+by ``python -m repro.harness``: its ``predict.*`` claims rows hold each
+machine dial's median relative error over Figures 5-8's grids.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import json
 import math
 import pathlib
 import sys
-from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.am.layer import DEFAULT_WINDOW
@@ -38,11 +35,8 @@ from repro.cost.graph import CostGraph
 from repro.cost.predict import (latency_tolerance, lp_bound,
                                 predict_sweep)
 from repro.cost.recorder import record_run
-from repro.harness.experiments import (predicted_figure, prediction_errors,
-                                       recorded_suite, sensitivity_figure)
-from repro.harness.parallel import (add_run_options, at_least, input_scale,
-                                    run_options, run_plans)
-from repro.harness.suite import suite_for, suite_names
+from repro.harness.parallel import at_least, input_scale, output_path
+from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS, MACHINE_DIALS
 from repro.network.loggp import LogGPParams
 
@@ -63,8 +57,8 @@ def _dial_values(text: str) -> List[float]:
 
 
 def _finite(text: str) -> float:
-    """``--threshold`` / ``--max-median-error``: a finite number; a NaN
-    gate would pass every report."""
+    """``--threshold``: a finite number; a NaN one would be blamed on
+    the graph file."""
     try:
         value = float(text)
     except ValueError:
@@ -72,13 +66,6 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
-
-
-def _emit(payload: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
 
 
 # -- record -----------------------------------------------------------------
@@ -135,66 +122,10 @@ def _cmd_predict(args) -> int:
     cross = "never crosses" if tolerance is None else f"{tolerance:g}"
     lines.append(f"  {args.threshold:g}x tolerance: {cross}; "
                  f"LP bound at baseline: {baseline_bound:.1f} us")
-    _emit(payload, "\n".join(lines), args.format)
-    return 0
-
-
-# -- report -----------------------------------------------------------------
-
-def _cmd_report(args) -> int:
-    try:
-        names = suite_names(args.apps)
-    except ValueError as exc:
-        print(f"report: --apps {exc}", file=sys.stderr)
-        return 2
-    recorded = recorded_suite.plan(args.nodes, scale=args.scale,
-                                   names=names, seed=args.seed)
-    values = args.values or list(DIALS[args.parameter].reduced)
-    # One recording per app predicts the grid; the simulated side is the
-    # same grid's Figure 5-8 study, whose baseline points the recordings
-    # are: one drain (cache-served when warm).
-    graphs, simulated = run_plans([recorded, sensitivity_figure.plan(
-        args.parameter, n_nodes=args.nodes, scale=args.scale, names=names,
-        values=values, seed=args.seed)], **run_options(args))
-    predicted = predicted_figure(graphs, args.parameter, values)
-    errors = prediction_errors(predicted, simulated)
-    app_medians = {
-        name: prediction_errors(replace(predicted, sweeps={name: sweep}),
-                                simulated).median
-        for name, sweep in predicted.sweeps.items()}
-    rows = [{"app": app, args.parameter: value, "simulated": sim,
-             "predicted": round(pred, 4),
-             "rel_err": None if err is None else round(err, 4),
-             "median_rel_err": (None if app_medians[app] is None
-                                else round(app_medians[app], 4))}
-            for app, value, sim, pred, err in errors.rows]
-    median = errors.median
-    recordings = len(graphs)
-    payload = {
-        "schema": "repro-simcost-bench-v1",
-        "parameter": args.parameter,
-        "n_nodes": args.nodes,
-        "scale": args.scale,
-        "recordings": recordings,
-        "predicted_points": len(rows),
-        "simulations_classic": len(rows),
-        "simulations_avoided_ratio": (
-            round(len(rows) / recordings, 2) if recordings else None),
-        "median_rel_err": None if median is None else round(median, 4),
-        "max_median_error": args.max_median_error,
-        "rows": rows,
-    }
-    text = errors.render()
-    if median is not None:
-        text += (f"\n\nmedian relative error: {median * 100:.1f}% "
-                 f"(gate: {args.max_median_error * 100:.0f}%)")
-    _emit(payload, text, args.format)
-    if args.bench_out is not None:
-        args.bench_out.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.bench_out}", file=sys.stderr)
-    if median is not None and median > args.max_median_error:
-        return 1
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
     return 0
 
 
@@ -215,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument("--scale", type=input_scale, default=1.0)
     record.add_argument("--seed", type=int, default=0)
     record.add_argument("--window", type=at_least(1), default=DEFAULT_WINDOW)
-    record.add_argument("--out", type=pathlib.Path, default=None,
+    record.add_argument("--out", type=output_path, default=None,
                         help="graph JSON path (default: stdout)")
 
     predict = sub.add_parser("predict",
@@ -233,27 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          "metric (default 2.0)")
     predict.add_argument("--format", choices=("text", "json"),
                          default="text")
-
-    report = sub.add_parser("report",
-                            help="record + predict + simulate the same "
-                            "grid; gate on median relative error")
-    report.add_argument("--apps", required=True,
-                        help="comma-separated application names")
-    report.add_argument("--nodes", type=at_least(1), default=8)
-    report.add_argument("--scale", type=input_scale, default=1.0)
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--parameter", default="overhead",
-                        choices=sorted(MACHINE_DIALS))
-    report.add_argument("--values", type=_dial_values, default=None,
-                        help="comma-separated dial values "
-                        "(default: the reduced grid)")
-    report.add_argument("--max-median-error", type=_finite, default=0.10)
-    add_run_options(report)
-    report.add_argument("--bench-out", type=pathlib.Path, default=None,
-                        help="also write the report payload as a BENCH "
-                        "JSON file")
-    report.add_argument("--format", choices=("text", "json"),
-                        default="text")
     return parser
 
 
@@ -261,7 +171,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # A value the dial cannot be turned to (a bandwidth of 0) is refused
-    # here: report would raise mid-drain with exit 1, the gate's code.
+    # here, not blamed on the graph file.
     for value in getattr(args, "values", None) or ():
         try:
             DIALS[args.parameter].knobs(value, LogGPParams.berkeley_now())
@@ -269,6 +179,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"argument --values: {exc}")
     if args.command == "record":
         return _cmd_record(args)
-    if args.command == "predict":
-        return _cmd_predict(args)
-    return _cmd_report(args)
+    return _cmd_predict(args)

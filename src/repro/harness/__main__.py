@@ -46,7 +46,8 @@ from typing import Dict, List
 from repro.harness import (CampaignSpec, ResultStore, claims,
                            render_campaign, run_campaign, run_plans)
 from repro.harness.artifacts import REGISTRY
-from repro.harness.parallel import add_run_options, input_scale, run_options
+from repro.harness.parallel import (add_run_options, input_scale,
+                                    output_path, run_options)
 from repro.harness.report import markdown_table
 from repro.harness.suite import suite_names
 
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
                         "the claims hold at 32 only)")
     parser.add_argument("--scale", type=input_scale, default=0.5,
                         help="input scale (default 0.5)")
-    parser.add_argument("--out", type=pathlib.Path, default=None,
+    parser.add_argument("--out", type=output_path, default=None,
                         help="write the report here and its claims rows "
                         "beside it as .json (default: the report to "
                         "stdout)")
@@ -157,10 +158,10 @@ def main(argv=None) -> int:
                           "instead of regenerating artifacts")
     campaign.add_argument("--store", type=pathlib.Path, default=None,
                           help="sqlite result store path (campaign mode)")
-    campaign.add_argument("--render", type=pathlib.Path, default=None,
+    campaign.add_argument("--render", type=output_path, default=None,
                           help="write store-generated campaign artifacts "
                           "to this markdown file")
-    campaign.add_argument("--bench-out", type=pathlib.Path, default=None,
+    campaign.add_argument("--bench-out", type=output_path, default=None,
                           help="write the campaign's BENCH JSON here")
     campaign.add_argument("--store-gc", action="store_true",
                           help="garbage-collect the result store: prune "

@@ -24,7 +24,7 @@ from repro.apps import SUITE_ORDER
 from repro.calibrate import (calibrate_bulk_bandwidth, calibrate_machine,
                              round_trip_time)
 from repro.harness import experiments
-from repro.harness.claims import PAPER
+from repro.harness.claims import PAPER, SIMULATED
 from repro.harness.extensions import (burst_ablation, investment_study,
                                       occupancy_study, scaling_study,
                                       window_scope_ablation)
@@ -385,10 +385,9 @@ def _figure8(v: Values) -> str:
 def _predicted_sweeps(v: Values) -> str:
     graphs, figures = v["predict"]
     lines = [PROSE["predict"]]
-    for (dial, predicted), simulated in zip(
-            figures.items(),
-            ("figure5", "figure6", "figure7", "figure8")):
-        errors = experiments.prediction_errors(predicted, v[simulated])
+    for dial, predicted in figures.items():
+        errors = experiments.prediction_errors(predicted,
+                                               v[SIMULATED[dial]])
         app, value, _sim, _pred, worst = max(
             (row for row in errors.rows if row[4] is not None),
             key=lambda row: row[4])
@@ -509,8 +508,8 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
              SUITE_ORDER),
     Artifact("predict", _predicted,
              "Predicted sweeps — simcost (beyond the paper)",
-             _predicted_sweeps, apps=SUITE_ORDER,
-             reads=("figure5", "figure6", "figure7", "figure8")),
+             _predicted_sweeps, ("predict",), SUITE_ORDER,
+             reads=tuple(SIMULATED.values())),
     Artifact("figure9", _figure("drop_rate"),
              "Figure 9 — sensitivity to packet loss (beyond the paper)",
              _figure9, apps=SUITE_ORDER),

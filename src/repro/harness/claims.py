@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.apps import SUITE_ORDER
+from repro.harness import experiments
 
 __all__ = ["Bound", "Measure", "Claim", "CLAIMS", "PAPER", "evaluate"]
 
@@ -35,6 +36,10 @@ FREQUENT = SUITE[:4]
 SCALE = 0.5
 #: The cluster size every row is stated for, as the paper's.
 NODES = 32
+#: Each machine dial's simulated figure, which simcost's predicted one
+#: is graded against.
+SIMULATED = {"overhead": "figure5", "gap": "figure6", "latency": "figure7",
+             "bulk_mb_s": "figure8"}
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,13 @@ def top_rows(table: str, column: str, read: Callable,
         top = max(r[column] for r in rows)
         return read([r for r in rows if r[column] == top])
     return Measure(rows, *names)
+
+
+def prediction_error(dial: str) -> Measure:
+    """simcost's median relative error over one dial's grid: the
+    predicted figure against the simulated one."""
+    return Measure(lambda a: experiments.prediction_errors(
+        a["predict"][1][dial], a[SIMULATED[dial]]).median, *SUITE)
 
 
 def _ok_share(rows: List[dict]) -> float:
@@ -470,6 +482,10 @@ CLAIMS: List[Claim] = [
               "NOW-sort")),
     Claim("f8.short_messages_flat", "largest slowdown of the short-message "
           "apps", None, below(1.2), largest("figure8", SHORT_ONLY)),
+
+    *(Claim(f"predict.{dial}", "simcost: median relative error of the "
+            f"predicted {dial} slowdowns", None, below(0.05),
+            prediction_error(dial)) for dial in SIMULATED),
 
     Claim("t8.agreement", "share of cells whose model pick is within 10% "
           "of the measured best", None, AT_LEAST_80,

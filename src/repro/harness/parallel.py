@@ -22,6 +22,7 @@ import argparse
 import math
 import multiprocessing
 import os
+import pathlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -71,6 +72,18 @@ def input_scale(text: str) -> float:
         return checked_scale(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def output_path(text: str) -> pathlib.Path:
+    """The argparse type of a file a driver writes (``--out``,
+    ``--render``, ``--bench-out``): one in a directory that does not
+    exist exits 2 at parse time, not with a traceback and exit 1 (a
+    failing claim's code) after the run."""
+    path = pathlib.Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"no such directory: {path.parent}")
+    return path
 
 
 def at_least(low: int) -> Callable[[str], int]:

@@ -4,8 +4,8 @@ Apps are named either by their suite name (``Radix``, ``Connect``, ...,
 built by :func:`repro.harness.suite.suite_for` for ``--nodes`` and
 ``--scale``, as every other driver sizes them) or as
 ``path/to/file.py:ClassName`` for ad-hoc applications (the planted
-fixtures use this form).  Exit codes mirror simlint: 0 clean, 1 races
-or a deadlock, 2 usage errors.
+fixtures use this form).  Exit codes mirror simlint: 0 clean, 1 races,
+a deadlock or a failed answer check, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sanitized_run(app, args: argparse.Namespace) -> dict:
-    """Run one app under the sanitizer; never raises for findings."""
+    """Run one app under the sanitizer; never raises for findings or
+    for an answer check that fails."""
     cluster = Cluster(args.nodes, seed=args.seed,
                       run_limit_us=args.run_limit_us,
                       livelock_limit=args.livelock_limit,
@@ -99,6 +100,9 @@ def _sanitized_run(app, args: argparse.Namespace) -> dict:
         return entry
     except (LivelockError, TimeoutError) as exc:
         entry["failure"] = f"{type(exc).__name__}: {exc}"
+        return entry
+    except AssertionError as exc:  # the suite's wrong-answer signal
+        entry["failure"] = f"check failed: {exc}"
         return entry
     report = result.sanitizer
     entry["races"] = [race.to_dict() for race in report.races]

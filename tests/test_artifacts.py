@@ -57,8 +57,7 @@ def test_the_sections_without_a_claim_row_can_only_shrink():
     silent = {artifact.title for artifact in REGISTRY.values()
               if artifact.section is not None and artifact.name != "bulk"
               and not _prefixes() & set(artifact.prefixes)}
-    assert silent == {"Predicted sweeps", "Figure 9", "Table 7",
-                      "Figure 10", "Figure 11"}
+    assert silent == {"Figure 9", "Table 7", "Figure 10", "Figure 11"}
 
 
 def test_every_cli_name_plans_drains_and_renders():
@@ -187,10 +186,15 @@ DRIVERS = {
     "repro.harness": ("repro.harness.__main__",
                       ["--no-cache", "--only", "table3"]),
     "repro.cost record": ("repro.cost.cli", ["record", "--app", "Radix"]),
-    "repro.cost report": ("repro.cost.cli",
-                          ["report", "--apps", "Radix", "--no-cache"]),
     "repro.sanitize": ("repro.sanitize.cli", ["--all"]),
 }
+#: (driver, a flag it writes a file to, whether the flag is campaign
+#: mode's); ``repro.sanitize`` writes none.
+OUTPUTS = [("generate_experiments", "--out", False),
+           ("repro.harness", "--out", False),
+           ("repro.cost record", "--out", False),
+           ("generate_experiments", "--render", True),
+           ("generate_experiments", "--bench-out", True)]
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "-inf", "half"])
@@ -216,6 +220,30 @@ def test_every_driver_refuses_a_bad_jobs_at_parse_time(driver, jobs,
         importlib.import_module(module).main(args + ["--jobs", jobs])
     assert refused.value.code == 2
     assert "argument --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("driver, flag, campaign", OUTPUTS,
+                         ids=[f"{driver}-{flag}"
+                              for driver, flag, _ in OUTPUTS])
+def test_every_driver_refuses_an_output_in_a_missing_directory(
+        driver, flag, campaign, capsys, tmp_path):
+    """Such a path was found out only when written, after the run: a
+    ``FileNotFoundError`` traceback and exit 1, a failing claim's code.
+    It exits 2 at parse time, naming the flag, before anything runs."""
+    assert {name for name, _, _ in OUTPUTS} == set(DRIVERS) - {
+        "repro.sanitize"}
+    module, args = DRIVERS[driver]
+    missing, store = tmp_path / "missing" / "x.md", tmp_path / "s.sqlite"
+    if campaign:
+        args = args + ["--campaign", str(ROOT / "examples" /
+                                         "campaign_drill.json"),
+                       "--store", str(store)]
+    with pytest.raises(SystemExit) as refused:
+        importlib.import_module(module).main(args + [flag, str(missing)])
+    assert refused.value.code == 2
+    assert f"argument {flag}: no such directory: {missing.parent}" in \
+        capsys.readouterr().err
+    assert not store.exists()
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])

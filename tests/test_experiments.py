@@ -209,3 +209,40 @@ def test_a_bent_curve_fails_its_claim_with_the_measured_value():
     # Out of its scale, or without its app, a row is N/A, not dropped.
     assert set(check(bent, scale=0.1).values()) == {("n/a", None)}
     assert set(check(bent, apps=("Sample",)).values()) == {("n/a", None)}
+
+
+def test_the_predict_rows_grade_simcost_against_the_simulated_figures():
+    """Each machine dial's ``predict.*`` row is the median relative
+    error of simcost's predicted slowdowns against the simulated
+    figure's, held below 5%: a prediction equal to the simulation holds
+    all four, one 4% off still holds, one 6% off at every dialed point
+    fails.  Nothing is simulated."""
+    def figure(dial, off=0.0):
+        def sweep(name):
+            return SweepResult(name, 32, dial, [SweepPoint(
+                value, TuningKnobs(),
+                SimpleNamespace(runtime_us=runtime * (1 + off * (i > 0))))
+                for i, (value, runtime) in enumerate(
+                    zip((1.0, 2.0, 3.0), (100.0, 150.0, 300.0)))])
+        return SensitivityFigure(dial, dial, {
+            name: sweep(name) for name in claims.SUITE})
+
+    def graded(off):
+        built = {"predict": ([], {dial: figure(dial, off)
+                                  for dial in claims.SIMULATED})}
+        built.update({name: figure(dial)
+                      for dial, name in claims.SIMULATED.items()})
+        return {row["id"]: (row["status"], row["measured"])
+                for row in claims.evaluate(
+                    built, claims.SCALE, None, [
+                        claim for claim in claims.CLAIMS
+                        if claim.id.startswith("predict.")])}
+
+    dials = [f"predict.{dial}" for dial in claims.SIMULATED]
+    assert graded(0.0) == dict.fromkeys(dials, ("holds", 0.0))
+    assert graded(0.04) == dict.fromkeys(dials, ("holds", 0.04))
+    assert graded(0.06) == dict.fromkeys(dials, ("fails", 0.06))
+    # Without all ten apps the median is not the suite's: N/A.
+    rows = claims.evaluate({}, claims.SCALE, ("Radix",), [
+        claim for claim in claims.CLAIMS if claim.id.startswith("predict.")])
+    assert {row["status"] for row in rows} == {"n/a"}

@@ -229,6 +229,23 @@ def test_cli_reports_planted_race(capsys):
     assert "racy_put.py:26" in out and "racy_put.py:27" in out
 
 
+def test_cli_a_failing_answer_check_is_that_apps_failure(capsys):
+    """An ``AssertionError`` from ``finalize``, the suite's wrong-answer
+    signal, was a traceback: the apps after it never ran and no summary
+    was printed.  It is that app's failure; the rest still run."""
+    import json
+    argv = [f"{FIXTURES / 'wrong_answer'}.py:WrongAnswer", "Radix",
+            "--scale", "0.1", "--nodes", "4"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["WrongAnswer: check failed: planted: rank 0 holds the "
+                   "wrong sum", "simsan: 1 finding(s) across 2 app(s)"]
+    assert main(argv + ["--format", "json"]) == 1
+    wrong, radix = json.loads(capsys.readouterr().out)["apps"]
+    assert wrong["failure"].startswith("check failed: planted")
+    assert radix["failure"] is None and radix["runtime_us"] > 0
+
+
 def test_cli_clean_run_exits_zero(capsys):
     code = main(["Radix", "--scale", "0.1", "--nodes", "4"])
     out = capsys.readouterr().out

@@ -488,52 +488,32 @@ def test_cli_predict_exits_2_on_a_graph_it_cannot_use(tmp_path, capsys,
     assert main(["predict", str(path)]) == 0
 
 
-def test_cli_report_gates_on_median_error(tmp_path, capsys):
-    from repro.cost.cli import main
-    argv = ["report", "--apps", "Radix", "--nodes", "4", "--scale",
-            "0.002", "--seed", "7", "--parameter", "overhead",
-            "--values", "2.9,12.9,22.9", "--no-cache",
-            "--bench-out", str(tmp_path / "bench.json")]
-    assert main(argv + ["--max-median-error", "0.10"]) == 0
-    bench = json.loads((tmp_path / "bench.json").read_text())
-    assert bench["schema"] == "repro-simcost-bench-v1"
-    assert bench["recordings"] == 1
-    assert bench["predicted_points"] == 3
-    assert bench["simulations_avoided_ratio"] == 3.0
-    assert bench["median_rel_err"] <= 0.10
-    capsys.readouterr()
-    # An impossible gate turns the same report into exit 1.
-    assert main(argv + ["--max-median-error", "-1.0"]) == 1
-
-
 def test_cli_usage_errors_exit_2(capsys):
     from repro.cost.cli import main
-    assert main(["report", "--apps", " ", "--no-cache"]) == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["predict"])  # missing required graph path
-    assert excinfo.value.code == 2
-    capsys.readouterr()
+    for argv in (["predict"],  # missing required graph path
+                 # simcost is graded by python -m repro.harness's
+                 # predict.* rows; the second driver is gone.
+                 ["report", "--apps", "Radix", "--no-cache"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
+    assert "invalid choice: 'report'" in capsys.readouterr().err
     # An application the suite does not have: one line on stderr, never
-    # a traceback or exit 1 (the gate's code).
-    for argv, unknown in ((["report", "--apps", "Radix,Radixx",
-                            "--no-cache"], "Radixx"),
-                          (["record", "--app", "Nope"], "Nope")):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == "", argv
-        assert captured.err.startswith(f"{argv[0]}: ") \
-            and captured.err.count("\n") == 1 and unknown in captured.err
+    # a traceback.
+    assert main(["record", "--app", "Nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("record: ") \
+        and captured.err.count("\n") == 1 and "Nope" in captured.err
 
 
 @pytest.mark.parametrize("argv,why", [
     (["predict", "graph.json", "--values", "abc"], "is not a comma"),
     (["predict", "graph.json", "--values", "2.9,inf"], "finite"),
-    (["report", "--apps", "Radix", "--values", "2.9,x"], "is not a comma"),
-    (["report", "--apps", "Radix", "--values", "2.9,nan"], "finite"),
-], ids=["predict-abc", "predict-inf", "report-x", "report-nan"])
+], ids=["predict-abc", "predict-inf"])
 def test_cli_a_bad_values_list_is_a_usage_error(argv, why, capsys):
     """A bad ``--values`` exits 2 before any graph is read or run is
-    simulated, never 1 (the gate's code) with a traceback."""
+    simulated, never with a traceback."""
     from repro.cost.cli import main
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -545,23 +525,18 @@ def test_cli_a_bad_values_list_is_a_usage_error(argv, why, capsys):
 @pytest.mark.parametrize("argv, said", [
     (["record", "--app", "Radix", "--nodes", "0"],
      "argument --nodes: must be >= 1, got 0"),
-    (["report", "--apps", "Radix", "--nodes", "0"],
-     "argument --nodes: must be >= 1, got 0"),
     (["record", "--app", "Radix", "--window", "0"],
      "argument --window: must be >= 1, got 0"),
-    (["report", "--apps", "Radix", "--parameter", "bulk_mb_s",
-      "--values", "38,0"], "argument --values: bandwidth must be > 0"),
     (["predict", "graph.json", "--parameter", "bulk_mb_s",
       "--values", "38,0"], "argument --values: bandwidth must be > 0"),
-], ids=["record-nodes", "report-nodes", "record-window", "report-values",
-        "predict-values"])
+], ids=["record-nodes", "record-window", "predict-values"])
 def test_cli_a_machine_it_cannot_build_is_a_usage_error(argv, said,
                                                         capsys):
-    """These raised mid-run and exited 1, which for ``report`` reads as
-    a failed median-error gate; they exit 2 at parse time."""
+    """These raised mid-run with a traceback; they exit 2 at parse
+    time."""
     from repro.cost.cli import main
     with pytest.raises(SystemExit) as excinfo:
-        main(argv + ["--no-cache"] if argv[0] == "report" else argv)
+        main(argv)
     assert excinfo.value.code == 2
     assert said in capsys.readouterr().err.splitlines()[-1]
 
@@ -569,14 +544,10 @@ def test_cli_a_machine_it_cannot_build_is_a_usage_error(argv, said,
 @pytest.mark.parametrize("argv", [
     ["predict", "graph.json", "--threshold", "nan"],
     ["predict", "graph.json", "--threshold", "inf"],
-    ["report", "--apps", "Radix", "--max-median-error", "nan"],
-    ["report", "--apps", "Radix", "--max-median-error", "inf"],
-], ids=["threshold-nan", "threshold-inf", "gate-nan", "gate-inf"])
+], ids=["threshold-nan", "threshold-inf"])
 def test_cli_a_non_finite_gate_is_a_usage_error(argv, capsys):
-    """A NaN ``--max-median-error`` passed every report (``median >
-    nan`` is never true) and a NaN ``--threshold`` was blamed on the
-    graph file: both exit 2 at parse time, before anything is read or
-    simulated.  A negative gate stays legal: it forces exit 1."""
+    """A NaN ``--threshold`` was blamed on the graph file: it exits 2
+    at parse time, before anything is read."""
     from repro.cost.cli import main
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
