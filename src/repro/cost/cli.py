@@ -11,11 +11,12 @@ Follows the analysis-CLI contract (see ``repro.analysis.cli``):
 
 Subcommands::
 
-    python -m repro.cost record --app Radix --nodes 8 --out radix.json
-    python -m repro.cost predict radix.json --parameter overhead
+    python -m repro.cost record --app Radix --nodes 8 --out radix.graph
+    python -m repro.cost predict radix.graph --parameter overhead
 
 ``record`` runs one instrumented simulation and writes the dependency
-graph; ``predict`` replays a graph over a dial grid (no simulation at
+graph (an ``.npz``, :meth:`~repro.cost.graph.CostGraph.save`);
+``predict`` replays a graph over a dial grid (no simulation at
 all).  How close the prediction comes to the simulated sweeps is graded
 by ``python -m repro.harness``: its ``predict.*`` claims rows hold each
 machine dial's median relative error over Figures 5-8's grids.
@@ -78,12 +79,9 @@ def _cmd_record(args) -> int:
         return 2
     graph, _result = record_run(app, args.nodes, seed=args.seed,
                                 window=args.window)
-    payload = graph.to_dict()
-    if args.out is not None:
-        args.out.write_text(json.dumps(payload) + "\n")
-        print(f"{graph.describe()}\nwrote {args.out}")
-    else:
-        print(json.dumps(payload))
+    with args.out.open("wb") as fh:
+        graph.save(fh)
+    print(f"{graph.describe()}\nwrote {args.out}")
     return 0
 
 
@@ -92,7 +90,7 @@ def _cmd_record(args) -> int:
 def _cmd_predict(args) -> int:
     values = args.values or list(DIALS[args.parameter].reduced)
     try:
-        graph = CostGraph.from_json(args.graph.read_text())
+        graph = CostGraph.load(args.graph)
         sweep = predict_sweep(graph, args.parameter, values)
         tolerance = latency_tolerance(graph, args.parameter,
                                       threshold=args.threshold)
@@ -146,14 +144,14 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument("--scale", type=input_scale, default=1.0)
     record.add_argument("--seed", type=int, default=0)
     record.add_argument("--window", type=at_least(1), default=DEFAULT_WINDOW)
-    record.add_argument("--out", type=output_path, default=None,
-                        help="graph JSON path (default: stdout)")
+    record.add_argument("--out", type=output_path, required=True,
+                        help="graph file to write")
 
     predict = sub.add_parser("predict",
                              help="replay a recorded graph over a dial "
                              "grid (no simulation)")
     predict.add_argument("graph", type=pathlib.Path,
-                         help="graph JSON written by `record`")
+                         help="graph file written by `record`")
     predict.add_argument("--parameter", default="overhead",
                          choices=sorted(MACHINE_DIALS))
     predict.add_argument("--values", type=_dial_values, default=None,

@@ -11,115 +11,80 @@ reply that returned a window credit) appears earlier in the list.  The
 predictor (:mod:`repro.cost.predict`) exploits this: longest-path
 evaluation is a single forward scan.
 
-Nodes and edges, concretely:
+A ``send`` event is the completion of one host-level send (request,
+one-way, bulk last fragment, reply, or auto-ack), a ``recv`` that of
+one host-level reception, and a ``mark`` brackets the measured region
+on rank 0; the edges between them, and their weights, are
+:mod:`repro.cost.predict`'s.
 
-* a ``send`` event is the completion of one host-level send (request,
-  one-way, bulk last fragment, reply, or auto-ack) — program-order
-  edge from the previous event on the same rank, plus a window-credit
-  edge from the reply/CREDIT that freed its flow-control slot;
-* a ``recv`` event is the completion of one host-level reception —
-  program-order edge plus a message edge from the matching send,
-  weighted by the sender's NIC transmit chain and the wire;
-* a ``mark`` event brackets the measured region on rank 0.
-
-Program-order edges carry the *busy* time between events: recorded
-elapsed time minus blocked time minus the event's own recorded charge
-— the dial-independent compute the replay preserves verbatim.
-
-The recorder's row tuples (layouts on :class:`DepEvent`) are what a
-graph stores and what JSON (``schema: repro-cost-graph-v1``) carries, so
-``python -m repro.cost record`` and ``predict`` can run as separate
-processes; :attr:`CostGraph.program` is what the replay scans.
+A graph holds its events as one structured array of :data:`ROW`, 55
+bytes an event.  :meth:`CostGraph.save` writes it and the configuration
+as one ``.npz`` (schema ``repro-cost-graph-v2``) that
+:meth:`CostGraph.load` reads without pickle, so ``python -m repro.cost
+record`` and ``predict`` run as separate processes.  The replay scans
+:attr:`CostGraph.program`, compiled once into arrays.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
-from collections import defaultdict
+import zipfile
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Tuple
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro.am.tuning import TuningKnobs
 from repro.network.loggp import LogGPParams
 from repro.network.packet import fragment_sizes
 
-__all__ = ["DepEvent", "CostGraph", "GRAPH_SCHEMA"]
+__all__ = ["CostGraph", "GRAPH_SCHEMA", "ROW"]
 
-#: JSON schema tag of serialized graphs.
-GRAPH_SCHEMA = "repro-cost-graph-v1"
+#: Schema tag of saved graphs (v1 was one JSON list per row).
+GRAPH_SCHEMA = "repro-cost-graph-v2"
 
+#: A row's ``tag``.
+MARK, RECV, SEND = 0, 1, 2
+#: A row's ``flags``: a reply (short REPLY or bulk ``is_reply``), a send
+#: that took a window slot (requests, non-reply bulk), a one-way send
+#: (its credit returns as a CREDIT), a bulk send (for all its fragments).
+REPLY_LIKE, TAKES_CREDIT, ONE_WAY, BULK = 1, 2, 4, 8
+#: A mark row's ``label`` codes.
+LABELS = {"start": 1, "stop": 2}
+#: What reading an entry of a file that is no intact ``.npz`` raises.
+_TORN = (KeyError, IndexError, ValueError, EOFError, zipfile.BadZipFile)
 
-@dataclass
-class DepEvent:
-    """One node of the dependency DAG (see the module docstring)."""
-
-    #: ``"send"`` | ``"recv"`` | ``"mark"``.
-    kind: str
-    rank: int
-    #: Recorded completion time of the event (simulated µs).
-    t: float
-    #: Host charge paid at this event in the recorded run (µs):
-    #: ``o_send + delta_o`` for sends, ``o_recv + delta_o`` for recvs.
-    charge: float = 0.0
-    #: Time this rank spent blocked (parked in ``wait_until``) between
-    #: the previous event on this rank and this one (µs).
-    blocked: float = 0.0
-    #: Transfer id linking sends to their receptions and replies to
-    #: their requests (-1 for marks).
-    xfer: int = -1
-    #: Destination rank for sends, source rank for recvs.
-    peer: int = -1
-    #: True for replies (short REPLY or bulk ``is_reply``); a send's
-    #: reception key is ``(xfer, reply_like)`` since a request and its
-    #: reply share one xfer id.
-    reply_like: bool = False
-    #: True for sends that consumed a flow-control window slot
-    #: (requests and non-reply bulk transfers; replies/acks never do).
-    takes_credit: bool = False
-    #: True for one-way sends (credit returns as a NIC-level CREDIT).
-    one_way: bool = False
-    #: True for bulk transfers (the send stands for all fragments).
-    bulk: bool = False
-    #: Logical bytes of the message (bulk: whole transfer).
-    nbytes: int = 0
-    #: Fragment count of a bulk transfer (1 for short messages).
-    frags: int = 1
-    #: Marker label (``"start"`` / ``"stop"``) for ``mark`` events.
-    label: str = ""
-
-    # -- wire rows (what the recorder appends and the graph stores) -------
-    #   ["m", rank, t, blocked, label]
-    #   ["r", rank, t, charge, blocked, xfer, peer, reply_like]
-    #   ["s", rank, t, charge, blocked, xfer, peer, reply_like,
-    #    takes_credit, one_way, bulk, nbytes, frags]      (flags as 0/1)
-    @classmethod
-    def from_row(cls, row: list) -> "DepEvent":
-        tag = row[0]
-        if tag == "m":
-            return cls(kind="mark", rank=row[1], t=row[2],
-                       blocked=row[3], label=row[4])
-        if tag == "r":
-            return cls(kind="recv", rank=row[1], t=row[2], charge=row[3],
-                       blocked=row[4], xfer=row[5], peer=row[6],
-                       reply_like=bool(row[7]))
-        if tag == "s":
-            return cls(kind="send", rank=row[1], t=row[2], charge=row[3],
-                       blocked=row[4], xfer=row[5], peer=row[6],
-                       reply_like=bool(row[7]), takes_credit=bool(row[8]),
-                       one_way=bool(row[9]), bulk=bool(row[10]),
-                       nbytes=row[11], frags=row[12])
-        raise ValueError(f"unknown event row tag {tag!r}")
+#: One event of the DAG, in the field order of the recorder's tuples.
+ROW = np.dtype([
+    ("tag", "i1"), ("rank", "i4"),
+    ("t", "f8"),        # recorded completion time (simulated µs)
+    ("charge", "f8"),   # host charge paid at the event (0 for marks)
+    ("blocked", "f8"),  # time parked since the rank's previous event
+    ("xfer", "i8"),     # transfer id (-1 for marks)
+    ("peer", "i4"),     # destination of a send, source of a recv
+    ("flags", "u1"),
+    ("nbytes", "i8"),   # logical bytes of a send (bulk: the transfer)
+    ("frags", "i4"),    # fragments of a bulk send (1 otherwise)
+    ("label", "u1"),    # a mark's LABELS code
+])
 
 
-@dataclass(frozen=True)
+#: What no dial changes (see :attr:`CostGraph.program`).
+Program = namedtuple("Program", "tag rank busy a back returns frag "
+                     "fragments n_sends n_windows")
+
+
+@dataclass(frozen=True, eq=False)
 class CostGraph:
     """One instrumented run's dependency DAG plus its configuration.
 
-    Frozen, rows included: :attr:`program` is cached on the instance,
-    so nothing it was built from may change afterwards.
+    Frozen, rows included (read-only: what it is handed is copied
+    unless it is a read-only ``ROW`` array already):
+    :attr:`program` is cached on the instance, so nothing it was built
+    from may change afterwards.
     """
 
     app_name: str
@@ -134,126 +99,137 @@ class CostGraph:
     #: Measured runtime of the recorded run (ground truth at the
     #: recorded dials; the predictor's self-check).
     runtime_us: float
-    #: Wire rows in recorded order (layouts on :class:`DepEvent`).
-    rows: Tuple[tuple, ...] = ()
+    #: One :data:`ROW` per event in recorded order (an array, or a list
+    #: of its tuples).
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        rows = self.rows
+        if not (isinstance(rows, np.ndarray) and rows.dtype == ROW
+                and not rows.flags.writeable):
+            rows = np.array(rows, dtype=ROW)
+            rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
-    @property
-    def events(self) -> List[DepEvent]:
-        """The rows decoded for reading (built per access, never kept)."""
-        return [DepEvent.from_row(row) for row in self.rows]
+    def __reduce__(self):
+        # Through __init__, so a copy from a pool worker is sealed too.
+        return type(self), tuple(getattr(self, field.name)
+                                 for field in dataclasses.fields(self))
 
     @cached_property
-    def program(self) -> tuple:
+    def program(self) -> Program:
         """What no dial changes, resolved once for every replay.
 
-        ``(steps, n_sends, n_windows)``, one ``(tag, rank, busy, a,
-        back, returns, sizes)`` step per row, the replay's dict keys
-        as dense slots.  ``a``: a mark's label (1 start, 2 stop); a
-        recv's delivery slot, the index among sends of the latest
-        earlier send with its ``(xfer, reply_like)``, or -1; a send's
-        window if the send waits there for the earliest known credit
-        return, else -1.  A send ``returns`` to window ``back`` nothing
-        (0), its arrival (1) or that plus a wire leg (2); ``sizes`` are
-        a bulk send's fragments.  Whether a send waits follows from
-        scan order alone: its window is full and holds a known return.
-        Full with none known, it drops the oldest credit, whose return
-        then frees nothing.  A bad ``window`` or ``window_scope``
-        raises ``ValueError`` naming the field; a malformed row, one
-        whose times are negative or not finite, or one that takes or
-        returns a credit its transfer may not, one naming its index.
+        Read-only arrays per row: ``tag``, ``rank``, ``busy`` and ``a``:
+        a mark's label code; a recv's delivery slot, the index among
+        sends of the latest earlier send with its ``(xfer,
+        reply_like)``, or -1; a send's window if it waits there for the
+        earliest known credit return, else -1.  Per send: it
+        ``returns`` to window ``back`` nothing (0), its arrival (1) or
+        that plus a wire leg (2); ``frag`` indexes ``fragments``, the
+        sizes of each distinct bulk transfer (-1: short).  A send waits
+        if its window is full and holds a known return; full with none
+        known, it drops the oldest credit, whose return then frees
+        nothing.  A bad ``window`` or ``window_scope`` raises
+        ``ValueError`` naming the field; the first row with an unknown
+        tag, a rank that is not a node, negative or non-finite times,
+        or a credit its transfer may not take or return, its index.
         """
         window, scope = self.window, self.window_scope
         if type(window) is not int or window < 1:
             raise ValueError(f"window must be an int >= 1, got {window!r}")
         if scope not in ("per-destination", "global"):
             raise ValueError(f"unknown window_scope {scope!r}")
-        per_dest, inf = scope == "per-destination", math.inf
-        last_t = [0.0] * self.n_nodes
-        replies, requests, windows, holds, fragments = {}, {}, {}, {}, {}
+        rows, n = self.rows, len(self.rows)
+        tag, rank = rows["tag"], rows["rank"]
+        bad = (tag < MARK) | (tag > SEND) | (rank < 0) | (rank >= self.n_nodes)
+        for field in ("t", "charge", "blocked"):
+            bad |= ~(np.isfinite(rows[field]) & (rows[field] >= 0.0))
+        first_bad = int(bad.argmax()) if bad.any() else n
+        send = np.flatnonzero(tag == SEND)
+        a = np.full(n, -1, np.int32)
+        wait, back, returns, n_windows = self._credits(send[send < first_bad])
+        if first_bad < n:
+            raise ValueError(f"malformed event row {first_bad}: "
+                             + _fault(rows[first_bad], self.n_nodes))
+        a[send] = wait
+        _deliveries(rows, a)
+        a[tag == MARK] = rows["label"][tag == MARK]
+        bulk = rows["flags"][send] & BULK != 0
+        sizes, frag_of = np.unique(rows["nbytes"][send][bulk],
+                                   return_inverse=True)
+        frag = np.full(len(send), -1, np.int32)
+        frag[bulk] = frag_of
+        program = Program(
+            tag, rank, _busy(rows), a, np.array(back, np.int32),
+            np.array(returns, np.int8), frag,
+            tuple(tuple(fragment_sizes(size)) for size in sizes.tolist()),
+            len(send), n_windows)
+        for array in program[:7]:
+            array.setflags(write=False)
+        return program
+
+    def _credits(self, send: np.ndarray) -> tuple:
+        """The window bookkeeping, a scan of the send rows ``send``
+        names, in order: per send, the window it waits on, the window
+        its credit returns to and how (the program's ``a``, ``back`` and
+        ``returns``), and the number of windows."""
+        flags = self.rows["flags"][send]
+        takes = flags & TAKES_CREDIT != 0
+        # A credit-taking send's window: its (rank, peer), or its rank,
+        # as one int64 (rank in the high half, peer's bits in the low).
+        key = self.rows["rank"][send][takes].astype(np.int64) << 32
+        if self.window_scope == "per-destination":
+            key |= self.rows["peer"][send][takes].astype(np.int64) \
+                & 0xFFFFFFFF
+        keys, window_of = np.unique(key, return_inverse=True)
+        windows = np.full(len(send), -1)
+        windows[takes] = window_of
         # A transfer's window while it holds a credit (-1 once dropped,
         # None once returned); per window, how many held credits have a
         # known return, and the holders whose return is not, oldest first.
-        known, pending = defaultdict(int), defaultdict(dict)
-        steps = []
-        n_sends = 0
-        try:
-            for index, row in enumerate(self.rows):
-                tag = row[0]
-                if tag == "s":
-                    (_, rank, t, charge, blocked, xfer, peer, reply_like,
-                     takes_credit, one_way, bulk, nbytes, _frags) = row
-                elif tag == "r":
-                    (_, rank, t, charge, blocked, xfer, _peer,
-                     reply_like) = row
-                    a = (replies if reply_like else requests).get(xfer, -1)
-                elif tag == "m":
-                    _, rank, t, blocked, label = row
-                    charge, a = 0.0, {"start": 1, "stop": 2}.get(label, 0)
-                else:
-                    raise ValueError(f"unknown event row tag {tag!r}")
-                if not 0 <= rank < self.n_nodes:
-                    raise ValueError(f"rank {rank!r} is not a node")
-                if not (0.0 <= t < inf and 0.0 <= charge < inf
-                        and 0.0 <= blocked < inf):
-                    raise ValueError(
-                        f"times (t {t!r}, charge {charge!r}, blocked "
-                        f"{blocked!r}) must be finite and non-negative")
-                busy = (t - last_t[rank]) - blocked - charge
-                busy = busy if busy > 0.0 else 0.0  # max(), minus a call
-                last_t[rank] = t
-                if tag != "s":
-                    steps.append((tag, rank, busy, a, -1, 0, None))
-                    continue
-                a = back = -1
-                if takes_credit:
-                    if xfer in holds:
-                        raise ValueError(
-                            f"transfer {xfer!r} takes a second credit")
-                    w = windows.setdefault(
-                        (rank, peer if per_dest else -1), len(windows))
-                    slots = pending[w]
-                    if known[w] + len(slots) >= window:
-                        if known[w]:
-                            known[w] -= 1
-                            a = w
-                        else:
-                            oldest = next(iter(slots))
-                            del slots[oldest]
-                            holds[oldest] = -1
-                    holds[xfer] = w
-                    slots[xfer] = None
-                returns = 1 if reply_like else 2 if one_way else 0
-                if returns:
-                    back = holds.get(xfer)
-                    if back is None:
-                        raise ValueError(f"transfer {xfer!r} holds no "
-                                         "credit to return")
-                    holds[xfer] = None
-                    if back < 0:
-                        returns = 0
+        holds: Dict[int, Optional[int]] = {}
+        known, pending = [0] * len(keys), [{} for _ in keys]
+        k = len(send)
+        wait, back, returns = [-1] * k, [-1] * k, [0] * k
+        for i, (w, xfer, flag) in enumerate(zip(
+                windows.tolist(), self.rows["xfer"][send].tolist(),
+                flags.tolist())):
+            if w >= 0:
+                if xfer in holds:
+                    raise ValueError(f"malformed event row {send[i]}: "
+                                     f"transfer {xfer!r} takes a second "
+                                     "credit")
+                slots = pending[w]
+                if known[w] + len(slots) >= self.window:
+                    if known[w]:
+                        known[w] -= 1
+                        wait[i] = w
                     else:
-                        del pending[back][xfer]
-                        known[back] += 1
-                if bulk and nbytes not in fragments:
-                    fragments[nbytes] = fragment_sizes(nbytes)
-                steps.append((tag, rank, busy, a, back, returns,
-                              fragments[nbytes] if bulk else None))
-                (replies if reply_like else requests)[xfer] = n_sends
-                n_sends += 1
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed event row {index}: {exc}") from exc
-        return steps, n_sends, len(windows)
+                        oldest = next(iter(slots))
+                        del slots[oldest]
+                        holds[oldest] = -1
+                holds[xfer] = w
+                slots[xfer] = None
+            if flag & (REPLY_LIKE | ONE_WAY):
+                w = holds.get(xfer)
+                if w is None:
+                    raise ValueError(f"malformed event row {send[i]}: "
+                                     f"transfer {xfer!r} holds no credit "
+                                     "to return")
+                holds[xfer] = None
+                if w >= 0:
+                    back[i], returns[i] = w, 1 if flag & REPLY_LIKE else 2
+                    del pending[w][xfer]
+                    known[w] += 1
+        return wait, back, returns, len(keys)
 
     def counts(self) -> Dict[str, int]:
         """Event-population summary (for ``describe`` and reports)."""
-        sends = sum(1 for row in self.rows if row[0] == "s")
-        recvs = sum(1 for row in self.rows if row[0] == "r")
-        bulk = sum(1 for row in self.rows if row[0] == "s" and row[10])
-        return {"events": len(self.rows), "sends": sends,
-                "recvs": recvs, "bulk_sends": bulk}
+        send, recv = self.rows["tag"] == SEND, self.rows["tag"] == RECV
+        bulk = send & (self.rows["flags"] & BULK != 0)
+        return {"events": len(send), "sends": int(send.sum()),
+                "recvs": int(recv.sum()), "bulk_sends": int(bulk.sum())}
 
     def describe(self) -> str:
         c = self.counts()
@@ -262,43 +238,90 @@ class CostGraph:
                 f"{c['recvs']} recvs / {c['bulk_sends']} bulk, "
                 f"runtime {self.runtime_us:.1f}us)")
 
-    # -- JSON round trip ---------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": GRAPH_SCHEMA,
-            "app_name": self.app_name,
-            "n_nodes": self.n_nodes,
-            "params": dataclasses.asdict(self.params),
-            "knobs": dataclasses.asdict(self.knobs),
-            "window": self.window,
-            "window_scope": self.window_scope,
-            "seed": self.seed,
-            "runtime_us": self.runtime_us,
-            "events": list(self.rows),
-        }
+    # -- the .npz file -----------------------------------------------------
+    def save(self, file) -> None:
+        """Write the graph to an open binary ``file`` as one ``.npz``
+        (a path would gain numpy's ``.npz`` suffix)."""
+        meta = {field.name: getattr(self, field.name)
+                for field in dataclasses.fields(self) if field.name != "rows"}
+        meta.update(params=dataclasses.asdict(self.params),
+                    knobs=dataclasses.asdict(self.knobs))
+        np.savez(file, schema=np.array(GRAPH_SCHEMA),
+                 meta=np.array(json.dumps(meta)), rows=self.rows)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CostGraph":
-        schema = data.get("schema") if isinstance(data, dict) else None
-        if schema != GRAPH_SCHEMA:
-            raise ValueError(
-                f"not a simcost graph (schema {schema!r}, "
-                f"expected {GRAPH_SCHEMA!r})")
-        try:
-            graph = cls(
-                app_name=data["app_name"], n_nodes=data["n_nodes"],
-                params=LogGPParams(**data["params"]),
-                knobs=TuningKnobs(**data["knobs"]), window=data["window"],
-                window_scope=data["window_scope"], seed=data["seed"],
-                runtime_us=data["runtime_us"], rows=data["events"])
-            graph.program  # validates every row: a bad file fails at load
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed simcost graph: {exc!r}") from exc
+    def load(cls, path) -> "CostGraph":
+        """Read the graph :meth:`save` wrote at ``path``, every row
+        validated.  Anything else, a v1 JSON graph or an entry that
+        would need pickle included, raises ``ValueError`` naming the
+        schema it found, and is never unpickled."""
+        with open(path, "rb") as fh:
+            try:
+                data = np.load(fh, allow_pickle=False)
+                schema = str(data["schema"])
+            except _TORN:  # what a JSON file (a v1 graph) names, or None
+                fh.seek(0)
+                try:
+                    schema = json.loads(fh.read()).get("schema")
+                except (ValueError, AttributeError):
+                    schema = None
+            if schema != GRAPH_SCHEMA:
+                raise ValueError(f"not a simcost graph (schema {schema!r}, "
+                                 f"expected {GRAPH_SCHEMA!r})")
+            try:
+                meta, rows = json.loads(str(data["meta"])), data["rows"]
+                if rows.dtype != ROW:
+                    raise TypeError(f"rows of dtype {rows.dtype}, not ROW")
+                rows.setflags(write=False)  # nothing else holds it
+                graph = cls(params=LogGPParams(**meta.pop("params")),
+                            knobs=TuningKnobs(**meta.pop("knobs")),
+                            rows=rows, **meta)
+            except _TORN + (TypeError,) as exc:
+                raise ValueError(f"malformed simcost graph: {exc!r}") \
+                    from exc
+        graph.program  # validates every row: a bad file fails at load
         return graph
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
-    @classmethod
-    def from_json(cls, text: str) -> "CostGraph":
-        return cls.from_dict(json.loads(text))
+def _busy(rows: np.ndarray) -> np.ndarray:
+    """Each row's busy time: its rank's elapsed time since the rank's
+    previous row, minus blocked time and charge, clamped at zero."""
+    rank, t = rows["rank"], rows["t"]
+    # Ranks are checked to be nodes: as 16-bit keys they radix-sort.
+    by_rank = np.argsort(rank.astype(np.uint16) if rank.max(initial=0)
+                         < 1 << 16 else rank, kind="stable")
+    last = np.zeros(len(rows))
+    last[by_rank[1:]] = t[by_rank[:-1]]
+    last[by_rank[1:][np.diff(rank[by_rank]) != 0]] = 0.0
+    busy = (t - last) - rows["blocked"] - rows["charge"]
+    return np.where(busy > 0.0, busy, 0.0)
+
+
+def _deliveries(rows: np.ndarray, a: np.ndarray) -> None:
+    """Set each recv's ``a`` to its delivery slot: in a stable sort by
+    ``(xfer, reply_like)``, the slot of the latest send at or before it
+    in its group."""
+    tag = rows["tag"]
+    msg = np.flatnonzero(tag != MARK)
+    xfer, reply = rows["xfer"][msg], rows["flags"][msg] & REPLY_LIKE
+    by_key = np.lexsort((reply, xfer))
+    order, xfer, reply = msg[by_key], xfer[by_key], reply[by_key]
+    position = np.arange(len(order))
+    new = np.ones(len(order), bool)
+    new[1:] = (xfer[1:] != xfer[:-1]) | (reply[1:] != reply[:-1])
+    start = np.maximum.accumulate(np.where(new, position, 0))
+    recv = tag[order] == RECV
+    latest = np.maximum.accumulate(np.where(recv, -1, position))
+    slot = np.cumsum(tag == SEND) - 1
+    a[order[recv]] = np.where(latest >= start, slot[order[latest]], -1)[recv]
+
+
+def _fault(row: np.void, n_nodes: int) -> str:
+    """Why a row the compile's mask flagged is bad."""
+    tag, rank, *times = row[["tag", "rank", "t", "charge", "blocked"]].item()
+    if tag not in (MARK, RECV, SEND):
+        return f"unknown event row tag {tag!r}"
+    if not 0 <= rank < n_nodes:
+        return f"rank {rank!r} is not a node"
+    return ("times (t {!r}, charge {!r}, blocked {!r}) must be finite and "
+            "non-negative".format(*times))

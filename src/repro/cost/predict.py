@@ -39,8 +39,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.am.tuning import DialedCost, TuningKnobs
-from repro.cost.graph import CostGraph
+from repro.cost.graph import MARK, RECV, SEND, CostGraph
 from repro.harness.sweeps import MACHINE_DIALS, SweepResult, dial_named
 
 __all__ = ["UnsupportedGraphError", "predict_runtime", "PredictedPoint",
@@ -70,86 +72,101 @@ def predict_runtime(graph: CostGraph,
     self-check that the model reproduces the measured
     ``graph.runtime_us``.
     """
-    knobs = knobs if knobs is not None else graph.knobs
-    _check_supported(graph, knobs)
-    cost = DialedCost(graph.params, knobs)
-    steps, n_sends, n_windows = graph.program
-    send_charge, recv_charge = cost.send_charge, cost.recv_charge
-    wire, tx_cycle = cost.wire, cost.tx_cycle
-    # A short packet's cycle does not depend on its size: once per point.
-    short_pre, short_stall = tx_cycle(0, False)
+    return _replayer(graph)(knobs)
 
-    # Per-rank replay state.
-    clock = [0.0] * graph.n_nodes      # predicted completion of last event
-    nic_free = [0.0] * graph.n_nodes   # predicted transmit-context free time
-    # Message / flow-control state, by the program's dense slots: one
-    # min-heap of known credit returns per window.
-    delivery = [0.0] * n_sends
-    returned: List[List[float]] = [[] for _ in range(n_windows)]
-    sent = 0
-    t_start = t_stop = None
 
-    for tag, rank, busy, a, back, returns, sizes in steps:
-        ready = clock[rank] + busy
+def _replayer(graph: CostGraph):
+    """:func:`predict_runtime` of ``graph``, for a sweep: the program's
+    arrays are taken as lists once, and dropped with the function."""
+    program = graph.program
+    rows = [column.tolist() for column in program[:4]]
+    back_of, returns_of, frag_of = (column.tolist()
+                                    for column in program[4:7])
+    fragments, n_sends, n_windows = program[7:]
 
-        if tag == "r":
+    def replay(knobs: Optional[TuningKnobs]) -> float:
+        knobs = knobs if knobs is not None else graph.knobs
+        _check_supported(graph, knobs)
+        cost = DialedCost(graph.params, knobs)
+        send_charge, recv_charge = cost.send_charge, cost.recv_charge
+        wire, tx_cycle = cost.wire, cost.tx_cycle
+        # A short packet's cycle does not depend on its size.
+        short_pre, short_stall = tx_cycle(0, False)
+
+        # Per rank: predicted completion of its last event and its
+        # transmit context's free time.  By the program's dense slots:
+        # deliveries, and a min-heap of known credit returns per window.
+        clock = [0.0] * graph.n_nodes
+        nic_free = [0.0] * graph.n_nodes
+        delivery = [0.0] * n_sends
+        returned: List[List[float]] = [[] for _ in range(n_windows)]
+        sent = 0
+        t_start = t_stop = None
+
+        for tag, rank, busy, a in zip(*rows):
+            ready = clock[rank] + busy
+
+            if tag == RECV:
+                if a >= 0:
+                    arrived = delivery[a]
+                    if arrived > ready:
+                        ready = arrived
+                clock[rank] = ready + recv_charge
+                continue
+
+            if tag == MARK:
+                clock[rank] = ready
+                if a == 1:
+                    t_start = ready
+                elif a == 2:
+                    t_stop = ready
+                continue
+
+            # -- send -------------------------------------------------------
             if a >= 0:
-                arrived = delivery[a]
-                if arrived > ready:
-                    ready = arrived
-            clock[rank] = ready + recv_charge
-            continue
+                # The window is full: wait for its earliest *known* credit
+                # return.  Returns recorded after this point in the scan
+                # are treated as later — consistent with the recorded
+                # schedule, where the freeing return had already happened.
+                freed = heappop(returned[a])
+                if freed > ready:
+                    ready = freed
+            done = ready + send_charge
+            clock[rank] = done
 
-        if tag == "m":
-            clock[rank] = ready
-            if a == 1:
-                t_start = ready
-            elif a == 2:
-                t_stop = ready
-            continue
-
-        # -- send -----------------------------------------------------------
-        if a >= 0:
-            # The window is full: wait for its earliest *known* credit
-            # return.  Returns recorded after this point in the scan are
-            # treated as later — consistent with the recorded schedule,
-            # where the freeing return had already happened.
-            freed = heappop(returned[a])
-            if freed > ready:
-                ready = freed
-        done = ready + send_charge
-        clock[rank] = done
-
-        # NIC transmit chain: fragments enter the tx queue at `done`.
-        free = nic_free[rank]
-        if sizes is None:
-            inject = (free if free > done else done) + short_pre
-            free = inject + short_stall
-            arrival = inject + wire
-        else:
-            arrival = done
-            for size in sizes:
-                pre, stall = tx_cycle(size, True)
-                inject = max(done, free) + pre
-                free = inject + stall
+            # NIC transmit chain: fragments enter the tx queue at `done`.
+            free = nic_free[rank]
+            frag = frag_of[sent]
+            if frag < 0:
+                inject = (free if free > done else done) + short_pre
+                free = inject + short_stall
                 arrival = inject + wire
-        nic_free[rank] = free
+            else:
+                arrival = done
+                for size in fragments[frag]:
+                    pre, stall = tx_cycle(size, True)
+                    inject = max(done, free) + pre
+                    free = inject + stall
+                    arrival = inject + wire
+            nic_free[rank] = free
 
-        delivery[sent] = arrival
-        sent += 1
-        if returns == 1:
-            # A reply's arrival returns the request's window credit.
-            heappush(returned[back], arrival)
-        elif returns == 2:
-            # NIC CREDIT: generated at delivery, one more wire leg back
-            # (CREDITs bypass the transmit gap but ride the delay queue).
-            heappush(returned[back], arrival + wire)
+            delivery[sent] = arrival
+            returns = returns_of[sent]
+            if returns == 1:
+                # A reply's arrival returns the request's window credit.
+                heappush(returned[back_of[sent]], arrival)
+            elif returns == 2:
+                # NIC CREDIT: generated at delivery, one more wire leg back
+                # (CREDITs bypass the transmit gap, not the delay queue).
+                heappush(returned[back_of[sent]], arrival + wire)
+            sent += 1
 
-    if t_start is None or t_stop is None:
-        raise UnsupportedGraphError(
-            "graph has no measurement markers; was the run recorded "
-            "through Cluster.run?")
-    return t_stop - t_start
+        if t_start is None or t_stop is None:
+            raise UnsupportedGraphError(
+                "graph has no measurement markers; was the run recorded "
+                "through Cluster.run?")
+        return t_stop - t_start
+    return replay
 
 
 @dataclass
@@ -187,11 +204,11 @@ def predict_sweep(graph: CostGraph, parameter: str,
                          "least its baseline value")
     sweep = SweepResult(app_name=graph.app_name,
                         n_nodes=graph.n_nodes, parameter=parameter)
+    replay = _replayer(graph)
     for value in values:
         knobs = dial.knobs(value, graph.params)
         sweep.points.append(PredictedPoint(
-            value=value, knobs=knobs,
-            runtime_us=predict_runtime(graph, knobs)))
+            value=value, knobs=knobs, runtime_us=replay(knobs)))
     return sweep
 
 
@@ -220,9 +237,10 @@ def latency_tolerance(graph: CostGraph, parameter: str,
         raise ValueError(f"tol must be in (0, 1), not {tol!r}")
     dial = dial_named(parameter, MACHINE_DIALS)
     base_value = dial.baseline(graph.params)
+    replay = _replayer(graph)
 
     def runtime(value: float) -> float:
-        return predict_runtime(graph, dial.knobs(value, graph.params))
+        return replay(dial.knobs(value, graph.params))
 
     base_runtime = runtime(base_value)
     if threshold <= 1.0:
@@ -282,30 +300,30 @@ def lp_bound(graph: CostGraph,
     knobs = knobs if knobs is not None else graph.knobs
     _check_supported(graph, knobs)
     cost = DialedCost(graph.params, knobs)
-    steps = graph.program[0]
-
-    # Recorded bounds of the measured region.
-    marks = {row[4]: row[2] for row in graph.rows if row[0] == "m"}
-    if "start" not in marks or "stop" not in marks:
+    program, t = graph.program, graph.rows["t"]
+    # Recorded bounds of the measured region (label codes 1 and 2).
+    marks = dict(zip(program.a[program.tag == MARK].tolist(),
+                     t[program.tag == MARK].tolist()))
+    if 1 not in marks or 2 not in marks:
         raise UnsupportedGraphError("graph has no measurement markers")
-    t0, t1 = marks["start"], marks["stop"]
+    # Each send's NIC work: its fragments' cycles, or (frag -1, the
+    # last entry) a short packet's.
+    nic_work = np.zeros(len(t))
+    nic_work[program.tag == SEND] = np.array(
+        [sum(sum(cost.tx_cycle(size, True)) for size in sizes)
+         for sizes in program.fragments]
+        + [sum(cost.tx_cycle(0, False))])[program.frag]
 
     host: Dict[int, float] = {}
     nic: Dict[int, float] = {}
-    for row, (tag, rank, busy, _a, _back, _returns, sizes) in zip(
-            graph.rows, steps):
-        if not (t0 < row[2] <= t1):
-            continue
+    inside = (marks[1] < t) & (t <= marks[2])
+    for tag, rank, busy, work in zip(*(column[inside].tolist() for column in (
+            program.tag, program.rank, program.busy, nic_work))):
         host[rank] = host.get(rank, 0.0) + busy
-        if tag == "r":
+        if tag == RECV:
             host[rank] += cost.recv_charge
-        elif tag == "s":
+        elif tag == SEND:
             host[rank] += cost.send_charge
-            if sizes is None:
-                work = sum(cost.tx_cycle(0, False))
-            else:
-                work = sum(sum(cost.tx_cycle(size, True))
-                           for size in sizes)
             nic[rank] = nic.get(rank, 0.0) + work
     bounds = list(host.values()) + list(nic.values())
     return max(bounds) if bounds else 0.0

@@ -31,17 +31,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.am.tuning import DialedCost
 from repro.cluster.machine import Cluster
-from repro.cost.graph import CostGraph
+from repro.cost.graph import (BULK, LABELS, MARK, ONE_WAY, RECV, REPLY_LIKE,
+                              ROW, SEND, TAKES_CREDIT, CostGraph)
 from repro.harness.parallel import Plan, PointTask, run_points
 from repro.network.packet import REPLY, Packet
 
 __all__ = ["DepRecorder", "recording", "record_run"]
 
+#: Row tuples a recorder holds before it packs them into an array: a
+#: tuple row costs ~200 bytes, a packed one 55.
+CHUNK_ROWS = 4096
+
 
 class DepRecorder:
-    """Collects the graph's wire rows during one instrumented run.
+    """Collects the graph's rows during one instrumented run.
 
     One recorder serves exactly one run: the ``begin`` hook arms it and
     ``finish`` seals it.  The finished graph is available as
@@ -49,8 +56,10 @@ class DepRecorder:
     """
 
     def __init__(self) -> None:
-        #: One wire-row tuple per event (layouts on ``graph.DepEvent``).
+        #: One tuple per event since the last pack, in the field order of
+        #: ``graph.ROW``; packed every ``CHUNK_ROWS`` and at the finish.
         self.rows: List[tuple] = []
+        self._packed: List[np.ndarray] = []
         #: Per-rank blocked time accumulated since the previous recorded
         #: event on that rank (consumed by the next event).
         self._blocked: Dict[int, float] = {}
@@ -82,36 +91,48 @@ class DepRecorder:
             raise RuntimeError("finish before begin")
         cluster = self._cluster
         self._sim = self._cluster = None
+        self._pack()
+        rows = np.concatenate(self._packed)
+        rows.setflags(write=False)  # the graph's own: shared, not copied
+        self._packed = []
         self.graph = CostGraph(
             app_name=self._app_name, n_nodes=cluster.n_nodes,
             params=cluster.params, knobs=cluster.knobs,
             window=cluster.window, window_scope=cluster.window_scope,
             seed=cluster.seed,
             runtime_us=self._marks["stop"] - self._marks["start"],
-            rows=self.rows)
+            rows=rows)
+
+    def _pack(self) -> None:
+        self._packed.append(np.array(self.rows, dtype=ROW))
+        self.rows = []
 
     # -- hooks -------------------------------------------------------------
     def on_send(self, rank: int, packet: Packet) -> None:
         """Completion of one host-level send (after its ``o`` charge)."""
-        reply_like = packet.kind is REPLY or packet.is_reply
         bulk = packet.is_bulk
         # Replies never take a window credit, everything else does; a
         # bulk send stands for the whole transfer.
         self.rows.append((
-            "s", rank, self._sim.now, self._send_cost,
-            self._blocked.pop(rank, 0.0),
-            packet.xfer_id, packet.dst, 1 if reply_like else 0,
-            0 if reply_like else 1, 1 if packet.one_way else 0,
-            1 if bulk else 0,
+            SEND, rank, self._sim.now, self._send_cost,
+            self._blocked.pop(rank, 0.0), packet.xfer_id, packet.dst,
+            (REPLY_LIKE if packet.kind is REPLY or packet.is_reply
+             else TAKES_CREDIT)
+            | (ONE_WAY if packet.one_way else 0) | (BULK if bulk else 0),
             packet.logical_bytes if bulk else packet.size_bytes,
-            packet.fragment[1] if bulk else 1))
+            packet.fragment[1] if bulk else 1, 0))
+        if len(self.rows) >= CHUNK_ROWS:
+            self._pack()
 
     def on_recv(self, rank: int, packet: Packet) -> None:
         """Completion of one host-level reception (after its charge)."""
         self.rows.append((
-            "r", rank, self._sim.now, self._recv_cost,
+            RECV, rank, self._sim.now, self._recv_cost,
             self._blocked.pop(rank, 0.0), packet.xfer_id, packet.src,
-            1 if packet.kind is REPLY or packet.is_reply else 0))
+            REPLY_LIKE if packet.kind is REPLY or packet.is_reply else 0,
+            0, 1, 0))
+        if len(self.rows) >= CHUNK_ROWS:
+            self._pack()
 
     def on_blocked(self, rank: int, duration: float) -> None:
         """The rank was parked in ``wait_until`` for ``duration`` µs."""
@@ -121,8 +142,8 @@ class DepRecorder:
     def on_mark(self, rank: int, label: str) -> None:
         """Measurement-region marker (``start`` / ``stop`` on rank 0)."""
         now = self._marks[label] = self._sim.now
-        self.rows.append(
-            ("m", rank, now, self._blocked.pop(rank, 0.0), label))
+        self.rows.append((MARK, rank, now, 0.0, self._blocked.pop(rank, 0.0),
+                          -1, -1, 0, 0, 1, LABELS[label]))
 
 
 def recording(app, n_nodes: int, **cluster) -> Plan:

@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     campaign.add_argument("--campaign", type=pathlib.Path, default=None,
                           help="run/resume a CampaignSpec JSON file "
                           "instead of regenerating artifacts")
-    campaign.add_argument("--store", type=pathlib.Path, default=None,
+    campaign.add_argument("--store", type=output_path, default=None,
                           help="sqlite result store path (campaign mode)")
     campaign.add_argument("--render", type=output_path, default=None,
                           help="write store-generated campaign artifacts "

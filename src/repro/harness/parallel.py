@@ -76,9 +76,10 @@ def input_scale(text: str) -> float:
 
 def output_path(text: str) -> pathlib.Path:
     """The argparse type of a file a driver writes (``--out``,
-    ``--render``, ``--bench-out``): one in a directory that does not
-    exist exits 2 at parse time, not with a traceback and exit 1 (a
-    failing claim's code) after the run."""
+    ``--render``, ``--bench-out``, ``--store``): one in a directory that
+    does not exist exits 2 at parse time, not with a traceback and exit
+    1 (a failing claim's code) after the run, nor, for a store, as a
+    fresh one in directories made for it."""
     path = pathlib.Path(text)
     if not path.parent.is_dir():
         raise argparse.ArgumentTypeError(

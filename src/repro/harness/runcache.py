@@ -16,9 +16,10 @@ models — or the failure string for livelocked / over-budget points.
 results carry ``output=None``.
 
 A run recorded for simcost also keeps its dependency graph
-(:class:`~repro.cost.graph.CostGraph` JSON) in a ``<key>.graph`` file
-beside its entry, read only by a lookup that asks for it: an entry
-without one still serves every lookup that does not.
+(:class:`~repro.cost.graph.CostGraph`'s ``.npz``) in a ``<key>.graph``
+file beside its entry, read only by a lookup that asks for it: an entry
+without one, or with one that does not load (a v1 JSON graph), still
+serves every lookup that does not.
 
 Writes are atomic (temp file + rename) so concurrent sweep workers can
 share one cache directory safely.
@@ -30,6 +31,7 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -215,8 +217,7 @@ class RunCache:
             if graph:
                 from repro.cost.graph import CostGraph
                 outcome += (None if outcome[0] is None else
-                            CostGraph.from_json(
-                                self._path(key, ".graph").read_text()),)
+                            CostGraph.load(self._path(key, ".graph")),)
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
@@ -235,22 +236,24 @@ class RunCache:
             "failure": failure,
         }
         self._write(self._path(self.key_for(spec)),
-                    json.dumps(payload, default=repr))
+                    json.dumps(payload, default=repr).encode())
 
     def put_graph(self, spec: Dict[str, Any],
                   graph: "CostGraph") -> None:  # noqa: F821
         """Store the run's recorded graph atomically, beside its entry
         (which :meth:`put` stores first)."""
+        buffer = io.BytesIO()
+        graph.save(buffer)
         self._write(self._path(self.key_for(spec), ".graph"),
-                    graph.to_json())
+                    buffer.getbuffer())
 
-    def _write(self, path: Path, text: str) -> None:
-        """Write ``text`` to ``path`` by temp file + rename."""
+    def _write(self, path: Path, data: bytes) -> None:
+        """Write ``data`` to ``path`` by temp file + rename."""
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -188,13 +188,15 @@ DRIVERS = {
     "repro.cost record": ("repro.cost.cli", ["record", "--app", "Radix"]),
     "repro.sanitize": ("repro.sanitize.cli", ["--all"]),
 }
-#: (driver, a flag it writes a file to, whether the flag is campaign
-#: mode's); ``repro.sanitize`` writes none.
-OUTPUTS = [("generate_experiments", "--out", False),
-           ("repro.harness", "--out", False),
-           ("repro.cost record", "--out", False),
-           ("generate_experiments", "--render", True),
-           ("generate_experiments", "--bench-out", True)]
+#: (driver, a flag it writes a file to, the mode the flag belongs to:
+#: ``--campaign`` or ``--store-gc``); ``repro.sanitize`` writes none.
+OUTPUTS = [("generate_experiments", "--out", None),
+           ("repro.harness", "--out", None),
+           ("repro.cost record", "--out", None),
+           ("generate_experiments", "--render", "--campaign"),
+           ("generate_experiments", "--bench-out", "--campaign"),
+           ("generate_experiments", "--store", "--campaign"),
+           ("generate_experiments", "--store", "--store-gc")]
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "-inf", "half"])
@@ -222,22 +224,28 @@ def test_every_driver_refuses_a_bad_jobs_at_parse_time(driver, jobs,
     assert "argument --jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("driver, flag, campaign", OUTPUTS,
-                         ids=[f"{driver}-{flag}"
-                              for driver, flag, _ in OUTPUTS])
+@pytest.mark.parametrize("driver, flag, mode", OUTPUTS,
+                         ids=[f"{driver}-{flag}" + (f"-{mode}" if flag ==
+                                                    "--store" else "")
+                              for driver, flag, mode in OUTPUTS])
 def test_every_driver_refuses_an_output_in_a_missing_directory(
-        driver, flag, campaign, capsys, tmp_path):
+        driver, flag, mode, capsys, tmp_path):
     """Such a path was found out only when written, after the run: a
     ``FileNotFoundError`` traceback and exit 1, a failing claim's code.
-    It exits 2 at parse time, naming the flag, before anything runs."""
+    It exits 2 at parse time, naming the flag, before anything runs.
+    A ``--store`` there used to be created, directories and all, and a
+    mistyped one started a fresh campaign that recomputed every point."""
     assert {name for name, _, _ in OUTPUTS} == set(DRIVERS) - {
         "repro.sanitize"}
     module, args = DRIVERS[driver]
     missing, store = tmp_path / "missing" / "x.md", tmp_path / "s.sqlite"
-    if campaign:
+    if mode == "--campaign":
         args = args + ["--campaign", str(ROOT / "examples" /
-                                         "campaign_drill.json"),
-                       "--store", str(store)]
+                                         "campaign_drill.json")]
+    elif mode == "--store-gc":
+        args = args + ["--store-gc"]
+    if mode and flag != "--store":
+        args = args + ["--store", str(store)]
     with pytest.raises(SystemExit) as refused:
         importlib.import_module(module).main(args + [flag, str(missing)])
     assert refused.value.code == 2

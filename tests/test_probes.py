@@ -306,7 +306,7 @@ def test_each_blocked_send_enters_one_credit_wait_naming_its_peer():
 
 def _observed(monkeypatch, sanitize=False, tracer=False, recorder=False):
     """One Radix run on fresh transfer ids, so that two runs record the
-    same ones; returns ``(result, timelines, graph JSON)``."""
+    same ones; returns ``(result, timelines, the graph's row bytes)``."""
     monkeypatch.setattr(packet_module, "_sequence", itertools.count())
     tracer = MessageTracer() if tracer else None
     recorder = DepRecorder() if recorder else None
@@ -315,7 +315,7 @@ def _observed(monkeypatch, sanitize=False, tracer=False, recorder=False):
     timelines = tracer and sorted(
         (line.xfer_id, line.src, line.dst, line.kind,
          sorted(line.times.items())) for line in tracer.timelines())
-    return result, timelines, recorder and recorder.graph.to_json()
+    return result, timelines, recorder and recorder.graph.rows.tobytes()
 
 
 def test_all_observers_together_see_what_each_sees_alone(monkeypatch):

@@ -7,15 +7,20 @@ baseline it is, a recording costs no simulation of its own, and a warm
 drain reads it back instead of simulating anything.
 """
 
+import dataclasses
+import io
 import itertools
 
+import numpy as np
 import pytest
 
 import repro.network.packet as packet_module
 from repro.cluster.machine import Cluster
-from repro.cost import record_run
+from repro.cost import CostGraph, record_run
 from repro.harness import (PointTask, RunCache, experiments, run_plans,
                            run_points, suite_for)
+from tests.test_simcost import Trap
+from tests.test_simcost_equivalence import v1_json
 
 NAMES = ["Radix", "Sample"]
 SIZE = {"scale": 0.05, "names": NAMES}
@@ -25,7 +30,7 @@ SIZE = {"scale": 0.05, "names": NAMES}
 def runs(monkeypatch):
     """Every ``Cluster.run`` call in this process, by app name.  Each
     run starts the process-wide transfer-id counter afresh, as a new
-    interpreter would, so a graph's ids (and JSON) are its run's alone."""
+    interpreter would, so a graph's ids (and rows) are its run's alone."""
     calls = []
     run = Cluster.run
 
@@ -37,11 +42,15 @@ def runs(monkeypatch):
     return calls
 
 
-def same_json(graphs, others):
-    """Graph for graph, the same JSON (compared without a diff: the
-    texts are long)."""
-    return [graph.to_json() for graph in graphs] == \
-        [graph.to_json() for graph in others]
+def same_rows(graphs, others):
+    """Graph for graph, the same fields and the same rows, byte for
+    byte (compared without a diff: the rows are many)."""
+    def content(graph):
+        return [graph.rows.tobytes() if field.name == "rows"
+                else getattr(graph, field.name)
+                for field in dataclasses.fields(graph)]
+    return [content(graph) for graph in graphs] == \
+        [content(graph) for graph in others]
 
 
 def plans():
@@ -72,7 +81,7 @@ def test_a_recording_plan_simulates_each_key_once_cold_and_nothing_warm(
     assert warm_figure.render() == figure.render()
 
     recorded = [record_run(app, 4)[0] for app in suite_for(4, **SIZE)]
-    assert same_json(graphs, warm_graphs) and same_json(graphs, recorded)
+    assert same_rows(graphs, warm_graphs) and same_rows(graphs, recorded)
 
 
 def test_recording_leaves_the_run_entry_byte_identical(tmp_path):
@@ -102,13 +111,25 @@ def test_a_cached_run_without_its_graph_is_a_miss_for_a_recording(
     point, = run_points([recording], cache=cache)
     run_points([plain], cache=cache)
     assert (cache.hits, len(runs)) == (2, 2)
-    # A graph that does not load is a miss, and is written again.
+    # A graph that does not load is a miss, and is written again: a
+    # torn file, a v1 JSON graph (cached before the rows were arrays),
+    # and a payload that would need pickle, which is never unpickled.
     graph_file = tmp_path / f"{plain.key}.graph"
-    graph_file.write_text("{")
-    run_points([recording], cache=cache)
-    assert (cache.misses, len(runs)) == (3, 3)
-    rewritten = graph_file.read_text() == point.graph.to_json()
-    assert rewritten
+    torn = graph_file.read_bytes()[:100]
+    trap = io.BytesIO()
+    np.savez(trap, schema=np.array("repro-cost-graph-v2"),
+             meta=np.array("{}"), rows=np.array([Trap()], dtype=object))
+    for misses, stale in enumerate(
+            (torn, v1_json(point.graph).encode(), trap.getvalue()), 3):
+        graph_file.write_bytes(stale)
+        again, = run_points([recording], cache=cache)
+        assert (cache.misses, len(runs)) == (misses, misses), misses
+        assert again.graph.rows.tobytes() == point.graph.rows.tobytes()
+        assert CostGraph.load(graph_file).rows.tobytes() == \
+            point.graph.rows.tobytes()
+        # Re-recorded once: the next lookup hits.
+        run_points([recording], cache=cache)
+        assert (cache.misses, len(runs)) == (misses, misses), misses
     assert cache.clear() == 2 and not list(tmp_path.iterdir())
 
 
@@ -130,4 +151,4 @@ def test_a_failed_recording_raises_its_taxonomy_and_caches_as_a_failure(
 def test_parallel_recordings_match_serial_ones(tmp_path, runs):
     serial = run_plans(plans()[:1])[0]
     parallel = run_plans(plans()[:1], cache=RunCache(tmp_path), jobs=2)[0]
-    assert same_json(parallel, serial)
+    assert same_rows(parallel, serial)

@@ -16,12 +16,17 @@ Three contracts pinned here:
 """
 
 import dataclasses
+import gc
 import inspect
+import io
 import json
 import math
+import pickle
 import re
 import statistics
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import repro.cost.predict as predict_module
@@ -31,12 +36,14 @@ from repro.cluster.machine import Cluster
 from repro.cost import (CostGraph, DepRecorder, PredictedPoint,
                         UnsupportedGraphError, latency_tolerance, lp_bound,
                         predict_runtime, predict_sweep, record_run)
+from repro.cost.graph import MARK, REPLY_LIKE, ROW, SEND, TAKES_CREDIT
 from repro.harness.runcache import run_key_spec
 from repro.harness.experiments import predicted_figure, prediction_errors
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import (DIALS, MACHINE_DIALS, SensitivityFigure,
                                   SweepResult, run_sweep)
 from repro.network.faults import FaultPlan
+from tests.test_simcost_equivalence import v1_json
 
 
 def small_radix():
@@ -230,17 +237,20 @@ def test_latency_tolerance_crossings_are_pinned(radix_graph, barnes_graph,
         "latency": 19.84375, "bulk_mb_s": 0.779296875}
 
     # And the baseline is replayed once per search, not two or three
-    # times.
-    replayed = []
-    replay = predict_module.predict_runtime
-    monkeypatch.setattr(
-        predict_module, "predict_runtime",
-        lambda graph, knobs=None: replayed.append(knobs)
-        or replay(graph, knobs))
+    # times, from lists taken once per search.
+    replayers, replayed = [], []
+    replayer = predict_module._replayer
+
+    def counted(graph):
+        replayers.append(graph)
+        replay = replayer(graph)
+        return lambda knobs: replayed.append(knobs) or replay(knobs)
+    monkeypatch.setattr(predict_module, "_replayer", counted)
     for dial in ("overhead", "bulk_mb_s"):
-        del replayed[:]
+        del replayers[:], replayed[:]
         latency_tolerance(bulky, dial)
         assert replayed.count(TuningKnobs()) == 1, dial
+        assert replayers == [bulky], dial
 
 
 @pytest.mark.parametrize("bad, mention", [
@@ -266,107 +276,224 @@ def test_predict_sweep_refuses_empty_values(radix_graph):
 # Graph serialisation.
 # ---------------------------------------------------------------------------
 
-def test_graph_json_round_trip(radix_graph):
+def _entries(graph):
+    """What ``graph.save`` writes, entry by entry, to break one at a
+    time."""
+    buffer = io.BytesIO()
+    graph.save(buffer)
+    buffer.seek(0)
+    with np.load(buffer) as data:
+        return {name: data[name] for name in data.files}
+
+
+def _write(path, entries):
+    """An ``.npz`` of ``entries`` (object arrays pickled, as numpy
+    does by default)."""
+    with path.open("wb") as fh:
+        np.savez(fh, **entries)
+    return path
+
+
+def _with_meta(graph, **changes):
+    entries = _entries(graph)
+    meta = json.loads(str(entries["meta"]))
+    meta.update(changes)
+    entries["meta"] = np.array(json.dumps(meta))
+    return entries
+
+
+def _with_rows(graph, rows):
+    return dict(_entries(graph), rows=rows)
+
+
+def _first_send(graph, flag=0):
+    """The index of the first send row with ``flag`` (``REPLY_LIKE``,
+    ``TAKES_CREDIT``) set."""
+    rows = graph.rows
+    return int(np.flatnonzero((rows["tag"] == SEND)
+                              & (rows["flags"] & flag == flag))[0])
+
+
+def _changed(graph, index, **fields):
+    """``graph``'s rows with row ``index``'s ``fields`` replaced."""
+    rows = graph.rows.copy()
+    for field, value in fields.items():
+        rows[field][index] = value
+    return rows
+
+
+def test_graph_file_round_trip(radix_graph, tmp_path):
     graph, _ = radix_graph
-    clone = CostGraph.from_json(graph.to_json())
-    assert clone.to_dict() == graph.to_dict()
+    clone = CostGraph.load(_write(tmp_path / "radix.graph",
+                                  _entries(graph)))
+    assert [getattr(clone, field.name) for field in
+            dataclasses.fields(graph) if field.name != "rows"] == \
+        [getattr(graph, field.name) for field in
+         dataclasses.fields(graph) if field.name != "rows"]
+    assert clone.rows.dtype == ROW and \
+        clone.rows.tobytes() == graph.rows.tobytes()
     assert clone.counts() == graph.counts()
     assert predict_runtime(clone) == predict_runtime(graph)
 
 
-def test_graph_schema_mismatch_refuses(radix_graph):
+def test_graph_schema_mismatch_refuses(radix_graph, tmp_path):
     graph, _ = radix_graph
-    payload = graph.to_dict()
-    payload["schema"] = "repro-cost-graph-v0"
-    with pytest.raises(ValueError, match="schema"):
-        CostGraph.from_dict(payload)
+    entries = dict(_entries(graph), schema=np.array("repro-cost-graph-v0"))
+    with pytest.raises(ValueError, match="schema 'repro-cost-graph-v0'"):
+        CostGraph.load(_write(tmp_path / "v0.graph", entries))
+    # A v1 graph, one JSON list per row, is refused by its schema name.
+    v1 = tmp_path / "v1.graph"
+    v1.write_text(v1_json(graph))
+    with pytest.raises(ValueError, match="schema 'repro-cost-graph-v1'"):
+        CostGraph.load(v1)
 
 
-def _malformed_payloads(graph):
-    """``graph.to_dict()`` broken one way at a time, with what the
-    ``ValueError`` must mention."""
-    def broken(index, row):
-        payload = graph.to_dict()
-        payload["events"][index] = row
-        return payload
-
-    send = next(i for i, row in enumerate(graph.rows) if row[0] == "s")
-    good = list(graph.rows[send])
-    yield "short row", broken(send, ["s", 0, 1.0]), f"row {send}"
-    yield "long row", broken(send, good + [0]), f"row {send}"
-    yield "unknown tag", broken(3, ["x", 0, 1.0, 0.0, "start"]), "row 3"
-    yield "rank past the machine", broken(
-        send, good[:1] + [graph.n_nodes] + good[2:]), f"row {send}"
-    yield "negative rank", broken(
-        send, good[:1] + [-1] + good[2:]), f"row {send}"
-    for field in (2, 3, 4):  # t, charge, blocked
-        yield f"field {field} not a number", broken(
-            send, good[:field] + ["soon"] + good[field + 1:]), f"row {send}"
-    yield "row not a list", broken(5, 7), "malformed"
-    payload = graph.to_dict()
-    del payload["window"]
-    yield "missing key", payload, "window"
-    yield "not an object", [], "schema"
+class Unpickled(Exception):
+    """Raised by unpickling a :class:`Trap`."""
 
 
-def test_malformed_graphs_raise_value_error_naming_the_row(radix_graph):
+class Trap:
+    """An object whose unpickling raises :class:`Unpickled`."""
+
+    def __reduce__(self):
+        return (_spring, ())
+
+
+def _spring():
+    raise Unpickled("a graph file was unpickled")
+
+
+def _malformed_files(graph):
+    """``graph``'s file broken one way at a time, as ``(what, write,
+    mention)``: ``write(path)`` writes it and ``mention`` is what the
+    ``ValueError`` must say."""
+    send, n = _first_send(graph), graph.n_nodes
+
+    def rows(**fields):
+        return lambda path: _write(path, _with_rows(
+            graph, _changed(graph, send, **fields)))
+
+    yield "unknown tag", lambda path: _write(path, _with_rows(
+        graph, _changed(graph, 3, tag=9))), "row 3: unknown event row tag"
+    yield "rank past the machine", rows(rank=n), f"row {send}: rank {n}"
+    yield "negative rank", rows(rank=-1), f"row {send}: rank -1"
+    for field, value in (("t", math.nan), ("t", math.inf),
+                         ("charge", math.inf), ("blocked", -1.0)):
+        yield f"{field}={value}", rows(**{field: value}), \
+            f"row {send}: times .* must be finite and non-negative"
+    trap = np.array([Trap()], dtype=object)
+    yield "rows of another dtype", lambda path: _write(path, _with_rows(
+        graph, graph.rows["t"])), "malformed simcost graph"
+    yield "rows that would need pickle", lambda path: _write(
+        path, _with_rows(graph, trap)), "malformed simcost graph.*pickle"
+    yield "a schema that would need pickle", lambda path: _write(
+        path, dict(_entries(graph), schema=trap)), "schema None"
+    yield "missing entry", lambda path: _write(path, {
+        name: entry for name, entry in _entries(graph).items()
+        if name != "rows"}), "malformed simcost graph"
+
+    def without_window(path):
+        entries = _entries(graph)
+        meta = json.loads(str(entries["meta"]))
+        del meta["window"]
+        entries["meta"] = np.array(json.dumps(meta))
+        return _write(path, entries)
+    yield "missing key", without_window, "window"
+    yield "a pickle", lambda path: path.write_bytes(pickle.dumps(Trap())), \
+        "schema None"
+
+    def bare(path):
+        with path.open("wb") as fh:
+            np.save(fh, graph.rows)
+    yield "a bare array", bare, "schema None"
+
+    def flipped(path):
+        _write(path, _entries(graph))
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF  # inside the rows entry: a bad CRC
+        path.write_bytes(bytes(raw))
+    yield "a corrupted entry", flipped, "malformed simcost graph"
+    yield "not an object", lambda path: path.write_text("[]"), "schema None"
+    yield "invalid JSON", lambda path: path.write_text("{"), "schema None"
+    yield "empty", lambda path: path.write_bytes(b""), "schema None"
+
+
+def test_malformed_graphs_raise_value_error_naming_the_row(radix_graph,
+                                                           tmp_path):
     graph, _ = radix_graph
-    for what, payload, mention in _malformed_payloads(graph):
+    path = tmp_path / "broken.graph"
+    for what, write, mention in _malformed_files(graph):
+        write(path)
         with pytest.raises(ValueError, match=mention):
-            CostGraph.from_dict(payload)
+            CostGraph.load(path)
             pytest.fail(f"{what}: loaded")
-    # Times the replay would carry into every later event.
-    send = next(i for i, row in enumerate(graph.rows) if row[0] == "s")
-    for field, value in ((2, math.nan), (2, math.inf), (4, -1.0)):
-        payload = graph.to_dict()
-        row = list(payload["events"][send])
-        payload["events"][send] = row[:field] + [value] + row[field + 1:]
-        with pytest.raises(ValueError, match=f"row {send}.*finite and "
-                           "non-negative"):
-            CostGraph.from_dict(payload)
     # A graph built in-process is checked by its first replay.
-    bad = dataclasses.replace(graph, rows=graph.rows[:9] + (("s", 0, 1.0),))
+    bad = dataclasses.replace(graph, rows=_changed(graph, 9, tag=7))
     with pytest.raises(ValueError, match="row 9"):
         predict_runtime(bad)
     with pytest.raises(ValueError, match="row 9"):
         lp_bound(bad)
 
 
-def _first_send(graph, flag):
-    """The index of the first send row with ``flag`` (7 ``reply_like``,
-    8 ``takes_credit``) set."""
-    return next(i for i, row in enumerate(graph.rows)
-                if row[0] == "s" and row[flag])
+#: The pinned Radix graph (5,785 rows), recorded and compiled: its
+#: traced peak and what it keeps per row, measured value + 25 %.  At
+#: 1.33 MB and 72.7 B a row (55 of them the row itself) since the rows
+#: are arrays, packed every ``CHUNK_ROWS`` while recording; 1.90 MB and
+#: 293 B a row when rows and program steps were tuples.
+GRAPH_PEAK_MB_BUDGET = 1.66
+GRAPH_BYTES_PER_ROW_BUDGET = 91.0
 
 
-def _with_row_at(graph, index, row, replaced):
-    rows = list(map(list, graph.rows))
-    rows[index:index + replaced] = [list(row)]
-    return dict(graph.to_dict(), events=rows)
+def test_a_recorded_graph_stays_within_its_memory_budget():
+    """One recording under tracemalloc after a warm-up one, so imports
+    and first-call caches are not counted; the graph is kept, its
+    program compiled, and the run's result dropped."""
+    def record():
+        graph, _ = record_run(RadixSort(keys_per_proc=64), 8, seed=11)
+        graph.program
+        return graph
+
+    record()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph = record()
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = graph.counts()["events"]
+    peak_mb, per_row = (peak - base) / 2 ** 20, (kept - base) / rows
+    print(f"\nRadix P=8 graph: traced peak {peak_mb:.2f} MB, kept "
+          f"{per_row:.1f} B per row of {rows} (budget "
+          f"{GRAPH_PEAK_MB_BUDGET} MB, {GRAPH_BYTES_PER_ROW_BUDGET} B)")
+    assert peak_mb <= GRAPH_PEAK_MB_BUDGET
+    assert per_row <= GRAPH_BYTES_PER_ROW_BUDGET
 
 
 def _duplicated(graph, flag):
     index = _first_send(graph, flag)
-    return _with_row_at(graph, index + 1, graph.rows[index], 0)
+    return _with_rows(graph, np.insert(graph.rows, index + 1,
+                                       graph.rows[index]))
 
 
 def _stray_return(graph):
-    index = _first_send(graph, 7)
-    row = graph.rows[index]
-    return _with_row_at(graph, index, row[:5] + (-7,) + row[6:], 1)
+    return _with_rows(graph, _changed(graph, _first_send(graph, REPLY_LIKE),
+                                      xfer=-7))
 
 
 @pytest.mark.parametrize("break_graph,mention", [
-    (lambda g: dict(g.to_dict(), window=0), "window must be an int >= 1"),
-    (lambda g: dict(g.to_dict(), window=-1), "window must be an int >= 1"),
-    (lambda g: dict(g.to_dict(), window="8"), "window must be an int >= 1"),
-    (lambda g: dict(g.to_dict(), window=1.5), "window must be an int >= 1"),
-    (lambda g: dict(g.to_dict(), window_scope="bogus"),
+    (lambda g: _with_meta(g, window=0), "window must be an int >= 1"),
+    (lambda g: _with_meta(g, window=-1), "window must be an int >= 1"),
+    (lambda g: _with_meta(g, window="8"), "window must be an int >= 1"),
+    (lambda g: _with_meta(g, window=1.5), "window must be an int >= 1"),
+    (lambda g: _with_meta(g, window_scope="bogus"),
      "unknown window_scope 'bogus'"),
-    (lambda g: _duplicated(g, 7),
+    (lambda g: _duplicated(g, REPLY_LIKE),
      "row {reply_again}: transfer .* holds no credit"),
     (_stray_return, "row {reply}: transfer -7 holds no credit"),
-    (lambda g: _duplicated(g, 8),
+    (lambda g: _duplicated(g, TAKES_CREDIT),
      "row {request_again}: transfer .* takes a second credit"),
 ], ids=["window=0", "window=-1", "window='8'", "window=1.5",
         "window_scope=bogus", "second-return", "return-never-taken",
@@ -380,14 +507,13 @@ def test_a_graph_file_with_a_bad_window_or_credit_is_refused(
     a ``TypeError``; 1.5 and a misspelt scope replayed silently)."""
     from repro.cost.cli import main
     graph, _ = radix_graph
-    reply, request = _first_send(graph, 7), _first_send(graph, 8)
+    reply = _first_send(graph, REPLY_LIKE)
+    request = _first_send(graph, TAKES_CREDIT)
     mention = mention.format(reply=reply, reply_again=reply + 1,
                              request_again=request + 1)
-    payload = break_graph(graph)
+    path = _write(tmp_path / "graph.graph", break_graph(graph))
     with pytest.raises(ValueError, match=mention):
-        CostGraph.from_dict(payload)
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(payload))
+        CostGraph.load(path)
     assert main(["predict", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -446,7 +572,7 @@ def test_recorder_is_single_use(radix_graph):
 
 def test_cli_predict_json_payload(tmp_path, capsys):
     from repro.cost.cli import main
-    out = tmp_path / "radix.json"
+    out = tmp_path / "radix.graph"
     main(["record", "--app", "Radix", "--nodes", "4", "--scale", "0.05",
           "--seed", "7", "--out", str(out)])
     capsys.readouterr()
@@ -462,45 +588,60 @@ def test_cli_predict_json_payload(tmp_path, capsys):
 def test_cli_predict_exits_2_on_a_graph_it_cannot_use(tmp_path, capsys,
                                                       radix_graph):
     """Missing, unparsable, malformed and unsupported graph files are
-    one line on stderr and exit 2, never a traceback."""
+    one line on stderr and exit 2, never a traceback; a file that is no
+    v2 graph (a v1 JSON graph included) is named by the schema it
+    carries."""
     from repro.cost.cli import main
     graph, _ = radix_graph
-    cases = {what: json.dumps(payload)
-             for what, payload, _ in _malformed_payloads(graph)}
-    cases["invalid JSON"] = "{"
-    cases["schema mismatch"] = json.dumps(
-        dict(graph.to_dict(), schema="repro-cost-graph-v0"))
-    cases["recorded under occupancy"] = json.dumps(  # UnsupportedGraphError
-        dict(graph.to_dict(), knobs={"delta_occ": 1.0}))
-    cases["no markers"] = json.dumps(dict(graph.to_dict(), events=[]))
-    path = tmp_path / "graph.json"
-    for what, text in cases.items():
-        path.write_text(text)
+    cases = {what: (write, mention)
+             for what, write, mention in _malformed_files(graph)}
+    cases["v1 JSON graph"] = (lambda path: path.write_text(v1_json(graph)),
+                              "schema 'repro-cost-graph-v1'")
+    cases["not a graph"] = (lambda path: path.write_text("radix\n"),
+                            "schema None")
+    cases["schema mismatch"] = (lambda path: _write(path, dict(
+        _entries(graph), schema=np.array("repro-cost-graph-v0"))),
+        "schema 'repro-cost-graph-v0'")
+    cases["recorded under occupancy"] = (  # UnsupportedGraphError
+        lambda path: _write(path, _with_meta(graph,
+                                             knobs={"delta_occ": 1.0})),
+        "occupancy")
+    cases["no markers"] = (lambda path: _write(path, _with_rows(
+        graph, graph.rows[graph.rows["tag"] != MARK])), "markers")
+    path = tmp_path / "radix.graph"
+    for what, (write, mention) in cases.items():
+        write(path)
         assert main(["predict", str(path)]) == 2, what
         captured = capsys.readouterr()
         assert captured.out == "", what
-        assert captured.err.startswith("predict: ") \
+        assert captured.err.startswith(f"predict: {path}: ") \
             and captured.err.count("\n") == 1, what
-    assert main(["predict", str(tmp_path / "absent.json")]) == 2
-    assert "absent.json" in capsys.readouterr().err
+        assert re.search(mention, captured.err), what
+    assert main(["predict", str(tmp_path / "absent.graph")]) == 2
+    assert "absent.graph" in capsys.readouterr().err
     # The same file, intact, still predicts.
-    path.write_text(graph.to_json())
+    _write(path, _entries(graph))
     assert main(["predict", str(path)]) == 0
 
 
-def test_cli_usage_errors_exit_2(capsys):
+def test_cli_usage_errors_exit_2(capsys, tmp_path):
     from repro.cost.cli import main
     for argv in (["predict"],  # missing required graph path
+                 # a binary graph has no stdout form
+                 ["record", "--app", "Radix"],
                  # simcost is graded by python -m repro.harness's
                  # predict.* rows; the second driver is gone.
                  ["report", "--apps", "Radix", "--no-cache"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2, argv
-    assert "invalid choice: 'report'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid choice: 'report'" in err
+    assert "the following arguments are required: --out" in err
     # An application the suite does not have: one line on stderr, never
     # a traceback.
-    assert main(["record", "--app", "Nope"]) == 2
+    assert main(["record", "--app", "Nope",
+                 "--out", str(tmp_path / "nope.graph")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("record: ") \

@@ -1,24 +1,28 @@
-"""Differential equivalence: simcost on rows vs. the objects and the
+"""Differential equivalence: simcost on arrays vs. the objects and the
 loop it replaced.
 
-``DepRecorder`` appends wire-row tuples, ``CostGraph`` stores them, and
-``predict_runtime`` scans a program compiled from them once per graph.
-Before that the recorder built one ``DepEvent`` per event, the graph
-stored the objects (``to_row`` on the way out, ``from_row`` on the way
-in), and every replay resolved its dict keys, fragment lists and busy
-times again.  That code lives on here, in the role ``LegacyNic`` and
-``NumpyStats`` play for their fast paths: :class:`LegacyRecorder`,
-:func:`to_row`, :func:`reference_predict_runtime` and
-:func:`reference_lp_bound`, reading ``graph.events``.  The replay does
-the same IEEE operations in the same order, so every comparison below
-is ``==`` on floats, never ``approx``.
+``DepRecorder`` appends one tuple per event, ``CostGraph`` holds them
+as one structured array, and ``predict_runtime`` scans lists taken from
+a program compiled from it once per graph.  Before that the recorder
+built one ``DepEvent`` per event, the graph stored the objects (as JSON
+rows on disk), and every replay resolved its dict keys, fragment lists
+and busy times again.  That code lives on here, in the role
+``LegacyNic`` and ``NumpyStats`` play for their fast paths:
+:class:`DepEvent`, :class:`LegacyRecorder`, :func:`to_row`,
+:func:`reference_predict_runtime` and :func:`reference_lp_bound`,
+reading :func:`events_of` a graph.  The replay does the same IEEE
+operations in the same order, so every comparison below is ``==`` on
+floats, never ``approx``.
 """
 
 import cProfile
 import dataclasses
 import gc
 import json
+import pickle
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,9 +30,10 @@ from hypothesis import strategies as st
 from repro.am.tuning import DialedCost, TuningKnobs
 from repro.apps import RadixSort
 from repro.cluster.machine import Cluster
-from repro.cost import (CostGraph, DepEvent, DepRecorder,
-                        UnsupportedGraphError, lp_bound, predict_runtime,
-                        record_run)
+from repro.cost import (CostGraph, DepRecorder, UnsupportedGraphError,
+                        lp_bound, predict_runtime, record_run)
+from repro.cost.graph import (BULK, MARK, ONE_WAY, RECV, REPLY_LIKE, SEND,
+                              TAKES_CREDIT)
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS, MACHINE_DIALS
 from repro.network.packet import PacketKind, fragment_sizes
@@ -42,8 +47,56 @@ SCOPES = ("per-destination", "global")
 # The reference: one DepEvent per event, one full resolution per replay.
 # ---------------------------------------------------------------------------
 
+@dataclass
+class DepEvent:
+    """One node of the dependency DAG, as the recorder once built it."""
+
+    #: ``"send"`` | ``"recv"`` | ``"mark"``.
+    kind: str
+    rank: int
+    t: float
+    charge: float = 0.0
+    blocked: float = 0.0
+    xfer: int = -1
+    peer: int = -1
+    reply_like: bool = False
+    takes_credit: bool = False
+    one_way: bool = False
+    bulk: bool = False
+    nbytes: int = 0
+    frags: int = 1
+    label: str = ""
+
+
+def events_of(graph):
+    """The graph's rows decoded into the objects the old recorder built
+    (what ``graph.events`` returned)."""
+    labels = {1: "start", 2: "stop"}
+    events = []
+    for (tag, rank, t, charge, blocked, xfer, peer, flags, nbytes, frags,
+         label) in graph.rows.tolist():
+        if tag == MARK:
+            events.append(DepEvent(kind="mark", rank=rank, t=t,
+                                   blocked=blocked, label=labels[label]))
+        elif tag == RECV:
+            events.append(DepEvent(
+                kind="recv", rank=rank, t=t, charge=charge,
+                blocked=blocked, xfer=xfer, peer=peer,
+                reply_like=bool(flags & REPLY_LIKE)))
+        else:
+            assert tag == SEND, tag
+            events.append(DepEvent(
+                kind="send", rank=rank, t=t, charge=charge,
+                blocked=blocked, xfer=xfer, peer=peer,
+                reply_like=bool(flags & REPLY_LIKE),
+                takes_credit=bool(flags & TAKES_CREDIT),
+                one_way=bool(flags & ONE_WAY), bulk=bool(flags & BULK),
+                nbytes=nbytes, frags=frags))
+    return events
+
+
 def to_row(event):
-    """``DepEvent.to_row`` as it was."""
+    """``DepEvent.to_row`` as it was: one row of a v1 graph file."""
     if event.kind == "mark":
         return ["m", event.rank, event.t, event.blocked, event.label]
     if event.kind == "recv":
@@ -53,6 +106,22 @@ def to_row(event):
             event.xfer, event.peer, int(event.reply_like),
             int(event.takes_credit), int(event.one_way),
             int(event.bulk), event.nbytes, event.frags]
+
+
+def v1_json(graph):
+    """The graph as ``CostGraph.to_json`` rendered it in schema v1."""
+    return json.dumps({
+        "schema": "repro-cost-graph-v1",
+        "app_name": graph.app_name,
+        "n_nodes": graph.n_nodes,
+        "params": dataclasses.asdict(graph.params),
+        "knobs": dataclasses.asdict(graph.knobs),
+        "window": graph.window,
+        "window_scope": graph.window_scope,
+        "seed": graph.seed,
+        "runtime_us": graph.runtime_us,
+        "events": [to_row(event) for event in events_of(graph)],
+    })
 
 
 class LegacyRecorder:
@@ -257,7 +326,7 @@ def grid_points(graph):
 
 
 def assert_replays_alike(graph, points):
-    events = graph.events
+    events = events_of(graph)
     for knobs in points:
         assert predict_runtime(graph, knobs) == \
             reference_predict_runtime(graph, events, knobs), knobs
@@ -312,10 +381,14 @@ def barnes_graph():
     return record_run(SUITE[4], 8, seed=5, window=2)[0]
 
 
-def test_round_tripped_graph_replays_bit_identically(barnes_graph):
-    clone = CostGraph.from_json(barnes_graph.to_json())
-    assert clone == barnes_graph
-    assert clone.to_json() == barnes_graph.to_json()
+def test_round_tripped_graph_replays_bit_identically(barnes_graph,
+                                                     tmp_path):
+    path = tmp_path / "barnes.graph"
+    with path.open("wb") as fh:
+        barnes_graph.save(fh)
+    clone = CostGraph.load(path)
+    assert clone.rows.tobytes() == barnes_graph.rows.tobytes()
+    assert v1_json(clone) == v1_json(barnes_graph)
     assert_replays_alike(clone, grid_points(clone))
 
 
@@ -323,28 +396,32 @@ def test_a_replay_leaves_the_cached_program_as_it_found_it(barnes_graph):
     points = list(grid_points(barnes_graph))
     first = [predict_runtime(barnes_graph, knobs) for knobs in points]
     program = barnes_graph.program
-    snapshot = json.dumps(program)
+    snapshot = [part.copy() if isinstance(part, np.ndarray) else part
+                for part in program]
     assert barnes_graph.program is program  # compiled once
     again = [predict_runtime(barnes_graph, knobs)
              for knobs in reversed(points)]
     assert again == first[::-1]
-    assert json.dumps(program) == snapshot
+    for part, was in zip(program, snapshot):
+        if isinstance(part, np.ndarray):
+            assert np.array_equal(part, was) and not part.flags.writeable
+        else:
+            assert part == was
     assert_replays_alike(barnes_graph, points)
 
 
 def test_recorded_rows_are_what_the_dataclass_path_wrote():
-    """Same run, both recorders: the JSON is byte for byte what
-    ``[event.to_row() for event in events]`` produced, and decoding the
-    rows gives the objects the old recorder built."""
+    """Same run, both recorders: decoding the arrays gives the objects
+    the old recorder built, and the v1 rows rendered from them are byte
+    for byte what ``[event.to_row() for event in events]`` produced."""
     for app in (SUITE[0], SUITE[4], SUITE[8]):  # Radix, Barnes, NOW-sort
         tee = Tee()
         Cluster(8, seed=5).run(app, recorder=tee)
         graph = tee.graph
-        assert graph.events == tee.legacy.events
-        payload = graph.to_dict()
-        assert json.dumps(payload["events"]) == \
-            json.dumps([to_row(event) for event in tee.legacy.events])
-        assert graph.to_json() == json.dumps(payload)
+        assert events_of(graph) == tee.legacy.events
+        assert json.loads(v1_json(graph))["events"] == \
+            json.loads(json.dumps([to_row(event)
+                                   for event in tee.legacy.events]))
 
 
 def test_a_sealed_graph_cannot_serve_a_stale_program(barnes_graph):
@@ -357,23 +434,34 @@ def test_a_sealed_graph_cannot_serve_a_stale_program(barnes_graph):
         graph.window_scope = "global"
     with pytest.raises(dataclasses.FrozenInstanceError):
         graph.rows = ()
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="read-only"):
         graph.rows[0] = graph.rows[1]
-    with pytest.raises(TypeError):
-        graph.rows[0][2] = 0.0
-    # A list handed to the constructor is copied, not adopted.
-    rows = [list(row) for row in graph.rows]
-    copy = dataclasses.replace(graph, rows=rows)
+    with pytest.raises(ValueError, match="read-only"):
+        graph.rows["t"][0] = 0.0
+    # A list or a writeable array handed to the constructor is copied,
+    # not adopted; a read-only one is shared, since nothing can write
+    # through it; a pickled copy (a pool worker's) is sealed too.
+    rows, array = graph.rows.tolist(), graph.rows.copy()
+    for handed in (rows, array):
+        copy = dataclasses.replace(graph, rows=handed)
+        assert copy.rows.tobytes() == graph.rows.tobytes()
+        assert copy.program is not graph.program
+        assert predict_runtime(copy, knobs) == before
     rows.clear()
-    assert copy.rows == graph.rows and copy.program is not graph.program
-    assert predict_runtime(copy, knobs) == before
+    array["t"] = 0.0
+    assert copy.rows.tobytes() == graph.rows.tobytes()
+    assert dataclasses.replace(graph, rows=graph.rows).rows is graph.rows
+    with pytest.raises(ValueError, match="read-only"):
+        pickle.loads(pickle.dumps(graph)).rows["t"][0] = 0.0
 
-    marks = tuple(row for row in graph.rows if row[0] == "m")
+    marks = graph.rows[graph.rows["tag"] == MARK]
     for change in ({"window_scope": "global"}, {"window": 1},
-                   {"rows": graph.rows[:len(graph.rows) // 2] + marks[1:]}):
+                   {"rows": np.concatenate(
+                       [graph.rows[:len(graph.rows) // 2], marks[1:]])}):
         rebuilt = dataclasses.replace(graph, **change)
         assert "program" not in vars(rebuilt)
-        expected = reference_predict_runtime(rebuilt, rebuilt.events, knobs)
+        expected = reference_predict_runtime(rebuilt, events_of(rebuilt),
+                                             knobs)
         assert predict_runtime(rebuilt, knobs) == expected
         assert expected != before
     assert predict_runtime(graph, knobs) == before
@@ -386,28 +474,33 @@ def test_a_full_window_with_no_known_return_drops_its_oldest_credit():
     first's credit is dropped (the old loop's ``pop(0)``) and its reply
     frees nothing, so the third request waits for the second's reply."""
     def send(rank, t, xfer, peer, reply):
-        return ("s", rank, t, 2.9, 0.0, xfer, peer, reply, 1 - reply, 0,
-                0, 16, 1)
+        return (SEND, rank, t, 2.9, 0.0, xfer, peer,
+                REPLY_LIKE if reply else TAKES_CREDIT, 16, 1, 0)
 
     def recv(rank, t, xfer, peer, reply):
-        return ("r", rank, t, 2.9, 0.0, xfer, peer, reply)
+        return (RECV, rank, t, 2.9, 0.0, xfer, peer,
+                REPLY_LIKE if reply else 0, 0, 1, 0)
 
-    rows = (("m", 0, 0.0, 0.0, "start"),
+    def mark(t, label):
+        return (MARK, 0, t, 0.0, 0.0, -1, -1, 0, 0, 1, label)
+
+    rows = [mark(0.0, 1),
             send(0, 3.0, 1, 1, 0), send(0, 6.0, 2, 1, 0),
             recv(1, 20.0, 1, 0, 0), send(1, 23.0, 1, 0, 1),
             recv(1, 26.0, 2, 0, 0), send(1, 29.0, 2, 0, 1),
             recv(0, 40.0, 1, 1, 1), recv(0, 43.0, 2, 1, 1),
-            send(0, 46.0, 3, 1, 0), ("m", 0, 50.0, 0.0, "stop"))
+            send(0, 46.0, 3, 1, 0), mark(50.0, 2)]
     graph = CostGraph(app_name="drop", n_nodes=2,
                       params=Cluster(2).params, knobs=TuningKnobs(),
                       window=1, window_scope="per-destination", seed=0,
                       runtime_us=50.0, rows=rows)
-    steps, _, n_windows = graph.program
-    assert n_windows == 1
-    assert steps[2][3] == -1                # full, nothing known: no wait
-    assert steps[4][4:6] == (-1, 0)         # the dropped credit's reply
-    assert steps[6][4:6] == (0, 1)          # returns to window 0
-    assert steps[9][3] == 0                 # waits there
+    program = graph.program
+    assert program.n_windows == 1
+    assert program.a[2] == -1              # full, nothing known: no wait
+    # Sends 2 and 3 (rows 4 and 6) are the replies.
+    assert (program.back[2], program.returns[2]) == (-1, 0)  # dropped
+    assert (program.back[3], program.returns[3]) == (0, 1)   # window 0
+    assert program.a[9] == 0               # waits there
     assert_replays_alike(graph, [None, TuningKnobs(delta_L=40.0),
                                  TuningKnobs(delta_o=10.0)])
 
