@@ -16,10 +16,11 @@ import hashlib
 
 from repro.apps import RadixSort
 from repro.harness import CampaignSpec
+from repro.harness.experiments import table7_spike_decay
 from repro.harness.extensions import occupancy_study
 from repro.harness.surface import sensitivity_surface
 from repro.harness.sweeps import DIALS, run_sweep
-from repro.serve import KVServe
+from repro.serve import FanoutServe, KVServe
 
 #: The reduced grids of the EXPERIMENTS report, baseline first: so the
 #: table's grids are pinned with the keys.
@@ -61,6 +62,32 @@ def test_offered_load_sweeps_the_keys_it_always_has():
     assert task_digest(run_sweep.plan(
         app, 4, "offered_rps", (100_000.0, 400_000.0, 1_600_000.0))) == \
         "123505e3d8ed9b220e9735cf0cf485928a7a9e44212be2bbdb434d09620c5af4"
+
+
+def test_fanout_and_bursty_serving_plans_keep_their_keys():
+    """A serving run's key carries every knob its class ever took,
+    the retired ones as constants: FanoutServe's set differs from
+    KVServe's, and a bursty trace is keyed apart from a Poisson one."""
+    small = dict(n_users=5_000, duration_us=8_000.0, max_requests=120,
+                 service_us=4.0, key_space=256)
+    fanout = FanoutServe(fanout=3, offered_rps=100_000.0, **small)
+    assert task_digest(run_sweep.plan(
+        fanout, 4, "offered_rps", (100_000.0, 400_000.0, 1_600_000.0))) == \
+        "8b02a73d0a3946a12f203228c06f2842626e2ba880442e23da83e30b65f28949"
+    bursty = KVServe(arrivals="bursty", offered_rps=400_000.0, **small)
+    assert task_digest(run_sweep.plan(
+        bursty, 4, "overhead", REDUCED["overhead"])) == \
+        "5d2922c1b490d6e8f7a9fab50b3be42003d23444296588ff68f47eccb89730d5"
+
+
+def test_the_spike_plan_keeps_its_keys():
+    """Table 7's plans: one spike-only fault plan per point, whose key
+    holds every field a fault plan ever had."""
+    plan = table7_spike_decay.plan(n_nodes=4, scale=0.1,
+                                   names=("Radix", "Connect"))
+    assert len(plan.tasks) == 12
+    assert task_digest(plan) == \
+        "9e206527f3cc57500504feb1d1f1e3ffad798114149737f9f6a64e86be5b71da"
 
 
 def test_a_five_dial_campaign_expands_to_the_keys_it_always_has():
