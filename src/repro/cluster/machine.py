@@ -310,7 +310,14 @@ class Cluster:
             leaked = proc.am.nic.reassembly_teardown()
             stats.record_reassembly_leaks(proc.rank, leaked)
         probes.finish()
-        output = app.finalize(procs)
+        try:
+            output = app.finalize(procs)
+        except AssertionError as exc:
+            # A failed answer check is a finding too: the races that may
+            # explain it leave with it, not with the discarded run.
+            if sanitizer is not None:
+                exc.sanitizer = sanitizer.report()
+            raise
         return RunResult(
             app_name=app.name,
             n_nodes=self.n_nodes,

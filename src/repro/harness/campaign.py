@@ -53,12 +53,12 @@ from repro.cluster.machine import Cluster
 from repro.cluster.presets import MACHINE_PRESETS
 from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT
 from repro.harness.parallel import PointTask, default_jobs, run_points
-from repro.harness.runcache import RunCache
+from repro.harness.runcache import RETIRED_FAULT_FIELDS, RunCache
 from repro.harness.store import ResultStore
 from repro.harness.suite import checked_scale, suite_for, suite_names
 from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepPoint,
                                   SweepResult, sweep_tasks)
-from repro.network.faults import DelaySpike, FaultPlan, SlowdownWindow
+from repro.network.faults import DelaySpike, FaultPlan
 
 __all__ = ["CampaignSpec", "CampaignPoint", "CampaignReport",
            "CampaignInterrupted", "run_campaign", "sweep_from_store",
@@ -144,6 +144,8 @@ class CampaignSpec:
                 raise ValueError(
                     f"a workload campaign's apps must be exactly "
                     f"({workload['app']!r},), got {self.apps}")
+            from repro.serve.apps import serving_app_from_dict
+            serving_app_from_dict(workload)  # refuses a knob by name
         if not self.name:
             raise ValueError("campaign needs a non-empty name")
         # A repeat adds no point of its own: a dial named twice would
@@ -250,9 +252,10 @@ class CampaignSpec:
 
         Each key is a field; an omitted one takes the field's default.
         Files written while the spec still had an ``engine`` field, or a
-        null ``coll`` tuning config, keep loading; any other key is
-        refused by name, so a misspelled one cannot fall back to its
-        default unnoticed.
+        null ``coll`` tuning config, or while fault plans still had an
+        empty ``slowdowns`` and a zero ``salt``, keep loading; any other
+        key, and a set retired field, is refused by name, so a
+        misspelled one cannot fall back to its default unnoticed.
         """
         data = dict(data)
         data.pop("engine", None)
@@ -268,12 +271,16 @@ class CampaignSpec:
                 f"one of {sorted(known)}")
         faults = data.get("faults")
         if faults is not None:
+            faults = dict(faults)
+            for name in RETIRED_FAULT_FIELDS:
+                if faults.pop(name, None):
+                    raise ValueError(
+                        f"fault plans no longer take {name!r}; it is "
+                        f"fixed at {RETIRED_FAULT_FIELDS[name]!r}")
             data["faults"] = FaultPlan(**{
                 **faults,
                 "spikes": tuple(DelaySpike(**s)
                                 for s in faults.get("spikes", ())),
-                "slowdowns": tuple(SlowdownWindow(**s)
-                                   for s in faults.get("slowdowns", ())),
                 "drop_kinds": (tuple(faults["drop_kinds"])
                                if faults.get("drop_kinds") else None),
             })

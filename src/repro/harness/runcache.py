@@ -50,6 +50,11 @@ __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
 #: as in formats 3 and 4, the stored stats schema or event count does).
 CACHE_FORMAT = 4
 
+#: Fields a :class:`~repro.network.faults.FaultPlan` no longer has, at
+#: the values every plan had: a fault plan's key keeps them, so no
+#: stored run is re-keyed.
+RETIRED_FAULT_FIELDS = {"slowdowns": (), "salt": 0}
+
 
 @functools.lru_cache()
 def constructor_params(app_class: type) -> Tuple[str, ...]:
@@ -86,9 +91,11 @@ def app_fingerprint(app: Any) -> Dict[str, Any]:
     :func:`constructor_params`) that exist as instance attributes are
     the app's input configuration (all suite apps follow this
     convention).  Values that are not JSON types are keyed by ``repr``.
+    A class's ``retired_knobs``, the knobs it no longer takes, enter at
+    the values they are fixed to, so retiring one re-keys no run.
     """
     app_class = type(app)
-    kwargs = {}
+    kwargs = dict(getattr(app_class, "retired_knobs", {}))
     for name in constructor_params(app_class):
         if hasattr(app, name):
             kwargs[name] = getattr(app, name)
@@ -111,6 +118,8 @@ def run_key_spec(app: Any, cluster: Cluster) -> Dict[str, Any]:
             # Both fixed: dropping either would re-key every run.
             "fabric": "flat", "coll": None}
     del spec["sanitize"]
+    if spec["faults"] is not None:
+        spec["faults"].update(RETIRED_FAULT_FIELDS)
     return spec
 
 

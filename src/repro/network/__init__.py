@@ -11,19 +11,17 @@ node to another, mirroring the Berkeley NOW hardware the paper instruments:
 * :mod:`repro.network.nic` -- the LANai-style network interface with
   independent transmit and receive contexts, per-message gap
   serialisation, and the receiver-side delay queue used to dial ``L``.
-* :mod:`repro.network.faults` -- seeded fault injection (drops, delay
-  spikes, slowdown windows) and the errors its reliability protocol
-  can surface.
+* :mod:`repro.network.faults` -- seeded fault injection (drops and
+  delay spikes) and the errors its reliability protocol can surface.
 """
 
 from repro.network.faults import (DelaySpike, FaultError, FaultInjector,
-                                  FaultPlan, RetryExhausted,
-                                  SlowdownWindow)
+                                  FaultPlan, RetryExhausted)
 from repro.network.loggp import LogGPParams
 from repro.network.packet import BULK_FRAGMENT_BYTES, Packet
 from repro.network.nic import Nic
 from repro.network.wire import Wire
 
 __all__ = ["LogGPParams", "Packet", "BULK_FRAGMENT_BYTES", "Nic", "Wire",
-           "FaultPlan", "FaultInjector", "DelaySpike", "SlowdownWindow",
-           "FaultError", "RetryExhausted"]
+           "FaultPlan", "FaultInjector", "DelaySpike", "FaultError",
+           "RetryExhausted"]

@@ -5,7 +5,9 @@ built by :func:`repro.harness.suite.suite_for` for ``--nodes`` and
 ``--scale``, as every other driver sizes them) or as
 ``path/to/file.py:ClassName`` for ad-hoc applications (the planted
 fixtures use this form).  Exit codes mirror simlint: 0 clean, 1 races,
-a deadlock or a failed answer check, 2 usage errors.
+a deadlock or a failed answer check, 2 usage errors.  A failed check
+still reports the run's races, and every report names what simsan
+does not see (:data:`~repro.sanitize.reports.BLIND_SPOTS`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.cluster.machine import Cluster
 from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT, LivelockError
 from repro.harness.parallel import at_least, finite_positive, input_scale
 from repro.harness.suite import suite_for
-from repro.sanitize.reports import DeadlockError
+from repro.sanitize.reports import BLIND_SPOTS, DeadlockError
 
 __all__ = ["main", "load_app"]
 
@@ -85,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _sanitized_run(app, args: argparse.Namespace) -> dict:
     """Run one app under the sanitizer; never raises for findings or
-    for an answer check that fails."""
+    for an answer check that fails, whose run still reports its races."""
     cluster = Cluster(args.nodes, seed=args.seed,
                       run_limit_us=args.run_limit_us,
                       livelock_limit=args.livelock_limit,
@@ -103,11 +105,14 @@ def _sanitized_run(app, args: argparse.Namespace) -> dict:
         return entry
     except AssertionError as exc:  # the suite's wrong-answer signal
         entry["failure"] = f"check failed: {exc}"
-        return entry
-    report = result.sanitizer
+        report = getattr(exc, "sanitizer", None)  # set by Cluster.run
+        if report is None:
+            return entry
+    else:
+        report = result.sanitizer
+        entry["runtime_us"] = result.runtime_us
     entry["races"] = [race.to_dict() for race in report.races]
     entry["report"] = report.to_dict()
-    entry["runtime_us"] = result.runtime_us
     return entry
 
 
@@ -131,6 +136,7 @@ def _render_text(entries: List[dict]) -> str:
             lines.append(f"{entry['app']}: {entry['failure']}")
     lines.append(
         f"simsan: {dirty} finding(s) across {len(entries)} app(s)")
+    lines.extend(f"simsan: blind spot: {spot}" for spot in BLIND_SPOTS)
     return "\n".join(lines)
 
 
@@ -152,7 +158,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     dirty = any(entry["races"] or entry["deadlock"] is not None
                 or entry["failure"] for entry in entries)
     if args.format == "json":
-        print(json.dumps({"version": 1, "apps": entries}, indent=2))
+        print(json.dumps({"version": 1, "blind_spots": list(BLIND_SPOTS),
+                          "apps": entries}, indent=2))
     else:
         print(_render_text(entries))
     return 1 if dirty else 0

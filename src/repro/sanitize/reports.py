@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 __all__ = ["AccessSite", "RaceReport", "WaitEdge", "DeadlockReport",
-           "DeadlockError", "SanitizerReport"]
+           "DeadlockError", "SanitizerReport", "BLIND_SPOTS"]
+
+#: What shadow memory does not see (see :mod:`repro.sanitize.shadow`),
+#: named in every report: a clean report says nothing about a race
+#: through these.
+BLIND_SPOTS = ("numpy access through proc.local() is not tracked",)
 
 
 @dataclass(frozen=True)
@@ -175,6 +180,7 @@ class SanitizerReport:
             f"{self.accesses_checked} access(es) checked, "
             f"{self.messages_clocked} message(s) clocked, "
             f"{self.shadow_cells} shadow cell(s)")
+        lines.extend(f"simsan: blind spot: {spot}" for spot in BLIND_SPOTS)
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -182,4 +188,5 @@ class SanitizerReport:
                 "races": [race.to_dict() for race in self.races],
                 "accesses_checked": self.accesses_checked,
                 "messages_clocked": self.messages_clocked,
-                "shadow_cells": self.shadow_cells}
+                "shadow_cells": self.shadow_cells,
+                "blind_spots": list(BLIND_SPOTS)}

@@ -11,13 +11,13 @@ p50/p99/p999 latency, queue depths, utilization, and saturation
 sweeps the machine dials, the drop rate, or the offered load itself;
 :mod:`repro.serve.sweep` renders the SLO table.
 
-Everything is bit-identical rerun-to-rerun (seeded arrivals, seeded
-load balancing, deterministic sketch), so the RunCache / ResultStore /
-campaign machinery applies to serving runs by construction.
+Everything is bit-identical rerun-to-rerun (seeded arrivals,
+round-robin frontends, deterministic sketch), so the RunCache /
+ResultStore / campaign machinery applies to serving runs by
+construction.
 """
 
-from repro.serve.apps import (LOAD_BALANCE_POLICIES, REPLICATION_POLICIES,
-                              SERVING_APPS, FanoutServe, KVServe,
+from repro.serve.apps import (SERVING_APPS, FanoutServe, KVServe,
                               ServingApp, serving_app_from_dict)
 from repro.serve.clients import ARRIVAL_PROCESSES, ClientTier, Request
 from repro.serve.metrics import LatencySketch, ServingMetrics
@@ -27,7 +27,6 @@ __all__ = [
     "ARRIVAL_PROCESSES", "ClientTier", "Request",
     "LatencySketch", "ServingMetrics",
     "ServingApp", "KVServe", "FanoutServe", "SERVING_APPS",
-    "serving_app_from_dict", "LOAD_BALANCE_POLICIES",
-    "REPLICATION_POLICIES",
+    "serving_app_from_dict",
     "OFFERED_LOAD_GRID", "serving_rows",
 ]

@@ -27,7 +27,7 @@ from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import execute_point
 from repro.harness.runcache import run_key_spec
 from repro.harness.store import STORE_SCHEMA_VERSION
-from repro.network.faults import DelaySpike, FaultPlan, SlowdownWindow
+from repro.network.faults import DelaySpike, FaultPlan
 from repro.network.loggp import LogGPParams
 
 
@@ -347,9 +347,14 @@ def test_campaign_spec_refuses_a_repeat_or_an_unknown_app_by_name(change,
      "--out writes the report"),
     (["--store-gc", "--store", "s.sqlite", "--apps", "Radix"],
      "--apps writes the report"),
+    # Knobs that are now fixed: naming one is refused, not ignored.
+    (["--campaign", "retired_fault.json", "--store", "s.sqlite"],
+     "fault plans no longer take 'salt'"),
+    (["--campaign", "retired_workload.json", "--store", "s.sqlite"],
+     "kvserve no longer takes 'write_ratio'"),
 ], ids=["render", "bench-out", "store", "gc-render", "prune", "missing",
         "repeat", "unknown-app", "only", "out", "apps", "gc-only", "gc-out",
-        "gc-apps"])
+        "gc-apps", "retired-fault", "retired-workload"])
 def test_the_campaign_cli_refuses_with_exit_2_before_opening_a_store(
         argv, said, tmp_path, monkeypatch, capsys):
     from repro.harness.__main__ import main
@@ -360,6 +365,11 @@ def test_the_campaign_cli_refuses_with_exit_2_before_opening_a_store(
                                                     "seeds": [0, 0]}))
     (tmp_path / "typo.json").write_text(json.dumps({**good,
                                                     "apps": ["Radx"]}))
+    (tmp_path / "retired_fault.json").write_text(json.dumps({
+        **good, "faults": {"drop_rate": 0.01, "salt": 3}}))
+    (tmp_path / "retired_workload.json").write_text(json.dumps({
+        **good, "apps": ["kvserve"], "workload": {
+            "app": "kvserve", "write_ratio": 0.3}}))
     with pytest.raises(SystemExit) as refused:
         main(argv + ["--no-cache"])
     assert refused.value.code == 2
@@ -376,10 +386,7 @@ def test_campaign_spec_json_round_trip_with_faults_and_coll():
         run_limit_us=1e6, livelock_limit=5000, window=4,
         faults=FaultPlan(
             drop_rate=0.001, drop_kinds=("bulk",),
-            spikes=(DelaySpike(node=1, start_us=10.0, duration_us=5.0),),
-            slowdowns=(SlowdownWindow(node=2, start_us=0.0,
-                                      duration_us=50.0, factor=2.0),),
-            salt=3))
+            spikes=(DelaySpike(node=1, start_us=10.0, duration_us=5.0),)))
     round_tripped = CampaignSpec.from_json(spec.to_json())
     assert round_tripped == spec
     # And the round trip preserves point identity, not just equality.
@@ -400,6 +407,20 @@ def test_campaign_spec_json_round_trip_with_faults_and_coll():
     with pytest.raises(ValueError, match="coll"):
         CampaignSpec.from_dict({**spec.to_dict(),
                                 "coll": {"policy": "model"}})
+    # Every fault plan the older code wrote carries an empty
+    # ``slowdowns`` and a zero ``salt``: those still load, to the same
+    # points; a set one has no meaning any more.
+    older = {**spec.to_dict(), "faults": {**spec.to_dict()["faults"],
+                                          "slowdowns": [], "salt": 0}}
+    assert ([p.key for p in CampaignSpec.from_dict(older).points()]
+            == [p.key for p in spec.points()])
+    for retired, value in (("salt", 3), ("slowdowns", [{
+            "node": 2, "start_us": 0.0, "duration_us": 50.0,
+            "factor": 2.0}])):
+        with pytest.raises(ValueError,
+                           match=f"no longer take '{retired}'"):
+            CampaignSpec.from_dict({**older, "faults": {
+                **older["faults"], retired: value}})
 
 
 @pytest.mark.parametrize("key", ["seed", "scle"])

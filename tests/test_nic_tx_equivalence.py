@@ -542,7 +542,10 @@ def test_kvserve_calls_per_request_stays_within_budget():
     one, an eighth here, still goes through ``_send``; 46 calls are the
     constructor's finiteness checks); 51,954 calls, 173.18 per request,
     since packets and handler replies are built by functions (one
-    ``object.__new__`` each).  Exact under any
+    ``object.__new__`` each); 51,246 calls, 170.82 per request, since
+    frontends are assigned in place and no request counts what is in
+    flight (the load-balance and replication forks are gone).  Exact
+    under any
     ``PYTHONHASHSEED``, as the Radix count is (CI prints both)."""
     calls, result = _calls_during(lambda: Cluster(8, seed=13).run(KVServe(
         offered_rps=200_000.0, n_users=10_000, duration_us=10_000.0,

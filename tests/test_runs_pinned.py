@@ -171,10 +171,6 @@ _SERVING_BASE = dict(offered_rps=200_000.0, n_users=10_000,
                      service_us=4.0, key_space=512)
 SERVING_POINTS = {
     "kv": (KVServe, {}, TuningKnobs()),
-    "kv:primary-backup": (KVServe, dict(
-        replication="primary-backup", load_balance="least-loaded",
-        read_anywhere=True, write_ratio=0.3), TuningKnobs()),
-    "kv:random": (KVServe, dict(load_balance="random"), TuningKnobs()),
     "kv:bursty": (KVServe, dict(arrivals="bursty", offered_rps=400_000.0),
                   TuningKnobs()),
     "kv:saturated": (KVServe, dict(
@@ -200,10 +196,6 @@ def test_serving_runs_as_they_always_have():
     assert got == {
         "kv":
             "7c78ab81f7cbad5eae85a085afd20ddd751a95caa90e1b0af0c69866c52f70ed",
-        "kv:primary-backup":
-            "0d44700ab8950640d35f8d4709332565171af5fe72bc6c70ef88b35d2650c172",
-        "kv:random":
-            "f8419373aea1a948304fd863e2f63d586335f03082e3936a02dbcb9461393ee8",
         "kv:bursty":
             "848c9e76f6612fcc36990bbd735d764edb9ce29f6e5a1d571141df68d53ab984",
         "kv:saturated":

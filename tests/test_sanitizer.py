@@ -239,11 +239,46 @@ def test_cli_a_failing_answer_check_is_that_apps_failure(capsys):
     assert main(argv) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["WrongAnswer: check failed: planted: rank 0 holds the "
-                   "wrong sum", "simsan: 1 finding(s) across 2 app(s)"]
+                   "wrong sum", "simsan: 1 finding(s) across 2 app(s)",
+                   "simsan: blind spot: numpy access through proc.local() "
+                   "is not tracked"]
     assert main(argv + ["--format", "json"]) == 1
     wrong, radix = json.loads(capsys.readouterr().out)["apps"]
     assert wrong["failure"].startswith("check failed: planted")
     assert radix["failure"] is None and radix["runtime_us"] > 0
+
+
+def test_cli_reports_the_races_of_a_run_whose_check_fails(capsys):
+    """A failed answer check used to discard the run's sanitizer
+    report: only the check was printed, never the race behind it."""
+    import json
+    argv = [f"{FIXTURES / 'racy_wrong_answer'}.py:RacyWrong", "--nodes", "4"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("RacyWrong: race on slots[")
+    assert out[0].endswith("[x4]")
+    assert out[1] == "RacyWrong: check failed: planted wrong answer"
+    assert main(argv + ["--format", "json"]) == 1
+    entry, = json.loads(capsys.readouterr().out)["apps"]
+    assert entry["failure"] == "check failed: planted wrong answer"
+    assert len(entry["races"]) == 1
+    assert entry["report"]["races"] == entry["races"]
+
+
+def test_every_report_names_what_simsan_does_not_see(capsys):
+    """A clean report is no proof for access simsan does not track:
+    the text summary and the JSON report name it, under a fixed key."""
+    import json
+    from repro.sanitize.reports import BLIND_SPOTS
+    assert any("proc.local()" in spot for spot in BLIND_SPOTS)
+    assert main(["Radix", "--scale", "0.1", "--nodes", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-len(BLIND_SPOTS):] == [
+        f"simsan: blind spot: {spot}" for spot in BLIND_SPOTS]
+    assert main(["Radix", "--scale", "0.1", "--nodes", "4",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["blind_spots"] == list(BLIND_SPOTS)
+    assert payload["apps"][0]["report"]["blind_spots"] == list(BLIND_SPOTS)
 
 
 def test_cli_clean_run_exits_zero(capsys):

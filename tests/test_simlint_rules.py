@@ -39,8 +39,8 @@ def test_seed_independent_rule_flags_the_em3d_bug_pattern():
 
 
 def test_seed_independent_rule_accepts_fault_injector_derivation():
-    """The fault injector's seed derivation (run seed mixed with the
-    plan's salt) must lint clean — it is the sanctioned pattern."""
+    """A fault RNG seeded from the run seed, mixed with a plan field,
+    must lint clean — it is the sanctioned pattern."""
     from repro.analysis.core import SourceFile, analyze_source
     source = SourceFile("network/faults.py", (
         "import numpy as np\n"
