@@ -55,7 +55,7 @@ REST = "apps, GAS, collectives, rank driver"
 ROWS = (KERNEL, PROCESS, NIC_TX, WIRE_RX, AM_SEND, AM_WAIT, COUNTERS, REST)
 #: The extra row of ``--serve``; a suite round calls nothing in it.
 SERVE = "serve (serving app, client tier, SLO instruments)"
-#: The seed of every published number (section 7, the ledger's pins).
+#: The seed of every published number (ARCHITECTURE §7, the ledger's pins).
 SEED = 13
 
 #: ``network/nic.py`` functions on the receive side; the rest transmit.

@@ -247,23 +247,8 @@ class Cluster:
         observers apart: all subscribe to the run's one ``Probes``.
         """
         if recorder is not None:
-            # The replay model (repro.cost.predict) covers exactly the
-            # reliable wire with an undialed receive context;
-            # refuse regimes whose scheduling it cannot reproduce.
-            if getattr(app, "open_system", False):
-                from repro.cost.predict import UnsupportedGraphError
-                raise UnsupportedGraphError(
-                    f"simcost cannot record open-system app "
-                    f"{app.name!r}: arrivals from outside the rank set "
-                    f"have no closed dependency graph to replay")
-            if self.faults is not None:
-                raise ValueError(
-                    "simcost recording requires a reliable fabric "
-                    "(no fault plan)")
-            if self.knobs.delta_occ > 0:
-                raise ValueError(
-                    "simcost recording does not support dialed "
-                    "occupancy (delta_occ > 0)")
+            from repro.cost import check_replayable
+            check_replayable(self.knobs, self.faults, app)
         sim = Simulator()
         stats = ClusterStats(self.n_nodes)
         sanitizer = None

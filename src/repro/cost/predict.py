@@ -27,7 +27,7 @@ most-loaded resource (host or NIC transmit context) can never finish
 faster than its summed work.
 
 What replays exactly, what is approximated, and what is refused is
-documented in ARCHITECTURE.md section 16; graphs from unsupported
+documented in ARCHITECTURE.md section 15; graphs from unsupported
 regimes raise :class:`UnsupportedGraphError` here, and recording
 refuses them up front in ``Cluster.run``.
 """
@@ -45,19 +45,34 @@ from repro.am.tuning import DialedCost, TuningKnobs
 from repro.cost.graph import MARK, RECV, SEND, CostGraph
 from repro.harness.sweeps import MACHINE_DIALS, SweepResult, dial_named
 
-__all__ = ["UnsupportedGraphError", "predict_runtime", "PredictedPoint",
-           "predict_sweep", "latency_tolerance", "lp_bound"]
+__all__ = ["UnsupportedGraphError", "check_replayable", "predict_runtime",
+           "PredictedPoint", "predict_sweep", "latency_tolerance", "lp_bound"]
 
 
 class UnsupportedGraphError(ValueError):
     """The dial point or graph is outside the replay model's domain."""
 
 
-def _check_supported(graph: CostGraph, knobs: TuningKnobs) -> None:
+def check_replayable(knobs: TuningKnobs, faults=None, app=None) -> None:
+    """Refuse what the replay cannot reproduce: it covers a closed app on
+    the reliable wire with an undialed receive context.  Recording
+    (``Cluster.run(recorder=)``) and every predicted dial point ask."""
+    if getattr(app, "open_system", False):
+        raise UnsupportedGraphError(
+            f"simcost cannot record open-system app {app.name!r}: "
+            f"arrivals from outside the rank set have no closed "
+            f"dependency graph to replay")
+    if faults is not None:
+        raise UnsupportedGraphError(
+            "simcost requires a reliable fabric (no fault plan)")
     if knobs.delta_occ > 0:
         raise UnsupportedGraphError(
             "dialed occupancy (delta_occ > 0) serialises the receive "
-            "context; predict cannot replay it — simulate instead")
+            "context; simcost cannot replay it — simulate instead")
+
+
+def _check_supported(graph: CostGraph, knobs: TuningKnobs) -> None:
+    check_replayable(knobs)
     if graph.knobs.delta_occ > 0:
         raise UnsupportedGraphError(
             "graph was recorded with dialed occupancy; re-record at "

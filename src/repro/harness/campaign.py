@@ -49,6 +49,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro.am.layer import DEFAULT_WINDOW
+from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster
 from repro.cluster.presets import MACHINE_PRESETS
 from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT
@@ -132,6 +133,7 @@ class CampaignSpec:
         object.__setattr__(self, "dials", tuple(
             (parameter, tuple(values)) for parameter, values in self.dials))
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        app = None
         if self.workload is not None:
             workload = dict(self.workload)
             object.__setattr__(self, "workload", tuple(
@@ -145,7 +147,7 @@ class CampaignSpec:
                     f"a workload campaign's apps must be exactly "
                     f"({workload['app']!r},), got {self.apps}")
             from repro.serve.apps import serving_app_from_dict
-            serving_app_from_dict(workload)  # refuses a knob by name
+            app = serving_app_from_dict(workload)  # refuses a knob by name
         if not self.name:
             raise ValueError("campaign needs a non-empty name")
         # A repeat adds no point of its own: a dial named twice would
@@ -167,9 +169,14 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown machine preset {self.machine!r}; "
                 f"one of {sorted(MACHINE_PRESETS)}")
-        # Cluster refuses a bad machine field by name.
-        Cluster(1, window=self.window, run_limit_us=self.run_limit_us,
-                livelock_limit=self.livelock_limit)
+        # Each value is refused by the code that owns it, before a store
+        # opens: Cluster the node counts (and the machine fields, even
+        # with none), each dial's turn its values.
+        params = MACHINE_PRESETS[self.machine]
+        for n_nodes in self.node_counts or (1,):
+            Cluster(n_nodes, params=params, window=self.window,
+                    run_limit_us=self.run_limit_us,
+                    livelock_limit=self.livelock_limit)
         for parameter, values in self.dials:
             if parameter not in DIALS:
                 raise ValueError(
@@ -181,9 +188,12 @@ class CampaignSpec:
             if not values:
                 raise ValueError(f"dial {parameter!r} has no values")
             for value in values:
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"dial {parameter!r} has non-finite value {value!r}")
+                try:
+                    DIALS[parameter].turn(value, app, params, TuningKnobs(),
+                                          self.faults)
+                except ValueError as error:
+                    raise ValueError(f"dial {parameter!r} value {value!r}: "
+                                     f"{error}") from None
 
     # -- expansion ---------------------------------------------------------
     def values_for(self, parameter: str) -> Tuple[float, ...]:

@@ -92,8 +92,8 @@ class _Context:
     ``serve(packet)`` one zero-delay entry after the context is free --
     never synchronously: that deferral orders service behind everything
     already scheduled for the instant, the tie order every pinned
-    ``runtime_us`` rests on (ARCHITECTURE section 13.1).  The owner calls
-    :meth:`done` once the packet's service and stall are over."""
+    ``runtime_us`` rests on (``docs/decisions``, decision 0006).  The
+    owner calls :meth:`done` once the packet's service and stall are over."""
 
     def __init__(self, sim: Simulator,
                  serve: Callable[[Packet], None]) -> None:

@@ -70,12 +70,11 @@ def call_site() -> str:
 class Sanitizer:
     """Happens-before race detector + wait-for bookkeeping for one run."""
 
-    def __init__(self, n_nodes: int, sim: "Simulator",  # noqa: F821
-                 granularity: int = 1) -> None:
+    def __init__(self, n_nodes: int, sim: "Simulator") -> None:  # noqa: F821
         self.n_nodes = n_nodes
         self.sim = sim
         self.clocks = ClockSet(n_nodes)
-        self.shadow = ShadowMemory(self.clocks, granularity=granularity)
+        self.shadow = ShadowMemory(self.clocks)
         self.messages_clocked = 0
         #: Per-rank stack of ``(kind, peers, detail)`` wait annotations;
         #: the top entry is what the rank is blocked on right now (nested

@@ -33,12 +33,9 @@ Direct ``proc.local(array)`` numpy access is *not* tracked (documented
 limitation): it is this rank's own partition, and the suite uses it
 only in phases separated from remote traffic by barriers.
 
-Shadow keys are ``(array_id, element // granularity)``; ``granularity``
-> 1 trades precision for memory (adjacent elements share one cell, so
-distinct-element accesses in one granule can report as a race), exactly
-the per-block mode the memory-bounds discussion in ARCHITECTURE.md
-covers.  Array ids are SPMD-consistent across ranks because allocation
-is collective and in-order.
+Shadow keys are ``(array_id, element)``.  Array ids are
+SPMD-consistent across ranks because allocation is collective and
+in-order.
 """
 
 from __future__ import annotations
@@ -70,11 +67,8 @@ class _ShadowCell:
 class ShadowMemory:
     """Shadow cells plus the deduplicated race reports they produce."""
 
-    def __init__(self, clocks: ClockSet, granularity: int = 1) -> None:
-        if granularity < 1:
-            raise ValueError(f"granularity must be >= 1, got {granularity}")
+    def __init__(self, clocks: ClockSet) -> None:
         self._clocks = clocks
-        self.granularity = granularity
         self._cells: Dict[Tuple[int, int], _ShadowCell] = {}
         #: canonical (array_id, site/kind pair) -> report, insertion
         #: ordered (deterministic: the simulator is).
@@ -95,7 +89,7 @@ class ShadowMemory:
         """Check one element access against the shadow state, then fold
         it in.  ``kind`` is one of the access classes above."""
         self.accesses_checked += 1
-        key = (array.array_id, index // self.granularity)
+        key = (array.array_id, index)
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells[key] = _ShadowCell()
@@ -146,15 +140,9 @@ class ShadowMemory:
     def record_range(self, rank: int, array: "GlobalArray",  # noqa: F821
                      start: int, count: int, kind: str, site: str,
                      time_us: float) -> None:
-        """Record a contiguous bulk access element by element (granule
-        by granule when ``granularity`` > 1)."""
-        step = self.granularity
-        index = start
-        last = start + count - 1
-        while index <= last:
+        """Record a contiguous bulk access element by element."""
+        for index in range(start, start + count):
             self.record(rank, array, index, kind, site, time_us)
-            # Jump to the next granule boundary, not the next element.
-            index = (index // step + 1) * step
 
     # -- reporting ---------------------------------------------------------
     def _report(self, array: "GlobalArray", index: int,  # noqa: F821

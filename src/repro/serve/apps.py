@@ -13,7 +13,7 @@ inherit the whole substrate unchanged: the NIC pipeline and o/g/L/G
 dials, per-destination flow-control credits (the backpressure under
 overload), fault injection + ARQ, simsan, and the tuned collectives.
 
-Execution model (see ARCHITECTURE.md section 17): the client tier is
+Execution model (see ARCHITECTURE.md section 16): the client tier is
 one extra simulator process *outside the rank set* — it walks the
 seeded arrival trace, charges no host time, and appends each request
 to the frontend ranks' queues in round-robin order.  Every rank runs

@@ -19,7 +19,7 @@ There is exactly one scheduler.  :meth:`Simulator.step` is the
 readable reference for what processing one event means; the two loops
 inlined in :meth:`Simulator.run` must stay semantically identical to it
 (``tests/test_engine_equivalence.py`` fuzzes them against each other;
-ARCHITECTURE.md section 13 records why there is no second tier).
+decision 0005 in ``docs/decisions`` records why there is no second tier).
 """
 
 from __future__ import annotations

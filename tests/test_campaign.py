@@ -378,6 +378,42 @@ def test_the_campaign_cli_refuses_with_exit_2_before_opening_a_store(
     assert not (tmp_path / "s.sqlite").exists()
 
 
+@pytest.mark.parametrize("change, said", [
+    ({"node_counts": [0]}, "n_nodes must be an int >= 1, got 0"),
+    ({"node_counts": [-2]}, "n_nodes must be an int >= 1, got -2"),
+    ({"node_counts": [4.5]}, "n_nodes must be an int >= 1, got 4.5"),
+    ({"dials": [["bulk_mb_s", [38.0, 0.0]]]},
+     "dial 'bulk_mb_s' value 0.0: bandwidth must be > 0"),
+    ({"dials": [["drop_rate", [0.0, 1.5]]]},
+     "dial 'drop_rate' value 1.5: drop_rate must be in [0, 1]"),
+    ({"dials": [["occupancy", [0.0, -5]]]},
+     "dial 'occupancy' value -5: delta_occ must be finite and >= 0"),
+], ids=["nodes-0", "nodes-negative", "nodes-fractional", "bandwidth-0",
+        "drop-rate-1.5", "occupancy-negative"])
+def test_the_campaign_cli_refuses_a_bad_value_before_opening_a_store(
+        change, said, tmp_path, monkeypatch, capsys):
+    # Each value is refused by the code that owns it (Cluster, the
+    # dial's turn), at spec load: these used to open the store and then
+    # die in ``points()`` with a traceback.
+    from repro.harness.__main__ import main
+    monkeypatch.chdir(tmp_path)
+    good = dict(name="c", apps=["Radix"], node_counts=[4],
+                dials=[["overhead", [2.9]]], scale=0.01)
+    (tmp_path / "bad.json").write_text(json.dumps({**good, **change}))
+    with pytest.raises(SystemExit) as refused:
+        main(["--campaign", "bad.json", "--store", "s.sqlite",
+              "--no-cache"])
+    assert refused.value.code == 2
+    assert said in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "s.sqlite").exists()
+
+
+def test_a_spec_without_node_counts_still_checks_its_machine_fields():
+    with pytest.raises(ValueError, match="window"):
+        CampaignSpec(name="c", apps=("Radix",), node_counts=(),
+                     dials=(("overhead", (2.9,)),), window=0)
+
+
 def test_campaign_spec_json_round_trip_with_faults_and_coll():
     spec = CampaignSpec(
         name="rt", apps=("Radix", "Connect"), node_counts=(4, 8),

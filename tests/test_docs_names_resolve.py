@@ -1,9 +1,9 @@
 """Every name the docs import exists.
 
 ``from repro... import a, b`` in ``examples/*.py`` and in the fenced
-``python`` blocks of README.md and docs/ARCHITECTURE.md must resolve by
-import + ``getattr``, and so must every `` `repro.*` `` name in
-DESIGN.md's system inventory: a renamed or removed function or module
+``python`` blocks of README.md, docs/ARCHITECTURE.md and the decision
+records in docs/decisions/ must resolve by import + ``getattr``, and so
+must every `` `repro.*` `` name in DESIGN.md's system inventory: a renamed or removed function or module
 then fails here, in the change that removes it, instead of in a
 reader's terminal.  Imports only — nothing is run.
 """
@@ -14,7 +14,8 @@ import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DOCS = [ROOT / "README.md", ROOT / "docs" / "ARCHITECTURE.md"]
+DOCS = [ROOT / "README.md", ROOT / "docs" / "ARCHITECTURE.md",
+        *sorted((ROOT / "docs" / "decisions").glob("*.md"))]
 FENCE = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
 INVENTORY = re.compile(r"^## 2\. System inventory.*?\n(.*?)^## ",
                        re.S | re.M)

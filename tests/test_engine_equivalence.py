@@ -405,7 +405,7 @@ def test_timeout_recycling_does_not_leak_state():
 # ---------------------------------------------------------------------------
 
 def test_zero_sleep_runs_behind_everything_already_scheduled():
-    """The section 13.1 tie order: a bare delay of 0.0 is one more entry
+    """Decision 0006's tie order: a bare delay of 0.0 is one more entry
     at this instant, behind those already there and ahead of later ones,
     whichever kind each is."""
     sim = Simulator()
