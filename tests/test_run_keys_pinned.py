@@ -14,10 +14,13 @@ the change, not in this file.
 
 import hashlib
 
-from repro.apps import RadixSort
+from repro.apps import RadixSort, default_suite
+from repro.cluster.machine import Cluster
 from repro.harness import CampaignSpec
 from repro.harness.experiments import table7_spike_decay
-from repro.harness.extensions import occupancy_study
+from repro.harness.extensions import (investment_study, occupancy_study,
+                                      scaling_study)
+from repro.harness.runcache import RunCache, run_key_spec
 from repro.harness.surface import sensitivity_surface
 from repro.harness.sweeps import DIALS, run_sweep
 from repro.serve import FanoutServe, KVServe
@@ -106,3 +109,48 @@ def test_surface_and_occupancy_grids_keep_their_keys():
         "ecb20e6c47954eea5d3be7c4263a1fc3be938404ce8a58f6abf3bd7508250845"
     assert task_digest(occupancy_study.plan(n_nodes=4)) == \
         "0e0712c677e6ce99c5b1850568bc2ef9926eb6d29d80b44aea8d263638de669d"
+
+
+def test_every_suite_app_keeps_its_keys():
+    """One digest per application, over its keys at two suite scales on
+    4 nodes: each key holds every shape knob the app's class has ever
+    taken and every field of the default machine, so a failure names
+    the app whose key moved."""
+    pairs = {}
+    for scale in (0.05, 0.1):
+        for app in default_suite(scale):
+            spec = run_key_spec(app, Cluster(n_nodes=4))
+            pairs.setdefault(app.name, []).append(
+                (scale, RunCache.key_for(spec)))
+    assert {name: digest(keyed) for name, keyed in pairs.items()} == {
+        "Radix":
+            "2581f529fd1ff829d21e9d50bbac21cff11d1a15ba9806f515c3791500b05c10",
+        "EM3D(write)":
+            "49e175173cce21c3bbb3a1168d28fe640fe253c5f78cde42915e14541a03b027",
+        "EM3D(read)":
+            "dd0c2346799ada40c7c765e35f311e587a37386443560c04c41701093fa2f40b",
+        "Sample":
+            "def7e606c40e8adbe68bbd2cbff4f1543ed61e273f47def50b8faa1ff15d879b",
+        "Barnes":
+            "63de58f0bdc2597a7c482798a0758823fb9a8e5f3c80c5ace8fc7397866fcb03",
+        "P-Ray":
+            "b8da9b9c0afa6094f58798cd99573169d84a873b4a8f0f1b23a5e4fc6cb621be",
+        "Murphi":
+            "a4b0fb98bc4ce001d7803ade8a1f1d735e37cb97312abecff32936a9cd02bf14",
+        "Connect":
+            "9dfc82d600096634138c5eadea95ec48df387ffcc9ea9704b062f3b11c97581a",
+        "NOW-sort":
+            "2cb615eac24184c7a773b33ffc3326de71394cb3876a07341e28a12360b8ace1",
+        "Radb":
+            "c56e920eab25db2125c0adf43a763a0877d21b090abd8b69906a2ceb25538614",
+    }
+
+
+def test_the_cost_and_scaling_studies_keep_their_keys():
+    """The investment study is the one plan that sets a cost model (a
+    2x CPU); the scaling study runs one app at several sizes."""
+    assert task_digest(investment_study.plan(n_nodes=8, scale=0.05)) == \
+        "c5331486f9f2def4d4550d40912d2b6cf7a22e86c2e43b4bcee66f1875a974c2"
+    assert task_digest(scaling_study.plan(node_counts=(4, 8),
+                                          scale=0.05)) == \
+        "62fa316b6763ee7dfdb6d84ed5e291550c9a8a912cc9cea1c2c9cc69e95eb2c6"
