@@ -147,26 +147,22 @@ class Barnes(Application):
     ----------
     bodies_per_proc:
         Bodies each processor owns and inserts.
-    theta:
-        Barnes-Hut opening criterion (cell used whole if size/dist < θ).
-    steps:
-        Timesteps (each = build + moments + forces + update).
-    dt:
-        Integration step for the position update.
     """
 
     name = "Barnes"
 
-    def __init__(self, bodies_per_proc: int = 8, theta: float = 0.6,
-                 steps: int = 1, dt: float = 0.01) -> None:
-        if bodies_per_proc < 1 or steps < 1:
-            raise ValueError("bodies_per_proc and steps must be >= 1")
-        if theta <= 0:
-            raise ValueError("theta must be > 0")
+    #: Barnes-Hut opening criterion (cell used whole if size/dist < θ).
+    theta = 0.6
+    #: Timesteps: one build + moments + forces + update.
+    steps = 1
+    #: Integration step for the position update.
+    dt = 0.01
+    retired_knobs = {"theta": theta, "steps": steps, "dt": dt}
+
+    def __init__(self, bodies_per_proc: int = 8) -> None:
+        if bodies_per_proc < 1:
+            raise ValueError("bodies_per_proc must be >= 1")
         self.bodies_per_proc = bodies_per_proc
-        self.theta = theta
-        self.steps = steps
-        self.dt = dt
         self._positions: np.ndarray = np.empty((0, 3))
         self._velocities: np.ndarray = np.empty((0, 3))
         self._masses: np.ndarray = np.empty(0)
@@ -218,20 +214,16 @@ class Barnes(Application):
     # -- the timed program ---------------------------------------------------------
     def run_rank(self, proc: Proc) -> Generator:
         state = proc.state["barnes"]
-        for _step in range(self.steps):
-            state["cells"].clear()
-            state["cache"].clear()
-            yield from proc.barrier()
-            yield from self._build_phase(proc, state)
-            yield from proc.barrier()
-            yield from self._moment_phase(proc, state)
-            yield from proc.barrier()
-            yield from self._force_phase(proc, state)
-            yield from proc.barrier()
-            self._update_bodies(state)
-            yield from proc.compute(
-                proc.cost.ops(10 * self.bodies_per_proc))
-            yield from proc.barrier()
+        yield from proc.barrier()
+        yield from self._build_phase(proc, state)
+        yield from proc.barrier()
+        yield from self._moment_phase(proc, state)
+        yield from proc.barrier()
+        yield from self._force_phase(proc, state)
+        yield from proc.barrier()
+        self._update_bodies(state)
+        yield from proc.compute(proc.cost.ops(10 * self.bodies_per_proc))
+        yield from proc.barrier()
 
     # .. build ..................................................................
     def _build_phase(self, proc: Proc, state: dict) -> Generator:
@@ -439,27 +431,18 @@ class Barnes(Application):
 
     def _reference_accels(self) -> np.ndarray:
         """Sequential Barnes-Hut over the same bodies, geometry and θ."""
-        positions = self._positions.copy()
-        velocities = self._velocities.copy()
         masses = self._masses.tolist()
         total = len(masses)
-        accels = np.zeros((total, 3))
-        for _step in range(self.steps):
-            # Plain floats from here on: the walk below does thousands
-            # of three-element sums, which numpy would pay per call.
-            points = positions.tolist()
-            cells: Dict[tuple, dict] = {}
-            for body in range(total):
-                _sequential_insert(
-                    cells, (body, points[body], masses[body]))
-            _sequential_moments(cells)
-            accels[:] = [_sequential_force(cells, body, points[body],
+        # Plain floats from here on: the walk below does thousands of
+        # three-element sums, which numpy would pay per call.
+        points = self._positions.tolist()
+        cells: Dict[tuple, dict] = {}
+        for body in range(total):
+            _sequential_insert(cells, (body, points[body], masses[body]))
+        _sequential_moments(cells)
+        return np.array([_sequential_force(cells, body, points[body],
                                            self.theta)
-                         for body in range(total)]
-            velocities += accels * self.dt
-            positions = np.clip(positions + velocities * self.dt,
-                                0.01, 0.99)
-        return accels
+                         for body in range(total)])
 
 
 # ---------------------------------------------------------------------------

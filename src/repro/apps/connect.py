@@ -36,23 +36,22 @@ class Connect(Application):
 
     Parameters
     ----------
-    rows_per_proc, cols:
+    rows_per_proc:
         The mesh is ``(rows_per_proc * P) x cols``.
-    connectivity:
-        Probability each lattice edge exists (paper: 30%).
     """
 
     name = "Connect"
 
-    def __init__(self, rows_per_proc: int = 192, cols: int = 64,
-                 connectivity: float = 0.3) -> None:
-        if rows_per_proc < 1 or cols < 1:
-            raise ValueError("rows_per_proc and cols must be >= 1")
-        if not 0.0 <= connectivity <= 1.0:
-            raise ValueError("connectivity must be within [0, 1]")
+    #: Mesh width.
+    cols = 64
+    #: Probability each lattice edge exists (paper: 30%).
+    connectivity = 0.3
+    retired_knobs = {"cols": cols, "connectivity": connectivity}
+
+    def __init__(self, rows_per_proc: int = 192) -> None:
+        if rows_per_proc < 1:
+            raise ValueError("rows_per_proc must be >= 1")
         self.rows_per_proc = rows_per_proc
-        self.cols = cols
-        self.connectivity = connectivity
         #: The mesh's edges ``(u, v)``, ``u < v``, sorted by ``u``.
         self._edges = np.empty((0, 2), dtype=np.int64)
         #: Per rank: (edges inside its strip, cross-strip edges it

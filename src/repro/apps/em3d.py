@@ -41,29 +41,26 @@ class EM3D(Application):
     ----------
     nodes_per_proc:
         Graph nodes of *each* kind (E and H) per processor.
-    degree:
-        In-edges per node.
-    pct_remote:
-        Fraction of edges whose source lives on another processor
-        (paper input: 40%).
     steps:
         Time steps to simulate.
     variant:
         ``"write"`` or ``"read"``.
     """
 
-    def __init__(self, nodes_per_proc: int = 24, degree: int = 4,
-                 pct_remote: float = 0.4, steps: int = 6,
+    #: In-edges per node.
+    degree = 4
+    #: Fraction of edges whose source lives on another processor
+    #: (paper input: 40%).
+    pct_remote = 0.4
+    retired_knobs = {"degree": degree, "pct_remote": pct_remote}
+
+    def __init__(self, nodes_per_proc: int = 24, steps: int = 6,
                  variant: str = "write") -> None:
         if variant not in ("write", "read"):
             raise ValueError(f"unknown EM3D variant {variant!r}")
-        if nodes_per_proc < 1 or degree < 1 or steps < 1:
-            raise ValueError("nodes_per_proc, degree, steps must be >= 1")
-        if not 0.0 <= pct_remote <= 1.0:
-            raise ValueError("pct_remote must be within [0, 1]")
+        if nodes_per_proc < 1 or steps < 1:
+            raise ValueError("nodes_per_proc and steps must be >= 1")
         self.nodes_per_proc = nodes_per_proc
-        self.degree = degree
-        self.pct_remote = pct_remote
         self.steps = steps
         self.variant = variant
         self._edges: Dict[str, List[List[Tuple[int, float]]]] = {}

@@ -39,22 +39,20 @@ class NowSort(Application):
     ----------
     records_per_proc:
         Records initially on each node's read disk.
-    chunk_records:
-        Records read off disk (and partitioned/shipped) per chunk.
-    key_bits:
-        Key width; uniform keys are range-partitioned over the nodes.
     """
 
     name = "NOW-sort"
 
-    def __init__(self, records_per_proc: int = 512,
-                 chunk_records: int = 64, key_bits: int = 24) -> None:
-        if records_per_proc < 1 or chunk_records < 1:
-            raise ValueError(
-                "records_per_proc and chunk_records must be >= 1")
+    #: Records read off disk (and partitioned/shipped) per chunk.
+    chunk_records = 64
+    #: Key width; uniform keys are range-partitioned over the nodes.
+    key_bits = 24
+    retired_knobs = {"chunk_records": chunk_records, "key_bits": key_bits}
+
+    def __init__(self, records_per_proc: int = 512) -> None:
+        if records_per_proc < 1:
+            raise ValueError("records_per_proc must be >= 1")
         self.records_per_proc = records_per_proc
-        self.chunk_records = chunk_records
-        self.key_bits = key_bits
         self._keys: np.ndarray = np.empty(0, dtype=np.int64)
         self._n_nodes = 0
 
@@ -91,8 +89,7 @@ class NowSort(Application):
     # -- the timed program ---------------------------------------------------------
     def run_rank(self, proc: Proc) -> Generator:
         state = proc.state["nowsort"]
-        read_disk = proc.disk(0)
-        write_disk = proc.disk(1 if len(proc.node.disks) > 1 else 0)
+        read_disk, write_disk = proc.disk(0), proc.disk(1)
 
         # Phase 1: read, partition, ship.  The bulk sends are one-way
         # AMs issued as each chunk comes off the disk, so the network

@@ -40,27 +40,25 @@ class PRay(Application):
         Rays traced by each processor.
     n_objects:
         Scene objects, distributed cyclically over processors.
-    objects_per_ray:
-        Candidate objects each ray tests.
-    cache_objects:
-        Capacity of the per-processor software cache (LRU).
-    zipf_s:
-        Zipf exponent for object popularity (hot spots).
     """
 
     name = "P-Ray"
 
-    def __init__(self, pixels_per_proc: int = 48, n_objects: int = 256,
-                 objects_per_ray: int = 8, cache_objects: int = 32,
-                 zipf_s: float = 1.2) -> None:
-        if min(pixels_per_proc, n_objects, objects_per_ray,
-               cache_objects) < 1:
-            raise ValueError("all P-Ray parameters must be >= 1")
+    #: Candidate objects each ray tests.
+    objects_per_ray = 8
+    #: Capacity of the per-processor software cache (LRU).
+    cache_objects = 32
+    #: Zipf exponent for object popularity (hot spots).
+    zipf_s = 1.2
+    retired_knobs = {"objects_per_ray": objects_per_ray,
+                     "cache_objects": cache_objects, "zipf_s": zipf_s}
+
+    def __init__(self, pixels_per_proc: int = 48,
+                 n_objects: int = 256) -> None:
+        if min(pixels_per_proc, n_objects) < 1:
+            raise ValueError("pixels_per_proc and n_objects must be >= 1")
         self.pixels_per_proc = pixels_per_proc
         self.n_objects = n_objects
-        self.objects_per_ray = objects_per_ray
-        self.cache_objects = cache_objects
-        self.zipf_s = zipf_s
         self._object_data: np.ndarray = np.empty(0)
         self._ray_objects: np.ndarray = np.empty((0, 0), dtype=np.int64)
         self._n_nodes = 0

@@ -33,7 +33,8 @@ class RadixBulk(RadixSort):
     #: Radb is the restructured-for-bulk program: its histogram phase
     #: packs the whole counter table into a single message per ring hop,
     #: unlike Radix's fine-grained cyclic shift.
-    DEFAULT_SCAN_BATCH = 256
+    scan_batch = 256
+    retired_knobs = {**RadixSort.retired_knobs, "scan_batch": scan_batch}
 
     @classmethod
     def scaled(cls, scale: float = 1.0) -> "RadixBulk":

@@ -1,6 +1,6 @@
 """Radix sort (the paper's ``Radix``), after Dusseau et al. [19].
 
-Sorts 32-bit keys spread block-wise over the processors.  Each pass over
+Sorts 16-bit keys spread block-wise over the processors.  Each pass over
 one digit runs three phases:
 
 1. **Local histogram** -- count keys per bucket (local compute).
@@ -31,47 +31,37 @@ __all__ = ["RadixSort"]
 
 
 class RadixSort(Application):
-    """Parallel radix sort of 32-bit keys.
+    """Parallel radix sort of 16-bit keys.
 
     Parameters
     ----------
     keys_per_proc:
         Keys initially held by each processor (paper: 500k/1M; default
         scaled down so a full sweep stays fast).
-    radix_bits:
-        Bits per digit; buckets per pass = ``2**radix_bits``.
-    key_bits:
-        Total key width; ``ceil(key_bits / radix_bits)`` passes run.
-    scan_batch:
-        Buckets per pipelined-cyclic-shift message in the global
-        histogram phase.
     """
 
     name = "Radix"
 
+    #: Bits per digit: 256 buckets per pass.
+    radix_bits = 8
+    #: Key width: two passes, like the paper's two iterations.
+    key_bits = 16
     #: Buckets per cyclic-shift message.  The paper's radix-16 sort
     #: moves thousands of counter messages per pass; with our scaled
     #: 8-bit radix a small batch keeps the histogram phase's message
     #: count (and its serialisation) proportionally realistic — and
     #: paints Figure 4a's dark ring line.
-    DEFAULT_SCAN_BATCH = 16
+    scan_batch = 16
+    retired_knobs = {"radix_bits": radix_bits, "key_bits": key_bits,
+                     "scan_batch": scan_batch}
 
-    def __init__(self, keys_per_proc: int = 2048, radix_bits: int = 8,
-                 key_bits: int = 16, scan_batch: int = 0) -> None:
+    n_buckets = 1 << radix_bits
+    n_passes = -(-key_bits // radix_bits)
+
+    def __init__(self, keys_per_proc: int = 2048) -> None:
         if keys_per_proc < 1:
             raise ValueError("keys_per_proc must be >= 1")
-        if not 1 <= radix_bits <= 16:
-            raise ValueError("radix_bits must be in 1..16")
-        if key_bits < radix_bits:
-            raise ValueError("key_bits must be >= radix_bits")
-        if scan_batch == 0:
-            scan_batch = self.DEFAULT_SCAN_BATCH
-        if scan_batch < 1:
-            raise ValueError("scan_batch must be >= 1")
         self.keys_per_proc = keys_per_proc
-        self.radix_bits = radix_bits
-        self.key_bits = key_bits
-        self.scan_batch = scan_batch
         self._input: np.ndarray = np.empty(0, dtype=np.int64)
 
     @classmethod
@@ -80,14 +70,6 @@ class RadixSort(Application):
         return cls(keys_per_proc=max(16, int(2048 * scale)))
 
     # -- lifecycle ----------------------------------------------------------
-    @property
-    def n_buckets(self) -> int:
-        return 1 << self.radix_bits
-
-    @property
-    def n_passes(self) -> int:
-        return -(-self.key_bits // self.radix_bits)
-
     def configure(self, n_nodes: int, seed: int) -> None:
         rng = np.random.RandomState(seed + 0xBEEF)
         total = n_nodes * self.keys_per_proc

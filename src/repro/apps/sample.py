@@ -25,36 +25,31 @@ __all__ = ["SampleSort"]
 
 
 class SampleSort(Application):
-    """Parallel sample sort of 32-bit keys.
+    """Parallel sample sort of 16-bit keys.
 
     Parameters
     ----------
     keys_per_proc:
         Keys initially held by each processor.
-    oversample:
-        Samples contributed per processor for splitter selection.
-    key_bits:
-        Width of the keys.
-    skew:
-        Exponent shaping the key distribution (1.0 = uniform; larger
-        values concentrate keys in the low range, producing the paper's
-        communication imbalance).
     """
 
     name = "Sample"
 
-    def __init__(self, keys_per_proc: int = 2048, oversample: int = 8,
-                 key_bits: int = 16, skew: float = 1.6) -> None:
+    #: Samples contributed per processor for splitter selection.
+    oversample = 8
+    #: Width of the keys.
+    key_bits = 16
+    #: Exponent shaping the key distribution (1.0 would be uniform; a
+    #: larger one concentrates keys in the low range, producing the
+    #: paper's communication imbalance).
+    skew = 1.6
+    retired_knobs = {"oversample": oversample, "key_bits": key_bits,
+                     "skew": skew}
+
+    def __init__(self, keys_per_proc: int = 2048) -> None:
         if keys_per_proc < 1:
             raise ValueError("keys_per_proc must be >= 1")
-        if oversample < 1:
-            raise ValueError("oversample must be >= 1")
-        if skew <= 0:
-            raise ValueError("skew must be > 0")
         self.keys_per_proc = keys_per_proc
-        self.oversample = oversample
-        self.key_bits = key_bits
-        self.skew = skew
         self._input: np.ndarray = np.empty(0, dtype=np.int64)
 
     @classmethod

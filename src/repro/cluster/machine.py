@@ -131,8 +131,6 @@ class Cluster:
         ``"per-destination"`` (GAM's) or ``"global"``.
     cost:
         Host CPU cost model; default approximates the UltraSPARC 170.
-    disks_per_node:
-        Spindles per node (NOW-sort uses two).
     seed:
         Master seed for deterministic workload generation.
     run_limit_us:
@@ -144,7 +142,7 @@ class Cluster:
         ``int`` >= 0.
     faults:
         Optional :class:`~repro.network.faults.FaultPlan` making the
-        wire imperfect (drops, delay spikes, slowdown windows).  A null
+        wire imperfect (drops and delay spikes).  A null
         plan is normalised to ``None``, so the reliability machinery is
         provably absent on the perfectly reliable fabric and such runs
         stay bit-identical to, and keyed as, runs that never mention
@@ -164,7 +162,6 @@ class Cluster:
     window: int = DEFAULT_WINDOW
     window_scope: str = "per-destination"
     cost: Optional[CostModel] = None
-    disks_per_node: int = 2
     seed: int = 0
     run_limit_us: Optional[float] = None
     livelock_limit: int = DEFAULT_LIVELOCK_LIMIT
@@ -218,8 +215,7 @@ class Cluster:
                     probes=probes)
         procs: List[Proc] = []
         for node_id in range(self.n_nodes):
-            node = Node(sim, node_id, self.cost,
-                        n_disks=self.disks_per_node)
+            node = Node(sim, node_id, self.cost)
             am = AmLayer(sim, node_id, self.params, self.knobs, wire,
                          handlers, window=self.window,
                          window_scope=self.window_scope,

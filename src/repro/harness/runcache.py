@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.machine import Cluster, RunResult
+from repro.cluster.node import DISKS_PER_NODE, CostModel
 
 __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
            "constructor_params"]
@@ -54,6 +55,14 @@ CACHE_FORMAT = 4
 #: the values every plan had: a fault plan's key keeps them, so no
 #: stored run is re-keyed.
 RETIRED_FAULT_FIELDS = {"slowdowns": (), "salt": 0}
+
+#: :class:`~repro.cluster.node.CostModel`'s per-operation costs, fields
+#: no longer: every cost model's key keeps them at their values.
+RETIRED_COST_FIELDS = {
+    name: getattr(CostModel, name)
+    for name in ("us_per_op", "us_per_byte_copied",
+                 "us_per_flop_interaction", "us_per_state_hash",
+                 "us_per_edge", "us_per_key")}
 
 
 @functools.lru_cache()
@@ -115,9 +124,11 @@ def run_key_spec(app: Any, cluster: Cluster) -> Dict[str, Any]:
     """
     spec = {"format": CACHE_FORMAT, "app": app_fingerprint(app),
             **dataclasses.asdict(cluster),
-            # Both fixed: dropping either would re-key every run.
-            "fabric": "flat", "coll": None}
+            # Fixed: dropping any would re-key every run.
+            "fabric": "flat", "coll": None,
+            "disks_per_node": DISKS_PER_NODE}
     del spec["sanitize"]
+    spec["cost"].update(RETIRED_COST_FIELDS)
     if spec["faults"] is not None:
         spec["faults"].update(RETIRED_FAULT_FIELDS)
     return spec

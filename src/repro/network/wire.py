@@ -29,7 +29,7 @@ class Wire:
 
     An optional :class:`~repro.network.faults.FaultInjector` makes the
     fabric imperfect: it may drop a packet outright or stretch its
-    transit (delay spikes, slowdown windows).  Without an injector the
+    transit (a delay spike).  Without an injector the
     fast path is untouched.
     """
 

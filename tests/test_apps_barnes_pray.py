@@ -82,13 +82,8 @@ def test_plan_split_identical_positions_hits_max_depth():
 # -- Barnes end-to-end ----------------------------------------------------------
 
 def test_barnes_matches_sequential_reference(cluster):
-    result = cluster.run(Barnes(bodies_per_proc=5, steps=1))
+    result = cluster.run(Barnes(bodies_per_proc=5))
     assert result.output.shape == (20, 3)
-
-
-def test_barnes_multi_step_rebuilds_tree(cluster):
-    result = cluster.run(Barnes(bodies_per_proc=4, steps=2))
-    assert result.output.shape == (16, 3)
 
 
 class _NudgedBarnes(Barnes):
@@ -112,12 +107,12 @@ class _NudgedBarnes(Barnes):
 def test_barnes_check_refuses_an_acceleration_beyond_rtol(cluster):
     # 10x the tolerance fails; a tenth of it passes: rtol is 1e-6.
     with pytest.raises(AssertionError, match="diverge from the sequential"):
-        cluster.run(_NudgedBarnes(1e-5, bodies_per_proc=5, steps=1))
-    cluster.run(_NudgedBarnes(1e-7, bodies_per_proc=5, steps=1))
+        cluster.run(_NudgedBarnes(1e-5, bodies_per_proc=5))
+    cluster.run(_NudgedBarnes(1e-7, bodies_per_proc=5))
 
 
 def test_barnes_accuracy_vs_direct_sum(cluster):
-    app = Barnes(bodies_per_proc=5, theta=0.3, steps=1)
+    app = Barnes(bodies_per_proc=5)
     result = cluster.run(app)
     from repro.apps.barnes import _pairwise
     positions = app._positions
@@ -128,14 +123,14 @@ def test_barnes_accuracy_vs_direct_sum(cluster):
             if i != j:
                 direct[i] += _pairwise(positions[i], positions[j],
                                        masses[j])
-    # θ=0.3 is a tight opening criterion: BH should be close to direct.
+    # θ=0.6 opens enough cells that BH stays close to direct.
     err = np.linalg.norm(result.output - direct, axis=1)
     scale = np.linalg.norm(direct, axis=1)
     assert np.median(err / (scale + 1e-12)) < 0.05
 
 
 def test_barnes_uses_locks_and_reads(cluster):
-    result = cluster.run(Barnes(bodies_per_proc=5, steps=1))
+    result = cluster.run(Barnes(bodies_per_proc=5))
     summary = result.summary()
     assert summary.percent_reads > 5.0
     assert summary.percent_bulk > 5.0  # cached cell fetches are bulk
@@ -150,12 +145,12 @@ def test_barnes_livelock_guard_fires_on_contention():
                       knobs=TuningKnobs.added_overhead(25.0),
                       livelock_limit=20)
     with pytest.raises(LivelockError):
-        cluster.run(Barnes(bodies_per_proc=16, steps=1))
+        cluster.run(Barnes(bodies_per_proc=16))
 
 
 def test_barnes_lock_contention_is_recorded():
     cluster = Cluster(n_nodes=8, seed=21)
-    result = cluster.run(Barnes(bodies_per_proc=8, steps=1))
+    result = cluster.run(Barnes(bodies_per_proc=8))
     # Concurrent inserts into a fresh tree always collide at the top.
     assert result.stats.failed_lock_attempts.sum() > 0
 
@@ -177,18 +172,22 @@ def test_pray_read_and_bulk_dominated(cluster):
 
 
 def test_pray_cache_reduces_fetches(cluster):
-    big_cache = cluster.run(PRay(pixels_per_proc=24, n_objects=64,
-                                 cache_objects=64))
-    tiny_cache = cluster.run(PRay(pixels_per_proc=24, n_objects=64,
-                                  cache_objects=2))
-    assert tiny_cache.stats.total_messages \
-        > big_cache.stats.total_messages
+    # Uncached, every remote candidate object would be one bulk get (a
+    # request and its reply); the cache keeps hot objects after their
+    # first fetch, so far fewer messages are sent than remote reads.
+    app = PRay(pixels_per_proc=24, n_objects=64)
+    result = cluster.run(app)
+    per_rank = 64 // cluster.n_nodes
+    remote_reads = sum(
+        int(object_id) // per_rank != ray // 24
+        for ray, objects in enumerate(app._ray_objects)
+        for object_id in objects)
+    assert 2 * remote_reads > 3 * result.stats.total_messages
 
 
 def test_pray_hot_objects_create_imbalance():
     cluster = Cluster(n_nodes=8, seed=21)
-    result = cluster.run(PRay(pixels_per_proc=32, n_objects=128,
-                              cache_objects=4, zipf_s=2.0))
+    result = cluster.run(PRay(pixels_per_proc=32, n_objects=128))
     # Hot low-id objects live on low ranks: their owners receive more
     # traffic than average (Figure 4f's hot spots).
     column_load = result.stats.matrix.sum(axis=0)

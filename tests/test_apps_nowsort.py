@@ -28,8 +28,7 @@ def test_nowsort_range_partition_order(cluster):
 
 
 def test_nowsort_one_way_bulk_profile(cluster):
-    summary = cluster.run(NowSort(records_per_proc=256,
-                                  chunk_records=32)).summary()
+    summary = cluster.run(NowSort(records_per_proc=256)).summary()
     # Table 4: NOW-sort's data moves as one-way bulk messages (about
     # half of all sends there) and it performs no reads.
     assert summary.percent_bulk > 40.0
@@ -77,5 +76,3 @@ def test_nowsort_single_node():
 def test_nowsort_rejects_bad_parameters():
     with pytest.raises(ValueError):
         NowSort(records_per_proc=0)
-    with pytest.raises(ValueError):
-        NowSort(chunk_records=0)

@@ -8,6 +8,7 @@ import pytest
 from repro import Cluster, CostModel
 from repro.apps.base import Application
 from repro.cluster.disk import Disk
+from repro.cluster.node import Node
 from repro.sim import Simulator
 
 
@@ -81,8 +82,8 @@ def test_cost_model_scaled_cpu():
 
 
 def test_cost_model_rejects_negative():
-    with pytest.raises(ValueError):
-        CostModel(us_per_key=-1.0)
+    with pytest.raises(ValueError, match="cpu_scale"):
+        CostModel(cpu_scale=-1.0)
 
 
 # -- cluster runner ----------------------------------------------------------------
@@ -119,6 +120,25 @@ def test_cluster_has_no_fabric_option():
         Cluster(4, fabric="flat")
 
 
+def test_the_disk_count_and_per_operation_costs_are_constants():
+    # Nothing set them; each stays in the run key at its value, so no
+    # stored run is re-keyed.
+    from repro.apps import RadixSort
+    from repro.harness.runcache import run_key_spec
+    with pytest.raises(TypeError):
+        Cluster(4, disks_per_node=1)
+    with pytest.raises(TypeError):
+        CostModel(us_per_key=2.0)
+    spec = run_key_spec(RadixSort(keys_per_proc=8),
+                        Cluster(4, cost=CostModel(cpu_scale=2.0)))
+    assert spec["disks_per_node"] == 2
+    assert spec["cost"] == {
+        "cpu_scale": 2.0, "us_per_op": 0.02, "us_per_byte_copied": 0.005,
+        "us_per_flop_interaction": 2.0, "us_per_state_hash": 200.0,
+        "us_per_edge": 1.0, "us_per_key": 1.0}
+    assert len(Node(Simulator(), 0, CostModel()).disks) == 2
+
+
 def test_cluster_run_limit_raises_timeout():
     cluster = Cluster(n_nodes=2, run_limit_us=100.0)
     with pytest.raises(TimeoutError):
@@ -127,12 +147,11 @@ def test_cluster_run_limit_raises_timeout():
 
 def test_cluster_with_knobs_preserves_configuration():
     from repro.am.tuning import TuningKnobs
-    cluster = Cluster(n_nodes=4, seed=9, window=5, disks_per_node=1)
+    cluster = Cluster(n_nodes=4, seed=9, window=5)
     dialed = cluster.with_knobs(TuningKnobs.added_gap(3.0))
     assert dialed.n_nodes == 4
     assert dialed.seed == 9
     assert dialed.window == 5
-    assert dialed.disks_per_node == 1
     assert dialed.knobs.delta_g == 3.0
     assert cluster.knobs.is_baseline  # original untouched
 
@@ -148,11 +167,11 @@ def test_the_run_key_is_clusters_fields_and_with_knobs_keeps_the_rest():
     names = {field.name for field in dataclasses.fields(Cluster)}
     spec = run_key_spec(RadixSort(keys_per_proc=8), Cluster(4))
     assert set(spec) == (names - {"sanitize"}) | {
-        "format", "app", "fabric", "coll"}
+        "format", "app", "fabric", "coll", "disks_per_node"}
     cluster = Cluster(
         4, params=LogGPParams(latency=9.0), window=3,
         window_scope="global", cost=CostModel(cpu_scale=2.0),
-        disks_per_node=1, seed=5, run_limit_us=1e6, livelock_limit=7,
+        seed=5, run_limit_us=1e6, livelock_limit=7,
         faults=FaultPlan(drop_rate=0.01), sanitize=True)
     dialed = cluster.with_knobs(TuningKnobs.added_gap(3.0))
     assert dialed.knobs == TuningKnobs.added_gap(3.0)

@@ -351,7 +351,7 @@ def test_credit_only_loss_under_a_validating_app_leaks_nothing():
                      retx_timeout_us=60.0, max_retries=20)
     result = Cluster(n_nodes=4, seed=3, faults=plan,
                      run_limit_us=10_000_000.0).run(
-        NowSort(records_per_proc=64, chunk_records=16))
+        NowSort(records_per_proc=64))
     assert result.output is not None
     assert result.stats.total_packets_dropped > 0
     assert result.stats.total_retransmissions > 0

@@ -151,7 +151,7 @@ def test_livelock_point_is_na_serial_and_parallel():
     # The baseline machine peaks at 88 failed lock attempts per rank;
     # +25 us of overhead blows far past it (the paper's Barnes DNF
     # regime), so a 150-attempt budget separates the two points.
-    app = Barnes(bodies_per_proc=16, steps=1)
+    app = Barnes(bodies_per_proc=16)
     for jobs in (None, 2):
         sweep = run_sweep(app, 8, "overhead", (2.9, 27.9),
                           seed=21, livelock_limit=150, jobs=jobs)
@@ -289,7 +289,7 @@ def test_a_null_plan_baseline_is_the_undialed_baseline_in_the_cache(
 
 def test_cache_stores_failures_too(tmp_path):
     cache = RunCache(tmp_path)
-    app = Barnes(bodies_per_proc=16, steps=1)
+    app = Barnes(bodies_per_proc=16)
     kwargs = dict(values=(2.9, 27.9), seed=21, livelock_limit=150,
                   cache=cache)
     cold = run_sweep(app, 8, "overhead", **kwargs)
@@ -335,6 +335,38 @@ def test_constructor_params_memo_leaves_run_keys_unchanged(monkeypatch):
     monkeypatch.setattr(runcache_mod, "constructor_params",
                         constructor_params.__wrapped__)
     assert keys() == memoised
+
+
+#: The suite's shape knobs no caller set, each now a class constant.
+SUITE_RETIRED_KNOBS = {
+    "Radix": {"radix_bits", "key_bits", "scan_batch"},
+    "EM3D(write)": {"degree", "pct_remote"},
+    "EM3D(read)": {"degree", "pct_remote"},
+    "Sample": {"oversample", "key_bits", "skew"},
+    "Barnes": {"theta", "steps", "dt"},
+    "P-Ray": {"objects_per_ray", "cache_objects", "zipf_s"},
+    "Murphi": {"branching", "batch_size", "violation_stride"},
+    "Connect": {"cols", "connectivity"},
+    "NOW-sort": {"chunk_records", "key_bits"},
+    "Radb": {"radix_bits", "key_bits", "scan_batch"},
+}
+
+
+@pytest.mark.parametrize("app", default_suite(0.1),
+                         ids=lambda app: app.name)
+def test_a_retired_shape_knob_keys_a_run_at_its_value(app):
+    """The constructor takes only the size (and EM3D's steps and
+    variant, P-Ray's object count); every knob it no longer takes is
+    in the run key at the value the class fixes it to."""
+    retired = type(app).retired_knobs
+    assert set(retired) == SUITE_RETIRED_KNOBS[app.name]
+    assert not set(retired) & set(constructor_params(type(app)))
+    kwargs = runcache_mod.app_fingerprint(app)["kwargs"]
+    assert {name: kwargs[name] for name in retired} == retired
+    assert {name: getattr(app, name) for name in retired
+            if name != "violation_stride"} == {
+        name: value for name, value in retired.items()
+        if name != "violation_stride"}
 
 
 def test_constructor_params_memo_is_per_class_object():

@@ -136,7 +136,7 @@ class _BulkNeighbour(Application):
 def test_every_hook_fires_somewhere():
     ear = _Everything()
     runs = [
-        (Cluster(4, seed=21), Barnes(bodies_per_proc=8, steps=1)),
+        (Cluster(4, seed=21), Barnes(bodies_per_proc=8)),
         (Cluster(4, seed=11, faults=FaultPlan(drop_rate=0.05)),
          RadixSort(keys_per_proc=64)),
         (Cluster(4, seed=3), CollectiveBench("barrier", iterations=2)),

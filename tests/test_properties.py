@@ -154,7 +154,7 @@ def test_murphi_matches_sequential_bfs(n_nodes, seed, state_space):
     from repro.apps import Murphi
     from repro.apps.murphi import TransitionSystem
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    result = cluster.run(Murphi(state_space=state_space, branching=3))
+    result = cluster.run(Murphi(state_space=state_space))
     reference = TransitionSystem(state_space, 3, seed=seed)
     assert result.output["explored"] == reference.reachable_count()
 

@@ -399,7 +399,7 @@ def _pin_apps():
     from repro.apps import Barnes, RadixSort
     return {
         "radix": lambda: RadixSort(keys_per_proc=32),
-        "barnes": lambda: Barnes(bodies_per_proc=8, steps=1),
+        "barnes": lambda: Barnes(bodies_per_proc=8),
     }
 
 
