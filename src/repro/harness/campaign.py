@@ -150,13 +150,15 @@ class CampaignSpec:
             app = serving_app_from_dict(workload)  # refuses a knob by name
         if not self.name:
             raise ValueError("campaign needs a non-empty name")
-        # A repeat adds no point of its own: a dial named twice would
-        # render its first grid twice, a seed named twice would read as
-        # a failed one.
+        # An empty axis is a campaign of no points, and a repeat adds no
+        # point of its own: a dial named twice would render its first
+        # grid twice, a seed named twice would read as a failed one.
         for kind, items in (("app", self.apps),
                             ("node count", self.node_counts),
                             ("dial", [dial for dial, _values in self.dials]),
                             ("seed", self.seeds)):
+            if not items:
+                raise ValueError(f"campaign {self.name!r} names no {kind}")
             for index, item in enumerate(items):
                 if item in items[:index]:
                     raise ValueError(
@@ -170,10 +172,10 @@ class CampaignSpec:
                 f"unknown machine preset {self.machine!r}; "
                 f"one of {sorted(MACHINE_PRESETS)}")
         # Each value is refused by the code that owns it, before a store
-        # opens: Cluster the node counts (and the machine fields, even
-        # with none), each dial's turn its values.
+        # opens: Cluster the node counts (and the machine fields), each
+        # dial's turn its values.
         params = MACHINE_PRESETS[self.machine]
-        for n_nodes in self.node_counts or (1,):
+        for n_nodes in self.node_counts:
             Cluster(n_nodes, params=params, window=self.window,
                     run_limit_us=self.run_limit_us,
                     livelock_limit=self.livelock_limit)
@@ -362,7 +364,6 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
                  cache: Optional[RunCache] = None,
                  jobs: Optional[int] = None,
                  interrupt_after: Optional[int] = None,
-                 max_requeues: int = 8,
                  progress: Optional[Callable[[str], None]] = None
                  ) -> CampaignReport:
     """Run (or resume) one campaign; every finished point is durable.
@@ -375,8 +376,7 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
 
     ``interrupt_after=N`` raises :class:`CampaignInterrupted` after N
     newly simulated points have been persisted — the deterministic
-    stand-in for a mid-campaign crash.  ``max_requeues`` is the drain's
-    bound on fresh pools after worker crashes.
+    stand-in for a mid-campaign crash.
     """
     started = time.perf_counter()
     say = progress if progress is not None else (lambda _line: None)
@@ -428,8 +428,7 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
         say(f"worker crash: re-queuing {lost} lost task(s) on a fresh pool")
 
     run_points([point.task for point in pending], cache=cache,
-               jobs=workers, done=done, max_requeues=max_requeues,
-               requeued=on_requeue)
+               jobs=workers, done=done, requeued=on_requeue)
 
     report = CampaignReport(
         campaign=spec.name, total_points=len(points),

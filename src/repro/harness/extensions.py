@@ -34,6 +34,7 @@ from repro.cluster.node import CostModel
 from repro.harness.parallel import Plan, PointTask, study
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS
+from repro.models.overhead import OverheadModel
 from repro.network.loggp import LogGPParams
 
 __all__ = ["scaling_study", "investment_study", "occupancy_study",
@@ -70,8 +71,8 @@ class ScalingStudy:
         """Measured over model-predicted runtime at Δo (>1 means the
         simple model under-predicts: serialized work exists)."""
         base, dialed, max_messages = self.runtimes[n_nodes]
-        predicted = base + 2.0 * max_messages * self.delta_o
-        return dialed / predicted
+        return dialed / OverheadModel(base, max_messages).predict_runtime(
+            self.delta_o)
 
     def residual_growth(self) -> float:
         """Largest-P residual over smallest-P residual."""

@@ -232,12 +232,15 @@ def execute_point(task: PointTask) -> SweepPoint:
     return point
 
 
+#: Fresh pools a drain starts after worker crashes before it gives up.
+MAX_REQUEUES = 8
+
+
 def run_points(tasks: Sequence[PointTask],
                cache: Optional[RunCache] = None,
                jobs: Optional[int] = None,
                done: Optional[
                    Callable[[int, SweepPoint, bool], None]] = None,
-               max_requeues: int = 8,
                requeued: Optional[Callable[[int], None]] = None
                ) -> List[SweepPoint]:
     """Drain ``tasks``; the returned points are in task order.
@@ -258,7 +261,7 @@ def run_points(tasks: Sequence[PointTask],
     Crash policy.  A killed worker (``BrokenProcessPool``) loses only
     the tasks whose futures never completed: they are re-queued on a
     fresh pool (``requeued(n)`` reports each round), at most
-    ``max_requeues`` times before the error is raised.  Any other
+    :data:`MAX_REQUEUES` times before the error is raised.  Any other
     worker exception is deferred, not swallowed: the first one is
     re-raised once every completed future is persisted.
     """
@@ -316,9 +319,9 @@ def run_points(tasks: Sequence[PointTask],
             raise error
         if crashed:
             rounds += 1
-            if rounds > max_requeues:
+            if rounds > MAX_REQUEUES:
                 raise BrokenProcessPool(
-                    f"workers kept crashing after {max_requeues} "
+                    f"workers kept crashing after {MAX_REQUEUES} "
                     f"re-queue rounds; {len(crashed)} point(s) "
                     "unfinished (all completed points are persisted)")
             if requeued is not None:

@@ -307,12 +307,18 @@ def test_campaign_spec_validation():
      "names dial 'overhead' twice"),
     ({"seeds": (0, 0)}, "names seed 0 twice"),
     ({"apps": ("Radx",)}, "unknown application names ['Radx']"),
-], ids=["app", "node-count", "dial", "seed", "unknown-app"])
+    ({"node_counts": ()}, "campaign 'c' names no node count"),
+    ({"dials": ()}, "campaign 'c' names no dial"),
+    ({"seeds": ()}, "campaign 'c' names no seed"),
+], ids=["app", "node-count", "dial", "seed", "unknown-app",
+        "no-node-count", "no-dial", "no-seed"])
 def test_campaign_spec_refuses_a_repeat_or_an_unknown_app_by_name(change,
                                                                   said):
     """A repeated dial simulated one grid and rendered it twice, a
     repeated seed read as a failed one, and an unknown app raised only
-    once ``points()`` ran."""
+    once ``points()`` ran.  An empty axis ran no point: no node counts
+    or no dials rendered an empty campaign, no seeds died reading
+    ``seeds[0]``."""
     good = dict(name="c", apps=("Radix",), node_counts=(4,),
                 dials=(("overhead", (2.9,)),))
     with pytest.raises(ValueError) as refused:
@@ -388,8 +394,12 @@ def test_the_campaign_cli_refuses_with_exit_2_before_opening_a_store(
      "dial 'drop_rate' value 1.5: drop_rate must be in [0, 1]"),
     ({"dials": [["occupancy", [0.0, -5]]]},
      "dial 'occupancy' value -5: delta_occ must be finite and >= 0"),
+    ({"node_counts": []}, "campaign 'c' names no node count"),
+    ({"dials": []}, "campaign 'c' names no dial"),
+    ({"seeds": []}, "campaign 'c' names no seed"),
 ], ids=["nodes-0", "nodes-negative", "nodes-fractional", "bandwidth-0",
-        "drop-rate-1.5", "occupancy-negative"])
+        "drop-rate-1.5", "occupancy-negative", "no-node-counts",
+        "no-dials", "no-seeds"])
 def test_the_campaign_cli_refuses_a_bad_value_before_opening_a_store(
         change, said, tmp_path, monkeypatch, capsys):
     # Each value is refused by the code that owns it (Cluster, the
@@ -406,12 +416,6 @@ def test_the_campaign_cli_refuses_a_bad_value_before_opening_a_store(
     assert refused.value.code == 2
     assert said in capsys.readouterr().err.splitlines()[-1]
     assert not (tmp_path / "s.sqlite").exists()
-
-
-def test_a_spec_without_node_counts_still_checks_its_machine_fields():
-    with pytest.raises(ValueError, match="window"):
-        CampaignSpec(name="c", apps=("Radix",), node_counts=(),
-                     dials=(("overhead", (2.9,)),), window=0)
 
 
 def test_campaign_spec_json_round_trip_with_faults_and_coll():
