@@ -101,10 +101,13 @@ def app_fingerprint(app: Any) -> Dict[str, Any]:
     the app's input configuration (all suite apps follow this
     convention).  Values that are not JSON types are keyed by ``repr``.
     A class's ``retired_knobs``, the knobs it no longer takes, enter at
-    the values they are fixed to, so retiring one re-keys no run.
+    the values they are fixed to, so retiring one re-keys no run; one
+    the app reads as an attribute enters at the value it reads, so a
+    subclass that overrides the constant is keyed at its own value.
     """
     app_class = type(app)
-    kwargs = dict(getattr(app_class, "retired_knobs", {}))
+    kwargs = {name: getattr(app, name, value) for name, value
+              in getattr(app_class, "retired_knobs", {}).items()}
     for name in constructor_params(app_class):
         if hasattr(app, name):
             kwargs[name] = getattr(app, name)

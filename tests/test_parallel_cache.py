@@ -362,11 +362,21 @@ def test_a_retired_shape_knob_keys_a_run_at_its_value(app):
     assert set(retired) == SUITE_RETIRED_KNOBS[app.name]
     assert not set(retired) & set(constructor_params(type(app)))
     kwargs = runcache_mod.app_fingerprint(app)["kwargs"]
-    assert {name: kwargs[name] for name in retired} == retired
-    assert {name: getattr(app, name) for name in retired
-            if name != "violation_stride"} == {
-        name: value for name, value in retired.items()
-        if name != "violation_stride"}
+    for name, value in retired.items():
+        assert kwargs[name] == value
+        # What the algorithm reads is what the key says (Murphi's
+        # violation_stride is read by nothing).
+        assert getattr(app, name, value) == value
+
+
+def test_a_subclass_that_overrides_a_retired_constant_is_keyed_at_it():
+    from repro.apps import Connect
+
+    class Wide(Connect):
+        cols = 128
+
+    kwargs = runcache_mod.app_fingerprint(Wide(rows_per_proc=4))["kwargs"]
+    assert (kwargs["cols"], kwargs["connectivity"]) == (128, 0.3)
 
 
 def test_constructor_params_memo_is_per_class_object():
