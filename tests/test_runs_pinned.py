@@ -24,6 +24,7 @@ from repro.coll.algorithms import REGISTRY
 from repro.coll.bench import CollectiveBench
 from repro.cost import DepRecorder, predict_sweep, record_run
 from repro.harness.runcache import RunCache, run_key_spec
+from repro.network.faults import FaultPlan
 from repro.network.loggp import LogGPParams
 from repro.serve import FanoutServe, KVServe
 from tests.test_simcost_equivalence import v1_json
@@ -204,4 +205,28 @@ def test_serving_runs_as_they_always_have():
             "24e537066017b31104bd1c2425ef8fa56ac5d42078a324cf7dfb102786e7b796",
         "kv:o10":
             "7e1f5f8565fc862f6ac416473e042c1bf91267b4a149ddf13967949e4cf42755",
+    }
+
+
+def test_serving_runs_off_the_knee_path_as_they_always_have():
+    """Two serving paths the ledger's knee sweep never runs: a
+    ``KVServe`` point on a lossy wire (retransmitted requests and
+    replies reach the shard handlers and reply callbacks late), and the
+    ``FanoutServe`` point under simsan, which clocks every sub-request
+    and must leave the run as it is."""
+    lossy = Cluster(8, faults=FaultPlan(drop_rate=0.02), seed=13).run(
+        KVServe(**_SERVING_BASE))
+    assert sum(lossy.stats.to_dict()["retransmissions"]) > 0 and \
+        lossy.stats.serving.completed == 300
+    fanout_class, knobs, tuning = SERVING_POINTS["fanout"]
+    sanitized = Cluster(8, knobs=tuning, seed=13, sanitize=True).run(
+        fanout_class(**dict(_SERVING_BASE, **knobs)))
+    assert sanitized.sanitizer.clean and \
+        sanitized.sanitizer.messages_clocked > 0
+    assert {"kv:lossy": run_digest(lossy),
+            "fanout:sanitized": run_digest(sanitized)} == {
+        "kv:lossy":
+            "2abcd381104ae187ae43e1ea885b798de3e08e9b3d730bced31f7eec539346cc",
+        "fanout:sanitized":
+            "24e537066017b31104bd1c2425ef8fa56ac5d42078a324cf7dfb102786e7b796",
     }
