@@ -167,7 +167,10 @@ class AmLayer:
         self._credits: Dict[int, int] = {}
         #: xfer_id -> destination, to return the right pair's credit.
         self._credit_owner: Dict[int, int] = {}
-        self._rx_queue: Deque[Packet] = deque()
+        #: Delivered by the NIC, not yet polled: the host's receive
+        #: queue.  Only the layer changes it; ``len(am.rx_queue)`` is the
+        #: receive depth, read without a property call.
+        self.rx_queue: Deque[Packet] = deque()
         #: Where the host parks between arrivals (stall reports print
         #: its label).
         self._wakeup = Park(sim, f"am-wakeup[{node_id}]")
@@ -202,11 +205,11 @@ class AmLayer:
     @property
     def rx_pending(self) -> int:
         """Messages delivered by the NIC but not yet polled."""
-        return len(self._rx_queue)
+        return len(self.rx_queue)
 
     # -- NIC callbacks ------------------------------------------------------
     def _host_deliver(self, packet: Packet) -> None:
-        self._rx_queue.append(packet)
+        self.rx_queue.append(packet)
         if self._wakeup.waiter is not None:  # mostly, the host is awake
             self._wakeup.wake()
 
@@ -228,7 +231,9 @@ class AmLayer:
         simulator processes outside the rank set (e.g. the serving client
         tier) that change state a host loop is waiting on without sending
         it a message."""
-        self._wakeup.wake()
+        park = self._wakeup
+        if park.waiter is not None:  # else no call at all
+            park.wake()
 
     # -- polling and waiting --------------------------------------------------
     def poll(self) -> Generator:
@@ -236,7 +241,7 @@ class AmLayer:
         and running handlers; called from every communication operation
         and compute chunk, as in GAM.  A wait for an empty receive queue,
         which therefore never parks."""
-        rx = self._rx_queue
+        rx = self.rx_queue
         return self.wait_until(lambda: not rx)
 
     def wait_until(self, predicate: Callable[[], bool],
@@ -265,7 +270,7 @@ class AmLayer:
         watched = wait is not None and self.watching
         if watched:
             self._on_wait_enter(self.node_id, *wait)
-        rx = self._rx_queue
+        rx = self.rx_queue
         handlers = self._handler_of
         try:
             while not predicate():

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Dict, Generator, List
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from repro.am.layer import HandlerReply, Reply
 from repro.apps.base import Application
@@ -53,41 +54,23 @@ SAMPLE_EVERY_US = 100.0
 
 
 # ---------------------------------------------------------------------------
-# Service handlers (module level; each returns its reply, GAM-style).
+# Shard operations (one per scenario; run by its handler and in place).
 # ---------------------------------------------------------------------------
 
-def _kv_apply(store: Dict[int, int], key: int, write: bool) -> int:
-    """The key-value shard operation itself (shared local/remote)."""
+def _kv_apply(store: Dict[int, int], payload: Tuple[int, bool]) -> int:
+    """The key-value shard operation itself: read, or count a write."""
+    key, write = payload
     if write:
-        store[key] = store.get(key, 0) + 1
+        value = store[key] = store.get(key, 0) + 1
+        return value
     return store.get(key, 0)
 
 
 def _fanout_apply(hits: List[int], key: int) -> int:
-    """The scatter-gather shard sub-query (shared local/remote)."""
-    hits[key % len(hits)] += 1
-    return hits[key % len(hits)]
-
-
-def _serve_kv(am, packet) -> HandlerReply:
-    """One key-value operation at its shard."""
-    app = am.host.state["serve_app"]
-    key, write = packet.payload
-    value = _kv_apply(am.host.state["serve_store"], key, write)
-    metrics = app._metrics
-    metrics.on_served(am.node_id, app.service_us)
-    metrics.on_queue_sample(am.node_id, am.rx_pending)
-    return Reply(value, service_us=app.service_us)
-
-
-def _serve_fanout(am, packet) -> HandlerReply:
-    """One scatter-gather sub-query at a shard."""
-    app = am.host.state["serve_app"]
-    value = _fanout_apply(am.host.state["serve_hits"], packet.payload)
-    metrics = app._metrics
-    metrics.on_served(am.node_id, app.service_us)
-    metrics.on_queue_sample(am.node_id, am.rx_pending)
-    return Reply(value, service_us=app.service_us)
+    """The scatter-gather shard sub-query."""
+    slot = key % len(hits)
+    hits[slot] += 1
+    return hits[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +177,17 @@ class ServingApp(Application):
     def configure(self, n_nodes: int, seed: int) -> None:
         self._trace: List[Request] = self.tier().trace(seed)
         self._metrics = ServingMetrics(n_nodes, slo_us=self.slo_us)
+        self._shards: List[Any] = [self._new_shard() for _ in range(n_nodes)]
         self._pending: List[deque] = [deque() for _ in range(n_nodes)]
         self._ams: List[Any] = [None] * n_nodes
-        self._injected = 0
-        self._completed = 0
-        self._dropped = 0
         self._feed_done = False
+        #: The feed has ended and every request it injected completed or
+        #: was dropped: what each frontend's wait and the sampler test.
+        self._done = False
         self._aborted = False
-        self._rr = 0
 
     def setup_rank(self, proc) -> Generator:
         self._ams[proc.rank] = proc.am
-        proc.state["serve_app"] = self
-        self._setup_shard(proc)
         if proc.rank == 0:
             # Piggyback the SLO instruments on ClusterStats so the
             # cache/store serialization path carries them unchanged.
@@ -215,37 +196,34 @@ class ServingApp(Application):
         yield  # pragma: no cover - makes this a generator
 
     def run_rank(self, proc) -> Generator:
-        am = proc.am
-        pending = self._pending[proc.rank]
-        if proc.rank == 0:
+        rank = proc.rank
+        pending = self._pending[rank]
+        if rank == 0:
             proc.sim.process(self._client_tier(proc.sim),
                              name="serve-clients")
             proc.sim.process(self._queue_sampler(proc.sim),
                              name="serve-sampler")
 
-        def woken() -> bool:  # _finished(), spelled out: runs every wake
-            return bool(pending) or (
-                self._feed_done
-                and self._completed + self._dropped >= self._injected)
+        def woken() -> Any:  # runs every wake: work queued, or all done
+            return pending or self._done
 
+        wait_until, issue = proc.am.wait_until, self._issue
         while True:
-            yield from am.wait_until(woken)
-            if pending:
-                request, arrived = pending.popleft()
-                if self._aborted:
-                    self._account_drop(proc.rank)
-                    continue
-                yield from self._issue(proc, request, arrived)
-                continue
-            if self._finished():
-                return
+            yield from wait_until(woken)
+            if not pending:
+                return  # woken with nothing queued: the run is done
+            request, arrived = pending.popleft()
+            if self._aborted:
+                self._account_drop(rank)
+            else:
+                yield from issue(proc, request, arrived)
 
     def finalize(self, procs) -> ServingMetrics:
         self._metrics.finish(procs[0].stats.runtime_us)
         # The AmLayers hold the run's Simulator and its generators: an
         # app that kept them would not pickle (no re-queue to a pool
         # after an in-process run) and would pin the finished run.
-        del self._ams, self._pending, self._trace
+        del self._ams, self._pending, self._trace, self._shards
         return self._metrics
 
     # -- the client tier (outside the rank set) ----------------------------
@@ -259,41 +237,88 @@ class ServingApp(Application):
         every request's measured latency.
         """
         t0 = sim.now
-        n = len(self._ams)
+        metrics, pending, ams = self._metrics, self._pending, self._ams
+        assigned, n, limit = metrics.assigned, len(ams), self.max_backlog
         for request in self._trace:
             due = t0 + request.t_us
             if due > sim.now:
                 yield due - sim.now
-            backlog = self._injected - self._completed - self._dropped
-            self._metrics.note_backlog(backlog)
-            if backlog > self.max_backlog:
+            backlog = metrics.arrivals - metrics.completed - metrics.dropped
+            if backlog > metrics.max_backlog:
+                metrics.max_backlog = backlog
+            if backlog > limit:
                 # Queue growth detected: the cluster is not keeping up
                 # with the offered load.  Stop injecting and let the
                 # run drain to a structured "saturated" verdict.
                 self._aborted = True
-                self._metrics.note_saturation(sim.now - t0, backlog)
+                metrics.saturated = True
+                metrics.saturated_at_us = sim.now - t0
+                metrics.saturation_backlog = backlog
                 break
-            rank = self._rr % n
-            self._rr += 1
-            self._injected += 1
-            self._metrics.on_arrival(rank)
-            self._pending[rank].append((request, sim.now))
-            self._ams[rank].kick()
+            rank = metrics.arrivals % n  # round robin
+            metrics.arrivals += 1
+            assigned[rank] += 1
+            pending[rank].append((request, sim.now))
+            ams[rank].kick()
         self._feed_done = True
+        self._done = metrics.completed + metrics.dropped >= metrics.arrivals
         self._kick_all()
 
     def _queue_sampler(self, sim) -> Generator:
         """Sample per-node queue depths on a fixed simulated cadence."""
-        while not self._finished():
+        metrics = self._metrics
+        samples, depths, deepest = (metrics.queue_count, metrics.queue_sum,
+                                    metrics.queue_max)
+        queues = [(rank, self._pending[rank], am.rx_queue)
+                  for rank, am in enumerate(self._ams)]
+        while not self._done:
             yield SAMPLE_EVERY_US
-            for rank, am in enumerate(self._ams):
-                depth = len(self._pending[rank]) + am.rx_pending
-                self._metrics.on_queue_sample(rank, depth)
+            for rank, pending, rx in queues:
+                depth = len(pending) + len(rx)
+                samples[rank] += 1
+                depths[rank] += depth
+                if depth > deepest[rank]:
+                    deepest[rank] = depth
 
-    # -- frontend bookkeeping ----------------------------------------------
-    def _finished(self) -> bool:
-        return (self._feed_done
-                and self._completed + self._dropped >= self._injected)
+    # -- serving and frontend bookkeeping ----------------------------------
+    def _shard_handler(self, apply: Callable[[Any, Any], Any]) -> Callable:
+        """This run's AM handler for one shard operation: it runs
+        ``apply(shard, payload)`` on the serving rank's shard, counts
+        the request served there, samples that rank's receive queue,
+        and replies with the value after ``service_us`` of host time."""
+        metrics, shards, service_us = (self._metrics, self._shards,
+                                       self.service_us)
+        served, busy = metrics.served_by, metrics.service_us_by
+        samples, depths, deepest = (metrics.queue_count, metrics.queue_sum,
+                                    metrics.queue_max)
+
+        def serve(am, packet) -> HandlerReply:
+            node = am.node_id
+            value = apply(shards[node], packet.payload)
+            served[node] += 1
+            busy[node] += service_us
+            depth = len(am.rx_queue)
+            samples[node] += 1
+            depths[node] += depth
+            if depth > deepest[node]:
+                deepest[node] = depth
+            return Reply(value, service_us=service_us)
+
+        return serve
+
+    def _serve_in_place(self, rank: int,
+                        on_done: Callable[[Any], None]) -> Generator:
+        """Serve a (sub-)request whose shard is its frontend, then call
+        ``on_done(None)`` as its reply would: the caller has run the
+        shard operation, and only the service time is charged (packets
+        to self never enter the network, matching the GAS layer's
+        local-operation rule)."""
+        metrics = self._metrics
+        metrics.served_by[rank] += 1
+        metrics.service_us_by[rank] += self.service_us
+        if self.service_us > 0:
+            yield self.service_us
+        on_done(None)
 
     def _kick_all(self) -> None:
         for am in self._ams:
@@ -301,63 +326,48 @@ class ServingApp(Application):
                 am.kick()
 
     def _account_drop(self, rank: int) -> None:
-        self._dropped += 1
-        self._metrics.on_drop(rank)
-        if self._finished():
+        metrics = self._metrics
+        metrics.dropped += 1
+        metrics.dropped_by[rank] += 1
+        self._settle()
+
+    def _complete_request(self, sim, rank: int, arrived: float,
+                          write: bool, _payload: Any = None) -> None:
+        """Complete one request at its frontend ``rank``; with its first
+        four arguments bound, the reply callback of a request."""
+        latency_us = sim.now - arrived
+        metrics = self._metrics
+        metrics.completed += 1
+        metrics.completed_by[rank] += 1
+        if write:
+            metrics.writes_completed += 1
+        else:
+            metrics.reads_completed += 1
+        if latency_us <= metrics.slo_us:
+            metrics.within_slo += 1
+        metrics.latency.record(latency_us)
+        if self._feed_done:
+            self._settle()
+
+    def _settle(self) -> None:
+        """Once the feed has ended and every request it injected has
+        completed or been dropped, the run is done: wake every frontend
+        to see it."""
+        metrics = self._metrics
+        if self._feed_done and \
+                metrics.completed + metrics.dropped >= metrics.arrivals:
+            self._done = True
             self._kick_all()
-
-    def _complete_request(self, rank: int, arrived: float, write: bool,
-                          sim) -> None:
-        self._completed += 1
-        self._metrics.on_complete(rank, sim.now - arrived, write=write)
-        if self._finished():
-            self._kick_all()
-
-    def _countdown(self, proc, request: Request, arrived: float,
-                   n_targets: int) -> Callable[[], None]:
-        """The ``on_done`` of a request to several targets: it completes
-        the request on the last of its ``n_targets`` calls."""
-        rank = proc.rank
-        left = {"n": n_targets}
-
-        def done() -> None:
-            left["n"] -= 1
-            if left["n"] == 0:
-                self._complete_request(rank, arrived, request.write,
-                                       proc.sim)
-
-        return done
-
-    def _send(self, proc, target: int, handler: str, payload: Any,
-              on_done: Callable[[], None],
-              local_op: Callable[[Any], Any]) -> Generator:
-        """One sub-request that reports to ``on_done`` (a
-        :meth:`_countdown`).
-
-        Remote targets go split-phase over the AM layer; a target that
-        is the issuing frontend itself is served locally — the shard
-        operation runs in place and only the service time is charged
-        (packets to self never enter the network, matching the GAS
-        layer's local-operation rule).
-        """
-        if target == proc.rank:
-            local_op(proc)
-            self._metrics.on_served(proc.rank, self.service_us)
-            if self.service_us > 0:
-                yield self.service_us
-            on_done()
-            return
-        yield from proc.am.send_request(target, handler, payload=payload,
-                                        on_reply=lambda _payload: on_done())
 
     # -- subclass contract --------------------------------------------------
-    def _setup_shard(self, proc) -> None:
-        """Install per-rank shard state in ``proc.state``."""
+    def _new_shard(self) -> Any:
+        """One rank's empty shard state."""
         raise NotImplementedError
 
     def _issue(self, proc, request: Request, arrived: float) -> Generator:
-        """Dispatch one client request split-phase; must eventually
-        call :meth:`_complete_request` exactly once."""
+        """The generator that dispatches one client request split-phase;
+        it must eventually call :meth:`_complete_request` exactly
+        once."""
         raise NotImplementedError
 
 
@@ -370,31 +380,26 @@ class KVServe(ServingApp):
     retired_knobs = {**ServingApp.retired_knobs, "replication": "none",
                      "read_anywhere": True}
 
-    def _setup_shard(self, proc) -> None:
-        proc.state["serve_store"] = {}
+    def _new_shard(self) -> Dict[int, int]:
+        return {}
 
     def _issue(self, proc, request: Request, arrived: float) -> Generator:
-        """A request this frontend shards itself goes through
-        :meth:`_send`; any other is sent from here with one reply
-        callback."""
+        """The AM layer's own send, for a request whose shard is remote,
+        with :meth:`_complete_request` bound as its reply callback; a
+        request this frontend shards itself is served in place.  Not a
+        generator itself: the send's frame is the only one it adds."""
         rank, key, write = proc.rank, request.key, request.write
+        done = partial(self._complete_request, proc.sim, rank, arrived,
+                       write)
         target = key % proc.n_ranks
         if target == rank:
-            yield from self._send(
-                proc, target, "serve_kv", (key, write),
-                self._countdown(proc, request, arrived, 1),
-                lambda p: _kv_apply(p.state["serve_store"], key, write))
-            return
-
-        def replied(_payload: Any) -> None:
-            self._complete_request(rank, arrived, write, proc.sim)
-
-        yield from proc.am.send_request(target, "serve_kv",
-                                        payload=(key, write),
-                                        on_reply=replied)
+            _kv_apply(self._shards[rank], (key, write))
+            return self._serve_in_place(rank, done)
+        return proc.am.send_request(target, "serve_kv",
+                                    payload=(key, write), on_reply=done)
 
     def register_handlers(self, table) -> None:
-        table.register("serve_kv", _serve_kv)
+        table.register("serve_kv", self._shard_handler(_kv_apply))
 
 
 class FanoutServe(ServingApp):
@@ -409,21 +414,34 @@ class FanoutServe(ServingApp):
         self.fanout = fanout
         super().__init__(**kwargs)
 
-    def _setup_shard(self, proc) -> None:
-        proc.state["serve_hits"] = [0] * max(1, self.key_space)
+    def _new_shard(self) -> List[int]:
+        return [0] * max(1, self.key_space)
 
     def _issue(self, proc, request: Request, arrived: float) -> Generator:
-        k = min(self.fanout, proc.n_ranks)
-        base = request.key % proc.n_ranks
-        done = self._countdown(proc, request, arrived, k)
+        """Every sub-request is sent (or served in place) from here; one
+        countdown cell completes the request on the last of them."""
+        rank, key, n, sim = proc.rank, request.key, proc.n_ranks, proc.sim
+        k = min(self.fanout, n)
+        base = key % n
+        left = [k]
+
+        def replied(_payload: Any) -> None:
+            left[0] -= 1
+            if left[0] == 0:
+                self._complete_request(sim, rank, arrived, request.write)
+
+        send_request = proc.am.send_request
         for i in range(k):
-            yield from self._send(
-                proc, (base + i) % proc.n_ranks, "serve_fanout",
-                request.key, done,
-                lambda p: _fanout_apply(p.state["serve_hits"], request.key))
+            target = (base + i) % n
+            if target == rank:
+                _fanout_apply(self._shards[rank], key)
+                yield from self._serve_in_place(rank, replied)
+            else:
+                yield from send_request(target, "serve_fanout", payload=key,
+                                        on_reply=replied)
 
     def register_handlers(self, table) -> None:
-        table.register("serve_fanout", _serve_fanout)
+        table.register("serve_fanout", self._shard_handler(_fanout_apply))
 
 
 #: Workload-spec registry (``CampaignSpec.workload["app"]`` values).

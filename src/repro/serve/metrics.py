@@ -27,9 +27,12 @@ runs unchanged.
 from __future__ import annotations
 
 import math
+from math import floor, log2
 from typing import Dict, List, Optional
 
 __all__ = ["LatencySketch", "ServingMetrics"]
+
+_INF = float("inf")
 
 
 class LatencySketch:
@@ -61,13 +64,6 @@ class LatencySketch:
         self.sum_us = 0.0
         self.max_observed_us = 0.0
 
-    def _index(self, value_us: float) -> int:
-        if value_us <= self.min_us:
-            return 0
-        index = 1 + int(math.floor(
-            math.log2(value_us / self.min_us) * self.sub_buckets))
-        return min(index, self._top)
-
     def _representative(self, index: int) -> float:
         """The midpoint (geometric) value of one bucket."""
         if index <= 0:
@@ -75,11 +71,20 @@ class LatencySketch:
         return self.min_us * 2.0 ** ((index - 0.5) / self.sub_buckets)
 
     def record(self, value_us: float) -> None:
-        """Fold one latency observation into the sketch."""
-        if value_us < 0:
-            raise ValueError(f"negative latency: {value_us}")
-        index = self._index(value_us)
-        self.counts[index] = self.counts.get(index, 0) + 1
+        """Fold one latency observation into the sketch; a latency that
+        is negative or not finite is refused by name."""
+        if not 0.0 <= value_us < _INF:  # NaN fails every comparison
+            raise ValueError(
+                f"latency must be finite and >= 0, got {value_us}")
+        if value_us <= self.min_us:
+            index = 0
+        else:
+            index = 1 + floor(log2(value_us / self.min_us)
+                              * self.sub_buckets)
+            if index > self._top:
+                index = self._top
+        counts = self.counts
+        counts[index] = counts.get(index, 0) + 1
         self.total += 1
         self.sum_us += value_us
         if value_us > self.max_observed_us:
@@ -124,10 +129,23 @@ class LatencySketch:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatencySketch":
+        """Rebuild a sketch produced by :meth:`to_dict`; a bucket past
+        the clamp bucket, an empty one, or counts that do not sum to
+        ``total`` are refused (a corrupt record must read as a cache
+        miss, not as a sketch whose quantiles fail later)."""
         sketch = cls(min_us=data["min_us"], sub_buckets=data["sub_buckets"],
                      max_us=data["max_us"])
-        sketch.counts = {int(index): count
+        sketch.counts = {int(index): int(count)
                          for index, count in data["counts"].items()}
+        for index, count in sketch.counts.items():
+            if not 0 <= index <= sketch._top or count < 1:
+                raise ValueError(
+                    f"latency bucket {index}: count {count}, expected a "
+                    f"bucket in [0, {sketch._top}] counted at least once")
+        if sum(sketch.counts.values()) != data["total"]:
+            raise ValueError(
+                f"latency counts sum to {sum(sketch.counts.values())}, "
+                f"total is {data['total']}")
         sketch.total = data["total"]
         sketch.sum_us = data["sum_us"]
         sketch.max_observed_us = data["max_observed_us"]
@@ -137,11 +155,13 @@ class LatencySketch:
 class ServingMetrics:
     """Per-run serving counters and the SLO verdict.
 
-    Updated by the client tier (arrivals, backlog, saturation), the
-    frontends (completions, drops), the service handlers (served
-    requests, service time, receive-queue depth), and the periodic
-    queue sampler.  ``finish(runtime_us)`` freezes the aggregate rates
-    once the measured region is known.
+    A record with no update methods: the serving app
+    (:mod:`repro.serve.apps`) updates its fields and lists in place,
+    once per arrival, completion, drop, served (sub-)request and queue
+    sample, from the client tier, the frontends, the shard handlers and
+    the periodic queue sampler, with the lists bound as locals.
+    ``finish(runtime_us)`` freezes the aggregate rates once the measured
+    region is known.
     """
 
     def __init__(self, n_nodes: int, slo_us: float = 250.0) -> None:
@@ -178,46 +198,6 @@ class ServingMetrics:
         self.saturation_backlog = 0
         #: Measured-region length, set by :meth:`finish`.
         self.runtime_us: Optional[float] = None
-
-    # -- hooks --------------------------------------------------------------
-    def on_arrival(self, rank: int) -> None:
-        self.arrivals += 1
-        self.assigned[rank] += 1
-
-    def note_backlog(self, backlog: int) -> None:
-        if backlog > self.max_backlog:
-            self.max_backlog = backlog
-
-    def note_saturation(self, at_us: float, backlog: int) -> None:
-        self.saturated = True
-        self.saturated_at_us = at_us
-        self.saturation_backlog = backlog
-
-    def on_complete(self, rank: int, latency_us: float,
-                    write: bool) -> None:
-        self.completed += 1
-        self.completed_by[rank] += 1
-        if write:
-            self.writes_completed += 1
-        else:
-            self.reads_completed += 1
-        if latency_us <= self.slo_us:
-            self.within_slo += 1
-        self.latency.record(latency_us)
-
-    def on_drop(self, rank: int) -> None:
-        self.dropped += 1
-        self.dropped_by[rank] += 1
-
-    def on_served(self, node: int, service_us: float) -> None:
-        self.served_by[node] += 1
-        self.service_us_by[node] += service_us
-
-    def on_queue_sample(self, node: int, depth: int) -> None:
-        self.queue_count[node] += 1
-        self.queue_sum[node] += depth
-        if depth > self.queue_max[node]:
-            self.queue_max[node] = depth
 
     def finish(self, runtime_us: float) -> None:
         """Freeze the rate aggregates once the timed region is known."""
@@ -296,12 +276,21 @@ class ServingMetrics:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServingMetrics":
+        """Rebuild a record produced by :meth:`to_dict`; a per-node list
+        whose length is not ``n_nodes`` is refused, as
+        :meth:`~repro.instruments.stats.ClusterStats.from_dict` refuses
+        a wrong shape."""
         metrics = cls(data["n_nodes"], slo_us=data["slo_us"])
         metrics.latency = LatencySketch.from_dict(data["latency"])
-        for name in cls._INT_LIST_FIELDS:
-            setattr(metrics, name, [int(v) for v in data[name]])
-        for name in cls._FLOAT_LIST_FIELDS:
-            setattr(metrics, name, [float(v) for v in data[name]])
+        for names, kind in ((cls._INT_LIST_FIELDS, int),
+                            (cls._FLOAT_LIST_FIELDS, float)):
+            for name in names:
+                values = [kind(v) for v in data[name]]
+                if len(values) != metrics.n_nodes:
+                    raise ValueError(
+                        f"{name}: {len(values)} entries, expected "
+                        f"{metrics.n_nodes}")
+                setattr(metrics, name, values)
         for name in cls._SCALAR_FIELDS:
             setattr(metrics, name, data[name])
         return metrics
