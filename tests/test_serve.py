@@ -22,6 +22,7 @@ import pytest
 
 from repro.apps import RadixSort
 from repro.cluster.machine import Cluster
+from repro.harness.runcache import RunCache, run_key_spec
 from repro.serve import (ARRIVAL_PROCESSES, ClientTier, FanoutServe,
                          KVServe, LatencySketch, ServingApp,
                          ServingMetrics, serving_app_from_dict)
@@ -156,6 +157,76 @@ def test_closed_apps_serialize_without_a_serving_section():
     result = Cluster(n_nodes=4, seed=7).run(RadixSort(keys_per_proc=32))
     assert result.stats.serving is None
     assert "serving" not in result.stats.to_dict()
+
+
+@pytest.mark.parametrize("latency", [math.nan, math.inf, -math.inf, -1.0])
+def test_sketch_refuses_a_latency_that_is_not_finite_and_non_negative(
+        latency):
+    sketch = LatencySketch()
+    with pytest.raises(ValueError,
+                       match=r"^latency must be finite and >= 0, got"):
+        sketch.record(latency)
+    assert sketch.total == 0 and sketch.counts == {}
+
+
+def _cut_assigned(serving):
+    serving["assigned"] = serving["assigned"][:2]
+
+
+def _bucket_past_the_clamp(serving):
+    serving["latency"]["counts"]["99999"] = 1
+    serving["latency"]["total"] += 1
+
+
+def _counts_short_of_the_total(serving):
+    serving["latency"]["total"] += 1
+
+
+def _an_empty_bucket(serving):
+    serving["latency"]["counts"]["0"] = 0
+
+
+#: Ways a stored serving record can be corrupt; each loaded as a record
+#: whose quantiles or per-node reads failed later (``p99_us`` raised
+#: ``OverflowError`` on the bucket past the clamp).
+CORRUPTIONS = [_cut_assigned, _bucket_past_the_clamp,
+               _counts_short_of_the_total, _an_empty_bucket]
+
+
+#: A small serving point: its app and its machine.
+KV_POINT = (tiny_kv(max_requests=120), Cluster(n_nodes=8, seed=1))
+
+
+@pytest.fixture(scope="module")
+def kv_result():
+    app, cluster = KV_POINT
+    return cluster.run(app)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS,
+                         ids=lambda corrupt: corrupt.__name__.strip("_"))
+def test_a_corrupt_serving_record_is_refused(kv_result, corrupt):
+    serving = json.loads(json.dumps(kv_result.stats.serving.to_dict()))
+    assert ServingMetrics.from_dict(serving).to_dict() == serving
+    corrupt(serving)
+    with pytest.raises(ValueError):
+        ServingMetrics.from_dict(serving)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS,
+                         ids=lambda corrupt: corrupt.__name__.strip("_"))
+def test_a_corrupt_serving_entry_is_a_cache_miss(kv_result, corrupt,
+                                                 tmp_path):
+    cache, spec = RunCache(tmp_path), run_key_spec(*KV_POINT)
+    cache.put(spec, result=kv_result)
+    restored, _ = cache.get(spec)
+    assert restored.stats.serving.p99_us == kv_result.stats.serving.p99_us
+    [path] = tmp_path.glob("*.json")
+    entry = json.loads(path.read_text())
+    corrupt(entry["result"]["stats"]["serving"])
+    path.write_text(json.dumps(entry))
+    assert cache.get(spec) is None
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
