@@ -17,8 +17,7 @@ from repro.analysis import main
 from repro.analysis.core import (ProgramRule, SourceFile, all_rules,
                                  analyze_paths, analyze_source,
                                  analyze_sources, clear_parse_cache,
-                                 default_rules, iter_python_files,
-                                 load_source, parse_cache_stats)
+                                 default_rules)
 from repro.analysis.flow import build_program, find_handlers
 
 FIXTURES = Path(__file__).parent / "fixtures" / "simflow"
@@ -317,16 +316,14 @@ def test_sarif_clean_run_has_no_results(capsys):
 
 # -- parse cache and perf smoke ---------------------------------------------
 
-def test_parse_cache_shares_one_parse_between_lint_and_flow():
-    clear_parse_cache()
-    files = list(iter_python_files([SRC]))
-    analyze_paths([SRC], default_rules())
-    first = parse_cache_stats()
+def test_parse_cache_shares_one_parse_between_lint_and_flow(src_analysis):
+    files = src_analysis.files
+    first = src_analysis.first_load
     assert first["misses"] == len(files)
     assert first["hits"] == 0
-    # A second run re-loads every file: all hits, no re-parse.
-    analyze_paths([SRC], default_rules())
-    second = parse_cache_stats()
+    # Loading every file again (for the summaries) is all hits, no
+    # re-parse.
+    second = src_analysis.second_load
     assert second["misses"] == first["misses"]
     assert second["hits"] == len(files)
 
@@ -342,25 +339,18 @@ def test_perf_smoke_full_lint_plus_flow_under_wall_clock_floor():
 
 # -- the repo gate ----------------------------------------------------------
 
-def test_src_repro_is_flow_clean():
+def test_src_repro_is_flow_clean(src_analysis):
     """Acceptance: the whole-program checks run clean over the repo's
     own sources — no baseline required."""
-    rules = [rule for rule in default_rules()
-             if isinstance(rule, ProgramRule)]
-    findings, checked = analyze_paths([SRC], rules)
-    assert checked > 60
-    assert findings == []
+    assert src_analysis.checked > 60
+    assert [finding for finding in src_analysis.findings
+            if finding.rule in PROGRAM_RULES] == []
 
 
-def test_flow_summaries_cover_the_runtime_stack():
+def test_flow_summaries_cover_the_runtime_stack(src_analysis):
     """Sanity: the fixpoint sees through the real runtime layers —
     collective roots, CHA app dispatch, and blocking reach."""
-    sources = {}
-    for path in iter_python_files([SRC]):
-        source = load_source(path)
-        sources[source.path] = source
-    index = build_program(sources)
-    funcs = {f.qualname: f for f in index.functions}
+    funcs = {f.qualname: f for f in src_analysis.program.functions}
     barrier = funcs["repro.gas.runtime.Proc.barrier"]
     assert {"coll:barrier", "blocks"} <= barrier.effects
     drive = funcs["repro.cluster.machine.Cluster._drive"]

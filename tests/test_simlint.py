@@ -6,12 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (all_rules, analyze_file, analyze_paths,
-                            default_rules, main)
+from repro.analysis import all_rules, analyze_file, default_rules, main
 from repro.analysis.core import PARSE_ERROR_RULE, SourceFile, analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures" / "simlint"
-REPO_ROOT = Path(__file__).parent.parent
 
 
 # -- suppressions -----------------------------------------------------------
@@ -163,11 +161,9 @@ def test_cli_list_rules(capsys):
 
 # -- the repo gate ----------------------------------------------------------
 
-def test_src_repro_lints_clean():
+def test_src_repro_lints_clean(src_analysis):
     """Acceptance: the linter runs clean on the repo's own sources,
     ten-app suite and artifact driver included (the one-drain rule
     checks ``python -m repro.harness``) — no baseline required."""
-    findings, checked = analyze_paths([REPO_ROOT / "src" / "repro"],
-                                      default_rules())
-    assert checked > 60
-    assert findings == []
+    assert src_analysis.checked > 60
+    assert src_analysis.findings == []
