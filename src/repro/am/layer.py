@@ -232,7 +232,7 @@ class AmLayer:
         tier) that change state a host loop is waiting on without sending
         it a message."""
         park = self._wakeup
-        if park.waiter is not None:  # else no call at all
+        if park.waiter is not None:  # an awake host needs no wake
             park.wake()
 
     # -- polling and waiting --------------------------------------------------

@@ -80,11 +80,12 @@ def _fanout_apply(hits: List[int], key: int) -> int:
 class ServingApp(Application):
     """Shared machinery of the open-system serving scenarios.
 
-    Subclasses provide the per-request dispatch (:meth:`_issue`), their
-    handlers, and per-rank shard state; this base owns the client
+    Subclasses provide the per-request dispatch (:meth:`_issue`), an
+    empty shard (:meth:`_new_shard`) and their handler, built from their
+    shard operation by :meth:`_shard_handler`; this base owns the client
     tier, the round-robin frontend assignment, the frontend loop, the
     saturation guard, the queue sampler, and the :class:`ServingMetrics`
-    instruments.
+    instruments, which it updates in place.
 
     Constructor arguments are all stored as same-named attributes —
     the convention :func:`~repro.harness.runcache.app_fingerprint`

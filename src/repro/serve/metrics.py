@@ -142,10 +142,10 @@ class LatencySketch:
                 raise ValueError(
                     f"latency bucket {index}: count {count}, expected a "
                     f"bucket in [0, {sketch._top}] counted at least once")
-        if sum(sketch.counts.values()) != data["total"]:
-            raise ValueError(
-                f"latency counts sum to {sum(sketch.counts.values())}, "
-                f"total is {data['total']}")
+        counted = sum(sketch.counts.values())
+        if counted != data["total"]:
+            raise ValueError(f"latency counts sum to {counted}, total is "
+                             f"{data['total']}")
         sketch.total = data["total"]
         sketch.sum_us = data["sum_us"]
         sketch.max_observed_us = data["max_observed_us"]
