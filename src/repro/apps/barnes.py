@@ -157,7 +157,6 @@ class Barnes(Application):
     steps = 1
     #: Integration step for the position update.
     dt = 0.01
-    retired_knobs = {"theta": theta, "steps": steps, "dt": dt}
 
     def __init__(self, bodies_per_proc: int = 8) -> None:
         if bodies_per_proc < 1:

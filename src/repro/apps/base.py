@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Generator, List
+from typing import Any, Generator, List
 
 from repro.am.layer import HandlerTable
 from repro.gas.runtime import Proc
@@ -34,12 +34,6 @@ class Application(abc.ABC):
     #: that model only the closed SPMD dependency graph — simcost's
     #: recorder/replay — refuse such runs instead of mispredicting.
     open_system: bool = False
-
-    #: Constructor knobs the class no longer takes, each now a class
-    #: constant of the same name, at its value:
-    #: :func:`~repro.harness.runcache.app_fingerprint` keys every run
-    #: with them, so retiring a knob re-keys no stored run.
-    retired_knobs: Dict[str, Any] = {}
 
     def configure(self, n_nodes: int, seed: int) -> None:
         """Build this run's input deterministically.  Called every run, so

@@ -46,7 +46,6 @@ class Connect(Application):
     cols = 64
     #: Probability each lattice edge exists (paper: 30%).
     connectivity = 0.3
-    retired_knobs = {"cols": cols, "connectivity": connectivity}
 
     def __init__(self, rows_per_proc: int = 192) -> None:
         if rows_per_proc < 1:

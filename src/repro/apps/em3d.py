@@ -52,7 +52,6 @@ class EM3D(Application):
     #: Fraction of edges whose source lives on another processor
     #: (paper input: 40%).
     pct_remote = 0.4
-    retired_knobs = {"degree": degree, "pct_remote": pct_remote}
 
     def __init__(self, nodes_per_proc: int = 24, steps: int = 6,
                  variant: str = "write") -> None:

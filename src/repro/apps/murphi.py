@@ -92,9 +92,6 @@ class Murphi(Application):
     branching = 3
     #: States per bulk message; smaller leftovers go as short messages.
     batch_size = 3
-    #: A ``violation_stride`` of 0: no state fails the assertion list.
-    retired_knobs = {"branching": branching, "batch_size": batch_size,
-                     "violation_stride": 0}
 
     def __init__(self, state_space: int = 1500) -> None:
         self.state_space = state_space

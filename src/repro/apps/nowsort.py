@@ -47,7 +47,6 @@ class NowSort(Application):
     chunk_records = 64
     #: Key width; uniform keys are range-partitioned over the nodes.
     key_bits = 24
-    retired_knobs = {"chunk_records": chunk_records, "key_bits": key_bits}
 
     def __init__(self, records_per_proc: int = 512) -> None:
         if records_per_proc < 1:

@@ -50,8 +50,6 @@ class PRay(Application):
     cache_objects = 32
     #: Zipf exponent for object popularity (hot spots).
     zipf_s = 1.2
-    retired_knobs = {"objects_per_ray": objects_per_ray,
-                     "cache_objects": cache_objects, "zipf_s": zipf_s}
 
     def __init__(self, pixels_per_proc: int = 48,
                  n_objects: int = 256) -> None:

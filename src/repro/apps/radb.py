@@ -34,7 +34,6 @@ class RadixBulk(RadixSort):
     #: packs the whole counter table into a single message per ring hop,
     #: unlike Radix's fine-grained cyclic shift.
     scan_batch = 256
-    retired_knobs = {**RadixSort.retired_knobs, "scan_batch": scan_batch}
 
     @classmethod
     def scaled(cls, scale: float = 1.0) -> "RadixBulk":

@@ -52,8 +52,6 @@ class RadixSort(Application):
     #: count (and its serialisation) proportionally realistic — and
     #: paints Figure 4a's dark ring line.
     scan_batch = 16
-    retired_knobs = {"radix_bits": radix_bits, "key_bits": key_bits,
-                     "scan_batch": scan_batch}
 
     n_buckets = 1 << radix_bits
     n_passes = -(-key_bits // radix_bits)

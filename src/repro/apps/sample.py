@@ -43,8 +43,6 @@ class SampleSort(Application):
     #: larger one concentrates keys in the low range, producing the
     #: paper's communication imbalance).
     skew = 1.6
-    retired_knobs = {"oversample": oversample, "key_bits": key_bits,
-                     "skew": skew}
 
     def __init__(self, keys_per_proc: int = 2048) -> None:
         if keys_per_proc < 1:

@@ -44,7 +44,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -54,7 +54,7 @@ from repro.cluster.machine import Cluster
 from repro.cluster.presets import MACHINE_PRESETS
 from repro.gas.runtime import DEFAULT_LIVELOCK_LIMIT
 from repro.harness.parallel import PointTask, default_jobs, run_points
-from repro.harness.runcache import RETIRED_FAULT_FIELDS, RunCache
+from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
 from repro.harness.suite import checked_scale, suite_for, suite_names
 from repro.harness.sweeps import (DIALS, SensitivityFigure, SweepPoint,
@@ -91,6 +91,21 @@ class CampaignPoint:
     #: shared by the store and the run cache.
     spec: Dict[str, Any]
     key: str
+
+
+def _check_keys(kind: str, klass: type, data: Dict[str, Any]) -> None:
+    """Refuse, by name, a key of ``data`` that is not a field of the
+    dataclass ``klass``, or a field without a default that it lacks."""
+    known = {klass_field.name: klass_field for klass_field in fields(klass)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {kind} key(s) {unknown}; "
+                         f"one of {sorted(known)}")
+    missing = [name for name, klass_field in known.items()
+               if name not in data and klass_field.default is MISSING
+               and klass_field.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{kind} lacks key(s) {missing}")
 
 
 @dataclass(frozen=True)
@@ -263,40 +278,24 @@ class CampaignSpec:
         """Rebuild a spec produced by :meth:`to_dict` (or hand-written).
 
         Each key is a field; an omitted one takes the field's default.
-        Files written while the spec still had an ``engine`` field, or a
-        null ``coll`` tuning config, or while fault plans still had an
-        empty ``slowdowns`` and a zero ``salt``, keep loading; any other
-        key, and a set retired field, is refused by name, so a
-        misspelled one cannot fall back to its default unnoticed.
+        An unknown key, in the spec, its fault plan or one of the plan's
+        spikes, is refused by name, so a misspelled one cannot fall back
+        to its default unnoticed; so is a missing key with no default.
         """
-        data = dict(data)
-        data.pop("engine", None)
-        if data.pop("coll", None) is not None:
-            raise ValueError(
-                "campaign specs no longer take a 'coll' tuning config; "
-                "a collective's schedule is named by its call's algo=")
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown campaign spec key(s) {unknown}; "
-                f"one of {sorted(known)}")
+        _check_keys("campaign spec", cls, data)
         faults = data.get("faults")
         if faults is not None:
-            faults = dict(faults)
-            for name in RETIRED_FAULT_FIELDS:
-                if faults.pop(name, None):
-                    raise ValueError(
-                        f"fault plans no longer take {name!r}; it is "
-                        f"fixed at {RETIRED_FAULT_FIELDS[name]!r}")
-            data["faults"] = FaultPlan(**{
+            _check_keys("fault plan", FaultPlan, faults)
+            spikes = faults.get("spikes", ())
+            for spike in spikes:
+                _check_keys("delay spike", DelaySpike, spike)
+            faults = FaultPlan(**{
                 **faults,
-                "spikes": tuple(DelaySpike(**s)
-                                for s in faults.get("spikes", ())),
+                "spikes": tuple(DelaySpike(**spike) for spike in spikes),
                 "drop_kinds": (tuple(faults["drop_kinds"])
                                if faults.get("drop_kinds") else None),
             })
-        return cls(**data)
+        return cls(**{**data, "faults": faults})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

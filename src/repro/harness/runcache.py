@@ -33,6 +33,7 @@ import hashlib
 import inspect
 import io
 import json
+import numbers
 import os
 import re
 import tempfile
@@ -41,28 +42,17 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.machine import Cluster, RunResult
-from repro.cluster.node import DISKS_PER_NODE, CostModel
 
 __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
-           "constructor_params"]
+           "constructor_params", "class_constants"]
 
-#: Bump to invalidate every existing cache entry when the simulator's
-#: event semantics change in a way that alters measured runtimes (or,
-#: as in formats 3 and 4, the stored stats schema or event count does).
-CACHE_FORMAT = 4
-
-#: Fields a :class:`~repro.network.faults.FaultPlan` no longer has, at
-#: the values every plan had: a fault plan's key keeps them, so no
-#: stored run is re-keyed.
-RETIRED_FAULT_FIELDS = {"slowdowns": (), "salt": 0}
-
-#: :class:`~repro.cluster.node.CostModel`'s per-operation costs, fields
-#: no longer: every cost model's key keeps them at their values.
-RETIRED_COST_FIELDS = {
-    name: getattr(CostModel, name)
-    for name in ("us_per_op", "us_per_byte_copied",
-                 "us_per_flop_interaction", "us_per_state_hash",
-                 "us_per_edge", "us_per_key")}
+#: A run key holds what a caller can choose without editing the repo:
+#: constructor arguments, ``Cluster`` fields and class attributes a
+#: subclass can override (:func:`app_fingerprint`).  Module constants
+#: and code (``clients.BURST_RATIO``, ``DISKS_PER_NODE``, the engine's
+#: semantics, the stored stats schema) are not in it: changing one that
+#: alters a run bumps this, which invalidates every existing entry.
+CACHE_FORMAT = 5
 
 
 @functools.lru_cache()
@@ -93,28 +83,40 @@ def constructor_params(app_class: type) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def app_fingerprint(app: Any) -> Dict[str, Any]:
-    """A stable description of an application instance's configuration.
-
-    The constructor-signature parameters (across the MRO — see
-    :func:`constructor_params`) that exist as instance attributes are
-    the app's input configuration (all suite apps follow this
-    convention).  Values that are not JSON types are keyed by ``repr``.
-    A class's ``retired_knobs``, the knobs it no longer takes, enter at
-    the values they are fixed to, so retiring one re-keys no run; one
-    the app reads as an attribute enters at the value it reads, so a
-    subclass that overrides the constant is keyed at its own value.
+@functools.lru_cache()
+def class_constants(klass: type) -> Tuple[str, ...]:
+    """Names of ``klass``'s public class constants: its public class
+    attributes across the MRO, constructor parameters aside, whose
+    most-derived value is a number, a string, a boolean or a tuple of
+    them.  Memoised per class object, as :func:`constructor_params` is.
     """
-    app_class = type(app)
-    kwargs = {name: getattr(app, name, value) for name, value
-              in getattr(app_class, "retired_knobs", {}).items()}
-    for name in constructor_params(app_class):
-        if hasattr(app, name):
-            kwargs[name] = getattr(app, name)
+    values: Dict[str, Any] = {}
+    for base in reversed(klass.__mro__):
+        values.update(vars(base))
+    params = constructor_params(klass)
+    return tuple(
+        name for name, value in values.items()
+        if not name.startswith("_") and name not in params
+        and all(isinstance(item, (numbers.Number, str)) for item in
+                (value if isinstance(value, tuple) else (value,))))
+
+
+def app_fingerprint(obj: Any) -> Dict[str, Any]:
+    """A stable description of an application's configuration, or of
+    any object built the same way (the cluster's cost model): its class
+    path, its constructor parameters (:func:`constructor_params`, those
+    it keeps as same-named attributes, as every suite app does) and its
+    class constants (:func:`class_constants`), each at the value ``obj``
+    reads.  Values that are not JSON types are keyed by ``repr``.
+    """
+    klass = type(obj)
     return {
-        "class": f"{app_class.__module__}.{app_class.__qualname__}",
-        "name": app.name,
-        "kwargs": kwargs,
+        "class": f"{klass.__module__}.{klass.__qualname__}",
+        "kwargs": {name: getattr(obj, name)
+                   for name in constructor_params(klass)
+                   if hasattr(obj, name)},
+        "constants": {name: getattr(obj, name)
+                      for name in class_constants(klass)},
     }
 
 
@@ -122,18 +124,14 @@ def run_key_spec(app: Any, cluster: Cluster) -> Dict[str, Any]:
     """Everything that determines one run's outcome, as a JSON dict:
     ``app``'s fingerprint and every :class:`Cluster` field but
     ``sanitize`` (the run is bit-identical either way, so sanitized runs
-    bypass the cache instead).  ``Cluster`` normalises a null fault plan
-    to ``None``, so such a run shares the fault-free run's entry.
+    bypass the cache instead), the cost model by its fingerprint.
+    ``Cluster`` normalises a null fault plan to ``None``, so such a run
+    shares the fault-free run's entry.
     """
     spec = {"format": CACHE_FORMAT, "app": app_fingerprint(app),
             **dataclasses.asdict(cluster),
-            # Fixed: dropping any would re-key every run.
-            "fabric": "flat", "coll": None,
-            "disks_per_node": DISKS_PER_NODE}
+            "cost": app_fingerprint(cluster.cost)}
     del spec["sanitize"]
-    spec["cost"].update(RETIRED_COST_FIELDS)
-    if spec["faults"] is not None:
-        spec["faults"].update(RETIRED_FAULT_FIELDS)
     return spec
 
 

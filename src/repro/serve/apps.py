@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from repro.am.layer import HandlerReply, Reply
 from repro.apps.base import Application
-from repro.serve import clients
 from repro.serve.clients import ClientTier, Request
 from repro.serve.metrics import ServingMetrics
 
@@ -96,20 +95,6 @@ class ServingApp(Application):
     #: Open-system marker: analysis tiers that model only the closed
     #: SPMD dependency graph (simcost) refuse these runs.
     open_system = True
-
-    #: Knobs this class no longer takes, at the values they are fixed
-    #: to: :func:`~repro.harness.runcache.app_fingerprint` keys a run
-    #: with them, so no stored run is re-keyed, and
-    #: :func:`serving_app_from_dict` refuses them by name.
-    retired_knobs: Dict[str, Any] = {
-        "burst_ratio": clients.BURST_RATIO,
-        "mean_burst_us": clients.MEAN_BURST_US,
-        "mean_calm_us": clients.MEAN_CALM_US,
-        "user_skew": clients.USER_SKEW,
-        "write_ratio": clients.WRITE_RATIO,
-        "load_balance": "round-robin",
-        "sample_every_us": SAMPLE_EVERY_US,
-    }
 
     def __init__(self, offered_rps: float = 200_000.0,
                  n_users: int = 100_000,
@@ -377,10 +362,6 @@ class KVServe(ServingApp):
 
     name = "kvserve"
 
-    #: Only KVServe took the replication knobs.
-    retired_knobs = {**ServingApp.retired_knobs, "replication": "none",
-                     "read_anywhere": True}
-
     def _new_shard(self) -> Dict[int, int]:
         return {}
 
@@ -457,8 +438,8 @@ def serving_app_from_dict(data: Dict[str, Any]) -> ServingApp:
 
     ``data["app"]`` names the scenario (one of :data:`SERVING_APPS`);
     every other key is a constructor knob.  This is the factory behind
-    ``CampaignSpec.workload``, so a retired or unknown knob is refused
-    by name.
+    ``CampaignSpec.workload``, so an unknown knob is refused by name
+    (:meth:`ServingApp.with_changes`).
     """
     spec = dict(data)
     kind = spec.pop("app", None)
@@ -466,10 +447,4 @@ def serving_app_from_dict(data: Dict[str, Any]) -> ServingApp:
         raise ValueError(
             f"workload 'app' must be one of {sorted(SERVING_APPS)}, "
             f"got {kind!r}")
-    app_class = SERVING_APPS[kind]
-    for name in spec:
-        if name in app_class.retired_knobs:
-            raise ValueError(
-                f"{kind} no longer takes {name!r}: it is fixed at "
-                f"{app_class.retired_knobs[name]!r}")
-    return app_class().with_changes(**spec)
+    return SERVING_APPS[kind]().with_changes(**spec)

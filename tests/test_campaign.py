@@ -353,14 +353,24 @@ def test_campaign_spec_refuses_a_repeat_or_an_unknown_app_by_name(change,
      "--out writes the report"),
     (["--store-gc", "--store", "s.sqlite", "--apps", "Radix"],
      "--apps writes the report"),
-    # Knobs that are now fixed: naming one is refused, not ignored.
+    # Knobs that are now fixed: naming one is refused as any unknown
+    # key is, not ignored.
     (["--campaign", "retired_fault.json", "--store", "s.sqlite"],
-     "fault plans no longer take 'salt'"),
+     "unknown fault plan key(s) ['salt']"),
     (["--campaign", "retired_workload.json", "--store", "s.sqlite"],
-     "kvserve no longer takes 'write_ratio'"),
+     "KVServe has no knob(s) ['write_ratio']"),
+    # A misspelled fault field used to die in FaultPlan/DelaySpike with
+    # a TypeError traceback.
+    (["--campaign", "fault_typo.json", "--store", "s.sqlite"],
+     "unknown fault plan key(s) ['drop_rte']; one of ['drop_kinds', "
+     "'drop_rate'"),
+    (["--campaign", "spike_typo.json", "--store", "s.sqlite"],
+     "unknown delay spike key(s) ['start']; one of ['duration_us', "
+     "'node', 'start_us']"),
 ], ids=["render", "bench-out", "store", "gc-render", "prune", "missing",
         "repeat", "unknown-app", "only", "out", "apps", "gc-only", "gc-out",
-        "gc-apps", "retired-fault", "retired-workload"])
+        "gc-apps", "retired-fault", "retired-workload", "fault-typo",
+        "spike-typo"])
 def test_the_campaign_cli_refuses_with_exit_2_before_opening_a_store(
         argv, said, tmp_path, monkeypatch, capsys):
     from repro.harness.__main__ import main
@@ -376,6 +386,11 @@ def test_the_campaign_cli_refuses_with_exit_2_before_opening_a_store(
     (tmp_path / "retired_workload.json").write_text(json.dumps({
         **good, "apps": ["kvserve"], "workload": {
             "app": "kvserve", "write_ratio": 0.3}}))
+    (tmp_path / "fault_typo.json").write_text(json.dumps({
+        **good, "faults": {"drop_rte": 0.01}}))
+    (tmp_path / "spike_typo.json").write_text(json.dumps({
+        **good, "faults": {"spikes": [
+            {"node": 1, "start": 10.0, "duration_us": 5.0}]}}))
     with pytest.raises(SystemExit) as refused:
         main(argv + ["--no-cache"])
     assert refused.value.code == 2
@@ -432,35 +447,32 @@ def test_campaign_spec_json_round_trip_with_faults_and_coll():
     # And the round trip preserves point identity, not just equality.
     assert ([p.key for p in round_tripped.points()]
             == [p.key for p in spec.points()])
-    # Spec files written while CampaignSpec still had an ``engine``
-    # field keep loading, to the same points.
-    legacy = CampaignSpec.from_dict({**spec.to_dict(),
-                                     "engine": "calendar"})
-    assert legacy == spec
-    assert ([p.key for p in legacy.points()]
-            == [p.key for p in spec.points()])
-    # So do files written while it had a ``coll`` tuning config, as long
-    # as they never set one; a set one has no meaning any more.
-    legacy = CampaignSpec.from_dict({**spec.to_dict(), "coll": None})
-    assert ([p.key for p in legacy.points()]
-            == [p.key for p in spec.points()])
-    with pytest.raises(ValueError, match="coll"):
-        CampaignSpec.from_dict({**spec.to_dict(),
-                                "coll": {"policy": "model"}})
-    # Every fault plan the older code wrote carries an empty
-    # ``slowdowns`` and a zero ``salt``: those still load, to the same
-    # points; a set one has no meaning any more.
-    older = {**spec.to_dict(), "faults": {**spec.to_dict()["faults"],
-                                          "slowdowns": [], "salt": 0}}
-    assert ([p.key for p in CampaignSpec.from_dict(older).points()]
-            == [p.key for p in spec.points()])
-    for retired, value in (("salt", 3), ("slowdowns", [{
-            "node": 2, "start_us": 0.0, "duration_us": 50.0,
-            "factor": 2.0}])):
-        with pytest.raises(ValueError,
-                           match=f"no longer take '{retired}'"):
-            CampaignSpec.from_dict({**older, "faults": {
-                **older["faults"], retired: value}})
+    # Keys the spec or its fault plan once had (an ``engine``, a
+    # ``coll`` tuning config, a plan's ``salt`` and ``slowdowns``) are
+    # refused as any unknown key is, even at the values every older
+    # file carried.
+    for key, value in (("engine", "heap"), ("coll", None)):
+        with pytest.raises(ValueError, match=rf"unknown campaign spec "
+                           rf"key\(s\) \['{key}'\]"):
+            CampaignSpec.from_dict({**spec.to_dict(), key: value})
+    for key, value in (("salt", 0), ("slowdowns", [])):
+        with pytest.raises(ValueError, match=rf"unknown fault plan "
+                           rf"key\(s\) \['{key}'\]"):
+            CampaignSpec.from_dict({**spec.to_dict(), "faults": {
+                **spec.to_dict()["faults"], key: value}})
+
+
+def test_a_spike_without_a_start_is_refused_by_name():
+    data = {"name": "c", "apps": ["Radix"], "node_counts": [4],
+            "dials": [["overhead", [2.9]]],
+            "faults": {"spikes": [{"node": 1, "duration_us": 5.0}]}}
+    with pytest.raises(ValueError,
+                       match=r"delay spike lacks key\(s\) \['start_us'\]"):
+        CampaignSpec.from_dict(data)
+    del data["apps"]
+    with pytest.raises(ValueError,
+                       match=r"campaign spec lacks key\(s\) \['apps'\]"):
+        CampaignSpec.from_dict(data)
 
 
 @pytest.mark.parametrize("key", ["seed", "scle"])

@@ -21,7 +21,8 @@ from repro.harness import (DIALS, Dial, Plan, PointTask, RunCache,
 from repro.harness import parallel as parallel_mod
 from repro.harness import runcache as runcache_mod
 from repro.harness.parallel import default_jobs
-from repro.harness.runcache import constructor_params, run_key_spec
+from repro.harness.runcache import (class_constants, constructor_params,
+                                    run_key_spec)
 from repro.harness.sweeps import SweepPoint, SweepResult
 from repro.network.faults import FaultPlan
 from repro.network.loggp import LogGPParams
@@ -332,12 +333,12 @@ def test_constructor_params_memo_leaves_run_keys_unchanged(monkeypatch):
 
     memoised = keys()
     assert len(set(memoised)) == 12
-    monkeypatch.setattr(runcache_mod, "constructor_params",
-                        constructor_params.__wrapped__)
+    for memo in (constructor_params, class_constants):
+        monkeypatch.setattr(runcache_mod, memo.__name__, memo.__wrapped__)
     assert keys() == memoised
 
 
-#: The suite's shape knobs no caller set, each now a class constant.
+#: The suite's shape knobs no caller sets, each a class constant.
 SUITE_RETIRED_KNOBS = {
     "Radix": {"radix_bits", "key_bits", "scan_batch"},
     "EM3D(write)": {"degree", "pct_remote"},
@@ -345,7 +346,7 @@ SUITE_RETIRED_KNOBS = {
     "Sample": {"oversample", "key_bits", "skew"},
     "Barnes": {"theta", "steps", "dt"},
     "P-Ray": {"objects_per_ray", "cache_objects", "zipf_s"},
-    "Murphi": {"branching", "batch_size", "violation_stride"},
+    "Murphi": {"branching", "batch_size"},
     "Connect": {"cols", "connectivity"},
     "NOW-sort": {"chunk_records", "key_bits"},
     "Radb": {"radix_bits", "key_bits", "scan_batch"},
@@ -356,17 +357,15 @@ SUITE_RETIRED_KNOBS = {
                          ids=lambda app: app.name)
 def test_a_retired_shape_knob_keys_a_run_at_its_value(app):
     """The constructor takes only the size (and EM3D's steps and
-    variant, P-Ray's object count); every knob it no longer takes is
-    in the run key at the value the class fixes it to."""
-    retired = type(app).retired_knobs
-    assert set(retired) == SUITE_RETIRED_KNOBS[app.name]
-    assert not set(retired) & set(constructor_params(type(app)))
-    kwargs = runcache_mod.app_fingerprint(app)["kwargs"]
-    for name, value in retired.items():
-        assert kwargs[name] == value
-        # What the algorithm reads is what the key says (Murphi's
-        # violation_stride is read by nothing).
-        assert getattr(app, name, value) == value
+    variant, P-Ray's object count); every shape knob it no longer takes
+    is a class constant, and the key holds it at the value the app
+    reads, found by reflection rather than listed."""
+    fingerprint = runcache_mod.app_fingerprint(app)
+    constants = fingerprint["constants"]
+    assert SUITE_RETIRED_KNOBS[app.name] <= set(constants)
+    assert not set(constants) & set(fingerprint["kwargs"])
+    for name, value in constants.items():
+        assert getattr(type(app), name) == value == getattr(app, name)
 
 
 def test_a_subclass_that_overrides_a_retired_constant_is_keyed_at_it():
@@ -375,8 +374,53 @@ def test_a_subclass_that_overrides_a_retired_constant_is_keyed_at_it():
     class Wide(Connect):
         cols = 128
 
-    kwargs = runcache_mod.app_fingerprint(Wide(rows_per_proc=4))["kwargs"]
-    assert (kwargs["cols"], kwargs["connectivity"]) == (128, 0.3)
+    constants = runcache_mod.app_fingerprint(
+        Wide(rows_per_proc=4))["constants"]
+    assert (constants["cols"], constants["connectivity"]) == (128, 0.3)
+
+
+def _twin(base, **constants):
+    """A subclass of ``base`` under ``base``'s own module and qualified
+    name, differing from it only in ``constants``."""
+    return type(base.__name__, (base,), {
+        "__module__": base.__module__, "__qualname__": base.__qualname__,
+        **constants})
+
+
+def test_two_classes_that_differ_only_in_a_constant_get_different_keys():
+    from repro.apps import Connect
+    narrow, wide = _twin(Connect, cols=32), _twin(Connect, cols=128)
+    same = _twin(Connect)
+
+    def key(app_class):
+        return RunCache.key_for(run_key_spec(app_class(rows_per_proc=4),
+                                             Cluster(4)))
+
+    assert runcache_mod.app_fingerprint(narrow(rows_per_proc=4))["class"] \
+        == runcache_mod.app_fingerprint(wide(rows_per_proc=4))["class"]
+    assert len({key(narrow), key(wide), key(Connect)}) == 3
+    assert key(same) == key(Connect)
+    # Memoised per class object: the twins never share an answer.
+    assert class_constants(narrow) is not class_constants(wide)
+
+
+def test_a_cost_model_subclass_re_keys_its_runs():
+    """A cost model is keyed like an app: a subclass that changes a
+    per-operation constant changes what every app computes, so it is a
+    different run even under the base's class path."""
+    from repro.cluster.node import CostModel
+    slow_ops = _twin(CostModel, us_per_op=0.04)
+
+    def spec(cost):
+        return run_key_spec(tiny_radix(), Cluster(4, cost=cost))
+
+    assert spec(slow_ops())["cost"]["constants"]["us_per_op"] == 0.04
+    assert RunCache.key_for(spec(slow_ops())) \
+        != RunCache.key_for(spec(CostModel()))
+    assert RunCache.key_for(spec(_twin(CostModel)())) \
+        == RunCache.key_for(spec(CostModel()))
+    assert spec(CostModel(cpu_scale=2.0))["cost"]["kwargs"] \
+        == {"cpu_scale": 2.0}
 
 
 def test_constructor_params_memo_is_per_class_object():

@@ -22,7 +22,7 @@ import pytest
 
 from repro.apps import RadixSort
 from repro.cluster.machine import Cluster
-from repro.harness.runcache import RunCache, run_key_spec
+from repro.harness.runcache import RunCache, constructor_params, run_key_spec
 from repro.serve import (ARRIVAL_PROCESSES, ClientTier, FanoutServe,
                          KVServe, LatencySketch, ServingApp,
                          ServingMetrics, serving_app_from_dict)
@@ -281,11 +281,11 @@ def test_million_user_scale_point_completes():
 # 6. Frontend assignment, one shard per key, fan-out.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("policy", (KVServe.retired_knobs["load_balance"],))
+@pytest.mark.parametrize("policy", ("round-robin",))
 def test_load_balance_policies_complete_and_spread(policy):
-    """Round-robin is the one frontend assignment left; the run is keyed
-    with it as the fixed ``load_balance`` value."""
-    assert policy == "round-robin"
+    """Round-robin is the one frontend assignment left, and no knob
+    names it."""
+    assert "load_balance" not in constructor_params(KVServe)
     result = Cluster(n_nodes=4, seed=6).run(tiny_kv(max_requests=200))
     serving = result.stats.serving
     assert serving.verdict == "ok"
@@ -353,19 +353,25 @@ def test_serving_app_from_dict_round_trip():
     ("fanout", "write_ratio", 0.1)])
 def test_a_retired_knob_is_refused_by_name(kind, knob, value):
     """The forks nobody selected are gone and their knobs fixed: naming
-    one, even at its fixed value, is refused, never ignored."""
-    with pytest.raises(ValueError, match=f"no longer takes '{knob}'"):
+    one, even at its fixed value, is refused as any unknown knob is,
+    never ignored."""
+    with pytest.raises(ValueError, match=rf"no knob\(s\) \['{knob}'\]"):
         serving_app_from_dict({"app": kind, knob: value})
 
 
-def test_a_retired_knob_keys_a_run_at_its_fixed_value():
+def test_a_serving_run_is_keyed_by_its_knobs_and_class_constants():
+    """A serving run's key holds each constructor knob and each class
+    constant, found by reflection; the trace shape and sampler cadence
+    are module constants, which ``CACHE_FORMAT`` covers, so they are
+    not in it."""
     from repro.harness.runcache import app_fingerprint
     for app in (tiny_kv(), FanoutServe()):
-        kwargs = app_fingerprint(app)["kwargs"]
-        assert {name: kwargs[name] for name in type(app).retired_knobs} \
-            == type(app).retired_knobs
-    assert "replication" in KVServe.retired_knobs
-    assert "replication" not in FanoutServe.retired_knobs
+        fingerprint = app_fingerprint(app)
+        assert set(fingerprint["kwargs"]) == set(
+            constructor_params(type(app)))
+        assert fingerprint["constants"] == {
+            "name": app.name, "open_system": True}
+    assert "fanout" in app_fingerprint(FanoutServe())["kwargs"]
 
 
 #: Every knob of a serving scenario that is a number, then the numeric
@@ -388,7 +394,7 @@ def test_non_finite_knobs_are_refused_by_name(knob, value):
     if knob in RETIRED_NUMERIC_KNOBS:
         with pytest.raises(TypeError, match=f"'{knob}'"):
             tiny_kv(**{knob: value})
-        with pytest.raises(ValueError, match=f"no longer takes '{knob}'"):
+        with pytest.raises(ValueError, match=rf"no knob\(s\) \['{knob}'\]"):
             serving_app_from_dict({"app": "kvserve", knob: value})
         return
     with pytest.raises(ValueError, match=f"^{knob} must be finite"):
