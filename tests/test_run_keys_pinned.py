@@ -8,8 +8,9 @@ These digests are what the keys *were*: planning only, nothing
 simulates.
 
 ``CACHE_FORMAT`` is the one legitimate reason to re-pin (a bump orphans
-old entries on purpose); anything else that moves a digest is a bug in
-the change, not in this file.
+old entries on purpose), and it is pinned here beside the digests, so a
+bump shows in this file's diff; anything else that moves a digest is a
+bug in the change, not in this file.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from repro.harness import CampaignSpec
 from repro.harness.experiments import table7_spike_decay
 from repro.harness.extensions import (investment_study, occupancy_study,
                                       scaling_study)
-from repro.harness.runcache import RunCache, run_key_spec
+from repro.harness.runcache import CACHE_FORMAT, RunCache, run_key_spec
 from repro.harness.surface import sensitivity_surface
 from repro.harness.sweeps import DIALS, run_sweep
 from repro.serve import FanoutServe, KVServe
@@ -41,20 +42,24 @@ def task_digest(plan):
     return digest((task.value, task.key) for task in plan.tasks)
 
 
+def test_the_digests_are_of_format_5_keys():
+    assert CACHE_FORMAT == 5
+
+
 def test_every_dial_sweeps_the_keys_it_always_has():
     app = RadixSort(keys_per_proc=32)
     assert {dial: task_digest(run_sweep.plan(app, 4, dial, REDUCED[dial]))
             for dial in REDUCED} == {
         "overhead":
-            "151b17b4adcec1cd3efc401d05c12321c1f663391f9243fc0b4ad5ba2eae16df",
+            "aa2df9948f6f767dabed845527334582b91704a8311f9232d96fc4ae68cdf28c",
         "gap":
-            "b636886ef12b9e09f6bd95477a9e4f836ef025085130e6994ef6fc653eab0ffe",
+            "e10b5c2fc33e17e30780a79268e4b3102784f52cb1a3fdb9a64515cca2812f01",
         "latency":
-            "a19d77e050e746bad4590f61e1547554f3777596921eb1b32e4976512a9f3f43",
+            "80605c00d1b08a2b28a7ac2aeb1b4b97815fdd85ca2f3374fd066148f621b298",
         "bulk_mb_s":
-            "100090860cd640b2e3fb91280d26ab09d455fba691e657969e4d56a34289f918",
+            "8d31f301596ccb5e62b8f56fa21e217d38790a1101477dc7e8f96c7dfd94bf71",
         "drop_rate":
-            "4ffad1657096b9d8c6bb26ad65ffad3444b17c5a3d155e565bf6d2dc5e9efe3f",
+            "f29c1b769f26d25b8b272cc449f391dac46f83615bfb739cb74ab602358ab4ec",
     }
 
 
@@ -64,33 +69,33 @@ def test_offered_load_sweeps_the_keys_it_always_has():
                   key_space=256)
     assert task_digest(run_sweep.plan(
         app, 4, "offered_rps", (100_000.0, 400_000.0, 1_600_000.0))) == \
-        "123505e3d8ed9b220e9735cf0cf485928a7a9e44212be2bbdb434d09620c5af4"
+        "c381724627e052dc1e8727141792e947ae2c2a0bae88b1a0410a2ee31fe915e4"
 
 
 def test_fanout_and_bursty_serving_plans_keep_their_keys():
-    """A serving run's key carries every knob its class ever took,
-    the retired ones as constants: FanoutServe's set differs from
-    KVServe's, and a bursty trace is keyed apart from a Poisson one."""
+    """A serving run's key carries every knob and class constant of its
+    class: FanoutServe's set differs from KVServe's, and a bursty trace
+    is keyed apart from a Poisson one."""
     small = dict(n_users=5_000, duration_us=8_000.0, max_requests=120,
                  service_us=4.0, key_space=256)
     fanout = FanoutServe(fanout=3, offered_rps=100_000.0, **small)
     assert task_digest(run_sweep.plan(
         fanout, 4, "offered_rps", (100_000.0, 400_000.0, 1_600_000.0))) == \
-        "8b02a73d0a3946a12f203228c06f2842626e2ba880442e23da83e30b65f28949"
+        "e08a1e74f415fd9f2162ba5dddf1db47c9f223647d6b4482f24e3b021aaa5593"
     bursty = KVServe(arrivals="bursty", offered_rps=400_000.0, **small)
     assert task_digest(run_sweep.plan(
         bursty, 4, "overhead", REDUCED["overhead"])) == \
-        "5d2922c1b490d6e8f7a9fab50b3be42003d23444296588ff68f47eccb89730d5"
+        "8beef035c9b2a1c274f276743c372070abc86a278f10ccca0d5c6b67c81f3151"
 
 
 def test_the_spike_plan_keeps_its_keys():
     """Table 7's plans: one spike-only fault plan per point, whose key
-    holds every field a fault plan ever had."""
+    holds every field of the plan."""
     plan = table7_spike_decay.plan(n_nodes=4, scale=0.1,
                                    names=("Radix", "Connect"))
     assert len(plan.tasks) == 12
     assert task_digest(plan) == \
-        "9e206527f3cc57500504feb1d1f1e3ffad798114149737f9f6a64e86be5b71da"
+        "fb755962f9ff167ba18584d2ca50723190423ede06a4f82c9f26e64d31cc12d6"
 
 
 def test_a_five_dial_campaign_expands_to_the_keys_it_always_has():
@@ -100,21 +105,21 @@ def test_a_five_dial_campaign_expands_to_the_keys_it_always_has():
     points = spec.points()
     assert len(points) == 2 * 2 * sum(map(len, REDUCED.values()))
     assert digest((point.value, point.key) for point in points) == \
-        "b52375e657c9855abf4629773899584b6419bb73dde260a41e6c93472a8c3a65"
+        "e2b250c08f41f62b79a4d9b0e2d7a1963170f71549b001d410361f2eca60434e"
 
 
 def test_surface_and_occupancy_grids_keep_their_keys():
     assert task_digest(sensitivity_surface.plan(
         "Sample", 4, "overhead", (25.0,), "gap", (25.0,))) == \
-        "ecb20e6c47954eea5d3be7c4263a1fc3be938404ce8a58f6abf3bd7508250845"
+        "29f4b1ef6fcda5668dbd919dceec74901c9b8b9053fc08845237c276fd0cbcfa"
     assert task_digest(occupancy_study.plan(n_nodes=4)) == \
-        "0e0712c677e6ce99c5b1850568bc2ef9926eb6d29d80b44aea8d263638de669d"
+        "f9298d57d4625bab374a2bf792a5c89a79005470c92d2b5c9faeb9c6a9f56551"
 
 
 def test_every_suite_app_keeps_its_keys():
     """One digest per application, over its keys at two suite scales on
-    4 nodes: each key holds every shape knob the app's class has ever
-    taken and every field of the default machine, so a failure names
+    4 nodes: each key holds the app's size, every shape constant of its
+    class and every field of the default machine, so a failure names
     the app whose key moved."""
     pairs = {}
     for scale in (0.05, 0.1):
@@ -124,25 +129,25 @@ def test_every_suite_app_keeps_its_keys():
                 (scale, RunCache.key_for(spec)))
     assert {name: digest(keyed) for name, keyed in pairs.items()} == {
         "Radix":
-            "2581f529fd1ff829d21e9d50bbac21cff11d1a15ba9806f515c3791500b05c10",
+            "523007cd0da4ce4a7a8acf41e31eaaab6f1c20b4025d3d98698520a052bb7589",
         "EM3D(write)":
-            "49e175173cce21c3bbb3a1168d28fe640fe253c5f78cde42915e14541a03b027",
+            "95b6f3ab84ade9cfbb5ba39ce47fa0ff9f13b73752de29420a83e3ba93d22712",
         "EM3D(read)":
-            "dd0c2346799ada40c7c765e35f311e587a37386443560c04c41701093fa2f40b",
+            "de5864312da2173ffbaf869b933cde9311ba8b56b3a2f48875fcb24a713d1cca",
         "Sample":
-            "def7e606c40e8adbe68bbd2cbff4f1543ed61e273f47def50b8faa1ff15d879b",
+            "cb3624c260e54f460dd220d28701d46d2dd42c84a10b0e15f31f0d2ac16ecd39",
         "Barnes":
-            "63de58f0bdc2597a7c482798a0758823fb9a8e5f3c80c5ace8fc7397866fcb03",
+            "6aa2dca2726887181c527d2b24543f462dcf56f6375881d6a00f66004207f0a7",
         "P-Ray":
-            "b8da9b9c0afa6094f58798cd99573169d84a873b4a8f0f1b23a5e4fc6cb621be",
+            "cf453aee016c0164d62ace3f5cbae06b2d85dede2c1f3c03c9fe676054bc8b24",
         "Murphi":
-            "a4b0fb98bc4ce001d7803ade8a1f1d735e37cb97312abecff32936a9cd02bf14",
+            "6ec196e6f9c79ab40990d45584014127a5ad48c60c60c422470427fb82971d52",
         "Connect":
-            "9dfc82d600096634138c5eadea95ec48df387ffcc9ea9704b062f3b11c97581a",
+            "c4ff24d700bb2be75e014773abce3be1c96265dcc7b43b32e349be9a95e92e1f",
         "NOW-sort":
-            "2cb615eac24184c7a773b33ffc3326de71394cb3876a07341e28a12360b8ace1",
+            "4787076ec29d14808276eca2a654daa89ac95e3bf4e98230e1f669eff8210c1c",
         "Radb":
-            "c56e920eab25db2125c0adf43a763a0877d21b090abd8b69906a2ceb25538614",
+            "5e9f72443fa9ce1842494db1f0069b6f8ae46051de1a7a678c9d93774bdb7815",
     }
 
 
@@ -150,7 +155,7 @@ def test_the_cost_and_scaling_studies_keep_their_keys():
     """The investment study is the one plan that sets a cost model (a
     2x CPU); the scaling study runs one app at several sizes."""
     assert task_digest(investment_study.plan(n_nodes=8, scale=0.05)) == \
-        "c5331486f9f2def4d4550d40912d2b6cf7a22e86c2e43b4bcee66f1875a974c2"
+        "d3d41e90b5d9a48b9e2824c1af133852e2430946e5750e3d516b9ab7b1233386"
     assert task_digest(scaling_study.plan(node_counts=(4, 8),
                                           scale=0.05)) == \
-        "62fa316b6763ee7dfdb6d84ed5e291550c9a8a912cc9cea1c2c9cc69e95eb2c6"
+        "89b0bff89653290e488aaccdf3d4d6b70062440265e5b3b1009fe282c4165b78"

@@ -122,7 +122,7 @@ def test_every_registered_collective_runs_as_it_always_has():
 #: and the key it is cached under.
 PAYLOAD = "4542617c0d9f149a71e4f2c5f9ef7810615347d70bb6092e9c421f6bf344bdc9"
 CACHE_KEY = \
-    "470fdacc2286c71cc57d47e485f742d419ef870a505729713787f82269f70907"
+    "6bfc2166519ecd05805d8a4789de723103481fb1d28d586c0ffcd8d75ea47ef6"
 
 
 def radix_payload(**run):

@@ -373,14 +373,14 @@ _PINS = {
     "radix": {
         "runtime_us": 2069.3999999999905,
         "events": 4480,
-        "key": ("83d5b8e5ab625046d346eca376b7f23b64d57ce2"
-                "20cf546319ce0dea9e94b52b"),
+        "key": ("9cbbe7515f549948c33edf4269632b62ed242638"
+                "d0f2435eba206d0eaa967b3e"),
     },
     "barnes": {
         "runtime_us": 4051.680000000008,
         "events": 7492,
-        "key": ("8e938c8229b9b3a5c5e96964a31f9178d0bef44f"
-                "3a842a18ec81eb2d04d1943b"),
+        "key": ("63a2f265f2d84ac0c4739c2d151f5ca02f6f639d"
+                "91791239e10db6835ca0a016"),
     },
 }
 
