@@ -42,8 +42,8 @@ def main() -> None:
     # planned first and drained together, so each application's
     # baseline — every sweep's first point — is simulated once.
     figures = run_plans([
-        sensitivity_figure.plan(dial, n_nodes=N_NODES, scale=scale,
-                                names=APPS, values=DIALS[dial].reduced)
+        sensitivity_figure(dial, n_nodes=N_NODES, scale=scale,
+                           names=APPS, values=DIALS[dial].reduced)
         for dial in MACHINE_DIALS])
     for figure in figures:
         print("=" * 72)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set
 
-from repro.analysis.core import (Finding, ProgramRule, Rule, SourceFile,
-                                 register_rule)
+from repro.analysis.core import Finding, Rule, SourceFile, register_rule
 from repro.analysis.flow.effects import COLLECTIVES
 
 __all__ = ["KernelInternalsRule", "PacketKindMemberRule", "OneBusRule",
@@ -223,30 +222,25 @@ def _builds(owner: Dict[ast.AST, ast.AST]) -> Iterator[ast.AST]:
 
 
 @register_rule
-class OneDrainRule(ProgramRule):
+class OneDrainRule(Rule):
     """The harness has one drain: only ``harness.parallel.run_points``
     (and its ``_pool``) owns a process pool, probes or fills a run cache
     -- a graph comes back with its one ``get(..., graph=)`` -- or calls
-    ``execute_point``.  No ``Plan`` build simulates; the artifact driver
-    drains at one call site and neither it nor its module-level code
-    simulates or calls a ``@study``.  Whole-program only to learn the studies."""
+    ``execute_point``.  No ``Plan`` build calls ``run`` or
+    ``record_run``; the artifact driver drains at one call site and
+    neither it nor its module-level code simulates, a plan's own
+    ``.run()`` included.  One kind of build does simulate, outside the
+    drain and with no run key: ``harness.artifacts``' ``_measured``
+    records run the ``repro.calibrate`` microbenchmarks on two-node
+    machines of their own."""
 
     rule_id = "one-drain"
     description = ("a pool, cache probe or execute_point outside "
                    "run_points; a simulating Plan build; a driver that "
                    "simulates or drains more than once")
 
-    def check_program(self, program) -> Iterator[Finding]:
-        owners = {module.source: _owners(module.source.tree)
-                  for module in program.by_path.values()}
-        studies = {node.name for owner in owners.values() for node in owner
-                   if "study" in map(_named,
-                                     getattr(node, "decorator_list", ()))}
-        for source, owner in owners.items():
-            yield from self._check(source, owner, studies)
-
-    def _check(self, source: SourceFile, owner: Dict[ast.AST, ast.AST],
-               studies: Set[str]) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        owner = _owners(source.tree)
         drain = _path(source).endswith("/harness/parallel.py")
         driver = "main" if _path(source).endswith(_DRIVER) else None
         probed: Set[str] = set()
@@ -286,9 +280,6 @@ class OneDrainRule(ProgramRule):
             elif name in (driver, None) and _callee(node) in _SIMULATES:
                 yield self.finding(source, node, "the driver simulates "
                                    "outside its drain")
-            elif _callee(node) in studies:
-                yield self.finding(source, node, f"calling the study "
-                                   f"{_callee(node)} drains; take its .plan")
         if driver is not None and not drains:
             yield self.finding(source, source.tree, f"{driver} never drains")
         for build in _builds(owner):

@@ -227,29 +227,31 @@ def predict_sweep(graph: CostGraph, parameter: str,
     return sweep
 
 
+#: Relative precision of :func:`latency_tolerance`'s bisection.
+CROSSING_TOL = 0.01
+#: The largest dial value :func:`latency_tolerance` searches to.
+CROSSING_MAX = 100_000.0
+
+
 def latency_tolerance(graph: CostGraph, parameter: str,
-                      threshold: float = 2.0,
-                      tol: float = 0.01,
-                      max_value: float = 100_000.0) -> Optional[float]:
+                      threshold: float = 2.0) -> Optional[float]:
     """The dial value at which predicted slowdown crosses ``threshold``.
 
     The per-app "latency tolerance" metric (for any of the four dials,
     despite the name): how far the dial can be turned before the
     application slows down by ``threshold``x.  Slowdown is
     piecewise-linear and monotone in each dial, so the crossing is
-    found by doubling + bisection to relative precision ``tol``.
-    Returns ``None`` when the app never crosses within ``max_value``
-    (for ``bulk_mb_s``, when it still holds at 1/1000 of the baseline
-    bandwidth — effectively bandwidth-insensitive).  ``parameter`` is
-    one of :data:`~repro.harness.sweeps.MACHINE_DIALS`: only those have
-    a baseline to cross from.  A non-finite ``threshold``, or a ``tol``
-    outside (0, 1), raises ``ValueError``: the search could not end, or
-    would end meaningless.
+    found by doubling + bisection to relative precision
+    :data:`CROSSING_TOL`.  Returns ``None`` when the app never crosses
+    within :data:`CROSSING_MAX` (for ``bulk_mb_s``, when it still holds
+    at 1/1000 of the baseline bandwidth — effectively
+    bandwidth-insensitive).  ``parameter`` is one of
+    :data:`~repro.harness.sweeps.MACHINE_DIALS`: only those have a
+    baseline to cross from.  A non-finite ``threshold`` raises
+    ``ValueError``: the crossing would be meaningless.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, not {threshold!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be in (0, 1), not {tol!r}")
     dial = dial_named(parameter, MACHINE_DIALS)
     base_value = dial.baseline(graph.params)
     replay = _replayer(graph)
@@ -275,7 +277,7 @@ def latency_tolerance(graph: CostGraph, parameter: str,
             if hi < floor:
                 return None
         lo = hi * 2.0
-        while (lo - hi) > tol * max(1e-9, lo):
+        while (lo - hi) > CROSSING_TOL * max(1e-9, lo):
             mid = (lo + hi) / 2.0
             if slowdown(mid) >= threshold:
                 hi = mid
@@ -287,10 +289,10 @@ def latency_tolerance(graph: CostGraph, parameter: str,
     # At hi == base_value the answer is known (1.0 < threshold).
     while hi == base_value or slowdown(hi) < threshold:
         hi *= 2.0
-        if hi > max_value:
+        if hi > CROSSING_MAX:
             return None
     lo = max(base_value, hi / 2.0)
-    while (hi - lo) > tol * max(1e-9, hi):
+    while (hi - lo) > CROSSING_TOL * max(1e-9, hi):
         mid = (lo + hi) / 2.0
         if slowdown(mid) >= threshold:
             hi = mid

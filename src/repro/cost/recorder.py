@@ -37,7 +37,7 @@ from repro.am.tuning import DialedCost
 from repro.cluster.machine import Cluster
 from repro.cost.graph import (BULK, LABELS, MARK, ONE_WAY, RECV, REPLY_LIKE,
                               ROW, SEND, TAKES_CREDIT, CostGraph)
-from repro.harness.parallel import Plan, PointTask, run_points
+from repro.harness.parallel import Plan, PointTask
 from repro.network.packet import REPLY, Packet
 
 __all__ = ["DepRecorder", "recording", "record_run"]
@@ -171,5 +171,4 @@ def record_run(app, n_nodes: int, **cluster):
     itself is bit-identical to an unrecorded run of the same
     configuration.
     """
-    plan = recording(app, n_nodes, **cluster)
-    return plan.build(run_points(plan.tasks))
+    return recording(app, n_nodes, **cluster).run()

@@ -96,7 +96,7 @@ def _measured(measure: Callable[[], Any]):
 def _suite(study, *args, half: bool = False, **fixed):
     """The plan of a study of suite apps on ``nodes`` (``half``: on
     ``nodes // 2``)."""
-    return lambda nodes, scale, apps: study.plan(
+    return lambda nodes, scale, apps: study(
         *args, n_nodes=nodes // 2 if half else nodes, scale=scale,
         names=apps, **fixed)
 
@@ -111,7 +111,7 @@ def coll_grid_plan() -> Plan:
     """Table 8 on (P, bulk MB/s) blocks: the rows of the model's
     validation grid, which the ``coll.grid_agreement`` row grades."""
     now = LogGPParams.berkeley_now()
-    return Plan.union([experiments.table8_collectives.plan(
+    return Plan.union([experiments.table8_collectives(
         n_nodes, sizes=(32, 4096, 65536), seed=9, iterations=2,
         knobs=TuningKnobs.bulk_bandwidth(mb_s, now))
         for n_nodes in (4, 8, 16) for mb_s in (38.0, 4.0)]).then(
@@ -121,7 +121,7 @@ def coll_grid_plan() -> Plan:
 def _predicted(nodes: int, scale: float, apps: Tuple[str, ...]) -> Plan:
     """One recording per application, and Figures 5-8 predicted from
     them over the reduced grids: ``(graphs, {dial: figure})``."""
-    return experiments.recorded_suite.plan(nodes, scale, names=apps).then(
+    return experiments.recorded_suite(nodes, scale, names=apps).then(
         lambda graphs: (graphs, {
             dial: experiments.predicted_figure(graphs, dial,
                                                DIALS[dial].reduced)
@@ -470,7 +470,7 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
         .measured.gap for window in (4, 8, 16)}),
         "Ablation: window size", prefixes=("window",)),
     Artifact("table3", lambda nodes, scale, apps:
-             experiments.table3_baseline_runtimes.plan(
+             experiments.table3_baseline_runtimes(
                  node_counts=(nodes // 2, nodes), scale=scale, names=apps),
              "Table 3 — base runtimes, fixed input, {half} vs {nodes} nodes",
              _table3, ("t3",), SUITE_ORDER),
@@ -485,7 +485,7 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
     Artifact("figure5", _figure("overhead"),
              "Figure 5 — sensitivity to overhead", _figure5, ("f5",),
              SUITE_ORDER, reads=("figure5_16", "scaling")),
-    Artifact("scaling", lambda nodes, scale, apps: scaling_study.plan(
+    Artifact("scaling", lambda nodes, scale, apps: scaling_study(
         *apps, node_counts=(nodes // 2, nodes), delta_o=100.0, scale=scale),
         "Scaling study", prefixes=("scaling",), apps=("Radix",)),
     Artifact("table5", _suite(experiments.table5_overhead_model,
@@ -519,40 +519,40 @@ REGISTRY: Dict[str, Artifact] = {artifact.name: artifact for artifact in (
              "Table 7 — delay-spike propagation (beyond the paper)",
              _verbatim("table7"), apps=SHOWN),
     Artifact("figure10", lambda nodes, scale, apps:
-             experiments.figure10_collectives.plan(
+             experiments.figure10_collectives(
                  n_nodes=nodes, primitives=("broadcast", "allreduce"),
                  parameter="bulk_mb_s", values=(38.0, 15.0, 5.5, 1.0),
                  size=16384, iterations=2),
              "Figure 10 — collective algorithm sensitivity (beyond the "
              "paper)", _verbatim("figure10")),
     Artifact("table8", lambda nodes, scale, apps:
-             experiments.table8_collectives.plan(
+             experiments.table8_collectives(
                  n_nodes=nodes, sizes=(32, 1024, 16384, 65536),
                  iterations=2),
              "Table 8 — LogGP-model-driven algorithm selection (beyond the "
              "paper)", _table8, ("t8", "coll")),
     Artifact("coll_grid", lambda nodes, scale, apps: coll_grid_plan()),
     Artifact("figure11", lambda nodes, scale, apps:
-             experiments.figure11_serving.plan(n_nodes=nodes, scale=scale),
+             experiments.figure11_serving(n_nodes=nodes, scale=scale),
              "Figure 11 — open-system serving tail latency (beyond the "
              "paper)", _figure11),
     Artifact("bulk", _measured(calibrate_bulk_bandwidth),
              "Appendix — bulk bandwidth calibration", lambda v: PROSE["bulk"].format(
                  fmt(v["bulk"].saturated_mb_s, 1))),
-    Artifact("surface", lambda nodes, scale, apps: overhead_gap_surface.plan(
+    Artifact("surface", lambda nodes, scale, apps: overhead_gap_surface(
         *apps, n_nodes=nodes // 2, values=(25.0, 100.0), scale=scale),
         "o x g surface", prefixes=("surface",), apps=("Sample",)),
     Artifact("investment", lambda nodes, scale, apps:
-             investment_study.plan(*apps, n_nodes=nodes // 2, scale=scale),
+             investment_study(*apps, n_nodes=nodes // 2, scale=scale),
              "Investment study", prefixes=("investment",), apps=("Sample",)),
-    Artifact("occupancy", lambda nodes, scale, apps: occupancy_study.plan(
+    Artifact("occupancy", lambda nodes, scale, apps: occupancy_study(
         *apps, n_nodes=nodes // 2, values=(0.0, 10.0, 25.0, 50.0),
         scale=scale), "Occupancy study", prefixes=("occupancy",),
         apps=("EM3D(read)",)),
     Artifact("window_scope", lambda nodes, scale, apps:
-             window_scope_ablation.plan(), "Ablation: window scope",
+             window_scope_ablation(), "Ablation: window scope",
              prefixes=("scope",)),
-    Artifact("burst", lambda nodes, scale, apps: burst_ablation.plan(),
+    Artifact("burst", lambda nodes, scale, apps: burst_ablation(),
              "Ablation: burstiness", prefixes=("burst",)),
 )}
 

@@ -1,15 +1,14 @@
 """One entry point per table and figure of the paper's evaluation.
 
-Each function runs the necessary simulations and returns the artifact's
-value: a result object with a ``render()``, or plain data where the
+The simulating ones return the artifact's
+:class:`~repro.harness.parallel.Plan`, whose build makes its value: a
+result object with a ``render()``, or plain data where the
 ``EXPERIMENTS.md`` section reads only numbers (Table 3's runtimes,
-Figure 4's runs).  :mod:`repro.harness.claims` checks the qualitative
-shape.  Input scale and application subsets are parameters, so smoke
-runs stay quick and users can crank fidelity.
-
-The simulating ones are :func:`~repro.harness.parallel.study` s: called,
-they take ``cache=`` / ``jobs=`` and run; ``.plan(...)`` is the same
-artifact not yet run, for drivers that drain many at once.
+Figure 4's runs).  ``.run(cache=, jobs=)`` drains one plan on its own;
+drivers drain many at once with :func:`~repro.harness.parallel.run_plans`.
+:mod:`repro.harness.claims` checks the qualitative shape.  Input scale
+and application subsets are parameters, so smoke runs stay quick and
+users can crank fidelity.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.cluster.presets import MACHINE_PRESETS
 from repro.cost.graph import CostGraph
 from repro.cost.predict import latency_tolerance, predict_sweep
 from repro.cost.recorder import recording
-from repro.harness.parallel import Plan, PointTask, study
+from repro.harness.parallel import Plan, PointTask
 from repro.harness.report import markdown_table, render_table
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import (DIALS, MACHINE_DIALS, SensitivityFigure,
@@ -157,7 +156,6 @@ def _suite_runs(n_nodes: int, scale: float,
                          for app, result in zip(apps, results)})
 
 
-@study
 def table3_baseline_runtimes(node_counts: Sequence[int] = (16, 32),
                              scale: float = 1.0,
                              names: Optional[Sequence[str]] = None,
@@ -179,7 +177,6 @@ def table3_baseline_runtimes(node_counts: Sequence[int] = (16, 32),
 # Figure 4 -- communication balance matrices.
 # ---------------------------------------------------------------------------
 
-@study
 def figure4_balance(n_nodes: int = 32, scale: float = 1.0,
                     names: Optional[Sequence[str]] = None,
                     seed: int = 0) -> Plan:
@@ -210,7 +207,6 @@ class Table4:
                             f"summary ({n_nodes}-node configuration)")
 
 
-@study
 def table4_comm_summary(n_nodes: int = 32, scale: float = 1.0,
                         names: Optional[Sequence[str]] = None,
                         seed: int = 0) -> Plan:
@@ -233,7 +229,6 @@ FIGURE_TITLES = {
 }
 
 
-@study
 def sensitivity_figure(parameter: str, n_nodes: int = 32,
                        scale: float = 1.0,
                        names: Optional[Sequence[str]] = None,
@@ -254,7 +249,7 @@ def sensitivity_figure(parameter: str, n_nodes: int = 32,
         x_label=dial.label)
     apps = suite_for(n_nodes, scale=scale, names=names)
     return Plan.union(
-        [run_sweep.plan(app, n_nodes, dial, values, seed=seed, **kwargs)
+        [run_sweep(app, n_nodes, dial, values, seed=seed, **kwargs)
          for app in apps]).then(
         lambda sweeps: replace(figure, sweeps={
             app.name: result for app, result in zip(apps, sweeps)}))
@@ -266,7 +261,6 @@ def sensitivity_figure(parameter: str, n_nodes: int = 32,
 # is the ground truth it is checked against.
 # ---------------------------------------------------------------------------
 
-@study
 def recorded_suite(n_nodes: int, scale: float = 1.0,
                    names: Optional[Sequence[str]] = None,
                    seed: int = 0) -> Plan:
@@ -387,26 +381,24 @@ def _model_table(figure: SensitivityFigure, model_class: type,
     return RowTable(title=title, rows_=rows)
 
 
-@study
 def table5_overhead_model(n_nodes: int = 32, scale: float = 1.0,
                           names: Optional[Sequence[str]] = None,
                           values: Optional[Sequence[float]] = None,
                           seed: int = 0, **kwargs) -> Plan:
     """Table 5: the 2·m·Δo model against measured sweep runtimes."""
-    return sensitivity_figure.plan(
+    return sensitivity_figure(
         "overhead", n_nodes=n_nodes, scale=scale, names=names,
         values=values, seed=seed, **kwargs).then(
         lambda figure: _model_table(figure, OverheadModel, "o (us)",
                                     "Table 5: overhead model (r + 2 m do)"))
 
 
-@study
 def table6_gap_model(n_nodes: int = 32, scale: float = 1.0,
                      names: Optional[Sequence[str]] = None,
                      values: Optional[Sequence[float]] = None,
                      seed: int = 0, **kwargs) -> Plan:
     """Table 6: the burst gap model against measured sweep runtimes."""
-    return sensitivity_figure.plan(
+    return sensitivity_figure(
         "gap", n_nodes=n_nodes, scale=scale, names=names, values=values,
         seed=seed, **kwargs).then(lambda figure: _model_table(
             figure, BurstGapModel, "g (us)",
@@ -417,7 +409,6 @@ def table6_gap_model(n_nodes: int = 32, scale: float = 1.0,
 # Table 7 -- delay-spike propagation (beyond the paper).
 # ---------------------------------------------------------------------------
 
-@study
 def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
                        names: Optional[Sequence[str]] = None,
                        node: int = 0, duration_us: float = 500.0,
@@ -452,9 +443,9 @@ def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
         return RowTable(f"Table 7: delay-spike propagation "
                         f"({duration_us:g} us spike at node {node})", rows)
     return Plan.union(
-        [spike_decay_sweep.plan(app, n_nodes, node=node,
-                                duration_us=duration_us, starts=starts,
-                                seed=seed, **kwargs)
+        [spike_decay_sweep(app, n_nodes, node=node,
+                           duration_us=duration_us, starts=starts,
+                           seed=seed, **kwargs)
          for app in suite_for(n_nodes, scale=scale, names=names)]
     ).then(build)
 
@@ -463,7 +454,6 @@ def table7_spike_decay(n_nodes: int = 32, scale: float = 1.0,
 # Figure 10 / Table 8 -- tuned collectives (beyond the paper).
 # ---------------------------------------------------------------------------
 
-@study
 def figure10_collectives(n_nodes: int = 32,
                          primitives: Sequence[str] = ("broadcast",
                                                       "allreduce",
@@ -492,7 +482,7 @@ def figure10_collectives(n_nodes: int = 32,
               for algo in eligible_algorithms(primitive, elementwise=True,
                                               dense=True, uniform=True)]
     return Plan.union(
-        [collective_sweep.plan(
+        [collective_sweep(
             primitive, n_nodes, parameter, values, algo=algo, size=size,
             bulk=bulk, iterations=iterations, seed=seed, **kwargs)
          for primitive, algo in series]).then(
@@ -529,7 +519,6 @@ def model_picks(cells: Dict[tuple, Dict[str, float]], n_nodes: int,
     return rows
 
 
-@study
 def table8_collectives(n_nodes: int = 32,
                        primitives: Sequence[str] = ("broadcast",
                                                     "allreduce",
@@ -546,8 +535,8 @@ def table8_collectives(n_nodes: int = 32,
     machine.  The bottom-line agreement rate is the claims row
     ``t8.agreement`` (at least 80%).
     """
-    return measure_algorithms.plan(n_nodes, sizes, primitives, knobs=knobs,
-                                   seed=seed, **kwargs).then(
+    return measure_algorithms(n_nodes, sizes, primitives, knobs=knobs,
+                              seed=seed, **kwargs).then(
         lambda cells: RowTable(
             f"Table 8 ({n_nodes} nodes): model-driven algorithm "
             "selection vs measured winners",
@@ -620,7 +609,6 @@ class ServingFigure:
         return "\n".join(out).rstrip() + "\n"
 
 
-@study
 def figure11_serving(n_nodes: int = 32, scale: float = 1.0,
                      overheads: Sequence[float] = (2.9, 10.0, 25.0),
                      latencies: Sequence[float] = (5.7, 30.0, 100.0),
@@ -650,10 +638,10 @@ def figure11_serving(n_nodes: int = 32, scale: float = 1.0,
         slo_us=app.slo_us)
     dials = {"overhead": overheads, "latency": latencies,
              "drop_rate": drop_rates, "offered_rps": offered}
-    sweeps = [run_sweep.plan(app, n_nodes, parameter, values,
-                             params=params, seed=seed)
+    sweeps = [run_sweep(app, n_nodes, parameter, values,
+                        params=params, seed=seed)
               for parameter, values in dials.items()]
-    sweeps += [run_sweep.plan(
+    sweeps += [run_sweep(
         app, n_nodes, "offered_rps", offered, params=params, seed=seed,
         knobs=DIALS["overhead"].knobs(overhead, params))
         for overhead in knee_overheads]

@@ -31,7 +31,7 @@ from repro.am.tuning import TuningKnobs
 from repro.apps.microbench import BurstSender
 from repro.cluster.machine import Cluster
 from repro.cluster.node import CostModel
-from repro.harness.parallel import Plan, PointTask, study
+from repro.harness.parallel import Plan, PointTask
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS
 from repro.models.overhead import OverheadModel
@@ -81,7 +81,6 @@ class ScalingStudy:
                 / self.serial_residual(node_counts[0]))
 
 
-@study
 def scaling_study(app_name: str = "Radix",
                   node_counts: Sequence[int] = (8, 16, 32),
                   delta_o: float = 100.0, scale: float = 1.0,
@@ -117,7 +116,6 @@ class InvestmentStudy:
         return self.runtimes["baseline"] / self.runtimes[design]
 
 
-@study
 def investment_study(app_name: str = "Sample", n_nodes: int = 16,
                      scale: float = 1.0, seed: int = 0) -> Plan:
     """Section 5.5's trade-off: 2× CPU vs halved (o, g)."""
@@ -160,7 +158,6 @@ class OccupancyStudy:
         return [r / series[0] for r in series]
 
 
-@study
 def occupancy_study(app_name: str = "EM3D(read)", n_nodes: int = 16,
                     values: Sequence[float] = DIALS["occupancy"].grid,
                     scale: float = 1.0, seed: int = 0) -> Plan:
@@ -196,7 +193,6 @@ def _slowdowns(cases: Dict[str, tuple], knobs: TuningKnobs) -> Plan:
         for i, label in enumerate(cases)})
 
 
-@study
 def window_scope_ablation() -> Plan:
     """Slowdown of 256 flat-out all-to-all requests per rank on 8 nodes
     under 100 µs more latency, with per-destination windows (GAM, the
@@ -209,7 +205,6 @@ def window_scope_ablation() -> Plan:
         TuningKnobs.added_latency(100.0))
 
 
-@study
 def burst_ablation() -> Plan:
     """Slowdown under 100 µs more gap of 64 ring sends per rank on 4
     nodes, paced every 250 µs (``"paced"``) and flat out (``"burst"``).

@@ -13,7 +13,7 @@ docstring) are written once and hold for every study alike.
 What to run is kept apart from running it: a study is a :class:`Plan`
 (its tasks plus a pure ``build(points)``), :func:`run_plans` drains the
 union of any number of plans in one :func:`run_points` call, and
-:func:`study` makes the eager entry point out of a plan definition.
+:meth:`Plan.run` drains one plan on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pathlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
@@ -38,7 +38,7 @@ from repro.network.faults import FaultError
 from repro.sanitize.reports import DeadlockError
 
 __all__ = ["PointTask", "SweepPoint", "FAILURE_CATEGORIES", "execute_point",
-           "run_points", "Plan", "run_plans", "study", "default_jobs",
+           "run_points", "Plan", "run_plans", "default_jobs",
            "add_run_options", "run_options", "input_scale", "at_least",
            "finite_positive"]
 
@@ -334,7 +334,8 @@ def run_points(tasks: Sequence[PointTask],
 class Plan:
     """What a study runs and what it makes of the runs: ``build`` is
     pure, receives the study's own points in the order of ``tasks`` and
-    returns the study's result.  Nothing here simulates."""
+    returns the study's result.  Making a plan simulates nothing;
+    :meth:`run` drains it."""
 
     tasks: Sequence[PointTask]
     build: Callable[[List[SweepPoint]], Any]
@@ -342,6 +343,12 @@ class Plan:
     def then(self, finish: Callable[[Any], Any]) -> "Plan":
         """The same runs, with ``finish`` applied to what they build."""
         return Plan(self.tasks, lambda points: finish(self.build(points)))
+
+    def run(self, cache: Optional[RunCache] = None,
+            jobs: Optional[int] = None) -> Any:
+        """Drain this plan on its own and return what it builds; a lone
+        plan's results keep their ``output``."""
+        return run_plans([self], cache=cache, jobs=jobs)[0]
 
     @classmethod
     def of_results(cls, tasks: Sequence[PointTask]) -> "Plan":
@@ -406,18 +413,3 @@ def run_plans(plans: Sequence[Plan], cache: Optional[RunCache] = None,
         replace(points[ident], value=task.value, knobs=task.cluster.knobs)
         for ident, task in zip(idents, whole.tasks)])
 
-
-def study(plan: Callable[..., Plan]) -> Callable[..., Any]:
-    """The eager entry point of a study, from its one definition.
-
-    ``plan(...)`` returns the study's :class:`Plan`; the decorated name
-    takes the same arguments plus ``cache=`` / ``jobs=`` and plans,
-    drains and builds that one plan.  The definition stays reachable as
-    ``.plan``, for :func:`run_plans` and :meth:`Plan.union`.
-    """
-    @wraps(plan)
-    def eager(*args: Any, cache: Optional[RunCache] = None,
-              jobs: Optional[int] = None, **kwargs: Any) -> Any:
-        return run_plans([plan(*args, **kwargs)], cache=cache, jobs=jobs)[0]
-    eager.plan = plan
-    return eager

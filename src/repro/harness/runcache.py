@@ -44,7 +44,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.cluster.machine import Cluster, RunResult
 
 __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
-           "constructor_params", "class_constants"]
+           "constructor_params", "constructor_kwargs", "class_constants"]
 
 #: A run key holds what a caller can choose without editing the repo:
 #: constructor arguments, ``Cluster`` fields and class attributes a
@@ -112,12 +112,18 @@ def app_fingerprint(obj: Any) -> Dict[str, Any]:
     klass = type(obj)
     return {
         "class": f"{klass.__module__}.{klass.__qualname__}",
-        "kwargs": {name: getattr(obj, name)
-                   for name in constructor_params(klass)
-                   if hasattr(obj, name)},
+        "kwargs": constructor_kwargs(obj),
         "constants": {name: getattr(obj, name)
                       for name in class_constants(klass)},
     }
+
+
+def constructor_kwargs(obj: Any) -> Dict[str, Any]:
+    """The arguments ``obj`` was built with: each of its class's
+    :func:`constructor_params` that it keeps as a same-named
+    attribute, at the value it reads now."""
+    return {name: getattr(obj, name)
+            for name in constructor_params(type(obj)) if hasattr(obj, name)}
 
 
 def run_key_spec(app: Any, cluster: Cluster) -> Dict[str, Any]:
@@ -128,9 +134,14 @@ def run_key_spec(app: Any, cluster: Cluster) -> Dict[str, Any]:
     ``Cluster`` normalises a null fault plan to ``None``, so such a run
     shares the fault-free run's entry.
     """
-    spec = {"format": CACHE_FORMAT, "app": app_fingerprint(app),
-            **dataclasses.asdict(cluster),
-            "cost": app_fingerprint(cluster.cost)}
+    spec = {"format": CACHE_FORMAT, "app": app_fingerprint(app)}
+    for field in dataclasses.fields(cluster):
+        value = getattr(cluster, field.name)
+        if field.name == "cost":
+            value = app_fingerprint(value)
+        elif dataclasses.is_dataclass(value):
+            value = dataclasses.asdict(value)
+        spec[field.name] = value
     del spec["sanitize"]
     return spec
 

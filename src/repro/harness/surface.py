@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.cluster.machine import Cluster, RunResult
-from repro.harness.parallel import Plan, PointTask, study
+from repro.harness.parallel import Plan, PointTask
 from repro.harness.suite import suite_for
 from repro.harness.sweeps import DIALS
 from repro.network.loggp import LogGPParams
@@ -70,7 +70,6 @@ class SensitivitySurface:
         return self.at(x, y) - independent
 
 
-@study
 def sensitivity_surface(app_name: str, n_nodes: int,
                         x_dial: str, x_values: Sequence[float],
                         y_dial: str, y_values: Sequence[float],
@@ -105,10 +104,9 @@ def sensitivity_surface(app_name: str, n_nodes: int,
          for x, y in grid]).then(build)
 
 
-@study
 def overhead_gap_surface(app_name: str = "Sample", n_nodes: int = 16,
                          values: Sequence[float] = (25.0, 50.0, 100.0),
                          scale: float = 1.0, seed: int = 0) -> Plan:
     """The headline surface: added overhead × added gap."""
-    return sensitivity_surface.plan(app_name, n_nodes, "overhead", values,
-                                    "gap", values, scale=scale, seed=seed)
+    return sensitivity_surface(app_name, n_nodes, "overhead", values,
+                               "gap", values, scale=scale, seed=seed)

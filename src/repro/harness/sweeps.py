@@ -26,7 +26,7 @@ from repro.am.tuning import TuningKnobs
 from repro.apps.base import Application
 from repro.cluster.machine import Cluster, RunResult
 from repro.harness.parallel import (FAILURE_CATEGORIES, Plan, PointTask,
-                                    SweepPoint, study)
+                                    SweepPoint)
 from repro.harness.report import ascii_plot
 from repro.network.faults import DelaySpike, FaultPlan
 from repro.network.loggp import LogGPParams
@@ -257,22 +257,16 @@ def sweep_tasks(app: Any, n_nodes: int, dial: Dial,
     return tasks
 
 
-@study
 def run_sweep(app: Application, n_nodes: int, dial: Union[str, Dial],
               values: Optional[Sequence[float]] = None, **cluster) -> Plan:
-    """Run ``app`` with ``dial`` at each of ``values``; the first value
-    is the baseline.
+    """The plan of ``app`` with ``dial`` at each of ``values``; the
+    first value is the baseline.
 
     ``dial`` names a row of :data:`DIALS` — ``run_sweep(app, 32,
     "overhead")`` is Figure 5's sweep of one application — or is a
     caller's own :class:`Dial`; ``values`` defaults to the row's grid.
-
-    ``jobs`` > 1 fans the points across a process pool (bit-identical
-    results) and ``cache`` is an optional
-    :class:`~repro.harness.runcache.RunCache` consulted before
-    simulating and updated as each point lands — both as in
-    :func:`repro.harness.parallel.run_points`, which drains the points;
-    ``run_sweep.plan(...)`` is the same sweep not yet run.
+    ``.run(cache=, jobs=)`` drains it into a :class:`SweepResult`
+    through :func:`repro.harness.parallel.run_points`, the one drain.
 
     ``cluster`` is what every point's
     :class:`~repro.cluster.machine.Cluster` shares: ``params``,
@@ -298,7 +292,6 @@ def run_sweep(app: Application, n_nodes: int, dial: Union[str, Dial],
 NO_SPIKE = -1.0
 
 
-@study
 def spike_decay_sweep(app: Application, n_nodes: int,
                       node: int, duration_us: float,
                       starts: Sequence[float],
@@ -321,12 +314,11 @@ def spike_decay_sweep(app: Application, n_nodes: int,
                        duration_us=duration_us),))
 
     values = (NO_SPIKE,) + tuple(starts)
-    return run_sweep.plan(
+    return run_sweep(
         app, n_nodes, Dial("spike_start_us", "spike start (us)", values,
                            turn), **kwargs)
 
 
-@study
 def collective_sweep(primitive: str, n_nodes: int,
                      parameter: str,
                      values: Optional[Sequence[float]] = None,
@@ -348,11 +340,10 @@ def collective_sweep(primitive: str, n_nodes: int,
     from repro.coll.bench import CollectiveBench
     app = CollectiveBench(primitive, algo=algo, size=size, bulk=bulk,
                           iterations=iterations)
-    return run_sweep.plan(app, n_nodes, dial_named(parameter, MACHINE_DIALS),
-                          values, **kwargs)
+    return run_sweep(app, n_nodes, dial_named(parameter, MACHINE_DIALS),
+                     values, **kwargs)
 
 
-@study
 def measure_algorithms(n_ranks: int, sizes: Sequence[int],
                        primitives: Sequence[str],
                        params: Optional[LogGPParams] = None,
@@ -363,7 +354,7 @@ def measure_algorithms(n_ranks: int, sizes: Sequence[int],
     Each cell times every algorithm the dense uniform calibration
     benchmark can drive: one :class:`~repro.coll.bench.CollectiveBench`
     run (``bench`` holds its other knobs) per algorithm on a fresh
-    cluster, served from ``cache`` when available.  Small sizes
+    cluster, served from the run cache when drained with one.  Small sizes
     calibrate the short-packet regime, larger ones the bulk regime
     (``bulk=True`` whenever the declared size exceeds one short packet).
     """

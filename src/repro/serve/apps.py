@@ -135,11 +135,8 @@ class ServingApp(Application):
         same-named attributes (the fingerprint convention); the sweep
         machinery uses it for the offered-load axis.
         """
-        from repro.harness.runcache import constructor_params
-        kwargs: Dict[str, Any] = {}
-        for name in constructor_params(type(self)):
-            if hasattr(self, name):
-                kwargs[name] = getattr(self, name)
+        from repro.harness.runcache import constructor_kwargs
+        kwargs = constructor_kwargs(self)
         unknown = set(overrides) - set(kwargs)
         if unknown:
             raise ValueError(

@@ -25,7 +25,7 @@ TINY = dict(n_nodes=4, scale=0.1)
 
 def test_table3_structure():
     table = experiments.table3_baseline_runtimes(
-        node_counts=(2, 4), scale=0.1, names=["Radix", "Connect"])
+        node_counts=(2, 4), scale=0.1, names=["Radix", "Connect"]).run()
     assert set(table) == {"Radix", "Connect"}
     assert all(set(by_nodes) == {2, 4} and all(
         runtime > 0 for runtime in by_nodes.values())
@@ -33,13 +33,13 @@ def test_table3_structure():
 
 
 def test_figure4_structure():
-    runs = experiments.figure4_balance(names=["Sample"], **TINY)
+    runs = experiments.figure4_balance(names=["Sample"], **TINY).run()
     assert runs["Sample"].balance().shape == (4, 4)
     assert "Sample" in runs["Sample"].render_balance()
 
 
 def test_table4_structure():
-    table = experiments.table4_comm_summary(names=["Radb"], **TINY)
+    table = experiments.table4_comm_summary(names=["Radb"], **TINY).run()
     rows = table.rows()
     assert rows[0]["Program"] == "Radb"
     assert "Table 4" in table.render()
@@ -47,7 +47,7 @@ def test_table4_structure():
 
 def test_figure5_series_and_rows():
     figure = experiments.sensitivity_figure(
-        "overhead", names=["Sample"], values=(2.9, 52.9), **TINY)
+        "overhead", names=["Sample"], values=(2.9, 52.9), **TINY).run()
     sweep = figure.sweeps["Sample"]
     assert sweep.slowdowns()[0] == pytest.approx(1.0)
     assert sweep.slowdowns()[1] > 1.5
@@ -58,7 +58,7 @@ def test_figure5_series_and_rows():
 
 def test_table5_structure_and_baseline_exactness():
     table = experiments.table5_overhead_model(
-        names=["Sample"], values=(2.9, 52.9), **TINY)
+        names=["Sample"], values=(2.9, 52.9), **TINY).run()
     rows = table.rows()
     assert rows[0]["measured_us"] == rows[0]["predicted_us"]
     assert len(table.prediction_error("Sample")) == 2
@@ -66,17 +66,17 @@ def test_table5_structure_and_baseline_exactness():
 
 def test_table6_structure():
     table = experiments.table6_gap_model(
-        names=["Radb"], values=(5.8, 55.0), **TINY)
+        names=["Radb"], values=(5.8, 55.0), **TINY).run()
     assert len(table.rows()) == 2
     assert "Table 6" in table.render()
 
 
 def test_figure7_and_8_structure():
     figure7 = experiments.sensitivity_figure(
-        "latency", names=["Connect"], values=(5.0, 55.0), **TINY)
+        "latency", names=["Connect"], values=(5.0, 55.0), **TINY).run()
     assert figure7.max_slowdown("Connect") >= 1.0
     figure8 = experiments.sensitivity_figure(
-        "bulk_mb_s", names=["NOW-sort"], values=(38.0, 1.0), **TINY)
+        "bulk_mb_s", names=["NOW-sort"], values=(38.0, 1.0), **TINY).run()
     assert figure8.max_slowdown("NOW-sort") >= 1.0
 
 
@@ -94,8 +94,8 @@ def test_tables_and_figures_share_their_baseline_runs(tmp_path):
               **TINY)),
     ]
     for entry, kwargs in calls:
-        cached = entry(cache=cache, **kwargs)
-        plain = entry(**kwargs)
+        cached = entry(**kwargs).run(cache=cache)
+        plain = entry(**kwargs).run()
         if entry is experiments.table3_baseline_runtimes:
             assert cached == plain
         elif entry is experiments.figure4_balance:  # app -> its run
@@ -161,7 +161,7 @@ def test_extension_studies_go_through_the_one_drain(tmp_path, monkeypatch):
     """Cache, pool and failure taxonomy, as for every other study."""
     def study(**run):
         return occupancy_study(app_name="Radix", n_nodes=4,
-                               values=(0.0, 25.0), scale=0.05, **run)
+                               values=(0.0, 25.0), scale=0.05).run(**run)
 
     cache = RunCache(tmp_path)
     cold = study(cache=cache)

@@ -184,7 +184,7 @@ def test_max_retries_exactly_met_completes_and_one_fewer_raises():
 def test_sweep_surfaces_retry_exhausted_as_na_point():
     plan = FaultPlan(retx_timeout_us=10.0, max_retries=2)
     sweep = run_sweep(tiny_radix(), 2, "drop_rate", (1.0,), faults=plan,
-                      seed=0)
+                      seed=0).run()
     point = sweep.points[0]
     assert not point.completed
     assert point.failure.startswith("fault:")
@@ -300,7 +300,7 @@ def test_spike_holds_packets_until_window_end():
 def test_spike_decay_sweep_residual_shrinks_with_late_spikes():
     sweep = spike_decay_sweep(tiny_radix(), 4, node=0,
                               duration_us=400.0,
-                              starts=(200.0, 10_000_000.0), seed=3)
+                              starts=(200.0, 10_000_000.0), seed=3).run()
     base = sweep.baseline.runtime_us
     early, late = sweep.points[1], sweep.points[2]
     # A spike inside the run surfaces in the runtime; one scheduled far
@@ -366,7 +366,7 @@ def test_ack_only_loss_is_recovered_by_duplicate_suppression():
     # a "budget exceeded" point instead of a wedged suite.
     plan = FaultPlan(drop_kinds=("ack",), retx_timeout_us=60.0)
     point = run_sweep(tiny_radix(), 4, "drop_rate", (0.5,), faults=plan,
-                      seed=3, run_limit_us=1_000_000.0).points[0]
+                      seed=3, run_limit_us=1_000_000.0).run().points[0]
     assert point.completed, point.failure
     stats = point.result.stats
     assert point.result.output is not None  # finalize validated the sort

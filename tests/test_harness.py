@@ -32,7 +32,7 @@ def test_suite_for_unknown_name_errors():
 
 def test_overhead_sweep_produces_monotone_slowdown():
     sweep = run_sweep(RadixSort(keys_per_proc=48), 4, "overhead",
-                      (2.9, 22.9, 102.9))
+                      (2.9, 22.9, 102.9)).run()
     slowdowns = sweep.slowdowns()
     assert slowdowns[0] == pytest.approx(1.0)
     assert slowdowns[1] > 1.5
@@ -41,7 +41,7 @@ def test_overhead_sweep_produces_monotone_slowdown():
 
 def test_overhead_sweep_roughly_linear():
     sweep = run_sweep(RadixSort(keys_per_proc=48), 4, "overhead",
-                      (2.9, 27.9, 52.9, 102.9))
+                      (2.9, 27.9, 52.9, 102.9)).run()
     series = sweep.series()
     # Slope between consecutive segments should be stable (linear
     # dependence, Section 5.1).
@@ -52,7 +52,7 @@ def test_overhead_sweep_roughly_linear():
 
 
 def test_gap_sweep_baseline_first():
-    sweep = run_sweep(RadixSort(keys_per_proc=32), 4, "gap", (5.8, 55.0))
+    sweep = run_sweep(RadixSort(keys_per_proc=32), 4, "gap", (5.8, 55.0)).run()
     assert sweep.slowdowns()[0] == pytest.approx(1.0)
     assert sweep.slowdowns()[1] > 2.0
 
@@ -61,7 +61,7 @@ def test_latency_sweep_write_app_tolerant():
     # The distribution phase's pipelined writes largely ignore latency
     # (Figure 7); only the serialized histogram ring pays it.
     sweep = run_sweep(RadixSort(keys_per_proc=64), 4,
-                      "latency", (5.0, 105.0))
+                      "latency", (5.0, 105.0)).run()
     assert sweep.slowdowns()[1] < 3.0
 
 
@@ -69,7 +69,7 @@ def test_run_sweep_custom_knob_function():
     added = Dial("added_overhead", "added overhead (us)", (0.0, 20.0),
                  lambda value, app, params, knobs, faults:
                  (app, knobs.with_changes(delta_o=value), faults))
-    sweep = run_sweep(RadixSort(keys_per_proc=32), 4, added)
+    sweep = run_sweep(RadixSort(keys_per_proc=32), 4, added).run()
     assert sweep.parameter == "added_overhead"
     assert len(sweep.points) == 2
     assert sweep.points[1].knobs.delta_o == 20.0
@@ -79,12 +79,12 @@ def test_a_dial_turns_from_the_knobs_it_is_given():
     """A machine dial swept with ``knobs=`` pinned keeps the pin: the
     latency sweep at +25 us of overhead is the surface's o=25 column."""
     app, = suite_for(4, scale=0.05, names=["Sample"])
-    plan = run_sweep.plan(app, 4, "latency", (5.0, 30.0),
-                          knobs=TuningKnobs.added_overhead(25.0))
+    plan = run_sweep(app, 4, "latency", (5.0, 30.0),
+                     knobs=TuningKnobs.added_overhead(25.0))
     assert [task.cluster.knobs for task in plan.tasks] == [
         TuningKnobs(delta_o=25.0), TuningKnobs(delta_o=25.0, delta_L=25.0)]
-    surface = sensitivity_surface.plan("Sample", 4, "overhead", (25.0,),
-                                       "latency", (25.0,), scale=0.05)
+    surface = sensitivity_surface("Sample", 4, "overhead", (25.0,),
+                                  "latency", (25.0,), scale=0.05)
     # The surface's grid: (0, 0), (25, 0), (0, 25), (25, 25).
     assert [task.key for task in plan.tasks] \
         == [surface.tasks[1].key, surface.tasks[3].key]
@@ -111,7 +111,8 @@ def test_a_non_finite_dial_value_is_refused_by_name(name):
 
 
 def test_sweep_rows_are_renderable():
-    sweep = run_sweep(RadixSort(keys_per_proc=32), 2, "overhead", (2.9, 52.9))
+    sweep = run_sweep(RadixSort(keys_per_proc=32), 2, "overhead",
+                      (2.9, 52.9)).run()
     text = SensitivityFigure("test", "overhead", {"Radix": sweep}).render()
     assert "Radix" in text and "slowdown" in text
 

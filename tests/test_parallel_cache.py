@@ -59,9 +59,9 @@ def test_same_config_runs_identically_twice():
 
 def test_parallel_sweep_bit_identical_to_serial():
     serial = run_sweep(tiny_radix(), 4, "overhead", (2.9, 22.9, 52.9),
-                       seed=7)
+                       seed=7).run()
     parallel = run_sweep(tiny_radix(), 4, "overhead", (2.9, 22.9, 52.9),
-                         seed=7, jobs=2)
+                         seed=7).run(jobs=2)
     assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
 
 
@@ -69,8 +69,8 @@ def test_run_sweep_parallel_defaults_match_serial():
     added = Dial("added_overhead", "added overhead (us)", (0.0, 20.0),
                  lambda value, app, params, knobs, faults:
                  (app, knobs.with_changes(delta_o=value), faults))
-    serial = run_sweep(tiny_radix(), 4, added)
-    parallel = run_sweep(tiny_radix(), 4, added, jobs=default_jobs())
+    serial = run_sweep(tiny_radix(), 4, added).run()
+    parallel = run_sweep(tiny_radix(), 4, added).run(jobs=default_jobs())
     assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
 
 
@@ -141,7 +141,7 @@ def test_budget_exceeded_point_is_na_serial_and_parallel():
     limit = baseline.runtime_us * 2.0
     for jobs in (None, 2):
         sweep = run_sweep(tiny_radix(), 4, "overhead", (2.9, 102.9),
-                          run_limit_us=limit, jobs=jobs)
+                          run_limit_us=limit).run(jobs=jobs)
         assert sweep.points[0].completed
         assert not sweep.points[1].completed
         assert "budget exceeded" in sweep.points[1].failure
@@ -155,7 +155,7 @@ def test_livelock_point_is_na_serial_and_parallel():
     app = Barnes(bodies_per_proc=16)
     for jobs in (None, 2):
         sweep = run_sweep(app, 8, "overhead", (2.9, 27.9),
-                          seed=21, livelock_limit=150, jobs=jobs)
+                          seed=21, livelock_limit=150).run(jobs=jobs)
         assert sweep.points[0].completed
         assert not sweep.points[1].completed
         assert "livelock" in sweep.points[1].failure
@@ -251,11 +251,11 @@ def test_the_rerun_cases_cover_every_row_of_the_table():
 def test_every_dial_reruns_bit_identically_from_the_cache(case, tmp_path):
     app, dial, values, cluster, also = RERUNS[case]
     cache = RunCache(tmp_path)
-    cold = run_sweep(app(), 4, dial, values, cache=cache, **cluster)
+    cold = run_sweep(app(), 4, dial, values, **cluster).run(cache=cache)
     assert (cache.misses, cache.hits, len(cache)) \
         == (len(values), 0, len(values))
 
-    warm = run_sweep(app(), 4, dial, values, cache=cache, **cluster)
+    warm = run_sweep(app(), 4, dial, values, **cluster).run(cache=cache)
     assert (cache.misses, cache.hits) == (len(values), len(values))
     assert rerun_fingerprint(cold) == rerun_fingerprint(warm)
     # Full stats survive the JSON round-trip (Table 5/6 need them).
@@ -271,7 +271,8 @@ def test_a_null_plan_baseline_is_the_undialed_baseline_in_the_cache(
     cache = RunCache(tmp_path)
 
     def four_axes():
-        sweeps = [run_sweep(tiny_kv(), 4, dial, values, seed=11, cache=cache)
+        sweeps = [run_sweep(tiny_kv(), 4, dial, values,
+                            seed=11).run(cache=cache)
                   for dial, values in (
                       ("overhead", (2.9, 25.0)), ("latency", (5.7, 100.0)),
                       ("drop_rate", (0.0, 0.02)),
@@ -291,10 +292,9 @@ def test_a_null_plan_baseline_is_the_undialed_baseline_in_the_cache(
 def test_cache_stores_failures_too(tmp_path):
     cache = RunCache(tmp_path)
     app = Barnes(bodies_per_proc=16)
-    kwargs = dict(values=(2.9, 27.9), seed=21, livelock_limit=150,
-                  cache=cache)
-    cold = run_sweep(app, 8, "overhead", **kwargs)
-    warm = run_sweep(app, 8, "overhead", **kwargs)
+    kwargs = dict(values=(2.9, 27.9), seed=21, livelock_limit=150)
+    cold = run_sweep(app, 8, "overhead", **kwargs).run(cache=cache)
+    warm = run_sweep(app, 8, "overhead", **kwargs).run(cache=cache)
     assert cache.hits == 2
     assert not warm.points[1].completed
     assert warm.points[1].failure == cold.points[1].failure
@@ -484,7 +484,7 @@ def test_cache_format_bump_invalidates(tmp_path):
 
 def test_cache_clear(tmp_path):
     cache = RunCache(tmp_path)
-    run_sweep(tiny_radix(), 2, "overhead", (2.9,), cache=cache)
+    run_sweep(tiny_radix(), 2, "overhead", (2.9,)).run(cache=cache)
     assert len(cache) == 1
     assert cache.clear() == 1
     assert len(cache) == 0
@@ -499,12 +499,12 @@ def artifact_plans():
     shares nothing: seven tasks, five distinct runs."""
     radix = dict(n_nodes=4, scale=0.02, names=["Radix"])
     return [
-        experiments.table3_baseline_runtimes.plan(
+        experiments.table3_baseline_runtimes(
             node_counts=(4,), scale=0.02, names=["Radix"]),
-        experiments.sensitivity_figure.plan(
+        experiments.sensitivity_figure(
             "overhead", values=(2.9, 22.9), **radix),
-        experiments.table6_gap_model.plan(values=(5.8, 55.0), **radix),
-        experiments.sensitivity_figure.plan(
+        experiments.table6_gap_model(values=(5.8, 55.0), **radix),
+        experiments.sensitivity_figure(
             "latency", n_nodes=4, scale=0.02, names=["Connect"],
             values=(5.0, 55.0)),
     ]
@@ -529,15 +529,15 @@ def test_plans_drained_together_render_as_the_eager_calls_do(
     radix = dict(n_nodes=4, scale=0.02, names=["Radix"])
     eager = rendered([
         experiments.table3_baseline_runtimes(
-            node_counts=(4,), scale=0.02, names=["Radix"]),
+            node_counts=(4,), scale=0.02, names=["Radix"]).run(),
         experiments.sensitivity_figure(
-            "overhead", values=(2.9, 22.9), **radix),
-        experiments.table6_gap_model(values=(5.8, 55.0), **radix),
+            "overhead", values=(2.9, 22.9), **radix).run(),
+        experiments.table6_gap_model(values=(5.8, 55.0), **radix).run(),
         experiments.sensitivity_figure(
             "latency", n_nodes=4, scale=0.02, names=["Connect"],
-            values=(5.0, 55.0)),
+            values=(5.0, 55.0)).run(),
     ])
-    assert drains == [1, 2, 2, 2]  # one drain per eager call
+    assert drains == [1, 2, 2, 2]  # one drain per Plan.run
     for jobs in (1, 2):
         del drains[:]
         cache = RunCache(tmp_path / f"jobs{jobs}")
@@ -555,8 +555,8 @@ def test_planning_simulates_nothing(monkeypatch):
 
     monkeypatch.setattr(Cluster, "run", run)
     plans = artifact_plans() + [
-        experiments.figure11_serving.plan(n_nodes=4, scale=0.1),
-        experiments.table8_collectives.plan(n_nodes=4, sizes=(32,))]
+        experiments.figure11_serving(n_nodes=4, scale=0.1),
+        experiments.table8_collectives(n_nodes=4, sizes=(32,))]
     assert all(plan.tasks for plan in plans)
 
 
@@ -580,9 +580,9 @@ def test_a_shared_baseline_keeps_each_sweeps_own_labels():
     names; each sweep gets it back under its own."""
     radix = tiny_radix()
     overhead, gap, drops = run_plans([
-        run_sweep.plan(radix, 4, "overhead", (2.9, 22.9)),
-        run_sweep.plan(radix, 4, "gap", (5.8, 55.0)),
-        run_sweep.plan(radix, 4, "drop_rate", (0.0, 0.02))])
+        run_sweep(radix, 4, "overhead", (2.9, 22.9)),
+        run_sweep(radix, 4, "gap", (5.8, 55.0)),
+        run_sweep(radix, 4, "drop_rate", (0.0, 0.02))])
     assert overhead.values() == [2.9, 22.9]
     assert gap.values() == [5.8, 55.0]
     assert drops.values() == [0.0, 0.02]
@@ -592,7 +592,7 @@ def test_a_shared_baseline_keeps_each_sweeps_own_labels():
     # Several plans at once: finalize's arrays are let go, as the cache
     # lets them go; one plan alone keeps them.
     assert overhead.baseline.result.output is None
-    alone = run_sweep(radix, 4, "overhead", (2.9,))
+    alone = run_sweep(radix, 4, "overhead", (2.9,)).run()
     assert alone.baseline.result.output is not None
 
 

@@ -55,8 +55,8 @@ def same_rows(graphs, others):
 
 def plans():
     """simcost's recordings beside the overhead figure they predict."""
-    return [experiments.recorded_suite.plan(4, **SIZE),
-            experiments.sensitivity_figure.plan(
+    return [experiments.recorded_suite(4, **SIZE),
+            experiments.sensitivity_figure(
                 "overhead", n_nodes=4, values=(2.9, 12.9), **SIZE)]
 
 

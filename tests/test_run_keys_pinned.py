@@ -15,7 +15,8 @@ bug in the change, not in this file.
 
 import hashlib
 
-from repro.apps import RadixSort, default_suite
+from repro.am.tuning import TuningKnobs
+from repro.apps import Barnes, RadixSort, default_suite
 from repro.cluster.machine import Cluster
 from repro.harness import CampaignSpec
 from repro.harness.experiments import table7_spike_decay
@@ -24,6 +25,7 @@ from repro.harness.extensions import (investment_study, occupancy_study,
 from repro.harness.runcache import CACHE_FORMAT, RunCache, run_key_spec
 from repro.harness.surface import sensitivity_surface
 from repro.harness.sweeps import DIALS, run_sweep
+from repro.network.loggp import LogGPParams
 from repro.serve import FanoutServe, KVServe
 
 #: The reduced grids of the EXPERIMENTS report, baseline first: so the
@@ -48,7 +50,7 @@ def test_the_digests_are_of_format_5_keys():
 
 def test_every_dial_sweeps_the_keys_it_always_has():
     app = RadixSort(keys_per_proc=32)
-    assert {dial: task_digest(run_sweep.plan(app, 4, dial, REDUCED[dial]))
+    assert {dial: task_digest(run_sweep(app, 4, dial, REDUCED[dial]))
             for dial in REDUCED} == {
         "overhead":
             "aa2df9948f6f767dabed845527334582b91704a8311f9232d96fc4ae68cdf28c",
@@ -67,7 +69,7 @@ def test_offered_load_sweeps_the_keys_it_always_has():
     app = KVServe(offered_rps=200_000.0, n_users=5_000,
                   duration_us=8_000.0, max_requests=120, service_us=4.0,
                   key_space=256)
-    assert task_digest(run_sweep.plan(
+    assert task_digest(run_sweep(
         app, 4, "offered_rps", (100_000.0, 400_000.0, 1_600_000.0))) == \
         "c381724627e052dc1e8727141792e947ae2c2a0bae88b1a0410a2ee31fe915e4"
 
@@ -79,11 +81,11 @@ def test_fanout_and_bursty_serving_plans_keep_their_keys():
     small = dict(n_users=5_000, duration_us=8_000.0, max_requests=120,
                  service_us=4.0, key_space=256)
     fanout = FanoutServe(fanout=3, offered_rps=100_000.0, **small)
-    assert task_digest(run_sweep.plan(
+    assert task_digest(run_sweep(
         fanout, 4, "offered_rps", (100_000.0, 400_000.0, 1_600_000.0))) == \
         "e08a1e74f415fd9f2162ba5dddf1db47c9f223647d6b4482f24e3b021aaa5593"
     bursty = KVServe(arrivals="bursty", offered_rps=400_000.0, **small)
-    assert task_digest(run_sweep.plan(
+    assert task_digest(run_sweep(
         bursty, 4, "overhead", REDUCED["overhead"])) == \
         "8beef035c9b2a1c274f276743c372070abc86a278f10ccca0d5c6b67c81f3151"
 
@@ -91,8 +93,8 @@ def test_fanout_and_bursty_serving_plans_keep_their_keys():
 def test_the_spike_plan_keeps_its_keys():
     """Table 7's plans: one spike-only fault plan per point, whose key
     holds every field of the plan."""
-    plan = table7_spike_decay.plan(n_nodes=4, scale=0.1,
-                                   names=("Radix", "Connect"))
+    plan = table7_spike_decay(n_nodes=4, scale=0.1,
+                              names=("Radix", "Connect"))
     assert len(plan.tasks) == 12
     assert task_digest(plan) == \
         "fb755962f9ff167ba18584d2ca50723190423ede06a4f82c9f26e64d31cc12d6"
@@ -109,10 +111,10 @@ def test_a_five_dial_campaign_expands_to_the_keys_it_always_has():
 
 
 def test_surface_and_occupancy_grids_keep_their_keys():
-    assert task_digest(sensitivity_surface.plan(
+    assert task_digest(sensitivity_surface(
         "Sample", 4, "overhead", (25.0,), "gap", (25.0,))) == \
         "29f4b1ef6fcda5668dbd919dceec74901c9b8b9053fc08845237c276fd0cbcfa"
-    assert task_digest(occupancy_study.plan(n_nodes=4)) == \
+    assert task_digest(occupancy_study(n_nodes=4)) == \
         "f9298d57d4625bab374a2bf792a5c89a79005470c92d2b5c9faeb9c6a9f56551"
 
 
@@ -154,8 +156,25 @@ def test_every_suite_app_keeps_its_keys():
 def test_the_cost_and_scaling_studies_keep_their_keys():
     """The investment study is the one plan that sets a cost model (a
     2x CPU); the scaling study runs one app at several sizes."""
-    assert task_digest(investment_study.plan(n_nodes=8, scale=0.05)) == \
+    assert task_digest(investment_study(n_nodes=8, scale=0.05)) == \
         "d3d41e90b5d9a48b9e2824c1af133852e2430946e5750e3d516b9ab7b1233386"
-    assert task_digest(scaling_study.plan(node_counts=(4, 8),
-                                          scale=0.05)) == \
+    assert task_digest(scaling_study(node_counts=(4, 8),
+                                     scale=0.05)) == \
         "89b0bff89653290e488aaccdf3d4d6b70062440265e5b3b1009fe282c4165b78"
+
+
+def test_the_runs_pinned_elsewhere_keep_their_keys():
+    """The keys of runs whose output other files pin: CI's Radix run
+    (``test_runs_pinned.py``) and the flow-certified tree's two
+    (``test_simflow.py``)."""
+    def key(app, n_nodes, params, seed):
+        return RunCache.key_for(run_key_spec(
+            app, Cluster(n_nodes, params, TuningKnobs(), seed=seed)))
+
+    assert key(RadixSort(keys_per_proc=64), 8, LogGPParams.berkeley_now(),
+               11) == \
+        "6bfc2166519ecd05805d8a4789de723103481fb1d28d586c0ffcd8d75ea47ef6"
+    assert key(RadixSort(keys_per_proc=32), 4, LogGPParams(), 3) == \
+        "9cbbe7515f549948c33edf4269632b62ed242638d0f2435eba206d0eaa967b3e"
+    assert key(Barnes(bodies_per_proc=8), 4, LogGPParams(), 3) == \
+        "63a2f265f2d84ac0c4739c2d151f5ca02f6f639d91791239e10db6835ca0a016"

@@ -191,7 +191,7 @@ def test_failure_category_edge_cases():
 def test_a_deadlocked_sweep_point_carries_its_failure_category():
     sweep = run_sweep(
         fixture_app("lock_cycle", "LockCycle"), 2, "latency", [5.0],
-        seed=11, livelock_limit=200, sanitize=True)
+        seed=11, livelock_limit=200, sanitize=True).run()
     point, = sweep.points
     assert point.failure_category == "deadlock"
     assert not point.completed and point.runtime_us is None
@@ -204,8 +204,8 @@ def test_a_deadlocked_sweep_point_carries_its_failure_category():
 def test_sanitized_sweep_bypasses_the_cache(tmp_path):
     cache = RunCache(tmp_path / "cache")
     app = RadixSort(keys_per_proc=32)
-    run_sweep(app, 2, "latency", [5.0], seed=3, cache=cache,
-              sanitize=True)
+    run_sweep(app, 2, "latency", [5.0], seed=3,
+              sanitize=True).run(cache=cache)
     assert len(cache) == 0  # no puts
     assert cache.hits == 0 and cache.misses == 0  # no gets either
 

@@ -50,7 +50,7 @@ def test_offered_load_axis_rebuilds_the_app_per_point(tmp_path):
     and the per-point apps must hash to distinct cache keys."""
     cache = RunCache(tmp_path / "cache")
     sweep = run_sweep(tiny_kv(), 4, "offered_rps",
-                      (100_000.0, 1_500_000.0), cache=cache)
+                      (100_000.0, 1_500_000.0)).run(cache=cache)
     rows = serving_rows(sweep)
     assert cache.misses == 2  # distinct keys, no accidental sharing
     light, heavy = rows
@@ -60,7 +60,7 @@ def test_offered_load_axis_rebuilds_the_app_per_point(tmp_path):
 
 def test_drop_rate_axis_inflates_the_tail():
     clean, lossy = serving_rows(run_sweep(
-        tiny_kv(), 4, "drop_rate", (0.0, 0.05)))
+        tiny_kv(), 4, "drop_rate", (0.0, 0.05)).run())
     assert clean["verdict"] == "ok"
     assert lossy["p999_us"] > clean["p999_us"]
 
@@ -74,8 +74,8 @@ def test_figure11_smoke_renders_all_axes_and_knees(tmp_path):
     figure = figure11_serving(
         n_nodes=4, scale=0.1, overheads=(2.9, 25.0), latencies=(5.7,),
         drop_rates=(0.0,), offered=(100_000.0,),
-        knee_overheads=(2.9,), cache=cache,
-        n_users=5_000, duration_us=8_000.0)
+        knee_overheads=(2.9,),
+        n_users=5_000, duration_us=8_000.0).run(cache=cache)
     text = figure.render()
     for axis in ("overhead", "latency", "drop_rate", "offered_rps"):
         assert f"serving tail vs {axis}" in text

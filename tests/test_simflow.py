@@ -274,7 +274,7 @@ def test_cli_list_rules_includes_flow_checks(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert PROGRAM_RULES == [
-        "handler-arity", "handler-purity", "one-drain",
+        "handler-arity", "handler-purity",
         "rank-dependent-collective", "unyielded-blocking-call",
         "yield-integrity"]
     for rule_id in PROGRAM_RULES:
@@ -367,21 +367,12 @@ def test_flow_summaries_cover_the_runtime_stack(src_analysis):
 #
 # The flow-clean tree is pinned to exact simulation output: any future
 # restructuring motivated by a whole-program finding of apps/, gas/ or coll/ must keep
-# run stats and RunCache keys bit-identical to these constants.
+# run stats bit-identical to these constants (and the two runs' keys,
+# which test_run_keys_pinned.py pins).
 
 _PINS = {
-    "radix": {
-        "runtime_us": 2069.3999999999905,
-        "events": 4480,
-        "key": ("9cbbe7515f549948c33edf4269632b62ed242638"
-                "d0f2435eba206d0eaa967b3e"),
-    },
-    "barnes": {
-        "runtime_us": 4051.680000000008,
-        "events": 7492,
-        "key": ("63a2f265f2d84ac0c4739c2d151f5ca02f6f639d"
-                "91791239e10db6835ca0a016"),
-    },
+    "radix": {"runtime_us": 2069.3999999999905, "events": 4480},
+    "barnes": {"runtime_us": 4051.680000000008, "events": 7492},
 }
 
 
@@ -397,17 +388,11 @@ def _pin_apps():
 def test_flow_certified_tree_is_bit_identical(name):
     from repro.am.tuning import TuningKnobs
     from repro.cluster.machine import Cluster
-    from repro.harness import RunCache
-    from repro.harness.runcache import run_key_spec
     from repro.network.loggp import LogGPParams
 
     make = _pin_apps()[name]
-    params, knobs = LogGPParams(), TuningKnobs()
-    result = Cluster(n_nodes=4, params=params, knobs=knobs,
+    result = Cluster(n_nodes=4, params=LogGPParams(), knobs=TuningKnobs(),
                      seed=3).run(make())
     pin = _PINS[name]
     assert result.runtime_us == pin["runtime_us"]
     assert result.events_processed == pin["events"]
-    key = RunCache.key_for(run_key_spec(
-        make(), Cluster(4, params, knobs, seed=3)))
-    assert key == pin["key"]

@@ -140,7 +140,7 @@ PLANTED = {
     (FIXTURES, "one_drain_bad/harness/parallel.py"): {
         line: "one-drain" for line in (6, 7, 11, 12, 16)},
     (FIXTURES, "one_drain_bad/harness/__main__.py"): {
-        line: "one-drain" for line in (7, 11, 13, 14)},
+        line: "one-drain" for line in (6, 10, 12, 13)},
     (FLOW_FIXTURES, "transitive_blocking_bad.py"): {
         17: "unyielded-blocking-call"},
     (FLOW_FIXTURES, "rank_collective_bad.py"): {

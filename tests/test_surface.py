@@ -15,7 +15,7 @@ from repro.harness.surface import (SensitivitySurface,
 def small_surface(**run):
     return sensitivity_surface(
         "Radb", n_nodes=4, x_dial="overhead", x_values=(25.0,),
-        y_dial="gap", y_values=(25.0,), scale=0.05, **run)
+        y_dial="gap", y_values=(25.0,), scale=0.05).run(**run)
 
 
 def test_unknown_dial_rejected():
@@ -84,7 +84,7 @@ def test_the_claims_rows_grade_a_surface():
 
 def test_overhead_gap_surface_shortcut():
     surface = overhead_gap_surface(app_name="Radb", n_nodes=2,
-                                   values=(50.0,), scale=0.05)
+                                   values=(50.0,), scale=0.05).run()
     assert surface.x_dial == "overhead" and surface.y_dial == "gap"
     assert surface.at(50.0, 50.0) > 1.0
 
