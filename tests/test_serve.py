@@ -72,6 +72,30 @@ def test_trace_respects_budget_duration_and_ranges(arrivals):
     assert 0 < writes < len(trace)
 
 
+@pytest.mark.parametrize("arrivals, seed, budget, length, digest", [
+    ("poisson", 0, 6000, 3894,
+     "5c7819d232bb0431ff84ddea926cf205ad39b031c70267363f3325ded5ef1f47"),
+    ("poisson", 13, 1500, 1500,
+     "ac607ac9071910d4f94ec31244a236baefbc7e92bc53c54322cbce6c8ae2db15"),
+    ("bursty", 0, 6000, 3143,
+     "39ec5badb7b49ce08398dab6a8d616c55c0747aad6044a99d1bf542ca55cf0a3"),
+    ("bursty", 13, 1500, 1500,
+     "de7fe3bf7539166c418ad0e0cd26646b4a76c07d3629929606177edd4977be44"),
+])
+def test_traces_are_the_pinned_ones(arrivals, seed, budget, length, digest):
+    """Every arrival time bit for bit, every user, key and direction:
+    seed 0 ends on the window, seed 13 on the request budget."""
+    import hashlib
+    tier = ClientTier(n_users=1_000_000, offered_rps=400_000.0,
+                      duration_us=10_000.0, max_requests=budget,
+                      arrivals=arrivals)
+    trace = tier.trace(seed)
+    text = json.dumps([(request.t_us.hex(), request.user, request.key,
+                        request.write) for request in trace])
+    assert len(trace) == length
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_bursty_trace_is_burstier_than_poisson():
     """MMPP arrivals cluster: the minimum inter-arrival gap shrinks
     and the variance of gaps grows relative to Poisson at equal rate."""
