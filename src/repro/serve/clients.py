@@ -120,32 +120,36 @@ class ClientTier:
         its time, from the same stream.  The loop binds what it reads
         as locals and builds each tuple with ``Request._make``: a trace
         runs to a million requests, and a keyword call to the class
-        costs twice as much."""
+        costs twice as much.  A Poisson inter-arrival is drawn in the
+        loop as ``-log(1.0 - random()) / rate``, the formula of
+        ``random.expovariate``, so the stream is the one it draws."""
         rng = random.Random(seed * 1_000_003 + 0xC11E47)
-        arrivals = self._poisson_arrivals(rng) \
-            if self.arrivals == "poisson" else self._bursty_arrivals(rng)
         out: List[Request] = []
         append, make, draw = out.append, Request._make, rng.random
         n_users, last_user = self.n_users, self.n_users - 1
         skew, key_space = USER_SKEW, self.key_space
         write_ratio, max_requests = WRITE_RATIO, self.max_requests
-        for t_us in arrivals:
+        if self.arrivals == "poisson":
+            log, rate = math.log, self.offered_rps / 1e6
+            duration_us, t_us = self.duration_us, 0.0
+            while True:
+                t_us += -log(1.0 - draw()) / rate
+                if t_us > duration_us:
+                    break
+                user = min(last_user, int(n_users * draw() ** skew))
+                append(make((t_us, user,
+                             (user * _KEY_HASH + 97) % key_space,
+                             draw() < write_ratio)))
+                if len(out) == max_requests:
+                    break
+            return out
+        for t_us in self._bursty_arrivals(rng):
             user = min(last_user, int(n_users * draw() ** skew))
             append(make((t_us, user, (user * _KEY_HASH + 97) % key_space,
                          draw() < write_ratio)))
             if len(out) == max_requests:
                 break
         return out
-
-    def _poisson_arrivals(self, rng: random.Random) -> Iterator[float]:
-        rate_per_us = self.offered_rps / 1e6
-        duration_us = self.duration_us
-        t_us = 0.0
-        while True:
-            t_us += rng.expovariate(rate_per_us)
-            if t_us > duration_us:
-                return
-            yield t_us
 
     def _bursty_arrivals(self, rng: random.Random) -> Iterator[float]:
         """Two-state MMPP with the configured time-averaged rate.
