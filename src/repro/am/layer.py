@@ -32,7 +32,7 @@ only reply holds by construction.
 from __future__ import annotations
 
 import inspect
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Callable, Deque, Dict, Generator, Optional
 
 from repro.am.tuning import TuningKnobs
@@ -121,7 +121,15 @@ class HandlerTable:
 
 class AmLayer:
     """The per-node Active Message endpoint; ``probes`` are the run's
-    observers (:mod:`repro.instruments.probes`), none by default."""
+    observers (:mod:`repro.instruments.probes`), none by default.
+
+    The layer counts the logical messages it sends and receives, named
+    after the :class:`~repro.instruments.stats.ClusterStats` arrays a
+    run's stats fold them into: ``sent_to[dst]`` (a matrix row),
+    ``bulk_messages_sent``, ``read_messages_sent``, ``small_bytes_sent``,
+    ``bulk_bytes_sent`` and ``messages_received``.  They count from
+    construction; the stats load their own totals into them when the
+    measured region starts, so only the region's traffic is kept."""
 
     def __init__(self, sim: Simulator, node_id: int, params: LogGPParams,
                  knobs: TuningKnobs, wire: "Wire",  # noqa: F821
@@ -159,6 +167,14 @@ class AmLayer:
         #: Whether a wait's ``(kind, peers, detail)`` annotation has a
         #: reader; callers build one (an f-string) only when it does.
         self.watching = probes.wait_enter is not None
+        #: Messages sent per destination: a ``defaultdict`` on its own,
+        #: the stats' matrix row (a list) once the region starts.
+        self.sent_to = defaultdict(int)
+        self.bulk_messages_sent = 0
+        self.read_messages_sent = 0
+        self.small_bytes_sent = 0
+        self.bulk_bytes_sent = 0
+        self.messages_received = 0
         #: Flow control is per destination endpoint, as in GAM: ``window``
         #: outstanding requests per (src, dst) pair.  A single-partner
         #: exchange (the calibration microbenchmark) is throttled to
@@ -283,6 +299,7 @@ class AmLayer:
                     continue
                 packet = rx.popleft()
                 yield self._recv_cost
+                self.messages_received += 1
                 hook = self._on_recv
                 if hook is not None:
                     hook(self.node_id, packet)
@@ -315,6 +332,10 @@ class AmLayer:
                                               packet.src, payload=reply,
                                               is_read=packet.is_read)
                             sent.xfer_id = packet.xfer_id
+                            self.sent_to[packet.src] += 1
+                            self.small_bytes_sent += SHORT_PACKET_BYTES
+                            if packet.is_read:
+                                self.read_messages_sent += 1
                         else:
                             sent = self._enqueue_fragments(
                                 packet.src, None, (reply, nbytes), nbytes,
@@ -395,6 +416,10 @@ class AmLayer:
         if on_reply is not None:
             self._on_reply[packet.xfer_id] = on_reply
         self._credit_owner[packet.xfer_id] = key
+        self.sent_to[dst] += 1
+        self.small_bytes_sent += size
+        if is_read:
+            self.read_messages_sent += 1
         hook = self._on_send
         if hook is not None:
             hook(self.node_id, packet)
@@ -429,6 +454,8 @@ class AmLayer:
         packet = new_packet(REQUEST, self.node_id, dst, handler=handler,
                             payload=payload, size_bytes=size, one_way=True)
         self._credit_owner[packet.xfer_id] = key
+        self.sent_to[dst] += 1
+        self.small_bytes_sent += size
         hook = self._on_send
         if hook is not None:
             hook(self.node_id, packet)
@@ -440,6 +467,8 @@ class AmLayer:
                            payload: Any, nbytes: int, one_way: bool,
                            is_reply: bool, xfer_id: Optional[int] = None,
                            is_read: bool = False) -> Packet:
+        """Queue one logical bulk message as its fragments, and count
+        it; returns the last fragment."""
         sizes = fragment_sizes(nbytes)
         count = len(sizes)
         xfer = xfer_id if xfer_id is not None else new_xfer_id()
@@ -456,6 +485,11 @@ class AmLayer:
                                 message_bytes=nbytes if last else None)
             self.nic.enqueue(packet)
             last_packet = packet
+        self.sent_to[dst] += 1
+        self.bulk_messages_sent += 1
+        self.bulk_bytes_sent += nbytes
+        if is_read:
+            self.read_messages_sent += 1
         return last_packet
 
     def bulk_store(self, dst: int, handler: str, payload: Any,

@@ -203,7 +203,8 @@ class Cluster:
         The one place a wire and the AM layers are built: the fault
         injector (under a fault plan), the ``Wire``, and each node's
         ``Node``, ``AmLayer`` and ``Proc``, every layer answering to
-        ``handlers`` and firing ``probes``.  Nothing is scheduled:
+        ``handlers`` and firing ``probes``, and ``stats`` counting the
+        layers' messages.  Nothing is scheduled:
         :meth:`run` drives the ranks through an application, and the
         calibration microbenchmarks drive loops of their own.
         """
@@ -225,6 +226,8 @@ class Cluster:
                         livelock_limit=self.livelock_limit)
             am.host = proc
             procs.append(proc)
+        if stats is not None:
+            stats.attach([proc.am for proc in procs])
         return procs
 
     def run(self, app: "Application",

@@ -91,97 +91,114 @@ def predict_runtime(graph: CostGraph,
 
 
 def _replayer(graph: CostGraph):
-    """:func:`predict_runtime` of ``graph``, for a sweep: the program's
-    arrays are taken as lists once, and dropped with the function."""
+    """:func:`predict_runtime` of ``graph``, for a sweep or a search:
+    the program's arrays are taken as lists once, and each distinct
+    edge-cost point is scanned once.  A point is what the scan reads of
+    the dials -- the send and receive charges, the wire, the short
+    cycle and the cycle of each fragment size in the graph -- so a dial
+    value that moves none of them (the bulk dial, on a graph with no
+    bulk traffic) costs no second scan.  Both go with the function."""
     program = graph.program
-    rows = [column.tolist() for column in program[:4]]
-    back_of, returns_of, frag_of = (column.tolist()
-                                    for column in program[4:7])
-    fragments, n_sends, n_windows = program[7:]
+    compiled = (graph.n_nodes, [column.tolist() for column in program[:4]],
+                *(column.tolist() for column in program[4:7]), *program[7:])
+    sizes = sorted({size for transfer in program.fragments
+                    for size in transfer})
+    runtimes: Dict[tuple, float] = {}
 
     def replay(knobs: Optional[TuningKnobs]) -> float:
         knobs = knobs if knobs is not None else graph.knobs
         _check_supported(graph, knobs)
         cost = DialedCost(graph.params, knobs)
-        send_charge, recv_charge = cost.send_charge, cost.recv_charge
-        wire, tx_cycle = cost.wire, cost.tx_cycle
-        # A short packet's cycle does not depend on its size.
-        short_pre, short_stall = tx_cycle(0, False)
-
-        # Per rank: predicted completion of its last event and its
-        # transmit context's free time.  By the program's dense slots:
-        # deliveries, and a min-heap of known credit returns per window.
-        clock = [0.0] * graph.n_nodes
-        nic_free = [0.0] * graph.n_nodes
-        delivery = [0.0] * n_sends
-        returned: List[List[float]] = [[] for _ in range(n_windows)]
-        sent = 0
-        t_start = t_stop = None
-
-        for tag, rank, busy, a in zip(*rows):
-            ready = clock[rank] + busy
-
-            if tag == RECV:
-                if a >= 0:
-                    arrived = delivery[a]
-                    if arrived > ready:
-                        ready = arrived
-                clock[rank] = ready + recv_charge
-                continue
-
-            if tag == MARK:
-                clock[rank] = ready
-                if a == 1:
-                    t_start = ready
-                elif a == 2:
-                    t_stop = ready
-                continue
-
-            # -- send -------------------------------------------------------
-            if a >= 0:
-                # The window is full: wait for its earliest *known* credit
-                # return.  Returns recorded after this point in the scan
-                # are treated as later — consistent with the recorded
-                # schedule, where the freeing return had already happened.
-                freed = heappop(returned[a])
-                if freed > ready:
-                    ready = freed
-            done = ready + send_charge
-            clock[rank] = done
-
-            # NIC transmit chain: fragments enter the tx queue at `done`.
-            free = nic_free[rank]
-            frag = frag_of[sent]
-            if frag < 0:
-                inject = (free if free > done else done) + short_pre
-                free = inject + short_stall
-                arrival = inject + wire
-            else:
-                arrival = done
-                for size in fragments[frag]:
-                    pre, stall = tx_cycle(size, True)
-                    inject = max(done, free) + pre
-                    free = inject + stall
-                    arrival = inject + wire
-            nic_free[rank] = free
-
-            delivery[sent] = arrival
-            returns = returns_of[sent]
-            if returns == 1:
-                # A reply's arrival returns the request's window credit.
-                heappush(returned[back_of[sent]], arrival)
-            elif returns == 2:
-                # NIC CREDIT: generated at delivery, one more wire leg back
-                # (CREDITs bypass the transmit gap, not the delay queue).
-                heappush(returned[back_of[sent]], arrival + wire)
-            sent += 1
-
-        if t_start is None or t_stop is None:
-            raise UnsupportedGraphError(
-                "graph has no measurement markers; was the run recorded "
-                "through Cluster.run?")
-        return t_stop - t_start
+        point = (cost.send_charge, cost.recv_charge, cost.wire,
+                 cost.tx_cycle(0, False),
+                 tuple(cost.tx_cycle(size, True) for size in sizes))
+        runtime = runtimes.get(point)
+        if runtime is None:
+            runtime = runtimes[point] = _scan(compiled, sizes, point)
+        return runtime
     return replay
+
+
+def _scan(compiled: tuple, sizes: List[int], point: tuple) -> float:
+    """One forward scan of a compiled program at one edge-cost point."""
+    n_nodes, rows, back_of, returns_of, frag_of, fragments, n_sends, \
+        n_windows = compiled
+    send_charge, recv_charge, wire, (short_pre, short_stall), cycles = point
+    cycle_of = dict(zip(sizes, cycles))
+
+    # Per rank: predicted completion of its last event and its
+    # transmit context's free time.  By the program's dense slots:
+    # deliveries, and a min-heap of known credit returns per window.
+    clock = [0.0] * n_nodes
+    nic_free = [0.0] * n_nodes
+    delivery = [0.0] * n_sends
+    returned: List[List[float]] = [[] for _ in range(n_windows)]
+    sent = 0
+    t_start = t_stop = None
+
+    for tag, rank, busy, a in zip(*rows):
+        ready = clock[rank] + busy
+
+        if tag == RECV:
+            if a >= 0:
+                arrived = delivery[a]
+                if arrived > ready:
+                    ready = arrived
+            clock[rank] = ready + recv_charge
+            continue
+
+        if tag == MARK:
+            clock[rank] = ready
+            if a == 1:
+                t_start = ready
+            elif a == 2:
+                t_stop = ready
+            continue
+
+        # -- send -----------------------------------------------------------
+        if a >= 0:
+            # The window is full: wait for its earliest *known* credit
+            # return.  Returns recorded after this point in the scan
+            # are treated as later — consistent with the recorded
+            # schedule, where the freeing return had already happened.
+            freed = heappop(returned[a])
+            if freed > ready:
+                ready = freed
+        done = ready + send_charge
+        clock[rank] = done
+
+        # NIC transmit chain: fragments enter the tx queue at `done`.
+        free = nic_free[rank]
+        frag = frag_of[sent]
+        if frag < 0:
+            inject = (free if free > done else done) + short_pre
+            free = inject + short_stall
+            arrival = inject + wire
+        else:
+            arrival = done
+            for size in fragments[frag]:
+                pre, stall = cycle_of[size]
+                inject = max(done, free) + pre
+                free = inject + stall
+                arrival = inject + wire
+        nic_free[rank] = free
+
+        delivery[sent] = arrival
+        returns = returns_of[sent]
+        if returns == 1:
+            # A reply's arrival returns the request's window credit.
+            heappush(returned[back_of[sent]], arrival)
+        elif returns == 2:
+            # NIC CREDIT: generated at delivery, one more wire leg back
+            # (CREDITs bypass the transmit gap, not the delay queue).
+            heappush(returned[back_of[sent]], arrival + wire)
+        sent += 1
+
+    if t_start is None or t_stop is None:
+        raise UnsupportedGraphError(
+            "graph has no measurement markers; was the run recorded "
+            "through Cluster.run?")
+    return t_stop - t_start
 
 
 @dataclass

@@ -14,7 +14,7 @@ __all__ = ["HOOKS", "Probes"]
 
 HOOKS = (
     # The message path, in the order a message meets them.
-    "send", "inject", "tx_busy", "deliver", "recv", "handled", "blocked",
+    "send", "inject", "deliver", "recv", "handled", "blocked",
     "wait_enter", "wait_exit", "mark",
     "packet_dropped", "retransmit", "duplicate",  # on a lossy fabric
     "access", "range", "lock_wait", "lock_acquired", "lock_released",

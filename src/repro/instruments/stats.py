@@ -1,5 +1,13 @@
-"""Raw communication counters, updated through the run's hooks
-(:mod:`repro.instruments.probes`) as messages move.
+"""Raw communication counters for one run.
+
+What a message moves is counted where it moves: each node's
+:class:`~repro.am.layer.AmLayer` counts the messages it sends and
+receives, and its NIC its transmit-busy time.  :class:`ClusterStats`
+loads its totals into those counters when the measured region starts
+and folds them back when the region ends, or when they are read inside
+it.  The rarer counters (barriers, collectives, locks, the lossy
+fabric's) are updated through the run's hooks
+(:mod:`repro.instruments.probes`).
 
 A *message* here is a logical Active Message -- a request, a reply
 (explicit or automatic ack), a one-way message, or a whole bulk transfer
@@ -9,7 +17,7 @@ processor" includes both halves of each request/response pair).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -21,8 +29,7 @@ __all__ = ["ClusterStats"]
 def _live(name: str) -> property:
     """The public array of a per-message counter, kept in the instance
     ``__dict__`` under its own name.  Inside the measured region the
-    hooks count in a plain list, ``_<name>`` (a fifth of the cost of a
-    numpy scalar ``+=``), which a read there first folds into the arrays."""
+    layers count, and a read there first folds their counts in."""
     def read(self: "ClusterStats") -> np.ndarray:
         if self.enabled:
             self._fold()
@@ -81,6 +88,13 @@ class ClusterStats:
         #: byte-identical on disk.
         self.serving = None
         self._sim = None  # the run's clock, between begin and finish
+        #: The run's AM layers by rank (:meth:`attach`): they count.
+        self._layers: Sequence = ()
+
+    def attach(self, layers: Sequence) -> None:
+        """Count the messages of ``layers``, the run's
+        :class:`~repro.am.layer.AmLayer` s by rank (``Cluster.machine``)."""
+        self._layers = tuple(layers)
 
     # -- measured-region control --------------------------------------------
     def on_begin(self, sim, cluster, app_name: str) -> None:
@@ -88,6 +102,7 @@ class ClusterStats:
 
     def on_finish(self) -> None:
         self._sim = None
+        self._layers = ()  # a result travels without its machine
 
     def on_mark(self, rank: int, label: str) -> None:
         """Rank 0 passed the timed region's ``start`` or ``stop``."""
@@ -99,10 +114,15 @@ class ClusterStats:
     def start_measurement(self, now: float) -> None:
         """Begin the timed region (called after the entry barrier)."""
         self.started_at = now
-        # The lists start from the arrays' values, read through the
-        # properties so that a restart folds first and loses nothing.
-        for name in self._LIVE_FIELDS:
-            setattr(self, "_" + name, getattr(self, name).tolist())
+        if self.enabled:  # a restart: what the layers hold is kept
+            self._fold()
+        # The layers count on from the arrays' totals.
+        arrays = self.__dict__
+        for rank, am in enumerate(self._layers):
+            am.sent_to = arrays["matrix"][rank].tolist()
+            for name in self._AM_COUNTERS:
+                setattr(am, name, int(arrays[name][rank]))
+            am.nic.tx_busy_us = float(arrays["tx_busy_us"][rank])
         self.enabled = True
 
     def stop_measurement(self, now: float) -> None:
@@ -111,38 +131,20 @@ class ClusterStats:
         if self.enabled:
             self._fold()
             self.enabled = False
-            for name in self._LIVE_FIELDS:
-                delattr(self, "_" + name)
 
     def _fold(self) -> None:
-        """Copy the lists' totals into the arrays.  Totals, not deltas:
+        """Copy the layers' totals into the arrays.  Totals, not deltas:
         ``tx_busy_us`` is then one chain of IEEE additions, however read."""
-        for name in self._LIVE_FIELDS:
-            self.__dict__[name][...] = getattr(self, "_" + name)
+        arrays = self.__dict__
+        for rank, am in enumerate(self._layers):
+            row = am.sent_to
+            arrays["matrix"][rank] = row
+            arrays["messages_sent"][rank] = sum(row)
+            for name in self._AM_COUNTERS:
+                arrays[name][rank] = getattr(am, name)
+            arrays["tx_busy_us"][rank] = am.nic.tx_busy_us
 
     # -- hooks called by the communication layer ---------------------------
-    def on_send(self, node_id: int, packet: Packet) -> None:
-        """One logical message left ``node_id`` (host-level send)."""
-        if not self.enabled:
-            return
-        self._messages_sent[node_id] += 1
-        self._matrix[node_id][packet.dst] += 1
-        nbytes = packet.size_bytes if packet.message_bytes is None \
-            else packet.message_bytes  # packet.logical_bytes, inline
-        if packet.is_bulk:
-            self._bulk_messages_sent[node_id] += 1
-            self._bulk_bytes_sent[node_id] += nbytes
-        else:
-            self._small_bytes_sent[node_id] += nbytes
-        if packet.is_read:
-            self._read_messages_sent[node_id] += 1
-
-    def on_recv(self, node_id: int, packet: Packet) -> None:
-        """The host at ``node_id`` paid receive overhead for a message."""
-        if not self.enabled:
-            return
-        self._messages_received[node_id] += 1
-
     def on_barrier(self, node_id: int) -> None:
         """``node_id`` completed a barrier."""
         if not self.enabled:
@@ -199,12 +201,6 @@ class ClusterStats:
         kinds (each invocation counted once per participating rank)."""
         return int(sum(int(arr.sum())
                        for arr in self.collective_calls.values()))
-
-    def on_tx_busy(self, node_id: int, busy_us: float) -> None:
-        """``node_id``'s transmit context was busy for ``busy_us``."""
-        if not self.enabled:
-            return
-        self._tx_busy_us[node_id] += busy_us
 
     def record_reassembly_leaks(self, node_id: int, count: int) -> None:
         """Teardown diagnostic: bulk transfers that never completed."""
@@ -276,6 +272,10 @@ class ClusterStats:
     #: The counters a message moves, ``matrix`` to ``messages_received``
     #: and ``tx_busy_us`` (see ``_live``, installed below the class).
     _LIVE_FIELDS = _ARRAY_FIELDS[:7] + _FLOAT_ARRAY_FIELDS
+    #: The ones an AM layer keeps under the array's own name; it keeps
+    #: ``matrix`` as its row ``sent_to``, whose sum is ``messages_sent``,
+    #: and its NIC ``tx_busy_us``.
+    _AM_COUNTERS = _ARRAY_FIELDS[2:7]
 
     def to_dict(self) -> dict:
         """JSON-safe dict capturing every counter (arrays as lists)."""

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,28 +72,21 @@ class MessageTimeline:
         return self.stage_latency("delivered", "handled")
 
 
-_new = object.__new__
-
-
-def _new_timeline(xfer_id: int) -> MessageTimeline:
-    """``MessageTimeline(xfer_id=xfer_id)`` without the class call, one
-    per message: the fields set in declaration order, so the instance
-    (its ``__dict__``, equality and pickle) is the one the dataclass
-    ``__init__`` builds."""
-    timeline = _new(MessageTimeline)
-    timeline.xfer_id = xfer_id
-    timeline.src = -1
-    timeline.dst = -1
-    timeline.kind = ""
-    timeline.times = {}
-    return timeline
-
-
 class MessageTracer:
-    """Collects :class:`MessageTimeline` records during a run."""
+    """Collects :class:`MessageTimeline` records during a run.
+
+    A hook only notes the instant a transfer first reaches its stage,
+    in one dict per stage keyed by transfer id (and, at a send, who
+    sent it); the timelines are built from those when they are read."""
 
     def __init__(self) -> None:
-        self._timelines: Dict[int, MessageTimeline] = {}
+        #: Per stage of ``_STAGES``: transfer id -> first-reach time.
+        self._reached: Tuple[Dict[int, float], ...] = tuple(
+            {} for _stage in _STAGES)
+        self._sent, self._injected, self._delivered, self._handled = \
+            self._reached
+        #: Transfer id -> ``(src, dst, kind)`` of its last send.
+        self._route: Dict[int, tuple] = {}
         self._sim = None  # the run being traced, between begin and finish
 
     # -- hooks -------------------------------------------------------------
@@ -102,47 +96,56 @@ class MessageTracer:
     def on_finish(self) -> None:
         self._sim = None
 
-    def _reached(self, stage: str, packet) -> MessageTimeline:
-        timeline = self._timelines.get(packet.xfer_id)
-        if timeline is None:
-            timeline = self._timelines[packet.xfer_id] = \
-                _new_timeline(packet.xfer_id)
-        # First observation of each stage wins (bulk transfers hit
-        # 'injected' once per fragment; we keep the first).
-        timeline.times.setdefault(stage, self._sim.now)
-        return timeline
-
+    # First observation of each stage wins (bulk transfers hit
+    # 'injected' once per fragment; we keep the first).
     def on_send(self, rank: int, packet) -> None:
-        timeline = self._reached("sent", packet)
+        xfer_id = packet.xfer_id
+        self._sent.setdefault(xfer_id, self._sim.now)
         # A reply shares its request's transfer id: the last sender wins.
-        timeline.src = packet.src
-        timeline.dst = packet.dst
-        timeline.kind = packet.kind.value
+        self._route[xfer_id] = (packet.src, packet.dst, packet.kind)
 
     def on_inject(self, rank: int, packet) -> None:
-        self._reached("injected", packet)
+        self._injected.setdefault(packet.xfer_id, self._sim.now)
 
     def on_deliver(self, rank: int, packet) -> None:
-        self._reached("delivered", packet)
+        self._delivered.setdefault(packet.xfer_id, self._sim.now)
 
     def on_handled(self, rank: int, packet) -> None:
-        self._reached("handled", packet)
+        self._handled.setdefault(packet.xfer_id, self._sim.now)
 
     # -- queries -----------------------------------------------------------
+    def _xfer_ids(self) -> Dict[int, None]:
+        """Every transfer id seen, in the order they were first sent
+        (then, for any never sent, first injected, and so on)."""
+        return dict.fromkeys(chain(*self._reached))
+
     def __len__(self) -> int:
-        return len(self._timelines)
+        return len(self._xfer_ids())
+
+    def _build(self, xfer_id: int) -> MessageTimeline:
+        times = {stage: reached[xfer_id]
+                 for stage, reached in zip(_STAGES, self._reached)
+                 if xfer_id in reached}
+        route = self._route.get(xfer_id)
+        if route is None:
+            return MessageTimeline(xfer_id=xfer_id, times=times)
+        src, dst, kind = route
+        return MessageTimeline(xfer_id=xfer_id, src=src, dst=dst,
+                               kind=kind.value, times=times)
 
     def timelines(self, complete_only: bool = False
                   ) -> List[MessageTimeline]:
         """All recorded timelines (optionally only fully observed)."""
-        items = list(self._timelines.values())
+        items = [self._build(xfer_id) for xfer_id in self._xfer_ids()]
         if complete_only:
             items = [t for t in items if t.complete]
         return items
 
     def timeline(self, xfer_id: int) -> MessageTimeline:
         """The timeline of one transfer id (KeyError if unseen)."""
-        return self._timelines[xfer_id]
+        if not any(xfer_id in reached for reached in self._reached):
+            raise KeyError(xfer_id)
+        return self._build(xfer_id)
 
     def latency_stats(self) -> Dict[str, float]:
         """Mean/percentile summary of end-to-end message latency (µs)."""

@@ -135,8 +135,12 @@ class Nic:
         reliability protocol engages only when the plan can drop packets.
     probes:
         The run's :class:`~repro.instruments.probes.Probes`; the NIC
-        fires ``inject``, ``tx_busy``, ``deliver``, ``retransmit`` and
-        ``duplicate``.
+        fires ``inject``, ``deliver``, ``retransmit`` and ``duplicate``.
+
+    ``tx_busy_us`` adds up the transmit context's busy time, DMA and
+    gap stall, packet by packet; a run's
+    :class:`~repro.instruments.stats.ClusterStats` loads it at the
+    measured region's start and reads it back.
     """
 
     def __init__(self, sim: Simulator, node_id: int, params: LogGPParams,
@@ -155,7 +159,6 @@ class Nic:
         if probes is None:
             probes = Probes()
         self._on_inject = probes.inject
-        self._on_tx_busy = probes.tx_busy
         self._on_deliver = probes.deliver
         self._on_retransmit = probes.retransmit
         self._on_duplicate = probes.duplicate
@@ -185,6 +188,7 @@ class Nic:
         self.retransmissions = 0
         self.duplicates_suppressed = 0
         self.acks_sent = 0
+        self.tx_busy_us = 0.0
         wire.attach(node_id, self)
 
     # -- host-side API -----------------------------------------------------
@@ -223,10 +227,8 @@ class Nic:
             self._inject(packet)
         else:
             self.wire.carry(packet)
-        hook = self._on_tx_busy
-        if hook is not None:
-            # DMA + injection stall: the transmit-busy fraction's numerator.
-            hook(self.node_id, pre_time + stall)
+        # DMA + injection stall: the transmit-busy fraction's numerator.
+        self.tx_busy_us += pre_time + stall
         if stall > 0:
             self.sim.call_in(stall, self._tx.done)
         else:

@@ -26,48 +26,54 @@ the access carries the evidence — and nothing sent before it does.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
+
+import numpy as np
 
 __all__ = ["ClockSet"]
 
 
 class ClockSet:
-    """The vector clocks of every rank in one run."""
+    """The vector clocks of every rank in one run: one int64 row per
+    rank, so that a join is one ``np.maximum`` and a snapshot one copy.
+    Each rank's own component is also kept as a Python int (only its
+    own sends move it), which is what an access's epoch reads."""
 
-    __slots__ = ("n_ranks", "_clocks")
+    __slots__ = ("n_ranks", "_clocks", "_ticks")
 
     def __init__(self, n_ranks: int) -> None:
         if n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
         self.n_ranks = n_ranks
-        self._clocks: List[List[int]] = [
-            [0] * n_ranks for _rank in range(n_ranks)]
+        self._clocks: List[np.ndarray] = list(
+            np.zeros((n_ranks, n_ranks), dtype=np.int64))
+        self._ticks: List[int] = [0] * n_ranks
 
-    def tick(self, rank: int) -> Tuple[int, ...]:
+    def tick(self, rank: int) -> np.ndarray:
         """Advance ``rank``'s own component for an outgoing message,
         then snapshot (so receivers of this send happen-after every
         access ``rank`` made before it)."""
+        ticks = self._ticks
+        ticks[rank] = tick = ticks[rank] + 1
         clock = self._clocks[rank]
-        clock[rank] += 1
-        return tuple(clock)
+        clock[rank] = tick
+        return clock.copy()
 
-    def join(self, rank: int, snapshot: Sequence[int]) -> None:
+    def join(self, rank: int, snapshot: np.ndarray) -> None:
         """Element-wise max of ``rank``'s clock with a received
         snapshot (the happens-before edge of a message delivery)."""
         clock = self._clocks[rank]
-        for peer, tick in enumerate(snapshot):
-            if tick > clock[peer]:
-                clock[peer] = tick
+        np.maximum(clock, snapshot, out=clock)
 
-    def clock_of(self, rank: int) -> List[int]:
+    def clock_of(self, rank: int) -> np.ndarray:
         """``rank``'s live clock (read-only by convention)."""
         return self._clocks[rank]
 
     def tick_of(self, rank: int) -> int:
         """``rank``'s own current component (its access epoch)."""
-        return self._clocks[rank][rank]
+        return self._ticks[rank]
 
     def ordered(self, observer: int, owner: int, tick: int) -> bool:
         """Whether a prior access by ``owner`` at ``tick`` happens-
         before ``observer``'s current program point."""
-        return self._clocks[observer][owner] > tick
+        return bool(self._clocks[observer][owner] > tick)

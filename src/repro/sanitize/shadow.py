@@ -94,7 +94,7 @@ class ShadowMemory:
         if cell is None:
             cell = self._cells[key] = _ShadowCell()
         clock = self._clocks.clock_of(rank)
-        tick = clock[rank]
+        tick = self._clocks.tick_of(rank)
         # The access as a shadow entry: its AccessSite is built only
         # if it turns out to race.
         access = (rank, tick, site, time_us, kind)

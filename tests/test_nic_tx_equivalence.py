@@ -93,8 +93,7 @@ class LegacyNic(Nic):
             if self._on_inject is not None:
                 self._on_inject(self.node_id, packet)
             self._inject(packet)
-            if self._on_tx_busy is not None:
-                self._on_tx_busy(self.node_id, pre_time + stall)
+            self.tx_busy_us += pre_time + stall
             if stall > 0:
                 yield self.sim.timeout(stall)
 
@@ -197,17 +196,14 @@ PROGRAMS = st.lists(
 
 
 class _TxTotals:
-    """Per NIC: transmit-busy µs, packets and bytes injected."""
+    """Per NIC: packets and bytes injected."""
 
     def __init__(self):
-        self.rows = [[0.0, 0, 0] for _ in range(N_NICS)]
+        self.rows = [[0, 0] for _ in range(N_NICS)]
 
     def on_inject(self, rank, packet):
-        self.rows[rank][1] += 1
-        self.rows[rank][2] += packet.size_bytes
-
-    def on_tx_busy(self, rank, busy_us):
-        self.rows[rank][0] += busy_us
+        self.rows[rank][0] += 1
+        self.rows[rank][1] += packet.size_bytes
 
 
 def _run_bare(nic_class, program, knobs, plan):
@@ -257,7 +253,7 @@ def _run_bare(nic_class, program, knobs, plan):
         error = None
     except FaultError as exc:  # a link that dropped max_retries in a row
         error = type(exc).__name__
-    totals = [(*injected.rows[nic.node_id],
+    totals = [(nic.tx_busy_us, *injected.rows[nic.node_id],
                nic.retransmissions, nic.duplicates_suppressed,
                nic.acks_sent, nic.tx_backlog, nic.delay_queue_depth)
               for nic in nics]
@@ -312,14 +308,11 @@ def test_short_packet_service_times_match_the_methods(delta_g, delta_G,
     params = LogGPParams.berkeley_now()
     knobs = TuningKnobs(delta_g=delta_g, delta_G=delta_G,
                         delta_occ=delta_occ)
-    injected, busy = [], []
+    injected = []
 
     class Listener:
         def on_inject(self, rank, packet):
             injected.append(sim.now)
-
-        def on_tx_busy(self, rank, busy_us):
-            busy.append(busy_us)
 
     wire = Wire(sim, params.latency)
     nic, _peer = [Nic(sim, node, params, knobs, wire, lambda packet: None,
@@ -330,13 +323,14 @@ def test_short_packet_service_times_match_the_methods(delta_g, delta_G,
         nic.enqueue(new_packet(kind, 0, 1))
     sim.run()
     pre, stall = nic.charge.tx_cycle(0, False)
-    expected, now = [], 0.0
+    expected, now, busy = [], 0.0, 0.0
     for _kind in kinds:
         now += pre
         expected.append(now)
         now += stall
+        busy += pre + stall
     assert injected == expected
-    assert busy == [pre + stall] * len(kinds)
+    assert nic.tx_busy_us == busy
 
 
 # ---------------------------------------------------------------------------

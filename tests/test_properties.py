@@ -182,17 +182,10 @@ def test_oneway_delivery_time_is_L_plus_2o(nbytes, delta_o, delta_g,
     stays 0: the receive context's ``delta_occ`` is not in the charge.
     """
     from repro.coll.model import _hop, _inject
-    from repro.instruments.probes import Probes
     from tests.helpers import Fabric
     knobs = TuningKnobs(delta_o=delta_o, delta_g=delta_g,
                         delta_L=delta_L, delta_G=delta_G)
-    busy = []
-
-    class TxBusy:
-        def on_tx_busy(self, rank, busy_us):
-            busy.append(busy_us)
-
-    fabric = Fabric(knobs=knobs, probes=Probes([TxBusy()]))
+    fabric = Fabric(knobs=knobs)
     arrivals = []
 
     def sink(am, packet):
@@ -216,8 +209,8 @@ def test_oneway_delivery_time_is_L_plus_2o(nbytes, delta_o, delta_g,
     bulk = nbytes is not None
     assert arrivals[0] == pytest.approx(_hop(cost, nbytes or 0, bulk),
                                         rel=1e-9)
-    assert sum(busy) == pytest.approx(_inject(cost, nbytes or 0, bulk),
-                                      rel=1e-9)
+    assert am0.nic.tx_busy_us == pytest.approx(
+        _inject(cost, nbytes or 0, bulk), rel=1e-9)
 
 
 # -- Barnes split planning -----------------------------------------------------------

@@ -254,6 +254,38 @@ def test_latency_tolerance_crossings_are_pinned(radix_graph, barnes_graph,
         assert replayers == [bulky], dial
 
 
+def test_a_dial_value_that_moves_no_edge_cost_is_scanned_once(radix_graph,
+                                                              monkeypatch):
+    """Radix sends no bulk, so every bulk_mb_s value is the same edge-cost
+    point: a sweep or a search scans the graph once and returns what it
+    returned when it scanned every value (values taken on the commit
+    before).  A value that moves the gap or the wire is scanned."""
+    graph, _ = radix_graph
+    assert graph.program.fragments == ()
+    scans = []
+    scan = predict_module._scan
+    monkeypatch.setattr(predict_module, "_scan",
+                        lambda *args: scans.append(args) or scan(*args))
+
+    sweep = predict_sweep(graph, "bulk_mb_s")
+    assert [point.runtime_us for point in sweep.points] == \
+        [2110.0599999999918] * len(DIALS["bulk_mb_s"].grid)
+    assert len(scans) == 1
+    del scans[:]
+    assert latency_tolerance(graph, "bulk_mb_s") is None
+    assert len(scans) == 1
+
+    for dial in ("gap", "latency"):
+        del scans[:]
+        sweep = predict_sweep(graph, dial)
+        assert len(scans) == len(DIALS[dial].grid), dial
+        assert len({point.runtime_us for point in sweep.points}) == \
+            len(scans), dial
+    del scans[:]
+    assert latency_tolerance(graph, "gap") == 13.231250000000001
+    assert len(scans) > 1
+
+
 @pytest.mark.parametrize("bad, mention", [
     ({"threshold": math.nan}, "threshold"),  # a meaningless crossing
 ], ids=["threshold=nan"])
