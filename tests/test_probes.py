@@ -216,27 +216,27 @@ def test_the_hook_stream_is_the_pinned_one():
         got[name] = stream.digest()
     assert got == {
         "Radix":
-            "3ea17a4c4e5895465ec915a310f06732eb8b91a3c89b143fd848399c58847f38",
+            "36cc314b0b0ca214783a4ceeda0b99ad62b161122449da88fef36c771856097b",
         "EM3D(write)":
-            "502ba8c3ae5196428095f53eb34138d625fe5abadfb701012c54d83edf004bf9",
+            "f40ca5bdc050541273c428ad5608d6b0656b5eb7c0893df92eb817518f644600",
         "EM3D(read)":
-            "85d17d888c7fbdb62b71ac1609b5ddd91ee70f8cdeafaba0802c405a9551d48e",
+            "ac2c5e31f60e18f9464e4708e1bb668f1e37e9fef8dc357e4ff6db9aa8d1a07e",
         "Sample":
-            "02b5017541a395e28fb54778d98222516e7232d4d2e956a129f4f12c6c93342c",
+            "3d053ffd02e287bebe3dd46557c04e3b0a1037c65a2577c530191ced462cbdac",
         "Barnes":
-            "ee64c3f0d7d2fb9ff2ea1277e22779acfdc9ec03c857f3ba325b4844a9821435",
+            "394b6367d8aaf3df9a1fe106b12a86ea245541b1ab13d1b075948028bbc8b9ff",
         "P-Ray":
-            "5b0432670929618e147d196319909c6b2d0ee13e5a3f0535fddd62d6d2d5eb20",
+            "b6a131eb4e1275ef4e091af058ddd2163fca803cba0e2bad24bbcd30a1d2c33a",
         "Murphi":
-            "a0b8308cf730c82f92d300ce4789b0b3d4bed79de192a67af68aa215c088b4b6",
+            "2b54fa840f92a43abea66a3ec682d0074b8bd92cfb30e56ee09ed89c41960b94",
         "Connect":
-            "7c577adc23f7dc302be076ca72910a2495366939153a4b029b4c7e3fdca33d90",
+            "089d57dade91f4dbe00eb2c8ed23517f92f2539b542f1e7f13bfa93cae452129",
         "NOW-sort":
-            "0ce6d48357b8b7166f1614af5e2f647274a71261c1c8c6351f16f36ce5ce16fe",
+            "c14667bc129018b8e97b2b51db3bc3a508382de4bd67ebbe84ec466a05c471ef",
         "Radb":
-            "d8006d328fa54d323a3ad248fea3fab833a654daa63c0685c1929665950a4f23",
+            "d547e4b8f2a88a8215d1d0a88e80234850b553b4640654969afbb2c68e537699",
         "kvserve":
-            "1fe2c013db263ae3611a670f2f79884359fd77d6975be6013431784185de395b",
+            "9ab9f083d571ebc55ef076f3d7fbbadfcb0bb7572b907cb10444f5f071e86588",
     }
 
 
