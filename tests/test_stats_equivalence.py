@@ -102,8 +102,8 @@ class _Restarts(Application):
             yield from proc.bulk_get(cells, 64 * peer + 8, 40)
             yield from proc.sync()
             if proc.rank == 0:
-                self._look(proc)
                 proc.probes.mark(0, ("stop", "start", "start", "stop")[phase])
+                self._look(proc)
         yield from proc.barrier()
         if proc.rank == 0:
             proc.probes.mark(0, "start")
