@@ -125,11 +125,11 @@ class AmLayer:
 
     The layer counts the logical messages it sends and receives, named
     after the :class:`~repro.instruments.stats.ClusterStats` arrays a
-    run's stats fold them into: ``sent_to[dst]`` (a matrix row),
+    run's stats copy them into: ``sent_to[dst]`` (a matrix row),
     ``bulk_messages_sent``, ``read_messages_sent``, ``small_bytes_sent``,
     ``bulk_bytes_sent`` and ``messages_received``.  They count from
-    construction; the stats load their own totals into them when the
-    measured region starts, so only the region's traffic is kept."""
+    construction; the stats reset them when the measured region starts,
+    so only the region's traffic is kept."""
 
     def __init__(self, sim: Simulator, node_id: int, params: LogGPParams,
                  knobs: TuningKnobs, wire: "Wire",  # noqa: F821
@@ -168,7 +168,7 @@ class AmLayer:
         #: reader; callers build one (an f-string) only when it does.
         self.watching = probes.wait_enter is not None
         #: Messages sent per destination: a ``defaultdict`` on its own,
-        #: the stats' matrix row (a list) once the region starts.
+        #: a list of zeros from the stats once the region starts.
         self.sent_to = defaultdict(int)
         self.bulk_messages_sent = 0
         self.read_messages_sent = 0

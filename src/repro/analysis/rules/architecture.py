@@ -113,12 +113,13 @@ _OBSERVERS = frozenset({"tracer", "sanitizer", "recorder"})
 
 @register_rule
 class OneBusRule(Rule):
-    """The layers fire the hooks of ``instruments.probes.HOOKS``; below
-    the harness only ``Cluster.run`` knows which observers exist."""
+    """The layers fire the hooks of ``instruments.probes.HOOKS`` and
+    count on their own attributes; below the harness only
+    ``Cluster.run`` knows which observers exist."""
 
     rule_id = "one-bus"
     description = ("am/, network/, gas/ or coll/ names an observer or "
-                   "calls stats.on_*; cluster/ names one outside "
+                   "calls through stats; cluster/ names one outside "
                    "Cluster.run and RunResult fields")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
@@ -134,10 +135,10 @@ class OneBusRule(Rule):
             if _named(node) in _OBSERVERS and (layer or node not in allowed):
                 yield self.finding(source, node, f"names the observer "
                                    f"{_named(node)!r}; fire a hook")
-            elif layer and (_callee(node) or "").startswith("on_") \
+            elif layer and isinstance(node, ast.Call) \
                     and _named(getattr(node.func, "value", None)) == "stats":
-                yield self.finding(source, node, "stats.on_*( bypasses "
-                                   "the bus")
+                yield self.finding(source, node, "a call through stats; "
+                                   "count on the layer, fire a hook")
 
 
 @register_rule

@@ -203,8 +203,9 @@ class Cluster:
         The one place a wire and the AM layers are built: the fault
         injector (under a fault plan), the ``Wire``, and each node's
         ``Node``, ``AmLayer`` and ``Proc``, every layer answering to
-        ``handlers`` and firing ``probes``, and ``stats`` counting the
-        layers' messages.  Nothing is scheduled:
+        ``handlers`` and firing ``probes``, and the ranks and wire
+        attached to ``stats``, which read their counters.  Nothing is
+        scheduled:
         :meth:`run` drives the ranks through an application, and the
         calibration microbenchmarks drive loops of their own.
         """
@@ -227,7 +228,7 @@ class Cluster:
             am.host = proc
             procs.append(proc)
         if stats is not None:
-            stats.attach([proc.am for proc in procs])
+            stats.attach(procs, wire)
         return procs
 
     def run(self, app: "Application",
@@ -243,7 +244,9 @@ class Cluster:
         observation-only, so the run stays bit-identical (and, like
         ``tracer`` and ``sanitize``, the recorder is never part of the
         run-cache key space).  No code below this method tells the
-        observers apart: all subscribe to the run's one ``Probes``.
+        observers apart: all subscribe to the run's one ``Probes``.  The
+        run's ``ClusterStats`` is no observer: it reads the counters the
+        layers keep, so a run with no observer has no listener at all.
         """
         if recorder is not None:
             from repro.cost import check_replayable
@@ -255,13 +258,14 @@ class Cluster:
             from repro.sanitize.monitor import Sanitizer
             sanitizer = Sanitizer(self.n_nodes, sim)
         probes = Probes(observer for observer in
-                        (stats, sanitizer, tracer, recorder)
+                        (sanitizer, tracer, recorder)
                         if observer is not None)
         table = HandlerTable()
         register_gas_handlers(table)
         app.configure(self.n_nodes, self.seed)
         app.register_handlers(table)
-        probes.begin(sim, self, app.name)
+        if probes.begin is not None:
+            probes.begin(sim, self, app.name)
         procs = self.machine(sim, table, probes=probes, stats=stats)
 
         drivers = [
@@ -293,7 +297,8 @@ class Cluster:
         for proc in procs:
             leaked = proc.am.nic.reassembly_teardown()
             stats.record_reassembly_leaks(proc.rank, leaked)
-        probes.finish()
+        if probes.finish is not None:
+            probes.finish()
         try:
             output = app.finalize(procs)
         except AssertionError as exc:
@@ -316,18 +321,22 @@ class Cluster:
 
     def _drive(self, app: "Application", proc: Proc):  # noqa: F821
         """Per-rank driver: untimed setup, timed region, teardown.  Rank
-        0 marks the region's two ends (``run`` always has a listener:
-        the run's ``ClusterStats`` times it)."""
+        0 opens and closes the run's ``ClusterStats`` region, then marks
+        each end for whoever listens."""
         yield from app.setup_rank(proc)
         yield from proc.barrier()
         if proc.rank == 0:
-            proc.probes.mark(proc.rank, "start")
+            proc.stats.start_measurement(proc.sim.now)
+            if proc.probes.mark is not None:
+                proc.probes.mark(0, "start")
         yield from app.run_rank(proc)
         yield from proc.sync()
         yield from proc.am.drain()
         yield from proc.barrier()
         if proc.rank == 0:
-            proc.probes.mark(proc.rank, "stop")
+            proc.stats.stop_measurement(proc.sim.now)
+            if proc.probes.mark is not None:
+                proc.probes.mark(0, "stop")
 
     def describe(self) -> str:
         """One-line summary of the configuration."""

@@ -77,6 +77,7 @@ def barrier_dissemination(proc: "Proc") -> Generator:  # noqa: F821
                  f"barrier epoch {epoch} round {rnd}")
             yield from am.wait_until(lambda k=key: k in box, wait=wait)
             del box[key]
+    proc.barriers += 1
     hook = proc.probes.barrier
     if hook is not None:
         hook(proc.rank)
@@ -499,8 +500,9 @@ def pick(proc: "Proc", primitive: str, nbytes: float,  # noqa: F821
     one of them; otherwise the call runs the registry default, or the
     first eligible candidate when the default is not eligible.  Every
     rank declares the same traits, so all ranks agree on the schedule
-    without communicating.  The choice is fired on the ``collective``
-    hook, with the call's ``nbytes``, before the call sends anything.
+    without communicating.  The choice is counted on ``proc`` (calls and
+    the call's ``nbytes`` under ``"kind/algo"``) and fired on the
+    ``collective`` hook before the call sends anything.
     """
     candidates = eligible_algorithms(
         primitive, elementwise=elementwise, dense=dense, uniform=uniform)
@@ -515,7 +517,10 @@ def pick(proc: "Proc", primitive: str, nbytes: float,  # noqa: F821
         algo = DEFAULT_ALGORITHMS[primitive]
         if algo not in candidates:
             algo = candidates[0]
+    key, nbytes = f"{primitive}/{algo}", int(nbytes)
+    proc.collective_calls[key] += 1
+    proc.collective_bytes[key] += nbytes
     hook = proc.probes.collective
     if hook is not None:
-        hook(primitive, algo, proc.rank, int(nbytes))
+        hook(primitive, algo, proc.rank, nbytes)
     return REGISTRY[primitive][algo]

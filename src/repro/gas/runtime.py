@@ -37,7 +37,13 @@ class LivelockError(RuntimeError):
 
 
 class Proc:
-    """One SPMD rank: the application-facing API of the whole substrate."""
+    """One SPMD rank: the application-facing API of the whole substrate.
+
+    A rank counts its own barriers and collectives, which the run's
+    ``ClusterStats`` resets when the measured region starts and copies
+    when it ends, and its denied lock attempts, which it counts over the
+    whole run, ``setup_rank`` included (the stats copy that total too).
+    """
 
     def __init__(self, sim: Simulator, rank: int, n_ranks: int, node: Node,
                  am: AmLayer, stats: Optional[ClusterStats] = None,
@@ -49,7 +55,8 @@ class Proc:
         self.node = node
         self.am = am
         self.probes = am.probes
-        #: The run's result record; hooks reach it through ``probes``.
+        #: The run's result record: rank 0's driver opens and closes its
+        #: measured region, which resets and then reads the counters below.
         self.stats = stats
         self.livelock_limit = livelock_limit
         #: Owner rank -> count of unacknowledged writes toward it; kept
@@ -70,7 +77,13 @@ class Proc:
         self._epochs: defaultdict = defaultdict(int)
         self.collective_box: Dict[tuple, Any] = {}
         self.lock_table: Dict[int, bool] = {}
-        self._failed_locks = 0
+        #: Barriers left and, per ``"kind/algo"`` (``coll.algorithms.pick``),
+        #: collectives called and bytes declared; denied lock attempts,
+        #: checked against ``livelock_limit``.
+        self.barriers = 0
+        self.collective_calls: Dict[str, int] = defaultdict(int)
+        self.collective_bytes: Dict[str, int] = defaultdict(int)
+        self.failed_lock_attempts = 0
 
     # -- identity ------------------------------------------------------------
     @property
@@ -305,11 +318,11 @@ class Proc:
 
     def note_failed_lock(self) -> None:
         """Record a denied lock attempt; abort the run past the limit."""
-        self._failed_locks += 1
+        self.failed_lock_attempts += 1
         hook = self.probes.failed_lock
         if hook is not None:
             hook(self.rank)
-        if self._failed_locks > self.livelock_limit:
+        if self.failed_lock_attempts > self.livelock_limit:
             raise LivelockError(
                 f"rank {self.rank} exceeded {self.livelock_limit} failed "
                 "lock attempts; declaring livelock (the paper reports "

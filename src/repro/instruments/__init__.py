@@ -6,7 +6,8 @@ package provides the same:
 
 * :mod:`repro.instruments.probes` -- the observation bus: the named
   instants the layers fire, and the subscribers' resolution onto them.
-* :mod:`repro.instruments.stats` -- raw counters, a subscriber.
+* :mod:`repro.instruments.stats` -- raw counters, copied from the
+  layers that keep them; no subscriber.
 * :mod:`repro.instruments.summary` -- Table 4's derived per-application
   metrics.
 * :mod:`repro.instruments.balance` -- Figure 4's per-pair message-count

@@ -1,13 +1,10 @@
 """Raw communication counters for one run.
 
-What a message moves is counted where it moves: each node's
-:class:`~repro.am.layer.AmLayer` counts the messages it sends and
-receives, and its NIC its transmit-busy time.  :class:`ClusterStats`
-loads its totals into those counters when the measured region starts
-and folds them back when the region ends, or when they are read inside
-it.  The rarer counters (barriers, collectives, locks, the lossy
-fabric's) are updated through the run's hooks
-(:mod:`repro.instruments.probes`).
+Each counter is kept once, by the component where its event happens:
+the AM layers, NICs, wire and ranks (ARCHITECTURE.md section 3).
+:class:`ClusterStats` resets them when the measured region starts and
+copies them in when it ends; it subscribes to no hook of
+:mod:`repro.instruments.probes`.
 
 A *message* here is a logical Active Message -- a request, a reply
 (explicit or automatic ack), a one-way message, or a whole bulk transfer
@@ -17,46 +14,43 @@ processor" includes both halves of each request/response pair).
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.network.packet import Packet
-
 __all__ = ["ClusterStats"]
 
 
-def _live(name: str) -> property:
-    """The public array of a per-message counter, kept in the instance
-    ``__dict__`` under its own name.  Inside the measured region the
-    layers count, and a read there first folds their counts in."""
-    def read(self: "ClusterStats") -> np.ndarray:
-        if self.enabled:
-            self._fold()
-        return self.__dict__[name]
-    return property(read)
-
-
 class ClusterStats:
-    """Per-node and per-pair communication counters for one run."""
+    """Per-node and per-pair communication counters for one run.
+
+    A plain record that subscribes to nothing.  ``Cluster.machine``
+    attaches the run's ranks and wire (:meth:`attach`), and rank 0's
+    driver calls :meth:`start_measurement` and :meth:`stop_measurement`
+    around the timed region: the start resets every counter the region
+    keeps, the stop copies them in and drops the machine.  The one
+    counter that is not the region's is ``failed_lock_attempts``: it
+    counts the whole run, ``setup_rank`` included.
+    """
 
     def __init__(self, n_nodes: int) -> None:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         self.n_nodes = n_nodes
-        live = vars(self)  # read through the properties of these names
         #: messages[src, dst] — logical messages sent src→dst.
-        live["matrix"] = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+        self.matrix = np.zeros((n_nodes, n_nodes), dtype=np.int64)
         #: Per-node totals by category.
-        live["messages_sent"] = np.zeros(n_nodes, dtype=np.int64)
-        live["bulk_messages_sent"] = np.zeros(n_nodes, dtype=np.int64)
-        live["read_messages_sent"] = np.zeros(n_nodes, dtype=np.int64)
-        live["small_bytes_sent"] = np.zeros(n_nodes, dtype=np.int64)
-        live["bulk_bytes_sent"] = np.zeros(n_nodes, dtype=np.int64)
-        live["messages_received"] = np.zeros(n_nodes, dtype=np.int64)
-        #: Barrier crossings per node (set by the GAS layer).
+        self.messages_sent = np.zeros(n_nodes, dtype=np.int64)
+        self.bulk_messages_sent = np.zeros(n_nodes, dtype=np.int64)
+        self.read_messages_sent = np.zeros(n_nodes, dtype=np.int64)
+        self.small_bytes_sent = np.zeros(n_nodes, dtype=np.int64)
+        self.bulk_bytes_sent = np.zeros(n_nodes, dtype=np.int64)
+        self.messages_received = np.zeros(n_nodes, dtype=np.int64)
+        #: Barrier crossings per node.
         self.barriers = np.zeros(n_nodes, dtype=np.int64)
-        #: Failed lock acquisition attempts per node (Barnes livelock).
+        #: Denied lock attempts per node, whole run (Barnes livelock).
         self.failed_lock_attempts = np.zeros(n_nodes, dtype=np.int64)
         #: Packets dropped by the fault injector, charged to the sender.
         self.packets_dropped = np.zeros(n_nodes, dtype=np.int64)
@@ -68,132 +62,74 @@ class ClusterStats:
         #: diagnostic; set once per run, not gated on the timed region).
         self.reassembly_leaks = np.zeros(n_nodes, dtype=np.int64)
         #: Simulated µs each node's NIC transmit context was busy.
-        live["tx_busy_us"] = np.zeros(n_nodes, dtype=np.float64)
+        self.tx_busy_us = np.zeros(n_nodes, dtype=np.float64)
         #: Collective invocations per node, keyed ``"kind/algorithm"``
-        #: (e.g. ``"broadcast/binomial"``); arrays created lazily the
-        #: first time a (kind, algo) pair is dispatched.
+        #: (e.g. ``"broadcast/binomial"``), in sorted key order: only the
+        #: pairs dispatched inside the region have a key.
         self.collective_calls: dict = {}
         #: Declared payload bytes per node for the same keys.
         self.collective_bytes: dict = {}
         #: Application start/end in simulated µs (set by the runtime).
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: Counters only accumulate inside the measured region, so
-        #: untimed setup traffic does not pollute Table 4.
-        self.enabled = False
         #: Optional open-system SLO instruments
         #: (:class:`~repro.serve.metrics.ServingMetrics`), attached by
         #: serving apps at setup.  None for every closed BSP run, and
         #: serialized only when present, so legacy runs stay
         #: byte-identical on disk.
         self.serving = None
-        self._sim = None  # the run's clock, between begin and finish
-        #: The run's AM layers by rank (:meth:`attach`): they count.
-        self._layers: Sequence = ()
+        #: The run's ranks and its wire's drops (:meth:`attach`).
+        self._ranks: Sequence = ()
+        self._dropped: dict = {}
 
-    def attach(self, layers: Sequence) -> None:
-        """Count the messages of ``layers``, the run's
-        :class:`~repro.am.layer.AmLayer` s by rank (``Cluster.machine``)."""
-        self._layers = tuple(layers)
+    def attach(self, ranks: Sequence, wire) -> None:
+        """Read the counters of ``ranks``, the run's ``Proc`` s by rank
+        (with their AM layers and NICs), and of its ``wire``."""
+        self._ranks = tuple(ranks)
+        self._dropped = wire.packets_dropped
 
     # -- measured-region control --------------------------------------------
-    def on_begin(self, sim, cluster, app_name: str) -> None:
-        self._sim = sim
-
-    def on_finish(self) -> None:
-        self._sim = None
-        self._layers = ()  # a result travels without its machine
-
-    def on_mark(self, rank: int, label: str) -> None:
-        """Rank 0 passed the timed region's ``start`` or ``stop``."""
-        if label == "start":
-            self.start_measurement(self._sim.now)
-        else:
-            self.stop_measurement(self._sim.now)
-
     def start_measurement(self, now: float) -> None:
-        """Begin the timed region (called after the entry barrier)."""
+        """Begin the timed region (rank 0, after the entry barrier):
+        every counter the region keeps starts again from zero."""
         self.started_at = now
-        if self.enabled:  # a restart: what the layers hold is kept
-            self._fold()
-        # The layers count on from the arrays' totals.
-        arrays = self.__dict__
-        for rank, am in enumerate(self._layers):
-            am.sent_to = arrays["matrix"][rank].tolist()
-            for name in self._AM_COUNTERS:
-                setattr(am, name, int(arrays[name][rank]))
-            am.nic.tx_busy_us = float(arrays["tx_busy_us"][rank])
-        self.enabled = True
+        for proc in self._ranks:
+            am = proc.am
+            am.sent_to = [0] * self.n_nodes
+            am.bulk_messages_sent = am.read_messages_sent = 0
+            am.small_bytes_sent = am.bulk_bytes_sent = 0
+            am.messages_received = 0
+            nic = am.nic
+            nic.tx_busy_us = 0.0
+            nic.retransmissions = nic.duplicates_suppressed = 0
+            proc.barriers = 0
+            proc.collective_calls = defaultdict(int)
+            proc.collective_bytes = defaultdict(int)
+        self._dropped.clear()
 
     def stop_measurement(self, now: float) -> None:
-        """End the timed region (called after the exit barrier)."""
+        """End the timed region (rank 0, after the exit barrier): copy
+        the counters in and let go of the machine, so a result travels
+        without it."""
         self.finished_at = now
-        if self.enabled:
-            self._fold()
-            self.enabled = False
-
-    def _fold(self) -> None:
-        """Copy the layers' totals into the arrays.  Totals, not deltas:
-        ``tx_busy_us`` is then one chain of IEEE additions, however read."""
-        arrays = self.__dict__
-        for rank, am in enumerate(self._layers):
-            row = am.sent_to
-            arrays["matrix"][rank] = row
-            arrays["messages_sent"][rank] = sum(row)
-            for name in self._AM_COUNTERS:
-                arrays[name][rank] = getattr(am, name)
-            arrays["tx_busy_us"][rank] = am.nic.tx_busy_us
-
-    # -- hooks called by the communication layer ---------------------------
-    def on_barrier(self, node_id: int) -> None:
-        """``node_id`` completed a barrier."""
-        if not self.enabled:
-            return
-        self.barriers[node_id] += 1
-
-    def on_failed_lock(self, node_id: int) -> None:
-        """``node_id`` had a lock acquisition denied (retry follows)."""
-        self.failed_lock_attempts[node_id] += 1
-
-    def on_packet_dropped(self, node_id: int, packet: Packet) -> None:
-        """The fault injector dropped a packet sent by ``node_id``."""
-        if not self.enabled:
-            return
-        self.packets_dropped[node_id] += 1
-
-    def on_retransmit(self, node_id: int, packet: Packet) -> None:
-        """``node_id``'s NIC retransmitted an unacked packet."""
-        if not self.enabled:
-            return
-        self.retransmissions[node_id] += 1
-
-    def on_duplicate(self, node_id: int, packet: Packet) -> None:
-        """``node_id``'s NIC suppressed a duplicate sequence number."""
-        if not self.enabled:
-            return
-        self.duplicates_suppressed[node_id] += 1
-
-    def on_collective(self, kind: str, algo: str, rank: int,
-                      nbytes: int) -> None:
-        """Rank ``rank`` dispatched one ``kind`` collective scheduled as
-        ``algo``, declaring ``nbytes`` payload bytes.
-
-        Called once per rank per invocation by
-        ``repro.coll.algorithms.pick`` (when the ``Proc`` method is
-        called), so runs are auditable from stats alone: the keys say
-        exactly which schedules ran, and how often.
-        """
-        if not self.enabled:
-            return
-        key = f"{kind}/{algo}"
-        calls = self.collective_calls.get(key)
-        if calls is None:
-            calls = self.collective_calls.setdefault(
-                key, np.zeros(self.n_nodes, dtype=np.int64))
-            self.collective_bytes.setdefault(
-                key, np.zeros(self.n_nodes, dtype=np.int64))
-        calls[rank] += 1
-        self.collective_bytes[key][rank] += nbytes
+        ranks = self._ranks
+        for rank, proc in enumerate(ranks):
+            self.matrix[rank] = proc.am.sent_to
+            self.messages_sent[rank] = sum(proc.am.sent_to)
+        counts = [self._counters_of(proc) for proc in ranks]
+        for name, column in zip(self._COPIED, zip(*counts)):
+            getattr(self, name)[:] = column
+        for key in sorted({key for proc in ranks
+                           for key in proc.collective_calls}):
+            self.collective_calls[key] = np.array(
+                [proc.collective_calls.get(key, 0) for proc in ranks],
+                dtype=np.int64)
+            self.collective_bytes[key] = np.array(
+                [proc.collective_bytes.get(key, 0) for proc in ranks],
+                dtype=np.int64)
+        for src, count in self._dropped.items():
+            self.packets_dropped[src] = count
+        self._ranks, self._dropped = (), {}
 
     @property
     def total_collectives(self) -> int:
@@ -269,13 +205,19 @@ class ClusterStats:
                      "retransmissions", "duplicates_suppressed",
                      "reassembly_leaks")
     _FLOAT_ARRAY_FIELDS = ("tx_busy_us",)
-    #: The counters a message moves, ``matrix`` to ``messages_received``
-    #: and ``tx_busy_us`` (see ``_live``, installed below the class).
-    _LIVE_FIELDS = _ARRAY_FIELDS[:7] + _FLOAT_ARRAY_FIELDS
-    #: The ones an AM layer keeps under the array's own name; it keeps
-    #: ``matrix`` as its row ``sent_to``, whose sum is ``messages_sent``,
-    #: and its NIC ``tx_busy_us``.
+    #: The counters each component keeps under the array's own name.
+    #: An AM layer also keeps ``matrix`` as its row ``sent_to``, whose
+    #: sum is ``messages_sent``; ``Proc.failed_lock_attempts`` is never
+    #: reset, and the wire keeps ``packets_dropped`` by sender.
     _AM_COUNTERS = _ARRAY_FIELDS[2:7]
+    _NIC_COUNTERS = ("tx_busy_us", "retransmissions",
+                     "duplicates_suppressed")
+    _PROC_COUNTERS = ("barriers", "failed_lock_attempts")
+    _COPIED = _AM_COUNTERS + _NIC_COUNTERS + _PROC_COUNTERS
+    #: A rank's counters, in ``_COPIED`` order.
+    _counters_of = attrgetter(*("am." + name for name in _AM_COUNTERS),
+                              *("am.nic." + name for name in _NIC_COUNTERS),
+                              *_PROC_COUNTERS)
 
     def to_dict(self) -> dict:
         """JSON-safe dict capturing every counter (arrays as lists)."""
@@ -300,16 +242,15 @@ class ClusterStats:
     def from_dict(cls, data: dict) -> "ClusterStats":
         """Rebuild a stats object produced by :meth:`to_dict`."""
         stats = cls(data["n_nodes"])
-        arrays = vars(stats)
         for name in cls._ARRAY_FIELDS + cls._FLOAT_ARRAY_FIELDS:
-            zeros = arrays[name]
+            zeros = getattr(stats, name)
             array = np.array(data[name], dtype=zeros.dtype)
             if array.shape != zeros.shape:
                 # Copying into ``zeros`` would broadcast it: a truncated
                 # entry must read as corrupt (a cache miss), not a result.
                 raise ValueError(
                     f"{name}: shape {array.shape}, expected {zeros.shape}")
-            arrays[name] = array
+            setattr(stats, name, array)
         stats.started_at = data["started_at"]
         stats.finished_at = data["finished_at"]
         for field_name in ("collective_calls", "collective_bytes"):
@@ -341,7 +282,3 @@ class ClusterStats:
             }
             for node in range(self.n_nodes)
         ]
-
-
-for _name in ClusterStats._LIVE_FIELDS:
-    setattr(ClusterStats, _name, _live(_name))

@@ -178,8 +178,6 @@ class FaultInjector:
         self.plan = plan
         self._rng = np.random.RandomState((seed * 1_000_003 + 0xFA17)
                                           % (2 ** 32))
-        #: Packets removed from the wire (diagnostic).
-        self.packets_dropped = 0
         #: Packets held by a delay spike (diagnostic).
         self.packets_spiked = 0
 
@@ -200,7 +198,6 @@ class FaultInjector:
         """
         if self._droppable(packet) and \
                 self._rng.random_sample() < self.plan.drop_rate:
-            self.packets_dropped += 1
             return None
         delay = base_latency
         for spike in self.plan.spikes:

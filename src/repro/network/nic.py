@@ -138,9 +138,10 @@ class Nic:
         fires ``inject``, ``deliver``, ``retransmit`` and ``duplicate``.
 
     ``tx_busy_us`` adds up the transmit context's busy time, DMA and
-    gap stall, packet by packet; a run's
-    :class:`~repro.instruments.stats.ClusterStats` loads it at the
-    measured region's start and reads it back.
+    gap stall, packet by packet; ``retransmissions`` and
+    ``duplicates_suppressed`` count the reliability protocol's events.
+    A run's :class:`~repro.instruments.stats.ClusterStats` resets the
+    three at the measured region's start and reads them at its end.
     """
 
     def __init__(self, sim: Simulator, node_id: int, params: LogGPParams,

@@ -12,6 +12,7 @@ per packet with unlimited internal bandwidth; rate limits live in the NIC
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Dict, Optional
 
 from repro.instruments.probes import Probes
@@ -47,7 +48,8 @@ class Wire:
         #: node id -> its NIC's ``receive_from_wire``, which each packet
         #: is scheduled into directly.
         self._receivers: Dict[int, Callable[[Packet], None]] = {}
-        self._packets_dropped = 0
+        #: Packets the injector dropped, by sender: the one drop count.
+        self.packets_dropped: Dict[int, int] = defaultdict(int)
 
     def attach(self, node_id: int, nic: "Nic") -> None:  # noqa: F821
         """Register the NIC serving ``node_id``."""
@@ -66,14 +68,9 @@ class Wire:
             delay = self.injector.transit_delay(packet, self.sim.now,
                                                 self.latency)
             if delay is None:
-                self._packets_dropped += 1
+                self.packets_dropped[packet.src] += 1
                 hook = self._on_packet_dropped
                 if hook is not None:
                     hook(packet.src, packet)
                 return
         self.sim.call_in(delay, self._receivers[packet.dst], packet)
-
-    @property
-    def packets_dropped(self) -> int:
-        """Total packets removed by the fault injector."""
-        return self._packets_dropped

@@ -7,4 +7,5 @@ class Layer:
 
     def send(self, packet):
         self.stats.on_send(packet)  # one-bus
+        self.stats.start_measurement(self.sim.now)  # one-bus
         return self.sanitizer  # one-bus

@@ -208,3 +208,48 @@ def test_consecutive_runs_are_independent():
     second = cluster.run(_Sleeper(100.0))
     assert first.runtime_us == second.runtime_us
     assert first.stats is not second.stats
+
+
+# -- observers -----------------------------------------------------------------
+
+class _LookAtProbes(Application):
+    """Rank 0 keeps its ``Probes`` as ``run_rank`` sees it."""
+
+    name = "look-at-probes"
+
+    def __init__(self):
+        self.seen = []
+
+    def run_rank(self, proc):
+        if proc.rank == 0:
+            self.seen.append(proc.probes)
+        yield from proc.barrier()
+
+
+def test_a_plain_run_has_no_listener():
+    """The run's stats subscribe to nothing: a plain run resolves every
+    hook to ``None``, and under one observer ``begin``, ``mark`` and
+    ``finish`` are that observer's bound methods, not a fan-out."""
+    from repro.instruments.probes import HOOKS
+
+    app = _LookAtProbes()
+    Cluster(n_nodes=2).run(app)
+    (probes,) = app.seen
+    assert {hook: getattr(probes, hook) for hook in HOOKS} == \
+        dict.fromkeys(HOOKS)
+
+    class Bookends:
+        def on_begin(self, sim, cluster, app_name):
+            pass
+
+        def on_mark(self, rank, label):
+            pass
+
+        def on_finish(self):
+            pass
+
+    observer, app = Bookends(), _LookAtProbes()
+    Cluster(n_nodes=2).run(app, tracer=observer)
+    (probes,) = app.seen
+    assert (probes.begin, probes.mark, probes.finish) == \
+        (observer.on_begin, observer.on_mark, observer.on_finish)

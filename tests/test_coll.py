@@ -211,6 +211,27 @@ def test_collective_stats_counters_and_serialisation():
                                       stats.collective_bytes[key])
 
 
+def test_a_fresh_result_lists_its_collectives_as_a_restored_one_does():
+    """Keys in sorted order, fresh or from the cache: a barrier is
+    dispatched before the allreduce, and still listed after it."""
+    from repro.apps.base import Application
+    from repro.instruments.stats import ClusterStats
+
+    class BarrierThenAllreduce(Application):
+        name = "barrier-then-allreduce"
+
+        def run_rank(self, proc):
+            yield from proc.barrier()
+            yield from proc.allreduce(proc.rank, lambda a, b: a + b)
+
+    fresh = Cluster(4, seed=1).run(BarrierThenAllreduce()).stats
+    restored = ClusterStats.from_dict(fresh.to_dict())
+    assert list(fresh.collective_calls) == \
+        ["allreduce/binomial", "barrier/dissemination"]
+    for name in ("collective_calls", "collective_bytes"):
+        assert list(getattr(fresh, name)) == list(getattr(restored, name))
+
+
 def test_stats_from_dict_tolerates_pre_coll_entries():
     from repro.instruments.stats import ClusterStats
     stats = ClusterStats(2)

@@ -408,7 +408,6 @@ def test_drop_kinds_narrowing_leaves_other_kinds_alone():
     # Non-droppable kinds never consume a draw and are never dropped.
     for _ in range(16):
         assert injector.transit_delay(request, 0.0, 5.0) is not None
-    assert injector.packets_dropped == 0
 
 
 # ---------------------------------------------------------------------------

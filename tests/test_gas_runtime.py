@@ -204,6 +204,52 @@ def test_livelock_guard_raises():
         run_app(body, n_nodes=2, livelock_limit=50)
 
 
+class _SetupContention(Application):
+    """Every rank takes one lock homed on rank 0 in ``setup_rank`` and
+    holds it a while, so the others are denied; setup also crosses a
+    barrier and an allreduce.  The timed region only allreduces."""
+
+    name = "setup-contention"
+
+    def setup_rank(self, proc):
+        lock = DistributedLock(home_rank=0, lock_id=3)
+        yield from proc.lock(lock)
+        yield from proc.compute(50.0)
+        yield from proc.unlock(lock)
+        yield from proc.barrier()
+        yield from proc.allreduce(1, max)
+
+    def run_rank(self, proc):
+        yield from proc.allreduce(proc.rank, max)
+
+
+def test_failed_locks_count_the_whole_run_and_collectives_the_region():
+    """``failed_lock_attempts`` is the one counter kept over the whole
+    run: it counts denials in ``setup_rank``, while ``barriers`` and the
+    collective counters keep only the measured region."""
+
+    class Denials:
+        def on_begin(self, sim, cluster, app_name):
+            self.sim, self.times = sim, []
+
+        def on_failed_lock(self, rank):
+            self.times.append(self.sim.now)
+
+    denials = Denials()
+    stats = Cluster(n_nodes=4, seed=2).run(
+        _SetupContention(), tracer=denials).stats
+    assert stats.failed_lock_attempts.sum() == len(denials.times) > 0
+    assert max(denials.times) < stats.started_at
+    # Rank 0 opens and closes the region: it counts the exit barrier
+    # and the one allreduce, not the entry barrier or setup's.
+    assert stats.barriers[0] == 1
+    assert sorted(stats.collective_calls) == \
+        ["allreduce/binomial", "barrier/dissemination"]
+    for key in stats.collective_calls:
+        assert stats.collective_calls[key][0] == 1
+        assert stats.collective_calls[key].max() == 1
+
+
 def test_runtime_measures_timed_region_only():
     def setup(proc):
         yield from proc.compute(10_000.0)  # untimed

@@ -528,7 +528,9 @@ def test_radix_calls_per_message_stays_within_budget():
     knobs and the cost model's per-operation costs are class constants
     (decision 0025); 156,289 calls, 54.82 per message, since the AM
     layers and NICs count messages and ``ClusterStats`` subscribes to
-    no per-message hook (decision 0029).  No timing enters: the count is a function of the seed and
+    no per-message hook (decision 0029); 156,012 calls, 54.72 per
+    message, since ``ClusterStats`` subscribes to nothing and the ranks
+    count their barriers and collectives (decision 0030).  No timing enters: the count is a function of the seed and
     repeats exactly, also across ``PYTHONHASHSEED`` values (CI runs this
     test under two and prints it)."""
     calls, result = _calls_during(
@@ -558,7 +560,9 @@ def test_kvserve_calls_per_request_stays_within_budget():
     completion update the instruments through bound locals and a
     request's send is the AM layer's generator, not one of ``_issue``'s
     own; 45,110 calls, 150.37 per request, since the AM layers and NICs
-    count messages themselves (decision 0029).  Exact under any ``PYTHONHASHSEED``, as the Radix count is (CI
+    count messages themselves (decision 0029); 44,881 calls, 149.60 per
+    request, since ``ClusterStats`` subscribes to nothing (decision
+    0030).  Exact under any ``PYTHONHASHSEED``, as the Radix count is (CI
     prints all three)."""
     calls, result = _calls_during(lambda: Cluster(8, seed=13).run(KVServe(
         **SERVING_KNOBS)))
@@ -578,7 +582,9 @@ def test_fanoutserve_calls_per_request_stays_within_budget():
     per request, since they are sent from ``_issue``'s own frame with
     one countdown cell and the instruments are updated in place; 125,600
     calls, 418.67 per request, since the AM layers and NICs count
-    messages themselves (decision 0029).  Exact under any
+    messages themselves (decision 0029); 125,371 calls, 417.90 per
+    request, since ``ClusterStats`` subscribes to nothing (decision
+    0030).  Exact under any
     ``PYTHONHASHSEED`` (CI prints it)."""
     calls, result = _calls_during(lambda: Cluster(8, seed=13).run(
         FanoutServe(fanout=4, **dict(SERVING_KNOBS,

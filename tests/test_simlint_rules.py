@@ -131,7 +131,7 @@ PLANTED = {
     (FIXTURES, "packet_kinds_bad.py"): {
         6: "packet-kind-member", 10: "packet-kind-member"},
     (FIXTURES, "am/one_bus_bad.py"): {
-        line: "one-bus" for line in (5, 9, 10)},
+        line: "one-bus" for line in (5, 9, 10, 11)},
     (FIXTURES, "cluster/one_bus_bad.py"): {8: "one-bus", 9: "one-bus"},
     (FIXTURES, "one_machine_bad.py"): {
         line: "one-machine" for line in (7, 8, 14)},

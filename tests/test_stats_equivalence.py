@@ -1,30 +1,31 @@
-"""Differential equivalence: the message counters the AM layers and NICs
-keep vs. the per-message hooks ``ClusterStats`` used to subscribe.
+"""Differential equivalence: the counters the layers keep vs. the hooks
+``ClusterStats`` used to subscribe.
 
-Each node's ``AmLayer`` counts what it sends and receives, and its NIC
-adds up its transmit-busy µs; ``ClusterStats`` loads its totals into
-them when the measured region starts and folds them back at its end or
-on a read inside it.  The deleted hook bodies live on here, as
-:class:`NumpyStats`, a subscriber on ``send``, ``recv`` and ``inject``
-(the instant the ``tx_busy`` hook fired at) whose numpy arrays are the
-counters: the reference the layers' counts may only be *cheaper* than,
-in the role ``LegacyNic`` plays for the NIC
-(``test_nic_tx_equivalence.py``).  Over real ``Cluster`` runs -- short,
-bulk, read and one-way traffic, a lossy wire, a serving point, dialed
-transmit cycles, and an application that stops, restarts and reads the
-region itself -- both must give identical ``to_dict()`` (so identical
-JSON bytes), identical dtype and shape of every public array, and
-``tx_busy_us`` equal bit for bit: the same IEEE additions in the same
-order.
+Each counter is kept once, where its event happens: each node's
+``AmLayer`` counts what it sends and receives, its NIC its
+transmit-busy µs, retransmissions and suppressed duplicates, the wire
+its drops by sender, and each ``Proc`` its barriers, collectives and
+denied locks.  ``ClusterStats`` resets them when the measured region
+starts and copies them in when it ends.  The deleted hook bodies live on
+here, as :class:`NumpyStats`, a standalone subscriber on ``mark``,
+``send``, ``recv``, ``inject`` (the instant the ``tx_busy`` hook fired
+at) and the six rarer hooks, whose numpy arrays are the counters: the
+reference the components' counts may only be *cheaper* than, in the role
+``LegacyNic`` plays for the NIC (``test_nic_tx_equivalence.py``).  Over
+real ``Cluster`` runs -- short, bulk, read and one-way traffic, Barnes,
+a lossy wire, a serving point, dialed transmit cycles -- both must give
+identical ``to_dict()`` (so identical JSON bytes), identical dtype and
+shape of every public array, and ``tx_busy_us`` equal bit for bit: the
+same IEEE additions in the same order.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.am.tuning import DialedCost, TuningKnobs
 from repro.apps import NowSort, RadixSort, default_suite
-from repro.apps.base import Application
 from repro.cluster.machine import Cluster
 from repro.instruments import ClusterStats
 from repro.network.faults import FaultPlan
@@ -34,24 +35,32 @@ from repro.serve import KVServe
 ARRAYS = ClusterStats._ARRAY_FIELDS + ClusterStats._FLOAT_ARRAY_FIELDS
 
 
-class NumpyStats(ClusterStats):
+class NumpyStats:
     """``ClusterStats`` as it was: the arrays are the counters, and the
-    run's hooks move them."""
+    run's hooks move them, inside the region marked by ``mark`` (the
+    denied locks over the whole run)."""
 
-    def on_begin(self, sim, cluster, app_name):
-        super().on_begin(sim, cluster, app_name)
-        self.cost = DialedCost(cluster.params, cluster.knobs)
-
-    def start_measurement(self, now):
-        self.started_at = now
-        self.enabled = True
-
-    def stop_measurement(self, now):
-        self.finished_at = now
+    def __init__(self, n_nodes):
+        self.n_nodes = n_nodes
+        for name in ARRAYS:
+            shape = (n_nodes, n_nodes) if name == "matrix" else n_nodes
+            dtype = np.float64 if name == "tx_busy_us" else np.int64
+            setattr(self, name, np.zeros(shape, dtype=dtype))
+        self.collective_calls = {}
+        self.collective_bytes = {}
+        self.started_at = self.finished_at = None
         self.enabled = False
 
-    def _fold(self):
-        """Nothing to fold; reads return the arrays as they stand."""
+    def on_begin(self, sim, cluster, app_name):
+        self.sim = sim
+        self.cost = DialedCost(cluster.params, cluster.knobs)
+
+    def on_mark(self, rank, label):
+        if label == "start":
+            self.started_at = self.sim.now
+        else:
+            self.finished_at = self.sim.now
+        self.enabled = label == "start"
 
     def on_send(self, node_id, packet):
         if not self.enabled:
@@ -79,40 +88,51 @@ class NumpyStats(ClusterStats):
                                         packet.kind is BULK_FRAGMENT)
         self.tx_busy_us[node_id] += pre + stall
 
+    def on_barrier(self, node_id):
+        if not self.enabled:
+            return
+        self.barriers[node_id] += 1
 
-class _Restarts(Application):
-    """Short, read, bulk and bulk-read traffic, with rank 0 stopping
-    the region, starting it again, starting it while it runs, and
-    reading the counters in between; ``reads`` keeps what the two stats
-    objects showed at each read."""
+    def on_failed_lock(self, node_id):
+        self.failed_lock_attempts[node_id] += 1
 
-    name = "restarts"
+    def on_packet_dropped(self, node_id, packet):
+        if not self.enabled:
+            return
+        self.packets_dropped[node_id] += 1
 
-    def __init__(self):
-        self.reads = []
+    def on_retransmit(self, node_id, packet):
+        if not self.enabled:
+            return
+        self.retransmissions[node_id] += 1
 
-    def run_rank(self, proc):
-        cells = proc.allocate(64 * proc.n_ranks, name="cells")
-        peer = (proc.rank + 1) % proc.n_ranks
-        for phase in range(4):
-            for index in range(3):
-                yield from proc.write(cells, 64 * peer + index, phase)
-                yield from proc.read(cells, 64 * peer + index)
-            yield from proc.bulk_put(cells, 64 * peer + 8, [phase] * 40)
-            yield from proc.bulk_get(cells, 64 * peer + 8, 40)
-            yield from proc.sync()
-            if proc.rank == 0:
-                proc.probes.mark(0, ("stop", "start", "start", "stop")[phase])
-                self._look(proc)
-        yield from proc.barrier()
-        if proc.rank == 0:
-            proc.probes.mark(0, "start")
+    def on_duplicate(self, node_id, packet):
+        if not self.enabled:
+            return
+        self.duplicates_suppressed[node_id] += 1
 
-    def _look(self, proc):
-        observers = [proc.stats, self.reference]
-        self.reads.append([
-            [getattr(stats, name).tobytes() for name in ARRAYS]
-            for stats in observers])
+    def on_collective(self, kind, algo, rank, nbytes):
+        if not self.enabled:
+            return
+        key = f"{kind}/{algo}"
+        for counts, amount in ((self.collective_calls, 1),
+                               (self.collective_bytes, nbytes)):
+            counts.setdefault(key, np.zeros(self.n_nodes, dtype=np.int64))
+            counts[key][rank] += amount
+
+    def as_stats(self, result):
+        """A ``ClusterStats`` holding these arrays, and what only
+        ``Cluster.run`` hands the run's own stats (leaks, serving)."""
+        stats = ClusterStats(self.n_nodes)
+        for name in ARRAYS:
+            setattr(stats, name, getattr(self, name))
+        stats.reassembly_leaks = result.stats.reassembly_leaks
+        stats.serving = result.stats.serving
+        stats.collective_calls = self.collective_calls
+        stats.collective_bytes = self.collective_bytes
+        stats.started_at, stats.finished_at = \
+            self.started_at, self.finished_at
+        return stats
 
 
 def _runs():
@@ -130,7 +150,6 @@ def _runs():
         ("serving", Cluster(8, seed=13), KVServe(
             offered_rps=200_000.0, n_users=10_000, duration_us=10_000.0,
             max_requests=300, service_us=4.0, key_space=512)),
-        ("restarts", Cluster(4, seed=5, knobs=dialed), _Restarts()),
     ]
 
 
@@ -148,53 +167,19 @@ def _assert_same(new, old):
                          ids=[run[0] for run in _runs()])
 def test_layer_counters_match_the_per_message_hooks(label, cluster, app):
     reference = NumpyStats(cluster.n_nodes)
-    app.reference = reference
     result = cluster.run(app, tracer=reference)
     stats = result.stats
     assert stats.total_messages > 0
     assert stats.tx_busy_us.any()
-    # What ``Cluster.run`` hands the run's own stats and no hook carries.
-    reference.reassembly_leaks = stats.reassembly_leaks
-    reference.serving = stats.serving
-    _assert_same(stats, reference)
+    assert stats.barriers.all()
+    _assert_same(stats, reference.as_stats(result))
     restored = ClusterStats.from_dict(stats.to_dict())
-    _assert_same(restored, reference)
-    if label == "restarts":
-        assert len(app.reads) == 4
-        for ours, theirs in app.reads:
-            assert ours == theirs
+    _assert_same(restored, reference.as_stats(result))
     if label == "lossy":
+        assert stats.total_packets_dropped > 0
         assert stats.total_retransmissions > 0
+        assert stats.total_duplicates_suppressed > 0
+    if label == "bulk-read":
+        assert stats.failed_lock_attempts.sum() > 0
     if label == "one-way":
         assert stats.bulk_messages_sent.sum() > 0
-
-
-def test_a_read_inside_the_measured_region_is_current():
-    """The arrays stay readable at any moment of a run, and a held
-    reference catches up at the next read."""
-    reads = []
-
-    class Reader(Application):
-        name = "reader"
-
-        def run_rank(self, proc):
-            cells = proc.allocate(8 * proc.n_ranks, name="cells")
-            yield from proc.barrier()
-            if proc.rank == 1:
-                stats = proc.stats
-                held = stats.messages_sent
-                to_two = int(stats.matrix[1, 2])
-                yield from proc.write(cells, 8 * 2, 1)
-                yield from proc.sync()
-                reads.append((int(stats.matrix[1, 2]) - to_two,
-                              int(stats.bulk_bytes_sent[1])))
-                yield from proc.bulk_put(cells, 8 * 2, [1] * 8)
-                yield from proc.sync()
-                reads.append((held is stats.messages_sent,
-                              int(held[1]) == int(stats.matrix[1].sum()),
-                              int(stats.bulk_bytes_sent[1])))
-            yield from proc.barrier()
-
-    result = Cluster(4, seed=1).run(Reader())
-    assert reads == [(1, 0), (True, True, 32)]
-    assert result.stats.bulk_bytes_sent.tolist() == [0, 32, 0, 0]
