@@ -390,9 +390,9 @@ class AmLayer:
         """Block (polling, like a stalled GAM sender) until a window slot
         toward ``dst`` is free, then take it; returns its pool's key."""
         key = self._credit_key(dst)  # in _credits: it has no free slot
-        yield from self.wait_until(
-            lambda: self._credits[key] > 0,
-            wait=("credit", (dst,), f"window slot toward rank {dst}"))
+        wait = None if not self.watching else \
+            ("credit", (dst,), f"window slot toward rank {dst}")
+        yield from self.wait_until(lambda: self._credits[key] > 0, wait=wait)
         self._credits[key] -= 1
         return key
 

@@ -74,7 +74,7 @@ ROW = np.dtype([
 
 #: What no dial changes (see :attr:`CostGraph.program`).
 Program = namedtuple("Program", "tag rank busy a back returns frag "
-                     "fragments n_sends n_windows")
+                     "fragments sizes n_sends n_windows")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +127,9 @@ class CostGraph:
         earliest known credit return, else -1.  Per send: it
         ``returns`` to window ``back`` nothing (0), its arrival (1) or
         that plus a wire leg (2); ``frag`` indexes ``fragments``, the
-        sizes of each distinct bulk transfer (-1: short).  A send waits
-        if its window is full and holds a known return; full with none
+        sizes of each distinct bulk transfer (-1: short), and ``sizes``
+        lists the distinct fragment sizes, ascending.  A send waits if
+        its window is full and holds a known return; full with none
         known, it drops the oldest credit, whose return then frees
         nothing.  A bad ``window`` or ``window_scope`` raises
         ``ValueError`` naming the field; the first row with an unknown
@@ -156,18 +157,28 @@ class CostGraph:
         _deliveries(rows, a)
         a[tag == MARK] = rows["label"][tag == MARK]
         bulk = rows["flags"][send] & BULK != 0
-        sizes, frag_of = np.unique(rows["nbytes"][send][bulk],
-                                   return_inverse=True)
+        nbytes, frag_of = np.unique(rows["nbytes"][send][bulk],
+                                    return_inverse=True)
         frag = np.full(len(send), -1, np.int32)
         frag[bulk] = frag_of
+        fragments = tuple(tuple(fragment_sizes(size))
+                          for size in nbytes.tolist())
         program = Program(
             tag, rank, _busy(rows), a, np.array(back, np.int32),
-            np.array(returns, np.int8), frag,
-            tuple(tuple(fragment_sizes(size)) for size in sizes.tolist()),
+            np.array(returns, np.int8), frag, fragments,
+            tuple(sorted({size for sizes in fragments for size in sizes})),
             len(send), n_windows)
         for array in program[:7]:
             array.setflags(write=False)
         return program
+
+    @cached_property
+    def replays(self) -> Dict[tuple, float]:
+        """Predicted runtime per edge-cost point, for the graph's
+        lifetime: :mod:`repro.cost.predict` scans a point once and reads
+        it here afterwards.  A copy (``dataclasses.replace``, a pickle,
+        :meth:`load`) starts empty."""
+        return {}
 
     def _credits(self, send: np.ndarray) -> tuple:
         """The window bookkeeping, a scan of the send rows ``send``

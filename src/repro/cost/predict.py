@@ -87,51 +87,49 @@ def predict_runtime(graph: CostGraph,
     self-check that the model reproduces the measured
     ``graph.runtime_us``.
     """
-    return _replayer(graph)(knobs)
+    return _replay(graph, knobs, [])
 
 
-def _replayer(graph: CostGraph):
-    """:func:`predict_runtime` of ``graph``, for a sweep or a search:
-    the program's arrays are taken as lists once, and each distinct
-    edge-cost point is scanned once.  A point is what the scan reads of
-    the dials -- the send and receive charges, the wire, the short
-    cycle and the cycle of each fragment size in the graph -- so a dial
-    value that moves none of them (the bulk dial, on a graph with no
-    bulk traffic) costs no second scan.  Both go with the function."""
+def _replay(graph: CostGraph, knobs: Optional[TuningKnobs],
+            lists: list) -> float:
+    """:func:`predict_runtime`, scanning each distinct edge-cost point
+    once per graph (:attr:`CostGraph.replays`).  A point is what the
+    scan reads of the dials -- the send and receive charges, the wire,
+    the short cycle and the cycle of each fragment size in the graph --
+    so a dial value that moves none of them (the bulk dial, on a graph
+    with no bulk traffic) costs no second scan.  ``lists`` is the
+    caller's, shared by one sweep or search: its first miss takes the
+    program's arrays as lists into it, which go when the caller ends."""
+    knobs = knobs if knobs is not None else graph.knobs
+    _check_supported(graph, knobs)
+    cost, program = DialedCost(graph.params, knobs), graph.program
+    point = (cost.send_charge, cost.recv_charge, cost.wire,
+             cost.tx_cycle(0, False),
+             tuple(cost.tx_cycle(size, True) for size in program.sizes))
+    runtime = graph.replays.get(point)
+    if runtime is None:
+        if not lists:
+            lists += ([column.tolist() for column in program[:4]],
+                      *(column.tolist() for column in program[4:7]))
+        runtime = graph.replays[point] = _scan(graph, lists, point)
+    return runtime
+
+
+def _scan(graph: CostGraph, lists: list, point: tuple) -> float:
+    """One forward scan of ``graph``'s program, taken as ``lists``, at
+    one edge-cost point."""
+    rows, back_of, returns_of, frag_of = lists
     program = graph.program
-    compiled = (graph.n_nodes, [column.tolist() for column in program[:4]],
-                *(column.tolist() for column in program[4:7]), *program[7:])
-    sizes = sorted({size for transfer in program.fragments
-                    for size in transfer})
-    runtimes: Dict[tuple, float] = {}
-
-    def replay(knobs: Optional[TuningKnobs]) -> float:
-        knobs = knobs if knobs is not None else graph.knobs
-        _check_supported(graph, knobs)
-        cost = DialedCost(graph.params, knobs)
-        point = (cost.send_charge, cost.recv_charge, cost.wire,
-                 cost.tx_cycle(0, False),
-                 tuple(cost.tx_cycle(size, True) for size in sizes))
-        runtime = runtimes.get(point)
-        if runtime is None:
-            runtime = runtimes[point] = _scan(compiled, sizes, point)
-        return runtime
-    return replay
-
-
-def _scan(compiled: tuple, sizes: List[int], point: tuple) -> float:
-    """One forward scan of a compiled program at one edge-cost point."""
-    n_nodes, rows, back_of, returns_of, frag_of, fragments, n_sends, \
-        n_windows = compiled
+    fragments, n_windows = program.fragments, program.n_windows
     send_charge, recv_charge, wire, (short_pre, short_stall), cycles = point
-    cycle_of = dict(zip(sizes, cycles))
+    cycle_of = dict(zip(program.sizes, cycles))
 
     # Per rank: predicted completion of its last event and its
     # transmit context's free time.  By the program's dense slots:
     # deliveries, and a min-heap of known credit returns per window.
-    clock = [0.0] * n_nodes
-    nic_free = [0.0] * n_nodes
-    delivery = [0.0] * n_sends
+    clock = [0.0] * graph.n_nodes
+    nic_free = [0.0] * graph.n_nodes
+    delivery = [0.0] * program.n_sends
     returned: List[List[float]] = [[] for _ in range(n_windows)]
     sent = 0
     t_start = t_stop = None
@@ -236,11 +234,11 @@ def predict_sweep(graph: CostGraph, parameter: str,
                          "least its baseline value")
     sweep = SweepResult(app_name=graph.app_name,
                         n_nodes=graph.n_nodes, parameter=parameter)
-    replay = _replayer(graph)
+    lists: list = []
     for value in values:
         knobs = dial.knobs(value, graph.params)
         sweep.points.append(PredictedPoint(
-            value=value, knobs=knobs, runtime_us=replay(knobs)))
+            value=value, knobs=knobs, runtime_us=_replay(graph, knobs, lists)))
     return sweep
 
 
@@ -271,10 +269,10 @@ def latency_tolerance(graph: CostGraph, parameter: str,
         raise ValueError(f"threshold must be finite, not {threshold!r}")
     dial = dial_named(parameter, MACHINE_DIALS)
     base_value = dial.baseline(graph.params)
-    replay = _replayer(graph)
+    lists: list = []
 
     def runtime(value: float) -> float:
-        return replay(dial.knobs(value, graph.params))
+        return _replay(graph, dial.knobs(value, graph.params), lists)
 
     base_runtime = runtime(base_value)
     if threshold <= 1.0:

@@ -246,10 +246,11 @@ def test_the_hook_stream_is_the_pinned_one():
 
 class _Waits:
     def __init__(self):
-        self.entered = []
+        self.entered, self.details = [], []
 
     def on_wait_enter(self, rank, kind, peers, detail):
         self.entered.append((rank, kind, peers))
+        self.details.append(detail)
 
 
 def _count(am, packet):
@@ -297,6 +298,10 @@ def test_each_blocked_send_enters_one_credit_wait_naming_its_peer():
     assert 0 < sum(blocked) < len(blocked)
     assert [wait for wait in waits.entered if wait[1] == "credit"] == \
         [(0, "credit", (1 + index % 2,))
+         for index, was in enumerate(blocked) if was]
+    assert [detail for (_, kind, _), detail in zip(
+        waits.entered, waits.details) if kind == "credit"] == \
+        [f"window slot toward rank {1 + index % 2}"
          for index, was in enumerate(blocked) if was]
 
 

@@ -237,35 +237,46 @@ def test_latency_tolerance_crossings_are_pinned(radix_graph, barnes_graph,
         "overhead": 8.292187499999999, "gap": 20.481249999999996,
         "latency": 19.84375, "bulk_mb_s": 0.779296875}
 
-    # And the baseline is replayed once per search, not two or three
-    # times, from lists taken once per search.
-    replayers, replayed = [], []
-    replayer = predict_module._replayer
+    # And the baseline is scanned once per graph, not once per search,
+    # from lists taken once per search that misses.
+    bulky, scans = _counted_scans(bulky, monkeypatch)
+    latency_tolerance(bulky, "overhead")
+    baseline = scans[0][1]
+    assert len({point for _, point in scans}) == len(scans)
+    assert all(lists is scans[0][0] for lists, _ in scans)
+    del scans[:]
+    latency_tolerance(bulky, "bulk_mb_s")
+    assert baseline not in [point for _, point in scans]
+    assert len({point for _, point in scans}) == len(scans)
+    assert all(lists is scans[0][0] for lists, _ in scans)
+    del scans[:]
+    latency_tolerance(bulky, "bulk_mb_s")
+    assert scans == []  # every point a hit: no lists taken
 
-    def counted(graph):
-        replayers.append(graph)
-        replay = replayer(graph)
-        return lambda knobs: replayed.append(knobs) or replay(knobs)
-    monkeypatch.setattr(predict_module, "_replayer", counted)
-    for dial in ("overhead", "bulk_mb_s"):
-        del replayers[:], replayed[:]
-        latency_tolerance(bulky, dial)
-        assert replayed.count(TuningKnobs()) == 1, dial
-        assert replayers == [bulky], dial
+
+def _counted_scans(graph, monkeypatch):
+    """A copy of ``graph``, whose memo is empty, and the ``(lists,
+    point)`` of every scan made from now on (the module's ``_scan``
+    records each before it scans)."""
+    scans, scan = [], predict_module._scan
+
+    def counted(graph, lists, point):
+        scans.append((lists, point))
+        return scan(graph, lists, point)
+    monkeypatch.setattr(predict_module, "_scan", counted)
+    return dataclasses.replace(graph), scans
 
 
 def test_a_dial_value_that_moves_no_edge_cost_is_scanned_once(radix_graph,
                                                               monkeypatch):
     """Radix sends no bulk, so every bulk_mb_s value is the same edge-cost
-    point: a sweep or a search scans the graph once and returns what it
-    returned when it scanned every value (values taken on the commit
-    before).  A value that moves the gap or the wire is scanned."""
-    graph, _ = radix_graph
+    point: a sweep scans the graph once, a search after it not at all,
+    and both return what they returned when every value was scanned
+    (values taken on the commit before).  A value that moves the gap or
+    the wire is scanned, once per graph: the baseline the bulk sweep
+    scanned is not scanned again."""
+    graph, scans = _counted_scans(radix_graph[0], monkeypatch)
     assert graph.program.fragments == ()
-    scans = []
-    scan = predict_module._scan
-    monkeypatch.setattr(predict_module, "_scan",
-                        lambda *args: scans.append(args) or scan(*args))
 
     sweep = predict_sweep(graph, "bulk_mb_s")
     assert [point.runtime_us for point in sweep.points] == \
@@ -273,17 +284,55 @@ def test_a_dial_value_that_moves_no_edge_cost_is_scanned_once(radix_graph,
     assert len(scans) == 1
     del scans[:]
     assert latency_tolerance(graph, "bulk_mb_s") is None
-    assert len(scans) == 1
+    assert len(scans) == 0
 
     for dial in ("gap", "latency"):
         del scans[:]
         sweep = predict_sweep(graph, dial)
-        assert len(scans) == len(DIALS[dial].grid), dial
+        assert len(scans) == len(DIALS[dial].grid) - 1, dial
         assert len({point.runtime_us for point in sweep.points}) == \
-            len(scans), dial
+            len(scans) + 1, dial
     del scans[:]
     assert latency_tolerance(graph, "gap") == 13.231250000000001
     assert len(scans) > 1
+
+
+def test_a_sweep_and_a_search_of_one_dial_scan_the_baseline_once(
+        barnes_graph, monkeypatch):
+    """The memo lives on the graph: a ``predict_sweep`` and then a
+    ``latency_tolerance`` of one dial scan each distinct edge-cost point
+    once between them, the baseline included, and return what each
+    returns alone on a graph of its own."""
+    graph, scans = _counted_scans(barnes_graph[0], monkeypatch)
+    sweep = predict_sweep(graph, "overhead")
+    crossing = latency_tolerance(graph, "overhead")
+    points = [point for _, point in scans]
+    assert len(set(points)) == len(points) == len(graph.replays) > 1
+    predict_runtime(graph)  # the baseline: scanned by the sweep
+    assert len(scans) == len(points)
+    alone = dataclasses.replace(graph)
+    assert [point.runtime_us for point in sweep.points] == \
+        [point.runtime_us for point in predict_sweep(
+            alone, "overhead").points]
+    assert latency_tolerance(dataclasses.replace(graph), "overhead") == \
+        crossing
+
+
+def test_a_copied_graph_starts_with_an_empty_memo(radix_graph, tmp_path):
+    """A pickled or ``save``/``load``ed graph carries no replays: it
+    scans for itself and returns the floats the original did."""
+    graph, _ = radix_graph
+    knobs = [None, TuningKnobs(delta_L=20.0), TuningKnobs(delta_o=5.0)]
+    expected = [predict_runtime(graph, point) for point in knobs]
+    assert len(graph.replays) >= 3
+    path = tmp_path / "radix.graph"
+    with path.open("wb") as fh:
+        graph.save(fh)
+    for copy in (pickle.loads(pickle.dumps(graph)), CostGraph.load(path)):
+        assert "replays" not in vars(copy) and copy.replays == {}
+        assert [predict_runtime(copy, point) for point in knobs] == \
+            expected
+        assert len(copy.replays) == 3
 
 
 @pytest.mark.parametrize("bad, mention", [

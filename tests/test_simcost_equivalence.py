@@ -542,3 +542,38 @@ def test_replay_calls_per_event_within_budget():
     print(f"Radix P=8: {calls} calls / {events} events = "
           f"{calls / events:.2f} calls per replayed event")
     assert calls / events <= CALLS_PER_EVENT_BUDGET
+
+
+#: Scans allowed for the artifact driver's predicted work on the two
+#: graphs below (each app's four predicted figures and its tolerance
+#: row): 116 for 151 replays, 3 % over; 134 when the memo lasted one call.
+SCANS_BUDGET = 119
+
+
+def test_predicted_figures_and_tolerances_scan_each_point_once(
+        barnes_graph, monkeypatch):
+    """The scans behind ``predicted_figure`` over the four machine dials
+    and ``tolerance_table``, on the Radix graph above and the Barnes
+    one, each a fresh copy: every distinct edge-cost point once per
+    graph, however many sweeps and searches ask for it.  The count is a
+    function of the graphs and repeats exactly, also across
+    ``PYTHONHASHSEED`` values (CI runs this test under two and prints
+    it)."""
+    import repro.cost.predict as predict_module
+    from repro.harness.experiments import predicted_figure, tolerance_table
+
+    radix, _ = record_run(RadixSort(keys_per_proc=64), 8, seed=11)
+    graphs = [radix, dataclasses.replace(barnes_graph)]
+    scans, replays = [], []
+    scan, replay = predict_module._scan, predict_module._replay
+    monkeypatch.setattr(predict_module, "_scan",
+                        lambda *args: scans.append(args[2]) or scan(*args))
+    monkeypatch.setattr(predict_module, "_replay",
+                        lambda *args: replays.append(args) or replay(*args))
+    for dial in MACHINE_DIALS:
+        predicted_figure(graphs, dial)
+    tolerance_table(graphs)
+    print(f"\nRadix+Barnes P=8: {len(scans)} scans for {len(replays)} "
+          f"replays (budget {SCANS_BUDGET})")
+    assert len(scans) == sum(len(graph.replays) for graph in graphs)
+    assert len(scans) <= SCANS_BUDGET
