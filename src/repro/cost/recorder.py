@@ -46,6 +46,12 @@ __all__ = ["DepRecorder", "recording", "record_run"]
 #: tuple row costs ~200 bytes, a packed one 55.
 CHUNK_ROWS = 4096
 
+#: What a row tuple holds: ``ROW`` without the run's constants, the
+#: ``charge`` that follows from the tag and the ``label`` that only a
+#: mark has, filled in when a chunk is packed.
+_TUPLE = np.dtype([(name, ROW.fields[name][0]) for name in ROW.names
+                   if name not in ("charge", "label")])
+
 
 class DepRecorder:
     """Collects the graph's rows during one instrumented run.
@@ -57,20 +63,22 @@ class DepRecorder:
 
     def __init__(self) -> None:
         #: One tuple per event since the last pack, in the field order of
-        #: ``graph.ROW``; packed every ``CHUNK_ROWS`` and at the finish.
+        #: ``_TUPLE``; packed every ``CHUNK_ROWS`` and at the finish.
         self.rows: List[tuple] = []
         self._packed: List[np.ndarray] = []
+        #: The ``LABELS`` code of each mark among :attr:`rows`, in order.
+        self._labels: List[int] = []
         #: Per-rank blocked time accumulated since the previous recorded
-        #: event on that rank (consumed by the next event).
-        self._blocked: Dict[int, float] = {}
+        #: event on that rank (consumed by the next event); sized at begin.
+        self._blocked: List[float] = []
         self.graph: Optional[CostGraph] = None
         # Filled by on_begin; the simulator doubles as the armed flag.
         self._sim = None
         self._cluster = None
         self._app_name = ""
-        #: What the AM layer charges per message (the run's DialedCost).
-        self._send_cost = 0.0
-        self._recv_cost = 0.0
+        #: The host charge of a row, indexed by its tag: what the AM layer
+        #: charges per message (the run's DialedCost), and 0 for a mark.
+        self._charges = np.zeros(3)
         self._marks: Dict[str, float] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -81,9 +89,10 @@ class DepRecorder:
         self._sim = sim
         self._cluster = cluster
         self._app_name = app_name
+        self._blocked = [0.0] * cluster.n_nodes
         charge = DialedCost(cluster.params, cluster.knobs)
-        self._send_cost = charge.send_charge
-        self._recv_cost = charge.recv_charge
+        self._charges[SEND] = charge.send_charge
+        self._charges[RECV] = charge.recv_charge
 
     def on_finish(self) -> None:
         """Seal :attr:`graph`; its runtime is the marked region's."""
@@ -104,46 +113,59 @@ class DepRecorder:
             rows=rows)
 
     def _pack(self) -> None:
-        self._packed.append(np.array(self.rows, dtype=ROW))
+        held = np.array(self.rows, dtype=_TUPLE)
+        rows = np.zeros(len(held), dtype=ROW)
+        for name in _TUPLE.names:
+            rows[name] = held[name]
+        rows["charge"] = self._charges[held["tag"]]
+        rows["label"][held["tag"] == MARK] = self._labels
+        self._packed.append(rows)
         self.rows = []
+        self._labels = []
 
     # -- hooks -------------------------------------------------------------
     def on_send(self, rank: int, packet: Packet) -> None:
         """Completion of one host-level send (after its ``o`` charge)."""
+        blocked = self._blocked
         bulk = packet.is_bulk
         # Replies never take a window credit, everything else does; a
         # bulk send stands for the whole transfer.
         self.rows.append((
-            SEND, rank, self._sim.now, self._send_cost,
-            self._blocked.pop(rank, 0.0), packet.xfer_id, packet.dst,
+            SEND, rank, self._sim.now, blocked[rank], packet.xfer_id,
+            packet.dst,
             (REPLY_LIKE if packet.kind is REPLY or packet.is_reply
              else TAKES_CREDIT)
             | (ONE_WAY if packet.one_way else 0) | (BULK if bulk else 0),
             packet.logical_bytes if bulk else packet.size_bytes,
-            packet.fragment[1] if bulk else 1, 0))
+            packet.fragment[1] if bulk else 1))
+        blocked[rank] = 0.0
         if len(self.rows) >= CHUNK_ROWS:
             self._pack()
 
     def on_recv(self, rank: int, packet: Packet) -> None:
         """Completion of one host-level reception (after its charge)."""
+        blocked = self._blocked
         self.rows.append((
-            RECV, rank, self._sim.now, self._recv_cost,
-            self._blocked.pop(rank, 0.0), packet.xfer_id, packet.src,
+            RECV, rank, self._sim.now, blocked[rank], packet.xfer_id,
+            packet.src,
             REPLY_LIKE if packet.kind is REPLY or packet.is_reply else 0,
-            0, 1, 0))
+            0, 1))
+        blocked[rank] = 0.0
         if len(self.rows) >= CHUNK_ROWS:
             self._pack()
 
     def on_blocked(self, rank: int, duration: float) -> None:
         """The rank was parked in ``wait_until`` for ``duration`` µs."""
         if duration > 0:
-            self._blocked[rank] = self._blocked.get(rank, 0.0) + duration
+            self._blocked[rank] += duration
 
     def on_mark(self, rank: int, label: str) -> None:
         """Measurement-region marker (``start`` / ``stop`` on rank 0)."""
         now = self._marks[label] = self._sim.now
-        self.rows.append((MARK, rank, now, 0.0, self._blocked.pop(rank, 0.0),
-                          -1, -1, 0, 0, 1, LABELS[label]))
+        blocked = self._blocked
+        self._labels.append(LABELS[label])
+        self.rows.append((MARK, rank, now, blocked[rank], -1, -1, 0, 0, 1))
+        blocked[rank] = 0.0
 
 
 def recording(app, n_nodes: int, **cluster) -> Plan:

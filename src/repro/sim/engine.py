@@ -11,7 +11,9 @@ can wait on it.
 
 The event loop is the hot path of every experiment (a full LogGP sweep
 is ~10^7 events), so :meth:`Simulator.run` inlines the per-event work
-with the heap and bookkeeping hoisted into locals, and
+with the heap and bookkeeping hoisted into locals -- including the
+resume of a process's own wake-up entry ``(when, NORMAL, seq,
+Process._resume, process)``, its kickoff, bare sleep or park wake -- and
 :meth:`Simulator.timeout` builds its Timeout without going through the
 generic ``Event`` constructor.
 
@@ -28,7 +30,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import _INF, NORMAL, AllOf, Event, Timeout, bad_delay
-from repro.sim.process import Process
+from repro.sim.process import _RESUME, Process
 
 __all__ = ["Simulator", "StalledError"]
 
@@ -191,10 +193,14 @@ class Simulator:
             stop_event._defused = True
             stop_event.add_callback(self._stop_callback)
         # The two loops below are step() unrolled with the heap and the
-        # event counter in locals.  They must stay semantically identical
-        # to step(); the only difference is the `until` horizon check.
+        # event counter in locals, each resuming a process's own wake-up
+        # entry inline rather than calling Process._resume.  They must
+        # stay semantically identical to step(); the only difference
+        # between them is the `until` horizon check.
         heap = self._heap
         pop = heappop
+        push = heappush
+        resume = _RESUME
         count = self._event_count
         try:
             if until is None:
@@ -202,6 +208,28 @@ class Simulator:
                     when, _priority, _seq, callback, event = pop(heap)
                     self.now = when
                     count += 1
+                    if callback is resume:
+                        # Process._resume inline, for the process's own
+                        # wake-up entry (a sleep, a park's wake, the
+                        # kickoff): here ``event`` is the process.
+                        event.waiting_on = None
+                        try:
+                            target = event._generator.send(None)
+                        except StopIteration as stop:
+                            event.succeed(stop.value)
+                            continue
+                        except BaseException as exc:  # noqa: BLE001
+                            # simlint: disable=broad-except - any generator
+                            # death must become a process failure.
+                            event.fail(exc)
+                            continue
+                        if target.__class__ is float and 0.0 <= target < _INF:
+                            self._seq = seq = self._seq + 1
+                            push(heap,
+                                 (when + target, NORMAL, seq, resume, event))
+                        else:
+                            event._dispatch(target)
+                        continue
                     if callback is not None:
                         callback(event)
                         continue
@@ -228,6 +256,28 @@ class Simulator:
                     when, _priority, _seq, callback, event = pop(heap)
                     self.now = when
                     count += 1
+                    if callback is resume:
+                        # Process._resume inline, for the process's own
+                        # wake-up entry (a sleep, a park's wake, the
+                        # kickoff): here ``event`` is the process.
+                        event.waiting_on = None
+                        try:
+                            target = event._generator.send(None)
+                        except StopIteration as stop:
+                            event.succeed(stop.value)
+                            continue
+                        except BaseException as exc:  # noqa: BLE001
+                            # simlint: disable=broad-except - any generator
+                            # death must become a process failure.
+                            event.fail(exc)
+                            continue
+                        if target.__class__ is float and 0.0 <= target < _INF:
+                            self._seq = seq = self._seq + 1
+                            push(heap,
+                                 (when + target, NORMAL, seq, resume, event))
+                        else:
+                            event._dispatch(target)
+                        continue
                     if callback is not None:
                         callback(event)
                         continue

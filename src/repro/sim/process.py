@@ -25,14 +25,12 @@ __all__ = ["Process", "Park"]
 class Park:
     """A reusable wait with one known waiter: ``yield park`` suspends the
     process until :meth:`wake` and resumes it with ``None``.  No value,
-    no callback list, no one-shot state: ``wake()`` takes the very heap
-    entry ``Event.succeed()`` would push, and builds nothing.
+    no callback list, no one-shot state: ``wake()`` pushes the process's
+    own wake-up entry at the ``(when, seq)`` that ``Event.succeed()``
+    would take, and builds nothing.
     """
 
     __slots__ = ("sim", "name", "waiter")
-
-    #: What :meth:`Process._resume` reads off whatever woke it.
-    _ok, _value = True, None
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:  # noqa: F821
         self.sim = sim
@@ -46,7 +44,9 @@ class Park:
         process = self.waiter
         if process is not None:
             self.waiter = None
-            self.sim.call_in(0.0, process._resume, self)
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now, NORMAL, seq, _RESUME, process))
 
     def __repr__(self) -> str:
         state = "idle" if self.waiter is None else "pending"
@@ -81,12 +81,16 @@ class Process(Event):
         return not self.triggered
 
     # -- stepping ---------------------------------------------------------
-    def _resume(self, event: Union[Event, Park, None]) -> None:
-        # Hot path: runs once per process wakeup, with the event or park
-        # waited on or, out of a bare sleep, None.  Every wait has exactly
-        # one wake-up, so whatever resumes us is the wait we took.  A
-        # processed event always has ``_ok`` decided, so read the slot
-        # directly rather than the raising ``ok`` property.
+    def _resume(self, event: Optional[Event] = None) -> None:
+        # Runs once per wake-up that Simulator.run does not resume inline:
+        # with the event waited on, or with nothing out of a bare sleep, a
+        # park's wake or the kickoff -- the entry
+        # ``(when, NORMAL, seq, Process._resume, process)``, which step()
+        # and any ``callback(arg)`` call resume through this default.
+        # Every wait has exactly one wake-up, so whatever resumes us is
+        # the wait we took.  A processed event always has ``_ok``
+        # decided, so read the slot directly rather than the raising
+        # ``ok`` property.
         self.waiting_on = None
         try:
             if event is None:
@@ -104,31 +108,12 @@ class Process(Event):
             # become a process failure, never a lost exception.
             self.fail(exc)
             return
-        # _wait_on's common cases, inline: sleep, free park, pending event.
-        if target.__class__ is float and 0.0 <= target < _INF:
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap,
-                     (sim.now + target, NORMAL, seq, self._resume, None))
-            return
-        if target.__class__ is Park:
-            if target.waiter is None and target.sim is self.sim:
-                self.waiting_on = target
-                target.waiter = self
-                return
-        elif isinstance(target, Event) and target.sim is self.sim:
-            callbacks = target.callbacks
-            if callbacks is not None:
-                self.waiting_on = target
-                callbacks.append(self._resume)
-                return
-        self._wait_on(target)
+        self._dispatch(target)
 
     def _sleep(self, delay: float) -> None:
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap,
-                 (sim.now + delay, NORMAL, seq, self._resume, None))
+        heappush(sim._heap, (sim.now + delay, NORMAL, seq, _RESUME, self))
 
     def _throw(self, exc: BaseException) -> None:
         try:
@@ -141,9 +126,26 @@ class Process(Event):
             # become a process failure, never a lost exception.
             self.fail(err)
             return
-        self._wait_on(target)
+        self._dispatch(target)
 
-    def _wait_on(self, target: Any) -> None:
+    def _dispatch(self, target: Any) -> None:
+        """Take the wait the generator just yielded: the common cases
+        (sleep, free park, pending event) first, then every other real
+        number, an already processed event, and what is thrown back."""
+        if target.__class__ is float and 0.0 <= target < _INF:
+            self._sleep(target)
+            return
+        if target.__class__ is Park:
+            if target.waiter is None and target.sim is self.sim:
+                self.waiting_on = target
+                target.waiter = self
+                return
+        elif isinstance(target, Event) and target.sim is self.sim:
+            callbacks = target.callbacks
+            if callbacks is not None:
+                self.waiting_on = target
+                callbacks.append(self._resume)
+                return
         if isinstance(target, Real) and target.__class__ is not bool:
             delay = float(target)
             if 0.0 <= delay < _INF:
@@ -162,10 +164,13 @@ class Process(Event):
             return
         if not isinstance(target, Park):
             self.waiting_on = target
-            target.add_callback(self._resume)  # bridged if processed
-        elif target.waiter is None:
-            self.waiting_on = target
-            target.waiter = self
+            target.add_callback(self._resume)  # bridged: processed
         else:
             self._throw(RuntimeError(
                 f"{target!r} already holds {target.waiter.name!r}"))
+
+
+#: The callback of every process's own wake-up entry: the plain function,
+#: one object for every process, which ``Simulator.run`` recognises by
+#: identity and resumes inline.
+_RESUME = Process._resume

@@ -148,6 +148,23 @@ def test_cluster_run_limit_raises_timeout():
         cluster.run(_Sleeper(1e9))
 
 
+@pytest.mark.parametrize("name", ["Radix", "EM3D(read)", "Sample"])
+def test_a_run_limit_past_the_end_runs_as_no_limit(name):
+    """``Cluster.run`` takes the simulator's ``until`` loop exactly when
+    a limit is set: on real traffic a limit far past the run's end must
+    leave the bounded loop's run identical to the unbounded one's."""
+    from repro.apps import default_suite
+
+    def run(**limit):
+        app, = (app for app in default_suite(0.1) if app.name == name)
+        result = Cluster(8, seed=13, **limit).run(app)
+        return (result.runtime_us, result.events_processed,
+                result.stats.to_dict())
+
+    free = run()
+    assert run(run_limit_us=free[0] * 1e6) == free
+
+
 def test_cluster_with_knobs_preserves_configuration():
     from repro.am.tuning import TuningKnobs
     cluster = Cluster(n_nodes=4, seed=9, window=5)

@@ -504,3 +504,91 @@ def test_out_of_a_sleep_as_out_of_an_event(first):
     assert isinstance(failed.value, KeyError) and not failed.ok
     sim.run()
     assert waited.value == ("past", "open", 4.0)
+
+
+# ---------------------------------------------------------------------------
+# A process's own wake-up entry: what the generator does on that resume.
+# ---------------------------------------------------------------------------
+
+#: The resume a body ends on: its kickoff, out of a bare sleep (a float,
+#: which run() re-pushes in place, or an int, which it hands on), or out
+#: of a park's wake.
+ENDS_AFTER = ("kickoff", "sleep", "int-sleep", "park")
+
+
+def _run_endings(drive, mode, uncaught):
+    """Bodies that return, and bodies that raise, on the resume right
+    after each of ``ENDS_AFTER``, at shared instants; a watcher per body
+    waits on it and records what it ended with.  With ``uncaught`` one
+    more raising body has no watcher, so its failure ends the run."""
+    sim = Simulator()
+    trace = []
+    parks = []
+
+    def body(tag, after, how):
+        if after == "sleep":
+            yield 1.5
+        elif after == "int-sleep":
+            yield 1
+        elif after == "park":
+            parks.append(Park(sim, name=tag))
+            yield parks[-1]
+        trace.append((sim.now, "ends", tag))
+        if how == "raise":
+            raise RuntimeError(f"died {tag}")
+        return tag
+
+    def watcher(proc):
+        try:
+            got = yield proc
+        except RuntimeError as exc:
+            got = f"caught:{exc}"
+        trace.append((sim.now, "watched", got))
+        return got
+
+    def waker():
+        for delay in (0.5, 0.0, 0.5):
+            yield delay
+            for park in parks[::-1]:
+                park.wake()
+                park.wake()  # a second wake on its way is a no-op
+
+    sim.process(waker(), name="waker")
+    bodies = [sim.process(body(f"{after}/{how}/{n}", after, how))
+              for n in range(2) for after in ENDS_AFTER
+              for how in ("return", "raise")]
+    watchers = [sim.process(watcher(proc)) for proc in bodies]
+    if uncaught:
+        sim.process(body("loose", "sleep", "raise"))
+    outcome = error = None
+    try:
+        outcome = drive(sim, watchers, mode)
+    except RuntimeError as exc:
+        error = (type(exc).__name__, str(exc))
+    return (trace, sim.now, sim.events_processed, outcome, error,
+            [w.value for w in watchers if w.processed],
+            [park.waiter is None for park in parks],
+            [proc.waiting_on is None for proc in bodies])
+
+
+@pytest.mark.parametrize("uncaught", [False, True])
+@pytest.mark.parametrize("mode", ["run", "stop", "until", "step"])
+def test_ending_on_a_wake_up_entry_matches_step(mode, uncaught):
+    """``run()`` resumes a process's own wake-up entry inline; ending
+    there, by a return or a raise, must be what ``step()`` makes of it:
+    the same trace, clock, event count and outcome, and with an
+    unwatched failure the same exception at the same instant."""
+    reference = _run_endings(_drive_reference, mode, uncaught)
+    candidate = _run_endings(_drive, mode, uncaught)
+    assert candidate == reference
+    assert all(reference[-1]) or uncaught  # nothing left waiting
+    ended = {row[2] for row in reference[0] if row[1] == "ends"}
+    assert {tag.split("/")[0] for tag in ended} >= set(ENDS_AFTER)
+    if uncaught:
+        assert reference[4] == ("RuntimeError", "died loose")
+    else:
+        assert reference[4] is None
+        assert sorted(row[2] for row in reference[0]
+                      if row[1] == "watched") == sorted(
+            tag if tag.split("/")[1] == "return" else f"caught:died {tag}"
+            for tag in ended)

@@ -463,19 +463,20 @@ def test_radix_events_per_message_stays_fused():
     assert result.events_processed / result.stats.total_messages <= 6.0
 
 
-#: Calls per message allowed on Radix at P=8: 3 % above the 54.82
-#: measured since the AM layers and NICs count messages themselves and
-#: ``ClusterStats`` is off the per-message hooks.
-CALLS_PER_MESSAGE_BUDGET = 56.5
+#: Calls per message allowed on Radix at P=8: 3 % above the 52.39
+#: measured since the event loop resumes a process's own wake-up entry
+#: itself (decision 0032).
+CALLS_PER_MESSAGE_BUDGET = 54.0
 
-#: Calls per request allowed on ``KVServe`` at P=8: 3 % above the 150.37
-#: measured since the AM layers and NICs count messages themselves.
-CALLS_PER_REQUEST_BUDGET = 154.9
+#: Calls per request allowed on ``KVServe`` at P=8: 3 % above the 141.07
+#: measured since the event loop resumes a process's own wake-up entry
+#: itself (decision 0032).
+CALLS_PER_REQUEST_BUDGET = 145.4
 
 #: Calls per request allowed on ``FanoutServe`` (``fanout=4``) at P=8:
-#: 3 % above the 418.67 measured since the AM layers and NICs count
-#: messages themselves.
-FANOUT_CALLS_PER_REQUEST_BUDGET = 431.2
+#: 3 % above the 395.11 measured since the event loop resumes a
+#: process's own wake-up entry itself (decision 0032).
+FANOUT_CALLS_PER_REQUEST_BUDGET = 407.0
 
 
 #: The serving point both request budgets run at P=8.
@@ -530,7 +531,10 @@ def test_radix_calls_per_message_stays_within_budget():
     layers and NICs count messages and ``ClusterStats`` subscribes to
     no per-message hook (decision 0029); 156,012 calls, 54.72 per
     message, since ``ClusterStats`` subscribes to nothing and the ranks
-    count their barriers and collectives (decision 0030).  No timing enters: the count is a function of the seed and
+    count their barriers and collectives (decision 0030); 149,378 calls,
+    52.39 per message, since a sleep's, a park's and a kickoff's wake-up
+    is the entry ``(when, NORMAL, seq, Process._resume, process)``,
+    which ``Simulator.run`` resumes inline (decision 0032).  No timing enters: the count is a function of the seed and
     repeats exactly, also across ``PYTHONHASHSEED`` values (CI runs this
     test under two and prints it)."""
     calls, result = _calls_during(
@@ -562,8 +566,10 @@ def test_kvserve_calls_per_request_stays_within_budget():
     own; 45,110 calls, 150.37 per request, since the AM layers and NICs
     count messages themselves (decision 0029); 44,881 calls, 149.60 per
     request, since ``ClusterStats`` subscribes to nothing (decision
-    0030).  Exact under any ``PYTHONHASHSEED``, as the Radix count is (CI
-    prints all three)."""
+    0030); 42,321 calls, 141.07 per request, since the event loop resumes
+    a process's own wake-up entry itself (decision 0032).  Exact under
+    any ``PYTHONHASHSEED``, as the Radix count is (CI prints all
+    three)."""
     calls, result = _calls_during(lambda: Cluster(8, seed=13).run(KVServe(
         **SERVING_KNOBS)))
     requests = result.stats.serving.arrivals
@@ -584,8 +590,9 @@ def test_fanoutserve_calls_per_request_stays_within_budget():
     calls, 418.67 per request, since the AM layers and NICs count
     messages themselves (decision 0029); 125,371 calls, 417.90 per
     request, since ``ClusterStats`` subscribes to nothing (decision
-    0030).  Exact under any
-    ``PYTHONHASHSEED`` (CI prints it)."""
+    0030); 118,532 calls, 395.11 per request, since the event loop
+    resumes a process's own wake-up entry itself (decision 0032).  Exact
+    under any ``PYTHONHASHSEED`` (CI prints it)."""
     calls, result = _calls_during(lambda: Cluster(8, seed=13).run(
         FanoutServe(fanout=4, **dict(SERVING_KNOBS,
                                      offered_rps=100_000.0))))
